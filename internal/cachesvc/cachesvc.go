@@ -21,9 +21,9 @@
 //	                                        ▼
 //	                              backend store (CAS) / origin
 //
-// The key space is consistent-hashed into shards; a Placement assigns
-// each shard a primary plus Options.Replicas replicas across an
-// explicit set of Nodes. Writes apply to every copy, reads are served
+// The key space is hashed into a fixed number of shards; a Placement
+// assigns each shard a primary plus Options.Replicas replicas across
+// an explicit set of Nodes. Writes apply to every copy, reads are served
 // by the cheapest live replica, and AddNode/DrainNode/KillNode trigger
 // live shard migration: ownership flips immediately (placement version
 // bump), lookups during the handoff fall through from the new copy to
@@ -48,7 +48,6 @@ package cachesvc
 
 import (
 	"container/list"
-	"fmt"
 	"hash/fnv"
 	"sort"
 	"sync"
@@ -127,9 +126,6 @@ type Options struct {
 	// that nothing advances (leases then only expire when a test
 	// advances it — mounts' own clocks never age a lease by accident).
 	Clock *sim.Clock
-	// VirtualPoints is the number of consistent-hash ring points per
-	// shard (default 256; more points, more even arcs).
-	VirtualPoints int
 	// Nodes is the number of cache nodes the shards are placed across
 	// (default 1 — the single-node reference configuration).
 	Nodes int
@@ -144,7 +140,6 @@ type Options struct {
 type Service struct {
 	opts  Options
 	clock *sim.Clock
-	ring  []ringPoint
 
 	// ver stamps every accepted mutation; migration copies carry their
 	// source's stamp and never overwrite a newer one.
@@ -172,11 +167,6 @@ type Service struct {
 	expired int64
 	fenced  int64
 	seeds   int64
-}
-
-type ringPoint struct {
-	hash  uint64
-	shard int
 }
 
 // store is one node's copy of one shard: a lock+LRU over versioned
@@ -346,9 +336,6 @@ func New(opts Options) *Service {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = defaultLeaseTTL
 	}
-	if opts.VirtualPoints <= 0 {
-		opts.VirtualPoints = 256
-	}
 	if opts.Nodes <= 0 {
 		opts.Nodes = 1
 	}
@@ -373,7 +360,6 @@ func New(opts Options) *Service {
 	for i := 0; i < opts.Nodes; i++ {
 		s.nodes = append(s.nodes, newNode(i))
 	}
-	s.buildRing()
 	s.topo.Lock()
 	s.recomputeLocked()
 	// The initial placement is not a handoff: every owner store starts
@@ -390,43 +376,17 @@ func New(opts Options) *Service {
 	return s
 }
 
-// buildRing places VirtualPoints points per shard on a hash ring so a
-// key maps to the shard owning the first point at or after its hash.
-// Consistent hashing keeps the key→shard mapping mostly stable if the
-// shard count changes between service generations.
-func (s *Service) buildRing() {
-	pts := make([]ringPoint, 0, s.opts.Shards*s.opts.VirtualPoints)
-	for sh := 0; sh < s.opts.Shards; sh++ {
-		for v := 0; v < s.opts.VirtualPoints; v++ {
-			pts = append(pts, ringPoint{
-				hash:  hash64(fmt.Sprintf("shard-%d-point-%d", sh, v)),
-				shard: sh,
-			})
-		}
-	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].hash != pts[j].hash {
-			return pts[i].hash < pts[j].hash
-		}
-		return pts[i].shard < pts[j].shard
-	})
-	s.ring = pts
-}
-
 func hash64(k string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(k))
 	return h.Sum64()
 }
 
-// ShardOf returns the shard index a key lives on.
+// ShardOf returns the shard index a key lives on. The shard count is
+// fixed for the life of the service, so a plain modulo suffices; what
+// moves is shard→node, and rendezvous placement handles that.
 func (s *Service) ShardOf(key Key) int {
-	h := hash64(string(key))
-	i := sort.Search(len(s.ring), func(i int) bool { return s.ring[i].hash >= h })
-	if i == len(s.ring) {
-		i = 0 // wrap: the ring is a circle
-	}
-	return s.ring[i].shard
+	return int(hash64(string(key)) % uint64(s.opts.Shards))
 }
 
 // GroupOf returns the lease shard-group guarding mutations of key:

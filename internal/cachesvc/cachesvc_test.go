@@ -57,7 +57,7 @@ func TestGetPutInvalidate(t *testing.T) {
 	}
 }
 
-// TestRingDeterministicAndCovering: the consistent-hash ring maps every
+// TestRingDeterministicAndCovering: the key→shard hash maps every
 // key to a valid shard, identically across service instances, and
 // spreads a key population over all shards.
 func TestRingDeterministicAndCovering(t *testing.T) {

@@ -101,7 +101,7 @@ type Session struct {
 
 	Proc   *proc.Process
 	Nested *namespace.Set
-	Client *namespace.Client
+	Client *vfs.Client
 
 	CntrFS *cntrfs.FS
 	Conn   *fuse.Conn
@@ -269,11 +269,11 @@ func Attach(h *Host, opts Options) (*Session, error) {
 	nestedMount.Mount(tmpMountPoint+"/proc", procSnap, vfs.RootIno, namespace.PropPrivate, false)
 	appOp := vfs.RootOp()
 	for _, special := range []string{"/dev", "/etc/passwd", "/etc/hostname"} {
-		fs, ino, _, rerr := ctx.Namespaces.Mount.Resolve(appOp, special)
+		src, rerr := ctx.Namespaces.Mount.Resolve(appOp, special)
 		if rerr != nil {
 			continue // absent in this container; skip
 		}
-		nestedMount.Mount(tmpMountPoint+special, fs, ino, namespace.PropPrivate, false)
+		nestedMount.Mount(tmpMountPoint+special, src.FS, src.Ino, namespace.PropPrivate, false)
 	}
 
 	// Atomically pivot into the new hierarchy: chroot(TMP).

@@ -268,6 +268,38 @@ func TestAttachWritesReachAppContainer(t *testing.T) {
 	}
 }
 
+// TestAttachToolsStayInChroot: step #3 chroots the tools onto the
+// temporary mount point; no path leads from there into the application's
+// root other than the re-exposed /var/lib/cntr.
+func TestAttachToolsStayInChroot(t *testing.T) {
+	h, _, _ := testWorld(t)
+	sess, err := Attach(h, Options{Container: "db", Fat: "tools"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	// /etc/my.cnf exists in the application's root, just outside the
+	// chroot, and nowhere on the tools side.
+	if err := sess.Client.Symlink("/etc/my.cnf", "/abs"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Client.Symlink("../../etc/my.cnf", "/usr/rel"); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/../etc/my.cnf", "/usr/bin/../../../etc/my.cnf",
+		"/var/lib/cntr/../../../../etc/my.cnf", "/abs", "/usr/rel"} {
+		if got, err := sess.Client.ReadFile(p); vfs.ToErrno(err) != vfs.ENOENT {
+			t.Errorf("ReadFile(%q) = %q, %v: escaped the chroot", p, got, err)
+		}
+	}
+	if got, err := sess.Client.ReadFile("/var/lib/cntr/etc/my.cnf"); err != nil || !strings.Contains(string(got), "datadir") {
+		t.Fatalf("the sanctioned route: %q %v", got, err)
+	}
+	if got, err := sess.Client.ReadFile("/usr/bin/../../etc/gdbinit"); err != nil || !strings.Contains(string(got), "pagination") {
+		t.Fatalf("dotdot inside the chroot: %q %v", got, err)
+	}
+}
+
 func TestAttachEngineSelection(t *testing.T) {
 	h, _, _ := testWorld(t)
 	if _, err := Attach(h, Options{Container: "db", Engine: "lxc"}); err == nil {

@@ -73,16 +73,6 @@ type MountOptions struct {
 	// dispatched to workers concurrently, keeping a single container
 	// from occupying every server thread. Zero means unlimited.
 	MaxOriginInflight int
-	// DispatchQueues is the number of per-worker run queues the request
-	// table schedules from. Zero means one per server thread (each
-	// worker pops its own WFQ heap and steals when idle); values are
-	// clamped to [1, ServerThreads], since a queue with no bound worker
-	// would only ever drain by theft. One queue restores the single
-	// global heap, which is also the configuration that guarantees
-	// strict global WFQ ordering (with several queues, fairness is
-	// enforced within each queue's origin set and cross-queue balance
-	// comes from shard spreading plus stealing).
-	DispatchQueues int
 }
 
 // DefaultMountOptions returns the fully optimized configuration the
@@ -200,14 +190,10 @@ func Mount(fs vfs.FS, clock *sim.Clock, model *sim.CostModel, opts MountOptions)
 	if opts.DefaultWeight <= 0 {
 		opts.DefaultWeight = 1
 	}
-	if opts.DispatchQueues <= 0 {
-		opts.DispatchQueues = opts.ServerThreads
-	}
-	if opts.DispatchQueues > opts.ServerThreads {
-		opts.DispatchQueues = opts.ServerThreads
-	}
+	// One run queue per server thread: each worker pops its own WFQ heap
+	// and steals when idle.
 	table := newReqTable(opts.MaxBackground, opts.MaxOriginInflight,
-		opts.DefaultWeight, opts.QoSWeights, opts.DispatchQueues)
+		opts.DefaultWeight, opts.QoSWeights, opts.ServerThreads)
 	conn := &Conn{
 		clock:     clock,
 		model:     model,

@@ -227,11 +227,11 @@ func (ns *MountNS) MoveMount(oldPoint, newPoint string) error {
 // Bind resolves srcPath in this namespace and mounts the resolved
 // directory (or file) at dstPoint — a bind mount.
 func (ns *MountNS) Bind(op *vfs.Op, srcPath, dstPoint string, readOnly bool) error {
-	fs, ino, _, err := ns.Resolve(op, srcPath)
+	src, err := ns.Resolve(op, srcPath)
 	if err != nil {
 		return err
 	}
-	return ns.Mount(dstPoint, fs, ino, PropPrivate, readOnly)
+	return ns.Mount(dstPoint, src.FS, src.Ino, PropPrivate, readOnly)
 }
 
 // MountAt returns the mount exactly at point, if any.
@@ -254,38 +254,44 @@ func (ns *MountNS) Mounts() []*Mount {
 	return out
 }
 
-// lookupMount finds the longest-prefix mount for path and returns it
-// with the residual path inside that mount.
-func (ns *MountNS) lookupMount(path string) (*Mount, string) {
-	path = normalizePoint(path)
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	best := ""
-	var found *Mount
-	for p, m := range ns.mounts {
-		if p == "/" || path == p || strings.HasPrefix(path, p+"/") {
-			if len(p) > len(best) || found == nil {
-				best, found = p, m
-			}
-		}
-	}
-	rest := strings.TrimPrefix(path, best)
-	return found, rest
+// NewClient returns a path-level client at the namespace root: a
+// vfs.Client whose paths resolve across the namespace's mounts. Processes
+// created by internal/proc hold one of these; Client.Chroot confines it.
+func NewClient(ns *MountNS, cred *vfs.Cred) *vfs.Client {
+	return newClient(ns, vfs.NewOp(nil, cred))
 }
 
-// Resolve walks path across mounts and symlinks, returning the serving
-// filesystem, the inode, and its attributes.
-func (ns *MountNS) Resolve(op *vfs.Op, path string) (vfs.FS, vfs.Ino, vfs.Attr, error) {
-	return ns.resolve(op, path, true, 0)
+func newClient(ns *MountNS, op *vfs.Op) *vfs.Client {
+	root, _ := ns.MountedAt("/")
+	return &vfs.Client{Pos: root, Op: op, Mounts: ns}
+}
+
+// Resolve walks path across mounts and symlinks to the filesystem
+// serving it, its inode and attributes.
+func (ns *MountNS) Resolve(op *vfs.Op, path string) (vfs.WalkResult, error) {
+	return newClient(ns, op).Resolve(path)
 }
 
 // Lresolve is Resolve without following a final symlink.
-func (ns *MountNS) Lresolve(op *vfs.Op, path string) (vfs.FS, vfs.Ino, vfs.Attr, error) {
-	return ns.resolve(op, path, false, 0)
+func (ns *MountNS) Lresolve(op *vfs.Op, path string) (vfs.WalkResult, error) {
+	return newClient(ns, op).Lresolve(path)
 }
 
-// hasMountUnder reports whether any mount point lies strictly below path.
-func (ns *MountNS) hasMountUnder(path string) bool {
+// MountedAt returns the root of the mount exactly at the normalized path.
+// With MountedBelow it makes the namespace a vfs.MountTable, which is all
+// the shared path walker needs to know about mounts.
+func (ns *MountNS) MountedAt(path string) (vfs.Pos, bool) {
+	ns.mu.RLock()
+	defer ns.mu.RUnlock()
+	m, ok := ns.mounts[path]
+	if !ok {
+		return vfs.Pos{}, false
+	}
+	return vfs.Pos{FS: m.FS, Ino: m.Root, Path: m.Point, ReadOnly: m.ReadOnly}, true
+}
+
+// MountedBelow reports whether any mount point lies strictly below path.
+func (ns *MountNS) MountedBelow(path string) bool {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
 	for p := range ns.mounts {
@@ -294,113 +300,4 @@ func (ns *MountNS) hasMountUnder(path string) bool {
 		}
 	}
 	return false
-}
-
-func (ns *MountNS) resolve(op *vfs.Op, path string, followLeaf bool, depth int) (vfs.FS, vfs.Ino, vfs.Attr, error) {
-	if depth > vfs.MaxSymlinkDepth {
-		return nil, 0, vfs.Attr{}, vfs.ELOOP
-	}
-	components := vfs.SplitPath(path)
-	// Current position: a path string (for mount matching) plus the
-	// filesystem location backing it. synthetic means the position
-	// exists only as a prefix of deeper mount points, with no backing
-	// directory (mounts do not require underlying dirs here).
-	cur := "/"
-	m, _ := ns.lookupMount("/")
-	fs, ino := m.FS, m.Root
-	attr, err := fs.Getattr(op, ino)
-	if err != nil {
-		return nil, 0, vfs.Attr{}, err
-	}
-	synthetic := false
-	syntheticAttr := vfs.Attr{Type: vfs.TypeDirectory, Mode: 0o755, Nlink: 2}
-	for i := 0; i < len(components); i++ {
-		name := components[i]
-		last := i == len(components)-1
-		if name == ".." {
-			// Lexically pop; symlinks already resolved as encountered.
-			if cur != "/" {
-				cur = cur[:strings.LastIndex(cur, "/")]
-				if cur == "" {
-					cur = "/"
-				}
-			}
-			m, rest := ns.lookupMount(cur)
-			fs, ino, attr, err = walkWithin(m, rest, op)
-			if err != nil {
-				return nil, 0, vfs.Attr{}, err
-			}
-			synthetic = false
-			continue
-		}
-		next := cur
-		if next == "/" {
-			next += name
-		} else {
-			next += "/" + name
-		}
-		// A mount exactly at next shadows the underlying directory.
-		if nm, ok := ns.MountAt(next); ok {
-			fs, ino = nm.FS, nm.Root
-			attr, err = fs.Getattr(op, ino)
-			if err != nil {
-				return nil, 0, vfs.Attr{}, err
-			}
-			cur = next
-			synthetic = false
-			continue
-		}
-		if synthetic {
-			if ns.hasMountUnder(next) && !last {
-				cur = next
-				continue
-			}
-			return nil, 0, vfs.Attr{}, vfs.ENOENT
-		}
-		if attr.Type != vfs.TypeDirectory {
-			return nil, 0, vfs.Attr{}, vfs.ENOTDIR
-		}
-		childAttr, err := fs.Lookup(op, ino, name)
-		if err != nil {
-			if vfs.ToErrno(err) == vfs.ENOENT && !last && ns.hasMountUnder(next) {
-				synthetic = true
-				attr = syntheticAttr
-				cur = next
-				continue
-			}
-			return nil, 0, vfs.Attr{}, err
-		}
-		if childAttr.Type == vfs.TypeSymlink && (!last || followLeaf) {
-			target, rerr := fs.Readlink(op, childAttr.Ino)
-			if rerr != nil {
-				return nil, 0, vfs.Attr{}, rerr
-			}
-			rest := strings.Join(components[i+1:], "/")
-			var joined string
-			if strings.HasPrefix(target, "/") {
-				joined = target
-			} else {
-				joined = cur + "/" + target
-			}
-			if rest != "" {
-				joined += "/" + rest
-			}
-			return ns.resolve(op, joined, followLeaf, depth+1)
-		}
-		ino, attr = childAttr.Ino, childAttr
-		cur = next
-	}
-	if synthetic {
-		return nil, 0, vfs.Attr{}, vfs.ENOENT
-	}
-	return fs, ino, attr, nil
-}
-
-// walkWithin re-resolves a residual path inside a single mount.
-func walkWithin(m *Mount, rest string, op *vfs.Op) (vfs.FS, vfs.Ino, vfs.Attr, error) {
-	res, err := vfs.Walk(m.FS, op, m.Root, rest, true)
-	if err != nil {
-		return nil, 0, vfs.Attr{}, err
-	}
-	return m.FS, res.Ino, res.Attr, nil
 }

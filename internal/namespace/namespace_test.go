@@ -7,7 +7,7 @@ import (
 	"cntr/internal/vfs"
 )
 
-func newRoot(t *testing.T) (*MountNS, *Client) {
+func newRoot(t *testing.T) (*MountNS, *vfs.Client) {
 	t.Helper()
 	ns := NewMountNS(memfs.New(memfs.Options{}))
 	return ns, NewClient(ns, vfs.Root())

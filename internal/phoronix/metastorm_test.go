@@ -49,10 +49,10 @@ func TestMetaStormNotInSuite(t *testing.T) {
 }
 
 // TestMetaStormChaosEnforcedOverStealingScheduler re-runs the chaos +
-// enforcement composition over the per-worker stealing scheduler made
-// explicit: the mount pins DispatchQueues to its thread count, the storm
-// plus a metadata-heavy subset of the suite replay under injected faults
-// with their recorded profiles enforced, and (a) no injected fault may
+// enforcement composition over the per-worker stealing scheduler: the
+// mount runs four server threads (one run queue each), the storm plus a
+// metadata-heavy subset of the suite replay under injected faults with
+// their recorded profiles enforced, and (a) no injected fault may
 // register as a policy denial, (b) the dispatcher's steal path must
 // remain invisible to enforcement outcomes.
 func TestMetaStormChaosEnforcedOverStealingScheduler(t *testing.T) {
@@ -80,7 +80,6 @@ func TestMetaStormChaosEnforcedOverStealingScheduler(t *testing.T) {
 		// benchmark would prove nothing about scheduler/policy composition.)
 		cfg := stackConfig()
 		cfg.Mount.ServerThreads = 4
-		cfg.Mount.DispatchQueues = 4
 		c := stack.NewCntr(cfg)
 		enf := policy.NewEnforcer(prof, false)
 		inj := vfs.NewFaultInjector(ChaosProfile()...)

@@ -52,7 +52,7 @@ func (p *Process) Cred() *vfs.Cred {
 // Client returns a mount-aware filesystem client for the process. Its
 // operations carry the process id, so per-operation traces (vfs.Tracer)
 // can be attributed back to the process.
-func (p *Process) Client() *namespace.Client {
+func (p *Process) Client() *vfs.Client {
 	c := namespace.NewClient(p.Namespaces.Mount, p.Cred())
 	c.Op.PID = uint32(p.PID)
 	return c

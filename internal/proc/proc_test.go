@@ -133,7 +133,7 @@ func TestProcessCredAndClient(t *testing.T) {
 		t.Fatalf("cred = %+v", cred)
 	}
 	cli := p.Client()
-	if cli.NS != p.Namespaces.Mount {
+	if cli.Mounts != vfs.MountTable(p.Namespaces.Mount) {
 		t.Fatal("client bound to wrong namespace")
 	}
 }

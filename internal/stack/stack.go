@@ -77,13 +77,11 @@ type Config struct {
 	// Record, when set, receives batches of trace entries for every
 	// operation crossing the FUSE boundary: a below-cache tracer feeds a
 	// batched sink (vfs.Tracer.StartBatchSink) wired to this callback,
-	// and Close flushes the tail. RecordFlush tunes the batching; its
-	// zero value defaults to lossless with the spill journal left to the
-	// caller (set SpillDir to bound recording stalls). The callback type
-	// keeps this package policy-agnostic — point it at a
-	// policy.Run.SinkBatch to record an enforcement profile.
-	Record      func([]vfs.TraceEntry)
-	RecordFlush vfs.TraceBatchOptions
+	// and Close flushes the tail. Recording is lossless: a shed entry
+	// would silently weaken the profile it feeds. The callback type keeps
+	// this package policy-agnostic — point it at a policy.Run.SinkBatch
+	// to record an enforcement profile.
+	Record func([]vfs.TraceEntry)
 }
 
 // Native is the baseline stack.
@@ -235,11 +233,7 @@ func NewCntr(cfg Config) *Cntr {
 	var stopRecord func()
 	if cfg.Record != nil {
 		recTracer = vfs.NewTracer(0)
-		flush := cfg.RecordFlush
-		if flush == (vfs.TraceBatchOptions{}) {
-			flush.Lossless = true
-		}
-		stopRecord = recTracer.StartBatchSink(cfg.Record, flush)
+		stopRecord = recTracer.StartBatchSink(cfg.Record, vfs.TraceBatchOptions{Lossless: true})
 		below = append([]vfs.Interceptor{recTracer}, below...)
 	}
 	kernelBacking := vfs.Chain(conn, below...)

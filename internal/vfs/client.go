@@ -5,30 +5,47 @@ import (
 	"strings"
 )
 
-// Client is a path-level convenience layer over an FS, playing the role
-// of the syscall layer for workloads, tests and examples: open by path,
-// read/write files, walk trees. A Client carries the credential its
-// operations run with, like a process does.
+// Client is the path-level layer over the filesystem interface, playing
+// the role of the syscall layer for processes, workloads, tests and
+// examples: open by path, read/write files, walk trees. A Client carries
+// the credential its operations run with, like a process does.
 type Client struct {
-	FS FS
+	// Pos is the client's root directory, served by FS: every path
+	// resolves from it, ".." does not leave it, and absolute symlink
+	// targets restart at it. Chroot moves it.
+	Pos
 	// Op is the request context client operations run with; its Cred is
 	// the client's identity, like a process's credentials.
 	Op *Op
-	// Root is the directory all absolute paths resolve from; it
-	// implements chroot for clients running inside a container.
-	Root Ino
+	// Mounts is the mount table paths resolve across, as a process in a
+	// mount namespace has one; nil when FS is the whole hierarchy.
+	Mounts MountTable
 }
 
 // NewClient returns a client rooted at the filesystem root, running
 // non-cancelable operations with cred.
 func NewClient(fs FS, cred *Cred) *Client {
-	return &Client{FS: fs, Op: NewOp(nil, cred), Root: RootIno}
+	return NewClientOp(fs, NewOp(nil, cred))
 }
 
 // NewClientOp returns a client running every operation under op —
 // canceling op's context interrupts the client's in-flight calls.
 func NewClientOp(fs FS, op *Op) *Client {
-	return &Client{FS: fs, Op: op, Root: RootIno}
+	return &Client{Pos: Pos{FS: fs, Ino: RootIno}, Op: op}
+}
+
+// Chroot returns a copy of the client whose root is the directory at dir.
+func (c *Client) Chroot(dir string) (*Client, error) {
+	r, err := c.Resolve(dir)
+	if err != nil {
+		return nil, err
+	}
+	if r.Attr.Type != TypeDirectory {
+		return nil, ENOTDIR
+	}
+	cp := *c
+	cp.Pos = r.Pos
+	return &cp, nil
 }
 
 // Cred returns the credential the client operates with.
@@ -39,25 +56,27 @@ func (c *Client) Cred() *Cred { return c.Op.Cred }
 func (c *Client) req() *Op { return c.Op.Fork() }
 
 // File is an open file with a seek position, the shape workloads expect.
+// It is bound to the filesystem that served the open.
 type File struct {
 	c      *Client
+	fs     FS
 	h      Handle
 	ino    Ino
-	flags  OpenFlags
 	offset int64
 	closed bool
 }
 
-// Resolve walks path and returns its inode and attributes, following
-// symlinks.
-func (c *Client) Resolve(path string) (WalkResult, error) {
-	return Walk(c.FS, c.req(), c.Root, path, true)
+// walk resolves path from the client's root as one request.
+func (c *Client) walk(path string, followLeaf bool) (WalkResult, error) {
+	return walk(c.Pos, c.Mounts, c.req(), path, followLeaf)
 }
 
+// Resolve walks path and returns its position and attributes, following
+// symlinks.
+func (c *Client) Resolve(path string) (WalkResult, error) { return c.walk(path, true) }
+
 // Lresolve walks path without following a leaf symlink.
-func (c *Client) Lresolve(path string) (WalkResult, error) {
-	return Walk(c.FS, c.req(), c.Root, path, false)
-}
+func (c *Client) Lresolve(path string) (WalkResult, error) { return c.walk(path, false) }
 
 // Stat returns the attributes of path, following symlinks.
 func (c *Client) Stat(path string) (Attr, error) {
@@ -80,14 +99,17 @@ func (c *Client) Lstat(path string) (Attr, error) {
 // Open opens path with flags; mode is used when O_CREAT creates the file.
 func (c *Client) Open(path string, flags OpenFlags, mode Mode) (*File, error) {
 	follow := flags&ONofollow == 0
-	r, err := Walk(c.FS, c.req(), c.Root, path, follow)
+	r, err := c.walk(path, follow)
 	if err != nil {
 		if ToErrno(err) == ENOENT && flags&OCreat != 0 && r.Parent != 0 && r.Leaf != "" && r.Leaf != "." {
-			attr, h, cerr := c.FS.Create(c.req(), r.Parent, r.Leaf, mode, flags)
+			if r.ReadOnly {
+				return nil, EROFS
+			}
+			attr, h, cerr := r.FS.Create(c.req(), r.Parent, r.Leaf, mode, flags)
 			if cerr != nil {
 				return nil, cerr
 			}
-			return &File{c: c, h: h, ino: attr.Ino, flags: flags}, nil
+			return &File{c: c, fs: r.FS, h: h, ino: attr.Ino}, nil
 		}
 		return nil, err
 	}
@@ -103,11 +125,14 @@ func (c *Client) Open(path string, flags OpenFlags, mode Mode) (*File, error) {
 	if r.Attr.Type == TypeDirectory && flags.Writable() {
 		return nil, EISDIR
 	}
-	h, err := c.FS.Open(c.req(), r.Ino, flags)
+	if r.ReadOnly && flags.Writable() {
+		return nil, EROFS
+	}
+	h, err := r.FS.Open(c.req(), r.Ino, flags)
 	if err != nil {
 		return nil, err
 	}
-	return &File{c: c, h: h, ino: r.Ino, flags: flags}, nil
+	return &File{c: c, fs: r.FS, h: h, ino: r.Ino}, nil
 }
 
 // Create creates (or truncates) path for writing.
@@ -153,13 +178,15 @@ func (c *Client) WriteFile(path string, data []byte, mode Mode) error {
 func (c *Client) Mkdir(path string, mode Mode) error {
 	r, err := c.Lresolve(path)
 	if err == nil {
-		_ = r
 		return EEXIST
 	}
 	if ToErrno(err) != ENOENT || r.Leaf == "" || r.Leaf == "." {
 		return err
 	}
-	_, err = c.FS.Mkdir(c.req(), r.Parent, r.Leaf, mode)
+	if r.ReadOnly {
+		return EROFS
+	}
+	_, err = r.FS.Mkdir(c.req(), r.Parent, r.Leaf, mode)
 	return err
 }
 
@@ -176,16 +203,28 @@ func (c *Client) MkdirAll(path string, mode Mode) error {
 	return nil
 }
 
-// Remove unlinks a file or removes an empty directory.
+// Remove unlinks a file or removes an empty directory. Removing a mount
+// point fails with EBUSY.
 func (c *Client) Remove(path string) error {
 	r, err := c.Lresolve(path)
 	if err != nil {
 		return err
 	}
-	if r.Attr.Type == TypeDirectory {
-		return c.FS.Rmdir(c.req(), r.Parent, r.Leaf)
+	return c.remove(r)
+}
+
+// remove deletes the resolved directory entry.
+func (c *Client) remove(r WalkResult) error {
+	if r.Parent == 0 {
+		return EBUSY
 	}
-	return c.FS.Unlink(c.req(), r.Parent, r.Leaf)
+	if r.ReadOnly {
+		return EROFS
+	}
+	if r.Attr.Type == TypeDirectory {
+		return r.FS.Rmdir(c.req(), r.Parent, r.Leaf)
+	}
+	return r.FS.Unlink(c.req(), r.Parent, r.Leaf)
 }
 
 // RemoveAll removes path and, for directories, everything beneath it.
@@ -208,9 +247,8 @@ func (c *Client) RemoveAll(path string) error {
 				return err
 			}
 		}
-		return c.FS.Rmdir(c.req(), r.Parent, r.Leaf)
 	}
-	return c.FS.Unlink(c.req(), r.Parent, r.Leaf)
+	return c.remove(r)
 }
 
 // ReadDir returns the entries of the directory at path, excluding "." and
@@ -220,15 +258,15 @@ func (c *Client) ReadDir(path string) ([]Dirent, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := c.FS.Opendir(c.req(), r.Ino)
+	h, err := r.FS.Opendir(c.req(), r.Ino)
 	if err != nil {
 		return nil, err
 	}
-	defer c.FS.Releasedir(c.req(), h)
+	defer r.FS.Releasedir(c.req(), h)
 	var out []Dirent
 	off := int64(0)
 	for {
-		ents, err := c.FS.Readdir(c.req(), h, off)
+		ents, err := r.FS.Readdir(c.req(), h, off)
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +292,10 @@ func (c *Client) Symlink(target, linkPath string) error {
 	if ToErrno(err) != ENOENT || r.Leaf == "" {
 		return err
 	}
-	_, err = c.FS.Symlink(c.req(), r.Parent, r.Leaf, target)
+	if r.ReadOnly {
+		return EROFS
+	}
+	_, err = r.FS.Symlink(c.req(), r.Parent, r.Leaf, target)
 	return err
 }
 
@@ -267,10 +308,11 @@ func (c *Client) Readlink(path string) (string, error) {
 	if r.Attr.Type != TypeSymlink {
 		return "", EINVAL
 	}
-	return c.FS.Readlink(c.req(), r.Ino)
+	return r.FS.Readlink(c.req(), r.Ino)
 }
 
-// Link creates a hard link at newPath referring to oldPath.
+// Link creates a hard link at newPath referring to oldPath; crossing
+// mounts yields EXDEV.
 func (c *Client) Link(oldPath, newPath string) error {
 	src, err := c.Lresolve(oldPath)
 	if err != nil {
@@ -283,11 +325,18 @@ func (c *Client) Link(oldPath, newPath string) error {
 	if ToErrno(err) != ENOENT || dst.Leaf == "" {
 		return err
 	}
-	_, err = c.FS.Link(c.req(), src.Ino, dst.Parent, dst.Leaf)
+	if src.FS != dst.FS {
+		return EXDEV
+	}
+	if dst.ReadOnly {
+		return EROFS
+	}
+	_, err = src.FS.Link(c.req(), src.Ino, dst.Parent, dst.Leaf)
 	return err
 }
 
-// Rename moves oldPath to newPath.
+// Rename moves oldPath to newPath; crossing mounts yields EXDEV as
+// rename(2) does, and a mount point cannot be moved or replaced.
 func (c *Client) Rename(oldPath, newPath string) error {
 	src, err := c.Lresolve(oldPath)
 	if err != nil {
@@ -300,37 +349,43 @@ func (c *Client) Rename(oldPath, newPath string) error {
 	if dst.Leaf == "" || dst.Leaf == "." {
 		return EINVAL
 	}
-	_ = src
-	return c.FS.Rename(c.req(), src.Parent, src.Leaf, dst.Parent, dst.Leaf, 0)
+	if src.Parent == 0 || dst.Parent == 0 {
+		return EBUSY
+	}
+	if src.FS != dst.FS {
+		return EXDEV
+	}
+	if src.ReadOnly || dst.ReadOnly {
+		return EROFS
+	}
+	return src.FS.Rename(c.req(), src.Parent, src.Leaf, dst.Parent, dst.Leaf, 0)
 }
 
 // Truncate sets the size of the file at path.
 func (c *Client) Truncate(path string, size int64) error {
-	r, err := c.Resolve(path)
-	if err != nil {
-		return err
-	}
-	_, err = c.FS.Setattr(c.req(), r.Ino, SetSize, Attr{Size: size})
-	return err
+	return c.setattr(path, SetSize, Attr{Size: size})
 }
 
 // Chmod changes the mode bits of path.
 func (c *Client) Chmod(path string, mode Mode) error {
-	r, err := c.Resolve(path)
-	if err != nil {
-		return err
-	}
-	_, err = c.FS.Setattr(c.req(), r.Ino, SetMode, Attr{Mode: mode})
-	return err
+	return c.setattr(path, SetMode, Attr{Mode: mode})
 }
 
 // Chown changes the ownership of path.
 func (c *Client) Chown(path string, uid, gid uint32) error {
+	return c.setattr(path, SetUID|SetGID, Attr{UID: uid, GID: gid})
+}
+
+// setattr applies the masked fields of attr to path, following symlinks.
+func (c *Client) setattr(path string, mask SetattrMask, attr Attr) error {
 	r, err := c.Resolve(path)
 	if err != nil {
 		return err
 	}
-	_, err = c.FS.Setattr(c.req(), r.Ino, SetUID|SetGID, Attr{UID: uid, GID: gid})
+	if r.ReadOnly {
+		return EROFS
+	}
+	_, err = r.FS.Setattr(c.req(), r.Ino, mask, attr)
 	return err
 }
 
@@ -362,7 +417,7 @@ func (c *Client) WalkTree(root string, fn func(path string, attr Attr) error) er
 
 // Read reads from the file at its current offset.
 func (f *File) Read(p []byte) (int, error) {
-	n, err := f.c.FS.Read(f.c.req(), f.h, f.offset, p)
+	n, err := f.fs.Read(f.c.req(), f.h, f.offset, p)
 	f.offset += int64(n)
 	if err != nil {
 		return n, err
@@ -375,7 +430,7 @@ func (f *File) Read(p []byte) (int, error) {
 
 // ReadAt reads at an explicit offset without moving the file position.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	n, err := f.c.FS.Read(f.c.req(), f.h, off, p)
+	n, err := f.fs.Read(f.c.req(), f.h, off, p)
 	if err != nil {
 		return n, err
 	}
@@ -390,25 +445,25 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // request is pipelined; otherwise it runs inline and the returned future
 // is already complete. Awaiting collects the byte count into p.
 func (f *File) SubmitRead(p []byte, off int64) PendingIO {
-	return SubmitRead(f.c.FS, f.c.req(), f.h, off, p)
+	return SubmitRead(f.fs, f.c.req(), f.h, off, p)
 }
 
 // SubmitWrite starts an asynchronous write of p at off; p must stay
 // unmodified until the future is awaited.
 func (f *File) SubmitWrite(p []byte, off int64) PendingIO {
-	return SubmitWrite(f.c.FS, f.c.req(), f.h, off, p)
+	return SubmitWrite(f.fs, f.c.req(), f.h, off, p)
 }
 
 // Write writes at the current offset (or end of file for O_APPEND).
 func (f *File) Write(p []byte) (int, error) {
-	n, err := f.c.FS.Write(f.c.req(), f.h, f.offset, p)
+	n, err := f.fs.Write(f.c.req(), f.h, f.offset, p)
 	f.offset += int64(n)
 	return n, err
 }
 
 // WriteAt writes at an explicit offset without moving the file position.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	return f.c.FS.Write(f.c.req(), f.h, off, p)
+	return f.fs.Write(f.c.req(), f.h, off, p)
 }
 
 // Seek repositions the file offset per io.Seeker semantics.
@@ -419,7 +474,7 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		f.offset += offset
 	case io.SeekEnd:
-		attr, err := f.c.FS.Getattr(f.c.req(), f.ino)
+		attr, err := f.fs.Getattr(f.c.req(), f.ino)
 		if err != nil {
 			return f.offset, err
 		}
@@ -436,23 +491,23 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 
 // Sync flushes the file's data to stable storage (fsync(2)).
 func (f *File) Sync() error {
-	return f.c.FS.Fsync(f.c.req(), f.h, false)
+	return f.fs.Fsync(f.c.req(), f.h, false)
 }
 
 // Datasync flushes only the file's data (fdatasync(2)).
 func (f *File) Datasync() error {
-	return f.c.FS.Fsync(f.c.req(), f.h, true)
+	return f.fs.Fsync(f.c.req(), f.h, true)
 }
 
 // Truncate resizes the open file.
 func (f *File) Truncate(size int64) error {
-	_, err := f.c.FS.Setattr(f.c.req(), f.ino, SetSize, Attr{Size: size})
+	_, err := f.fs.Setattr(f.c.req(), f.ino, SetSize, Attr{Size: size})
 	return err
 }
 
 // Stat returns the file's current attributes.
 func (f *File) Stat() (Attr, error) {
-	return f.c.FS.Getattr(f.c.req(), f.ino)
+	return f.fs.Getattr(f.c.req(), f.ino)
 }
 
 // Ino returns the inode number of the open file.
@@ -467,8 +522,8 @@ func (f *File) Close() error {
 		return EBADF
 	}
 	f.closed = true
-	ferr := f.c.FS.Flush(f.c.req(), f.h)
-	rerr := f.c.FS.Release(f.c.req(), f.h)
+	ferr := f.fs.Flush(f.c.req(), f.h)
+	rerr := f.fs.Release(f.c.req(), f.h)
 	if ferr != nil {
 		return ferr
 	}

@@ -55,6 +55,35 @@ func TestWalkSelfSymlinkLoops(t *testing.T) {
 	}
 }
 
+// TestWalkRootConfines: the directory a walk starts from is its root —
+// ".." stops there and absolute symlink targets restart there — so a
+// chrooted client on a single filesystem cannot name anything above it.
+func TestWalkRootConfines(t *testing.T) {
+	fs := memfs.New(memfs.Options{})
+	cli := vfs.NewClient(fs, vfs.Root())
+	cli.MkdirAll("/jail/sub", 0o755)
+	cli.WriteFile("/secret", []byte("out"), 0o644)
+	cli.WriteFile("/jail/secret", []byte("in"), 0o644)
+	cli.Symlink("/secret", "/jail/abs")
+	cli.Symlink("../../secret", "/jail/sub/rel")
+	jail, err := cli.Chroot("/jail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/secret", "/../secret", "sub/../../secret", "/abs", "/sub/rel"} {
+		if got, err := jail.ReadFile(p); err != nil || string(got) != "in" {
+			t.Errorf("ReadFile(%q) = %q, %v; want the file inside the root", p, got, err)
+		}
+	}
+	r, _ := cli.Resolve("/jail")
+	if res, err := vfs.Walk(fs, cli.Op, r.Ino, "../../abs", true); err != nil || res.Attr.Size != 2 {
+		t.Fatalf("Walk from a directory: %+v %v", res, err)
+	}
+	if _, err := cli.Chroot("/secret"); vfs.ToErrno(err) != vfs.ENOTDIR {
+		t.Fatalf("chroot onto a file: %v, want ENOTDIR", err)
+	}
+}
+
 // TestRenameExchangeAcrossDirectories: RENAME_EXCHANGE swaps two entries
 // living in different parent directories, fixing up each directory's
 // link counts and the children's parent pointers.
