@@ -118,8 +118,8 @@ type message struct {
 // Conn is the kernel side of the FUSE transport. It implements vfs.FS;
 // stacking a pagecache.Cache on top of a Conn reproduces the full kernel
 // I/O path of the paper's CntrFS mounts. It also implements vfs.AsyncFS:
-// SubmitRead/SubmitWrite pipeline data requests through the same request
-// table without blocking the submitter per round trip.
+// Submit pipelines data requests through the same request table without
+// blocking the submitter per round trip.
 type Conn struct {
 	clock *sim.Clock
 	model *sim.CostModel
@@ -246,7 +246,7 @@ type Pending struct {
 	unique uint64
 	msg    *message
 	dataIn int
-	// async marks a pipelined submission (SubmitRead/SubmitWrite):
+	// async marks a pipelined submission (Conn.Submit):
 	// submit charged only the enqueue, so Await owes the round trip.
 	async bool
 	// overlapped is set when the request was submitted while other

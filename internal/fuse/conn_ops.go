@@ -326,12 +326,33 @@ func (c *Conn) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, erro
 	return copy(dest, data), nil
 }
 
-// SubmitRead implements vfs.AsyncFS: the READ request is queued and the
-// caller gets a future, so N readahead windows can ride the device queue
-// concurrently — the submitter pays one enqueue transition per request
-// instead of a full blocking round trip (this is what FUSE_ASYNC_READ
-// buys the kernel's readahead path).
-func (c *Conn) SubmitRead(op *vfs.Op, h vfs.Handle, off int64, dest []byte) vfs.PendingIO {
+// Submit implements vfs.AsyncFS: every request of the window is queued
+// and the caller gets one future each, so N readahead windows or
+// writeback extents can ride the device queue concurrently — the
+// submitter pays one enqueue transition per request instead of a full
+// blocking round trip (this is what FUSE_ASYNC_READ buys the kernel's
+// readahead path). A kind that is not a data transfer fails with EINVAL
+// before anything reaches the queue.
+func (c *Conn) Submit(op *vfs.Op, h vfs.Handle, kind vfs.OpKind, reqs []vfs.IOReq) []vfs.PendingIO {
+	if len(reqs) == 0 {
+		return nil
+	}
+	out := make([]vfs.PendingIO, len(reqs))
+	for i, r := range reqs {
+		switch kind {
+		case vfs.KindRead:
+			out[i] = c.submitRead(op, h, r.Off, r.Buf)
+		case vfs.KindWrite:
+			out[i] = c.submitWrite(op, h, r.Off, r.Buf)
+		default:
+			out[i] = vfs.CompletedIO(0, vfs.EINVAL)
+		}
+	}
+	return out
+}
+
+// submitRead queues one READ request and returns its future.
+func (c *Conn) submitRead(op *vfs.Op, h vfs.Handle, off int64, dest []byte) vfs.PendingIO {
 	p := c.submit(OpRead, 0, op, func(w *buf) {
 		w.u64(uint64(h))
 		w.i64(off)
@@ -359,10 +380,10 @@ func (pr *pendingRead) Await(op *vfs.Op) (int, error) {
 	return copy(pr.dest, data), nil
 }
 
-// SubmitWrite implements vfs.AsyncFS. Payloads above the negotiated
-// MaxWrite are split into several pipelined WRITE requests; Await
-// collects them all.
-func (c *Conn) SubmitWrite(op *vfs.Op, h vfs.Handle, off int64, data []byte) vfs.PendingIO {
+// submitWrite queues one write. Payloads above the negotiated MaxWrite
+// are split into several pipelined WRITE requests; Await collects them
+// all.
+func (c *Conn) submitWrite(op *vfs.Op, h vfs.Handle, off int64, data []byte) vfs.PendingIO {
 	pw := &pendingWrite{c: c, h: h}
 	for len(data) > 0 {
 		chunk := data

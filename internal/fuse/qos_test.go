@@ -231,14 +231,12 @@ func TestSubmitAwaitPipeline(t *testing.T) {
 	// Pipelined: submit all windows, then await them.
 	conn, srv, h, clock := setup()
 	op := vfs.RootOp()
-	bufs := make([][]byte, windows)
-	start := clock.Now()
-	pendings := make([]vfs.PendingIO, windows)
-	for i := range pendings {
-		bufs[i] = make([]byte, window)
-		pendings[i] = conn.SubmitRead(op, h, int64(i*window), bufs[i])
+	reqs := make([]vfs.IOReq, windows)
+	for i := range reqs {
+		reqs[i] = vfs.IOReq{Off: int64(i * window), Buf: make([]byte, window)}
 	}
-	for i, p := range pendings {
+	start := clock.Now()
+	for i, p := range conn.Submit(op, h, vfs.KindRead, reqs) {
 		n, err := p.Await(op)
 		if err != nil || n != window {
 			t.Fatalf("window %d: n=%d err=%v", i, n, err)
@@ -246,8 +244,8 @@ func TestSubmitAwaitPipeline(t *testing.T) {
 	}
 	asyncTime := clock.Now() - start
 	var got []byte
-	for _, b := range bufs {
-		got = append(got, b...)
+	for _, r := range reqs {
+		got = append(got, r.Buf...)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("pipelined reads returned wrong data")
@@ -285,10 +283,28 @@ func TestSubmitWriteRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	op := vfs.RootOp()
-	p := e.conn.SubmitWrite(op, f.Handle(), 0, data)
-	n, err := p.Await(op)
+	p := e.conn.Submit(op, f.Handle(), vfs.KindWrite, []vfs.IOReq{{Off: 0, Buf: data}})
+	if len(p) != 1 {
+		t.Fatalf("futures = %d, want 1", len(p))
+	}
+	n, err := p[0].Await(op)
 	if err != nil || n != len(data) {
 		t.Fatalf("async write: n=%d err=%v", n, err)
+	}
+	// Validation at the boundary: a kind that is not a data transfer
+	// fails with EINVAL and an empty window yields no futures — neither
+	// puts a frame on the queue.
+	before := e.conn.Stats().Requests
+	for _, bad := range e.conn.Submit(op, f.Handle(), vfs.KindFsync, []vfs.IOReq{{Buf: data}, {Buf: data}}) {
+		if n, err := bad.Await(op); n != 0 || vfs.ToErrno(err) != vfs.EINVAL {
+			t.Fatalf("bad kind: n=%d err=%v, want EINVAL", n, err)
+		}
+	}
+	if got := e.conn.Submit(op, f.Handle(), vfs.KindWrite, nil); got != nil {
+		t.Fatalf("empty window returned %d futures", len(got))
+	}
+	if after := e.conn.Stats().Requests; after != before {
+		t.Fatalf("rejected windows sent %d requests", after-before)
 	}
 	f.Close()
 	got, err := e.cli.ReadFile("/f")
@@ -393,10 +409,11 @@ func TestCongestionChargesAsyncSubmitters(t *testing.T) {
 		}
 		op := vfs.RootOp()
 		start := clock.Now()
-		var pendings []vfs.PendingIO
-		for i := 0; i < 32; i++ {
-			pendings = append(pendings, conn.SubmitRead(op, h, 0, make([]byte, 512)))
+		reqs := make([]vfs.IOReq, 32)
+		for i := range reqs {
+			reqs[i].Buf = make([]byte, 512)
 		}
+		pendings := conn.Submit(op, h, vfs.KindRead, reqs)
 		submitted := clock.Now() - start
 		close(gate.gate)
 		for _, p := range pendings {

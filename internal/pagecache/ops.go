@@ -209,49 +209,30 @@ func (c *Cache) windowSize(f *fileCache, start int64) int64 {
 }
 
 // submitWindows starts one asynchronous readahead window per start
-// offset, submitted as a single pipelined batch: a batch-capable
-// backing (an interceptor chain carrying the policy enforcer) admits
-// the whole window set with one gate decision instead of one per
-// window. Caller holds c.mu.
+// offset, submitted as a single pipelined Submit: an interceptor chain
+// below (one carrying the policy enforcer, say) admits the whole window
+// set with one gate decision instead of one per window. Caller holds
+// c.mu.
 func (c *Cache) submitWindows(op *vfs.Op, h vfs.Handle, f *fileCache, starts []int64) {
-	if len(starts) == 0 {
+	reqs := make([]vfs.IOReq, 0, len(starts))
+	for _, start := range starts {
+		if size := c.windowSize(f, start); size > 0 {
+			reqs = append(reqs, vfs.IOReq{Off: start, Buf: make([]byte, size)})
+		}
+	}
+	if len(reqs) == 0 {
 		return
 	}
 	if f.ra == nil {
 		f.ra = make(map[int64]*raWindow)
 	}
-	reqs := make([]vfs.ReadReq, 0, len(starts))
-	for _, start := range starts {
-		size := c.windowSize(f, start)
-		if size <= 0 {
-			continue
-		}
-		reqs = append(reqs, vfs.ReadReq{Off: start, Dest: make([]byte, size)})
-	}
-	if len(reqs) == 0 {
-		return
-	}
-	var pendings []vfs.PendingIO
-	if ba, ok := c.async.(vfs.BatchAsyncFS); ok {
-		pendings = ba.SubmitReadBatch(op, h, reqs)
-	} else {
-		pendings = make([]vfs.PendingIO, len(reqs))
-		for i, r := range reqs {
-			pendings[i] = c.async.SubmitRead(op, h, r.Off, r.Dest)
-		}
-	}
-	for i, r := range reqs {
-		f.ra[r.Off] = &raWindow{start: r.Off, buf: r.Dest, pending: pendings[i]}
-		if end := r.Off + int64(len(r.Dest)); end > f.raNext {
+	for i, p := range c.async.Submit(op, h, vfs.KindRead, reqs) {
+		r := reqs[i]
+		f.ra[r.Off] = &raWindow{start: r.Off, buf: r.Buf, pending: p}
+		if end := r.Off + int64(len(r.Buf)); end > f.raNext {
 			f.raNext = end
 		}
 	}
-}
-
-// submitWindow starts one asynchronous readahead window at start,
-// clamped to the file size. Caller holds c.mu.
-func (c *Cache) submitWindow(op *vfs.Op, h vfs.Handle, f *fileCache, start int64) {
-	c.submitWindows(op, h, f, []int64{start})
 }
 
 // topUpReadahead keeps AsyncDepth windows in flight beyond the furthest
@@ -286,7 +267,7 @@ func (c *Cache) readAheadAsync(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCac
 		if f.raNext < base {
 			f.raNext = base
 		}
-		c.submitWindow(op, h, f, base)
+		c.submitWindows(op, h, f, []int64{base})
 	}
 	// raNext parked far ahead of the reader means the stream restarted
 	// (a re-read from the start after a pass reached EOF, with the pages
@@ -572,11 +553,7 @@ func (c *Cache) flushFileLocked(ino vfs.Ino, f *fileCache) {
 		}
 	}
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	type extent struct {
-		start int64
-		buf   []byte
-	}
-	var extents []extent
+	var extents []vfs.IOReq
 	i := 0
 	for i < len(idxs) {
 		j := i
@@ -607,43 +584,30 @@ func (c *Cache) flushFileLocked(ino vfs.Ino, f *fileCache) {
 			p.dirtyLo, p.dirtyHi = 0, 0
 		}
 		if len(buf) > 0 {
-			extents = append(extents, extent{start, buf})
+			extents = append(extents, vfs.IOReq{Off: start, Buf: buf})
 		}
 		i = j + 1
 	}
 	if c.async != nil && len(extents) > 1 {
 		// Batched writeback: submit every extent before awaiting any, so
-		// the round trips overlap; a batch-capable backing additionally
-		// admits the whole extent set in one policy decision.
-		var pendings []vfs.PendingIO
-		if ba, ok := c.async.(vfs.BatchAsyncFS); ok {
-			reqs := make([]vfs.WriteReq, len(extents))
-			for i, e := range extents {
-				reqs[i] = vfs.WriteReq{Off: e.start, Data: e.buf}
-			}
-			pendings = ba.SubmitWriteBatch(wbOp, f.wbHandle, reqs)
-		} else {
-			pendings = make([]vfs.PendingIO, len(extents))
-			for i, e := range extents {
-				pendings[i] = c.async.SubmitWrite(wbOp, f.wbHandle, e.start, e.buf)
-			}
-		}
-		for i, p := range pendings {
+		// the round trips overlap, and a chain below admits the whole
+		// extent set in one policy decision.
+		for i, p := range c.async.Submit(wbOp, f.wbHandle, vfs.KindWrite, extents) {
 			n, err := p.Await(wbOp)
 			if err == nil && c.opts.ChargeDisk != nil {
 				c.opts.ChargeDisk.Write(n)
 			}
 			c.stats.FlushedExt++
-			c.stats.FlushedB += int64(len(extents[i].buf))
+			c.stats.FlushedB += int64(len(extents[i].Buf))
 		}
 	} else {
 		for _, e := range extents {
-			n, err := c.backing.Write(wbOp, f.wbHandle, e.start, e.buf)
+			n, err := c.backing.Write(wbOp, f.wbHandle, e.Off, e.Buf)
 			if err == nil && c.opts.ChargeDisk != nil {
 				c.opts.ChargeDisk.Write(n)
 			}
 			c.stats.FlushedExt++
-			c.stats.FlushedB += int64(len(e.buf))
+			c.stats.FlushedB += int64(len(e.Buf))
 		}
 	}
 	f.dirtyBytes = 0

@@ -21,10 +21,10 @@ type StreamingResult struct {
 	WriteTime time.Duration
 	ReadTime  time.Duration
 	Bytes     int64
-	// Windows counts the pipelined below-cache submissions (readahead
-	// windows and writeback extent batches admitted as one decision);
-	// BatchedOps is the operations they covered; PerOpSubmits counts
-	// submissions that bypassed the batch path.
+	// Windows counts the multi-request below-cache submissions
+	// (readahead refills and writeback extent batches admitted as one
+	// decision); BatchedOps is the operations they covered;
+	// PerOpSubmits counts the one-request submissions.
 	Windows      int64
 	BatchedOps   int64
 	PerOpSubmits int64
@@ -41,14 +41,15 @@ type streamGauge struct {
 
 func (g *streamGauge) Intercept(info *vfs.OpInfo, next func() error) error { return next() }
 
+// InterceptSubmit sees every below-cache Submit once: a multi-request
+// window counts as a window, a one-request submission as per-op.
 func (g *streamGauge) InterceptSubmit(info *vfs.OpInfo) error {
-	g.perOp.Add(1)
-	return nil
-}
-
-func (g *streamGauge) InterceptSubmitBatch(info *vfs.OpInfo) error {
-	g.windows.Add(1)
-	g.batchedOps.Add(int64(info.BatchOps))
+	if info.BatchOps > 1 {
+		g.windows.Add(1)
+		g.batchedOps.Add(int64(info.BatchOps))
+	} else {
+		g.perOp.Add(1)
+	}
 	return nil
 }
 

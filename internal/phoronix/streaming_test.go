@@ -1,0 +1,24 @@
+package phoronix
+
+import "testing"
+
+// TestStreamingSubmissionCounters pins the below-cache submission
+// traffic of a small streaming pass: the counters are submission-side
+// and deterministic, so they must not move between runs or across a
+// refactor of the submit path. The 16 MB file fits the cache, so the
+// read-back submits nothing: the one window is the writeback batch. The
+// 256 MB CI benchmark (BENCH_9.json) covers the readahead refills, and
+// pagecache's TestPipelinedWindowShapes pins their shape in tier-1.
+func TestStreamingSubmissionCounters(t *testing.T) {
+	const windows, batchedOps, perOp = 1, 128, 0
+	for run := 0; run < 2; run++ {
+		r, err := RunStreaming(16<<20, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Windows != windows || r.BatchedOps != batchedOps || r.PerOpSubmits != perOp {
+			t.Fatalf("run %d: windows=%d batched-ops=%d per-op-submits=%d, want %d/%d/%d",
+				run, r.Windows, r.BatchedOps, r.PerOpSubmits, windows, batchedOps, perOp)
+		}
+	}
+}

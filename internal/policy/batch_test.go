@@ -8,9 +8,10 @@ import (
 )
 
 // drivePair builds two enforcers from the same profile, runs setup on
-// both, then decides an n-op window on one via n per-op InterceptSubmit
-// calls and on the other via a single InterceptSubmitBatch, and returns
-// the two enforcers plus the error each path produced.
+// both, then decides n operations on one via n InterceptSubmit calls
+// with BatchOps=1 and on the other via a single InterceptSubmit with
+// BatchOps=n, and returns the two enforcers plus the error each
+// produced.
 func drivePair(t *testing.T, p *Profile, audit bool, info vfs.OpInfo, n int, setup func(e *Enforcer)) (perOp, batched *Enforcer, perErr, batchErr error) {
 	t.Helper()
 	perOp, batched = NewEnforcer(p, audit), NewEnforcer(p, audit)
@@ -20,7 +21,7 @@ func drivePair(t *testing.T, p *Profile, audit bool, info vfs.OpInfo, n int, set
 	}
 
 	one := info
-	one.BatchOps = 0
+	one.BatchOps = 1
 	for i := 0; i < n; i++ {
 		cp := one
 		if err := perOp.InterceptSubmit(&cp); err != nil {
@@ -29,11 +30,11 @@ func drivePair(t *testing.T, p *Profile, audit bool, info vfs.OpInfo, n int, set
 	}
 	win := info
 	win.BatchOps = n
-	batchErr = batched.InterceptSubmitBatch(&win)
+	batchErr = batched.InterceptSubmit(&win)
 	return perOp, batched, perErr, batchErr
 }
 
-// assertSameOutcome pins every observable of the two admission paths:
+// assertSameOutcome pins every observable of the two window shapes:
 // the decision itself and the denial/audit/violation accounting.
 func assertSameOutcome(t *testing.T, scenario string, perOp, batched *Enforcer, perErr, batchErr error) {
 	t.Helper()
@@ -53,8 +54,8 @@ func assertSameOutcome(t *testing.T, scenario string, perOp, batched *Enforcer, 
 
 // TestBatchAdmissionMatchesPerOp: for every gate outcome — allow,
 // off-profile denial, audit-mode pass-through, ceiling breach, exempt
-// housekeeping — admitting an N-op window in one batched decision must
-// be observationally identical to N per-op decisions.
+// housekeeping — admitting an N-op window in one decision must be
+// observationally identical to N one-op windows.
 func TestBatchAdmissionMatchesPerOp(t *testing.T) {
 	allowAll := &Profile{Rules: []Rule{{
 		Prefix: "/",

@@ -136,32 +136,15 @@ func (e *Enforcer) gateNLocked(info *vfs.OpInfo, target string, n int) (deny boo
 	return denied
 }
 
-// gateLocked decides one operation against the profile, recording any
-// violation, and reports whether it must be denied. Caller holds e.mu.
-func (e *Enforcer) gateLocked(info *vfs.OpInfo, target string) (deny bool) {
-	return e.gateNLocked(info, target, 1)
-}
-
-// InterceptSubmit implements vfs.SubmitInterceptor: pipelined
-// submissions are decided before dispatch — a denial at completion
-// would come after the I/O already ran against the filesystem.
+// InterceptSubmit implements vfs.SubmitInterceptor: a pipelined window
+// (info.BatchOps same-kind operations on one inode; 1 for a single
+// submission) is decided before dispatch — a denial at completion would
+// come after the I/O already ran against the filesystem — with one path
+// resolution, one trie lookup and one ceiling check, every counter
+// advancing exactly as info.BatchOps one-request submissions would
+// have advanced it (see gateNLocked for why the outcomes cannot
+// diverge).
 func (e *Enforcer) InterceptSubmit(info *vfs.OpInfo) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, target := resolvePaths(e.paths, info.Ino, info.Name)
-	if e.gateLocked(info, target) {
-		return vfs.EACCES
-	}
-	return nil
-}
-
-// InterceptSubmitBatch implements vfs.BatchSubmitInterceptor: a whole
-// pipelined window (info.BatchOps same-kind operations on one inode) is
-// admitted with one path resolution, one trie lookup and one ceiling
-// check, with every counter advancing exactly as info.BatchOps per-op
-// InterceptSubmit calls would have (see gateNLocked for why the
-// outcomes cannot diverge).
-func (e *Enforcer) InterceptSubmitBatch(info *vfs.OpInfo) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	_, target := resolvePaths(e.paths, info.Ino, info.Name)
@@ -177,7 +160,7 @@ func (e *Enforcer) Intercept(info *vfs.OpInfo, next func() error) error {
 	_, target := resolvePaths(e.paths, info.Ino, info.Name)
 	// Async completions were already admitted by InterceptSubmit; only
 	// the byte accounting below applies to them.
-	if !info.Async && e.gateLocked(info, target) {
+	if !info.Async && e.gateNLocked(info, target, 1) {
 		e.mu.Unlock()
 		return vfs.EACCES
 	}

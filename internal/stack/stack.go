@@ -214,17 +214,15 @@ func NewCntr(cfg Config) *Cntr {
 
 	// Kernel-side cache above the FUSE mount. Its caching behaviour is
 	// governed by the mount options CntrFS negotiated.
-	ra := cfg.ReadAhead
+	ra, depth := cfg.ReadAhead, cfg.AsyncDepth
 	if !cfg.Mount.AsyncRead {
-		ra = 0 // without ASYNC_READ the kernel reads page by page
-	}
-	depth := cfg.AsyncDepth
-	if !cfg.Mount.AsyncRead {
-		depth = 0 // pipelined readahead is what FUSE_ASYNC_READ permits
+		// Without ASYNC_READ the kernel reads page by page, and
+		// pipelined readahead is what FUSE_ASYNC_READ permits.
+		ra, depth = 0, 0
 	}
 	// Interceptors below the kernel cache see the mount's real FUSE
-	// traffic. Chain forwards the connection's async capability (batched
-	// submissions included) and IsAsync unwraps it, so pipelining
+	// traffic. Chain forwards the connection's async capability (whole
+	// windows, one gate pass each) and IsAsync unwraps it, so pipelining
 	// survives the detour; with no interceptors Chain returns conn as-is.
 	// The recording tracer goes outermost so it also sees what any
 	// caller-supplied BelowCache interceptor (e.g. an enforcer) denies.

@@ -11,60 +11,35 @@ type PendingIO interface {
 	Await(op *Op) (int, error)
 }
 
+// IOReq is one request of a pipelined window: a read of up to len(Buf)
+// bytes at Off landing in Buf, or a write of Buf at Off. Buf must not
+// be touched until the corresponding future's Await returns.
+type IOReq struct {
+	Off int64
+	Buf []byte
+}
+
 // AsyncFS is the optional capability interface for filesystems whose
 // transport can pipeline data operations: submission and completion are
 // decoupled, so a caller may keep several requests in flight and overlap
-// their round trips. The FUSE connection implements it natively (submit
-// returns once the request frame is queued); use SubmitRead/SubmitWrite
-// on an arbitrary FS for a synchronous fallback.
+// their round trips. The FUSE connection implements it natively (Submit
+// returns once the request frames are queued); use the free function
+// Submit on an arbitrary FS for a synchronous fallback.
 type AsyncFS interface {
-	// SubmitRead starts a read of up to len(dest) bytes at off. The data
-	// lands in dest when the returned future's Await succeeds.
-	SubmitRead(op *Op, h Handle, off int64, dest []byte) PendingIO
-
-	// SubmitWrite starts a write of data at off. data must not be
-	// modified until Await returns.
-	SubmitWrite(op *Op, h Handle, off int64, data []byte) PendingIO
-}
-
-// ReadReq is one read of a pipelined batch: up to len(Dest) bytes at
-// Off, landing in Dest when the corresponding future succeeds.
-type ReadReq struct {
-	Off  int64
-	Dest []byte
-}
-
-// WriteReq is one write of a pipelined batch: Data at Off. Data must
-// not be modified until the corresponding future's Await returns.
-type WriteReq struct {
-	Off  int64
-	Data []byte
-}
-
-// BatchAsyncFS is the optional capability interface for layers that can
-// accept a whole pipelined window — a readahead window or a writeback
-// extent batch — in one call. Its value is at the admission boundary:
-// an interceptor chain implementing it decides the window with a single
-// submit-time gate pass (one policy trie lookup, one ceiling check)
-// instead of one per operation, then fans out to the transport.
-type BatchAsyncFS interface {
-	AsyncFS
-
-	// SubmitReadBatch starts every read in reqs, returning one future
-	// per request, index-aligned.
-	SubmitReadBatch(op *Op, h Handle, reqs []ReadReq) []PendingIO
-
-	// SubmitWriteBatch starts every write in reqs, returning one future
-	// per request, index-aligned.
-	SubmitWriteBatch(op *Op, h Handle, reqs []WriteReq) []PendingIO
+	// Submit starts every request of one window — kind is KindRead or
+	// KindWrite, all on handle h — and returns one future per request,
+	// index-aligned. A single operation is a window of length 1. An
+	// interceptor chain admits the window with one submit-time gate
+	// pass (OpInfo.BatchOps = len(reqs)) before anything is dispatched.
+	// An empty window returns nil; any other kind returns EINVAL futures.
+	Submit(op *Op, h Handle, kind OpKind, reqs []IOReq) []PendingIO
 }
 
 // IsAsync reports whether fs has a genuinely asynchronous submit path.
 // It sees through interceptor chains (and any other wrapper exposing
-// Unwrap), because wrappers implement the AsyncFS methods
-// unconditionally with a synchronous fallback — a bare type assertion
-// on a wrapped synchronous filesystem would claim pipelining that
-// isn't there.
+// Unwrap), because wrappers implement AsyncFS unconditionally with a
+// synchronous fallback — a bare type assertion on a wrapped synchronous
+// filesystem would claim pipelining that isn't there.
 func IsAsync(fs FS) bool {
 	type unwrapper interface{ Unwrap() FS }
 	for {
@@ -91,53 +66,54 @@ func (c completedIO) Await(*Op) (int, error) { return c.n, c.err }
 // Synchronous fallbacks and tests use it to satisfy PendingIO.
 func CompletedIO(n int, err error) PendingIO { return completedIO{n, err} }
 
-// SubmitRead issues an asynchronous read through fs when it implements
-// AsyncFS, and otherwise performs the read synchronously, returning an
-// already-completed future. Callers can therefore pipeline reads without
-// caring whether the transport underneath supports it.
-func SubmitRead(fs FS, op *Op, h Handle, off int64, dest []byte) PendingIO {
-	if a, ok := fs.(AsyncFS); ok {
-		return a.SubmitRead(op, h, off, dest)
-	}
-	n, err := fs.Read(op, h, off, dest)
-	return completedIO{n, err}
-}
-
-// SubmitWrite issues an asynchronous write through fs when it implements
-// AsyncFS, with the same synchronous fallback as SubmitRead.
-func SubmitWrite(fs FS, op *Op, h Handle, off int64, data []byte) PendingIO {
-	if a, ok := fs.(AsyncFS); ok {
-		return a.SubmitWrite(op, h, off, data)
-	}
-	n, err := fs.Write(op, h, off, data)
-	return completedIO{n, err}
-}
-
-// SubmitReadBatch issues a pipelined read window through fs. A
-// BatchAsyncFS receives the whole window in one call (one admission
-// decision on an interceptor chain); anything else degrades to per-op
-// SubmitRead, which itself degrades to synchronous reads. The returned
-// futures are index-aligned with reqs.
-func SubmitReadBatch(fs FS, op *Op, h Handle, reqs []ReadReq) []PendingIO {
-	if ba, ok := fs.(BatchAsyncFS); ok {
-		return ba.SubmitReadBatch(op, h, reqs)
-	}
-	out := make([]PendingIO, len(reqs))
-	for i, r := range reqs {
-		out[i] = SubmitRead(fs, op, h, r.Off, r.Dest)
+// failedWindow resolves every future of an n-request window to err.
+func failedWindow(n int, err error) []PendingIO {
+	out := make([]PendingIO, n)
+	for i := range out {
+		out[i] = completedIO{0, err}
 	}
 	return out
 }
 
-// SubmitWriteBatch issues a pipelined write window through fs, with the
-// same capability ladder as SubmitReadBatch.
-func SubmitWriteBatch(fs FS, op *Op, h Handle, reqs []WriteReq) []PendingIO {
-	if ba, ok := fs.(BatchAsyncFS); ok {
-		return ba.SubmitWriteBatch(op, h, reqs)
+// rejectWindow validates a window at the Submit boundary: an empty
+// window yields no futures and a kind that is not a data transfer fails
+// every future with EINVAL, in both cases before any gate or transport
+// sees the submission.
+func rejectWindow(kind OpKind, n int) (out []PendingIO, rejected bool) {
+	switch {
+	case n == 0:
+		return nil, true
+	case kind != KindRead && kind != KindWrite:
+		return failedWindow(n, EINVAL), true
+	}
+	return nil, false
+}
+
+// Submit issues a pipelined window through fs when it implements
+// AsyncFS, and otherwise performs the requests synchronously, returning
+// already-completed futures. Callers can therefore pipeline without
+// caring whether the transport underneath supports it.
+func Submit(fs FS, op *Op, h Handle, kind OpKind, reqs []IOReq) []PendingIO {
+	if a, ok := fs.(AsyncFS); ok {
+		return a.Submit(op, h, kind, reqs)
+	}
+	return submitInline(fs, op, h, kind, reqs)
+}
+
+// submitInline is the synchronous fallback: the window runs request by
+// request through fs.Read or fs.Write and every future is pre-resolved.
+func submitInline(fs FS, op *Op, h Handle, kind OpKind, reqs []IOReq) []PendingIO {
+	if out, rejected := rejectWindow(kind, len(reqs)); rejected {
+		return out
+	}
+	io := fs.Read
+	if kind == KindWrite {
+		io = fs.Write
 	}
 	out := make([]PendingIO, len(reqs))
 	for i, r := range reqs {
-		out[i] = SubmitWrite(fs, op, h, r.Off, r.Data)
+		n, err := io(op, h, r.Off, r.Buf)
+		out[i] = completedIO{n, err}
 	}
 	return out
 }

@@ -441,17 +441,18 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // SubmitRead starts an asynchronous read at off (the file position is
-// not consulted or moved). When the filesystem implements AsyncFS the
-// request is pipelined; otherwise it runs inline and the returned future
-// is already complete. Awaiting collects the byte count into p.
+// not consulted or moved) as a one-request Submit window. When the
+// filesystem implements AsyncFS the request is pipelined; otherwise it
+// runs inline and the returned future is already complete. Awaiting
+// collects the byte count into p.
 func (f *File) SubmitRead(p []byte, off int64) PendingIO {
-	return SubmitRead(f.fs, f.c.req(), f.h, off, p)
+	return Submit(f.fs, f.c.req(), f.h, KindRead, []IOReq{{Off: off, Buf: p}})[0]
 }
 
 // SubmitWrite starts an asynchronous write of p at off; p must stay
 // unmodified until the future is awaited.
 func (f *File) SubmitWrite(p []byte, off int64) PendingIO {
-	return SubmitWrite(f.fs, f.c.req(), f.h, off, p)
+	return Submit(f.fs, f.c.req(), f.h, KindWrite, []IOReq{{Off: off, Buf: p}})[0]
 }
 
 // Write writes at the current offset (or end of file for O_APPEND).

@@ -107,11 +107,11 @@ type OpInfo struct {
 	Async bool
 	// BatchOps is the number of same-kind, same-inode operations a
 	// single submit-time decision covers (a pipelined readahead window
-	// or writeback extent batch). Zero or one means a single operation.
-	// Batch-aware gates (BatchSubmitInterceptor) receive one call with
-	// BatchOps set and must apply the decision's accounting BatchOps
-	// times, so batched and per-op admission stay indistinguishable in
-	// their outcomes.
+	// or writeback extent batch): len(reqs) of the Submit call, so at
+	// least one at a SubmitInterceptor, and zero everywhere else. Gates
+	// apply the decision's accounting BatchOps times, so a window and
+	// the same operations submitted one by one stay indistinguishable
+	// in their outcomes.
 	BatchOps int
 }
 
@@ -135,23 +135,15 @@ func (f InterceptorFunc) Intercept(info *OpInfo, next func() error) error {
 // must decide an operation *before* it is dispatched. The interceptor
 // chain runs ordinary interception around the completion (Await) of a
 // pipelined submission — after the transport already carried the
-// request — so a gate like the policy enforcer implements this too: a
-// non-nil error fails the submission without dispatching it, and the
-// completion-side Intercept sees info.Async and skips re-deciding.
+// request — so a gate like the policy enforcer implements this too. It
+// is called exactly once per Submit with the whole window (same kind,
+// same inode, info.BatchOps = number of requests ≥ 1): one path lookup
+// and one ceiling check decide it, and the gate's accounting must
+// advance BatchOps times. A non-nil error fails the submission without
+// dispatching it, and the completion-side Intercept sees info.Async and
+// skips re-deciding.
 type SubmitInterceptor interface {
 	InterceptSubmit(info *OpInfo) error
-}
-
-// BatchSubmitInterceptor is the optional capability for submit-time
-// gates that can admit a whole pipelined window (same kind, same inode,
-// info.BatchOps operations) in one decision — one path lookup and one
-// ceiling check instead of per-op repeats. Implementations must produce
-// exactly the outcomes BatchOps per-op calls would have produced
-// (counters advance BatchOps times); the chain falls back to per-op
-// InterceptSubmit calls for gates without this capability.
-type BatchSubmitInterceptor interface {
-	SubmitInterceptor
-	InterceptSubmitBatch(info *OpInfo) error
 }
 
 // Chain wraps fs so every operation passes through the given interceptors
@@ -513,12 +505,15 @@ func (c *chainFS) Fallocate(op *Op, h Handle, mode uint32, off, length int64) er
 // (vfs.IsAsync) can see through the wrapper.
 func (c *chainFS) Unwrap() FS { return c.fs }
 
-// admitSubmit runs the chain's submit-time gates; a non-nil error means
-// the submission must fail without dispatching anything. A denied
-// submission is still routed through the ordinary interceptor chain
-// with its error pre-resolved (info.Async set, so the denying gate does
-// not re-decide) — outer interceptors such as a tracer observe the
-// denial exactly as they would on the synchronous path.
+// admitSubmit runs the chain's submit-time gates over one pipelined
+// window (info.BatchOps same-kind operations on one inode), one call
+// per gate; a non-nil error means the submission must fail without
+// dispatching anything. A denied submission is still routed through
+// the ordinary interceptor chain once with its error pre-resolved
+// (info.Async set, so the denying gate does not re-decide; BatchOps
+// preserved, so observers know the scope of what was refused) — outer
+// interceptors such as a tracer observe the denial exactly as they
+// would on the synchronous path.
 func (c *chainFS) admitSubmit(info *OpInfo) error {
 	for _, ic := range c.ics {
 		si, ok := ic.(SubmitInterceptor)
@@ -538,139 +533,29 @@ func (c *chainFS) admitSubmit(info *OpInfo) error {
 	return nil
 }
 
-// SubmitRead implements vfs.AsyncFS. The interceptor chain runs around
-// the *completion* (Await), not the submission, so stats and fault rules
-// observe the operation exactly once with its final byte count — the
-// same point at which the synchronous path reports it. Gate-style
-// interceptors (SubmitInterceptor) instead decide here, before the
-// request is dispatched: a denial at Await would come after the I/O
-// already ran.
-func (c *chainFS) SubmitRead(op *Op, h Handle, off int64, dest []byte) PendingIO {
+// Submit implements vfs.AsyncFS, and is the one place that knows how a
+// pipelined window is admitted and dispatched. Gate-style interceptors
+// (SubmitInterceptor) decide here, before anything is dispatched — a
+// denial at Await would come after the I/O already ran — and a denial
+// fails every future of the window. The interceptor chain proper runs
+// around each *completion* (Await), not the submission, so stats and
+// fault rules observe every operation exactly once with its final byte
+// count — the same point at which the synchronous path reports it.
+func (c *chainFS) Submit(op *Op, h Handle, kind OpKind, reqs []IOReq) []PendingIO {
 	a, ok := c.fs.(AsyncFS)
 	if !ok {
-		n, err := c.Read(op, h, off, dest)
-		return completedIO{n, err}
+		return submitInline(c, op, h, kind, reqs)
 	}
-	info := &OpInfo{Kind: KindRead, Op: op, Ino: c.handleIno(h)}
+	if out, rejected := rejectWindow(kind, len(reqs)); rejected {
+		return out
+	}
+	info := &OpInfo{Kind: kind, Op: op, Ino: c.handleIno(h), BatchOps: len(reqs)}
 	if err := c.admitSubmit(info); err != nil {
-		return completedIO{0, err}
+		return failedWindow(len(reqs), err)
 	}
-	return &chainPending{c: c, kind: KindRead, ino: info.Ino, inner: a.SubmitRead(op, h, off, dest)}
-}
-
-// SubmitWrite implements vfs.AsyncFS (see SubmitRead for chain timing).
-func (c *chainFS) SubmitWrite(op *Op, h Handle, off int64, data []byte) PendingIO {
-	a, ok := c.fs.(AsyncFS)
-	if !ok {
-		n, err := c.Write(op, h, off, data)
-		return completedIO{n, err}
-	}
-	info := &OpInfo{Kind: KindWrite, Op: op, Ino: c.handleIno(h)}
-	if err := c.admitSubmit(info); err != nil {
-		return completedIO{0, err}
-	}
-	return &chainPending{c: c, kind: KindWrite, ino: info.Ino, inner: a.SubmitWrite(op, h, off, data)}
-}
-
-// admitSubmitBatch runs the chain's submit-time gates over a whole
-// pipelined window (info.BatchOps same-kind operations on one inode).
-// Batch-aware gates decide the window in one call; batch-unaware gates
-// are called once per operation, exactly as per-op submission would
-// have. A denial is routed through the ordinary chain once, with
-// BatchOps preserved so observers know the scope of what was refused.
-func (c *chainFS) admitSubmitBatch(info *OpInfo) error {
-	if info.BatchOps <= 1 {
-		return c.admitSubmit(info)
-	}
-	for _, ic := range c.ics {
-		var err error
-		switch g := ic.(type) {
-		case BatchSubmitInterceptor:
-			err = g.InterceptSubmitBatch(info)
-		case SubmitInterceptor:
-			// Batch-unaware gate: decide each operation of the window
-			// individually so its accounting matches per-op submission.
-			per := *info
-			per.BatchOps = 0
-			for i := 0; i < info.BatchOps && err == nil; i++ {
-				err = g.InterceptSubmit(&per)
-			}
-		default:
-			continue
-		}
-		if err != nil {
-			info.Async = true
-			if rerr := c.run(info, func() error { return err }); rerr != nil {
-				return rerr
-			}
-			// An interceptor swallowed the error; the gate's denial
-			// still stands — nothing was dispatched.
-			return err
-		}
-	}
-	return nil
-}
-
-// SubmitReadBatch implements vfs.BatchAsyncFS: one submit-time gate
-// decision admits the whole readahead window, then each request is
-// pipelined individually. A denial fails every future in the window
-// without dispatching anything.
-func (c *chainFS) SubmitReadBatch(op *Op, h Handle, reqs []ReadReq) []PendingIO {
-	out := make([]PendingIO, len(reqs))
-	a, ok := c.fs.(AsyncFS)
-	if !ok {
-		for i, r := range reqs {
-			n, err := c.Read(op, h, r.Off, r.Dest)
-			out[i] = completedIO{n, err}
-		}
-		return out
-	}
-	info := &OpInfo{Kind: KindRead, Op: op, Ino: c.handleIno(h), BatchOps: len(reqs)}
-	if err := c.admitSubmitBatch(info); err != nil {
-		for i := range out {
-			out[i] = completedIO{0, err}
-		}
-		return out
-	}
-	if ba, ok := c.fs.(BatchAsyncFS); ok {
-		// A nested batch-capable layer keeps the window intact below us.
-		for i, p := range ba.SubmitReadBatch(op, h, reqs) {
-			out[i] = &chainPending{c: c, kind: KindRead, ino: info.Ino, inner: p}
-		}
-		return out
-	}
-	for i, r := range reqs {
-		out[i] = &chainPending{c: c, kind: KindRead, ino: info.Ino, inner: a.SubmitRead(op, h, r.Off, r.Dest)}
-	}
-	return out
-}
-
-// SubmitWriteBatch implements vfs.BatchAsyncFS (see SubmitReadBatch).
-func (c *chainFS) SubmitWriteBatch(op *Op, h Handle, reqs []WriteReq) []PendingIO {
-	out := make([]PendingIO, len(reqs))
-	a, ok := c.fs.(AsyncFS)
-	if !ok {
-		for i, r := range reqs {
-			n, err := c.Write(op, h, r.Off, r.Data)
-			out[i] = completedIO{n, err}
-		}
-		return out
-	}
-	info := &OpInfo{Kind: KindWrite, Op: op, Ino: c.handleIno(h), BatchOps: len(reqs)}
-	if err := c.admitSubmitBatch(info); err != nil {
-		for i := range out {
-			out[i] = completedIO{0, err}
-		}
-		return out
-	}
-	if ba, ok := c.fs.(BatchAsyncFS); ok {
-		for i, p := range ba.SubmitWriteBatch(op, h, reqs) {
-			out[i] = &chainPending{c: c, kind: KindWrite, ino: info.Ino, inner: p}
-		}
-		return out
-	}
-	for i, r := range reqs {
-		out[i] = &chainPending{c: c, kind: KindWrite, ino: info.Ino, inner: a.SubmitWrite(op, h, r.Off, r.Data)}
+	out := a.Submit(op, h, kind, reqs)
+	for i, p := range out {
+		out[i] = &chainPending{c: c, kind: kind, ino: info.Ino, inner: p}
 	}
 	return out
 }
