@@ -75,9 +75,7 @@ func (d *Dir) Put(data []byte) (Ref, error) {
 	d.stats.Blobs++
 	d.stats.PhysicalBytes += int64(len(data))
 	d.mu.Unlock()
-	if d.opts.Disk != nil {
-		d.opts.Disk.Write(len(data))
-	}
+	d.opts.Disk.Write(len(data))
 	return ref, nil
 }
 
@@ -91,9 +89,7 @@ func (d *Dir) Get(ref Ref) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if d.opts.Disk != nil {
-		d.opts.Disk.Read(len(obj.data))
-	}
+	d.opts.Disk.Read(len(obj.data))
 	return obj.data, nil
 }
 

@@ -194,7 +194,13 @@ func Mount(fs vfs.FS, clock *sim.Clock, model *sim.CostModel, opts MountOptions)
 	// and steals when idle.
 	table := newReqTable(opts.MaxBackground, opts.MaxOriginInflight,
 		opts.DefaultWeight, opts.QoSWeights, opts.ServerThreads)
-	conn := &Conn{
+	return newConn(clock, model, opts, table), newServer(fs, clock, model, opts, table)
+}
+
+// newConn builds the kernel side over table; whoever pops the table is
+// the server.
+func newConn(clock *sim.Clock, model *sim.CostModel, opts MountOptions, table *reqTable) *Conn {
+	return &Conn{
 		clock:     clock,
 		model:     model,
 		opts:      opts,
@@ -204,8 +210,6 @@ func Mount(fs vfs.FS, clock *sim.Clock, model *sim.CostModel, opts MountOptions)
 		handleIno: make(map[vfs.Handle]vfs.Ino),
 		held:      make(map[vfs.Ino]uint64),
 	}
-	srv := newServer(fs, clock, model, opts, table)
-	return conn, srv
 }
 
 // Unmount flushes pending forgets and closes the request table, stopping

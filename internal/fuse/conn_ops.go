@@ -25,6 +25,14 @@ func (c *Conn) Lookup(op *vfs.Op, parent vfs.Ino, name string) (vfs.Attr, error)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
+	return c.entryReply(r, parent, name)
+}
+
+// entryReply decodes the reply of a request that found or made
+// parent/name and caches the dentry and its attributes. A short reply is
+// EIO and caches nothing: a truncated frame must not install a dentry
+// for inode 0.
+func (c *Conn) entryReply(r *rdr, parent vfs.Ino, name string) (vfs.Attr, error) {
 	attr := decodeAttr(r)
 	if r.bad {
 		return vfs.Attr{}, vfs.EIO
@@ -170,10 +178,7 @@ func (c *Conn) Mknod(op *vfs.Op, parent vfs.Ino, name string, typ vfs.FileType, 
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	attr := decodeAttr(r)
-	c.cacheEntry(parent, name, attr.Ino)
-	c.cacheAttr(attr)
-	return attr, nil
+	return c.entryReply(r, parent, name)
 }
 
 // Mkdir implements vfs.FS.
@@ -185,10 +190,7 @@ func (c *Conn) Mkdir(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode) (vf
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	attr := decodeAttr(r)
-	c.cacheEntry(parent, name, attr.Ino)
-	c.cacheAttr(attr)
-	return attr, nil
+	return c.entryReply(r, parent, name)
 }
 
 // Symlink implements vfs.FS.
@@ -200,10 +202,7 @@ func (c *Conn) Symlink(op *vfs.Op, parent vfs.Ino, name, target string) (vfs.Att
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	attr := decodeAttr(r)
-	c.cacheEntry(parent, name, attr.Ino)
-	c.cacheAttr(attr)
-	return attr, nil
+	return c.entryReply(r, parent, name)
 }
 
 // Readlink implements vfs.FS.
@@ -212,7 +211,11 @@ func (c *Conn) Readlink(op *vfs.Op, ino vfs.Ino) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return r.str(), nil
+	target := r.str()
+	if r.bad {
+		return "", vfs.EIO
+	}
+	return target, nil
 }
 
 // Unlink implements vfs.FS.
@@ -255,6 +258,9 @@ func (c *Conn) Link(op *vfs.Op, ino vfs.Ino, parent vfs.Ino, name string) (vfs.A
 		return vfs.Attr{}, err
 	}
 	attr := decodeAttr(r)
+	if r.bad {
+		return vfs.Attr{}, vfs.EIO
+	}
 	c.cacheEntry(parent, name, attr.Ino)
 	c.invalidateAttr(ino) // nlink changed on the cntr-level inode
 	c.invalidateAttr(attr.Ino)

@@ -1,7 +1,7 @@
 package pagecache
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"cntr/internal/vfs"
@@ -45,15 +45,15 @@ func (c *Cache) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, err
 	if st.direct {
 		// Direct I/O bypasses the cache, so coherency requires writing
 		// dirty pages back first (as the kernel does for O_DIRECT).
-		if f, ok := c.files[st.ino]; ok && f.dirtyBytes > 0 {
-			c.flushFileLocked(st.ino, f)
+		if f, ok := c.files[st.ino]; ok {
+			c.flushFileLocked(f)
 		}
 		// The backing read may block (a FIFO opened O_DIRECT); do not
 		// hold the cache-wide mutex across it.
 		c.mu.Unlock()
 		n, err := c.backing.Read(op, h, off, dest)
 		c.mu.Lock()
-		if err == nil && c.opts.ChargeDisk != nil {
+		if err == nil {
 			c.opts.ChargeDisk.Read(n)
 		}
 		return n, err
@@ -89,98 +89,46 @@ func (c *Cache) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, err
 			}
 			return 0, err
 		}
-		idx := (off + read) / PageSize
-		po := (off + read) % PageSize
-		chunk := int64(PageSize) - po
-		if chunk > want-read {
-			chunk = want - read
-		}
-		p := f.pages[idx]
-		if p != nil {
+		pos := off + read
+		idx, po := pos/PageSize, pos%PageSize
+		out := dest[read : read+min(PageSize-po, want-read)]
+		read += int64(len(out))
+		if p := f.pages[idx]; p != nil {
 			c.stats.Hits++
 			c.clock.Advance(c.model.PageCacheHit)
 			c.touch(st.ino, idx)
-		} else {
-			c.stats.Misses++
-			pos := off + read
-			seq := pos >= f.lastReadEnd-PageSize && pos <= f.lastReadEnd+PageSize
-			if c.async != nil && c.opts.ReadAhead > PageSize &&
-				(seq || c.windowAt(f, idx*PageSize) != nil) {
-				// Asynchronous readahead: harvest (or submit) the window
-				// covering this page while keeping AsyncDepth further
-				// windows in flight, so their round trips overlap. A
-				// random miss with no covering window takes the one-page
-				// synchronous path instead — pulling a whole window per
-				// random miss would be pure read amplification.
-				var spill []byte
-				var spillBase int64
-				var err error
-				p, spill, spillBase, err = c.readAheadAsync(op, h, st.ino, f, idx)
-				if err != nil {
-					return int(read), err
-				}
-				if p == nil {
-					// Budget exhausted: serve from the window buffer.
-					so := idx*PageSize + po - spillBase
-					if spill == nil || so < 0 || so+chunk > int64(len(spill)) {
-						break // backing came up short; return what we have
-					}
-					copy(dest[read:read+chunk], spill[so:so+chunk])
-					read += chunk
-					continue
-				}
-			} else {
-				// Synchronous path: a miss continuing a sequential pattern
-				// fetches a whole readahead window in one backing request.
-				fetch := int64(PageSize)
-				if c.opts.ReadAhead > PageSize && seq {
-					fetch = c.opts.ReadAhead
-				}
-				if rem := f.size - idx*PageSize; fetch > rem {
-					fetch = rem
-				}
-				if fetch < PageSize {
-					fetch = PageSize
-				}
-				buf := make([]byte, fetch)
-				n, err := c.backing.Read(op, h, idx*PageSize, buf)
-				if err != nil {
-					return int(read), err
-				}
-				if c.opts.ChargeDisk != nil {
-					c.opts.ChargeDisk.Read(n)
-				}
-				for pi := int64(0); pi*PageSize < int64(n); pi++ {
-					pageBuf := make([]byte, PageSize)
-					copy(pageBuf, buf[pi*PageSize:min64(int64(n), (pi+1)*PageSize)])
-					inserted := c.insertPage(st.ino, idx+pi, pageBuf)
-					if pi == 0 {
-						p = inserted
-					}
-				}
-				// Keep the sequential detector current within this call so
-				// the next miss in a long read continues the readahead.
-				f.lastReadEnd = idx*PageSize + int64(n)
-				if p == nil {
-					// Budget exhausted: serve without caching.
-					copy(dest[read:read+chunk], buf[po:po+chunk])
-					read += chunk
-					continue
-				}
-			}
+			copy(out, p.data[po:])
+			continue
 		}
-		copy(dest[read:read+chunk], p.data[po:po+chunk])
-		read += chunk
+		c.stats.Misses++
+		// A miss that continues a sequential pattern, or lands in a window
+		// already in flight, is worth a readahead window; any other miss
+		// fetches its page alone — a whole window per random miss would be
+		// pure read amplification.
+		ahead := pos >= f.lastReadEnd-PageSize && pos <= f.lastReadEnd+PageSize ||
+			c.windowAt(f, idx*PageSize) != nil
+		p, got, base, err := c.fill(op, h, st.ino, f, idx, ahead)
+		if err != nil {
+			return int(pos - off), err
+		}
+		// Keep the sequential detector current within this call so the
+		// next miss in a long read continues the readahead.
+		f.lastReadEnd = base + int64(len(got))
+		if p != nil {
+			copy(out, p.data[po:])
+			continue
+		}
+		// Budget exhausted: serve from the window without caching. Where
+		// the backing came up short is a hole or a region only the cached
+		// size covers, which reads as zeros.
+		served := 0
+		if so := pos - base; so < int64(len(got)) {
+			served = copy(out, got[so:])
+		}
+		clear(out[served:])
 	}
 	f.lastReadEnd = off + read
 	return int(read), nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // windowAt returns the in-flight readahead window covering byte offset
@@ -195,31 +143,22 @@ func (c *Cache) windowAt(f *fileCache, pos int64) *raWindow {
 	return nil
 }
 
-// windowSize returns the readahead window size at start, clamped to the
-// file size; <= 0 means no window fits there. Caller holds c.mu.
-func (c *Cache) windowSize(f *fileCache, start int64) int64 {
-	size := c.opts.ReadAhead
-	if size < PageSize {
-		size = PageSize
+// windowSize is the length of the window to read at start: ReadAhead
+// when reading ahead, otherwise one page, clamped to the file size.
+// Caller holds c.mu.
+func (c *Cache) windowSize(f *fileCache, start int64, ahead bool) int64 {
+	size := int64(PageSize)
+	if ahead && c.opts.ReadAhead > PageSize {
+		size = c.opts.ReadAhead
 	}
-	if rem := f.size - start; size > rem {
-		size = rem
-	}
-	return size
+	return min(size, f.size-start)
 }
 
-// submitWindows starts one asynchronous readahead window per start
-// offset, submitted as a single pipelined Submit: an interceptor chain
-// below (one carrying the policy enforcer, say) admits the whole window
-// set with one gate decision instead of one per window. Caller holds
-// c.mu.
-func (c *Cache) submitWindows(op *vfs.Op, h vfs.Handle, f *fileCache, starts []int64) {
-	reqs := make([]vfs.IOReq, 0, len(starts))
-	for _, start := range starts {
-		if size := c.windowSize(f, start); size > 0 {
-			reqs = append(reqs, vfs.IOReq{Off: start, Buf: make([]byte, size)})
-		}
-	}
+// submitWindows starts the given readahead windows as a single pipelined
+// Submit: an interceptor chain below (one carrying the policy enforcer,
+// say) admits the whole window set with one gate decision instead of one
+// per window. Caller holds c.mu.
+func (c *Cache) submitWindows(op *vfs.Op, h vfs.Handle, f *fileCache, reqs []vfs.IOReq) {
 	if len(reqs) == 0 {
 		return
 	}
@@ -229,9 +168,7 @@ func (c *Cache) submitWindows(op *vfs.Op, h vfs.Handle, f *fileCache, starts []i
 	for i, p := range c.async.Submit(op, h, vfs.KindRead, reqs) {
 		r := reqs[i]
 		f.ra[r.Off] = &raWindow{start: r.Off, buf: r.Buf, pending: p}
-		if end := r.Off + int64(len(r.Buf)); end > f.raNext {
-			f.raNext = end
-		}
+		f.raNext = max(f.raNext, r.Off+int64(len(r.Buf)))
 	}
 }
 
@@ -239,91 +176,105 @@ func (c *Cache) submitWindows(op *vfs.Op, h vfs.Handle, f *fileCache, starts []i
 // submitted offset, submitting the refill as one batch. Caller holds
 // c.mu.
 func (c *Cache) topUpReadahead(op *vfs.Op, h vfs.Handle, f *fileCache) {
-	var starts []int64
+	var reqs []vfs.IOReq
 	next := f.raNext
-	for len(f.ra)+len(starts) < c.opts.AsyncDepth && next < f.size {
-		if c.windowAt(f, next) != nil {
-			break
-		}
-		size := c.windowSize(f, next)
-		if size <= 0 {
-			break
-		}
-		starts = append(starts, next)
-		next += size
+	for len(f.ra)+len(reqs) < c.opts.AsyncDepth && next < f.size && c.windowAt(f, next) == nil {
+		// Windows hold whole pages from their start: one that follows a
+		// tail window clamped to a since-grown file starts on that tail
+		// page, not in the middle of it.
+		start := next - next%PageSize
+		size := c.windowSize(f, start, true)
+		reqs = append(reqs, vfs.IOReq{Off: start, Buf: make([]byte, size)})
+		next = start + size
 	}
-	c.submitWindows(op, h, f, starts)
+	c.submitWindows(op, h, f, reqs)
 }
 
-// readAheadAsync serves a sequential miss through the pipelined backing:
-// it makes sure a window covering page idx is in flight, tops the
-// pipeline up to AsyncDepth windows ahead, then harvests the covering
-// window into cache pages. It returns the cached page for idx; when the
-// budget had no room, it returns the raw window bytes (and their base
-// offset) so the caller can serve the read uncached. Caller holds c.mu.
-func (c *Cache) readAheadAsync(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx int64) (*page, []byte, int64, error) {
-	base := idx * PageSize
-	if c.windowAt(f, base) == nil {
-		if f.raNext < base {
-			f.raNext = base
+// fill is the one way into the cache: it turns the miss on page idx into
+// a backing read and the bytes read into pages. The window is one page,
+// or a ReadAhead window when the caller wants to read ahead. With a
+// pipelined backing a readahead window is harvested from (or first
+// submitted to) the AsyncDepth windows kept in flight, so their round
+// trips overlap; otherwise — always at AsyncDepth 0 — it is read now
+// with a blocking backing.Read, a window harvested immediately. fill
+// returns the cached page for idx, or nil when the budget had no room
+// for it, along with the bytes the backing returned and their offset so
+// the caller can use them uncached. Caller holds c.mu.
+func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx int64, ahead bool) (*page, []byte, int64, error) {
+	start := idx * PageSize
+	pipelined := ahead && c.async != nil && c.opts.ReadAhead > PageSize
+	var buf []byte
+	var n int
+	var err error
+	if pipelined {
+		if c.windowAt(f, start) == nil {
+			f.raNext = max(f.raNext, start)
+			c.submitWindows(op, h, f, []vfs.IOReq{{Off: start, Buf: make([]byte, c.windowSize(f, start, true))}})
 		}
-		c.submitWindows(op, h, f, []int64{base})
-	}
-	// raNext parked far ahead of the reader means the stream restarted
-	// (a re-read from the start after a pass reached EOF, with the pages
-	// since evicted): pull the pipeline back behind the current position,
-	// or topUpReadahead never submits again and every miss degenerates to
-	// one blocking round trip — worse than the synchronous path.
-	if ahead := int64(c.opts.AsyncDepth+1) * c.opts.ReadAhead; f.raNext > base+ahead {
-		if w := c.windowAt(f, base); w != nil {
-			f.raNext = w.start + int64(len(w.buf))
-		} else {
-			f.raNext = base
+		win := c.windowAt(f, start)
+		if win == nil {
+			return nil, nil, 0, vfs.EIO // the transport dropped the window
 		}
+		// raNext parked far ahead of the reader means the stream restarted
+		// (a re-read from the start after a pass reached EOF, with the
+		// pages since evicted): pull the pipeline back behind the current
+		// position, or topUpReadahead never submits again and every miss
+		// degenerates to one blocking round trip.
+		if f.raNext > start+int64(c.opts.AsyncDepth+1)*c.opts.ReadAhead {
+			f.raNext = win.start + int64(len(win.buf))
+		}
+		c.topUpReadahead(op, h, f)
+		delete(f.ra, win.start)
+		buf, start = win.buf, win.start
+		n, err = win.pending.Await(op)
+	} else {
+		// The blocking read never asks for less than a page, even at
+		// the tail of the file.
+		buf = make([]byte, max(c.windowSize(f, start, ahead), PageSize))
+		n, err = c.backing.Read(op, h, start, buf)
 	}
-	c.topUpReadahead(op, h, f)
-	win := c.windowAt(f, base)
-	if win == nil {
-		// base is at or past EOF per the cached size; nothing to fetch.
-		return nil, nil, 0, nil
-	}
-	delete(f.ra, win.start)
-	n, err := win.pending.Await(op)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	if c.opts.ChargeDisk != nil {
-		c.opts.ChargeDisk.Read(n)
+	c.opts.ChargeDisk.Read(n)
+	// A cached page is never older than the window, so only absent pages
+	// are installed. Pages dirty now stay excluded even once an insert
+	// below has evicted, and thereby flushed, them: the window predates
+	// that flush.
+	first := start / PageSize
+	var dirty []int64
+	for k := first; f.dirtyBytes > 0 && (k-first)*PageSize < int64(n); k++ {
+		if q := f.pages[k]; q != nil && q.dirty > 0 {
+			dirty = append(dirty, k)
+		}
 	}
 	var p *page
-	firstPage := win.start / PageSize
-	for pi := int64(0); pi*PageSize < int64(n); pi++ {
-		pageBuf := make([]byte, PageSize)
-		copy(pageBuf, win.buf[pi*PageSize:min64(int64(n), (pi+1)*PageSize)])
-		inserted := c.insertPage(ino, firstPage+pi, pageBuf)
-		if firstPage+pi == idx {
+	for k := first; (k-first)*PageSize < int64(n); k++ {
+		if f.pages[k] != nil || slices.Contains(dirty, k) {
+			continue
+		}
+		lo := (k - first) * PageSize
+		inserted := c.insertPage(f, ino, k, buf[lo:min(lo+PageSize, int64(n))])
+		if k == idx {
 			p = inserted
 		}
 	}
-	if end := win.start + int64(n); end > f.lastReadEnd {
-		f.lastReadEnd = end
+	if pipelined {
+		// Consuming one window frees a pipeline slot: refill it so the
+		// stream stays AsyncDepth deep.
+		c.topUpReadahead(op, h, f)
 	}
-	// Consuming one window frees a pipeline slot: refill it so the
-	// stream stays AsyncDepth deep.
-	c.topUpReadahead(op, h, f)
-	// The whole (zero-padded) window is the spill: a short backing read
-	// means the tail is a hole or cache-extended region, which reads as
-	// zeros, exactly as the synchronous path serves it.
-	return p, win.buf, win.start, nil
+	return p, buf[:n], start, nil
 }
 
 // dropReadaheadRange awaits and discards in-flight readahead windows
-// overlapping [off, end): their payload was fetched before the write
-// and must not refresh cache pages afterwards (a clean page harvested
-// from a stale window would serve pre-write data). Caller holds c.mu.
+// sharing a page with [off, end): their payload may predate bytes now
+// going to the backing, and a page harvested from a stale window would
+// serve pre-write data. Caller holds c.mu.
 func (c *Cache) dropReadaheadRange(f *fileCache, off, end int64) {
 	for start, w := range f.ra {
-		if start < end && off < start+int64(len(w.buf)) {
+		wend := start + int64(len(w.buf)) + PageSize - 1
+		if start < end && off < wend-wend%PageSize {
 			w.pending.Await(wbOp)
 			delete(f.ra, start)
 		}
@@ -356,29 +307,22 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 		}
 	}
 	c.killPrivsLocked(op, st)
+	f := c.file(st.ino)
 	if st.direct || !c.opts.Writeback {
-		n, err := c.backing.Write(op, h, off, data)
+		n, err := c.writeOut(op, h, f, []vfs.IOReq{{Off: off, Buf: data}})
 		if err != nil {
 			return n, err
 		}
-		if c.opts.ChargeDisk != nil {
-			c.opts.ChargeDisk.Write(n)
-		}
-		// Keep any cached pages coherent.
-		f := c.file(st.ino)
 		if st.flags&vfs.OAppend != 0 {
+			// The backing chose the offset: all the cache knows is that
+			// its size and any window near the end are out of date.
 			f.valid = false
 			c.dropReadahead(f)
 		} else {
-			c.dropReadaheadRange(f, off, off+int64(n))
-			c.updateCachedPages(f, off, data[:n])
-			if f.valid && off+int64(n) > f.size {
-				f.size = off + int64(n)
-			}
+			c.wrote(f, off, data[:n])
 		}
-		return n, err
+		return n, nil
 	}
-	f := c.file(st.ino)
 	if err := c.ensureSize(op, st.ino, f); err != nil {
 		return 0, err
 	}
@@ -404,10 +348,6 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 			data = data[:limit-off]
 		}
 	}
-	// Windows submitted before this write hold pre-write bytes; once the
-	// dirtied pages are flushed clean, harvesting one would roll the
-	// cache back. Discard the overlap now.
-	c.dropReadaheadRange(f, off, off+int64(len(data)))
 	written := int64(0)
 	for written < int64(len(data)) {
 		if err := op.Err(); err != nil {
@@ -416,97 +356,76 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 			}
 			return 0, err
 		}
-		idx := (off + written) / PageSize
-		po := (off + written) % PageSize
-		chunk := int64(PageSize) - po
-		if rem := int64(len(data)) - written; chunk > rem {
-			chunk = rem
-		}
+		pos := off + written
+		idx, po := pos/PageSize, pos%PageSize
+		chunk := data[written : written+min(PageSize-po, int64(len(data))-written)]
 		p := f.pages[idx]
 		if p == nil {
-			// Partial page overlapping existing data must be fetched
-			// first (read-modify-write); fully covered or beyond-EOF
-			// pages can be created blank.
-			partial := (po != 0 || chunk != PageSize) && idx*PageSize < f.size
-			buf := make([]byte, PageSize)
-			if partial {
-				n, err := c.backing.Read(op, h, idx*PageSize, buf)
-				if err != nil {
+			// A partial page overlapping existing data is fetched first
+			// (read-modify-write); fully covered or beyond-EOF pages are
+			// created blank.
+			var got []byte
+			if len(chunk) != PageSize && idx*PageSize < f.size {
+				var err error
+				if p, got, _, err = c.fill(op, h, st.ino, f, idx, false); err != nil {
 					return int(written), err
-				}
-				if c.opts.ChargeDisk != nil {
-					c.opts.ChargeDisk.Read(n)
 				}
 				c.stats.Misses++
 			}
-			p = c.insertPage(st.ino, idx, buf)
 			if p == nil {
-				// No cache space: write through.
-				n, err := c.backing.Write(op, h, off+written, data[written:written+chunk])
-				if err != nil {
-					return int(written), err
-				}
-				if c.opts.ChargeDisk != nil {
-					c.opts.ChargeDisk.Write(n)
-				}
-				written += int64(n)
-				continue
+				p = c.insertPage(f, st.ino, idx, got)
 			}
 		}
-		copy(p.data[po:po+chunk], data[written:written+chunk])
-		if !p.dirty {
-			p.dirty = true
-			p.dirtyLo, p.dirtyHi = po, po+chunk
+		if p != nil {
+			if p.dirty == 0 {
+				p.dirtyLo, p.dirtyHi = po, po
+			}
+			p.dirtyLo = min(p.dirtyLo, po)
+			p.dirtyHi = max(p.dirtyHi, po+int64(len(chunk)))
+			p.dirty += int64(len(chunk))
+			f.dirtyBytes += int64(len(chunk))
+			c.touch(st.ino, idx)
 		} else {
-			if po < p.dirtyLo {
-				p.dirtyLo = po
+			// No cache space: this chunk goes straight to the backing.
+			n, err := c.writeOut(op, h, f, []vfs.IOReq{{Off: pos, Buf: chunk}})
+			if err != nil {
+				return int(written), err
 			}
-			if po+chunk > p.dirtyHi {
-				p.dirtyHi = po + chunk
-			}
+			chunk = chunk[:n]
 		}
-		f.dirtyBytes += chunk
-		c.touch(st.ino, idx)
-		written += chunk
-		// Grow the cached size as data lands: an eviction triggered by
-		// the next page's insert must not clamp this page's flush to a
-		// stale length.
-		if off+written > f.size {
-			f.size = off + written
-		}
+		c.wrote(f, pos, chunk)
+		written += int64(len(chunk))
 	}
 	f.wbHandle, f.wbValid = h, true
 	f.mtimeBump++
 	if f.dirtyBytes >= c.opts.DirtyWindow || st.flags&vfs.OSync == vfs.OSync {
 		// Window overflow or O_SYNC: write back now (O_SYNC semantics
 		// require the data on stable storage before write(2) returns).
-		c.flushFileLocked(st.ino, f)
+		c.flushFileLocked(f)
 		if st.flags&vfs.OSync == vfs.OSync {
 			c.backing.Fsync(op, h, true)
-			if c.opts.ChargeDisk != nil {
-				c.opts.ChargeDisk.Write(0) // device barrier
-			}
+			c.opts.ChargeDisk.Write(0) // device barrier
 		}
 	}
 	c.clock.Advance(c.model.CopyCost(int(written)))
 	return int(written), nil
 }
 
-// updateCachedPages keeps read-cache pages coherent on write-through.
-func (c *Cache) updateCachedPages(f *fileCache, off int64, data []byte) {
-	written := int64(0)
-	for written < int64(len(data)) {
-		idx := (off + written) / PageSize
-		po := (off + written) % PageSize
-		chunk := int64(PageSize) - po
-		if rem := int64(len(data)) - written; chunk > rem {
-			chunk = rem
+// wrote is the one bookkeeping step after user bytes have landed at off,
+// in a dirty page or in the backing: cached pages take the new bytes and
+// the cached size grows with them. It runs per chunk, as data lands, so
+// an eviction triggered by the next page's insert does not clamp this
+// page's flush to a stale length. Caller holds c.mu.
+func (c *Cache) wrote(f *fileCache, off int64, data []byte) {
+	for done := int64(0); done < int64(len(data)); {
+		pos := off + done
+		chunk := min(PageSize-pos%PageSize, int64(len(data))-done)
+		if p := f.pages[pos/PageSize]; p != nil {
+			copy(p.data[pos%PageSize:], data[done:done+chunk])
 		}
-		if p, ok := f.pages[idx]; ok {
-			copy(p.data[po:po+chunk], data[written:written+chunk])
-		}
-		written += chunk
+		done += chunk
 	}
+	f.size = max(f.size, off+int64(len(data)))
 }
 
 // killPrivsLocked emulates the kernel's file_remove_privs on write(2):
@@ -536,23 +455,48 @@ func (c *Cache) killPrivsLocked(op *vfs.Op, st *openState) {
 	}
 }
 
-// flushFileLocked writes out every dirty page of ino in coalesced extents
-// capped at MaxWriteSize. When the backing filesystem supports pipelined
-// submission (vfs.AsyncFS) and AsyncDepth is configured, all extents are
-// submitted before any is awaited — batched writeback: the extents'
-// round trips overlap instead of paying one blocking trip each. Caller
-// holds c.mu.
-func (c *Cache) flushFileLocked(ino vfs.Ino, f *fileCache) {
-	if f.dirtyBytes == 0 || !f.wbValid {
-		return
+// writeOut is the one way out of the cache: it sends extents of f to the
+// backing on op/h. More than one extent over a pipelined backing is
+// submitted as a single window before any is awaited — batched writeback:
+// the round trips overlap and a chain below admits the whole set in one
+// policy decision; otherwise each extent is a blocking backing.Write.
+// In-flight readahead windows over the extents are discarded first (their
+// payload would predate the write), and every extent that lands is
+// charged to the disk. It returns the bytes written and the first error.
+// Caller holds c.mu.
+func (c *Cache) writeOut(op *vfs.Op, h vfs.Handle, f *fileCache, extents []vfs.IOReq) (int, error) {
+	for _, e := range extents {
+		c.dropReadaheadRange(f, e.Off, e.Off+int64(len(e.Buf)))
 	}
-	idxs := make([]int64, 0, len(f.pages))
-	for idx, p := range f.pages {
-		if p.dirty {
-			idxs = append(idxs, idx)
+	var pending []vfs.PendingIO
+	if c.async != nil && len(extents) > 1 {
+		pending = c.async.Submit(op, h, vfs.KindWrite, extents)
+	}
+	var total int
+	var first error
+	for i, e := range extents {
+		var n int
+		var err error
+		if pending != nil {
+			n, err = pending[i].Await(op)
+		} else {
+			n, err = c.backing.Write(op, h, e.Off, e.Buf)
+		}
+		total += n
+		if err == nil {
+			c.opts.ChargeDisk.Write(n)
+		} else if first == nil {
+			first = err
 		}
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	return total, first
+}
+
+// flushPagesLocked writes the dirty pages idxs of f (ascending) back in
+// coalesced extents capped at MaxWriteSize and marks them clean. It is
+// the only writeback: a whole-file flush passes every dirty page, an
+// eviction passes one. Caller holds c.mu.
+func (c *Cache) flushPagesLocked(f *fileCache, idxs []int64) {
 	var extents []vfs.IOReq
 	i := 0
 	for i < len(idxs) {
@@ -561,56 +505,43 @@ func (c *Cache) flushFileLocked(ino vfs.Ino, f *fileCache) {
 			int64(j+1-i+1)*PageSize <= c.opts.MaxWriteSize {
 			j++
 		}
+		// The extent runs from the first page's first dirty byte to the
+		// last page's last, never past the file's end.
 		start := idxs[i]*PageSize + f.pages[idxs[i]].dirtyLo
-		endPage := idxs[j]
-		end := endPage*PageSize + f.pages[endPage].dirtyHi
-		if end > f.size {
-			end = f.size
-		}
+		end := min(idxs[j]*PageSize+f.pages[idxs[j]].dirtyHi, f.size)
 		buf := make([]byte, 0, end-start)
-		for k := idxs[i]; k <= endPage; k++ {
+		for k := idxs[i]; k <= idxs[j]; k++ {
 			p := f.pages[k]
-			lo, hi := int64(0), int64(PageSize)
-			if k == idxs[i] {
-				lo = p.dirtyLo
-			}
-			if pe := k*PageSize + hi; pe > end {
-				hi = end - k*PageSize
-			}
-			if hi > lo {
+			if lo, hi := max(start-k*PageSize, 0), min(end-k*PageSize, PageSize); hi > lo {
 				buf = append(buf, p.data[lo:hi]...)
 			}
-			p.dirty = false
-			p.dirtyLo, p.dirtyHi = 0, 0
+			f.clean(p)
 		}
 		if len(buf) > 0 {
 			extents = append(extents, vfs.IOReq{Off: start, Buf: buf})
 		}
 		i = j + 1
 	}
-	if c.async != nil && len(extents) > 1 {
-		// Batched writeback: submit every extent before awaiting any, so
-		// the round trips overlap, and a chain below admits the whole
-		// extent set in one policy decision.
-		for i, p := range c.async.Submit(wbOp, f.wbHandle, vfs.KindWrite, extents) {
-			n, err := p.Await(wbOp)
-			if err == nil && c.opts.ChargeDisk != nil {
-				c.opts.ChargeDisk.Write(n)
-			}
-			c.stats.FlushedExt++
-			c.stats.FlushedB += int64(len(extents[i].Buf))
-		}
-	} else {
-		for _, e := range extents {
-			n, err := c.backing.Write(wbOp, f.wbHandle, e.Off, e.Buf)
-			if err == nil && c.opts.ChargeDisk != nil {
-				c.opts.ChargeDisk.Write(n)
-			}
-			c.stats.FlushedExt++
-			c.stats.FlushedB += int64(len(e.Buf))
+	c.writeOut(wbOp, f.wbHandle, f, extents)
+	c.stats.FlushedExt += int64(len(extents))
+	for _, e := range extents {
+		c.stats.FlushedB += int64(len(e.Buf))
+	}
+}
+
+// flushFileLocked writes out every dirty page of f. Caller holds c.mu.
+func (c *Cache) flushFileLocked(f *fileCache) {
+	if f.dirtyBytes == 0 || !f.wbValid {
+		return
+	}
+	idxs := make([]int64, 0, len(f.pages))
+	for idx, p := range f.pages {
+		if p.dirty > 0 {
+			idxs = append(idxs, idx)
 		}
 	}
-	f.dirtyBytes = 0
+	slices.Sort(idxs)
+	c.flushPagesLocked(f, idxs)
 	// Dirty data is gone: zombie handles kept for writeback can go too.
 	for _, zh := range f.zombies {
 		if f.wbValid && f.wbHandle == zh {
@@ -619,33 +550,6 @@ func (c *Cache) flushFileLocked(ino vfs.Ino, f *fileCache) {
 		c.backing.Release(wbOp, zh)
 	}
 	f.zombies = nil
-}
-
-// flushPageLocked writes out one dirty page (used by eviction).
-func (c *Cache) flushPageLocked(ino vfs.Ino, f *fileCache, idx int64, p *page) {
-	if !p.dirty || !f.wbValid {
-		p.dirty = false
-		return
-	}
-	start := idx*PageSize + p.dirtyLo
-	end := idx*PageSize + p.dirtyHi
-	if end > f.size {
-		end = f.size
-	}
-	if end > start {
-		n, err := c.backing.Write(wbOp, f.wbHandle, start, p.data[p.dirtyLo:p.dirtyLo+(end-start)])
-		if err == nil && c.opts.ChargeDisk != nil {
-			c.opts.ChargeDisk.Write(n)
-		}
-		c.stats.FlushedExt++
-		c.stats.FlushedB += end - start
-	}
-	if f.dirtyBytes >= p.dirtyHi-p.dirtyLo {
-		f.dirtyBytes -= p.dirtyHi - p.dirtyLo
-	} else {
-		f.dirtyBytes = 0
-	}
-	p.dirty = false
 }
 
 // Open implements vfs.FS. Without KeepCache the file's pages are
@@ -706,8 +610,7 @@ func (c *Cache) Flush(op *vfs.Op, h vfs.Handle) error {
 	if c.opts.FlushOnClose {
 		c.mu.Lock()
 		if st, ok := c.opens[h]; ok {
-			f := c.file(st.ino)
-			c.flushFileLocked(st.ino, f)
+			c.flushFileLocked(c.file(st.ino))
 		}
 		c.mu.Unlock()
 	}
@@ -719,14 +622,11 @@ func (c *Cache) Fsync(op *vfs.Op, h vfs.Handle, datasync bool) error {
 	c.charge()
 	c.mu.Lock()
 	if st, ok := c.opens[h]; ok {
-		f := c.file(st.ino)
-		c.flushFileLocked(st.ino, f)
+		c.flushFileLocked(c.file(st.ino))
 	}
 	c.mu.Unlock()
-	if c.opts.ChargeDisk != nil {
-		// Journal commit / cache barrier: one small device round trip.
-		c.opts.ChargeDisk.Write(0)
-	}
+	// Journal commit / cache barrier: one small device round trip.
+	c.opts.ChargeDisk.Write(0)
 	return c.backing.Fsync(op, h, datasync)
 }
 
@@ -741,7 +641,7 @@ func (c *Cache) Release(op *vfs.Op, h vfs.Handle) error {
 		c.dropReadahead(f)
 		if f.wbValid && f.wbHandle == h {
 			if c.opts.FlushOnClose {
-				c.flushFileLocked(st.ino, f)
+				c.flushFileLocked(f)
 				f.wbValid = false
 			} else if f.dirtyBytes > 0 {
 				// Keep the backing handle alive for background
@@ -778,13 +678,10 @@ func (c *Cache) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.
 	if mask.Has(vfs.SetSize) {
 		if f, ok := c.files[ino]; ok {
 			c.dropReadahead(f) // windows may span the truncation point
-			c.flushFileLocked(ino, f)
+			c.flushFileLocked(f)
 			for idx := range f.pages {
 				if idx*PageSize >= attr.Size {
-					delete(f.pages, idx)
-					if c.opts.Budget != nil {
-						c.opts.Budget.release(PageSize)
-					}
+					c.dropPage(f, idx)
 				}
 			}
 			// Zero the cached tail of the boundary page, as the kernel
@@ -887,10 +784,7 @@ func (c *Cache) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 		if f, ok := c.files[attr.Ino]; ok && attr.Nlink <= 1 && f.openHandles == 0 {
 			// Last link and nobody has it open: drop the pages, dirty
 			// or not — Postmark's files die before reaching the disk.
-			if c.opts.Budget != nil {
-				c.opts.Budget.release(int64(len(f.pages)) * PageSize)
-			}
-			delete(c.files, attr.Ino)
+			c.dropFileLocked(attr.Ino, f)
 		}
 		c.mu.Unlock()
 		c.backing.Forget(op, attr.Ino, 1)
@@ -1029,8 +923,8 @@ func (c *Cache) OpenByHandle(handle []byte) (vfs.Ino, error) {
 // SyncFS flushes every dirty page (sync(2)).
 func (c *Cache) SyncFS() error {
 	c.mu.Lock()
-	for ino, f := range c.files {
-		c.flushFileLocked(ino, f)
+	for _, f := range c.files {
+		c.flushFileLocked(f)
 	}
 	c.mu.Unlock()
 	if s, ok := c.backing.(vfs.SyncerFS); ok {

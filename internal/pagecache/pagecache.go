@@ -41,8 +41,12 @@ func NewMemBudget(total int64) *MemBudget {
 	return &MemBudget{total: total}
 }
 
-// tryCharge reserves n bytes, reporting whether the reservation fit.
+// tryCharge reserves n bytes, reporting whether the reservation fit. A
+// nil budget is unlimited, so callers never guard.
 func (b *MemBudget) tryCharge(n int64) bool {
+	if b == nil {
+		return true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.used+n > b.total {
@@ -53,6 +57,9 @@ func (b *MemBudget) tryCharge(n int64) bool {
 }
 
 func (b *MemBudget) release(n int64) {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	b.used -= n
 	if b.used < 0 {
@@ -139,12 +146,11 @@ type Cache struct {
 	// when it implements vfs.AsyncFS and AsyncDepth is configured.
 	async vfs.AsyncFS
 
-	mu     sync.Mutex
-	files  map[vfs.Ino]*fileCache
-	opens  map[vfs.Handle]*openState
-	lru    []pageKey // approximate LRU: append on use, scan from front
-	stats  Stats
-	fsized map[vfs.Handle]bool
+	mu    sync.Mutex
+	files map[vfs.Ino]*fileCache
+	opens map[vfs.Handle]*openState
+	lru   []pageKey // approximate LRU: append on use, scan from front
+	stats Stats
 }
 
 // wbOp is the request context for kernel-internal I/O (writeback,
@@ -208,11 +214,21 @@ type openState struct {
 }
 
 type page struct {
-	data  []byte // always PageSize long
-	dirty bool
+	data []byte // always PageSize long
+	// dirty counts the bytes written into the page since it was last
+	// clean — its share of fileCache.dirtyBytes; nonzero means dirty.
+	dirty int64
 	// dirtyLo/dirtyHi bound the modified byte range within the page so
 	// flushes write only what changed.
 	dirtyLo, dirtyHi int64
+}
+
+// clean marks p clean, its dirty bytes written back or discarded, and
+// takes them out of the file's count, so dirtyBytes is zero exactly when
+// no page is dirty.
+func (f *fileCache) clean(p *page) {
+	f.dirtyBytes -= p.dirty
+	p.dirty, p.dirtyLo, p.dirtyHi = 0, 0, 0
 }
 
 // New builds a cache over backing. clock and model must be non-nil.
@@ -230,7 +246,6 @@ func New(backing vfs.FS, clock *sim.Clock, model *sim.CostModel, opts Options) *
 		opts:    opts,
 		files:   make(map[vfs.Ino]*fileCache),
 		opens:   make(map[vfs.Handle]*openState),
-		fsized:  make(map[vfs.Handle]bool),
 	}
 	if opts.AsyncDepth > 0 && vfs.IsAsync(backing) {
 		// IsAsync sees through interceptor chains: pipelining windows
@@ -266,24 +281,14 @@ func (c *Cache) file(ino vfs.Ino) *fileCache {
 	return f
 }
 
-// insertPage adds a page to the cache, evicting under budget pressure.
-// Caller holds c.mu.
-func (c *Cache) insertPage(ino vfs.Ino, idx int64, data []byte) *page {
-	f := c.file(ino)
-	if p, ok := f.pages[idx]; ok {
-		if !p.dirty {
-			// Refresh a clean page; dirty pages hold newer data than
-			// the backing copy (readahead must not clobber them).
-			copy(p.data, data)
-		}
-		return p
-	}
-	if c.opts.Budget != nil {
-		for !c.opts.Budget.tryCharge(PageSize) {
-			if !c.evictOne() {
-				// Budget exhausted and nothing evictable: serve uncached.
-				return nil
-			}
+// insertPage caches data, zero-padded to a page, as page idx of f, which
+// must not hold that page yet, evicting under budget pressure. It returns
+// nil when the budget is exhausted and nothing can be evicted: the caller
+// serves uncached. Caller holds c.mu.
+func (c *Cache) insertPage(f *fileCache, ino vfs.Ino, idx int64, data []byte) *page {
+	for !c.opts.Budget.tryCharge(PageSize) {
+		if !c.evictOne() {
+			return nil
 		}
 	}
 	p := &page{data: make([]byte, PageSize)}
@@ -291,6 +296,15 @@ func (c *Cache) insertPage(ino vfs.Ino, idx int64, data []byte) *page {
 	f.pages[idx] = p
 	c.lru = append(c.lru, pageKey{ino, idx})
 	return p
+}
+
+// dropPage removes one cached page and returns its memory to the budget:
+// the single page removal behind eviction, truncate, unlink and
+// invalidate. Bytes still dirty are discarded with it. Caller holds c.mu.
+func (c *Cache) dropPage(f *fileCache, idx int64) {
+	f.clean(f.pages[idx])
+	delete(f.pages, idx)
+	c.opts.Budget.release(PageSize)
 }
 
 // evictOne drops one clean cached page; dirty pages are flushed first.
@@ -307,13 +321,10 @@ func (c *Cache) evictOne() bool {
 		if !ok {
 			continue
 		}
-		if p.dirty {
-			c.flushPageLocked(k.ino, f, k.idx, p)
+		if p.dirty > 0 && f.wbValid {
+			c.flushPagesLocked(f, []int64{k.idx})
 		}
-		delete(f.pages, k.idx)
-		if c.opts.Budget != nil {
-			c.opts.Budget.release(PageSize)
-		}
+		c.dropPage(f, k.idx)
 		c.stats.Evictions++
 		return true
 	}
@@ -335,7 +346,7 @@ func (c *Cache) invalidate(ino vfs.Ino) {
 	if !ok {
 		return
 	}
-	c.flushFileLocked(ino, f)
+	c.flushFileLocked(f)
 	c.dropFileLocked(ino, f)
 }
 
@@ -345,10 +356,6 @@ func (c *Cache) invalidateNoFlush(ino vfs.Ino) {
 	f, ok := c.files[ino]
 	if !ok {
 		return
-	}
-	f.dirtyBytes = 0
-	for _, p := range f.pages {
-		p.dirty = false
 	}
 	// Zombie handles were only kept for writeback of now-discarded data.
 	for _, zh := range f.zombies {
@@ -360,8 +367,8 @@ func (c *Cache) invalidateNoFlush(ino vfs.Ino) {
 
 func (c *Cache) dropFileLocked(ino vfs.Ino, f *fileCache) {
 	c.dropReadahead(f)
-	if c.opts.Budget != nil {
-		c.opts.Budget.release(int64(len(f.pages)) * PageSize)
+	for idx := range f.pages {
+		c.dropPage(f, idx)
 	}
 	delete(c.files, ino)
 	c.stats.Invalidate++

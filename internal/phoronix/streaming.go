@@ -58,6 +58,22 @@ func (g *streamGauge) InterceptSubmit(info *vfs.OpInfo) error {
 // doing, not the workload's.
 const streamChunk = 64 << 10
 
+// checkStream compares got, read back from offset off, with what the
+// streaming write put there: every write started on a chunk boundary, so
+// offset o holds chunk[o%len(chunk)]. A read-back of the right length
+// but the wrong bytes (zeros, say) must not pass.
+func checkStream(chunk, got []byte, off int64) error {
+	for len(got) > 0 {
+		at := int(off % int64(len(chunk)))
+		n := min(len(got), len(chunk)-at)
+		if !bytes.Equal(got[:n], chunk[at:at+n]) {
+			return fmt.Errorf("streaming read at %d: %d bytes differ from what was written", off, n)
+		}
+		got, off = got[n:], off+int64(n)
+	}
+	return nil
+}
+
 // RunStreaming streams one size-byte file sequentially through a Cntr
 // stack with asyncDepth pipelined windows: write in 64 KiB chunks,
 // fsync, then read the file back in 64 KiB chunks after dropping the
@@ -109,6 +125,9 @@ func RunStreaming(size int64, asyncDepth int) (StreamingResult, error) {
 	var got int64
 	for {
 		n, rerr := f.Read(buf)
+		if err := checkStream(chunk, buf[:n], got); err != nil {
+			return res, err
+		}
 		got += int64(n)
 		if rerr == io.EOF {
 			break

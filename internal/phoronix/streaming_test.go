@@ -1,6 +1,9 @@
 package phoronix
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // TestStreamingSubmissionCounters pins the below-cache submission
 // traffic of a small streaming pass: the counters are submission-side
@@ -19,6 +22,28 @@ func TestStreamingSubmissionCounters(t *testing.T) {
 		if r.Windows != windows || r.BatchedOps != batchedOps || r.PerOpSubmits != perOp {
 			t.Fatalf("run %d: windows=%d batched-ops=%d per-op-submits=%d, want %d/%d/%d",
 				run, r.Windows, r.BatchedOps, r.PerOpSubmits, windows, batchedOps, perOp)
+		}
+	}
+}
+
+// TestStreamingReadBackIsVerified pins that the streaming pass compares
+// what it reads with what it wrote: the right length of wrong bytes — the
+// symptom of a cache that lost track of the file's size — is an error,
+// wherever in a chunk the read starts and however many chunks it spans.
+func TestStreamingReadBackIsVerified(t *testing.T) {
+	chunk := bytes.Repeat([]byte("stream01"), 4)
+	file := bytes.Repeat(chunk, 3)
+	for off := 0; off < len(chunk); off += 5 {
+		if err := checkStream(chunk, file[off:], int64(off)); err != nil {
+			t.Fatalf("correct read-back at %d: %v", off, err)
+		}
+		if err := checkStream(chunk, make([]byte, len(file)-off), int64(off)); err == nil {
+			t.Fatalf("zeros at %d passed", off)
+		}
+		wrong := bytes.Clone(file[off:])
+		wrong[len(wrong)-1] ^= 1
+		if err := checkStream(chunk, wrong, int64(off)); err == nil {
+			t.Fatalf("flipped last byte at %d passed", off)
 		}
 	}
 }

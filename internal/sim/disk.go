@@ -69,16 +69,23 @@ func (d *Disk) Stats() DiskStats {
 }
 
 // Read accounts one read request of n bytes and advances the clock to the
-// request's completion time.
+// request's completion time. A nil disk is unmetered: layers that charge
+// an optional disk call through without guarding.
 func (d *Disk) Read(n int) {
+	if d == nil {
+		return
+	}
 	d.reads.add(1)
 	d.bytesRead.add(int64(n))
 	d.submit(n)
 }
 
 // Write accounts one write request of n bytes and advances the clock to
-// the request's completion time.
+// the request's completion time; a nil disk is unmetered.
 func (d *Disk) Write(n int) {
+	if d == nil {
+		return
+	}
 	d.writes.add(1)
 	d.bytesWrite.add(int64(n))
 	d.submit(n)

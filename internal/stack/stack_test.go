@@ -136,6 +136,51 @@ func TestSharedBudgetDoubleBuffers(t *testing.T) {
 	}
 }
 
+// TestReadBackSurvivesBudgetPressure drives the Figure 2 double-buffered
+// shape past its memory: the FUSE-side cache fills the whole 16 MiB
+// budget with dirty pages, so every eviction flush reaches a host-side
+// cache with no room and takes its write-through fallback. The host-side
+// cache must still learn the file's size: a fallback that skips the size
+// bookkeeping answers the read-back with the right length of zeros.
+func TestReadBackSurvivesBudgetPressure(t *testing.T) {
+	c := NewCntr(Config{RAM: 16 << 20, DirtyWindowFuse: 64 << 20})
+	defer c.Close()
+	cli := vfs.NewClient(c.Top, vfs.Root())
+	const size, chunk = 32 << 20, 64 << 10
+	pattern := func(i int) []byte {
+		return bytes.Repeat([]byte{byte(i), byte(i >> 8), 'p', 'r', 'e', 's', 's', '!'}, chunk/8)
+	}
+	f, err := cli.Create("/big", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < size/chunk; i++ {
+		if _, err := f.Write(pattern(i)); err != nil {
+			t.Fatalf("write chunk %d: %v", i, err)
+		}
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if f, err = cli.Open("/big", vfs.ORdonly, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, chunk)
+	for i := 0; i < size/chunk; i++ {
+		if n, err := f.Read(buf); err != nil || n != chunk {
+			t.Fatalf("read chunk %d: %d bytes, %v", i, n, err)
+		}
+		if !bytes.Equal(buf, pattern(i)) {
+			t.Fatalf("chunk %d (offset %d) read back wrong; host cache stats %+v", i, i*chunk, c.HostPC.Stats())
+		}
+	}
+	if s := c.HostPC.Stats(); s.Hits+s.Misses == 0 {
+		t.Fatalf("the read-back never consulted the host-side cache: %+v", s)
+	}
+}
+
 func TestDefaultsApplied(t *testing.T) {
 	cfg := Config{}
 	applyDefaults(&cfg)
