@@ -1,0 +1,149 @@
+package fuse
+
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"cntr/internal/memfs"
+	"cntr/internal/vfs"
+)
+
+// raceBuild reports whether the test binary was built with -race: the
+// detector makes sync.Pool drop a share of what is put back, so a pooled
+// request no longer costs zero and the budgets below do not apply.
+func raceBuild() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestRoundTripAllocBudget pins what one FUSE frame costs the host in
+// heap objects, end to end: testing.AllocsPerRun reads the process-wide
+// malloc count, so the server's workers are included. Mounted over memfs
+// with the default four server threads and no dentry or attribute cache
+// (every call is a round trip), each case measured after a warm-up that
+// fills the request pool, the table's spare queues and the maps.
+//
+// Objects per frame:   before   now   budget
+//
+//	LOOKUP miss          15       1      4   (the server's name string)
+//	GETATTR              20       0      4
+//	CREATE               21       1      4   (memfs's own share subtracted)
+//	READ 128 KiB         18       1      4   (410 KB → 139 KB: one payload-sized object)
+//	RELEASE (one-way)    13       0      3
+//
+// "before" is this test at the parent commit, where a frame cost a buf,
+// a frame, a Pending, a message, a reply channel and two readers on the
+// kernel side; an Op, a Cred, a cancel context, a reply copy and a
+// buffer grown append by append on the server's; and an origin queue
+// with its message slice in the table. The budgets leave room for the
+// pool refilling after a collection.
+func TestRoundTripAllocBudget(t *testing.T) {
+	opts := DefaultMountOptions()
+	opts.ServerThreads = 4
+	opts.EntryTimeout, opts.AttrTimeout = 0, 0
+	e := mount(t, opts)
+	op := vfs.RootOp()
+
+	const payload = 128 << 10
+	attr, h, err := e.conn.Create(op, vfs.RootIno, "data", 0o644, vfs.ORdwr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.conn.Write(op, h, 0, make([]byte, payload)); err != nil {
+		t.Fatal(err)
+	}
+	dest := make([]byte, payload)
+
+	const warmup, runs = 64, 200
+	names := make([]string, warmup+runs+1)
+	for i := range names {
+		names[i] = fmt.Sprintf("f%04d", i)
+	}
+	// CREATE has to make a file, which memfs charges for itself: the
+	// same creates straight into a second memfs are the baseline.
+	direct := memfs.New(memfs.Options{})
+	next := 0
+	createDirect := func() {
+		if _, _, err := direct.Create(op, vfs.RootIno, names[next], 0o644, vfs.ORdwr); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+
+	cases := []struct {
+		name     string
+		budget   float64
+		baseline func() // the backing filesystem's share, if any
+		run      func()
+	}{
+		{"LOOKUP miss", 4, nil, func() {
+			if _, err := e.conn.Lookup(op, vfs.RootIno, "absent"); vfs.ToErrno(err) != vfs.ENOENT {
+				t.Fatal(err)
+			}
+		}},
+		{"GETATTR", 4, nil, func() {
+			if _, err := e.conn.Getattr(op, attr.Ino); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"CREATE", 4, createDirect, func() {
+			if _, _, err := e.conn.Create(op, vfs.RootIno, names[next], 0o644, vfs.ORdwr); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}},
+		{"READ 128 KiB", 4, nil, func() {
+			if n, err := e.conn.Read(op, h, 0, dest); err != nil || n != payload {
+				t.Fatal(n, err)
+			}
+		}},
+		{"RELEASE", 3, nil, func() {
+			// One-way: wait for the server to have dispatched the frame, so
+			// its share lands inside the measurement. The handle is bogus
+			// (EBADF below the server); the frame is what is measured.
+			served := e.srv.Served()
+			e.conn.Release(op, 1<<40)
+			for e.srv.Served() == served {
+				runtime.Gosched()
+			}
+		}},
+	}
+	measure := func(f func()) (objects, bytes float64) {
+		for i := 0; i < warmup; i++ {
+			f()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		objects = testing.AllocsPerRun(runs, f)
+		runtime.ReadMemStats(&after)
+		return objects, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	}
+	for _, tc := range cases {
+		got, bytes := measure(tc.run)
+		if tc.baseline != nil {
+			next = 0
+			base, _ := measure(tc.baseline)
+			got -= base
+		}
+		t.Logf("%-13s %5.2f objects, %7.0f bytes per frame (budget %v objects)", tc.name, got, bytes, tc.budget)
+		if raceBuild() {
+			continue
+		}
+		if got > tc.budget {
+			t.Errorf("%s: %.2f heap objects per round trip, budget %v", tc.name, got, tc.budget)
+		}
+		if tc.name == "READ 128 KiB" && bytes > 1.5*payload {
+			t.Errorf("%s: %.0f bytes per round trip: more than one payload-sized object", tc.name, bytes)
+		}
+	}
+}

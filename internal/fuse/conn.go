@@ -108,11 +108,114 @@ type ConnStats struct {
 	BatchFrames int64
 }
 
-// message is one frame in flight on the simulated /dev/fuse queue.
-type message struct {
-	frame   []byte
-	reply   chan []byte // nil for one-way messages (FORGET)
-	created time.Duration
+// request is one round trip on the simulated /dev/fuse queue, from
+// Conn.submit to the server's reply: the encoded request frame, the
+// buffer the server encodes the reply into, the 1-slot channel the reply
+// is announced on, the reply decoder, and the future's bookkeeping. It is
+// the one object a frame costs, and it is recycled: buffers and channel
+// survive from one tenant to the next.
+//
+// Ownership. The submitter owns a request until table.push; from pop to
+// the send on reply it is the serving worker's (which reads frame and
+// encodes into out in place); from the receive on it is the awaiter's
+// again, until await has run the caller's decode func and releases it —
+// the single release point of a two-way request. A one-way request
+// (RELEASE, RELEASEDIR, FORGET, BATCH_FORGET, INTERRUPT) is never
+// awaited: the worker releases it after dispatch. Nothing may keep frame,
+// out or a slice of either past the call that was handed it.
+type request struct {
+	frame  buf         // encoded request
+	out    []byte      // reply frame storage, written by the server
+	reply  chan []byte // announces the reply frame; unused when oneWay
+	r      rdr         // reply body decoder handed to the decode func (a local would escape)
+	oneWay bool
+
+	c      *Conn
+	unique uint64
+	dataIn int
+	// async marks a pipelined submission (Conn.Submit): submit charged
+	// only the enqueue, so await owes the round trip.
+	async bool
+	// overlapped is set when the request was submitted while other
+	// pipelined requests were outstanding: its round-trip latency hides
+	// behind theirs, and await charges only a completion-reap wakeup.
+	overlapped bool
+	// err is a submission-time failure (connection torn down).
+	err error
+}
+
+// maxRecycledFrame is the largest buffer a released request keeps. A
+// payload-sized frame (a WRITE request, a READ reply) is left to the
+// collector instead, so the pool never pins 128 KiB buffers in the live
+// heap of a metadata workload.
+const maxRecycledFrame = 4 << 10
+
+// minFrameCap is the capacity a frame buffer starts with: every request
+// and reply without a data payload fits (a header, an attribute, a name).
+// frameHeadroom is what a request frame needs beyond its data payload.
+const (
+	minFrameCap   = 256
+	frameHeadroom = 128
+)
+
+var requestPool = sync.Pool{New: func() any {
+	return &request{reply: make(chan []byte, 1)}
+}}
+
+// poisonReleased is the recycling guard rail's test hook: when set, a
+// released request's buffers are filled with 0xDB, so a layer that kept
+// a frame slice past its call serves garbage at once instead of the next
+// tenant's data some day. (The server-side counterpart needs no switch:
+// a worker wipes its Op and Cred after every dispatch.)
+var poisonReleased atomic.Bool
+
+const poisonByte = 0xDB
+
+// frameBuf returns b emptied, or a fresh buffer when b cannot hold need
+// bytes: frames are sized up front instead of grown append by append.
+func frameBuf(b []byte, need int) []byte {
+	if need < minFrameCap {
+		need = minFrameCap
+	}
+	if cap(b) < need {
+		return make([]byte, 0, need)
+	}
+	return b[:0]
+}
+
+// newRequest takes a request from the pool, its frame empty and sized
+// for a payload of dataOut bytes, its reply storage for one of dataIn:
+// like the kernel, the submitter supplies the pages a READ reply lands in.
+func newRequest(c *Conn, dataOut, dataIn int) *request {
+	p := requestPool.Get().(*request)
+	p.c = c
+	p.frame.b = frameBuf(p.frame.b, frameHeadroom+dataOut)
+	p.out = frameBuf(p.out, respHeaderLen+4+dataIn)
+	return p
+}
+
+// release returns the request to the pool. The caller is its last
+// owner: no reply may be outstanding on it.
+func (p *request) release() {
+	if poisonReleased.Load() {
+		poison(p.frame.b[:cap(p.frame.b)])
+		poison(p.out[:cap(p.out)])
+	}
+	frame, out := p.frame.b, p.out
+	if cap(frame) > maxRecycledFrame {
+		frame = nil
+	}
+	if cap(out) > maxRecycledFrame {
+		out = nil
+	}
+	*p = request{frame: buf{b: frame}, out: out, reply: p.reply}
+	requestPool.Put(p)
+}
+
+func poison(b []byte) {
+	for i := range b {
+		b[i] = poisonByte
+	}
 }
 
 // Conn is the kernel side of the FUSE transport. It implements vfs.FS;
@@ -129,7 +232,7 @@ type Conn struct {
 	unique   atomic.Uint64
 	inflight atomic.Int64
 	// asyncInflight counts submitted-but-unawaited pipelined requests;
-	// it drives the overlap cost model (see Pending.Await).
+	// it drives the overlap cost model (see request.await).
 	asyncInflight atomic.Int64
 
 	mu        sync.Mutex
@@ -142,7 +245,6 @@ type Conn struct {
 	// flushed when the cache entry is invalidated or expires.
 	held      map[vfs.Ino]uint64
 	forgets   []forgetItem
-	lastOp    Opcode
 	streak    int
 	stats     ConnStats
 	unmounted bool
@@ -237,54 +339,31 @@ func (c *Conn) Stats() ConnStats {
 	return c.stats
 }
 
-// Pending is the future half of a submitted request: the frame is on the
-// device queue, keyed by its unique id, and Await collects the reply.
-// The two-phase submit/await split is what lets callers pipeline
-// requests — submit N, then await them — instead of blocking one
-// goroutine per round trip. Interrupt forwarding lives in the future: if
-// the awaiting operation's context is canceled, Await sends a
-// FUSE_INTERRUPT naming the request and keeps waiting for the (typically
-// EINTR) reply, because the reply slot must never be abandoned.
-type Pending struct {
-	c      *Conn
-	unique uint64
-	msg    *message
-	dataIn int
-	// async marks a pipelined submission (Conn.Submit):
-	// submit charged only the enqueue, so Await owes the round trip.
-	async bool
-	// overlapped is set when the request was submitted while other
-	// pipelined requests were outstanding: its round-trip latency hides
-	// behind theirs, and Await charges only a completion-reap wakeup.
-	overlapped bool
-	// err is a submission-time failure (connection torn down).
-	err  error
-	done bool
-}
-
-// submit encodes one request, charges the submission-side transport
-// costs, and enqueues the frame in the request table under the
-// requesting origin (req.PID). The synchronous path (async == false)
+// submit encodes one request into a recycled request object, charges the
+// submission-side transport costs, and enqueues it in the request table
+// under the requesting origin (req.PID). The returned request is the
+// future half of the two-phase submit/await API, which is what lets
+// callers pipeline requests — submit N, then await them — instead of
+// blocking one goroutine per round trip. The synchronous path (async == false)
 // charges the full round-trip and queue-wakeup costs up front, exactly
 // as the old blocking call did; the pipelined path charges only the
 // enqueue (one kernel transition plus the payload copy) and defers the
-// round-trip accounting to Await, where overlap with other in-flight
+// round-trip accounting to await, where overlap with other in-flight
 // requests is known.
-func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf), dataOut, dataIn int, async bool) *Pending {
-	unique := c.unique.Add(1)
-	w := &buf{b: make([]byte, 0, 128+dataOut)}
-	encodeReqHeader(w, op, unique, uint64(nodeid), req)
+func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf), dataOut, dataIn int, async bool) *request {
+	p := newRequest(c, dataOut, dataIn)
+	p.unique = c.unique.Add(1)
+	p.dataIn, p.async = dataIn, async
+	encodeReqHeader(&p.frame, op, p.unique, uint64(nodeid), req)
 	if payload != nil {
-		payload(w)
+		payload(&p.frame)
 	}
-	frame := finishFrame(w)
-
-	p := &Pending{c: c, unique: unique, dataIn: dataIn, async: async}
+	frame := finishFrame(&p.frame)
 
 	var cost time.Duration
 	if async {
 		// Pipelined submission: one kernel transition to enqueue; the
-		// round trip is accounted at Await time.
+		// round trip is accounted at await time.
 		cost = c.model.ContextSwitch
 	} else {
 		cost = c.model.FuseRoundTrip()
@@ -311,7 +390,6 @@ func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *bu
 			c.streak--
 		}
 	}
-	c.lastOp = op
 	c.stats.Requests++
 	c.stats.BytesOut += int64(len(frame))
 	c.mu.Unlock()
@@ -340,8 +418,7 @@ func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *bu
 	if req != nil {
 		origin = req.PID
 	}
-	msg := &message{frame: frame, reply: make(chan []byte, 1), created: c.clock.Now()}
-	depth, ok := c.table.push(origin, msg)
+	depth, ok := c.table.push(origin, p)
 	if !ok {
 		if async {
 			c.asyncInflight.Add(-1)
@@ -357,28 +434,32 @@ func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *bu
 		// kernel throttles writeback/readahead past congestion_threshold.
 		c.clock.Advance(c.model.WakeupLatency)
 	}
-	p.msg = msg
 	return p
 }
 
-// Await collects the reply for a submitted request, charging the
-// reception-side costs and decoding the errno. A canceled op forwards
-// FUSE_INTERRUPT and keeps waiting. Await must be called exactly once.
-func (p *Pending) Await(op *vfs.Op) (*rdr, error) {
+// await collects the reply for a submitted request, charging the
+// reception-side costs and decoding the errno; on success decode (if
+// any) reads the reply body, and a body it runs short on is EIO — the
+// wire is a trust boundary. Interrupt forwarding lives here: if op's
+// context is canceled while the request is in flight, a FUSE_INTERRUPT
+// frame naming the request's unique id is forwarded to the server, and
+// await keeps waiting for the (typically EINTR) reply, because the reply
+// slot must never be abandoned — exactly the kernel's behaviour.
+//
+// await must be called exactly once: it releases the request, so neither
+// p nor anything decode was handed may be touched afterwards.
+func (p *request) await(op *vfs.Op, decode func(r *rdr)) error {
+	defer p.release()
 	if p.err != nil {
-		return nil, p.err
+		return p.err
 	}
-	if p.done {
-		return nil, vfs.EIO
-	}
-	p.done = true
 	c := p.c
 	var replyFrame []byte
 	select {
-	case replyFrame = <-p.msg.reply:
+	case replyFrame = <-p.reply:
 	case <-op.Context().Done():
-		c.sendInterrupt(p.unique)
-		replyFrame = <-p.msg.reply
+		c.oneWay(OpInterrupt, 0, 0, func(w *buf) { w.u64(p.unique) })
+		replyFrame = <-p.reply
 	}
 	if p.async {
 		c.asyncInflight.Add(-1)
@@ -404,37 +485,49 @@ func (p *Pending) Await(op *vfs.Op) (*rdr, error) {
 
 	_, errno, body, err := decodeReply(replyFrame)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.mu.Lock()
 	c.stats.BytesIn += int64(len(replyFrame))
 	c.mu.Unlock()
 	if errno != vfs.OK {
-		return nil, errno
+		return errno
 	}
-	return &rdr{b: body}, nil
+	if decode != nil {
+		p.r = rdr{b: body}
+		decode(&p.r)
+		if p.r.bad {
+			return vfs.EIO
+		}
+	}
+	return nil
 }
 
-// call performs one synchronous round trip: submit, then await. If req's
-// context is canceled while the request is in flight, a FUSE_INTERRUPT
-// frame naming the request's unique id is forwarded to the server, and
-// call keeps waiting for the (typically EINTR) reply — exactly the
-// kernel's behaviour.
+// call performs one synchronous round trip: submit, then await.
 //
 // dataOut/dataIn are payload byte counts used for copy-cost accounting
 // (write data flowing out of the kernel, read data flowing back in).
-func (c *Conn) call(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf), dataOut, dataIn int) (*rdr, error) {
-	return c.submit(op, nodeid, req, payload, dataOut, dataIn, false).Await(req)
+// decode must copy out whatever it wants to keep: the reply frame is
+// recycled when call returns.
+func (c *Conn) call(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf), dataOut, dataIn int, decode func(r *rdr)) error {
+	return c.submit(op, nodeid, req, payload, dataOut, dataIn, false).await(req, decode)
 }
 
-// sendInterrupt forwards a cancellation to the server as a one-way
-// FUSE_INTERRUPT frame naming the interrupted request.
-func (c *Conn) sendInterrupt(target uint64) {
+// oneWay queues a kernel-internal frame nobody awaits (forgets, releases,
+// interrupts; origin 0): the caller pays only the enqueue transition, and
+// the server recycles the request after dispatch. One-way messages sent
+// during or after unmount are dropped, as the kernel drops forgets once
+// the connection is gone.
+func (c *Conn) oneWay(op Opcode, nodeid vfs.Ino, dataOut int, payload func(w *buf)) {
 	c.clock.Advance(c.model.ContextSwitch)
-	w := &buf{}
-	encodeReqHeader(w, OpInterrupt, c.unique.Add(1), 0, nil)
-	w.u64(target)
-	c.enqueueOneWay(finishFrame(w))
+	p := newRequest(c, dataOut, 0)
+	p.oneWay = true
+	encodeReqHeader(&p.frame, op, c.unique.Add(1), uint64(nodeid), nil)
+	payload(&p.frame)
+	finishFrame(&p.frame)
+	if _, ok := c.table.push(0, p); !ok {
+		p.release()
+	}
 }
 
 // --- entry/attr cache helpers ---

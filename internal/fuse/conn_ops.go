@@ -21,36 +21,50 @@ func (c *Conn) Lookup(op *vfs.Op, parent vfs.Ino, name string) (vfs.Attr, error)
 		// drop the stale dentry and re-lookup over the wire.
 		c.invalidateEntry(parent, name)
 	}
-	r, err := c.call(OpLookup, parent, op, func(w *buf) { w.str(name) }, 0, 0)
-	if err != nil {
-		return vfs.Attr{}, err
-	}
-	return c.entryReply(r, parent, name)
+	return c.entryCall(OpLookup, parent, name, op, func(w *buf) { w.str(name) })
 }
 
-// entryReply decodes the reply of a request that found or made
-// parent/name and caches the dentry and its attributes. A short reply is
-// EIO and caches nothing: a truncated frame must not install a dentry
-// for inode 0.
-func (c *Conn) entryReply(r *rdr, parent vfs.Ino, name string) (vfs.Attr, error) {
-	attr := decodeAttr(r)
-	if r.bad {
-		return vfs.Attr{}, vfs.EIO
+// entryCall runs a request that finds or makes parent/name and caches
+// the dentry and its attributes from the reply. A short reply is EIO and
+// caches nothing: a truncated frame must not install a dentry for
+// inode 0.
+func (c *Conn) entryCall(opcode Opcode, parent vfs.Ino, name string, op *vfs.Op, payload func(w *buf)) (vfs.Attr, error) {
+	attr, err := c.attrCall(opcode, parent, op, payload)
+	if err != nil {
+		return vfs.Attr{}, err
 	}
 	c.cacheEntry(parent, name, attr.Ino)
 	c.cacheAttr(attr)
 	return attr, nil
 }
 
-// getattrWire fetches fresh attributes and refreshes the cache.
-func (c *Conn) getattrWire(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
-	r, err := c.call(OpGetattr, ino, op, nil, 0, 0)
+// attrCall runs a request whose reply body is one attribute record.
+func (c *Conn) attrCall(opcode Opcode, nodeid vfs.Ino, op *vfs.Op, payload func(w *buf)) (vfs.Attr, error) {
+	var attr vfs.Attr
+	err := c.call(opcode, nodeid, op, payload, 0, 0, func(r *rdr) { attr = decodeAttr(r) })
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	attr := decodeAttr(r)
-	if r.bad {
-		return vfs.Attr{}, vfs.EIO
+	return attr, nil
+}
+
+// handleCall runs a request whose reply body is one handle, and
+// remembers which inode the handle refers to.
+func (c *Conn) handleCall(opcode Opcode, ino vfs.Ino, op *vfs.Op, payload func(w *buf)) (vfs.Handle, error) {
+	var h vfs.Handle
+	err := c.call(opcode, ino, op, payload, 0, 0, func(r *rdr) { h = vfs.Handle(r.u64()) })
+	if err != nil {
+		return 0, err
+	}
+	c.trackHandle(h, ino)
+	return h, nil
+}
+
+// getattrWire fetches fresh attributes and refreshes the cache.
+func (c *Conn) getattrWire(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
+	attr, err := c.attrCall(OpGetattr, ino, op, nil)
+	if err != nil {
+		return vfs.Attr{}, err
 	}
 	c.cacheAttr(attr)
 	return attr, nil
@@ -91,33 +105,21 @@ func (c *Conn) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 	}
 	c.mu.Unlock()
 	// Unbatched: one one-way frame per forget (half a round trip).
-	c.clock.Advance(c.model.ContextSwitch)
-	w := &buf{}
-	encodeReqHeader(w, OpForget, c.unique.Add(1), uint64(ino), nil)
-	w.u64(nlookup)
-	c.enqueueOneWay(finishFrame(w))
+	c.oneWay(OpForget, ino, 0, func(w *buf) { w.u64(nlookup) })
 }
 
+// sendForgetBatch sends batch as one frame: one transition for the lot.
 func (c *Conn) sendForgetBatch(batch []forgetItem) {
-	c.clock.Advance(c.model.ContextSwitch) // one transition for the batch
-	w := &buf{}
-	encodeReqHeader(w, OpBatchForget, c.unique.Add(1), 0, nil)
-	w.u32(uint32(len(batch)))
-	for _, f := range batch {
-		w.u64(uint64(f.ino))
-		w.u64(f.nlookup)
-	}
 	c.mu.Lock()
 	c.stats.BatchFrames++
 	c.mu.Unlock()
-	c.enqueueOneWay(finishFrame(w))
-}
-
-func (c *Conn) enqueueOneWay(frame []byte) {
-	// One-way messages sent during or after unmount are dropped, as the
-	// kernel drops forgets once the connection is gone. Kernel-internal
-	// traffic (forgets, releases, interrupts) queues under origin 0.
-	c.table.push(0, &message{frame: frame})
+	c.oneWay(OpBatchForget, 0, 16*len(batch), func(w *buf) {
+		w.u32(uint32(len(batch)))
+		for _, f := range batch {
+			w.u64(uint64(f.ino))
+			w.u64(f.nlookup)
+		}
+	})
 }
 
 // Getattr implements vfs.FS with attribute caching.
@@ -152,16 +154,12 @@ func (c *Conn) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.A
 			}
 		}
 	}
-	r, err := c.call(OpSetattr, ino, op, func(w *buf) {
+	out, err := c.attrCall(OpSetattr, ino, op, func(w *buf) {
 		w.u32(uint32(mask))
 		encodeAttr(w, &attr)
-	}, 0, 0)
+	})
 	if err != nil {
 		return vfs.Attr{}, err
-	}
-	out := decodeAttr(r)
-	if r.bad {
-		return vfs.Attr{}, vfs.EIO
 	}
 	c.cacheAttr(out)
 	return out, nil
@@ -169,51 +167,36 @@ func (c *Conn) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.A
 
 // Mknod implements vfs.FS.
 func (c *Conn) Mknod(op *vfs.Op, parent vfs.Ino, name string, typ vfs.FileType, mode vfs.Mode, rdev uint32) (vfs.Attr, error) {
-	r, err := c.call(OpMknod, parent, op, func(w *buf) {
+	return c.entryCall(OpMknod, parent, name, op, func(w *buf) {
 		w.str(name)
 		w.u8(uint8(typ))
 		w.u32(uint32(mode))
 		w.u32(rdev)
-	}, 0, 0)
-	if err != nil {
-		return vfs.Attr{}, err
-	}
-	return c.entryReply(r, parent, name)
+	})
 }
 
 // Mkdir implements vfs.FS.
 func (c *Conn) Mkdir(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode) (vfs.Attr, error) {
-	r, err := c.call(OpMkdir, parent, op, func(w *buf) {
+	return c.entryCall(OpMkdir, parent, name, op, func(w *buf) {
 		w.str(name)
 		w.u32(uint32(mode))
-	}, 0, 0)
-	if err != nil {
-		return vfs.Attr{}, err
-	}
-	return c.entryReply(r, parent, name)
+	})
 }
 
 // Symlink implements vfs.FS.
 func (c *Conn) Symlink(op *vfs.Op, parent vfs.Ino, name, target string) (vfs.Attr, error) {
-	r, err := c.call(OpSymlink, parent, op, func(w *buf) {
+	return c.entryCall(OpSymlink, parent, name, op, func(w *buf) {
 		w.str(name)
 		w.str(target)
-	}, 0, 0)
-	if err != nil {
-		return vfs.Attr{}, err
-	}
-	return c.entryReply(r, parent, name)
+	})
 }
 
 // Readlink implements vfs.FS.
 func (c *Conn) Readlink(op *vfs.Op, ino vfs.Ino) (string, error) {
-	r, err := c.call(OpReadlink, ino, op, nil, 0, 0)
+	var target string
+	err := c.call(OpReadlink, ino, op, nil, 0, 0, func(r *rdr) { target = r.str() })
 	if err != nil {
 		return "", err
-	}
-	target := r.str()
-	if r.bad {
-		return "", vfs.EIO
 	}
 	return target, nil
 }
@@ -223,26 +206,26 @@ func (c *Conn) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 	if ino, ok := c.lookupCached(parent, name); ok {
 		c.invalidateAttr(ino) // nlink drops; other links see it too
 	}
-	_, err := c.call(OpUnlink, parent, op, func(w *buf) { w.str(name) }, 0, 0)
+	err := c.call(OpUnlink, parent, op, func(w *buf) { w.str(name) }, 0, 0, nil)
 	c.invalidateEntry(parent, name)
 	return err
 }
 
 // Rmdir implements vfs.FS.
 func (c *Conn) Rmdir(op *vfs.Op, parent vfs.Ino, name string) error {
-	_, err := c.call(OpRmdir, parent, op, func(w *buf) { w.str(name) }, 0, 0)
+	err := c.call(OpRmdir, parent, op, func(w *buf) { w.str(name) }, 0, 0, nil)
 	c.invalidateEntry(parent, name)
 	return err
 }
 
 // Rename implements vfs.FS.
 func (c *Conn) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vfs.Ino, newName string, flags vfs.RenameFlags) error {
-	_, err := c.call(OpRename2, oldParent, op, func(w *buf) {
+	err := c.call(OpRename2, oldParent, op, func(w *buf) {
 		w.str(oldName)
 		w.u64(uint64(newParent))
 		w.str(newName)
 		w.u32(uint32(flags))
-	}, 0, 0)
+	}, 0, 0, nil)
 	c.invalidateEntry(oldParent, oldName)
 	c.invalidateEntry(newParent, newName)
 	return err
@@ -250,16 +233,12 @@ func (c *Conn) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent v
 
 // Link implements vfs.FS.
 func (c *Conn) Link(op *vfs.Op, ino vfs.Ino, parent vfs.Ino, name string) (vfs.Attr, error) {
-	r, err := c.call(OpLink, ino, op, func(w *buf) {
+	attr, err := c.attrCall(OpLink, ino, op, func(w *buf) {
 		w.u64(uint64(parent))
 		w.str(name)
-	}, 0, 0)
+	})
 	if err != nil {
 		return vfs.Attr{}, err
-	}
-	attr := decodeAttr(r)
-	if r.bad {
-		return vfs.Attr{}, vfs.EIO
 	}
 	c.cacheEntry(parent, name, attr.Ino)
 	c.invalidateAttr(ino) // nlink changed on the cntr-level inode
@@ -272,18 +251,18 @@ func (c *Conn) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, fl
 	if flags&vfs.ODirect != 0 {
 		return vfs.Attr{}, 0, vfs.EINVAL
 	}
-	r, err := c.call(OpCreate, parent, op, func(w *buf) {
+	var attr vfs.Attr
+	var h vfs.Handle
+	err := c.call(OpCreate, parent, op, func(w *buf) {
 		w.str(name)
 		w.u32(uint32(mode))
 		w.u32(uint32(flags))
-	}, 0, 0)
+	}, 0, 0, func(r *rdr) {
+		attr = decodeAttr(r)
+		h = vfs.Handle(r.u64())
+	})
 	if err != nil {
 		return vfs.Attr{}, 0, err
-	}
-	attr := decodeAttr(r)
-	h := vfs.Handle(r.u64())
-	if r.bad {
-		return vfs.Attr{}, 0, vfs.EIO
 	}
 	c.cacheEntry(parent, name, attr.Ino)
 	c.cacheAttr(attr)
@@ -301,35 +280,44 @@ func (c *Conn) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, e
 	if flags&vfs.OTrunc != 0 {
 		c.invalidateAttr(ino) // the open truncates server-side
 	}
-	r, err := c.call(OpOpen, ino, op, func(w *buf) {
-		w.u32(uint32(flags))
-	}, 0, 0)
-	if err != nil {
-		return 0, err
-	}
-	h := vfs.Handle(r.u64())
-	if r.bad {
-		return 0, vfs.EIO
-	}
-	c.trackHandle(h, ino)
-	return h, nil
+	return c.handleCall(OpOpen, ino, op, func(w *buf) { w.u32(uint32(flags)) })
 }
 
-// Read implements vfs.FS.
+// Read implements vfs.FS. One READ request carries at most the
+// negotiated MaxWrite (FUSE's max_read is bounded the same way, and the
+// server refuses a larger size); a longer dest is filled by consecutive
+// requests until one comes back short.
 func (c *Conn) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, error) {
-	r, err := c.call(OpRead, 0, op, func(w *buf) {
+	total := 0
+	for {
+		chunk := dest[total:]
+		if len(chunk) > c.opts.MaxWrite {
+			chunk = chunk[:c.opts.MaxWrite]
+		}
+		n := 0
+		err := c.submitRead(op, h, off+int64(total), chunk, false).await(op, func(r *rdr) {
+			n = copy(chunk, r.rawBytes())
+		})
+		if err != nil {
+			if total > 0 {
+				return total, nil
+			}
+			return 0, err
+		}
+		total += n
+		if n < len(chunk) || total == len(dest) {
+			return total, nil
+		}
+	}
+}
+
+// submitRead queues one READ request of at most MaxWrite bytes.
+func (c *Conn) submitRead(op *vfs.Op, h vfs.Handle, off int64, dest []byte, async bool) *request {
+	return c.submit(OpRead, 0, op, func(w *buf) {
 		w.u64(uint64(h))
 		w.i64(off)
 		w.u32(uint32(len(dest)))
-	}, 0, len(dest))
-	if err != nil {
-		return 0, err
-	}
-	data := r.rawBytes()
-	if r.bad {
-		return 0, vfs.EIO
-	}
-	return copy(dest, data), nil
+	}, 0, len(dest), async)
 }
 
 // Submit implements vfs.AsyncFS: every request of the window is queued
@@ -347,7 +335,14 @@ func (c *Conn) Submit(op *vfs.Op, h vfs.Handle, kind vfs.OpKind, reqs []vfs.IORe
 	for i, r := range reqs {
 		switch kind {
 		case vfs.KindRead:
-			out[i] = c.submitRead(op, h, r.Off, r.Buf)
+			if len(r.Buf) > c.opts.MaxWrite {
+				// Wider than one READ request: no window in the stack is
+				// (readahead windows are MaxWrite-sized), so it is served
+				// by the synchronous split rather than a second future type.
+				out[i] = vfs.CompletedIO(c.Read(op, h, r.Off, r.Buf))
+				continue
+			}
+			out[i] = &pendingRead{p: c.submitRead(op, h, r.Off, r.Buf, true), dest: r.Buf}
 		case vfs.KindWrite:
 			out[i] = c.submitWrite(op, h, r.Off, r.Buf)
 		default:
@@ -357,33 +352,24 @@ func (c *Conn) Submit(op *vfs.Op, h vfs.Handle, kind vfs.OpKind, reqs []vfs.IORe
 	return out
 }
 
-// submitRead queues one READ request and returns its future.
-func (c *Conn) submitRead(op *vfs.Op, h vfs.Handle, off int64, dest []byte) vfs.PendingIO {
-	p := c.submit(OpRead, 0, op, func(w *buf) {
-		w.u64(uint64(h))
-		w.i64(off)
-		w.u32(uint32(len(dest)))
-	}, 0, len(dest), true)
-	return &pendingRead{p: p, dest: dest}
-}
-
-// pendingRead adapts a wire-level Pending to vfs.PendingIO for reads.
+// pendingRead adapts a submitted READ request to vfs.PendingIO. The
+// request is recycled by its first Await; a second one fails with EIO
+// instead of touching the request's next tenant.
 type pendingRead struct {
-	p    *Pending
+	p    *request
 	dest []byte
 }
 
 // Await implements vfs.PendingIO.
 func (pr *pendingRead) Await(op *vfs.Op) (int, error) {
-	r, err := pr.p.Await(op)
-	if err != nil {
-		return 0, err
-	}
-	data := r.rawBytes()
-	if r.bad {
+	p := pr.p
+	if p == nil {
 		return 0, vfs.EIO
 	}
-	return copy(pr.dest, data), nil
+	pr.p = nil
+	n := 0
+	err := p.await(op, func(r *rdr) { n = copy(pr.dest, r.rawBytes()) })
+	return n, err
 }
 
 // submitWrite queues one write. Payloads above the negotiated MaxWrite
@@ -396,12 +382,7 @@ func (c *Conn) submitWrite(op *vfs.Op, h vfs.Handle, off int64, data []byte) vfs
 		if len(chunk) > c.opts.MaxWrite {
 			chunk = chunk[:c.opts.MaxWrite]
 		}
-		p := c.submit(OpWrite, 0, op, func(w *buf) {
-			w.u64(uint64(h))
-			w.i64(off)
-			w.bytes(chunk)
-		}, len(chunk), 0, true)
-		pw.parts = append(pw.parts, p)
+		pw.parts = append(pw.parts, c.submitWriteChunk(op, h, off, chunk, true))
 		pw.sizes = append(pw.sizes, len(chunk))
 		off += int64(len(chunk))
 		data = data[len(chunk):]
@@ -409,11 +390,22 @@ func (c *Conn) submitWrite(op *vfs.Op, h vfs.Handle, off int64, data []byte) vfs
 	return pw
 }
 
+// submitWriteChunk queues one WRITE request of at most MaxWrite bytes.
+func (c *Conn) submitWriteChunk(op *vfs.Op, h vfs.Handle, off int64, chunk []byte, async bool) *request {
+	return c.submit(OpWrite, 0, op, func(w *buf) {
+		w.u64(uint64(h))
+		w.i64(off)
+		w.bytes(chunk)
+	}, len(chunk), 0, async)
+}
+
 // pendingWrite is the future for a (possibly split) asynchronous write.
+// Its parts are recycled as they are awaited, so only the first Await
+// collects them; a second one finds none.
 type pendingWrite struct {
 	c     *Conn
 	h     vfs.Handle
-	parts []*Pending
+	parts []*request
 	sizes []int
 }
 
@@ -427,24 +419,21 @@ type pendingWrite struct {
 func (pw *pendingWrite) Await(op *vfs.Op) (int, error) {
 	total, stop, holed := 0, false, false
 	var firstErr error
-	for i, p := range pw.parts {
-		r, err := p.Await(op)
+	parts := pw.parts
+	pw.parts = nil
+	for i, p := range parts {
+		n := 0
+		err := p.await(op, func(r *rdr) { n = int(r.u32()) })
 		if stop {
 			// Drain the remaining replies; note any that applied bytes
 			// beyond the failed chunk.
-			if err == nil && !r.bad && int(r.u32()) > 0 {
+			if err == nil && n > 0 {
 				holed = true
 			}
 			continue
 		}
 		if err != nil {
 			firstErr = err
-			stop = true
-			continue
-		}
-		n := int(r.u32())
-		if r.bad {
-			firstErr = vfs.EIO
 			stop = true
 			continue
 		}
@@ -476,20 +465,18 @@ func (c *Conn) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, err
 		if len(chunk) > c.opts.MaxWrite {
 			chunk = chunk[:c.opts.MaxWrite]
 		}
-		r, err := c.call(OpWrite, 0, op, func(w *buf) {
-			w.u64(uint64(h))
-			w.i64(off)
-			w.bytes(chunk)
-		}, len(chunk), 0)
+		n, short := 0, false
+		err := c.submitWriteChunk(op, h, off, chunk, false).await(op, func(r *rdr) {
+			n, short = int(r.u32()), r.bad
+		})
+		if short {
+			return total, vfs.EIO
+		}
 		if err != nil {
 			if total > 0 {
 				return total, nil
 			}
 			return 0, err
-		}
-		n := int(r.u32())
-		if r.bad {
-			return total, vfs.EIO
 		}
 		total += n
 		off += int64(n)
@@ -506,112 +493,95 @@ func (c *Conn) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, err
 
 // Flush implements vfs.FS.
 func (c *Conn) Flush(op *vfs.Op, h vfs.Handle) error {
-	_, err := c.call(OpFlush, 0, op, func(w *buf) { w.u64(uint64(h)) }, 0, 0)
-	return err
+	return c.call(OpFlush, 0, op, func(w *buf) { w.u64(uint64(h)) }, 0, 0, nil)
 }
 
 // Fsync implements vfs.FS.
 func (c *Conn) Fsync(op *vfs.Op, h vfs.Handle, datasync bool) error {
-	_, err := c.call(OpFsync, 0, op, func(w *buf) {
+	return c.call(OpFsync, 0, op, func(w *buf) {
 		w.u64(uint64(h))
 		if datasync {
 			w.u8(1)
 		} else {
 			w.u8(0)
 		}
-	}, 0, 0)
-	return err
+	}, 0, 0, nil)
 }
 
 // Release implements vfs.FS. RELEASE is asynchronous in FUSE: the kernel
 // does not wait for the reply, so the caller pays only the enqueue cost.
 func (c *Conn) Release(op *vfs.Op, h vfs.Handle) error {
 	c.dropHandle(h)
-	c.clock.Advance(c.model.ContextSwitch)
-	w := &buf{}
-	encodeReqHeader(w, OpRelease, c.unique.Add(1), 0, nil)
-	w.u64(uint64(h))
-	c.enqueueOneWay(finishFrame(w))
+	c.oneWay(OpRelease, 0, 0, func(w *buf) { w.u64(uint64(h)) })
 	return nil
 }
 
 // Opendir implements vfs.FS.
 func (c *Conn) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
-	r, err := c.call(OpOpendir, ino, op, nil, 0, 0)
-	if err != nil {
-		return 0, err
-	}
-	h := vfs.Handle(r.u64())
-	if r.bad {
-		return 0, vfs.EIO
-	}
-	c.trackHandle(h, ino)
-	return h, nil
+	return c.handleCall(OpOpendir, ino, op, nil)
 }
 
 // Readdir implements vfs.FS.
 func (c *Conn) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error) {
-	r, err := c.call(OpReaddir, 0, op, func(w *buf) {
+	var ents []vfs.Dirent
+	var bodyLen int
+	err := c.call(OpReaddir, 0, op, func(w *buf) {
 		w.u64(uint64(h))
 		w.i64(off)
-	}, 0, 0)
+	}, 0, 0, func(r *rdr) {
+		bodyLen = len(r.b)
+		n := int(r.u32())
+		if !r.fits(n, direntMinLen) {
+			return
+		}
+		ents = make([]vfs.Dirent, 0, n)
+		for i := 0; i < n; i++ {
+			var d vfs.Dirent
+			d.Name = r.str()
+			d.Ino = vfs.Ino(r.u64())
+			d.Type = vfs.FileType(r.u8())
+			d.Off = r.i64()
+			ents = append(ents, d)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	n := int(r.u32())
-	ents := make([]vfs.Dirent, 0, n)
-	for i := 0; i < n; i++ {
-		var d vfs.Dirent
-		d.Name = r.str()
-		d.Ino = vfs.Ino(r.u64())
-		d.Type = vfs.FileType(r.u8())
-		d.Off = r.i64()
-		ents = append(ents, d)
-	}
-	if r.bad {
-		return nil, vfs.EIO
-	}
-	c.clock.Advance(c.model.CopyCost(len(r.b)))
+	c.clock.Advance(c.model.CopyCost(bodyLen))
 	return ents, nil
 }
 
 // Releasedir implements vfs.FS; like Release it is asynchronous.
 func (c *Conn) Releasedir(op *vfs.Op, h vfs.Handle) error {
 	c.dropHandle(h)
-	c.clock.Advance(c.model.ContextSwitch)
-	w := &buf{}
-	encodeReqHeader(w, OpReleasedir, c.unique.Add(1), 0, nil)
-	w.u64(uint64(h))
-	c.enqueueOneWay(finishFrame(w))
+	c.oneWay(OpReleasedir, 0, 0, func(w *buf) { w.u64(uint64(h)) })
 	return nil
 }
 
 // Statfs implements vfs.FS.
 func (c *Conn) Statfs(op *vfs.Op, ino vfs.Ino) (vfs.StatfsOut, error) {
-	r, err := c.call(OpStatfs, ino, op, nil, 0, 0)
+	var st vfs.StatfsOut
+	err := c.call(OpStatfs, ino, op, nil, 0, 0, func(r *rdr) {
+		st.BlockSize = r.u32()
+		st.Blocks = r.u64()
+		st.BlocksFree = r.u64()
+		st.Files = r.u64()
+		st.FilesFree = r.u64()
+		st.NameMax = r.u32()
+	})
 	if err != nil {
 		return vfs.StatfsOut{}, err
-	}
-	var st vfs.StatfsOut
-	st.BlockSize = r.u32()
-	st.Blocks = r.u64()
-	st.BlocksFree = r.u64()
-	st.Files = r.u64()
-	st.FilesFree = r.u64()
-	st.NameMax = r.u32()
-	if r.bad {
-		return vfs.StatfsOut{}, vfs.EIO
 	}
 	return st, nil
 }
 
 // Setxattr implements vfs.FS.
 func (c *Conn) Setxattr(op *vfs.Op, ino vfs.Ino, name string, value []byte, flags vfs.XattrFlags) error {
-	_, err := c.call(OpSetxattr, ino, op, func(w *buf) {
+	err := c.call(OpSetxattr, ino, op, func(w *buf) {
 		w.str(name)
 		w.bytes(value)
 		w.u32(uint32(flags))
-	}, len(value), 0)
+	}, len(value), 0, nil)
 	c.invalidateAttr(ino) // ACL xattrs rewrite mode bits server-side
 	return err
 }
@@ -621,55 +591,55 @@ func (c *Conn) Setxattr(op *vfs.Op, ino vfs.Ino, name string, value []byte, flag
 // Apache and IOZone write-path overhead in §5.2.2.
 func (c *Conn) Getxattr(op *vfs.Op, ino vfs.Ino, name string) ([]byte, error) {
 	c.clock.Advance(c.model.XattrLookup)
-	r, err := c.call(OpGetxattr, ino, op, func(w *buf) { w.str(name) }, 0, 0)
+	var value []byte
+	err := c.call(OpGetxattr, ino, op, func(w *buf) { w.str(name) }, 0, 0, func(r *rdr) {
+		value = append([]byte(nil), r.rawBytes()...)
+	})
 	if err != nil {
 		return nil, err
 	}
-	v := r.rawBytes()
-	if r.bad {
-		return nil, vfs.EIO
-	}
-	return append([]byte(nil), v...), nil
+	return value, nil
 }
 
 // Listxattr implements vfs.FS.
 func (c *Conn) Listxattr(op *vfs.Op, ino vfs.Ino) ([]string, error) {
-	r, err := c.call(OpListxattr, ino, op, nil, 0, 0)
+	var names []string
+	err := c.call(OpListxattr, ino, op, nil, 0, 0, func(r *rdr) {
+		n := int(r.u32())
+		if !r.fits(n, 4) { // a name is at least its length prefix
+			return
+		}
+		names = make([]string, 0, n)
+		for i := 0; i < n; i++ {
+			names = append(names, r.str())
+		}
+	})
 	if err != nil {
 		return nil, err
-	}
-	n := int(r.u32())
-	names := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		names = append(names, r.str())
-	}
-	if r.bad {
-		return nil, vfs.EIO
 	}
 	return names, nil
 }
 
 // Removexattr implements vfs.FS.
 func (c *Conn) Removexattr(op *vfs.Op, ino vfs.Ino, name string) error {
-	_, err := c.call(OpRemovexattr, ino, op, func(w *buf) { w.str(name) }, 0, 0)
+	err := c.call(OpRemovexattr, ino, op, func(w *buf) { w.str(name) }, 0, 0, nil)
 	c.invalidateAttr(ino)
 	return err
 }
 
 // Access implements vfs.FS.
 func (c *Conn) Access(op *vfs.Op, ino vfs.Ino, mask uint32) error {
-	_, err := c.call(OpAccess, ino, op, func(w *buf) { w.u32(mask) }, 0, 0)
-	return err
+	return c.call(OpAccess, ino, op, func(w *buf) { w.u32(mask) }, 0, 0, nil)
 }
 
 // Fallocate implements vfs.FS.
 func (c *Conn) Fallocate(op *vfs.Op, h vfs.Handle, mode uint32, off, length int64) error {
-	_, err := c.call(OpFallocate, 0, op, func(w *buf) {
+	err := c.call(OpFallocate, 0, op, func(w *buf) {
 		w.u64(uint64(h))
 		w.u32(mode)
 		w.i64(off)
 		w.i64(length)
-	}, 0, 0)
+	}, 0, 0, nil)
 	if ino, ok := c.handleInode(h); ok {
 		c.invalidateAttr(ino)
 	}

@@ -352,7 +352,8 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestServerCredKeepsCapabilities(t *testing.T) {
 	h := ReqHeader{UID: 1000, GID: 1000}
-	c := serverCred(h)
+	var c vfs.Cred
+	serverCred(&c, &h)
 	if c.FSUID != 1000 || c.FSGID != 1000 {
 		t.Fatal("fsuid/fsgid must follow the caller")
 	}
@@ -380,8 +381,9 @@ func TestWireProtocolHeaderRoundTrip(t *testing.T) {
 	encodeReqHeader(w, OpLookup, 42, 7, vfs.NewOp(nil, vfs.User(10, 20)))
 	w.str("name")
 	frame := finishFrame(w)
-	h, r, err := decodeReqHeader(frame)
-	if err != nil {
+	var h ReqHeader
+	var r rdr
+	if err := decodeReqHeader(frame, &h, &r); err != nil {
 		t.Fatal(err)
 	}
 	if h.Opcode != OpLookup || h.Unique != 42 || h.NodeID != 7 || h.UID != 10 || h.GID != 20 {
@@ -393,8 +395,10 @@ func TestWireProtocolHeaderRoundTrip(t *testing.T) {
 }
 
 func TestWireProtocolReplyRoundTrip(t *testing.T) {
-	reply := encodeReply(9, vfs.ENOENT, []byte("body"))
-	unique, errno, body, err := decodeReply(reply)
+	w := &buf{}
+	beginReply(w)
+	w.b = append(w.b, "body"...)
+	unique, errno, body, err := decodeReply(finishReply(w, 9, vfs.ENOENT))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +408,9 @@ func TestWireProtocolReplyRoundTrip(t *testing.T) {
 }
 
 func TestWireProtocolRejectsTruncatedFrames(t *testing.T) {
-	if _, _, err := decodeReqHeader([]byte{1, 2, 3}); err == nil {
+	var h ReqHeader
+	var r rdr
+	if err := decodeReqHeader([]byte{1, 2, 3}, &h, &r); err == nil {
 		t.Fatal("short request accepted")
 	}
 	if _, _, _, err := decodeReply([]byte{1}); err == nil {
@@ -414,7 +420,7 @@ func TestWireProtocolRejectsTruncatedFrames(t *testing.T) {
 	encodeReqHeader(w, OpLookup, 1, 1, nil)
 	frame := finishFrame(w)
 	frame = append(frame, 0xFF) // length mismatch
-	if _, _, err := decodeReqHeader(frame); err == nil {
+	if err := decodeReqHeader(frame, &h, &r); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }

@@ -2,6 +2,7 @@ package fuse
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -275,4 +276,93 @@ func TestInterruptAbortsParkedOpen(t *testing.T) {
 	if n, err := e.conn.Read(root, rh, 0, buf); err != nil || string(buf[:n]) != "ok" {
 		t.Fatalf("FIFO after aborted open: %q %v", buf[:n], err)
 	}
+}
+
+// hookFS runs hook, when one is set, inside the server-side Getattr —
+// the observation point for what a request's Op looks like from below
+// the server.
+type hookFS struct {
+	vfs.FS
+	hook atomic.Pointer[func(op *vfs.Op) error]
+}
+
+func (f *hookFS) Getattr(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
+	if hook := f.hook.Load(); hook != nil {
+		if err := (*hook)(op); err != nil {
+			return vfs.Attr{}, err
+		}
+	}
+	return f.FS.Getattr(op, ino)
+}
+
+// TestInterruptDoesNotCrossRecycledRequest: with one server thread every
+// request runs on the same recycled Op and cancellation context, so a
+// cancellation aimed at request A must never reach B, the struct's next
+// tenant — not a FUSE_INTERRUPT that names A after A was answered, and
+// not the teardown sweep that canceled A while it was in flight.
+func TestInterruptDoesNotCrossRecycledRequest(t *testing.T) {
+	opts := DefaultMountOptions()
+	opts.ServerThreads = 1
+	opts.AttrTimeout = 0 // every Getattr is a round trip
+	fs := &hookFS{FS: memfs.New(memfs.Options{})}
+	conn, srv := Mount(fs, sim.NewClock(), sim.DefaultCostModel(), opts)
+	t.Cleanup(func() {
+		conn.Unmount()
+		srv.Wait()
+	})
+	root := vfs.RootOp()
+	parked := make(chan struct{})
+	resume := make(chan struct{})
+	var seen error
+	// B parks inside the filesystem, then reports what its Op says.
+	park := func(op *vfs.Op) error {
+		parked <- struct{}{}
+		<-resume
+		seen = op.Err()
+		return nil
+	}
+	runB := func(disturb func()) {
+		t.Helper()
+		fs.hook.Store(&park)
+		done := make(chan error, 1)
+		go func() {
+			_, err := conn.Getattr(root, vfs.RootIno)
+			done <- err
+		}()
+		<-parked
+		disturb()
+		resume <- struct{}{}
+		if err := <-done; err != nil || seen != nil {
+			t.Fatalf("B on the recycled struct: reply %v, Op.Err inside the filesystem %v; want neither canceled", err, seen)
+		}
+	}
+
+	// A late INTERRUPT: A is answered, then interrupted by name while B
+	// occupies the struct A ran on.
+	fs.hook.Store(nil)
+	if _, err := conn.Getattr(root, vfs.RootIno); err != nil {
+		t.Fatal(err)
+	}
+	a := conn.unique.Load()
+	runB(func() { srv.interrupt(a) })
+
+	// The teardown sweep: A blocks on its context until the sweep cancels
+	// it, and answers EINTR; B then runs on the struct that was canceled.
+	untilCanceled := func(op *vfs.Op) error {
+		parked <- struct{}{}
+		<-op.Context().Done()
+		return op.Err()
+	}
+	fs.hook.Store(&untilCanceled)
+	done := make(chan error, 1)
+	go func() {
+		_, err := conn.Getattr(root, vfs.RootIno)
+		done <- err
+	}()
+	<-parked
+	srv.cancelInflight()
+	if err := <-done; vfs.ToErrno(err) != vfs.EINTR {
+		t.Fatalf("swept request: %v, want EINTR", err)
+	}
+	runB(func() {})
 }

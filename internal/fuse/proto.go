@@ -106,6 +106,10 @@ const reqHeaderLen = 40
 // u32 len, i32 error, u64 unique.
 const respHeaderLen = 16
 
+// direntMinLen is the encoding of a directory entry with an empty name:
+// u32 name length, u64 ino, u8 type, i64 offset.
+const direntMinLen = 21
+
 // ReqHeader is the decoded request header. Beyond the classic FUSE
 // fixed header it carries the caller's supplementary groups, which is
 // how mounting with default_permissions lets group-based access checks
@@ -122,7 +126,9 @@ type ReqHeader struct {
 	Groups []uint32
 }
 
-// buf is an append-only little-endian encoder.
+// buf is an append-only little-endian encoder. The transport's buffers
+// live in recycled structs and keep their backing array across frames,
+// so steady-state encoding allocates nothing.
 type buf struct{ b []byte }
 
 func (w *buf) u8(v uint8)   { w.b = append(w.b, v) }
@@ -149,6 +155,18 @@ type rdr struct {
 
 func (r *rdr) need(n int) bool {
 	if r.bad || r.off+n > len(r.b) {
+		r.bad = true
+		return false
+	}
+	return true
+}
+
+// fits reports whether n items of at least size bytes each can still
+// follow. Every count the wire declares is checked against the bytes
+// that back it before anything is sized or looped by it; a count that
+// cannot fit latches the reader bad.
+func (r *rdr) fits(n, size int) bool {
+	if r.bad || n > (len(r.b)-r.off)/size {
 		r.bad = true
 		return false
 	}
@@ -254,14 +272,18 @@ func finishFrame(w *buf) []byte {
 	return w.b
 }
 
-// decodeReqHeader parses the fixed header and returns a reader positioned
-// at the payload.
-func decodeReqHeader(frame []byte) (ReqHeader, *rdr, error) {
+// decodeReqHeader parses the fixed header of frame into h and leaves r
+// positioned at the payload. h and r are the caller's to recycle:
+// h.Groups reuses its backing array, and r reads frame in place. The
+// group count is bounded by the bytes the frame holds, so encoder and
+// decoder agree on every list the frame can carry and group bytes can
+// never be read as payload.
+func decodeReqHeader(frame []byte, h *ReqHeader, r *rdr) error {
+	*h = ReqHeader{Groups: h.Groups[:0]}
 	if len(frame) < reqHeaderLen {
-		return ReqHeader{}, nil, vfs.EINVAL
+		return vfs.EINVAL
 	}
-	r := &rdr{b: frame}
-	var h ReqHeader
+	*r = rdr{b: frame}
 	h.Len = r.u32()
 	h.Opcode = Opcode(r.u32())
 	h.Unique = r.u64()
@@ -270,26 +292,30 @@ func decodeReqHeader(frame []byte) (ReqHeader, *rdr, error) {
 	h.GID = r.u32()
 	h.PID = r.u32()
 	r.u32() // padding
-	ngroups := int(r.u32())
-	if ngroups > 0 && ngroups <= 256 {
-		h.Groups = make([]uint32, ngroups)
-		for i := range h.Groups {
-			h.Groups[i] = r.u32()
+	if ngroups := int(r.u32()); r.fits(ngroups, 4) {
+		for i := 0; i < ngroups; i++ {
+			h.Groups = append(h.Groups, r.u32())
 		}
 	}
 	if r.bad || int(h.Len) != len(frame) {
-		return h, nil, vfs.EINVAL
+		return vfs.EINVAL
 	}
-	return h, r, nil
+	return nil
 }
 
-// encodeReply frames a reply: header then payload.
-func encodeReply(unique uint64, errno vfs.Errno, payload []byte) []byte {
-	w := &buf{b: make([]byte, 0, respHeaderLen+len(payload))}
-	w.u32(uint32(respHeaderLen + len(payload)))
-	w.u32(uint32(int32(errno)))
-	w.u64(unique)
-	w.b = append(w.b, payload...)
+// beginReply resets w to an empty reply frame: the header bytes are
+// reserved, the body is appended behind them, and finishReply patches the
+// header in place — a reply is encoded once, where it is sent from.
+func beginReply(w *buf) {
+	var hdr [respHeaderLen]byte
+	w.b = append(w.b[:0], hdr[:]...)
+}
+
+// finishReply completes the frame begun by beginReply.
+func finishReply(w *buf, unique uint64, errno vfs.Errno) []byte {
+	binary.LittleEndian.PutUint32(w.b[0:], uint32(len(w.b)))
+	binary.LittleEndian.PutUint32(w.b[4:], uint32(int32(errno)))
+	binary.LittleEndian.PutUint64(w.b[8:], unique)
 	return w.b
 }
 

@@ -47,9 +47,9 @@ const reqShards = 16
 //
 // Lock order where multiple are held: shard lock → run-queue lock(s, in
 // index order) → the leaf spaceMu/idleMu. Per-origin scheduling state
-// (msgs, inflight, vstart, heapIdx, dead, retireOnIdle) is guarded by
-// the owning run queue's lock; the shard lock guards only its maps and
-// counters.
+// (msgs, head, inflight, vstart, heapIdx, retireOnIdle) is guarded by
+// the owning run queue's lock; the shard lock guards its maps and
+// counters, and which queue object an origin currently has.
 type reqTable struct {
 	shards [reqShards]reqShard
 
@@ -125,27 +125,36 @@ type reqShard struct {
 	// exited (see retire); without it, stats grows by one entry per PID
 	// the mount has ever served.
 	retired OriginStats
+	// spare is the queue object most recently pruned from this shard,
+	// kept for the next origin that needs one: a closed-loop client goes
+	// idle after every request, and must not pay for a new queue (and a
+	// new msgs array) on each.
+	spare *originQueue
 }
 
 // originQueue is one origin's pending requests plus its scheduling and
-// accounting state. origin and weight are immutable after creation;
-// owner names the run queue whose lock guards everything else, and is
-// itself only rewritten under the previous owner's lock (see steal), so
-// lock-then-recheck acquires the current owner race-free.
+// accounting state. origin and weight are immutable while the queue is
+// in its shard's map; owner names the run queue whose lock guards
+// everything else, and is itself only rewritten under the previous
+// owner's lock (see steal), so lock-then-recheck acquires the current
+// owner race-free. A queue is reachable only through its shard's map
+// (under the shard lock) and its owner's heap (under the owner's lock);
+// pruning removes it from both, after which the object is the shard's
+// spare and may serve a different origin.
 type originQueue struct {
 	origin uint32
 	weight int
 	owner  atomic.Pointer[runQueue]
 
-	msgs     []*message
+	// msgs[head:] are the pending requests, oldest first. Popping
+	// advances head instead of re-slicing, so the array is reused from
+	// its start once the queue drains.
+	msgs     []*request
+	head     int
 	inflight int
 	// heapIdx is the queue's position in its owner's eligible heap, -1
 	// when the origin is not currently dispatchable.
 	heapIdx int
-	// dead marks a queue that went idle and was pruned from its shard's
-	// map; a pusher that raced the pruning re-creates the origin instead
-	// of enqueueing onto the orphaned object.
-	dead bool
 	// retireOnIdle marks an origin whose process exited while requests
 	// were still queued or in flight: folding its stats is deferred to
 	// the moment it goes idle, so a straggling completion cannot
@@ -281,10 +290,35 @@ func (t *reqTable) weightFor(origin uint32) int {
 	return w
 }
 
+// pending reports how many requests are queued on q.
+func (q *originQueue) pending() int { return len(q.msgs) - q.head }
+
+// enqueue appends msg, first sliding the pending requests back to the
+// start of a full array whose head has advanced.
+func (q *originQueue) enqueue(msg *request) {
+	if q.head > 0 && len(q.msgs) == cap(q.msgs) {
+		n := copy(q.msgs, q.msgs[q.head:])
+		clear(q.msgs[n:])
+		q.msgs, q.head = q.msgs[:n], 0
+	}
+	q.msgs = append(q.msgs, msg)
+}
+
+// dequeue removes and returns the oldest pending request.
+func (q *originQueue) dequeue() *request {
+	m := q.msgs[q.head]
+	q.msgs[q.head] = nil
+	q.head++
+	if q.head == len(q.msgs) {
+		q.msgs, q.head = q.msgs[:0], 0
+	}
+	return m
+}
+
 // eligibleQueue reports whether q may be dispatched from: it has work
 // and spare in-flight budget. Caller holds q's owner lock.
 func (t *reqTable) eligibleQueue(q *originQueue) bool {
-	if len(q.msgs) == 0 {
+	if q.pending() == 0 {
 		return false
 	}
 	return t.maxOriginInflight <= 0 || q.inflight < t.maxOriginInflight
@@ -347,47 +381,47 @@ func (t *reqTable) releaseSlot() {
 // gone and the frame must be dropped (one-way) or failed (two-way). The
 // returned depth is the total queued count after the insert, for the
 // submitter's congestion accounting.
-func (t *reqTable) push(origin uint32, msg *message) (depth int, ok bool) {
+func (t *reqTable) push(origin uint32, msg *request) (depth int, ok bool) {
 	if !t.reserve() {
 		return 0, false
 	}
+	// The shard lock is held across the enqueue: done prunes an idle
+	// origin's queue under it, so the queue looked up here cannot be
+	// pruned — and recycled for another origin — before msg is on it.
 	sh := t.shard(origin)
-	for {
-		sh.mu.Lock()
-		q := sh.queues[origin]
-		if q == nil {
-			q = &originQueue{origin: origin, weight: t.weightFor(origin), heapIdx: -1}
-			q.owner.Store(t.home(origin))
-			sh.queues[origin] = q
+	sh.mu.Lock()
+	q := sh.queues[origin]
+	if q == nil {
+		if q = sh.spare; q != nil {
+			sh.spare = nil
+			*q = originQueue{origin: origin, msgs: q.msgs}
+		} else {
+			q = &originQueue{origin: origin}
 		}
-		sh.mu.Unlock()
-
-		rq := t.lockOwner(q)
-		if q.dead {
-			// The origin went idle and done() pruned its queue between our
-			// shard lookup and here; retry against a fresh queue object.
-			rq.mu.Unlock()
-			continue
-		}
-		// A request arriving after retire() marked the draining queue means
-		// the PID was recycled: the origin is live again, so its counters
-		// must not be folded away when the old stragglers finish.
-		q.retireOnIdle = false
-		if len(q.msgs) == 0 && q.vstart < rq.vclock {
-			// Idle rejoin: compete from the current virtual time, with no
-			// credit for the idle past.
-			q.vstart = rq.vclock
-		}
-		q.msgs = append(q.msgs, msg)
-		rq.backlog++
-		if q.heapIdx < 0 && t.eligibleQueue(q) {
-			heap.Push(&rq.eligible, q)
-		}
-		depth = int(t.queued.Load())
-		rq.mu.Unlock()
-		t.notify()
-		return depth, true
+		q.weight, q.heapIdx = t.weightFor(origin), -1
+		q.owner.Store(t.home(origin))
+		sh.queues[origin] = q
 	}
+	rq := t.lockOwner(q)
+	// A request arriving after retire() marked the draining queue means
+	// the PID was recycled: the origin is live again, so its counters
+	// must not be folded away when the old stragglers finish.
+	q.retireOnIdle = false
+	if q.pending() == 0 && q.vstart < rq.vclock {
+		// Idle rejoin: compete from the current virtual time, with no
+		// credit for the idle past.
+		q.vstart = rq.vclock
+	}
+	q.enqueue(msg)
+	rq.backlog++
+	if q.heapIdx < 0 && t.eligibleQueue(q) {
+		heap.Push(&rq.eligible, q)
+	}
+	depth = int(t.queued.Load())
+	rq.mu.Unlock()
+	sh.mu.Unlock()
+	t.notify()
+	return depth, true
 }
 
 // dispatchLocked dequeues q's head message and advances rq's WFQ state:
@@ -395,10 +429,8 @@ func (t *reqTable) push(origin uint32, msg *message) (depth int, ok bool) {
 // time, and q's vstart advances by 1/weight. The heap is fixed in
 // O(log origins). Caller holds rq's lock and q must be owned by rq and
 // in its heap.
-func (t *reqTable) dispatchLocked(rq *runQueue, q *originQueue) *message {
-	m := q.msgs[0]
-	q.msgs[0] = nil
-	q.msgs = q.msgs[1:]
+func (t *reqTable) dispatchLocked(rq *runQueue, q *originQueue) *request {
+	m := q.dequeue()
 	rq.backlog--
 	q.inflight++
 	if q.vstart > rq.vclock {
@@ -415,7 +447,7 @@ func (t *reqTable) dispatchLocked(rq *runQueue, q *originQueue) *message {
 }
 
 // tryDispatch pops the WFQ winner of one run queue, if it has one.
-func (t *reqTable) tryDispatch(rq *runQueue) (msg *message, origin uint32, ok bool) {
+func (t *reqTable) tryDispatch(rq *runQueue) (msg *request, origin uint32, ok bool) {
 	rq.mu.Lock()
 	if len(rq.eligible) > 0 {
 		q := rq.eligible[0]
@@ -435,7 +467,7 @@ func (t *reqTable) tryDispatch(rq *runQueue) (msg *message, origin uint32, ok bo
 // the thief's (vstart − vclock travels), so migration neither grants
 // credit nor forfeits backlog standing; ties on backlog break on the
 // smaller origin id for determinism.
-func (t *reqTable) steal(thief *runQueue) (msg *message, origin uint32, ok bool) {
+func (t *reqTable) steal(thief *runQueue) (msg *request, origin uint32, ok bool) {
 	n := len(t.rqs)
 	for i := 1; i < n; i++ {
 		victim := t.rqs[(thief.idx+i)%n]
@@ -456,8 +488,8 @@ func (t *reqTable) steal(thief *runQueue) (msg *message, origin uint32, ok bool)
 		}
 		var best *originQueue
 		for _, q := range victim.eligible {
-			if best == nil || len(q.msgs) > len(best.msgs) ||
-				(len(q.msgs) == len(best.msgs) && q.origin < best.origin) {
+			if best == nil || q.pending() > best.pending() ||
+				(q.pending() == best.pending() && q.origin < best.origin) {
 				best = q
 			}
 		}
@@ -467,14 +499,14 @@ func (t *reqTable) steal(thief *runQueue) (msg *message, origin uint32, ok bool)
 			continue
 		}
 		heap.Remove(&victim.eligible, best.heapIdx)
-		victim.backlog -= len(best.msgs)
+		victim.backlog -= best.pending()
 		lag := best.vstart - victim.vclock
 		if lag < 0 {
 			lag = 0
 		}
 		best.vstart = thief.vclock + lag
 		best.owner.Store(thief)
-		thief.backlog += len(best.msgs)
+		thief.backlog += best.pending()
 		heap.Push(&thief.eligible, best)
 		t.steals.Add(1)
 		m := t.dispatchLocked(thief, best)
@@ -493,7 +525,7 @@ func (t *reqTable) steal(thief *runQueue) (msg *message, origin uint32, ok bool)
 // work anywhere it parks on the table's idle list. It blocks until a
 // message is available and returns ok == false once the table is closed
 // and fully drained.
-func (t *reqTable) pop(wid int) (msg *message, origin uint32, ok bool) {
+func (t *reqTable) pop(wid int) (msg *request, origin uint32, ok bool) {
 	rq := t.rqs[wid%len(t.rqs)]
 	for {
 		s0 := t.seq.Load()
@@ -525,7 +557,7 @@ func (t *reqTable) pop(wid int) (msg *message, origin uint32, ok bool) {
 // and the multi-queue scheduler must match a 1-queue reference) and as
 // the baseline side of BenchmarkReqTablePop. Meaningful only on tables
 // built with queues == 1.
-func (t *reqTable) popLinear() (msg *message, origin uint32, ok bool) {
+func (t *reqTable) popLinear() (msg *request, origin uint32, ok bool) {
 	rq := t.rqs[0]
 	for {
 		s0 := t.seq.Load()
@@ -580,19 +612,20 @@ func (t *reqTable) done(origin uint32, readBytes, writeBytes int64, isRead, isWr
 	if q, ok := sh.queues[origin]; ok {
 		rq := t.lockOwner(q)
 		q.inflight--
-		if q.inflight == 0 && len(q.msgs) == 0 {
+		if q.inflight == 0 && q.pending() == 0 {
 			// The origin went idle: drop its scheduler queue. It rejoins
 			// at the current virtual time on its next request, the same
 			// idle-rejoin rule push applies (re-homed by shard, so a
-			// stolen origin returns to its home queue once idle).
+			// stolen origin returns to its home queue once idle). The
+			// object becomes the shard's spare.
 			if q.retireOnIdle {
 				sh.foldLocked(origin)
 			}
-			q.dead = true
 			if q.heapIdx >= 0 {
 				heap.Remove(&rq.eligible, q.heapIdx)
 			}
 			delete(sh.queues, origin)
+			sh.spare = q
 		} else if q.heapIdx < 0 && t.eligibleQueue(q) {
 			// A capped origin's freed slot makes it dispatchable again; it
 			// re-enters the heap with its existing vstart, so a backlog it

@@ -28,7 +28,7 @@ func TestReqTableHeapMatchesLinearScan(t *testing.T) {
 	push := func(tab *reqTable) {
 		for o := uint32(1); o <= origins; o++ {
 			for i := 0; i < int(o%5)+1; i++ {
-				tab.push(o, &message{})
+				tab.push(o, &request{})
 			}
 		}
 	}
@@ -42,11 +42,11 @@ func TestReqTableHeapMatchesLinearScan(t *testing.T) {
 		// sides.
 		var heapInflight, scanInflight []uint32
 		for {
-			hm, ho, _ := tryPop(heapT, func() (*message, uint32, bool) { return heapT.pop(0) })
+			hm, ho, _ := tryPop(heapT, func() (*request, uint32, bool) { return heapT.pop(0) })
 			if hm == nil {
 				break
 			}
-			_, so, _ := tryPop(scanT, func() (*message, uint32, bool) { return scanT.popLinear() })
+			_, so, _ := tryPop(scanT, func() (*request, uint32, bool) { return scanT.popLinear() })
 			heapOrder = append(heapOrder, ho)
 			scanOrder = append(scanOrder, so)
 			heapInflight = append(heapInflight, ho)
@@ -81,7 +81,7 @@ func TestReqTableHeapMatchesLinearScan(t *testing.T) {
 
 // tryPop runs a blocking pop variant but only when work is immediately
 // available, so the lockstep drain above never blocks.
-func tryPop(tab *reqTable, pop func() (*message, uint32, bool)) (*message, uint32, bool) {
+func tryPop(tab *reqTable, pop func() (*request, uint32, bool)) (*request, uint32, bool) {
 	rq := tab.rqs[0]
 	rq.mu.Lock()
 	ready := len(rq.eligible) > 0
@@ -115,7 +115,7 @@ func TestManyOriginFairness(t *testing.T) {
 	for o := uint32(1); o <= origins; o++ {
 		need := weights[o]*dispatches/sumW + 32
 		for i := 0; i < need; i++ {
-			tab.push(o, &message{})
+			tab.push(o, &request{})
 		}
 	}
 
@@ -160,8 +160,8 @@ func TestManyOriginCappedNotStarved(t *testing.T) {
 	const origins = 2048
 	tab := newReqTable(1<<20, 1, 1, nil, 1)
 	for o := uint32(1); o <= origins; o++ {
-		tab.push(o, &message{})
-		tab.push(o, &message{})
+		tab.push(o, &request{})
+		tab.push(o, &request{})
 	}
 	seen := make(map[uint32]bool, origins)
 	for i := 0; i < origins; i++ {
@@ -231,7 +231,7 @@ func TestManyOriginStress(t *testing.T) {
 			for i := 0; i < perPusher; i++ {
 				x = x*1664525 + 1013904223
 				origin := x%origins + 1
-				if _, ok := tab.push(origin, &message{}); !ok {
+				if _, ok := tab.push(origin, &request{}); !ok {
 					t.Error("push failed before close")
 					return
 				}

@@ -25,7 +25,7 @@ func NewSchedBench(origins int, linear bool) *SchedBench {
 		linear: linear,
 	}
 	for i := 0; i < origins; i++ {
-		b.t.push(uint32(i+1), &message{})
+		b.t.push(uint32(i+1), &request{})
 	}
 	return b
 }
@@ -47,7 +47,7 @@ func NewSchedBenchN(origins, queues, depth int) *SchedBench {
 	}
 	for i := 0; i < origins; i++ {
 		for d := 0; d < depth; d++ {
-			b.t.push(uint32(i+1), &message{})
+			b.t.push(uint32(i+1), &request{})
 		}
 	}
 	return b
@@ -65,7 +65,7 @@ func NewStealBench(origins, queues int) *SchedBench {
 		t: newReqTable(origins+queues+1, 0, 1, nil, queues),
 	}
 	for i := 0; i < origins; i++ {
-		b.t.push(uint32((i+1)*reqShards), &message{})
+		b.t.push(uint32((i+1)*reqShards), &request{})
 	}
 	return b
 }
@@ -81,7 +81,7 @@ func (b *SchedBench) Cycle() {
 // the worker's run queue (stealing if it is empty), complete, re-push.
 func (b *SchedBench) CycleWorker(wid int) {
 	var (
-		msg    *message
+		msg    *request
 		origin uint32
 		ok     bool
 	)

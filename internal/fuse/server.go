@@ -28,8 +28,13 @@ type Server struct {
 	errors  atomic.Int64
 	stopped atomic.Bool
 
-	// inflight maps a request's unique id to the cancel function of its
-	// operation context; FUSE_INTERRUPT frames resolve through it.
+	// inflight maps a request's unique id to its operation context;
+	// FUSE_INTERRUPT frames resolve through it. The contexts are recycled
+	// (one per worker), so cancellation is keyed by unique and happens
+	// under inflightMu: an entry is only ever canceled while its request
+	// is still registered, and untrack removes it under the same lock
+	// before the context gets its next tenant — a late interrupt or a
+	// teardown sweep can never reach the wrong request.
 	// pending records interrupts that raced ahead of their target's
 	// registration (a sibling worker may process the INTERRUPT frame
 	// before the target request's worker registers it); track consumes
@@ -38,11 +43,72 @@ type Server struct {
 	// already-answered request is dropped instead of leaking a pending
 	// entry — this is what keeps the set bounded.
 	inflightMu    sync.Mutex
-	inflight      map[uint64]context.CancelFunc
+	inflight      map[uint64]*reqCtx
 	pending       map[uint64]bool
 	completed     map[uint64]struct{}
-	completedFifo []uint64
+	completedFifo [completedRing]uint64 // ring of the uniques in completed
+	completedN    uint64                // uniques ever completed
 	interrupts    atomic.Int64
+}
+
+// reqCtx is the cancellation context of one dispatched request: what
+// context.WithCancel provided, minus its allocations. The Done channel is
+// made only when something asks for it — a FIFO read or a parked open
+// blocks on it, an ordinary request only polls Err — and the struct is
+// recycled by its worker from one request to the next.
+type reqCtx struct {
+	canceled atomic.Bool
+	mu       sync.Mutex
+	done     chan struct{} // nil until Done is first called
+}
+
+// Deadline implements context.Context: requests carry none.
+func (c *reqCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+
+// Value implements context.Context: requests carry none.
+func (c *reqCtx) Value(any) any { return nil }
+
+// Err implements context.Context.
+func (c *reqCtx) Err() error {
+	if c.canceled.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// Done implements context.Context.
+func (c *reqCtx) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done == nil {
+		c.done = make(chan struct{})
+		if c.canceled.Load() {
+			close(c.done)
+		}
+	}
+	return c.done
+}
+
+// cancel marks the request interrupted and wakes whatever blocks on it.
+func (c *reqCtx) cancel() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.canceled.Swap(true) && c.done != nil {
+		close(c.done)
+	}
+}
+
+// reset ends the current request's tenancy: a Done channel handed out
+// but never closed is closed, so nothing stays parked on a finished
+// request, and the context is blank for the next one.
+func (c *reqCtx) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done != nil && !c.canceled.Load() {
+		close(c.done)
+	}
+	c.done = nil
+	c.canceled.Store(false)
 }
 
 // completedRing bounds the completed-unique memory: old entries fall out
@@ -55,13 +121,13 @@ const completedRing = 1024
 func newServer(fs vfs.FS, clock *sim.Clock, model *sim.CostModel, opts MountOptions, table *reqTable) *Server {
 	s := &Server{
 		fs: fs, clock: clock, model: model, opts: opts, table: table,
-		inflight:  make(map[uint64]context.CancelFunc),
+		inflight:  make(map[uint64]*reqCtx),
 		pending:   make(map[uint64]bool),
 		completed: make(map[uint64]struct{}),
 	}
 	for i := 0; i < opts.ServerThreads; i++ {
 		s.wg.Add(1)
-		go s.worker(i)
+		go (&worker{s: s}).run(i)
 	}
 	return s
 }
@@ -91,13 +157,9 @@ func (s *Server) Wait() {
 // cancelInflight aborts every registered request.
 func (s *Server) cancelInflight() {
 	s.inflightMu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(s.inflight))
-	for _, c := range s.inflight {
-		cancels = append(cancels, c)
-	}
-	s.inflightMu.Unlock()
-	for _, c := range cancels {
-		c()
+	defer s.inflightMu.Unlock()
+	for _, ctx := range s.inflight {
+		ctx.cancel()
 	}
 }
 
@@ -107,16 +169,15 @@ func (s *Server) Served() int64 { return s.served.Load() }
 // Interrupts reports how many FUSE_INTERRUPT frames were processed.
 func (s *Server) Interrupts() int64 { return s.interrupts.Load() }
 
-// track registers a request's cancel function for interrupt delivery,
-// consuming any interrupt that arrived before the registration.
-func (s *Server) track(unique uint64, cancel context.CancelFunc) {
+// track registers a request's context for interrupt delivery, consuming
+// any interrupt that arrived before the registration.
+func (s *Server) track(unique uint64, ctx *reqCtx) {
 	s.inflightMu.Lock()
-	s.inflight[unique] = cancel
-	early := s.pending[unique]
-	delete(s.pending, unique)
-	s.inflightMu.Unlock()
-	if early {
-		cancel()
+	defer s.inflightMu.Unlock()
+	s.inflight[unique] = ctx
+	if s.pending[unique] {
+		delete(s.pending, unique)
+		ctx.cancel()
 	}
 }
 
@@ -127,12 +188,13 @@ func (s *Server) untrack(unique uint64) {
 	s.inflightMu.Lock()
 	delete(s.inflight, unique)
 	delete(s.pending, unique)
-	s.completed[unique] = struct{}{}
-	s.completedFifo = append(s.completedFifo, unique)
-	if len(s.completedFifo) > completedRing {
-		delete(s.completed, s.completedFifo[0])
-		s.completedFifo = s.completedFifo[1:]
+	slot := &s.completedFifo[s.completedN%completedRing]
+	if s.completedN >= completedRing {
+		delete(s.completed, *slot)
 	}
+	*slot = unique
+	s.completedN++
+	s.completed[unique] = struct{}{}
 	s.inflightMu.Unlock()
 }
 
@@ -144,24 +206,20 @@ func (s *Server) untrack(unique uint64) {
 // bound). Spurious interrupts for uniques that never existed are bounded
 // by resetting the set when it grows past the ring size.
 func (s *Server) interrupt(target uint64) {
-	s.inflightMu.Lock()
-	cancel := s.inflight[target]
-	if cancel == nil {
-		if _, done := s.completed[target]; done {
-			s.inflightMu.Unlock()
-			s.interrupts.Add(1)
-			return
-		}
-		if len(s.pending) > completedRing {
-			s.pending = make(map[uint64]bool)
-		}
-		s.pending[target] = true
-	}
-	s.inflightMu.Unlock()
 	s.interrupts.Add(1)
-	if cancel != nil {
-		cancel()
+	s.inflightMu.Lock()
+	defer s.inflightMu.Unlock()
+	if ctx := s.inflight[target]; ctx != nil {
+		ctx.cancel()
+		return
 	}
+	if _, done := s.completed[target]; done {
+		return
+	}
+	if len(s.pending) > completedRing {
+		s.pending = make(map[uint64]bool)
+	}
+	s.pending[target] = true
 }
 
 // pendingInterrupts reports the interrupts parked for unregistered
@@ -203,9 +261,27 @@ func (s *Server) RetiredOriginStats() OriginStats {
 // another worker's run queue (see reqTable.steal).
 func (s *Server) Steals() int64 { return s.table.stealCount() }
 
-// worker is one server thread, identified by wid: it pops from its own
-// run queue in the request table, stealing from siblings when idle.
-func (s *Server) worker(wid int) {
+// worker is one server thread together with the per-request state it
+// recycles: the decoded header, the request reader, the reply encoder,
+// and the Op, Cred and cancellation context the filesystem is called
+// with. A thread serves one request at a time, so the state needs no
+// pool — it is overwritten by the next request, which is why nothing
+// below the server may keep an *Op, a *Cred or a frame slice past the
+// call that received it.
+type worker struct {
+	s    *Server
+	hdr  ReqHeader
+	r    rdr
+	w    buf
+	ctx  reqCtx
+	cred vfs.Cred
+	op   vfs.Op
+}
+
+// run is the thread's loop as worker wid: it pops from its own run queue
+// in the request table, stealing from siblings when idle.
+func (wk *worker) run(wid int) {
+	s := wk.s
 	defer s.wg.Done()
 	for {
 		msg, origin, ok := s.table.pop(wid)
@@ -221,14 +297,19 @@ func (s *Server) worker(wid int) {
 			cost += time.Duration(n-1) * s.model.LockContention
 		}
 		s.clock.Advance(cost)
-		reply, acct := s.dispatch(msg.frame)
+		reply, acct := wk.dispatch(msg.frame.b, msg.out)
 		// Account completion before delivering the reply, so a caller
 		// that awaited the request observes its own operation in the
 		// origin counters.
 		s.table.done(origin, acct.readBytes, acct.writeBytes, acct.isRead, acct.isWrite)
-		if msg.reply != nil {
-			msg.reply <- reply
+		if msg.oneWay {
+			msg.release() // nobody awaits it: the server is its last owner
+			continue
 		}
+		// The send hands the request back to its awaiter; it must be the
+		// worker's last touch.
+		msg.out = reply
+		msg.reply <- reply
 	}
 }
 
@@ -248,41 +329,39 @@ type ioAcct struct {
 // the server *keeps* CAP_FSETID — which is why delegated chmod does not
 // clear SGID bits and xfstests #375 fails. The caller's RLIMIT_FSIZE is
 // not part of the protocol at all (xfstests #228).
-func serverCred(h ReqHeader) *vfs.Cred {
-	c := vfs.Root()
-	c.FSUID = h.UID
-	c.FSGID = h.GID
-	c.Groups = h.Groups
+func serverCred(c *vfs.Cred, h *ReqHeader) {
+	*c = vfs.Cred{FSUID: h.UID, FSGID: h.GID, Groups: h.Groups, Caps: vfs.FullCapSet()}
 	if h.UID != 0 {
 		c.Caps = vfs.NewCapSet(vfs.CapFsetid)
 	}
-	return c
 }
 
 // dispatch decodes one request frame, invokes the filesystem, and
-// encodes the reply frame. Each two-way request runs under its own
-// cancelable context, registered by unique id so FUSE_INTERRUPT frames
-// (processed by a sibling worker) can abort it mid-flight.
-func (s *Server) dispatch(frame []byte) ([]byte, ioAcct) {
+// encodes the reply frame in place into out's storage (or a larger
+// buffer when the reply does not fit), returning it; nil means the
+// opcode has no reply. Each request runs under its own cancelable
+// context, registered by unique id so FUSE_INTERRUPT frames (processed
+// by a sibling worker) can abort it mid-flight.
+func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
+	s, h, r, w := wk.s, &wk.hdr, &wk.r, &wk.w
+	defer wk.clear()
 	var acct ioAcct
-	h, r, err := decodeReqHeader(frame)
-	if err != nil {
+	w.b = frameBuf(out, 0)
+	beginReply(w)
+	if err := decodeReqHeader(frame, h, r); err != nil {
 		s.errors.Add(1)
-		return encodeReply(h.Unique, vfs.EINVAL, nil), acct
+		return finishReply(w, h.Unique, vfs.EINVAL), acct
 	}
 	if h.Opcode == OpInterrupt {
 		s.interrupt(r.u64())
 		return nil, acct // one-way
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s.track(h.Unique, cancel)
+	s.track(h.Unique, &wk.ctx)
 	defer s.untrack(h.Unique)
-	op := vfs.NewOp(ctx, serverCred(h))
-	op.ID = h.Unique
-	op.PID = h.PID
+	serverCred(&wk.cred, h)
+	op := &wk.op
+	op.Init(&wk.ctx, &wk.cred, h.Unique, h.PID)
 	ino := vfs.Ino(h.NodeID)
-	w := &buf{}
 	var opErr error
 
 	switch h.Opcode {
@@ -300,6 +379,9 @@ func (s *Server) dispatch(frame []byte) ([]byte, ioAcct) {
 
 	case OpBatchForget:
 		n := int(r.u32())
+		if !r.fits(n, 16) {
+			break // the count is not backed by the frame: EINVAL below
+		}
 		for i := 0; i < n; i++ {
 			target := vfs.Ino(r.u64())
 			nlookup := r.u64()
@@ -404,10 +486,19 @@ func (s *Server) dispatch(frame []byte) ([]byte, ioAcct) {
 		handle := vfs.Handle(r.u64())
 		off := r.i64()
 		size := int(r.u32())
-		dest := make([]byte, size)
-		n, err := s.fs.Read(op, handle, off, dest)
+		if size > s.opts.MaxWrite {
+			opErr = vfs.EINVAL // beyond the negotiated read size
+			break
+		}
+		// Read straight into the reply frame, behind the length prefix.
+		data := respHeaderLen + 4
+		if cap(w.b) < data+size {
+			w.b = make([]byte, respHeaderLen, data+size)
+		}
+		n, err := s.fs.Read(op, handle, off, w.b[data:data+size])
 		if err == nil {
-			w.bytes(dest[:n])
+			w.u32(uint32(n))
+			w.b = w.b[:data+n]
 			acct.isRead, acct.readBytes = true, int64(n)
 		}
 		opErr = err
@@ -516,7 +607,20 @@ func (s *Server) dispatch(frame []byte) ([]byte, ioAcct) {
 	}
 	if opErr != nil {
 		s.errors.Add(1)
-		return encodeReply(h.Unique, vfs.ToErrno(opErr), nil), ioAcct{}
+		w.b = w.b[:respHeaderLen]
+		return finishReply(w, h.Unique, vfs.ToErrno(opErr)), ioAcct{}
 	}
-	return encodeReply(h.Unique, vfs.OK, w.b), acct
+	return finishReply(w, h.Unique, vfs.OK), acct
+}
+
+// clear ends a dispatch: the context is closed out for whoever still
+// held its Done channel, and no reference to the request's frames, nor
+// any of its identity, outlives it in the worker.
+func (wk *worker) clear() {
+	wk.ctx.reset()
+	wk.r, wk.w.b = rdr{}, nil
+	wk.op, wk.cred = vfs.Op{}, vfs.Cred{}
+	if cap(wk.hdr.Groups) > maxRecycledFrame/4 {
+		wk.hdr.Groups = nil // like an oversized frame: not kept
+	}
 }

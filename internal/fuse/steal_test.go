@@ -32,8 +32,8 @@ func TestWorkStealDifferentialPerQueue(t *testing.T) {
 	push := func() {
 		for o := uint32(1); o <= origins; o++ {
 			for i := 0; i < int(o%5)+1; i++ {
-				multi.push(o, &message{})
-				refs[homeOf(o)].push(o, &message{})
+				multi.push(o, &request{})
+				refs[homeOf(o)].push(o, &request{})
 			}
 		}
 	}
@@ -51,7 +51,7 @@ func TestWorkStealDifferentialPerQueue(t *testing.T) {
 			// never blocks.
 			for w := 0; w < queues; w++ {
 				mm, mo, mok := multi.tryDispatch(multi.rqs[w])
-				rm, ro, _ := tryPop(refs[w], func() (*message, uint32, bool) { return refs[w].popLinear() })
+				rm, ro, _ := tryPop(refs[w], func() (*request, uint32, bool) { return refs[w].popLinear() })
 				if (mm != nil) != (rm != nil) {
 					t.Fatalf("round %d queue %d: multi dispatched=%v reference dispatched=%v",
 						r, w, mm != nil, rm != nil)
@@ -136,7 +136,7 @@ func TestWorkStealFairnessAtScale(t *testing.T) {
 	for o := uint32(1); o <= origins; o++ {
 		need := weights[o]*dispatches/sumW + 32
 		for i := 0; i < need; i++ {
-			tab.push(o, &message{})
+			tab.push(o, &request{})
 		}
 	}
 
@@ -192,8 +192,8 @@ func TestWorkStealCappedNotStarved(t *testing.T) {
 	)
 	tab := newReqTable(1<<20, 1, 1, nil, queues)
 	for o := uint32(1); o <= origins; o++ {
-		tab.push(o, &message{})
-		tab.push(o, &message{})
+		tab.push(o, &request{})
+		tab.push(o, &request{})
 	}
 	seen := make(map[uint32]bool, origins)
 	for i := 0; i < origins; i++ {
@@ -230,7 +230,7 @@ func TestWorkStealPicksMostBacklogged(t *testing.T) {
 	backlogs := map[uint32]int{16: 1, 32: 3, 48: 3}
 	for o, n := range backlogs {
 		for i := 0; i < n; i++ {
-			tab.push(o, &message{})
+			tab.push(o, &request{})
 		}
 	}
 	_, origin, ok := tab.pop(1)
@@ -307,7 +307,7 @@ func TestWorkStealManyOriginStress(t *testing.T) {
 			for i := 0; i < perPusher; i++ {
 				x = x*1664525 + 1013904223
 				origin := x%origins + 1
-				if _, ok := tab.push(origin, &message{}); !ok {
+				if _, ok := tab.push(origin, &request{}); !ok {
 					t.Error("push failed before close")
 					return
 				}

@@ -7,11 +7,10 @@ import (
 	"cntr/internal/vfs"
 )
 
-// truncatingMount returns a Conn whose "server" answers every request
-// with success and a body cut short: the well-formed attribute reply
-// minus its last byte, or for short a length-prefixed string that claims
-// more bytes than follow.
-func truncatingMount(t *testing.T) *Conn {
+// replyingMount returns a Conn whose "server" answers every two-way
+// request with success and whatever body writes: the harness for feeding
+// the kernel-side decoders frames a real server would never send.
+func replyingMount(t *testing.T, body func(h *ReqHeader, w *buf)) *Conn {
 	t.Helper()
 	table := newReqTable(256, 0, 1, nil, 1)
 	conn := newConn(sim.NewClock(), sim.DefaultCostModel(), DefaultMountOptions(), table)
@@ -21,23 +20,35 @@ func truncatingMount(t *testing.T) *Conn {
 			if !ok {
 				return
 			}
-			h, _, _ := decodeReqHeader(msg.frame)
+			var h ReqHeader
+			decodeReqHeader(msg.frame.b, &h, &rdr{})
 			w := &buf{}
-			if h.Opcode == OpReadlink {
-				w.u32(64)
-				w.b = append(w.b, "short"...)
-			} else {
-				encodeAttr(w, &vfs.Attr{Ino: 7, Type: vfs.TypeRegular, Nlink: 1})
-				w.b = w.b[:len(w.b)-1]
-			}
+			beginReply(w)
+			body(&h, w)
 			table.done(origin, 0, 0, false, false)
-			if msg.reply != nil {
-				msg.reply <- encodeReply(h.Unique, vfs.OK, w.b)
+			if !msg.oneWay {
+				msg.reply <- finishReply(w, h.Unique, vfs.OK)
 			}
 		}
 	}()
 	t.Cleanup(conn.Unmount)
 	return conn
+}
+
+// truncatingMount returns a Conn whose "server" answers every request
+// with success and a body cut short: the well-formed attribute reply
+// minus its last byte, or for short a length-prefixed string that claims
+// more bytes than follow.
+func truncatingMount(t *testing.T) *Conn {
+	return replyingMount(t, func(h *ReqHeader, w *buf) {
+		if h.Opcode == OpReadlink {
+			w.u32(64)
+			w.b = append(w.b, "short"...)
+		} else {
+			encodeAttr(w, &vfs.Attr{Ino: 7, Type: vfs.TypeRegular, Nlink: 1})
+			w.b = w.b[:len(w.b)-1]
+		}
+	})
 }
 
 // TestTruncatedEntryRepliesAreEIO feeds every decoder of an entry or

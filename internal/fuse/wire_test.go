@@ -1,0 +1,131 @@
+package fuse
+
+import (
+	"bytes"
+	"encoding/hex"
+	"testing"
+
+	"cntr/internal/memfs"
+	"cntr/internal/sim"
+	"cntr/internal/vfs"
+)
+
+// wireGolden is every frame of the op sequence in TestWireBytesUnchanged,
+// request (>) and reply (<), captured at commit 1c78124 — the last one
+// that encoded a frame into fresh buffers and copied every reply.
+var wireGolden = []string{
+	// LOOKUP "f" under root, pid 77, groups {5, 6}: ENOENT
+	"> 39000000010000000100000000000000010000000000000000000000000000004d000000000000000200000005000000060000000100000066",
+	"< 10000000020000000100000000000000",
+	// CREATE "f" 0644 O_RDWR: attr + handle
+	"> 41000000230000000200000000000000010000000000000000000000000000004d000000000000000200000005000000060000000100000066a401000002000000",
+	"< 5d000000000000000200000000000000020000000000000000000000000000000000000000000000d00735c867274015d00735c867274015d00735c867274015a401000000010000000000000000000000000000000100000000000000",
+	// WRITE 32 bytes at 0
+	"> 68000000100000000300000000000000000000000000000000000000000000004d0000000000000002000000050000000600000001000000000000000000000000000000200000007769726577697265776972657769726577697265776972657769726577697265",
+	"< 1400000000000000030000000000000020000000",
+	// READ 64 bytes at 0: the 32 that are there
+	"> 480000000f0000000400000000000000000000000000000000000000000000004d000000000000000200000005000000060000000100000000000000000000000000000040000000",
+	"< 34000000000000000400000000000000200000007769726577697265776972657769726577697265776972657769726577697265",
+	// OPENDIR root
+	"> 340000001b0000000500000000000000010000000000000000000000000000004d00000000000000020000000500000006000000",
+	"< 180000000000000005000000000000000200000000000000",
+	// READDIR: ".", "..", "f"
+	"> 440000001c0000000600000000000000000000000000000000000000000000004d0000000000000002000000050000000600000002000000000000000000000000000000",
+	"< 5700000000000000060000000000000003000000010000002e0100000000000000010100000000000000020000002e2e010000000000000001020000000000000001000000660200000000000000000300000000000000",
+	// RELEASEDIR, RELEASE, BATCH_FORGET {2:1, 1:2}: one-way, anonymous
+	"> 340000001d0000000700000000000000000000000000000000000000000000000000000000000000000000000200000000000000",
+	"> 34000000120000000800000000000000000000000000000000000000000000000000000000000000000000000100000000000000",
+	"> 500000002a000000090000000000000000000000000000000000000000000000000000000000000000000000020000000200000000000000010000000000000001000000000000000200000000000000",
+}
+
+// TestWireBytesUnchanged replays a fixed op sequence over a connection
+// whose only "worker" is this test's loop, and compares every frame that
+// crosses the queue, in either direction, with bytes captured before the
+// transport recycled its buffers: the wire format is the trust boundary,
+// and host-side recycling must not move a byte of it.
+func TestWireBytesUnchanged(t *testing.T) {
+	clock, model := sim.NewClock(), sim.DefaultCostModel()
+	opts := DefaultMountOptions()
+	opts.EntryTimeout, opts.AttrTimeout = 0, 0 // forgets are not withheld
+	opts.ServerThreads = 0                     // no workers: the loop below serves
+	table := newReqTable(256, 0, 1, nil, 1)
+	conn := newConn(clock, model, opts, table)
+	srv := newServer(memfs.New(memfs.Options{}), clock, model, opts, table)
+
+	var frames []string
+	step := make(chan struct{}, len(wireGolden))
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		wk := &worker{s: srv}
+		for {
+			msg, origin, ok := table.pop(0)
+			if !ok {
+				return
+			}
+			frames = append(frames, "> "+hex.EncodeToString(msg.frame.b))
+			reply, acct := wk.dispatch(msg.frame.b, msg.out)
+			table.done(origin, acct.readBytes, acct.writeBytes, acct.isRead, acct.isWrite)
+			if msg.oneWay {
+				msg.release()
+			} else {
+				frames = append(frames, "< "+hex.EncodeToString(reply))
+				msg.out = reply
+				msg.reply <- reply
+			}
+			step <- struct{}{}
+		}
+	}()
+
+	cred := vfs.Root()
+	cred.Groups = []uint32{5, 6}
+	op := vfs.NewOp(nil, cred)
+	op.PID = 77
+	// Each step waits for the loop to have served the frame, so one-way
+	// frames land in submission order.
+	if _, err := conn.Lookup(op, vfs.RootIno, "f"); vfs.ToErrno(err) != vfs.ENOENT {
+		t.Fatal(err)
+	}
+	<-step
+	attr, h, err := conn.Create(op, vfs.RootIno, "f", 0o644, vfs.ORdwr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-step
+	data := bytes.Repeat([]byte("wire"), 8)
+	if n, err := conn.Write(op, h, 0, data); err != nil || n != len(data) {
+		t.Fatal(n, err)
+	}
+	<-step
+	got := make([]byte, 64)
+	if n, err := conn.Read(op, h, 0, got); err != nil || !bytes.Equal(got[:n], data) {
+		t.Fatal(n, err)
+	}
+	<-step
+	dh, err := conn.Opendir(op, vfs.RootIno)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-step
+	if ents, err := conn.Readdir(op, dh, 0); err != nil || len(ents) != 3 {
+		t.Fatal(ents, err)
+	}
+	<-step
+	conn.Releasedir(op, dh)
+	<-step
+	conn.Release(op, h)
+	<-step
+	conn.Forget(op, attr.Ino, 1)
+	conn.Forget(op, vfs.RootIno, 2)
+	conn.Unmount() // flushes the two forgets as one BATCH_FORGET
+	<-exited
+
+	if len(frames) != len(wireGolden) {
+		t.Fatalf("%d frames crossed the queue, want %d:\n%q", len(frames), len(wireGolden), frames)
+	}
+	for i, want := range wireGolden {
+		if frames[i] != want {
+			t.Errorf("frame %d\n got %s\nwant %s", i, frames[i], want)
+		}
+	}
+}

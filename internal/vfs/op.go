@@ -46,6 +46,14 @@ func NewOp(ctx context.Context, cred *Cred) *Op {
 	return &Op{Cred: cred, ID: opCounter.Add(1), ctx: ctx}
 }
 
+// Init overwrites op in place with a request's identity: NewOp for an
+// owner that recycles one Op from request to request (the FUSE server,
+// whose Op.ID is the wire request's unique id). ctx and cred must not be
+// nil. An Op handed to a filesystem call is only valid for that call.
+func (op *Op) Init(ctx context.Context, cred *Cred, id uint64, pid uint32) {
+	*op = Op{Cred: cred, ID: id, PID: pid, ctx: ctx}
+}
+
 // RootOp returns a fresh non-cancelable operation with root credentials —
 // the analogue of kernel-internal I/O (writeback, readahead) that runs on
 // behalf of no particular process.
