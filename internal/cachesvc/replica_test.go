@@ -168,56 +168,77 @@ func TestReplicatedWriteVisibleOnEveryCopy(t *testing.T) {
 }
 
 // TestMigrationFallthroughNoMissStorm pins the handoff guarantee: after
-// AddNode flips ownership, lookups during the (not yet run) migration
-// fall through to the old owner and stay hits — no miss storm — and
-// the pull-copy plus MigrateAll converge the new copies, after which
-// the old owner's stores are dropped.
+// AddNode flips ownership, lookups during the migration fall through
+// from the incomplete new copies to the old complete ones and stay hits
+// — no miss storm — whether the handoff has not started (the sole-owner
+// row) or is being stepped between the reads (the replicated row), and
+// the pull-copy plus MigrateAll converge the new copies, after which the
+// old owner's stores are dropped. Placement of a fixed key set is
+// arithmetic, so the shards moved, the entries copied and the lookups
+// that fell through are pinned.
 func TestMigrationFallthroughNoMissStorm(t *testing.T) {
-	svc := New(Options{Nodes: 1, Replicas: 0})
-	keys := testKeys("mig", 64)
-	vals := make(map[Key][]byte)
-	for i, k := range keys {
-		vals[k] = []byte(fmt.Sprintf("val-%d", i))
-		svc.Seed(k, vals[k])
+	seeded := make([]Key, 512)
+	r := sim.NewRand(1)
+	for i := range seeded {
+		seeded[i] = Key(fmt.Sprintf("c:bench-%016x", r.Uint64()))
 	}
-	base := svc.Stats()
-
-	svc.AddNode()
-	for _, k := range keys {
-		if _, ok := svc.Get(k); !ok {
-			t.Fatalf("miss on %q during handoff — miss storm", k)
+	for _, row := range []struct {
+		name      string
+		opts      Options
+		keys      []Key
+		stepEvery int // MigrateStep(4) after every stepEvery-th read; 0: never
+		moved     int64
+		copied    int64
+		fellThru  int64
+	}{
+		{"sole-owner", Options{Nodes: 1}, testKeys("mig", 64), 0, 6, 25, 25},
+		{"replicated-stepped", Options{Nodes: 3, Replicas: 1}, seeded, 8, 6, 192, 33},
+	} {
+		svc := New(row.opts)
+		vals := make(map[Key][]byte)
+		for i, k := range row.keys {
+			vals[k] = []byte(fmt.Sprintf("val-%d", i))
+			svc.Seed(k, vals[k])
 		}
-	}
-	st := svc.Stats()
-	if st.Misses != base.Misses {
-		t.Fatalf("handoff produced %d misses", st.Misses-base.Misses)
-	}
-	ms := svc.MigrationStats()
-	if ms.FallthroughHits == 0 {
-		t.Fatal("no lookup fell through — the new node served nothing it could not hold")
-	}
+		base := svc.Stats()
 
-	svc.MigrateAll()
-	if err := svc.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	ms = svc.MigrationStats()
-	if ms.MigratingShards != 0 || ms.PendingEntries != 0 {
-		t.Fatalf("migration did not settle: %+v", ms)
-	}
-	if ms.ShardsMoved == 0 {
-		t.Fatal("no shard recorded as moved")
-	}
-	// Old sole owner keeps only what it still owns; moved shards are gone.
-	for _, ns := range svc.NodeStats() {
-		if ns.ID == 0 && int64(ns.Shards) >= int64(svc.NumShards()) {
-			t.Fatalf("node 0 still holds %d shards after settle", ns.Shards)
+		svc.AddNode()
+		for i, k := range row.keys {
+			if _, ok := svc.Get(k); !ok {
+				t.Fatalf("%s: miss on %q during handoff — miss storm", row.name, k)
+			}
+			if row.stepEvery > 0 && i%row.stepEvery == 0 {
+				svc.MigrateStep(4)
+			}
 		}
-	}
-	for _, k := range keys {
-		v, ok := svc.Get(k)
-		if !ok || !bytes.Equal(v, vals[k]) {
-			t.Fatalf("post-settle read of %q wrong (ok=%v)", k, ok)
+		if st := svc.Stats(); st.Misses != base.Misses {
+			t.Fatalf("%s: handoff produced %d misses", row.name, st.Misses-base.Misses)
+		}
+
+		svc.MigrateAll()
+		if err := svc.CheckConsistency(); err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		ms := svc.MigrationStats()
+		if ms.MigratingShards != 0 || ms.PendingEntries != 0 {
+			t.Fatalf("%s: migration did not settle: %+v", row.name, ms)
+		}
+		if ms.ShardsMoved != row.moved || ms.EntriesCopied != row.copied || ms.FallthroughHits != row.fellThru {
+			t.Fatalf("%s: shards moved / entries copied / fallthrough hits = %d/%d/%d, want %d/%d/%d",
+				row.name, ms.ShardsMoved, ms.EntriesCopied, ms.FallthroughHits,
+				row.moved, row.copied, row.fellThru)
+		}
+		// Node 0 keeps only what it still owns; moved shards are gone.
+		for _, ns := range svc.NodeStats() {
+			if ns.ID == 0 && int64(ns.Shards) >= int64(svc.NumShards()) {
+				t.Fatalf("%s: node 0 still holds %d shards after settle", row.name, ns.Shards)
+			}
+		}
+		for _, k := range row.keys {
+			v, ok := svc.Get(k)
+			if !ok || !bytes.Equal(v, vals[k]) {
+				t.Fatalf("%s: post-settle read of %q wrong (ok=%v)", row.name, k, ok)
+			}
 		}
 	}
 }

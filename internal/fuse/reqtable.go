@@ -550,44 +550,6 @@ func (t *reqTable) pop(wid int) (msg *request, origin uint32, ok bool) {
 	}
 }
 
-// popLinear is the retained reference scheduler: it selects the same
-// (vstart, origin) minimum by scanning run queue 0's eligible origins
-// linearly, exactly as pop did before the indexed heap. It is kept for
-// the differential fairness tests (heap order must equal scan order,
-// and the multi-queue scheduler must match a 1-queue reference) and as
-// the baseline side of BenchmarkReqTablePop. Meaningful only on tables
-// built with queues == 1.
-func (t *reqTable) popLinear() (msg *request, origin uint32, ok bool) {
-	rq := t.rqs[0]
-	for {
-		s0 := t.seq.Load()
-		rq.mu.Lock()
-		var best *originQueue
-		for _, q := range rq.eligible {
-			if best == nil || q.vstart < best.vstart ||
-				(q.vstart == best.vstart && q.origin < best.origin) {
-				best = q
-			}
-		}
-		if best != nil {
-			m := t.dispatchLocked(rq, best)
-			rq.mu.Unlock()
-			return m, best.origin, true
-		}
-		rq.mu.Unlock()
-		if t.closed.Load() && t.queued.Load() == 0 {
-			return nil, 0, false
-		}
-		t.idleMu.Lock()
-		t.idleWaiters.Add(1)
-		if t.seq.Load() == s0 && !(t.closed.Load() && t.queued.Load() == 0) {
-			t.idleCond.Wait()
-		}
-		t.idleWaiters.Add(-1)
-		t.idleMu.Unlock()
-	}
-}
-
 // done records the completion of a request popped for origin, folding the
 // transferred byte counts into the origin's accounting and freeing its
 // in-flight slot (which may unblock a capped origin's next dispatch).

@@ -92,6 +92,43 @@ func tryPop(tab *reqTable, pop func() (*request, uint32, bool)) (*request, uint3
 	return pop()
 }
 
+// popLinear is the retained reference scheduler: it selects the same
+// (vstart, origin) minimum by scanning run queue 0's eligible origins
+// linearly, exactly as pop did before the indexed heap. It is kept for
+// the differential fairness tests (heap order must equal scan order,
+// and the multi-queue scheduler must match a 1-queue reference).
+// Meaningful only on tables built with queues == 1.
+func (t *reqTable) popLinear() (msg *request, origin uint32, ok bool) {
+	rq := t.rqs[0]
+	for {
+		s0 := t.seq.Load()
+		rq.mu.Lock()
+		var best *originQueue
+		for _, q := range rq.eligible {
+			if best == nil || q.vstart < best.vstart ||
+				(q.vstart == best.vstart && q.origin < best.origin) {
+				best = q
+			}
+		}
+		if best != nil {
+			m := t.dispatchLocked(rq, best)
+			rq.mu.Unlock()
+			return m, best.origin, true
+		}
+		rq.mu.Unlock()
+		if t.closed.Load() && t.queued.Load() == 0 {
+			return nil, 0, false
+		}
+		t.idleMu.Lock()
+		t.idleWaiters.Add(1)
+		if t.seq.Load() == s0 && !(t.closed.Load() && t.queued.Load() == 0) {
+			t.idleCond.Wait()
+		}
+		t.idleWaiters.Add(-1)
+		t.idleMu.Unlock()
+	}
+}
+
 // TestManyOriginFairness saturates the table with 2,000 live origins at
 // mixed weights and checks that dispatch ratios track the configured
 // weights within 5% — per weight class, and per origin within a coarser

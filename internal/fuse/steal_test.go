@@ -358,26 +358,50 @@ func TestWorkStealManyOriginStress(t *testing.T) {
 	}
 }
 
-// TestWorkStealDeterministicScenario pins the NewStealBench scenario the
-// BENCH_7 CI gate records: with every origin homed to run queue 0 and a
-// round-robin single-threaded driver, each non-owner worker's cycle
-// performs exactly one steal, and service stays spread evenly across
-// origins.
+// stealCycle runs one dispatch cycle as worker wid: pop from its run
+// queue (stealing if it is empty), complete, re-push the same origin.
+func stealCycle(t *testing.T, tab *reqTable, wid int) {
+	t.Helper()
+	msg, origin, ok := tab.pop(wid)
+	if !ok {
+		t.Fatal("table drained")
+	}
+	tab.done(origin, 0, 0, false, false)
+	tab.push(origin, msg)
+}
+
+// TestWorkStealDeterministicScenario pins the steal policy on a scenario
+// with no scheduling accident in it: every origin is homed to run queue 0
+// (origin ids are multiples of reqShards, so shard → home always lands
+// on 0) and one request deep, and a single thread cycles the workers
+// round-robin. Each cycle drains its origin, prunes it and re-homes it
+// onto queue 0, so every cycle of workers 1..queues-1 performs exactly
+// one steal. The served origin is always the same one: it goes idle on
+// done, rejoins at the current virtual time on the re-push — tying with
+// the 63 that never ran — and the origin-id tie-break picks it again.
+// So max/min service over the origins with recorded service is exactly
+// 1 because there is one such origin; weighted fairness across
+// backlogged origins is TestWorkStealFairnessAtScale's job.
 func TestWorkStealDeterministicScenario(t *testing.T) {
 	const (
-		queues  = 4
 		origins = 64
-		cycles  = 4 * 1024 // multiple of queues so every worker cycles equally
+		cycles  = 4 * 1024 // multiple of every queues row so each worker cycles equally
 	)
-	sb := NewStealBench(origins, queues)
-	for i := 0; i < cycles; i++ {
-		sb.CycleWorker(i % queues)
-	}
-	wantSteals := int64(cycles / queues * (queues - 1))
-	if got := sb.Steals(); got != wantSteals {
-		t.Fatalf("steals = %d, want %d", got, wantSteals)
-	}
-	if spread := sb.FairnessSpread(); spread == 0 || spread > 1.25 {
-		t.Fatalf("fairness spread = %.3f, want (0, 1.25]", spread)
+	for _, queues := range []int{2, 4, 8} {
+		tab := newReqTable(origins+queues+1, 0, 1, nil, queues)
+		for i := 0; i < origins; i++ {
+			tab.push(uint32((i+1)*reqShards), &request{})
+		}
+		for i := 0; i < cycles; i++ {
+			stealCycle(t, tab, i%queues)
+		}
+		if got, want := tab.stealCount(), int64(cycles/queues*(queues-1)); got != want {
+			t.Errorf("queues=%d: steals = %d, want %d", queues, got, want)
+		}
+		stats := tab.originStats()
+		if len(stats) != 1 || stats[reqShards].Ops != cycles {
+			t.Errorf("queues=%d: service = %+v, want all %d cycles on origin %d",
+				queues, stats, cycles, reqShards)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package phoronix
 
 import (
 	"testing"
+	"time"
 
 	"cntr/internal/policy"
 )
@@ -25,10 +26,15 @@ func TestConsolidationChaosEnforced(t *testing.T) {
 			rep.Denials, rep.Audited, FormatChaosEnforceTable(rep.Results))
 	}
 	// The chaos really fired: both injected errno kinds reached the
-	// chaotic recording's histograms.
-	if rep.EIO == 0 || rep.ENOSPC == 0 {
-		t.Fatalf("injected errnos missing from the histograms: eio=%d enospc=%d (aborted=%d)",
+	// chaotic recording's histograms. Injection is seeded and counted per
+	// operation, so the buckets and the summed virtual time of the replay
+	// are pinned.
+	if rep.EIO != 1299 || rep.ENOSPC != 4 {
+		t.Fatalf("injected errnos in the histograms: eio=%d enospc=%d, want 1299/4 (aborted=%d)",
 			rep.EIO, rep.ENOSPC, rep.Aborted)
+	}
+	if want := 10242370495 * time.Nanosecond; !virtPinned(rep.VirtTotal, want) {
+		t.Fatalf("summed virtual time = %dns, want %dns", rep.VirtTotal, want)
 	}
 	// Fleet-merge provenance: one source recording per container.
 	m := rep.Merged
@@ -47,7 +53,7 @@ func TestConsolidationChaosEnforced(t *testing.T) {
 	}
 	// Injected errnos abort some workloads (the suite treats errnos as
 	// fatal) but never all of them.
-	if rep.Aborted == 0 || rep.Aborted >= len(Suite) {
-		t.Fatalf("aborted=%d of %d", rep.Aborted, len(Suite))
+	if rep.Aborted != 9 {
+		t.Fatalf("aborted=%d of %d, want 9", rep.Aborted, len(Suite))
 	}
 }

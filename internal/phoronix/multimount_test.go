@@ -11,36 +11,58 @@ import (
 )
 
 // TestMultiMountSharedCacheBeatsNoService is the experiment the tier
-// exists for: from two mounts up, a fleet cold-reading a shared image
-// tree finishes sooner with the shared cache than without it, because
-// every chunk crosses the origin volume once instead of once per mount.
+// exists for: a 4-mount fleet cold-reading a shared image tree finishes
+// sooner with the shared cache than without it, because every chunk
+// crosses the origin volume once instead of once per mount — 3 of the 4
+// mounts are served by the tier. Growing the tier to 2 and 4 nodes (one
+// replica per shard) and killing the highest-id node once half the fleet
+// has read costs the fleet 0.5 virtual ms and nothing else: the
+// surviving copies keep serving, so the hit ratio holds and no shard is
+// lost. The fleet-wide virtual totals are pinned (see virtPinned).
 func TestMultiMountSharedCacheBeatsNoService(t *testing.T) {
-	opts := MultiMountOptions{Mounts: 3, Dirs: 12, FilesPerDir: 3, FileSize: 64 << 10}
-
-	opts.UseService = false
-	base, err := RunMultiMount(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.UseService = true
-	svc, err := RunMultiMount(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if svc.BytesRead != base.BytesRead {
-		t.Fatalf("fleets read different volumes: %d vs %d", svc.BytesRead, base.BytesRead)
-	}
-	if svc.ColdReadTotal >= base.ColdReadTotal {
-		t.Fatalf("shared cache did not pay: svc %v >= nosvc %v",
-			svc.ColdReadTotal, base.ColdReadTotal)
-	}
-	// 2 of 3 mounts are served by the tier: the bulk of lookups hit.
-	if svc.HitRatio < 0.5 {
-		t.Fatalf("tier hit ratio %.2f, want > 0.5 with 3 mounts", svc.HitRatio)
-	}
-	if svc.TierStats.FencedWrites != 0 {
-		t.Fatalf("healthy fleet saw %d fenced writes", svc.TierStats.FencedWrites)
+	var base MultiMountResult
+	for _, row := range []struct {
+		name            string
+		nodes, replicas int // nodes 0: no service
+		kill            bool
+		cold            time.Duration
+	}{
+		{"nosvc", 0, 0, false, 115324480},
+		{"nodes=1", 1, 0, false, 79008448},
+		{"nodes=2", 2, 1, true, 79508640},
+		{"nodes=4", 4, 1, true, 79508640},
+	} {
+		r, err := RunMultiMount(MultiMountOptions{
+			Mounts: 4, Dirs: 16, FilesPerDir: 3, FileSize: 64 << 10,
+			UseService: row.nodes > 0,
+			Nodes:      row.nodes, Replicas: row.replicas, KillNodeMid: row.kill,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		if !virtPinned(r.ColdReadTotal, row.cold) {
+			t.Errorf("%s: fleet cold read = %dns, want %dns", row.name, r.ColdReadTotal, row.cold)
+		}
+		if row.nodes == 0 {
+			base = r
+			continue
+		}
+		if r.BytesRead != base.BytesRead {
+			t.Errorf("%s: fleets read different volumes: %d vs %d", row.name, r.BytesRead, base.BytesRead)
+		}
+		if r.ColdReadTotal >= base.ColdReadTotal {
+			t.Errorf("%s: shared cache did not pay: svc %v >= nosvc %v",
+				row.name, r.ColdReadTotal, base.ColdReadTotal)
+		}
+		if r.HitRatio != 0.75 {
+			t.Errorf("%s: tier hit ratio %v, want 0.75 (3 of 4 mounts served by the tier)", row.name, r.HitRatio)
+		}
+		if r.TierStats.FencedWrites != 0 {
+			t.Errorf("%s: healthy fleet saw %d fenced writes", row.name, r.TierStats.FencedWrites)
+		}
+		if r.Migration.LostShards != 0 {
+			t.Errorf("%s: replicated tier lost %d shards to the node kill", row.name, r.Migration.LostShards)
+		}
 	}
 }
 
@@ -129,9 +151,14 @@ func runBatchedWritebackFenced(t *testing.T, nodes, replicas int) {
 	}
 	f.Close()
 
+	// Every 4 KiB chunk of the 128 KiB window is fenced at the mount; the
+	// service sees only the first stale publish per lease group, because
+	// that rejection costs the mount the group's lease and it drops the
+	// rest locally.
 	st := svcClock.Stats()
-	if st.FencedWrites == 0 {
-		t.Fatal("stale-epoch writeback window was not fenced")
+	if fenced := c.CacheCl.Stats().Fenced; fenced != 32 || st.FencedWrites != 4 {
+		t.Fatalf("stale-epoch writeback window: %d publishes fenced at the mount, %d at the service, want 32 and 4",
+			fenced, st.FencedWrites)
 	}
 	if st.Entries != 0 {
 		t.Fatalf("stale mount landed %d entries in the tier", st.Entries)

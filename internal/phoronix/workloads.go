@@ -552,9 +552,9 @@ var Suite = []Benchmark{
 // before any sync reaches the disk. It concentrates the request mix on
 // the operations the request table's scheduler actually arbitrates
 // (metadata round trips, never absorbed by the page cache), which makes
-// it the contention workload of the BENCH_7 recording. It is NOT part
-// of Suite — Figure 2 is the paper's fixed twenty rows — so the stress
-// and chaos tests pick it up explicitly.
+// it the scheduler's contention workload. It is NOT part of Suite —
+// Figure 2 is the paper's fixed twenty rows — so the stress and chaos
+// tests pick it up explicitly.
 var MetaStorm = Benchmark{
 	Name: "Meta-Storm", Workers: 4, PaperOverhead: 0,
 	Run: func(ctx *Ctx) (int64, error) {

@@ -208,31 +208,6 @@ func TestActivitySnapshotJoinsTransport(t *testing.T) {
 	}
 }
 
-// BenchmarkEnforcerIntercept measures the per-operation cost of policy
-// enforcement on the hot data path (an allowed read under a deep rule
-// set) — the tax every operation pays when a profile is active.
-func BenchmarkEnforcerIntercept(b *testing.B) {
-	p := &Profile{}
-	for i := 0; i < 256; i++ {
-		p.Rules = append(p.Rules, Rule{
-			Prefix: "/data/" + strings.Repeat("d", i%8) + "x",
-			Kinds:  []string{"lookup"},
-		})
-	}
-	p.Rules = append(p.Rules, Rule{Prefix: "/hot", Kinds: []string{"read"}})
-	enf := NewEnforcer(p, false)
-	enf.paths[42] = "/hot/file"
-	op := vfs.RootOp()
-	info := &vfs.OpInfo{Kind: vfs.KindRead, Op: op, Ino: 42, Bytes: 4096}
-	next := func() error { return nil }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := enf.Intercept(info, next); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestLoadNormalizesTrailingSlash: a hand-edited "/data/" prefix must
 // behave like "/data" rather than silently matching nothing.
 func TestLoadNormalizesTrailingSlash(t *testing.T) {

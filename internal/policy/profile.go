@@ -125,22 +125,11 @@ func Load(data []byte) (*Profile, error) {
 	return &p, nil
 }
 
-// compiledRule is a rule with its kind set folded into a bitmask for
-// matching (numOpKinds < 64); used by the linear reference matcher.
-type compiledRule struct {
-	prefix string
-	kinds  uint64
-}
-
-// Matcher is a profile compiled for rule lookup on the hot path. The
-// production form (Compile) indexes the rules in a path-component trie,
-// so one lookup walks O(path depth) nodes no matter how many rules the
-// profile holds; CompileLinear builds the pre-trie reference that scans
-// every rule per lookup, kept for differential tests and as the
-// baseline side of BenchmarkEnforcerLookup.
+// Matcher is a profile compiled for rule lookup on the hot path: the
+// rules are indexed in a path-component trie, so one lookup walks
+// O(path depth) nodes no matter how many rules the profile holds.
 type Matcher struct {
-	trie     *pathTrie[uint64] // per-subtree kind masks (nil in linear form)
-	rules    []compiledRule    // linear reference (nil in trie form)
+	trie     *pathTrie[uint64] // per-subtree kind masks
 	anyKinds uint64
 }
 
@@ -180,46 +169,16 @@ func (p *Profile) Compile() *Matcher {
 	return m
 }
 
-// CompileLinear builds the pre-trie reference matcher that scans every
-// rule per lookup. Kept for differential tests and benchmarks; the
-// Enforcer uses Compile.
-func (p *Profile) CompileLinear() *Matcher {
-	m := &Matcher{anyKinds: kindMask(p.AnyPathKinds)}
-	for _, r := range p.Rules {
-		m.rules = append(m.rules, compiledRule{prefix: r.Prefix, kinds: kindMask(r.Kinds)})
-	}
-	return m
-}
-
-// matches reports whether path lies within the rule's subtree.
-func (r *compiledRule) matches(path string) bool {
-	if path == r.prefix {
-		return true
-	}
-	if r.prefix == "/" {
-		return strings.HasPrefix(path, "/")
-	}
-	return strings.HasPrefix(path, r.prefix+"/")
-}
-
 // Allows reports whether the matcher permits kind at path. An empty
-// path means the target is unknown; only any-path kinds apply. In trie
-// form the lookup is O(path components) — independent of how many
-// rules the profile holds.
+// path means the target is unknown; only any-path kinds apply. The
+// lookup is O(path components) — independent of how many rules the
+// profile holds.
 func (m *Matcher) Allows(kind vfs.OpKind, path string) bool {
 	bit := kindBit(kind)
 	if m.anyKinds&bit != 0 {
 		return true
 	}
 	if path == "" {
-		return false
-	}
-	if m.trie == nil {
-		for i := range m.rules {
-			if m.rules[i].kinds&bit != 0 && m.rules[i].matches(path) {
-				return true
-			}
-		}
 		return false
 	}
 	allowed := false

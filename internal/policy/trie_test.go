@@ -4,10 +4,34 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"cntr/internal/vfs"
 )
+
+// linearAllows is the pre-trie reference matcher: it scans every rule
+// per lookup and matches subtrees by string prefix. The oracle side of
+// TestMatcherTrieMatchesLinear.
+func linearAllows(p *Profile, kind vfs.OpKind, path string) bool {
+	bit := kindBit(kind)
+	if kindMask(p.AnyPathKinds)&bit != 0 {
+		return true
+	}
+	if path == "" {
+		return false
+	}
+	for _, r := range p.Rules {
+		if kindMask(r.Kinds)&bit == 0 {
+			continue
+		}
+		if path == r.Prefix || (r.Prefix == "/" && strings.HasPrefix(path, "/")) ||
+			strings.HasPrefix(path, r.Prefix+"/") {
+			return true
+		}
+	}
+	return false
+}
 
 // TestMatcherTrieMatchesLinear is the differential check behind the trie
 // rewrite: for a rule set full of nested, sibling and near-miss
@@ -26,7 +50,7 @@ func TestMatcherTrieMatchesLinear(t *testing.T) {
 		},
 		AnyPathKinds: []string{"flush"},
 	}
-	trie, linear := p.Compile(), p.CompileLinear()
+	trie := p.Compile()
 
 	paths := []string{
 		"", "/", "/srv", "/srv/app", "/srv/app/data", "/srv/app/data/x/y",
@@ -40,7 +64,7 @@ func TestMatcherTrieMatchesLinear(t *testing.T) {
 	}
 	for _, path := range paths {
 		for _, kind := range kinds {
-			got, want := trie.Allows(kind, path), linear.Allows(kind, path)
+			got, want := trie.Allows(kind, path), linearAllows(p, kind, path)
 			if got != want {
 				t.Errorf("Allows(%v, %q): trie=%v linear=%v", kind, path, got, want)
 			}

@@ -23,21 +23,21 @@ import (
 // overhead to — which is the cost pipelined submission attacks. Seeded
 // disk-cold instead, the disk model dominates both paths and the
 // transport difference vanishes into the noise.
-func seqReadElapsed(tb testing.TB, depth int, size int64) time.Duration {
-	tb.Helper()
+func seqReadElapsed(t *testing.T, depth int, size int64) time.Duration {
+	t.Helper()
 	c := NewCntr(Config{AsyncDepth: depth})
 	defer c.Close()
 
 	data := bytes.Repeat([]byte{0xA5}, int(size))
 	hostCli := vfs.NewClient(c.HostPC, vfs.Root())
 	if err := hostCli.WriteFile("/big", data, 0o644); err != nil {
-		tb.Fatal(err)
+		t.Fatal(err)
 	}
 
 	cli := vfs.NewClient(c.Top, vfs.Root())
 	f, err := cli.Open("/big", vfs.ORdonly, 0)
 	if err != nil {
-		tb.Fatal(err)
+		t.Fatal(err)
 	}
 	defer f.Close()
 
@@ -51,11 +51,11 @@ func seqReadElapsed(tb testing.TB, depth int, size int64) time.Duration {
 			break
 		}
 		if err != nil {
-			tb.Fatal(err)
+			t.Fatal(err)
 		}
 	}
 	if total != size {
-		tb.Fatalf("read %d bytes, want %d", total, size)
+		t.Fatalf("read %d bytes, want %d", total, size)
 	}
 	return sw.Elapsed()
 }
@@ -115,70 +115,4 @@ func TestWriteInvalidatesInflightReadahead(t *testing.T) {
 	if !bytes.Equal(got, patch) {
 		t.Fatal("read returned stale pre-write data harvested from an in-flight readahead window")
 	}
-}
-
-// BenchmarkSequentialRead reports simulated sequential-read throughput
-// (virtual MB/s) for the synchronous path and a range of pipelined
-// readahead depths. b.N outer iterations each rebuild the stack so every
-// pass streams a cold kernel cache.
-func BenchmarkSequentialRead(b *testing.B) {
-	const size = 8 << 20
-	for _, bc := range []struct {
-		name  string
-		depth int
-	}{
-		{"sync", 0},
-		{"async-depth2", 2},
-		{"async-depth4", 4},
-		{"async-depth8", 8},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var elapsed time.Duration
-			for i := 0; i < b.N; i++ {
-				elapsed += seqReadElapsed(b, bc.depth, size)
-			}
-			perPass := elapsed / time.Duration(b.N)
-			b.ReportMetric(float64(size)/perPass.Seconds()/1e6, "simMB/s")
-			b.ReportMetric(perPass.Seconds()*1e3, "sim-ms/pass")
-		})
-	}
-}
-
-// BenchmarkSequentialReadNative streams the same workload through the
-// native stack, seeded directly in the backing filesystem so the read
-// pays the disk model. It is the disk-bound reference point, not a
-// direct comparison: the Cntr passes above stream from a warm host
-// cache to isolate transport cost, a different regime.
-func BenchmarkSequentialReadNative(b *testing.B) {
-	const size = 8 << 20
-	data := bytes.Repeat([]byte{0xA5}, size)
-	var elapsed time.Duration
-	for i := 0; i < b.N; i++ {
-		n := NewNative(Config{})
-		seed := vfs.NewClient(n.Mem, vfs.Root())
-		if err := seed.WriteFile("/big", data, 0o644); err != nil {
-			b.Fatal(err)
-		}
-		cli := vfs.NewClient(n.Top, vfs.Root())
-		f, err := cli.Open("/big", vfs.ORdonly, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sw := sim.NewStopwatch(n.Clock)
-		buf := make([]byte, 64<<10)
-		for {
-			_, err := f.Read(buf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		f.Close()
-		elapsed += sw.Elapsed()
-	}
-	perPass := elapsed / time.Duration(b.N)
-	b.ReportMetric(float64(size)/perPass.Seconds()/1e6, "simMB/s")
-	b.ReportMetric(perPass.Seconds()*1e3, "sim-ms/pass")
 }
