@@ -46,8 +46,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
+	"time"
 
 	"cntr/internal/phoronix"
 	"cntr/internal/policy"
@@ -145,10 +147,7 @@ func main() {
 	fmt.Print(phoronix.FormatTable(results))
 
 	fmt.Println("\n== Figure 3: optimization effectiveness ==")
-	for _, fn := range []func() (phoronix.OptResult, error){
-		phoronix.Figure3ReadCache, phoronix.Figure3Writeback,
-		phoronix.Figure3Batching, phoronix.Figure3Splice,
-	} {
+	panel := func(fn func() (phoronix.OptResult, error)) phoronix.OptResult {
 		r, err := fn()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -156,6 +155,26 @@ func main() {
 		}
 		fmt.Printf("%-32s before=%-14v after=%-14v speedup=%.2fx\n",
 			r.Name, r.Before, r.After, r.Speedup)
+		return r
+	}
+	for _, fn := range []func() (phoronix.OptResult, error){
+		phoronix.Figure3ReadCache, phoronix.Figure3Writeback,
+		phoronix.Figure3Batching, phoronix.Figure3Splice,
+	} {
+		panel(fn)
+	}
+	// The fifth panel is beyond the paper, whose configuration is its
+	// "before" side: report how far each side leaves the panel's row
+	// from the paper's Figure 2.
+	nosec := panel(phoronix.Figure3NoSec)
+	for _, row := range results {
+		if row.Name == "IOzone: Write" {
+			logErr := func(cntr time.Duration) float64 {
+				return math.Abs(math.Log(float64(cntr) / float64(row.NativeTime) / row.PaperOverhead))
+			}
+			fmt.Printf("%-32s phoronix.paper_log_err on %s (paper %.1fx): before=%.3f after=%.3f\n",
+				"", row.Name, row.PaperOverhead, logErr(nosec.Before), logErr(nosec.After))
+		}
 	}
 
 	fmt.Println("\n== Figure 4: server threads vs sequential read ==")

@@ -10,7 +10,8 @@ import (
 )
 
 // MountOptions selects the protocol features negotiated at INIT time.
-// Each field corresponds to one of the paper's §3.3 optimizations.
+// Each field but NoSec corresponds to one of the paper's §3.3
+// optimizations.
 type MountOptions struct {
 	// KeepCache sets FOPEN_KEEP_CACHE on every open, letting the page
 	// cache above survive re-opens (read-cache optimization, Fig. 3a).
@@ -41,8 +42,21 @@ type MountOptions struct {
 	// EntryTimeout is how long (virtual time) the kernel may cache a
 	// dentry from LOOKUP before revalidating. Zero disables caching.
 	EntryTimeout time.Duration
-	// AttrTimeout is the analogous attribute-cache lifetime.
+	// AttrTimeout is the analogous attribute-cache lifetime. A change made
+	// behind the mount's back (directly on the host filesystem) may go
+	// unseen for this long: the mode bits always had that window.
 	AttrTimeout time.Duration
+	// NoSec is beyond the paper, whose CntrFS pays a GETXATTR round trip
+	// for security.capability on every write(2) (§5.2.2). It models a
+	// mount that negotiates FUSE_HANDLE_KILLPRIV_V2, for which Linux sets
+	// SB_NOSEC: the first write to an inode asks the server, and an
+	// ENODATA answer marks the inode "nothing to kill" (S_NOSEC) for
+	// AttrTimeout, so later writes cost neither the lookup nor the round
+	// trip — what a native filesystem pays. Every xattr or attribute
+	// change made through the mount clears the mark; one made behind its
+	// back shares AttrTimeout's staleness window. Off reproduces the
+	// paper's configuration.
+	NoSec bool
 	// ServerThreads is the number of userspace server threads reading
 	// the request queue (Fig. 4). Note that FUSE_INTERRUPT frames are
 	// ordinary queue messages: with a single thread blocked inside a
@@ -75,8 +89,8 @@ type MountOptions struct {
 	MaxOriginInflight int
 }
 
-// DefaultMountOptions returns the fully optimized configuration the
-// paper's CNTR ships with.
+// DefaultMountOptions returns the fully optimized configuration: the one
+// the paper's CNTR ships with, plus NoSec.
 func DefaultMountOptions() MountOptions {
 	return MountOptions{
 		KeepCache:      true,
@@ -89,6 +103,7 @@ func DefaultMountOptions() MountOptions {
 		MaxWrite:       128 << 10,
 		EntryTimeout:   time.Second,
 		AttrTimeout:    time.Second,
+		NoSec:          true,
 		ServerThreads:  4,
 	}
 }
@@ -104,6 +119,7 @@ type ConnStats struct {
 	EntryHits   int64
 	EntryMisses int64
 	AttrHits    int64
+	NoSecHits   int64 // security.capability lookups answered from the S_NOSEC mark
 	ForgetsSent int64
 	BatchFrames int64
 }
@@ -239,6 +255,12 @@ type Conn struct {
 	entries   map[entryKey]entryVal
 	attrs     map[vfs.Ino]attrVal
 	handleIno map[vfs.Handle]vfs.Ino
+	// nosec holds, per inode, until when the server's "no
+	// security.capability" answer is trusted (MountOptions.NoSec);
+	// nosecGen counts the clears, so an answer that was in flight across
+	// one is not recorded.
+	nosec    map[vfs.Ino]time.Duration
+	nosecGen uint64
 	// held withholds forget counts for inodes the attribute/dentry
 	// caches still reference: the kernel only sends FORGET once its own
 	// caches have dropped the inode, and so do we. Withheld counts are
@@ -309,6 +331,7 @@ func newConn(clock *sim.Clock, model *sim.CostModel, opts MountOptions, table *r
 		table:     table,
 		entries:   make(map[entryKey]entryVal),
 		attrs:     make(map[vfs.Ino]attrVal),
+		nosec:     make(map[vfs.Ino]time.Duration),
 		handleIno: make(map[vfs.Handle]vfs.Ino),
 		held:      make(map[vfs.Ino]uint64),
 	}
@@ -510,7 +533,11 @@ func (p *request) await(op *vfs.Op, decode func(r *rdr)) error {
 // decode must copy out whatever it wants to keep: the reply frame is
 // recycled when call returns.
 func (c *Conn) call(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf), dataOut, dataIn int, decode func(r *rdr)) error {
-	return c.submit(op, nodeid, req, payload, dataOut, dataIn, false).await(req, decode)
+	err := c.submit(op, nodeid, req, payload, dataOut, dataIn, false).await(req, decode)
+	if vfs.ToErrno(err) == vfs.ESTALE {
+		c.clearNosec(nodeid) // the server no longer knows the inode
+	}
+	return err
 }
 
 // oneWay queues a kernel-internal frame nobody awaits (forgets, releases,
@@ -574,15 +601,33 @@ func (c *Conn) handleInode(h vfs.Handle) (vfs.Ino, bool) {
 	return ino, ok
 }
 
+// openLocked reports whether any tracked handle refers to ino. Caller
+// holds c.mu.
+func (c *Conn) openLocked(ino vfs.Ino) bool {
+	for _, open := range c.handleIno {
+		if open == ino {
+			return true
+		}
+	}
+	return false
+}
+
 func (c *Conn) dropHandle(h vfs.Handle) {
 	c.mu.Lock()
 	delete(c.handleIno, h)
 	c.mu.Unlock()
 }
 
+// invalidateEntry drops the dentry parent/name after a request that
+// removed, replaced or moved it (or found it stale), and with it the
+// S_NOSEC mark of the inode it named: that inode is usually gone, and
+// this is what keeps the mark table from outliving the files.
 func (c *Conn) invalidateEntry(parent vfs.Ino, name string) {
 	c.mu.Lock()
-	delete(c.entries, entryKey{parent, name})
+	if v, ok := c.entries[entryKey{parent, name}]; ok {
+		c.clearNosecLocked(v.ino)
+		delete(c.entries, entryKey{parent, name})
+	}
 	c.mu.Unlock()
 }
 
@@ -622,4 +667,48 @@ func (c *Conn) invalidateAttr(ino vfs.Ino) {
 	if held > 0 {
 		c.Forget(nil, ino, held)
 	}
+}
+
+// --- S_NOSEC: security.capability known absent (MountOptions.NoSec) ---
+
+// nosecCached reports whether ino is marked as having no
+// security.capability. Like attrCached, a hit refreshes nothing and an
+// expired mark is dropped when it is next looked at. The generation it
+// returns is what markNosec needs should the caller ask the server.
+func (c *Conn) nosecCached(ino vfs.Ino) (gen uint64, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	expiry, ok := c.nosec[ino]
+	if ok && expiry < c.clock.Now() {
+		delete(c.nosec, ino)
+		ok = false
+	}
+	if ok {
+		c.stats.NoSecHits++
+	}
+	return c.nosecGen, ok
+}
+
+// markNosec records the server's ENODATA for ino, trusted for as long as
+// its attributes are — unless a mark was cleared since gen was read: the
+// answer may then predate a SETXATTR that overtook it on another thread.
+func (c *Conn) markNosec(ino vfs.Ino, gen uint64) {
+	c.mu.Lock()
+	if c.nosecGen == gen {
+		c.nosec[ino] = c.clock.Now() + c.opts.AttrTimeout
+	}
+	c.mu.Unlock()
+}
+
+// clearNosec forgets ino's mark: every request that can give the inode a
+// security.capability, or that ends the inode, comes through here.
+func (c *Conn) clearNosec(ino vfs.Ino) {
+	c.mu.Lock()
+	c.clearNosecLocked(ino)
+	c.mu.Unlock()
+}
+
+func (c *Conn) clearNosecLocked(ino vfs.Ino) {
+	delete(c.nosec, ino)
+	c.nosecGen++
 }

@@ -90,6 +90,11 @@ func (c *Conn) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 		nlookup += extra
 		delete(c.held, ino)
 	}
+	if _, marked := c.nosec[ino]; marked && !c.openLocked(ino) {
+		// The kernel is dropping the inode, and its S_NOSEC bit with it.
+		// An open file pins its inode, whatever the dentry walk forgets.
+		c.clearNosecLocked(ino)
+	}
 	c.stats.ForgetsSent++
 	if c.opts.BatchForget {
 		c.forgets = append(c.forgets, forgetItem{ino, nlookup})
@@ -158,6 +163,7 @@ func (c *Conn) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.A
 		w.u32(uint32(mask))
 		encodeAttr(w, &attr)
 	})
+	c.clearNosec(ino) // what was learnt under the old attributes ends with them
 	if err != nil {
 		return vfs.Attr{}, err
 	}
@@ -583,19 +589,34 @@ func (c *Conn) Setxattr(op *vfs.Op, ino vfs.Ino, name string, value []byte, flag
 		w.u32(uint32(flags))
 	}, len(value), 0, nil)
 	c.invalidateAttr(ino) // ACL xattrs rewrite mode bits server-side
+	c.clearNosec(ino)
 	return err
 }
 
 // Getxattr implements vfs.FS. The kernel does not cache xattr values for
 // FUSE filesystems, so every call is a round trip — the source of the
-// Apache and IOZone write-path overhead in §5.2.2.
+// Apache and IOZone write-path overhead in §5.2.2. The one exception is
+// the absence of security.capability on a NoSec mount: the page cache
+// above asks for it on every write(2), and while the inode is marked
+// S_NOSEC the answer costs neither the lookup nor the round trip.
 func (c *Conn) Getxattr(op *vfs.Op, ino vfs.Ino, name string) ([]byte, error) {
+	nosec := c.opts.NoSec && c.opts.AttrTimeout > 0 && name == vfs.XattrSecurityCapability
+	var gen uint64
+	if nosec {
+		var marked bool
+		if gen, marked = c.nosecCached(ino); marked {
+			return nil, vfs.ENODATA
+		}
+	}
 	c.clock.Advance(c.model.XattrLookup)
 	var value []byte
 	err := c.call(OpGetxattr, ino, op, func(w *buf) { w.str(name) }, 0, 0, func(r *rdr) {
 		value = append([]byte(nil), r.rawBytes()...)
 	})
 	if err != nil {
+		if nosec && vfs.ToErrno(err) == vfs.ENODATA {
+			c.markNosec(ino, gen)
+		}
 		return nil, err
 	}
 	return value, nil
@@ -624,6 +645,7 @@ func (c *Conn) Listxattr(op *vfs.Op, ino vfs.Ino) ([]string, error) {
 func (c *Conn) Removexattr(op *vfs.Op, ino vfs.Ino, name string) error {
 	err := c.call(OpRemovexattr, ino, op, func(w *buf) { w.str(name) }, 0, 0, nil)
 	c.invalidateAttr(ino)
+	c.clearNosec(ino) // one rule for every xattr change, though a removal cannot falsify "absent"
 	return err
 }
 

@@ -353,7 +353,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		return finishReply(w, h.Unique, vfs.EINVAL), acct
 	}
 	if h.Opcode == OpInterrupt {
-		s.interrupt(r.u64())
+		if target := r.u64(); !r.bad {
+			s.interrupt(target)
+		}
 		return nil, acct // one-way
 	}
 	s.track(h.Unique, &wk.ctx)
@@ -367,6 +369,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 	switch h.Opcode {
 	case OpLookup:
 		name := r.str()
+		if r.bad {
+			break
+		}
 		attr, err := s.fs.Lookup(op, ino, name)
 		if err == nil {
 			encodeAttr(w, &attr)
@@ -374,7 +379,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		opErr = err
 
 	case OpForget:
-		s.fs.Forget(op, ino, r.u64())
+		if nlookup := r.u64(); !r.bad {
+			s.fs.Forget(op, ino, nlookup)
+		}
 		return nil, acct // one-way
 
 	case OpBatchForget:
@@ -399,6 +406,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 	case OpSetattr:
 		mask := vfs.SetattrMask(r.u32())
 		in := decodeAttr(r)
+		if r.bad {
+			break
+		}
 		attr, err := s.fs.Setattr(op, ino, mask, in)
 		if err == nil {
 			encodeAttr(w, &attr)
@@ -410,6 +420,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		typ := vfs.FileType(r.u8())
 		mode := vfs.Mode(r.u32())
 		rdev := r.u32()
+		if r.bad {
+			break
+		}
 		attr, err := s.fs.Mknod(op, ino, name, typ, mode, rdev)
 		if err == nil {
 			encodeAttr(w, &attr)
@@ -419,6 +432,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 	case OpMkdir:
 		name := r.str()
 		mode := vfs.Mode(r.u32())
+		if r.bad {
+			break
+		}
 		attr, err := s.fs.Mkdir(op, ino, name, mode)
 		if err == nil {
 			encodeAttr(w, &attr)
@@ -428,6 +444,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 	case OpSymlink:
 		name := r.str()
 		target := r.str()
+		if r.bad {
+			break
+		}
 		attr, err := s.fs.Symlink(op, ino, name, target)
 		if err == nil {
 			encodeAttr(w, &attr)
@@ -442,21 +461,31 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		opErr = err
 
 	case OpUnlink:
-		opErr = s.fs.Unlink(op, ino, r.str())
+		if name := r.str(); !r.bad {
+			opErr = s.fs.Unlink(op, ino, name)
+		}
 
 	case OpRmdir:
-		opErr = s.fs.Rmdir(op, ino, r.str())
+		if name := r.str(); !r.bad {
+			opErr = s.fs.Rmdir(op, ino, name)
+		}
 
 	case OpRename2:
 		oldName := r.str()
 		newParent := vfs.Ino(r.u64())
 		newName := r.str()
 		flags := vfs.RenameFlags(r.u32())
+		if r.bad {
+			break
+		}
 		opErr = s.fs.Rename(op, ino, oldName, newParent, newName, flags)
 
 	case OpLink:
 		parent := vfs.Ino(r.u64())
 		name := r.str()
+		if r.bad {
+			break
+		}
 		attr, err := s.fs.Link(op, ino, parent, name)
 		if err == nil {
 			encodeAttr(w, &attr)
@@ -467,6 +496,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		name := r.str()
 		mode := vfs.Mode(r.u32())
 		flags := vfs.OpenFlags(r.u32())
+		if r.bad {
+			break
+		}
 		attr, handle, err := s.fs.Create(op, ino, name, mode, flags)
 		if err == nil {
 			encodeAttr(w, &attr)
@@ -476,6 +508,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 
 	case OpOpen:
 		flags := vfs.OpenFlags(r.u32())
+		if r.bad {
+			break
+		}
 		handle, err := s.fs.Open(op, ino, flags)
 		if err == nil {
 			w.u64(uint64(handle))
@@ -486,8 +521,8 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		handle := vfs.Handle(r.u64())
 		off := r.i64()
 		size := int(r.u32())
-		if size > s.opts.MaxWrite {
-			opErr = vfs.EINVAL // beyond the negotiated read size
+		if r.bad || size > s.opts.MaxWrite {
+			opErr = vfs.EINVAL // cut short, or beyond the negotiated read size
 			break
 		}
 		// Read straight into the reply frame, behind the length prefix.
@@ -507,6 +542,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		handle := vfs.Handle(r.u64())
 		off := r.i64()
 		data := r.rawBytes()
+		if r.bad {
+			break
+		}
 		n, err := s.fs.Write(op, handle, off, data)
 		if err == nil {
 			w.u32(uint32(n))
@@ -515,15 +553,22 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		opErr = err
 
 	case OpFlush:
-		opErr = s.fs.Flush(op, vfs.Handle(r.u64()))
+		if handle := vfs.Handle(r.u64()); !r.bad {
+			opErr = s.fs.Flush(op, handle)
+		}
 
 	case OpFsync:
 		handle := vfs.Handle(r.u64())
 		datasync := r.u8() == 1
+		if r.bad {
+			break
+		}
 		opErr = s.fs.Fsync(op, handle, datasync)
 
 	case OpRelease:
-		opErr = s.fs.Release(op, vfs.Handle(r.u64()))
+		if handle := vfs.Handle(r.u64()); !r.bad {
+			opErr = s.fs.Release(op, handle)
+		}
 
 	case OpOpendir:
 		handle, err := s.fs.Opendir(op, ino)
@@ -535,6 +580,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 	case OpReaddir:
 		handle := vfs.Handle(r.u64())
 		off := r.i64()
+		if r.bad {
+			break
+		}
 		ents, err := s.fs.Readdir(op, handle, off)
 		if err == nil {
 			w.u32(uint32(len(ents)))
@@ -548,7 +596,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		opErr = err
 
 	case OpReleasedir:
-		opErr = s.fs.Releasedir(op, vfs.Handle(r.u64()))
+		if handle := vfs.Handle(r.u64()); !r.bad {
+			opErr = s.fs.Releasedir(op, handle)
+		}
 
 	case OpStatfs:
 		st, err := s.fs.Statfs(op, ino)
@@ -566,10 +616,17 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		name := r.str()
 		value := r.rawBytes()
 		flags := vfs.XattrFlags(r.u32())
+		if r.bad {
+			break
+		}
 		opErr = s.fs.Setxattr(op, ino, name, value, flags)
 
 	case OpGetxattr:
-		value, err := s.fs.Getxattr(op, ino, r.str())
+		name := r.str()
+		if r.bad {
+			break
+		}
+		value, err := s.fs.Getxattr(op, ino, name)
 		if err == nil {
 			w.bytes(value)
 		}
@@ -586,16 +643,23 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		opErr = err
 
 	case OpRemovexattr:
-		opErr = s.fs.Removexattr(op, ino, r.str())
+		if name := r.str(); !r.bad {
+			opErr = s.fs.Removexattr(op, ino, name)
+		}
 
 	case OpAccess:
-		opErr = s.fs.Access(op, ino, r.u32())
+		if mask := r.u32(); !r.bad {
+			opErr = s.fs.Access(op, ino, mask)
+		}
 
 	case OpFallocate:
 		handle := vfs.Handle(r.u64())
 		mode := r.u32()
 		off := r.i64()
 		length := r.i64()
+		if r.bad {
+			break
+		}
 		opErr = s.fs.Fallocate(op, handle, mode, off, length)
 
 	default:
@@ -603,6 +667,8 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 	}
 
 	if r.bad {
+		// A body cut inside its fixed fields: every case above checked
+		// before calling the filesystem, which never saw the request.
 		opErr = vfs.EINVAL
 	}
 	if opErr != nil {

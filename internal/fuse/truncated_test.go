@@ -1,8 +1,13 @@
 package fuse
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"cntr/internal/memfs"
 	"cntr/internal/sim"
 	"cntr/internal/vfs"
 )
@@ -83,5 +88,122 @@ func TestTruncatedEntryRepliesAreEIO(t *testing.T) {
 				t.Fatalf("truncated reply was cached: entries %v, attrs %v", c.entries, c.attrs)
 			}
 		})
+	}
+}
+
+// requestCorpus is one well-formed request frame per opcode a Conn sends:
+// the golden frames of wire_test.go, then every other operation's frame as
+// a Conn encodes it, captured off the queue by a "server" that answers
+// ENOSYS to everything.
+func requestCorpus(t *testing.T) [][]byte {
+	t.Helper()
+	var frames [][]byte
+	for _, g := range wireGolden {
+		if hexFrame, ok := strings.CutPrefix(g, "> "); ok {
+			frame, err := hex.DecodeString(hexFrame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, frame)
+		}
+	}
+	opts := DefaultMountOptions()
+	opts.BatchForget = false // a FORGET frame of its own
+	table := newReqTable(256, 0, 1, nil, 1)
+	conn := newConn(sim.NewClock(), sim.DefaultCostModel(), opts, table)
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		for {
+			msg, origin, ok := table.pop(0)
+			if !ok {
+				return
+			}
+			frames = append(frames, append([]byte(nil), msg.frame.b...))
+			table.done(origin, 0, 0, false, false)
+			if msg.oneWay {
+				msg.release()
+				continue
+			}
+			var h ReqHeader
+			decodeReqHeader(msg.frame.b, &h, &rdr{})
+			w := &buf{}
+			beginReply(w)
+			msg.reply <- finishReply(w, h.Unique, vfs.ENOSYS)
+		}
+	}()
+	op, root := vfs.RootOp(), vfs.RootIno
+	conn.Setattr(op, 7, vfs.SetMode, vfs.Attr{Mode: 0o600})
+	conn.Mknod(op, root, "n", vfs.TypeFIFO, 0o644, 0)
+	conn.Mkdir(op, root, "d", 0o755)
+	conn.Symlink(op, root, "s", "target")
+	conn.Unlink(op, root, "n")
+	conn.Rmdir(op, root, "d")
+	conn.Rename(op, root, "a", root, "b", 0)
+	conn.Link(op, 7, root, "l")
+	conn.Open(op, 7, vfs.ORdwr)
+	conn.Flush(op, 1)
+	conn.Fsync(op, 1, true)
+	conn.Setxattr(op, 7, "user.k", []byte("v"), 0)
+	conn.Getxattr(op, 7, "user.k")
+	conn.Removexattr(op, 7, "user.k")
+	conn.Access(op, 7, vfs.AccessRead)
+	conn.Fallocate(op, 1, 0, 0, 4096)
+	conn.Forget(op, 7, 1)
+	conn.Unmount()
+	<-served
+	return frames
+}
+
+// callCounter counts every call that reaches the filesystem under it.
+type callCounter struct{ n atomic.Int64 }
+
+func (c *callCounter) Intercept(info *vfs.OpInfo, next func() error) error {
+	c.n.Add(1)
+	return next()
+}
+
+// TestTruncatedRequestsNeverReachTheFilesystem cuts every frame of the
+// request corpus at every length below its own — with the length field
+// left as it was, and patched to the new length so the header still
+// agrees with the frame — and dispatches it: the answer is EINVAL (a
+// FORGET has none), and the filesystem under the server is never called
+// with the zero values a short body decodes to.
+func TestTruncatedRequestsNeverReachTheFilesystem(t *testing.T) {
+	opts := DefaultMountOptions()
+	opts.ServerThreads = 0 // dispatch by hand
+	calls := &callCounter{}
+	fs := vfs.Chain(memfs.New(memfs.Options{}), calls)
+	srv := newServer(fs, sim.NewClock(), sim.DefaultCostModel(), opts, newReqTable(256, 0, 1, nil, 1))
+	wk := &worker{s: srv}
+	opcodes := map[Opcode]bool{}
+	for _, frame := range requestCorpus(t) {
+		opcode := Opcode(binary.LittleEndian.Uint32(frame[4:]))
+		opcodes[opcode] = true
+		for cut := 0; cut < len(frame); cut++ {
+			for _, patched := range []bool{false, true} {
+				short := append([]byte(nil), frame[:cut]...)
+				if patched && cut >= 4 {
+					binary.LittleEndian.PutUint32(short, uint32(cut))
+				}
+				reply, _ := wk.dispatch(short, nil)
+				if reply == nil {
+					if opcode != OpForget {
+						t.Fatalf("%v cut at %d of %d (length patched: %v): no reply", opcode, cut, len(frame), patched)
+					}
+				} else if _, errno, _, err := decodeReply(reply); err != nil || errno != vfs.EINVAL {
+					t.Fatalf("%v cut at %d of %d (length patched: %v): errno %v, %v; want EINVAL", opcode, cut, len(frame), patched, errno, err)
+				}
+				if n := calls.n.Load(); n != 0 {
+					t.Fatalf("%v cut at %d of %d (length patched: %v): the filesystem was called", opcode, cut, len(frame), patched)
+				}
+			}
+		}
+		if wk.dispatch(frame, nil); calls.n.Swap(0) == 0 {
+			t.Fatalf("%v: the whole frame did not reach the filesystem", opcode)
+		}
+	}
+	if len(opcodes) != 26 {
+		t.Fatalf("corpus covers %d opcodes, want the 26 a Conn sends with a body: %v", len(opcodes), opcodes)
 	}
 }

@@ -301,12 +301,15 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 	if !st.flags.Writable() {
 		return 0, vfs.EBADF
 	}
-	if _, err := c.backing.Getxattr(op, st.ino, vfs.XattrSecurityCapability); err != nil {
+	_, err := c.backing.Getxattr(op, st.ino, vfs.XattrSecurityCapability)
+	if err != nil {
 		if e := vfs.ToErrno(err); e != vfs.ENODATA && e != vfs.EOPNOTSUPP {
 			return 0, err
 		}
 	}
-	c.killPrivsLocked(op, st)
+	if err := c.killPrivsLocked(op, st, err == nil); err != nil {
+		return 0, err
+	}
 	f := c.file(st.ino)
 	if st.direct || !c.opts.Writeback {
 		n, err := c.writeOut(op, h, f, []vfs.IOReq{{Off: off, Buf: data}})
@@ -428,23 +431,33 @@ func (c *Cache) wrote(f *fileCache, off int64, data []byte) {
 	f.size = max(f.size, off+int64(len(data)))
 }
 
-// killPrivsLocked emulates the kernel's file_remove_privs on write(2):
-// when an unprivileged caller writes a setuid/setgid file, the kernel —
-// not the filesystem — clears the bits, folding a SETATTR into the write
-// path. Caller holds c.mu.
-func (c *Cache) killPrivsLocked(op *vfs.Op, st *openState) {
+// killPrivsLocked emulates the kernel's file_remove_privs on write(2).
+// File capabilities (hasCaps: the security.capability lookup found a
+// value) are dropped whoever writes — cap_inode_killpriv asks for neither
+// ownership nor CAP_FSETID, so the removal runs as the kernel — and a
+// write whose capabilities cannot be dropped fails. And when an
+// unprivileged caller writes a setuid/setgid file, the kernel — not the
+// filesystem — clears the bits, folding a SETATTR into the write path.
+// Caller holds c.mu.
+func (c *Cache) killPrivsLocked(op *vfs.Op, st *openState, hasCaps bool) error {
+	if hasCaps {
+		err := c.backing.Removexattr(wbOp, st.ino, vfs.XattrSecurityCapability)
+		if e := vfs.ToErrno(err); e != vfs.OK && e != vfs.ENODATA {
+			return err
+		}
+	}
 	f := c.file(st.ino)
 	if !f.modeKnown {
 		if err := c.ensureSize(op, st.ino, f); err != nil {
-			return
+			return nil
 		}
 	}
 	if op.Cred.Caps.Has(vfs.CapFsetid) {
-		return
+		return nil
 	}
 	kill := f.mode&vfs.ModeSetUID != 0 || (f.mode&vfs.ModeSetGID != 0 && f.mode&0o010 != 0)
 	if !kill {
-		return
+		return nil
 	}
 	mode := f.mode &^ vfs.ModeSetUID
 	if mode&0o010 != 0 {
@@ -453,6 +466,7 @@ func (c *Cache) killPrivsLocked(op *vfs.Op, st *openState) {
 	if _, err := c.backing.Setattr(op, st.ino, vfs.SetMode, vfs.Attr{Mode: mode}); err == nil {
 		f.mode = mode
 	}
+	return nil
 }
 
 // writeOut is the one way out of the cache: it sends extents of f to the

@@ -9,7 +9,9 @@ import (
 )
 
 // Figure 3 — effectiveness of the individual optimizations (§5.2.3).
-// Each panel compares throughput with one optimization off vs on.
+// Each panel compares throughput with one optimization off vs on. The
+// paper's four panels run with everything else at DefaultMountOptions,
+// NoSec included.
 
 // OptResult is one before/after pair.
 type OptResult struct {
@@ -96,6 +98,26 @@ func Figure3Splice() (OptResult, error) {
 		return OptResult{}, err
 	}
 	return optResult("splice read", before, after), nil
+}
+
+// Figure3NoSec is a fifth panel in Figure 3's style and beyond the
+// paper: the per-inode S_NOSEC mark (fuse.MountOptions.NoSec) off vs on
+// for sequential 4KB writes (IOZone write) — the row whose overhead the
+// paper puts down to the security.capability lookup on every write
+// (§5.2.2). Off is the paper's configuration.
+func Figure3NoSec() (OptResult, error) {
+	bench := findBench("IOzone: Write")
+	off := fuse.DefaultMountOptions()
+	off.NoSec = false
+	before, err := runCntrWith(off, bench)
+	if err != nil {
+		return OptResult{}, err
+	}
+	after, err := runCntrWith(fuse.DefaultMountOptions(), bench)
+	if err != nil {
+		return OptResult{}, err
+	}
+	return optResult("xattr absence (S_NOSEC)", before, after), nil
 }
 
 // Figure4Threads reproduces Figure 4: sequential-read throughput as the

@@ -230,3 +230,40 @@ func TestHardlinkDedupLookupCost(t *testing.T) {
 			with, without, float64(with)/float64(without))
 	}
 }
+
+// TestWriteDropsFileCapabilities: the kernel removes security.capability
+// on any write, whoever writes — here a non-owner with neither CAP_FSETID
+// nor CAP_FOWNER — so a binary that was modified does not keep the
+// privileges it was granted. Same page-cache code on both stacks.
+func TestWriteDropsFileCapabilities(t *testing.T) {
+	c := NewCntr(Config{})
+	defer c.Close()
+	for name, top := range map[string]vfs.FS{"native": NewNative(Config{}).Top, "cntr": c.Top} {
+		root := vfs.NewClient(top, vfs.Root())
+		if err := root.WriteFile("/bin", []byte("#!"), 0o666); err != nil {
+			t.Fatal(name, err)
+		}
+		attr, err := root.Stat("/bin")
+		if err != nil {
+			t.Fatal(name, err)
+		}
+		caps := []byte{1, 0, 0, 2}
+		if err := top.Setxattr(vfs.RootOp(), attr.Ino, vfs.XattrSecurityCapability, caps, 0); err != nil {
+			t.Fatal(name, err)
+		}
+		if got, err := top.Getxattr(vfs.RootOp(), attr.Ino, vfs.XattrSecurityCapability); err != nil || !bytes.Equal(got, caps) {
+			t.Fatalf("%s: capabilities before the write: %v, %v", name, got, err)
+		}
+		f, err := vfs.NewClient(top, vfs.User(1000, 1000)).Open("/bin", vfs.OWronly, 0)
+		if err != nil {
+			t.Fatal(name, err)
+		}
+		if n, err := f.WriteAt([]byte{'x'}, 0); n != 1 || err != nil {
+			t.Fatalf("%s: write: %d, %v", name, n, err)
+		}
+		if _, err := top.Getxattr(vfs.RootOp(), attr.Ino, vfs.XattrSecurityCapability); vfs.ToErrno(err) != vfs.ENODATA {
+			t.Fatalf("%s: capabilities after one written byte: %v, want ENODATA", name, err)
+		}
+		f.Close()
+	}
+}
