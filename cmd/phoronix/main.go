@@ -163,17 +163,26 @@ func main() {
 	} {
 		panel(fn)
 	}
-	// The fifth panel is beyond the paper, whose configuration is its
-	// "before" side: report how far each side leaves the panel's row
+	// The last two panels are beyond the paper, whose configuration is
+	// their "before" side: report how far each side leaves the panel's row
 	// from the paper's Figure 2.
-	nosec := panel(phoronix.Figure3NoSec)
-	for _, row := range results {
-		if row.Name == "IOzone: Write" {
+	for _, beyond := range []struct {
+		row string
+		fn  func() (phoronix.OptResult, error)
+	}{
+		{"IOzone: Write", phoronix.Figure3NoSec},
+		{"Compilebench: Create", phoronix.Figure3SmallFile},
+	} {
+		r := panel(beyond.fn)
+		for _, row := range results {
+			if row.Name != beyond.row {
+				continue
+			}
 			logErr := func(cntr time.Duration) float64 {
 				return math.Abs(math.Log(float64(cntr) / float64(row.NativeTime) / row.PaperOverhead))
 			}
 			fmt.Printf("%-32s phoronix.paper_log_err on %s (paper %.1fx): before=%.3f after=%.3f\n",
-				"", row.Name, row.PaperOverhead, logErr(nosec.Before), logErr(nosec.After))
+				"", row.Name, row.PaperOverhead, logErr(r.Before), logErr(r.After))
 		}
 	}
 

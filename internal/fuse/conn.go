@@ -10,8 +10,11 @@ import (
 )
 
 // MountOptions selects the protocol features negotiated at INIT time.
-// Each field but NoSec corresponds to one of the paper's §3.3
-// optimizations.
+// KeepCache through BatchForget are the paper's §3.3 optimizations, and
+// MaxWrite, the two timeouts and ServerThreads the settings its CntrFS
+// mounts with: PaperMountOptions is that configuration. NoSec and NoFlush
+// are beyond the paper (on in DefaultMountOptions only), and the fields
+// from MaxBackground down configure this repository's request table.
 type MountOptions struct {
 	// KeepCache sets FOPEN_KEEP_CACHE on every open, letting the page
 	// cache above survive re-opens (read-cache optimization, Fig. 3a).
@@ -54,9 +57,22 @@ type MountOptions struct {
 	// AttrTimeout, so later writes cost neither the lookup nor the round
 	// trip — what a native filesystem pays. Every xattr or attribute
 	// change made through the mount clears the mark; one made behind its
-	// back shares AttrTimeout's staleness window. Off reproduces the
-	// paper's configuration.
+	// back shares AttrTimeout's staleness window. A file made through the
+	// mount by CREATE or MKNOD is born marked: the request is exclusive and
+	// a new inode inherits no security.capability, which is what xfs, gfs2
+	// and ocfs2 conclude natively for an inode instantiated without xattrs
+	// (inode_has_no_xattr). Off in PaperMountOptions.
 	NoSec bool
+	// NoFlush is beyond the paper, whose CntrFS answers every close(2)'s
+	// FLUSH by dup+close on the host file. It is the server's side of the
+	// kernel's fc->no_flush: the server replies ENOSYS to FLUSH without
+	// calling the filesystem, and the connection, on the first such reply,
+	// stops sending the request for good. close(2) still writes the file's
+	// dirty pages back (the page cache's FlushOnClose) and still reports
+	// their failure; what it no longer reports is what only the
+	// filesystem's own flush could find, and no vfs.FS here has more to
+	// find than a handle it does not know. Off in PaperMountOptions.
+	NoFlush bool
 	// ServerThreads is the number of userspace server threads reading
 	// the request queue (Fig. 4). Note that FUSE_INTERRUPT frames are
 	// ordinary queue messages: with a single thread blocked inside a
@@ -89,9 +105,10 @@ type MountOptions struct {
 	MaxOriginInflight int
 }
 
-// DefaultMountOptions returns the fully optimized configuration: the one
-// the paper's CNTR ships with, plus NoSec.
-func DefaultMountOptions() MountOptions {
+// PaperMountOptions returns the configuration the paper's CNTR ships
+// with: every §3.3 optimization it keeps on, nothing beyond them. It is
+// what Figure 2 was measured on.
+func PaperMountOptions() MountOptions {
 	return MountOptions{
 		KeepCache:      true,
 		WritebackCache: true,
@@ -103,9 +120,17 @@ func DefaultMountOptions() MountOptions {
 		MaxWrite:       128 << 10,
 		EntryTimeout:   time.Second,
 		AttrTimeout:    time.Second,
-		NoSec:          true,
 		ServerThreads:  4,
 	}
+}
+
+// DefaultMountOptions returns the fully optimized configuration: the
+// paper's, plus NoSec and NoFlush.
+func DefaultMountOptions() MountOptions {
+	opts := PaperMountOptions()
+	opts.NoSec = true
+	opts.NoFlush = true
+	return opts
 }
 
 // ForgetBatchSize is how many forgets a FUSE_BATCH_FORGET frame carries.
@@ -250,6 +275,9 @@ type Conn struct {
 	// asyncInflight counts submitted-but-unawaited pipelined requests;
 	// it drives the overlap cost model (see request.await).
 	asyncInflight atomic.Int64
+	// noFlush is the kernel's fc->no_flush: set by the first FLUSH the
+	// server answers with ENOSYS, never reset.
+	noFlush atomic.Bool
 
 	mu        sync.Mutex
 	entries   map[entryKey]entryVal
@@ -671,6 +699,19 @@ func (c *Conn) invalidateAttr(ino vfs.Ino) {
 
 // --- S_NOSEC: security.capability known absent (MountOptions.NoSec) ---
 
+// nosecOn reports whether the mount keeps marks at all: they last as long
+// as attributes do, so a mount that caches no attributes keeps none.
+func (c *Conn) nosecOn() bool { return c.opts.NoSec && c.opts.AttrTimeout > 0 }
+
+// nosecGeneration reads the clear count a later markNosec is checked
+// against; a request that will mark from its reply reads it before it is
+// sent.
+func (c *Conn) nosecGeneration() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nosecGen
+}
+
 // nosecCached reports whether ino is marked as having no
 // security.capability. Like attrCached, a hit refreshes nothing and an
 // expired mark is dropped when it is next looked at. The generation it
@@ -689,9 +730,11 @@ func (c *Conn) nosecCached(ino vfs.Ino) (gen uint64, ok bool) {
 	return c.nosecGen, ok
 }
 
-// markNosec records the server's ENODATA for ino, trusted for as long as
-// its attributes are — unless a mark was cleared since gen was read: the
-// answer may then predate a SETXATTR that overtook it on another thread.
+// markNosec records that the server knows no security.capability on ino
+// (its ENODATA, or a CREATE or MKNOD reply that made the inode), trusted
+// for as long as its attributes are — unless a mark was cleared since gen
+// was read: the answer may then predate a SETXATTR that overtook it on
+// another thread.
 func (c *Conn) markNosec(ino vfs.Ino, gen uint64) {
 	c.mu.Lock()
 	if c.nosecGen == gen {

@@ -171,14 +171,20 @@ func (c *Conn) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.A
 	return out, nil
 }
 
-// Mknod implements vfs.FS.
+// Mknod implements vfs.FS. Like Create it makes a new inode, which is
+// born S_NOSEC.
 func (c *Conn) Mknod(op *vfs.Op, parent vfs.Ino, name string, typ vfs.FileType, mode vfs.Mode, rdev uint32) (vfs.Attr, error) {
-	return c.entryCall(OpMknod, parent, name, op, func(w *buf) {
+	gen := c.nosecGeneration()
+	attr, err := c.entryCall(OpMknod, parent, name, op, func(w *buf) {
 		w.str(name)
 		w.u8(uint8(typ))
 		w.u32(uint32(mode))
 		w.u32(rdev)
 	})
+	if err == nil && c.nosecOn() {
+		c.markNosec(attr.Ino, gen)
+	}
+	return attr, err
 }
 
 // Mkdir implements vfs.FS.
@@ -253,12 +259,18 @@ func (c *Conn) Link(op *vfs.Op, ino vfs.Ino, parent vfs.Ino, name string) (vfs.A
 }
 
 // Create implements vfs.FS. Like Open, O_DIRECT is refused (§5.1 #391).
+// CREATE is exclusive, so a successful reply names an inode made by this
+// request, with no xattrs yet: on a NoSec mount it is born marked, and its
+// first write asks the server nothing. The generation is read before the
+// request is sent, so a SETXATTR that reached the new file ahead of this
+// reply (another client found it by name) cancels the mark.
 func (c *Conn) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, flags vfs.OpenFlags) (vfs.Attr, vfs.Handle, error) {
 	if flags&vfs.ODirect != 0 {
 		return vfs.Attr{}, 0, vfs.EINVAL
 	}
 	var attr vfs.Attr
 	var h vfs.Handle
+	gen := c.nosecGeneration()
 	err := c.call(OpCreate, parent, op, func(w *buf) {
 		w.str(name)
 		w.u32(uint32(mode))
@@ -273,6 +285,9 @@ func (c *Conn) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, fl
 	c.cacheEntry(parent, name, attr.Ino)
 	c.cacheAttr(attr)
 	c.trackHandle(h, attr.Ino)
+	if c.nosecOn() {
+		c.markNosec(attr.Ino, gen)
+	}
 	return attr, h, nil
 }
 
@@ -497,9 +512,20 @@ func (c *Conn) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, err
 	return total, nil
 }
 
-// Flush implements vfs.FS.
+// Flush implements vfs.FS. A server that does not implement FLUSH says so
+// once (ENOSYS, MountOptions.NoFlush): that close(2) succeeds, and from
+// then on the request is not sent, as in fuse_flush. Dirty pages are the
+// page cache's to write back before it calls here.
 func (c *Conn) Flush(op *vfs.Op, h vfs.Handle) error {
-	return c.call(OpFlush, 0, op, func(w *buf) { w.u64(uint64(h)) }, 0, 0, nil)
+	if c.noFlush.Load() {
+		return nil
+	}
+	err := c.call(OpFlush, 0, op, func(w *buf) { w.u64(uint64(h)) }, 0, 0, nil)
+	if vfs.ToErrno(err) == vfs.ENOSYS {
+		c.noFlush.Store(true)
+		return nil
+	}
+	return err
 }
 
 // Fsync implements vfs.FS.
@@ -600,7 +626,7 @@ func (c *Conn) Setxattr(op *vfs.Op, ino vfs.Ino, name string, value []byte, flag
 // above asks for it on every write(2), and while the inode is marked
 // S_NOSEC the answer costs neither the lookup nor the round trip.
 func (c *Conn) Getxattr(op *vfs.Op, ino vfs.Ino, name string) ([]byte, error) {
-	nosec := c.opts.NoSec && c.opts.AttrTimeout > 0 && name == vfs.XattrSecurityCapability
+	nosec := c.nosecOn() && name == vfs.XattrSecurityCapability
 	var gen uint64
 	if nosec {
 		var marked bool

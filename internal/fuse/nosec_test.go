@@ -13,45 +13,66 @@ import (
 	"cntr/internal/vfs"
 )
 
-// xattrSpy sits under the server: every GETXATTR frame that crosses the
-// wire is one Getxattr call here. hold, when set, keeps an answer back —
-// computed, not yet replied — until it is closed.
-type xattrSpy struct {
+// wireSpy sits under the server: every GETXATTR frame that crosses the
+// wire is one Getxattr call here, and every FLUSH the server passes on one
+// Flush call. hold, when set, keeps a GETXATTR or CREATE answer back —
+// computed, not yet replied — until it is closed. flushErr, when set, is
+// what the nth Flush returns.
+type wireSpy struct {
 	vfs.FS
-	gets    atomic.Int64
-	hold    chan struct{}
-	holding chan struct{}
+	gets     atomic.Int64
+	flushes  atomic.Int64
+	flushErr func(n int64) error
+	hold     chan struct{}
+	holding  chan struct{}
 }
 
-func (s *xattrSpy) Getxattr(op *vfs.Op, ino vfs.Ino, name string) ([]byte, error) {
-	s.gets.Add(1)
-	v, err := s.FS.Getxattr(op, ino, name)
+func (s *wireSpy) park() {
 	if s.hold != nil {
 		s.holding <- struct{}{}
 		<-s.hold
 	}
+}
+
+func (s *wireSpy) Getxattr(op *vfs.Op, ino vfs.Ino, name string) ([]byte, error) {
+	s.gets.Add(1)
+	v, err := s.FS.Getxattr(op, ino, name)
+	s.park()
 	return v, err
 }
 
-// nosecEnv is a mount as write(2) sees it: the kernel-side page cache
-// (which asks for security.capability on every write) over a Conn whose
-// server serves host.
+func (s *wireSpy) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, flags vfs.OpenFlags) (vfs.Attr, vfs.Handle, error) {
+	attr, h, err := s.FS.Create(op, parent, name, mode, flags)
+	s.park()
+	return attr, h, err
+}
+
+func (s *wireSpy) Flush(op *vfs.Op, h vfs.Handle) error {
+	n := s.flushes.Add(1)
+	if s.flushErr != nil {
+		return s.flushErr(n)
+	}
+	return s.FS.Flush(op, h)
+}
+
+// nosecEnv is a mount as write(2) and close(2) see it: the kernel-side
+// page cache (which asks for security.capability on every write, and
+// writes back and flushes on every close) over a Conn whose server serves
+// host.
 type nosecEnv struct {
 	clock *sim.Clock
 	host  *memfs.FS
-	spy   *xattrSpy
+	spy   *wireSpy
 	conn  *Conn
 	top   vfs.FS
 	cli   *vfs.Client
 }
 
-func nosecMount(t testing.TB, nosec bool) *nosecEnv {
+func nosecMount(t testing.TB, opts MountOptions) *nosecEnv {
 	t.Helper()
 	clock, model := sim.NewClock(), sim.DefaultCostModel()
 	host := memfs.New(memfs.Options{})
-	spy := &xattrSpy{FS: host}
-	opts := DefaultMountOptions()
-	opts.NoSec = nosec
+	spy := &wireSpy{FS: host}
 	conn, srv := Mount(spy, clock, model, opts)
 	t.Cleanup(func() {
 		conn.Unmount()
@@ -68,6 +89,27 @@ func nosecMount(t testing.TB, nosec bool) *nosecEnv {
 
 var fileCaps = []byte{1, 0, 0, 2}
 
+// seedOnHost puts an empty file on the host, behind the mount's back.
+func seedOnHost(t *testing.T, e *nosecEnv, path string) {
+	t.Helper()
+	if err := vfs.NewClient(e.host, vfs.Root()).WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openSeeded opens for writing a file put on the host before the mount
+// first looked it up: the mount did not make it, so it is not born marked
+// and its first write has to ask.
+func openSeeded(t *testing.T, e *nosecEnv, path string) *vfs.File {
+	t.Helper()
+	seedOnHost(t, e, path)
+	f, err := e.cli.Open(path, vfs.OWronly, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // writeByte is one write(2) through an open file.
 func writeByte(t *testing.T, f *vfs.File) {
 	t.Helper()
@@ -80,12 +122,10 @@ func writeByte(t *testing.T, f *vfs.File) {
 // one GETXATTR it costs, and a hit charges no virtual time at all; with it
 // off every write is a round trip, as in the paper.
 func TestNoSecAsksOncePerInode(t *testing.T) {
-	for _, nosec := range []bool{true, false} {
-		e := nosecMount(t, nosec)
-		f, err := e.cli.Create("/f", 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, opts := range []MountOptions{DefaultMountOptions(), PaperMountOptions()} {
+		nosec := opts.NoSec
+		e := nosecMount(t, opts)
+		f := openSeeded(t, e, "/f")
 		for i := 0; i < 5; i++ {
 			writeByte(t, f)
 		}
@@ -97,7 +137,7 @@ func TestNoSecAsksOncePerInode(t *testing.T) {
 			t.Errorf("NoSec=%v: 5 writes made %d wire GETXATTRs and %d hits, want %d and %d", nosec, gets, hits, wantGets, wantHits)
 		}
 		before := e.clock.Now()
-		_, err = e.conn.Getxattr(vfs.RootOp(), f.Ino(), vfs.XattrSecurityCapability)
+		_, err := e.conn.Getxattr(vfs.RootOp(), f.Ino(), vfs.XattrSecurityCapability)
 		if vfs.ToErrno(err) != vfs.ENODATA {
 			t.Fatalf("NoSec=%v: Getxattr = %v, want ENODATA", nosec, err)
 		}
@@ -148,11 +188,8 @@ func TestNoSecStaleAbsence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := nosecMount(t, true)
-			f, err := e.cli.Create("/f", 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := nosecMount(t, DefaultMountOptions())
+			f := openSeeded(t, e, "/f")
 			defer f.Close()
 			writeByte(t, f)
 			writeByte(t, f)
@@ -185,7 +222,7 @@ func TestNoSecStaleAbsence(t *testing.T) {
 // already gives a chmod made the same way — and are seen, and dropped by
 // the write that finds them, once the virtual clock passes it.
 func TestNoSecBehindTheMountsBack(t *testing.T) {
-	e := nosecMount(t, true)
+	e := nosecMount(t, DefaultMountOptions())
 	op := vfs.RootOp()
 	f, err := e.cli.Create("/f", 0o644)
 	if err != nil {
@@ -219,12 +256,9 @@ func TestNoSecBehindTheMountsBack(t *testing.T) {
 // TestNoSecAnswerInFlightAcrossSetxattr: an ENODATA computed before a
 // SETXATTR but delivered after it must not be remembered.
 func TestNoSecAnswerInFlightAcrossSetxattr(t *testing.T) {
-	e := nosecMount(t, true)
+	e := nosecMount(t, DefaultMountOptions())
 	op := vfs.RootOp()
-	f, err := e.cli.Create("/f", 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := openSeeded(t, e, "/f")
 	defer f.Close()
 
 	e.spy.hold, e.spy.holding = make(chan struct{}), make(chan struct{})
@@ -247,13 +281,148 @@ func TestNoSecAnswerInFlightAcrossSetxattr(t *testing.T) {
 	}
 }
 
+// nosecMarked reports whether ino carries a mark.
+func nosecMarked(c *Conn, ino vfs.Ino) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.nosec[ino]
+	return ok
+}
+
+// TestNoSecBornMarked: an inode the mount made by CREATE or MKNOD has no
+// xattrs, and is marked so from the reply: none of its writes asks the
+// server. Requests that make or find any other kind of name leave no mark.
+func TestNoSecBornMarked(t *testing.T) {
+	op := vfs.RootOp()
+	e := nosecMount(t, DefaultMountOptions())
+	f, err := e.cli.Create("/created", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := e.conn.Mknod(op, vfs.RootIno, "node", vfs.TypeRegular, 0o644, 0); err != nil {
+		t.Fatal(err)
+	}
+	g, err := e.cli.Open("/node", vfs.OWronly, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	const writes = 5
+	for i := 0; i < writes; i++ {
+		writeByte(t, f)
+		writeByte(t, g)
+	}
+	if gets, hits := e.spy.gets.Load(), e.conn.Stats().NoSecHits; gets != 0 || hits != 2*writes {
+		t.Fatalf("%d writes each to a created and a mknod'ed file: %d wire GETXATTRs and %d hits, want 0 and %d", writes, gets, hits, 2*writes)
+	}
+
+	seedOnHost(t, e, "/seeded")
+	unmarked := map[string]func() (vfs.Attr, error){
+		"mkdir":   func() (vfs.Attr, error) { return e.conn.Mkdir(op, vfs.RootIno, "dir", 0o755) },
+		"symlink": func() (vfs.Attr, error) { return e.conn.Symlink(op, vfs.RootIno, "sym", "created") },
+		"lookup":  func() (vfs.Attr, error) { return e.conn.Lookup(op, vfs.RootIno, "seeded") },
+		"link": func() (vfs.Attr, error) {
+			seeded, err := e.conn.Lookup(op, vfs.RootIno, "seeded")
+			if err != nil {
+				return seeded, err
+			}
+			return e.conn.Link(op, seeded.Ino, vfs.RootIno, "hardlink")
+		},
+	}
+	for name, request := range unmarked {
+		attr, err := request()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if nosecMarked(e.conn, attr.Ino) {
+			t.Errorf("%s left inode %d marked", name, attr.Ino)
+		}
+	}
+
+	// The paper's configuration has no marks to be born with.
+	paper := nosecMount(t, PaperMountOptions())
+	h, err := paper.cli.Create("/created", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	writeByte(t, h)
+	if gets := paper.spy.gets.Load(); gets != 1 || nosecMarked(paper.conn, h.Ino()) {
+		t.Fatalf("paper's configuration: %d wire GETXATTRs for one write, marked %v; want 1 and no mark", gets, nosecMarked(paper.conn, h.Ino()))
+	}
+}
+
+// TestNoSecBornThenGivenCapabilities: a born mark is a mark like any
+// other. Capabilities set on the new file clear it, and the next write
+// asks, finds them and drops them.
+func TestNoSecBornThenGivenCapabilities(t *testing.T) {
+	op := vfs.RootOp()
+	e := nosecMount(t, DefaultMountOptions())
+	f, err := e.cli.Create("/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := e.top.Setxattr(op, f.Ino(), vfs.XattrSecurityCapability, fileCaps, 0); err != nil {
+		t.Fatal(err)
+	}
+	writeByte(t, f)
+	if gets, hits := e.spy.gets.Load(), e.conn.Stats().NoSecHits; gets != 1 || hits != 0 {
+		t.Fatalf("write after SETXATTR on a new file: %d wire GETXATTRs, %d hits; want 1 and 0", gets, hits)
+	}
+	if _, err := e.host.Getxattr(op, f.Ino(), vfs.XattrSecurityCapability); vfs.ToErrno(err) != vfs.ENODATA {
+		t.Fatalf("host capabilities after the write: %v, want ENODATA", err)
+	}
+}
+
+// TestNoSecBornMarkRacesSetxattr: between the server making the file and
+// its CREATE reply arriving, another client can find the file by name and
+// give it capabilities. The reply must then mark nothing.
+func TestNoSecBornMarkRacesSetxattr(t *testing.T) {
+	e := nosecMount(t, DefaultMountOptions())
+	op := vfs.RootOp()
+	e.spy.hold, e.spy.holding = make(chan struct{}), make(chan struct{})
+	type created struct {
+		attr vfs.Attr
+		h    vfs.Handle
+		err  error
+	}
+	reply := make(chan created)
+	go func() {
+		attr, h, err := e.conn.Create(op, vfs.RootIno, "f", 0o644, vfs.OWronly)
+		reply <- created{attr, h, err}
+	}()
+	<-e.spy.holding
+	found, err := e.conn.Lookup(op, vfs.RootIno, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.conn.Setxattr(op, found.Ino, vfs.XattrSecurityCapability, fileCaps, 0); err != nil {
+		t.Fatal(err)
+	}
+	close(e.spy.hold)
+	c := <-reply
+	if c.err != nil || c.attr.Ino != found.Ino {
+		t.Fatalf("the overtaken create: inode %d, %v; the lookup found inode %d", c.attr.Ino, c.err, found.Ino)
+	}
+	defer e.conn.Release(op, c.h)
+	e.spy.hold, e.spy.holding = nil, nil
+	if nosecMarked(e.conn, c.attr.Ino) {
+		t.Fatal("the CREATE reply marked a file that was given capabilities before it arrived")
+	}
+	if v, err := e.conn.Getxattr(op, c.attr.Ino, vfs.XattrSecurityCapability); err != nil || string(v) != string(fileCaps) {
+		t.Fatalf("lookup after the create: %v, %v", v, err)
+	}
+}
+
 // TestNoSecConcurrentClients: clients of one mount, each on a file of its
 // own, set capabilities, write and look. Their clears and marks interleave
 // in the one table (and every clear voids the others' lookups in flight),
 // which may cost a client a lookup but never the property: the write
 // after a SETXATTR finds the capabilities and drops them.
 func TestNoSecConcurrentClients(t *testing.T) {
-	e := nosecMount(t, true)
+	e := nosecMount(t, DefaultMountOptions())
 	op := vfs.RootOp()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -296,12 +465,6 @@ func TestNoSecConcurrentClients(t *testing.T) {
 // forgets mid-file: that must not cost the mark).
 func TestNoSecMarksDieWithTheirInodes(t *testing.T) {
 	op := vfs.RootOp()
-	marked := func(c *Conn, ino vfs.Ino) bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		_, ok := c.nosec[ino]
-		return ok
-	}
 	cases := []struct {
 		name string
 		end  func(c *Conn, ino vfs.Ino, h vfs.Handle) error
@@ -332,25 +495,25 @@ func TestNoSecMarksDieWithTheirInodes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := nosecMount(t, true).conn
+			c := nosecMount(t, DefaultMountOptions()).conn
 			attr, h, err := c.Create(op, vfs.RootIno, "f", 0o644, vfs.OWronly)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := c.Getxattr(op, attr.Ino, vfs.XattrSecurityCapability); vfs.ToErrno(err) != vfs.ENODATA || !marked(c, attr.Ino) {
-				t.Fatalf("lookup on a new file: %v, marked %v", err, marked(c, attr.Ino))
+			if _, err := c.Getxattr(op, attr.Ino, vfs.XattrSecurityCapability); vfs.ToErrno(err) != vfs.ENODATA || !nosecMarked(c, attr.Ino) {
+				t.Fatalf("lookup on a new file: %v, marked %v", err, nosecMarked(c, attr.Ino))
 			}
 			if err := tc.end(c, attr.Ino, h); err != nil {
 				t.Fatal(err)
 			}
-			if got := marked(c, attr.Ino); got != tc.kept {
+			if got := nosecMarked(c, attr.Ino); got != tc.kept {
 				t.Fatalf("mark kept = %v, want %v", got, tc.kept)
 			}
 		})
 	}
 
 	t.Run("10000 files", func(t *testing.T) {
-		e := nosecMount(t, true)
+		e := nosecMount(t, DefaultMountOptions())
 		for i := 0; i < 10000; i++ {
 			if err := e.cli.WriteFile("/f", []byte{'x'}, 0o644); err != nil {
 				t.Fatal(err)
@@ -359,8 +522,8 @@ func TestNoSecMarksDieWithTheirInodes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if gets := e.spy.gets.Load(); gets != 10000 {
-			t.Fatalf("%d wire GETXATTRs for 10000 new files, want one each", gets)
+		if gets, hits := e.spy.gets.Load(), e.conn.Stats().NoSecHits; gets != 0 || hits != 10000 {
+			t.Fatalf("10000 new files: %d wire GETXATTRs and %d hits, want each write served by its file's born mark", gets, hits)
 		}
 		e.conn.mu.Lock()
 		defer e.conn.mu.Unlock()
@@ -370,12 +533,14 @@ func TestNoSecMarksDieWithTheirInodes(t *testing.T) {
 	})
 }
 
-// TestNoSecDifferential is the oracle for the mark: two mounts over
-// identical trees, NoSec on and off, are driven by the same seeded script
-// of every operation that reads, sets or could invalidate it. The mark
-// may change what crosses the wire, never what the caller sees: every
-// return value and errno, and the xattrs and modes the host ends up with,
-// must be equal — and the NoSec side never asks more often.
+// TestNoSecDifferential is the oracle for the mark and for the dropped
+// FLUSH: three mounts over identical trees — the default, the default
+// without NoSec, and the paper's configuration — are driven by the same
+// seeded script of every operation that reads, sets or could invalidate a
+// mark, every file closed as it goes. What is beyond the paper may change
+// what crosses the wire, never what the caller sees: every return value
+// and errno, and the sizes, xattrs and modes the host ends up with, must
+// be equal — and the NoSec side never asks more often.
 func TestNoSecDifferential(t *testing.T) {
 	seeds := uint64(5000)
 	if testing.Short() || raceBuild() {
@@ -383,23 +548,40 @@ func TestNoSecDifferential(t *testing.T) {
 		// every round trip ten times dearer.
 		seeds = 500
 	}
+	withoutNoSec := DefaultMountOptions()
+	withoutNoSec.NoSec = false
+	mounts := []struct {
+		name string
+		opts MountOptions
+	}{ // the first is the one the others are compared with
+		{"default", DefaultMountOptions()},
+		{"without NoSec", withoutNoSec},
+		{"on the paper's configuration", PaperMountOptions()},
+	}
 	for seed := uint64(1); seed <= seeds; seed++ {
-		on, off := nosecMount(t, true), nosecMount(t, false)
-		rngOn, rngOff := sim.NewRand(seed), sim.NewRand(seed)
+		envs, rngs := make([]*nosecEnv, len(mounts)), make([]*sim.Rand, len(mounts))
+		for k, m := range mounts {
+			envs[k], rngs[k] = nosecMount(t, m.opts), sim.NewRand(seed)
+		}
+		on := envs[0]
 		for i := 0; i < 40; i++ {
-			a, b := nosecStep(on, rngOn), nosecStep(off, rngOff)
-			if a != b {
-				t.Fatalf("seed %d op %d: NoSec on %q, off %q", seed, i, a, b)
+			a := nosecStep(on, rngs[0])
+			for k := 1; k < len(envs); k++ {
+				if b := nosecStep(envs[k], rngs[k]); a != b {
+					t.Fatalf("seed %d op %d: default %q, %s %q", seed, i, a, mounts[k].name, b)
+				}
 			}
 		}
-		if a, b := hostState(on), hostState(off); a != b {
-			t.Fatalf("seed %d: final host state\n on  %s\n off %s", seed, a, b)
+		for k := 1; k < len(envs); k++ {
+			if a, b := hostState(on), hostState(envs[k]); a != b {
+				t.Fatalf("seed %d: final host state\n default %s\n %s %s", seed, a, mounts[k].name, b)
+			}
+			if a, b := on.spy.gets.Load(), envs[k].spy.gets.Load(); a > b {
+				t.Fatalf("seed %d: %d wire GETXATTRs by default, %d %s", seed, a, b, mounts[k].name)
+			}
 		}
-		if a, b := on.spy.gets.Load(), off.spy.gets.Load(); a > b {
-			t.Fatalf("seed %d: %d wire GETXATTRs with NoSec, %d without", seed, a, b)
-		}
-		// 10 000 mounts: stop each pair's workers now, not at the end.
-		for _, e := range []*nosecEnv{on, off} {
+		// 15 000 mounts: stop each triple's workers now, not at the end.
+		for _, e := range envs {
 			e.conn.Unmount()
 		}
 	}

@@ -554,6 +554,10 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 
 	case OpFlush:
 		if handle := vfs.Handle(r.u64()); !r.bad {
+			if s.opts.NoFlush {
+				opErr = vfs.ENOSYS // not implemented: the kernel stops asking
+				break
+			}
 			opErr = s.fs.Flush(op, handle)
 		}
 

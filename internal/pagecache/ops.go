@@ -406,7 +406,13 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 		// require the data on stable storage before write(2) returns).
 		c.flushFileLocked(f)
 		if st.flags&vfs.OSync == vfs.OSync {
-			c.backing.Fsync(op, h, true)
+			err := f.takeWbErr()
+			if err == nil {
+				err = c.backing.Fsync(op, h, true)
+			}
+			if err != nil {
+				return 0, err // as generic_write_sync: the error replaces the count
+			}
 			c.opts.ChargeDisk.Write(0) // device barrier
 		}
 	}
@@ -509,7 +515,9 @@ func (c *Cache) writeOut(op *vfs.Op, h vfs.Handle, f *fileCache, extents []vfs.I
 // flushPagesLocked writes the dirty pages idxs of f (ascending) back in
 // coalesced extents capped at MaxWriteSize and marks them clean. It is
 // the only writeback: a whole-file flush passes every dirty page, an
-// eviction passes one. Caller holds c.mu.
+// eviction passes one. A failed write leaves its pages clean all the
+// same, as in Linux; the first such error is kept on the file for the
+// next close, fsync or O_SYNC write to report. Caller holds c.mu.
 func (c *Cache) flushPagesLocked(f *fileCache, idxs []int64) {
 	var extents []vfs.IOReq
 	i := 0
@@ -536,7 +544,9 @@ func (c *Cache) flushPagesLocked(f *fileCache, idxs []int64) {
 		}
 		i = j + 1
 	}
-	c.writeOut(wbOp, f.wbHandle, f, extents)
+	if _, err := c.writeOut(wbOp, f.wbHandle, f, extents); err != nil && f.wbErr == nil {
+		f.wbErr = err
+	}
 	c.stats.FlushedExt += int64(len(extents))
 	for _, e := range extents {
 		c.stats.FlushedB += int64(len(e.Buf))
@@ -578,7 +588,9 @@ func (c *Cache) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.opts.KeepCache {
-		c.invalidate(ino)
+		if err := c.invalidate(ino); err != nil {
+			c.file(ino).wbErr = err // for whoever syncs the file next
+		}
 	}
 	if flags&vfs.OTrunc != 0 && flags.Writable() {
 		c.invalidateNoFlush(ino)
@@ -617,28 +629,40 @@ func (c *Cache) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, f
 }
 
 // Flush implements vfs.FS: called on close(2). With FlushOnClose (the
-// FUSE behaviour) dirty data is written back now; otherwise (native
-// behaviour) it stays dirty for background writeback.
+// FUSE behaviour) dirty data is written back now, and a writeback that
+// failed, now or earlier, is what close reports, ahead of the backing's
+// own flush as in fuse_flush; otherwise (native behaviour) it stays dirty
+// for background writeback.
 func (c *Cache) Flush(op *vfs.Op, h vfs.Handle) error {
 	c.charge()
 	if c.opts.FlushOnClose {
-		c.mu.Lock()
-		if st, ok := c.opens[h]; ok {
-			c.flushFileLocked(c.file(st.ino))
+		if err := c.syncFile(h); err != nil {
+			return err
 		}
-		c.mu.Unlock()
 	}
 	return c.backing.Flush(op, h)
+}
+
+// syncFile writes out every dirty page of the file open as h and reports
+// the file's first unreported writeback error.
+func (c *Cache) syncFile(h vfs.Handle) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	st, ok := c.opens[h]
+	if !ok {
+		return nil
+	}
+	f := c.file(st.ino)
+	c.flushFileLocked(f)
+	return f.takeWbErr()
 }
 
 // Fsync implements vfs.FS: flush dirty pages then issue a barrier.
 func (c *Cache) Fsync(op *vfs.Op, h vfs.Handle, datasync bool) error {
 	c.charge()
-	c.mu.Lock()
-	if st, ok := c.opens[h]; ok {
-		c.flushFileLocked(c.file(st.ino))
+	if err := c.syncFile(h); err != nil {
+		return err
 	}
-	c.mu.Unlock()
 	// Journal commit / cache barrier: one small device round trip.
 	c.opts.ChargeDisk.Write(0)
 	return c.backing.Fsync(op, h, datasync)
@@ -894,15 +918,19 @@ func (c *Cache) Access(op *vfs.Op, ino vfs.Ino, mask uint32) error {
 func (c *Cache) Fallocate(op *vfs.Op, h vfs.Handle, mode uint32, off, length int64) error {
 	c.charge()
 	c.mu.Lock()
+	var err error
 	if st, ok := c.opens[h]; ok {
 		// Flush dirty data and drop every cached page and in-flight
 		// readahead window *before* the backing extents change — the
 		// kernel's flush-then-punch order. Flushing afterwards would
 		// write pre-punch data back over the hole.
-		c.invalidate(st.ino)
+		err = c.invalidate(st.ino)
 	}
 	c.mu.Unlock()
-	err := c.backing.Fallocate(op, h, mode, off, length)
+	if err != nil {
+		return err // the flush failed: nothing is punched
+	}
+	err = c.backing.Fallocate(op, h, mode, off, length)
 	if err == nil {
 		c.mu.Lock()
 		if st, ok := c.opens[h]; ok {

@@ -187,6 +187,10 @@ type fileCache struct {
 	// the most recent writable open of the file.
 	wbHandle vfs.Handle
 	wbValid  bool
+	// wbErr is the first writeback error nobody has been told of yet (the
+	// kernel's mapping_set_error): the pages it cost are clean, so the
+	// next close, fsync or O_SYNC write of the file is the only report.
+	wbErr error
 	// zombies are backing handles whose user-side files were closed
 	// while dirty data remained (no flush-on-close): the handle is kept
 	// alive for background writeback and released after the next flush.
@@ -229,6 +233,14 @@ type page struct {
 func (f *fileCache) clean(p *page) {
 	f.dirtyBytes -= p.dirty
 	p.dirty, p.dirtyLo, p.dirtyHi = 0, 0, 0
+}
+
+// takeWbErr returns the file's unreported writeback error and forgets it
+// (filemap_check_errors): one failure is reported once.
+func (f *fileCache) takeWbErr() error {
+	err := f.wbErr
+	f.wbErr = nil
+	return err
 }
 
 // New builds a cache over backing. clock and model must be non-nil.
@@ -340,14 +352,16 @@ func (c *Cache) touch(ino vfs.Ino, idx int64) {
 }
 
 // invalidate drops all cached pages of ino, writing dirty data back
-// first. Caller holds c.mu.
-func (c *Cache) invalidate(ino vfs.Ino) {
+// first, and returns the file's unreported writeback error: the record
+// it was kept in goes with the pages. Caller holds c.mu.
+func (c *Cache) invalidate(ino vfs.Ino) error {
 	f, ok := c.files[ino]
 	if !ok {
-		return
+		return nil
 	}
 	c.flushFileLocked(f)
 	c.dropFileLocked(ino, f)
+	return f.takeWbErr()
 }
 
 // invalidateNoFlush discards pages *without* writeback — for O_TRUNC

@@ -511,3 +511,80 @@ func TestHitRatioConvention(t *testing.T) {
 		t.Fatalf("ratio = %v, want 0.75", r)
 	}
 }
+
+// TestWritebackErrorReachesCloseAndFsync: a writeback the backing refuses
+// leaves its pages clean, so whoever syncs the file next is the only one
+// who can be told. Each of close, fsync and an O_SYNC write reports the
+// first failure once; the write(2) that only dirtied pages succeeds, as it
+// does in Linux.
+func TestWritebackErrorReachesCloseAndFsync(t *testing.T) {
+	// mount returns a cache over a backing that refuses every write, and a
+	// file opened through it with one dirty page.
+	mount := func(t *testing.T, keepCache bool, flags vfs.OpenFlags) (*Cache, *vfs.Client, *vfs.File) {
+		t.Helper()
+		full := vfs.Chain(memfs.New(memfs.Options{}), vfs.NewFaultInjector(vfs.FaultRule{Kind: vfs.KindWrite, Errno: vfs.ENOSPC}))
+		cache := New(full, sim.NewClock(), sim.DefaultCostModel(), Options{KeepCache: keepCache, Writeback: true, FlushOnClose: true})
+		cli := vfs.NewClient(cache, vfs.Root())
+		f, err := cli.Open("/f", vfs.OWronly|vfs.OCreat|flags, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flags&vfs.OSync == 0 {
+			if n, err := f.WriteAt([]byte("data"), 0); n != 4 || err != nil {
+				t.Fatalf("write into the cache: %d, %v", n, err)
+			}
+		}
+		return cache, cli, f
+	}
+	enospc := func(t *testing.T, what string, err error) {
+		t.Helper()
+		if vfs.ToErrno(err) != vfs.ENOSPC {
+			t.Fatalf("%s = %v, want ENOSPC", what, err)
+		}
+	}
+	reported := func(t *testing.T, f *vfs.File) {
+		t.Helper()
+		if err := f.Close(); err != nil {
+			t.Fatalf("close after the error was reported: %v", err)
+		}
+	}
+
+	t.Run("close", func(t *testing.T) {
+		cache, _, f := mount(t, true, 0)
+		enospc(t, "close", f.Close())
+		if attr, err := cache.Backing().Getattr(vfs.RootOp(), f.Ino()); err != nil || attr.Size != 0 {
+			t.Fatalf("backing file after the refused writeback: size %d, %v", attr.Size, err)
+		}
+	})
+	t.Run("fsync reports once", func(t *testing.T) {
+		_, _, f := mount(t, true, 0)
+		enospc(t, "fsync", f.Sync())
+		if err := f.Sync(); err != nil {
+			t.Fatalf("second fsync, nothing dirty: %v", err)
+		}
+		reported(t, f)
+	})
+	t.Run("O_SYNC write", func(t *testing.T) {
+		_, _, f := mount(t, true, vfs.OSync)
+		_, err := f.WriteAt([]byte("data"), 0)
+		enospc(t, "O_SYNC write", err)
+		reported(t, f)
+	})
+	t.Run("open that invalidates", func(t *testing.T) {
+		_, cli, f := mount(t, false, 0)
+		// Without KeepCache a second open flushes and drops the pages; the
+		// open itself succeeds, and the failure waits for the next sync.
+		g, err := cli.Open("/f", vfs.ORdonly, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		enospc(t, "close", f.Close())
+	})
+	t.Run("fallocate", func(t *testing.T) {
+		cache, _, f := mount(t, true, 0)
+		// Punching a hole flushes the file and drops its pages first.
+		enospc(t, "fallocate", cache.Fallocate(vfs.RootOp(), f.Handle(), vfs.FallocPunchHole|vfs.FallocKeepSize, 0, 1))
+		reported(t, f)
+	})
+}

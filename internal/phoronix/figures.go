@@ -11,7 +11,8 @@ import (
 // Figure 3 — effectiveness of the individual optimizations (§5.2.3).
 // Each panel compares throughput with one optimization off vs on. The
 // paper's four panels run with everything else at DefaultMountOptions,
-// NoSec included.
+// NoSec and NoFlush included; the two panels beyond the paper have the
+// paper's configuration as their "off" side.
 
 // OptResult is one before/after pair.
 type OptResult struct {
@@ -32,92 +33,75 @@ func runCntrWith(mount fuse.MountOptions, b *Benchmark) (time.Duration, error) {
 	return d, err
 }
 
-// Figure3ReadCache reproduces panel (a): FOPEN_KEEP_CACHE off vs on for
-// concurrent re-reads (Threaded I/O read, 4 readers).
-func Figure3ReadCache() (OptResult, error) {
-	bench := findBench("Threaded I/O: Read")
-	off := fuse.DefaultMountOptions()
-	off.KeepCache = false
+// optPanel runs one suite row on two mounts and reports the pair.
+func optPanel(name, row string, off, on fuse.MountOptions) (OptResult, error) {
+	bench := findBench(row)
 	before, err := runCntrWith(off, bench)
 	if err != nil {
 		return OptResult{}, err
 	}
-	after, err := runCntrWith(fuse.DefaultMountOptions(), bench)
+	after, err := runCntrWith(on, bench)
 	if err != nil {
 		return OptResult{}, err
 	}
-	return optResult("read cache (FOPEN_KEEP_CACHE)", before, after), nil
+	r := OptResult{Name: name, Before: before, After: after}
+	if after > 0 {
+		r.Speedup = float64(before) / float64(after)
+	}
+	return r, nil
+}
+
+// Figure3ReadCache reproduces panel (a): FOPEN_KEEP_CACHE off vs on for
+// concurrent re-reads (Threaded I/O read, 4 readers).
+func Figure3ReadCache() (OptResult, error) {
+	off := fuse.DefaultMountOptions()
+	off.KeepCache = false
+	return optPanel("read cache (FOPEN_KEEP_CACHE)", "Threaded I/O: Read", off, fuse.DefaultMountOptions())
 }
 
 // Figure3Writeback reproduces panel (b): writeback cache off vs on for
 // sequential 4KB writes (IOZone write).
 func Figure3Writeback() (OptResult, error) {
-	bench := findBench("IOzone: Write")
 	off := fuse.DefaultMountOptions()
 	off.WritebackCache = false
-	before, err := runCntrWith(off, bench)
-	if err != nil {
-		return OptResult{}, err
-	}
-	after, err := runCntrWith(fuse.DefaultMountOptions(), bench)
-	if err != nil {
-		return OptResult{}, err
-	}
-	return optResult("writeback cache", before, after), nil
+	return optPanel("writeback cache", "IOzone: Write", off, fuse.DefaultMountOptions())
 }
 
 // Figure3Batching reproduces panel (c): PARALLEL_DIROPS off vs on for
 // the compilebench read-tree stage.
 func Figure3Batching() (OptResult, error) {
-	bench := findBench("Compilebench: Read")
 	off := fuse.DefaultMountOptions()
 	off.ParallelDirops = false
-	before, err := runCntrWith(off, bench)
-	if err != nil {
-		return OptResult{}, err
-	}
-	after, err := runCntrWith(fuse.DefaultMountOptions(), bench)
-	if err != nil {
-		return OptResult{}, err
-	}
-	return optResult("batching (PARALLEL_DIROPS)", before, after), nil
+	return optPanel("batching (PARALLEL_DIROPS)", "Compilebench: Read", off, fuse.DefaultMountOptions())
 }
 
 // Figure3Splice reproduces panel (d): splice read off vs on for
 // sequential reads.
 func Figure3Splice() (OptResult, error) {
-	bench := findBench("IOzone: Read")
 	off := fuse.DefaultMountOptions()
 	off.SpliceRead = false
-	before, err := runCntrWith(off, bench)
-	if err != nil {
-		return OptResult{}, err
-	}
-	after, err := runCntrWith(fuse.DefaultMountOptions(), bench)
-	if err != nil {
-		return OptResult{}, err
-	}
-	return optResult("splice read", before, after), nil
+	return optPanel("splice read", "IOzone: Read", off, fuse.DefaultMountOptions())
 }
 
 // Figure3NoSec is a fifth panel in Figure 3's style and beyond the
-// paper: the per-inode S_NOSEC mark (fuse.MountOptions.NoSec) off vs on
-// for sequential 4KB writes (IOZone write) — the row whose overhead the
-// paper puts down to the security.capability lookup on every write
-// (§5.2.2). Off is the paper's configuration.
+// paper: the paper's configuration without and with the per-inode
+// S_NOSEC mark (fuse.MountOptions.NoSec) for sequential 4KB writes
+// (IOZone write) — the row whose overhead the paper puts down to the
+// security.capability lookup on every write (§5.2.2).
 func Figure3NoSec() (OptResult, error) {
-	bench := findBench("IOzone: Write")
-	off := fuse.DefaultMountOptions()
-	off.NoSec = false
-	before, err := runCntrWith(off, bench)
-	if err != nil {
-		return OptResult{}, err
-	}
-	after, err := runCntrWith(fuse.DefaultMountOptions(), bench)
-	if err != nil {
-		return OptResult{}, err
-	}
-	return optResult("xattr absence (S_NOSEC)", before, after), nil
+	on := fuse.PaperMountOptions()
+	on.NoSec = true
+	return optPanel("xattr absence (S_NOSEC)", "IOzone: Write", fuse.PaperMountOptions(), on)
+}
+
+// Figure3SmallFile is a sixth panel, also beyond the paper: the paper's
+// configuration against the default for the compilebench create stage,
+// the paper's worst small-file row. Each file there is created, written
+// once and closed; the default spares it the GETXATTR of its one write
+// (the file is born S_NOSEC) and the FLUSH of its close (NoFlush).
+func Figure3SmallFile() (OptResult, error) {
+	return optPanel("small file (born mark, no FLUSH)", "Compilebench: Create",
+		fuse.PaperMountOptions(), fuse.DefaultMountOptions())
 }
 
 // Figure4Threads reproduces Figure 4: sequential-read throughput as the
@@ -157,14 +141,6 @@ func Figure4Threads() (map[int]time.Duration, error) {
 		out[threads] = d
 	}
 	return out, nil
-}
-
-func optResult(name string, before, after time.Duration) OptResult {
-	r := OptResult{Name: name, Before: before, After: after}
-	if after > 0 {
-		r.Speedup = float64(before) / float64(after)
-	}
-	return r
 }
 
 func findBench(name string) *Benchmark {

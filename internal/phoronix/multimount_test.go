@@ -27,10 +27,10 @@ func TestMultiMountSharedCacheBeatsNoService(t *testing.T) {
 		kill            bool
 		cold            time.Duration
 	}{
-		{"nosvc", 0, 0, false, 115324480},
-		{"nodes=1", 1, 0, false, 79008448},
-		{"nodes=2", 2, 1, true, 79508640},
-		{"nodes=4", 4, 1, true, 79508640},
+		{"nosvc", 0, 0, false, 112336800},
+		{"nodes=1", 1, 0, false, 76020768},
+		{"nodes=2", 2, 1, true, 76520960},
+		{"nodes=4", 4, 1, true, 76520960},
 	} {
 		r, err := RunMultiMount(MultiMountOptions{
 			Mounts: 4, Dirs: 16, FilesPerDir: 3, FileSize: 64 << 10,

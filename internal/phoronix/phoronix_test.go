@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cntr/internal/fuse"
 )
 
 // virtPinned reports whether a virtual-time total measured on
@@ -45,10 +47,32 @@ func TestFigure2Shape(t *testing.T) {
 				name, r.Overhead, min, max, r.PaperOverhead)
 		}
 	}
-	// Metadata-heavy workloads: CntrFS clearly slower.
-	slower("Compilebench: Create", 4, 15)
-	slower("Compilebench: Read", 2.5, 20)
-	slower("PostMark", 4, 12)
+	// Metadata-heavy workloads: CntrFS clearly slower. The bands are
+	// asserted where the paper measured them, on its configuration; the
+	// default, which RunAll runs, drops requests from every small file and
+	// may only sit at or under that.
+	for _, m := range []struct {
+		name     string
+		min, max float64
+	}{
+		{"Compilebench: Create", 4, 15},
+		{"Compilebench: Read", 2.5, 20},
+		{"PostMark", 4, 12},
+	} {
+		cntr, err := runCntrWith(fuse.PaperMountOptions(), findBench(m.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := byName[m.name]
+		paperConfig := float64(cntr) / float64(r.NativeTime)
+		if paperConfig < m.min || paperConfig > m.max {
+			t.Errorf("%s overhead on the paper's configuration %.2fx outside [%v, %v] (paper %.1fx)",
+				m.name, paperConfig, m.min, m.max, r.PaperOverhead)
+		}
+		if r.Overhead > paperConfig {
+			t.Errorf("%s overhead %.2fx, above the %.2fx of the paper's configuration", m.name, r.Overhead, paperConfig)
+		}
+	}
 	slower("AIO-Stress", 1.8, 5)
 	// Moderate overheads.
 	slower("Apachebench", 1.1, 2.2)
@@ -146,17 +170,33 @@ var nosecPanel = sync.OnceValues(Figure3NoSec)
 
 // TestFigure3NoSecEffect pins both sides of the panel: off is what the
 // paper's configuration costs IOzone: Write (64 MiB of 4 KiB records,
-// each a GETXATTR round trip), on is what remembering the first ENODATA
-// leaves of it.
+// each a GETXATTR round trip), on is what the mark leaves of it — the
+// file is made through the mount, so not even its first write asks.
 func TestFigure3NoSecEffect(t *testing.T) {
 	r, err := nosecPanel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const off, on = 814207040 * time.Nanosecond, 472457660 * time.Nanosecond
+	const off, on = 814207040 * time.Nanosecond, 472436800 * time.Nanosecond
 	if !virtPinned(r.Before, off) || !virtPinned(r.After, on) {
 		t.Fatalf("IOzone: Write without NoSec %dns, with %dns (%.2fx); want %dns and %dns (1.72x)",
 			r.Before, r.After, r.Speedup, off, on)
+	}
+}
+
+// TestFigure3SmallFileEffect pins both sides of the sixth panel: the
+// compilebench create stage on the paper's configuration (its Figure 2
+// row: 7.3x) and on the default, where each of its files costs a
+// GETXATTR and a FLUSH less.
+func TestFigure3SmallFileEffect(t *testing.T) {
+	r, err := Figure3SmallFile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const paper, def = 50301720 * time.Nanosecond, 31956080 * time.Nanosecond
+	if !virtPinned(r.Before, paper) || !virtPinned(r.After, def) {
+		t.Fatalf("Compilebench: Create on the paper's configuration %dns, on the default %dns (%.2fx); want %dns and %dns (1.57x)",
+			r.Before, r.After, r.Speedup, paper, def)
 	}
 }
 
