@@ -11,8 +11,6 @@
 // denials (zero when a run is replayed under its own profile). Both
 // flags together trace and replay in one invocation. -audit downgrades
 // enforcement to recording violations without denying them.
-// -trace-batched delivers trace entries to the collector in batches
-// through a flusher goroutine instead of a callback per operation.
 //
 // -chaos composes with -enforce: the suite replays with the fault
 // injector *and* the policy enforcer on one chain (plus errno-injecting
@@ -66,8 +64,6 @@ func main() {
 		"replay the suite under the policy profile JSON at this path and report denials")
 	audit := flag.Bool("audit", false,
 		"with -enforce: record off-profile operations without denying them")
-	traceBatched := flag.Bool("trace-batched", false,
-		"with -trace-out: deliver trace entries to the collector in batches")
 	cacheSvc := flag.Bool("cachesvc", false,
 		"run the shared-cache-tier fleet demo instead of the suite")
 	mounts := flag.Int("mounts", 4,
@@ -101,10 +97,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "phoronix: -audit requires -enforce")
 		os.Exit(2)
 	}
-	if *traceBatched && *traceOut == "" {
-		fmt.Fprintln(os.Stderr, "phoronix: -trace-batched requires -trace-out")
-		os.Exit(2)
-	}
 	if *chaos && *traceOut != "" {
 		fmt.Fprintln(os.Stderr, "phoronix: -chaos cannot be combined with -trace-out")
 		os.Exit(2)
@@ -134,7 +126,7 @@ func main() {
 	}
 
 	if *traceOut != "" || *enforce != "" {
-		runPolicy(*traceOut, *enforce, *audit, *traceBatched)
+		runPolicy(*traceOut, *enforce, *audit)
 		return
 	}
 
@@ -202,7 +194,7 @@ func main() {
 // The merge must admit its own recordings with zero denials.
 func runMergedReplay() {
 	fmt.Println("== Policy lifecycle: record x2 -> merge -> enforce ==")
-	rep, err := phoronix.RunMergedReplay(true)
+	rep, err := phoronix.RunMergedReplay()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -342,12 +334,12 @@ func runChaosEnforced(enforce string, audit bool) {
 // workflow. When both paths are given the profile generated by the
 // trace is immediately replayed under enforcement — the full loop in
 // one invocation.
-func runPolicy(traceOut, enforce string, audit, traceBatched bool) {
+func runPolicy(traceOut, enforce string, audit bool) {
 	var profile *policy.Profile
 
 	if traceOut != "" {
 		col := policy.NewCollector()
-		results, err := phoronix.RunTracedAllOpts(col, traceBatched)
+		results, err := phoronix.RunTracedAll(col)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -180,13 +180,6 @@ func TestCASVerifyCorrupt(t *testing.T) {
 	if _, err := s.Get(ref); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
 	}
-	// With verification off the corruption sails through.
-	s2 := NewCAS(CASOptions{NoVerify: true})
-	ref2, _ := s2.Put([]byte("precious bytes"))
-	s2.CorruptForTest(ref2)
-	if _, err := s2.Get(ref2); err != nil {
-		t.Fatalf("NoVerify store must not detect corruption: %v", err)
-	}
 }
 
 func TestCASHashCharge(t *testing.T) {

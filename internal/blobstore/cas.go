@@ -14,11 +14,6 @@ type CASOptions struct {
 	// the caller's choosing; ChunkSize is advertised to chunking
 	// helpers via the Chunker interface.
 	ChunkSize int
-	// VerifyOnGet re-hashes chunks on read and fails with ErrCorrupt on
-	// mismatch (default true — end-to-end integrity is the point of
-	// content addressing). Disable only in benchmarks isolating lookup
-	// cost.
-	NoVerify bool
 	// Clock and Model, when both set, charge the hashing cost of Put
 	// and verified Get in virtual time, keeping CAS-backed stacks
 	// benchmarkable in the same currency as the disk model.
@@ -81,8 +76,8 @@ func (c *CAS) Put(data []byte) (Ref, error) {
 	return ref, nil
 }
 
-// Get implements Store, re-verifying the chunk's content address unless
-// the store was built with NoVerify.
+// Get implements Store, re-verifying the chunk's content address:
+// end-to-end integrity is the point of content addressing.
 func (c *CAS) Get(ref Ref) ([]byte, error) {
 	c.mu.RLock()
 	ch, ok := c.chunks[ref]
@@ -93,11 +88,9 @@ func (c *CAS) Get(ref Ref) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if !c.opts.NoVerify {
-		c.chargeHash(len(ch.data))
-		if Sum(ch.data) != ref {
-			return nil, ErrCorrupt
-		}
+	c.chargeHash(len(ch.data))
+	if Sum(ch.data) != ref {
+		return nil, ErrCorrupt
 	}
 	return ch.data, nil
 }

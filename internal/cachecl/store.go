@@ -14,9 +14,6 @@ type StoreOptions struct {
 	// matching the readahead window (in chunks) so per-chunk seeks
 	// amortize the way pipelined chunk fetches do.
 	Origin *sim.Disk
-	// NoPublishOnPut disables the write-through publish of locally
-	// written chunks (they then only enter the tier via read-populate).
-	NoPublishOnPut bool
 }
 
 // Store wraps a backend blobstore.Store with the shared cache tier:
@@ -58,9 +55,7 @@ func (s *Store) Put(data []byte) (blobstore.Ref, error) {
 	if s.opts.Origin != nil {
 		s.opts.Origin.Write(len(data))
 	}
-	if !s.opts.NoPublishOnPut {
-		s.cl.PutChunk(ref, data)
-	}
+	s.cl.PutChunk(ref, data)
 	return ref, nil
 }
 

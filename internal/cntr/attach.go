@@ -5,18 +5,16 @@ import (
 	"fmt"
 	"strings"
 
-	"cntr/internal/cachecl"
 	"cntr/internal/cachesvc"
 	"cntr/internal/caps"
-	"cntr/internal/cntrfs"
 	"cntr/internal/container"
 	"cntr/internal/fuse"
 	"cntr/internal/namespace"
-	"cntr/internal/pagecache"
 	"cntr/internal/policy"
 	"cntr/internal/proc"
 	"cntr/internal/pty"
 	"cntr/internal/socketproxy"
+	"cntr/internal/stack"
 	"cntr/internal/vfs"
 )
 
@@ -48,16 +46,9 @@ type Options struct {
 	// a Tracer is inserted into the served filesystem's interceptor
 	// chain with its Sink pointed at the collector, and the collector's
 	// activity profile is exposed as /proc/policy/<container> inside
-	// the session.
+	// the session. Delivery is synchronous — the view is read live, so
+	// an operation is in it by the time the operation returns.
 	Trace *policy.Collector
-	// TraceBatched switches trace delivery to batched mode: the data
-	// path appends each entry to a buffer and a flusher goroutine hands
-	// the collector whole batches (vfs.Tracer.StartBatchSink), so a hot
-	// mount does not pay a collector callback per operation. TraceFlush
-	// tunes the batching; its zero value uses the defaults. The flusher
-	// is flushed and stopped by Session.Close.
-	TraceBatched bool
-	TraceFlush   vfs.TraceBatchOptions
 	// Enforce, when set, inserts a policy.Enforcer ahead of the served
 	// filesystem: operations outside the profile fail with EACCES (or,
 	// with EnforceAudit, are recorded as violations and let through).
@@ -71,8 +62,8 @@ type Options struct {
 	// CacheService, when set, attaches the session to a shared cache
 	// tier: epoch leases are acquired at attach time (one per shard
 	// group) and released on Close. The session exposes the client as
-	// Session.CacheCl; a lease that expires mid-session fences that
-	// mount's tier publishes until CacheCl.Reattach.
+	// Session.Mount.CacheCl; a lease that expires mid-session fences
+	// that mount's tier publishes until CacheCl.Reattach.
 	CacheService *cachesvc.Service
 	// CacheMountID names this session to the cache service; defaults to
 	// the container reference.
@@ -103,19 +94,15 @@ type Session struct {
 	Nested *namespace.Set
 	Client *vfs.Client
 
-	CntrFS *cntrfs.FS
-	Conn   *fuse.Conn
-	Server *fuse.Server
-	Kernel *pagecache.Cache
+	// Mount is the CntrFS mount serving the tools filesystem: server,
+	// connection, kernel-side cache and (with Options.CacheService) the
+	// cache-tier client.
+	Mount *stack.Mount
 	// Enforcer is the live policy enforcer when Options.Enforce was
 	// set; its Denials/Violations expose what the policy blocked.
 	Enforcer *policy.Enforcer
-	// Tracer is the mount's trace source when Options.Trace was set;
-	// TraceStats exposes its batched-delivery health (drops, spills).
+	// Tracer is the mount's trace source when Options.Trace was set.
 	Tracer *vfs.Tracer
-	// CacheCl is the session's cache-tier client when
-	// Options.CacheService was set; nil otherwise.
-	CacheCl *cachecl.Client
 
 	Master *pty.Master
 	slave  *pty.Slave
@@ -128,15 +115,12 @@ type Session struct {
 	removeIOSource   func()
 	removeExitHook   func()
 	removePolicyView func()
-	// stopTrace flushes and stops the batched trace flusher when
-	// Options.TraceBatched was set.
-	stopTrace func()
-	closed    bool
+	closed           bool
 }
 
 // Attach performs the four-step workflow of §3.2 and returns a live
 // session.
-func Attach(h *Host, opts Options) (*Session, error) {
+func Attach(h *Host, opts Options) (_ *Session, err error) {
 	// Step #1: resolve the container name to a pid and gather the
 	// container context from /proc.
 	ctx, target, err := resolveContext(h, opts)
@@ -146,10 +130,14 @@ func Attach(h *Host, opts Options) (*Session, error) {
 
 	// The FUSE control fd must be opened *before* attaching: inside the
 	// container's mount namespace /dev/fuse may not exist. We model this
-	// by constructing the transport queue now.
-	mountOpts := fuse.DefaultMountOptions()
+	// by mounting now. The cache-tier leases are taken with the mount and
+	// exist for its whole lifetime.
+	cfg := stack.Config{CacheService: opts.CacheService, CacheMountID: opts.CacheMountID}
+	if cfg.CacheMountID == "" {
+		cfg.CacheMountID = opts.Container
+	}
 	if opts.Mount != nil {
-		mountOpts = *opts.Mount
+		cfg.Mount = *opts.Mount
 	}
 
 	// Step #2: launch the CntrFS server — inside the fat container when
@@ -159,32 +147,18 @@ func Attach(h *Host, opts Options) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cntr: locating tools: %w", err)
 	}
-	cfs := cntrfs.New(toolsFS, cntrfs.Options{DedupHardlinks: true})
 	// The served filesystem is wrapped in the policy interceptors the
 	// caller asked for. The tracer is outermost so it also records
 	// operations the enforcer denies — with EACCES as their outcome —
 	// which is what makes denials auditable through the activity view.
 	var ics []vfs.Interceptor
-	var stopTrace func()
 	var tracer *vfs.Tracer
 	if opts.Trace != nil {
 		// Each mount gets its own path-learning scope: inode numbers are
 		// only meaningful within one mount, and a shared collector may be
 		// tracing several attached containers at once.
 		tracer = vfs.NewTracer(0)
-		run := opts.Trace.NewRun()
-		if opts.TraceBatched {
-			flush := opts.TraceFlush
-			if flush == (vfs.TraceBatchOptions{}) {
-				// Default to lossless: the trace feeds policy generation,
-				// where shed entries silently weaken the profile. Callers
-				// that prefer shedding pass explicit TraceFlush knobs.
-				flush.Lossless = true
-			}
-			stopTrace = tracer.StartBatchSink(run.SinkBatch, flush)
-		} else {
-			tracer.Sink = run.Sink
-		}
+		tracer.Sink = opts.Trace.NewRun().Sink
 		ics = append(ics, tracer)
 	}
 	var enforcer *policy.Enforcer
@@ -192,32 +166,13 @@ func Attach(h *Host, opts Options) (*Session, error) {
 		enforcer = policy.NewEnforcer(opts.Enforce, opts.EnforceAudit)
 		ics = append(ics, enforcer)
 	}
-	// Attach to the shared cache tier before serving: the session's
-	// lease epochs exist for the mount's whole lifetime.
-	var cacheCl *cachecl.Client
-	if opts.CacheService != nil {
-		mountID := opts.CacheMountID
-		if mountID == "" {
-			mountID = opts.Container
-		}
-		cacheCl = cachecl.New(opts.CacheService, mountID, h.Clock, h.Model)
-		cacheCl.Attach()
-	}
-	served := vfs.Chain(cfs, ics...)
-	// Any failure below must stop the trace flusher it no longer owns;
-	// on success the session takes it over and Close stops it.
-	attached := false
+	mount := stack.NewMount(toolsFS, h.Clock, h.Model, cfg, ics...)
+	// Any failure below tears the mount down again, leases included.
 	defer func() {
-		if !attached && stopTrace != nil {
-			stopTrace()
+		if err != nil {
+			mount.Close()
 		}
 	}()
-	conn, server := fuse.Mount(served, h.Clock, h.Model, mountOpts)
-	kernel := pagecache.New(conn, h.Clock, h.Model, pagecache.Options{
-		KeepCache:    mountOpts.KeepCache,
-		Writeback:    mountOpts.WritebackCache,
-		MaxWriteSize: int64(mountOpts.MaxWrite),
-	})
 
 	// Step #3: initialize the tools namespace. Fork, join the target's
 	// namespaces and cgroup, build the nested mount namespace, mount
@@ -225,10 +180,13 @@ func Attach(h *Host, opts Options) (*Session, error) {
 	// then chroot.
 	child, err := h.Procs.Spawn(1, "cntr", []string{"cntr", "attach", opts.Container})
 	if err != nil {
-		conn.Unmount()
-		server.Wait()
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			h.Procs.Exit(child.PID)
+		}
+	}()
 	// setns(2) into every namespace of the target...
 	child.Namespaces.SetnsAll(ctx.Namespaces)
 	// ...then unshare a nested mount namespace so our mounts stay
@@ -240,17 +198,11 @@ func Attach(h *Host, opts Options) (*Session, error) {
 	child.Namespaces = nested
 	// Join the container's cgroup.
 	if err := h.Procs.Cgroups.Attach(child.PID, ctx.CgroupPath); err != nil {
-		conn.Unmount()
-		server.Wait()
-		h.Procs.Exit(child.PID)
 		return nil, err
 	}
 
 	// Mount CntrFS on the temporary mount point.
-	if err := nestedMount.Mount(tmpMountPoint, kernel, vfs.RootIno, namespace.PropPrivate, false); err != nil {
-		conn.Unmount()
-		server.Wait()
-		h.Procs.Exit(child.PID)
+	if err := nestedMount.Mount(tmpMountPoint, mount.Kernel, vfs.RootIno, namespace.PropPrivate, false); err != nil {
 		return nil, err
 	}
 	// Re-expose every pre-existing container mount under TMP/var/lib/cntr.
@@ -292,9 +244,6 @@ func Attach(h *Host, opts Options) (*Session, error) {
 	nsCli := namespace.NewClient(nestedMount, cred)
 	chrooted, err := nsCli.Chroot(tmpMountPoint)
 	if err != nil {
-		conn.Unmount()
-		server.Wait()
-		h.Procs.Exit(child.PID)
 		return nil, err
 	}
 
@@ -313,7 +262,7 @@ func Attach(h *Host, opts Options) (*Session, error) {
 	// can leave a feed pointing at a torn-down mount; Session.Close
 	// unregisters it.
 	removeIOSource := h.Procs.AddIOSource(func() map[uint32]proc.IOCounters {
-		stats := server.OriginStats()
+		stats := mount.Server.OriginStats()
 		out := make(map[uint32]proc.IOCounters, len(stats))
 		for pid, s := range stats {
 			out[pid] = proc.IOCounters{
@@ -330,24 +279,21 @@ func Attach(h *Host, opts Options) (*Session, error) {
 	// into the aggregate bucket: accounting stays bounded by live
 	// processes instead of growing with every PID the mount ever served.
 	removeExitHook := h.Procs.AddExitHook(func(pid int) {
-		server.RetireOrigin(uint32(pid))
+		mount.Server.RetireOrigin(uint32(pid))
 	})
 	var removePolicyView func()
 	if opts.Trace != nil || opts.Enforce != nil {
-		removePolicyView = h.Procs.AddPolicyView(opts.Container, policyView(opts, tracer))
+		removePolicyView = h.Procs.AddPolicyView(opts.Container, policyView(opts))
 	}
 	sess := &Session{
 		Host: h, Target: target, Context: ctx,
 		Proc: child, Nested: nested, Client: chrooted,
-		CntrFS: cfs, Conn: conn, Server: server, Kernel: kernel,
-		Enforcer: enforcer, Tracer: tracer, CacheCl: cacheCl,
+		Mount: mount, Enforcer: enforcer, Tracer: tracer,
 		Master: master, slave: slave,
 		removeIOSource:   removeIOSource,
 		removeExitHook:   removeExitHook,
 		removePolicyView: removePolicyView,
-		stopTrace:        stopTrace,
 	}
-	attached = true
 	sess.shell = NewShell(sess)
 	return sess, nil
 }
@@ -355,11 +301,10 @@ func Attach(h *Host, opts Options) (*Session, error) {
 // policyView builds the /proc/policy/<container> renderer. The view
 // carries the enforced profile's lifecycle header (version, generation,
 // merge provenance) and the structured-diff summary against
-// EnforceBaseline when one was given, the collector's live activity
-// snapshot when recording, and the tracer's batched-delivery health —
-// so one file answers "what policy is this container under, where did
-// it come from, and is the recording trustworthy".
-func policyView(opts Options, tracer *vfs.Tracer) func() []byte {
+// EnforceBaseline when one was given, and the collector's live activity
+// snapshot when recording — so one file answers "what policy is this
+// container under, and where did it come from".
+func policyView(opts Options) func() []byte {
 	var lastDiff string
 	if opts.Enforce != nil && opts.EnforceBaseline != nil {
 		lastDiff = policy.Diff(opts.EnforceBaseline, opts.Enforce).Summary()
@@ -377,9 +322,6 @@ func policyView(opts Options, tracer *vfs.Tracer) func() []byte {
 				view["last_diff"] = lastDiff
 			}
 		}
-		if tracer != nil {
-			view["trace"] = tracer.Stats()
-		}
 		if opts.Trace != nil {
 			view["activity"] = json.RawMessage(opts.Trace.RenderJSON())
 		}
@@ -389,16 +331,6 @@ func policyView(opts Options, tracer *vfs.Tracer) func() []byte {
 		}
 		return append(b, '\n')
 	}
-}
-
-// TraceStats snapshots the session tracer's delivery counters — drops,
-// spill-journal traffic, journal footprint. Zero-valued when the
-// session was attached without tracing.
-func (s *Session) TraceStats() vfs.TraceStats {
-	if s.Tracer == nil {
-		return vfs.TraceStats{}
-	}
-	return s.Tracer.Stats()
 }
 
 // resolveContext is step #1: name → pid → full container context.
@@ -536,19 +468,7 @@ func (s *Session) Close() {
 	}
 	s.Master.Close()
 	s.Host.Procs.Exit(s.Proc.PID)
-	s.Conn.Unmount()
-	s.Server.Wait()
-	if s.CacheCl != nil {
-		// Surrender the lease epochs: a released lease can never fence a
-		// later holder, and the next session mints fresh epochs anyway.
-		s.CacheCl.Release()
-	}
-	if s.stopTrace != nil {
-		// The mount is quiesced: flush the tail of the trace so the
-		// collector (and any profile generated from it) sees every
-		// operation this session served.
-		s.stopTrace()
-	}
+	s.Mount.Close()
 	if s.removeIOSource != nil {
 		s.removeIOSource()
 	}

@@ -102,7 +102,7 @@ func TestAttachRunsToolThroughFUSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	served := sess.Server.Served()
+	served := sess.Mount.Server.Served()
 	out, err := sess.Run("gdb /var/lib/cntr/usr/sbin/mysqld")
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestAttachRunsToolThroughFUSE(t *testing.T) {
 	if !strings.Contains(out, "executed /usr/bin/gdb (5000 bytes)") {
 		t.Fatalf("exec output: %q", out)
 	}
-	if sess.Server.Served() <= served {
+	if sess.Mount.Server.Served() <= served {
 		t.Fatal("running a tool must cross the FUSE boundary")
 	}
 }

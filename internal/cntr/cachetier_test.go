@@ -17,7 +17,7 @@ func TestSessionLeaseLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.CacheCl == nil {
+	if sess.Mount.CacheCl == nil {
 		t.Fatal("session has no cache client despite CacheService option")
 	}
 	st := tier.Stats()
@@ -25,12 +25,12 @@ func TestSessionLeaseLifecycle(t *testing.T) {
 		t.Fatalf("LeasesActive = %d, want %d", st.LeasesActive, tier.NumGroups())
 	}
 	for g := 0; g < tier.NumGroups(); g++ {
-		if _, ok := sess.CacheCl.Lease(g); !ok {
+		if _, ok := sess.Mount.CacheCl.Lease(g); !ok {
 			t.Fatalf("no lease held for group %d", g)
 		}
 	}
 	// The session's client can publish under its leases.
-	if err := sess.CacheCl.PutAttr("/etc/my.cnf", []byte("cached-attr")); err != nil {
+	if err := sess.Mount.CacheCl.PutAttr("/etc/my.cnf", []byte("cached-attr")); err != nil {
 		t.Fatalf("publish under session lease: %v", err)
 	}
 
@@ -45,7 +45,7 @@ func TestSessionLeaseLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess2.Close()
-	l2, _ := sess2.CacheCl.Lease(0)
+	l2, _ := sess2.Mount.CacheCl.Lease(0)
 	if l2.Epoch < 2 {
 		t.Fatalf("second session's epoch = %d, want a fresh (higher) epoch", l2.Epoch)
 	}

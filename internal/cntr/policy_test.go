@@ -3,7 +3,6 @@ package cntr
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"cntr/internal/policy"
 	"cntr/internal/vfs"
@@ -24,7 +23,7 @@ func tracedProfile(t *testing.T, h *Host) *policy.Profile {
 	if _, err := sess.Client.ReadFile("/etc/gdbinit"); err != nil {
 		t.Fatal(err)
 	}
-	col.JoinOriginStats(sess.Server.OriginStats())
+	col.JoinOriginStats(sess.Mount.Server.OriginStats())
 
 	// The activity profile is exposed as a /proc-style file.
 	snap := h.Procs.Snapshot()
@@ -48,43 +47,6 @@ func TestAttachTraceGeneratesProfile(t *testing.T) {
 	}
 	if !p.Allows(vfs.KindReaddir, "/usr/bin") {
 		t.Fatalf("profile misses the traced readdir: %+v", p.Rules)
-	}
-}
-
-// TestAttachTraceBatched: with TraceBatched set, the collector receives
-// the session's operations through the tracer's batch flusher instead
-// of a per-operation callback — and Session.Close flushes the tail, so
-// the generated profile matches what a synchronous trace would record.
-func TestAttachTraceBatched(t *testing.T) {
-	h, _, _ := testWorld(t)
-	col := policy.NewCollector()
-	sess, err := Attach(h, Options{
-		Container: "db", Fat: "tools",
-		Trace: col, TraceBatched: true,
-		// A huge flush size and a long interval force the tail flush in
-		// Close to do the delivery — the path that must not lose entries.
-		TraceFlush: vfs.TraceBatchOptions{FlushSize: 1 << 20, FlushInterval: time.Hour},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Client.ReadDir("/usr/bin"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Client.ReadFile("/etc/gdbinit"); err != nil {
-		t.Fatal(err)
-	}
-	sess.Close()
-
-	p := col.Profile(policy.GenOptions{})
-	if len(p.Rules) == 0 {
-		t.Fatal("batched trace produced no rules")
-	}
-	if !p.Allows(vfs.KindReaddir, "/usr/bin") {
-		t.Fatalf("batched trace misses the readdir: %+v", p.Rules)
-	}
-	if !p.Allows(vfs.KindRead, "/etc/gdbinit") {
-		t.Fatalf("batched trace misses the file read: %+v", p.Rules)
 	}
 }
 
@@ -141,8 +103,7 @@ func TestAttachAuditMode(t *testing.T) {
 
 // TestAttachPolicyViewLifecycle: enforcing a merged profile with a
 // baseline exposes the lifecycle header and the last-diff summary in
-// /proc/policy/<container>, alongside the live activity and the
-// tracer's delivery health — and Session.TraceStats mirrors the latter.
+// /proc/policy/<container>, alongside the live activity.
 func TestAttachPolicyViewLifecycle(t *testing.T) {
 	h, _, _ := testWorld(t)
 	base := tracedProfile(t, h)
@@ -169,13 +130,10 @@ func TestAttachPolicyViewLifecycle(t *testing.T) {
 		t.Fatalf("reading /policy/db: %v", err)
 	}
 	view := string(blob)
-	for _, want := range []string{`"profile"`, `"generation"`, `"last_diff"`, `"trace"`, `"activity"`} {
+	for _, want := range []string{`"profile"`, `"generation"`, `"last_diff"`, `"activity"`} {
 		if !strings.Contains(view, want) {
 			t.Fatalf("policy view missing %s:\n%s", want, view)
 		}
-	}
-	if st := sess.TraceStats(); st.Dropped != 0 {
-		t.Fatalf("session trace dropped entries: %+v", st)
 	}
 	if sess.Enforcer.Denials() != 0 {
 		t.Fatalf("merged profile denied its own recording: %+v", sess.Enforcer.Violations())
@@ -198,10 +156,10 @@ func TestAttachRetiresOriginsOnExit(t *testing.T) {
 	if _, err := cli.ReadDir(tmpMountPoint + "/usr/bin"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sess.Server.OriginStats()[pid]; !ok {
+	if _, ok := sess.Mount.Server.OriginStats()[pid]; !ok {
 		t.Fatalf("no origin stats for session pid %d", pid)
 	}
-	server := sess.Server
+	server := sess.Mount.Server
 	sess.Close() // exits the process, firing the retire hook
 	if _, ok := server.OriginStats()[pid]; ok {
 		t.Fatalf("origin %d not retired after exit", pid)

@@ -64,9 +64,6 @@ type CreateOpts struct {
 	Env []string
 	// Privileged skips MAC confinement and keeps full capabilities.
 	Privileged bool
-	// SharedMounts propagates host mounts into the container when set
-	// (default off: the runtime mounts everything private, §2.3).
-	SharedMounts bool
 	// UIDMapBase, when non-zero, creates a user namespace mapping
 	// container uid 0 to this host uid (65536 ids).
 	UIDMapBase uint32
@@ -143,9 +140,7 @@ func (rt *Runtime) Create(name string, img *Image, opts CreateOpts) (*Container,
 
 	rootfs := img.RootFS()
 	mountNS := namespace.NewMountNS(rootfs)
-	if !opts.SharedMounts {
-		mountNS.MakeAllPrivate()
-	}
+	mountNS.MakeAllPrivate() // the runtime mounts everything private, §2.3
 	set := &namespace.Set{
 		Mount:  mountNS,
 		PID:    namespace.NewPID(),

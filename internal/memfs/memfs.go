@@ -29,8 +29,6 @@ const blockSize = 4096
 type Options struct {
 	// Capacity limits total data bytes; 0 means 1 TiB.
 	Capacity int64
-	// Now supplies timestamps; nil uses a deterministic logical clock.
-	Now func() time.Time
 	// Store is the backend blob store file content lives in; nil uses a
 	// private map-backed store (blobstore.NewMem), the historical
 	// behaviour. A shared content-addressed store (blobstore.CAS) makes
@@ -49,7 +47,6 @@ type FS struct {
 	used    int64 // materialized data bytes (logical: blockSize per block)
 	cap     int64
 	store   blobstore.Store
-	now     func() time.Time
 	logical time.Duration
 }
 
@@ -86,16 +83,12 @@ func New(opts Options) *FS {
 		nextH:   1,
 		cap:     opts.Capacity,
 		store:   opts.Store,
-		now:     opts.Now,
 	}
 	if fs.cap == 0 {
 		fs.cap = 1 << 40
 	}
 	if fs.store == nil {
 		fs.store = blobstore.NewMem()
-	}
-	if fs.now == nil {
-		fs.now = fs.logicalNow
 	}
 	t := fs.now()
 	fs.inodes[vfs.RootIno] = &inode{
@@ -110,9 +103,9 @@ func New(opts Options) *FS {
 	return fs
 }
 
-// logicalNow is a deterministic clock: a fixed epoch plus a strictly
+// now is a deterministic clock: a fixed epoch plus a strictly
 // increasing logical offset, so timestamp-ordering tests are stable.
-func (fs *FS) logicalNow() time.Time {
+func (fs *FS) now() time.Time {
 	fs.logical += time.Microsecond
 	return time.Date(2018, 7, 11, 0, 0, 0, 0, time.UTC).Add(fs.logical)
 }

@@ -110,7 +110,14 @@ type ChaosEnforceResult struct {
 // injector innermost (faults model the backing store behind an admitted
 // operation). A nil col skips the tracer.
 func RunChaosEnforced(b *Benchmark, rules []vfs.FaultRule, p *policy.Profile, audit bool, col *policy.Collector) ChaosEnforceResult {
-	c := stack.NewCntr(stackConfig())
+	return runEnforced(stackConfig(), b, rules, p, audit, col)
+}
+
+// runEnforced is RunChaosEnforced on a stack built from cfg — the
+// consolidation replay shares one content-addressed cfg.Store between
+// its stacks.
+func runEnforced(cfg stack.Config, b *Benchmark, rules []vfs.FaultRule, p *policy.Profile, audit bool, col *policy.Collector) ChaosEnforceResult {
+	c := stack.NewCntr(cfg)
 	defer c.Close()
 	enf := policy.NewEnforcer(p, audit)
 	inj := vfs.NewFaultInjector(rules...)

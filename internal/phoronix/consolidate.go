@@ -6,8 +6,6 @@ import (
 
 	"cntr/internal/blobstore"
 	"cntr/internal/policy"
-	"cntr/internal/stack"
-	"cntr/internal/vfs"
 )
 
 // ConsolidationReport is the outcome of RunConsolidation: N containers,
@@ -51,7 +49,7 @@ type ConsolidationReport struct {
 // invariants the report pins: zero denials (the merge admits each
 // contributor, and injected faults never register as violations) and
 // nonzero injected-errno histogram buckets (the chaos really ran).
-func RunConsolidation(n int, batched bool) (*ConsolidationReport, error) {
+func RunConsolidation(n int) (*ConsolidationReport, error) {
 	if n <= 0 {
 		n = 3
 	}
@@ -68,7 +66,7 @@ func RunConsolidation(n int, batched bool) (*ConsolidationReport, error) {
 			rep.Mix[i] = append(rep.Mix[i], b.Name)
 		}
 		col := policy.NewCollector()
-		if _, err := RunTracedSubset(col, mix, batched, 42); err != nil {
+		if _, err := RunTracedSubset(col, mix, 42); err != nil {
 			return nil, fmt.Errorf("recording container %d: %w", i, err)
 		}
 		profiles = append(profiles, col.Profile(policy.GenOptions{
@@ -79,11 +77,12 @@ func RunConsolidation(n int, batched bool) (*ConsolidationReport, error) {
 
 	// Consolidated replay: every container's mix on the shared store,
 	// chaos + enforcement + a recording tracer composed per workload.
-	cas := blobstore.NewCAS(blobstore.CASOptions{})
+	cfg := stackConfig()
+	cfg.Store = blobstore.NewCAS(blobstore.CASOptions{})
 	chaotic := policy.NewCollector()
 	for _, mix := range mixes {
 		for _, b := range mix {
-			r := runConsolidated(b, rep.Merged, cas, chaotic)
+			r := runEnforced(cfg, b, ChaosErrnoProfile(), rep.Merged, false, chaotic)
 			rep.Results = append(rep.Results, r)
 			rep.Denials += r.Denials
 			rep.Audited += r.Audited
@@ -102,25 +101,4 @@ func RunConsolidation(n int, batched bool) (*ConsolidationReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// runConsolidated is RunChaosEnforced over a stack whose host
-// filesystem shares the consolidation's content-addressed store.
-func runConsolidated(b *Benchmark, p *policy.Profile, cas blobstore.Store, col *policy.Collector) ChaosEnforceResult {
-	cfg := stackConfig()
-	cfg.Store = cas
-	c := stack.NewCntr(cfg)
-	defer c.Close()
-	enf := policy.NewEnforcer(p, false)
-	inj := vfs.NewFaultInjector(ChaosErrnoProfile()...)
-	inj.Sleep = func(d time.Duration) { c.Clock.Advance(d) }
-	tr := vfs.NewTracer(1)
-	tr.Sink = col.NewRun().Sink
-	top := vfs.Chain(c.Top, tr, enf, inj)
-	t, _, err := RunOn(b, top, c.Host, c.Clock, c.Model, c.Disk, 42)
-	return ChaosEnforceResult{
-		Name: b.Name, Time: t,
-		Denials: enf.Denials(), Audited: enf.Audited(),
-		Err: err,
-	}
 }

@@ -17,7 +17,7 @@ func TestConsolidationChaosEnforced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("records and replays the full suite")
 	}
-	rep, err := RunConsolidation(3, true)
+	rep, err := RunConsolidation(3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestMergedReplayZeroDenials(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full-suite sweeps")
 	}
-	rep, err := RunMergedReplay(true)
+	rep, err := RunMergedReplay()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,12 +16,9 @@ type TraceResult struct {
 	Time time.Duration
 	// Ops is the number of operations the tracer recorded for the run.
 	Ops int64
-	// Dropped/Spilled surface the tracer's delivery health for the run:
-	// entries shed (nonzero taints the recording for profile generation)
-	// and entries diverted through the spill journal (delivered late,
-	// not lost).
+	// Dropped counts entries that never reached the collector; nonzero
+	// taints the recording for profile generation.
 	Dropped int64
-	Spilled int64
 }
 
 // RunTracedAll runs the whole suite on fresh Cntr stacks with a
@@ -30,35 +27,29 @@ type TraceResult struct {
 // enforceable profile from the returned collector (col.Profile) — this
 // is the recording half of the BEACON-style trace → policy loop.
 func RunTracedAll(col *policy.Collector) ([]TraceResult, error) {
-	return RunTracedAllOpts(col, false)
+	return RunTracedAllSeeded(col, 42)
 }
 
-// RunTracedAllOpts is RunTracedAll with delivery selection: with
-// batched set, entries reach the collector through the tracer's batch
-// flusher (vfs.Tracer.StartBatchSink → Run.SinkBatch) instead of one
-// synchronous callback per operation, with a final flush before each
-// benchmark's stack is torn down.
-func RunTracedAllOpts(col *policy.Collector, batched bool) ([]TraceResult, error) {
-	return RunTracedAllSeeded(col, batched, 42)
-}
-
-// RunTracedAllSeeded is RunTracedAllOpts with the workload seed exposed,
+// RunTracedAllSeeded is RunTracedAll with the workload seed exposed,
 // so two independent recordings of the same suite (different seeds →
 // different file sizes and access orders) can be merged into one fleet
 // profile.
-func RunTracedAllSeeded(col *policy.Collector, batched bool, seed uint64) ([]TraceResult, error) {
+func RunTracedAllSeeded(col *policy.Collector, seed uint64) ([]TraceResult, error) {
 	benches := make([]*Benchmark, 0, len(Suite))
 	for i := range Suite {
 		benches = append(benches, &Suite[i])
 	}
-	return RunTracedSubset(col, benches, batched, seed)
+	return RunTracedSubset(col, benches, seed)
 }
 
 // RunTracedSubset records an arbitrary workload mix — the per-container
 // recording primitive for consolidation experiments, where each
 // container runs its own subset of the suite and contributes one
-// profile to the fleet merge.
-func RunTracedSubset(col *policy.Collector, benches []*Benchmark, batched bool, seed uint64) ([]TraceResult, error) {
+// profile to the fleet merge. Entries reach the collector through the
+// tracer's batch flusher (a suite recording is a million operations and
+// nobody reads the collector until it ends), with a final flush before
+// each benchmark's stack is torn down.
+func RunTracedSubset(col *policy.Collector, benches []*Benchmark, seed uint64) ([]TraceResult, error) {
 	out := make([]TraceResult, 0, len(benches))
 	for _, b := range benches {
 		c := stack.NewCntr(stackConfig())
@@ -67,25 +58,13 @@ func RunTracedSubset(col *policy.Collector, benches []*Benchmark, batched bool, 
 		run := col.NewRun()
 		var ops int64
 		tr := vfs.NewTracer(1)
-		var stop func()
-		if batched {
-			// Lossless: the batches feed profile generation, where a shed
-			// entry silently weakens rules and byte ceilings.
-			stop = tr.StartBatchSink(func(batch []vfs.TraceEntry) {
-				ops += int64(len(batch))
-				run.SinkBatch(batch)
-			}, vfs.TraceBatchOptions{Lossless: true})
-		} else {
-			tr.Sink = func(e vfs.TraceEntry) {
-				ops++
-				run.Sink(e)
-			}
-		}
+		stop := tr.StartBatchSink(func(batch []vfs.TraceEntry) {
+			ops += int64(len(batch))
+			run.SinkBatch(batch)
+		})
 		top := vfs.Chain(c.Top, tr)
 		t, _, err := RunOn(b, top, c.Host, c.Clock, c.Model, c.Disk, seed)
-		if stop != nil {
-			stop() // final flush; ops is stable after this
-		}
+		stop() // final flush; ops is stable after this
 		if err == nil {
 			col.JoinOriginStats(c.Server.OriginStats())
 		}
@@ -93,11 +72,7 @@ func RunTracedSubset(col *policy.Collector, benches []*Benchmark, batched bool, 
 		if err != nil {
 			return out, err
 		}
-		st := tr.Stats()
-		out = append(out, TraceResult{
-			Name: b.Name, Time: t, Ops: ops,
-			Dropped: st.Dropped, Spilled: st.SpilledEntries,
-		})
+		out = append(out, TraceResult{Name: b.Name, Time: t, Ops: ops, Dropped: tr.DroppedEntries()})
 	}
 	return out, nil
 }
@@ -161,15 +136,15 @@ type MergedReplayReport struct {
 // enforcement of the merged profile. The fleet workflow in one call —
 // profiles from different machines or days union into one profile that
 // must still admit each contributing workload.
-func RunMergedReplay(batched bool) (*MergedReplayReport, error) {
+func RunMergedReplay() (*MergedReplayReport, error) {
 	colA := policy.NewCollector()
-	if _, err := RunTracedAllSeeded(colA, batched, 42); err != nil {
+	if _, err := RunTracedAllSeeded(colA, 42); err != nil {
 		return nil, fmt.Errorf("recording run A: %w", err)
 	}
 	pA := colA.Profile(policy.GenOptions{RunID: "suite-seed-42"})
 
 	colB := policy.NewCollector()
-	if _, err := RunTracedAllSeeded(colB, batched, 43); err != nil {
+	if _, err := RunTracedAllSeeded(colB, 43); err != nil {
 		return nil, fmt.Errorf("recording run B: %w", err)
 	}
 	pB := colB.Profile(policy.GenOptions{RunID: "suite-seed-43"})
@@ -189,10 +164,10 @@ func RunMergedReplay(batched bool) (*MergedReplayReport, error) {
 // FormatTraceTable renders trace-run results.
 func FormatTraceTable(results []TraceResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %12s %12s %9s %9s\n", "Benchmark", "time", "traced ops", "dropped", "spilled")
+	fmt.Fprintf(&b, "%-28s %12s %12s %9s\n", "Benchmark", "time", "traced ops", "dropped")
 	for _, r := range results {
-		fmt.Fprintf(&b, "%-28s %12v %12d %9d %9d\n",
-			r.Name, r.Time.Round(time.Microsecond), r.Ops, r.Dropped, r.Spilled)
+		fmt.Fprintf(&b, "%-28s %12v %12d %9d\n",
+			r.Name, r.Time.Round(time.Microsecond), r.Ops, r.Dropped)
 	}
 	return b.String()
 }

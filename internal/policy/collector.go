@@ -442,8 +442,6 @@ type GenOptions struct {
 	// under them while a runaway writer does not. Values <= 1 leave the
 	// ceilings at the recorded peaks; zero (the default) means 2x.
 	Headroom float64
-	// NoCeilings omits the rate ceilings entirely.
-	NoCeilings bool
 	// RunID names this recording in the profile's lifecycle header
 	// (SourceRuns); empty leaves the header's run list empty.
 	RunID string
@@ -506,7 +504,7 @@ func (c *Collector) Profile(opts GenOptions, origins ...uint32) *Profile {
 	}
 	sort.Slice(p.Rules, func(i, j int) bool { return p.Rules[i].Prefix < p.Rules[j].Prefix })
 	p.AnyPathKinds = kindNamesOf(anyKinds)
-	if !opts.NoCeilings && (c.win.peakR > 0 || c.win.peakW > 0) {
+	if c.win.peakR > 0 || c.win.peakW > 0 {
 		h := opts.Headroom
 		if h == 0 {
 			h = 2

@@ -12,6 +12,11 @@
 // reproduces the double-buffering behaviour the paper reports (§5.2.1):
 // data travelling through CntrFS is cached twice and the effective cache
 // halves.
+//
+// The FUSE side of the Cntr stack — everything from the kernel-side cache
+// down to CntrFS — is a Mount, assembled in one place and shared with
+// the attach workflow (cntr.Attach serves a tools filesystem through
+// NewMount), so the mount a session gets is the measured mount.
 package stack
 
 import (
@@ -74,14 +79,6 @@ type Config struct {
 	// where a policy.Enforcer belongs when it should gate what actually
 	// crosses into CntrFS rather than what the application asked for.
 	BelowCache []vfs.Interceptor
-	// Record, when set, receives batches of trace entries for every
-	// operation crossing the FUSE boundary: a below-cache tracer feeds a
-	// batched sink (vfs.Tracer.StartBatchSink) wired to this callback,
-	// and Close flushes the tail. Recording is lossless: a shed entry
-	// would silently weaken the profile it feeds. The callback type keeps
-	// this package policy-agnostic — point it at a policy.Run.SinkBatch
-	// to record an enforcement profile.
-	Record func([]vfs.TraceEntry)
 }
 
 // Native is the baseline stack.
@@ -124,35 +121,110 @@ func NewNative(cfg Config) *Native {
 	}
 }
 
-// Cntr is the full CntrFS stack.
+// Mount is the FUSE side of a CntrFS mount: the passthrough filesystem
+// over some base, its server threads behind a FUSE connection, and the
+// kernel-side page cache above that connection. It is what the paper
+// measures (§5.2) and what the attach workflow hands to the user (§3.2),
+// so it is assembled in exactly one place, newMount.
+type Mount struct {
+	FS     *cntrfs.FS
+	Conn   *fuse.Conn
+	Server *fuse.Server
+	Kernel *pagecache.Cache
+	// CacheCl is this mount's client on the shared cache tier (nil when
+	// Config.CacheService is unset).
+	CacheCl *cachecl.Client
+}
+
+// NewMount serves base through CntrFS over FUSE on the given clock and
+// cost model, with a memory budget of cfg.RAM of its own. The served
+// interceptors sit on the server side, between the FUSE server and
+// CntrFS (outermost first), and see every request that crosses the
+// wire; cfg.BelowCache sits on the kernel side of it.
+func NewMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config, served ...vfs.Interceptor) *Mount {
+	applyDefaults(&cfg)
+	return newMount(base, clock, model, cfg, pagecache.NewMemBudget(cfg.RAM), tierClient(cfg, clock, model), served)
+}
+
+// tierClient attaches a mount to cfg.CacheService: its lease epochs
+// exist from before the first request until Mount.Close releases them.
+func tierClient(cfg Config, clock *sim.Clock, model *sim.CostModel) *cachecl.Client {
+	if cfg.CacheService == nil {
+		return nil
+	}
+	mountID := cfg.CacheMountID
+	if mountID == "" {
+		mountID = "mount-0"
+	}
+	cl := cachecl.New(cfg.CacheService, mountID, clock, model)
+	cl.Attach()
+	return cl
+}
+
+// newMount is the one assembler. NewCntr enters here rather than through
+// NewMount because its host side shares the budget and reads through
+// the tier client.
+func newMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config,
+	budget *pagecache.MemBudget, cacheCl *cachecl.Client, served []vfs.Interceptor) *Mount {
+	cfs := cntrfs.New(base, cntrfs.Options{DedupHardlinks: !cfg.NoDedupHardlinks})
+	conn, srv := fuse.Mount(vfs.Chain(cfs, served...), clock, model, cfg.Mount)
+
+	// Kernel-side cache above the FUSE mount. Its caching behaviour is
+	// governed by the mount options CntrFS negotiated.
+	ra, depth := cfg.ReadAhead, cfg.AsyncDepth
+	if !cfg.Mount.AsyncRead {
+		// Without ASYNC_READ the kernel reads page by page, and
+		// pipelined readahead is what FUSE_ASYNC_READ permits.
+		ra, depth = 0, 0
+	}
+	// Interceptors below the kernel cache see the mount's real FUSE
+	// traffic. Chain forwards the connection's async capability (whole
+	// windows, one gate pass each) and IsAsync unwraps it, so pipelining
+	// survives the detour; with no interceptors Chain returns conn as-is.
+	kernel := pagecache.New(vfs.Chain(conn, cfg.BelowCache...), clock, model, pagecache.Options{
+		KeepCache:    cfg.Mount.KeepCache,
+		Writeback:    cfg.Mount.WritebackCache,
+		DirtyWindow:  cfg.DirtyWindowFuse,
+		MaxWriteSize: int64(cfg.Mount.MaxWrite),
+		ReadAhead:    ra,
+		AsyncDepth:   depth,
+		FlushOnClose: true, // fuse_flush writes dirty pages on close
+		Budget:       budget,
+	})
+	return &Mount{FS: cfs, Conn: conn, Server: srv, Kernel: kernel, CacheCl: cacheCl}
+}
+
+// Close unmounts the FUSE connection, releases any cache-tier leases
+// (a released lease can never fence a later holder) and waits for the
+// server.
+func (m *Mount) Close() {
+	m.Conn.Unmount()
+	if m.CacheCl != nil {
+		m.CacheCl.Release()
+	}
+	m.Server.Wait()
+}
+
+// Cntr is the full CntrFS stack: a host side (ext4-model filesystem,
+// host page cache, disk) with a Mount over it.
 type Cntr struct {
+	*Mount
 	Clock  *sim.Clock
 	Model  *sim.CostModel
 	Disk   *sim.Disk
 	Host   *memfs.FS
 	HostPC *pagecache.Cache
-	FS     *cntrfs.FS
-	Conn   *fuse.Conn
-	Server *fuse.Server
-	Kernel *pagecache.Cache
 	Budget *pagecache.MemBudget
-	// CacheCl is this mount's client on the shared cache tier (nil when
-	// Config.CacheService is unset); Tier is the wrapped store it reads
-	// through, and Origin the disk that charges tier misses.
-	CacheCl *cachecl.Client
-	Tier    *cachecl.Store
-	Origin  *sim.Disk
+	// Tier is the wrapped store the host filesystem reads through when
+	// Config.CacheService is set, and Origin the disk that charges tier
+	// misses.
+	Tier   *cachecl.Store
+	Origin *sim.Disk
 	// Stats counts every operation entering the stack (see Native.Stats).
 	Stats *vfs.Stats
-	// RecordTracer is the below-cache tracer feeding Config.Record (nil
-	// when recording is off); its Stats expose drop/spill health.
-	RecordTracer *vfs.Tracer
 	// Top is the filesystem workloads should use: the syscall-entry
 	// interceptor chain above the kernel-side cache over the FUSE mount.
 	Top vfs.FS
-
-	// stopRecord flushes and stops the recording sink on Close.
-	stopRecord func()
 }
 
 // NewCntr builds the CntrFS stack over a fresh host filesystem.
@@ -171,19 +243,13 @@ func NewCntr(cfg Config) *Cntr {
 	// would), and every hit pays one intra-cluster RPC instead. Charging
 	// the same traffic through the host page cache too would double-count.
 	var (
-		cacheCl   *cachecl.Client
 		tier      *cachecl.Store
 		origin    *sim.Disk
 		hostStore = cfg.Store
 		chargePC  = disk
 	)
-	if cfg.CacheService != nil {
-		mountID := cfg.CacheMountID
-		if mountID == "" {
-			mountID = "mount-0"
-		}
-		cacheCl = cachecl.New(cfg.CacheService, mountID, clock, model)
-		cacheCl.Attach()
+	cacheCl := tierClient(cfg, clock, model)
+	if cacheCl != nil {
 		origin = sim.NewDisk(clock, model)
 		origin.SetQueueDepth(int(cfg.ReadAhead / 4096))
 		backend := cfg.Store
@@ -209,64 +275,12 @@ func NewCntr(cfg Config) *Cntr {
 		Budget:       budget,
 	})
 
-	cfs := cntrfs.New(hostPC, cntrfs.Options{DedupHardlinks: !cfg.NoDedupHardlinks})
-	conn, srv := fuse.Mount(cfs, clock, model, cfg.Mount)
-
-	// Kernel-side cache above the FUSE mount. Its caching behaviour is
-	// governed by the mount options CntrFS negotiated.
-	ra, depth := cfg.ReadAhead, cfg.AsyncDepth
-	if !cfg.Mount.AsyncRead {
-		// Without ASYNC_READ the kernel reads page by page, and
-		// pipelined readahead is what FUSE_ASYNC_READ permits.
-		ra, depth = 0, 0
-	}
-	// Interceptors below the kernel cache see the mount's real FUSE
-	// traffic. Chain forwards the connection's async capability (whole
-	// windows, one gate pass each) and IsAsync unwraps it, so pipelining
-	// survives the detour; with no interceptors Chain returns conn as-is.
-	// The recording tracer goes outermost so it also sees what any
-	// caller-supplied BelowCache interceptor (e.g. an enforcer) denies.
-	below := cfg.BelowCache
-	var recTracer *vfs.Tracer
-	var stopRecord func()
-	if cfg.Record != nil {
-		recTracer = vfs.NewTracer(0)
-		stopRecord = recTracer.StartBatchSink(cfg.Record, vfs.TraceBatchOptions{Lossless: true})
-		below = append([]vfs.Interceptor{recTracer}, below...)
-	}
-	kernelBacking := vfs.Chain(conn, below...)
-	kernel := pagecache.New(kernelBacking, clock, model, pagecache.Options{
-		KeepCache:    cfg.Mount.KeepCache,
-		Writeback:    cfg.Mount.WritebackCache,
-		DirtyWindow:  cfg.DirtyWindowFuse,
-		MaxWriteSize: int64(cfg.Mount.MaxWrite),
-		ReadAhead:    ra,
-		AsyncDepth:   depth,
-		FlushOnClose: true, // fuse_flush writes dirty pages on close
-		Budget:       budget,
-	})
+	m := newMount(hostPC, clock, model, cfg, budget, cacheCl, nil)
 	stats := vfs.NewStats()
 	return &Cntr{
-		Clock: clock, Model: model, Disk: disk, Host: host, HostPC: hostPC,
-		FS: cfs, Conn: conn, Server: srv, Kernel: kernel, Budget: budget,
-		CacheCl: cacheCl, Tier: tier, Origin: origin,
-		Stats: stats, RecordTracer: recTracer, Top: vfs.Chain(kernel, stats),
-		stopRecord: stopRecord,
-	}
-}
-
-// Close unmounts the FUSE connection, releases any cache-tier leases,
-// and waits for the server; an active recording sink is flushed and
-// stopped once the mount is quiesced, so the consumer sees every
-// operation the stack served.
-func (c *Cntr) Close() {
-	c.Conn.Unmount()
-	if c.CacheCl != nil {
-		c.CacheCl.Release()
-	}
-	c.Server.Wait()
-	if c.stopRecord != nil {
-		c.stopRecord()
+		Mount: m, Clock: clock, Model: model, Disk: disk, Host: host, HostPC: hostPC,
+		Budget: budget, Tier: tier, Origin: origin,
+		Stats: stats, Top: vfs.Chain(m.Kernel, stats),
 	}
 }
 

@@ -730,11 +730,6 @@ type Tracer struct {
 	batch   *batchState
 	buf     []TraceEntry
 	dropped int64
-	// Spill-journal counters (cumulative across sinks); see tracebatch.go.
-	spilledEntries int64
-	spilledBytes   int64
-	spillSegments  int64
-	spillOverflow  int64
 }
 
 // NewTracer returns a tracer keeping the last capacity entries

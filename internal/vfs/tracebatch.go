@@ -1,127 +1,71 @@
 package vfs
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 )
 
-// TraceBatchOptions tunes a tracer's batched sink mode (see
-// Tracer.StartBatchSink). Zero values select the defaults.
-type TraceBatchOptions struct {
-	// FlushSize is the entry count that triggers an immediate flush
-	// (default 256). Batches delivered to the sink are at most this
-	// large plus whatever accumulated while the flusher was busy.
-	FlushSize int
-	// FlushInterval bounds how long an entry may sit buffered before the
-	// timer flushes it (default 5ms) — the staleness ceiling for
-	// consumers polling collector state.
-	FlushInterval time.Duration
-	// Capacity bounds the buffered entries between flushes (default
-	// 16×FlushSize). When the consumer cannot keep up, further entries
-	// are counted as dropped instead of blocking the data path — unless
-	// Lossless is set.
-	Capacity int
-	// Lossless makes a full buffer apply backpressure: the traced
-	// operation waits for the flusher instead of shedding the entry.
-	// Use it when the consumer is a policy recorder — a shed entry
-	// there silently weakens the generated profile (a lost Lookup
-	// unlearns a path; lost Reads undercount the byte ceilings).
-	// Stopping the sink wakes blocked producers; entries they could not
-	// queue are counted as dropped.
-	Lossless bool
-	// SpillDir, when set, enables the bounded on-disk spill journal: a
-	// full buffer is written out as a journal segment and cleared
-	// instead of stalling the data path (Lossless) or shedding entries.
-	// The flusher replays pending segments to the sink, oldest first and
-	// always before newer in-memory entries, so delivery order is
-	// preserved. The data path pays one bounded segment write when the
-	// consumer falls a full buffer behind — instead of an unbounded wait.
-	SpillDir string
-	// SpillMaxBytes caps the journal's on-disk footprint (pending
-	// segments; default 16 MiB). At the cap, further entries are shed
-	// with an explicit overflow count (TraceStats.SpillOverflow) rather
-	// than growing the journal without bound.
-	SpillMaxBytes int64
-}
-
-// withDefaults resolves zero fields.
-func (o TraceBatchOptions) withDefaults() TraceBatchOptions {
-	if o.FlushSize <= 0 {
-		o.FlushSize = 256
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 5 * time.Millisecond
-	}
-	if o.Capacity <= 0 {
-		o.Capacity = 16 * o.FlushSize
-	}
-	if o.Capacity < o.FlushSize {
-		o.Capacity = o.FlushSize
-	}
-	if o.SpillDir != "" && o.SpillMaxBytes <= 0 {
-		o.SpillMaxBytes = 16 << 20
-	}
-	return o
-}
+// Batched trace delivery has fixed sizes; tests reach others through
+// startBatchSink.
+const (
+	// traceFlushSize is the entry count that triggers an immediate flush.
+	// Batches delivered to the sink are at most this large plus whatever
+	// accumulated while the flusher was busy.
+	traceFlushSize = 256
+	// traceFlushInterval bounds how long an entry may sit buffered before
+	// the timer flushes it.
+	traceFlushInterval = 5 * time.Millisecond
+	// traceBatchCapacity bounds the buffered entries between flushes; a
+	// producer that finds the buffer full waits for the flusher.
+	traceBatchCapacity = 16 * traceFlushSize
+)
 
 // batchState is the tracer's batched-delivery machinery: a buffer the
 // data path appends to under the tracer's lock, and a flusher goroutine
 // that swaps the buffer out and hands batches to the sink. The data
-// path never invokes the sink and never blocks on it — when the buffer
-// is full the entry is dropped and counted.
+// path never invokes the sink; it waits for the flusher only when the
+// buffer is full.
 type batchState struct {
-	sink  func([]TraceEntry)
-	opts  TraceBatchOptions
-	kick  chan struct{}
-	stop  chan struct{}
-	done  chan struct{}
-	spare []TraceEntry // recycled buffer, owned by the flusher between swaps
-	// room (on the tracer's mutex) wakes lossless producers blocked on a
-	// full buffer when the flusher swaps it out or the sink stops.
+	sink      func([]TraceEntry)
+	flushSize int
+	capacity  int
+	kick      chan struct{}
+	stop      chan struct{}
+	done      chan struct{}
+	spare     []TraceEntry // recycled buffer, owned by the flusher between swaps
+	// room (on the tracer's mutex) wakes producers blocked on a full
+	// buffer when the flusher swaps it out or the sink stops.
 	room *sync.Cond
-
-	// Spill journal state, guarded by the tracer's mutex: segments the
-	// data path wrote but the flusher has not replayed yet, in order.
-	spillSeq     int
-	pending      []spillSegment
-	journalBytes int64
-}
-
-// spillSegment is one on-disk journal segment awaiting replay.
-type spillSegment struct {
-	path  string
-	size  int64
-	count int
 }
 
 // StartBatchSink switches the tracer into batched delivery: every
 // traced operation appends its entry to a bounded buffer, and a flusher
-// goroutine delivers batches to sink whenever FlushSize entries
-// accumulate or FlushInterval elapses. While batch mode is active the
-// synchronous Sink callback is not invoked — the data path pays an
+// goroutine delivers batches to sink whenever traceFlushSize entries
+// accumulate or traceFlushInterval elapses. While batch mode is active
+// the synchronous Sink callback is not invoked — the data path pays an
 // append instead of a callback per operation. The returned stop
 // function flushes whatever is buffered, stops the flusher, and
 // restores synchronous delivery; it is safe to call once.
 //
-// Backpressure is shed by default: when the buffer reaches Capacity
-// before the flusher drains it, new entries are discarded and counted
-// in DroppedEntries. With Lossless set the data path waits for the
-// flusher instead — the right trade when the batches feed policy
-// generation, where a shed entry silently weakens the profile. The
-// ring buffer behind Entries still records every operation regardless.
-func (t *Tracer) StartBatchSink(sink func([]TraceEntry), opts TraceBatchOptions) (stop func()) {
-	opts = opts.withDefaults()
+// Delivery is lossless: when the buffer is full the traced operation
+// waits for the flusher instead of shedding the entry, because the
+// batches feed policy generation, where a shed entry silently weakens
+// the profile (a lost Lookup unlearns a path; lost Reads undercount the
+// byte ceilings). Stopping the sink wakes blocked producers; entries
+// they could not queue are counted in DroppedEntries. The ring buffer
+// behind Entries still records every operation regardless.
+func (t *Tracer) StartBatchSink(sink func([]TraceEntry)) (stop func()) {
+	return t.startBatchSink(sink, traceFlushSize, traceBatchCapacity, traceFlushInterval)
+}
+
+func (t *Tracer) startBatchSink(sink func([]TraceEntry), flushSize, capacity int, interval time.Duration) (stop func()) {
 	b := &batchState{
-		sink: sink,
-		opts: opts,
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		sink:      sink,
+		flushSize: flushSize,
+		capacity:  capacity,
+		kick:      make(chan struct{}, 1),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	b.room = sync.NewCond(&t.mu)
 	t.mu.Lock()
@@ -130,32 +74,27 @@ func (t *Tracer) StartBatchSink(sink func([]TraceEntry), opts TraceBatchOptions)
 		panic("vfs: Tracer.StartBatchSink called while a batch sink is active")
 	}
 	t.batch = b
-	t.buf = make([]TraceEntry, 0, opts.FlushSize)
-	b.spare = make([]TraceEntry, 0, opts.FlushSize)
+	t.buf = make([]TraceEntry, 0, flushSize)
+	b.spare = make([]TraceEntry, 0, flushSize)
 	t.mu.Unlock()
 
-	go t.flushLoop(b)
+	go t.flushLoop(b, interval)
 
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			close(b.stop)
 			<-b.done
-			// A producer may have appended — or spilled — between the
-			// flusher's final flush and this point; replay those segments
-			// and hand the tail to the sink rather than discarding them —
-			// stop() promises everything buffered is delivered.
+			// A producer may have appended between the flusher's final
+			// flush and this point; hand the tail to the sink rather than
+			// discarding it — stop() promises everything buffered is
+			// delivered.
 			t.mu.Lock()
 			t.batch = nil
 			tail := t.buf
 			t.buf = nil
-			segs := b.pending
-			b.pending, b.journalBytes = nil, 0
-			b.room.Broadcast() // release lossless producers; they count as dropped
+			b.room.Broadcast() // release blocked producers; they count as dropped
 			t.mu.Unlock()
-			for _, seg := range segs {
-				t.replaySegment(b, seg)
-			}
 			if len(tail) > 0 {
 				b.sink(tail)
 			}
@@ -165,9 +104,9 @@ func (t *Tracer) StartBatchSink(sink func([]TraceEntry), opts TraceBatchOptions)
 
 // flushLoop is the flusher goroutine: it drains the buffer on size
 // kicks, on the interval timer, and once more on stop.
-func (t *Tracer) flushLoop(b *batchState) {
+func (t *Tracer) flushLoop(b *batchState, interval time.Duration) {
 	defer close(b.done)
-	ticker := time.NewTicker(b.opts.FlushInterval)
+	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -181,122 +120,36 @@ func (t *Tracer) flushLoop(b *batchState) {
 	}
 }
 
-// flushBatch replays any pending spill segments (oldest first), then
-// swaps the live buffer for the spare and delivers the entries outside
-// the tracer's lock, so the data path keeps appending while the sink
-// runs. The pending-check and buffer swap happen under one lock
-// acquisition, so the swapped batch is strictly newer than every
-// replayed segment — delivery order is preserved across spills.
+// flushBatch swaps the live buffer for the spare and delivers the
+// entries outside the tracer's lock, so the data path keeps appending
+// while the sink runs.
 func (t *Tracer) flushBatch(b *batchState) {
-	for {
-		t.mu.Lock()
-		if len(b.pending) > 0 {
-			seg := b.pending[0]
-			b.pending = b.pending[1:]
-			b.journalBytes -= seg.size
-			t.mu.Unlock()
-			t.replaySegment(b, seg)
-			continue
-		}
-		batch := t.buf
-		t.buf = b.spare[:0]
-		b.room.Broadcast() // the buffer has room again
-		t.mu.Unlock()
-		if len(batch) > 0 {
-			b.sink(batch)
-		}
-		b.spare = batch[:0]
-		return
+	t.mu.Lock()
+	batch := t.buf
+	t.buf = b.spare[:0]
+	b.room.Broadcast() // the buffer has room again
+	t.mu.Unlock()
+	if len(batch) > 0 {
+		b.sink(batch)
 	}
-}
-
-// replaySegment reads one journal segment, removes it from disk, and
-// hands its entries to the sink. An unreadable segment counts its
-// entries as dropped — the journal never loses data silently.
-func (t *Tracer) replaySegment(b *batchState, seg spillSegment) {
-	data, err := os.ReadFile(seg.path)
-	os.Remove(seg.path)
-	var entries []TraceEntry
-	if err == nil {
-		err = gob.NewDecoder(bytes.NewReader(data)).Decode(&entries)
-	}
-	if err != nil {
-		t.mu.Lock()
-		t.dropped += int64(seg.count)
-		t.mu.Unlock()
-		return
-	}
-	if len(entries) > 0 {
-		b.sink(entries)
-	}
-}
-
-// spillLocked writes the full buffer out as a journal segment and
-// clears it, kicking the flusher to replay the segment. It reports
-// false — leaving the buffer untouched — when the journal is at its
-// byte cap or the segment cannot be written. Caller holds t.mu; the
-// encode+write is a bounded stall on the data path, the trade for never
-// waiting on the consumer.
-func (t *Tracer) spillLocked(b *batchState) bool {
-	if len(t.buf) == 0 {
-		return true
-	}
-	var enc bytes.Buffer
-	if err := gob.NewEncoder(&enc).Encode(t.buf); err != nil {
-		return false
-	}
-	size := int64(enc.Len())
-	if b.journalBytes+size > b.opts.SpillMaxBytes {
-		return false
-	}
-	path := filepath.Join(b.opts.SpillDir, fmt.Sprintf("trace-%08d.spill", b.spillSeq))
-	if err := os.WriteFile(path, enc.Bytes(), 0o600); err != nil {
-		return false
-	}
-	b.spillSeq++
-	b.pending = append(b.pending, spillSegment{path: path, size: size, count: len(t.buf)})
-	b.journalBytes += size
-	t.spilledEntries += int64(len(t.buf))
-	t.spilledBytes += size
-	t.spillSegments++
-	t.buf = t.buf[:0]
-	select {
-	case b.kick <- struct{}{}:
-	default: // a kick is already pending
-	}
-	return true
+	b.spare = batch[:0]
 }
 
 // appendBatchLocked queues one entry for batched delivery; caller holds
-// t.mu and has checked t.batch != nil. A full buffer sheds the entry —
-// or, in lossless mode, waits for the flusher to make room — unless a
-// spill journal is configured, in which case the buffer is spilled to
-// disk and the append proceeds. A journal at its byte cap sheds with an
-// explicit overflow count.
+// t.mu and has checked t.batch != nil. A full buffer waits for the
+// flusher to make room.
 func (t *Tracer) appendBatchLocked(e TraceEntry) {
 	b := t.batch
-	if b.opts.SpillDir != "" && len(t.buf) >= b.opts.Capacity {
-		if !t.spillLocked(b) {
-			t.spillOverflow++
-			t.dropped++
-			return
-		}
+	for len(t.buf) >= b.capacity && t.batch == b {
+		b.room.Wait()
 	}
-	if b.opts.Lossless {
-		for len(t.buf) >= b.opts.Capacity && t.batch == b {
-			b.room.Wait()
-		}
-		if t.batch != b {
-			// The sink stopped while we waited; the entry has nowhere to go.
-			t.dropped++
-			return
-		}
-	} else if len(t.buf) >= b.opts.Capacity {
+	if t.batch != b {
+		// The sink stopped while we waited; the entry has nowhere to go.
 		t.dropped++
 		return
 	}
 	t.buf = append(t.buf, e)
-	if len(t.buf) >= b.opts.FlushSize {
+	if len(t.buf) >= b.flushSize {
 		select {
 		case b.kick <- struct{}{}:
 		default: // a kick is already pending
@@ -304,51 +157,11 @@ func (t *Tracer) appendBatchLocked(e TraceEntry) {
 	}
 }
 
-// DroppedEntries reports how many entries batched delivery discarded
-// because the buffer was full — nonzero means the sink is not keeping
-// up with the data path.
+// DroppedEntries reports how many entries never reached a batch sink:
+// their producers were waiting on a full buffer when the sink stopped.
+// A recording is trustworthy for policy generation only when it is zero.
 func (t *Tracer) DroppedEntries() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// TraceStats is a tracer's batched-delivery health snapshot: shed and
-// spilled volumes, cumulative across sinks. A recording is trustworthy
-// for policy generation only when Dropped and SpillOverflow are zero.
-type TraceStats struct {
-	// Dropped counts entries that never reached the sink (full buffer
-	// without a journal, journal overflow, unreadable segment, or a stop
-	// racing a lossless producer).
-	Dropped int64
-	// SpilledEntries/SpilledBytes/SpillSegments count journal traffic:
-	// entries diverted through the on-disk spill journal and later
-	// replayed to the sink. Spilled entries are NOT lost — nonzero here
-	// means only that the consumer fell a full buffer behind.
-	SpilledEntries int64
-	SpilledBytes   int64
-	SpillSegments  int64
-	// SpillOverflow counts entries shed because the journal hit
-	// SpillMaxBytes (each also counted in Dropped).
-	SpillOverflow int64
-	// JournalBytes is the journal's current on-disk footprint (pending
-	// segments not yet replayed); zero once the flusher has caught up.
-	JournalBytes int64
-}
-
-// Stats snapshots the tracer's batched-delivery counters.
-func (t *Tracer) Stats() TraceStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := TraceStats{
-		Dropped:        t.dropped,
-		SpilledEntries: t.spilledEntries,
-		SpilledBytes:   t.spilledBytes,
-		SpillSegments:  t.spillSegments,
-		SpillOverflow:  t.spillOverflow,
-	}
-	if t.batch != nil {
-		s.JournalBytes = t.batch.journalBytes
-	}
-	return s
 }

@@ -1,7 +1,6 @@
 package vfs_test
 
 import (
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -28,14 +27,14 @@ func TestTracerBatchSinkDelivers(t *testing.T) {
 	var mu sync.Mutex
 	var got []uint64
 	batches := 0
-	stop := tr.StartBatchSink(func(batch []vfs.TraceEntry) {
+	stop := tr.StartBatchSinkSized(func(batch []vfs.TraceEntry) {
 		mu.Lock()
 		batches++
 		for _, e := range batch {
 			got = append(got, e.ID)
 		}
 		mu.Unlock()
-	}, vfs.TraceBatchOptions{FlushSize: 8, FlushInterval: time.Hour})
+	}, 8, 128, time.Hour)
 
 	// Two waves with a wait between them, so the flush-size kick provably
 	// produces more than one batch (a single wave can coalesce into one
@@ -91,9 +90,9 @@ func TestTracerBatchSinkDelivers(t *testing.T) {
 func TestTracerBatchSinkInterval(t *testing.T) {
 	tr := vfs.NewTracer(0)
 	delivered := make(chan int, 16)
-	stop := tr.StartBatchSink(func(batch []vfs.TraceEntry) {
+	stop := tr.StartBatchSinkSized(func(batch []vfs.TraceEntry) {
 		delivered <- len(batch)
-	}, vfs.TraceBatchOptions{FlushSize: 1 << 20, FlushInterval: 2 * time.Millisecond})
+	}, 1<<20, 1<<20, 2*time.Millisecond)
 	defer stop()
 
 	for i := 0; i < 3; i++ {
@@ -111,174 +110,21 @@ func TestTracerBatchSinkInterval(t *testing.T) {
 	}
 }
 
-// TestTracerBatchSinkShedsBackpressure: a sink that stalls never blocks
-// the traced data path — past Capacity, entries are counted as dropped
-// instead.
-func TestTracerBatchSinkSheds(t *testing.T) {
-	tr := vfs.NewTracer(0)
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
-	stop := tr.StartBatchSink(func(batch []vfs.TraceEntry) {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-release // wedge the consumer
-	}, vfs.TraceBatchOptions{FlushSize: 4, FlushInterval: time.Hour, Capacity: 16})
-
-	// Fill until the flusher is wedged inside the sink, then overrun the
-	// buffer. Every call must return promptly.
-	for i := 0; i < 4; i++ {
-		traceOp(tr, uint64(i+1))
-	}
-	<-started
-	for i := 0; i < 100; i++ {
-		traceOp(tr, uint64(100+i))
-	}
-	if tr.DroppedEntries() == 0 {
-		t.Fatal("overrunning a wedged sink dropped nothing; Capacity not enforced")
-	}
-	// The ring buffer still saw everything.
-	if n := len(tr.Entries()); n < 100 {
-		t.Fatalf("ring recorded %d entries, want >= 100", n)
-	}
-	close(release)
-	stop()
-}
-
-// TestTracerBatchSpillJournal: with a spill journal configured, a
-// lossless recording never stalls the data path on a slow consumer —
-// full buffers spill to disk, the flusher replays them to the sink in
-// order, and nothing is lost.
-func TestTracerBatchSpillJournal(t *testing.T) {
-	tr := vfs.NewTracer(0)
-	dir := t.TempDir()
-	release := make(chan struct{})
-	wedged := make(chan struct{}, 1)
-	var mu sync.Mutex
-	var got []uint64
-	stop := tr.StartBatchSink(func(batch []vfs.TraceEntry) {
-		select {
-		case wedged <- struct{}{}:
-			<-release // wedge the consumer on its first batch
-		default:
-		}
-		mu.Lock()
-		for _, e := range batch {
-			got = append(got, e.ID)
-		}
-		mu.Unlock()
-	}, vfs.TraceBatchOptions{
-		FlushSize: 4, Capacity: 8, FlushInterval: time.Hour,
-		Lossless: true, SpillDir: dir,
-	})
-
-	// Fill until the flusher is wedged inside the sink, then overrun the
-	// buffer far past Capacity. With the journal, every call must return
-	// promptly even though the mode is lossless.
-	const ops = 400
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < ops; i++ {
-			traceOp(tr, uint64(i+1))
-		}
-	}()
-	<-wedged
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("producer stalled despite the spill journal")
-	}
-	st := tr.Stats()
-	if st.SpilledEntries == 0 || st.SpillSegments == 0 || st.SpilledBytes == 0 {
-		t.Fatalf("overrunning a wedged sink spilled nothing: %+v", st)
-	}
-	close(release)
-	stop()
-
-	st = tr.Stats()
-	if st.Dropped != 0 || st.SpillOverflow != 0 {
-		t.Fatalf("spill journal lost entries: %+v", st)
-	}
-	if st.JournalBytes != 0 {
-		t.Fatalf("journal not drained after stop: %+v", st)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("%d segment files left on disk after stop", len(entries))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != ops {
-		t.Fatalf("sink received %d entries, want %d", len(got), ops)
-	}
-	for i, id := range got {
-		if id != uint64(i+1) {
-			t.Fatalf("entry %d: id=%d, want %d (order lost across spill)", i, id, i+1)
-		}
-	}
-}
-
-// TestTracerBatchSpillOverflow: the journal is size-capped — once
-// SpillMaxBytes is reached, entries are shed with an explicit overflow
-// count instead of growing the journal without bound.
-func TestTracerBatchSpillOverflow(t *testing.T) {
-	tr := vfs.NewTracer(0)
-	dir := t.TempDir()
-	release := make(chan struct{})
-	wedged := make(chan struct{}, 1)
-	stop := tr.StartBatchSink(func(batch []vfs.TraceEntry) {
-		select {
-		case wedged <- struct{}{}:
-			<-release
-		default:
-		}
-	}, vfs.TraceBatchOptions{
-		FlushSize: 4, Capacity: 8, FlushInterval: time.Hour,
-		SpillDir: dir, SpillMaxBytes: 1, // one byte: the first spill attempt overflows
-	})
-
-	for i := 0; i < 4; i++ {
-		traceOp(tr, uint64(i+1))
-	}
-	<-wedged
-	for i := 0; i < 100; i++ {
-		traceOp(tr, uint64(100+i))
-	}
-	st := tr.Stats()
-	if st.SpillOverflow == 0 {
-		t.Fatalf("capped journal recorded no overflow: %+v", st)
-	}
-	if st.Dropped < st.SpillOverflow {
-		t.Fatalf("overflow not reflected in Dropped: %+v", st)
-	}
-	if st.SpilledEntries != 0 {
-		t.Fatalf("1-byte cap admitted a segment: %+v", st)
-	}
-	close(release)
-	stop()
-}
-
-// TestTracerBatchSinkLossless: with Lossless set, a full buffer makes
-// the data path wait for the flusher instead of shedding — every entry
-// reaches the sink, in order, even when the producer outruns a slow
-// consumer by far.
+// TestTracerBatchSinkLossless: a full buffer makes the data path wait
+// for the flusher instead of shedding — every entry reaches the sink,
+// in order, even when the producer outruns a slow consumer by far.
 func TestTracerBatchSinkLossless(t *testing.T) {
 	tr := vfs.NewTracer(0)
 	var mu sync.Mutex
 	var got []uint64
-	stop := tr.StartBatchSink(func(batch []vfs.TraceEntry) {
+	stop := tr.StartBatchSinkSized(func(batch []vfs.TraceEntry) {
 		time.Sleep(100 * time.Microsecond) // slow consumer
 		mu.Lock()
 		for _, e := range batch {
 			got = append(got, e.ID)
 		}
 		mu.Unlock()
-	}, vfs.TraceBatchOptions{FlushSize: 4, Capacity: 8, FlushInterval: time.Hour, Lossless: true})
+	}, 4, 8, time.Hour)
 
 	const ops = 500
 	done := make(chan struct{})
@@ -296,7 +142,7 @@ func TestTracerBatchSinkLossless(t *testing.T) {
 	stop()
 
 	if n := tr.DroppedEntries(); n != 0 {
-		t.Fatalf("lossless mode dropped %d entries", n)
+		t.Fatalf("batched delivery dropped %d entries", n)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -307,5 +153,60 @@ func TestTracerBatchSinkLossless(t *testing.T) {
 		if id != uint64(i+1) {
 			t.Fatalf("entry %d: id=%d, want %d", i, id, i+1)
 		}
+	}
+}
+
+// TestTracerBatchStopReleasesProducers: stopping the sink while a
+// producer waits on a full buffer wakes it, and every entry is either
+// delivered (in a batch, or synchronously once the sink has stopped) or
+// counted in DroppedEntries — none is unaccounted for.
+func TestTracerBatchStopReleasesProducers(t *testing.T) {
+	tr := vfs.NewTracer(0)
+	release := make(chan struct{})
+	wedged := make(chan struct{}, 1)
+	var mu sync.Mutex
+	delivered := 0
+	tr.Sink = func(vfs.TraceEntry) {
+		mu.Lock()
+		delivered++
+		mu.Unlock()
+	}
+	stop := tr.StartBatchSinkSized(func(batch []vfs.TraceEntry) {
+		select {
+		case wedged <- struct{}{}:
+			<-release // wedge the consumer on its first batch
+		default:
+		}
+		mu.Lock()
+		delivered += len(batch)
+		mu.Unlock()
+	}, 4, 8, time.Hour)
+
+	const ops = 200
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		for i := 0; i < ops; i++ {
+			traceOp(tr, uint64(i+1))
+		}
+	}()
+	<-wedged // the producer now fills the buffer and blocks
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		stop()
+	}()
+	close(release)
+	for _, ch := range []chan struct{}{stopped, produced} {
+		select {
+		case <-ch:
+		case <-time.After(30 * time.Second):
+			t.Fatal("stop stranded a producer on the full buffer")
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := int64(delivered) + tr.DroppedEntries(); got != ops {
+		t.Fatalf("delivered %d + dropped %d = %d, want %d", delivered, tr.DroppedEntries(), got, ops)
 	}
 }
