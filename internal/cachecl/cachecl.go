@@ -7,7 +7,7 @@
 // deterministic, because nothing real crosses a socket.
 //
 // A client holds one epoch lease per service shard group. Mutations
-// (chunk publishes, attr/dentry writes, invalidations) carry the
+// (chunk publishes, attr writes, invalidations) carry the
 // lease's epoch; when the service fences one — the lease expired while
 // this mount was partitioned, or a newer epoch superseded it — the
 // client drops the write, marks the group lost, and counts it. Nothing
@@ -32,7 +32,7 @@ var ErrPartitioned = errors.New("cachecl: mount is partitioned from the cache ti
 
 // Stats counts this mount's cache-tier traffic.
 type Stats struct {
-	// Hits and Misses count lookups (chunk, attr and dentry alike).
+	// Hits and Misses count lookups (chunk and attr alike).
 	Hits, Misses int64
 	// Puts counts accepted publishes; Invalidations accepted drops.
 	Puts, Invalidations int64
@@ -422,19 +422,4 @@ func (c *Client) PutAttr(path string, val []byte) error {
 // InvalidateAttr drops a path's attributes (the path was mutated).
 func (c *Client) InvalidateAttr(path string) error {
 	return c.invalidate(cachesvc.AttrKey(path))
-}
-
-// GetDentry fetches a directory's encoded entry list.
-func (c *Client) GetDentry(dir string) ([]byte, bool) {
-	return c.get(cachesvc.DentryKey(dir))
-}
-
-// PutDentry publishes a directory's encoded entry list.
-func (c *Client) PutDentry(dir string, val []byte) error {
-	return c.put(cachesvc.DentryKey(dir), val, true)
-}
-
-// InvalidateDentry drops a directory's entry list.
-func (c *Client) InvalidateDentry(dir string) error {
-	return c.invalidate(cachesvc.DentryKey(dir))
 }

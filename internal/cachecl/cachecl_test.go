@@ -140,8 +140,8 @@ func TestPartition(t *testing.T) {
 	}
 }
 
-// TestAttrDentryRoundTrip: the path-keyed entry types flow through the
-// same charged, fenced path as chunks.
+// TestAttrDentryRoundTrip: path-keyed attribute entries flow through
+// the same charged, fenced path as chunks.
 func TestAttrDentryRoundTrip(t *testing.T) {
 	e := newEnv(t)
 	if err := e.cl.PutAttr("/a/b", []byte("attr-bytes")); err != nil {
@@ -150,17 +150,11 @@ func TestAttrDentryRoundTrip(t *testing.T) {
 	if v, ok := e.cl.GetAttr("/a/b"); !ok || string(v) != "attr-bytes" {
 		t.Fatalf("GetAttr = %q, %v", v, ok)
 	}
-	if err := e.cl.PutDentry("/a", []byte("b,c,d")); err != nil {
-		t.Fatal(err)
-	}
 	if err := e.cl.InvalidateAttr("/a/b"); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := e.cl.GetAttr("/a/b"); ok {
 		t.Fatal("attr survived invalidation")
-	}
-	if v, ok := e.cl.GetDentry("/a"); !ok || string(v) != "b,c,d" {
-		t.Fatalf("GetDentry = %q, %v", v, ok)
 	}
 }
 

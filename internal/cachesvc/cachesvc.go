@@ -5,7 +5,7 @@
 // store shares one Service, so a chunk any mount has already fetched
 // from the origin is served to every other mount at intra-cluster
 // network cost instead of another origin round trip, and path-keyed
-// attr/dentry entries let metadata survive mount boundaries the same
+// attr entries let metadata survive mount boundaries the same
 // way.
 //
 // The service is in-process but "network-shaped": all access goes
@@ -58,7 +58,7 @@ import (
 	"cntr/internal/sim"
 )
 
-// Key names one cached entry. The constructors below define the three
+// Key names one cached entry. The constructors below define the two
 // key spaces the tier serves; a Service instance serves one backend
 // store domain (mounts sharing the same CAS), so chunk refs need no
 // further namespace.
@@ -71,9 +71,6 @@ func ChunkKey(ref blobstore.Ref) Key { return "c:" + Key(ref) }
 
 // AttrKey keys a path's encoded attributes.
 func AttrKey(path string) Key { return "a:" + Key(path) }
-
-// DentryKey keys a directory's encoded entry list.
-func DentryKey(dir string) Key { return "d:" + Key(dir) }
 
 // Stats aggregates service-wide counters. Per-node counters are summed
 // on read; NodeStats attributes them to individual nodes.

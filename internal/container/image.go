@@ -7,7 +7,6 @@ package container
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"cntr/internal/blobstore"
@@ -171,12 +170,6 @@ func (img *Image) FileCount() int {
 	return n
 }
 
-// BuildLayer materializes a LayerSpec into an immutable layer with
-// private storage.
-func BuildLayer(spec LayerSpec) (*Layer, error) {
-	return BuildLayerOn(nil, spec)
-}
-
 // BuildLayerOn materializes a LayerSpec on the given backend store (nil
 // means a private map-backed store). Layers built on one shared
 // content-addressed store dedup their common content against each
@@ -298,14 +291,4 @@ func parentDir(path string) string {
 		return "/"
 	}
 	return "/" + strings.Join(parts[:len(parts)-1], "/")
-}
-
-// SortedPaths returns the image's file paths in stable order.
-func SortedPaths(files map[string]int64) []string {
-	out := make([]string, 0, len(files))
-	for p := range files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

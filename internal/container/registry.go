@@ -41,17 +41,6 @@ func (r *Registry) Push(img *Image) {
 	r.images[img.Ref()] = img
 }
 
-// Images lists stored references.
-func (r *Registry) Images() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.images))
-	for ref := range r.images {
-		out = append(out, ref)
-	}
-	return out
-}
-
 // PullStats reports what a pull transferred.
 type PullStats struct {
 	LayersFetched int

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"cntr/internal/caps"
 	"cntr/internal/cgroup"
 	"cntr/internal/namespace"
 	"cntr/internal/proc"
@@ -293,11 +292,6 @@ func (rt *Runtime) Exec(c *Container, comm string, cmdline []string) (*proc.Proc
 		return nil, err
 	}
 	return p, nil
-}
-
-// Profile returns the MAC profile object confining the container.
-func (rt *Runtime) ProfileOf(c *Container) *caps.Profile {
-	return rt.Procs.Profiles.Get(c.Profile)
 }
 
 func baseName(path string) string {

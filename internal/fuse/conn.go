@@ -342,10 +342,8 @@ func Mount(fs vfs.FS, clock *sim.Clock, model *sim.CostModel, opts MountOptions)
 	if opts.DefaultWeight <= 0 {
 		opts.DefaultWeight = 1
 	}
-	// One run queue per server thread: each worker pops its own WFQ heap
-	// and steals when idle.
 	table := newReqTable(opts.MaxBackground, opts.MaxOriginInflight,
-		opts.DefaultWeight, opts.QoSWeights, opts.ServerThreads)
+		opts.DefaultWeight, opts.QoSWeights)
 	return newConn(clock, model, opts, table), newServer(fs, clock, model, opts, table)
 }
 

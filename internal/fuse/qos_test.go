@@ -2,6 +2,7 @@ package fuse
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,9 +12,11 @@ import (
 	"cntr/internal/vfs"
 )
 
-// gateFS blocks every Read until the gate opens and records the PID of
-// each read it serves, in dispatch order — the observation point for
-// scheduler tests.
+// gateFS records the PID of every Read as a worker brings it in — so in
+// dispatch order, as long as at most one worker at a time is between its
+// pop and the gate — and then holds the read until the gate lets it
+// through: one per token sent, all once the gate is closed. It is the
+// observation point for scheduler tests.
 type gateFS struct {
 	vfs.FS
 	gate chan struct{}
@@ -23,10 +26,10 @@ type gateFS struct {
 }
 
 func (g *gateFS) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, error) {
-	<-g.gate
 	g.mu.Lock()
 	g.order = append(g.order, op.PID)
 	g.mu.Unlock()
+	<-g.gate
 	return g.FS.Read(op, h, off, dest)
 }
 
@@ -122,6 +125,114 @@ func TestQoSWeightedFairness(t *testing.T) {
 	if countA < wantA-1 || countA > wantA+1 {
 		t.Fatalf("origin A got %d of %d dispatches, want ~%d (weights %d:%d); order=%v",
 			countA, examinedPref, wantA, weightA, weightB, order)
+	}
+}
+
+// TestMountServesStrictGlobalWFQ: a mount with four server threads
+// dispatches in the one global WFQ order, whichever thread asks. All four
+// workers are parked at the gate on a holder origin's reads, four origins
+// at weights 4:2:1:1 queue a backlog behind them, and the gate then lets
+// one read through at a time: the worker it frees completes, pops the
+// next request and brings it to the gate. The sequence the workers bring
+// in must be the one the reference linear scan produces on a bare table
+// given the same arrivals and completions.
+func TestMountServesStrictGlobalWFQ(t *testing.T) {
+	const (
+		threads   = 4
+		holder    = 100
+		perOrigin = 8
+	)
+	weights := map[uint32]int{1: 4, 2: 2, 3: 1, 4: 1}
+	backlog := len(weights) * perOrigin
+
+	ref := newReqTable(256, 0, 1, weights)
+	for i := 0; i < threads; i++ {
+		ref.push(holder, &request{})
+	}
+	var held []uint32
+	for i := 0; i < threads; i++ {
+		_, o, _ := ref.popLinear()
+		held = append(held, o)
+	}
+	for o := uint32(1); o <= uint32(len(weights)); o++ {
+		for i := 0; i < perOrigin; i++ {
+			ref.push(o, &request{})
+		}
+	}
+	var want []uint32
+	for i := 0; i < backlog; i++ {
+		ref.done(held[0], 0, 0, false, false)
+		_, o, _ := ref.popLinear()
+		held = append(held[1:], o)
+		want = append(want, o)
+	}
+
+	gate := &gateFS{FS: memfs.New(memfs.Options{}), gate: make(chan struct{})}
+	opts := DefaultMountOptions()
+	opts.ServerThreads = threads
+	opts.QoSWeights = weights
+	conn, srv := Mount(gate, sim.NewClock(), sim.DefaultCostModel(), opts)
+	defer func() {
+		conn.Unmount()
+		srv.Wait()
+	}()
+	cli := vfs.NewClient(conn, vfs.Root())
+	if err := cli.WriteFile("/f", []byte("data"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := cli.Resolve("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := conn.Open(vfs.RootOp(), r.Ino, vfs.ORdonly)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	read := func(pid uint32) {
+		op := vfs.NewOp(nil, vfs.Root())
+		op.PID = pid
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := conn.Read(op, h, 0, make([]byte, 4)); err != nil {
+				t.Errorf("read (pid %d): %v", pid, err)
+			}
+		}()
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				close(gate.gate) // let the readers go before failing
+				wg.Wait()
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+
+	for i := 0; i < threads; i++ {
+		read(holder)
+	}
+	waitFor("every worker at the gate", func() bool { return len(gate.served()) == threads })
+	for pid := range weights {
+		for i := 0; i < perOrigin; i++ {
+			read(pid)
+		}
+	}
+	waitFor("the backlog to queue", func() bool { return srv.Queued() == backlog })
+	for i := 1; i <= backlog; i++ {
+		gate.gate <- struct{}{}
+		waitFor("the next dispatch", func() bool { return len(gate.served()) == threads+i })
+	}
+	close(gate.gate)
+	wg.Wait()
+
+	if got := gate.served()[threads:]; !slices.Equal(got, want) {
+		t.Fatalf("dispatch order differs from the reference scan\n got  %v\n want %v", got, want)
 	}
 }
 

@@ -19,7 +19,7 @@ func TestReqTableHeapMatchesLinearScan(t *testing.T) {
 	)
 	weights := map[uint32]int{3: 4, 7: 2, 11: 8}
 	mk := func() *reqTable {
-		return newReqTable(1<<20, cap, 1, weights, 1)
+		return newReqTable(1<<20, cap, 1, weights)
 	}
 	heapT, scanT := mk(), mk()
 
@@ -42,11 +42,11 @@ func TestReqTableHeapMatchesLinearScan(t *testing.T) {
 		// sides.
 		var heapInflight, scanInflight []uint32
 		for {
-			hm, ho, _ := tryPop(heapT, func() (*request, uint32, bool) { return heapT.pop(0) })
+			hm, ho, _ := tryPop(heapT)
 			if hm == nil {
 				break
 			}
-			_, so, _ := tryPop(scanT, func() (*request, uint32, bool) { return scanT.popLinear() })
+			_, so, _ := scanT.popLinear()
 			heapOrder = append(heapOrder, ho)
 			scanOrder = append(scanOrder, so)
 			heapInflight = append(heapInflight, ho)
@@ -79,54 +79,36 @@ func TestReqTableHeapMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// tryPop runs a blocking pop variant but only when work is immediately
-// available, so the lockstep drain above never blocks.
-func tryPop(tab *reqTable, pop func() (*request, uint32, bool)) (*request, uint32, bool) {
-	rq := tab.rqs[0]
-	rq.mu.Lock()
-	ready := len(rq.eligible) > 0
-	rq.mu.Unlock()
+// tryPop runs the blocking pop only when work is immediately available,
+// so the lockstep drain above never blocks.
+func tryPop(tab *reqTable) (*request, uint32, bool) {
+	tab.mu.Lock()
+	ready := len(tab.eligible) > 0
+	tab.mu.Unlock()
 	if !ready {
 		return nil, 0, false
 	}
-	return pop()
+	return tab.pop()
 }
 
-// popLinear is the retained reference scheduler: it selects the same
-// (vstart, origin) minimum by scanning run queue 0's eligible origins
-// linearly, exactly as pop did before the indexed heap. It is kept for
-// the differential fairness tests (heap order must equal scan order,
-// and the multi-queue scheduler must match a 1-queue reference).
-// Meaningful only on tables built with queues == 1.
+// popLinear is the reference scheduler: pop with the heap root replaced
+// by a linear scan of the eligible origins for the same (vstart, origin)
+// minimum, and no waiting — ok is false when nothing is eligible. The
+// differential tests check the heap (and a whole mount) against it.
 func (t *reqTable) popLinear() (msg *request, origin uint32, ok bool) {
-	rq := t.rqs[0]
-	for {
-		s0 := t.seq.Load()
-		rq.mu.Lock()
-		var best *originQueue
-		for _, q := range rq.eligible {
-			if best == nil || q.vstart < best.vstart ||
-				(q.vstart == best.vstart && q.origin < best.origin) {
-				best = q
-			}
-		}
-		if best != nil {
-			m := t.dispatchLocked(rq, best)
-			rq.mu.Unlock()
-			return m, best.origin, true
-		}
-		rq.mu.Unlock()
-		if t.closed.Load() && t.queued.Load() == 0 {
-			return nil, 0, false
-		}
-		t.idleMu.Lock()
-		t.idleWaiters.Add(1)
-		if t.seq.Load() == s0 && !(t.closed.Load() && t.queued.Load() == 0) {
-			t.idleCond.Wait()
-		}
-		t.idleWaiters.Add(-1)
-		t.idleMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.eligible) == 0 {
+		return nil, 0, false
 	}
+	best := t.eligible[0]
+	for _, q := range t.eligible[1:] {
+		if q.vstart < best.vstart ||
+			(q.vstart == best.vstart && q.origin < best.origin) {
+			best = q
+		}
+	}
+	return t.dispatchLocked(best), best.origin, true
 }
 
 // TestManyOriginFairness saturates the table with 2,000 live origins at
@@ -146,7 +128,7 @@ func TestManyOriginFairness(t *testing.T) {
 		weights[uint32(i+1)] = w
 		sumW += w
 	}
-	tab := newReqTable(1<<22, 0, 1, weights, 1)
+	tab := newReqTable(1<<22, 0, 1, weights)
 	// Pre-load each origin with more messages than it can be granted, so
 	// every origin stays backlogged through the measured window.
 	for o := uint32(1); o <= origins; o++ {
@@ -158,7 +140,7 @@ func TestManyOriginFairness(t *testing.T) {
 
 	perOrigin := make(map[uint32]int, origins)
 	for i := 0; i < dispatches; i++ {
-		_, origin, ok := tab.pop(0)
+		_, origin, ok := tab.pop()
 		if !ok {
 			t.Fatalf("table drained at dispatch %d", i)
 		}
@@ -195,14 +177,14 @@ func TestManyOriginFairness(t *testing.T) {
 // matter how many rivals are queued behind their caps.
 func TestManyOriginCappedNotStarved(t *testing.T) {
 	const origins = 2048
-	tab := newReqTable(1<<20, 1, 1, nil, 1)
+	tab := newReqTable(1<<20, 1, 1, nil)
 	for o := uint32(1); o <= origins; o++ {
 		tab.push(o, &request{})
 		tab.push(o, &request{})
 	}
 	seen := make(map[uint32]bool, origins)
 	for i := 0; i < origins; i++ {
-		_, origin, ok := tab.pop(0)
+		_, origin, ok := tab.pop()
 		if !ok {
 			t.Fatal("table drained early")
 		}
@@ -215,7 +197,7 @@ func TestManyOriginCappedNotStarved(t *testing.T) {
 	// single completion must hand pop exactly that origin.
 	for _, victim := range []uint32{1234, 7, 2048} {
 		tab.done(victim, 0, 0, false, false)
-		_, origin, ok := tab.pop(0)
+		_, origin, ok := tab.pop()
 		if !ok || origin != victim {
 			t.Fatalf("after done(%d): pop returned origin %d ok=%v, want %d",
 				victim, origin, ok, victim)
@@ -223,9 +205,9 @@ func TestManyOriginCappedNotStarved(t *testing.T) {
 	}
 }
 
-// TestManyOriginStress hammers the sharded table from concurrent
-// pushers, workers and retire calls — the race-detector workout for the
-// shard/scheduler lock split — and then checks conservation: every
+// TestManyOriginStress hammers the table from concurrent pushers,
+// workers and retire calls — the race-detector workout for its one lock
+// and two condition variables — and then checks conservation: every
 // pushed request is dispatched exactly once and accounted exactly once.
 func TestManyOriginStress(t *testing.T) {
 	const (
@@ -234,7 +216,7 @@ func TestManyOriginStress(t *testing.T) {
 		workers   = 6
 		perPusher = 4000
 	)
-	tab := newReqTable(512, 2, 1, map[uint32]int{17: 8, 1999: 4}, 1)
+	tab := newReqTable(512, 2, 1, map[uint32]int{17: 8, 1999: 4})
 
 	var servedMu sync.Mutex
 	servedCount := make(map[uint32]int64)
@@ -245,7 +227,7 @@ func TestManyOriginStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				_, origin, ok := tab.pop(0)
+				_, origin, ok := tab.pop()
 				if !ok {
 					return
 				}
@@ -314,13 +296,9 @@ func TestManyOriginStress(t *testing.T) {
 	}
 	// Pruning must hold at scale: with everything idle, no scheduler
 	// queues survive.
-	live := 0
-	for i := range tab.shards {
-		sh := &tab.shards[i]
-		sh.mu.Lock()
-		live += len(sh.queues)
-		sh.mu.Unlock()
-	}
+	tab.mu.Lock()
+	live := len(tab.queues)
+	tab.mu.Unlock()
 	if live != 0 {
 		t.Fatalf("%d scheduler queues left after drain, want 0", live)
 	}

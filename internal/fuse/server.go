@@ -13,10 +13,10 @@ import (
 // Server is the userspace side of the FUSE transport: a pool of worker
 // threads pulling from the request table and dispatching to a filesystem
 // implementation. In the paper this is the CNTRFS server process running
-// in the fat container or on the host. Workers do not drain a bare
-// channel: the table hands them requests under weighted fair queueing
-// across origins (see reqTable), so scheduling and per-origin accounting
-// live in one place.
+// in the fat container or on the host. All workers read the one request
+// table, as the paper's threads read one /dev/fuse: it hands them
+// requests under weighted fair queueing across origins (see reqTable),
+// so scheduling and per-origin accounting live in one place.
 type Server struct {
 	fs      vfs.FS
 	clock   *sim.Clock
@@ -127,7 +127,7 @@ func newServer(fs vfs.FS, clock *sim.Clock, model *sim.CostModel, opts MountOpti
 	}
 	for i := 0; i < opts.ServerThreads; i++ {
 		s.wg.Add(1)
-		go (&worker{s: s}).run(i)
+		go (&worker{s: s}).run()
 	}
 	return s
 }
@@ -257,9 +257,10 @@ func (s *Server) RetiredOriginStats() OriginStats {
 	return s.table.retiredStats()
 }
 
-// Steals reports how many times an idle worker migrated an origin from
-// another worker's run queue (see reqTable.steal).
-func (s *Server) Steals() int64 { return s.table.stealCount() }
+// Steals is always zero: the request table is one queue, so there is
+// nothing to steal. It remains for its one caller, bench/trace.go's
+// fuse.steals counter, and goes when that does.
+func (s *Server) Steals() int64 { return 0 }
 
 // worker is one server thread together with the per-request state it
 // recycles: the decoded header, the request reader, the reply encoder,
@@ -278,13 +279,13 @@ type worker struct {
 	op   vfs.Op
 }
 
-// run is the thread's loop as worker wid: it pops from its own run queue
-// in the request table, stealing from siblings when idle.
-func (wk *worker) run(wid int) {
+// run is the thread's loop: pop the request table's next request,
+// dispatch it, account it, reply.
+func (wk *worker) run() {
 	s := wk.s
 	defer s.wg.Done()
 	for {
-		msg, origin, ok := s.table.pop(wid)
+		msg, origin, ok := s.table.pop()
 		if !ok {
 			return
 		}

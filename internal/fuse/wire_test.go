@@ -48,7 +48,7 @@ func TestWireBytesUnchanged(t *testing.T) {
 	opts := DefaultMountOptions()
 	opts.EntryTimeout, opts.AttrTimeout = 0, 0 // forgets are not withheld
 	opts.ServerThreads = 0                     // no workers: the loop below serves
-	table := newReqTable(256, 0, 1, nil, 1)
+	table := newReqTable(256, 0, 1, nil)
 	conn := newConn(clock, model, opts, table)
 	srv := newServer(memfs.New(memfs.Options{}), clock, model, opts, table)
 
@@ -59,7 +59,7 @@ func TestWireBytesUnchanged(t *testing.T) {
 		defer close(exited)
 		wk := &worker{s: srv}
 		for {
-			msg, origin, ok := table.pop(0)
+			msg, origin, ok := table.pop()
 			if !ok {
 				return
 			}

@@ -90,8 +90,7 @@ func (t *windowTracker) push(r, w int64) {
 // one mount, so each needs its own learned path table.
 type Collector struct {
 	mu sync.Mutex
-	// run is the default path-learning scope behind Collector.Sink and
-	// BeginRun.
+	// run is the default path-learning scope behind Collector.Sink.
 	run     *Run
 	origins map[uint32]*activity
 	// win tracks the mount-global sliding byte window over the data-op
@@ -148,17 +147,6 @@ func NewCollector() *Collector {
 // is not, so two concurrently traced mounts cannot cross-bind paths.
 func (c *Collector) NewRun() *Run {
 	return &Run{c: c, paths: map[vfs.Ino]string{vfs.RootIno: "/"}}
-}
-
-// BeginRun resets the default scope's learned ino→path table
-// (aggregates survive). Call it when the mount behind Collector.Sink is
-// replaced by a fresh filesystem — inode numbers restart there, and
-// stale bindings would mis-attribute paths. Concurrently traced mounts
-// should use separate NewRun scopes instead.
-func (c *Collector) BeginRun() {
-	c.run.mu.Lock()
-	c.run.paths = map[vfs.Ino]string{vfs.RootIno: "/"}
-	c.run.mu.Unlock()
 }
 
 // pathJoin appends a directory entry name to a directory path.

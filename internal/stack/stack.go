@@ -88,12 +88,8 @@ type Native struct {
 	Disk  *sim.Disk
 	Mem   *memfs.FS
 	Cache *pagecache.Cache
-	// Stats counts every operation entering the stack; it is the single
-	// place operation counters live (one stats interceptor instead of a
-	// copy in every filesystem).
-	Stats *vfs.Stats
-	// Top is the filesystem workloads should use: the syscall-entry
-	// interceptor chain above the page cache.
+	// Top is the filesystem workloads should use: the page cache, where
+	// a syscall enters the stack.
 	Top vfs.FS
 }
 
@@ -103,22 +99,27 @@ func NewNative(cfg Config) *Native {
 	clock := sim.NewClock()
 	model := sim.DefaultCostModel()
 	disk := sim.NewDisk(clock, model)
-	mem := memfs.New(memfs.Options{Store: cfg.Store})
-	budget := pagecache.NewMemBudget(cfg.RAM)
-	cache := pagecache.New(mem, clock, model, pagecache.Options{
+	mem, cache := hostSide(cfg, clock, model, cfg.Store, disk, pagecache.NewMemBudget(cfg.RAM))
+	return &Native{Clock: clock, Model: model, Disk: disk, Mem: mem, Cache: cache, Top: cache}
+}
+
+// hostSide builds the ext4-model volume and the page cache a process
+// doing regular syscalls on it sees. It is the whole of the baseline and
+// the host the CntrFS server runs on, so that Figure 2 compares a mount
+// with the volume it is mounted over and nothing else. chargeDisk is nil
+// when the store charges its own I/O (see NewCntr).
+func hostSide(cfg Config, clock *sim.Clock, model *sim.CostModel, store blobstore.Store,
+	chargeDisk *sim.Disk, budget *pagecache.MemBudget) (*memfs.FS, *pagecache.Cache) {
+	mem := memfs.New(memfs.Options{Store: store})
+	return mem, pagecache.New(mem, clock, model, pagecache.Options{
 		KeepCache:    true, // native page caches always survive re-opens
 		Writeback:    true,
 		DirtyWindow:  cfg.DirtyWindowNative,
 		MaxWriteSize: 1 << 20, // ext4 can submit large bios
 		ReadAhead:    cfg.ReadAhead,
-		ChargeDisk:   disk,
+		ChargeDisk:   chargeDisk,
 		Budget:       budget,
 	})
-	stats := vfs.NewStats()
-	return &Native{
-		Clock: clock, Model: model, Disk: disk, Mem: mem, Cache: cache,
-		Stats: stats, Top: vfs.Chain(cache, stats),
-	}
 }
 
 // Mount is the FUSE side of a CntrFS mount: the passthrough filesystem
@@ -220,10 +221,8 @@ type Cntr struct {
 	// misses.
 	Tier   *cachecl.Store
 	Origin *sim.Disk
-	// Stats counts every operation entering the stack (see Native.Stats).
-	Stats *vfs.Stats
-	// Top is the filesystem workloads should use: the syscall-entry
-	// interceptor chain above the kernel-side cache over the FUSE mount.
+	// Top is the filesystem workloads should use: the kernel-side cache
+	// over the FUSE mount, where a syscall enters the stack.
 	Top vfs.FS
 }
 
@@ -260,27 +259,13 @@ func NewCntr(cfg Config) *Cntr {
 		hostStore = tier
 		chargePC = nil
 	}
-	host := memfs.New(memfs.Options{Store: hostStore})
 	budget := pagecache.NewMemBudget(cfg.RAM)
-
-	// Host-side cache: what the CntrFS server process sees when it does
-	// regular syscalls against the host filesystem.
-	hostPC := pagecache.New(host, clock, model, pagecache.Options{
-		KeepCache:    true,
-		Writeback:    true,
-		DirtyWindow:  cfg.DirtyWindowNative,
-		MaxWriteSize: 1 << 20,
-		ReadAhead:    cfg.ReadAhead,
-		ChargeDisk:   chargePC,
-		Budget:       budget,
-	})
+	host, hostPC := hostSide(cfg, clock, model, hostStore, chargePC, budget)
 
 	m := newMount(hostPC, clock, model, cfg, budget, cacheCl, nil)
-	stats := vfs.NewStats()
 	return &Cntr{
 		Mount: m, Clock: clock, Model: model, Disk: disk, Host: host, HostPC: hostPC,
-		Budget: budget, Tier: tier, Origin: origin,
-		Stats: stats, Top: vfs.Chain(m.Kernel, stats),
+		Budget: budget, Tier: tier, Origin: origin, Top: m.Kernel,
 	}
 }
 
