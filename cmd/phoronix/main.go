@@ -155,7 +155,7 @@ func main() {
 	} {
 		panel(fn)
 	}
-	// The last two panels are beyond the paper, whose configuration is
+	// The last three panels are beyond the paper, whose configuration is
 	// their "before" side: report how far each side leaves the panel's row
 	// from the paper's Figure 2.
 	for _, beyond := range []struct {
@@ -164,6 +164,7 @@ func main() {
 	}{
 		{"IOzone: Write", phoronix.Figure3NoSec},
 		{"Compilebench: Create", phoronix.Figure3SmallFile},
+		{"IOzone: Read", phoronix.Figure3SingleBuffer},
 	} {
 		r := panel(beyond.fn)
 		for _, row := range results {

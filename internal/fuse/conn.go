@@ -12,9 +12,9 @@ import (
 // MountOptions selects the protocol features negotiated at INIT time.
 // KeepCache through BatchForget are the paper's §3.3 optimizations, and
 // MaxWrite, the two timeouts and ServerThreads the settings its CntrFS
-// mounts with: PaperMountOptions is that configuration. NoSec and NoFlush
-// are beyond the paper (on in DefaultMountOptions only), and the fields
-// from MaxBackground down configure this repository's request table.
+// mounts with: PaperMountOptions is that configuration. NoSec, NoFlush and
+// DirectRead are beyond the paper (on in DefaultMountOptions only), and the
+// fields from MaxBackground down configure this repository's request table.
 type MountOptions struct {
 	// KeepCache sets FOPEN_KEEP_CACHE on every open, letting the page
 	// cache above survive re-opens (read-cache optimization, Fig. 3a).
@@ -73,6 +73,22 @@ type MountOptions struct {
 	// filesystem's own flush could find, and no vfs.FS here has more to
 	// find than a handle it does not know. Off in PaperMountOptions.
 	NoFlush bool
+	// DirectRead is beyond the paper, whose large reads are cached on both
+	// sides of /dev/fuse so that the effective page cache halves (§5.2.1).
+	// It is the server's choice of flags for its own host descriptor: an
+	// OPEN whose access mode is O_RDONLY (and that neither truncates,
+	// creates nor appends) opens the host file O_DIRECT, so the mount's
+	// READs go past the host page cache — which writes the file's dirty
+	// host pages back first, as Linux does for O_DIRECT — and the data is
+	// held once, in the kernel-side cache. Only a mount that keeps those
+	// pages across opens can afford it: without KeepCache the host copy is
+	// the only one a re-open finds, and the rule is inert. Writable opens
+	// stay buffered on both sides (the host writeback window is what the
+	// rows where CNTR beats native are made of). The application's own
+	// O_DIRECT is still refused (Conn.Open), and mmap is unaffected: the
+	// flag is on the server's descriptor, not FOPEN_DIRECT_IO in the
+	// reply. Off in PaperMountOptions.
+	DirectRead bool
 	// ServerThreads is the number of userspace server threads reading
 	// the request queue (Fig. 4). Note that FUSE_INTERRUPT frames are
 	// ordinary queue messages: with a single thread blocked inside a
@@ -125,11 +141,12 @@ func PaperMountOptions() MountOptions {
 }
 
 // DefaultMountOptions returns the fully optimized configuration: the
-// paper's, plus NoSec and NoFlush.
+// paper's, plus NoSec, NoFlush and DirectRead.
 func DefaultMountOptions() MountOptions {
 	opts := PaperMountOptions()
 	opts.NoSec = true
 	opts.NoFlush = true
+	opts.DirectRead = true
 	return opts
 }
 

@@ -512,6 +512,12 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		if r.bad {
 			break
 		}
+		if s.opts.DirectRead && s.opts.KeepCache &&
+			flags.AccessMode() == vfs.ORdonly && flags&(vfs.OTrunc|vfs.OCreat|vfs.OAppend) == 0 {
+			// Read-only, and the kernel keeps what it reads: the host's
+			// page cache would only hold a second copy.
+			flags |= vfs.ODirect
+		}
 		handle, err := s.fs.Open(op, ino, flags)
 		if err == nil {
 			w.u64(uint64(handle))

@@ -267,6 +267,25 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx in
 	return p, buf[:n], start, nil
 }
 
+// fillForWrite fetches page idx for a read-modify-write on the handle h.
+// The kernel reads such a page through the mapping, not through the
+// writer's descriptor, so a handle opened O_WRONLY, which the backing
+// would refuse to read from, borrows a read-only one opened as the
+// kernel: the caller's access mode was checked when h was opened and is
+// not widened. Caller holds c.mu.
+func (c *Cache) fillForWrite(op *vfs.Op, h vfs.Handle, st *openState, f *fileCache, idx int64) (*page, []byte, error) {
+	if !st.flags.Readable() {
+		rh, err := c.backing.Open(wbOp, st.ino, vfs.ORdonly)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer c.backing.Release(wbOp, rh)
+		op, h = wbOp, rh
+	}
+	p, got, _, err := c.fill(op, h, st.ino, f, idx, false)
+	return p, got, err
+}
+
 // dropReadaheadRange awaits and discards in-flight readahead windows
 // sharing a page with [off, end): their payload may predate bytes now
 // going to the backing, and a page harvested from a stale window would
@@ -351,6 +370,9 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 			data = data[:limit-off]
 		}
 	}
+	// h can carry writeback from here on: an insert below may have to
+	// evict, and so flush, a page this very call dirtied.
+	f.wbHandle, f.wbValid = h, true
 	written := int64(0)
 	for written < int64(len(data)) {
 		if err := op.Err(); err != nil {
@@ -370,7 +392,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 			var got []byte
 			if len(chunk) != PageSize && idx*PageSize < f.size {
 				var err error
-				if p, got, _, err = c.fill(op, h, st.ino, f, idx, false); err != nil {
+				if p, got, err = c.fillForWrite(op, h, st, f, idx); err != nil {
 					return int(written), err
 				}
 				c.stats.Misses++
@@ -399,7 +421,6 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 		c.wrote(f, pos, chunk)
 		written += int64(len(chunk))
 	}
-	f.wbHandle, f.wbValid = h, true
 	f.mtimeBump++
 	if f.dirtyBytes >= c.opts.DirtyWindow || st.flags&vfs.OSync == vfs.OSync {
 		// Window overflow or O_SYNC: write back now (O_SYNC semantics
@@ -576,12 +597,28 @@ func (c *Cache) flushFileLocked(f *fileCache) {
 	f.zombies = nil
 }
 
+// backingFlags is what the backing file is opened with for the caller's
+// flags. A writeback cache resolves O_APPEND itself — Write puts the data
+// at the cached size — and writes dirty pages back at their own offsets
+// through whichever writable handle is at hand, as the kernel writes back
+// through the mapping. A backing handle that still carried the flag would
+// move every such extent to the backing's end of file, so the flag stays
+// up here: what a FUSE server does under FUSE_WRITEBACK_CACHE (libfuse
+// passthrough_ll, lo_open). A direct handle's writes pass straight
+// through, and there the backing picks the offset.
+func (c *Cache) backingFlags(flags vfs.OpenFlags) vfs.OpenFlags {
+	if c.opts.Writeback && flags&vfs.ODirect == 0 {
+		flags &^= vfs.OAppend
+	}
+	return flags
+}
+
 // Open implements vfs.FS. Without KeepCache the file's pages are
 // invalidated, which is what makes the cache unshareable across processes
 // in stock FUSE (Figure 3a).
 func (c *Cache) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, error) {
 	c.charge()
-	h, err := c.backing.Open(op, ino, flags)
+	h, err := c.backing.Open(op, ino, c.backingFlags(flags))
 	if err != nil {
 		return 0, err
 	}
@@ -610,7 +647,7 @@ func (c *Cache) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, 
 func (c *Cache) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, flags vfs.OpenFlags) (vfs.Attr, vfs.Handle, error) {
 	c.charge()
 	c.clock.Advance(c.model.InodeOp)
-	attr, h, err := c.backing.Create(op, parent, name, mode, flags)
+	attr, h, err := c.backing.Create(op, parent, name, mode, c.backingFlags(flags))
 	if err != nil {
 		return attr, h, err
 	}

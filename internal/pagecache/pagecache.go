@@ -16,6 +16,9 @@
 //     cache above FUSE plus the page cache of the filesystem backing the
 //     CntrFS server), the same data is buffered twice and the effective
 //     cache size halves — the "double buffering" bottleneck of §5.2.1.
+//     That is the paper's configuration; a handle opened O_DIRECT goes
+//     past the cache it was opened on, which is how the default mount's
+//     server holds what is only read once (fuse.MountOptions.DirectRead).
 package pagecache
 
 import (
@@ -379,12 +382,19 @@ func (c *Cache) invalidateNoFlush(ino vfs.Ino) {
 	c.dropFileLocked(ino, f)
 }
 
+// dropFileLocked forgets everything cached of the file but how many
+// handles are open on it: the pages of an unlinked file live until the
+// last of them closes, whatever was invalidated in between. Caller holds
+// c.mu.
 func (c *Cache) dropFileLocked(ino vfs.Ino, f *fileCache) {
 	c.dropReadahead(f)
 	for idx := range f.pages {
 		c.dropPage(f, idx)
 	}
 	delete(c.files, ino)
+	if f.openHandles > 0 {
+		c.file(ino).openHandles = f.openHandles
+	}
 	c.stats.Invalidate++
 }
 

@@ -259,6 +259,28 @@ func TestSharedBudgetModelsDoubleBuffering(t *testing.T) {
 	if budget.Used() > 128<<10 {
 		t.Fatalf("combined budget exceeded: %d", budget.Used())
 	}
+
+	// Stacked, as on either side of a FUSE mount: what is read through
+	// the upper cache is held twice — unless the upper one's read-only
+	// opens reach the lower as O_DIRECT, and then once.
+	const size, readAhead = 256 << 10, 16 << 10
+	stackedUse := func(between func(vfs.FS) vfs.FS) int64 {
+		budget := NewMemBudget(1 << 20)
+		opts := Options{KeepCache: true, ReadAhead: readAhead, Budget: budget}
+		back := memfs.New(memfs.Options{})
+		vfs.NewClient(back, vfs.Root()).WriteFile("/a", make([]byte, size), 0o644)
+		upper := New(between(New(back, clock, model, opts)), clock, model, opts)
+		if got, err := vfs.NewClient(upper, vfs.Root()).ReadFile("/a"); err != nil || len(got) != size {
+			t.Fatalf("read through two caches: %d bytes, %v", len(got), err)
+		}
+		return budget.Used()
+	}
+	if twice := stackedUse(func(lower vfs.FS) vfs.FS { return lower }); twice != 2*size {
+		t.Fatalf("two stacked caches hold %d bytes of a %d-byte file, want it twice", twice, size)
+	}
+	if once := stackedUse(func(lower vfs.FS) vfs.FS { return directReadOpens{lower} }); once < size || once > size+readAhead {
+		t.Fatalf("two stacked caches, the lower bypassed, hold %d bytes of a %d-byte file, want it once", once, size)
+	}
 }
 
 func TestODirectBypassesCache(t *testing.T) {
@@ -364,8 +386,21 @@ func (s inlineAsync) Submit(op *vfs.Op, h vfs.Handle, kind vfs.OpKind, reqs []vf
 	return vfs.Submit(s.FS, op, h, kind, reqs)
 }
 
+// directReadOpens adds O_DIRECT to read-only opens, as the CntrFS server
+// does on a mount that keeps its pages (fuse.MountOptions.DirectRead): it
+// stands between two stacked caches where the FUSE connection would.
+type directReadOpens struct{ vfs.FS }
+
+func (d directReadOpens) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, error) {
+	if flags&(vfs.OWronly|vfs.ORdwr|vfs.OTrunc|vfs.OCreat|vfs.OAppend) == 0 {
+		flags |= vfs.ODirect
+	}
+	return d.FS.Open(op, ino, flags)
+}
+
 // coherenceStack builds one cache, or two stacked caches drawing on one
-// budget (the Figure 2 double-buffered shape), over a fresh memfs. The
+// budget (the Figure 2 shape, the lower one bypassed by the upper one's
+// read-only opens as on the default mount), over a fresh memfs. The
 // 32 KiB budget is smaller than the file the property test works on, so
 // a lone cache evicts its own pages and the lower of two stacked caches
 // regularly finds no room at all.
@@ -382,6 +417,9 @@ func coherenceStack(stacked, writeback bool, depth int) (caches []*Cache, back *
 	}
 	var below vfs.FS = back
 	for i := 0; i < layers; i++ {
+		if i > 0 {
+			below = directReadOpens{below}
+		}
 		if depth > 0 {
 			below = inlineAsync{below}
 		}
@@ -393,10 +431,13 @@ func coherenceStack(stacked, writeback bool, depth int) (caches []*Cache, back *
 }
 
 // TestPropertyCacheCoherence is the differential oracle for every path
-// through the cache: a random mix of writes, reads, truncates (shrink and
+// through the cache: a random mix of writes (through an O_RDWR and an
+// O_WRONLY handle), reads (through the O_RDWR handle and a read-only one,
+// which two stacked caches serve past the lower), truncates (shrink and
 // grow), fsync, close+reopen and unlink-while-open runs against the cache
-// stack and against bare memfs; every read and size must agree, and after
-// SyncFS the backing filesystem itself must hold the reference's bytes.
+// stack and against bare memfs; every read, size and errno must agree, and
+// after SyncFS the backing filesystem itself must hold the reference's
+// bytes.
 func TestPropertyCacheCoherence(t *testing.T) {
 	for _, stacked := range []bool{false, true} {
 		for _, writeback := range []bool{true, false} {
@@ -423,25 +464,43 @@ func coherent(t *testing.T, rng *sim.Rand, stacked, writeback bool, depth int) b
 	caches, back := coherenceStack(stacked, writeback, depth)
 	cc := vfs.NewClient(caches[0], vfs.Root())
 	ref := vfs.NewClient(memfs.New(memfs.Options{}), vfs.Root())
-	open := func() (cf, rf *vfs.File, ok bool) {
-		cf, cerr := cc.Open("/f", vfs.ORdwr|vfs.OCreat, 0o644)
-		rf, rerr := ref.Open("/f", vfs.ORdwr|vfs.OCreat, 0o644)
-		return cf, rf, cerr == nil && rerr == nil
+	// Three handles on each side: read-write (which creates the file),
+	// write-only and read-only.
+	var cfs, rfs [3]*vfs.File
+	closeAll := func() {
+		for i := range cfs {
+			cfs[i].Close()
+			rfs[i].Close()
+		}
 	}
-	cf, rf, ok := open()
-	if !ok {
+	open := func() bool {
+		for i, flags := range []vfs.OpenFlags{vfs.ORdwr | vfs.OCreat, vfs.OWronly, vfs.ORdonly} {
+			var cerr, rerr error
+			cfs[i], cerr = cc.Open("/f", flags, 0o644)
+			rfs[i], rerr = ref.Open("/f", flags, 0o644)
+			if cerr != nil || rerr != nil {
+				return false
+			}
+		}
+		return true
+	}
+	if !open() {
 		return false
 	}
-	defer func() { cf.Close(); rf.Close() }()
+	defer closeAll()
 	fail := func(i int, format string, args ...any) bool {
 		t.Logf("op %d: "+format, append([]any{i}, args...)...)
 		return false
 	}
 	for i := 0; i < 60; i++ {
+		cf, rf := cfs[0], rfs[0]
 		off := int64(rng.Intn(span))
 		size := rng.Intn(8<<10) + 1
-		switch op := rng.Intn(16); {
-		case op < 6:
+		switch op := rng.Intn(20); {
+		case op < 8:
+			if op >= 5 {
+				cf, rf = cfs[1], rfs[1] // the O_WRONLY writer
+			}
 			data := make([]byte, size)
 			rng.Bytes(data)
 			na, ea := cf.WriteAt(data, off)
@@ -449,11 +508,14 @@ func coherent(t *testing.T, rng *sim.Rand, stacked, writeback bool, depth int) b
 			if na != nb || ea != nil || eb != nil {
 				return fail(i, "write %d@%d: %d,%v vs %d,%v", size, off, na, ea, nb, eb)
 			}
-		case op < 12:
+		case op < 16:
+			if op >= 12 {
+				cf, rf = cfs[2], rfs[2] // the read-only reader
+			}
 			a, b := make([]byte, size), make([]byte, size)
 			na, ea := cf.ReadAt(a, off)
 			nb, eb := rf.ReadAt(b, off)
-			if na != nb || (ea == nil) != (eb == nil) {
+			if na != nb || vfs.ToErrno(ea) != vfs.ToErrno(eb) {
 				return fail(i, "read %d@%d: %d,%v vs %d,%v", size, off, na, ea, nb, eb)
 			}
 			if !bytes.Equal(a[:na], b[:nb]) {
@@ -464,26 +526,25 @@ func coherent(t *testing.T, rng *sim.Rand, stacked, writeback bool, depth int) b
 			if ea != nil || eb != nil || sa.Size != sb.Size {
 				return fail(i, "size %d,%v vs %d,%v", sa.Size, ea, sb.Size, eb)
 			}
-		case op < 13:
+		case op < 17:
 			// Shrinks and grows both: off is anywhere in the span.
 			if cf.Truncate(off) != nil || rf.Truncate(off) != nil {
 				return fail(i, "truncate to %d", off)
 			}
-		case op < 14:
+		case op < 18:
 			if cf.Sync() != nil || rf.Sync() != nil {
 				return fail(i, "fsync")
 			}
-		case op < 15:
-			cf.Close()
-			rf.Close()
-			if cf, rf, ok = open(); !ok {
+		case op < 19:
+			closeAll()
+			if !open() {
 				return fail(i, "reopen")
 			}
 		default:
-			// Unlink while open: the handle keeps working on the orphan
+			// Unlink while open: the handles keep working on the orphan
 			// until the next close+reopen creates a new /f. ENOENT when
 			// the name is already gone.
-			if ea, eb := cc.Remove("/f"), ref.Remove("/f"); (ea == nil) != (eb == nil) {
+			if ea, eb := cc.Remove("/f"), ref.Remove("/f"); vfs.ToErrno(ea) != vfs.ToErrno(eb) {
 				return fail(i, "unlink: %v vs %v", ea, eb)
 			}
 		}
@@ -495,7 +556,7 @@ func coherent(t *testing.T, rng *sim.Rand, stacked, writeback bool, depth int) b
 	}
 	got, ea := vfs.NewClient(back, vfs.Root()).ReadFile("/f")
 	want, eb := ref.ReadFile("/f")
-	if (ea == nil) != (eb == nil) || !bytes.Equal(got, want) {
+	if vfs.ToErrno(ea) != vfs.ToErrno(eb) || !bytes.Equal(got, want) {
 		return fail(60, "backing after SyncFS: %d bytes,%v vs %d bytes,%v", len(got), ea, len(want), eb)
 	}
 	return true
@@ -587,4 +648,92 @@ func TestWritebackErrorReachesCloseAndFsync(t *testing.T) {
 		enospc(t, "fallocate", cache.Fallocate(vfs.RootOp(), f.Handle(), vfs.FallocPunchHole|vfs.FallocKeepSize, 0, 1))
 		reported(t, f)
 	})
+}
+
+// TestWritebackThroughAppendHandleKeepsOffsets: dirty pages are written
+// back at their own offsets through whichever writable handle is at hand.
+// When that is one the caller opened O_APPEND, the backing must not move
+// the extent to its end of file.
+func TestWritebackThroughAppendHandleKeepsOffsets(t *testing.T) {
+	e := newEnv(t, Options{KeepCache: true, Writeback: true})
+	if err := e.cli.WriteFile("/f", bytes.Repeat([]byte("."), 8<<10), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e.cache.SyncFS()
+	rw, err := e.cli.Open("/f", vfs.ORdwr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+	if _, err := rw.WriteAt([]byte("head"), 0); err != nil {
+		t.Fatal(err)
+	}
+	log, err := e.cli.Open("/f", vfs.OWronly|vfs.OAppend, 0) // now the writeback handle
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if _, err := log.Write([]byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	e.cache.SyncFS()
+	want := append(append([]byte("head"), bytes.Repeat([]byte("."), 8<<10-4)...), "tail"...)
+	got, err := vfs.NewClient(e.cache.Backing(), vfs.Root()).ReadFile("/f")
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("backing after sync: %d bytes (want %d), starts %q, ends %q, %v", len(got), len(want), got[:4], got[len(got)-4:], err)
+	}
+}
+
+// TestEvictionInsideWriteFlushesDirtyPages: a write larger than the budget
+// evicts pages it dirtied itself; they must reach the backing, also when
+// the file's last writeback handle was closed clean just before.
+func TestEvictionInsideWriteFlushesDirtyPages(t *testing.T) {
+	e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 30, Budget: NewMemBudget(4 * PageSize)})
+	a, err := e.cli.Open("/f", vfs.OWronly|vfs.OCreat, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := e.cli.Open("/f", vfs.OWronly, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Close() // nothing dirty: the file is left without a writeback handle
+	data := make([]byte, 16*PageSize)
+	sim.NewRand(1).Bytes(data)
+	if n, err := a.WriteAt(data, 0); n != len(data) || err != nil {
+		t.Fatalf("write: %d, %v", n, err)
+	}
+	e.cache.SyncFS()
+	got, err := vfs.NewClient(e.cache.Backing(), vfs.Root()).ReadFile("/f")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("backing after sync: %d bytes, equal %v, %v", len(got), bytes.Equal(got, data), err)
+	}
+}
+
+// TestInvalidateKeepsOpenHandleCount: an O_TRUNC open discards the file's
+// pages, not the count of handles already open on it — the pages of an
+// unlinked file must outlive every close but the last.
+func TestInvalidateKeepsOpenHandleCount(t *testing.T) {
+	e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 30})
+	a, err := e.cli.Open("/f", vfs.ORdwr|vfs.OCreat, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := e.cli.Open("/f", vfs.OWronly|vfs.OTrunc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	if _, err := a.WriteAt([]byte("still here"), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.cli.Remove("/f"); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 10)
+	if n, err := a.ReadAt(buf, 0); n != 10 || err != nil || string(buf) != "still here" {
+		t.Fatalf("read of the unlinked, still open file: %d %q %v", n, buf[:n], err)
+	}
 }

@@ -11,8 +11,8 @@ import (
 // Figure 3 — effectiveness of the individual optimizations (§5.2.3).
 // Each panel compares throughput with one optimization off vs on. The
 // paper's four panels run with everything else at DefaultMountOptions,
-// NoSec and NoFlush included; the two panels beyond the paper have the
-// paper's configuration as their "off" side.
+// NoSec, NoFlush and DirectRead included; the three panels beyond the
+// paper have the paper's configuration as their "off" side.
 
 // OptResult is one before/after pair.
 type OptResult struct {
@@ -102,6 +102,18 @@ func Figure3NoSec() (OptResult, error) {
 func Figure3SmallFile() (OptResult, error) {
 	return optPanel("small file (born mark, no FLUSH)", "Compilebench: Create",
 		fuse.PaperMountOptions(), fuse.DefaultMountOptions())
+}
+
+// Figure3SingleBuffer is a seventh panel, beyond the paper: the paper's
+// configuration without and with DirectRead for the big sequential
+// re-read (IOZone read), the row the paper puts down to data being cached
+// on both sides of /dev/fuse (§5.2.1). The set fits the page cache once
+// and not twice; with the server reading past the host's copy it is held
+// once.
+func Figure3SingleBuffer() (OptResult, error) {
+	on := fuse.PaperMountOptions()
+	on.DirectRead = true
+	return optPanel("single buffer (server O_DIRECT)", "IOzone: Read", fuse.PaperMountOptions(), on)
 }
 
 // Figure4Threads reproduces Figure 4: sequential-read throughput as the

@@ -8,10 +8,14 @@
 //     connection → CntrFS server threads → CntrFS passthrough → the
 //     *host* page cache → ext4-model filesystem → the same disk model.
 //
-// Both kernel-side caches draw pages from one shared memory budget, which
-// reproduces the double-buffering behaviour the paper reports (§5.2.1):
-// data travelling through CntrFS is cached twice and the effective cache
-// halves.
+// Both kernel-side caches draw pages from one shared memory budget. On the
+// paper's configuration (fuse.PaperMountOptions) that reproduces the
+// double-buffering behaviour it reports (§5.2.1): data travelling through
+// CntrFS is cached twice and the effective cache halves. The default
+// mount's server opens host files O_DIRECT for read-only opens
+// (fuse.MountOptions.DirectRead), so what is only read is held once, in
+// the cache above the mount; what is written is still buffered on both
+// sides.
 //
 // The FUSE side of the Cntr stack — everything from the kernel-side cache
 // down to CntrFS — is a Mount, assembled in one place and shared with

@@ -125,61 +125,93 @@ func TestCntrWritebackCanBeatNativeForUnsyncedWrites(t *testing.T) {
 	}
 }
 
+// TestSharedBudgetDoubleBuffers: a file read through the mount is held in
+// the kernel-side cache and, on the paper's configuration, a second time
+// in the host's — both out of the one budget. The default mount reads past
+// the host's cache and holds it once.
 func TestSharedBudgetDoubleBuffers(t *testing.T) {
-	c := NewCntr(Config{RAM: 1 << 20})
-	defer c.Close()
-	cli := vfs.NewClient(c.Top, vfs.Root())
-	if err := cli.WriteFile("/f", make([]byte, 1<<20), 0o644); err != nil {
-		t.Fatal(err)
+	const size, readAhead = 1 << 20, 128 << 10
+	used := func(mount fuse.MountOptions, ram int64) int64 {
+		c := NewCntr(Config{RAM: ram, Mount: mount, ReadAhead: readAhead})
+		defer c.Close()
+		if err := vfs.NewClient(c.Host, vfs.Root()).WriteFile("/f", make([]byte, size), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := vfs.NewClient(c.Top, vfs.Root()).ReadFile("/f"); err != nil || len(got) != size {
+			t.Fatalf("read through the mount: %d bytes, %v", len(got), err)
+		}
+		if c.Budget.Used() > ram {
+			t.Fatalf("budget of %d exceeded: %d", ram, c.Budget.Used())
+		}
+		return c.Budget.Used()
 	}
-	cli.ReadFile("/f")
-	if c.Budget.Used() > 1<<20 {
-		t.Fatalf("budget exceeded: %d", c.Budget.Used())
+	if twice := used(fuse.PaperMountOptions(), 16<<20); twice != 2*size {
+		t.Fatalf("the paper's configuration holds %d bytes of a %d-byte file, want it twice", twice, size)
 	}
+	if once := used(fuse.DefaultMountOptions(), 16<<20); once < size || once > size+readAhead {
+		t.Fatalf("the default mount holds %d bytes of a %d-byte file, want it once", once, size)
+	}
+	// Neither may overdraw a budget the file does not fit.
+	used(fuse.PaperMountOptions(), size)
+	used(fuse.DefaultMountOptions(), size)
 }
 
-// TestReadBackSurvivesBudgetPressure drives the Figure 2 double-buffered
-// shape past its memory: the FUSE-side cache fills the whole 16 MiB
-// budget with dirty pages, so every eviction flush reaches a host-side
-// cache with no room and takes its write-through fallback. The host-side
-// cache must still learn the file's size: a fallback that skips the size
-// bookkeeping answers the read-back with the right length of zeros.
+// TestReadBackSurvivesBudgetPressure drives the stack past its memory: the
+// FUSE-side cache fills the whole 16 MiB budget with dirty pages, so every
+// eviction flush reaches a host-side cache with no room and takes its
+// write-through fallback. The host-side cache must still learn the file's
+// size: a fallback that skips the size bookkeeping answers the read-back
+// with the right length of zeros. On the paper's configuration the
+// read-back goes through the host-side cache (the Figure 2 double-buffered
+// shape); on the default it goes past it.
 func TestReadBackSurvivesBudgetPressure(t *testing.T) {
-	c := NewCntr(Config{RAM: 16 << 20, DirtyWindowFuse: 64 << 20})
-	defer c.Close()
-	cli := vfs.NewClient(c.Top, vfs.Root())
-	const size, chunk = 32 << 20, 64 << 10
-	pattern := func(i int) []byte {
-		return bytes.Repeat([]byte{byte(i), byte(i >> 8), 'p', 'r', 'e', 's', 's', '!'}, chunk/8)
-	}
-	f, err := cli.Create("/big", 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < size/chunk; i++ {
-		if _, err := f.Write(pattern(i)); err != nil {
-			t.Fatalf("write chunk %d: %v", i, err)
-		}
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if f, err = cli.Open("/big", vfs.ORdonly, 0); err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	buf := make([]byte, chunk)
-	for i := 0; i < size/chunk; i++ {
-		if n, err := f.Read(buf); err != nil || n != chunk {
-			t.Fatalf("read chunk %d: %d bytes, %v", i, n, err)
-		}
-		if !bytes.Equal(buf, pattern(i)) {
-			t.Fatalf("chunk %d (offset %d) read back wrong; host cache stats %+v", i, i*chunk, c.HostPC.Stats())
-		}
-	}
-	if s := c.HostPC.Stats(); s.Hits+s.Misses == 0 {
-		t.Fatalf("the read-back never consulted the host-side cache: %+v", s)
+	for name, mount := range map[string]fuse.MountOptions{
+		"paper": fuse.PaperMountOptions(), "default": fuse.DefaultMountOptions(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := NewCntr(Config{RAM: 16 << 20, DirtyWindowFuse: 64 << 20, Mount: mount})
+			defer c.Close()
+			cli := vfs.NewClient(c.Top, vfs.Root())
+			const size, chunk = 32 << 20, 64 << 10
+			pattern := func(i int) []byte {
+				return bytes.Repeat([]byte{byte(i), byte(i >> 8), 'p', 'r', 'e', 's', 's', '!'}, chunk/8)
+			}
+			f, err := cli.Create("/big", 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < size/chunk; i++ {
+				if _, err := f.Write(pattern(i)); err != nil {
+					t.Fatalf("write chunk %d: %v", i, err)
+				}
+			}
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			if f, err = cli.Open("/big", vfs.ORdonly, 0); err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			before := c.HostPC.Stats()
+			buf := make([]byte, chunk)
+			for i := 0; i < size/chunk; i++ {
+				if n, err := f.Read(buf); err != nil || n != chunk {
+					t.Fatalf("read chunk %d: %d bytes, %v", i, n, err)
+				}
+				if !bytes.Equal(buf, pattern(i)) {
+					t.Fatalf("chunk %d (offset %d) read back wrong; host cache stats %+v", i, i*chunk, c.HostPC.Stats())
+				}
+			}
+			s := c.HostPC.Stats()
+			lookups := s.Hits + s.Misses - before.Hits - before.Misses
+			if mount.DirectRead && lookups != 0 {
+				t.Fatalf("the read-back consulted the host-side cache %d times: %+v", lookups, s)
+			}
+			if !mount.DirectRead && lookups == 0 {
+				t.Fatalf("the read-back never consulted the host-side cache: %+v", s)
+			}
+		})
 	}
 }
 
