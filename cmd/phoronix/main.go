@@ -1,174 +1,174 @@
-// Command phoronix runs the §5.2 disk suite on both stacks and prints
-// the Figure 2 table, the Figure 3 optimization panels and the Figure 4
-// thread sweep. With -chaos it instead runs the suite on a clean Cntr
-// stack and on one with the FaultInjector interceptor at syscall entry,
-// reporting the latency degradation per benchmark.
+// Command phoronix runs the §5.2 disk suite and prints its tables.
 //
-// The -trace-out / -enforce pair closes the trace → policy loop: a run
-// with -trace-out records every operation the suite performs and writes
-// the generated allowlist profile as JSON; a run with -enforce replays
-// the suite with that profile enforced at syscall entry and reports
-// denials (zero when a run is replayed under its own profile). Both
-// flags together trace and replay in one invocation. -audit downgrades
-// enforcement to recording violations without denying them.
+//	(no flag)      Figure 2 on both stacks, Figure 3's panels, Figure 4
+//	-trace-out f   record the suite on CntrFS, write the generated profile to f
+//	-enforce f     replay the suite under the profile in f and report denials
+//	               (-audit: count off-profile operations, deny none)
+//	-chaos         latency faults at syscall entry
+//	-chaos-blob    a host blob store that loses and corrupts chunks
+//	-merge-replay  record twice (seeds 42 and 43), merge the two profiles,
+//	               replay under the merge; exits 1 on any denial
+//	-cachesvc      the shared-cache-tier fleet demo, sized by -mounts and
+//	               the -cache-* flags
 //
-// -chaos composes with -enforce: the suite replays with the fault
-// injector *and* the policy enforcer on one chain (plus errno-injecting
-// rules), demonstrating that injected faults surface as errnos in the
-// trace, never as policy denials.
-//
-// -chaos-blob injects faults one layer lower: the host filesystem's
-// content-addressed blob store occasionally loses or corrupts chunks,
-// which must surface as EIO through the whole stack.
-//
-// -cachesvc runs the distributed shared-cache demo instead of the
-// suite: a fleet of -mounts CntrFS mounts over one content-addressed
-// store cold-reads the same image tree twice — once with every mount
-// paying the origin volume, once attached to the shared cache tier —
-// and prints the per-fleet totals plus the tier's hit ratio.
-// -cache-nodes and -cache-replicas size the tier's node set (shards
-// are placed on a primary plus R replicas via rendezvous hashing);
-// -cache-kill-node fails the highest-id node once half the fleet has
-// read, and -cache-drain-node drains node 0 mid-workload with live
-// shard migration — both print the per-node counter split and the
-// migration counters so the replicas' contribution is visible.
-//
-// -merge-replay runs the policy lifecycle end to end: the suite is
-// recorded twice under independent workload seeds, the two versioned
-// profiles are merged (rule union, ceiling max plus headroom), and the
-// suite replays under enforcement of the merge — exiting non-zero on
-// any denial. Use cmd/policyctl to merge/diff/tighten profile files
-// recorded in separate invocations.
+// -enforce, -chaos and -chaos-blob compose: each fills its fields of the
+// one phoronix.Setup every row of the replay runs under. -chaos alone is
+// compared against a clean sweep; under -enforce it also injects errnos,
+// which must land in the trace's errno histograms and never as denials.
+// -trace-out composes with -enforce only (trace, then replay): a
+// recording under injected faults would taint the profile. -merge-replay
+// and -cachesvc run alone. Anything else exits 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"cntr/internal/phoronix"
 	"cntr/internal/policy"
 )
 
+// options are the flags as given.
+type options struct {
+	chaos, chaosBlob  bool
+	traceOut, enforce string
+	audit             bool
+	mergeReplay       bool
+	cacheSvc          bool
+	fleet             phoronix.MultiMountOptions
+}
+
+// fleetDefaults are the -cachesvc sizing flags left alone.
+var fleetDefaults = phoronix.MultiMountOptions{Mounts: 4, Nodes: 1}
+
 func main() {
-	chaos := flag.Bool("chaos", false,
+	var o options
+	flag.BoolVar(&o.chaos, "chaos", false,
 		"run the suite under the fault/latency-injection profile and report degradation")
-	chaosBlob := flag.Bool("chaos-blob", false,
+	flag.BoolVar(&o.chaosBlob, "chaos-blob", false,
 		"run the suite over a fault-injecting content-addressed backend store")
-	traceOut := flag.String("trace-out", "",
+	flag.StringVar(&o.traceOut, "trace-out", "",
 		"trace the suite and write the generated policy profile JSON to this file")
-	enforce := flag.String("enforce", "",
+	flag.StringVar(&o.enforce, "enforce", "",
 		"replay the suite under the policy profile JSON at this path and report denials")
-	audit := flag.Bool("audit", false,
+	flag.BoolVar(&o.audit, "audit", false,
 		"with -enforce: record off-profile operations without denying them")
-	cacheSvc := flag.Bool("cachesvc", false,
+	flag.BoolVar(&o.cacheSvc, "cachesvc", false,
 		"run the shared-cache-tier fleet demo instead of the suite")
-	mounts := flag.Int("mounts", 4,
+	flag.IntVar(&o.fleet.Mounts, "mounts", fleetDefaults.Mounts,
 		"with -cachesvc: number of CntrFS mounts in the fleet (2-8)")
-	cacheNodes := flag.Int("cache-nodes", 1,
+	flag.IntVar(&o.fleet.Nodes, "cache-nodes", fleetDefaults.Nodes,
 		"with -cachesvc: number of cache nodes the shards are placed across")
-	cacheReplicas := flag.Int("cache-replicas", 0,
+	flag.IntVar(&o.fleet.Replicas, "cache-replicas", 0,
 		"with -cachesvc: replica copies per shard beyond the primary")
-	cacheKill := flag.Bool("cache-kill-node", false,
+	flag.BoolVar(&o.fleet.KillNodeMid, "cache-kill-node", false,
 		"with -cachesvc: kill the highest-id node once half the fleet has read")
-	cacheDrain := flag.Bool("cache-drain-node", false,
+	flag.BoolVar(&o.fleet.DrainNodeMid, "cache-drain-node", false,
 		"with -cachesvc: drain node 0 mid-workload and migrate its shards away")
-	mergeReplay := flag.Bool("merge-replay", false,
+	flag.BoolVar(&o.mergeReplay, "merge-replay", false,
 		"record the suite twice (independent seeds), merge the two profiles, and replay under the merge")
 	flag.Parse()
 
-	if *cacheSvc {
-		if (*cacheKill || *cacheDrain) && *cacheNodes < 2 {
-			fmt.Fprintln(os.Stderr, "phoronix: -cache-kill-node/-cache-drain-node need -cache-nodes >= 2")
-			os.Exit(2)
-		}
-		runCacheSvcDemo(*mounts, *cacheNodes, *cacheReplicas, *cacheKill, *cacheDrain)
-		return
+	mode, replay, err := o.plan()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "phoronix:", err)
+		os.Exit(2)
 	}
-	if *mergeReplay {
+	switch mode {
+	case "cachesvc":
+		runCacheSvcDemo(o.fleet)
+	case "merge-replay":
 		runMergedReplay()
-		return
+	case "suite":
+		runSuite(o, replay)
+	default:
+		runFigures()
 	}
+}
 
-	if *audit && *enforce == "" {
-		fmt.Fprintln(os.Stderr, "phoronix: -audit requires -enforce")
-		os.Exit(2)
-	}
-	if *chaos && *traceOut != "" {
-		fmt.Fprintln(os.Stderr, "phoronix: -chaos cannot be combined with -trace-out")
-		os.Exit(2)
-	}
-
-	if *chaos && *enforce != "" {
-		runChaosEnforced(*enforce, *audit)
-		return
-	}
-
-	if *chaosBlob {
-		results := phoronix.RunChaosBlobAll(nil)
-		fmt.Println("== Backend-store chaos: CntrFS over a faulty blob store ==")
-		fmt.Print(phoronix.FormatChaosBlobTable(results))
-		return
-	}
-
-	if *chaos {
-		results, err := phoronix.RunChaosAll(nil)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+// plan maps the flags to what runs — "figures", "cachesvc", "merge-replay"
+// or "suite" — and, for "suite", to the Setup of the replay as far as the
+// flags alone decide it (the profile is loaded when it runs). A
+// combination that means nothing is an error, not a flag quietly dropped.
+func (o options) plan() (mode string, replay phoronix.Setup, err error) {
+	suite := o.chaos || o.chaosBlob || o.traceOut != "" || o.enforce != "" || o.audit
+	switch {
+	case !o.cacheSvc && o.fleet != fleetDefaults:
+		err = errors.New("-mounts and the -cache-* flags require -cachesvc")
+	case o.cacheSvc && (suite || o.mergeReplay):
+		err = errors.New("-cachesvc runs alone")
+	case o.cacheSvc && (o.fleet.KillNodeMid || o.fleet.DrainNodeMid) && o.fleet.Nodes < 2:
+		err = errors.New("-cache-kill-node/-cache-drain-node need -cache-nodes >= 2")
+	case o.cacheSvc:
+		mode = "cachesvc"
+	case o.mergeReplay && suite:
+		err = errors.New("-merge-replay runs alone")
+	case o.mergeReplay:
+		mode = "merge-replay"
+	case o.audit && o.enforce == "":
+		err = errors.New("-audit requires -enforce")
+	case o.traceOut != "" && (o.chaos || o.chaosBlob):
+		err = errors.New("-trace-out cannot be combined with -chaos or -chaos-blob: a recording under injected faults taints the profile")
+	case suite:
+		mode = "suite"
+		replay.Audit = o.audit
+		if o.chaos && o.enforce != "" {
+			replay.Faults = phoronix.ChaosErrnoProfile()
+		} else if o.chaos {
+			replay.Faults = phoronix.ChaosProfile()
 		}
-		fmt.Println("== Chaos profile: CntrFS under injected faults/latency ==")
-		fmt.Print(phoronix.FormatChaosTable(results))
-		return
+		if o.chaosBlob {
+			replay.StoreFaults = phoronix.ChaosBlobProfile()
+		}
+	default:
+		mode = "figures"
 	}
+	return mode, replay, err
+}
 
-	if *traceOut != "" || *enforce != "" {
-		runPolicy(*traceOut, *enforce, *audit)
-		return
-	}
-
-	results, err := phoronix.RunAll()
+// check exits 1 on a run-time failure.
+func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// must is check for a sweep no row of which may fail.
+func must(rows []phoronix.Row) []phoronix.Row {
+	for _, r := range rows {
+		check(r.Err)
+	}
+	return rows
+}
+
+// runFigures prints Figures 2, 3 and 4.
+func runFigures() {
+	results, err := phoronix.RunAll()
+	check(err)
 	fmt.Println("== Figure 2: relative overhead of CntrFS ==")
 	fmt.Print(phoronix.FormatTable(results))
 
 	fmt.Println("\n== Figure 3: optimization effectiveness ==")
-	panel := func(fn func() (phoronix.OptResult, error)) phoronix.OptResult {
-		r, err := fn()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	for _, p := range phoronix.Figure3 {
+		r, err := phoronix.RunPanel(p)
+		check(err)
 		fmt.Printf("%-32s before=%-14v after=%-14v speedup=%.2fx\n",
 			r.Name, r.Before, r.After, r.Speedup)
-		return r
-	}
-	for _, fn := range []func() (phoronix.OptResult, error){
-		phoronix.Figure3ReadCache, phoronix.Figure3Writeback,
-		phoronix.Figure3Batching, phoronix.Figure3Splice,
-	} {
-		panel(fn)
-	}
-	// The last three panels are beyond the paper, whose configuration is
-	// their "before" side: report how far each side leaves the panel's row
-	// from the paper's Figure 2.
-	for _, beyond := range []struct {
-		row string
-		fn  func() (phoronix.OptResult, error)
-	}{
-		{"IOzone: Write", phoronix.Figure3NoSec},
-		{"Compilebench: Create", phoronix.Figure3SmallFile},
-		{"IOzone: Read", phoronix.Figure3SingleBuffer},
-	} {
-		r := panel(beyond.fn)
+		if !p.BeyondPaper {
+			continue
+		}
+		// The paper's configuration is the panel's "before" side: report
+		// how far each side leaves the panel's row from the paper's
+		// Figure 2.
 		for _, row := range results {
-			if row.Name != beyond.row {
+			if row.Name != p.Row {
 				continue
 			}
 			logErr := func(cntr time.Duration) float64 {
@@ -181,34 +181,128 @@ func main() {
 
 	fmt.Println("\n== Figure 4: server threads vs sequential read ==")
 	m, err := phoronix.Figure4Threads()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 	for _, n := range []int{1, 2, 4, 8, 16} {
 		fmt.Printf("threads=%-3d time=%v\n", n, m[n])
 	}
 }
 
-// runMergedReplay runs the full policy lifecycle: two independent
+// runSuite records and/or replays the twenty rows on CntrFS: the trace
+// half first when asked for, then one sweep under everything else the
+// flags composed. A -trace-out and -enforce of the same path replay the
+// profile just generated — the full loop in one invocation.
+func runSuite(o options, replay phoronix.Setup) {
+	var profile *policy.Profile
+	if o.traceOut != "" {
+		col := policy.NewCollector()
+		rows := must(phoronix.Sweep(nil, phoronix.Setup{Record: col}))
+		fmt.Println("== Traced run ==")
+		fmt.Print(phoronix.FormatRows(rows))
+		profile = col.Profile(policy.GenOptions{})
+		blob, err := profile.Marshal()
+		check(err)
+		check(os.WriteFile(o.traceOut, blob, 0o644))
+		fmt.Printf("\nwrote profile (%d rules) to %s\n", len(profile.Rules), o.traceOut)
+		if o.enforce == "" {
+			return
+		}
+		fmt.Println()
+	}
+
+	var under []string
+	if o.chaos {
+		under = append(under, "injected faults/latency")
+	}
+	if o.chaosBlob {
+		under = append(under, "a faulty blob store")
+	}
+	if o.enforce != "" {
+		if o.enforce != o.traceOut {
+			blob, err := os.ReadFile(o.enforce)
+			check(err)
+			profile, err = policy.Load(blob)
+			check(err)
+		}
+		replay.Enforce = profile
+		if o.audit {
+			under = append(under, "policy (audit mode)")
+		} else {
+			under = append(under, "policy (enforce mode)")
+		}
+		// Where the injected faults must land: errno histogram buckets of
+		// a recording of the faulty run, not denials.
+		if o.chaos || o.chaosBlob {
+			replay.Record = policy.NewCollector()
+		}
+	}
+	fmt.Printf("== CntrFS under %s ==\n", strings.Join(under, " + "))
+	rows := phoronix.Sweep(nil, replay)
+
+	if o.chaos && !o.chaosBlob && o.enforce == "" {
+		clean := must(phoronix.Sweep(nil, phoronix.Setup{}))
+		fmt.Printf("%-28s %12s %12s %12s\n", "Benchmark", "clean", "chaos", "degradation")
+		for i, r := range must(rows) {
+			fmt.Printf("%-28s %12v %12v %11.2fx\n", r.Name, clean[i].Time.Round(time.Microsecond),
+				r.Time.Round(time.Microsecond), float64(r.Time)/float64(clean[i].Time))
+		}
+		return
+	}
+
+	fmt.Print(phoronix.FormatRows(rows))
+	var denials, audited int64
+	failed := false
+	for _, r := range rows {
+		denials += r.Denials
+		audited += r.Audited
+		failed = failed || r.Err != nil
+	}
+	if replay.Record != nil {
+		var lines []string
+		for _, act := range replay.Record.Snapshot() {
+			for kind, k := range act.Kinds {
+				for name, n := range k.Errnos {
+					if name != "ok" {
+						lines = append(lines, fmt.Sprintf("  %-10s %-24s %d", kind, name, n))
+					}
+				}
+			}
+		}
+		sort.Strings(lines)
+		fmt.Println("\nnon-ok errno buckets across the faulty run:")
+		for _, l := range lines {
+			fmt.Println(l)
+		}
+	}
+	if o.enforce != "" {
+		fmt.Printf("total denials=%d audited=%d\n", denials, audited)
+	}
+	// Rows are expected to fail where errnos are injected (the suite
+	// treats any errno as fatal); a denial is never expected.
+	errnosInjected := o.chaosBlob || (o.chaos && o.enforce != "")
+	if denials != 0 || (failed && !errnosInjected) {
+		os.Exit(1)
+	}
+}
+
+// runMergedReplay runs the fleet policy lifecycle: two independent
 // recordings of the suite, one merged profile, one enforcement replay.
 // The merge must admit its own recordings with zero denials.
 func runMergedReplay() {
 	fmt.Println("== Policy lifecycle: record x2 -> merge -> enforce ==")
-	rep, err := phoronix.RunMergedReplay()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	record := func(seed uint64, runID string) *policy.Profile {
+		col := policy.NewCollector()
+		must(phoronix.Sweep(nil, phoronix.Setup{Record: col, Seed: seed}))
+		return col.Profile(policy.GenOptions{RunID: runID})
 	}
+	a, b := record(42, "suite-seed-42"), record(43, "suite-seed-43")
+	rep := phoronix.RunMergedReplay(a, b)
 	m := rep.Merged
-	fmt.Printf("profile A: generation %d, %d rules (%s)\n",
-		rep.ProfileA.Generation, len(rep.ProfileA.Rules), rep.ProfileA.SourceRuns)
-	fmt.Printf("profile B: generation %d, %d rules (%s)\n",
-		rep.ProfileB.Generation, len(rep.ProfileB.Rules), rep.ProfileB.SourceRuns)
+	fmt.Printf("profile A: generation %d, %d rules (%s)\n", a.Generation, len(a.Rules), a.SourceRuns)
+	fmt.Printf("profile B: generation %d, %d rules (%s)\n", b.Generation, len(b.Rules), b.SourceRuns)
 	fmt.Printf("merged:    generation %d, %d rules, %d runs, window %d ops (read %d B, write %d B)\n",
 		m.Generation, len(m.Rules), m.Runs, m.WindowOps, m.ReadBytesPerWindow, m.WriteBytesPerWindow)
 	fmt.Printf("diff A -> merged: %s\n\n", rep.Diff.Summary())
-	fmt.Print(phoronix.FormatEnforceTable(rep.Results))
+	fmt.Print(phoronix.FormatRows(rep.Results))
 	fmt.Printf("\ntotal denials=%d (a merged profile must admit its own recordings)\n", rep.Denials)
 	if rep.Denials != 0 {
 		os.Exit(1)
@@ -218,25 +312,21 @@ func runMergedReplay() {
 // runCacheSvcDemo runs the multi-mount cold-read experiment with and
 // without the shared cache tier and prints the comparison, plus the
 // per-node split and migration counters when the tier is multi-node.
-func runCacheSvcDemo(mounts, nodes, replicas int, kill, drain bool) {
-	if mounts < 2 {
-		mounts = 2
+func runCacheSvcDemo(opts phoronix.MultiMountOptions) {
+	if opts.Mounts < 2 {
+		opts.Mounts = 2
 	}
-	if mounts > 8 {
-		mounts = 8
-	}
-	opts := phoronix.MultiMountOptions{
-		Mounts: mounts, Nodes: nodes, Replicas: replicas,
-		KillNodeMid: kill, DrainNodeMid: drain,
+	if opts.Mounts > 8 {
+		opts.Mounts = 8
 	}
 
-	fmt.Printf("== Shared cache tier: %d mounts, one CAS, Top-50 image tree ==\n", mounts)
-	if nodes > 1 {
-		fmt.Printf("   tier: %d nodes, %d replica(s) per shard", nodes, replicas)
-		if kill {
-			fmt.Printf(", node %d killed mid-fleet", nodes-1)
+	fmt.Printf("== Shared cache tier: %d mounts, one CAS, Top-50 image tree ==\n", opts.Mounts)
+	if opts.Nodes > 1 {
+		fmt.Printf("   tier: %d nodes, %d replica(s) per shard", opts.Nodes, opts.Replicas)
+		if opts.KillNodeMid {
+			fmt.Printf(", node %d killed mid-fleet", opts.Nodes-1)
 		}
-		if drain {
+		if opts.DrainNodeMid {
 			fmt.Printf(", node 0 drained mid-fleet")
 		}
 		fmt.Println()
@@ -266,7 +356,7 @@ func runCacheSvcDemo(mounts, nodes, replicas int, kill, drain bool) {
 	fmt.Printf("\nspeedup with shared tier: %.2fx\n",
 		float64(base.ColdReadTotal)/float64(svc.ColdReadTotal))
 
-	if nodes > 1 {
+	if opts.Nodes > 1 {
 		fmt.Printf("\n%-6s %-6s %-9s %8s %10s %10s %8s\n",
 			"node", "live", "draining", "shards", "hits", "puts", "fenced")
 		for _, ns := range svc.NodeStats {
@@ -280,118 +370,3 @@ func runCacheSvcDemo(mounts, nodes, replicas int, kill, drain bool) {
 }
 
 const fmtRound = 100 * 1000 // 100us, in time.Duration units
-
-// runChaosEnforced composes the chaos and policy paths: the suite
-// replays with errno-injecting fault rules under the given enforced
-// profile, a collector recording the chaotic run. Injected faults must
-// never register as denials; they land in the errno histograms instead.
-func runChaosEnforced(enforce string, audit bool) {
-	blob, err := os.ReadFile(enforce)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	profile, err := policy.Load(blob)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	mode := "enforce"
-	if audit {
-		mode = "audit"
-	}
-	col := policy.NewCollector()
-	fmt.Printf("== Chaos + policy (%s mode): injected faults under the profile ==\n", mode)
-	results := phoronix.RunChaosEnforcedAll(nil, profile, audit, col)
-	fmt.Print(phoronix.FormatChaosEnforceTable(results))
-	var denials int64
-	for _, r := range results {
-		denials += r.Denials
-	}
-	// The injected faults land here — as errno histogram buckets in the
-	// recorded activity, not as denials.
-	var lines []string
-	for _, act := range col.Snapshot() {
-		for kind, k := range act.Kinds {
-			for name, n := range k.Errnos {
-				if name != "ok" {
-					lines = append(lines, fmt.Sprintf("  %-10s %-24s %d", kind, name, n))
-				}
-			}
-		}
-	}
-	sort.Strings(lines)
-	fmt.Println("\nnon-ok errno buckets across the chaotic run:")
-	for _, l := range lines {
-		fmt.Println(l)
-	}
-	fmt.Printf("\ntotal denials=%d (injected faults must contribute none)\n", denials)
-	if denials != 0 {
-		os.Exit(1)
-	}
-}
-
-// runPolicy executes the trace and/or enforce halves of the policy
-// workflow. When both paths are given the profile generated by the
-// trace is immediately replayed under enforcement — the full loop in
-// one invocation.
-func runPolicy(traceOut, enforce string, audit bool) {
-	var profile *policy.Profile
-
-	if traceOut != "" {
-		col := policy.NewCollector()
-		results, err := phoronix.RunTracedAll(col)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println("== Traced run ==")
-		fmt.Print(phoronix.FormatTraceTable(results))
-		profile = col.Profile(policy.GenOptions{})
-		blob, err := profile.Marshal()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(traceOut, blob, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote profile (%d rules) to %s\n", len(profile.Rules), traceOut)
-	}
-
-	if enforce != "" {
-		if profile == nil || enforce != traceOut {
-			blob, err := os.ReadFile(enforce)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			profile, err = policy.Load(blob)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		mode := "enforce"
-		if audit {
-			mode = "audit"
-		}
-		fmt.Printf("\n== Replay under policy (%s mode) ==\n", mode)
-		results := phoronix.RunEnforcedAll(profile, audit)
-		fmt.Print(phoronix.FormatEnforceTable(results))
-		var denials, audited int64
-		failed := false
-		for _, r := range results {
-			denials += r.Denials
-			audited += r.Audited
-			if r.Err != nil {
-				failed = true
-			}
-		}
-		fmt.Printf("total denials=%d audited=%d\n", denials, audited)
-		if failed {
-			os.Exit(1)
-		}
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cntr/internal/blobstore"
+	"cntr/internal/stack"
 	"cntr/internal/vfs"
 )
 
@@ -11,12 +12,9 @@ import (
 // backend the suite must behave exactly as on the default store — the
 // backend is a storage detail.
 func TestChaosBlobCleanBackend(t *testing.T) {
-	r := RunChaosBlob(&Suite[0], nil)
+	r := Run(&Suite[0], Setup{Config: stack.Config{Store: blobstore.NewCAS(blobstore.CASOptions{})}})
 	if r.Err != nil {
 		t.Fatalf("clean CAS backend failed the benchmark: %v", r.Err)
-	}
-	if r.Injected != 0 {
-		t.Fatalf("no rules, yet %d injections", r.Injected)
 	}
 	if r.Time <= 0 {
 		t.Fatal("benchmark reported no time")
@@ -32,7 +30,7 @@ func TestChaosBlobFaultSurfacesEIO(t *testing.T) {
 	}
 	var failed, fired bool
 	for i := range Suite {
-		r := RunChaosBlob(&Suite[i], rules)
+		r := Run(&Suite[i], Setup{StoreFaults: rules})
 		if r.Injected > 0 {
 			fired = true
 		}

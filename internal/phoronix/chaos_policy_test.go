@@ -15,12 +15,8 @@ import (
 // new kinds, because an injected errno changes an operation's outcome,
 // not its existence.
 func TestChaosComposesWithPolicy(t *testing.T) {
-	// Record a clean run of the suite and generate its profile.
-	clean := policy.NewCollector()
-	if _, err := RunTracedAll(clean); err != nil {
-		t.Fatal(err)
-	}
-	prof := clean.Profile(policy.GenOptions{})
+	// The clean recording of the suite, and its profile.
+	prof := suiteRecording(t).Profile(policy.GenOptions{})
 	if len(prof.Rules) == 0 {
 		t.Fatal("clean trace generated no rules")
 	}
@@ -28,7 +24,7 @@ func TestChaosComposesWithPolicy(t *testing.T) {
 	// Replay under chaos (latency + injected errnos) with the profile
 	// enforced and a second collector recording the chaotic run.
 	chaotic := policy.NewCollector()
-	results := RunChaosEnforcedAll(nil, prof, false, chaotic)
+	results := Sweep(nil, Setup{Faults: ChaosErrnoProfile(), Enforce: prof, Record: chaotic})
 	if len(results) != len(Suite) {
 		t.Fatalf("replayed %d benchmarks, want %d", len(results), len(Suite))
 	}

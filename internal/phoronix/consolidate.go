@@ -6,6 +6,7 @@ import (
 
 	"cntr/internal/blobstore"
 	"cntr/internal/policy"
+	"cntr/internal/stack"
 )
 
 // ConsolidationReport is the outcome of RunConsolidation: N containers,
@@ -20,7 +21,7 @@ type ConsolidationReport struct {
 	// Merged is the fleet profile: the union of every container's
 	// individually recorded profile.
 	Merged  *policy.Profile
-	Results []ChaosEnforceResult
+	Results []Row
 	// Denials/Audited must both be zero: injected faults are backend
 	// weather, not policy violations, and the merged profile must admit
 	// every workload it was recorded from.
@@ -66,8 +67,10 @@ func RunConsolidation(n int) (*ConsolidationReport, error) {
 			rep.Mix[i] = append(rep.Mix[i], b.Name)
 		}
 		col := policy.NewCollector()
-		if _, err := RunTracedSubset(col, mix, 42); err != nil {
-			return nil, fmt.Errorf("recording container %d: %w", i, err)
+		for _, r := range Sweep(mix, Setup{Record: col}) {
+			if r.Err != nil {
+				return nil, fmt.Errorf("recording container %d: %w", i, r.Err)
+			}
 		}
 		profiles = append(profiles, col.Profile(policy.GenOptions{
 			RunID: fmt.Sprintf("container-%d", i),
@@ -77,12 +80,15 @@ func RunConsolidation(n int) (*ConsolidationReport, error) {
 
 	// Consolidated replay: every container's mix on the shared store,
 	// chaos + enforcement + a recording tracer composed per workload.
-	cfg := stackConfig()
-	cfg.Store = blobstore.NewCAS(blobstore.CASOptions{})
 	chaotic := policy.NewCollector()
+	replay := Setup{
+		Config:  stack.Config{Store: blobstore.NewCAS(blobstore.CASOptions{})},
+		Faults:  ChaosErrnoProfile(),
+		Enforce: rep.Merged,
+		Record:  chaotic,
+	}
 	for _, mix := range mixes {
-		for _, b := range mix {
-			r := runEnforced(cfg, b, ChaosErrnoProfile(), rep.Merged, false, chaotic)
+		for _, r := range Sweep(mix, replay) {
 			rep.Results = append(rep.Results, r)
 			rep.Denials += r.Denials
 			rep.Audited += r.Audited

@@ -23,7 +23,7 @@ func TestConsolidationChaosEnforced(t *testing.T) {
 	}
 	if rep.Denials != 0 || rep.Audited != 0 {
 		t.Fatalf("injected faults registered as policy violations: denials=%d audited=%d\n%s",
-			rep.Denials, rep.Audited, FormatChaosEnforceTable(rep.Results))
+			rep.Denials, rep.Audited, FormatRows(rep.Results))
 	}
 	// The chaos really fired: both injected errno kinds reached the
 	// chaotic recording's histograms. Injection is seeded and counted per

@@ -1,13 +1,6 @@
 package phoronix
 
-import (
-	"testing"
-	"time"
-
-	"cntr/internal/policy"
-	"cntr/internal/stack"
-	"cntr/internal/vfs"
-)
+import "testing"
 
 // TestDirStormWorkload: listing and resolving a million-entry (scaled)
 // directory must complete on both stacks and must cost CntrFS more than
@@ -39,32 +32,12 @@ func TestDirStormNotInSuite(t *testing.T) {
 // its own recorded profile enforced: injected faults must not register
 // as policy denials even at million-entry directory scale.
 func TestDirStormChaosEnforced(t *testing.T) {
-	col := policy.NewCollector()
-	rec := stack.NewCntr(stackConfig())
-	run := col.NewRun()
-	tr := vfs.NewTracer(1)
-	tr.Sink = run.Sink
-	if _, _, err := RunOn(&DirStorm, vfs.Chain(rec.Top, tr), rec.Host, rec.Clock, rec.Model, rec.Disk, 42); err != nil {
-		rec.Close()
-		t.Fatalf("clean recording: %v", err)
+	prof := recordedProfile(t, &DirStorm)
+	r := Run(&DirStorm, Setup{Enforce: prof, Faults: ChaosProfile()})
+	if r.Err != nil {
+		t.Fatalf("dir-storm under chaos+enforce: %v", r.Err)
 	}
-	rec.Close()
-	prof := col.Profile(policy.GenOptions{})
-	if len(prof.Rules) == 0 {
-		t.Fatal("clean trace generated no rules")
-	}
-
-	c := stack.NewCntr(stackConfig())
-	enf := policy.NewEnforcer(prof, false)
-	inj := vfs.NewFaultInjector(ChaosProfile()...)
-	inj.Sleep = func(d time.Duration) { c.Clock.Advance(d) }
-	top := vfs.Chain(c.Top, enf, inj)
-	_, _, err := RunOn(&DirStorm, top, c.Host, c.Clock, c.Model, c.Disk, 42)
-	c.Close()
-	if err != nil {
-		t.Fatalf("dir-storm under chaos+enforce: %v", err)
-	}
-	if d := enf.Denials(); d != 0 {
-		t.Fatalf("%d denials under the storm's own profile: %+v", d, enf.Violations())
+	if r.Denials != 0 {
+		t.Fatalf("%d denials under the storm's own profile", r.Denials)
 	}
 }

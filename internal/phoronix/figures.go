@@ -8,12 +8,6 @@ import (
 	"cntr/internal/vfs"
 )
 
-// Figure 3 — effectiveness of the individual optimizations (§5.2.3).
-// Each panel compares throughput with one optimization off vs on. The
-// paper's four panels run with everything else at DefaultMountOptions,
-// NoSec, NoFlush and DirectRead included; the three panels beyond the
-// paper have the paper's configuration as their "off" side.
-
 // OptResult is one before/after pair.
 type OptResult struct {
 	Name    string
@@ -22,98 +16,80 @@ type OptResult struct {
 	Speedup float64       // Before / After
 }
 
-// runCntrWith executes fn against a Cntr stack mounted with opts and
-// returns the timed duration.
-func runCntrWith(mount fuse.MountOptions, b *Benchmark) (time.Duration, error) {
-	cfg := stackConfig()
-	cfg.Mount = mount
-	c := stack.NewCntr(cfg)
-	defer c.Close()
-	d, _, err := RunOn(b, c.Top, c.Host, c.Clock, c.Model, c.Disk, 7)
-	return d, err
+// Panel is one comparison in Figure 3's style: one suite row on two
+// mounts, a rule off and on.
+type Panel struct {
+	Name    string
+	Row     string
+	Off, On fuse.MountOptions
+	// BeyondPaper marks a rule the paper does not have; the paper's
+	// configuration is then the Off side.
+	BeyondPaper bool
 }
 
-// optPanel runs one suite row on two mounts and reports the pair.
-func optPanel(name, row string, off, on fuse.MountOptions) (OptResult, error) {
-	bench := findBench(row)
-	before, err := runCntrWith(off, bench)
+// Figure3 is the effectiveness of the individual optimizations (§5.2.3).
+// The paper's four panels run with everything else at
+// DefaultMountOptions, NoSec, NoFlush and DirectRead included.
+var Figure3 = figure3()
+
+func figure3() []Panel {
+	def, paper := fuse.DefaultMountOptions(), fuse.PaperMountOptions()
+	noKeep, noWriteback, noDirops, noSplice := def, def, def, def
+	noKeep.KeepCache = false
+	noWriteback.WritebackCache = false
+	noDirops.ParallelDirops = false
+	noSplice.SpliceRead = false
+	nosec, direct := paper, paper
+	nosec.NoSec = true
+	direct.DirectRead = true
+	return []Panel{
+		// (a) concurrent re-reads, 4 readers.
+		{Name: "read cache (FOPEN_KEEP_CACHE)", Row: "Threaded I/O: Read", Off: noKeep, On: def},
+		// (b) sequential 4KB writes.
+		{Name: "writeback cache", Row: "IOzone: Write", Off: noWriteback, On: def},
+		// (c) the compilebench read-tree stage.
+		{Name: "batching (PARALLEL_DIROPS)", Row: "Compilebench: Read", Off: noDirops, On: def},
+		// (d) sequential reads.
+		{Name: "splice read", Row: "IOzone: Read", Off: noSplice, On: def},
+		// The per-inode S_NOSEC mark, on the row whose overhead the paper
+		// puts down to the security.capability lookup on every write
+		// (§5.2.2).
+		{Name: "xattr absence (S_NOSEC)", Row: "IOzone: Write", Off: paper, On: nosec, BeyondPaper: true},
+		// The paper's worst small-file row: each file is created, written
+		// once and closed, and the default spares it the GETXATTR of its
+		// one write (the file is born S_NOSEC) and the FLUSH of its close.
+		{Name: "small file (born mark, no FLUSH)", Row: "Compilebench: Create", Off: paper, On: def, BeyondPaper: true},
+		// The row the paper puts down to data being cached on both sides
+		// of /dev/fuse (§5.2.1): the set fits the page cache once and not
+		// twice; with the server reading past the host's copy it is held
+		// once.
+		{Name: "single buffer (server O_DIRECT)", Row: "IOzone: Read", Off: paper, On: direct, BeyondPaper: true},
+	}
+}
+
+// runCntrWith times b on a Cntr stack mounted with mount, at the
+// figures' workload seed.
+func runCntrWith(mount fuse.MountOptions, b *Benchmark) (time.Duration, error) {
+	r := Run(b, Setup{Config: stack.Config{Mount: mount}, Seed: 7})
+	return r.Time, r.Err
+}
+
+// RunPanel runs p's row on both of its mounts.
+func RunPanel(p Panel) (OptResult, error) {
+	bench := findBench(p.Row)
+	before, err := runCntrWith(p.Off, bench)
 	if err != nil {
 		return OptResult{}, err
 	}
-	after, err := runCntrWith(on, bench)
+	after, err := runCntrWith(p.On, bench)
 	if err != nil {
 		return OptResult{}, err
 	}
-	r := OptResult{Name: name, Before: before, After: after}
+	r := OptResult{Name: p.Name, Before: before, After: after}
 	if after > 0 {
 		r.Speedup = float64(before) / float64(after)
 	}
 	return r, nil
-}
-
-// Figure3ReadCache reproduces panel (a): FOPEN_KEEP_CACHE off vs on for
-// concurrent re-reads (Threaded I/O read, 4 readers).
-func Figure3ReadCache() (OptResult, error) {
-	off := fuse.DefaultMountOptions()
-	off.KeepCache = false
-	return optPanel("read cache (FOPEN_KEEP_CACHE)", "Threaded I/O: Read", off, fuse.DefaultMountOptions())
-}
-
-// Figure3Writeback reproduces panel (b): writeback cache off vs on for
-// sequential 4KB writes (IOZone write).
-func Figure3Writeback() (OptResult, error) {
-	off := fuse.DefaultMountOptions()
-	off.WritebackCache = false
-	return optPanel("writeback cache", "IOzone: Write", off, fuse.DefaultMountOptions())
-}
-
-// Figure3Batching reproduces panel (c): PARALLEL_DIROPS off vs on for
-// the compilebench read-tree stage.
-func Figure3Batching() (OptResult, error) {
-	off := fuse.DefaultMountOptions()
-	off.ParallelDirops = false
-	return optPanel("batching (PARALLEL_DIROPS)", "Compilebench: Read", off, fuse.DefaultMountOptions())
-}
-
-// Figure3Splice reproduces panel (d): splice read off vs on for
-// sequential reads.
-func Figure3Splice() (OptResult, error) {
-	off := fuse.DefaultMountOptions()
-	off.SpliceRead = false
-	return optPanel("splice read", "IOzone: Read", off, fuse.DefaultMountOptions())
-}
-
-// Figure3NoSec is a fifth panel in Figure 3's style and beyond the
-// paper: the paper's configuration without and with the per-inode
-// S_NOSEC mark (fuse.MountOptions.NoSec) for sequential 4KB writes
-// (IOZone write) — the row whose overhead the paper puts down to the
-// security.capability lookup on every write (§5.2.2).
-func Figure3NoSec() (OptResult, error) {
-	on := fuse.PaperMountOptions()
-	on.NoSec = true
-	return optPanel("xattr absence (S_NOSEC)", "IOzone: Write", fuse.PaperMountOptions(), on)
-}
-
-// Figure3SmallFile is a sixth panel, also beyond the paper: the paper's
-// configuration against the default for the compilebench create stage,
-// the paper's worst small-file row. Each file there is created, written
-// once and closed; the default spares it the GETXATTR of its one write
-// (the file is born S_NOSEC) and the FLUSH of its close (NoFlush).
-func Figure3SmallFile() (OptResult, error) {
-	return optPanel("small file (born mark, no FLUSH)", "Compilebench: Create",
-		fuse.PaperMountOptions(), fuse.DefaultMountOptions())
-}
-
-// Figure3SingleBuffer is a seventh panel, beyond the paper: the paper's
-// configuration without and with DirectRead for the big sequential
-// re-read (IOZone read), the row the paper puts down to data being cached
-// on both sides of /dev/fuse (§5.2.1). The set fits the page cache once
-// and not twice; with the server reading past the host's copy it is held
-// once.
-func Figure3SingleBuffer() (OptResult, error) {
-	on := fuse.PaperMountOptions()
-	on.DirectRead = true
-	return optPanel("single buffer (server O_DIRECT)", "IOzone: Read", fuse.PaperMountOptions(), on)
 }
 
 // Figure4Threads reproduces Figure 4: sequential-read throughput as the

@@ -16,7 +16,9 @@ import (
 	"strings"
 	"time"
 
+	"cntr/internal/blobstore"
 	"cntr/internal/fuse"
+	"cntr/internal/policy"
 	"cntr/internal/sim"
 	"cntr/internal/stack"
 	"cntr/internal/vfs"
@@ -131,6 +133,126 @@ func RunOn(b *Benchmark, fs vfs.FS, backing vfs.FS, clock *sim.Clock, model *sim
 	return wall(clock.Now()-start, b.Workers), work, nil
 }
 
+// Setup says what watches or perturbs a row on its CntrFS stack. The zero
+// value is Figure 2's: stackConfig, seed 42, nothing between the workload
+// and the mount.
+type Setup struct {
+	// Config is the stack. With RAM zero its four sizes are stackConfig's;
+	// a zero Mount is fuse.DefaultMountOptions (stack.NewCntr).
+	Config stack.Config
+	// Seed drives the workload's random choices; zero means 42.
+	Seed uint64
+	// Record receives every operation of the row, in a path-learning
+	// scope of the row's own (fresh stack, fresh inode numbers), and the
+	// mount's per-origin request counters once it has run.
+	Record *policy.Collector
+	// Enforce is compiled into an enforcer at syscall entry; with Audit,
+	// off-profile operations are counted instead of denied.
+	Enforce *policy.Profile
+	Audit   bool
+	// Faults are injected at syscall entry, behind an admitted operation;
+	// their delays advance the stack's own clock.
+	Faults []vfs.FaultRule
+	// StoreFaults are injected below the host filesystem: its
+	// content-addressed store (Config.Store, else a fresh one) fails by
+	// these rules, counted from zero for every row.
+	StoreFaults []blobstore.FaultRule
+}
+
+// Row is the outcome of one benchmark on one CntrFS stack. A failed
+// workload is a row with Err set (and no Time), not an aborted sweep:
+// a denial or an injected errno surfaces there, the suite treating any
+// errno as fatal.
+type Row struct {
+	Name string
+	Time time.Duration
+	Work int64
+	// Ops counts the operations Setup.Record was handed.
+	Ops int64
+	// Denials counts operations the enforcer rejected with EACCES,
+	// Audited the off-profile operations it let through in audit mode.
+	Denials, Audited int64
+	// Injected counts the Setup.StoreFaults that fired.
+	Injected int64
+	Err      error
+}
+
+// Run measures b on a fresh Cntr stack assembled from s. It is the one
+// place that knows the chain order: the tracer outermost, so that it
+// records a denial or an injected errno as it records a real one; the
+// enforcer next, because policy decides at syscall entry; the fault
+// injector innermost, modelling the backing store behind an admitted
+// operation.
+func Run(b *Benchmark, s Setup) Row {
+	cfg := s.Config
+	if cfg.RAM == 0 {
+		std := stackConfig()
+		cfg.RAM, cfg.ReadAhead = std.RAM, std.ReadAhead
+		cfg.DirtyWindowNative, cfg.DirtyWindowFuse = std.DirtyWindowNative, std.DirtyWindowFuse
+	}
+	var store *blobstore.FaultInjector
+	if len(s.StoreFaults) > 0 {
+		if cfg.Store == nil {
+			cfg.Store = blobstore.NewCAS(blobstore.CASOptions{})
+		}
+		store = blobstore.NewFaultInjector(cfg.Store, s.StoreFaults...)
+		cfg.Store = store
+	}
+	if s.Seed == 0 {
+		s.Seed = 42
+	}
+	c := stack.NewCntr(cfg)
+	defer c.Close()
+
+	row := Row{Name: b.Name}
+	var ics []vfs.Interceptor
+	if s.Record != nil {
+		run := s.Record.NewRun()
+		tr := vfs.NewTracer(1)
+		tr.Sink = func(e vfs.TraceEntry) {
+			row.Ops++
+			run.Sink(e)
+		}
+		ics = append(ics, tr)
+	}
+	var enf *policy.Enforcer
+	if s.Enforce != nil {
+		enf = policy.NewEnforcer(s.Enforce, s.Audit)
+		ics = append(ics, enf)
+	}
+	if len(s.Faults) > 0 {
+		inj := vfs.NewFaultInjector(s.Faults...)
+		inj.Sleep = func(d time.Duration) { c.Clock.Advance(d) }
+		ics = append(ics, inj)
+	}
+	row.Time, row.Work, row.Err = RunOn(b, vfs.Chain(c.Top, ics...), c.Host, c.Clock, c.Model, c.Disk, s.Seed)
+	if s.Record != nil {
+		s.Record.JoinOriginStats(c.Server.OriginStats())
+	}
+	if enf != nil {
+		row.Denials, row.Audited = enf.Denials(), enf.Audited()
+	}
+	if store != nil {
+		row.Injected = store.Injected()
+	}
+	return row
+}
+
+// Sweep runs every benchmark of benches (nil: the twenty Suite rows)
+// under the same setup, each on a stack of its own.
+func Sweep(benches []*Benchmark, s Setup) []Row {
+	if benches == nil {
+		for i := range Suite {
+			benches = append(benches, &Suite[i])
+		}
+	}
+	rows := make([]Row, 0, len(benches))
+	for _, b := range benches {
+		rows = append(rows, Run(b, s))
+	}
+	return rows
+}
+
 // RunBenchmark measures b on a fresh native stack and a fresh Cntr stack
 // and returns the Figure 2 row.
 func RunBenchmark(b *Benchmark) (Result, error) {
@@ -139,19 +261,16 @@ func RunBenchmark(b *Benchmark) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	c := stack.NewCntr(stackConfig())
-	defer c.Close()
-	ct, _, err := RunOn(b, c.Top, c.Host, c.Clock, c.Model, c.Disk, 42)
-	if err != nil {
-		return Result{}, err
+	c := Run(b, Setup{})
+	if c.Err != nil {
+		return Result{}, c.Err
 	}
-	r := Result{
-		Name: b.Name, NativeTime: nt, CntrTime: ct,
-		Overhead:      float64(ct) / float64(nt),
+	return Result{
+		Name: b.Name, NativeTime: nt, CntrTime: c.Time,
+		Overhead:      float64(c.Time) / float64(nt),
 		PaperOverhead: b.PaperOverhead,
 		Work:          work,
-	}
-	return r, nil
+	}, nil
 }
 
 // RunAll executes the full suite (Figure 2).
@@ -176,6 +295,47 @@ func FormatTable(results []Result) string {
 		fmt.Fprintf(&b, "%-28s %12v %12v %8.1fx %8.1fx\n",
 			r.Name, r.NativeTime.Round(time.Microsecond),
 			r.CntrTime.Round(time.Microsecond), r.Overhead, r.PaperOverhead)
+	}
+	return b.String()
+}
+
+// FormatRows renders a sweep: name, time and status always, a counter
+// column when any row has a count in it.
+func FormatRows(rows []Row) string {
+	type column struct {
+		head string
+		val  func(Row) int64
+	}
+	var cols []column
+	for _, c := range []column{
+		{"traced ops", func(r Row) int64 { return r.Ops }},
+		{"denials", func(r Row) int64 { return r.Denials }},
+		{"audited", func(r Row) int64 { return r.Audited }},
+		{"injected", func(r Row) int64 { return r.Injected }},
+	} {
+		for _, r := range rows {
+			if c.val(r) != 0 {
+				cols = append(cols, c)
+				break
+			}
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-28s %12s", "Benchmark", "time")
+	for _, c := range cols {
+		fmt.Fprintf(&b, " %10s", c.head)
+	}
+	b.WriteString(" status\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-28s %12v", r.Name, r.Time.Round(time.Microsecond))
+		for _, c := range cols {
+			fmt.Fprintf(&b, " %10d", c.val(r))
+		}
+		status := "ok"
+		if r.Err != nil {
+			status = r.Err.Error()
+		}
+		fmt.Fprintf(&b, " %s\n", status)
 	}
 	return b.String()
 }

@@ -14,15 +14,14 @@ import (
 // both contribute).
 func TestMergedReplayZeroDenials(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three full-suite sweeps")
+		t.Skip("two full-suite sweeps and the shared recording")
 	}
-	rep, err := RunMergedReplay()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pA := suiteRecording(t).Profile(policy.GenOptions{RunID: "suite-seed-42"})
+	pB := recordSuite(t, 43).Profile(policy.GenOptions{RunID: "suite-seed-43"})
+	rep := RunMergedReplay(pA, pB)
 	if rep.Denials != 0 {
 		t.Fatalf("merged profile denied %d operations of its own recordings:\n%s",
-			rep.Denials, FormatEnforceTable(rep.Results))
+			rep.Denials, FormatRows(rep.Results))
 	}
 	for _, r := range rep.Results {
 		if r.Err != nil {
@@ -34,9 +33,9 @@ func TestMergedReplayZeroDenials(t *testing.T) {
 		t.Fatalf("merged lifecycle header: version=%d runs=%d sources=%v",
 			m.Version, m.Runs, m.SourceRuns)
 	}
-	if m.Generation <= rep.ProfileA.Generation {
+	if m.Generation <= pA.Generation {
 		t.Fatalf("merge did not bump the generation: %d vs %d",
-			m.Generation, rep.ProfileA.Generation)
+			m.Generation, pA.Generation)
 	}
 	if rep.Diff == nil || rep.Diff.Empty() {
 		t.Fatal("diff between input A and the merge is empty")

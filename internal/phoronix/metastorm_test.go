@@ -2,24 +2,10 @@ package phoronix
 
 import (
 	"testing"
-	"time"
 
-	"cntr/internal/policy"
+	"cntr/internal/fuse"
 	"cntr/internal/stack"
-	"cntr/internal/vfs"
 )
-
-// suiteByName finds a Figure 2 row for the composition tests.
-func suiteByName(t *testing.T, name string) *Benchmark {
-	t.Helper()
-	for i := range Suite {
-		if Suite[i].Name == name {
-			return &Suite[i]
-		}
-	}
-	t.Fatalf("no suite benchmark named %q", name)
-	return nil
-}
 
 // TestMetaStormWorkload: the metadata-write storm must complete on both
 // stacks, and — being pure metadata round trips the page cache cannot
@@ -56,42 +42,20 @@ func TestMetaStormNotInSuite(t *testing.T) {
 // served the request.
 func TestMetaStormChaosEnforcedOverFourServerThreads(t *testing.T) {
 	benches := []*Benchmark{&MetaStorm,
-		suiteByName(t, "PostMark"), suiteByName(t, "Compilebench: Create")}
+		findBench("PostMark"), findBench("Compilebench: Create")}
 	for _, b := range benches {
-		// Record a clean run and generate the profile to enforce.
-		col := policy.NewCollector()
-		rec := stack.NewCntr(stackConfig())
-		run := col.NewRun()
-		tr := vfs.NewTracer(1)
-		tr.Sink = run.Sink
-		if _, _, err := RunOn(b, vfs.Chain(rec.Top, tr), rec.Host, rec.Clock, rec.Model, rec.Disk, 42); err != nil {
-			rec.Close()
-			t.Fatalf("%s clean recording: %v", b.Name, err)
-		}
-		rec.Close()
-		prof := col.Profile(policy.GenOptions{})
-		if len(prof.Rules) == 0 {
-			t.Fatalf("%s: clean trace generated no rules", b.Name)
-		}
-
+		prof := recordedProfile(t, b)
 		// Replay with latency chaos + enforcement over an explicitly
 		// four-thread mount. (Errno injection is left out: an aborted
 		// benchmark would prove nothing about scheduler/policy composition.)
-		cfg := stackConfig()
-		cfg.Mount.ServerThreads = 4
-		c := stack.NewCntr(cfg)
-		enf := policy.NewEnforcer(prof, false)
-		inj := vfs.NewFaultInjector(ChaosProfile()...)
-		inj.Sleep = func(d time.Duration) { c.Clock.Advance(d) }
-		top := vfs.Chain(c.Top, enf, inj)
-		_, _, err := RunOn(b, top, c.Host, c.Clock, c.Model, c.Disk, 42)
-		c.Close()
-		if err != nil {
-			t.Fatalf("%s under chaos+enforce on four server threads: %v", b.Name, err)
+		mount := fuse.DefaultMountOptions()
+		mount.ServerThreads = 4
+		r := Run(b, Setup{Config: stack.Config{Mount: mount}, Enforce: prof, Faults: ChaosProfile()})
+		if r.Err != nil {
+			t.Fatalf("%s under chaos+enforce on four server threads: %v", b.Name, r.Err)
 		}
-		if d := enf.Denials(); d != 0 {
-			t.Fatalf("%s: %d denials under its own profile: %+v",
-				b.Name, d, enf.Violations())
+		if r.Denials != 0 {
+			t.Fatalf("%s: %d denials under its own profile", b.Name, r.Denials)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package phoronix
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -128,7 +131,7 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestFigure3ReadCacheEffect(t *testing.T) {
-	r, err := Figure3ReadCache()
+	r, err := runFigure3("read cache (FOPEN_KEEP_CACHE)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +147,7 @@ func TestFigure3ReadCacheEffect(t *testing.T) {
 }
 
 func TestFigure3WritebackEffect(t *testing.T) {
-	r, err := Figure3Writeback()
+	r, err := runFigure3("writeback cache")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,7 @@ func TestFigure3WritebackEffect(t *testing.T) {
 }
 
 func TestFigure3BatchingEffect(t *testing.T) {
-	r, err := Figure3Batching()
+	r, err := runFigure3("batching (PARALLEL_DIROPS)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +167,7 @@ func TestFigure3BatchingEffect(t *testing.T) {
 }
 
 func TestFigure3SpliceEffect(t *testing.T) {
-	r, err := Figure3Splice()
+	r, err := runFigure3("splice read")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +177,18 @@ func TestFigure3SpliceEffect(t *testing.T) {
 	}
 }
 
-// nosecPanel runs Figure3NoSec once for the two tests that read it.
-var nosecPanel = sync.OnceValues(Figure3NoSec)
+// runFigure3 runs the Figure3 panel of that name.
+func runFigure3(name string) (OptResult, error) {
+	for _, p := range Figure3 {
+		if p.Name == name {
+			return RunPanel(p)
+		}
+	}
+	return OptResult{}, fmt.Errorf("no Figure 3 panel named %q", name)
+}
+
+// nosecPanel runs the NoSec panel once for the two tests that read it.
+var nosecPanel = sync.OnceValues(func() (OptResult, error) { return runFigure3("xattr absence (S_NOSEC)") })
 
 // TestFigure3NoSecEffect pins both sides of the panel: off is what the
 // paper's configuration costs IOzone: Write (64 MiB of 4 KiB records,
@@ -198,7 +211,7 @@ func TestFigure3NoSecEffect(t *testing.T) {
 // row: 7.3x) and on the default, where each of its files costs a
 // GETXATTR and a FLUSH less.
 func TestFigure3SmallFileEffect(t *testing.T) {
-	r, err := Figure3SmallFile()
+	r, err := runFigure3("small file (born mark, no FLUSH)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +227,7 @@ func TestFigure3SmallFileEffect(t *testing.T) {
 // cached on both sides of the connection and does not fit twice, and with
 // the server reading past the host's copy, where it fits.
 func TestFigure3SingleBufferEffect(t *testing.T) {
-	r, err := Figure3SingleBuffer()
+	r, err := runFigure3("single buffer (server O_DIRECT)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,5 +278,26 @@ func TestFormatTable(t *testing.T) {
 	out := FormatTable([]Result{{Name: "X", NativeTime: time.Second, CntrTime: 2 * time.Second, Overhead: 2, PaperOverhead: 2.1}})
 	if len(out) == 0 {
 		t.Fatal("empty table")
+	}
+}
+
+// TestFormatRows: a counter column appears when some row has a count in
+// it, the status column always.
+func TestFormatRows(t *testing.T) {
+	plain := FormatRows([]Row{{Name: "X", Time: time.Second}})
+	if strings.Contains(plain, "denials") || strings.Contains(plain, "injected") || !strings.Contains(plain, "ok") {
+		t.Fatalf("table of a bare row:\n%s", plain)
+	}
+	out := FormatRows([]Row{
+		{Name: "X", Time: time.Second, Denials: 3},
+		{Name: "Y", Err: errors.New("Y: input/output error"), Injected: 2},
+	})
+	for _, want := range []string{"denials", "injected", "Y: input/output error"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("table lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "audited") || strings.Contains(out, "traced ops") {
+		t.Fatalf("table shows a column no row has:\n%s", out)
 	}
 }

@@ -205,11 +205,6 @@ func renameTarget(paths map[vfs.Ino]string, newParent vfs.Ino, newName string) s
 // concurrently traced mounts, use a NewRun scope per mount.
 func (c *Collector) Sink(e vfs.TraceEntry) { c.run.Sink(e) }
 
-// SinkBatch records a batch of trace entries; point a vfs.Tracer's
-// batched sink (StartBatchSink) here. One batch pays for the path-table
-// and aggregation locks once instead of once per operation.
-func (c *Collector) SinkBatch(entries []vfs.TraceEntry) { c.run.SinkBatch(entries) }
-
 // resolveEntryLocked learns paths from one entry and returns its
 // anchor. Caller holds r.mu.
 func (r *Run) resolveEntryLocked(e vfs.TraceEntry) (anchor string) {
@@ -242,25 +237,6 @@ func (r *Run) Sink(e vfs.TraceEntry) {
 	r.mu.Unlock()
 	r.c.mu.Lock()
 	r.c.recordLocked(e, anchor)
-	r.c.mu.Unlock()
-}
-
-// SinkBatch records a batch of entries in delivery order under one
-// round of locks — the consumer side of vfs.Tracer.StartBatchSink.
-func (r *Run) SinkBatch(entries []vfs.TraceEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	anchors := make([]string, len(entries))
-	r.mu.Lock()
-	for i, e := range entries {
-		anchors[i] = r.resolveEntryLocked(e)
-	}
-	r.mu.Unlock()
-	r.c.mu.Lock()
-	for i, e := range entries {
-		r.c.recordLocked(e, anchors[i])
-	}
 	r.c.mu.Unlock()
 }
 

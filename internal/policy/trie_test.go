@@ -104,52 +104,20 @@ func mkEntry(pid uint32, kind vfs.OpKind, ino, result vfs.Ino, name string, byte
 		Name: name, Bytes: bytes, Errno: errno}
 }
 
-// TestCollectorBatchMatchesSync: feeding the same trace through Sink
-// entry-by-entry and through SinkBatch in batches must produce identical
-// snapshots and identical generated profiles.
-func TestCollectorBatchMatchesSync(t *testing.T) {
-	trace := []vfs.TraceEntry{
-		mkEntry(7, vfs.KindLookup, vfs.RootIno, 2, "srv", 0, vfs.OK),
-		mkEntry(7, vfs.KindMkdir, 2, 3, "data", 0, vfs.OK),
-		mkEntry(7, vfs.KindCreate, 3, 4, "f", 0, vfs.OK),
-		mkEntry(7, vfs.KindWrite, 4, 0, "", 4096, vfs.OK),
-		mkEntry(7, vfs.KindRead, 4, 0, "", 4096, vfs.OK),
-		mkEntry(8, vfs.KindLookup, vfs.RootIno, 2, "srv", 0, vfs.OK),
-		mkEntry(8, vfs.KindUnlink, 2, 0, "ghost", 0, vfs.ENOENT),
-		mkEntry(7, vfs.KindForget, 4, 0, "", 0, vfs.OK),
-		mkEntry(7, vfs.KindRead, 9, 0, "", 512, vfs.OK), // unknown ino → "?"
-	}
-
-	sync := NewCollector()
-	for _, e := range trace {
-		sync.Sink(e)
-	}
-	batched := NewCollector()
-	batched.SinkBatch(trace[:4])
-	batched.SinkBatch(trace[4:])
-
-	a, b := sync.Snapshot(), batched.Snapshot()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("snapshots diverge:\nsync:  %+v\nbatch: %+v", a, b)
-	}
-	pa, pb := sync.Profile(GenOptions{}), batched.Profile(GenOptions{})
-	if !reflect.DeepEqual(pa, pb) {
-		t.Fatalf("profiles diverge:\nsync:  %+v\nbatch: %+v", pa, pb)
-	}
-}
-
 // TestCollectorPrefixActivity: the trie rollup sums a subtree and only
 // that subtree.
 func TestCollectorPrefixActivity(t *testing.T) {
 	c := NewCollector()
-	c.SinkBatch([]vfs.TraceEntry{
+	for _, e := range []vfs.TraceEntry{
 		mkEntry(7, vfs.KindLookup, vfs.RootIno, 2, "srv", 0, vfs.OK),
 		mkEntry(7, vfs.KindMkdir, 2, 3, "data", 0, vfs.OK),
 		mkEntry(7, vfs.KindCreate, 3, 4, "f", 0, vfs.OK),
 		mkEntry(7, vfs.KindWrite, 4, 0, "", 100, vfs.OK),
 		mkEntry(7, vfs.KindLookup, vfs.RootIno, 5, "etc", 0, vfs.OK),
 		mkEntry(7, vfs.KindGetattr, 5, 0, "", 0, vfs.OK),
-	})
+	} {
+		c.Sink(e)
+	}
 	srv := c.PrefixActivity(7, "/srv")
 	// Anchored beneath /srv: the mkdir (anchor /srv), create (anchor
 	// /srv/data) and write (anchor /srv/data/f).

@@ -713,23 +713,15 @@ type TraceEntry struct {
 
 // Tracer records every operation in a bounded ring buffer and/or a sink
 // callback — the uniform per-operation hook point policy tooling (BEACON-
-// style trace collection) builds on. For hot data paths the synchronous
-// callback can be replaced with batched delivery (StartBatchSink): the
-// traced operation then pays one buffer append and a flusher goroutine
-// hands the consumer whole batches.
+// style trace collection) builds on.
 type Tracer struct {
 	mu   sync.Mutex
 	ring []TraceEntry
 	next int
 	full bool
-	// Sink, when set, receives every entry synchronously — unless a
-	// batch sink is active (StartBatchSink), which supersedes it.
+	// Sink, when set, receives every entry synchronously, on the
+	// goroutine of the traced operation and after it has run.
 	Sink func(TraceEntry)
-
-	// batch/buf/dropped implement batched sink mode; see tracebatch.go.
-	batch   *batchState
-	buf     []TraceEntry
-	dropped int64
 }
 
 // NewTracer returns a tracer keeping the last capacity entries
@@ -762,11 +754,6 @@ func (t *Tracer) Intercept(info *OpInfo, next func() error) error {
 	t.next++
 	if t.next == len(t.ring) {
 		t.next, t.full = 0, true
-	}
-	if t.batch != nil {
-		t.appendBatchLocked(e)
-		t.mu.Unlock()
-		return err
 	}
 	sink := t.Sink
 	t.mu.Unlock()
