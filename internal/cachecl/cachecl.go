@@ -176,25 +176,20 @@ func (c *Client) Stats() Stats {
 	return c.stats
 }
 
-// routeLocked picks the node a lookup of shard sh goes to: the
-// cheapest live owner by the cached routing table (distance, then
-// placement order, so the primary under a uniform cost model). The
-// second result is the node's distance multiplier. Returns -1 when the
-// cached table lists no live owner (forcing a refresh).
-func (c *Client) routeLocked(sh int) (int, float64) {
+// routeLocked picks the node a lookup of shard sh goes to: the first
+// live owner in the cached routing table's placement order, so the
+// primary while it lives. Returns -1 when the cached table lists no live
+// owner (forcing a refresh).
+func (c *Client) routeLocked(sh int) int {
 	if sh >= len(c.place.Owners) {
-		return -1, 1
+		return -1
 	}
-	best, bestDist := -1, 0.0
 	for _, id := range c.place.Owners[sh] {
-		if id >= len(c.place.Live) || !c.place.Live[id] {
-			continue
-		}
-		if d := c.place.Distance[id]; best == -1 || d < bestDist {
-			best, bestDist = id, d
+		if id < len(c.place.Live) && c.place.Live[id] {
+			return id
 		}
 	}
-	return best, bestDist
+	return -1
 }
 
 // refreshPlacementLocked re-fetches the routing table after an
@@ -205,19 +200,10 @@ func (c *Client) refreshPlacementLocked() {
 	c.clock.Advance(c.model.NetRTT)
 }
 
-// scale stretches a network cost by a node's distance multiplier
-// (1.0 = one intra-cluster hop, the single-node behaviour).
-func scale(d float64, cost time.Duration) time.Duration {
-	if d == 1 {
-		return cost
-	}
-	return time.Duration(float64(cost) * d)
-}
-
 // get is the shared lookup path: one RTT for the probe, payload bytes
-// only on a hit, both scaled by the routed node's distance. A lookup
-// served by handoff fallthrough charges its extra cross-node hops; a
-// stale routing table costs one refresh RTT and a retry.
+// only on a hit. A lookup served by handoff fallthrough charges its extra
+// cross-node hops; a stale routing table costs one refresh RTT and a
+// retry.
 func (c *Client) get(key cachesvc.Key) ([]byte, bool) {
 	c.mu.Lock()
 	if c.partitioned {
@@ -230,11 +216,11 @@ func (c *Client) get(key cachesvc.Key) ([]byte, bool) {
 	sh := c.svc.ShardOf(key)
 	for attempt := 0; ; attempt++ {
 		c.mu.Lock()
-		target, dist := c.routeLocked(sh)
+		target := c.routeLocked(sh)
 		ver := c.place.Version
 		if target == -1 {
 			c.refreshPlacementLocked()
-			target, dist = c.routeLocked(sh)
+			target = c.routeLocked(sh)
 			ver = c.place.Version
 		}
 		c.mu.Unlock()
@@ -256,7 +242,7 @@ func (c *Client) get(key cachesvc.Key) ([]byte, bool) {
 		if ok {
 			c.stats.Hits++
 			c.stats.NetBytes += int64(len(val))
-			c.clock.Advance(scale(dist, c.model.NetCost(len(val))))
+			c.clock.Advance(c.model.NetCost(len(val)))
 			if hops > 0 {
 				// The fallthrough transfer between service nodes is on the
 				// lookup's critical path.
@@ -265,7 +251,7 @@ func (c *Client) get(key cachesvc.Key) ([]byte, bool) {
 			return val, true
 		}
 		c.stats.Misses++
-		c.clock.Advance(scale(dist, c.model.NetRTT))
+		c.clock.Advance(c.model.NetRTT)
 		if hops > 0 {
 			c.clock.Advance(time.Duration(hops) * c.model.NetRTT)
 		}

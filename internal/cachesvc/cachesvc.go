@@ -24,7 +24,7 @@
 // The key space is hashed into a fixed number of shards; a Placement
 // assigns each shard a primary plus Options.Replicas replicas across
 // an explicit set of Nodes. Writes apply to every copy, reads are served
-// by the cheapest live replica, and AddNode/DrainNode/KillNode trigger
+// by the first live owner, and AddNode/DrainNode/KillNode trigger
 // live shard migration: ownership flips immediately (placement version
 // bump), lookups during the handoff fall through from the new copy to
 // a still-complete old copy so there is no miss storm, and entries are
@@ -422,16 +422,15 @@ func (s *Service) hostingLocked(sh int) []*node {
 	return out
 }
 
-// completeHostLocked returns the cheapest live node other than skip
-// holding a complete copy of shard sh, or nil.
+// completeHostLocked returns the lowest-numbered live node other than
+// skip holding a complete copy of shard sh, or nil.
 func (s *Service) completeHostLocked(sh, skip int) *node {
 	var best *node
 	for _, nd := range s.hostingLocked(sh) {
 		if nd.id == skip || !nd.stores[sh].complete {
 			continue
 		}
-		if best == nil || nd.distance < best.distance ||
-			(nd.distance == best.distance && nd.id < best.id) {
+		if best == nil || nd.id < best.id {
 			best = nd
 		}
 	}
@@ -439,20 +438,14 @@ func (s *Service) completeHostLocked(sh, skip int) *node {
 }
 
 // readTargetLocked picks the node a placement-unaware read routes to:
-// the cheapest live owner (lowest distance, placement order breaking
-// ties — so with a uniform cost model, the primary).
+// the first live owner in placement order, so the primary while it lives.
 func (s *Service) readTargetLocked(sh int) *node {
-	var best *node
 	for _, id := range s.placement[sh] {
-		nd := s.nodes[id]
-		if !nd.live {
-			continue
-		}
-		if best == nil || nd.distance < best.distance {
-			best = nd
+		if nd := s.nodes[id]; nd.live {
+			return nd
 		}
 	}
-	return best
+	return nil
 }
 
 // getFromLocked serves a lookup at node nd, falling through to a
@@ -495,10 +488,9 @@ func (s *Service) getFromLocked(nd *node, sh int, key Key) ([]byte, bool, int) {
 	return val, true, 1
 }
 
-// Get returns the cached value for key, served by the cheapest live
-// replica (internal routing — cachecl routes explicitly and pays the
-// network). The returned slice is owned by the service and must not be
-// modified.
+// Get returns the cached value for key, served by the first live owner
+// (internal routing — cachecl routes explicitly and pays the network).
+// The returned slice is owned by the service and must not be modified.
 func (s *Service) Get(key Key) ([]byte, bool) {
 	s.topo.RLock()
 	defer s.topo.RUnlock()

@@ -20,17 +20,13 @@ var (
 )
 
 // node is one cache node: its copies of the shards placement assigns
-// it (plus any it is handing off), a sim-cost distance, and per-node
-// counters. Counter fields are atomics so data-plane reads under the
-// topo read-lock never serialize on a node-wide mutex.
+// it (plus any it is handing off) and per-node counters. Counter fields
+// are atomics so data-plane reads under the topo read-lock never
+// serialize on a node-wide mutex.
 type node struct {
 	id       int
 	live     bool
 	draining bool
-	// distance scales this node's network cost relative to the cost
-	// model's NetRTT/NetPerKB (1.0 = one intra-cluster hop). Reads
-	// prefer the lowest-distance live replica.
-	distance float64
 	stores   map[int]*store
 
 	hits, misses, puts, invals atomic.Int64
@@ -38,7 +34,7 @@ type node struct {
 }
 
 func newNode(id int) *node {
-	return &node{id: id, live: true, distance: 1, stores: make(map[int]*store)}
+	return &node{id: id, live: true, stores: make(map[int]*store)}
 }
 
 // NodeStats is one node's slice of the service counters.
@@ -46,7 +42,6 @@ type NodeStats struct {
 	ID       int
 	Live     bool
 	Draining bool
-	Distance float64
 	// Shards is the number of shard copies the node currently holds
 	// (owned plus mid-handoff).
 	Shards                            int
@@ -72,7 +67,6 @@ func (s *Service) NodeStats() []NodeStats {
 			ID:            nd.id,
 			Live:          nd.live,
 			Draining:      nd.draining,
-			Distance:      nd.distance,
 			Shards:        len(nd.stores),
 			Hits:          nd.hits.Load(),
 			Misses:        nd.misses.Load(),
@@ -93,14 +87,13 @@ func (s *Service) NodeStats() []NodeStats {
 }
 
 // PlacementInfo is the routing table a client caches: for each shard
-// the owning node ids (primary first), the per-node distances, and the
+// the owning node ids (primary first), which nodes are live, and the
 // version that every node-addressed call must echo back. Any topology
 // change bumps Version; a call carrying a stale version gets ErrMoved.
 type PlacementInfo struct {
-	Version  uint64
-	Owners   [][]int
-	Live     []bool
-	Distance []float64
+	Version uint64
+	Owners  [][]int
+	Live    []bool
 }
 
 // Placement returns the current routing table.
@@ -108,17 +101,15 @@ func (s *Service) Placement() PlacementInfo {
 	s.topo.RLock()
 	defer s.topo.RUnlock()
 	info := PlacementInfo{
-		Version:  s.placeVersion,
-		Owners:   make([][]int, len(s.placement)),
-		Live:     make([]bool, len(s.nodes)),
-		Distance: make([]float64, len(s.nodes)),
+		Version: s.placeVersion,
+		Owners:  make([][]int, len(s.placement)),
+		Live:    make([]bool, len(s.nodes)),
 	}
 	for sh, owners := range s.placement {
 		info.Owners[sh] = append([]int(nil), owners...)
 	}
 	for i, nd := range s.nodes {
 		info.Live[i] = nd.live
-		info.Distance[i] = nd.distance
 	}
 	return info
 }
@@ -258,22 +249,6 @@ func (s *Service) KillNode(id int) error {
 	nd.stores = make(map[int]*store)
 	s.recomputeLocked()
 	s.settleLocked()
-	return nil
-}
-
-// SetNodeDistance sets a node's network-cost multiplier (1.0 = one
-// intra-cluster hop). Reads route to the lowest-distance live replica;
-// cachecl charges the mount's clock accordingly.
-func (s *Service) SetNodeDistance(id int, d float64) error {
-	s.topo.Lock()
-	defer s.topo.Unlock()
-	if id < 0 || id >= len(s.nodes) {
-		return ErrUnknownNode
-	}
-	if d < 0 {
-		d = 0
-	}
-	s.nodes[id].distance = d
 	return nil
 }
 

@@ -128,9 +128,9 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 	}
 }
 
-// TestReplicatedWriteVisibleOnEveryCopy pins the write path's fan-out
-// and the read path's replica preference: a write lands on exactly
-// R+1 copies, and reads route to the cheapest live replica.
+// TestReplicatedWriteVisibleOnEveryCopy pins the write path's fan-out: a
+// write lands on exactly R+1 copies, and a read addressed at any owner
+// finds it there, with no hop to another node.
 func TestReplicatedWriteVisibleOnEveryCopy(t *testing.T) {
 	svc := New(Options{Nodes: 3, Replicas: 2})
 	key := Key("c:replicated")
@@ -145,25 +145,11 @@ func TestReplicatedWriteVisibleOnEveryCopy(t *testing.T) {
 	if copies != 3 {
 		t.Fatalf("write landed on %d copies, want 3", copies)
 	}
-
-	// With replicas on every node, a cheaper node should serve reads.
-	far := ownersOf(svc, key)[0]
-	var near int
 	for _, id := range ownersOf(svc, key) {
-		if id != far {
-			near = id
-			break
+		v, ok, hops, err := svc.NodeGet(id, svc.PlacementVersion(), key)
+		if err != nil || !ok || hops != 0 || !bytes.Equal(v, []byte("v")) {
+			t.Fatalf("node %d: write not visible (ok=%v hops=%d err=%v)", id, ok, hops, err)
 		}
-	}
-	if err := svc.SetNodeDistance(near, 0.25); err != nil {
-		t.Fatal(err)
-	}
-	before := svc.NodeStats()[near].Hits
-	if _, ok := svc.Get(key); !ok {
-		t.Fatal("replicated read missed")
-	}
-	if got := svc.NodeStats()[near].Hits; got != before+1 {
-		t.Fatalf("cheapest replica (node %d) hits = %d, want %d", near, got, before+1)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // MaxWrite, the two timeouts and ServerThreads the settings its CntrFS
 // mounts with: PaperMountOptions is that configuration. NoSec, NoFlush and
 // DirectRead are beyond the paper (on in DefaultMountOptions only), and the
-// fields from MaxBackground down configure this repository's request table.
+// fields from QoSWeights down configure this repository's request table.
 type MountOptions struct {
 	// KeepCache sets FOPEN_KEEP_CACHE on every open, letting the page
 	// cache above survive re-opens (read-cache optimization, Fig. 3a).
@@ -90,24 +90,14 @@ type MountOptions struct {
 	// reply. Off in PaperMountOptions.
 	DirectRead bool
 	// ServerThreads is the number of userspace server threads reading
-	// the request queue (Fig. 4). Note that FUSE_INTERRUPT frames are
-	// ordinary queue messages: with a single thread blocked inside a
-	// long operation (a FIFO read), nobody is left to process the
-	// interrupt until that operation finishes — just like a real
-	// single-threaded FUSE server. Use >= 2 threads when workloads can
-	// block indefinitely.
+	// the request queue (Fig. 4). A FUSE_INTERRUPT frame is the first
+	// thing the next read of the queue returns, but a thread has to read
+	// it: with a single thread blocked inside a long operation (a FIFO
+	// read), nobody is left to process the interrupt until that
+	// operation finishes — just like a real single-threaded FUSE server.
+	// Use >= 2 threads when workloads can block indefinitely.
 	ServerThreads int
 
-	// MaxBackground caps the number of requests queued on the device
-	// (mirroring FUSE's max_background): submitters block once the
-	// request table is full, the backpressure a real /dev/fuse applies.
-	// Zero means 256.
-	MaxBackground int
-	// CongestionThreshold is the queue depth beyond which asynchronous
-	// submissions are charged congestion latency (the kernel marks the
-	// backing device congested and throttles background I/O at
-	// 3/4 * max_background; zero picks the same default here).
-	CongestionThreshold int
 	// QoSWeights assigns weighted-fair-queueing weights per origin
 	// (Op.PID): under saturation, dispatch ratios track these weights.
 	// Unlisted origins get DefaultWeight.
@@ -152,6 +142,17 @@ func DefaultMountOptions() MountOptions {
 
 // ForgetBatchSize is how many forgets a FUSE_BATCH_FORGET frame carries.
 const ForgetBatchSize = 64
+
+// maxBackground caps the requests queued on the device (FUSE's
+// max_background): submitters block once the request table is full, the
+// backpressure a real /dev/fuse applies. congestionThreshold is the queue
+// depth beyond which an asynchronous submission is charged congestion
+// latency: the kernel marks the backing device congested, and throttles
+// background I/O, at 3/4 of max_background.
+const (
+	maxBackground       = 256
+	congestionThreshold = maxBackground * 3 / 4
+)
 
 // ConnStats counts protocol activity on the kernel side.
 type ConnStats struct {
@@ -350,16 +351,10 @@ func Mount(fs vfs.FS, clock *sim.Clock, model *sim.CostModel, opts MountOptions)
 	if opts.ServerThreads <= 0 {
 		opts.ServerThreads = 1
 	}
-	if opts.MaxBackground <= 0 {
-		opts.MaxBackground = 256
-	}
-	if opts.CongestionThreshold <= 0 {
-		opts.CongestionThreshold = opts.MaxBackground * 3 / 4
-	}
 	if opts.DefaultWeight <= 0 {
 		opts.DefaultWeight = 1
 	}
-	table := newReqTable(opts.MaxBackground, opts.MaxOriginInflight,
+	table := newReqTable(maxBackground, opts.MaxOriginInflight,
 		opts.DefaultWeight, opts.QoSWeights)
 	return newConn(clock, model, opts, table), newServer(fs, clock, model, opts, table)
 }
@@ -410,12 +405,11 @@ func (c *Conn) Stats() ConnStats {
 // under the requesting origin (req.PID). The returned request is the
 // future half of the two-phase submit/await API, which is what lets
 // callers pipeline requests — submit N, then await them — instead of
-// blocking one goroutine per round trip. The synchronous path (async == false)
-// charges the full round-trip and queue-wakeup costs up front, exactly
-// as the old blocking call did; the pipelined path charges only the
-// enqueue (one kernel transition plus the payload copy) and defers the
-// round-trip accounting to await, where overlap with other in-flight
-// requests is known.
+// blocking one goroutine per round trip. The synchronous path (async ==
+// false) charges the full round-trip and queue-wakeup costs up front; the
+// pipelined path charges only the enqueue (one kernel transition plus the
+// payload copy) and defers the round-trip accounting to await, where
+// overlap with other in-flight requests is known.
 func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf), dataOut, dataIn int, async bool) *request {
 	p := newRequest(c, dataOut, dataIn)
 	p.unique = c.unique.Add(1)
@@ -494,7 +488,7 @@ func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *bu
 		p.err = vfs.EIO // connection torn down
 		return p
 	}
-	if async && depth > c.opts.CongestionThreshold {
+	if async && depth > congestionThreshold {
 		// The device is congested (more background requests queued than
 		// the threshold): background submitters are throttled, as the
 		// kernel throttles writeback/readahead past congestion_threshold.
@@ -585,9 +579,10 @@ func (c *Conn) call(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf)
 
 // oneWay queues a kernel-internal frame nobody awaits (forgets, releases,
 // interrupts; origin 0): the caller pays only the enqueue transition, and
-// the server recycles the request after dispatch. One-way messages sent
-// during or after unmount are dropped, as the kernel drops forgets once
-// the connection is gone.
+// the server recycles the request after dispatch. An INTERRUPT goes to
+// the head of the queue, past every backlog and past a full table's wait
+// for space. One-way messages sent during or after unmount are dropped,
+// as the kernel drops forgets once the connection is gone.
 func (c *Conn) oneWay(op Opcode, nodeid vfs.Ino, dataOut int, payload func(w *buf)) {
 	c.clock.Advance(c.model.ContextSwitch)
 	p := newRequest(c, dataOut, 0)
@@ -595,7 +590,13 @@ func (c *Conn) oneWay(op Opcode, nodeid vfs.Ino, dataOut int, payload func(w *bu
 	encodeReqHeader(&p.frame, op, c.unique.Add(1), uint64(nodeid), nil)
 	payload(&p.frame)
 	finishFrame(&p.frame)
-	if _, ok := c.table.push(0, p); !ok {
+	var ok bool
+	if op == OpInterrupt {
+		ok = c.table.pushInterrupt(p)
+	} else {
+		_, ok = c.table.push(0, p)
+	}
+	if !ok {
 		p.release()
 	}
 }

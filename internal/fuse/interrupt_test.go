@@ -366,3 +366,153 @@ func TestInterruptDoesNotCrossRecycledRequest(t *testing.T) {
 	}
 	runB(func() {})
 }
+
+// waitUntil polls cond, failing the test when it has not come true within
+// five seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// statfsGateFS announces every Read on entered and holds every Statfs at
+// a gate, one through per token sent: a way to park one server thread in
+// a blocking read and another behind a backlog.
+type statfsGateFS struct {
+	vfs.FS
+	entered chan struct{}
+	gate    chan struct{}
+	atGate  atomic.Int64
+}
+
+func (g *statfsGateFS) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, error) {
+	g.entered <- struct{}{}
+	return g.FS.Read(op, h, off, dest)
+}
+
+func (g *statfsGateFS) Statfs(op *vfs.Op, ino vfs.Ino) (vfs.StatfsOut, error) {
+	g.atGate.Add(1)
+	<-g.gate
+	return g.FS.Statfs(op, ino)
+}
+
+// TestInterruptOvertakesBacklog: an INTERRUPT is the first frame the next
+// read of the queue returns, whatever its caller had queued before it.
+// Two server threads: one blocks in a read of an empty FIFO, the other is
+// parked at a gate in Statfs with four more Statfs queued behind it — all
+// from PID 0, the origin the interrupt is queued under. The reader is
+// canceled and the gate lets one Statfs through: the thread it frees must
+// bring in the interrupt, not the next Statfs.
+func TestInterruptOvertakesBacklog(t *testing.T) {
+	const backlog = 4
+	opts := DefaultMountOptions()
+	opts.ServerThreads = 2
+	fs := &statfsGateFS{
+		FS:      memfs.New(memfs.Options{}),
+		entered: make(chan struct{}, 1),
+		gate:    make(chan struct{}),
+	}
+	conn, srv := Mount(fs, sim.NewClock(), sim.DefaultCostModel(), opts)
+	statfsDone := make(chan error, backlog+1)
+	t.Cleanup(func() {
+		close(fs.gate)
+		for i := 0; i < backlog+1; i++ {
+			<-statfsDone
+		}
+		conn.Unmount()
+		srv.Wait()
+	})
+	statfs := func() {
+		go func() {
+			_, err := conn.Statfs(vfs.RootOp(), vfs.RootIno)
+			statfsDone <- err
+		}()
+	}
+
+	root := vfs.RootOp()
+	if _, err := conn.Mknod(root, vfs.RootIno, "pipe", vfs.TypeFIFO, 0o644, 0); err != nil {
+		t.Fatal(err)
+	}
+	attr, err := conn.Lookup(root, vfs.RootIno, "pipe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _ := openFIFOPair(t, conn, attr.Ino)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	readDone := make(chan error, 1)
+	go func() {
+		_, err := conn.Read(vfs.NewOp(ctx, vfs.Root()), h, 0, make([]byte, 16))
+		readDone <- err
+	}()
+	<-fs.entered
+	statfs()
+	waitUntil(t, "a Statfs at the gate", func() bool { return fs.atGate.Load() == 1 })
+	for i := 0; i < backlog; i++ {
+		statfs()
+	}
+	waitUntil(t, "the backlog to queue", func() bool { return srv.Queued() == backlog })
+	cancel()
+	waitUntil(t, "the INTERRUPT to queue", func() bool { return srv.Queued() == backlog+1 })
+
+	fs.gate <- struct{}{}
+	select {
+	case err := <-readDone:
+		if vfs.ToErrno(err) != vfs.EINTR {
+			t.Fatalf("interrupted read: %v, want EINTR", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("the read is still blocked: its INTERRUPT waits behind %d queued requests", srv.Queued()-1)
+	}
+}
+
+// TestReqTableReadsInterruptsFirst is the same rule on a bare table: an
+// interrupt's push does not wait for space in a full table, and pop
+// returns it ahead of everything queued before it — then the backlog, in
+// order.
+func TestReqTableReadsInterruptsFirst(t *testing.T) {
+	tab := newReqTable(3, 0, 1, nil)
+	backlog := []*request{{}, {}, {}}
+	for _, m := range backlog {
+		tab.push(7, m)
+	}
+	intr := &request{}
+	pushed := make(chan bool, 1)
+	go func() { pushed <- tab.pushInterrupt(intr) }()
+	select {
+	case ok := <-pushed:
+		if !ok {
+			t.Fatal("pushInterrupt failed on an open table")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("an interrupt's push waits for space in a full table")
+	}
+	if got := tab.depth(); got != 4 {
+		t.Fatalf("depth = %d, want 4", got)
+	}
+	for i, want := range append([]*request{intr}, backlog...) {
+		m, origin, ok := tab.pop()
+		if !ok || m != want {
+			t.Fatalf("pop %d returned the wrong frame (ok=%v)", i, ok)
+		}
+		tab.done(origin, 0, 0, false, false)
+	}
+	if got := tab.originStats(); got[0].Ops != 1 || got[7].Ops != 3 {
+		t.Fatalf("accounting = %+v, want one op for origin 0 and three for origin 7", got)
+	}
+	tab.mu.Lock()
+	live := len(tab.queues)
+	tab.mu.Unlock()
+	if live != 0 {
+		t.Fatalf("%d origins left with an outstanding count, want 0", live)
+	}
+	tab.close()
+	if tab.pushInterrupt(&request{}) {
+		t.Fatal("pushInterrupt succeeded on a closed table")
+	}
+}

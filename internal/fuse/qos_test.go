@@ -498,16 +498,20 @@ func TestInterruptBookkeepingBounded(t *testing.T) {
 	}
 }
 
-// TestCongestionChargesAsyncSubmitters: past the congestion threshold,
-// pipelined submissions pay extra latency.
+// TestCongestionChargesAsyncSubmitters: past the congestion threshold a
+// pipelined submission pays a wakeup on top of its enqueue. The one server
+// thread is parked at the gate, so nothing is read while a window is
+// submitted and its i-th submission finds i requests queued: a 160-request
+// window stays under the threshold, a 224-request one crosses it with its
+// last 32.
 func TestCongestionChargesAsyncSubmitters(t *testing.T) {
-	run := func(threshold int) time.Duration {
+	const under, over = 160, 224
+	model := sim.DefaultCostModel()
+	run := func(window int) time.Duration {
 		clock := sim.NewClock()
-		model := sim.DefaultCostModel()
 		gate := &gateFS{FS: memfs.New(memfs.Options{}), gate: make(chan struct{})}
 		opts := DefaultMountOptions()
 		opts.ServerThreads = 1
-		opts.CongestionThreshold = threshold
 		conn, srv := Mount(gate, clock, model, opts)
 		cli := vfs.NewClient(conn, vfs.Root())
 		if err := cli.WriteFile("/f", bytes.Repeat([]byte("x"), 4096), 0o644); err != nil {
@@ -519,25 +523,30 @@ func TestCongestionChargesAsyncSubmitters(t *testing.T) {
 			t.Fatal(err)
 		}
 		op := vfs.RootOp()
-		start := clock.Now()
-		reqs := make([]vfs.IOReq, 32)
+		holder := conn.Submit(op, h, vfs.KindRead, []vfs.IOReq{{Buf: make([]byte, 512)}})
+		waitUntil(t, "the server thread at the gate", func() bool { return len(gate.served()) == 1 })
+		reqs := make([]vfs.IOReq, window)
 		for i := range reqs {
 			reqs[i].Buf = make([]byte, 512)
 		}
+		start := clock.Now()
 		pendings := conn.Submit(op, h, vfs.KindRead, reqs)
 		submitted := clock.Now() - start
 		close(gate.gate)
-		for _, p := range pendings {
-			p.Await(op)
+		for _, p := range append(holder, pendings...) {
+			if _, err := p.Await(op); err != nil {
+				t.Fatal(err)
+			}
 		}
 		conn.Unmount()
 		srv.Wait()
 		return submitted
 	}
-	congested := run(2)
-	uncongested := run(200)
-	if congested <= uncongested {
-		t.Fatalf("congested submissions (%v) should cost more than uncongested (%v)",
-			congested, uncongested)
+	uncongested, congested := run(under), run(over)
+	perSubmit := uncongested / under
+	want := over*perSubmit + (over-congestionThreshold)*model.WakeupLatency
+	if congested != want {
+		t.Fatalf("%d submissions cost %v, want %v: %v each, plus %v for each of the %d that found more than %d queued",
+			over, congested, want, perSubmit, model.WakeupLatency, over-congestionThreshold, congestionThreshold)
 	}
 }

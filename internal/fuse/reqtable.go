@@ -21,7 +21,9 @@ import (
 // charged in virtual time by the cost model (LockContention per sibling
 // thread, in worker.run); the host lock is not asked to avoid or re-enact
 // it. A mount serves a handful of origins, and under one lock dispatch
-// order is strict WFQ across all of them.
+// order is strict WFQ across all of them — behind the INTERRUPT frames,
+// which every read of the queue takes first, as Linux reads
+// fiq->interrupts before fiq->pending.
 type reqTable struct {
 	mu sync.Mutex
 	// space parks pushers while the table holds maxQueued requests; work
@@ -49,6 +51,12 @@ type reqTable struct {
 	// stay proportional to current load; their accounting survives in
 	// stats.
 	eligible originHeap
+	// interrupts are the INTERRUPT frames not yet read, oldest first. They
+	// belong to no origin's queue: an interrupt that waited its turn behind
+	// its caller's backlog — or for a slot in a full table — would arrive
+	// after the request it is meant to abort had been served the slow way.
+	interrupts []*request
+
 	// vclock is the WFQ virtual clock: the virtual start time of the most
 	// recently dispatched request. Origins whose queues were empty rejoin
 	// at the current virtual time, so they compete fairly from now on
@@ -227,17 +235,7 @@ func (t *reqTable) push(origin uint32, msg *request) (depth int, ok bool) {
 		return 0, false
 	}
 	t.queued++
-	q := t.queues[origin]
-	if q == nil {
-		if q = t.spare; q != nil {
-			t.spare = nil
-			*q = originQueue{origin: origin, msgs: q.msgs}
-		} else {
-			q = &originQueue{origin: origin}
-		}
-		q.weight, q.heapIdx = t.weightFor(origin), -1
-		t.queues[origin] = q
-	}
+	q := t.queueLocked(origin)
 	// A request arriving after retire() marked the draining queue means
 	// the PID was recycled: the origin is live again, so its counters
 	// must not be folded away when the old stragglers finish.
@@ -255,6 +253,38 @@ func (t *reqTable) push(origin uint32, msg *request) (depth int, ok bool) {
 		t.work.Signal()
 	}
 	return t.queued, true
+}
+
+// queueLocked returns origin's queue, making one (out of the spare, when
+// there is one) for an origin that has none. Caller holds the lock.
+func (t *reqTable) queueLocked(origin uint32) *originQueue {
+	q := t.queues[origin]
+	if q == nil {
+		if q = t.spare; q != nil {
+			t.spare = nil
+			*q = originQueue{origin: origin, msgs: q.msgs}
+		} else {
+			q = &originQueue{origin: origin}
+		}
+		q.weight, q.heapIdx = t.weightFor(origin), -1
+		t.queues[origin] = q
+	}
+	return q
+}
+
+// pushInterrupt enqueues an INTERRUPT frame where the next read of the
+// queue finds it, ahead of every origin's backlog. It never waits for
+// space: the frame is what frees a slot. It reports false when the table
+// has been closed.
+func (t *reqTable) pushInterrupt(msg *request) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return false
+	}
+	t.interrupts = append(t.interrupts, msg)
+	t.work.Signal()
+	return true
 }
 
 // dispatchLocked dequeues q's head message and advances the WFQ state:
@@ -282,21 +312,42 @@ func (t *reqTable) dispatchLocked(q *originQueue) *request {
 	return m
 }
 
-// pop dequeues the next request under weighted fair queueing: the heap
-// root is the (vstart, origin) minimum across every eligible origin. It
-// blocks until a message is available and returns ok == false once the
-// table is closed and fully drained.
+// pop dequeues the oldest unread interrupt or, when there is none, the
+// next request under weighted fair queueing: the heap root is the
+// (vstart, origin) minimum across every eligible origin. It blocks until a
+// message is available and returns ok == false once the table is closed
+// and fully drained.
 func (t *reqTable) pop() (msg *request, origin uint32, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for len(t.eligible) == 0 {
+	for len(t.interrupts) == 0 && len(t.eligible) == 0 {
 		if t.closed && t.queued == 0 {
 			return nil, 0, false
 		}
 		t.work.Wait()
 	}
+	if len(t.interrupts) > 0 {
+		return t.popInterruptLocked(), 0, true
+	}
 	q := t.eligible[0]
 	return t.dispatchLocked(q), q.origin, true
+}
+
+// popInterruptLocked takes the oldest interrupt. It is accounted like any
+// other kernel-internal frame — one of origin 0's requests in flight until
+// done — so it holds one of that origin's slots, which may use up the
+// origin's in-flight budget. Caller holds the lock.
+func (t *reqTable) popInterruptLocked() *request {
+	m := t.interrupts[0]
+	n := copy(t.interrupts, t.interrupts[1:])
+	t.interrupts[n] = nil
+	t.interrupts = t.interrupts[:n]
+	q := t.queueLocked(0)
+	q.inflight++
+	if q.heapIdx >= 0 && !t.eligibleQueue(q) {
+		heap.Remove(&t.eligible, q.heapIdx)
+	}
+	return m
 }
 
 // done records the completion of a request popped for origin, folding the
@@ -353,11 +404,12 @@ func (t *reqTable) close() {
 	t.mu.Unlock()
 }
 
-// depth reports the current queued count.
+// depth reports how many frames are waiting to be read, interrupts
+// included.
 func (t *reqTable) depth() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.queued
+	return t.queued + len(t.interrupts)
 }
 
 // originStats snapshots the per-origin completion counters.

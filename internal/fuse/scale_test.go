@@ -206,9 +206,11 @@ func TestManyOriginCappedNotStarved(t *testing.T) {
 }
 
 // TestManyOriginStress hammers the table from concurrent pushers,
-// workers and retire calls — the race-detector workout for its one lock
-// and two condition variables — and then checks conservation: every
-// pushed request is dispatched exactly once and accounted exactly once.
+// workers and retire calls, with interrupts in the mix — the
+// race-detector workout for its one lock and two condition variables —
+// and then checks conservation: every pushed frame is dispatched exactly
+// once and accounted exactly once, and no origin is left with an
+// outstanding count.
 func TestManyOriginStress(t *testing.T) {
 	const (
 		origins   = 2000
@@ -250,7 +252,14 @@ func TestManyOriginStress(t *testing.T) {
 			for i := 0; i < perPusher; i++ {
 				x = x*1664525 + 1013904223
 				origin := x%origins + 1
-				if _, ok := tab.push(origin, &request{}); !ok {
+				ok := false
+				if i%61 == 0 {
+					// An interrupt: read first, accounted under origin 0.
+					ok = tab.pushInterrupt(&request{})
+				} else {
+					_, ok = tab.push(origin, &request{})
+				}
+				if !ok {
 					t.Error("push failed before close")
 					return
 				}
@@ -294,8 +303,8 @@ func TestManyOriginStress(t *testing.T) {
 	if acct != total {
 		t.Fatalf("accounting: %d ops recorded, %d served", acct, total)
 	}
-	// Pruning must hold at scale: with everything idle, no scheduler
-	// queues survive.
+	// Pruning must hold at scale: with everything idle no scheduler queue
+	// survives, so no origin has a request outstanding.
 	tab.mu.Lock()
 	live := len(tab.queues)
 	tab.mu.Unlock()

@@ -230,9 +230,6 @@ func (s *Server) pendingInterrupts() int {
 	return len(s.pending)
 }
 
-// FS exposes the filesystem the server dispatches to.
-func (s *Server) FS() vfs.FS { return s.fs }
-
 // Queued reports the requests currently waiting in the request table.
 func (s *Server) Queued() int { return s.table.depth() }
 
