@@ -330,6 +330,10 @@ func (fs *FS) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, error
 // credential, whose RLIMIT_FSIZE is unset — the caller's limit is neither
 // known nor enforced (xfstests #228).
 func (fs *FS) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, error) {
+	if op.Cred.FSizeLimit == 0 {
+		// Nothing to strip: a wire request's credential never carries one.
+		return fs.backing.Write(op, h, off, data)
+	}
 	replay := op.Cred.Clone()
 	replay.FSizeLimit = 0
 	return fs.backing.Write(op.WithCred(replay), h, off, data)

@@ -167,20 +167,56 @@ func TestChmodDelegationKeepsSgid(t *testing.T) {
 	}
 }
 
+// writeSpy records the request context the backing filesystem's Write
+// was handed.
+type writeSpy struct {
+	vfs.FS
+	op    *vfs.Op
+	limit int64
+}
+
+func (w *writeSpy) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, error) {
+	w.op, w.limit = op, op.Cred.FSizeLimit
+	return w.FS.Write(op, h, off, data)
+}
+
+// TestRlimitFsizeNotEnforced: the replayed write runs without the
+// caller's RLIMIT_FSIZE (xfstests #228) — and a caller that has none, as
+// every request off the wire, is replayed under its own request context,
+// not a copy made to zero a field that is zero.
 func TestRlimitFsizeNotEnforced(t *testing.T) {
-	cfs, _, _ := newFS(t)
-	cred := vfs.Root()
-	cred.FSizeLimit = 10 // caller limit; CntrFS replays without it
-	cli := vfs.NewClient(cfs, cred)
-	f, err := cli.Create("/big", 0o644)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		limit int64
+	}{{"limited", 10}, {"unlimited", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			spy := &writeSpy{FS: memfs.New(memfs.Options{})}
+			cfs := New(spy, Options{DedupHardlinks: true})
+			cred := vfs.Root()
+			cred.FSizeLimit = tc.limit
+			op := vfs.NewOp(nil, cred)
+			_, h, err := cfs.Create(op, vfs.RootIno, "big", 0o644, vfs.OWronly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := cfs.Write(op, h, 0, make([]byte, 100))
+			if err != nil || n != 100 {
+				t.Fatalf("write = %d, %v; CntrFS must not enforce RLIMIT_FSIZE (#228)", n, err)
+			}
+			if spy.limit != 0 {
+				t.Errorf("the backing write ran with RLIMIT_FSIZE %d, want it stripped", spy.limit)
+			}
+			if cred.FSizeLimit != tc.limit {
+				t.Errorf("the caller's credential was edited: limit %d, want %d", cred.FSizeLimit, tc.limit)
+			}
+			if own := spy.op == op; own != (tc.limit == 0) {
+				t.Errorf("backing received the caller's own *Op: %v, want %v", own, tc.limit == 0)
+			}
+			if spy.op.ID != op.ID || spy.op.Context() != op.Context() {
+				t.Error("the replay lost the request's identity")
+			}
+		})
 	}
-	n, err := f.Write(make([]byte, 100))
-	if err != nil || n != 100 {
-		t.Fatalf("write = %d, %v; CntrFS must not enforce RLIMIT_FSIZE (#228)", n, err)
-	}
-	f.Close()
 }
 
 func TestMetadataOpsForwarded(t *testing.T) {

@@ -1,6 +1,8 @@
 package phoronix
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -49,4 +51,22 @@ func suiteRecording(t *testing.T) *policy.Collector {
 var seed42 struct {
 	once sync.Once
 	col  *policy.Collector
+}
+
+// TestSeed42ProfileUnchanged: the profile generated from the seed-42
+// recording is a function of every operation the twenty rows put through
+// the chain at the top of their stack (kind, inode, name, result inode,
+// bytes, PID, errno). Its hash was taken before the chain's dispatcher
+// and the client's request contexts became recycled objects (commit
+// 0d0e57c; the same value PR 22 recorded), and holds after.
+func TestSeed42ProfileUnchanged(t *testing.T) {
+	const want = "209adaef398e6b08eeda599e26322d2321613ff4a82339b148836112160e58f5"
+	prof := suiteRecording(t).Profile(policy.GenOptions{})
+	b, err := prof.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want || len(prof.Rules) != 2377 {
+		t.Errorf("seed-42 profile: %d rules, sha256 %s; want 2377 rules, %s", len(prof.Rules), got, want)
+	}
 }

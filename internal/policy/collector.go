@@ -157,19 +157,35 @@ func pathJoin(dir, name string) string {
 	return dir + "/" + name
 }
 
+// entryPath is the target path of an operation on the entry name of the
+// directory at dir, or on dir itself without a name; empty when dir, the
+// learned path of the operation's inode, is.
+func entryPath(dir, name string) string {
+	if dir == "" || name == "" {
+		return dir
+	}
+	return pathJoin(dir, name)
+}
+
+// isEntryPath reports whether p is entryPath(dir, name), without building
+// it.
+func isEntryPath(p, dir, name string) bool {
+	if dir == "" || name == "" {
+		return p == dir
+	}
+	if dir == "/" {
+		dir = ""
+	}
+	return len(p) == len(dir)+1+len(name) && p[:len(dir)] == dir && p[len(dir)] == '/' && p[len(dir)+1:] == name
+}
+
 // resolvePaths computes the anchor (the directory the operation is
 // rooted at, which becomes the profile rule prefix) and the target path
 // of one entry from the learned path table. Caller holds the table's
 // lock.
 func resolvePaths(paths map[vfs.Ino]string, ino vfs.Ino, name string) (anchor, target string) {
-	p, ok := paths[ino]
-	if !ok {
-		return "", ""
-	}
-	if name != "" {
-		return p, pathJoin(p, name)
-	}
-	return p, p
+	p := paths[ino]
+	return p, entryPath(p, name)
 }
 
 // rebindPaths moves a renamed subtree in the learned path table: every

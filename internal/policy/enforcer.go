@@ -96,13 +96,13 @@ func exempt(k vfs.OpKind) bool {
 // readBytes/writeBytes and the same window sums no matter whether it is
 // gated individually or batched, so the n outcomes are identical by
 // construction. Caller holds e.mu.
-func (e *Enforcer) gateNLocked(info *vfs.OpInfo, target string, n int) (deny bool) {
+func (e *Enforcer) gateNLocked(info *vfs.OpInfo, dir string, n int) (deny bool) {
 	if n < 1 {
 		n = 1
 	}
 	var reason string
 	if !exempt(info.Kind) {
-		if !e.m.Allows(info.Kind, target) {
+		if !e.m.allowsEntry(info.Kind, dir, info.Name) {
 			reason = "off-profile"
 		} else if info.Kind == vfs.KindRead && e.maxRead > 0 && e.readBytes >= e.maxRead {
 			reason = "read ceiling"
@@ -129,7 +129,7 @@ func (e *Enforcer) gateNLocked(info *vfs.OpInfo, target string, n int) (deny boo
 	}
 	for i := 0; i < n && len(e.violations) < maxViolations; i++ {
 		e.violations = append(e.violations, Violation{
-			Kind: info.Kind, Path: target, PID: pid,
+			Kind: info.Kind, Path: entryPath(dir, info.Name), PID: pid,
 			Denied: denied, Reason: reason,
 		})
 	}
@@ -147,8 +147,7 @@ func (e *Enforcer) gateNLocked(info *vfs.OpInfo, target string, n int) (deny boo
 func (e *Enforcer) InterceptSubmit(info *vfs.OpInfo) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	_, target := resolvePaths(e.paths, info.Ino, info.Name)
-	if e.gateNLocked(info, target, info.BatchOps) {
+	if e.gateNLocked(info, e.paths[info.Ino], info.BatchOps) {
 		return vfs.EACCES
 	}
 	return nil
@@ -157,10 +156,14 @@ func (e *Enforcer) InterceptSubmit(info *vfs.OpInfo) error {
 // Intercept implements vfs.Interceptor.
 func (e *Enforcer) Intercept(info *vfs.OpInfo, next func() error) error {
 	e.mu.Lock()
-	_, target := resolvePaths(e.paths, info.Ino, info.Name)
+	// The operation's target is the entry info.Name of the directory at
+	// dir (dir itself without a name; nothing when dir is empty, its path
+	// unknown). The string is built only where one is kept: every lookup
+	// of every path walk comes through here.
+	dir := e.paths[info.Ino]
 	// Async completions were already admitted by InterceptSubmit; only
 	// the byte accounting below applies to them.
-	if !info.Async && e.gateNLocked(info, target, 1) {
+	if !info.Async && e.gateNLocked(info, dir, 1) {
 		e.mu.Unlock()
 		return vfs.EACCES
 	}
@@ -169,13 +172,13 @@ func (e *Enforcer) Intercept(info *vfs.OpInfo, next func() error) error {
 	err := next()
 
 	e.mu.Lock()
-	if info.ResultIno != 0 && target != "" {
-		e.paths[info.ResultIno] = target
+	if res := info.ResultIno; res != 0 && dir != "" && !isEntryPath(e.paths[res], dir, info.Name) {
+		e.paths[res] = entryPath(dir, info.Name)
 	}
 	if info.Kind == vfs.KindRename && err == nil {
 		// Mirror the collector: renamed subtrees keep resolving to
 		// their current path.
-		rebindPaths(e.paths, target, renameTarget(e.paths, info.NewParentIno, info.NewName))
+		rebindPaths(e.paths, entryPath(dir, info.Name), renameTarget(e.paths, info.NewParentIno, info.NewName))
 	}
 	if info.Kind == vfs.KindForget && info.Ino != vfs.RootIno {
 		// Keep the table bounded by live lookups, exactly like the

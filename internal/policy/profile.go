@@ -174,6 +174,14 @@ func (p *Profile) Compile() *Matcher {
 // lookup is O(path components) — independent of how many rules the
 // profile holds.
 func (m *Matcher) Allows(kind vfs.OpKind, path string) bool {
+	return m.allowsEntry(kind, path, "")
+}
+
+// allowsEntry is Allows(kind, pathJoin(path, name)) for a non-empty name,
+// and Allows(kind, path) without one: the enforcer asks about a directory
+// entry on every lookup of every path walk, and does not build a string
+// to do it.
+func (m *Matcher) allowsEntry(kind vfs.OpKind, path, name string) bool {
 	bit := kindBit(kind)
 	if m.anyKinds&bit != 0 {
 		return true
@@ -182,7 +190,7 @@ func (m *Matcher) Allows(kind vfs.OpKind, path string) bool {
 		return false
 	}
 	allowed := false
-	m.trie.visitPrefixes(path, func(mask uint64) bool {
+	m.trie.visitPrefixes(path, name, func(mask uint64) bool {
 		if mask&bit != 0 {
 			allowed = true
 			return false

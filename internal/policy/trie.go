@@ -87,14 +87,20 @@ func (t *pathTrie[V]) size() int { return t.n }
 // from the root to path — i.e. for every stored entry whose path is a
 // component-wise prefix of path (including path itself), shallowest
 // first. fn returning false stops the walk early. This is the
-// enforcement lookup: O(path depth), independent of entry count.
-func (t *pathTrie[V]) visitPrefixes(path string, fn func(V) bool) {
+// enforcement lookup: O(path depth), independent of entry count. A
+// non-empty leaf is one more stretch of the path, walked as if path were
+// pathJoin(path, leaf) without the caller having to build that string.
+func (t *pathTrie[V]) visitPrefixes(path, leaf string, fn func(V) bool) {
 	node := &t.root
 	for i := 0; ; {
 		if node.set && !fn(node.val) {
 			return
 		}
 		comp, next, ok := nextComponent(path, i)
+		if !ok && leaf != "" {
+			path, leaf = leaf, ""
+			comp, next, ok = nextComponent(path, 0)
+		}
 		if !ok {
 			return
 		}

@@ -68,7 +68,29 @@ func TestMatcherTrieMatchesLinear(t *testing.T) {
 			if got != want {
 				t.Errorf("Allows(%v, %q): trie=%v linear=%v", kind, path, got, want)
 			}
+			// The enforcer asks about a directory entry in two halves,
+			// the directory's learned path and the entry's name, and is
+			// answered as if it had joined them.
+			if i := strings.LastIndex(path, "/"); i >= 0 && path != "/" {
+				dir, name := path[:i], path[i+1:]
+				if dir == "" {
+					dir = "/"
+				}
+				if got := trie.allowsEntry(kind, dir, name); got != want {
+					t.Errorf("allowsEntry(%v, %q, %q) = %v, linear on the joined path %v", kind, dir, name, got, want)
+				}
+				if entryPath(dir, name) != path || !isEntryPath(path, dir, name) ||
+					isEntryPath(path+"x", dir, name) || isEntryPath(dir, dir, name) || isEntryPath("", dir, name) {
+					t.Errorf("entryPath/isEntryPath disagree on %q + %q", dir, name)
+				}
+			}
 		}
+	}
+	if entryPath("", "x") != "" || entryPath("/d", "") != "/d" || !isEntryPath("", "", "x") || !isEntryPath("/d", "/d", "") {
+		t.Error("an unknown directory has no entry paths, and no name means the directory itself")
+	}
+	if trie.allowsEntry(vfs.KindLookup, "", "srv") {
+		t.Error("an entry of a directory whose path is unknown matched a path rule")
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -24,27 +25,10 @@ type Disk struct {
 	// asynchronous direct I/O (aio-stress, fio). Default 1.
 	depth int64
 
-	reads      atomic64
-	writes     atomic64
-	bytesRead  atomic64
-	bytesWrite atomic64
-}
-
-type atomic64 struct {
-	mu sync.Mutex
-	v  int64
-}
-
-func (a *atomic64) add(n int64) {
-	a.mu.Lock()
-	a.v += n
-	a.mu.Unlock()
-}
-
-func (a *atomic64) load() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v
+	reads      atomic.Int64
+	writes     atomic.Int64
+	bytesRead  atomic.Int64
+	bytesWrite atomic.Int64
 }
 
 // NewDisk returns a disk bound to the given clock and cost model.
@@ -61,10 +45,10 @@ type DiskStats struct {
 // Stats returns a snapshot of the disk's counters.
 func (d *Disk) Stats() DiskStats {
 	return DiskStats{
-		Reads:      d.reads.load(),
-		Writes:     d.writes.load(),
-		BytesRead:  d.bytesRead.load(),
-		BytesWrite: d.bytesWrite.load(),
+		Reads:      d.reads.Load(),
+		Writes:     d.writes.Load(),
+		BytesRead:  d.bytesRead.Load(),
+		BytesWrite: d.bytesWrite.Load(),
 	}
 }
 
@@ -75,8 +59,8 @@ func (d *Disk) Read(n int) {
 	if d == nil {
 		return
 	}
-	d.reads.add(1)
-	d.bytesRead.add(int64(n))
+	d.reads.Add(1)
+	d.bytesRead.Add(int64(n))
 	d.submit(n)
 }
 
@@ -86,8 +70,8 @@ func (d *Disk) Write(n int) {
 	if d == nil {
 		return
 	}
-	d.writes.add(1)
-	d.bytesWrite.add(int64(n))
+	d.writes.Add(1)
+	d.bytesWrite.Add(int64(n))
 	d.submit(n)
 }
 
@@ -107,13 +91,11 @@ func (d *Disk) SetQueueDepth(depth int) {
 func (d *Disk) submit(n int) {
 	d.mu.Lock()
 	depth := d.depth
-	d.mu.Unlock()
 	if depth < 1 {
 		depth = 1
 	}
 	cost := d.model.DiskSeek/time.Duration(depth) +
 		time.Duration(int64(d.model.DiskPerKB)*int64(n)/1024)
-	d.mu.Lock()
 	start := d.clock.Now()
 	if d.free > start {
 		start = d.free

@@ -52,8 +52,14 @@ func (c *Client) Chroot(dir string) (*Client, error) {
 func (c *Client) Cred() *Cred { return c.Op.Cred }
 
 // req mints the request context for one client call: the client's
-// credential and cancellation scope with a fresh request id.
-func (c *Client) req() *Op { return c.Op.Fork() }
+// credential and cancellation scope with a fresh request id, on a borrowed
+// Op the caller releases once the call has returned — no layer may keep it
+// past that (Op.Init). A future that outlives its call forks instead.
+func (c *Client) req() *Op {
+	op := opPool.Get().(*Op)
+	*op = *c.Op
+	return op.again()
+}
 
 // File is an open file with a seek position, the shape workloads expect.
 // It is bound to the filesystem that served the open.
@@ -68,7 +74,9 @@ type File struct {
 
 // walk resolves path from the client's root as one request.
 func (c *Client) walk(path string, followLeaf bool) (WalkResult, error) {
-	return walk(c.Pos, c.Mounts, c.req(), path, followLeaf)
+	op := c.req()
+	defer op.release()
+	return walk(c.Pos, c.Mounts, op, path, followLeaf)
 }
 
 // Resolve walks path and returns its position and attributes, following
@@ -100,12 +108,14 @@ func (c *Client) Lstat(path string) (Attr, error) {
 func (c *Client) Open(path string, flags OpenFlags, mode Mode) (*File, error) {
 	follow := flags&ONofollow == 0
 	r, err := c.walk(path, follow)
+	op := c.req()
+	defer op.release()
 	if err != nil {
 		if ToErrno(err) == ENOENT && flags&OCreat != 0 && r.Parent != 0 && r.Leaf != "" && r.Leaf != "." {
 			if r.ReadOnly {
 				return nil, EROFS
 			}
-			attr, h, cerr := r.FS.Create(c.req(), r.Parent, r.Leaf, mode, flags)
+			attr, h, cerr := r.FS.Create(op, r.Parent, r.Leaf, mode, flags)
 			if cerr != nil {
 				return nil, cerr
 			}
@@ -128,7 +138,7 @@ func (c *Client) Open(path string, flags OpenFlags, mode Mode) (*File, error) {
 	if r.ReadOnly && flags.Writable() {
 		return nil, EROFS
 	}
-	h, err := r.FS.Open(c.req(), r.Ino, flags)
+	h, err := r.FS.Open(op, r.Ino, flags)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +196,9 @@ func (c *Client) Mkdir(path string, mode Mode) error {
 	if r.ReadOnly {
 		return EROFS
 	}
-	_, err = r.FS.Mkdir(c.req(), r.Parent, r.Leaf, mode)
+	op := c.req()
+	defer op.release()
+	_, err = r.FS.Mkdir(op, r.Parent, r.Leaf, mode)
 	return err
 }
 
@@ -221,10 +233,12 @@ func (c *Client) remove(r WalkResult) error {
 	if r.ReadOnly {
 		return EROFS
 	}
+	op := c.req()
+	defer op.release()
 	if r.Attr.Type == TypeDirectory {
-		return r.FS.Rmdir(c.req(), r.Parent, r.Leaf)
+		return r.FS.Rmdir(op, r.Parent, r.Leaf)
 	}
-	return r.FS.Unlink(c.req(), r.Parent, r.Leaf)
+	return r.FS.Unlink(op, r.Parent, r.Leaf)
 }
 
 // RemoveAll removes path and, for directories, everything beneath it.
@@ -258,15 +272,17 @@ func (c *Client) ReadDir(path string) ([]Dirent, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := r.FS.Opendir(c.req(), r.Ino)
+	op := c.req()
+	defer op.release()
+	h, err := r.FS.Opendir(op, r.Ino)
 	if err != nil {
 		return nil, err
 	}
-	defer r.FS.Releasedir(c.req(), h)
+	defer func() { r.FS.Releasedir(op.again(), h) }()
 	var out []Dirent
 	off := int64(0)
 	for {
-		ents, err := r.FS.Readdir(c.req(), h, off)
+		ents, err := r.FS.Readdir(op.again(), h, off)
 		if err != nil {
 			return nil, err
 		}
@@ -295,7 +311,9 @@ func (c *Client) Symlink(target, linkPath string) error {
 	if r.ReadOnly {
 		return EROFS
 	}
-	_, err = r.FS.Symlink(c.req(), r.Parent, r.Leaf, target)
+	op := c.req()
+	defer op.release()
+	_, err = r.FS.Symlink(op, r.Parent, r.Leaf, target)
 	return err
 }
 
@@ -308,7 +326,9 @@ func (c *Client) Readlink(path string) (string, error) {
 	if r.Attr.Type != TypeSymlink {
 		return "", EINVAL
 	}
-	return r.FS.Readlink(c.req(), r.Ino)
+	op := c.req()
+	defer op.release()
+	return r.FS.Readlink(op, r.Ino)
 }
 
 // Link creates a hard link at newPath referring to oldPath; crossing
@@ -331,7 +351,9 @@ func (c *Client) Link(oldPath, newPath string) error {
 	if dst.ReadOnly {
 		return EROFS
 	}
-	_, err = src.FS.Link(c.req(), src.Ino, dst.Parent, dst.Leaf)
+	op := c.req()
+	defer op.release()
+	_, err = src.FS.Link(op, src.Ino, dst.Parent, dst.Leaf)
 	return err
 }
 
@@ -358,7 +380,9 @@ func (c *Client) Rename(oldPath, newPath string) error {
 	if src.ReadOnly || dst.ReadOnly {
 		return EROFS
 	}
-	return src.FS.Rename(c.req(), src.Parent, src.Leaf, dst.Parent, dst.Leaf, 0)
+	op := c.req()
+	defer op.release()
+	return src.FS.Rename(op, src.Parent, src.Leaf, dst.Parent, dst.Leaf, 0)
 }
 
 // Truncate sets the size of the file at path.
@@ -385,7 +409,9 @@ func (c *Client) setattr(path string, mask SetattrMask, attr Attr) error {
 	if r.ReadOnly {
 		return EROFS
 	}
-	_, err = r.FS.Setattr(c.req(), r.Ino, mask, attr)
+	op := c.req()
+	defer op.release()
+	_, err = r.FS.Setattr(op, r.Ino, mask, attr)
 	return err
 }
 
@@ -417,20 +443,16 @@ func (c *Client) WalkTree(root string, fn func(path string, attr Attr) error) er
 
 // Read reads from the file at its current offset.
 func (f *File) Read(p []byte) (int, error) {
-	n, err := f.fs.Read(f.c.req(), f.h, f.offset, p)
+	n, err := f.ReadAt(p, f.offset)
 	f.offset += int64(n)
-	if err != nil {
-		return n, err
-	}
-	if n == 0 && len(p) > 0 {
-		return 0, io.EOF
-	}
-	return n, nil
+	return n, err
 }
 
 // ReadAt reads at an explicit offset without moving the file position.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	n, err := f.fs.Read(f.c.req(), f.h, off, p)
+	op := f.c.req()
+	defer op.release()
+	n, err := f.fs.Read(op, f.h, off, p)
 	if err != nil {
 		return n, err
 	}
@@ -446,25 +468,27 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // runs inline and the returned future is already complete. Awaiting
 // collects the byte count into p.
 func (f *File) SubmitRead(p []byte, off int64) PendingIO {
-	return Submit(f.fs, f.c.req(), f.h, KindRead, []IOReq{{Off: off, Buf: p}})[0]
+	return Submit(f.fs, f.c.Op.Fork(), f.h, KindRead, []IOReq{{Off: off, Buf: p}})[0]
 }
 
 // SubmitWrite starts an asynchronous write of p at off; p must stay
 // unmodified until the future is awaited.
 func (f *File) SubmitWrite(p []byte, off int64) PendingIO {
-	return Submit(f.fs, f.c.req(), f.h, KindWrite, []IOReq{{Off: off, Buf: p}})[0]
+	return Submit(f.fs, f.c.Op.Fork(), f.h, KindWrite, []IOReq{{Off: off, Buf: p}})[0]
 }
 
 // Write writes at the current offset (or end of file for O_APPEND).
 func (f *File) Write(p []byte) (int, error) {
-	n, err := f.fs.Write(f.c.req(), f.h, f.offset, p)
+	n, err := f.WriteAt(p, f.offset)
 	f.offset += int64(n)
 	return n, err
 }
 
 // WriteAt writes at an explicit offset without moving the file position.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	return f.fs.Write(f.c.req(), f.h, off, p)
+	op := f.c.req()
+	defer op.release()
+	return f.fs.Write(op, f.h, off, p)
 }
 
 // Seek repositions the file offset per io.Seeker semantics.
@@ -475,7 +499,7 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		f.offset += offset
 	case io.SeekEnd:
-		attr, err := f.fs.Getattr(f.c.req(), f.ino)
+		attr, err := f.Stat()
 		if err != nil {
 			return f.offset, err
 		}
@@ -492,23 +516,31 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 
 // Sync flushes the file's data to stable storage (fsync(2)).
 func (f *File) Sync() error {
-	return f.fs.Fsync(f.c.req(), f.h, false)
+	op := f.c.req()
+	defer op.release()
+	return f.fs.Fsync(op, f.h, false)
 }
 
 // Datasync flushes only the file's data (fdatasync(2)).
 func (f *File) Datasync() error {
-	return f.fs.Fsync(f.c.req(), f.h, true)
+	op := f.c.req()
+	defer op.release()
+	return f.fs.Fsync(op, f.h, true)
 }
 
 // Truncate resizes the open file.
 func (f *File) Truncate(size int64) error {
-	_, err := f.fs.Setattr(f.c.req(), f.ino, SetSize, Attr{Size: size})
+	op := f.c.req()
+	defer op.release()
+	_, err := f.fs.Setattr(op, f.ino, SetSize, Attr{Size: size})
 	return err
 }
 
 // Stat returns the file's current attributes.
 func (f *File) Stat() (Attr, error) {
-	return f.fs.Getattr(f.c.req(), f.ino)
+	op := f.c.req()
+	defer op.release()
+	return f.fs.Getattr(op, f.ino)
 }
 
 // Ino returns the inode number of the open file.
@@ -523,8 +555,10 @@ func (f *File) Close() error {
 		return EBADF
 	}
 	f.closed = true
-	ferr := f.fs.Flush(f.c.req(), f.h)
-	rerr := f.fs.Release(f.c.req(), f.h)
+	op := f.c.req()
+	defer op.release()
+	ferr := f.fs.Flush(op, f.h)
+	rerr := f.fs.Release(op.again(), f.h)
 	if ferr != nil {
 		return ferr
 	}

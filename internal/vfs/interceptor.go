@@ -79,6 +79,9 @@ func KindFromString(s string) (OpKind, bool) {
 // OpInfo describes one operation flowing through an interceptor chain.
 // The inner layer fills Bytes after the call for data operations, so
 // interceptors that run code after next() see the transferred count.
+// It is the chain's, lent for the call: it is recycled when the call
+// returns, so an interceptor copies what it keeps (as Tracer does into a
+// TraceEntry) and leaves Kind and Op, which name the call, alone.
 type OpInfo struct {
 	Kind OpKind
 	Op   *Op
@@ -118,7 +121,9 @@ type OpInfo struct {
 // Interceptor wraps the invocation of one operation. Implementations may
 // run code before and/or after next (stats, tracing), replace the result
 // (fault injection: skip next and return an error), or delay it. The
-// chain built by Chain applies interceptors outermost-first.
+// chain built by Chain applies interceptors outermost-first. info, next
+// and info.Op are lent until Intercept returns: none may be kept, and
+// next may not be called later or from a goroutine that outlives the call.
 type Interceptor interface {
 	Intercept(info *OpInfo, next func() error) error
 }
@@ -167,8 +172,9 @@ func Unwrap(fs FS) FS {
 }
 
 type chainFS struct {
-	fs  FS
-	ics []Interceptor
+	fs     FS
+	ics    []Interceptor
+	frames sync.Pool // of *frame: a call through the chain allocates nothing
 
 	// handles maps the open handles issued through this chain to the
 	// inode they were opened on, so handle-based operations can be
@@ -177,13 +183,6 @@ type chainFS struct {
 	// Data operations only read the table (RLock); open/release write.
 	hmu     sync.RWMutex
 	handles map[Handle]Ino
-}
-
-// trackHandle records that h refers to ino.
-func (c *chainFS) trackHandle(h Handle, ino Ino) {
-	c.hmu.Lock()
-	c.handles[h] = ino
-	c.hmu.Unlock()
 }
 
 // handleIno resolves a handle to the inode it was opened on; zero for
@@ -195,334 +194,337 @@ func (c *chainFS) handleIno(h Handle) Ino {
 	return ino
 }
 
-// dropHandle forgets a released handle.
-func (c *chainFS) dropHandle(h Handle) {
-	c.hmu.Lock()
-	delete(c.handles, h)
-	c.hmu.Unlock()
+// args is what the wrapped method of one call takes and results what it
+// returns; each kind uses the fields its signature has.
+type args struct {
+	ino, src, newParent   Ino // ino is what OpInfo.Ino shows: a handle's inode for the handle kinds
+	name, newName, target string
+	h                     Handle
+	off, length           int64
+	buf                   []byte // Read's dest, Write's data, Setxattr's value
+	attr                  Attr
+	mask                  SetattrMask
+	typ                   FileType
+	mode                  Mode
+	flags                 uint32 // open, rename or xattr flags; Mknod's rdev, Access's mask, Fallocate's mode
+	nlookup               uint64
+	datasync              bool
+	pending               PendingIO // the call is this pipelined request's completion, not a method of its kind
 }
 
-// run invokes call through the interceptor chain.
-func (c *chainFS) run(info *OpInfo, call func() error) error {
-	next := call
-	for i := len(c.ics) - 1; i >= 0; i-- {
-		ic, inner := c.ics[i], next
-		next = func() error { return ic.Intercept(info, inner) }
+type results struct {
+	attr    Attr
+	h       Handle
+	n       int
+	str     string
+	ents    []Dirent
+	names   []string
+	val     []byte
+	st      StatfsOut
+	reached bool // a completion's future was awaited
+	err     error
+}
+
+func (r results) attrErr() (Attr, error)     { return r.attr, r.err }
+func (r results) handleErr() (Handle, error) { return r.h, r.err }
+func (r results) countErr() (int, error)     { return r.n, r.err }
+
+// frame is one call on its way through a chain, recycled when the call
+// returns: info and next, all an interceptor is handed, are its until then.
+type frame struct {
+	c     *chainFS
+	info  OpInfo
+	depth int          // the interceptor next() enters; len(c.ics) is the wrapped filesystem
+	next  func() error // f.step, bound when the frame is first made
+	args
+	results
+}
+
+// enter takes a frame for one call.
+func (c *chainFS) enter(kind OpKind, op *Op, a *args) *frame {
+	f, _ := c.frames.Get().(*frame)
+	if f == nil {
+		f = &frame{c: c}
+		f.next = f.step
 	}
-	return next()
+	f.info = OpInfo{Kind: kind, Op: op, Ino: a.ino, Name: a.name,
+		NewParentIno: a.newParent, NewName: a.newName, Async: a.pending != nil}
+	f.args = *a
+	return f
+}
+
+// leave wipes a frame whose call has returned — the next call must not
+// find this one's results — and recycles it. A call that panics never
+// gets here: its frame is left to the collector.
+func (c *chainFS) leave(f *frame) {
+	*f = frame{c: c, next: f.next}
+	if p := poison.Load(); p != nil {
+		f.info = *p
+	}
+	c.frames.Put(f)
+}
+
+// do runs one call through the chain.
+func (c *chainFS) do(kind OpKind, op *Op, a *args) results {
+	f := c.enter(kind, op, a)
+	f.err = f.step()
+	r := f.results
+	c.leave(f)
+	if kind == KindRelease || kind == KindReleasedir { // whether or not the call got through
+		c.hmu.Lock()
+		delete(c.handles, a.h)
+		c.hmu.Unlock()
+	}
+	return r
+}
+
+// step is every interceptor's next: it enters the interceptor at the
+// frame's depth or, past the last, the wrapped filesystem, and restores
+// the depth on the way out — next may be called never, once, or again.
+func (f *frame) step() error {
+	d := f.depth
+	if d == len(f.c.ics) {
+		return f.call()
+	}
+	f.depth = d + 1
+	err := f.c.ics[d].Intercept(&f.info, f.next)
+	f.depth = d
+	return err
+}
+
+// call is the innermost step.
+func (f *frame) call() (err error) {
+	fs, op, a, r := f.c.fs, f.info.Op, &f.args, &f.results
+	if a.pending != nil {
+		r.reached = true
+		r.n, err = a.pending.Await(op)
+		f.info.Bytes = r.n
+		return err
+	}
+	switch f.info.Kind {
+	case KindLookup:
+		r.attr, err = fs.Lookup(op, a.ino, a.name)
+	case KindForget:
+		fs.Forget(op, a.ino, a.nlookup)
+	case KindGetattr:
+		r.attr, err = fs.Getattr(op, a.ino)
+	case KindSetattr:
+		r.attr, err = fs.Setattr(op, a.ino, a.mask, a.attr)
+	case KindMknod:
+		r.attr, err = fs.Mknod(op, a.ino, a.name, a.typ, a.mode, a.flags)
+	case KindMkdir:
+		r.attr, err = fs.Mkdir(op, a.ino, a.name, a.mode)
+	case KindSymlink:
+		r.attr, err = fs.Symlink(op, a.ino, a.name, a.target)
+	case KindReadlink:
+		r.str, err = fs.Readlink(op, a.ino)
+	case KindUnlink:
+		err = fs.Unlink(op, a.ino, a.name)
+	case KindRmdir:
+		err = fs.Rmdir(op, a.ino, a.name)
+	case KindRename:
+		err = fs.Rename(op, a.ino, a.name, a.newParent, a.newName, RenameFlags(a.flags))
+	case KindLink:
+		r.attr, err = fs.Link(op, a.src, a.ino, a.name)
+	case KindCreate:
+		r.attr, r.h, err = fs.Create(op, a.ino, a.name, a.mode, OpenFlags(a.flags))
+	case KindOpen:
+		r.h, err = fs.Open(op, a.ino, OpenFlags(a.flags))
+	case KindRead:
+		r.n, err = fs.Read(op, a.h, a.off, a.buf)
+		f.info.Bytes = r.n
+	case KindWrite:
+		r.n, err = fs.Write(op, a.h, a.off, a.buf)
+		f.info.Bytes = r.n
+	case KindFlush:
+		err = fs.Flush(op, a.h)
+	case KindFsync:
+		err = fs.Fsync(op, a.h, a.datasync)
+	case KindRelease:
+		err = fs.Release(op, a.h)
+	case KindOpendir:
+		r.h, err = fs.Opendir(op, a.ino)
+	case KindReaddir:
+		r.ents, err = fs.Readdir(op, a.h, a.off)
+	case KindReleasedir:
+		err = fs.Releasedir(op, a.h)
+	case KindStatfs:
+		r.st, err = fs.Statfs(op, a.ino)
+	case KindSetxattr:
+		err = fs.Setxattr(op, a.ino, a.name, a.buf, XattrFlags(a.flags))
+	case KindGetxattr:
+		r.val, err = fs.Getxattr(op, a.ino, a.name)
+	case KindListxattr:
+		r.names, err = fs.Listxattr(op, a.ino)
+	case KindRemovexattr:
+		err = fs.Removexattr(op, a.ino, a.name)
+	case KindAccess:
+		err = fs.Access(op, a.ino, a.flags)
+	case KindFallocate:
+		err = fs.Fallocate(op, a.h, a.flags, a.off, a.length)
+	}
+	if err != nil {
+		return err
+	}
+	switch ino := a.ino; f.info.Kind {
+	case KindLookup, KindMknod, KindMkdir, KindSymlink, KindLink:
+		f.info.ResultIno = r.attr.Ino
+	case KindCreate:
+		f.info.ResultIno, ino = r.attr.Ino, r.attr.Ino
+		fallthrough
+	case KindOpen, KindOpendir:
+		f.c.hmu.Lock()
+		f.c.handles[r.h] = ino
+		f.c.hmu.Unlock()
+	}
+	return nil
 }
 
 func (c *chainFS) Lookup(op *Op, parent Ino, name string) (Attr, error) {
-	info := &OpInfo{Kind: KindLookup, Op: op, Ino: parent, Name: name}
-	var attr Attr
-	err := c.run(info, func() error {
-		var err error
-		attr, err = c.fs.Lookup(op, parent, name)
-		if err == nil {
-			info.ResultIno = attr.Ino
-		}
-		return err
-	})
-	return attr, err
+	return c.do(KindLookup, op, &args{ino: parent, name: name}).attrErr()
 }
 
 func (c *chainFS) Forget(op *Op, ino Ino, nlookup uint64) {
-	info := &OpInfo{Kind: KindForget, Op: op, Ino: ino}
-	_ = c.run(info, func() error {
-		c.fs.Forget(op, ino, nlookup)
-		return nil
-	})
+	c.do(KindForget, op, &args{ino: ino, nlookup: nlookup})
 }
 
 func (c *chainFS) Getattr(op *Op, ino Ino) (Attr, error) {
-	info := &OpInfo{Kind: KindGetattr, Op: op, Ino: ino}
-	var attr Attr
-	err := c.run(info, func() error {
-		var err error
-		attr, err = c.fs.Getattr(op, ino)
-		return err
-	})
-	return attr, err
+	return c.do(KindGetattr, op, &args{ino: ino}).attrErr()
 }
 
 func (c *chainFS) Setattr(op *Op, ino Ino, mask SetattrMask, attr Attr) (Attr, error) {
-	info := &OpInfo{Kind: KindSetattr, Op: op, Ino: ino}
-	var out Attr
-	err := c.run(info, func() error {
-		var err error
-		out, err = c.fs.Setattr(op, ino, mask, attr)
-		return err
-	})
-	return out, err
+	return c.do(KindSetattr, op, &args{ino: ino, mask: mask, attr: attr}).attrErr()
 }
 
 func (c *chainFS) Mknod(op *Op, parent Ino, name string, typ FileType, mode Mode, rdev uint32) (Attr, error) {
-	info := &OpInfo{Kind: KindMknod, Op: op, Ino: parent, Name: name}
-	var attr Attr
-	err := c.run(info, func() error {
-		var err error
-		attr, err = c.fs.Mknod(op, parent, name, typ, mode, rdev)
-		if err == nil {
-			info.ResultIno = attr.Ino
-		}
-		return err
-	})
-	return attr, err
+	return c.do(KindMknod, op, &args{ino: parent, name: name, typ: typ, mode: mode, flags: rdev}).attrErr()
 }
 
 func (c *chainFS) Mkdir(op *Op, parent Ino, name string, mode Mode) (Attr, error) {
-	info := &OpInfo{Kind: KindMkdir, Op: op, Ino: parent, Name: name}
-	var attr Attr
-	err := c.run(info, func() error {
-		var err error
-		attr, err = c.fs.Mkdir(op, parent, name, mode)
-		if err == nil {
-			info.ResultIno = attr.Ino
-		}
-		return err
-	})
-	return attr, err
+	return c.do(KindMkdir, op, &args{ino: parent, name: name, mode: mode}).attrErr()
 }
 
 func (c *chainFS) Symlink(op *Op, parent Ino, name, target string) (Attr, error) {
-	info := &OpInfo{Kind: KindSymlink, Op: op, Ino: parent, Name: name}
-	var attr Attr
-	err := c.run(info, func() error {
-		var err error
-		attr, err = c.fs.Symlink(op, parent, name, target)
-		if err == nil {
-			info.ResultIno = attr.Ino
-		}
-		return err
-	})
-	return attr, err
+	return c.do(KindSymlink, op, &args{ino: parent, name: name, target: target}).attrErr()
 }
 
 func (c *chainFS) Readlink(op *Op, ino Ino) (string, error) {
-	info := &OpInfo{Kind: KindReadlink, Op: op, Ino: ino}
-	var target string
-	err := c.run(info, func() error {
-		var err error
-		target, err = c.fs.Readlink(op, ino)
-		return err
-	})
-	return target, err
+	r := c.do(KindReadlink, op, &args{ino: ino})
+	return r.str, r.err
 }
 
 func (c *chainFS) Unlink(op *Op, parent Ino, name string) error {
-	info := &OpInfo{Kind: KindUnlink, Op: op, Ino: parent, Name: name}
-	return c.run(info, func() error { return c.fs.Unlink(op, parent, name) })
+	return c.do(KindUnlink, op, &args{ino: parent, name: name}).err
 }
 
 func (c *chainFS) Rmdir(op *Op, parent Ino, name string) error {
-	info := &OpInfo{Kind: KindRmdir, Op: op, Ino: parent, Name: name}
-	return c.run(info, func() error { return c.fs.Rmdir(op, parent, name) })
+	return c.do(KindRmdir, op, &args{ino: parent, name: name}).err
 }
 
 func (c *chainFS) Rename(op *Op, oldParent Ino, oldName string, newParent Ino, newName string, flags RenameFlags) error {
-	info := &OpInfo{Kind: KindRename, Op: op, Ino: oldParent, Name: oldName,
-		NewParentIno: newParent, NewName: newName}
-	return c.run(info, func() error {
-		return c.fs.Rename(op, oldParent, oldName, newParent, newName, flags)
-	})
+	return c.do(KindRename, op, &args{ino: oldParent, name: oldName,
+		newParent: newParent, newName: newName, flags: uint32(flags)}).err
 }
 
 func (c *chainFS) Link(op *Op, ino Ino, parent Ino, name string) (Attr, error) {
-	info := &OpInfo{Kind: KindLink, Op: op, Ino: parent, Name: name}
-	var attr Attr
-	err := c.run(info, func() error {
-		var err error
-		attr, err = c.fs.Link(op, ino, parent, name)
-		if err == nil {
-			info.ResultIno = attr.Ino
-		}
-		return err
-	})
-	return attr, err
+	return c.do(KindLink, op, &args{ino: parent, name: name, src: ino}).attrErr()
 }
 
 func (c *chainFS) Create(op *Op, parent Ino, name string, mode Mode, flags OpenFlags) (Attr, Handle, error) {
-	info := &OpInfo{Kind: KindCreate, Op: op, Ino: parent, Name: name}
-	var attr Attr
-	var h Handle
-	err := c.run(info, func() error {
-		var err error
-		attr, h, err = c.fs.Create(op, parent, name, mode, flags)
-		if err == nil {
-			info.ResultIno = attr.Ino
-			c.trackHandle(h, attr.Ino)
-		}
-		return err
-	})
-	return attr, h, err
+	r := c.do(KindCreate, op, &args{ino: parent, name: name, mode: mode, flags: uint32(flags)})
+	return r.attr, r.h, r.err
 }
 
 func (c *chainFS) Open(op *Op, ino Ino, flags OpenFlags) (Handle, error) {
-	info := &OpInfo{Kind: KindOpen, Op: op, Ino: ino}
-	var h Handle
-	err := c.run(info, func() error {
-		var err error
-		h, err = c.fs.Open(op, ino, flags)
-		if err == nil {
-			c.trackHandle(h, ino)
-		}
-		return err
-	})
-	return h, err
+	return c.do(KindOpen, op, &args{ino: ino, flags: uint32(flags)}).handleErr()
 }
 
 func (c *chainFS) Read(op *Op, h Handle, off int64, dest []byte) (int, error) {
-	info := &OpInfo{Kind: KindRead, Op: op, Ino: c.handleIno(h)}
-	var n int
-	err := c.run(info, func() error {
-		var err error
-		n, err = c.fs.Read(op, h, off, dest)
-		info.Bytes = n
-		return err
-	})
-	return n, err
+	return c.do(KindRead, op, &args{ino: c.handleIno(h), h: h, off: off, buf: dest}).countErr()
 }
 
 func (c *chainFS) Write(op *Op, h Handle, off int64, data []byte) (int, error) {
-	info := &OpInfo{Kind: KindWrite, Op: op, Ino: c.handleIno(h)}
-	var n int
-	err := c.run(info, func() error {
-		var err error
-		n, err = c.fs.Write(op, h, off, data)
-		info.Bytes = n
-		return err
-	})
-	return n, err
+	return c.do(KindWrite, op, &args{ino: c.handleIno(h), h: h, off: off, buf: data}).countErr()
 }
 
 func (c *chainFS) Flush(op *Op, h Handle) error {
-	info := &OpInfo{Kind: KindFlush, Op: op, Ino: c.handleIno(h)}
-	return c.run(info, func() error { return c.fs.Flush(op, h) })
+	return c.do(KindFlush, op, &args{ino: c.handleIno(h), h: h}).err
 }
 
 func (c *chainFS) Fsync(op *Op, h Handle, datasync bool) error {
-	info := &OpInfo{Kind: KindFsync, Op: op, Ino: c.handleIno(h)}
-	return c.run(info, func() error { return c.fs.Fsync(op, h, datasync) })
+	return c.do(KindFsync, op, &args{ino: c.handleIno(h), h: h, datasync: datasync}).err
 }
 
 func (c *chainFS) Release(op *Op, h Handle) error {
-	info := &OpInfo{Kind: KindRelease, Op: op, Ino: c.handleIno(h)}
-	err := c.run(info, func() error { return c.fs.Release(op, h) })
-	c.dropHandle(h)
-	return err
+	return c.do(KindRelease, op, &args{ino: c.handleIno(h), h: h}).err
 }
 
 func (c *chainFS) Opendir(op *Op, ino Ino) (Handle, error) {
-	info := &OpInfo{Kind: KindOpendir, Op: op, Ino: ino}
-	var h Handle
-	err := c.run(info, func() error {
-		var err error
-		h, err = c.fs.Opendir(op, ino)
-		if err == nil {
-			c.trackHandle(h, ino)
-		}
-		return err
-	})
-	return h, err
+	return c.do(KindOpendir, op, &args{ino: ino}).handleErr()
 }
 
 func (c *chainFS) Readdir(op *Op, h Handle, off int64) ([]Dirent, error) {
-	info := &OpInfo{Kind: KindReaddir, Op: op, Ino: c.handleIno(h)}
-	var ents []Dirent
-	err := c.run(info, func() error {
-		var err error
-		ents, err = c.fs.Readdir(op, h, off)
-		return err
-	})
-	return ents, err
+	r := c.do(KindReaddir, op, &args{ino: c.handleIno(h), h: h, off: off})
+	return r.ents, r.err
 }
 
 func (c *chainFS) Releasedir(op *Op, h Handle) error {
-	info := &OpInfo{Kind: KindReleasedir, Op: op, Ino: c.handleIno(h)}
-	err := c.run(info, func() error { return c.fs.Releasedir(op, h) })
-	c.dropHandle(h)
-	return err
+	return c.do(KindReleasedir, op, &args{ino: c.handleIno(h), h: h}).err
 }
 
 func (c *chainFS) Statfs(op *Op, ino Ino) (StatfsOut, error) {
-	info := &OpInfo{Kind: KindStatfs, Op: op, Ino: ino}
-	var st StatfsOut
-	err := c.run(info, func() error {
-		var err error
-		st, err = c.fs.Statfs(op, ino)
-		return err
-	})
-	return st, err
+	r := c.do(KindStatfs, op, &args{ino: ino})
+	return r.st, r.err
 }
 
 func (c *chainFS) Setxattr(op *Op, ino Ino, name string, value []byte, flags XattrFlags) error {
-	info := &OpInfo{Kind: KindSetxattr, Op: op, Ino: ino, Name: name}
-	return c.run(info, func() error {
-		return c.fs.Setxattr(op, ino, name, value, flags)
-	})
+	return c.do(KindSetxattr, op, &args{ino: ino, name: name, buf: value, flags: uint32(flags)}).err
 }
 
 func (c *chainFS) Getxattr(op *Op, ino Ino, name string) ([]byte, error) {
-	info := &OpInfo{Kind: KindGetxattr, Op: op, Ino: ino, Name: name}
-	var v []byte
-	err := c.run(info, func() error {
-		var err error
-		v, err = c.fs.Getxattr(op, ino, name)
-		return err
-	})
-	return v, err
+	r := c.do(KindGetxattr, op, &args{ino: ino, name: name})
+	return r.val, r.err
 }
 
 func (c *chainFS) Listxattr(op *Op, ino Ino) ([]string, error) {
-	info := &OpInfo{Kind: KindListxattr, Op: op, Ino: ino}
-	var names []string
-	err := c.run(info, func() error {
-		var err error
-		names, err = c.fs.Listxattr(op, ino)
-		return err
-	})
-	return names, err
+	r := c.do(KindListxattr, op, &args{ino: ino})
+	return r.names, r.err
 }
 
 func (c *chainFS) Removexattr(op *Op, ino Ino, name string) error {
-	info := &OpInfo{Kind: KindRemovexattr, Op: op, Ino: ino, Name: name}
-	return c.run(info, func() error { return c.fs.Removexattr(op, ino, name) })
+	return c.do(KindRemovexattr, op, &args{ino: ino, name: name}).err
 }
 
 func (c *chainFS) Access(op *Op, ino Ino, mask uint32) error {
-	info := &OpInfo{Kind: KindAccess, Op: op, Ino: ino}
-	return c.run(info, func() error { return c.fs.Access(op, ino, mask) })
+	return c.do(KindAccess, op, &args{ino: ino, flags: mask}).err
 }
 
 func (c *chainFS) Fallocate(op *Op, h Handle, mode uint32, off, length int64) error {
-	info := &OpInfo{Kind: KindFallocate, Op: op, Ino: c.handleIno(h)}
-	return c.run(info, func() error {
-		return c.fs.Fallocate(op, h, mode, off, length)
-	})
+	return c.do(KindFallocate, op, &args{ino: c.handleIno(h), h: h, flags: mode, off: off, length: length}).err
 }
 
 // Unwrap exposes the chained filesystem so capability probes
 // (vfs.IsAsync) can see through the wrapper.
 func (c *chainFS) Unwrap() FS { return c.fs }
 
-// admitSubmit runs the chain's submit-time gates over one pipelined
-// window (info.BatchOps same-kind operations on one inode), one call
-// per gate; a non-nil error means the submission must fail without
-// dispatching anything. A denied submission is still routed through
-// the ordinary interceptor chain once with its error pre-resolved
+// admit runs the chain's submit-time gates over one pipelined window
+// (info.BatchOps same-kind operations on one inode), one call per gate;
+// a non-nil error means the submission must fail without dispatching
+// anything. A denied submission is still routed through the ordinary
+// interceptor chain once, as a completion already resolved to the denial
 // (info.Async set, so the denying gate does not re-decide; BatchOps
 // preserved, so observers know the scope of what was refused) — outer
-// interceptors such as a tracer observe the denial exactly as they
-// would on the synchronous path.
-func (c *chainFS) admitSubmit(info *OpInfo) error {
-	for _, ic := range c.ics {
+// interceptors such as a tracer observe the denial exactly as they would
+// on the synchronous path.
+func (f *frame) admit() error {
+	for _, ic := range f.c.ics {
 		si, ok := ic.(SubmitInterceptor)
 		if !ok {
 			continue
 		}
-		if err := si.InterceptSubmit(info); err != nil {
-			info.Async = true
-			if rerr := c.run(info, func() error { return err }); rerr != nil {
+		if err := si.InterceptSubmit(&f.info); err != nil {
+			f.info.Async, f.pending = true, completedIO{0, err}
+			if rerr := f.step(); rerr != nil {
 				return rerr
 			}
 			// An interceptor swallowed the error; the gate's denial
@@ -549,13 +551,17 @@ func (c *chainFS) Submit(op *Op, h Handle, kind OpKind, reqs []IOReq) []PendingI
 	if out, rejected := rejectWindow(kind, len(reqs)); rejected {
 		return out
 	}
-	info := &OpInfo{Kind: kind, Op: op, Ino: c.handleIno(h), BatchOps: len(reqs)}
-	if err := c.admitSubmit(info); err != nil {
+	f := c.enter(kind, op, &args{ino: c.handleIno(h)})
+	f.info.BatchOps = len(reqs)
+	err := f.admit()
+	ino := f.info.Ino
+	c.leave(f)
+	if err != nil {
 		return failedWindow(len(reqs), err)
 	}
 	out := a.Submit(op, h, kind, reqs)
 	for i, p := range out {
-		out[i] = &chainPending{c: c, kind: kind, ino: info.Ino, inner: p}
+		out[i] = &chainPending{c: c, kind: kind, ino: ino, inner: p}
 	}
 	return out
 }
@@ -571,24 +577,15 @@ type chainPending struct {
 
 // Await implements PendingIO.
 func (p *chainPending) Await(op *Op) (int, error) {
-	info := &OpInfo{Kind: p.kind, Op: op, Ino: p.ino, Async: true}
-	var n int
-	reached := false
-	err := p.c.run(info, func() error {
-		reached = true
-		var err error
-		n, err = p.inner.Await(op)
-		info.Bytes = n
-		return err
-	})
-	if !reached {
+	r := p.c.do(p.kind, op, &args{ino: p.ino, pending: p.inner})
+	if !r.reached {
 		// An interceptor short-circuited (e.g. an injected fault) without
 		// calling through: the wire future must still be reaped — a reply
 		// slot is never abandoned, and the transport's pipelining
 		// accounting balances at Await.
 		p.inner.Await(op)
 	}
-	return n, err
+	return r.n, r.err
 }
 
 // NameToHandle implements vfs.HandleExporter by delegation, preserving

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 )
 
@@ -92,11 +93,34 @@ func (op *Op) WithCred(c *Cred) *Op {
 }
 
 // Fork returns a copy of the operation with a fresh request ID — the
-// same caller identity and cancellation scope, a new request. The
-// syscall layer (Client) forks its process-level Op once per call so
-// every operation in a trace is individually identifiable.
+// same caller identity and cancellation scope, a new request, so every
+// operation in a trace is individually identifiable.
 func (op *Op) Fork() *Op {
 	cp := *op
 	cp.ID = opCounter.Add(1)
 	return &cp
 }
+
+var opPool = sync.Pool{New: func() any { return new(Op) }}
+
+// again stamps a borrowed Op (Client.req), whose last request has
+// returned, as the next one.
+func (op *Op) again() *Op {
+	op.ID = opCounter.Add(1)
+	return op
+}
+
+// release wipes a borrowed Op, so that whoever still holds it holds
+// nobody's identity, and recycles it.
+func (op *Op) release() {
+	*op = Op{}
+	if p := poison.Load(); p != nil {
+		*op = *p.Op
+	}
+	opPool.Put(op)
+}
+
+// poison, set only by tests (PoisonRecycled in export_test.go), is what a
+// released Op and a released chain frame are overwritten with, so that a
+// layer which kept one past its call shows in any trace.
+var poison atomic.Pointer[OpInfo]

@@ -48,15 +48,22 @@ type WalkResult struct {
 // walker's job, since ".." must be interpreted against the directory
 // being walked.
 func SplitPath(path string) []string {
-	parts := strings.Split(path, "/")
-	out := parts[:0]
-	for _, p := range parts {
-		if p == "" || p == "." {
-			continue
-		}
-		out = append(out, p)
+	out := make([]string, 0, strings.Count(path, "/")+1)
+	for name, rest := nextComponent(path); name != ""; name, rest = nextComponent(rest) {
+		out = append(out, name)
 	}
 	return out
+}
+
+// nextComponent splits the first component that is neither empty nor "."
+// off path, in place; name is empty when there is none left.
+func nextComponent(path string) (name, rest string) {
+	for rest = path; rest != ""; {
+		if name, rest, _ = strings.Cut(rest, "/"); name != "" && name != "." {
+			return name, rest
+		}
+	}
+	return "", ""
 }
 
 // Walk resolves path from dir within one filesystem, following symlinks
@@ -108,9 +115,9 @@ func (w *walker) walk(at Pos, rel string, depth int) (WalkResult, error) {
 	// directory: a path that exists only as a prefix of deeper mount
 	// points, with no directory backing it.
 	res := WalkResult{Pos: at, Attr: attr, Parent: at.Ino, Leaf: "."}
-	components := SplitPath(rel)
-	for i, name := range components {
-		last := i == len(components)-1
+	for name, rest := nextComponent(rel); name != ""; name, rest = nextComponent(rest) {
+		following, _ := nextComponent(rest)
+		last := following == ""
 		if len(name) > MaxNameLen {
 			return WalkResult{}, ENAMETOOLONG
 		}
@@ -133,7 +140,6 @@ func (w *walker) walk(at Pos, rel string, depth int) (WalkResult, error) {
 					// The parent of a mount root (or of a synthetic
 					// directory) is not reachable through this
 					// filesystem: re-walk to it from the root.
-					rest := strings.Join(components[i+1:], "/")
 					return w.walk(w.root, strings.TrimPrefix(next, w.root.Path)+"/"+rest, depth)
 				}
 			} else {
@@ -175,9 +181,8 @@ func (w *walker) walk(at Pos, rel string, depth int) (WalkResult, error) {
 			if strings.HasPrefix(target, "/") {
 				base = w.root
 			}
-			rest := strings.Join(components[i+1:], "/")
 			joined := target
-			if rest != "" {
+			if !last {
 				joined = target + "/" + rest
 			}
 			return w.walk(base, joined, depth+1)
