@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -139,6 +140,21 @@ func TestMemNoDedup(t *testing.T) {
 	}
 	if st := s.Stats(); st.Blobs != 2 || st.DedupRatio() != 1.0 {
 		t.Fatalf("stats %+v", st)
+	}
+}
+
+// TestMemRefs pins Mem's refs — "m" and the put counter in hex — up to
+// the widest counter.
+func TestMemRefs(t *testing.T) {
+	s := NewMem()
+	for i := uint64(1); i <= 300; i++ {
+		if ref, _ := s.Put(nil); ref != Ref("m"+strconv.FormatUint(i, 16)) {
+			t.Fatalf("put %d: ref %q", i, ref)
+		}
+	}
+	s.next = 1<<64 - 2
+	if ref, _ := s.Put(nil); ref != "mffffffffffffffff" {
+		t.Fatalf("widest counter: ref %q", ref)
 	}
 }
 

@@ -27,7 +27,10 @@ func (m *Mem) Put(data []byte) (Ref, error) {
 	b := append([]byte(nil), data...)
 	m.mu.Lock()
 	m.next++
-	ref := Ref("m" + strconv.FormatUint(m.next, 16))
+	// "m" and the counter in hex, built on the stack: one allocation.
+	var a [17]byte
+	a[0] = 'm'
+	ref := Ref(strconv.AppendUint(a[:1], m.next, 16))
 	m.blobs[ref] = b
 	m.stats.Puts++
 	m.stats.Blobs++

@@ -38,15 +38,20 @@ func raceBuild() bool {
 //	LOOKUP miss          15       1      4   (the server's name string)
 //	GETATTR              20       0      4
 //	CREATE               21       1      4   (memfs's own share subtracted)
-//	READ 128 KiB         18       1      4   (410 KB → 139 KB: one payload-sized object)
+//	READ 128 KiB         18       0      0   and under 4 KiB a frame
+//	WRITE 128 KiB         -       0      0   and under 4 KiB (memfs's share subtracted)
 //	RELEASE (one-way)    13       0      3
 //
-// "before" is this test at the parent commit, where a frame cost a buf,
+// "before" is this test when it was written, where a frame cost a buf,
 // a frame, a Pending, a message, a reply channel and two readers on the
 // kernel side; an Op, a Cred, a cancel context, a reply copy and a
 // buffer grown append by append on the server's; and an origin queue
 // with its message slice in the table. The budgets leave room for the
-// pool refilling after a collection.
+// pool refilling after a collection. The payload rows have no pool to
+// refill: until their reply storage and frame went back to the Conn
+// (Conn.frames) each cost one payload-sized object, 139 455 bytes a READ
+// and 139 289 a WRITE; 4 KiB is below any payload a transient could
+// hold.
 func TestRoundTripAllocBudget(t *testing.T) {
 	opts := DefaultMountOptions()
 	opts.ServerThreads = 4
@@ -69,8 +74,9 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("f%04d", i)
 	}
-	// CREATE has to make a file, which memfs charges for itself: the
-	// same creates straight into a second memfs are the baseline.
+	// CREATE has to make a file and WRITE to store the payload, which
+	// memfs charges for itself: the same calls straight into a second
+	// memfs are the baseline.
 	direct := memfs.New(memfs.Options{})
 	next := 0
 	createDirect := func() {
@@ -79,35 +85,50 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		}
 		next++
 	}
+	_, dh, err := direct.Create(op, vfs.RootIno, "data", 0o644, vfs.ORdwr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeDirect := func() {
+		if _, err := direct.Write(op, dh, 0, dest); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	cases := []struct {
 		name     string
 		budget   float64
-		baseline func() // the backing filesystem's share, if any
+		maxBytes float64 // per frame; 0 leaves bytes unchecked
+		baseline func()  // the backing filesystem's share, if any
 		run      func()
 	}{
-		{"LOOKUP miss", 4, nil, func() {
+		{"LOOKUP miss", 4, 0, nil, func() {
 			if _, err := e.conn.Lookup(op, vfs.RootIno, "absent"); vfs.ToErrno(err) != vfs.ENOENT {
 				t.Fatal(err)
 			}
 		}},
-		{"GETATTR", 4, nil, func() {
+		{"GETATTR", 4, 0, nil, func() {
 			if _, err := e.conn.Getattr(op, attr.Ino); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"CREATE", 4, createDirect, func() {
+		{"CREATE", 4, 0, createDirect, func() {
 			if _, _, err := e.conn.Create(op, vfs.RootIno, names[next], 0o644, vfs.ORdwr); err != nil {
 				t.Fatal(err)
 			}
 			next++
 		}},
-		{"READ 128 KiB", 4, nil, func() {
+		{"READ 128 KiB", 0, 4 << 10, nil, func() {
 			if n, err := e.conn.Read(op, h, 0, dest); err != nil || n != payload {
 				t.Fatal(n, err)
 			}
 		}},
-		{"RELEASE", 3, nil, func() {
+		{"WRITE 128 KiB", 0, 4 << 10, writeDirect, func() {
+			if n, err := e.conn.Write(op, h, 0, dest); err != nil || n != payload {
+				t.Fatal(n, err)
+			}
+		}},
+		{"RELEASE", 3, 0, nil, func() {
 			// One-way: wait for the server to have dispatched the frame, so
 			// its share lands inside the measurement. The handle is bogus
 			// (EBADF below the server); the frame is what is measured.
@@ -132,8 +153,8 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		got, bytes := measure(tc.run)
 		if tc.baseline != nil {
 			next = 0
-			base, _ := measure(tc.baseline)
-			got -= base
+			base, baseBytes := measure(tc.baseline)
+			got, bytes = got-base, bytes-baseBytes
 		}
 		t.Logf("%-13s %5.2f objects, %7.0f bytes per frame (budget %v objects)", tc.name, got, bytes, tc.budget)
 		if raceBuild() {
@@ -142,8 +163,53 @@ func TestRoundTripAllocBudget(t *testing.T) {
 		if got > tc.budget {
 			t.Errorf("%s: %.2f heap objects per round trip, budget %v", tc.name, got, tc.budget)
 		}
-		if tc.name == "READ 128 KiB" && bytes > 1.5*payload {
-			t.Errorf("%s: %.0f bytes per round trip: more than one payload-sized object", tc.name, bytes)
+		if tc.maxBytes > 0 && bytes > tc.maxBytes {
+			t.Errorf("%s: %.0f bytes per round trip, budget %v: a payload-sized buffer was made", tc.name, bytes, tc.maxBytes)
 		}
+	}
+}
+
+// TestPayloadFramesBounded: a Conn keeps at most ServerThreads of the
+// payload-sized buffers its requests give back, however many were in
+// flight at once, and a mount that never moved a payload keeps none.
+func TestPayloadFramesBounded(t *testing.T) {
+	opts := DefaultMountOptions()
+	opts.ServerThreads = 2
+	e := mount(t, opts)
+	op := vfs.RootOp()
+	held := func() int {
+		e.conn.framesMu.Lock()
+		defer e.conn.framesMu.Unlock()
+		return len(e.conn.frames)
+	}
+	_, h, err := e.conn.Create(op, vfs.RootIno, "f", 0o644, vfs.ORdwr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.conn.Write(op, h, 0, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if n := held(); n != 0 {
+		t.Fatalf("after a create and a 100-byte write the Conn holds %d payload buffers, want 0", n)
+	}
+	const window = 8
+	reqs := make([]vfs.IOReq, window)
+	for i := range reqs {
+		reqs[i] = vfs.IOReq{Off: int64(i) << 17, Buf: make([]byte, 128<<10)}
+	}
+	for _, p := range e.conn.Submit(op, h, vfs.KindWrite, reqs) {
+		if _, err := p.Await(op); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := held(); n != opts.ServerThreads {
+		t.Fatalf("after %d WRITEs in flight the Conn holds %d payload buffers, want %d", window, n, opts.ServerThreads)
+	}
+	reused := FramesReused(e.conn)
+	if _, err := e.conn.Read(op, h, 0, reqs[0].Buf); err != nil {
+		t.Fatal(err)
+	}
+	if n := FramesReused(e.conn) - reused; n != 1 || held() != opts.ServerThreads {
+		t.Fatalf("a READ after them: %d reuses, %d held; want one reuse, %d held", n, held(), opts.ServerThreads)
 	}
 }

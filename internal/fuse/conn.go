@@ -185,6 +185,7 @@ type ConnStats struct {
 type request struct {
 	frame  buf         // encoded request
 	out    []byte      // reply frame storage, written by the server
+	spare  []byte      // the small buffer a payload-sized frame or out displaced
 	reply  chan []byte // announces the reply frame; unused when oneWay
 	r      rdr         // reply body decoder handed to the decode func (a local would escape)
 	oneWay bool
@@ -204,9 +205,9 @@ type request struct {
 }
 
 // maxRecycledFrame is the largest buffer a released request keeps. A
-// payload-sized frame (a WRITE request, a READ reply) is left to the
-// collector instead, so the pool never pins 128 KiB buffers in the live
-// heap of a metadata workload.
+// payload-sized frame (a WRITE request, a READ reply) goes back to the
+// request's own Conn instead (Conn.frames), so the global pool never
+// pins 128 KiB buffers in the live heap of a metadata workload.
 const maxRecycledFrame = 4 << 10
 
 // minFrameCap is the capacity a frame buffer starts with: every request
@@ -248,13 +249,14 @@ func frameBuf(b []byte, need int) []byte {
 func newRequest(c *Conn, dataOut, dataIn int) *request {
 	p := requestPool.Get().(*request)
 	p.c = c
-	p.frame.b = frameBuf(p.frame.b, frameHeadroom+dataOut)
-	p.out = frameBuf(p.out, respHeaderLen+4+dataIn)
+	p.frame.b = p.frameBuf(p.frame.b, frameHeadroom+dataOut)
+	p.out = p.frameBuf(p.out, respHeaderLen+4+dataIn)
 	return p
 }
 
-// release returns the request to the pool. The caller is its last
-// owner: no reply may be outstanding on it.
+// release returns the request to the pool and its payload-sized buffers
+// to its Conn. The caller is its last owner: no reply may be outstanding
+// on it.
 func (p *request) release() {
 	if poisonReleased.Load() {
 		poison(p.frame.b[:cap(p.frame.b)])
@@ -262,13 +264,53 @@ func (p *request) release() {
 	}
 	frame, out := p.frame.b, p.out
 	if cap(frame) > maxRecycledFrame {
-		frame = nil
+		p.c.keepFrame(frame)
+		frame, p.spare = p.spare, nil
 	}
 	if cap(out) > maxRecycledFrame {
-		out = nil
+		p.c.keepFrame(out)
+		out, p.spare = p.spare, nil
 	}
 	*p = request{frame: buf{b: frame}, out: out, reply: p.reply}
 	requestPool.Put(p)
+}
+
+// frameBuf is frameBuf for p, except that a payload-sized frame takes
+// the buffer p's Conn had back last, and b waits as p's spare. One too
+// small for need goes to the collector and need is made instead, so a
+// mount served one request at a time holds one buffer, as large as its
+// largest payload so far.
+func (p *request) frameBuf(b []byte, need int) []byte {
+	if need <= maxRecycledFrame || cap(b) >= need {
+		return frameBuf(b, need)
+	}
+	if cap(b) > 0 {
+		p.spare = b
+	}
+	c := p.c
+	c.framesMu.Lock()
+	if n := len(c.frames); n > 0 {
+		b = c.frames[n-1]
+		c.frames[n-1] = nil
+		c.frames = c.frames[:n-1]
+		if cap(b) >= need {
+			c.framesReused++
+			c.framesMu.Unlock()
+			return b[:0]
+		}
+	}
+	c.framesMu.Unlock()
+	return make([]byte, 0, need)
+}
+
+// keepFrame takes back a released payload-sized buffer, unless c already
+// holds ServerThreads of them: that one goes to the collector.
+func (c *Conn) keepFrame(b []byte) {
+	c.framesMu.Lock()
+	if len(c.frames) < c.opts.ServerThreads {
+		c.frames = append(c.frames, b)
+	}
+	c.framesMu.Unlock()
 }
 
 func poison(b []byte) {
@@ -316,6 +358,15 @@ type Conn struct {
 	streak    int
 	stats     ConnStats
 	unmounted bool
+
+	// frames holds the payload-sized buffers (over maxRecycledFrame) of
+	// released requests for the next WRITE frame or READ reply: at most
+	// ServerThreads, so a data mount reuses its frames and a metadata
+	// mount that never made one holds none. framesReused counts the
+	// requests they served.
+	framesMu     sync.Mutex
+	frames       [][]byte
+	framesReused int64
 }
 
 type entryKey struct {

@@ -13,12 +13,13 @@ import (
 
 // TestRecycledRequestsArePoisoned runs whole stacks with the recycling
 // guard rail on: every released request frame and reply frame is filled
-// with 0xDB before its next tenant, and the server's Op and Cred are
-// wiped after every dispatch. Any layer that kept a frame slice, an *Op
-// or a *Cred past the call it was handed to then serves garbage at once
-// — file content of 0xDB bytes, a wrong name, a nil credential — instead
-// of another request's data under load. Package-global hook: no test in
-// this package runs in parallel.
+// with 0xDB before its next tenant (a payload-sized one before it goes
+// back to its Conn for the next WRITE or READ), and the server's Op and
+// Cred are wiped after every dispatch. Any layer that kept a frame
+// slice, an *Op or a *Cred past the call it was handed to then serves
+// garbage at once — file content of 0xDB bytes, a wrong name, a nil
+// credential — instead of another request's data under load.
+// Package-global hook: no test in this package runs in parallel.
 func TestRecycledRequestsArePoisoned(t *testing.T) {
 	fuse.PoisonReleased(true)
 	t.Cleanup(func() { fuse.PoisonReleased(false) })
@@ -66,7 +67,7 @@ func TestRecycledRequestsArePoisoned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		reads := c.Conn.Stats().BytesIn
+		reads, reused := c.Conn.Stats().BytesIn, fuse.FramesReused(c.Conn)
 		for _, size := range sizes {
 			path := fmt.Sprintf("/f%d", size)
 			got, err := cli.ReadFile(path + ".ln")
@@ -83,6 +84,11 @@ func TestRecycledRequestsArePoisoned(t *testing.T) {
 		}
 		if moved := c.Conn.Stats().BytesIn - reads; moved < 1<<20 {
 			t.Fatalf("the read-back moved %d bytes over the wire: it was served from the kernel cache", moved)
+		}
+		// The 1 MiB file alone is eight 128 KiB READs in a row: every reply
+		// after the first lands in storage an earlier request gave back.
+		if n := fuse.FramesReused(c.Conn) - reused; n < 7 {
+			t.Fatalf("%d READ replies reused a payload-sized buffer from the Conn, want at least 7", n)
 		}
 		ents, err := cli.ReadDir("/")
 		if err != nil || len(ents) != 2*len(sizes) {

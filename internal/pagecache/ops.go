@@ -199,7 +199,8 @@ func (c *Cache) topUpReadahead(op *vfs.Op, h vfs.Handle, f *fileCache) {
 // with a blocking backing.Read, a window harvested immediately. fill
 // returns the cached page for idx, or nil when the budget had no room
 // for it, along with the bytes the backing returned and their offset so
-// the caller can use them uncached. Caller holds c.mu.
+// the caller can use them uncached — until the next fill, which may
+// reuse their storage. Caller holds c.mu.
 func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx int64, ahead bool) (*page, []byte, int64, error) {
 	start := idx * PageSize
 	pipelined := ahead && c.async != nil && c.opts.ReadAhead > PageSize
@@ -229,8 +230,9 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx in
 		n, err = win.pending.Await(op)
 	} else {
 		// The blocking read never asks for less than a page, even at
-		// the tail of the file.
-		buf = make([]byte, max(c.windowSize(f, start, ahead), PageSize))
+		// the tail of the file. It lands in the cache's rbuf: every
+		// caller is done with what fill returns before the next fill.
+		buf = scratch(&c.rbuf, int(max(c.windowSize(f, start, ahead), PageSize)))
 		n, err = c.backing.Read(op, h, start, buf)
 	}
 	if err != nil {
@@ -331,7 +333,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 	}
 	f := c.file(st.ino)
 	if st.direct || !c.opts.Writeback {
-		n, err := c.writeOut(op, h, f, []vfs.IOReq{{Off: off, Buf: data}})
+		n, err := c.writeOut(op, h, f, off, data)
 		if err != nil {
 			return n, err
 		}
@@ -412,7 +414,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 			c.touch(st.ino, idx)
 		} else {
 			// No cache space: this chunk goes straight to the backing.
-			n, err := c.writeOut(op, h, f, []vfs.IOReq{{Off: pos, Buf: chunk}})
+			n, err := c.writeOut(op, h, f, pos, chunk)
 			if err != nil {
 				return int(written), err
 			}
@@ -496,53 +498,55 @@ func (c *Cache) killPrivsLocked(op *vfs.Op, st *openState, hasCaps bool) error {
 	return nil
 }
 
-// writeOut is the one way out of the cache: it sends extents of f to the
-// backing on op/h. More than one extent over a pipelined backing is
-// submitted as a single window before any is awaited — batched writeback:
-// the round trips overlap and a chain below admits the whole set in one
-// policy decision; otherwise each extent is a blocking backing.Write.
-// In-flight readahead windows over the extents are discarded first (their
-// payload would predate the write), and every extent that lands is
-// charged to the disk. It returns the bytes written and the first error.
-// Caller holds c.mu.
-func (c *Cache) writeOut(op *vfs.Op, h vfs.Handle, f *fileCache, extents []vfs.IOReq) (int, error) {
+// writeOut is the one way out of the cache: a blocking backing.Write of
+// data at off on op/h. In-flight readahead windows over it are discarded
+// first (their payload would predate the write), and what lands is
+// charged to the disk. Caller holds c.mu.
+func (c *Cache) writeOut(op *vfs.Op, h vfs.Handle, f *fileCache, off int64, data []byte) (int, error) {
+	c.dropReadaheadRange(f, off, off+int64(len(data)))
+	n, err := c.backing.Write(op, h, off, data)
+	if err == nil {
+		c.opts.ChargeDisk.Write(n)
+	}
+	return n, err
+}
+
+// submitOut is writeOut for a flush's extents over a pipelined backing:
+// more than one is submitted as a single window before any is awaited —
+// batched writeback: the round trips overlap and a chain below admits the
+// whole set in one policy decision. It returns the first error. Caller
+// holds c.mu.
+func (c *Cache) submitOut(f *fileCache, extents []vfs.IOReq) error {
+	if len(extents) == 1 {
+		_, err := c.writeOut(wbOp, f.wbHandle, f, extents[0].Off, extents[0].Buf)
+		return err
+	}
 	for _, e := range extents {
 		c.dropReadaheadRange(f, e.Off, e.Off+int64(len(e.Buf)))
 	}
-	var pending []vfs.PendingIO
-	if c.async != nil && len(extents) > 1 {
-		pending = c.async.Submit(op, h, vfs.KindWrite, extents)
-	}
-	var total int
 	var first error
-	for i, e := range extents {
-		var n int
-		var err error
-		if pending != nil {
-			n, err = pending[i].Await(op)
-		} else {
-			n, err = c.backing.Write(op, h, e.Off, e.Buf)
-		}
-		total += n
-		if err == nil {
+	for _, p := range c.async.Submit(wbOp, f.wbHandle, vfs.KindWrite, extents) {
+		if n, err := p.Await(wbOp); err == nil {
 			c.opts.ChargeDisk.Write(n)
 		} else if first == nil {
 			first = err
 		}
 	}
-	return total, first
+	return first
 }
 
 // flushPagesLocked writes the dirty pages idxs of f (ascending) back in
 // coalesced extents capped at MaxWriteSize and marks them clean. It is
 // the only writeback: a whole-file flush passes every dirty page, an
-// eviction passes one. A failed write leaves its pages clean all the
-// same, as in Linux; the first such error is kept on the file for the
-// next close, fsync or O_SYNC write to report. Caller holds c.mu.
+// eviction passes one. Over a synchronous backing each extent is
+// assembled in wbuf and written before the next; over a pipelined one
+// they are all submitted together. A failed write leaves its pages clean
+// all the same, as in Linux; the first such error is kept on the file for
+// the next close, fsync or O_SYNC write to report. Caller holds c.mu.
 func (c *Cache) flushPagesLocked(f *fileCache, idxs []int64) {
-	var extents []vfs.IOReq
-	i := 0
-	for i < len(idxs) {
+	var extents []vfs.IOReq // pipelined only
+	var err error
+	for i := 0; i < len(idxs); {
 		j := i
 		for j+1 < len(idxs) && idxs[j+1] == idxs[j]+1 &&
 			int64(j+1-i+1)*PageSize <= c.opts.MaxWriteSize {
@@ -552,7 +556,12 @@ func (c *Cache) flushPagesLocked(f *fileCache, idxs []int64) {
 		// last page's last, never past the file's end.
 		start := idxs[i]*PageSize + f.pages[idxs[i]].dirtyLo
 		end := min(idxs[j]*PageSize+f.pages[idxs[j]].dirtyHi, f.size)
-		buf := make([]byte, 0, end-start)
+		var buf []byte
+		if c.async != nil {
+			buf = make([]byte, 0, end-start)
+		} else {
+			buf = scratch(&c.wbuf, int(end-start))[:0]
+		}
 		for k := idxs[i]; k <= idxs[j]; k++ {
 			p := f.pages[k]
 			if lo, hi := max(start-k*PageSize, 0), min(end-k*PageSize, PageSize); hi > lo {
@@ -560,17 +569,28 @@ func (c *Cache) flushPagesLocked(f *fileCache, idxs []int64) {
 			}
 			f.clean(p)
 		}
-		if len(buf) > 0 {
-			extents = append(extents, vfs.IOReq{Off: start, Buf: buf})
-		}
 		i = j + 1
+		if len(buf) == 0 {
+			continue
+		}
+		c.stats.FlushedExt++
+		c.stats.FlushedB += int64(len(buf))
+		if c.async != nil {
+			extents = append(extents, vfs.IOReq{Off: start, Buf: buf})
+			continue
+		}
+		if _, werr := c.writeOut(wbOp, f.wbHandle, f, start, buf); werr != nil && err == nil {
+			err = werr
+		}
+		scrub(c.wbuf)
 	}
-	if _, err := c.writeOut(wbOp, f.wbHandle, f, extents); err != nil && f.wbErr == nil {
+	if len(extents) > 0 {
+		if serr := c.submitOut(f, extents); serr != nil && err == nil {
+			err = serr
+		}
+	}
+	if err != nil && f.wbErr == nil {
 		f.wbErr = err
-	}
-	c.stats.FlushedExt += int64(len(extents))
-	for _, e := range extents {
-		c.stats.FlushedB += int64(len(e.Buf))
 	}
 }
 
@@ -579,14 +599,14 @@ func (c *Cache) flushFileLocked(f *fileCache) {
 	if f.dirtyBytes == 0 || !f.wbValid {
 		return
 	}
-	idxs := make([]int64, 0, len(f.pages))
+	c.dirty = c.dirty[:0]
 	for idx, p := range f.pages {
 		if p.dirty > 0 {
-			idxs = append(idxs, idx)
+			c.dirty = append(c.dirty, idx)
 		}
 	}
-	slices.Sort(idxs)
-	c.flushPagesLocked(f, idxs)
+	slices.Sort(c.dirty)
+	c.flushPagesLocked(f, c.dirty)
 	// Dirty data is gone: zombie handles kept for writeback can go too.
 	for _, zh := range f.zombies {
 		if f.wbValid && f.wbHandle == zh {

@@ -23,6 +23,7 @@ package pagecache
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"cntr/internal/sim"
 	"cntr/internal/vfs"
@@ -154,6 +155,41 @@ type Cache struct {
 	opens map[vfs.Handle]*openState
 	lru   []pageKey // approximate LRU: append on use, scan from front
 	stats Stats
+	// Scratch of the synchronous path, reused under mu: wbuf holds the
+	// extent a flush is writing back, rbuf the window a blocking fill
+	// read, dirty the dirty page indices of the file being flushed. Each
+	// grows to the largest use so far and nothing larger. The pipelined
+	// path allocates instead: its windows and extents are in flight
+	// together.
+	wbuf, rbuf []byte
+	dirty      []int64
+}
+
+// poisonScratch is the scratch guard rail's test hook: when set, a
+// scratch buffer is filled with 0xDB whenever it is handed out and after
+// every extent written from it, so a layer below that keeps one past its
+// call, or a backing that reports bytes it did not write, serves 0xDB at
+// once instead of another file's data some day.
+var poisonScratch atomic.Bool
+
+// scratch returns *b resliced to n bytes, replacing it first with a
+// buffer of exactly n when it is shorter.
+func scratch(b *[]byte, n int) []byte {
+	if cap(*b) < n {
+		*b = make([]byte, n)
+	}
+	scrub(*b)
+	return (*b)[:n]
+}
+
+// scrub poisons all of b's storage under the guard rail.
+func scrub(b []byte) {
+	if poisonScratch.Load() {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
 }
 
 // wbOp is the request context for kernel-internal I/O (writeback,

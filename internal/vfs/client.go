@@ -3,6 +3,7 @@ package vfs
 import (
 	"io"
 	"strings"
+	"sync"
 )
 
 // Client is the path-level layer over the filesystem interface, playing
@@ -150,6 +151,13 @@ func (c *Client) Create(path string, mode Mode) (*File, error) {
 	return c.Open(path, OWronly|OCreat|OTrunc, mode)
 }
 
+// readChunk is what each of ReadFile's reads asks for, whatever the
+// file's size: a direct READ is charged on the size requested, so the op
+// stream depends on it. chunkPool lends the buffer.
+const readChunk = 64 << 10
+
+var chunkPool = sync.Pool{New: func() any { return new([readChunk]byte) }}
+
 // ReadFile returns the full contents of path.
 func (c *Client) ReadFile(path string) ([]byte, error) {
 	f, err := c.Open(path, ORdonly, 0)
@@ -158,9 +166,10 @@ func (c *Client) ReadFile(path string) ([]byte, error) {
 	}
 	defer f.Close()
 	var out []byte
-	buf := make([]byte, 64<<10)
+	buf := chunkPool.Get().(*[readChunk]byte)
+	defer chunkPool.Put(buf)
 	for {
-		n, err := f.Read(buf)
+		n, err := f.Read(buf[:])
 		out = append(out, buf[:n]...)
 		if err == io.EOF {
 			return out, nil
