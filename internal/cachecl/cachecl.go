@@ -237,8 +237,9 @@ func (c *Client) get(key cachesvc.Key) ([]byte, bool) {
 			}
 			break
 		}
+		// Unlocked by hand: a defer inside the loop is a heap-allocated
+		// record per lookup.
 		c.mu.Lock()
-		defer c.mu.Unlock()
 		if ok {
 			c.stats.Hits++
 			c.stats.NetBytes += int64(len(val))
@@ -248,6 +249,7 @@ func (c *Client) get(key cachesvc.Key) ([]byte, bool) {
 				// lookup's critical path.
 				c.clock.Advance(time.Duration(hops) * c.model.NetCost(len(val)))
 			}
+			c.mu.Unlock()
 			return val, true
 		}
 		c.stats.Misses++
@@ -255,6 +257,7 @@ func (c *Client) get(key cachesvc.Key) ([]byte, bool) {
 		if hops > 0 {
 			c.clock.Advance(time.Duration(hops) * c.model.NetRTT)
 		}
+		c.mu.Unlock()
 		return nil, false
 	}
 	c.mu.Lock()

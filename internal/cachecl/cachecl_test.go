@@ -2,6 +2,7 @@ package cachecl
 
 import (
 	"errors"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -283,5 +284,56 @@ func TestStoreDeleteInvalidates(t *testing.T) {
 	}
 	if e.svc.Contains(cachesvc.ChunkKey(ref)) {
 		t.Fatal("tier entry survived last backend delete")
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race, whose
+// instrumentation allocates on its own account.
+func raceBuild() bool {
+	info, _ := debug.ReadBuildInfo()
+	if info == nil {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestHitAllocBudget pins what a cached chunk costs the host to look up:
+// a tier hit through the client, the same hit through the wrapped store,
+// and the CAS's verified Get hand back bytes the tier or the store keeps
+// and build nothing on the way — no key string, no defer record, no hex
+// digest. Asserts are off under -race.
+func TestHitAllocBudget(t *testing.T) {
+	e, st, cas, _ := storeEnv(t)
+	ref, err := st.Put(make([]byte, 4096))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct {
+		call string
+		fn   func() error
+	}{
+		{"Client.GetChunk hit", func() error {
+			if _, ok := e.cl.GetChunk(ref); !ok {
+				return errors.New("miss")
+			}
+			return nil
+		}},
+		{"Store.Get tier hit", func() error { _, err := st.Get(ref); return err }},
+		{"CAS.Get", func() error { _, err := cas.Get(ref); return err }},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			if err := row.fn(); err != nil {
+				t.Fatalf("%s: %v", row.call, err)
+			}
+		})
+		t.Logf("%s: %.0f heap objects", row.call, got)
+		if !raceBuild() && got != 0 {
+			t.Errorf("%s costs %.0f heap objects, want 0", row.call, got)
+		}
 	}
 }

@@ -47,8 +47,6 @@
 package cachesvc
 
 import (
-	"container/list"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,19 +56,37 @@ import (
 	"cntr/internal/sim"
 )
 
-// Key names one cached entry. The constructors below define the two
-// key spaces the tier serves; a Service instance serves one backend
-// store domain (mounts sharing the same CAS), so chunk refs need no
-// further namespace.
-type Key string
+// Key names one cached entry: a key space and a name in it. The
+// constructors below define the two key spaces the tier serves; a
+// Service instance serves one backend store domain (mounts sharing the
+// same CAS), so chunk refs need no further namespace. A key is hashed,
+// charged and ordered as the string space+":"+name, which is never built.
+type Key struct {
+	space byte
+	name  string
+}
 
 // ChunkKey keys a backend-store blob by its ref (for content-addressed
 // backends, the content hash — identical across every mount on the
 // shared store).
-func ChunkKey(ref blobstore.Ref) Key { return "c:" + Key(ref) }
+func ChunkKey(ref blobstore.Ref) Key { return Key{'c', string(ref)} }
 
 // AttrKey keys a path's encoded attributes.
-func AttrKey(path string) Key { return "a:" + Key(path) }
+func AttrKey(path string) Key { return Key{'a', path} }
+
+// String is the key as the tier's hash sees it.
+func (k Key) String() string { return string(k.space) + ":" + k.name }
+
+// size is the bytes the key charges its store.
+func (k Key) size() int64 { return 2 + int64(len(k.name)) }
+
+// less orders keys as their strings: every space is followed by ':'.
+func (k Key) less(o Key) bool {
+	if k.space != o.space {
+		return k.space < o.space
+	}
+	return k.name < o.name
+}
 
 // Stats aggregates service-wide counters. Per-node counters are summed
 // on read; NodeStats attributes them to individual nodes.
@@ -170,50 +186,63 @@ type Service struct {
 // entries. complete marks a copy holding every entry the shard has (an
 // incomplete copy is mid-handoff and falls through on a miss).
 type store struct {
-	mu       sync.Mutex
-	entries  map[Key]*list.Element
-	lru      *list.List // front = most recently used
+	mu      sync.Mutex
+	entries map[Key]*entry
+	// lru is the sentinel of the entries' ring: lru.next is the most
+	// recently used, lru.prev the least.
+	lru      entry
 	bytes    int64
 	cap      int64
 	complete bool
 }
 
+// entry is one cached value and its place in its store's LRU ring.
 type entry struct {
-	key Key
-	val []byte
-	ver uint64
+	key        Key
+	val        []byte
+	ver        uint64
+	prev, next *entry
 }
 
 func newStore(cap int64, complete bool) *store {
-	return &store{
-		entries:  make(map[Key]*list.Element),
-		lru:      list.New(),
-		cap:      cap,
-		complete: complete,
-	}
+	st := &store{cap: cap, complete: complete}
+	st.clear()
+	return st
+}
+
+// unlink takes e out of the ring.
+func (e *entry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+// insertAfter links e into the ring after at.
+func (e *entry) insertAfter(at *entry) {
+	e.prev, e.next = at, at.next
+	at.next.prev = e
+	at.next = e
 }
 
 // get returns the value under key, touching LRU order.
 func (st *store) get(key Key) ([]byte, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	el, ok := st.entries[key]
+	e, ok := st.entries[key]
 	if !ok {
 		return nil, false
 	}
-	st.lru.MoveToFront(el)
-	return el.Value.(*entry).val, true
+	e.unlink()
+	e.insertAfter(&st.lru)
+	return e.val, true
 }
 
 // peek returns the value and version without touching LRU order.
 func (st *store) peek(key Key) ([]byte, uint64, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	el, ok := st.entries[key]
+	e, ok := st.entries[key]
 	if !ok {
 		return nil, 0, false
 	}
-	e := el.Value.(*entry)
 	return e.val, e.ver, true
 }
 
@@ -225,20 +254,22 @@ func (st *store) contains(key Key) bool {
 	return ok
 }
 
-// put stores a fresh mutation (val is copied) and returns evictions.
+// put stores a fresh mutation and returns evictions. val is shared, not
+// copied: applyLocked copies it once for every copy of the shard.
 func (st *store) put(key Key, val []byte, ver uint64) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if el, ok := st.entries[key]; ok {
-		e := el.Value.(*entry)
+	if e, ok := st.entries[key]; ok {
 		st.bytes += int64(len(val)) - int64(len(e.val))
-		e.val = append([]byte(nil), val...)
+		e.val = val
 		e.ver = ver
-		st.lru.MoveToFront(el)
+		e.unlink()
+		e.insertAfter(&st.lru)
 	} else {
-		e := &entry{key: key, val: append([]byte(nil), val...), ver: ver}
-		st.entries[key] = st.lru.PushFront(e)
-		st.bytes += int64(len(val)) + int64(len(key))
+		e := &entry{key: key, val: val, ver: ver}
+		e.insertAfter(&st.lru)
+		st.entries[key] = e
+		st.bytes += int64(len(val)) + key.size()
 	}
 	return st.evictLocked()
 }
@@ -251,8 +282,7 @@ func (st *store) put(key Key, val []byte, ver uint64) int {
 func (st *store) install(key Key, val []byte, ver uint64) (installed bool, evictions int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if el, ok := st.entries[key]; ok {
-		e := el.Value.(*entry)
+	if e, ok := st.entries[key]; ok {
 		if e.ver >= ver {
 			return false, 0
 		}
@@ -262,8 +292,9 @@ func (st *store) install(key Key, val []byte, ver uint64) (installed bool, evict
 		return true, st.evictLocked()
 	}
 	e := &entry{key: key, val: val, ver: ver}
-	st.entries[key] = st.lru.PushBack(e) // migrated copies join cold
-	st.bytes += int64(len(val)) + int64(len(key))
+	e.insertAfter(st.lru.prev) // migrated copies join cold
+	st.entries[key] = e
+	st.bytes += int64(len(val)) + key.size()
 	return true, st.evictLocked()
 }
 
@@ -271,25 +302,24 @@ func (st *store) install(key Key, val []byte, ver uint64) (installed bool, evict
 func (st *store) remove(key Key) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	el, ok := st.entries[key]
+	e, ok := st.entries[key]
 	if !ok {
 		return false
 	}
-	e := el.Value.(*entry)
-	st.lru.Remove(el)
-	delete(st.entries, key)
-	st.bytes -= int64(len(e.val)) + int64(len(e.key))
+	st.dropLocked(e)
 	return true
+}
+
+func (st *store) dropLocked(e *entry) {
+	e.unlink()
+	delete(st.entries, e.key)
+	st.bytes -= int64(len(e.val)) + e.key.size()
 }
 
 func (st *store) evictLocked() int {
 	n := 0
-	for st.bytes > st.cap && st.lru.Len() > 1 {
-		oldest := st.lru.Back()
-		e := oldest.Value.(*entry)
-		st.lru.Remove(oldest)
-		delete(st.entries, e.key)
-		st.bytes -= int64(len(e.val)) + int64(len(e.key))
+	for st.bytes > st.cap && len(st.entries) > 1 {
+		st.dropLocked(st.lru.prev)
 		n++
 	}
 	return n
@@ -304,15 +334,15 @@ func (st *store) keys() []Key {
 	for k := range st.entries {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
 	return out
 }
 
 func (st *store) clear() {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.entries = make(map[Key]*list.Element)
-	st.lru = list.New()
+	st.entries = make(map[Key]*entry)
+	st.lru.prev, st.lru.next = &st.lru, &st.lru
 	st.bytes = 0
 }
 
@@ -373,17 +403,28 @@ func New(opts Options) *Service {
 	return s
 }
 
-func hash64(k string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k))
-	return h.Sum64()
+// FNV-1a, 64-bit (hash/fnv's New64a), folded in place.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func fnvAdd(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
 }
+
+func hash64(k string) uint64 { return fnvAdd(fnvOffset, k) }
 
 // ShardOf returns the shard index a key lives on. The shard count is
 // fixed for the life of the service, so a plain modulo suffices; what
 // moves is shard→node, and rendezvous placement handles that.
 func (s *Service) ShardOf(key Key) int {
-	return int(hash64(string(key)) % uint64(s.opts.Shards))
+	h := (fnvOffset ^ uint64(key.space)) * fnvPrime
+	h = fnvAdd((h^':')*fnvPrime, key.name)
+	return int(h % uint64(s.opts.Shards))
 }
 
 // GroupOf returns the lease shard-group guarding mutations of key:
@@ -401,21 +442,24 @@ func (s *Service) NumShards() int { return s.opts.Shards }
 // simulate time passing on the service side of a partition).
 func (s *Service) Clock() *sim.Clock { return s.clock }
 
-// hostingLocked returns the live nodes holding a copy of shard sh:
-// current owners first in placement order, then any handoff sources
-// still holding the shard, in node-id order. Callers hold topo.
-func (s *Service) hostingLocked(sh int) []*node {
+// hosts is the array a caller of hostingLocked lends it. Data ops run
+// concurrently under topo's read lock, so the storage must be the
+// caller's own, on its stack; a shard on more nodes grows onto the heap.
+type hosts [8]*node
+
+// hostingLocked appends to out the live nodes holding a copy of shard
+// sh: current owners first in placement order, then any handoff sources
+// still holding the shard, in node-id order. Callers hold topo and pass
+// a hosts array as out (on[:0]).
+func (s *Service) hostingLocked(sh int, out []*node) []*node {
 	owners := s.placement[sh]
-	out := make([]*node, 0, len(owners)+1)
-	isOwner := make(map[int]bool, len(owners))
 	for _, id := range owners {
-		isOwner[id] = true
 		if nd := s.nodes[id]; nd.live && nd.stores[sh] != nil {
 			out = append(out, nd)
 		}
 	}
 	for _, nd := range s.nodes {
-		if !isOwner[nd.id] && nd.live && nd.stores[sh] != nil {
+		if !containsInt(owners, nd.id) && nd.live && nd.stores[sh] != nil {
 			out = append(out, nd)
 		}
 	}
@@ -426,7 +470,8 @@ func (s *Service) hostingLocked(sh int) []*node {
 // skip holding a complete copy of shard sh, or nil.
 func (s *Service) completeHostLocked(sh, skip int) *node {
 	var best *node
-	for _, nd := range s.hostingLocked(sh) {
+	var on hosts
+	for _, nd := range s.hostingLocked(sh, on[:0]) {
 		if nd.id == skip || !nd.stores[sh].complete {
 			continue
 		}
@@ -510,7 +555,8 @@ func (s *Service) Contains(key Key) bool {
 	s.topo.RLock()
 	defer s.topo.RUnlock()
 	sh := s.ShardOf(key)
-	for _, nd := range s.hostingLocked(sh) {
+	var on hosts
+	for _, nd := range s.hostingLocked(sh, on[:0]) {
 		if nd.stores[sh].contains(key) {
 			return true
 		}
@@ -520,11 +566,14 @@ func (s *Service) Contains(key Key) bool {
 
 // applyLocked lands a mutation on every live copy of the shard —
 // owners and any handoff sources alike, so a fallthrough can never
-// serve a value a later write replaced. Returns the copy count.
+// serve a value a later write replaced. val is copied once and every
+// copy shares the copy, as install's do. Returns the copy count.
 // Callers hold topo for read.
 func (s *Service) applyLocked(sh int, key Key, val []byte) int {
 	ver := s.ver.Add(1)
-	hosting := s.hostingLocked(sh)
+	var on hosts
+	hosting := s.hostingLocked(sh, on[:0])
+	val = append([]byte(nil), val...)
 	for _, nd := range hosting {
 		ev := nd.stores[sh].put(key, val, ver)
 		nd.puts.Add(1)
@@ -571,7 +620,8 @@ func (s *Service) Invalidate(l Lease, key Key) error {
 	s.topo.RLock()
 	defer s.topo.RUnlock()
 	sh := s.ShardOf(key)
-	for _, nd := range s.hostingLocked(sh) {
+	var on hosts
+	for _, nd := range s.hostingLocked(sh, on[:0]) {
 		nd.stores[sh].remove(key)
 		nd.invals.Add(1)
 	}

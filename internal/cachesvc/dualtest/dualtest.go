@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"time"
 
+	"cntr/internal/blobstore"
 	"cntr/internal/cachesvc"
 	"cntr/internal/sim"
 )
@@ -165,7 +166,7 @@ func Run(opts Options) (Result, error) {
 	kr := sim.NewRand(opts.Seed ^ 0x9e3779b97f4a7c15)
 	keyPool := make([]cachesvc.Key, opts.Keys)
 	for i := range keyPool {
-		keyPool[i] = cachesvc.Key(fmt.Sprintf("c:dual-%016x", kr.Uint64()))
+		keyPool[i] = cachesvc.ChunkKey(blobstore.Ref(fmt.Sprintf("dual-%016x", kr.Uint64())))
 	}
 	key := func(i int) cachesvc.Key { return keyPool[i] }
 	val := func(k, generation int) []byte {

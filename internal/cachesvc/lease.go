@@ -136,7 +136,8 @@ func (s *Service) admit(l Lease, key Key) error {
 	// s.mu is released before taking topo: lease state and topology are
 	// independent lock domains and must never nest.
 	s.topo.RLock()
-	for _, nd := range s.hostingLocked(s.ShardOf(key)) {
+	var on hosts
+	for _, nd := range s.hostingLocked(s.ShardOf(key), on[:0]) {
 		nd.fenced.Add(1)
 	}
 	s.topo.RUnlock()

@@ -83,7 +83,8 @@ func (s *Service) recomputeLocked() {
 			// instead of falling through forever. If any copy was
 			// mid-migration, cached entries were genuinely lost.
 			lost := false
-			for _, nd := range s.hostingLocked(sh) {
+			var on hosts
+			for _, nd := range s.hostingLocked(sh, on[:0]) {
 				st := nd.stores[sh]
 				if !st.complete {
 					if s.hasTaskLocked(sh, nd.id) {
@@ -277,19 +278,19 @@ func (s *Service) Snapshot() map[Key][]byte {
 	defer s.topo.RUnlock()
 	out := make(map[Key][]byte)
 	for sh := range s.placement {
-		hosting := s.hostingLocked(sh)
+		var on hosts
 		var from []*node
 		if nd := s.completeHostLocked(sh, -1); nd != nil {
 			from = []*node{nd}
 		} else {
-			from = hosting
+			from = s.hostingLocked(sh, on[:0])
 		}
 		for _, nd := range from {
 			st := nd.stores[sh]
 			st.mu.Lock()
-			for k, el := range st.entries {
+			for k, e := range st.entries {
 				if _, dup := out[k]; !dup {
-					out[k] = append([]byte(nil), el.Value.(*entry).val...)
+					out[k] = append([]byte(nil), e.val...)
 				}
 			}
 			st.mu.Unlock()
@@ -309,15 +310,17 @@ func (s *Service) CheckConsistency() error {
 		st.mu.Lock()
 		defer st.mu.Unlock()
 		m := make(map[Key][]byte, len(st.entries))
-		for k, el := range st.entries {
-			m[k] = el.Value.(*entry).val
+		for k, e := range st.entries {
+			m[k] = e.val
 		}
 		return m
 	}
 	for sh := range s.placement {
 		var ref map[Key][]byte
 		refNode := -1
-		for _, nd := range s.hostingLocked(sh) {
+		var on hosts
+		hosting := s.hostingLocked(sh, on[:0])
+		for _, nd := range hosting {
 			st := nd.stores[sh]
 			if !st.complete {
 				continue
@@ -342,7 +345,7 @@ func (s *Service) CheckConsistency() error {
 		if ref == nil {
 			continue
 		}
-		for _, nd := range s.hostingLocked(sh) {
+		for _, nd := range hosting {
 			st := nd.stores[sh]
 			if st.complete {
 				continue

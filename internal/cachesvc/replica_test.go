@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"cntr/internal/blobstore"
 	"cntr/internal/sim"
 )
 
@@ -20,7 +21,7 @@ func testKeys(prefix string, n int) []Key {
 	r := sim.NewRand(hash64(prefix))
 	keys := make([]Key, n)
 	for i := range keys {
-		keys[i] = Key(fmt.Sprintf("c:%s-%016x", prefix, r.Uint64()))
+		keys[i] = ChunkKey(blobstore.Ref(fmt.Sprintf("%s-%016x", prefix, r.Uint64())))
 	}
 	return keys
 }
@@ -52,7 +53,7 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 		t.Run(fmt.Sprintf("nodes=%d_replicas=%d", tc.nodes, tc.replicas), func(t *testing.T) {
 			clock := sim.NewClock()
 			svc := New(Options{Nodes: tc.nodes, Replicas: tc.replicas, Clock: clock})
-			key := Key("c:fencing-matrix")
+			key := ChunkKey("fencing-matrix")
 			copies := tc.replicas + 1
 			if got := len(ownersOf(svc, key)); got != copies {
 				t.Fatalf("shard has %d owners, want %d", got, copies)
@@ -133,7 +134,7 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 // finds it there, with no hop to another node.
 func TestReplicatedWriteVisibleOnEveryCopy(t *testing.T) {
 	svc := New(Options{Nodes: 3, Replicas: 2})
-	key := Key("c:replicated")
+	key := ChunkKey("replicated")
 	l, err := svc.Acquire("m", svc.GroupOf(key))
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +167,7 @@ func TestMigrationFallthroughNoMissStorm(t *testing.T) {
 	seeded := make([]Key, 512)
 	r := sim.NewRand(1)
 	for i := range seeded {
-		seeded[i] = Key(fmt.Sprintf("c:bench-%016x", r.Uint64()))
+		seeded[i] = ChunkKey(blobstore.Ref(fmt.Sprintf("bench-%016x", r.Uint64())))
 	}
 	for _, row := range []struct {
 		name      string
@@ -311,7 +312,7 @@ func TestDrainNodeHandsOffEverything(t *testing.T) {
 // state, orthogonal to migration.
 func TestLeaseEpochSurvivesMigration(t *testing.T) {
 	svc := New(Options{Nodes: 2, Replicas: 1})
-	key := Key("c:lease-survives")
+	key := ChunkKey("lease-survives")
 	l, err := svc.Acquire("m", svc.GroupOf(key))
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +339,7 @@ func TestLeaseEpochSurvivesMigration(t *testing.T) {
 // of the node-addressed data plane.
 func TestNodeAddressedCallsRejectStaleVersion(t *testing.T) {
 	svc := New(Options{Nodes: 2, Replicas: 0})
-	key := Key("c:moved")
+	key := ChunkKey("moved")
 	l, err := svc.Acquire("m", svc.GroupOf(key))
 	if err != nil {
 		t.Fatal(err)
@@ -371,8 +372,8 @@ func TestStatsPerNodeSplit(t *testing.T) {
 		svc.Seed(k, []byte("y"))
 	}
 	for _, k := range keys {
-		svc.Get(k)                   // hit
-		svc.Get(k + Key("-missing")) // miss
+		svc.Get(k)                                            // hit
+		svc.Get(ChunkKey(blobstore.Ref(k.name + "-missing"))) // miss
 	}
 	st := svc.Stats()
 	if st.Hits != 60 || st.Misses != 60 {

@@ -86,17 +86,6 @@ func (o Opcode) String() string {
 	return "UNKNOWN"
 }
 
-// Init flags negotiated at mount time (a subset of FUSE_INIT flags).
-const (
-	InitAsyncRead      uint32 = 1 << 0
-	InitParallelDirops uint32 = 1 << 1
-	InitWritebackCache uint32 = 1 << 2
-	InitSpliceRead     uint32 = 1 << 3
-	InitSpliceWrite    uint32 = 1 << 4
-	InitKeepCache      uint32 = 1 << 5
-	InitBatchForget    uint32 = 1 << 6
-)
-
 // reqHeaderLen is the length of the fixed request header:
 // u32 len, u32 opcode, u64 unique, u64 nodeid, u32 uid, u32 gid, u32 pid,
 // u32 padding.

@@ -275,7 +275,7 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx in
 // would refuse to read from, borrows a read-only one opened as the
 // kernel: the caller's access mode was checked when h was opened and is
 // not widened. Caller holds c.mu.
-func (c *Cache) fillForWrite(op *vfs.Op, h vfs.Handle, st *openState, f *fileCache, idx int64) (*page, []byte, error) {
+func (c *Cache) fillForWrite(op *vfs.Op, h vfs.Handle, st openState, f *fileCache, idx int64) (*page, []byte, error) {
 	if !st.flags.Readable() {
 		rh, err := c.backing.Open(wbOp, st.ino, vfs.ORdonly)
 		if err != nil {
@@ -468,7 +468,7 @@ func (c *Cache) wrote(f *fileCache, off int64, data []byte) {
 // unprivileged caller writes a setuid/setgid file, the kernel — not the
 // filesystem — clears the bits, folding a SETATTR into the write path.
 // Caller holds c.mu.
-func (c *Cache) killPrivsLocked(op *vfs.Op, st *openState, hasCaps bool) error {
+func (c *Cache) killPrivsLocked(op *vfs.Op, st openState, hasCaps bool) error {
 	if hasCaps {
 		err := c.backing.Removexattr(wbOp, st.ino, vfs.XattrSecurityCapability)
 		if e := vfs.ToErrno(err); e != vfs.OK && e != vfs.ENODATA {
@@ -654,7 +654,7 @@ func (c *Cache) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, 
 		f := c.file(ino)
 		f.size, f.valid = 0, true
 	}
-	c.opens[h] = &openState{ino: ino, flags: flags, direct: flags&vfs.ODirect != 0}
+	c.opens[h] = openState{ino: ino, flags: flags, direct: flags&vfs.ODirect != 0}
 	fc := c.file(ino)
 	fc.openHandles++
 	if flags.Writable() && c.opts.Writeback {
@@ -673,7 +673,7 @@ func (c *Cache) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, f
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.opens[h] = &openState{ino: attr.Ino, flags: flags, direct: flags&vfs.ODirect != 0}
+	c.opens[h] = openState{ino: attr.Ino, flags: flags, direct: flags&vfs.ODirect != 0}
 	f := c.file(attr.Ino)
 	f.size, f.valid = 0, true
 	f.mode, f.modeKnown = attr.Mode, true
@@ -914,7 +914,7 @@ func (c *Cache) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 	h, err := c.backing.Opendir(op, ino)
 	if err == nil {
 		c.mu.Lock()
-		c.opens[h] = &openState{ino: ino, flags: vfs.ORdonly}
+		c.opens[h] = openState{ino: ino, flags: vfs.ORdonly}
 		c.mu.Unlock()
 	}
 	return h, err

@@ -152,8 +152,14 @@ type Cache struct {
 
 	mu    sync.Mutex
 	files map[vfs.Ino]*fileCache
-	opens map[vfs.Handle]*openState
-	lru   []pageKey // approximate LRU: append on use, scan from front
+	opens map[vfs.Handle]openState
+	// lru is the eviction queue: an insert and every touch append, and
+	// evictOne drops the page the oldest entry names. A page is reached at
+	// the entry its insert made, so a touch never moves it back: eviction
+	// is in insertion order, not least recently used. (An entry that
+	// outlives its page names whichever page is cached at that index
+	// when it is reached.)
+	lru   []pageKey
 	stats Stats
 	// Scratch of the synchronous path, reused under mu: wbuf holds the
 	// extent a flush is writing back, rbuf the window a blocking fill
@@ -203,7 +209,10 @@ type pageKey struct {
 }
 
 type fileCache struct {
+	// pages is made with the file's first page. hdrs is the block the
+	// next page header is cut from (see newPage).
 	pages map[int64]*page
+	hdrs  []page
 	size  int64 // cached view of the file size
 	valid bool  // whether size is known
 	// mode caches the file's mode bits for the kernel-side
@@ -250,6 +259,8 @@ type raWindow struct {
 	pending vfs.PendingIO
 }
 
+// openState is what an open handle was opened as. It never changes, so
+// opens holds it by value.
 type openState struct {
 	ino    vfs.Ino
 	flags  vfs.OpenFlags
@@ -296,7 +307,7 @@ func New(backing vfs.FS, clock *sim.Clock, model *sim.CostModel, opts Options) *
 		model:   model,
 		opts:    opts,
 		files:   make(map[vfs.Ino]*fileCache),
-		opens:   make(map[vfs.Handle]*openState),
+		opens:   make(map[vfs.Handle]openState),
 	}
 	if opts.AsyncDepth > 0 && vfs.IsAsync(backing) {
 		// IsAsync sees through interceptor chains: pipelining windows
@@ -326,10 +337,29 @@ func (c *Cache) charge() {
 func (c *Cache) file(ino vfs.Ino) *fileCache {
 	f, ok := c.files[ino]
 	if !ok {
-		f = &fileCache{pages: make(map[int64]*page)}
+		f = &fileCache{}
 		c.files[ino] = f
 	}
 	return f
+}
+
+// maxHdrBlock caps the page headers cut from one block. A block lives
+// while any of its pages is reachable, and keeps the buffers of its
+// dropped pages with it, so the cap bounds what one cached page can pin.
+const maxHdrBlock = 64
+
+// newPage returns a fresh header for a page of f. Headers come from a
+// per-file block sized to the pages f holds, so a growing file's blocks
+// double and a page costs its buffer alone. A header is never reused: a
+// dropped page keeps its header and its bytes for whoever still holds it
+// (fill does, across the inserts after its own), and the block goes when
+// none of its pages is reachable.
+func (f *fileCache) newPage() *page {
+	if len(f.hdrs) == cap(f.hdrs) {
+		f.hdrs = make([]page, 0, min(max(len(f.pages), 1), maxHdrBlock))
+	}
+	f.hdrs = f.hdrs[:len(f.hdrs)+1]
+	return &f.hdrs[len(f.hdrs)-1]
 }
 
 // insertPage caches data, zero-padded to a page, as page idx of f, which
@@ -342,8 +372,12 @@ func (c *Cache) insertPage(f *fileCache, ino vfs.Ino, idx int64, data []byte) *p
 			return nil
 		}
 	}
-	p := &page{data: make([]byte, PageSize)}
+	p := f.newPage()
+	p.data = make([]byte, PageSize)
 	copy(p.data, data)
+	if f.pages == nil {
+		f.pages = make(map[int64]*page)
+	}
 	f.pages[idx] = p
 	c.lru = append(c.lru, pageKey{ino, idx})
 	return p
@@ -382,8 +416,8 @@ func (c *Cache) evictOne() bool {
 	return false
 }
 
-// touch records recency. The approximate LRU just re-appends; stale
-// entries are skipped during eviction.
+// touch appends another entry for a page in use. It does not delay the
+// page's eviction (see Cache.lru).
 func (c *Cache) touch(ino vfs.Ino, idx int64) {
 	if len(c.lru) < 1<<20 {
 		c.lru = append(c.lru, pageKey{ino, idx})

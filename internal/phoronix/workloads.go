@@ -315,9 +315,10 @@ var Suite = []Benchmark{
 			// exceeds RAM on a Cntr stack that keeps both copies, so a
 			// fraction of records miss all the way to the disk (the
 			// paper's 8GB case). The record order is randomized because
-			// the simulator's strict LRU makes a sequential overflow scan
-			// all-or-nothing, which would overstate the paper's partial
-			// degradation.
+			// the simulator's page cache evicts in insertion order (a
+			// re-read never moves a page back), which makes a sequential
+			// overflow scan all-or-nothing and would overstate the paper's
+			// partial degradation.
 			f, err := ctx.Cli.Open("/iozone.r", vfs.ORdonly, 0)
 			if err != nil {
 				return 0, err
