@@ -13,8 +13,7 @@ import (
 // KeepCache through BatchForget are the paper's §3.3 optimizations, and
 // MaxWrite, the two timeouts and ServerThreads the settings its CntrFS
 // mounts with: PaperMountOptions is that configuration. NoSec, NoFlush and
-// DirectRead are beyond the paper (on in DefaultMountOptions only), and the
-// fields from QoSWeights down configure this repository's request table.
+// DirectRead are beyond the paper (on in DefaultMountOptions only).
 type MountOptions struct {
 	// KeepCache sets FOPEN_KEEP_CACHE on every open, letting the page
 	// cache above survive re-opens (read-cache optimization, Fig. 3a).
@@ -97,18 +96,6 @@ type MountOptions struct {
 	// operation finishes — just like a real single-threaded FUSE server.
 	// Use >= 2 threads when workloads can block indefinitely.
 	ServerThreads int
-
-	// QoSWeights assigns weighted-fair-queueing weights per origin
-	// (Op.PID): under saturation, dispatch ratios track these weights.
-	// Unlisted origins get DefaultWeight.
-	QoSWeights map[uint32]int
-	// DefaultWeight is the WFQ weight for origins not in QoSWeights;
-	// zero means 1.
-	DefaultWeight int
-	// MaxOriginInflight caps how many of one origin's requests may be
-	// dispatched to workers concurrently, keeping a single container
-	// from occupying every server thread. Zero means unlimited.
-	MaxOriginInflight int
 }
 
 // PaperMountOptions returns the configuration the paper's CNTR ships
@@ -402,11 +389,7 @@ func Mount(fs vfs.FS, clock *sim.Clock, model *sim.CostModel, opts MountOptions)
 	if opts.ServerThreads <= 0 {
 		opts.ServerThreads = 1
 	}
-	if opts.DefaultWeight <= 0 {
-		opts.DefaultWeight = 1
-	}
-	table := newReqTable(maxBackground, opts.MaxOriginInflight,
-		opts.DefaultWeight, opts.QoSWeights)
+	table := newReqTable(maxBackground)
 	return newConn(clock, model, opts, table), newServer(fs, clock, model, opts, table)
 }
 

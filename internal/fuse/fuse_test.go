@@ -445,4 +445,8 @@ func TestOpcodeString(t *testing.T) {
 	if OpLookup.String() != "LOOKUP" || Opcode(9999).String() != "UNKNOWN" {
 		t.Fatal("opcode names")
 	}
+	// 26 is Linux's FUSE_INIT, which this protocol does not carry.
+	if got := Opcode(26).String(); got != "UNKNOWN" {
+		t.Fatalf("opcode 26 = %q, want UNKNOWN", got)
+	}
 }

@@ -476,7 +476,7 @@ func TestInterruptOvertakesBacklog(t *testing.T) {
 // returns it ahead of everything queued before it — then the backlog, in
 // order.
 func TestReqTableReadsInterruptsFirst(t *testing.T) {
-	tab := newReqTable(3, 0, 1, nil)
+	tab := newReqTable(3)
 	backlog := []*request{{}, {}, {}}
 	for _, m := range backlog {
 		tab.push(7, m)
@@ -506,7 +506,7 @@ func TestReqTableReadsInterruptsFirst(t *testing.T) {
 		t.Fatalf("accounting = %+v, want one op for origin 0 and three for origin 7", got)
 	}
 	tab.mu.Lock()
-	live := len(tab.queues)
+	live := len(tab.origins)
 	tab.mu.Unlock()
 	if live != 0 {
 		t.Fatalf("%d origins left with an outstanding count, want 0", live)

@@ -36,7 +36,6 @@ const (
 	OpMkdir       Opcode = 9
 	OpUnlink      Opcode = 10
 	OpRmdir       Opcode = 11
-	OpRename      Opcode = 12
 	OpLink        Opcode = 13
 	OpOpen        Opcode = 14
 	OpRead        Opcode = 15
@@ -49,14 +48,12 @@ const (
 	OpListxattr   Opcode = 23
 	OpRemovexattr Opcode = 24
 	OpFlush       Opcode = 25
-	OpInit        Opcode = 26
 	OpInterrupt   Opcode = 36
 	OpOpendir     Opcode = 27
 	OpReaddir     Opcode = 28
 	OpReleasedir  Opcode = 29
 	OpAccess      Opcode = 34
 	OpCreate      Opcode = 35
-	OpDestroy     Opcode = 38
 	OpBatchForget Opcode = 42
 	OpFallocate   Opcode = 43
 	OpRename2     Opcode = 45
@@ -66,14 +63,13 @@ var opcodeNames = map[Opcode]string{
 	OpLookup: "LOOKUP", OpForget: "FORGET", OpGetattr: "GETATTR",
 	OpSetattr: "SETATTR", OpReadlink: "READLINK", OpSymlink: "SYMLINK",
 	OpMknod: "MKNOD", OpMkdir: "MKDIR", OpUnlink: "UNLINK",
-	OpRmdir: "RMDIR", OpRename: "RENAME", OpLink: "LINK", OpOpen: "OPEN",
+	OpRmdir: "RMDIR", OpLink: "LINK", OpOpen: "OPEN",
 	OpRead: "READ", OpWrite: "WRITE", OpStatfs: "STATFS",
 	OpRelease: "RELEASE", OpFsync: "FSYNC", OpSetxattr: "SETXATTR",
 	OpGetxattr: "GETXATTR", OpListxattr: "LISTXATTR",
-	OpRemovexattr: "REMOVEXATTR", OpFlush: "FLUSH", OpInit: "INIT",
+	OpRemovexattr: "REMOVEXATTR", OpFlush: "FLUSH",
 	OpOpendir: "OPENDIR", OpReaddir: "READDIR", OpReleasedir: "RELEASEDIR",
 	OpAccess: "ACCESS", OpCreate: "CREATE", OpInterrupt: "INTERRUPT",
-	OpDestroy:     "DESTROY",
 	OpBatchForget: "BATCH_FORGET", OpFallocate: "FALLOCATE",
 	OpRename2: "RENAME2",
 }

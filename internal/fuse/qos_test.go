@@ -16,7 +16,7 @@ import (
 // dispatch order, as long as at most one worker at a time is between its
 // pop and the gate — and then holds the read until the gate lets it
 // through: one per token sent, all once the gate is closed. It is the
-// observation point for scheduler tests.
+// observation point for dispatch-order tests.
 type gateFS struct {
 	vfs.FS
 	gate chan struct{}
@@ -39,138 +39,24 @@ func (g *gateFS) served() []uint32 {
 	return append([]uint32(nil), g.order...)
 }
 
-// TestQoSWeightedFairness is the isolation property the request table
-// exists for: two origins saturate the queue at 3:1 weights, and the
-// dispatch ratio tracks the weights.
-func TestQoSWeightedFairness(t *testing.T) {
-	const (
-		pidA, pidB   = 101, 102
-		perOrigin    = 20
-		weightA      = 3
-		weightB      = 1
-		totalQueued  = 2 * perOrigin
-		examinedPref = 16 // dispatches examined after the first
-	)
-	clock := sim.NewClock()
-	model := sim.DefaultCostModel()
-	gate := &gateFS{FS: memfs.New(memfs.Options{}), gate: make(chan struct{})}
-	opts := DefaultMountOptions()
-	opts.ServerThreads = 1 // serialize dispatch so order is observable
-	opts.QoSWeights = map[uint32]int{pidA: weightA, pidB: weightB}
-	conn, srv := Mount(gate, clock, model, opts)
-	defer func() {
-		conn.Unmount()
-		srv.Wait()
-	}()
-
-	root := vfs.RootOp()
-	cli := vfs.NewClient(conn, vfs.Root())
-	if err := cli.WriteFile("/f", []byte("data"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := cli.Resolve("/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := conn.Open(root, r.Ino, vfs.ORdonly)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	opA := vfs.NewOp(nil, vfs.Root())
-	opA.PID = pidA
-	opB := vfs.NewOp(nil, vfs.Root())
-	opB.PID = pidB
-
-	var wg sync.WaitGroup
-	for i := 0; i < perOrigin; i++ {
-		for _, op := range []*vfs.Op{opA, opB} {
-			wg.Add(1)
-			go func(op *vfs.Op) {
-				defer wg.Done()
-				buf := make([]byte, 4)
-				if _, err := conn.Read(op.Fork(), h, 0, buf); err != nil {
-					t.Errorf("read (pid %d): %v", op.PID, err)
-				}
-			}(op)
-		}
-	}
-
-	// The single worker pops one request and blocks at the gate; wait
-	// until every other request is queued, so WFQ ordering — not arrival
-	// order — decides what runs next.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Queued() != totalQueued-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queued = %d, want %d", srv.Queued(), totalQueued-1)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate.gate)
-	wg.Wait()
-
-	order := gate.served()
-	if len(order) != totalQueued {
-		t.Fatalf("served %d reads, want %d", len(order), totalQueued)
-	}
-	// Skip the first dispatch (arrival race, popped before the queue was
-	// saturated); over the next examinedPref the 3:1 weights must show.
-	countA := 0
-	for _, pid := range order[1 : 1+examinedPref] {
-		if pid == pidA {
-			countA++
-		}
-	}
-	wantA := examinedPref * weightA / (weightA + weightB)
-	if countA < wantA-1 || countA > wantA+1 {
-		t.Fatalf("origin A got %d of %d dispatches, want ~%d (weights %d:%d); order=%v",
-			countA, examinedPref, wantA, weightA, weightB, order)
-	}
-}
-
-// TestMountServesStrictGlobalWFQ: a mount with four server threads
-// dispatches in the one global WFQ order, whichever thread asks. All four
-// workers are parked at the gate on a holder origin's reads, four origins
-// at weights 4:2:1:1 queue a backlog behind them, and the gate then lets
-// one read through at a time: the worker it frees completes, pops the
-// next request and brings it to the gate. The sequence the workers bring
-// in must be the one the reference linear scan produces on a bare table
-// given the same arrivals and completions.
-func TestMountServesStrictGlobalWFQ(t *testing.T) {
+// TestMountServesArrivalOrder: a mount with four server threads reads
+// the queue in arrival order, whichever process sent a request and
+// whichever thread asks. All four workers are parked at the gate on a
+// holder origin's reads, four origins queue a backlog behind them one
+// request at a time, and the gate then lets one read through at a time:
+// the worker it frees completes, pops the next request and brings it to
+// the gate. The sequence the workers bring in must be the arrival order.
+func TestMountServesArrivalOrder(t *testing.T) {
 	const (
 		threads   = 4
 		holder    = 100
-		perOrigin = 8
+		origins   = 4
+		perOrigin = 4
+		backlog   = origins * perOrigin
 	)
-	weights := map[uint32]int{1: 4, 2: 2, 3: 1, 4: 1}
-	backlog := len(weights) * perOrigin
-
-	ref := newReqTable(256, 0, 1, weights)
-	for i := 0; i < threads; i++ {
-		ref.push(holder, &request{})
-	}
-	var held []uint32
-	for i := 0; i < threads; i++ {
-		_, o, _ := ref.popLinear()
-		held = append(held, o)
-	}
-	for o := uint32(1); o <= uint32(len(weights)); o++ {
-		for i := 0; i < perOrigin; i++ {
-			ref.push(o, &request{})
-		}
-	}
-	var want []uint32
-	for i := 0; i < backlog; i++ {
-		ref.done(held[0], 0, 0, false, false)
-		_, o, _ := ref.popLinear()
-		held = append(held[1:], o)
-		want = append(want, o)
-	}
-
 	gate := &gateFS{FS: memfs.New(memfs.Options{}), gate: make(chan struct{})}
 	opts := DefaultMountOptions()
 	opts.ServerThreads = threads
-	opts.QoSWeights = weights
 	conn, srv := Mount(gate, sim.NewClock(), sim.DefaultCostModel(), opts)
 	defer func() {
 		conn.Unmount()
@@ -218,12 +104,14 @@ func TestMountServesStrictGlobalWFQ(t *testing.T) {
 		read(holder)
 	}
 	waitFor("every worker at the gate", func() bool { return len(gate.served()) == threads })
-	for pid := range weights {
+	var want []uint32
+	for pid := uint32(1); pid <= origins; pid++ {
 		for i := 0; i < perOrigin; i++ {
 			read(pid)
+			want = append(want, pid)
+			waitFor("the read to queue", func() bool { return srv.Queued() == len(want) })
 		}
 	}
-	waitFor("the backlog to queue", func() bool { return srv.Queued() == backlog })
 	for i := 1; i <= backlog; i++ {
 		gate.gate <- struct{}{}
 		waitFor("the next dispatch", func() bool { return len(gate.served()) == threads+i })
@@ -232,83 +120,8 @@ func TestMountServesStrictGlobalWFQ(t *testing.T) {
 	wg.Wait()
 
 	if got := gate.served()[threads:]; !slices.Equal(got, want) {
-		t.Fatalf("dispatch order differs from the reference scan\n got  %v\n want %v", got, want)
+		t.Fatalf("served order differs from arrival order\n served  %v\n arrived %v", got, want)
 	}
-}
-
-// TestPerOriginInflightCap: with a cap of 1 and several workers, one
-// origin's requests are dispatched one at a time even though workers are
-// idle.
-func TestPerOriginInflightCap(t *testing.T) {
-	clock := sim.NewClock()
-	model := sim.DefaultCostModel()
-	var (
-		mu      sync.Mutex
-		cur     int
-		maxSeen int
-	)
-	entered := make(chan struct{}, 64)
-	blockFS := &slowFS{FS: memfs.New(memfs.Options{}), enter: func() {
-		mu.Lock()
-		cur++
-		if cur > maxSeen {
-			maxSeen = cur
-		}
-		mu.Unlock()
-		entered <- struct{}{}
-		time.Sleep(5 * time.Millisecond)
-		mu.Lock()
-		cur--
-		mu.Unlock()
-	}}
-	opts := DefaultMountOptions()
-	opts.ServerThreads = 4
-	opts.MaxOriginInflight = 1
-	conn, srv := Mount(blockFS, clock, model, opts)
-	defer func() {
-		conn.Unmount()
-		srv.Wait()
-	}()
-
-	cli := vfs.NewClient(conn, vfs.Root())
-	if err := cli.WriteFile("/f", []byte("data"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := cli.Resolve("/f")
-	root := vfs.RootOp()
-	h, err := conn.Open(root, r.Ino, vfs.ORdonly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op := vfs.NewOp(nil, vfs.Root())
-	op.PID = 55
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn.Read(op.Fork(), h, 0, make([]byte, 4))
-		}()
-	}
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if maxSeen != 1 {
-		t.Fatalf("max concurrent dispatches for one origin = %d, want 1", maxSeen)
-	}
-}
-
-// slowFS runs a hook on entry to Read.
-type slowFS struct {
-	vfs.FS
-	enter func()
-}
-
-func (s *slowFS) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, error) {
-	if s.enter != nil {
-		s.enter()
-	}
-	return s.FS.Read(op, h, off, dest)
 }
 
 // TestSubmitAwaitPipeline: N reads submitted before any is awaited

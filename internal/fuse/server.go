@@ -15,8 +15,8 @@ import (
 // implementation. In the paper this is the CNTRFS server process running
 // in the fat container or on the host. All workers read the one request
 // table, as the paper's threads read one /dev/fuse: it hands them
-// requests under weighted fair queueing across origins (see reqTable),
-// so scheduling and per-origin accounting live in one place.
+// requests in arrival order, interrupts first, and keeps the per-origin
+// accounting (see reqTable).
 type Server struct {
 	fs      vfs.FS
 	clock   *sim.Clock

@@ -17,7 +17,7 @@ import (
 // the kernel-side decoders frames a real server would never send.
 func replyingMount(t *testing.T, body func(h *ReqHeader, w *buf)) *Conn {
 	t.Helper()
-	table := newReqTable(256, 0, 1, nil)
+	table := newReqTable(256)
 	conn := newConn(sim.NewClock(), sim.DefaultCostModel(), DefaultMountOptions(), table)
 	go func() {
 		for {
@@ -109,7 +109,7 @@ func requestCorpus(t *testing.T) [][]byte {
 	}
 	opts := DefaultMountOptions()
 	opts.BatchForget = false // a FORGET frame of its own
-	table := newReqTable(256, 0, 1, nil)
+	table := newReqTable(256)
 	conn := newConn(sim.NewClock(), sim.DefaultCostModel(), opts, table)
 	served := make(chan struct{})
 	go func() {
@@ -174,7 +174,7 @@ func TestTruncatedRequestsNeverReachTheFilesystem(t *testing.T) {
 	opts.ServerThreads = 0      // dispatch by hand
 	calls := &callCounter{}
 	fs := vfs.Chain(memfs.New(memfs.Options{}), calls)
-	srv := newServer(fs, sim.NewClock(), sim.DefaultCostModel(), opts, newReqTable(256, 0, 1, nil))
+	srv := newServer(fs, sim.NewClock(), sim.DefaultCostModel(), opts, newReqTable(256))
 	wk := &worker{s: srv}
 	opcodes := map[Opcode]bool{}
 	for _, frame := range requestCorpus(t) {

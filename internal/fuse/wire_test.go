@@ -48,7 +48,7 @@ func TestWireBytesUnchanged(t *testing.T) {
 	opts := DefaultMountOptions()
 	opts.EntryTimeout, opts.AttrTimeout = 0, 0 // forgets are not withheld
 	opts.ServerThreads = 0                     // no workers: the loop below serves
-	table := newReqTable(256, 0, 1, nil)
+	table := newReqTable(256)
 	conn := newConn(clock, model, opts, table)
 	srv := newServer(memfs.New(memfs.Options{}), clock, model, opts, table)
 
