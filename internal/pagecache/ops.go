@@ -240,13 +240,16 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx in
 	}
 	c.opts.ChargeDisk.Read(n)
 	// A cached page is never older than the window, so only absent pages
-	// are installed. Pages dirty now stay excluded even once an insert
-	// below has evicted, and thereby flushed, them: the window predates
-	// that flush.
+	// are installed, and they are allocated together. Pages dirty now stay
+	// excluded even once an insert below has evicted, and thereby flushed,
+	// them: the window predates that flush.
 	first := start / PageSize
 	var dirty []int64
-	for k := first; f.dirtyBytes > 0 && (k-first)*PageSize < int64(n); k++ {
-		if q := f.pages[k]; q != nil && q.dirty > 0 {
+	var absent batch
+	for k := first; (k-first)*PageSize < int64(n); k++ {
+		if q := f.pages[k]; q == nil {
+			absent.coming++
+		} else if q.dirty > 0 {
 			dirty = append(dirty, k)
 		}
 	}
@@ -256,7 +259,7 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx in
 			continue
 		}
 		lo := (k - first) * PageSize
-		inserted := c.insertPage(f, ino, k, buf[lo:min(lo+PageSize, int64(n))])
+		inserted := c.insertPage(f, ino, k, buf[lo:min(lo+PageSize, int64(n))], &absent)
 		if k == idx {
 			p = inserted
 		}
@@ -333,18 +336,14 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 	}
 	f := c.file(st.ino)
 	if st.direct || !c.opts.Writeback {
+		if st.flags&vfs.OAppend != 0 {
+			return c.appendThrough(op, h, f, off, data)
+		}
 		n, err := c.writeOut(op, h, f, off, data)
 		if err != nil {
 			return n, err
 		}
-		if st.flags&vfs.OAppend != 0 {
-			// The backing chose the offset: all the cache knows is that
-			// its size and any window near the end are out of date.
-			f.valid = false
-			c.dropReadahead(f)
-		} else {
-			c.wrote(f, off, data[:n])
-		}
+		c.wrote(f, off, data[:n])
 		return n, nil
 	}
 	if err := c.ensureSize(op, st.ino, f); err != nil {
@@ -375,6 +374,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 	// h can carry writeback from here on: an insert below may have to
 	// evict, and so flush, a page this very call dirtied.
 	f.wbHandle, f.wbValid = h, true
+	blank := batch{coming: f.blankPages(off, int64(len(data)))}
 	written := int64(0)
 	for written < int64(len(data)) {
 		if err := op.Err(); err != nil {
@@ -390,7 +390,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 		if p == nil {
 			// A partial page overlapping existing data is fetched first
 			// (read-modify-write); fully covered or beyond-EOF pages are
-			// created blank.
+			// created blank, all of them together.
 			var got []byte
 			if len(chunk) != PageSize && idx*PageSize < f.size {
 				var err error
@@ -400,7 +400,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 				c.stats.Misses++
 			}
 			if p == nil {
-				p = c.insertPage(f, st.ino, idx, got)
+				p = c.insertPage(f, st.ino, idx, got, &blank)
 			}
 		}
 		if p != nil {
@@ -441,6 +441,43 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 	}
 	c.clock.Advance(c.model.CopyCost(int(written)))
 	return int(written), nil
+}
+
+// blankPages counts the pages a write of n bytes at off creates blank:
+// absent, and wholly overwritten or at or past the cached end of file.
+// Caller holds c.mu.
+func (f *fileCache) blankPages(off, n int64) int {
+	count := 0
+	for idx := off / PageSize; idx*PageSize < off+n; idx++ {
+		whole := idx*PageSize >= off && (idx+1)*PageSize <= off+n
+		if f.pages[idx] == nil && (whole || idx*PageSize >= f.size) {
+			count++
+		}
+	}
+	return count
+}
+
+// appendThrough passes an O_APPEND write to the backing, which puts it at
+// its own end of file. Dirty pages go back first, as the kernel's direct
+// write path writes the range back before it, so that end is the cached
+// one. The cache learns no offset, so afterwards its size, its readahead
+// windows and every page from the one holding the old end on are out of
+// date; when the old end was not known, every page is. Caller holds c.mu.
+func (c *Cache) appendThrough(op *vfs.Op, h vfs.Handle, f *fileCache, off int64, data []byte) (int, error) {
+	c.flushFileLocked(f)
+	n, err := c.writeOut(op, h, f, off, data)
+	stale := int64(0)
+	if f.valid {
+		stale = f.size / PageSize
+	}
+	for idx := range f.pages {
+		if idx >= stale {
+			c.dropPage(f, idx)
+		}
+	}
+	f.valid = false
+	c.dropReadahead(f)
+	return n, err
 }
 
 // wrote is the one bookkeeping step after user bytes have landed at off,

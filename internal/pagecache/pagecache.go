@@ -209,7 +209,7 @@ type pageKey struct {
 }
 
 type fileCache struct {
-	// pages is made with the file's first page. hdrs is the block the
+	// pages is made with the file's first insert. hdrs is the block the
 	// next page header is cut from (see newPage).
 	pages map[int64]*page
 	hdrs  []page
@@ -343,41 +343,56 @@ func (c *Cache) file(ino vfs.Ino) *fileCache {
 	return f
 }
 
-// maxHdrBlock caps the page headers cut from one block. A block lives
-// while any of its pages is reachable, and keeps the buffers of its
-// dropped pages with it, so the cap bounds what one cached page can pin.
+// maxHdrBlock caps the pages of one header block and of one run. Each
+// lives while any of its pages is reachable, keeping the header and bytes
+// of its dropped pages with it, so the cap bounds what one cached page can
+// pin.
 const maxHdrBlock = 64
 
-// newPage returns a fresh header for a page of f. Headers come from a
-// per-file block sized to the pages f holds, so a growing file's blocks
-// double and a page costs its buffer alone. A header is never reused: a
-// dropped page keeps its header and its bytes for whoever still holds it
-// (fill does, across the inserts after its own), and the block goes when
-// none of its pages is reachable.
-func (f *fileCache) newPage() *page {
+// batch is what the pages one call inserts together share: how many of
+// them are still coming and the run their buffers are cut from.
+type batch struct {
+	coming int
+	run    []byte
+}
+
+// newPage returns a fresh page of f, the next of b. The header is cut from
+// a per-file block sized to max(pages held, pages coming), so a growing
+// file's blocks double and a window's headers are one block. The buffer is
+// cut from a run sized to the pages coming, so a window or a write's fresh
+// pages are one allocation; a lone page is one 4 KiB buffer. No slot is
+// ever reused: a dropped page keeps its header and its bytes for whoever
+// still holds it (fill does, across the inserts after its own).
+func (f *fileCache) newPage(b *batch) *page {
 	if len(f.hdrs) == cap(f.hdrs) {
-		f.hdrs = make([]page, 0, min(max(len(f.pages), 1), maxHdrBlock))
+		f.hdrs = make([]page, 0, min(max(len(f.pages), b.coming, 1), maxHdrBlock))
 	}
 	f.hdrs = f.hdrs[:len(f.hdrs)+1]
-	return &f.hdrs[len(f.hdrs)-1]
+	p := &f.hdrs[len(f.hdrs)-1]
+	if len(b.run) == 0 {
+		b.run = make([]byte, min(max(b.coming, 1), maxHdrBlock)*PageSize)
+	}
+	p.data, b.run = b.run[:PageSize:PageSize], b.run[PageSize:]
+	b.coming--
+	return p
 }
 
 // insertPage caches data, zero-padded to a page, as page idx of f, which
-// must not hold that page yet, evicting under budget pressure. It returns
+// must not hold that page yet, evicting under budget pressure. The page is
+// the next of b, which also sizes the page map f is made with. It returns
 // nil when the budget is exhausted and nothing can be evicted: the caller
 // serves uncached. Caller holds c.mu.
-func (c *Cache) insertPage(f *fileCache, ino vfs.Ino, idx int64, data []byte) *page {
+func (c *Cache) insertPage(f *fileCache, ino vfs.Ino, idx int64, data []byte, b *batch) *page {
 	for !c.opts.Budget.tryCharge(PageSize) {
 		if !c.evictOne() {
 			return nil
 		}
 	}
-	p := f.newPage()
-	p.data = make([]byte, PageSize)
-	copy(p.data, data)
 	if f.pages == nil {
-		f.pages = make(map[int64]*page)
+		f.pages = make(map[int64]*page, max(b.coming, 1))
 	}
+	p := f.newPage(b)
+	copy(p.data, data)
 	f.pages[idx] = p
 	c.lru = append(c.lru, pageKey{ino, idx})
 	return p

@@ -684,6 +684,49 @@ func TestWritebackThroughAppendHandleKeepsOffsets(t *testing.T) {
 	}
 }
 
+// TestAppendWriteThroughDropsStaleTail: an O_APPEND write that passes the
+// cache lands at the backing's end of file, an offset the cache does not
+// choose. Dirty pages go back first, so that end is the cached one, and
+// the pages from the one holding the old end on are dropped after: a read
+// serves the appended bytes, not the zero padding of the cached tail page
+// or dirty bytes the append went under.
+func TestAppendWriteThroughDropsStaleTail(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		writeback bool
+		flags     vfs.OpenFlags
+	}{
+		{"write-through cache", false, vfs.OWronly | vfs.OAppend},
+		{"O_DIRECT handle over dirty pages", true, vfs.OWronly | vfs.OAppend | vfs.ODirect},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, Options{KeepCache: true, Writeback: tc.writeback})
+			head, tail := bytes.Repeat([]byte("h"), 100), bytes.Repeat([]byte("t"), 50)
+			if err := e.cli.WriteFile("/f", head, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// Caches page 0, zero-padded past byte 100.
+			if got, err := e.cli.ReadFile("/f"); err != nil || !bytes.Equal(got, head) {
+				t.Fatalf("first read: %q, %v", got, err)
+			}
+			f, err := e.cli.Open("/f", tc.flags, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := f.Write(tail); n != len(tail) || err != nil {
+				t.Fatalf("append: %d, %v", n, err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := append(head, tail...)
+			if got, err := e.cli.ReadFile("/f"); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("read after append: %q, %v; want %q", got, err, want)
+			}
+		})
+	}
+}
+
 // TestEvictionInsideWriteFlushesDirtyPages: a write larger than the budget
 // evicts pages it dirtied itself; they must reach the backing, also when
 // the file's last writeback handle was closed clean just before.

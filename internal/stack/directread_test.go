@@ -135,21 +135,23 @@ func (e *directReadEnv) finish(t *testing.T) string {
 // the same seeded script — reads through read-only handles interleaved
 // with writes, appends, truncates, fsyncs and unlinks through the handles
 // open beside them, on files larger than the memory the two caches share —
-// runs on the default mount, on the default with the rule switched off and
-// on bare memfs. Where the host keeps a copy may change what a read costs,
-// never what it returns: every byte, size and errno, and what the host
-// filesystem holds after a sync, must be equal.
+// runs on the default mount, on the default with the rule switched off, on
+// the default with a write-through kernel cache (whose O_APPEND writes pass
+// it) and on bare memfs. Where the host keeps a copy may change what a read
+// costs, never what it returns: every byte, size and errno, and what the
+// host filesystem holds after a sync, must be equal.
 func TestDirectReadDifferential(t *testing.T) {
 	seeds := uint64(500)
 	if testing.Short() || raceBuild() {
 		seeds = 60 // as TestNoSecDifferential: the detector is after interleavings, not scripts
 	}
-	on, off := fuse.DefaultMountOptions(), fuse.DefaultMountOptions()
+	on, off, through := fuse.DefaultMountOptions(), fuse.DefaultMountOptions(), fuse.DefaultMountOptions()
 	on.DirectRead, off.DirectRead = true, false
+	through.WritebackCache = false
 	sides := []struct {
 		name  string
 		mount *fuse.MountOptions
-	}{{"with DirectRead", &on}, {"without", &off}, {"bare memfs", nil}}
+	}{{"with DirectRead", &on}, {"without", &off}, {"write-through", &through}, {"bare memfs", nil}}
 	for seed := uint64(1); seed <= seeds; seed++ {
 		envs, rngs := make([]*directReadEnv, len(sides)), make([]*sim.Rand, len(sides))
 		for k, s := range sides {
