@@ -2,6 +2,8 @@ package memfs
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"cntr/internal/blobstore"
@@ -206,4 +208,122 @@ func TestBlockRefsLiveSet(t *testing.T) {
 	if n := len(fs.BlockRefs()); n != 0 {
 		t.Fatalf("BlockRefs after remove = %d", n)
 	}
+}
+
+// TestBlockWriteDifferential replays random WriteAt / Truncate /
+// Fallocate(PUNCH_HOLE) scripts against a flat byte slice, on the private
+// and the content-addressed store. The scripts mix writes from a block's
+// start that cover its stored extent (stored as given) with ones shorter
+// than it and sub-block writes (merged with the old blob), and end blocks
+// short of a full block. After every step the file must read back as the
+// oracle, and the store must hold exactly the blobs the inode references.
+func TestBlockWriteDifferential(t *testing.T) {
+	for _, store := range []struct {
+		name string
+		new  func() blobstore.Store
+	}{
+		{"mem", func() blobstore.Store { return blobstore.NewMem() }},
+		{"cas", func() blobstore.Store { return blobstore.NewCAS(blobstore.CASOptions{}) }},
+	} {
+		t.Run(store.name, func(t *testing.T) {
+			for seed := int64(0); seed < 500; seed++ {
+				if err := blockWriteScript(store.new(), seed); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+		})
+	}
+}
+
+func blockWriteScript(store blobstore.Store, seed int64) error {
+	const maxSize = 6*blockSize + 123
+	r := rand.New(rand.NewSource(seed))
+	fs := New(Options{Store: store})
+	c := vfs.NewClient(fs, vfs.Root())
+	f, err := c.Open("/f", vfs.ORdwr|vfs.OCreat, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	var oracle []byte
+	got := make([]byte, maxSize+blockSize)
+	for step := 0; step < 40; step++ {
+		var what string
+		switch k := r.Intn(10); {
+		case k < 7:
+			// Start at a block boundary half the time, else anywhere.
+			off := r.Int63n(maxSize / blockSize * blockSize)
+			if r.Intn(2) == 0 {
+				off -= off % blockSize
+			}
+			var n int64
+			switch r.Intn(4) {
+			case 0:
+				n = 1 + r.Int63n(64)
+			case 1:
+				n = 1 + r.Int63n(blockSize)
+			case 2:
+				n = blockSize
+			default:
+				n = blockSize + r.Int63n(2*blockSize)
+			}
+			n = min(n, maxSize-off)
+			// Never zero, so a lost byte does not read as a hole's.
+			data, base := make([]byte, n), byte(r.Intn(256))
+			for i := range data {
+				data[i] = (base + byte(i*7)) | 1
+			}
+			what = fmt.Sprintf("write %d@%d", n, off)
+			if w, err := f.WriteAt(data, off); err != nil || w != len(data) {
+				return fmt.Errorf("step %d %s: wrote %d, %v", step, what, w, err)
+			}
+			if end := off + n; end > int64(len(oracle)) {
+				oracle = append(oracle, make([]byte, end-int64(len(oracle)))...)
+			}
+			copy(oracle[off:], data)
+		case k < 9:
+			size := r.Int63n(maxSize + 1)
+			what = fmt.Sprintf("truncate %d", size)
+			if err := f.Truncate(size); err != nil {
+				return fmt.Errorf("step %d %s: %v", step, what, err)
+			}
+			if size < int64(len(oracle)) {
+				oracle = oracle[:size]
+			} else {
+				oracle = append(oracle, make([]byte, size-int64(len(oracle)))...)
+			}
+		default:
+			off := r.Int63n(maxSize)
+			n := 1 + r.Int63n(2*blockSize)
+			what = fmt.Sprintf("punch %d@%d", n, off)
+			if err := fs.Fallocate(vfs.RootOp(), f.Handle(), vfs.FallocPunchHole|vfs.FallocKeepSize, off, n); err != nil {
+				return fmt.Errorf("step %d %s: %v", step, what, err)
+			}
+			for i := off; i < off+n && i < int64(len(oracle)); i++ {
+				oracle[i] = 0
+			}
+		}
+		attr, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		if attr.Size != int64(len(oracle)) {
+			return fmt.Errorf("step %d %s: size %d, oracle %d", step, what, attr.Size, len(oracle))
+		}
+		n, err := f.ReadAt(got, 0)
+		if len(oracle) > 0 && err != nil {
+			return fmt.Errorf("step %d %s: read: %v", step, what, err)
+		}
+		if !bytes.Equal(got[:n], oracle) {
+			return fmt.Errorf("step %d %s: content differs from the oracle", step, what)
+		}
+		refs := make(map[blobstore.Ref]bool)
+		for _, ref := range fs.BlockRefs() {
+			refs[ref] = true
+		}
+		if st := store.Stats(); st.Blobs != int64(len(refs)) {
+			return fmt.Errorf("step %d %s: store holds %d blobs, the inode references %d", step, what, st.Blobs, len(refs))
+		}
+	}
+	return nil
 }

@@ -82,19 +82,19 @@ func (fs *FS) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, er
 func (fs *FS) openLocked(ino vfs.Ino, flags vfs.OpenFlags, dir bool) vfs.Handle {
 	h := fs.nextH
 	fs.nextH++
-	fs.handles[h] = &openFile{ino: ino, flags: flags, dir: dir}
+	fs.handles[h] = openFile{ino: ino, flags: flags, dir: dir}
 	fs.inodes[ino].openCount++
 	return h
 }
 
-func (fs *FS) handle(h vfs.Handle) (*openFile, *inode, error) {
+func (fs *FS) handle(h vfs.Handle) (openFile, *inode, error) {
 	of, ok := fs.handles[h]
 	if !ok {
-		return nil, nil, vfs.EBADF
+		return openFile{}, nil, vfs.EBADF
 	}
 	n, err := fs.get(of.ino)
 	if err != nil {
-		return nil, nil, err
+		return openFile{}, nil, err
 	}
 	return of, n, nil
 }
@@ -381,6 +381,9 @@ func (fs *FS) Setxattr(op *vfs.Op, ino vfs.Ino, name string, value []byte, flags
 		if mask := acl.Find(vfs.ACLMask); mask != nil {
 			n.attr.Mode = n.attr.Mode&^0o070 | vfs.Mode(mask.Perm&7)<<3
 		}
+	}
+	if n.xattrs == nil {
+		n.xattrs = make(map[string][]byte)
 	}
 	n.xattrs[name] = append([]byte(nil), value...)
 	n.attr.Ctime = fs.now()

@@ -41,7 +41,7 @@ type Options struct {
 type FS struct {
 	mu      sync.RWMutex
 	inodes  map[vfs.Ino]*inode
-	handles map[vfs.Handle]*openFile
+	handles map[vfs.Handle]openFile
 	nextIno vfs.Ino
 	nextH   vfs.Handle
 	used    int64 // materialized data bytes (logical: blockSize per block)
@@ -56,8 +56,8 @@ type inode struct {
 	// block's blob holds the written extent within the block (≤
 	// blockSize); bytes past the blob's length read as zeros.
 	blocks map[int64]blobstore.Ref
-	target string // symlink target
-	xattrs map[string][]byte
+	target string            // symlink target
+	xattrs map[string][]byte // made by the first Setxattr
 	// children and parent are set for directories.
 	children map[string]vfs.Ino
 	parent   vfs.Ino
@@ -78,7 +78,7 @@ type openFile struct {
 func New(opts Options) *FS {
 	fs := &FS{
 		inodes:  make(map[vfs.Ino]*inode),
-		handles: make(map[vfs.Handle]*openFile),
+		handles: make(map[vfs.Handle]openFile),
 		nextIno: vfs.RootIno + 1,
 		nextH:   1,
 		cap:     opts.Capacity,
@@ -98,7 +98,6 @@ func New(opts Options) *FS {
 		},
 		children: make(map[string]vfs.Ino),
 		parent:   vfs.RootIno,
-		xattrs:   make(map[string][]byte),
 	}
 	return fs
 }
@@ -368,15 +367,6 @@ func (fs *FS) writeBlock(n *inode, idx, bo int64, data []byte) error {
 	if !exists && fs.used+blockSize > fs.cap {
 		return vfs.ENOSPC
 	}
-	// Fast path: a fresh block written from offset 0 needs no merge.
-	if !exists && bo == 0 {
-		ref, err := fs.store.Put(data)
-		if err != nil {
-			return vfs.EIO
-		}
-		fs.materializeBlock(n, idx, ref)
-		return nil
-	}
 	var old []byte
 	if exists {
 		var err error
@@ -384,13 +374,15 @@ func (fs *FS) writeBlock(n *inode, idx, bo int64, data []byte) error {
 			return err
 		}
 	}
-	newLen := bo + int64(len(data))
-	if int64(len(old)) > newLen {
-		newLen = int64(len(old))
+	// A write from the block's start that covers its stored extent (a
+	// fresh block's is empty) leaves nothing of the old blob: it is stored
+	// as given. Anything else is merged into the old extent.
+	buf := data
+	if bo != 0 || len(data) < len(old) {
+		buf = make([]byte, max(bo+int64(len(data)), int64(len(old))))
+		copy(buf, old)
+		copy(buf[bo:], data)
 	}
-	buf := make([]byte, newLen)
-	copy(buf, old)
-	copy(buf[bo:], data)
 	if exists {
 		return fs.replaceBlock(n, idx, oldRef, buf)
 	}
@@ -435,7 +427,6 @@ func (fs *FS) newInode(c *vfs.Cred, dir *inode, typ vfs.FileType, mode vfs.Mode,
 			UID: c.FSUID, GID: gid, Rdev: rdev,
 			Atime: now, Mtime: now, Ctime: now,
 		},
-		xattrs: make(map[string][]byte),
 	}
 	if typ == vfs.TypeDirectory {
 		n.attr.Nlink = 2

@@ -9,10 +9,9 @@ import (
 	"cntr/internal/vfs"
 )
 
-// TestProfileHeaderRoundTrip: every lifecycle field — version header,
-// merge provenance, windowed ceilings — must survive Marshal/Load.
-func TestProfileHeaderRoundTrip(t *testing.T) {
-	p := &Profile{
+// headerProfile sets every field a profile has.
+func headerProfile() *Profile {
+	return &Profile{
 		Version:             FormatVersion,
 		Generation:          3,
 		Runs:                2,
@@ -26,6 +25,12 @@ func TestProfileHeaderRoundTrip(t *testing.T) {
 		ReadBytesPerWindow:  64 << 10,
 		WriteBytesPerWindow: 128 << 10,
 	}
+}
+
+// TestProfileHeaderRoundTrip: every lifecycle field — version header,
+// merge provenance, windowed ceilings — must survive Marshal/Load.
+func TestProfileHeaderRoundTrip(t *testing.T) {
+	p := headerProfile()
 	blob, err := p.Marshal()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -39,15 +44,18 @@ func TestProfileHeaderRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedLifecycle are profiles whose lifecycle fields Load rejects.
+var malformedLifecycle = []string{
+	`{"rules":[],"read_bytes_per_window":10}`,
+	`{"rules":[],"window_ops":-1}`,
+	`{"rules":[],"window_ops":4,"write_bytes_per_window":-5}`,
+	fmt.Sprintf(`{"rules":[],"version":%d}`, FormatVersion+1),
+}
+
 // TestLoadRejectsMalformedLifecycle: the new fields are validated, not
 // just parsed.
 func TestLoadRejectsMalformedLifecycle(t *testing.T) {
-	for _, bad := range []string{
-		`{"rules":[],"read_bytes_per_window":10}`,
-		`{"rules":[],"window_ops":-1}`,
-		`{"rules":[],"window_ops":4,"write_bytes_per_window":-5}`,
-		fmt.Sprintf(`{"rules":[],"version":%d}`, FormatVersion+1),
-	} {
+	for _, bad := range malformedLifecycle {
 		if _, err := Load([]byte(bad)); err == nil {
 			t.Errorf("Load accepted malformed profile %s", bad)
 		}

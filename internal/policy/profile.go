@@ -122,6 +122,16 @@ func Load(data []byte) (*Profile, error) {
 	if p.ReadBytesPerWindow < 0 || p.WriteBytesPerWindow < 0 {
 		return nil, fmt.Errorf("policy: negative windowed byte ceiling")
 	}
+	// Marshal omits an empty list, so Load reads one as absent.
+	if len(p.SourceRuns) == 0 {
+		p.SourceRuns = nil
+	}
+	if len(p.Origins) == 0 {
+		p.Origins = nil
+	}
+	if len(p.AnyPathKinds) == 0 {
+		p.AnyPathKinds = nil
+	}
 	return &p, nil
 }
 

@@ -51,27 +51,28 @@ func raceBuild() bool {
 // on top of the bare stack's 1 and 2.
 //
 // The calls that do allocate are budgeted at their measured counts.
-// Create-write-close of a new file, native (10): the *File, memfs's inode
-// and its xattr map (2) and open-file state, the cache's file state, the
-// page — its buffer, a one-header block, and the page map made with it
-// and its first group (4) — and what the tables' growth comes to per call
-// (1). Through CntrFS (18) the second cache pays its 5 again, plus the
-// name the server decodes from the CREATE frame, its inode-table entry
-// and the handle lookup of the flush at close (3); the flush's dirty-index
-// slice, extent list and extent buffer are the cache's scratch. ReadDir
-// of a three-entry directory, native (7): memfs's open state, the entry
-// slice and sorted names of the one non-empty Readdir (4), and the
-// caller's result as it grows (2); CntrFS (9) adds what the kernel side
-// decodes from the READDIR reply (2). Each cache's open state of a handle
-// was an object of its own before it was held by value (11 and 20, 8 and
-// 11). Behind the chain the enforcer keeps the new file's path: one
-// string more. Overwriting a cached page and fsyncing it (3 on both
-// stacks) is memfs's read-modify-write of its block: the merged block,
-// the blob store's copy of it and the copy's ref. The page caches write
-// back from their scratch and the FUSE WRITE frame is the Conn's (6
-// native and 11 CntrFS before, 12 342 and 21 676 bytes), so the call
-// stays under 9 KiB: those two 4 KiB blocks and change, with no room for
-// one more page-sized buffer.
+// Create-write-close of a new file, native (8): the *File, memfs's inode,
+// the cache's file state, the page — its buffer, a one-header block, and
+// the page map made with it and its first group (4) — and what the tables'
+// growth comes to per call (1). Through CntrFS (16) the second cache pays
+// its 5 again, plus the name the server decodes from the CREATE frame, its
+// inode-table entry and the handle lookup of the flush at close (3); the
+// flush's dirty-index slice, extent list and extent buffer are the cache's
+// scratch. ReadDir of a three-entry directory, native (6): the entry slice
+// and sorted names of the one non-empty Readdir (4), and the caller's
+// result as it grows (2); CntrFS (8) adds what the kernel side decodes
+// from the READDIR reply (2). Before the caches held a handle's open state
+// by value these were 11 and 20, 8 and 11; before memfs held its own by
+// value and made an inode's xattr map at its first Setxattr, 10 and 18, 7
+// and 9. Behind the chain the enforcer
+// keeps the new file's path: one string more. Overwriting a cached page
+// and fsyncing it allocates nothing: memfs stores a write that covers its
+// block's extent as given, and the blob store copies it into a shared run
+// under a ref cut from a shared string (3 before: the merged block, the
+// copy and its ref). The page caches write back from their scratch and the
+// FUSE WRITE frame is the Conn's, so the call stays under 6 KiB: the
+// block's share of its run and change, with no room for one more
+// page-sized buffer.
 func TestTopStatAllocBudget(t *testing.T) {
 	allowAll := &policy.Profile{Rules: []policy.Rule{{Prefix: "/", Kinds: []string{"any"}}}}
 	newNames := make([]string, 256)
@@ -83,12 +84,12 @@ func TestTopStatAllocBudget(t *testing.T) {
 		top             func(t *testing.T) vfs.FS
 		create, readdir float64
 	}{
-		{"native", func(t *testing.T) vfs.FS { return NewNative(Config{}).Top }, 10, 7},
+		{"native", func(t *testing.T) vfs.FS { return NewNative(Config{}).Top }, 8, 6},
 		{"cntr", func(t *testing.T) vfs.FS {
 			c := NewCntr(Config{})
 			t.Cleanup(c.Close)
 			return c.Top
-		}, 18, 9},
+		}, 16, 8},
 	} {
 		for _, chained := range []bool{false, true} {
 			name, create := st.name, st.create
@@ -154,7 +155,7 @@ func TestTopStatAllocBudget(t *testing.T) {
 							t.Fatal(err)
 						}
 					}},
-					{"overwrite one cached 4 KiB page + Fsync", 3, 9 << 10, func() {
+					{"overwrite one cached 4 KiB page + Fsync", 0, 6 << 10, func() {
 						if _, err := w.WriteAt(buf, 0); err != nil {
 							t.Fatal(err)
 						}
