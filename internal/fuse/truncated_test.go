@@ -95,7 +95,7 @@ func TestTruncatedEntryRepliesAreEIO(t *testing.T) {
 // the golden frames of wire_test.go, then every other operation's frame as
 // a Conn encodes it, captured off the queue by a "server" that answers
 // ENOSYS to everything.
-func requestCorpus(t *testing.T) [][]byte {
+func requestCorpus(t testing.TB) [][]byte {
 	t.Helper()
 	var frames [][]byte
 	for _, g := range wireGolden {

@@ -107,20 +107,17 @@ func (c *Cache) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, err
 		// pure read amplification.
 		ahead := pos >= f.lastReadEnd-PageSize && pos <= f.lastReadEnd+PageSize ||
 			c.windowAt(f, idx*PageSize) != nil
-		p, got, base, err := c.fill(op, h, st.ino, f, idx, ahead)
+		got, base, err := c.fill(op, h, st.ino, f, idx, ahead)
 		if err != nil {
 			return int(pos - off), err
 		}
 		// Keep the sequential detector current within this call so the
 		// next miss in a long read continues the readahead.
 		f.lastReadEnd = base + int64(len(got))
-		if p != nil {
-			copy(out, p.data[po:])
-			continue
-		}
-		// Budget exhausted: serve from the window without caching. Where
-		// the backing came up short is a hole or a region only the cached
-		// size covers, which reads as zeros.
+		// Served from the window, as the page was filled from it: a later
+		// insert of the same window may have evicted the page and handed
+		// its memory to another. Where the backing came up short is a hole
+		// or a region only the cached size covers, which reads as zeros.
 		served := 0
 		if so := pos - base; so < int64(len(got)) {
 			served = copy(out, got[so:])
@@ -197,11 +194,12 @@ func (c *Cache) topUpReadahead(op *vfs.Op, h vfs.Handle, f *fileCache) {
 // submitted to) the AsyncDepth windows kept in flight, so their round
 // trips overlap; otherwise — always at AsyncDepth 0 — it is read now
 // with a blocking backing.Read, a window harvested immediately. fill
-// returns the cached page for idx, or nil when the budget had no room
-// for it, along with the bytes the backing returned and their offset so
-// the caller can use them uncached — until the next fill, which may
-// reuse their storage. Caller holds c.mu.
-func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx int64, ahead bool) (*page, []byte, int64, error) {
+// returns the bytes the backing returned and their offset, for the caller
+// to serve from until the next fill, which may reuse their storage. It
+// returns no page: the pages of one window are inserted one after another,
+// and under budget pressure a later one may evict an earlier one and take
+// over its memory. Caller holds c.mu.
+func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx int64, ahead bool) ([]byte, int64, error) {
 	start := idx * PageSize
 	pipelined := ahead && c.async != nil && c.opts.ReadAhead > PageSize
 	var buf []byte
@@ -214,7 +212,7 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx in
 		}
 		win := c.windowAt(f, start)
 		if win == nil {
-			return nil, nil, 0, vfs.EIO // the transport dropped the window
+			return nil, 0, vfs.EIO // the transport dropped the window
 		}
 		// raNext parked far ahead of the reader means the stream restarted
 		// (a re-read from the start after a pass reached EOF, with the
@@ -236,7 +234,7 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx in
 		n, err = c.backing.Read(op, h, start, buf)
 	}
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	c.opts.ChargeDisk.Read(n)
 	// A cached page is never older than the window, so only absent pages
@@ -253,23 +251,19 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx in
 			dirty = append(dirty, k)
 		}
 	}
-	var p *page
 	for k := first; (k-first)*PageSize < int64(n); k++ {
 		if f.pages[k] != nil || slices.Contains(dirty, k) {
 			continue
 		}
 		lo := (k - first) * PageSize
-		inserted := c.insertPage(f, ino, k, buf[lo:min(lo+PageSize, int64(n))], &absent)
-		if k == idx {
-			p = inserted
-		}
+		c.insertPage(f, ino, k, buf[lo:min(lo+PageSize, int64(n))], &absent)
 	}
 	if pipelined {
 		// Consuming one window frees a pipeline slot: refill it so the
 		// stream stays AsyncDepth deep.
 		c.topUpReadahead(op, h, f)
 	}
-	return p, buf[:n], start, nil
+	return buf[:n], start, nil
 }
 
 // fillForWrite fetches page idx for a read-modify-write on the handle h.
@@ -277,18 +271,18 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx in
 // writer's descriptor, so a handle opened O_WRONLY, which the backing
 // would refuse to read from, borrows a read-only one opened as the
 // kernel: the caller's access mode was checked when h was opened and is
-// not widened. Caller holds c.mu.
-func (c *Cache) fillForWrite(op *vfs.Op, h vfs.Handle, st openState, f *fileCache, idx int64) (*page, []byte, error) {
+// not widened. Like fill, it returns the bytes read. Caller holds c.mu.
+func (c *Cache) fillForWrite(op *vfs.Op, h vfs.Handle, st openState, f *fileCache, idx int64) ([]byte, error) {
 	if !st.flags.Readable() {
 		rh, err := c.backing.Open(wbOp, st.ino, vfs.ORdonly)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		defer c.backing.Release(wbOp, rh)
 		op, h = wbOp, rh
 	}
-	p, got, _, err := c.fill(op, h, st.ino, f, idx, false)
-	return p, got, err
+	got, _, err := c.fill(op, h, st.ino, f, idx, false)
+	return got, err
 }
 
 // dropReadaheadRange awaits and discards in-flight readahead windows
@@ -374,7 +368,15 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 	// h can carry writeback from here on: an insert below may have to
 	// evict, and so flush, a page this very call dirtied.
 	f.wbHandle, f.wbValid = h, true
-	blank := batch{coming: f.blankPages(off, int64(len(data)))}
+	// A write whose one blank page is at or past the cached end of file is
+	// a growth step. One that goes on where the last left off, on the same
+	// file, cuts its page from the run the file is growing into; any other
+	// starts that record afresh, with a run of one page.
+	n, first := f.blankPages(off, int64(len(data)))
+	blank := batch{coming: n, grow: n == 1 && first*PageSize >= f.size}
+	if blank.grow && (c.grow.ino != st.ino || c.grow.next != first) {
+		c.grow = growth{ino: st.ino, next: first}
+	}
 	written := int64(0)
 	for written < int64(len(data)) {
 		if err := op.Err(); err != nil {
@@ -390,14 +392,16 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 		if p == nil {
 			// A partial page overlapping existing data is fetched first
 			// (read-modify-write); fully covered or beyond-EOF pages are
-			// created blank, all of them together.
+			// created blank, all of them together. The fetch is a one-page
+			// window, so its own insert cannot have evicted the page.
 			var got []byte
 			if len(chunk) != PageSize && idx*PageSize < f.size {
 				var err error
-				if p, got, err = c.fillForWrite(op, h, st, f, idx); err != nil {
+				if got, err = c.fillForWrite(op, h, st, f, idx); err != nil {
 					return int(written), err
 				}
 				c.stats.Misses++
+				p = f.pages[idx]
 			}
 			if p == nil {
 				p = c.insertPage(f, st.ino, idx, got, &blank)
@@ -423,6 +427,9 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 		c.wrote(f, pos, chunk)
 		written += int64(len(chunk))
 	}
+	if blank.grow {
+		c.grow.next = (off + written + PageSize - 1) / PageSize
+	}
 	f.mtimeBump++
 	if f.dirtyBytes >= c.opts.DirtyWindow || st.flags&vfs.OSync == vfs.OSync {
 		// Window overflow or O_SYNC: write back now (O_SYNC semantics
@@ -443,18 +450,20 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 	return int(written), nil
 }
 
-// blankPages counts the pages a write of n bytes at off creates blank:
-// absent, and wholly overwritten or at or past the cached end of file.
-// Caller holds c.mu.
-func (f *fileCache) blankPages(off, n int64) int {
-	count := 0
+// blankPages counts the pages a write of n bytes at off creates blank —
+// absent, and wholly overwritten or at or past the cached end of file —
+// and returns the index of the first. Caller holds c.mu.
+func (f *fileCache) blankPages(off, n int64) (count int, first int64) {
 	for idx := off / PageSize; idx*PageSize < off+n; idx++ {
 		whole := idx*PageSize >= off && (idx+1)*PageSize <= off+n
 		if f.pages[idx] == nil && (whole || idx*PageSize >= f.size) {
+			if count == 0 {
+				first = idx
+			}
 			count++
 		}
 	}
-	return count
+	return count, first
 }
 
 // appendThrough passes an O_APPEND write to the backing, which puts it at

@@ -169,13 +169,28 @@ type Cache struct {
 	// together.
 	wbuf, rbuf []byte
 	dirty      []int64
+	// free holds up to maxHdrBlock dropped pages, header and buffer, for
+	// newPage to hand out again; grow is the file lone writes are growing.
+	free []*page
+	grow growth
+}
+
+// growth is the record of a file growing a page per write: the next
+// growth step continues it when it is on ino at page next, and takes its
+// page from tail, the rest of the last run, which held last pages.
+type growth struct {
+	ino  vfs.Ino
+	next int64
+	tail []byte
+	last int
 }
 
 // poisonScratch is the scratch guard rail's test hook: when set, a
 // scratch buffer is filled with 0xDB whenever it is handed out and after
-// every extent written from it, so a layer below that keeps one past its
-// call, or a backing that reports bytes it did not write, serves 0xDB at
-// once instead of another file's data some day.
+// every extent written from it, and so is a dropped page put on the free
+// list, so a layer below that keeps a buffer past its call, a backing that
+// reports bytes it did not write, or a holder of a dropped page, sees 0xDB
+// at once instead of another file's data some day.
 var poisonScratch atomic.Bool
 
 // scratch returns *b resliced to n bytes, replacing it first with a
@@ -343,37 +358,58 @@ func (c *Cache) file(ino vfs.Ino) *fileCache {
 	return f
 }
 
-// maxHdrBlock caps the pages of one header block and of one run. Each
-// lives while any of its pages is reachable, keeping the header and bytes
-// of its dropped pages with it, so the cap bounds what one cached page can
-// pin.
+// maxHdrBlock caps the pages of one header block, of one run and of the
+// free list. A block or run lives while any of its pages is reachable,
+// keeping the header and bytes of its dropped pages with it, so the cap
+// bounds what one cached page can pin.
 const maxHdrBlock = 64
 
 // batch is what the pages one call inserts together share: how many of
-// them are still coming and the run their buffers are cut from.
+// them are still coming and the run their buffers are cut from. grow marks
+// a growth step's lone page (see Cache.grow).
 type batch struct {
 	coming int
 	run    []byte
+	grow   bool
 }
 
-// newPage returns a fresh page of f, the next of b. The header is cut from
-// a per-file block sized to max(pages held, pages coming), so a growing
-// file's blocks double and a window's headers are one block. The buffer is
-// cut from a run sized to the pages coming, so a window or a write's fresh
-// pages are one allocation; a lone page is one 4 KiB buffer. No slot is
-// ever reused: a dropped page keeps its header and its bytes for whoever
-// still holds it (fill does, across the inserts after its own).
-func (f *fileCache) newPage(b *batch) *page {
+// newPage returns a zeroed page for f, the next of b, and is the one place
+// that decides where its memory comes from. In order: a page this cache
+// dropped (the free list, last in first out); for a growth step, the run
+// the growing file is cut from, twice the last when it is used up, up to
+// maxHdrBlock pages; otherwise the run of b, made when the first of its
+// pages needs it and sized to the pages coming, so a window's or a
+// write's fresh pages are one allocation. A new header
+// is cut from a per-file block sized to max(pages held, pages coming), so
+// a growing file's blocks double and a window's headers are one block.
+// Runs are only ever cut forward, so no byte is handed out twice; a page
+// is handed out again only once dropped, so nothing may hold a page across
+// an insert.
+func (c *Cache) newPage(f *fileCache, b *batch) *page {
+	coming := b.coming
+	b.coming--
+	if n := len(c.free); n > 0 {
+		p := c.free[n-1]
+		c.free = c.free[:n-1]
+		clear(p.data)
+		return p
+	}
 	if len(f.hdrs) == cap(f.hdrs) {
-		f.hdrs = make([]page, 0, min(max(len(f.pages), b.coming, 1), maxHdrBlock))
+		f.hdrs = make([]page, 0, min(max(len(f.pages), coming, 1), maxHdrBlock))
 	}
 	f.hdrs = f.hdrs[:len(f.hdrs)+1]
 	p := &f.hdrs[len(f.hdrs)-1]
-	if len(b.run) == 0 {
-		b.run = make([]byte, min(max(b.coming, 1), maxHdrBlock)*PageSize)
+	run := &b.run
+	if b.grow {
+		run = &c.grow.tail
+		if len(*run) == 0 {
+			c.grow.last = min(max(2*c.grow.last, 1), maxHdrBlock)
+			*run = make([]byte, c.grow.last*PageSize)
+		}
+	} else if len(*run) == 0 {
+		*run = make([]byte, min(max(coming, 1), maxHdrBlock)*PageSize)
 	}
-	p.data, b.run = b.run[:PageSize:PageSize], b.run[PageSize:]
-	b.coming--
+	p.data, *run = (*run)[:PageSize:PageSize], (*run)[PageSize:]
 	return p
 }
 
@@ -391,7 +427,7 @@ func (c *Cache) insertPage(f *fileCache, ino vfs.Ino, idx int64, data []byte, b 
 	if f.pages == nil {
 		f.pages = make(map[int64]*page, max(b.coming, 1))
 	}
-	p := f.newPage(b)
+	p := c.newPage(f, b)
 	copy(p.data, data)
 	f.pages[idx] = p
 	c.lru = append(c.lru, pageKey{ino, idx})
@@ -400,11 +436,21 @@ func (c *Cache) insertPage(f *fileCache, ino vfs.Ino, idx int64, data []byte, b 
 
 // dropPage removes one cached page and returns its memory to the budget:
 // the single page removal behind eviction, truncate, unlink and
-// invalidate. Bytes still dirty are discarded with it. Caller holds c.mu.
+// invalidate. Bytes still dirty are discarded with it. The page goes on
+// the free list while that has room (poisoned under the scratch guard
+// rail); past that it is left to the collector. Caller holds c.mu.
 func (c *Cache) dropPage(f *fileCache, idx int64) {
-	f.clean(f.pages[idx])
+	p := f.pages[idx]
+	f.clean(p)
 	delete(f.pages, idx)
 	c.opts.Budget.release(PageSize)
+	if len(c.free) < maxHdrBlock {
+		if c.free == nil {
+			c.free = make([]*page, 0, maxHdrBlock)
+		}
+		scrub(p.data)
+		c.free = append(c.free, p)
+	}
 }
 
 // evictOne drops one clean cached page; dirty pages are flushed first.
