@@ -12,8 +12,9 @@ import (
 // MountOptions selects the protocol features negotiated at INIT time.
 // KeepCache through BatchForget are the paper's §3.3 optimizations, and
 // MaxWrite, the two timeouts and ServerThreads the settings its CntrFS
-// mounts with: PaperMountOptions is that configuration. NoSec, NoFlush and
-// DirectRead are beyond the paper (on in DefaultMountOptions only).
+// mounts with: PaperMountOptions is that configuration. NoSec, NoFlush,
+// DirectRead and SyncByFsync are beyond the paper (on in
+// DefaultMountOptions only).
 type MountOptions struct {
 	// KeepCache sets FOPEN_KEEP_CACHE on every open, letting the page
 	// cache above survive re-opens (read-cache optimization, Fig. 3a).
@@ -88,6 +89,19 @@ type MountOptions struct {
 	// flag is on the server's descriptor, not FOPEN_DIRECT_IO in the
 	// reply. Off in PaperMountOptions.
 	DirectRead bool
+	// SyncByFsync is beyond the paper, whose CntrFS, a passthrough server
+	// like libfuse's passthrough_ll, opens the host file with the
+	// application's flags, O_SYNC included. Under WritebackCache the kernel
+	// already follows every O_SYNC write with FSYNC (generic_write_sync →
+	// fuse_fsync), so each such write paid two device barriers: one for the
+	// host's synchronous write and one for the host fsync after it, which
+	// follows no new data. It is the server's choice of flags for its own
+	// host descriptor: an OPEN or CREATE carrying O_SYNC opens the host file
+	// without it, and the FSYNC alone makes the write durable before
+	// write(2) returns. Without WritebackCache the kernel writes through and
+	// sends no FSYNC, so the host descriptor keeps O_SYNC and the rule is
+	// inert. Off in PaperMountOptions.
+	SyncByFsync bool
 	// ServerThreads is the number of userspace server threads reading
 	// the request queue (Fig. 4). A FUSE_INTERRUPT frame is the first
 	// thing the next read of the queue returns, but a thread has to read
@@ -118,12 +132,13 @@ func PaperMountOptions() MountOptions {
 }
 
 // DefaultMountOptions returns the fully optimized configuration: the
-// paper's, plus NoSec, NoFlush and DirectRead.
+// paper's, plus NoSec, NoFlush, DirectRead and SyncByFsync.
 func DefaultMountOptions() MountOptions {
 	opts := PaperMountOptions()
 	opts.NoSec = true
 	opts.NoFlush = true
 	opts.DirectRead = true
+	opts.SyncByFsync = true
 	return opts
 }
 

@@ -317,7 +317,7 @@ func (c *Conn) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, erro
 		}
 		n := 0
 		err := c.submitRead(op, h, off+int64(total), chunk, false).await(op, func(r *rdr) {
-			n = copy(chunk, r.rawBytes())
+			n = readInto(r, chunk)
 		})
 		if err != nil {
 			if total > 0 {
@@ -389,8 +389,19 @@ func (pr *pendingRead) Await(op *vfs.Op) (int, error) {
 	}
 	pr.p = nil
 	n := 0
-	err := p.await(op, func(r *rdr) { n = copy(pr.dest, r.rawBytes()) })
+	err := p.await(op, func(r *rdr) { n = readInto(r, pr.dest) })
 	return n, err
+}
+
+// readInto copies a READ reply's data into dest. More data than dest
+// holds is a malformed reply (EIO): the server was asked for len(dest).
+func readInto(r *rdr, dest []byte) int {
+	data := r.rawBytes()
+	if len(data) > len(dest) {
+		r.bad = true
+		return 0
+	}
+	return copy(dest, data)
 }
 
 // submitWrite queues one write. Payloads above the negotiated MaxWrite
@@ -444,7 +455,7 @@ func (pw *pendingWrite) Await(op *vfs.Op) (int, error) {
 	pw.parts = nil
 	for i, p := range parts {
 		n := 0
-		err := p.await(op, func(r *rdr) { n = int(r.u32()) })
+		err := p.await(op, func(r *rdr) { n = writeCount(r, pw.sizes[i]) })
 		if stop {
 			// Drain the remaining replies; note any that applied bytes
 			// beyond the failed chunk.
@@ -478,6 +489,17 @@ func (pw *pendingWrite) Await(op *vfs.Op) (int, error) {
 	return 0, firstErr
 }
 
+// writeCount decodes a WRITE reply's count of the sent bytes. A count past
+// them is a malformed reply, as fuse_perform_write finds it: EIO.
+func writeCount(r *rdr, sent int) int {
+	n := int(r.u32())
+	if n > sent {
+		r.bad = true
+		return 0
+	}
+	return n
+}
+
 // Write implements vfs.FS, splitting payloads at the negotiated MaxWrite.
 func (c *Conn) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, error) {
 	total := 0
@@ -486,11 +508,12 @@ func (c *Conn) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, err
 		if len(chunk) > c.opts.MaxWrite {
 			chunk = chunk[:c.opts.MaxWrite]
 		}
-		n, short := 0, false
+		n, bad := 0, false
 		err := c.submitWriteChunk(op, h, off, chunk, false).await(op, func(r *rdr) {
-			n, short = int(r.u32()), r.bad
+			n = writeCount(r, len(chunk))
+			bad = r.bad
 		})
-		if short {
+		if bad {
 			return total, vfs.EIO
 		}
 		if err != nil {

@@ -2,7 +2,11 @@ package fuse
 
 import (
 	"encoding/binary"
+	"encoding/hex"
+	"maps"
+	"math"
 	"testing"
+	"time"
 
 	"cntr/internal/memfs"
 	"cntr/internal/sim"
@@ -75,6 +79,237 @@ func lengthField(frame []byte) int64 {
 		return -1
 	}
 	return int64(binary.LittleEndian.Uint32(frame))
+}
+
+// replyCall is one Conn call whose reply carries a body.
+type replyCall struct {
+	opcode Opcode
+	// call makes the request; a count it reports comes with the count it
+	// asked for.
+	call func(c *Conn) (count, asked int, err error)
+	// whole reports whether body is all of a reply to call: every field
+	// there, and no count past the one asked for. Bytes after the reply
+	// are ignored.
+	whole func(body []byte) bool
+}
+
+// attrReplyLen is the size of an encoded attribute record.
+var attrReplyLen = func() int {
+	var w buf
+	encodeAttr(&w, &vfs.Attr{})
+	return len(w.b)
+}()
+
+// replyCalls is every call whose reply a Conn decodes.
+var replyCalls = func() []replyCall {
+	op := vfs.RootOp
+	root := vfs.RootIno
+	atLeast := func(n int) func([]byte) bool { return func(b []byte) bool { return len(b) >= n } }
+	// prefixed: a length-prefixed field of at most max bytes, all there.
+	prefixed := func(max int) func([]byte) bool {
+		return func(b []byte) bool {
+			next, ok := skipField(b, 0)
+			return ok && next-4 <= max
+		}
+	}
+	errOnly := func(err error) (int, int, error) { return 0, 0, err }
+	entry := func(opcode Opcode, call func(c *Conn) (vfs.Attr, error)) replyCall {
+		return replyCall{opcode, func(c *Conn) (int, int, error) {
+			_, err := call(c)
+			return errOnly(err)
+		}, atLeast(attrReplyLen)}
+	}
+	const asked = 64
+	return []replyCall{
+		entry(OpLookup, func(c *Conn) (vfs.Attr, error) { return c.Lookup(op(), root, "n") }),
+		entry(OpGetattr, func(c *Conn) (vfs.Attr, error) { return c.Getattr(op(), 7) }),
+		entry(OpSetattr, func(c *Conn) (vfs.Attr, error) {
+			return c.Setattr(op(), 7, vfs.SetMode, vfs.Attr{Mode: 0o600})
+		}),
+		entry(OpMknod, func(c *Conn) (vfs.Attr, error) { return c.Mknod(op(), root, "n", vfs.TypeRegular, 0o644, 0) }),
+		entry(OpMkdir, func(c *Conn) (vfs.Attr, error) { return c.Mkdir(op(), root, "d", 0o755) }),
+		entry(OpSymlink, func(c *Conn) (vfs.Attr, error) { return c.Symlink(op(), root, "s", "target") }),
+		entry(OpLink, func(c *Conn) (vfs.Attr, error) { return c.Link(op(), 7, root, "l") }),
+		{OpCreate, func(c *Conn) (int, int, error) {
+			_, _, err := c.Create(op(), root, "f", 0o644, vfs.ORdwr)
+			return errOnly(err)
+		}, atLeast(attrReplyLen + 8)},
+		{OpOpen, func(c *Conn) (int, int, error) {
+			_, err := c.Open(op(), 7, vfs.ORdwr)
+			return errOnly(err)
+		}, atLeast(8)},
+		{OpOpendir, func(c *Conn) (int, int, error) {
+			_, err := c.Opendir(op(), root)
+			return errOnly(err)
+		}, atLeast(8)},
+		{OpReadlink, func(c *Conn) (int, int, error) {
+			_, err := c.Readlink(op(), 7)
+			return errOnly(err)
+		}, prefixed(math.MaxInt)},
+		{OpRead, func(c *Conn) (int, int, error) {
+			n, err := c.Read(op(), 1, 0, make([]byte, asked))
+			return n, asked, err
+		}, prefixed(asked)},
+		{OpWrite, func(c *Conn) (int, int, error) {
+			n, err := c.Write(op(), 1, 0, make([]byte, asked))
+			return n, asked, err
+		}, func(b []byte) bool { return len(b) >= 4 && binary.LittleEndian.Uint32(b) <= asked }},
+		{OpStatfs, func(c *Conn) (int, int, error) {
+			_, err := c.Statfs(op(), root)
+			return errOnly(err)
+		}, atLeast(40)},
+		{OpGetxattr, func(c *Conn) (int, int, error) {
+			_, err := c.Getxattr(op(), 7, "user.k")
+			return errOnly(err)
+		}, prefixed(math.MaxInt)},
+		{OpListxattr, func(c *Conn) (int, int, error) {
+			names, err := c.Listxattr(op(), 7)
+			return len(names), math.MaxInt, err
+		}, func(b []byte) bool { return listed(b, 0) }},
+		{OpReaddir, func(c *Conn) (int, int, error) {
+			ents, err := c.Readdir(op(), 1, 0)
+			return len(ents), math.MaxInt, err
+		}, func(b []byte) bool { return listed(b, 8+1+8) }}, // name, ino, type, offset
+	}
+}()
+
+// skipField returns the offset past the length-prefixed field at b[off:],
+// and whether all of it is there.
+func skipField(b []byte, off int) (int, bool) {
+	if len(b)-off < 4 {
+		return 0, false
+	}
+	n := int(binary.LittleEndian.Uint32(b[off:]))
+	if n > len(b)-off-4 {
+		return 0, false
+	}
+	return off + 4 + n, true
+}
+
+// listed reports whether b holds a listing whole: a count, then that many
+// items, each a length-prefixed name and tail more bytes.
+func listed(b []byte, tail int) bool {
+	if len(b) < 4 {
+		return false
+	}
+	off := 4
+	for i := binary.LittleEndian.Uint32(b); i > 0; i-- {
+		next, ok := skipField(b, off)
+		if !ok || len(b)-next < tail {
+			return false
+		}
+		off = next + tail
+	}
+	return true
+}
+
+// FuzzReply: a reply frame is a trust boundary too, so whatever body a
+// server sends with a success errno the kernel side never panics and never
+// leaves a reply slot unserved. A whole reply is accepted, with no count
+// past the one asked for; any other is EIO with a zero count, and the
+// dentry, attribute and S_NOSEC caches learn nothing from it. The input
+// picks one of replyCalls and is the body every request on a fresh
+// replyingMount is answered with. The seeds are wire_test.go's reply
+// frames, each for the request it answered, and hostileReplies; what the
+// fuzzer found is kept as rows of TestReplyFindings.
+//
+//	go test -run '^$' -fuzz FuzzReply -fuzztime 15s ./internal/fuse
+func FuzzReply(f *testing.F) {
+	var opcode Opcode
+	for _, g := range wireGolden {
+		frame, err := hex.DecodeString(g[2:])
+		if err != nil {
+			f.Fatal(err)
+		}
+		if g[0] == '>' {
+			opcode = Opcode(binary.LittleEndian.Uint32(frame[4:]))
+		} else if i := replyIndex(opcode); i >= 0 {
+			f.Add(uint8(i), frame[respHeaderLen:])
+		}
+	}
+	for _, r := range hostileReplies {
+		f.Add(uint8(replyIndex(r.opcode)), r.body)
+	}
+	f.Fuzz(checkReply)
+}
+
+// replyIndex is opcode's index in replyCalls, or -1.
+func replyIndex(opcode Opcode) int {
+	for i, rc := range replyCalls {
+		if rc.opcode == opcode {
+			return i
+		}
+	}
+	return -1
+}
+
+// checkReply is FuzzReply's property for one input.
+func checkReply(t *testing.T, which uint8, body []byte) {
+	rc := replyCalls[int(which)%len(replyCalls)]
+	c := replyingMount(t, func(h *ReqHeader, w *buf) { w.b = append(w.b, body...) })
+	snapshot := func() (map[entryKey]entryVal, map[vfs.Ino]attrVal, map[vfs.Ino]time.Duration) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return maps.Clone(c.entries), maps.Clone(c.attrs), maps.Clone(c.nosec)
+	}
+	entries, attrs, nosec := snapshot()
+
+	type outcome struct {
+		count, asked int
+		err          error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		count, asked, err := rc.call(c)
+		done <- outcome{count, asked, err}
+	}()
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%v reply of %d bytes: the call never returned", rc.opcode, len(body))
+	}
+
+	if rc.whole(body) {
+		if out.err != nil || out.count > out.asked {
+			t.Fatalf("%v reply of %d bytes, whole: count %d of %d asked, %v", rc.opcode, len(body), out.count, out.asked, out.err)
+		}
+	} else {
+		if vfs.ToErrno(out.err) != vfs.EIO || out.count != 0 {
+			t.Fatalf("%v reply of %d bytes, not whole: count %d, %v; want 0, EIO", rc.opcode, len(body), out.count, out.err)
+		}
+		e, a, n := snapshot()
+		if !maps.Equal(e, entries) || !maps.Equal(a, attrs) || !maps.Equal(n, nosec) {
+			t.Fatalf("%v reply of %d bytes, not whole: cached entries %v, attributes %v, S_NOSEC marks %v", rc.opcode, len(body), e, a, n)
+		}
+	}
+	if n := c.inflight.Load(); n != 0 {
+		t.Fatalf("%v reply of %d bytes: %d requests still in flight", rc.opcode, len(body), n)
+	}
+	if err := c.Access(vfs.RootOp(), vfs.RootIno, vfs.AccessRead); err != nil {
+		t.Fatalf("%v reply of %d bytes: the next request failed: %v", rc.opcode, len(body), err)
+	}
+}
+
+// TestReplyFindings replays inputs FuzzReply must keep handling: an empty
+// body for every call, then what the fuzzer has failed on, minimised.
+func TestReplyFindings(t *testing.T) {
+	for i, rc := range replyCalls {
+		t.Run("empty "+rc.opcode.String(), func(t *testing.T) { checkReply(t, uint8(i), nil) })
+	}
+	for _, tc := range []struct {
+		name   string
+		opcode Opcode
+		body   []byte
+	}{
+		// Both were accepted: Conn.Write reported the count as written,
+		// and a page cache above slices its data by it.
+		{"WRITE reply counting more than was sent", OpWrite, []byte("0000")},
+		// Conn.Read kept the first 64 bytes and reported the read whole.
+		{"READ reply longer than asked", OpRead, append([]byte{65, 0, 0, 0}, make([]byte, 65)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkReply(t, uint8(replyIndex(tc.opcode)), tc.body) })
+	}
 }
 
 // TestDispatchFindings replays inputs FuzzDispatch must keep handling: the

@@ -1,6 +1,7 @@
 package fuse
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -21,6 +22,18 @@ type groupSpy struct {
 func (g *groupSpy) Lookup(op *vfs.Op, parent vfs.Ino, name string) (vfs.Attr, error) {
 	g.groups.Store(int64(len(op.Cred.Groups)))
 	return g.FS.Lookup(op, parent, name)
+}
+
+// hostileReplies are the reply rows of TestHostileCountsYieldErrno: a
+// listing that declares 2^31-1 entries and carries none. FuzzReply starts
+// from them too.
+var hostileReplies = []struct {
+	name   string
+	opcode Opcode
+	body   []byte
+}{
+	{"READDIR reply declaring 2^31 entries", OpReaddir, binary.LittleEndian.AppendUint32(nil, 0x7fffffff)},
+	{"LISTXATTR reply declaring 2^31 names", OpListxattr, binary.LittleEndian.AppendUint32(nil, 0x7fffffff)},
 }
 
 // TestHostileCountsYieldErrno: every count the wire declares is bounded
@@ -62,16 +75,13 @@ func TestHostileCountsYieldErrno(t *testing.T) {
 		p.release()
 		return errno
 	}
-	listing := func(t *testing.T) *Conn {
-		// A "server" whose listings declare 2^31-1 entries and carry none.
-		return replyingMount(t, func(h *ReqHeader, w *buf) { w.u32(0x7fffffff) })
-	}
 
-	cases := []struct {
+	type hostileCase struct {
 		name string
 		want vfs.Errno
 		run  func(t *testing.T) error
-	}{
+	}
+	cases := []hostileCase{
 		{"300 supplementary groups", vfs.OK, func(t *testing.T) error {
 			groups := make([]uint32, 300)
 			for i := range groups {
@@ -101,14 +111,12 @@ func TestHostileCountsYieldErrno(t *testing.T) {
 				w.u32(0xffffffff)
 			})
 		}},
-		{"READDIR reply declaring 2^31 entries", vfs.EIO, func(t *testing.T) error {
-			_, err := listing(t).Readdir(root, 1, 0)
+	}
+	for _, r := range hostileReplies {
+		cases = append(cases, hostileCase{r.name, vfs.EIO, func(t *testing.T) error {
+			_, _, err := replyCalls[replyIndex(r.opcode)].call(replyingMount(t, func(h *ReqHeader, w *buf) { w.b = append(w.b, r.body...) }))
 			return err
-		}},
-		{"LISTXATTR reply declaring 2^31 names", vfs.EIO, func(t *testing.T) error {
-			_, err := listing(t).Listxattr(root, vfs.RootIno)
-			return err
-		}},
+		}})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

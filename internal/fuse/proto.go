@@ -319,7 +319,7 @@ func decodeReply(frame []byte) (uint64, vfs.Errno, []byte, error) {
 	return unique, errno, frame[respHeaderLen:], nil
 }
 
-// attr encoding: 61 bytes, fixed layout.
+// attr encoding: 69 bytes, fixed layout.
 func encodeAttr(w *buf, a *vfs.Attr) {
 	w.u64(uint64(a.Ino))
 	w.i64(a.Size)

@@ -334,6 +334,25 @@ func serverCred(c *vfs.Cred, h *ReqHeader) {
 	}
 }
 
+// hostFlags is the server's one decision on the flags of its own host
+// descriptor, for an OPEN or a CREATE with the caller's flags. Each rule
+// follows the mount options alone (MountOptions.DirectRead, SyncByFsync).
+func (s *Server) hostFlags(opcode Opcode, flags vfs.OpenFlags) vfs.OpenFlags {
+	if opcode == OpOpen && s.opts.DirectRead && s.opts.KeepCache &&
+		flags.AccessMode() == vfs.ORdonly && flags&(vfs.OTrunc|vfs.OCreat|vfs.OAppend) == 0 {
+		// Read-only, and the kernel keeps what it reads: the host's page
+		// cache would only hold a second copy.
+		flags |= vfs.ODirect
+	}
+	if s.opts.SyncByFsync && s.opts.WritebackCache && flags&vfs.OSync == vfs.OSync {
+		// The kernel's own test for following a write with FSYNC: that
+		// FSYNC makes the write durable, and a synchronous host write
+		// before it would only add a barrier.
+		flags &^= vfs.OSync
+	}
+	return flags
+}
+
 // dispatch decodes one request frame, invokes the filesystem, and
 // encodes the reply frame in place into out's storage (or a larger
 // buffer when the reply does not fit), returning it; nil means the
@@ -497,7 +516,7 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		if r.bad {
 			break
 		}
-		attr, handle, err := s.fs.Create(op, ino, name, mode, flags)
+		attr, handle, err := s.fs.Create(op, ino, name, mode, s.hostFlags(OpCreate, flags))
 		if err == nil {
 			encodeAttr(w, &attr)
 			w.u64(uint64(handle))
@@ -509,13 +528,7 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		if r.bad {
 			break
 		}
-		if s.opts.DirectRead && s.opts.KeepCache &&
-			flags.AccessMode() == vfs.ORdonly && flags&(vfs.OTrunc|vfs.OCreat|vfs.OAppend) == 0 {
-			// Read-only, and the kernel keeps what it reads: the host's
-			// page cache would only hold a second copy.
-			flags |= vfs.ODirect
-		}
-		handle, err := s.fs.Open(op, ino, flags)
+		handle, err := s.fs.Open(op, ino, s.hostFlags(OpOpen, flags))
 		if err == nil {
 			w.u64(uint64(handle))
 		}

@@ -438,7 +438,10 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 		if st.flags&vfs.OSync == vfs.OSync {
 			err := f.takeWbErr()
 			if err == nil {
-				err = c.backing.Fsync(op, h, true)
+				// A full sync, not datasync: generic_write_sync asks for
+				// datasync only without IOCB_SYNC (O_DSYNC), and O_SYNC sets
+				// both bits.
+				err = c.backing.Fsync(op, h, false)
 			}
 			if err != nil {
 				return 0, err // as generic_write_sync: the error replaces the count

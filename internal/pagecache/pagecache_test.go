@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -648,6 +649,40 @@ func TestWritebackErrorReachesCloseAndFsync(t *testing.T) {
 		enospc(t, "fallocate", cache.Fallocate(vfs.RootOp(), f.Handle(), vfs.FallocPunchHole|vfs.FallocKeepSize, 0, 1))
 		reported(t, f)
 	})
+}
+
+// fsyncSpy records the datasync flag of every Fsync that reaches it.
+type fsyncSpy struct {
+	vfs.FS
+	datasync []bool
+}
+
+func (s *fsyncSpy) Fsync(op *vfs.Op, h vfs.Handle, datasync bool) error {
+	s.datasync = append(s.datasync, datasync)
+	return s.FS.Fsync(op, h, datasync)
+}
+
+// TestOSyncWriteSendsFullFsync: a writeback cache makes an O_SYNC write
+// durable by writing it back and syncing the backing, as
+// generic_write_sync does, and O_SYNC promises the file's metadata too:
+// the sync is a full one, not a datasync (that is O_DSYNC's alone). On a
+// FUSE mount this FSYNC is what makes the write durable on the host.
+func TestOSyncWriteSendsFullFsync(t *testing.T) {
+	spy := &fsyncSpy{FS: memfs.New(memfs.Options{})}
+	cache := New(spy, sim.NewClock(), sim.DefaultCostModel(), Options{KeepCache: true, Writeback: true})
+	f, err := vfs.NewClient(cache, vfs.Root()).Open("/f", vfs.OWronly|vfs.OCreat|vfs.OSync, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i := int64(0); i < 2; i++ {
+		if _, err := f.WriteAt([]byte("data"), 4*i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []bool{false, false}; !slices.Equal(spy.datasync, want) {
+		t.Fatalf("fsyncs after two O_SYNC writes (datasync flags): %v, want %v", spy.datasync, want)
+	}
 }
 
 // TestWritebackThroughAppendHandleKeepsOffsets: dirty pages are written

@@ -238,6 +238,23 @@ func TestFigure3SingleBufferEffect(t *testing.T) {
 	}
 }
 
+// TestFigure3SingleBarrierEffect pins both sides of the eighth panel:
+// AIO-Stress's O_SYNC fallback on the paper's configuration, where each
+// 32 KiB write pays the host's synchronous write and the FSYNC after it a
+// device barrier each, and with SyncByFsync, where the FSYNC's is the only
+// one.
+func TestFigure3SingleBarrierEffect(t *testing.T) {
+	r, err := runFigure3("single barrier (O_SYNC by FSYNC)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const paper, single = 628579840 * time.Nanosecond, 505699840 * time.Nanosecond
+	if !virtPinned(r.Before, paper) || !virtPinned(r.After, single) {
+		t.Fatalf("AIO-Stress on the paper's configuration %dns, with SyncByFsync %dns (%.2fx); want %dns and %dns (1.24x)",
+			r.Before, r.After, r.Speedup, paper, single)
+	}
+}
+
 func TestFigure4ThreadScaling(t *testing.T) {
 	m, err := Figure4Threads()
 	if err != nil {
