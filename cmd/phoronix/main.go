@@ -69,8 +69,6 @@ func main() {
 		"with -cachesvc: replica copies per shard beyond the primary")
 	flag.BoolVar(&o.fleet.KillNodeMid, "cache-kill-node", false,
 		"with -cachesvc: kill the highest-id node once half the fleet has read")
-	flag.BoolVar(&o.fleet.DrainNodeMid, "cache-drain-node", false,
-		"with -cachesvc: drain node 0 mid-workload and migrate its shards away")
 	flag.BoolVar(&o.mergeReplay, "merge-replay", false,
 		"record the suite twice (independent seeds), merge the two profiles, and replay under the merge")
 	flag.Parse()
@@ -103,8 +101,8 @@ func (o options) plan() (mode string, replay phoronix.Setup, err error) {
 		err = errors.New("-mounts and the -cache-* flags require -cachesvc")
 	case o.cacheSvc && (suite || o.mergeReplay):
 		err = errors.New("-cachesvc runs alone")
-	case o.cacheSvc && (o.fleet.KillNodeMid || o.fleet.DrainNodeMid) && o.fleet.Nodes < 2:
-		err = errors.New("-cache-kill-node/-cache-drain-node need -cache-nodes >= 2")
+	case o.cacheSvc && o.fleet.KillNodeMid && o.fleet.Nodes < 2:
+		err = errors.New("-cache-kill-node needs -cache-nodes >= 2")
 	case o.cacheSvc:
 		mode = "cachesvc"
 	case o.mergeReplay && suite:
@@ -311,7 +309,7 @@ func runMergedReplay() {
 
 // runCacheSvcDemo runs the multi-mount cold-read experiment with and
 // without the shared cache tier and prints the comparison, plus the
-// per-node split and migration counters when the tier is multi-node.
+// per-node split and the kill's outcome when the tier is multi-node.
 func runCacheSvcDemo(opts phoronix.MultiMountOptions) {
 	if opts.Mounts < 2 {
 		opts.Mounts = 2
@@ -325,9 +323,6 @@ func runCacheSvcDemo(opts phoronix.MultiMountOptions) {
 		fmt.Printf("   tier: %d nodes, %d replica(s) per shard", opts.Nodes, opts.Replicas)
 		if opts.KillNodeMid {
 			fmt.Printf(", node %d killed mid-fleet", opts.Nodes-1)
-		}
-		if opts.DrainNodeMid {
-			fmt.Printf(", node 0 drained mid-fleet")
 		}
 		fmt.Println()
 	}
@@ -357,15 +352,18 @@ func runCacheSvcDemo(opts phoronix.MultiMountOptions) {
 		float64(base.ColdReadTotal)/float64(svc.ColdReadTotal))
 
 	if opts.Nodes > 1 {
-		fmt.Printf("\n%-6s %-6s %-9s %8s %10s %10s %8s\n",
-			"node", "live", "draining", "shards", "hits", "puts", "fenced")
+		// The placement starts at version 1 and every kill bumps it once.
+		version := 1
+		fmt.Printf("\n%-6s %-6s %8s %10s %10s %8s\n",
+			"node", "live", "shards", "hits", "puts", "fenced")
 		for _, ns := range svc.NodeStats {
-			fmt.Printf("%-6d %-6t %-9t %8d %10d %10d %8d\n",
-				ns.ID, ns.Live, ns.Draining, ns.Shards, ns.Hits, ns.Puts, ns.FencedWrites)
+			fmt.Printf("%-6d %-6t %8d %10d %10d %8d\n",
+				ns.ID, ns.Live, ns.Shards, ns.Hits, ns.Puts, ns.FencedWrites)
+			if !ns.Live {
+				version++
+			}
 		}
-		m := svc.Migration
-		fmt.Printf("\nplacement v%d: %d shards moved, %d entries copied, %d fallthrough hits, %d lost\n",
-			m.PlacementVersion, m.ShardsMoved, m.EntriesCopied, m.FallthroughHits, m.LostShards)
+		fmt.Printf("\nplacement v%d, %d lost shards\n", version, svc.TierStats.LostShards)
 	}
 }
 

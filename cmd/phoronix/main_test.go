@@ -54,7 +54,7 @@ func TestPlan(t *testing.T) {
 		{name: "-chaos -trace-out", o: options{chaos: true, traceOut: "p"}, err: "taints the profile"},
 		{name: "-cachesvc -cache-kill-node, one node", o: options{cacheSvc: true, fleet: fleet(func(f *phoronix.MultiMountOptions) {
 			f.KillNodeMid = true
-		})}, err: "need -cache-nodes >= 2"},
+		})}, err: "needs -cache-nodes >= 2"},
 
 		// Used to run with a flag ignored; mean nothing, so refused.
 		{name: "-chaos-blob -trace-out", o: options{chaosBlob: true, traceOut: "p"}, err: "taints the profile"},
@@ -71,7 +71,7 @@ func TestPlan(t *testing.T) {
 		{name: "-cachesvc -trace-out", o: options{cacheSvc: true, traceOut: "p"}, err: "-cachesvc runs alone"},
 		{name: "-mounts", o: options{fleet: fleet(func(f *phoronix.MultiMountOptions) { f.Mounts = 8 })}, err: "require -cachesvc"},
 		{name: "-chaos -cache-nodes", o: options{chaos: true, fleet: fleet(func(f *phoronix.MultiMountOptions) { f.Nodes = 2 })}, err: "require -cachesvc"},
-		{name: "-merge-replay -cache-drain-node", o: options{mergeReplay: true, fleet: fleet(func(f *phoronix.MultiMountOptions) { f.DrainNodeMid = true })}, err: "require -cachesvc"},
+		{name: "-merge-replay -cache-kill-node", o: options{mergeReplay: true, fleet: fleet(func(f *phoronix.MultiMountOptions) { f.KillNodeMid = true })}, err: "require -cachesvc"},
 	} {
 		if tc.o.fleet == (phoronix.MultiMountOptions{}) {
 			tc.o.fleet = fleetDefaults // as flag.Parse leaves it

@@ -201,8 +201,7 @@ func (c *Client) refreshPlacementLocked() {
 }
 
 // get is the shared lookup path: one RTT for the probe, payload bytes
-// only on a hit. A lookup served by handoff fallthrough charges its extra
-// cross-node hops; a stale routing table costs one refresh RTT and a
+// only on a hit; a stale routing table costs one refresh RTT and a
 // retry.
 func (c *Client) get(key cachesvc.Key) ([]byte, bool) {
 	c.mu.Lock()
@@ -227,7 +226,7 @@ func (c *Client) get(key cachesvc.Key) ([]byte, bool) {
 		if target == -1 {
 			break // no live owner at all: count the probe as a miss
 		}
-		val, ok, hops, err := c.svc.NodeGet(target, ver, key)
+		val, ok, err := c.svc.NodeGet(target, ver, key)
 		if err != nil {
 			if attempt < 3 {
 				c.mu.Lock()
@@ -244,19 +243,11 @@ func (c *Client) get(key cachesvc.Key) ([]byte, bool) {
 			c.stats.Hits++
 			c.stats.NetBytes += int64(len(val))
 			c.clock.Advance(c.model.NetCost(len(val)))
-			if hops > 0 {
-				// The fallthrough transfer between service nodes is on the
-				// lookup's critical path.
-				c.clock.Advance(time.Duration(hops) * c.model.NetCost(len(val)))
-			}
 			c.mu.Unlock()
 			return val, true
 		}
 		c.stats.Misses++
 		c.clock.Advance(c.model.NetRTT)
-		if hops > 0 {
-			c.clock.Advance(time.Duration(hops) * c.model.NetRTT)
-		}
 		c.mu.Unlock()
 		return nil, false
 	}

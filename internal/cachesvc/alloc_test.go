@@ -23,8 +23,8 @@ func raceBuild() bool {
 // TestPutSharesOneCopy: a write to a shard on two nodes stores one copy
 // of the caller's bytes, which both nodes' entries share, and costs the
 // host that copy and the two entries — the key is built of no string,
-// the hosting nodes are gathered on the stack and the LRU links live in
-// the entry. A hit allocates nothing. Asserts on counts are off under
+// the owners are read from the placement table and the LRU links live
+// in the entry. A hit allocates nothing. Asserts on counts are off under
 // -race.
 func TestPutSharesOneCopy(t *testing.T) {
 	const runs = 200

@@ -23,15 +23,13 @@
 //
 // The key space is hashed into a fixed number of shards; a Placement
 // assigns each shard a primary plus Options.Replicas replicas across
-// an explicit set of Nodes. Writes apply to every copy, reads are served
-// by the first live owner, and AddNode/DrainNode/KillNode trigger
-// live shard migration: ownership flips immediately (placement version
-// bump), lookups during the handoff fall through from the new copy to
-// a still-complete old copy so there is no miss storm, and entries are
-// copied over with version counters so a late copy can never clobber a
-// write that landed after the flip. With the default Options (one
-// node, zero replicas) the service is the single-node reference the
-// dualtest differential harness pins the replicated tier against.
+// an explicit set of Nodes. Writes apply to every copy and reads are
+// served by the primary. A node leaves the set only by failing:
+// KillNode re-places the shards it owned and fills every new copy from
+// a surviving one before it returns, so every copy a data op can reach
+// is complete. With the default Options (one node, zero replicas) the
+// service is the single-node reference the dualtest differential
+// harness pins the replicated tier against.
 //
 // Correctness under partition comes from epoch leases (the
 // sigmaOS fenceclnt/epochclnt shape): a mount holds a lease per shard
@@ -43,13 +41,14 @@
 // holds per replica: a stale-epoch write is dropped at every copy and
 // counted on every node, never applied to some copies and not others.
 // Leases are service-global control-plane state, so in-flight epochs
-// survive shard migration and node failure untouched.
+// survive node failure untouched.
 package cachesvc
 
 import (
+	"bytes"
+	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cntr/internal/blobstore"
@@ -92,12 +91,11 @@ func (k Key) less(o Key) bool {
 // on read; NodeStats attributes them to individual nodes.
 type Stats struct {
 	// Hits and Misses count Get outcomes; Contains probes count in
-	// neither (they are presence checks, not reads). A lookup served by
-	// handoff fallthrough counts one hit, on the node that held the data.
+	// neither (they are presence checks, not reads).
 	Hits, Misses int64
-	// Puts counts applied copies: one per node hosting the key's shard
-	// (primary plus replicas plus any handoff source still holding the
-	// shard), so a single-node service counts one per mutation.
+	// Puts counts applied copies: one per owner of the key's shard
+	// (primary plus replicas), so a single-node service counts one per
+	// mutation.
 	Puts int64
 	// Seeds counts administrative epoch-free Put calls (registry
 	// backfill), one per call regardless of copy count.
@@ -118,6 +116,9 @@ type Stats struct {
 	// LeasesActive is the number currently held; Expirations counts
 	// leases observed expired (on validate/renew).
 	LeasesGranted, LeasesActive, Expirations int64
+	// LostShards counts shards whose last copy died with a killed node:
+	// their cached entries are gone and re-fetched from the origin.
+	LostShards int64
 }
 
 // Options tunes a Service.
@@ -154,24 +155,17 @@ type Service struct {
 	opts  Options
 	clock *sim.Clock
 
-	// ver stamps every accepted mutation; migration copies carry their
-	// source's stamp and never overwrite a newer one.
-	ver atomic.Uint64
-
-	// topo guards the node set, placement, and migration tasks. Data
-	// ops hold it for read while routing and touching stores; topology
-	// changes and migration steps hold it for write.
-	topo           sync.RWMutex
-	nodes          []*node
-	placement      [][]int
-	placeVersion   uint64
-	tasks          []*copyTask
-	pendingHandoff map[int]bool
-
-	shardsMoved     atomic.Int64
-	entriesCopied   atomic.Int64
-	fallthroughHits atomic.Int64
-	lostShards      atomic.Int64
+	// topo guards the node set and placement. Data ops hold it for read
+	// while routing and touching stores; KillNode holds it for write, so
+	// no data op runs while a kill re-places and copies shards.
+	topo         sync.RWMutex
+	nodes        []*node
+	placement    [][]int
+	placeVersion uint64
+	lostShards   int64
+	// writes serializes the mutations of each shard, so every copy of
+	// the shard applies them in the same order.
+	writes []sync.Mutex
 
 	mu      sync.Mutex
 	leases  map[leaseID]*leaseState
@@ -182,30 +176,26 @@ type Service struct {
 	seeds   int64
 }
 
-// store is one node's copy of one shard: a lock+LRU over versioned
-// entries. complete marks a copy holding every entry the shard has (an
-// incomplete copy is mid-handoff and falls through on a miss).
+// store is one node's copy of one shard: a lock+LRU over entries.
 type store struct {
 	mu      sync.Mutex
 	entries map[Key]*entry
 	// lru is the sentinel of the entries' ring: lru.next is the most
 	// recently used, lru.prev the least.
-	lru      entry
-	bytes    int64
-	cap      int64
-	complete bool
+	lru   entry
+	bytes int64
+	cap   int64
 }
 
 // entry is one cached value and its place in its store's LRU ring.
 type entry struct {
 	key        Key
 	val        []byte
-	ver        uint64
 	prev, next *entry
 }
 
-func newStore(cap int64, complete bool) *store {
-	st := &store{cap: cap, complete: complete}
+func newStore(cap int64) *store {
+	st := &store{cap: cap}
 	st.clear()
 	return st
 }
@@ -235,17 +225,6 @@ func (st *store) get(key Key) ([]byte, bool) {
 	return e.val, true
 }
 
-// peek returns the value and version without touching LRU order.
-func (st *store) peek(key Key) ([]byte, uint64, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.entries[key]
-	if !ok {
-		return nil, 0, false
-	}
-	return e.val, e.ver, true
-}
-
 // contains probes presence without counters or LRU effects.
 func (st *store) contains(key Key) bool {
 	st.mu.Lock()
@@ -254,19 +233,19 @@ func (st *store) contains(key Key) bool {
 	return ok
 }
 
-// put stores a fresh mutation and returns evictions. val is shared, not
-// copied: applyLocked copies it once for every copy of the shard.
-func (st *store) put(key Key, val []byte, ver uint64) int {
+// put stores val under key and returns evictions. val is shared, not
+// copied: applyLocked copies it once for every copy of the shard, and
+// the service never mutates a stored value in place.
+func (st *store) put(key Key, val []byte) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if e, ok := st.entries[key]; ok {
 		st.bytes += int64(len(val)) - int64(len(e.val))
 		e.val = val
-		e.ver = ver
 		e.unlink()
 		e.insertAfter(&st.lru)
 	} else {
-		e := &entry{key: key, val: val, ver: ver}
+		e := &entry{key: key, val: val}
 		e.insertAfter(&st.lru)
 		st.entries[key] = e
 		st.bytes += int64(len(val)) + key.size()
@@ -274,28 +253,12 @@ func (st *store) put(key Key, val []byte, ver uint64) int {
 	return st.evictLocked()
 }
 
-// install lands a migrated copy: it only takes effect when the store
-// has no entry for key, or a strictly older one — a write accepted
-// after the placement flip always wins over a late copy from the old
-// owner. val is shared, not copied: both slices are service-owned and
-// never mutated in place.
-func (st *store) install(key Key, val []byte, ver uint64) (installed bool, evictions int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if e, ok := st.entries[key]; ok {
-		if e.ver >= ver {
-			return false, 0
-		}
-		st.bytes += int64(len(val)) - int64(len(e.val))
-		e.val = val
-		e.ver = ver
-		return true, st.evictLocked()
+// fill copies src's entries, in keys() order, into st: a new copy no
+// data op can reach yet. Callers hold topo for write, so src is still.
+func (st *store) fill(src *store) {
+	for _, k := range src.keys() {
+		st.put(k, src.entries[k].val)
 	}
-	e := &entry{key: key, val: val, ver: ver}
-	e.insertAfter(st.lru.prev) // migrated copies join cold
-	st.entries[key] = e
-	st.bytes += int64(len(val)) + key.size()
-	return true, st.evictLocked()
 }
 
 // remove drops key, reporting whether it was present.
@@ -325,8 +288,7 @@ func (st *store) evictLocked() int {
 	return n
 }
 
-// keys returns the store's keys, sorted (the deterministic snapshot a
-// migration task copies from).
+// keys returns the store's keys, sorted: the order a kill copies in.
 func (st *store) keys() []Key {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -377,29 +339,23 @@ func New(opts Options) *Service {
 		clock = sim.NewClock()
 	}
 	s := &Service{
-		opts:           opts,
-		clock:          clock,
-		leases:         make(map[leaseID]*leaseState),
-		epochs:         make(map[leaseID]uint64),
-		placement:      make([][]int, opts.Shards),
-		pendingHandoff: make(map[int]bool),
+		opts:         opts,
+		clock:        clock,
+		leases:       make(map[leaseID]*leaseState),
+		epochs:       make(map[leaseID]uint64),
+		placement:    make([][]int, opts.Shards),
+		placeVersion: 1,
+		writes:       make([]sync.Mutex, opts.Shards),
 	}
 	for i := 0; i < opts.Nodes; i++ {
 		s.nodes = append(s.nodes, newNode(i))
 	}
-	s.topo.Lock()
-	s.recomputeLocked()
-	// The initial placement is not a handoff: every owner store starts
-	// complete and empty, with nothing to migrate from.
-	for _, nd := range s.nodes {
-		for _, st := range nd.stores {
-			st.complete = true
+	for sh := range s.placement {
+		s.placement[sh] = s.ownersForLocked(sh)
+		for _, id := range s.placement[sh] {
+			s.nodes[id].stores[sh] = newStore(opts.ShardCapacity)
 		}
 	}
-	s.tasks = nil
-	s.pendingHandoff = make(map[int]bool)
-	s.placeVersion = 1
-	s.topo.Unlock()
 	return s
 }
 
@@ -429,7 +385,7 @@ func (s *Service) ShardOf(key Key) int {
 
 // GroupOf returns the lease shard-group guarding mutations of key:
 // shards are striped across groups. Groups partition the key space,
-// not the node set, so a lease's epoch is untouched by migration.
+// not the node set, so a lease's epoch is untouched by a kill.
 func (s *Service) GroupOf(key Key) int { return s.ShardOf(key) % s.opts.Groups }
 
 // NumGroups returns the number of lease shard-groups.
@@ -442,144 +398,48 @@ func (s *Service) NumShards() int { return s.opts.Shards }
 // simulate time passing on the service side of a partition).
 func (s *Service) Clock() *sim.Clock { return s.clock }
 
-// hosts is the array a caller of hostingLocked lends it. Data ops run
-// concurrently under topo's read lock, so the storage must be the
-// caller's own, on its stack; a shard on more nodes grows onto the heap.
-type hosts [8]*node
-
-// hostingLocked appends to out the live nodes holding a copy of shard
-// sh: current owners first in placement order, then any handoff sources
-// still holding the shard, in node-id order. Callers hold topo and pass
-// a hosts array as out (on[:0]).
-func (s *Service) hostingLocked(sh int, out []*node) []*node {
-	owners := s.placement[sh]
-	for _, id := range owners {
-		if nd := s.nodes[id]; nd.live && nd.stores[sh] != nil {
-			out = append(out, nd)
-		}
-	}
-	for _, nd := range s.nodes {
-		if !containsInt(owners, nd.id) && nd.live && nd.stores[sh] != nil {
-			out = append(out, nd)
-		}
-	}
-	return out
-}
-
-// completeHostLocked returns the lowest-numbered live node other than
-// skip holding a complete copy of shard sh, or nil.
-func (s *Service) completeHostLocked(sh, skip int) *node {
-	var best *node
-	var on hosts
-	for _, nd := range s.hostingLocked(sh, on[:0]) {
-		if nd.id == skip || !nd.stores[sh].complete {
-			continue
-		}
-		if best == nil || nd.id < best.id {
-			best = nd
-		}
-	}
-	return best
-}
-
-// readTargetLocked picks the node a placement-unaware read routes to:
-// the first live owner in placement order, so the primary while it lives.
-func (s *Service) readTargetLocked(sh int) *node {
-	for _, id := range s.placement[sh] {
-		if nd := s.nodes[id]; nd.live {
-			return nd
-		}
-	}
-	return nil
-}
-
-// getFromLocked serves a lookup at node nd, falling through to a
-// complete copy when nd's copy is mid-handoff. hops counts extra
-// cross-node transfers the lookup cost. Callers hold topo for read.
-func (s *Service) getFromLocked(nd *node, sh int, key Key) ([]byte, bool, int) {
-	st := nd.stores[sh]
-	if st != nil {
-		if val, ok := st.get(key); ok {
-			nd.hits.Add(1)
-			return val, true, 0
-		}
-		if st.complete {
-			nd.misses.Add(1)
-			return nil, false, 0
-		}
-	}
-	// The copy here is absent or incomplete: fall through to a complete
-	// copy so a handoff in progress never manufactures a miss storm.
-	src := s.completeHostLocked(sh, nd.id)
-	if src == nil {
-		nd.misses.Add(1)
-		return nil, false, 0
-	}
-	val, ver, ok := src.stores[sh].peek(key)
-	if !ok {
-		nd.misses.Add(1)
-		return nil, false, 1
-	}
-	src.hits.Add(1)
-	s.fallthroughHits.Add(1)
-	if st != nil {
-		// Pull-copy: the served entry also lands in the queried copy so
-		// the handoff converges with the read traffic.
-		if installed, ev := st.install(key, val, ver); installed {
-			s.entriesCopied.Add(1)
-			nd.evictions.Add(int64(ev))
-		}
-	}
-	return val, true, 1
-}
-
-// Get returns the cached value for key, served by the first live owner
+// Get returns the cached value for key, served by the shard's primary
 // (internal routing — cachecl routes explicitly and pays the network).
 // The returned slice is owned by the service and must not be modified.
 func (s *Service) Get(key Key) ([]byte, bool) {
 	s.topo.RLock()
 	defer s.topo.RUnlock()
 	sh := s.ShardOf(key)
-	nd := s.readTargetLocked(sh)
-	if nd == nil {
+	owners := s.placement[sh]
+	if len(owners) == 0 {
 		return nil, false
 	}
-	val, ok, _ := s.getFromLocked(nd, sh, key)
-	return val, ok
+	return s.nodes[owners[0]].get(sh, key)
 }
 
-// Contains reports presence on any live copy without touching LRU
-// order or hit/miss counters — the probe Registry.Pull uses to skip
-// transfers.
+// Contains reports presence on any copy without touching LRU order or
+// hit/miss counters — the probe Registry.Pull uses to skip transfers.
 func (s *Service) Contains(key Key) bool {
 	s.topo.RLock()
 	defer s.topo.RUnlock()
 	sh := s.ShardOf(key)
-	var on hosts
-	for _, nd := range s.hostingLocked(sh, on[:0]) {
-		if nd.stores[sh].contains(key) {
+	for _, id := range s.placement[sh] {
+		if s.nodes[id].stores[sh].contains(key) {
 			return true
 		}
 	}
 	return false
 }
 
-// applyLocked lands a mutation on every live copy of the shard —
-// owners and any handoff sources alike, so a fallthrough can never
-// serve a value a later write replaced. val is copied once and every
-// copy shares the copy, as install's do. Returns the copy count.
-// Callers hold topo for read.
+// applyLocked lands a mutation on every owner's copy of the shard. val
+// is copied once and every copy shares the copy. Returns the copy
+// count. Callers hold topo for read.
 func (s *Service) applyLocked(sh int, key Key, val []byte) int {
-	ver := s.ver.Add(1)
-	var on hosts
-	hosting := s.hostingLocked(sh, on[:0])
+	owners := s.placement[sh]
 	val = append([]byte(nil), val...)
-	for _, nd := range hosting {
-		ev := nd.stores[sh].put(key, val, ver)
+	s.writes[sh].Lock()
+	defer s.writes[sh].Unlock()
+	for _, id := range owners {
+		nd := s.nodes[id]
+		nd.evictions.Add(int64(nd.stores[sh].put(key, val)))
 		nd.puts.Add(1)
-		nd.evictions.Add(int64(ev))
 	}
-	return len(hosting)
+	return len(owners)
 }
 
 // Put stores val under key on behalf of the lease holder, on the
@@ -610,9 +470,8 @@ func (s *Service) Seed(key Key, val []byte) {
 }
 
 // Invalidate drops key on behalf of the lease holder, with the same
-// fencing rule as Put. The drop lands on every copy — a handoff source
-// included, so a fallthrough can never resurrect an invalidated entry.
-// Dropping an absent key is not an error.
+// fencing rule as Put. The drop lands on every copy. Dropping an absent
+// key is not an error.
 func (s *Service) Invalidate(l Lease, key Key) error {
 	if err := s.admit(l, key); err != nil {
 		return err
@@ -620,8 +479,10 @@ func (s *Service) Invalidate(l Lease, key Key) error {
 	s.topo.RLock()
 	defer s.topo.RUnlock()
 	sh := s.ShardOf(key)
-	var on hosts
-	for _, nd := range s.hostingLocked(sh, on[:0]) {
+	s.writes[sh].Lock()
+	defer s.writes[sh].Unlock()
+	for _, id := range s.placement[sh] {
+		nd := s.nodes[id]
 		nd.stores[sh].remove(key)
 		nd.invals.Add(1)
 	}
@@ -629,8 +490,8 @@ func (s *Service) Invalidate(l Lease, key Key) error {
 }
 
 // Reset drops every cached entry on every node (leases, epochs,
-// placement, migration progress and counters are kept). Experiments
-// call it between a seeding phase and a measured cold-read phase.
+// placement and counters are kept). Experiments call it between a
+// seeding phase and a measured cold-read phase.
 func (s *Service) Reset() {
 	s.topo.RLock()
 	defer s.topo.RUnlock()
@@ -659,6 +520,7 @@ func (s *Service) Stats() Stats {
 			st.mu.Unlock()
 		}
 	}
+	agg.LostShards = s.lostShards
 	s.topo.RUnlock()
 	s.mu.Lock()
 	agg.FencedWrites = s.fenced
@@ -678,4 +540,76 @@ func (st Stats) HitRatio() float64 {
 		return 0
 	}
 	return float64(st.Hits) / float64(total)
+}
+
+// dump copies the store's contents out; values are shared.
+func (st *store) dump() map[Key][]byte {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	m := make(map[Key][]byte, len(st.entries))
+	for k, e := range st.entries {
+		m[k] = e.val
+	}
+	return m
+}
+
+// Snapshot returns the service's logical contents: for each shard, the
+// entries of its primary's copy. Values are copied. The dualtest harness
+// diffs this against the single-node reference.
+func (s *Service) Snapshot() map[Key][]byte {
+	s.topo.RLock()
+	defer s.topo.RUnlock()
+	out := make(map[Key][]byte)
+	for sh, owners := range s.placement {
+		if len(owners) == 0 {
+			continue
+		}
+		for k, v := range s.nodes[owners[0]].stores[sh].dump() {
+			out[k] = append([]byte(nil), v...)
+		}
+	}
+	return out
+}
+
+// CheckConsistency verifies the replication invariants: every owner of
+// a shard holds a copy, every copy of a shard holds identical entries,
+// and no node holds a copy of a shard it does not own. Returns nil when
+// the invariants hold.
+func (s *Service) CheckConsistency() error {
+	s.topo.RLock()
+	defer s.topo.RUnlock()
+	held, owned := 0, 0
+	for _, nd := range s.nodes {
+		held += len(nd.stores)
+	}
+	for sh, owners := range s.placement {
+		owned += len(owners)
+		var ref map[Key][]byte
+		for _, id := range owners {
+			st := s.nodes[id].stores[sh]
+			if st == nil {
+				return fmt.Errorf("shard %d: owner %d holds no copy", sh, id)
+			}
+			m := st.dump()
+			if ref == nil {
+				ref = m
+				continue
+			}
+			if len(m) != len(ref) {
+				return fmt.Errorf("shard %d: node %d holds %d entries, node %d holds %d",
+					sh, id, len(m), owners[0], len(ref))
+			}
+			for k, v := range m {
+				if rv, ok := ref[k]; !ok || !bytes.Equal(v, rv) {
+					return fmt.Errorf("shard %d: key %q differs between node %d and node %d",
+						sh, k, id, owners[0])
+				}
+			}
+		}
+	}
+	// Every owner holds a copy, so any surplus is a copy nobody owns.
+	if held != owned {
+		return fmt.Errorf("nodes hold %d shard copies, placement owns %d", held, owned)
+	}
+	return nil
 }

@@ -1,34 +1,35 @@
 // Package dualtest is the differential consistency harness for the
 // replicated cache tier: it runs one randomized workload against two
-// services simultaneously — the replicated, migrating configuration
-// under test and the retained single-node reference — and asserts that
-// every observable is identical. The replicated tier is correct by
-// construction against the reference, not by spot checks: if
-// replication, placement, migration, failure handling or per-replica
-// fencing ever change an outcome a client could see, some seed
-// diverges and the harness names the exact operation.
+// services simultaneously — the replicated configuration under test,
+// losing nodes as it runs, and the retained single-node reference — and
+// asserts that every observable is identical. The replicated tier is
+// correct by construction against the reference, not by spot checks: if
+// replication, placement, failure handling or per-replica fencing ever
+// change an outcome a client could see, some seed diverges and the
+// harness names the exact operation.
 //
-// Compared observables, per operation: lookup outcomes (present or
-// not, and the exact bytes) and mutation error classification (ok /
-// fenced / wrong-group). Compared at the end: aggregate hit, miss,
-// seed and fenced-write counters, the full logical store contents, and
-// the replicated tier's internal replica-agreement invariant
-// (identical complete copies, subset-consistent partial copies).
+// Compared observables, per operation: lookup and presence-probe
+// outcomes (present or not, and the exact bytes) and mutation error
+// classification (ok / fenced / wrong-group). Compared at the end:
+// aggregate hit, miss, seed and fenced-write counters, the full logical
+// store contents, and the replicated tier's internal replica-agreement
+// invariant (every owner holds an identical copy, no other node holds
+// one).
 //
-// The workload interleaves, under one deterministic seed: reads,
-// lease-guarded writes and invalidations, epoch-free seeds, writes
-// under deliberately stale (superseded) and expired leases, writes
-// under the wrong group's lease, lease re-acquisition and renewal,
-// virtual-time advance across the lease TTL, incremental migration
-// steps, and topology events (add, drain, kill) on the replicated side
-// only — the reference, by definition, has no topology.
+// The workload interleaves, under one deterministic seed: reads and
+// presence probes, lease-guarded writes and invalidations, epoch-free
+// seeds, writes under deliberately stale (superseded) and expired
+// leases, writes under the wrong group's lease, lease re-acquisition and
+// renewal, virtual-time advance across the lease TTL, and node kills on
+// the replicated side only — the reference, by definition, has no
+// topology.
 //
-// Node failure discipline: a kill is only injected when no migration
-// is in flight and the surviving eligible set keeps every shard at
-// replication factor, so the workload never destroys the last complete
-// copy of a shard — cached-entry loss is legitimate cache behaviour
-// but observable (a hit becomes a miss), and the point here is to pin
-// the cases that must be equivalent. LostShards is asserted zero.
+// Node failure discipline: a kill is only injected while every shard
+// the victim owns has another live owner (Replicas >= 1 and at least two
+// nodes live), so the workload never destroys the last copy of a shard
+// — cached-entry loss is legitimate cache behaviour but observable (a
+// hit becomes a miss), and the point here is to pin the cases that must
+// be equivalent. LostShards is asserted zero.
 package dualtest
 
 import (
@@ -43,8 +44,8 @@ import (
 
 // Options configures one differential run.
 type Options struct {
-	// Seed drives every random choice (key selection, op mix, topology
-	// event timing). Same seed, same run, bit for bit.
+	// Seed drives every random choice (key selection, op mix, kill
+	// timing). Same seed, same run, bit for bit.
 	Seed uint64
 	// Nodes and Replicas configure the replicated side (the reference
 	// is always one node, zero replicas).
@@ -54,8 +55,6 @@ type Options struct {
 	Ops int
 	// Keys is the key-pool size (default 160).
 	Keys int
-	// MaxNodes caps AddNode growth (default Nodes+3).
-	MaxNodes int
 }
 
 // Result summarizes what one run exercised, so tests can assert the
@@ -66,11 +65,7 @@ type Result struct {
 	WrongGroupWrites                     int
 	Fenced                               int64
 	Reacquires, Renews, ClockAdvances    int
-	AddNodes, Drains, Kills              int
-	MigrateSteps                         int
-	ShardsMoved                          int64
-	FallthroughHits                      int64
-	EntriesCopied                        int64
+	Kills                                int
 }
 
 type side struct {
@@ -141,9 +136,6 @@ func Run(opts Options) (Result, error) {
 	}
 	if opts.Keys <= 0 {
 		opts.Keys = 160
-	}
-	if opts.MaxNodes <= 0 {
-		opts.MaxNodes = opts.Nodes + 3
 	}
 	const shards, groups = 16, 4
 
@@ -287,56 +279,24 @@ func Run(opts Options) (Result, error) {
 					rep.leases[g], ref.leases[g] = repRenewed, refRenewed
 				}
 			}
-		case roll < 960: // incremental migration progress (replicated only)
-			res.MigrateSteps++
-			rep.svc.MigrateStep(r.Intn(8) + 1)
-		default: // topology event (replicated only)
-			ms := rep.svc.MigrationStats()
-			ns := rep.svc.NodeStats()
-			eligible := 0
-			for _, n := range ns {
-				if n.Live && !n.Draining {
-					eligible++
+		case roll < 998: // presence probe
+			if repOK, refOK := rep.svc.Contains(k), ref.svc.Contains(k); repOK != refOK {
+				return res, fmt.Errorf("op %d: contains %q: replicated=%v reference=%v",
+					op, k, repOK, refOK)
+			}
+		default: // kill a node (replicated only), under the failure discipline
+			var live []int
+			for _, n := range rep.svc.NodeStats() {
+				if n.Live {
+					live = append(live, n.ID)
 				}
 			}
-			// pick chooses among the currently eligible (live,
-			// non-draining) nodes, starting from a random rotation so the
-			// choice stays seed-driven.
-			pick := func() int {
-				off := r.Intn(len(ns))
-				for i := 0; i < len(ns); i++ {
-					id := (off + i) % len(ns)
-					if ns[id].Live && !ns[id].Draining {
-						return id
-					}
-				}
-				return -1
+			if opts.Replicas == 0 || len(live) < 2 {
+				break
 			}
-			switch ev := r.Intn(3); {
-			case ev == 0 && len(ns) < opts.MaxNodes:
-				res.AddNodes++
-				rep.svc.AddNode()
-			case ev == 1 && eligible > opts.Replicas+1:
-				if id := pick(); id >= 0 {
-					res.Drains++
-					if err := rep.svc.DrainNode(id); err != nil {
-						return res, fmt.Errorf("op %d: drain: %v", op, err)
-					}
-				}
-			case ev == 2 && eligible > opts.Replicas+1:
-				// Kill only with no handoff in flight and headroom in the
-				// eligible set, so every shard keeps a complete copy: any
-				// pending handoff is driven to completion first (the "kill
-				// right after settle" interleaving).
-				if ms.MigratingShards > 0 || ms.PendingEntries > 0 {
-					rep.svc.MigrateAll()
-				}
-				if id := pick(); id >= 0 {
-					res.Kills++
-					if err := rep.svc.KillNode(id); err != nil {
-						return res, fmt.Errorf("op %d: kill: %v", op, err)
-					}
-				}
+			res.Kills++
+			if err := rep.svc.KillNode(live[r.Intn(len(live))]); err != nil {
+				return res, fmt.Errorf("op %d: kill: %v", op, err)
 			}
 		}
 		// The replica-agreement invariant holds at every step, not just
@@ -349,8 +309,6 @@ func Run(opts Options) (Result, error) {
 	}
 	res.Ops = opts.Ops
 
-	// Drain the migration queue, then compare final state.
-	rep.svc.MigrateAll()
 	if err := rep.svc.CheckConsistency(); err != nil {
 		return res, fmt.Errorf("final: %w", err)
 	}
@@ -388,12 +346,8 @@ func Run(opts Options) (Result, error) {
 		}
 	}
 
-	ms := rep.svc.MigrationStats()
-	if ms.LostShards != 0 {
-		return res, fmt.Errorf("workload lost %d shards despite the kill discipline", ms.LostShards)
+	if repStats.LostShards != 0 {
+		return res, fmt.Errorf("workload lost %d shards despite the kill discipline", repStats.LostShards)
 	}
-	res.ShardsMoved = ms.ShardsMoved
-	res.FallthroughHits = ms.FallthroughHits
-	res.EntriesCopied = ms.EntriesCopied
 	return res, nil
 }

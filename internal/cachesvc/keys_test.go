@@ -10,7 +10,7 @@ import (
 // TestShardMapPinned holds what was recorded when a key was the string
 // space+":"+name: the shard and lease group of chunk and attr keys on a
 // default service, the order of a store's keys() snapshot (the order a
-// migration copies in) and the bytes an entry charges.
+// kill copies in) and the bytes an entry charges.
 func TestShardMapPinned(t *testing.T) {
 	s := New(Options{})
 	for _, tc := range []struct {

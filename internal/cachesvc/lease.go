@@ -108,9 +108,9 @@ func (s *Service) Release(l Lease) error {
 //
 // The fence holds per replica: one rejected mutation counts once at
 // the service level (Stats.FencedWrites stays mutation-granular across
-// any node count) and once on every node currently holding a copy of
-// the key's shard (NodeStats.FencedWrites — the drop happened at every
-// copy, applied to none).
+// any node count) and once on every owner of the key's shard
+// (NodeStats.FencedWrites — the drop happened at every copy, applied to
+// none).
 func (s *Service) admit(l Lease, key Key) error {
 	if s.GroupOf(key) != l.Group {
 		return ErrWrongGroup
@@ -136,9 +136,8 @@ func (s *Service) admit(l Lease, key Key) error {
 	// s.mu is released before taking topo: lease state and topology are
 	// independent lock domains and must never nest.
 	s.topo.RLock()
-	var on hosts
-	for _, nd := range s.hostingLocked(s.ShardOf(key), on[:0]) {
-		nd.fenced.Add(1)
+	for _, id := range s.placement[s.ShardOf(key)] {
+		s.nodes[id].fenced.Add(1)
 	}
 	s.topo.RUnlock()
 	return ErrFenced

@@ -3,31 +3,29 @@ package cachesvc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
-// Errors returned by the node-addressed data plane and topology ops.
+// Errors returned by the node-addressed data plane and KillNode.
 var (
 	// ErrMoved tells a client its cached placement version is stale (or
-	// it addressed a dead node): refresh Placement and retry.
+	// it addressed a dead node, or one not holding the key's shard):
+	// refresh Placement and retry.
 	ErrMoved = errors.New("cachesvc: placement moved")
-	// ErrUnknownNode rejects topology ops naming a node id never added.
+	// ErrUnknownNode rejects a kill naming a node id the service never had.
 	ErrUnknownNode = errors.New("cachesvc: unknown node")
-	// ErrNodeDown rejects topology ops on a node already killed.
+	// ErrNodeDown rejects a kill of a node already killed.
 	ErrNodeDown = errors.New("cachesvc: node is down")
-	// ErrLastNode refuses to drain the last node eligible to own shards.
-	ErrLastNode = errors.New("cachesvc: cannot drain last eligible node")
 )
 
 // node is one cache node: its copies of the shards placement assigns
-// it (plus any it is handing off) and per-node counters. Counter fields
-// are atomics so data-plane reads under the topo read-lock never
-// serialize on a node-wide mutex.
+// it and per-node counters. Counter fields are atomics so data-plane
+// reads under the topo read-lock never serialize on a node-wide mutex.
 type node struct {
-	id       int
-	live     bool
-	draining bool
-	stores   map[int]*store
+	id     int
+	live   bool
+	stores map[int]*store
 
 	hits, misses, puts, invals atomic.Int64
 	fenced, evictions          atomic.Int64
@@ -37,13 +35,24 @@ func newNode(id int) *node {
 	return &node{id: id, live: true, stores: make(map[int]*store)}
 }
 
+// get serves a lookup of key from the node's copy of shard sh, which it
+// must hold, counting the hit or miss here. Callers hold topo for read.
+func (nd *node) get(sh int, key Key) ([]byte, bool) {
+	val, ok := nd.stores[sh].get(key)
+	if ok {
+		nd.hits.Add(1)
+	} else {
+		nd.misses.Add(1)
+	}
+	return val, ok
+}
+
 // NodeStats is one node's slice of the service counters.
 type NodeStats struct {
-	ID       int
-	Live     bool
-	Draining bool
-	// Shards is the number of shard copies the node currently holds
-	// (owned plus mid-handoff).
+	ID   int
+	Live bool
+	// Shards is the number of shard copies the node holds: the shards it
+	// owns, none once it is killed.
 	Shards                            int
 	Hits, Misses, Puts, Invalidations int64
 	// FencedWrites counts fenced mutations dropped at this node's
@@ -66,7 +75,6 @@ func (s *Service) NodeStats() []NodeStats {
 		ns := NodeStats{
 			ID:            nd.id,
 			Live:          nd.live,
-			Draining:      nd.draining,
 			Shards:        len(nd.stores),
 			Hits:          nd.hits.Load(),
 			Misses:        nd.misses.Load(),
@@ -122,8 +130,8 @@ func (s *Service) PlacementVersion() uint64 {
 	return s.placeVersion
 }
 
-// NumNodes returns the number of nodes ever added (dead ones
-// included — node ids are never reused).
+// NumNodes returns the number of nodes the service was built with (dead
+// ones included — node ids are never reused).
 func (s *Service) NumNodes() int {
 	s.topo.RLock()
 	defer s.topo.RUnlock()
@@ -133,9 +141,9 @@ func (s *Service) NumNodes() int {
 // placementScore ranks node candidates for a shard by rendezvous
 // (highest-random-weight) hashing: each (shard, node) pair gets an
 // independent deterministic score and the top R+1 scorers own the
-// shard. Adding a node steals only the shards it now wins; removing
-// one reassigns only the shards it owned — the minimal-movement
-// property the placement test pins. The FNV digest is run through a
+// shard. Removing a node reassigns only the shards it owned — the
+// minimal-movement property KillNode relies on and the placement test
+// pins. The FNV digest is run through a
 // murmur-style finalizer: raw FNV of these short near-identical
 // strings orders consecutive node ids non-uniformly (one node of a
 // 3-set wins half the shards), and rendezvous needs independent score
@@ -151,7 +159,7 @@ func placementScore(shard, nodeID int) uint64 {
 }
 
 // ownersForLocked computes the owner list (primary first) for a shard
-// from the currently eligible nodes. Callers hold topo.
+// from the live nodes. Callers hold topo.
 func (s *Service) ownersForLocked(sh int) []int {
 	type cand struct {
 		id    int
@@ -159,7 +167,7 @@ func (s *Service) ownersForLocked(sh int) []int {
 	}
 	cands := make([]cand, 0, len(s.nodes))
 	for _, nd := range s.nodes {
-		if nd.live && !nd.draining {
+		if nd.live {
 			cands = append(cands, cand{nd.id, placementScore(sh, nd.id)})
 		}
 	}
@@ -180,98 +188,73 @@ func (s *Service) ownersForLocked(sh int) []int {
 	return owners
 }
 
-// AddNode grows the node set by one node and starts migrating the
-// shards the new node now owns. Returns the new node's id. Ownership
-// flips immediately (placement version bump); the data moves via
-// MigrateStep/MigrateAll and read fallthrough, with old owners serving
-// until every new copy is complete.
-func (s *Service) AddNode() int {
-	s.topo.Lock()
-	defer s.topo.Unlock()
-	id := len(s.nodes)
-	s.nodes = append(s.nodes, newNode(id))
-	s.recomputeLocked()
-	s.settleLocked()
-	return id
-}
-
-// DrainNode marks a node ineligible for ownership and migrates its
-// shards away. The node stays live — it keeps serving reads and
-// taking writes for shards it still holds — until migration completes
-// and settle drops its copies; the caller can then KillNode it safely.
-func (s *Service) DrainNode(id int) error {
-	s.topo.Lock()
-	defer s.topo.Unlock()
-	if id < 0 || id >= len(s.nodes) {
-		return ErrUnknownNode
-	}
-	nd := s.nodes[id]
-	if !nd.live {
-		return ErrNodeDown
-	}
-	if nd.draining {
-		return nil
-	}
-	eligible := 0
-	for _, other := range s.nodes {
-		if other.live && !other.draining && other.id != id {
-			eligible++
-		}
-	}
-	if eligible == 0 {
-		return ErrLastNode
-	}
-	nd.draining = true
-	s.recomputeLocked()
-	s.settleLocked()
-	return nil
-}
-
-// KillNode simulates a node failure: the node and its shard copies
-// vanish. Shards it owned are re-placed; any copy mid-migration from
-// it re-sources from a surviving complete copy. If the killed node
-// held a shard's only complete copy, the shard's cached entries are
-// lost (LostShards counts it) — the tier is a cache, so the cost is
-// re-fetching from the origin, never wrong data. Leases are untouched:
-// epochs are service-global control-plane state.
+// KillNode simulates a node failure, the only change to the node set:
+// the node and its shard copies vanish, and before KillNode returns
+// every shard it owned is re-placed and each new owner's copy is filled
+// from a surviving owner. Data ops wait on the topology lock meanwhile,
+// so every copy they reach is complete. A shard with no surviving owner
+// loses its cached entries (Stats.LostShards counts it) — the tier is a
+// cache, so the cost is re-fetching from the origin, never wrong data.
+// Leases are untouched: epochs are service-global control-plane state.
 func (s *Service) KillNode(id int) error {
 	s.topo.Lock()
 	defer s.topo.Unlock()
 	if id < 0 || id >= len(s.nodes) {
 		return ErrUnknownNode
 	}
-	nd := s.nodes[id]
-	if !nd.live {
+	dead := s.nodes[id]
+	if !dead.live {
 		return ErrNodeDown
 	}
-	nd.live = false
-	nd.draining = false
-	nd.stores = make(map[int]*store)
-	s.recomputeLocked()
-	s.settleLocked()
+	dead.live = false
+	dead.stores = nil
+	s.placeVersion++
+	for sh, old := range s.placement {
+		// Rendezvous placement moves only the shards the dead node owned.
+		if !slices.Contains(old, id) {
+			continue
+		}
+		var src *store
+		for _, o := range old {
+			if o != id {
+				src = s.nodes[o].stores[sh]
+				break
+			}
+		}
+		if src == nil {
+			s.lostShards++
+		}
+		s.placement[sh] = s.ownersForLocked(sh)
+		for _, o := range s.placement[sh] {
+			if nd := s.nodes[o]; nd.stores[sh] == nil {
+				st := newStore(s.opts.ShardCapacity)
+				if src != nil {
+					st.fill(src)
+				}
+				nd.stores[sh] = st
+			}
+		}
+	}
 	return nil
 }
 
 // NodeGet serves a read addressed at a specific node, as routed by a
-// placement-aware client holding placement version. hops counts extra
-// cross-node transfers (handoff fallthrough) the client must charge
-// beyond its own hop to the addressed node.
-func (s *Service) NodeGet(nodeID int, version uint64, key Key) (val []byte, ok bool, hops int, err error) {
+// placement-aware client holding placement version.
+func (s *Service) NodeGet(nodeID int, version uint64, key Key) (val []byte, ok bool, err error) {
 	s.topo.RLock()
 	defer s.topo.RUnlock()
-	if version != s.placeVersion {
-		return nil, false, 0, ErrMoved
+	sh := s.ShardOf(key)
+	if version != s.placeVersion || nodeID < 0 || nodeID >= len(s.nodes) ||
+		s.nodes[nodeID].stores[sh] == nil {
+		return nil, false, ErrMoved
 	}
-	if nodeID < 0 || nodeID >= len(s.nodes) || !s.nodes[nodeID].live {
-		return nil, false, 0, ErrMoved
-	}
-	val, ok, hops = s.getFromLocked(s.nodes[nodeID], s.ShardOf(key), key)
-	return val, ok, hops, nil
+	val, ok = s.nodes[nodeID].get(sh, key)
+	return val, ok, nil
 }
 
 // NodePut applies a lease-guarded write addressed at the key's primary
 // by a placement-aware client. copies reports how many stores the
-// write landed on (primary + replicas + handoff sources), so the
+// write landed on (primary + replicas), so the
 // client can charge replication fan-out. Fencing is checked before
 // placement: a stale-epoch write is dropped (and counted per copy)
 // even when the client's placement is also stale — the fence is the

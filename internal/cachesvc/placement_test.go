@@ -2,38 +2,17 @@ package cachesvc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"cntr/internal/sim"
 )
 
-// topoEvent is one step of a seed-driven topology history, replayable
-// so determinism can be checked against a twin service.
-type topoEvent struct {
-	kind string // "add", "drain", "kill"
-	node int
-}
-
-func applyEvent(svc *Service, ev topoEvent) {
-	switch ev.kind {
-	case "add":
-		svc.AddNode()
-	case "drain":
-		if err := svc.DrainNode(ev.node); err != nil {
-			panic(fmt.Sprintf("drain %d: %v", ev.node, err))
-		}
-	case "kill":
-		if err := svc.KillNode(ev.node); err != nil {
-			panic(fmt.Sprintf("kill %d: %v", ev.node, err))
-		}
-	}
-}
-
-// eligibleNodes returns ids of live, non-draining nodes.
-func eligibleNodes(svc *Service) []int {
+// liveNodes returns ids of live nodes.
+func liveNodes(svc *Service) []int {
 	var out []int
 	for _, ns := range svc.NodeStats() {
-		if ns.Live && !ns.Draining {
+		if ns.Live {
 			out = append(out, ns.ID)
 		}
 	}
@@ -41,22 +20,15 @@ func eligibleNodes(svc *Service) []int {
 }
 
 // checkCovering asserts the structural placement invariants: every
-// shard has min(R+1, eligible) distinct owners, all of them eligible.
+// shard has min(R+1, live) distinct owners, all of them live.
 func checkCovering(t *testing.T, svc *Service, replicas int) {
 	t.Helper()
 	info := svc.Placement()
-	eligible := eligibleNodes(svc)
-	elig := make(map[int]bool)
-	for _, id := range eligible {
-		elig[id] = true
-	}
-	want := replicas + 1
-	if want > len(eligible) {
-		want = len(eligible)
-	}
+	live := liveNodes(svc)
+	want := min(replicas+1, len(live))
 	for sh, owners := range info.Owners {
 		if len(owners) != want {
-			t.Fatalf("shard %d: %d owners, want %d (eligible=%d)", sh, len(owners), want, len(eligible))
+			t.Fatalf("shard %d: %d owners, want %d (live=%d)", sh, len(owners), want, len(live))
 		}
 		seen := make(map[int]bool)
 		for _, id := range owners {
@@ -64,8 +36,8 @@ func checkCovering(t *testing.T, svc *Service, replicas int) {
 				t.Fatalf("shard %d: duplicate owner %d", sh, id)
 			}
 			seen[id] = true
-			if !elig[id] {
-				t.Fatalf("shard %d: owner %d is not eligible (dead or draining)", sh, id)
+			if !slices.Contains(live, id) {
+				t.Fatalf("shard %d: owner %d is dead", sh, id)
 			}
 		}
 	}
@@ -73,138 +45,67 @@ func checkCovering(t *testing.T, svc *Service, replicas int) {
 
 // TestPlacementProperties is the 20-seed property pin on the
 // rendezvous placement: deterministic (a twin service replaying the
-// same topology history computes the identical table), covering (every
-// shard keeps min(R+1, eligible) distinct eligible owners), and
-// minimal-movement — adding a node only ever inserts that node into a
-// shard's owner list (survivors keep their relative order) and touches
-// at most shards*(R+1)/eligible + eps shards; removing a node only
-// remaps shards it owned, with the survivors' order preserved.
+// same kills computes the identical table), covering (every shard keeps
+// min(R+1, live) distinct live owners), and minimal-movement — a kill
+// only remaps shards the dead node owned, with the survivors' order
+// preserved.
 func TestPlacementProperties(t *testing.T) {
 	const shards = 256
-	const eps = 32 // slack over the expected share; scores are deterministic
 	for seed := uint64(1); seed <= 20; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := sim.NewRand(seed)
 			replicas := r.Intn(3)
-			startNodes := replicas + 1 + r.Intn(3)
-			opts := Options{Shards: shards, Nodes: startNodes, Replicas: replicas}
+			opts := Options{Shards: shards, Nodes: replicas + 1 + r.Intn(5), Replicas: replicas}
 			svc := New(opts)
-			var history []topoEvent
+			var kills []int
 			checkCovering(t, svc, replicas)
 
-			for step := 0; step < 12; step++ {
+			for live := liveNodes(svc); len(live) > replicas+1; live = liveNodes(svc) {
 				before := svc.Placement()
-				eligible := eligibleNodes(svc)
-				var ev topoEvent
-				switch r.Intn(3) {
-				case 0:
-					ev = topoEvent{kind: "add"}
-				case 1:
-					if len(eligible) <= replicas+1 {
-						ev = topoEvent{kind: "add"}
-					} else {
-						ev = topoEvent{kind: "drain", node: eligible[r.Intn(len(eligible))]}
-					}
-				default:
-					if len(eligible) <= replicas+1 {
-						ev = topoEvent{kind: "add"}
-					} else {
-						ev = topoEvent{kind: "kill", node: eligible[r.Intn(len(eligible))]}
-					}
+				dead := live[r.Intn(len(live))]
+				if err := svc.KillNode(dead); err != nil {
+					t.Fatal(err)
 				}
-				applyEvent(svc, ev)
-				history = append(history, ev)
+				kills = append(kills, dead)
 				checkCovering(t, svc, replicas)
 				after := svc.Placement()
 
-				switch ev.kind {
-				case "add":
-					newID := len(after.Live) - 1
-					moved := 0
-					for sh := range after.Owners {
-						if equalInts(after.Owners[sh], before.Owners[sh]) {
-							continue
+				for sh := range after.Owners {
+					if !slices.Contains(before.Owners[sh], dead) {
+						if !slices.Equal(after.Owners[sh], before.Owners[sh]) {
+							t.Fatalf("shard %d not owned by killed node %d was remapped: %v -> %v",
+								sh, dead, before.Owners[sh], after.Owners[sh])
 						}
-						moved++
-						// The only permitted change: insert the new node,
-						// keeping the survivors' relative order (the old list
-						// minus at most its tail).
-						var without []int
-						for _, id := range after.Owners[sh] {
-							if id != newID {
-								without = append(without, id)
-							}
-						}
-						if len(without) == len(after.Owners[sh]) {
-							t.Fatalf("shard %d changed owners on add without gaining node %d: %v -> %v",
-								sh, newID, before.Owners[sh], after.Owners[sh])
-						}
-						if !isPrefix(without, before.Owners[sh]) {
-							t.Fatalf("shard %d: add disturbed survivor order: %v -> %v",
-								sh, before.Owners[sh], after.Owners[sh])
-						}
+						continue
 					}
-					elig := len(eligibleNodes(svc))
-					bound := shards*(replicas+1)/elig + eps
-					if moved > bound {
-						t.Fatalf("add remapped %d shards, bound %d (replicas=%d eligible=%d)",
-							moved, bound, replicas, elig)
-					}
-				case "drain", "kill":
-					for sh := range after.Owners {
-						owned := containsInt(before.Owners[sh], ev.node)
-						if !owned {
-							if !equalInts(after.Owners[sh], before.Owners[sh]) {
-								t.Fatalf("shard %d not owned by removed node %d was remapped: %v -> %v",
-									sh, ev.node, before.Owners[sh], after.Owners[sh])
-							}
-							continue
-						}
-						// Owned shards: the removed node drops out, survivors
-						// keep order, one replacement may join at the tail.
-						var survivors []int
-						for _, id := range before.Owners[sh] {
-							if id != ev.node {
-								survivors = append(survivors, id)
-							}
-						}
-						if !isPrefix(survivors, after.Owners[sh]) {
-							t.Fatalf("shard %d: removal disturbed survivors: %v -> %v",
-								sh, before.Owners[sh], after.Owners[sh])
-						}
+					// Owned shards: the dead node drops out, survivors keep
+					// order, one replacement may join at the tail.
+					survivors := slices.DeleteFunc(slices.Clone(before.Owners[sh]),
+						func(id int) bool { return id == dead })
+					if !slices.Equal(survivors, after.Owners[sh][:len(survivors)]) {
+						t.Fatalf("shard %d: kill disturbed survivors: %v -> %v",
+							sh, before.Owners[sh], after.Owners[sh])
 					}
 				}
 			}
 
-			// Determinism: a twin replaying the same history computes the
+			// Determinism: a twin replaying the same kills computes the
 			// identical placement at the same version.
 			twin := New(opts)
-			for _, ev := range history {
-				applyEvent(twin, ev)
+			for _, id := range kills {
+				if err := twin.KillNode(id); err != nil {
+					t.Fatal(err)
+				}
 			}
 			a, b := svc.Placement(), twin.Placement()
 			if a.Version != b.Version {
 				t.Fatalf("twin placement version %d != %d", b.Version, a.Version)
 			}
 			for sh := range a.Owners {
-				if !equalInts(a.Owners[sh], b.Owners[sh]) {
+				if !slices.Equal(a.Owners[sh], b.Owners[sh]) {
 					t.Fatalf("twin shard %d placement %v != %v", sh, b.Owners[sh], a.Owners[sh])
 				}
 			}
 		})
 	}
-}
-
-// isPrefix reports whether a is a prefix of b.
-func isPrefix(a, b []int) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -3,6 +3,7 @@ package cachesvc
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -76,7 +77,7 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 				t.Fatal("stale write landed on some copy")
 			}
 			for _, id := range ownersOf(svc, key) {
-				if _, ok, _, err := svc.NodeGet(id, svc.PlacementVersion(), key); err != nil || ok {
+				if _, ok, err := svc.NodeGet(id, svc.PlacementVersion(), key); err != nil || ok {
 					t.Fatalf("node %d: stale write visible (ok=%v err=%v)", id, ok, err)
 				}
 			}
@@ -103,7 +104,7 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 			}
 			for _, ns := range svc.NodeStats() {
 				want := int64(0)
-				if containsInt(ownersOf(svc, key), ns.ID) {
+				if slices.Contains(ownersOf(svc, key), ns.ID) {
 					want = 2
 				}
 				if ns.FencedWrites != want {
@@ -120,9 +121,9 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 				t.Fatalf("fresh put: %v", err)
 			}
 			for _, id := range ownersOf(svc, key) {
-				v, ok, hops, err := svc.NodeGet(id, svc.PlacementVersion(), key)
-				if err != nil || !ok || hops != 0 || !bytes.Equal(v, []byte("good")) {
-					t.Fatalf("node %d: fresh write not replicated (ok=%v hops=%d err=%v)", id, ok, hops, err)
+				v, ok, err := svc.NodeGet(id, svc.PlacementVersion(), key)
+				if err != nil || !ok || !bytes.Equal(v, []byte("good")) {
+					t.Fatalf("node %d: fresh write not replicated (ok=%v err=%v)", id, ok, err)
 				}
 			}
 		})
@@ -131,7 +132,7 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 
 // TestReplicatedWriteVisibleOnEveryCopy pins the write path's fan-out: a
 // write lands on exactly R+1 copies, and a read addressed at any owner
-// finds it there, with no hop to another node.
+// finds it there.
 func TestReplicatedWriteVisibleOnEveryCopy(t *testing.T) {
 	svc := New(Options{Nodes: 3, Replicas: 2})
 	key := ChunkKey("replicated")
@@ -147,171 +148,75 @@ func TestReplicatedWriteVisibleOnEveryCopy(t *testing.T) {
 		t.Fatalf("write landed on %d copies, want 3", copies)
 	}
 	for _, id := range ownersOf(svc, key) {
-		v, ok, hops, err := svc.NodeGet(id, svc.PlacementVersion(), key)
-		if err != nil || !ok || hops != 0 || !bytes.Equal(v, []byte("v")) {
-			t.Fatalf("node %d: write not visible (ok=%v hops=%d err=%v)", id, ok, hops, err)
+		v, ok, err := svc.NodeGet(id, svc.PlacementVersion(), key)
+		if err != nil || !ok || !bytes.Equal(v, []byte("v")) {
+			t.Fatalf("node %d: write not visible (ok=%v err=%v)", id, ok, err)
 		}
 	}
 }
 
-// TestMigrationFallthroughNoMissStorm pins the handoff guarantee: after
-// AddNode flips ownership, lookups during the migration fall through
-// from the incomplete new copies to the old complete ones and stay hits
-// — no miss storm — whether the handoff has not started (the sole-owner
-// row) or is being stepped between the reads (the replicated row), and
-// the pull-copy plus MigrateAll converge the new copies, after which the
-// old owner's stores are dropped. Placement of a fixed key set is
-// arithmetic, so the shards moved, the entries copied and the lookups
-// that fell through are pinned.
-func TestMigrationFallthroughNoMissStorm(t *testing.T) {
-	seeded := make([]Key, 512)
-	r := sim.NewRand(1)
-	for i := range seeded {
-		seeded[i] = ChunkKey(blobstore.Ref(fmt.Sprintf("bench-%016x", r.Uint64())))
-	}
+// TestKillNodeKeepsReplicatedData pins failure recovery. With R=1,
+// killing one node loses no cached data: before KillNode returns, every
+// shard it owned is back at two complete copies on the survivors. With
+// R=0 the shards the dead node owned lose their only copy: each counts
+// in LostShards and their keys miss. Placement of a fixed key set is
+// arithmetic, so both counts are pinned.
+func TestKillNodeKeepsReplicatedData(t *testing.T) {
 	for _, row := range []struct {
-		name      string
-		opts      Options
-		keys      []Key
-		stepEvery int // MigrateStep(4) after every stepEvery-th read; 0: never
-		moved     int64
-		copied    int64
-		fellThru  int64
+		name         string
+		opts         Options
+		lost, misses int64
 	}{
-		{"sole-owner", Options{Nodes: 1}, testKeys("mig", 64), 0, 6, 25, 25},
-		{"replicated-stepped", Options{Nodes: 3, Replicas: 1}, seeded, 8, 6, 192, 33},
+		{"R=1", Options{Nodes: 3, Replicas: 1}, 0, 0},
+		{"R=0", Options{Nodes: 2, Replicas: 0}, 6, 35},
 	} {
 		svc := New(row.opts)
-		vals := make(map[Key][]byte)
-		for i, k := range row.keys {
-			vals[k] = []byte(fmt.Sprintf("val-%d", i))
-			svc.Seed(k, vals[k])
+		keys := testKeys("kill", 96)
+		for i, k := range keys {
+			svc.Seed(k, []byte(fmt.Sprintf("v-%d", i)))
 		}
-		base := svc.Stats()
-
-		svc.AddNode()
-		for i, k := range row.keys {
-			if _, ok := svc.Get(k); !ok {
-				t.Fatalf("%s: miss on %q during handoff — miss storm", row.name, k)
-			}
-			if row.stepEvery > 0 && i%row.stepEvery == 0 {
-				svc.MigrateStep(4)
-			}
+		if err := svc.KillNode(1); err != nil {
+			t.Fatal(err)
 		}
-		if st := svc.Stats(); st.Misses != base.Misses {
-			t.Fatalf("%s: handoff produced %d misses", row.name, st.Misses-base.Misses)
-		}
-
-		svc.MigrateAll()
 		if err := svc.CheckConsistency(); err != nil {
 			t.Fatalf("%s: %v", row.name, err)
 		}
-		ms := svc.MigrationStats()
-		if ms.MigratingShards != 0 || ms.PendingEntries != 0 {
-			t.Fatalf("%s: migration did not settle: %+v", row.name, ms)
-		}
-		if ms.ShardsMoved != row.moved || ms.EntriesCopied != row.copied || ms.FallthroughHits != row.fellThru {
-			t.Fatalf("%s: shards moved / entries copied / fallthrough hits = %d/%d/%d, want %d/%d/%d",
-				row.name, ms.ShardsMoved, ms.EntriesCopied, ms.FallthroughHits,
-				row.moved, row.copied, row.fellThru)
-		}
-		// Node 0 keeps only what it still owns; moved shards are gone.
-		for _, ns := range svc.NodeStats() {
-			if ns.ID == 0 && int64(ns.Shards) >= int64(svc.NumShards()) {
-				t.Fatalf("%s: node 0 still holds %d shards after settle", row.name, ns.Shards)
-			}
-		}
-		for _, k := range row.keys {
+		var misses int64
+		for i, k := range keys {
 			v, ok := svc.Get(k)
-			if !ok || !bytes.Equal(v, vals[k]) {
-				t.Fatalf("%s: post-settle read of %q wrong (ok=%v)", row.name, k, ok)
+			if !ok {
+				misses++
+			} else if string(v) != fmt.Sprintf("v-%d", i) {
+				t.Fatalf("%s: key %q reads %q after the kill", row.name, k, v)
 			}
 		}
+		if lost := svc.Stats().LostShards; lost != row.lost || misses != row.misses {
+			t.Fatalf("%s: %d lost shards and %d of %d keys missing, want %d and %d",
+				row.name, lost, misses, len(keys), row.lost, row.misses)
+		}
+		for sh, owners := range svc.Placement().Owners {
+			if len(owners) != row.opts.Replicas+1 || slices.Contains(owners, 1) {
+				t.Fatalf("%s: shard %d owned by %v after the kill, want %d live owners",
+					row.name, sh, owners, row.opts.Replicas+1)
+			}
+		}
+
+		// Error paths of KillNode.
+		if err := svc.KillNode(1); err != ErrNodeDown {
+			t.Fatalf("%s: double kill: got %v, want ErrNodeDown", row.name, err)
+		}
+		if err := svc.KillNode(99); err != ErrUnknownNode {
+			t.Fatalf("%s: unknown node: got %v, want ErrUnknownNode", row.name, err)
+		}
 	}
 }
 
-// TestKillNodeKeepsReplicatedData pins failure recovery: with R=1,
-// killing one node loses no cached data (a surviving copy serves every
-// key), MigrateAll restores full replication on the survivors, and
-// LostShards stays zero.
-func TestKillNodeKeepsReplicatedData(t *testing.T) {
-	svc := New(Options{Nodes: 3, Replicas: 1})
-	keys := testKeys("kill", 96)
-	for i, k := range keys {
-		svc.Seed(k, []byte(fmt.Sprintf("v-%d", i)))
-	}
-	if err := svc.KillNode(1); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range keys {
-		if _, ok := svc.Get(k); !ok {
-			t.Fatalf("key %q lost after single-node failure at R=1", k)
-		}
-	}
-	svc.MigrateAll()
-	if err := svc.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-	info := svc.Placement()
-	for sh, owners := range info.Owners {
-		if len(owners) != 2 {
-			t.Fatalf("shard %d: %d owners after re-replication, want 2", sh, len(owners))
-		}
-		if containsInt(owners, 1) {
-			t.Fatalf("shard %d still placed on dead node 1", sh)
-		}
-	}
-	if ms := svc.MigrationStats(); ms.LostShards != 0 {
-		t.Fatalf("LostShards = %d, want 0", ms.LostShards)
-	}
-
-	// Error paths of the topology API.
-	if err := svc.KillNode(1); err != ErrNodeDown {
-		t.Fatalf("double kill: got %v, want ErrNodeDown", err)
-	}
-	if err := svc.KillNode(99); err != ErrUnknownNode {
-		t.Fatalf("unknown node: got %v, want ErrUnknownNode", err)
-	}
-}
-
-// TestDrainNodeHandsOffEverything pins the drain path: a drained node
-// keeps serving until migration completes, then holds nothing; the
-// last eligible node refuses to drain.
-func TestDrainNodeHandsOffEverything(t *testing.T) {
-	svc := New(Options{Nodes: 2, Replicas: 0})
-	keys := testKeys("drain", 48)
-	for _, k := range keys {
-		svc.Seed(k, []byte("x"))
-	}
-	if err := svc.DrainNode(0); err != nil {
-		t.Fatal(err)
-	}
-	// Mid-drain: everything still served (fallthrough to node 0).
-	for _, k := range keys {
-		if _, ok := svc.Get(k); !ok {
-			t.Fatalf("key %q missed mid-drain", k)
-		}
-	}
-	svc.MigrateAll()
-	if ns := svc.NodeStats()[0]; ns.Shards != 0 || ns.Entries != 0 {
-		t.Fatalf("drained node still holds %d shards / %d entries", ns.Shards, ns.Entries)
-	}
-	for _, k := range keys {
-		if _, ok := svc.Get(k); !ok {
-			t.Fatalf("key %q lost by drain", k)
-		}
-	}
-	if err := svc.DrainNode(1); err != ErrLastNode {
-		t.Fatalf("draining last eligible node: got %v, want ErrLastNode", err)
-	}
-}
-
-// TestLeaseEpochSurvivesMigration pins the tentpole's lease guarantee:
-// an epoch granted before a topology change keeps admitting writes
-// after placement flips and data moves — leases are control-plane
-// state, orthogonal to migration.
+// TestLeaseEpochSurvivesMigration pins the lease guarantee across
+// kills: an epoch granted before two nodes die keeps admitting writes
+// after their shards are re-placed and copied — leases are control-plane
+// state, orthogonal to placement.
 func TestLeaseEpochSurvivesMigration(t *testing.T) {
-	svc := New(Options{Nodes: 2, Replicas: 1})
+	svc := New(Options{Nodes: 3, Replicas: 1})
 	key := ChunkKey("lease-survives")
 	l, err := svc.Acquire("m", svc.GroupOf(key))
 	if err != nil {
@@ -320,44 +225,47 @@ func TestLeaseEpochSurvivesMigration(t *testing.T) {
 	if err := svc.Put(l, key, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
-	svc.AddNode()
-	svc.AddNode()
-	svc.MigrateAll()
-	if err := svc.KillNode(0); err != nil {
-		t.Fatal(err)
+	for _, id := range ownersOf(svc, key) {
+		if err := svc.KillNode(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	svc.MigrateAll()
+	if v, ok := svc.Get(key); !ok || !bytes.Equal(v, []byte("before")) {
+		t.Fatalf("pre-kill write lost across two kills (ok=%v)", ok)
+	}
 	if err := svc.Put(l, key, []byte("after")); err != nil {
-		t.Fatalf("pre-migration epoch rejected after topology churn: %v", err)
+		t.Fatalf("pre-kill epoch rejected after two kills: %v", err)
 	}
 	if v, ok := svc.Get(key); !ok || !bytes.Equal(v, []byte("after")) {
-		t.Fatalf("post-churn write not visible (ok=%v)", ok)
+		t.Fatalf("post-kill write not visible (ok=%v)", ok)
 	}
 }
 
 // TestNodeAddressedCallsRejectStaleVersion pins the ErrMoved contract
 // of the node-addressed data plane.
 func TestNodeAddressedCallsRejectStaleVersion(t *testing.T) {
-	svc := New(Options{Nodes: 2, Replicas: 0})
+	svc := New(Options{Nodes: 3, Replicas: 0})
 	key := ChunkKey("moved")
 	l, err := svc.Acquire("m", svc.GroupOf(key))
 	if err != nil {
 		t.Fatal(err)
 	}
+	primary := ownersOf(svc, key)[0]
 	stale := svc.PlacementVersion()
-	svc.AddNode() // bumps the version
-	if _, _, _, err := svc.NodeGet(0, stale, key); err != ErrMoved {
+	if err := svc.KillNode((primary + 1) % 3); err != nil { // bumps the version
+		t.Fatal(err)
+	}
+	if _, _, err := svc.NodeGet(primary, stale, key); err != ErrMoved {
 		t.Fatalf("NodeGet with stale version: got %v, want ErrMoved", err)
 	}
-	if _, err := svc.NodePut(0, stale, l, key, []byte("v")); err != ErrMoved {
+	if _, err := svc.NodePut(primary, stale, l, key, []byte("v")); err != ErrMoved {
 		t.Fatalf("NodePut with stale version: got %v, want ErrMoved", err)
 	}
 	// A dead target is also a routing error, not a data error.
-	svc.MigrateAll()
-	if err := svc.KillNode(0); err != nil {
+	if err := svc.KillNode(primary); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := svc.NodeGet(0, svc.PlacementVersion(), key); err != ErrMoved {
+	if _, _, err := svc.NodeGet(primary, svc.PlacementVersion(), key); err != ErrMoved {
 		t.Fatalf("NodeGet at dead node: got %v, want ErrMoved", err)
 	}
 }

@@ -34,13 +34,9 @@ type MultiMountOptions struct {
 	// KillNodeMid fails the highest-id node once half the fleet has done
 	// its cold read: with replicas the surviving copies must keep
 	// serving, so the later mounts' hit ratio holds and the fleet never
-	// re-pays the origin. Requires Nodes >= 2.
+	// re-pays the origin. The kill re-replicates the dead node's shards
+	// before the next mount reads. Requires Nodes >= 2.
 	KillNodeMid bool
-	// DrainNodeMid drains node 0 at the same mid-fleet point, stepping
-	// part of the handoff inline; the rest completes through read
-	// fallthrough and a final MigrateAll before stats are collected.
-	// Requires Nodes >= 2.
-	DrainNodeMid bool
 }
 
 // MultiMountResult reports the fleet's cold-read economics.
@@ -58,10 +54,9 @@ type MultiMountResult struct {
 	// TierStats is the service's counter snapshot after the run (zero
 	// value without a service).
 	TierStats cachesvc.Stats
-	// NodeStats is the per-node counter split and Migration the shard
-	// handoff counters after the run (empty without a service).
+	// NodeStats is the per-node counter split after the run (empty
+	// without a service).
 	NodeStats []cachesvc.NodeStats
-	Migration cachesvc.MigrationStats
 }
 
 func (o *MultiMountOptions) defaults() {
@@ -157,9 +152,11 @@ func RunMultiMount(opts MultiMountOptions) (MultiMountResult, error) {
 
 	res := MultiMountResult{Mounts: opts.Mounts}
 	for i, m := range mounts {
-		if svc != nil && i == opts.Mounts/2 && i > 0 {
-			if err := multiMountTopoEvent(svc, opts); err != nil {
-				return res, err
+		if svc != nil && opts.KillNodeMid && i == opts.Mounts/2 && i > 0 {
+			if id := svc.NumNodes() - 1; id > 0 {
+				if err := svc.KillNode(id); err != nil {
+					return res, err
+				}
 			}
 		}
 		cli := vfs.NewClient(m.Top, vfs.Root())
@@ -196,40 +193,11 @@ func RunMultiMount(opts MultiMountOptions) (MultiMountResult, error) {
 		}
 	}
 	if svc != nil {
-		if opts.KillNodeMid || opts.DrainNodeMid {
-			// Settle any handoff still in flight so the reported stats
-			// describe a quiesced tier (the measured reads above already
-			// paid whatever fallthrough the incomplete copies cost).
-			svc.MigrateAll()
-		}
 		res.TierStats = svc.Stats()
 		res.HitRatio = res.TierStats.HitRatio()
 		res.NodeStats = svc.NodeStats()
-		res.Migration = svc.MigrationStats()
 	}
 	return res, nil
-}
-
-// multiMountTopoEvent injects the mid-workload topology change: a
-// node failure (highest id) and/or a drain of node 0 with a slice of
-// the handoff stepped inline — the rest is left for read fallthrough
-// to show the no-miss-storm property under live migration.
-func multiMountTopoEvent(svc *cachesvc.Service, opts MultiMountOptions) error {
-	if opts.KillNodeMid {
-		if id := svc.NumNodes() - 1; id > 0 {
-			if err := svc.KillNode(id); err != nil {
-				return err
-			}
-		}
-	}
-	if opts.DrainNodeMid {
-		if err := svc.DrainNode(0); err != nil {
-			return err
-		}
-		for i := 0; i < 32 && svc.MigrateStep(8); i++ {
-		}
-	}
-	return nil
 }
 
 // parentDir returns the directory portion of a slash path.

@@ -62,8 +62,8 @@ func TestMultiMountSharedCacheBeatsNoService(t *testing.T) {
 		if r.TierStats.FencedWrites != 0 {
 			t.Errorf("%s: healthy fleet saw %d fenced writes", row.name, r.TierStats.FencedWrites)
 		}
-		if r.Migration.LostShards != 0 {
-			t.Errorf("%s: replicated tier lost %d shards to the node kill", row.name, r.Migration.LostShards)
+		if r.TierStats.LostShards != 0 {
+			t.Errorf("%s: replicated tier lost %d shards to the node kill", row.name, r.TierStats.LostShards)
 		}
 	}
 }

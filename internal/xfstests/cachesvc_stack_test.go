@@ -35,8 +35,8 @@ func requirePaperSplit(t *testing.T, sum Summary, label string) {
 // replica-per-shard service must reproduce the paper's exact 90/94
 // split — replication, placement routing and replica fan-out may never
 // surface in filesystem behaviour. The suite then runs again on a
-// second mount after a node drain and full shard migration, so the
-// POSIX surface is also pinned across a live topology change, and the
+// second mount after node 0 is killed and its shards re-replicated, so
+// the POSIX surface is also pinned across a topology change, and the
 // tier's replica-agreement invariant is checked at the end.
 func TestCntrStackOnReplicatedTier(t *testing.T) {
 	svc := cachesvc.New(cachesvc.Options{Nodes: 3, Replicas: 1})
@@ -46,25 +46,21 @@ func TestCntrStackOnReplicatedTier(t *testing.T) {
 	c.Close()
 	requirePaperSplit(t, sum, "replicated tier")
 
-	// Drain a node mid-life and hand its shards off, then re-run the
-	// whole suite over the migrated tier from a second mount identity.
-	if err := svc.DrainNode(0); err != nil {
+	// Kill a node mid-life, then re-run the whole suite over the
+	// re-replicated tier from a second mount identity.
+	if err := svc.KillNode(0); err != nil {
 		t.Fatal(err)
-	}
-	svc.MigrateAll()
-	if ns := svc.NodeStats()[0]; ns.Shards != 0 {
-		t.Fatalf("drained node still holds %d shards", ns.Shards)
 	}
 
 	c2 := stack.NewCntr(stack.Config{CacheService: svc, CacheMountID: "xfs-m1"})
 	sum2, _ := Run(c2.Top)
 	c2.Close()
-	requirePaperSplit(t, sum2, "replicated tier post-drain")
+	requirePaperSplit(t, sum2, "replicated tier post-kill")
 
 	if err := svc.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	if ms := svc.MigrationStats(); ms.LostShards != 0 {
-		t.Fatalf("drain lost %d shards", ms.LostShards)
+	if lost := svc.Stats().LostShards; lost != 0 {
+		t.Fatalf("the kill lost %d shards", lost)
 	}
 }
