@@ -1,10 +1,13 @@
 // Package cachecl is the mount-side client of the shared cache tier
 // (internal/cachesvc). It is the only path a mount uses to talk to the
 // service, and it is where the "network" lives: every RPC charges the
-// calling mount's sim.Clock with the cost model's NetRTT plus the
-// payload at NetPerKB, so cross-mount cache behaviour is benchmarkable
-// in the same virtual currency as disks and FUSE round trips — and
-// deterministic, because nothing real crosses a socket.
+// calling mount's sim.Clock with a round trip plus the payload at
+// NetPerKB, so cross-mount cache behaviour is benchmarkable in the same
+// virtual currency as disks and FUSE round trips — and deterministic,
+// because nothing real crosses a socket. A blocking RPC pays the full
+// NetRTT; a chunk lookup Store.Get sends as one of a pipelined window
+// pays NetRTT over the window's depth, as the origin disk it fronts
+// amortizes its seek.
 //
 // A client holds one epoch lease per service shard group. Mutations
 // (chunk publishes, attr writes, invalidations) carry the
@@ -200,10 +203,11 @@ func (c *Client) refreshPlacementLocked() {
 	c.clock.Advance(c.model.NetRTT)
 }
 
-// get is the shared lookup path: one RTT for the probe, payload bytes
-// only on a hit; a stale routing table costs one refresh RTT and a
+// get is the shared lookup path: rtt for the probe (NetRTT when the
+// lookup blocks, less when it shares a pipelined window), payload bytes
+// only on a hit; a stale routing table costs one full refresh RTT and a
 // retry.
-func (c *Client) get(key cachesvc.Key) ([]byte, bool) {
+func (c *Client) get(key cachesvc.Key, rtt time.Duration) ([]byte, bool) {
 	c.mu.Lock()
 	if c.partitioned {
 		c.stats.Unreachable++
@@ -242,18 +246,18 @@ func (c *Client) get(key cachesvc.Key) ([]byte, bool) {
 		if ok {
 			c.stats.Hits++
 			c.stats.NetBytes += int64(len(val))
-			c.clock.Advance(c.model.NetCost(len(val)))
+			c.clock.Advance(rtt + c.model.NetCost(len(val)) - c.model.NetRTT)
 			c.mu.Unlock()
 			return val, true
 		}
 		c.stats.Misses++
-		c.clock.Advance(c.model.NetRTT)
+		c.clock.Advance(rtt)
 		c.mu.Unlock()
 		return nil, false
 	}
 	c.mu.Lock()
 	c.stats.Misses++
-	c.clock.Advance(c.model.NetRTT)
+	c.clock.Advance(rtt)
 	c.mu.Unlock()
 	return nil, false
 }
@@ -365,12 +369,6 @@ func (c *Client) invalidate(key cachesvc.Key) error {
 	return err
 }
 
-// GetChunk fetches a backend-store chunk from the tier. The returned
-// slice is owned by the service and must not be modified.
-func (c *Client) GetChunk(ref blobstore.Ref) ([]byte, bool) {
-	return c.get(cachesvc.ChunkKey(ref))
-}
-
 // PutChunk publishes a chunk synchronously (charged write-through).
 func (c *Client) PutChunk(ref blobstore.Ref, data []byte) error {
 	return c.put(cachesvc.ChunkKey(ref), data, true)
@@ -389,9 +387,10 @@ func (c *Client) InvalidateChunk(ref blobstore.Ref) error {
 	return c.invalidate(cachesvc.ChunkKey(ref))
 }
 
-// GetAttr fetches a path's encoded attributes.
+// GetAttr fetches a path's encoded attributes. Attr lookups go out one
+// at a time, so each pays a full round trip.
 func (c *Client) GetAttr(path string) ([]byte, bool) {
-	return c.get(cachesvc.AttrKey(path))
+	return c.get(cachesvc.AttrKey(path), c.model.NetRTT)
 }
 
 // PutAttr publishes a path's encoded attributes.

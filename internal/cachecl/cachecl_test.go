@@ -1,7 +1,9 @@
 package cachecl
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -34,36 +36,91 @@ func newEnv(t *testing.T) *env {
 	return &env{svc: svc, svcClock: svcClock, clock: clock, model: model, cl: cl}
 }
 
-// TestNetworkCharging: a hit costs RTT plus payload, a miss RTT only,
-// all on the mount's clock.
+// TestNetworkCharging pins what each tier call costs the mount's clock.
+// A chunk lookup through Store.Get is one of the origin disk's pipelined
+// window: it pays NetRTT over the disk's queue depth, plus the payload
+// on a hit and the origin's own (equally amortized) read on a miss. With
+// no origin, or at depth 1, that is a blocking round trip. Everything
+// else is sent one at a time and pays a full NetRTT at every depth: the
+// attach, attr lookups and publishes, the charged write-through with its
+// replica fan-out, and the refresh a stale routing table forces.
 func TestNetworkCharging(t *testing.T) {
-	e := newEnv(t)
-	data := make([]byte, 4096)
-	if err := e.cl.PutChunk("ref1", data); err != nil {
-		t.Fatal(err)
-	}
-
-	before := e.clock.Now()
-	if _, ok := e.cl.GetChunk("ref1"); !ok {
-		t.Fatal("published chunk missed")
-	}
-	hitCost := e.clock.Now() - before
-	if want := e.model.NetCost(4096); hitCost != want {
-		t.Fatalf("hit cost = %v, want %v", hitCost, want)
-	}
-
-	before = e.clock.Now()
-	if _, ok := e.cl.GetChunk("absent"); ok {
-		t.Fatal("absent chunk hit")
-	}
-	missCost := e.clock.Now() - before
-	if missCost != e.model.NetRTT {
-		t.Fatalf("miss cost = %v, want %v", missCost, e.model.NetRTT)
-	}
-
-	st := e.cl.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.NetBytes != 8192 {
-		t.Fatalf("stats = %+v", st)
+	m := sim.DefaultCostModel()
+	for _, row := range []struct {
+		name      string
+		depth     int // 0: no origin disk
+		hit, miss time.Duration
+	}{
+		{"no origin", 0, m.NetCost(4096), m.NetRTT},
+		{"depth 1", 1, m.NetCost(4096), m.NetRTT + m.DiskCost(4096)},
+		{"depth 32", 32, m.NetRTT/32 + 4*m.NetPerKB, m.NetRTT/32 + m.DiskSeek/32 + 4*m.DiskPerKB},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			svc := cachesvc.New(cachesvc.Options{
+				Shards: 8, Groups: 2, LeaseTTL: time.Second, Nodes: 2, Replicas: 1,
+			})
+			clock := sim.NewClock()
+			cl := New(svc, "m1", clock, m)
+			cas := blobstore.NewCAS(blobstore.CASOptions{})
+			var origin *sim.Disk
+			if row.depth > 0 {
+				origin = sim.NewDisk(clock, m)
+				origin.SetQueueDepth(row.depth)
+			}
+			st := WrapStore(cas, cl, StoreOptions{Origin: origin})
+			hot, err := cas.Put(make([]byte, 4096))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := cas.Put(bytes.Repeat([]byte{'c'}, 4096))
+			if err != nil {
+				t.Fatal(err)
+			}
+			attr := []byte("attr-bytes")
+			getAttr := func(want bool) func() error {
+				return func() error {
+					if _, ok := cl.GetAttr("/a"); ok != want {
+						return fmt.Errorf("GetAttr found = %v", ok)
+					}
+					return nil
+				}
+			}
+			getChunk := func(ref blobstore.Ref) func() error {
+				return func() error {
+					data, err := st.Get(ref)
+					if err == nil && len(data) != 4096 {
+						err = fmt.Errorf("Get returned %d bytes", len(data))
+					}
+					return err
+				}
+			}
+			for _, step := range []struct {
+				call string
+				want time.Duration
+				fn   func() error
+			}{
+				{"Attach", m.NetRTT, cl.Attach},
+				{"PutChunk on two copies", 2 * m.NetCost(4096), func() error { return cl.PutChunk(hot, make([]byte, 4096)) }},
+				{"Store.Get hit", row.hit, getChunk(hot)},
+				{"Store.Get miss", row.miss, getChunk(cold)},
+				{"GetAttr miss", m.NetRTT, getAttr(false)},
+				{"PutAttr on two copies", 2 * m.NetCost(len(attr)), func() error { return cl.PutAttr("/a", attr) }},
+				{"GetAttr hit", m.NetCost(len(attr)), getAttr(true)},
+				{"KillNode", 0, func() error { return svc.KillNode(1) }},
+				{"Store.Get hit after a forced refresh", m.NetRTT + row.hit, getChunk(hot)},
+			} {
+				before := clock.Now()
+				if err := step.fn(); err != nil {
+					t.Fatalf("%s: %v", step.call, err)
+				}
+				if got := clock.Now() - before; got != step.want {
+					t.Errorf("%s cost %v, want %v", step.call, got, step.want)
+				}
+			}
+			if s := cl.Stats(); s.Hits != 3 || s.Misses != 2 || s.Moves != 1 || s.NetBytes != 3*4096+2*int64(len(attr)) {
+				t.Errorf("stats = %+v", s)
+			}
+		})
 	}
 }
 
@@ -120,7 +177,7 @@ func TestPartition(t *testing.T) {
 	}
 	e.cl.SetPartitioned(true)
 	before := e.clock.Now()
-	if _, ok := e.cl.GetChunk("r"); ok {
+	if _, ok := e.cl.get(cachesvc.ChunkKey("r"), e.model.NetRTT); ok {
 		t.Fatal("partitioned client reached the service")
 	}
 	if err := e.cl.PutChunk("r2", []byte("y")); !errors.Is(err, ErrPartitioned) {
@@ -133,7 +190,7 @@ func TestPartition(t *testing.T) {
 		t.Fatalf("partitioned ops charged %v", d)
 	}
 	e.cl.SetPartitioned(false)
-	if _, ok := e.cl.GetChunk("r"); !ok {
+	if _, ok := e.cl.get(cachesvc.ChunkKey("r"), e.model.NetRTT); !ok {
 		t.Fatal("healed client cannot read")
 	}
 	if st := e.cl.Stats(); st.Unreachable != 3 {
@@ -317,8 +374,8 @@ func TestHitAllocBudget(t *testing.T) {
 		call string
 		fn   func() error
 	}{
-		{"Client.GetChunk hit", func() error {
-			if _, ok := e.cl.GetChunk(ref); !ok {
+		{"Client.get chunk hit", func() error {
+			if _, ok := e.cl.get(cachesvc.ChunkKey(ref), e.model.NetRTT); !ok {
 				return errors.New("miss")
 			}
 			return nil

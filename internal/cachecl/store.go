@@ -1,7 +1,10 @@
 package cachecl
 
 import (
+	"time"
+
 	"cntr/internal/blobstore"
+	"cntr/internal/cachesvc"
 	"cntr/internal/sim"
 )
 
@@ -12,16 +15,25 @@ type StoreOptions struct {
 	// the backend store *is* the origin volume, and every Get the tier
 	// cannot serve pays an origin I/O. Give the disk a queue depth
 	// matching the readahead window (in chunks) so per-chunk seeks
-	// amortize the way pipelined chunk fetches do.
+	// amortize the way pipelined chunk fetches do. The tier lookup in
+	// front of each fetch belongs to the same window, so it pays NetRTT
+	// over the same depth.
+	//
+	// Both charges spread a window's latency over the depth, not over the
+	// chunks actually sent: a window shorter than the depth pays less
+	// than one full seek and one full round trip (a 16-chunk file at
+	// depth 32 pays half of each). Charging a window's first chunk in
+	// full would need the window boundary here, which blobstore.Store
+	// does not carry.
 	Origin *sim.Disk
 }
 
 // Store wraps a backend blobstore.Store with the shared cache tier:
 // this is the layer that sits between a mount's filesystem
 // (memfs blocks, pagecache misses) and the backend store. Get consults
-// the tier first — a hit costs one intra-cluster RPC instead of an
-// origin I/O — and read-populates it on a miss; Put writes through to
-// the backend and publishes the chunk so sibling mounts' cold reads hit.
+// the tier first — a hit costs a pipelined intra-cluster lookup instead
+// of an origin I/O — and read-populates it on a miss; Put writes through
+// to the backend and publishes the chunk so sibling mounts' cold reads hit.
 // Every publish carries the client's epoch lease, so a mount whose
 // lease expired mid-writeback cannot land stale bytes in the tier (the
 // local backend write still succeeds: fencing protects the shared
@@ -61,9 +73,13 @@ func (s *Store) Put(data []byte) (blobstore.Ref, error) {
 
 // Get implements blobstore.Store: tier first, origin on a miss, then a
 // write-behind publish so the next mount's read hits. The publish is
-// epoch-fenced like any mutation.
+// epoch-fenced like any mutation. The lookup is one of the origin's
+// window, so its round trip is amortized over the origin's queue depth;
+// with no origin it blocks for a full NetRTT. The returned slice is
+// owned by the tier or the backend and must not be modified.
 func (s *Store) Get(ref blobstore.Ref) ([]byte, error) {
-	if data, ok := s.cl.GetChunk(ref); ok {
+	rtt := s.cl.model.NetRTT / time.Duration(s.opts.Origin.QueueDepth())
+	if data, ok := s.cl.get(cachesvc.ChunkKey(ref), rtt); ok {
 		return data, nil
 	}
 	data, err := s.backend.Get(ref)

@@ -107,7 +107,7 @@ func multiMountContent(d, f int, size int64) []byte {
 // seeding phase left in the tier (Service.Reset — leases survive), then
 // measure each mount's cold read of the full tree on its own clock. With
 // the tier, the first mount's misses read-populate it and every later
-// mount's cold read is served at intra-cluster RPC cost; without it,
+// mount's cold read is served at pipelined tier-lookup cost; without it,
 // every mount pays the origin volume in full.
 func RunMultiMount(opts MultiMountOptions) (MultiMountResult, error) {
 	opts.defaults()

@@ -73,7 +73,9 @@ type CostModel struct {
 	// NetRTT is the round-trip latency of one request to the shared
 	// cache tier over the intra-cluster network — same rack or AZ, an
 	// order of magnitude below the EBS volume's DiskSeek. The cache
-	// client charges it once per RPC.
+	// client charges it in full on every blocking RPC, and divided by the
+	// window's depth on a chunk lookup sent as part of a pipelined
+	// window, the way Disk amortizes DiskSeek.
 	NetRTT time.Duration
 
 	// NetPerKB is the intra-cluster transfer cost per KB (the inverse

@@ -86,6 +86,18 @@ func (d *Disk) SetQueueDepth(depth int) {
 	d.mu.Unlock()
 }
 
+// QueueDepth returns the depth per-request latency is amortized over:
+// the SetQueueDepth value, 1 when unset. A nil disk is synchronous, so
+// layers that share a window with an optional disk divide by it unguarded.
+func (d *Disk) QueueDepth() int {
+	if d == nil {
+		return 1
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return int(max(d.depth, 1))
+}
+
 // submit serializes the request on the device queue and blocks (in
 // virtual time) until it completes.
 func (d *Disk) submit(n int) {

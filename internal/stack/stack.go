@@ -69,9 +69,10 @@ type Config struct {
 	// client, the host filesystem's backend store is wrapped so reads
 	// consult the tier before the origin (and populate it after), and
 	// disk charging moves from the host page cache to the store
-	// boundary — misses pay an origin volume I/O, hits pay one
-	// intra-cluster RPC. Several NewCntr stacks sharing one Store and one
-	// CacheService model a fleet of mounts on a common CAS.
+	// boundary — each chunk lookup pays an intra-cluster round trip over
+	// the readahead window's depth, plus its payload on a hit and an
+	// origin volume I/O on a miss. Several NewCntr stacks sharing one
+	// Store and one CacheService model a fleet of mounts on a common CAS.
 	CacheService *cachesvc.Service
 	// CacheMountID names this mount to the cache service (lease
 	// identity); defaults to "mount-0".
@@ -243,8 +244,10 @@ func NewCntr(cfg Config) *Cntr {
 	// serve pays an origin-volume I/O on a dedicated origin disk whose
 	// queue depth matches the readahead window in chunks (pipelined
 	// per-chunk fetches amortize the seek like one extent-sized request
-	// would), and every hit pays one intra-cluster RPC instead. Charging
-	// the same traffic through the host page cache too would double-count.
+	// would), and every chunk lookup in front of it, hit or miss, is one
+	// of the same window and amortizes its round trip over the same
+	// depth. Charging the same traffic through the host page cache too
+	// would double-count.
 	var (
 		tier      *cachecl.Store
 		origin    *sim.Disk
