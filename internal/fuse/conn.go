@@ -384,10 +384,29 @@ type entryVal struct {
 	expiry time.Duration
 }
 
+// attrVal is a cached attribute record. A data write makes its size,
+// times and blocks stale (the kernel's FUSE_STATX_MODSIZE in
+// fi->inval_mask) without dropping it: a path walk still reads its type,
+// mode and owner, and only stat(2) needs the rest fresh. That mark is the
+// sign of expiry, not a field: the struct is exactly Go's 128-byte inline
+// map element, and one byte more costs an allocation per insert
+// (TestAttrValFitsMapSlot).
 type attrVal struct {
 	attr   vfs.Attr
-	expiry time.Duration
+	expiry time.Duration // negated once a write made the data fields stale
 }
+
+// expires returns the instant the record stops being trusted at all.
+func (v attrVal) expires() time.Duration {
+	if v.expiry < 0 {
+		return -v.expiry
+	}
+	return v.expiry
+}
+
+// dataStale reports whether a write made the record's size, times and
+// blocks stale.
+func (v attrVal) dataStale() bool { return v.expiry < 0 }
 
 type forgetItem struct {
 	ino     vfs.Ino
@@ -714,14 +733,17 @@ func (c *Conn) dropHandle(h vfs.Handle) {
 // invalidateEntry drops the dentry parent/name after a request that
 // removed, replaced or moved it (or found it stale), and with it the
 // S_NOSEC mark of the inode it named: that inode is usually gone, and
-// this is what keeps the mark table from outliving the files.
-func (c *Conn) invalidateEntry(parent vfs.Ino, name string) {
+// this is what keeps the mark table from outliving the files. It returns
+// the dentry it dropped, if there was one.
+func (c *Conn) invalidateEntry(parent vfs.Ino, name string) (entryVal, bool) {
 	c.mu.Lock()
-	if v, ok := c.entries[entryKey{parent, name}]; ok {
+	v, ok := c.entries[entryKey{parent, name}]
+	if ok {
 		c.clearNosecLocked(v.ino)
 		delete(c.entries, entryKey{parent, name})
 	}
 	c.mu.Unlock()
+	return v, ok
 }
 
 func (c *Conn) cacheAttr(attr vfs.Attr) {
@@ -733,22 +755,41 @@ func (c *Conn) cacheAttr(attr vfs.Attr) {
 	c.mu.Unlock()
 }
 
-func (c *Conn) attrCached(ino vfs.Ino) (vfs.Attr, bool) {
+// attrCached returns ino's cached attributes. A data-stale record answers
+// only a path walk (walk set), which reads none of the stale fields; any
+// other caller misses, and the record stays for the walks until the
+// caller's GETATTR replaces it.
+func (c *Conn) attrCached(ino vfs.Ino, walk bool) (vfs.Attr, bool) {
 	if c.opts.AttrTimeout <= 0 {
 		return vfs.Attr{}, false
 	}
 	c.mu.Lock()
 	v, ok := c.attrs[ino]
-	if !ok || v.expiry < c.clock.Now() {
+	if !ok || v.expires() < c.clock.Now() {
 		if ok {
 			delete(c.attrs, ino)
 		}
 		c.mu.Unlock()
 		return vfs.Attr{}, false
 	}
+	if v.dataStale() && !walk {
+		c.mu.Unlock()
+		return vfs.Attr{}, false
+	}
 	c.stats.AttrHits++
 	c.mu.Unlock()
 	return v.attr, true
+}
+
+// markDataStale is what a data write does to ino's cached attributes: its
+// size, times and blocks are stale, the rest is not.
+func (c *Conn) markDataStale(ino vfs.Ino) {
+	c.mu.Lock()
+	if v, ok := c.attrs[ino]; ok && !v.dataStale() {
+		v.expiry = -v.expiry
+		c.attrs[ino] = v
+	}
+	c.mu.Unlock()
 }
 
 func (c *Conn) invalidateAttr(ino vfs.Ino) {

@@ -5,12 +5,17 @@ import (
 )
 
 // Lookup implements vfs.FS over the wire, with dentry caching. A dentry
-// hit resolves the name to an inode without a round trip; attributes are
-// then served from the attribute cache or revalidated with GETATTR.
+// hit resolves the name to an inode without a round trip, and its
+// attributes come from the attribute cache while they are valid. A record
+// a data write left data-stale still answers a path walk, as a valid
+// dentry sends nothing in Linux (fuse_dentry_revalidate); only a lookup
+// made for stat(2) (op.Stat) revalidates it with GETATTR, as
+// fuse_update_get_attr does. A missing or expired record is revalidated
+// either way.
 func (c *Conn) Lookup(op *vfs.Op, parent vfs.Ino, name string) (vfs.Attr, error) {
 	if ino, ok := c.lookupCached(parent, name); ok {
 		c.clock.Advance(c.model.InodeOp) // dcache hit still does hash work
-		if attr, ok := c.attrCached(ino); ok {
+		if attr, ok := c.attrCached(ino, op == nil || !op.Stat); ok {
 			return attr, nil
 		}
 		attr, err := c.getattrWire(op, ino)
@@ -127,9 +132,10 @@ func (c *Conn) sendForgetBatch(batch []forgetItem) {
 	})
 }
 
-// Getattr implements vfs.FS with attribute caching.
+// Getattr implements vfs.FS with attribute caching. Its caller may read
+// every field, so a data-stale record is revalidated.
 func (c *Conn) Getattr(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
-	if attr, ok := c.attrCached(ino); ok {
+	if attr, ok := c.attrCached(ino, false); ok {
 		c.clock.Advance(c.model.InodeOp)
 		return attr, nil
 	}
@@ -230,7 +236,10 @@ func (c *Conn) Rmdir(op *vfs.Op, parent vfs.Ino, name string) error {
 	return err
 }
 
-// Rename implements vfs.FS.
+// Rename implements vfs.FS. A successful plain or RENAME_NOREPLACE rename
+// moves the old dentry to the new name with its inode and its expiry, as
+// d_move does, so the moved file is found again without a LOOKUP. A failed
+// rename and every other flag drop both names.
 func (c *Conn) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vfs.Ino, newName string, flags vfs.RenameFlags) error {
 	err := c.call(OpRename2, oldParent, op, func(w *buf) {
 		w.str(oldName)
@@ -238,8 +247,13 @@ func (c *Conn) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent v
 		w.str(newName)
 		w.u32(uint32(flags))
 	}, 0, 0, nil)
-	c.invalidateEntry(oldParent, oldName)
+	moved, cached := c.invalidateEntry(oldParent, oldName)
 	c.invalidateEntry(newParent, newName)
+	if err == nil && cached && flags&^vfs.RenameNoReplace == 0 {
+		c.mu.Lock()
+		c.entries[entryKey{newParent, newName}] = moved
+		c.mu.Unlock()
+	}
 	return err
 }
 
@@ -475,7 +489,7 @@ func (pw *pendingWrite) Await(op *vfs.Op) (int, error) {
 		}
 	}
 	if ino, ok := pw.c.handleInode(pw.h); ok {
-		pw.c.invalidateAttr(ino)
+		pw.c.markDataStale(ino)
 	}
 	if total > 0 {
 		if holed {
@@ -530,7 +544,7 @@ func (c *Conn) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, err
 		}
 	}
 	if ino, ok := c.handleInode(h); ok {
-		c.invalidateAttr(ino)
+		c.markDataStale(ino)
 	}
 	return total, nil
 }

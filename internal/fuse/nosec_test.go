@@ -13,18 +13,30 @@ import (
 	"cntr/internal/vfs"
 )
 
-// wireSpy sits under the server: every GETXATTR frame that crosses the
-// wire is one Getxattr call here, and every FLUSH the server passes on one
-// Flush call. hold, when set, keeps a GETXATTR or CREATE answer back —
-// computed, not yet replied — until it is closed. flushErr, when set, is
-// what the nth Flush returns.
+// wireSpy sits under the server: every GETXATTR, GETATTR or LOOKUP frame
+// that crosses the wire is one Getxattr, Getattr or Lookup call here, and
+// every FLUSH the server passes on one Flush call. hold, when set, keeps a
+// GETXATTR or CREATE answer back — computed, not yet replied — until it is
+// closed. flushErr, when set, is what the nth Flush returns.
 type wireSpy struct {
 	vfs.FS
 	gets     atomic.Int64
+	getattrs atomic.Int64
+	lookups  atomic.Int64
 	flushes  atomic.Int64
 	flushErr func(n int64) error
 	hold     chan struct{}
 	holding  chan struct{}
+}
+
+func (s *wireSpy) Getattr(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
+	s.getattrs.Add(1)
+	return s.FS.Getattr(op, ino)
+}
+
+func (s *wireSpy) Lookup(op *vfs.Op, parent vfs.Ino, name string) (vfs.Attr, error) {
+	s.lookups.Add(1)
+	return s.FS.Lookup(op, parent, name)
 }
 
 func (s *wireSpy) park() {
@@ -461,8 +473,8 @@ func TestNoSecConcurrentClients(t *testing.T) {
 // TestNoSecMarksDieWithTheirInodes: the table is bounded by the live
 // files, not by every file ever written. Each request that ends an inode
 // takes its mark along, and a FORGET does unless a handle still pins the
-// inode (the write path's own attribute invalidation flushes withheld
-// forgets mid-file: that must not cost the mark).
+// inode (an attribute invalidation flushes withheld forgets mid-file: that
+// must not cost the mark).
 func TestNoSecMarksDieWithTheirInodes(t *testing.T) {
 	op := vfs.RootOp()
 	cases := []struct {

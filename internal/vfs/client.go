@@ -73,32 +73,30 @@ type File struct {
 	closed bool
 }
 
-// walk resolves path from the client's root as one request.
-func (c *Client) walk(path string, followLeaf bool) (WalkResult, error) {
+// walk resolves path from the client's root as one request, marked as a
+// stat(2) when stat is set (Op.Stat).
+func (c *Client) walk(path string, followLeaf, stat bool) (WalkResult, error) {
 	op := c.req()
 	defer op.release()
+	op.Stat = stat
 	return walk(c.Pos, c.Mounts, op, path, followLeaf)
 }
 
 // Resolve walks path and returns its position and attributes, following
 // symlinks.
-func (c *Client) Resolve(path string) (WalkResult, error) { return c.walk(path, true) }
+func (c *Client) Resolve(path string) (WalkResult, error) { return c.walk(path, true, false) }
 
 // Lresolve walks path without following a leaf symlink.
-func (c *Client) Lresolve(path string) (WalkResult, error) { return c.walk(path, false) }
+func (c *Client) Lresolve(path string) (WalkResult, error) { return c.walk(path, false, false) }
 
 // Stat returns the attributes of path, following symlinks.
-func (c *Client) Stat(path string) (Attr, error) {
-	r, err := c.Resolve(path)
-	if err != nil {
-		return Attr{}, err
-	}
-	return r.Attr, nil
-}
+func (c *Client) Stat(path string) (Attr, error) { return c.stat(path, true) }
 
 // Lstat returns the attributes of path without following a leaf symlink.
-func (c *Client) Lstat(path string) (Attr, error) {
-	r, err := c.Lresolve(path)
+func (c *Client) Lstat(path string) (Attr, error) { return c.stat(path, false) }
+
+func (c *Client) stat(path string, followLeaf bool) (Attr, error) {
+	r, err := c.walk(path, followLeaf, true)
 	if err != nil {
 		return Attr{}, err
 	}
@@ -108,7 +106,7 @@ func (c *Client) Lstat(path string) (Attr, error) {
 // Open opens path with flags; mode is used when O_CREAT creates the file.
 func (c *Client) Open(path string, flags OpenFlags, mode Mode) (*File, error) {
 	follow := flags&ONofollow == 0
-	r, err := c.walk(path, follow)
+	r, err := c.walk(path, follow, false)
 	op := c.req()
 	defer op.release()
 	if err != nil {

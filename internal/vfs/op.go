@@ -29,6 +29,11 @@ type Op struct {
 	// PID is the originating process id, zero when no process model is
 	// involved (tests, tools).
 	PID uint32
+	// Stat marks a path walk made for stat(2) (Client.Stat, Client.Lstat):
+	// its caller reads the size and times the walk returns, so a cache
+	// that keeps attributes a write made stale for other walks must not
+	// answer it from them (fuse.Conn.Lookup).
+	Stat bool
 
 	ctx context.Context
 }
