@@ -647,10 +647,12 @@ func (c *Conn) call(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf)
 
 // oneWay queues a kernel-internal frame nobody awaits (forgets, releases,
 // interrupts; origin 0): the caller pays only the enqueue transition, and
-// the server recycles the request after dispatch. An INTERRUPT goes to
-// the head of the queue, past every backlog and past a full table's wait
-// for space. One-way messages sent during or after unmount are dropped,
-// as the kernel drops forgets once the connection is gone.
+// that is the frame's whole cost on the clock — the server thread that
+// serves it charges nothing (see worker.run) and recycles the request
+// after dispatch. An INTERRUPT goes to the head of the queue, past every
+// backlog and past a full table's wait for space. One-way messages sent
+// during or after unmount are dropped, as the kernel drops forgets once
+// the connection is gone.
 func (c *Conn) oneWay(op Opcode, nodeid vfs.Ino, dataOut int, payload func(w *buf)) {
 	c.clock.Advance(c.model.ContextSwitch)
 	p := newRequest(c, dataOut, 0)

@@ -577,8 +577,10 @@ func (c *Conn) Fsync(op *vfs.Op, h vfs.Handle, datasync bool) error {
 	}, 0, 0, nil)
 }
 
-// Release implements vfs.FS. RELEASE is asynchronous in FUSE: the kernel
-// does not wait for the reply, so the caller pays only the enqueue cost.
+// Release implements vfs.FS. RELEASE is asynchronous in FUSE (a
+// background request, fuse_file_put): the kernel does not wait for the
+// reply, so the caller pays only the enqueue cost and the server serves
+// it off the caller's clock.
 func (c *Conn) Release(op *vfs.Op, h vfs.Handle) error {
 	c.dropHandle(h)
 	c.oneWay(OpRelease, 0, 0, func(w *buf) { w.u64(uint64(h)) })

@@ -278,6 +278,16 @@ type worker struct {
 
 // run is the thread's loop: pop the request table's next request,
 // dispatch it, account it, reply.
+//
+// A request someone awaits pays the per-request server cost: the worker
+// wakeup plus cacheline contention on the shared device queue, growing
+// with the number of sibling threads (Figure 4). A one-way frame
+// (RELEASE, RELEASEDIR, FORGET, BATCH_FORGET, INTERRUPT) pays nothing
+// here: its sender does not wait, so the thread serves it beside the
+// application rather than on its clock, and the sender's enqueue is its
+// whole cost. The approximation: a thread busy with a one-way frame does
+// not delay the next request — queueing is counted for awaited requests
+// only.
 func (wk *worker) run() {
 	s := wk.s
 	defer s.wg.Done()
@@ -287,14 +297,13 @@ func (wk *worker) run() {
 			return
 		}
 		s.served.Add(1)
-		// Per-request server cost: the worker wakeup plus cacheline
-		// contention on the shared device queue, growing with the
-		// number of sibling threads (Figure 4).
-		cost := s.model.WakeupLatency
-		if n := s.opts.ServerThreads; n > 1 {
-			cost += time.Duration(n-1) * s.model.LockContention
+		if !msg.oneWay {
+			cost := s.model.WakeupLatency
+			if n := s.opts.ServerThreads; n > 1 {
+				cost += time.Duration(n-1) * s.model.LockContention
+			}
+			s.clock.Advance(cost)
 		}
-		s.clock.Advance(cost)
 		reply, acct := wk.dispatch(msg.frame.b, msg.out)
 		// Account completion before delivering the reply, so a caller
 		// that awaited the request observes its own operation in the

@@ -33,7 +33,7 @@ func TestConsolidationChaosEnforced(t *testing.T) {
 		t.Fatalf("injected errnos in the histograms: eio=%d enospc=%d, want 1299/4 (aborted=%d)",
 			rep.EIO, rep.ENOSPC, rep.Aborted)
 	}
-	if want := 10137334985 * time.Nanosecond; !virtPinned(rep.VirtTotal, want) {
+	if want := 10127148635 * time.Nanosecond; rep.VirtTotal != want {
 		t.Fatalf("summed virtual time = %dns, want %dns", rep.VirtTotal, want)
 	}
 	// Fleet-merge provenance: one source recording per container.

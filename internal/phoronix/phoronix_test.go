@@ -11,23 +11,6 @@ import (
 	"cntr/internal/fuse"
 )
 
-// virtPinned reports whether a virtual-time total measured on
-// unpipelined stacks equals its pinned value to within 100 ppm. Such
-// totals are bit-reproducible up to one effect: RELEASE and FORGET are
-// one-way frames, and the server worker handling one races the driver
-// reading the clock at either edge of a measured window, so a worker's
-// wakeup charge (2.36 us at 4 server threads) can land inside a window it
-// was issued before, or after one it was issued in. About one run in ten
-// sees one such wakeup, none seen more than two; want is the value every
-// run at GOMAXPROCS=1 and most runs otherwise produce.
-func virtPinned(got, want time.Duration) bool {
-	d := got - want
-	if d < 0 {
-		d = -d
-	}
-	return d <= want/10000
-}
-
 // TestFigure2Shape verifies the Figure 2 reproduction: who wins, where
 // the extremes are, and rough magnitudes. Exact ratios depend on the
 // calibrated cost model; the assertions bound the shape.
@@ -139,9 +122,9 @@ func TestFigure3ReadCacheEffect(t *testing.T) {
 		t.Fatalf("FOPEN_KEEP_CACHE speedup %.2fx, want >= 1.5x (paper ~10x)", r.Speedup)
 	}
 	// The off side re-reads from the host's copy, the only one that
-	// survives a re-open: DirectRead is inert without KeepCache, and this
-	// is the total from before the rule existed.
-	if off := 5676700 * time.Nanosecond; !virtPinned(r.Before, off) {
+	// survives a re-open: DirectRead is inert without KeepCache and does
+	// not move this total.
+	if off := 5674340 * time.Nanosecond; r.Before != off {
 		t.Fatalf("Threaded I/O: Read without FOPEN_KEEP_CACHE %dns, want %dns", r.Before, off)
 	}
 }
@@ -200,7 +183,7 @@ func TestFigure3NoSecEffect(t *testing.T) {
 		t.Fatal(err)
 	}
 	const off, on = 814207040 * time.Nanosecond, 472436800 * time.Nanosecond
-	if !virtPinned(r.Before, off) || !virtPinned(r.After, on) {
+	if r.Before != off || r.After != on {
 		t.Fatalf("IOzone: Write without NoSec %dns, with %dns (%.2fx); want %dns and %dns (1.72x)",
 			r.Before, r.After, r.Speedup, off, on)
 	}
@@ -215,9 +198,9 @@ func TestFigure3SmallFileEffect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const paper, def = 50301720 * time.Nanosecond, 31956080 * time.Nanosecond
-	if !virtPinned(r.Before, paper) || !virtPinned(r.After, def) {
-		t.Fatalf("Compilebench: Create on the paper's configuration %dns, on the default %dns (%.2fx); want %dns and %dns (1.57x)",
+	const paper, def = 49124080 * time.Nanosecond, 30778440 * time.Nanosecond
+	if r.Before != paper || r.After != def {
+		t.Fatalf("Compilebench: Create on the paper's configuration %dns, on the default %dns (%.2fx); want %dns and %dns (1.60x)",
 			r.Before, r.After, r.Speedup, paper, def)
 	}
 }
@@ -231,9 +214,9 @@ func TestFigure3SingleBufferEffect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const paper, single = 43270990 * time.Nanosecond, 13253880 * time.Nanosecond
-	if !virtPinned(r.Before, paper) || !virtPinned(r.After, single) || r.Speedup < 2.5 {
-		t.Fatalf("IOzone: Read on the paper's configuration %dns, with DirectRead %dns (%.2fx); want %dns and %dns (3.26x)",
+	const paper, single = 43268630 * time.Nanosecond, 13251520 * time.Nanosecond
+	if r.Before != paper || r.After != single || r.Speedup < 2.5 {
+		t.Fatalf("IOzone: Read on the paper's configuration %dns, with DirectRead %dns (%.2fx); want %dns and %dns (3.27x)",
 			r.Before, r.After, r.Speedup, paper, single)
 	}
 }
@@ -249,7 +232,7 @@ func TestFigure3SingleBarrierEffect(t *testing.T) {
 		t.Fatal(err)
 	}
 	const paper, single = 628579840 * time.Nanosecond, 505699840 * time.Nanosecond
-	if !virtPinned(r.Before, paper) || !virtPinned(r.After, single) {
+	if r.Before != paper || r.After != single {
 		t.Fatalf("AIO-Stress on the paper's configuration %dns, with SyncByFsync %dns (%.2fx); want %dns and %dns (1.24x)",
 			r.Before, r.After, r.Speedup, paper, single)
 	}
@@ -262,10 +245,10 @@ func TestFigure4ThreadScaling(t *testing.T) {
 	}
 	t1, t16 := m[1], m[16]
 	// The sweep mounts without KeepCache, so every record is a request
-	// served from the warm host cache; DirectRead is inert there, and
-	// these are the totals from before the rule existed.
-	if !virtPinned(t1, 21156400) || !virtPinned(t16, 22060000) {
-		t.Fatalf("seq read at 1 thread %dns, at 16 %dns; want 21156400 and 22060000", t1, t16)
+	// served from the warm host cache; DirectRead is inert there and does
+	// not move these totals.
+	if t1 != 21154400 || t16 != 22056200 {
+		t.Fatalf("seq read at 1 thread %dns, at 16 %dns; want 21154400 and 22056200", t1, t16)
 	}
 	if t16 < t1 {
 		t.Fatalf("16 threads (%v) should not beat 1 thread (%v) for seq read", t16, t1)

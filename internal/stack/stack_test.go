@@ -257,8 +257,8 @@ func TestHardlinkDedupLookupCost(t *testing.T) {
 		}
 		return sw.Elapsed()
 	}
-	if with, without := scan(false), scan(true); with != 3019578 || without != 2419578 {
-		t.Fatalf("cold scan = %dns with dedup, %dns without (%.3fx), want 3019578 and 2419578 (1.248x)",
+	if with, without := scan(false), scan(true); with != 3017218 || without != 2417218 {
+		t.Fatalf("cold scan = %dns with dedup, %dns without (%.3fx), want 3017218 and 2417218 (1.248x)",
 			with, without, float64(with)/float64(without))
 	}
 }
