@@ -96,7 +96,6 @@ func (c *Cache) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, err
 		if p := f.pages[idx]; p != nil {
 			c.stats.Hits++
 			c.clock.Advance(c.model.PageCacheHit)
-			c.touch(st.ino, idx)
 			copy(out, p.data[po:])
 			continue
 		}
@@ -107,7 +106,7 @@ func (c *Cache) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, err
 		// pure read amplification.
 		ahead := pos >= f.lastReadEnd-PageSize && pos <= f.lastReadEnd+PageSize ||
 			c.windowAt(f, idx*PageSize) != nil
-		got, base, err := c.fill(op, h, st.ino, f, idx, ahead)
+		got, base, err := c.fill(op, h, f, idx, ahead)
 		if err != nil {
 			return int(pos - off), err
 		}
@@ -199,7 +198,7 @@ func (c *Cache) topUpReadahead(op *vfs.Op, h vfs.Handle, f *fileCache) {
 // returns no page: the pages of one window are inserted one after another,
 // and under budget pressure a later one may evict an earlier one and take
 // over its memory. Caller holds c.mu.
-func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx int64, ahead bool) ([]byte, int64, error) {
+func (c *Cache) fill(op *vfs.Op, h vfs.Handle, f *fileCache, idx int64, ahead bool) ([]byte, int64, error) {
 	start := idx * PageSize
 	pipelined := ahead && c.async != nil && c.opts.ReadAhead > PageSize
 	var buf []byte
@@ -256,7 +255,7 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, ino vfs.Ino, f *fileCache, idx in
 			continue
 		}
 		lo := (k - first) * PageSize
-		c.insertPage(f, ino, k, buf[lo:min(lo+PageSize, int64(n))], &absent)
+		c.insertPage(f, k, buf[lo:min(lo+PageSize, int64(n))], &absent)
 	}
 	if pipelined {
 		// Consuming one window frees a pipeline slot: refill it so the
@@ -281,7 +280,7 @@ func (c *Cache) fillForWrite(op *vfs.Op, h vfs.Handle, st openState, f *fileCach
 		defer c.backing.Release(wbOp, rh)
 		op, h = wbOp, rh
 	}
-	got, _, err := c.fill(op, h, st.ino, f, idx, false)
+	got, _, err := c.fill(op, h, f, idx, false)
 	return got, err
 }
 
@@ -404,7 +403,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 				p = f.pages[idx]
 			}
 			if p == nil {
-				p = c.insertPage(f, st.ino, idx, got, &blank)
+				p = c.insertPage(f, idx, got, &blank)
 			}
 		}
 		if p != nil {
@@ -415,7 +414,6 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 			p.dirtyHi = max(p.dirtyHi, po+int64(len(chunk)))
 			p.dirty += int64(len(chunk))
 			f.dirtyBytes += int64(len(chunk))
-			c.touch(st.ino, idx)
 		} else {
 			// No cache space: this chunk goes straight to the backing.
 			n, err := c.writeOut(op, h, f, pos, chunk)
@@ -482,9 +480,9 @@ func (c *Cache) appendThrough(op *vfs.Op, h vfs.Handle, f *fileCache, off int64,
 	if f.valid {
 		stale = f.size / PageSize
 	}
-	for idx := range f.pages {
+	for idx, p := range f.pages {
 		if idx >= stale {
-			c.dropPage(f, idx)
+			c.dropPage(p)
 		}
 	}
 	f.valid = false
@@ -823,9 +821,9 @@ func (c *Cache) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.
 		if f, ok := c.files[ino]; ok {
 			c.dropReadahead(f) // windows may span the truncation point
 			c.flushFileLocked(f)
-			for idx := range f.pages {
+			for idx, p := range f.pages {
 				if idx*PageSize >= attr.Size {
-					c.dropPage(f, idx)
+					c.dropPage(p)
 				}
 			}
 			// Zero the cached tail of the boundary page, as the kernel

@@ -153,14 +153,12 @@ type Cache struct {
 	mu    sync.Mutex
 	files map[vfs.Ino]*fileCache
 	opens map[vfs.Handle]openState
-	// lru is the eviction queue: an insert and every touch append, and
-	// evictOne drops the page the oldest entry names. A page is reached at
-	// the entry its insert made, so a touch never moves it back: eviction
-	// is in insertion order, not least recently used. (An entry that
-	// outlives its page names whichever page is cached at that index
-	// when it is reached.)
-	lru   []pageKey
-	stats Stats
+	// oldest and newest are the ends of the list every cached page is on,
+	// in the order inserted: insertPage appends, dropPage unlinks and
+	// evictOne drops the oldest. A hit does not move a page, so eviction
+	// is in insertion order, not least recently used.
+	oldest, newest *page
+	stats          Stats
 	// Scratch of the synchronous path, reused under mu: wbuf holds the
 	// extent a flush is writing back, rbuf the window a blocking fill
 	// read, dirty the dirty page indices of the file being flushed. Each
@@ -217,11 +215,6 @@ func scrub(b []byte) {
 // eviction): root credentials, not cancelable — background writeback does
 // not belong to any one process and must not be interrupted by one.
 var wbOp = vfs.RootOp()
-
-type pageKey struct {
-	ino vfs.Ino
-	idx int64
-}
 
 type fileCache struct {
 	// pages is made with the file's first insert. hdrs is the block the
@@ -290,6 +283,11 @@ type page struct {
 	// dirtyLo/dirtyHi bound the modified byte range within the page so
 	// flushes write only what changed.
 	dirtyLo, dirtyHi int64
+	// f holds the page as page idx, and prev and next are its neighbours
+	// on the cache's list; a dropped page has no f and no neighbours.
+	f          *fileCache
+	idx        int64
+	prev, next *page
 }
 
 // clean marks p clean, its dirty bytes written back or discarded, and
@@ -415,10 +413,10 @@ func (c *Cache) newPage(f *fileCache, b *batch) *page {
 
 // insertPage caches data, zero-padded to a page, as page idx of f, which
 // must not hold that page yet, evicting under budget pressure. The page is
-// the next of b, which also sizes the page map f is made with. It returns
-// nil when the budget is exhausted and nothing can be evicted: the caller
-// serves uncached. Caller holds c.mu.
-func (c *Cache) insertPage(f *fileCache, ino vfs.Ino, idx int64, data []byte, b *batch) *page {
+// the next of b, which also sizes the page map f is made with, and the
+// newest on the list. It returns nil when the budget is exhausted and
+// nothing can be evicted: the caller serves uncached. Caller holds c.mu.
+func (c *Cache) insertPage(f *fileCache, idx int64, data []byte, b *batch) *page {
 	for !c.opts.Budget.tryCharge(PageSize) {
 		if !c.evictOne() {
 			return nil
@@ -430,19 +428,36 @@ func (c *Cache) insertPage(f *fileCache, ino vfs.Ino, idx int64, data []byte, b 
 	p := c.newPage(f, b)
 	copy(p.data, data)
 	f.pages[idx] = p
-	c.lru = append(c.lru, pageKey{ino, idx})
+	p.f, p.idx, p.prev = f, idx, c.newest
+	if c.newest != nil {
+		c.newest.next = p
+	} else {
+		c.oldest = p
+	}
+	c.newest = p
 	return p
 }
 
-// dropPage removes one cached page and returns its memory to the budget:
-// the single page removal behind eviction, truncate, unlink and
-// invalidate. Bytes still dirty are discarded with it. The page goes on
-// the free list while that has room (poisoned under the scratch guard
-// rail); past that it is left to the collector. Caller holds c.mu.
-func (c *Cache) dropPage(f *fileCache, idx int64) {
-	p := f.pages[idx]
-	f.clean(p)
-	delete(f.pages, idx)
+// dropPage removes one cached page from its file and the list and returns
+// its memory to the budget: the single page removal behind eviction,
+// truncate, unlink and invalidate. Bytes still dirty are discarded with
+// it. The page goes on the free list while that has room (poisoned under
+// the scratch guard rail); past that it is left to the collector. Caller
+// holds c.mu.
+func (c *Cache) dropPage(p *page) {
+	p.f.clean(p)
+	delete(p.f.pages, p.idx)
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		c.oldest = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		c.newest = p.prev
+	}
+	p.f, p.prev, p.next = nil, nil, nil
 	c.opts.Budget.release(PageSize)
 	if len(c.free) < maxHdrBlock {
 		if c.free == nil {
@@ -453,36 +468,19 @@ func (c *Cache) dropPage(f *fileCache, idx int64) {
 	}
 }
 
-// evictOne drops one clean cached page; dirty pages are flushed first.
-// Caller holds c.mu. Returns false when nothing can be evicted.
+// evictOne drops the oldest cached page; a dirty one is flushed first.
+// Caller holds c.mu. Returns false when nothing is cached.
 func (c *Cache) evictOne() bool {
-	for len(c.lru) > 0 {
-		k := c.lru[0]
-		c.lru = c.lru[1:]
-		f, ok := c.files[k.ino]
-		if !ok {
-			continue
-		}
-		p, ok := f.pages[k.idx]
-		if !ok {
-			continue
-		}
-		if p.dirty > 0 && f.wbValid {
-			c.flushPagesLocked(f, []int64{k.idx})
-		}
-		c.dropPage(f, k.idx)
-		c.stats.Evictions++
-		return true
+	p := c.oldest
+	if p == nil {
+		return false
 	}
-	return false
-}
-
-// touch appends another entry for a page in use. It does not delay the
-// page's eviction (see Cache.lru).
-func (c *Cache) touch(ino vfs.Ino, idx int64) {
-	if len(c.lru) < 1<<20 {
-		c.lru = append(c.lru, pageKey{ino, idx})
+	if p.dirty > 0 && p.f.wbValid {
+		c.flushPagesLocked(p.f, []int64{p.idx})
 	}
+	c.dropPage(p)
+	c.stats.Evictions++
+	return true
 }
 
 // invalidate drops all cached pages of ino, writing dirty data back
@@ -519,8 +517,8 @@ func (c *Cache) invalidateNoFlush(ino vfs.Ino) {
 // c.mu.
 func (c *Cache) dropFileLocked(ino vfs.Ino, f *fileCache) {
 	c.dropReadahead(f)
-	for idx := range f.pages {
-		c.dropPage(f, idx)
+	for _, p := range f.pages {
+		c.dropPage(p)
 	}
 	delete(c.files, ino)
 	if f.openHandles > 0 {

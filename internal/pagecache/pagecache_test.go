@@ -549,6 +549,11 @@ func coherent(t *testing.T, rng *sim.Rand, stacked, writeback bool, depth int) b
 				return fail(i, "unlink: %v vs %v", ea, eb)
 			}
 		}
+		for _, c := range caches {
+			if err := listed(c); err != nil {
+				return fail(i, "%v", err)
+			}
+		}
 	}
 	for _, c := range caches {
 		if err := c.SyncFS(); err != nil {
@@ -561,6 +566,39 @@ func coherent(t *testing.T, rng *sim.Rand, stacked, writeback bool, depth int) b
 		return fail(60, "backing after SyncFS: %d bytes,%v vs %d bytes,%v", len(got), ea, len(want), eb)
 	}
 	return true
+}
+
+// listed checks c's list of pages against its files: walked from the
+// oldest, it visits every page a file holds exactly once, each where its
+// file holds it and linked both ways, and no other.
+func listed(c *Cache) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	held, owners := 0, map[*fileCache]bool{}
+	for _, f := range c.files {
+		held += len(f.pages)
+		owners[f] = true
+	}
+	n := 0
+	var prev *page
+	for p := c.oldest; p != nil; prev, p = p, p.next {
+		if n++; n > held {
+			return fmt.Errorf("the list is longer than the %d pages held", held)
+		}
+		if p.prev != prev {
+			return fmt.Errorf("list entry %d (page %d): prev is not the entry before it", n, p.idx)
+		}
+		if !owners[p.f] || p.f.pages[p.idx] != p {
+			return fmt.Errorf("list entry %d (page %d) is not held where it says", n, p.idx)
+		}
+	}
+	if c.newest != prev {
+		return fmt.Errorf("newest is not the last of the %d entries", n)
+	}
+	if n != held {
+		return fmt.Errorf("the list has %d entries, the files hold %d pages", n, held)
+	}
+	return nil
 }
 
 // TestHitRatioConvention pins the ratio helper: 0 with no traffic (not

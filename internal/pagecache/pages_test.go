@@ -68,6 +68,41 @@ func TestMissReadsTheWindow(t *testing.T) {
 	}
 }
 
+// TestReinsertedPageIsNewest: under a budget of two pages, page 0 of /f
+// is cached, then page 0 of /g, then /f is truncated to nothing and its
+// page 0 written again. That page is the newest cached, so caching page 0
+// of /h evicts /g's page, the oldest, and keeps it.
+func TestReinsertedPageIsNewest(t *testing.T) {
+	e := newEnv(t, Options{KeepCache: true, Writeback: true, Budget: NewMemBudget(2 * PageSize)})
+	open := func(name string) *vfs.File {
+		f, err := e.cli.Open(name, vfs.ORdwr|vfs.OCreat, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		return f
+	}
+	page := make([]byte, PageSize)
+	write := func(f *vfs.File) {
+		if n, err := f.WriteAt(page, 0); n != PageSize || err != nil {
+			t.Fatalf("write page 0: %d, %v", n, err)
+		}
+	}
+	cached := func(f *vfs.File) bool { return e.cache.files[f.Ino()].pages[0] != nil }
+	f, g, h := open("/f"), open("/g"), open("/h")
+	write(f)
+	write(g)
+	if err := f.Truncate(0); err != nil {
+		t.Fatal(err)
+	}
+	write(f)
+	write(h)
+	if !cached(f) || cached(g) {
+		t.Fatalf("after /h's page was cached: f0 cached %v, g0 cached %v, want the re-inserted f0 kept and g0 evicted",
+			cached(f), cached(g))
+	}
+}
+
 // heapCost returns the heap objects and bytes one call of f allocates, as
 // testing.AllocsPerRun counts them (one warm-up call, then runs).
 func heapCost(runs int, f func()) (objects, bytes float64) {
@@ -83,9 +118,7 @@ func heapCost(runs int, f func()) (objects, bytes float64) {
 // (maxHdrBlock) per 64, the same number of header blocks and a page map made
 // for them (4 objects). Nothing else: the write reaches no backing call but
 // the capability lookup, and memfs answers that without allocating. Bytes
-// are the pages' own plus at most 64 KiB. The eviction queue's growth is
-// taken out of the measurement by making room for it first. Asserts are
-// off under -race.
+// are the pages' own plus at most 64 KiB. Asserts are off under -race.
 func TestFreshPagesAllocBudget(t *testing.T) {
 	const runs, pageMap = 20, 4
 	for _, tc := range []struct{ pages, runs int }{{64, 1}, {256, 4}} {
@@ -99,7 +132,6 @@ func TestFreshPagesAllocBudget(t *testing.T) {
 			defer f.Close()
 			files[i] = f
 		}
-		e.cache.lru = make([]pageKey, 0, 2*tc.pages*len(files))
 		data := make([]byte, tc.pages*PageSize)
 		next := 0
 		objects, bytes := heapCost(runs, func() {
@@ -145,7 +177,6 @@ func TestColdWindowAllocBudget(t *testing.T) {
 		defer f.Close()
 		files[i] = f
 	}
-	e.cache.lru = make([]pageKey, 0, 2*pages*len(files))
 	buf := make([]byte, len(data))
 	next := 0
 	objects, bytes := heapCost(runs, func() {
@@ -233,7 +264,6 @@ func TestAppendAllocBudget(t *testing.T) {
 					sets[i] = append(sets[i], f)
 				}
 			}
-			e.cache.lru = make([]pageKey, 0, 2*1024*len(sets))
 			// A collection would empty the client's pool of recycled Ops
 			// mid-measurement: what refills it is not the cache's cost.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
