@@ -167,7 +167,12 @@ type ConnStats struct {
 	NoSecHits   int64 // security.capability lookups answered from the S_NOSEC mark
 	ForgetsSent int64
 	BatchFrames int64
+	// Frames counts the frames sent, by opcode, one-way frames included.
+	Frames [opcodeLimit]int64
 }
+
+// opcodeLimit is one past the largest opcode a Conn sends.
+const opcodeLimit = OpRename2 + 1
 
 // request is one round trip on the simulated /dev/fuse queue, from
 // Conn.submit to the server's reply: the encoded request frame, the
@@ -519,6 +524,7 @@ func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *bu
 		}
 	}
 	c.stats.Requests++
+	c.stats.Frames[op]++
 	c.stats.BytesOut += int64(len(frame))
 	c.mu.Unlock()
 
@@ -660,6 +666,9 @@ func (c *Conn) oneWay(op Opcode, nodeid vfs.Ino, dataOut int, payload func(w *bu
 	encodeReqHeader(&p.frame, op, c.unique.Add(1), uint64(nodeid), nil)
 	payload(&p.frame)
 	finishFrame(&p.frame)
+	c.mu.Lock()
+	c.stats.Frames[op]++
+	c.mu.Unlock()
 	var ok bool
 	if op == OpInterrupt {
 		ok = c.table.pushInterrupt(p)

@@ -72,6 +72,8 @@ type Result struct {
 	Overhead      float64 // CntrTime / NativeTime, the Figure 2 ratio
 	PaperOverhead float64
 	Work          int64
+	// frames is the CntrFS mount's wire frames by opcode (warm-up and run).
+	frames [len(fuse.ConnStats{}.Frames)]int64
 }
 
 // hardwareThreads is the m4.xlarge's parallelism for wall-clock
@@ -175,6 +177,8 @@ type Row struct {
 	// Injected counts the Setup.StoreFaults that fired.
 	Injected int64
 	Err      error
+	// frames is the mount's wire frames by opcode (warm-up and run).
+	frames [len(fuse.ConnStats{}.Frames)]int64
 }
 
 // Run measures b on a fresh Cntr stack assembled from s. It is the one
@@ -226,6 +230,7 @@ func Run(b *Benchmark, s Setup) Row {
 		ics = append(ics, inj)
 	}
 	row.Time, row.Work, row.Err = RunOn(b, vfs.Chain(c.Top, ics...), c.Host, c.Clock, c.Model, c.Disk, s.Seed)
+	row.frames = c.Conn.Stats().Frames
 	if s.Record != nil {
 		s.Record.JoinOriginStats(c.Server.OriginStats())
 	}
@@ -270,6 +275,7 @@ func RunBenchmark(b *Benchmark) (Result, error) {
 		Overhead:      float64(c.Time) / float64(nt),
 		PaperOverhead: b.PaperOverhead,
 		Work:          work,
+		frames:        c.frames,
 	}, nil
 }
 

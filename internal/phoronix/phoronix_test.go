@@ -15,7 +15,7 @@ import (
 // the extremes are, and rough magnitudes. Exact ratios depend on the
 // calibrated cost model; the assertions bound the shape.
 func TestFigure2Shape(t *testing.T) {
-	results, err := RunAll()
+	results, err := figure2()
 	if err != nil {
 		t.Fatal(err)
 	}
