@@ -168,3 +168,34 @@ func TestAttachRetiresOriginsOnExit(t *testing.T) {
 		t.Fatal("retired aggregate empty after exit")
 	}
 }
+
+// TestAttachPolicySeesEveryOpen: the policy interceptors sit on the
+// server side of the mount, so an attached session's server keeps being
+// asked on every open (stack.NewMount turns fuse.MountOptions.NoOpen off
+// when it is handed any): Trace records the open of a regular file, and
+// Enforce can deny one whose lookup it allows.
+func TestAttachPolicySeesEveryOpen(t *testing.T) {
+	h, _, _ := testWorld(t)
+	p := tracedProfile(t, h)
+	if !p.Allows(vfs.KindOpen, "/etc/gdbinit") {
+		t.Fatalf("the traced read of /etc/gdbinit recorded no open: %+v", p.Rules)
+	}
+	if !p.Allows(vfs.KindLookup, "/usr/bin/gdb") || p.Allows(vfs.KindOpen, "/usr/bin/gdb") {
+		t.Fatalf("the profile should allow looking /usr/bin/gdb up and not opening it: %+v", p.Rules)
+	}
+	sess, err := Attach(h, Options{Container: "db", Fat: "tools", Enforce: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.Client.ReadFile("/etc/gdbinit"); err != nil {
+		t.Fatalf("on-profile read denied: %v", err)
+	}
+	if _, err := sess.Client.Open("/usr/bin/gdb", vfs.ORdonly, 0); err != vfs.EACCES {
+		t.Fatalf("off-profile open: %v, want EACCES", err)
+	}
+	v := sess.Enforcer.Violations()
+	if sess.Enforcer.Denials() != 1 || len(v) != 1 || v[0].Kind != vfs.KindOpen || !v[0].Denied {
+		t.Fatalf("denials %d, violations %+v; want the one open denied", sess.Enforcer.Denials(), v)
+	}
+}

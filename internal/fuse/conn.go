@@ -13,7 +13,7 @@ import (
 // KeepCache through BatchForget are the paper's §3.3 optimizations, and
 // MaxWrite, the two timeouts and ServerThreads the settings its CntrFS
 // mounts with: PaperMountOptions is that configuration. NoSec, NoFlush,
-// DirectRead and SyncByFsync are beyond the paper (on in
+// DirectRead, SyncByFsync and NoOpen are beyond the paper (on in
 // DefaultMountOptions only).
 type MountOptions struct {
 	// KeepCache sets FOPEN_KEEP_CACHE on every open, letting the page
@@ -102,6 +102,22 @@ type MountOptions struct {
 	// sends no FSYNC, so the host descriptor keeps O_SYNC and the rule is
 	// inert. Off in PaperMountOptions.
 	SyncByFsync bool
+	// NoOpen is beyond the paper, whose CntrFS answers every open(2) with
+	// an OPEN round trip and every last close with a RELEASE. It is the
+	// server's side of the kernel's fc->no_open (FUSE_NO_OPEN_SUPPORT): the
+	// server answers a regular file's OPEN with ENOSYS, and the connection,
+	// on the first such reply, opens regular files without a message
+	// (Conn.Open): it checks access against the cached attributes as the
+	// server would, truncates an O_TRUNC open with one SETATTR, and hands
+	// out a handle of its own whose data frames carry fh 0 and the inode,
+	// and whose close sends nothing. The server serves those frames through
+	// a host descriptor per inode, opened by the inode's first such frame
+	// and closed by its FORGET or the unmount. A zero-message open is
+	// FOPEN_KEEP_CACHE, and the host descriptor carries neither O_APPEND
+	// nor O_SYNC, which only the kernel's writeback cache resolves itself:
+	// without KeepCache and WritebackCache the server keeps answering OPEN
+	// and the rule is inert. Off in PaperMountOptions.
+	NoOpen bool
 	// ServerThreads is the number of userspace server threads reading
 	// the request queue (Fig. 4). A FUSE_INTERRUPT frame is the first
 	// thing the next read of the queue returns, but a thread has to read
@@ -132,15 +148,20 @@ func PaperMountOptions() MountOptions {
 }
 
 // DefaultMountOptions returns the fully optimized configuration: the
-// paper's, plus NoSec, NoFlush, DirectRead and SyncByFsync.
+// paper's, plus NoSec, NoFlush, DirectRead, SyncByFsync and NoOpen.
 func DefaultMountOptions() MountOptions {
 	opts := PaperMountOptions()
 	opts.NoSec = true
 	opts.NoFlush = true
 	opts.DirectRead = true
 	opts.SyncByFsync = true
+	opts.NoOpen = true
 	return opts
 }
+
+// noOpen reports whether a server with these options answers a regular
+// file's OPEN with ENOSYS (NoOpen).
+func (o *MountOptions) noOpen() bool { return o.NoOpen && o.KeepCache && o.WritebackCache }
 
 // ForgetBatchSize is how many forgets a FUSE_BATCH_FORGET frame carries.
 const ForgetBatchSize = 64
@@ -343,8 +364,10 @@ type Conn struct {
 	// it drives the overlap cost model (see request.await).
 	asyncInflight atomic.Int64
 	// noFlush is the kernel's fc->no_flush: set by the first FLUSH the
-	// server answers with ENOSYS, never reset.
+	// server answers with ENOSYS, never reset. noOpen is fc->no_open, set
+	// by the first OPEN answered so.
 	noFlush atomic.Bool
+	noOpen  atomic.Bool
 
 	mu        sync.Mutex
 	entries   map[entryKey]entryVal
@@ -360,7 +383,12 @@ type Conn struct {
 	// caches still reference: the kernel only sends FORGET once its own
 	// caches have dropped the inode, and so do we. Withheld counts are
 	// flushed when the cache entry is invalidated or expires.
-	held      map[vfs.Ino]uint64
+	held map[vfs.Ino]uint64
+	// localOpen counts, per inode, the open handles the connection made
+	// itself (openLocal): an open file pins its inode, so its forgets are
+	// held until the last of them closes. lastLocal numbers them.
+	localOpen map[vfs.Ino]int
+	lastLocal vfs.Handle
 	forgets   []forgetItem
 	streak    int
 	stats     ConnStats
@@ -445,6 +473,7 @@ func newConn(clock *sim.Clock, model *sim.CostModel, opts MountOptions, table *r
 		nosec:     make(map[vfs.Ino]time.Duration),
 		handleIno: make(map[vfs.Handle]vfs.Ino),
 		held:      make(map[vfs.Ino]uint64),
+		localOpen: make(map[vfs.Ino]int),
 	}
 }
 

@@ -83,10 +83,11 @@ func (c *Conn) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 		c.mu.Unlock()
 		return
 	}
-	// While the attribute cache references the inode, the kernel's own
-	// caches are keeping it alive: withhold the forget so the server
-	// does not drop the inode out from under a cached dentry.
-	if _, cached := c.attrs[ino]; cached {
+	// While the attribute cache references the inode, or a file the
+	// connection opened itself is open on it, the kernel is keeping it
+	// alive: withhold the forget so the server does not drop the inode
+	// out from under a cached dentry or an fh-0 frame.
+	if _, cached := c.attrs[ino]; cached || c.localOpen[ino] > 0 {
 		c.held[ino] += nlookup
 		c.mu.Unlock()
 		return
@@ -222,6 +223,7 @@ func (c *Conn) Readlink(op *vfs.Op, ino vfs.Ino) (string, error) {
 // Unlink implements vfs.FS.
 func (c *Conn) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 	if ino, ok := c.lookupCached(parent, name); ok {
+		c.holdOpen(op, ino)
 		c.invalidateAttr(ino) // nlink drops; other links see it too
 	}
 	err := c.call(OpUnlink, parent, op, func(w *buf) { w.str(name) }, 0, 0, nil)
@@ -241,6 +243,9 @@ func (c *Conn) Rmdir(op *vfs.Op, parent vfs.Ino, name string) error {
 // d_move does, so the moved file is found again without a LOOKUP. A failed
 // rename and every other flag drop both names.
 func (c *Conn) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vfs.Ino, newName string, flags vfs.RenameFlags) error {
+	if ino, ok := c.lookupCached(newParent, newName); ok {
+		c.holdOpen(op, ino) // the rename may end its last link
+	}
 	err := c.call(OpRename2, oldParent, op, func(w *buf) {
 		w.str(oldName)
 		w.u64(uint64(newParent))
@@ -307,15 +312,114 @@ func (c *Conn) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, fl
 
 // Open implements vfs.FS. O_DIRECT is rejected: CntrFS chose mmap support
 // over direct I/O, the two being mutually exclusive in FUSE (§5.1, test
-// #391).
+// #391). Once the server has answered an OPEN with ENOSYS
+// (MountOptions.NoOpen), a regular file is opened without a message
+// (openLocal), as fuse_file_open does after setting fc->no_open; the
+// answering OPEN is opened so too. Any other file is still opened over the
+// wire. That is this model's stated approximation: Linux sends a FIFO or a
+// device node no OPEN at all, but here the server serves FIFOs.
 func (c *Conn) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, error) {
 	if flags&vfs.ODirect != 0 {
 		return 0, vfs.EINVAL
 	}
+	if c.noOpen.Load() {
+		attr, err := c.openAttr(op, ino)
+		if err != nil {
+			return 0, err
+		}
+		if attr.Type == vfs.TypeRegular {
+			return c.openLocal(op, attr, flags)
+		}
+	}
 	if flags&vfs.OTrunc != 0 {
 		c.invalidateAttr(ino) // the open truncates server-side
 	}
-	return c.handleCall(OpOpen, ino, op, func(w *buf) { w.u32(uint32(flags)) })
+	h, err := c.handleCall(OpOpen, ino, op, func(w *buf) { w.u32(uint32(flags)) })
+	if vfs.ToErrno(err) != vfs.ENOSYS {
+		return h, err
+	}
+	c.noOpen.Store(true)
+	attr, err := c.openAttr(op, ino)
+	if err != nil {
+		return 0, err
+	}
+	return c.openLocal(op, attr, flags)
+}
+
+// localHandle marks a handle the connection made itself (openLocal); a
+// server's handles never have the bit set.
+const localHandle vfs.Handle = 1 << 63
+
+// openAttr is what an open decided here reads: the cached record, whose
+// type, mode and owner a data write leaves fresh, or one GETATTR.
+func (c *Conn) openAttr(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
+	if attr, ok := c.attrCached(ino, true); ok {
+		return attr, nil
+	}
+	return c.getattrWire(op, ino)
+}
+
+// openLocal opens a regular file without a message: the access check the
+// server's filesystem makes on OPEN, for the credential the server would
+// impersonate (serverCred), then the truncation of a writable O_TRUNC open
+// as one SETATTR (the VFS's handle_truncate), then a handle of the
+// connection's own.
+func (c *Conn) openLocal(op *vfs.Op, attr vfs.Attr, flags vfs.OpenFlags) (vfs.Handle, error) {
+	var cred vfs.Cred
+	if op != nil && op.Cred != nil {
+		serverCred(&cred, op.Cred.FSUID, op.Cred.FSGID, op.Cred.Groups)
+	} else {
+		serverCred(&cred, 0, 0, nil)
+	}
+	if flags.Readable() && !cred.MayRead(&attr) || flags.Writable() && !cred.MayWrite(&attr) {
+		return 0, vfs.EACCES
+	}
+	if flags&vfs.OTrunc != 0 && flags.Writable() {
+		if _, err := c.Setattr(op, attr.Ino, vfs.SetSize, vfs.Attr{}); err != nil {
+			return 0, err
+		}
+	}
+	c.mu.Lock()
+	c.lastLocal++
+	h := localHandle | c.lastLocal
+	c.handleIno[h] = attr.Ino
+	c.localOpen[attr.Ino]++
+	c.mu.Unlock()
+	return h, nil
+}
+
+// holdOpen makes the server hold ino open ahead of a request that may
+// end its last link, if a file openLocal made is open on it: that file's
+// frames name the inode, and the server keeps an unlinked inode only while
+// it holds it open. A READ of no bytes on fh 0 does that and nothing else.
+// A server that kept a descriptor for every inode the kernel has looked up
+// (CntrFS's O_PATH descriptors) would need no such frame; this model's
+// CntrFS keeps none, so this is part of the stated approximation. The
+// inode is known from the dentry cache only: on a mount that caches no
+// dentries (EntryTimeout 0) nothing is held, and such a file's next frame
+// after its unlink fails with ESTALE.
+func (c *Conn) holdOpen(op *vfs.Op, ino vfs.Ino) {
+	c.mu.Lock()
+	open := c.localOpen[ino] > 0
+	c.mu.Unlock()
+	if open {
+		// A failed hold leaves the request to come as it would have been.
+		_ = c.call(OpRead, ino, op, func(w *buf) {
+			w.u64(0)
+			w.i64(0)
+			w.u32(0)
+		}, 0, 0, nil)
+	}
+}
+
+// wireHandle is what a frame on h names: the server's handle, or for a
+// handle the connection made itself fh 0 and the inode.
+func (c *Conn) wireHandle(h vfs.Handle) (nodeid vfs.Ino, fh vfs.Handle) {
+	if h&localHandle == 0 {
+		return 0, h
+	}
+	ino, _ := c.handleInode(h)
+	return ino, 0
 }
 
 // Read implements vfs.FS. One READ request carries at most the
@@ -348,8 +452,9 @@ func (c *Conn) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, erro
 
 // submitRead queues one READ request of at most MaxWrite bytes.
 func (c *Conn) submitRead(op *vfs.Op, h vfs.Handle, off int64, dest []byte, async bool) *request {
-	return c.submit(OpRead, 0, op, func(w *buf) {
-		w.u64(uint64(h))
+	nodeid, fh := c.wireHandle(h)
+	return c.submit(OpRead, nodeid, op, func(w *buf) {
+		w.u64(uint64(fh))
 		w.i64(off)
 		w.u32(uint32(len(dest)))
 	}, 0, len(dest), async)
@@ -438,8 +543,9 @@ func (c *Conn) submitWrite(op *vfs.Op, h vfs.Handle, off int64, data []byte) vfs
 
 // submitWriteChunk queues one WRITE request of at most MaxWrite bytes.
 func (c *Conn) submitWriteChunk(op *vfs.Op, h vfs.Handle, off int64, chunk []byte, async bool) *request {
-	return c.submit(OpWrite, 0, op, func(w *buf) {
-		w.u64(uint64(h))
+	nodeid, fh := c.wireHandle(h)
+	return c.submit(OpWrite, nodeid, op, func(w *buf) {
+		w.u64(uint64(fh))
 		w.i64(off)
 		w.bytes(chunk)
 	}, len(chunk), 0, async)
@@ -557,7 +663,8 @@ func (c *Conn) Flush(op *vfs.Op, h vfs.Handle) error {
 	if c.noFlush.Load() {
 		return nil
 	}
-	err := c.call(OpFlush, 0, op, func(w *buf) { w.u64(uint64(h)) }, 0, 0, nil)
+	nodeid, fh := c.wireHandle(h)
+	err := c.call(OpFlush, nodeid, op, func(w *buf) { w.u64(uint64(fh)) }, 0, 0, nil)
 	if vfs.ToErrno(err) == vfs.ENOSYS {
 		c.noFlush.Store(true)
 		return nil
@@ -567,8 +674,9 @@ func (c *Conn) Flush(op *vfs.Op, h vfs.Handle) error {
 
 // Fsync implements vfs.FS.
 func (c *Conn) Fsync(op *vfs.Op, h vfs.Handle, datasync bool) error {
-	return c.call(OpFsync, 0, op, func(w *buf) {
-		w.u64(uint64(h))
+	nodeid, fh := c.wireHandle(h)
+	return c.call(OpFsync, nodeid, op, func(w *buf) {
+		w.u64(uint64(fh))
 		if datasync {
 			w.u8(1)
 		} else {
@@ -580,10 +688,29 @@ func (c *Conn) Fsync(op *vfs.Op, h vfs.Handle, datasync bool) error {
 // Release implements vfs.FS. RELEASE is asynchronous in FUSE (a
 // background request, fuse_file_put): the kernel does not wait for the
 // reply, so the caller pays only the enqueue cost and the server serves
-// it off the caller's clock.
+// it off the caller's clock. A file opened without a message is closed
+// without one; the last such close on an inode lets its held forgets go.
 func (c *Conn) Release(op *vfs.Op, h vfs.Handle) error {
-	c.dropHandle(h)
-	c.oneWay(OpRelease, 0, 0, func(w *buf) { w.u64(uint64(h)) })
+	if h&localHandle == 0 {
+		c.dropHandle(h)
+		c.oneWay(OpRelease, 0, 0, func(w *buf) { w.u64(uint64(h)) })
+		return nil
+	}
+	c.mu.Lock()
+	ino, ok := c.handleIno[h]
+	delete(c.handleIno, h)
+	var held uint64
+	if ok {
+		if c.localOpen[ino]--; c.localOpen[ino] <= 0 {
+			delete(c.localOpen, ino)
+			held = c.held[ino]
+			delete(c.held, ino)
+		}
+	}
+	c.mu.Unlock()
+	if held > 0 {
+		c.Forget(nil, ino, held) // held again while the attributes are cached
+	}
 	return nil
 }
 
@@ -721,8 +848,9 @@ func (c *Conn) Access(op *vfs.Op, ino vfs.Ino, mask uint32) error {
 
 // Fallocate implements vfs.FS.
 func (c *Conn) Fallocate(op *vfs.Op, h vfs.Handle, mode uint32, off, length int64) error {
-	err := c.call(OpFallocate, 0, op, func(w *buf) {
-		w.u64(uint64(h))
+	nodeid, fh := c.wireHandle(h)
+	err := c.call(OpFallocate, nodeid, op, func(w *buf) {
+		w.u64(uint64(fh))
 		w.u32(mode)
 		w.i64(off)
 		w.i64(length)

@@ -351,9 +351,8 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestServerCredKeepsCapabilities(t *testing.T) {
-	h := ReqHeader{UID: 1000, GID: 1000}
 	var c vfs.Cred
-	serverCred(&c, &h)
+	serverCred(&c, 1000, 1000, nil)
 	if c.FSUID != 1000 || c.FSGID != 1000 {
 		t.Fatal("fsuid/fsgid must follow the caller")
 	}

@@ -17,14 +17,30 @@ import (
 // the server answers without panicking. Every reply decodes and echoes the
 // frame's unique; only a one-way opcode gets none. A frame shorter than the
 // header, or whose length field is not its size, is answered EINVAL and
-// reaches no filesystem call. The seeds are requestCorpus, one frame per
-// opcode a Conn sends with a body; what the fuzzer found is kept as rows of
+// reaches no filesystem call. A data frame on fh 0 names its inode
+// (MountOptions.NoOpen): one naming an inode the filesystem does not know
+// leaves no host descriptor open. The seeds are requestCorpus, one frame
+// per opcode a Conn sends with a body, and fh-0 READ, WRITE and FSYNC
+// frames naming an unknown inode; what the fuzzer found is kept as rows of
 // TestDispatchFindings.
 //
 //	go test -run '^$' -fuzz FuzzDispatch -fuzztime 15s ./internal/fuse
 func FuzzDispatch(f *testing.F) {
 	for _, frame := range requestCorpus(f) {
 		f.Add(frame)
+	}
+	for _, body := range []struct {
+		opcode Opcode
+		encode func(w *buf)
+	}{
+		{OpRead, func(w *buf) { w.u64(0); w.i64(0); w.u32(4096) }},
+		{OpWrite, func(w *buf) { w.u64(0); w.i64(0); w.bytes([]byte("x")) }},
+		{OpFsync, func(w *buf) { w.u64(0); w.u8(0) }},
+	} {
+		var w buf
+		encodeReqHeader(&w, body.opcode, 1, 42, nil)
+		body.encode(&w)
+		f.Add(finishFrame(&w))
 	}
 	f.Fuzz(checkDispatch)
 }
@@ -36,6 +52,7 @@ func checkDispatch(t *testing.T, frame []byte) {
 	was := poisonReleased.Swap(true)
 	defer poisonReleased.Store(was)
 	opts := PaperMountOptions() // a NoFlush server would answer FLUSH itself
+	opts.NoOpen = true          // and fh 0 names an inode
 	opts.ServerThreads = 0      // dispatch by hand
 	calls := &callCounter{}
 	fs := vfs.Chain(memfs.New(memfs.Options{}), calls)
@@ -69,6 +86,11 @@ func checkDispatch(t *testing.T, frame []byte) {
 		}
 		if n := calls.n.Load(); n != 0 {
 			t.Fatalf("malformed header (%d bytes, length field %d): %d filesystem calls, want none", len(frame), lengthField(frame), n)
+		}
+	}
+	for ino := range srv.files {
+		if ino != vfs.RootIno { // the one inode a fresh memfs has
+			t.Fatalf("%v frame of %d bytes: a host descriptor is open for inode %d, which the filesystem does not know", opcode, len(frame), ino)
 		}
 	}
 }

@@ -14,19 +14,46 @@ import (
 )
 
 // wireSpy sits under the server: every GETXATTR, GETATTR or LOOKUP frame
-// that crosses the wire is one Getxattr, Getattr or Lookup call here, and
-// every FLUSH the server passes on one Flush call. hold, when set, keeps a
-// GETXATTR or CREATE answer back — computed, not yet replied — until it is
-// closed. flushErr, when set, is what the nth Flush returns.
+// that crosses the wire is one Getxattr, Getattr or Lookup call here,
+// every FLUSH the server passes on one Flush call, and every OPEN, RELEASE
+// and SETATTR it serves one Open, Release and Setattr call (the server's
+// own host descriptors, MountOptions.NoOpen, are Opens and Releases too).
+// wrote is the handle of the last Write. hold, when set, keeps a GETXATTR
+// or CREATE answer back — computed, not yet replied — until it is closed.
+// flushErr, when set, is what the nth Flush returns.
 type wireSpy struct {
 	vfs.FS
 	gets     atomic.Int64
 	getattrs atomic.Int64
 	lookups  atomic.Int64
 	flushes  atomic.Int64
+	opens    atomic.Int64
+	releases atomic.Int64
+	setattrs atomic.Int64
+	wrote    atomic.Uint64
 	flushErr func(n int64) error
 	hold     chan struct{}
 	holding  chan struct{}
+}
+
+func (s *wireSpy) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, error) {
+	s.opens.Add(1)
+	return s.FS.Open(op, ino, flags)
+}
+
+func (s *wireSpy) Release(op *vfs.Op, h vfs.Handle) error {
+	s.releases.Add(1)
+	return s.FS.Release(op, h)
+}
+
+func (s *wireSpy) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.Attr) (vfs.Attr, error) {
+	s.setattrs.Add(1)
+	return s.FS.Setattr(op, ino, mask, attr)
+}
+
+func (s *wireSpy) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, error) {
+	s.wrote.Store(uint64(h))
+	return s.FS.Write(op, h, off, data)
 }
 
 func (s *wireSpy) Getattr(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
@@ -76,6 +103,7 @@ type nosecEnv struct {
 	host  *memfs.FS
 	spy   *wireSpy
 	conn  *Conn
+	srv   *Server
 	top   vfs.FS
 	cli   *vfs.Client
 }
@@ -96,7 +124,7 @@ func nosecMount(t testing.TB, opts MountOptions) *nosecEnv {
 		MaxWriteSize: int64(opts.MaxWrite),
 		FlushOnClose: true,
 	})
-	return &nosecEnv{clock: clock, host: host, spy: spy, conn: conn, top: top, cli: vfs.NewClient(top, vfs.Root())}
+	return &nosecEnv{clock: clock, host: host, spy: spy, conn: conn, srv: srv, top: top, cli: vfs.NewClient(top, vfs.Root())}
 }
 
 var fileCaps = []byte{1, 0, 0, 2}

@@ -49,7 +49,16 @@ type Server struct {
 	completedFifo [completedRing]uint64 // ring of the uniques in completed
 	completedN    uint64                // uniques ever completed
 	interrupts    atomic.Int64
+
+	// files holds, per inode, the host descriptors its fh-0 frames are
+	// served through (MountOptions.NoOpen, worker.hostFile).
+	filesMu sync.Mutex
+	files   map[vfs.Ino]hostFiles
 }
+
+// hostFiles is an inode's read-side and write-side host descriptor; zero
+// is one not opened yet.
+type hostFiles struct{ rd, wr vfs.Handle }
 
 // reqCtx is the cancellation context of one dispatched request: what
 // context.WithCancel provided, minus its allocations. The Done channel is
@@ -124,6 +133,7 @@ func newServer(fs vfs.FS, clock *sim.Clock, model *sim.CostModel, opts MountOpti
 		inflight:  make(map[uint64]*reqCtx),
 		pending:   make(map[uint64]bool),
 		completed: make(map[uint64]struct{}),
+		files:     make(map[vfs.Ino]hostFiles),
 	}
 	for i := 0; i < opts.ServerThreads; i++ {
 		s.wg.Add(1)
@@ -146,6 +156,10 @@ func (s *Server) Wait() {
 	for {
 		select {
 		case <-done:
+			op := vfs.RootOp()
+			for ino := range s.files { // the workers are gone
+				s.closeFiles(op, ino)
+			}
 			s.stopped.Store(true)
 			return
 		case <-time.After(10 * time.Millisecond):
@@ -329,17 +343,92 @@ type ioAcct struct {
 }
 
 // serverCred reconstructs the credential the server impersonates for a
-// request. The CNTRFS server runs privileged and switches its filesystem
-// uid/gid to the caller's via setfsuid/setfsgid (§5.1); for non-root
-// callers the DAC-override capabilities therefore stop applying and the
-// underlying filesystem performs ordinary permission checks. Crucially
-// the server *keeps* CAP_FSETID — which is why delegated chmod does not
-// clear SGID bits and xfstests #375 fails. The caller's RLIMIT_FSIZE is
-// not part of the protocol at all (xfstests #228).
-func serverCred(c *vfs.Cred, h *ReqHeader) {
-	*c = vfs.Cred{FSUID: h.UID, FSGID: h.GID, Groups: h.Groups, Caps: vfs.FullCapSet()}
-	if h.UID != 0 {
+// request from its header's uid, gid and groups. The CNTRFS server runs
+// privileged and switches its filesystem uid/gid to the caller's via
+// setfsuid/setfsgid (§5.1); for non-root callers the DAC-override
+// capabilities therefore stop applying and the underlying filesystem
+// performs ordinary permission checks. Crucially the server *keeps*
+// CAP_FSETID — which is why delegated chmod does not clear SGID bits and
+// xfstests #375 fails. The caller's RLIMIT_FSIZE is not part of the
+// protocol at all (xfstests #228).
+func serverCred(c *vfs.Cred, uid, gid uint32, groups []uint32) {
+	*c = vfs.Cred{FSUID: uid, FSGID: gid, Groups: groups, Caps: vfs.FullCapSet()}
+	if uid != 0 {
 		c.Caps = vfs.NewCapSet(vfs.CapFsetid)
+	}
+}
+
+// serverSelf is the server's own credential, which it opens its per-inode
+// host descriptors with: the kernel checked the caller's access when it
+// opened the file (Conn.openLocal).
+var serverSelf = vfs.Root()
+
+// hostFile resolves a data frame's handle fh. A nonzero fh is the server's
+// own handle, and so is every fh on a server that does not answer OPEN
+// (MountOptions.NoOpen). Otherwise fh 0 names a file the kernel opened
+// without a message, by its inode: the frame is served through the
+// inode's host descriptor, read-only for a READ (with the flags an
+// O_RDONLY OPEN gets, so DirectRead holds) and read-write for the rest. A
+// descriptor not open yet is opened here, inside this request and at its
+// cost.
+func (wk *worker) hostFile(ino vfs.Ino, fh vfs.Handle, write bool) (vfs.Handle, error) {
+	s := wk.s
+	if fh != 0 || !s.opts.noOpen() {
+		return fh, nil
+	}
+	if h := s.descriptor(ino, write, 0); h != 0 {
+		return h, nil
+	}
+	flags := vfs.ORdwr
+	if !write {
+		flags = s.hostFlags(OpOpen, vfs.ORdonly)
+	}
+	op := &wk.op
+	caller := op.Cred
+	op.Cred = serverSelf
+	h, err := s.fs.Open(op, ino, flags)
+	op.Cred = caller
+	if err != nil {
+		return 0, err
+	}
+	if held := s.descriptor(ino, write, h); held != h {
+		s.fs.Release(op, h) // a sibling thread opened one first
+		return held, nil
+	}
+	return h, nil
+}
+
+// descriptor returns ino's host descriptor on the write or the read side,
+// making it h first if there is none and h is not zero.
+func (s *Server) descriptor(ino vfs.Ino, write bool, h vfs.Handle) vfs.Handle {
+	s.filesMu.Lock()
+	defer s.filesMu.Unlock()
+	f := s.files[ino]
+	side := &f.rd
+	if write {
+		side = &f.wr
+	}
+	if *side == 0 && h != 0 {
+		*side = h
+		s.files[ino] = f
+	}
+	return *side
+}
+
+// closeFiles closes ino's host descriptors: its FORGET ends them, and so
+// does the unmount.
+func (s *Server) closeFiles(op *vfs.Op, ino vfs.Ino) {
+	s.filesMu.Lock()
+	f, ok := s.files[ino]
+	delete(s.files, ino)
+	s.filesMu.Unlock()
+	if !ok {
+		return
+	}
+	for _, h := range [2]vfs.Handle{f.rd, f.wr} {
+		if h != 0 {
+			s.fs.Release(op, h)
+		}
 	}
 }
 
@@ -386,7 +475,7 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 	}
 	s.track(h.Unique, &wk.ctx)
 	defer s.untrack(h.Unique)
-	serverCred(&wk.cred, h)
+	serverCred(&wk.cred, h.UID, h.GID, h.Groups)
 	op := &wk.op
 	op.Init(&wk.ctx, &wk.cred, h.Unique, h.PID)
 	ino := vfs.Ino(h.NodeID)
@@ -406,6 +495,7 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 
 	case OpForget:
 		if nlookup := r.u64(); !r.bad {
+			s.closeFiles(op, ino)
 			s.fs.Forget(op, ino, nlookup)
 		}
 		return nil, acct // one-way
@@ -418,6 +508,7 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		for i := 0; i < n; i++ {
 			target := vfs.Ino(r.u64())
 			nlookup := r.u64()
+			s.closeFiles(op, target)
 			s.fs.Forget(op, target, nlookup)
 		}
 		return nil, acct // one-way
@@ -537,6 +628,18 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		if r.bad {
 			break
 		}
+		if s.opts.noOpen() {
+			// A regular file the kernel opens itself, fh 0 from then on
+			// (MountOptions.NoOpen); anything else is opened here.
+			attr, err := s.fs.Getattr(op, ino)
+			if err == nil && attr.Type == vfs.TypeRegular {
+				err = vfs.ENOSYS
+			}
+			if err != nil {
+				opErr = err
+				break
+			}
+		}
 		handle, err := s.fs.Open(op, ino, s.hostFlags(OpOpen, flags))
 		if err == nil {
 			w.u64(uint64(handle))
@@ -549,6 +652,13 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		size := int(r.u32())
 		if r.bad || size > s.opts.MaxWrite {
 			opErr = vfs.EINVAL // cut short, or beyond the negotiated read size
+			break
+		}
+		if handle, opErr = wk.hostFile(ino, handle, false); opErr != nil {
+			break
+		}
+		if size == 0 {
+			w.u32(0) // nothing to read: an fh-0 frame has opened the file, all Conn.holdOpen asks
 			break
 		}
 		// Read straight into the reply frame, behind the length prefix.
@@ -571,6 +681,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		if r.bad {
 			break
 		}
+		if handle, opErr = wk.hostFile(ino, handle, true); opErr != nil {
+			break
+		}
 		n, err := s.fs.Write(op, handle, off, data)
 		if err == nil {
 			w.u32(uint32(n))
@@ -584,6 +697,15 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 				opErr = vfs.ENOSYS // not implemented: the kernel stops asking
 				break
 			}
+			if handle == 0 && s.opts.noOpen() {
+				// Flush what of the file is open here; with nothing, nothing to flush.
+				if handle = s.descriptor(ino, true, 0); handle == 0 {
+					handle = s.descriptor(ino, false, 0)
+				}
+				if handle == 0 {
+					break
+				}
+			}
 			opErr = s.fs.Flush(op, handle)
 		}
 
@@ -591,6 +713,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		handle := vfs.Handle(r.u64())
 		datasync := r.u8() == 1
 		if r.bad {
+			break
+		}
+		if handle, opErr = wk.hostFile(ino, handle, true); opErr != nil {
 			break
 		}
 		opErr = s.fs.Fsync(op, handle, datasync)
@@ -688,6 +813,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		off := r.i64()
 		length := r.i64()
 		if r.bad {
+			break
+		}
+		if handle, opErr = wk.hostFile(ino, handle, true); opErr != nil {
 			break
 		}
 		opErr = s.fs.Fallocate(op, handle, mode, off, length)

@@ -94,7 +94,8 @@ func TestTruncatedEntryRepliesAreEIO(t *testing.T) {
 // requestCorpus is one well-formed request frame per opcode a Conn sends:
 // the golden frames of wire_test.go, then every other operation's frame as
 // a Conn encodes it, captured off the queue by a "server" that answers
-// ENOSYS to everything.
+// EIO to everything (an ENOSYS to OPEN would have the Conn open the file
+// itself, with a GETATTR, from then on).
 func requestCorpus(t testing.TB) [][]byte {
 	t.Helper()
 	var frames [][]byte
@@ -129,7 +130,7 @@ func requestCorpus(t testing.TB) [][]byte {
 			decodeReqHeader(msg.frame.b, &h, &rdr{})
 			w := &buf{}
 			beginReply(w)
-			msg.reply <- finishReply(w, h.Unique, vfs.ENOSYS)
+			msg.reply <- finishReply(w, h.Unique, vfs.EIO)
 		}
 	}()
 	op, root := vfs.RootOp(), vfs.RootIno

@@ -39,10 +39,11 @@ func figure3() []Panel {
 	noWriteback.WritebackCache = false
 	noDirops.ParallelDirops = false
 	noSplice.SpliceRead = false
-	nosec, direct, syncByFsync := paper, paper, paper
+	nosec, direct, syncByFsync, noOpen := paper, paper, paper, paper
 	nosec.NoSec = true
 	direct.DirectRead = true
 	syncByFsync.SyncByFsync = true
+	noOpen.NoOpen = true
 	return []Panel{
 		// (a) concurrent re-reads, 4 readers.
 		{Name: "read cache (FOPEN_KEEP_CACHE)", Row: "Threaded I/O: Read", Off: noKeep, On: def},
@@ -71,6 +72,10 @@ func figure3() []Panel {
 		// it; with the host file opened without O_SYNC, the FSYNC's is the
 		// only one.
 		{Name: "single barrier (O_SYNC by FSYNC)", Row: "AIO-Stress", Off: paper, On: syncByFsync, BeyondPaper: true},
+		// The paper's worst read row (§5.2 puts it down to per-file round
+		// trips): each file it reads back costs an OPEN round trip and a
+		// RELEASE, which a server answering OPEN with ENOSYS spares it.
+		{Name: "zero-message open (FUSE_NO_OPEN_SUPPORT)", Row: "Compilebench: Read", Off: paper, On: noOpen, BeyondPaper: true},
 	}
 }
 

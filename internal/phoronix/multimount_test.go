@@ -21,13 +21,15 @@ import (
 // hit ratio holds and no shard is lost.
 //
 // The two virtual totals are a ledger, pinned to the nanosecond. Without
-// the tier the fleet pays 110 885 120 ns. On one node it pays 44 807 552
+// the tier the fleet pays 107 423 440 ns. On one node it pays 41 345 872
 // ns: each of the 3 072 chunk lookups (4 mounts × 48 files × 16 chunks)
 // is one of a 32-deep pipelined window and pays NetRTT/32 (blocking
 // lookups would pay 9 688 ns more each, 75 012 768 ns in all); the 192
 // attr lookups go one at a time and pay a full NetRTT. A cold read
 // through the default mount goes past the host page cache
 // (fuse.MountOptions.DirectRead), so none of them pays host-side page hits.
+// Only each mount's first open asks the server (fuse.MountOptions.NoOpen):
+// a file's first READ opens its host descriptor instead.
 func TestMultiMountSharedCacheBeatsNoService(t *testing.T) {
 	var base, single, killed MultiMountResult
 	for _, row := range []struct {
@@ -36,8 +38,8 @@ func TestMultiMountSharedCacheBeatsNoService(t *testing.T) {
 		kill            bool
 		cold            time.Duration // 0: checked against nodes=1
 	}{
-		{"nosvc", 0, 0, false, 110885120},
-		{"nodes=1", 1, 0, false, 44807552},
+		{"nosvc", 0, 0, false, 107423440},
+		{"nodes=1", 1, 0, false, 41345872},
 		{"nodes=2", 2, 1, true, 0},
 		{"nodes=4", 4, 1, true, 0},
 	} {

@@ -63,8 +63,28 @@ func TestFigure2Shape(t *testing.T) {
 	}
 	slower("AIO-Stress", 1.8, 5)
 	// Moderate overheads.
-	slower("Apachebench", 1.1, 2.2)
 	slower("Compilebench: Compile", 1.3, 3.5)
+	// Apachebench opens a file per request. Its band is asserted where the
+	// paper measured it, on the paper's configuration at the same seed; the
+	// default opens each file without a message (NoOpen) and must sit at
+	// or under that and near parity.
+	paper, err := figure2Paper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range paper {
+		if p.Name != "Apachebench" {
+			continue
+		}
+		r := results[i]
+		paperConfig := float64(p.Time) / float64(r.NativeTime)
+		if paperConfig < 1.1 || paperConfig > 2.2 {
+			t.Errorf("Apachebench overhead on the paper's configuration %.2fx outside [1.1, 2.2] (paper %.1fx)", paperConfig, r.PaperOverhead)
+		}
+		if r.Overhead < 0.95 || r.Overhead > paperConfig {
+			t.Errorf("Apachebench overhead %.2fx, want within [0.95, %.2fx of the paper's configuration]", r.Overhead, paperConfig)
+		}
+	}
 	// IOzone: Write is the row the paper puts down to the per-write
 	// security.capability lookup. Its band is asserted where the paper
 	// measured it, with NoSec off; the default configuration, which
@@ -235,6 +255,23 @@ func TestFigure3SingleBarrierEffect(t *testing.T) {
 	if r.Before != paper || r.After != single {
 		t.Fatalf("AIO-Stress on the paper's configuration %dns, with SyncByFsync %dns (%.2fx); want %dns and %dns (1.24x)",
 			r.Before, r.After, r.Speedup, paper, single)
+	}
+}
+
+// TestFigure3ZeroMessageOpenEffect pins both sides of the ninth panel:
+// Compilebench: Read on the paper's configuration, where each of the 500
+// files it reads back costs an OPEN round trip, a RELEASE and the host
+// flush of its close, and with NoOpen, where only the first open asks
+// the server and a close flushes nothing the server never opened.
+func TestFigure3ZeroMessageOpenEffect(t *testing.T) {
+	r, err := runFigure3("zero-message open (FUSE_NO_OPEN_SUPPORT)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const paper, noOpen = 37133040 * time.Nanosecond, 26468900 * time.Nanosecond
+	if r.Before != paper || r.After != noOpen {
+		t.Fatalf("Compilebench: Read on the paper's configuration %dns, with NoOpen %dns (%.2fx); want %dns and %dns (%.2fx)",
+			r.Before, r.After, r.Speedup, paper, noOpen, float64(paper)/float64(noOpen))
 	}
 }
 

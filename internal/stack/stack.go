@@ -173,6 +173,11 @@ func tierClient(cfg Config, clock *sim.Clock, model *sim.CostModel) *cachecl.Cli
 func newMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config,
 	budget *pagecache.MemBudget, cacheCl *cachecl.Client, served []vfs.Interceptor) *Mount {
 	cfs := cntrfs.New(base, cntrfs.Options{DedupHardlinks: !cfg.NoDedupHardlinks})
+	if len(served) > 0 {
+		// The served interceptors (cntr.Attach's Trace and Enforce) must
+		// see and gate every open: the server keeps answering OPEN.
+		cfg.Mount.NoOpen = false
+	}
 	conn, srv := fuse.Mount(vfs.Chain(cfs, served...), clock, model, cfg.Mount)
 
 	// Kernel-side cache above the FUSE mount. Its caching behaviour is
