@@ -116,7 +116,9 @@ type MountOptions struct {
 	// FOPEN_KEEP_CACHE, and the host descriptor carries neither O_APPEND
 	// nor O_SYNC, which only the kernel's writeback cache resolves itself:
 	// without KeepCache and WritebackCache the server keeps answering OPEN
-	// and the rule is inert. Off in PaperMountOptions.
+	// and the rule is inert. So it is without EntryTimeout: the connection
+	// finds the file an unlink may end through its dentry (Conn.holdOpen).
+	// Off in PaperMountOptions.
 	NoOpen bool
 	// ServerThreads is the number of userspace server threads reading
 	// the request queue (Fig. 4). A FUSE_INTERRUPT frame is the first
@@ -161,7 +163,9 @@ func DefaultMountOptions() MountOptions {
 
 // noOpen reports whether a server with these options answers a regular
 // file's OPEN with ENOSYS (NoOpen).
-func (o *MountOptions) noOpen() bool { return o.NoOpen && o.KeepCache && o.WritebackCache }
+func (o *MountOptions) noOpen() bool {
+	return o.NoOpen && o.KeepCache && o.WritebackCache && o.EntryTimeout > 0
+}
 
 // ForgetBatchSize is how many forgets a FUSE_BATCH_FORGET frame carries.
 const ForgetBatchSize = 64
@@ -382,12 +386,11 @@ type Conn struct {
 	// held withholds forget counts for inodes the attribute/dentry
 	// caches still reference: the kernel only sends FORGET once its own
 	// caches have dropped the inode, and so do we. Withheld counts are
-	// flushed when the cache entry is invalidated or expires.
-	held map[vfs.Ino]uint64
-	// localOpen counts, per inode, the open handles the connection made
-	// itself (openLocal): an open file pins its inode, so its forgets are
-	// held until the last of them closes. lastLocal numbers them.
-	localOpen map[vfs.Ino]int
+	// flushed when the cache entry is invalidated or expires. An open
+	// file pins its inode too: the forgets of an inode a handle the
+	// connection made itself (openLocal) is open on are held until the
+	// last of those closes. lastLocal numbers those handles.
+	held      map[vfs.Ino]uint64
 	lastLocal vfs.Handle
 	forgets   []forgetItem
 	streak    int
@@ -473,7 +476,6 @@ func newConn(clock *sim.Clock, model *sim.CostModel, opts MountOptions, table *r
 		nosec:     make(map[vfs.Ino]time.Duration),
 		handleIno: make(map[vfs.Handle]vfs.Ino),
 		held:      make(map[vfs.Ino]uint64),
-		localOpen: make(map[vfs.Ino]int),
 	}
 }
 
@@ -753,11 +755,12 @@ func (c *Conn) handleInode(h vfs.Handle) (vfs.Ino, bool) {
 	return ino, ok
 }
 
-// openLocked reports whether any tracked handle refers to ino. Caller
-// holds c.mu.
-func (c *Conn) openLocked(ino vfs.Ino) bool {
-	for _, open := range c.handleIno {
-		if open == ino {
+// openLocked reports whether any tracked handle h with h&mask == mask
+// refers to ino: mask 0 asks for any, localHandle for one the connection
+// made itself. Caller holds c.mu.
+func (c *Conn) openLocked(ino vfs.Ino, mask vfs.Handle) bool {
+	for h, open := range c.handleIno {
+		if open == ino && h&mask == mask {
 			return true
 		}
 	}

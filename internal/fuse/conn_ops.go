@@ -87,7 +87,7 @@ func (c *Conn) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 	// connection opened itself is open on it, the kernel is keeping it
 	// alive: withhold the forget so the server does not drop the inode
 	// out from under a cached dentry or an fh-0 frame.
-	if _, cached := c.attrs[ino]; cached || c.localOpen[ino] > 0 {
+	if _, cached := c.attrs[ino]; cached || c.noOpen.Load() && c.openLocked(ino, localHandle) {
 		c.held[ino] += nlookup
 		c.mu.Unlock()
 		return
@@ -96,7 +96,7 @@ func (c *Conn) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 		nlookup += extra
 		delete(c.held, ino)
 	}
-	if _, marked := c.nosec[ino]; marked && !c.openLocked(ino) {
+	if _, marked := c.nosec[ino]; marked && !c.openLocked(ino, 0) {
 		// The kernel is dropping the inode, and its S_NOSEC bit with it.
 		// An open file pins its inode, whatever the dentry walk forgets.
 		c.clearNosecLocked(ino)
@@ -346,9 +346,13 @@ func (c *Conn) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, e
 	return c.openLocal(op, attr, flags)
 }
 
-// localHandle marks a handle the connection made itself (openLocal); a
-// server's handles never have the bit set.
-const localHandle vfs.Handle = 1 << 63
+// localHandle marks a handle the connection made itself (openLocal), and
+// localWritable one of those opened for writing; a server's handles never
+// have either bit set.
+const (
+	localHandle   vfs.Handle = 1 << 63
+	localWritable vfs.Handle = 1 << 62
+)
 
 // openAttr is what an open decided here reads: the cached record, whose
 // type, mode and owner a data write leaves fresh, or one GETATTR.
@@ -382,8 +386,10 @@ func (c *Conn) openLocal(op *vfs.Op, attr vfs.Attr, flags vfs.OpenFlags) (vfs.Ha
 	c.mu.Lock()
 	c.lastLocal++
 	h := localHandle | c.lastLocal
+	if flags.Writable() {
+		h |= localWritable
+	}
 	c.handleIno[h] = attr.Ino
-	c.localOpen[attr.Ino]++
 	c.mu.Unlock()
 	return h, nil
 }
@@ -395,12 +401,12 @@ func (c *Conn) openLocal(op *vfs.Op, attr vfs.Attr, flags vfs.OpenFlags) (vfs.Ha
 // A server that kept a descriptor for every inode the kernel has looked up
 // (CntrFS's O_PATH descriptors) would need no such frame; this model's
 // CntrFS keeps none, so this is part of the stated approximation. The
-// inode is known from the dentry cache only: on a mount that caches no
-// dentries (EntryTimeout 0) nothing is held, and such a file's next frame
-// after its unlink fails with ESTALE.
+// inode is known from the dentry cache, which the path walk ahead of an
+// unlink or a rename has just filled: a mount that caches no dentries
+// (EntryTimeout 0) keeps answering OPEN (MountOptions.NoOpen).
 func (c *Conn) holdOpen(op *vfs.Op, ino vfs.Ino) {
 	c.mu.Lock()
-	open := c.localOpen[ino] > 0
+	open := c.openLocked(ino, localHandle)
 	c.mu.Unlock()
 	if open {
 		// A failed hold leaves the request to come as it would have been.
@@ -700,12 +706,9 @@ func (c *Conn) Release(op *vfs.Op, h vfs.Handle) error {
 	ino, ok := c.handleIno[h]
 	delete(c.handleIno, h)
 	var held uint64
-	if ok {
-		if c.localOpen[ino]--; c.localOpen[ino] <= 0 {
-			delete(c.localOpen, ino)
-			held = c.held[ino]
-			delete(c.held, ino)
-		}
+	if ok && !c.openLocked(ino, localHandle) {
+		held = c.held[ino]
+		delete(c.held, ino)
 	}
 	c.mu.Unlock()
 	if held > 0 {
@@ -846,8 +849,13 @@ func (c *Conn) Access(op *vfs.Op, ino vfs.Ino, mask uint32) error {
 	return c.call(OpAccess, ino, op, func(w *buf) { w.u32(mask) }, 0, 0, nil)
 }
 
-// Fallocate implements vfs.FS.
+// Fallocate implements vfs.FS. A file opened without a message and not
+// for writing fails as the server's read-only handle would (EBADF): the
+// server serves fh 0 through its own writable descriptor.
 func (c *Conn) Fallocate(op *vfs.Op, h vfs.Handle, mode uint32, off, length int64) error {
+	if h&(localHandle|localWritable) == localHandle {
+		return vfs.EBADF
+	}
 	nodeid, fh := c.wireHandle(h)
 	err := c.call(OpFallocate, nodeid, op, func(w *buf) {
 		w.u64(uint64(fh))

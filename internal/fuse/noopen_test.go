@@ -8,6 +8,7 @@ import (
 
 	"cntr/internal/memfs"
 	"cntr/internal/sim"
+	"cntr/internal/unionfs"
 	"cntr/internal/vfs"
 )
 
@@ -18,13 +19,15 @@ import (
 // file is opened and closed without a message, its data frames carry fh 0
 // and are served through the server's own descriptor, and an O_TRUNC open
 // is one SETATTR. A FIFO, a directory and a CREATE are what they always
-// were, and so is every open on a mount where the rule is off or inert.
+// were, and so is every open on a mount where the rule is off or inert:
+// without KeepCache, WritebackCache or a dentry cache (EntryTimeout 0).
 func TestZeroMessageOpenWire(t *testing.T) {
 	op := vfs.RootOp()
-	off, noKeep, noWriteback := DefaultMountOptions(), DefaultMountOptions(), DefaultMountOptions()
+	off, noKeep, noWriteback, noEntries := DefaultMountOptions(), DefaultMountOptions(), DefaultMountOptions(), DefaultMountOptions()
 	off.NoOpen = false
 	noKeep.KeepCache = false
 	noWriteback.WritebackCache = false
+	noEntries.EntryTimeout = 0
 	type wire struct{ open, release, setattr, fsOpens int64 }
 	openClose := func(name string, flags vfs.OpenFlags) func(*nosecEnv, map[string]vfs.Ino) error {
 		return func(e *nosecEnv, ino map[string]vfs.Ino) error {
@@ -94,6 +97,7 @@ func TestZeroMessageOpenWire(t *testing.T) {
 		{"NoOpen off", off, false, openClose("f", vfs.ORdonly), wire{open: 1, release: 1, fsOpens: 1}},
 		{"KeepCache off", noKeep, false, openClose("f", vfs.ORdonly), wire{open: 1, release: 1, fsOpens: 1}},
 		{"WritebackCache off", noWriteback, false, openClose("f", vfs.ORdonly), wire{open: 1, release: 1, fsOpens: 1}},
+		{"EntryTimeout 0", noEntries, false, openClose("f", vfs.ORdonly), wire{open: 1, release: 1, fsOpens: 1}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -146,9 +150,10 @@ func TestZeroMessageOpenWire(t *testing.T) {
 // without capabilities, uid 1000 with CAP_DAC_OVERRIDE, the file's owner)
 // opens every file (0644 and 0600 owned by root, 0200 owned by uid 1000,
 // 0000 owned by uid 2000) in every access mode, with and without O_TRUNC,
-// then reads a byte, writes one and closes, through the kernel-side page
-// cache: every errno, and what the host holds at the end, must be the same
-// with NoOpen on and off.
+// then reads a byte, writes one, punches a hole in the next, fsyncs and
+// closes, through the kernel-side page cache: every errno, and what the
+// host holds at the end, must be the same with NoOpen on and off. A file
+// opened read-only takes no fallocate, whatever the caller may write.
 func TestZeroMessageOpenErrnoDifferential(t *testing.T) {
 	files := []struct {
 		name string
@@ -197,7 +202,8 @@ func TestZeroMessageOpenErrnoDifferential(t *testing.T) {
 						if err == nil {
 							_, rerr := h.ReadAt(make([]byte, 1), 0)
 							_, werr := h.WriteAt([]byte("w"), 0)
-							line += fmt.Sprintf(", read %v, write %v, close %v", rerr, werr, h.Close())
+							ferr := e.top.Fallocate(cli.Op, h.Handle(), vfs.FallocPunchHole|vfs.FallocKeepSize, 1, 1)
+							line += fmt.Sprintf(", read %v, write %v, fallocate %v, fsync %v, close %v", rerr, werr, ferr, h.Sync(), h.Close())
 						}
 						out = append(out, line)
 					}
@@ -273,6 +279,7 @@ func TestZeroMessageOpenDescriptorsClose(t *testing.T) {
 		defer srv.filesMu.Unlock()
 		n := 0
 		for _, f := range srv.files {
+			n += len(f.retired)
 			if f.rd != 0 {
 				n++
 			}
@@ -290,7 +297,7 @@ func TestZeroMessageOpenDescriptorsClose(t *testing.T) {
 	}
 	conn.Release(op, h)
 	if n := descriptors(); n != 2 {
-		t.Fatalf("after a read and a write, %d descriptors, want the read and the write side", n)
+		t.Fatalf("after a read and a write, %d descriptors, want the read side (retired) and the write side", n)
 	}
 	conn.Forget(op, a, 1) // withheld while the attributes are cached
 	conn.invalidateAttr(a)
@@ -325,9 +332,10 @@ func TestZeroMessageOpenDescriptorsClose(t *testing.T) {
 }
 
 // TestZeroMessageOpenConcurrentFrames: fh-0 frames for the same inodes
-// served by four threads at once open one descriptor per inode and side
-// (a thread that loses the race to open it closes its own), every read
-// returns the file, and the unmount closes all of it. Run it with -race.
+// served by four threads at once open one read-side descriptor per inode
+// (a thread that loses the race to open it closes its own) and, since an
+// fsync opens no write side, nothing else; every read returns the file,
+// and the unmount closes all of it. Run it with -race.
 func TestZeroMessageOpenConcurrentFrames(t *testing.T) {
 	op := vfs.RootOp()
 	host := memfs.New(memfs.Options{})
@@ -377,8 +385,8 @@ func TestZeroMessageOpenConcurrentFrames(t *testing.T) {
 	}
 	srv.filesMu.Lock()
 	for ino, f := range srv.files {
-		if f.rd == 0 || f.wr == 0 {
-			t.Errorf("inode %d: descriptors %+v, want both sides open", ino, f)
+		if f.rd == 0 || f.wr != 0 || len(f.retired) != 0 {
+			t.Errorf("inode %d: descriptors %+v, want the read side alone", ino, f)
 		}
 	}
 	srv.filesMu.Unlock()
@@ -387,4 +395,76 @@ func TestZeroMessageOpenConcurrentFrames(t *testing.T) {
 	if o, r := spy.opens.Load(), spy.releases.Load(); o != r || len(srv.files) != 0 {
 		t.Fatalf("the server made %d opens and %d releases, %d inodes still open", o, r, len(srv.files))
 	}
+}
+
+// TestZeroMessageOpenFollowsCopyUp: on a union filesystem, a file opened
+// read-only and read (the server's read side, on the lower layer) and then
+// written (the write side's open copies it up) reads back what was
+// written, and so it does after a truncate. The connection here has no
+// page cache above it, so every read is a READ frame, as after an
+// eviction. An fsync of a file opened read-only copies nothing up.
+func TestZeroMessageOpenFollowsCopyUp(t *testing.T) {
+	op := vfs.RootOp()
+	lower := memfs.New(memfs.Options{})
+	for _, name := range []string{"/f", "/g"} {
+		if err := vfs.NewClient(lower, vfs.Root()).WriteFile(name, []byte("lower-data"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	union := unionfs.New(lower)
+	conn, srv := Mount(union, sim.NewClock(), sim.DefaultCostModel(), DefaultMountOptions())
+	defer func() {
+		conn.Unmount()
+		srv.Wait()
+	}()
+	ino := map[string]vfs.Ino{}
+	for _, name := range []string{"f", "g"} {
+		attr, err := conn.Lookup(op, vfs.RootIno, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ino[name] = attr.Ino
+	}
+	open := func(name string, flags vfs.OpenFlags) vfs.Handle {
+		h, err := conn.Open(op, ino[name], flags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	readBack := func(name, want string) {
+		t.Helper()
+		h := open(name, vfs.ORdonly)
+		defer conn.Release(op, h)
+		buf := make([]byte, 16)
+		if n, err := conn.Read(op, h, 0, buf); string(buf[:n]) != want || err != nil {
+			t.Fatalf("%s reads %q, %v; want %q", name, buf[:n], err, want)
+		}
+	}
+	upper := func(path string) bool {
+		_, err := vfs.Walk(union.Upper(), op, vfs.RootIno, path, false)
+		return err == nil
+	}
+
+	h := open("f", vfs.ORdonly)
+	if err := conn.Fsync(op, h, false); err != nil {
+		t.Fatal(err)
+	}
+	conn.Release(op, h)
+	if upper("/f") {
+		t.Fatal("an fsync of a file opened read-only copied it up")
+	}
+	readBack("f", "lower-data")
+	h = open("f", vfs.OWronly)
+	if _, err := conn.Write(op, h, 0, []byte("UPPER")); err != nil {
+		t.Fatal(err)
+	}
+	conn.Release(op, h)
+	readBack("f", "UPPER-data")
+
+	readBack("g", "lower-data")
+	if _, err := conn.Setattr(op, ino["g"], vfs.SetSize, vfs.Attr{Size: 5}); err != nil {
+		t.Fatal(err)
+	}
+	readBack("g", "lower")
 }

@@ -57,8 +57,18 @@ type Server struct {
 }
 
 // hostFiles is an inode's read-side and write-side host descriptor; zero
-// is one not opened yet.
-type hostFiles struct{ rd, wr vfs.Handle }
+// is one not opened yet. A read side opened before the file may have been
+// copied up (by the write side's open, or a SETATTR of its size, on a
+// union filesystem) may no longer read what the file holds: it is
+// retired, still open for a READ in flight on it, and the next READ opens
+// a new one. Retired descriptors close with the others. copyUps counts
+// those two events, so that a read side whose open raced one is retired
+// too.
+type hostFiles struct {
+	rd, wr  vfs.Handle
+	retired []vfs.Handle
+	copyUps int
+}
 
 // reqCtx is the cancellation context of one dispatched request: what
 // context.WithCancel provided, minus its allocations. The Done channel is
@@ -368,15 +378,17 @@ var serverSelf = vfs.Root()
 // (MountOptions.NoOpen). Otherwise fh 0 names a file the kernel opened
 // without a message, by its inode: the frame is served through the
 // inode's host descriptor, read-only for a READ (with the flags an
-// O_RDONLY OPEN gets, so DirectRead holds) and read-write for the rest. A
-// descriptor not open yet is opened here, inside this request and at its
-// cost.
+// O_RDONLY OPEN gets, so DirectRead holds) and read-write for a WRITE or a
+// FALLOCATE, which the kernel sends only on a file it opened for writing
+// (Conn.Fallocate). A descriptor not open yet is opened here, inside this
+// request and at its cost.
 func (wk *worker) hostFile(ino vfs.Ino, fh vfs.Handle, write bool) (vfs.Handle, error) {
 	s := wk.s
 	if fh != 0 || !s.opts.noOpen() {
 		return fh, nil
 	}
-	if h := s.descriptor(ino, write, 0); h != 0 {
+	h, copyUps := s.descriptor(ino, write)
+	if h != 0 {
 		return h, nil
 	}
 	flags := vfs.ORdwr
@@ -391,7 +403,7 @@ func (wk *worker) hostFile(ino vfs.Ino, fh vfs.Handle, write bool) (vfs.Handle, 
 	if err != nil {
 		return 0, err
 	}
-	if held := s.descriptor(ino, write, h); held != h {
+	if held := s.install(ino, write, h, copyUps); held != h {
 		s.fs.Release(op, h) // a sibling thread opened one first
 		return held, nil
 	}
@@ -399,20 +411,61 @@ func (wk *worker) hostFile(ino vfs.Ino, fh vfs.Handle, write bool) (vfs.Handle, 
 }
 
 // descriptor returns ino's host descriptor on the write or the read side,
-// making it h first if there is none and h is not zero.
-func (s *Server) descriptor(ino vfs.Ino, write bool, h vfs.Handle) vfs.Handle {
+// zero if there is none, and its count of copy-ups so far.
+func (s *Server) descriptor(ino vfs.Ino, write bool) (vfs.Handle, int) {
 	s.filesMu.Lock()
 	defer s.filesMu.Unlock()
 	f := s.files[ino]
-	side := &f.rd
 	if write {
-		side = &f.wr
+		return f.wr, f.copyUps
 	}
-	if *side == 0 && h != 0 {
-		*side = h
+	return f.rd, f.copyUps
+}
+
+// install makes h, opened when ino had seen copyUps copy-ups, its
+// descriptor on the write or the read side if that side has none, and
+// returns the side's descriptor. A write side installed so is a copy-up.
+// A read side opened across one serves only the READ that opened it.
+func (s *Server) install(ino vfs.Ino, write bool, h vfs.Handle, copyUps int) vfs.Handle {
+	s.filesMu.Lock()
+	defer s.filesMu.Unlock()
+	f := s.files[ino]
+	defer func() { s.files[ino] = f }()
+	switch {
+	case write:
+		if f.wr == 0 {
+			f.wr = h
+			f.copiedUp()
+		}
+		return f.wr
+	case f.copyUps != copyUps:
+		f.retired = append(f.retired, h)
+		return h
+	case f.rd == 0:
+		f.rd = h
+	}
+	return f.rd
+}
+
+// copiedUp counts a copy-up and retires the read side, if there is one.
+func (f *hostFiles) copiedUp() {
+	f.copyUps++
+	if f.rd != 0 {
+		f.retired = append(f.retired, f.rd)
+		f.rd = 0
+	}
+}
+
+// resized counts the SETATTR of ino's size just served as a copy-up,
+// unless the write side is open: the file was copied up when that opened,
+// before any read side it has now.
+func (s *Server) resized(ino vfs.Ino) {
+	s.filesMu.Lock()
+	defer s.filesMu.Unlock()
+	if f := s.files[ino]; f.wr == 0 {
+		f.copiedUp()
 		s.files[ino] = f
 	}
-	return *side
 }
 
 // closeFiles closes ino's host descriptors: its FORGET ends them, and so
@@ -425,7 +478,7 @@ func (s *Server) closeFiles(op *vfs.Op, ino vfs.Ino) {
 	if !ok {
 		return
 	}
-	for _, h := range [2]vfs.Handle{f.rd, f.wr} {
+	for _, h := range append(f.retired, f.rd, f.wr) {
 		if h != 0 {
 			s.fs.Release(op, h)
 		}
@@ -528,6 +581,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		}
 		attr, err := s.fs.Setattr(op, ino, mask, in)
 		if err == nil {
+			if mask&vfs.SetSize != 0 && s.opts.noOpen() {
+				s.resized(ino)
+			}
 			encodeAttr(w, &attr)
 		}
 		opErr = err
@@ -699,8 +755,8 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 			}
 			if handle == 0 && s.opts.noOpen() {
 				// Flush what of the file is open here; with nothing, nothing to flush.
-				if handle = s.descriptor(ino, true, 0); handle == 0 {
-					handle = s.descriptor(ino, false, 0)
+				if handle, _ = s.descriptor(ino, true); handle == 0 {
+					handle, _ = s.descriptor(ino, false)
 				}
 				if handle == 0 {
 					break
@@ -715,7 +771,11 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		if r.bad {
 			break
 		}
-		if handle, opErr = wk.hostFile(ino, handle, true); opErr != nil {
+		// An fsync writes nothing: it goes through the write side only if
+		// that is open, and never opens one (a union filesystem copies a
+		// file up when it is opened for writing).
+		wr, _ := s.descriptor(ino, true)
+		if handle, opErr = wk.hostFile(ino, handle, wr != 0); opErr != nil {
 			break
 		}
 		opErr = s.fs.Fsync(op, handle, datasync)
