@@ -15,46 +15,28 @@ import (
 // new kinds, because an injected errno changes an operation's outcome,
 // not its existence.
 func TestChaosComposesWithPolicy(t *testing.T) {
-	// The clean recording of the suite, and its profile.
-	prof := suiteRecording(t).Profile(policy.GenOptions{})
+	// The suite replayed under chaos (latency + injected errnos) with its
+	// clean recording's profile enforced, into a second collector.
+	ec := pass(t, enforceChaos)
+	prof, chaotic := ec.prof, ec.chaotic
 	if len(prof.Rules) == 0 {
 		t.Fatal("clean trace generated no rules")
 	}
-
-	// Replay under chaos (latency + injected errnos) with the profile
-	// enforced and a second collector recording the chaotic run.
-	chaotic := policy.NewCollector()
-	results := Sweep(nil, Setup{Faults: ChaosErrnoProfile(), Enforce: prof, Record: chaotic})
-	if len(results) != len(Suite) {
-		t.Fatalf("replayed %d benchmarks, want %d", len(results), len(Suite))
-	}
-	var denials, audited int64
 	aborted := 0
-	for _, r := range results {
-		denials += r.Denials
-		audited += r.Audited
+	for _, r := range ec.rows {
+		if r.Denials != 0 || r.Audited != 0 {
+			t.Fatalf("%s: injected faults registered as policy violations: denials=%d audited=%d",
+				r.Name, r.Denials, r.Audited)
+		}
 		if r.Err != nil {
 			aborted++
 		}
 	}
-	if denials != 0 || audited != 0 {
-		t.Fatalf("injected faults registered as policy violations: denials=%d audited=%d",
-			denials, audited)
-	}
 
 	// The injected errnos landed in histogram buckets.
-	var eio, enospc int64
-	for _, act := range chaotic.Snapshot() {
-		if k, ok := act.Kinds["read"]; ok {
-			eio += k.Errnos["input/output error"]
-		}
-		if k, ok := act.Kinds["write"]; ok {
-			enospc += k.Errnos["no space left on device"]
-		}
-	}
-	if eio+enospc == 0 {
+	if b := errnoBuckets(chaotic); b["read:input/output_error"]+b["write:no_space_left_on_device"] == 0 {
 		t.Fatalf("no injected errnos reached the histograms (aborted=%d of %d benchmarks)",
-			aborted, len(results))
+			aborted, len(ec.rows))
 	}
 
 	// Rule shape: the profile generated from the chaotic recording must

@@ -3,8 +3,6 @@ package phoronix
 import (
 	"testing"
 	"time"
-
-	"cntr/internal/policy"
 )
 
 // TestChaosLatencyIsExactlyTheInjectedDelay pins the -chaos latency mode:
@@ -19,27 +17,21 @@ import (
 // injected delay moves it past AttrTimeout, attributes it had cached
 // expire, and its difference is 145 us off the computed one.
 func TestChaosLatencyIsExactlyTheInjectedDelay(t *testing.T) {
-	for _, name := range []string{"PostMark", "IOzone: Write", "Compilebench: Create", "SQLite"} {
-		b := findBench(name)
-		clean := Run(b, Setup{})
-		col := policy.NewCollector()
-		chaos := Run(b, Setup{Faults: ChaosProfile(), Record: col})
-		if clean.Err != nil || chaos.Err != nil {
-			t.Fatalf("%s: clean %v, under chaos %v", name, clean.Err, chaos.Err)
-		}
+	clean := pass(t, figure2)
+	for _, chaos := range pass(t, chaosLatency) {
 		var reads, writes, ops int64
-		for _, act := range col.Snapshot() {
+		for _, act := range chaos.record.Snapshot() {
 			reads += act.Kinds["read"].Ops
 			writes += act.Kinds["write"].Ops
 			ops += act.Ops
 		}
 		if ops != chaos.Ops || ops == 0 {
-			t.Fatalf("%s: snapshot counts %d operations, the row %d", name, ops, chaos.Ops)
+			t.Fatalf("%s: snapshot counts %d operations, the row %d", chaos.Name, ops, chaos.Ops)
 		}
 		want := time.Duration(reads/7+writes/5)*200*time.Microsecond + time.Duration(ops/13)*50*time.Microsecond
-		if chaos.Time != clean.Time+want {
+		if c := figure2Row(clean, chaos.Name).CntrTime; chaos.Time != c+want {
 			t.Errorf("%s: %dns clean, %dns under chaos: %dns longer, want %dns (%d reads, %d writes, %d ops)",
-				name, clean.Time, chaos.Time, chaos.Time-clean.Time, want, reads, writes, ops)
+				chaos.Name, c, chaos.Time, chaos.Time-c, want, reads, writes, ops)
 		}
 	}
 }

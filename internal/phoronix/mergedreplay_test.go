@@ -16,9 +16,7 @@ func TestMergedReplayZeroDenials(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full-suite sweeps and the shared recording")
 	}
-	pA := suiteRecording(t).Profile(policy.GenOptions{RunID: "suite-seed-42"})
-	pB := recordSuite(t, 43).Profile(policy.GenOptions{RunID: "suite-seed-43"})
-	rep := RunMergedReplay(pA, pB)
+	rep := pass(t, mergedReplay)
 	if rep.Denials != 0 {
 		t.Fatalf("merged profile denied %d operations of its own recordings:\n%s",
 			rep.Denials, FormatRows(rep.Results))
@@ -33,9 +31,9 @@ func TestMergedReplayZeroDenials(t *testing.T) {
 		t.Fatalf("merged lifecycle header: version=%d runs=%d sources=%v",
 			m.Version, m.Runs, m.SourceRuns)
 	}
-	if m.Generation <= pA.Generation {
+	if a := pass(t, suiteRecording).Profile(policy.GenOptions{}); m.Generation <= a.Generation {
 		t.Fatalf("merge did not bump the generation: %d vs %d",
-			m.Generation, pA.Generation)
+			m.Generation, a.Generation)
 	}
 	if rep.Diff == nil || rep.Diff.Empty() {
 		t.Fatal("diff between input A and the merge is empty")

@@ -12,10 +12,7 @@ import (
 // absorb — must cost CntrFS measurably more than the native stack,
 // PostMark-style.
 func TestMetaStormWorkload(t *testing.T) {
-	r, err := RunBenchmark(&MetaStorm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := pass(t, metaStorm)
 	if r.Work == 0 {
 		t.Fatal("meta-storm performed no operations")
 	}

@@ -16,74 +16,37 @@ import (
 // crosses the origin volume once instead of once per mount — 3 of the 4
 // mounts are served by the tier. Growing the tier to 2 and 4 nodes (one
 // replica per shard) and killing the highest-id node once half the fleet
-// has read costs the fleet only the re-routing (0.5 virtual ms, the same
-// on both) and nothing else: the surviving copies keep serving, so the
-// hit ratio holds and no shard is lost.
-//
-// The two virtual totals are a ledger, pinned to the nanosecond. Without
-// the tier the fleet pays 107 423 440 ns. On one node it pays 41 345 872
-// ns: each of the 3 072 chunk lookups (4 mounts × 48 files × 16 chunks)
-// is one of a 32-deep pipelined window and pays NetRTT/32 (blocking
-// lookups would pay 9 688 ns more each, 75 012 768 ns in all); the 192
-// attr lookups go one at a time and pay a full NetRTT. A cold read
-// through the default mount goes past the host page cache
-// (fuse.MountOptions.DirectRead), so none of them pays host-side page hits.
-// Only each mount's first open asks the server (fuse.MountOptions.NoOpen):
-// a file's first READ opens its host descriptor instead.
+// has read costs the fleet only the re-routing (the same on both) and
+// nothing else: the surviving copies keep serving, so the hit ratio holds
+// and no shard is lost.
 func TestMultiMountSharedCacheBeatsNoService(t *testing.T) {
-	var base, single, killed MultiMountResult
-	for _, row := range []struct {
-		name            string
-		nodes, replicas int // nodes 0: no service
-		kill            bool
-		cold            time.Duration // 0: checked against nodes=1
-	}{
-		{"nosvc", 0, 0, false, 107423440},
-		{"nodes=1", 1, 0, false, 41345872},
-		{"nodes=2", 2, 1, true, 0},
-		{"nodes=4", 4, 1, true, 0},
-	} {
-		r, err := RunMultiMount(MultiMountOptions{
-			Mounts: 4, Dirs: 16, FilesPerDir: 3, FileSize: 64 << 10,
-			UseService: row.nodes > 0,
-			Nodes:      row.nodes, Replicas: row.replicas, KillNodeMid: row.kill,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", row.name, err)
-		}
-		if row.cold != 0 && r.ColdReadTotal != row.cold {
-			t.Errorf("%s: fleet cold read = %dns, want %dns", row.name, r.ColdReadTotal, row.cold)
-		}
-		if row.nodes == 0 {
-			base = r
-			continue
-		}
-		if !row.kill {
-			single = r
-		} else {
+	rs := pass(t, fleet)
+	base, single := rs[0], rs[1]
+	for i, r := range rs[1:] {
+		name := fleetTiers[i+1].name
+		if i > 0 {
 			if extra := r.ColdReadTotal - single.ColdReadTotal; extra < 0 || extra > time.Millisecond {
-				t.Errorf("%s: the kill cost the fleet %v over nodes=1, want 0-1ms of re-routing", row.name, extra)
+				t.Errorf("%s: the kill cost the fleet %v over nodes=1, want 0-1ms of re-routing", name, extra)
 			}
-			if killed.ColdReadTotal != 0 && r.ColdReadTotal != killed.ColdReadTotal {
-				t.Errorf("%s: fleet cold read = %v, want %v as on the other killed tier", row.name, r.ColdReadTotal, killed.ColdReadTotal)
+			if r.ColdReadTotal != rs[2].ColdReadTotal {
+				t.Errorf("%s: fleet cold read = %v, want %v as on the other killed tier", name, r.ColdReadTotal, rs[2].ColdReadTotal)
 			}
-			killed = r
 		}
 		if r.BytesRead != base.BytesRead {
-			t.Errorf("%s: fleets read different volumes: %d vs %d", row.name, r.BytesRead, base.BytesRead)
+			t.Errorf("%s: fleets read different volumes: %d vs %d", name, r.BytesRead, base.BytesRead)
 		}
 		if r.ColdReadTotal >= base.ColdReadTotal {
 			t.Errorf("%s: shared cache did not pay: svc %v >= nosvc %v",
-				row.name, r.ColdReadTotal, base.ColdReadTotal)
+				name, r.ColdReadTotal, base.ColdReadTotal)
 		}
 		if r.HitRatio != 0.75 {
-			t.Errorf("%s: tier hit ratio %v, want 0.75 (3 of 4 mounts served by the tier)", row.name, r.HitRatio)
+			t.Errorf("%s: tier hit ratio %v, want 0.75 (3 of 4 mounts served by the tier)", name, r.HitRatio)
 		}
 		if r.TierStats.FencedWrites != 0 {
-			t.Errorf("%s: healthy fleet saw %d fenced writes", row.name, r.TierStats.FencedWrites)
+			t.Errorf("%s: healthy fleet saw %d fenced writes", name, r.TierStats.FencedWrites)
 		}
 		if r.TierStats.LostShards != 0 {
-			t.Errorf("%s: replicated tier lost %d shards to the node kill", row.name, r.TierStats.LostShards)
+			t.Errorf("%s: replicated tier lost %d shards to the node kill", name, r.TierStats.LostShards)
 		}
 	}
 }
