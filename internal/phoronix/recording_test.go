@@ -2,6 +2,8 @@ package phoronix
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"cntr/internal/policy"
@@ -31,4 +33,32 @@ func recordedProfile(t *testing.T, b *Benchmark) *policy.Profile {
 		t.Fatalf("%s: clean trace generated no rules", b.Name)
 	}
 	return prof
+}
+
+// TestSeed42ProfileUnchanged: the profile generated from the seed-42
+// recording is a function of every operation the twenty rows put through
+// the chain at the top of their stack (kind, inode, name, result inode,
+// bytes, PID, errno). Generating it twice from the recording gives the
+// same bytes, and its rule count and hash are rows.golden's record/seed42
+// line.
+func TestSeed42ProfileUnchanged(t *testing.T) {
+	rec := pass(t, suiteRecording)
+	got := profileFields(rec.Profile(policy.GenOptions{}))
+	if again := profileFields(rec.Profile(policy.GenOptions{})); again != got {
+		t.Errorf("seed-42 profile differs between two generations: %s, then %s", got, again)
+	}
+	golden, err := os.ReadFile(rowsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = "record/seed42\tsuite\t"
+	for _, l := range strings.Split(string(golden), "\n") {
+		if want, ok := strings.CutPrefix(l, prefix); ok {
+			if got != want {
+				t.Errorf("seed-42 profile: %s; %s holds %s (%s rewrites it)", got, rowsGolden, want, updateCmd)
+			}
+			return
+		}
+	}
+	t.Fatalf("%s has no %q line", rowsGolden, prefix)
 }
