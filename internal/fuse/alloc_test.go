@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"cntr/internal/memfs"
+	"cntr/internal/sim"
 	"cntr/internal/vfs"
 )
 
@@ -172,44 +174,70 @@ func TestRoundTripAllocBudget(t *testing.T) {
 // TestPayloadFramesBounded: a Conn keeps at most ServerThreads of the
 // payload-sized buffers its requests give back, however many were in
 // flight at once, and a mount that never moved a payload keeps none.
+// Eight readers of 128 KiB each are all in flight together: the two
+// server threads are parked at a gate on two of them and the other six
+// wait in the queue.
 func TestPayloadFramesBounded(t *testing.T) {
+	const readers, size = 8, 128 << 10
+	back := memfs.New(memfs.Options{})
+	if err := vfs.NewClient(back, vfs.Root()).WriteFile("/big", make([]byte, readers*size), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gate := &gateFS{FS: back, gate: make(chan struct{})}
 	opts := DefaultMountOptions()
 	opts.ServerThreads = 2
-	e := mount(t, opts)
+	conn, srv := Mount(gate, sim.NewClock(), sim.DefaultCostModel(), opts)
+	defer func() {
+		conn.Unmount()
+		srv.Wait()
+	}()
 	op := vfs.RootOp()
 	held := func() int {
-		e.conn.framesMu.Lock()
-		defer e.conn.framesMu.Unlock()
-		return len(e.conn.frames)
+		conn.framesMu.Lock()
+		defer conn.framesMu.Unlock()
+		return len(conn.frames)
 	}
-	_, h, err := e.conn.Create(op, vfs.RootIno, "f", 0o644, vfs.ORdwr)
+	_, h, err := conn.Create(op, vfs.RootIno, "f", 0o644, vfs.ORdwr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.conn.Write(op, h, 0, make([]byte, 100)); err != nil {
+	if _, err := conn.Write(op, h, 0, make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
 	if n := held(); n != 0 {
 		t.Fatalf("after a create and a 100-byte write the Conn holds %d payload buffers, want 0", n)
 	}
-	const window = 8
-	reqs := make([]vfs.IOReq, window)
-	for i := range reqs {
-		reqs[i] = vfs.IOReq{Off: int64(i) << 17, Buf: make([]byte, 128<<10)}
-	}
-	for _, p := range e.conn.Submit(op, h, vfs.KindWrite, reqs) {
-		if _, err := p.Await(op); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := held(); n != opts.ServerThreads {
-		t.Fatalf("after %d WRITEs in flight the Conn holds %d payload buffers, want %d", window, n, opts.ServerThreads)
-	}
-	reused := FramesReused(e.conn)
-	if _, err := e.conn.Read(op, h, 0, reqs[0].Buf); err != nil {
+	big, err := conn.Lookup(op, vfs.RootIno, "big")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := FramesReused(e.conn) - reused; n != 1 || held() != opts.ServerThreads {
+	bh, err := conn.Open(op, big.Ino, vfs.ORdonly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(off int64) {
+			defer wg.Done()
+			if _, err := conn.Read(vfs.RootOp(), bh, off, make([]byte, size)); err != nil {
+				t.Errorf("read at %d: %v", off, err)
+			}
+		}(int64(i) * size)
+	}
+	waitUntil(t, "every READ in flight", func() bool {
+		return len(gate.served()) == opts.ServerThreads && srv.Queued() == readers-opts.ServerThreads
+	})
+	close(gate.gate)
+	wg.Wait()
+	if n := held(); n != opts.ServerThreads {
+		t.Fatalf("after %d READs in flight the Conn holds %d payload buffers, want %d", readers, n, opts.ServerThreads)
+	}
+	reused := FramesReused(conn)
+	if _, err := conn.Read(op, bh, 0, make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	if n := FramesReused(conn) - reused; n != 1 || held() != opts.ServerThreads {
 		t.Fatalf("a READ after them: %d reuses, %d held; want one reuse, %d held", n, held(), opts.ServerThreads)
 	}
 }

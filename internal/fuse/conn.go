@@ -172,14 +172,8 @@ const ForgetBatchSize = 64
 
 // maxBackground caps the requests queued on the device (FUSE's
 // max_background): submitters block once the request table is full, the
-// backpressure a real /dev/fuse applies. congestionThreshold is the queue
-// depth beyond which an asynchronous submission is charged congestion
-// latency: the kernel marks the backing device congested, and throttles
-// background I/O, at 3/4 of max_background.
-const (
-	maxBackground       = 256
-	congestionThreshold = maxBackground * 3 / 4
-)
+// backpressure a real /dev/fuse applies.
+const maxBackground = 256
 
 // ConnStats counts protocol activity on the kernel side.
 type ConnStats struct {
@@ -202,7 +196,7 @@ const opcodeLimit = OpRename2 + 1
 // request is one round trip on the simulated /dev/fuse queue, from
 // Conn.submit to the server's reply: the encoded request frame, the
 // buffer the server encodes the reply into, the 1-slot channel the reply
-// is announced on, the reply decoder, and the future's bookkeeping. It is
+// is announced on, the reply decoder, and the request's bookkeeping. It is
 // the one object a frame costs, and it is recycled: buffers and channel
 // survive from one tenant to the next.
 //
@@ -225,13 +219,6 @@ type request struct {
 	c      *Conn
 	unique uint64
 	dataIn int
-	// async marks a pipelined submission (Conn.Submit): submit charged
-	// only the enqueue, so await owes the round trip.
-	async bool
-	// overlapped is set when the request was submitted while other
-	// pipelined requests were outstanding: its round-trip latency hides
-	// behind theirs, and await charges only a completion-reap wakeup.
-	overlapped bool
 	// err is a submission-time failure (connection torn down).
 	err error
 }
@@ -353,9 +340,7 @@ func poison(b []byte) {
 
 // Conn is the kernel side of the FUSE transport. It implements vfs.FS;
 // stacking a pagecache.Cache on top of a Conn reproduces the full kernel
-// I/O path of the paper's CntrFS mounts. It also implements vfs.AsyncFS:
-// Submit pipelines data requests through the same request table without
-// blocking the submitter per round trip.
+// I/O path of the paper's CntrFS mounts.
 type Conn struct {
 	clock *sim.Clock
 	model *sim.CostModel
@@ -364,9 +349,6 @@ type Conn struct {
 
 	unique   atomic.Uint64
 	inflight atomic.Int64
-	// asyncInflight counts submitted-but-unawaited pipelined requests;
-	// it drives the overlap cost model (see request.await).
-	asyncInflight atomic.Int64
 	// noFlush is the kernel's fc->no_flush: set by the first FLUSH the
 	// server answers with ENOSYS, never reset. noOpen is fc->no_open, set
 	// by the first OPEN answered so.
@@ -505,54 +487,39 @@ func (c *Conn) Stats() ConnStats {
 }
 
 // submit encodes one request into a recycled request object, charges the
-// submission-side transport costs, and enqueues it in the request table
-// under the requesting origin (req.PID). The returned request is the
-// future half of the two-phase submit/await API, which is what lets
-// callers pipeline requests — submit N, then await them — instead of
-// blocking one goroutine per round trip. The synchronous path (async ==
-// false) charges the full round-trip and queue-wakeup costs up front; the
-// pipelined path charges only the enqueue (one kernel transition plus the
-// payload copy) and defers the round-trip accounting to await, where
-// overlap with other in-flight requests is known.
-func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf), dataOut, dataIn int, async bool) *request {
+// transport's round-trip and queue-wakeup costs, and enqueues it in the
+// request table under the requesting origin (req.PID). The caller awaits
+// the returned request.
+func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf), dataOut, dataIn int) *request {
 	p := newRequest(c, dataOut, dataIn)
 	p.unique = c.unique.Add(1)
-	p.dataIn, p.async = dataIn, async
+	p.dataIn = dataIn
 	encodeReqHeader(&p.frame, op, p.unique, uint64(nodeid), req)
 	if payload != nil {
 		payload(&p.frame)
 	}
 	frame := finishFrame(&p.frame)
 
-	var cost time.Duration
-	if async {
-		// Pipelined submission: one kernel transition to enqueue; the
-		// round trip is accounted at await time.
-		cost = c.model.ContextSwitch
-	} else {
-		cost = c.model.FuseRoundTrip()
-	}
+	cost := c.model.FuseRoundTrip()
 	if c.opts.SpliceWrite {
 		// The header must be spliced to a pipe and re-read before the
 		// opcode is known, penalizing every request (§3.3).
 		cost += c.model.ContextSwitch
 	}
 	c.mu.Lock()
-	if !async {
-		if op == OpLookup && c.opts.ParallelDirops {
-			// With FUSE_PARALLEL_DIROPS, pending directory lookups are not
-			// serialized on the parent's mutex and share round trips; after
-			// the first lookup of a scan, subsequent ones ride along. The
-			// streak survives interleaved data ops (a tree walk mixes
-			// lookups with opens and reads) and resets once the scan moves
-			// on for good.
-			if c.streak > 0 {
-				cost = cost / 4
-			}
-			c.streak = 16
-		} else if c.streak > 0 {
-			c.streak--
+	if op == OpLookup && c.opts.ParallelDirops {
+		// With FUSE_PARALLEL_DIROPS, pending directory lookups are not
+		// serialized on the parent's mutex and share round trips; after
+		// the first lookup of a scan, subsequent ones ride along. The
+		// streak survives interleaved data ops (a tree walk mixes
+		// lookups with opens and reads) and resets once the scan moves
+		// on for good.
+		if c.streak > 0 {
+			cost = cost / 4
 		}
+		c.streak = 16
+	} else if c.streak > 0 {
+		c.streak--
 	}
 	c.stats.Requests++
 	c.stats.Frames[op]++
@@ -567,15 +534,11 @@ func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *bu
 		}
 	}
 
-	if async {
-		p.overlapped = c.asyncInflight.Add(1) > 1
-	} else {
-		// Queueing: more outstanding requests than server threads means
-		// the request waits for a worker wakeup.
-		in := c.inflight.Add(1)
-		if over := in - int64(c.opts.ServerThreads); over > 0 {
-			cost += time.Duration(over) * c.model.WakeupLatency
-		}
+	// Queueing: more outstanding requests than server threads means
+	// the request waits for a worker wakeup.
+	in := c.inflight.Add(1)
+	if over := in - int64(c.opts.ServerThreads); over > 0 {
+		cost += time.Duration(over) * c.model.WakeupLatency
 	}
 	c.clock.Advance(cost)
 
@@ -583,21 +546,9 @@ func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *bu
 	if req != nil {
 		origin = req.PID
 	}
-	depth, ok := c.table.push(origin, p)
-	if !ok {
-		if async {
-			c.asyncInflight.Add(-1)
-		} else {
-			c.inflight.Add(-1)
-		}
+	if !c.table.push(origin, p) {
+		c.inflight.Add(-1)
 		p.err = vfs.EIO // connection torn down
-		return p
-	}
-	if async && depth > congestionThreshold {
-		// The device is congested (more background requests queued than
-		// the threshold): background submitters are throttled, as the
-		// kernel throttles writeback/readahead past congestion_threshold.
-		c.clock.Advance(c.model.WakeupLatency)
 	}
 	return p
 }
@@ -626,19 +577,7 @@ func (p *request) await(op *vfs.Op, decode func(r *rdr)) error {
 		c.oneWay(OpInterrupt, 0, 0, func(w *buf) { w.u64(p.unique) })
 		replyFrame = <-p.reply
 	}
-	if p.async {
-		c.asyncInflight.Add(-1)
-		if p.overlapped {
-			// The reply arrived while we were (virtually) waiting on an
-			// earlier request: its round trip overlapped, and reaping the
-			// completion costs one scheduler wakeup.
-			c.clock.Advance(c.model.WakeupLatency)
-		} else {
-			c.clock.Advance(c.model.FuseRoundTrip())
-		}
-	} else {
-		c.inflight.Add(-1)
-	}
+	c.inflight.Add(-1)
 
 	if p.dataIn > 0 {
 		if c.opts.SpliceRead {
@@ -675,7 +614,7 @@ func (p *request) await(op *vfs.Op, decode func(r *rdr)) error {
 // decode must copy out whatever it wants to keep: the reply frame is
 // recycled when call returns.
 func (c *Conn) call(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf), dataOut, dataIn int, decode func(r *rdr)) error {
-	err := c.submit(op, nodeid, req, payload, dataOut, dataIn, false).await(req, decode)
+	err := c.submit(op, nodeid, req, payload, dataOut, dataIn).await(req, decode)
 	if vfs.ToErrno(err) == vfs.ESTALE {
 		c.clearNosec(nodeid) // the server no longer knows the inode
 	}
@@ -704,7 +643,7 @@ func (c *Conn) oneWay(op Opcode, nodeid vfs.Ino, dataOut int, payload func(w *bu
 	if op == OpInterrupt {
 		ok = c.table.pushInterrupt(p)
 	} else {
-		_, ok = c.table.push(0, p)
+		ok = c.table.push(0, p)
 	}
 	if !ok {
 		p.release()

@@ -440,7 +440,7 @@ func (c *Conn) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, erro
 			chunk = chunk[:c.opts.MaxWrite]
 		}
 		n := 0
-		err := c.submitRead(op, h, off+int64(total), chunk, false).await(op, func(r *rdr) {
+		err := c.submitRead(op, h, off+int64(total), chunk).await(op, func(r *rdr) {
 			n = readInto(r, chunk)
 		})
 		if err != nil {
@@ -457,65 +457,13 @@ func (c *Conn) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, erro
 }
 
 // submitRead queues one READ request of at most MaxWrite bytes.
-func (c *Conn) submitRead(op *vfs.Op, h vfs.Handle, off int64, dest []byte, async bool) *request {
+func (c *Conn) submitRead(op *vfs.Op, h vfs.Handle, off int64, dest []byte) *request {
 	nodeid, fh := c.wireHandle(h)
 	return c.submit(OpRead, nodeid, op, func(w *buf) {
 		w.u64(uint64(fh))
 		w.i64(off)
 		w.u32(uint32(len(dest)))
-	}, 0, len(dest), async)
-}
-
-// Submit implements vfs.AsyncFS: every request of the window is queued
-// and the caller gets one future each, so N readahead windows or
-// writeback extents can ride the device queue concurrently — the
-// submitter pays one enqueue transition per request instead of a full
-// blocking round trip (this is what FUSE_ASYNC_READ buys the kernel's
-// readahead path). A kind that is not a data transfer fails with EINVAL
-// before anything reaches the queue.
-func (c *Conn) Submit(op *vfs.Op, h vfs.Handle, kind vfs.OpKind, reqs []vfs.IOReq) []vfs.PendingIO {
-	if len(reqs) == 0 {
-		return nil
-	}
-	out := make([]vfs.PendingIO, len(reqs))
-	for i, r := range reqs {
-		switch kind {
-		case vfs.KindRead:
-			if len(r.Buf) > c.opts.MaxWrite {
-				// Wider than one READ request: no window in the stack is
-				// (readahead windows are MaxWrite-sized), so it is served
-				// by the synchronous split rather than a second future type.
-				out[i] = vfs.CompletedIO(c.Read(op, h, r.Off, r.Buf))
-				continue
-			}
-			out[i] = &pendingRead{p: c.submitRead(op, h, r.Off, r.Buf, true), dest: r.Buf}
-		case vfs.KindWrite:
-			out[i] = c.submitWrite(op, h, r.Off, r.Buf)
-		default:
-			out[i] = vfs.CompletedIO(0, vfs.EINVAL)
-		}
-	}
-	return out
-}
-
-// pendingRead adapts a submitted READ request to vfs.PendingIO. The
-// request is recycled by its first Await; a second one fails with EIO
-// instead of touching the request's next tenant.
-type pendingRead struct {
-	p    *request
-	dest []byte
-}
-
-// Await implements vfs.PendingIO.
-func (pr *pendingRead) Await(op *vfs.Op) (int, error) {
-	p := pr.p
-	if p == nil {
-		return 0, vfs.EIO
-	}
-	pr.p = nil
-	n := 0
-	err := p.await(op, func(r *rdr) { n = readInto(r, pr.dest) })
-	return n, err
+	}, 0, len(dest))
 }
 
 // readInto copies a READ reply's data into dest. More data than dest
@@ -529,90 +477,14 @@ func readInto(r *rdr, dest []byte) int {
 	return copy(dest, data)
 }
 
-// submitWrite queues one write. Payloads above the negotiated MaxWrite
-// are split into several pipelined WRITE requests; Await collects them
-// all.
-func (c *Conn) submitWrite(op *vfs.Op, h vfs.Handle, off int64, data []byte) vfs.PendingIO {
-	pw := &pendingWrite{c: c, h: h}
-	for len(data) > 0 {
-		chunk := data
-		if len(chunk) > c.opts.MaxWrite {
-			chunk = chunk[:c.opts.MaxWrite]
-		}
-		pw.parts = append(pw.parts, c.submitWriteChunk(op, h, off, chunk, true))
-		pw.sizes = append(pw.sizes, len(chunk))
-		off += int64(len(chunk))
-		data = data[len(chunk):]
-	}
-	return pw
-}
-
-// submitWriteChunk queues one WRITE request of at most MaxWrite bytes.
-func (c *Conn) submitWriteChunk(op *vfs.Op, h vfs.Handle, off int64, chunk []byte, async bool) *request {
+// submitWrite queues one WRITE request of at most MaxWrite bytes.
+func (c *Conn) submitWrite(op *vfs.Op, h vfs.Handle, off int64, chunk []byte) *request {
 	nodeid, fh := c.wireHandle(h)
 	return c.submit(OpWrite, nodeid, op, func(w *buf) {
 		w.u64(uint64(fh))
 		w.i64(off)
 		w.bytes(chunk)
-	}, len(chunk), 0, async)
-}
-
-// pendingWrite is the future for a (possibly split) asynchronous write.
-// Its parts are recycled as they are awaited, so only the first Await
-// collects them; a second one finds none.
-type pendingWrite struct {
-	c     *Conn
-	h     vfs.Handle
-	parts []*request
-	sizes []int
-}
-
-// Await implements vfs.PendingIO, summing the chunk counts. A short or
-// failed chunk ends the collection, but every submitted part is still
-// awaited so no reply slot is abandoned. Unlike the synchronous Write
-// loop, every chunk was already on the queue when the failure surfaced:
-// if a *later* chunk landed bytes past the failure point, a plain short
-// count would describe a contiguous prefix that does not exist, so the
-// error is surfaced alongside the applied-prefix count.
-func (pw *pendingWrite) Await(op *vfs.Op) (int, error) {
-	total, stop, holed := 0, false, false
-	var firstErr error
-	parts := pw.parts
-	pw.parts = nil
-	for i, p := range parts {
-		n := 0
-		err := p.await(op, func(r *rdr) { n = writeCount(r, pw.sizes[i]) })
-		if stop {
-			// Drain the remaining replies; note any that applied bytes
-			// beyond the failed chunk.
-			if err == nil && n > 0 {
-				holed = true
-			}
-			continue
-		}
-		if err != nil {
-			firstErr = err
-			stop = true
-			continue
-		}
-		total += n
-		if n < pw.sizes[i] {
-			stop = true
-		}
-	}
-	if ino, ok := pw.c.handleInode(pw.h); ok {
-		pw.c.markDataStale(ino)
-	}
-	if total > 0 {
-		if holed {
-			if firstErr == nil {
-				firstErr = vfs.EIO
-			}
-			return total, firstErr
-		}
-		return total, nil
-	}
-	return 0, firstErr
+	}, len(chunk), 0)
 }
 
 // writeCount decodes a WRITE reply's count of the sent bytes. A count past
@@ -635,7 +507,7 @@ func (c *Conn) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, err
 			chunk = chunk[:c.opts.MaxWrite]
 		}
 		n, bad := 0, false
-		err := c.submitWriteChunk(op, h, off, chunk, false).await(op, func(r *rdr) {
+		err := c.submitWrite(op, h, off, chunk).await(op, func(r *rdr) {
 			n = writeCount(r, len(chunk))
 			bad = r.bad
 		})

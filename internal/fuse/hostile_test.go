@@ -65,7 +65,7 @@ func TestHostileCountsYieldErrno(t *testing.T) {
 		encodeReqHeader(&p.frame, opcode, conn.unique.Add(1), uint64(vfs.RootIno), nil)
 		payload(&p.frame)
 		finishFrame(&p.frame)
-		if _, ok := conn.table.push(0, p); !ok {
+		if !conn.table.push(0, p) {
 			t.Fatal("push on a live table failed")
 		}
 		_, errno, _, err := decodeReply(<-p.reply)

@@ -124,119 +124,6 @@ func TestMountServesArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestSubmitAwaitPipeline: N reads submitted before any is awaited
-// return correct data and cost less virtual time than N synchronous
-// round trips — the overlap the submit/await split exists to model.
-func TestSubmitAwaitPipeline(t *testing.T) {
-	const window = 64 << 10
-	const windows = 8
-	data := bytes.Repeat([]byte("0123456789abcdef"), windows*window/16)
-
-	setup := func() (*Conn, *Server, vfs.Handle, *sim.Clock) {
-		clock := sim.NewClock()
-		model := sim.DefaultCostModel()
-		back := memfs.New(memfs.Options{})
-		if err := vfs.NewClient(back, vfs.Root()).WriteFile("/big", data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		conn, srv := Mount(back, clock, model, DefaultMountOptions())
-		cli := vfs.NewClient(conn, vfs.Root())
-		r, err := cli.Resolve("/big")
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := conn.Open(vfs.RootOp(), r.Ino, vfs.ORdonly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conn, srv, h, clock
-	}
-
-	// Pipelined: submit all windows, then await them.
-	conn, srv, h, clock := setup()
-	op := vfs.RootOp()
-	reqs := make([]vfs.IOReq, windows)
-	for i := range reqs {
-		reqs[i] = vfs.IOReq{Off: int64(i * window), Buf: make([]byte, window)}
-	}
-	start := clock.Now()
-	for i, p := range conn.Submit(op, h, vfs.KindRead, reqs) {
-		n, err := p.Await(op)
-		if err != nil || n != window {
-			t.Fatalf("window %d: n=%d err=%v", i, n, err)
-		}
-	}
-	asyncTime := clock.Now() - start
-	var got []byte
-	for _, r := range reqs {
-		got = append(got, r.Buf...)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("pipelined reads returned wrong data")
-	}
-	conn.Unmount()
-	srv.Wait()
-
-	// Synchronous: one blocking round trip per window.
-	conn, srv, h, clock = setup()
-	start = clock.Now()
-	buf := make([]byte, window)
-	for i := 0; i < windows; i++ {
-		if _, err := conn.Read(vfs.RootOp(), h, int64(i*window), buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	syncTime := clock.Now() - start
-	conn.Unmount()
-	srv.Wait()
-
-	if asyncTime >= syncTime {
-		t.Fatalf("pipelined reads (%v) should cost less than synchronous (%v)", asyncTime, syncTime)
-	}
-}
-
-// TestSubmitWriteRoundTrip: an asynchronous write larger than MaxWrite
-// is split, pipelined, and lands intact.
-func TestSubmitWriteRoundTrip(t *testing.T) {
-	opts := DefaultMountOptions()
-	opts.MaxWrite = 64 << 10
-	e := mount(t, opts)
-	data := bytes.Repeat([]byte("w"), 200<<10)
-	f, err := e.cli.Create("/f", 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	op := vfs.RootOp()
-	p := e.conn.Submit(op, f.Handle(), vfs.KindWrite, []vfs.IOReq{{Off: 0, Buf: data}})
-	if len(p) != 1 {
-		t.Fatalf("futures = %d, want 1", len(p))
-	}
-	n, err := p[0].Await(op)
-	if err != nil || n != len(data) {
-		t.Fatalf("async write: n=%d err=%v", n, err)
-	}
-	// Validation at the boundary: a kind that is not a data transfer
-	// fails with EINVAL and an empty window yields no futures — neither
-	// puts a frame on the queue.
-	before := e.conn.Stats().Requests
-	for _, bad := range e.conn.Submit(op, f.Handle(), vfs.KindFsync, []vfs.IOReq{{Buf: data}, {Buf: data}}) {
-		if n, err := bad.Await(op); n != 0 || vfs.ToErrno(err) != vfs.EINVAL {
-			t.Fatalf("bad kind: n=%d err=%v, want EINVAL", n, err)
-		}
-	}
-	if got := e.conn.Submit(op, f.Handle(), vfs.KindWrite, nil); got != nil {
-		t.Fatalf("empty window returned %d futures", len(got))
-	}
-	if after := e.conn.Stats().Requests; after != before {
-		t.Fatalf("rejected windows sent %d requests", after-before)
-	}
-	f.Close()
-	got, err := e.cli.ReadFile("/f")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read back %d bytes, err=%v", len(got), err)
-	}
-}
-
 // TestOriginStatsAccounting: the request table attributes completed ops
 // and payload bytes to the origin PID carried in the request header.
 func TestOriginStatsAccounting(t *testing.T) {
@@ -308,58 +195,5 @@ func TestInterruptBookkeepingBounded(t *testing.T) {
 	}
 	if n := e.srv.pendingInterrupts(); n > completedRing+1 {
 		t.Fatalf("pending interrupt set grew to %d, bound is %d", n, completedRing+1)
-	}
-}
-
-// TestCongestionChargesAsyncSubmitters: past the congestion threshold a
-// pipelined submission pays a wakeup on top of its enqueue. The one server
-// thread is parked at the gate, so nothing is read while a window is
-// submitted and its i-th submission finds i requests queued: a 160-request
-// window stays under the threshold, a 224-request one crosses it with its
-// last 32.
-func TestCongestionChargesAsyncSubmitters(t *testing.T) {
-	const under, over = 160, 224
-	model := sim.DefaultCostModel()
-	run := func(window int) time.Duration {
-		clock := sim.NewClock()
-		gate := &gateFS{FS: memfs.New(memfs.Options{}), gate: make(chan struct{})}
-		opts := DefaultMountOptions()
-		opts.ServerThreads = 1
-		conn, srv := Mount(gate, clock, model, opts)
-		cli := vfs.NewClient(conn, vfs.Root())
-		if err := cli.WriteFile("/f", bytes.Repeat([]byte("x"), 4096), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r, _ := cli.Resolve("/f")
-		h, err := conn.Open(vfs.RootOp(), r.Ino, vfs.ORdonly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		op := vfs.RootOp()
-		holder := conn.Submit(op, h, vfs.KindRead, []vfs.IOReq{{Buf: make([]byte, 512)}})
-		waitUntil(t, "the server thread at the gate", func() bool { return len(gate.served()) == 1 })
-		reqs := make([]vfs.IOReq, window)
-		for i := range reqs {
-			reqs[i].Buf = make([]byte, 512)
-		}
-		start := clock.Now()
-		pendings := conn.Submit(op, h, vfs.KindRead, reqs)
-		submitted := clock.Now() - start
-		close(gate.gate)
-		for _, p := range append(holder, pendings...) {
-			if _, err := p.Await(op); err != nil {
-				t.Fatal(err)
-			}
-		}
-		conn.Unmount()
-		srv.Wait()
-		return submitted
-	}
-	uncongested, congested := run(under), run(over)
-	perSubmit := uncongested / under
-	want := over*perSubmit + (over-congestionThreshold)*model.WakeupLatency
-	if congested != want {
-		t.Fatalf("%d submissions cost %v, want %v: %v each, plus %v for each of the %d that found more than %d queued",
-			over, congested, want, perSubmit, model.WakeupLatency, over-congestionThreshold, congestionThreshold)
 	}
 }

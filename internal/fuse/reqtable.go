@@ -103,17 +103,15 @@ func newReqTable(maxQueued int) *reqTable {
 // push appends msg for origin, blocking while the table is at capacity
 // (the congestion backpressure a real /dev/fuse queue applies). It
 // reports false when the table has been closed — the connection is gone
-// and the frame must be dropped (one-way) or failed (two-way). The
-// returned depth is the queued count after the insert, for the
-// submitter's congestion accounting.
-func (t *reqTable) push(origin uint32, msg *request) (depth int, ok bool) {
+// and the frame must be dropped (one-way) or failed (two-way).
+func (t *reqTable) push(origin uint32, msg *request) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for t.n == len(t.ring) && !t.closed {
 		t.space.Wait()
 	}
 	if t.closed {
-		return 0, false
+		return false
 	}
 	// A request arriving after retire() marked the origin means the PID
 	// was recycled: the origin is live again, so its counters must not be
@@ -122,7 +120,7 @@ func (t *reqTable) push(origin uint32, msg *request) (depth int, ok bool) {
 	t.ring[(t.head+t.n)%len(t.ring)] = queued{msg, origin}
 	t.n++
 	t.work.Signal()
-	return t.n, true
+	return true
 }
 
 // pushInterrupt queues an INTERRUPT frame where the next read of the

@@ -58,7 +58,7 @@ func TestManyOriginStress(t *testing.T) {
 					// An interrupt: read first, accounted under origin 0.
 					ok = tab.pushInterrupt(&request{})
 				} else {
-					_, ok = tab.push(origin, &request{})
+					ok = tab.push(origin, &request{})
 				}
 				if !ok {
 					t.Error("push failed before close")

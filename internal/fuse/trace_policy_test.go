@@ -8,69 +8,6 @@ import (
 	"cntr/internal/vfs"
 )
 
-// TestAsyncTraceAttribution pins the attribution contract for the
-// pipelined submit/await path: entries recorded when a future completes
-// must carry the real inode (resolved from the handle at submit time),
-// the transferred byte count and the originating PID — the fields
-// policy collection keys on.
-func TestAsyncTraceAttribution(t *testing.T) {
-	clock := sim.NewClock()
-	model := sim.DefaultCostModel()
-	conn, srv := Mount(memfs.New(memfs.Options{}), clock, model, DefaultMountOptions())
-	defer func() {
-		conn.Unmount()
-		srv.Wait()
-	}()
-
-	tr := vfs.NewTracer(256)
-	top := vfs.Chain(conn, tr)
-	if !vfs.IsAsync(top) {
-		t.Fatal("chained FUSE connection should remain async-capable")
-	}
-	cli := vfs.NewClient(top, vfs.Root())
-	cli.Op.PID = 77
-
-	f, err := cli.Open("/data", vfs.ORdwr|vfs.OCreat, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("hello, async tracer")
-	if _, err := f.SubmitWrite(payload, 0).Await(cli.Op); err != nil {
-		t.Fatalf("async write: %v", err)
-	}
-	dest := make([]byte, len(payload))
-	if n, err := f.SubmitRead(dest, 0).Await(cli.Op); err != nil || n != len(payload) {
-		t.Fatalf("async read: %d bytes, err %v", n, err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var reads, writes int
-	for _, e := range tr.Entries() {
-		if e.Kind != vfs.KindRead && e.Kind != vfs.KindWrite {
-			continue
-		}
-		if e.Kind == vfs.KindRead {
-			reads++
-		} else {
-			writes++
-		}
-		if e.Ino == 0 {
-			t.Fatalf("%v entry with zero inode: %+v", e.Kind, e)
-		}
-		if e.Bytes != len(payload) {
-			t.Fatalf("%v entry with %d bytes, want %d", e.Kind, e.Bytes, len(payload))
-		}
-		if e.PID != 77 {
-			t.Fatalf("%v entry with pid %d, want 77", e.Kind, e.PID)
-		}
-	}
-	if reads != 1 || writes != 1 {
-		t.Fatalf("expected 1 read + 1 write entry, got %d/%d", reads, writes)
-	}
-}
-
 // TestRetireOriginBoundsStats is the pruning regression test: the
 // per-origin stats map must not keep an entry for every PID the mount
 // has ever served once those processes exit — retiring folds them into
@@ -155,18 +92,22 @@ func TestRetireDefersUntilIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 8)
-	pending := f.SubmitRead(buf, 0) // parked on the gate inside gateFS
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.ReadAt(make([]byte, 8), 0)
+		done <- err
+	}()
+	waitUntil(t, "the read at the gate", func() bool { return len(gate.served()) == 1 })
 	// The process exits while its read is still dispatched.
 	srv.RetireOrigin(9)
 	close(gate.gate)
-	if _, err := pending.Await(cli.Op); err != nil {
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	// The straggler's completion folded into the aggregate instead of
 	// resurrecting a per-origin entry nothing will retire again. (The
 	// fold runs in the worker's done() just before the reply is
-	// delivered, so it is visible once Await returns.)
+	// delivered, so it is visible once the read returns.)
 	if _, ok := srv.OriginStats()[9]; ok {
 		t.Fatalf("origin 9 stats entry survived deferred retire: %+v", srv.OriginStats())
 	}

@@ -18,12 +18,8 @@ import (
 // walk a GETATTR, and Setattr's reply replaces the record with a fresh one.
 func TestWalkAfterWriteAsksNothing(t *testing.T) {
 	data := bytes.Repeat([]byte{'x'}, 10000)
-	syncWrite := func(op *vfs.Op, c *Conn, h vfs.Handle) error {
+	write := func(op *vfs.Op, c *Conn, h vfs.Handle) error {
 		_, err := c.Write(op, h, 0, data)
-		return err
-	}
-	pipelinedWrite := func(op *vfs.Op, c *Conn, h vfs.Handle) error {
-		_, err := c.Submit(op, h, vfs.KindWrite, []vfs.IOReq{{Off: 0, Buf: data}})[0].Await(op)
 		return err
 	}
 	walk := func(e *nosecEnv, _ vfs.Ino) (vfs.Attr, error) {
@@ -46,40 +42,36 @@ func TestWalkAfterWriteAsksNothing(t *testing.T) {
 		}
 	}
 	rows := []struct {
-		name  string
-		write func(op *vfs.Op, c *Conn, h vfs.Handle) error
+		name string
 		// after runs between the write and the read-back, on f's inode.
 		after    func(t *testing.T, e *nosecEnv, ino vfs.Ino, h vfs.Handle)
 		read     func(e *nosecEnv, ino vfs.Ino) (vfs.Attr, error)
 		getattrs int64
 	}{
-		{"sync write, walk", syncWrite, nil, walk, 0},
-		{"pipelined write, walk", pipelinedWrite, nil, walk, 0},
-		{"sync write, stat", syncWrite, nil, stat, 1},
-		{"pipelined write, stat", pipelinedWrite, nil, stat, 1},
-		{"sync write, getattr", syncWrite, nil, getattr, 1},
-		{"pipelined write, getattr", pipelinedWrite, nil, getattr, 1},
-		{"setxattr, walk", syncWrite, func(t *testing.T, e *nosecEnv, ino vfs.Ino, _ vfs.Handle) {
+		{"sync write, walk", nil, walk, 0},
+		{"sync write, stat", nil, stat, 1},
+		{"sync write, getattr", nil, getattr, 1},
+		{"setxattr, walk", func(t *testing.T, e *nosecEnv, ino vfs.Ino, _ vfs.Handle) {
 			must(t, e.conn.Setxattr(vfs.RootOp(), ino, "user.a", []byte("v"), 0))
 		}, walk, 1},
-		{"link, walk", syncWrite, func(t *testing.T, e *nosecEnv, ino vfs.Ino, _ vfs.Handle) {
+		{"link, walk", func(t *testing.T, e *nosecEnv, ino vfs.Ino, _ vfs.Handle) {
 			_, err := e.conn.Link(vfs.RootOp(), ino, vfs.RootIno, "g")
 			must(t, err)
 		}, walk, 1},
-		{"unlink, walk", syncWrite, func(t *testing.T, e *nosecEnv, ino vfs.Ino, h vfs.Handle) {
+		{"unlink, walk", func(t *testing.T, e *nosecEnv, ino vfs.Ino, h vfs.Handle) {
 			// The link drops the record too: walk once to cache it again and
 			// write again to make it stale, so only the unlink is measured.
 			_, err := e.conn.Link(vfs.RootOp(), ino, vfs.RootIno, "g")
 			must(t, err)
 			_, err = walk(e, ino)
 			must(t, err)
-			must(t, syncWrite(vfs.RootOp(), e.conn, h))
+			must(t, write(vfs.RootOp(), e.conn, h))
 			must(t, e.conn.Unlink(vfs.RootOp(), vfs.RootIno, "g"))
 		}, walk, 1},
-		{"expiry, walk", syncWrite, func(t *testing.T, e *nosecEnv, _ vfs.Ino, _ vfs.Handle) {
+		{"expiry, walk", func(t *testing.T, e *nosecEnv, _ vfs.Ino, _ vfs.Handle) {
 			e.clock.Advance(opts.AttrTimeout + time.Nanosecond)
 		}, walk, 1},
-		{"setattr, stat", syncWrite, func(t *testing.T, e *nosecEnv, ino vfs.Ino, _ vfs.Handle) {
+		{"setattr, stat", func(t *testing.T, e *nosecEnv, ino vfs.Ino, _ vfs.Handle) {
 			_, err := e.conn.Setattr(vfs.RootOp(), ino, vfs.SetMode, vfs.Attr{Mode: 0o600})
 			must(t, err)
 		}, stat, 0},
@@ -91,7 +83,7 @@ func TestWalkAfterWriteAsksNothing(t *testing.T) {
 			created, h, err := e.conn.Create(op, vfs.RootIno, "f", 0o644, vfs.ORdwr)
 			must(t, err)
 			defer e.conn.Release(op, h)
-			must(t, row.write(op, e.conn, h))
+			must(t, write(op, e.conn, h))
 			if row.after != nil {
 				row.after(t, e, created.Ino, h)
 			}

@@ -100,43 +100,29 @@ func (c *Cache) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, err
 			continue
 		}
 		c.stats.Misses++
-		// A miss that continues a sequential pattern, or lands in a window
-		// already in flight, is worth a readahead window; any other miss
-		// fetches its page alone — a whole window per random miss would be
-		// pure read amplification.
-		ahead := pos >= f.lastReadEnd-PageSize && pos <= f.lastReadEnd+PageSize ||
-			c.windowAt(f, idx*PageSize) != nil
-		got, base, err := c.fill(op, h, f, idx, ahead)
+		// A miss that continues a sequential pattern is worth a readahead
+		// window; any other miss fetches its page alone — a whole window
+		// per random miss would be pure read amplification.
+		ahead := pos >= f.lastReadEnd-PageSize && pos <= f.lastReadEnd+PageSize
+		got, err := c.fill(op, h, f, idx, ahead)
 		if err != nil {
 			return int(pos - off), err
 		}
 		// Keep the sequential detector current within this call so the
 		// next miss in a long read continues the readahead.
-		f.lastReadEnd = base + int64(len(got))
+		f.lastReadEnd = idx*PageSize + int64(len(got))
 		// Served from the window, as the page was filled from it: a later
 		// insert of the same window may have evicted the page and handed
 		// its memory to another. Where the backing came up short is a hole
 		// or a region only the cached size covers, which reads as zeros.
 		served := 0
-		if so := pos - base; so < int64(len(got)) {
-			served = copy(out, got[so:])
+		if po < int64(len(got)) {
+			served = copy(out, got[po:])
 		}
 		clear(out[served:])
 	}
 	f.lastReadEnd = off + read
 	return int(read), nil
-}
-
-// windowAt returns the in-flight readahead window covering byte offset
-// pos, if any. The map holds at most AsyncDepth entries, so a linear
-// scan is fine. Caller holds c.mu.
-func (c *Cache) windowAt(f *fileCache, pos int64) *raWindow {
-	for _, w := range f.ra {
-		if pos >= w.start && pos < w.start+int64(len(w.buf)) {
-			return w
-		}
-	}
-	return nil
 }
 
 // windowSize is the length of the window to read at start: ReadAhead
@@ -150,119 +136,46 @@ func (c *Cache) windowSize(f *fileCache, start int64, ahead bool) int64 {
 	return min(size, f.size-start)
 }
 
-// submitWindows starts the given readahead windows as a single pipelined
-// Submit: an interceptor chain below (one carrying the policy enforcer,
-// say) admits the whole window set with one gate decision instead of one
-// per window. Caller holds c.mu.
-func (c *Cache) submitWindows(op *vfs.Op, h vfs.Handle, f *fileCache, reqs []vfs.IOReq) {
-	if len(reqs) == 0 {
-		return
-	}
-	if f.ra == nil {
-		f.ra = make(map[int64]*raWindow)
-	}
-	for i, p := range c.async.Submit(op, h, vfs.KindRead, reqs) {
-		r := reqs[i]
-		f.ra[r.Off] = &raWindow{start: r.Off, buf: r.Buf, pending: p}
-		f.raNext = max(f.raNext, r.Off+int64(len(r.Buf)))
-	}
-}
-
-// topUpReadahead keeps AsyncDepth windows in flight beyond the furthest
-// submitted offset, submitting the refill as one batch. Caller holds
-// c.mu.
-func (c *Cache) topUpReadahead(op *vfs.Op, h vfs.Handle, f *fileCache) {
-	var reqs []vfs.IOReq
-	next := f.raNext
-	for len(f.ra)+len(reqs) < c.opts.AsyncDepth && next < f.size && c.windowAt(f, next) == nil {
-		// Windows hold whole pages from their start: one that follows a
-		// tail window clamped to a since-grown file starts on that tail
-		// page, not in the middle of it.
-		start := next - next%PageSize
-		size := c.windowSize(f, start, true)
-		reqs = append(reqs, vfs.IOReq{Off: start, Buf: make([]byte, size)})
-		next = start + size
-	}
-	c.submitWindows(op, h, f, reqs)
-}
-
 // fill is the one way into the cache: it turns the miss on page idx into
-// a backing read and the bytes read into pages. The window is one page,
-// or a ReadAhead window when the caller wants to read ahead. With a
-// pipelined backing a readahead window is harvested from (or first
-// submitted to) the AsyncDepth windows kept in flight, so their round
-// trips overlap; otherwise — always at AsyncDepth 0 — it is read now
-// with a blocking backing.Read, a window harvested immediately. fill
-// returns the bytes the backing returned and their offset, for the caller
-// to serve from until the next fill, which may reuse their storage. It
-// returns no page: the pages of one window are inserted one after another,
-// and under budget pressure a later one may evict an earlier one and take
-// over its memory. Caller holds c.mu.
-func (c *Cache) fill(op *vfs.Op, h vfs.Handle, f *fileCache, idx int64, ahead bool) ([]byte, int64, error) {
+// a blocking backing read and the bytes read into pages. The window is
+// one page, or a ReadAhead window when the caller wants to read ahead.
+// fill returns the bytes the backing returned from page idx on, for the
+// caller to serve from until the next fill, which may reuse their
+// storage. It returns no page: the pages of one window are inserted one
+// after another, and under budget pressure a later one may evict an
+// earlier one and take over its memory. Caller holds c.mu.
+func (c *Cache) fill(op *vfs.Op, h vfs.Handle, f *fileCache, idx int64, ahead bool) ([]byte, error) {
 	start := idx * PageSize
-	pipelined := ahead && c.async != nil && c.opts.ReadAhead > PageSize
-	var buf []byte
-	var n int
-	var err error
-	if pipelined {
-		if c.windowAt(f, start) == nil {
-			f.raNext = max(f.raNext, start)
-			c.submitWindows(op, h, f, []vfs.IOReq{{Off: start, Buf: make([]byte, c.windowSize(f, start, true))}})
-		}
-		win := c.windowAt(f, start)
-		if win == nil {
-			return nil, 0, vfs.EIO // the transport dropped the window
-		}
-		// raNext parked far ahead of the reader means the stream restarted
-		// (a re-read from the start after a pass reached EOF, with the
-		// pages since evicted): pull the pipeline back behind the current
-		// position, or topUpReadahead never submits again and every miss
-		// degenerates to one blocking round trip.
-		if f.raNext > start+int64(c.opts.AsyncDepth+1)*c.opts.ReadAhead {
-			f.raNext = win.start + int64(len(win.buf))
-		}
-		c.topUpReadahead(op, h, f)
-		delete(f.ra, win.start)
-		buf, start = win.buf, win.start
-		n, err = win.pending.Await(op)
-	} else {
-		// The blocking read never asks for less than a page, even at
-		// the tail of the file. It lands in the cache's rbuf: every
-		// caller is done with what fill returns before the next fill.
-		buf = scratch(&c.rbuf, int(max(c.windowSize(f, start, ahead), PageSize)))
-		n, err = c.backing.Read(op, h, start, buf)
-	}
+	// The read never asks for less than a page, even at the tail of the
+	// file. It lands in the cache's rbuf: every caller is done with what
+	// fill returns before the next fill.
+	buf := scratch(&c.rbuf, int(max(c.windowSize(f, start, ahead), PageSize)))
+	n, err := c.backing.Read(op, h, start, buf)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	c.opts.ChargeDisk.Read(n)
 	// A cached page is never older than the window, so only absent pages
 	// are installed, and they are allocated together. Pages dirty now stay
 	// excluded even once an insert below has evicted, and thereby flushed,
 	// them: the window predates that flush.
-	first := start / PageSize
 	var dirty []int64
 	var absent batch
-	for k := first; (k-first)*PageSize < int64(n); k++ {
+	for k := idx; (k-idx)*PageSize < int64(n); k++ {
 		if q := f.pages[k]; q == nil {
 			absent.coming++
 		} else if q.dirty > 0 {
 			dirty = append(dirty, k)
 		}
 	}
-	for k := first; (k-first)*PageSize < int64(n); k++ {
+	for k := idx; (k-idx)*PageSize < int64(n); k++ {
 		if f.pages[k] != nil || slices.Contains(dirty, k) {
 			continue
 		}
-		lo := (k - first) * PageSize
+		lo := (k - idx) * PageSize
 		c.insertPage(f, k, buf[lo:min(lo+PageSize, int64(n))], &absent)
 	}
-	if pipelined {
-		// Consuming one window frees a pipeline slot: refill it so the
-		// stream stays AsyncDepth deep.
-		c.topUpReadahead(op, h, f)
-	}
-	return buf[:n], start, nil
+	return buf[:n], nil
 }
 
 // fillForWrite fetches page idx for a read-modify-write on the handle h.
@@ -280,22 +193,7 @@ func (c *Cache) fillForWrite(op *vfs.Op, h vfs.Handle, st openState, f *fileCach
 		defer c.backing.Release(wbOp, rh)
 		op, h = wbOp, rh
 	}
-	got, _, err := c.fill(op, h, f, idx, false)
-	return got, err
-}
-
-// dropReadaheadRange awaits and discards in-flight readahead windows
-// sharing a page with [off, end): their payload may predate bytes now
-// going to the backing, and a page harvested from a stale window would
-// serve pre-write data. Caller holds c.mu.
-func (c *Cache) dropReadaheadRange(f *fileCache, off, end int64) {
-	for start, w := range f.ra {
-		wend := start + int64(len(w.buf)) + PageSize - 1
-		if start < end && off < wend-wend%PageSize {
-			w.pending.Await(wbOp)
-			delete(f.ra, start)
-		}
-	}
+	return c.fill(op, h, f, idx, false)
 }
 
 // Write implements vfs.FS. In writeback mode dirty data accumulates in
@@ -332,7 +230,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 		if st.flags&vfs.OAppend != 0 {
 			return c.appendThrough(op, h, f, off, data)
 		}
-		n, err := c.writeOut(op, h, f, off, data)
+		n, err := c.writeOut(op, h, off, data)
 		if err != nil {
 			return n, err
 		}
@@ -416,7 +314,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 			f.dirtyBytes += int64(len(chunk))
 		} else {
 			// No cache space: this chunk goes straight to the backing.
-			n, err := c.writeOut(op, h, f, pos, chunk)
+			n, err := c.writeOut(op, h, pos, chunk)
 			if err != nil {
 				return int(written), err
 			}
@@ -475,7 +373,7 @@ func (f *fileCache) blankPages(off, n int64) (count int, first int64) {
 // date; when the old end was not known, every page is. Caller holds c.mu.
 func (c *Cache) appendThrough(op *vfs.Op, h vfs.Handle, f *fileCache, off int64, data []byte) (int, error) {
 	c.flushFileLocked(f)
-	n, err := c.writeOut(op, h, f, off, data)
+	n, err := c.writeOut(op, h, off, data)
 	stale := int64(0)
 	if f.valid {
 		stale = f.size / PageSize
@@ -486,7 +384,6 @@ func (c *Cache) appendThrough(op *vfs.Op, h vfs.Handle, f *fileCache, off int64,
 		}
 	}
 	f.valid = false
-	c.dropReadahead(f)
 	return n, err
 }
 
@@ -546,11 +443,8 @@ func (c *Cache) killPrivsLocked(op *vfs.Op, st openState, hasCaps bool) error {
 }
 
 // writeOut is the one way out of the cache: a blocking backing.Write of
-// data at off on op/h. In-flight readahead windows over it are discarded
-// first (their payload would predate the write), and what lands is
-// charged to the disk. Caller holds c.mu.
-func (c *Cache) writeOut(op *vfs.Op, h vfs.Handle, f *fileCache, off int64, data []byte) (int, error) {
-	c.dropReadaheadRange(f, off, off+int64(len(data)))
+// data at off on op/h, what lands charged to the disk. Caller holds c.mu.
+func (c *Cache) writeOut(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, error) {
 	n, err := c.backing.Write(op, h, off, data)
 	if err == nil {
 		c.opts.ChargeDisk.Write(n)
@@ -558,40 +452,14 @@ func (c *Cache) writeOut(op *vfs.Op, h vfs.Handle, f *fileCache, off int64, data
 	return n, err
 }
 
-// submitOut is writeOut for a flush's extents over a pipelined backing:
-// more than one is submitted as a single window before any is awaited —
-// batched writeback: the round trips overlap and a chain below admits the
-// whole set in one policy decision. It returns the first error. Caller
-// holds c.mu.
-func (c *Cache) submitOut(f *fileCache, extents []vfs.IOReq) error {
-	if len(extents) == 1 {
-		_, err := c.writeOut(wbOp, f.wbHandle, f, extents[0].Off, extents[0].Buf)
-		return err
-	}
-	for _, e := range extents {
-		c.dropReadaheadRange(f, e.Off, e.Off+int64(len(e.Buf)))
-	}
-	var first error
-	for _, p := range c.async.Submit(wbOp, f.wbHandle, vfs.KindWrite, extents) {
-		if n, err := p.Await(wbOp); err == nil {
-			c.opts.ChargeDisk.Write(n)
-		} else if first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // flushPagesLocked writes the dirty pages idxs of f (ascending) back in
 // coalesced extents capped at MaxWriteSize and marks them clean. It is
 // the only writeback: a whole-file flush passes every dirty page, an
-// eviction passes one. Over a synchronous backing each extent is
-// assembled in wbuf and written before the next; over a pipelined one
-// they are all submitted together. A failed write leaves its pages clean
+// eviction passes one. Each extent is assembled in wbuf and written
+// before the next. A failed write leaves its pages clean
 // all the same, as in Linux; the first such error is kept on the file for
 // the next close, fsync or O_SYNC write to report. Caller holds c.mu.
 func (c *Cache) flushPagesLocked(f *fileCache, idxs []int64) {
-	var extents []vfs.IOReq // pipelined only
 	var err error
 	for i := 0; i < len(idxs); {
 		j := i
@@ -603,12 +471,7 @@ func (c *Cache) flushPagesLocked(f *fileCache, idxs []int64) {
 		// last page's last, never past the file's end.
 		start := idxs[i]*PageSize + f.pages[idxs[i]].dirtyLo
 		end := min(idxs[j]*PageSize+f.pages[idxs[j]].dirtyHi, f.size)
-		var buf []byte
-		if c.async != nil {
-			buf = make([]byte, 0, end-start)
-		} else {
-			buf = scratch(&c.wbuf, int(end-start))[:0]
-		}
+		buf := scratch(&c.wbuf, int(end-start))[:0]
 		for k := idxs[i]; k <= idxs[j]; k++ {
 			p := f.pages[k]
 			if lo, hi := max(start-k*PageSize, 0), min(end-k*PageSize, PageSize); hi > lo {
@@ -622,19 +485,10 @@ func (c *Cache) flushPagesLocked(f *fileCache, idxs []int64) {
 		}
 		c.stats.FlushedExt++
 		c.stats.FlushedB += int64(len(buf))
-		if c.async != nil {
-			extents = append(extents, vfs.IOReq{Off: start, Buf: buf})
-			continue
-		}
-		if _, werr := c.writeOut(wbOp, f.wbHandle, f, start, buf); werr != nil && err == nil {
+		if _, werr := c.writeOut(wbOp, f.wbHandle, start, buf); werr != nil && err == nil {
 			err = werr
 		}
 		scrub(c.wbuf)
-	}
-	if len(extents) > 0 {
-		if serr := c.submitOut(f, extents); serr != nil && err == nil {
-			err = serr
-		}
 	}
 	if err != nil && f.wbErr == nil {
 		f.wbErr = err
@@ -778,9 +632,6 @@ func (c *Cache) Release(op *vfs.Op, h vfs.Handle) error {
 	keepBacking := false
 	if st, ok := c.opens[h]; ok {
 		f := c.file(st.ino)
-		// Readahead windows were submitted on this handle; settle them
-		// before it goes away.
-		c.dropReadahead(f)
 		if f.wbValid && f.wbHandle == h {
 			if c.opts.FlushOnClose {
 				c.flushFileLocked(f)
@@ -819,7 +670,6 @@ func (c *Cache) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.
 	}
 	if mask.Has(vfs.SetSize) {
 		if f, ok := c.files[ino]; ok {
-			c.dropReadahead(f) // windows may span the truncation point
 			c.flushFileLocked(f)
 			for idx, p := range f.pages {
 				if idx*PageSize >= attr.Size {

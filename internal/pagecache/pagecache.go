@@ -99,13 +99,6 @@ type Options struct {
 	// FUSE_ASYNC_READ enables (batched concurrent reads); over a disk it
 	// models the kernel's readahead. Zero disables readahead.
 	ReadAhead int64
-	// AsyncDepth is the number of readahead windows kept in flight when
-	// the backing filesystem implements vfs.AsyncFS: sequential misses
-	// submit up to this many windows and harvest them as the reader
-	// arrives, so each window's round trip overlaps the previous one's.
-	// It also batches writeback: a flush submits all its extents before
-	// awaiting any. Zero keeps the sequential blocking path.
-	AsyncDepth int
 	// FlushOnClose writes dirty pages back when a file is closed, as the
 	// FUSE kernel module does (fuse_flush → write_inode_now). Native
 	// filesystems leave dirty data for background writeback instead;
@@ -146,9 +139,6 @@ type Cache struct {
 	clock   *sim.Clock
 	model   *sim.CostModel
 	opts    Options
-	// async is the backing's pipelined submit/await interface, non-nil
-	// when it implements vfs.AsyncFS and AsyncDepth is configured.
-	async vfs.AsyncFS
 
 	mu    sync.Mutex
 	files map[vfs.Ino]*fileCache
@@ -162,9 +152,7 @@ type Cache struct {
 	// Scratch of the synchronous path, reused under mu: wbuf holds the
 	// extent a flush is writing back, rbuf the window a blocking fill
 	// read, dirty the dirty page indices of the file being flushed. Each
-	// grows to the largest use so far and nothing larger. The pipelined
-	// path allocates instead: its windows and extents are in flight
-	// together.
+	// grows to the largest use so far and nothing larger.
 	wbuf, rbuf []byte
 	dirty      []int64
 	// free holds up to maxHdrBlock dropped pages, header and buffer, for
@@ -254,17 +242,6 @@ type fileCache struct {
 	// lastReadEnd tracks the end offset of the previous read for
 	// sequential-pattern detection (readahead).
 	lastReadEnd int64
-	// ra holds in-flight asynchronous readahead windows keyed by their
-	// starting byte offset; raNext is where the next window begins.
-	ra     map[int64]*raWindow
-	raNext int64
-}
-
-// raWindow is one in-flight asynchronous readahead window.
-type raWindow struct {
-	start   int64
-	buf     []byte
-	pending vfs.PendingIO
 }
 
 // openState is what an open handle was opened as. It never changes, so
@@ -314,7 +291,7 @@ func New(backing vfs.FS, clock *sim.Clock, model *sim.CostModel, opts Options) *
 	if opts.MaxWriteSize == 0 {
 		opts.MaxWriteSize = 128 << 10
 	}
-	c := &Cache{
+	return &Cache{
 		backing: backing,
 		clock:   clock,
 		model:   model,
@@ -322,14 +299,6 @@ func New(backing vfs.FS, clock *sim.Clock, model *sim.CostModel, opts Options) *
 		files:   make(map[vfs.Ino]*fileCache),
 		opens:   make(map[vfs.Handle]openState),
 	}
-	if opts.AsyncDepth > 0 && vfs.IsAsync(backing) {
-		// IsAsync sees through interceptor chains: pipelining windows
-		// through a wrapped *synchronous* filesystem would execute each
-		// window as a blocking read at submit time — eager prefetch with
-		// zero overlap, strictly worse than leaving AsyncDepth off.
-		c.async = backing.(vfs.AsyncFS)
-	}
-	return c
 }
 
 // Stats returns a snapshot of cache counters.
@@ -516,7 +485,6 @@ func (c *Cache) invalidateNoFlush(ino vfs.Ino) {
 // last of them closes, whatever was invalidated in between. Caller holds
 // c.mu.
 func (c *Cache) dropFileLocked(ino vfs.Ino, f *fileCache) {
-	c.dropReadahead(f)
 	for _, p := range f.pages {
 		c.dropPage(p)
 	}
@@ -525,15 +493,4 @@ func (c *Cache) dropFileLocked(ino vfs.Ino, f *fileCache) {
 		c.file(ino).openHandles = f.openHandles
 	}
 	c.stats.Invalidate++
-}
-
-// dropReadahead awaits and discards the file's in-flight readahead
-// windows. Futures must not be abandoned — the transport's reply slot
-// (and its pipelining accounting) is balanced at Await. Caller holds
-// c.mu.
-func (c *Cache) dropReadahead(f *fileCache) {
-	for start, w := range f.ra {
-		w.pending.Await(wbOp)
-		delete(f.ra, start)
-	}
 }

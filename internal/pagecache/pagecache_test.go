@@ -378,15 +378,6 @@ func TestSyncFSFlushesEverything(t *testing.T) {
 	f2.Close()
 }
 
-// inlineAsync makes a synchronous backing look pipelined: every window
-// runs inline through vfs.Submit's synchronous fallback, so a cache above
-// it takes the AsyncDepth > 0 paths deterministically.
-type inlineAsync struct{ vfs.FS }
-
-func (s inlineAsync) Submit(op *vfs.Op, h vfs.Handle, kind vfs.OpKind, reqs []vfs.IOReq) []vfs.PendingIO {
-	return vfs.Submit(s.FS, op, h, kind, reqs)
-}
-
 // directReadOpens adds O_DIRECT to read-only opens, as the CntrFS server
 // does on a mount that keeps its pages (fuse.MountOptions.DirectRead): it
 // stands between two stacked caches where the FUSE connection would.
@@ -405,11 +396,11 @@ func (d directReadOpens) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs
 // 32 KiB budget is smaller than the file the property test works on, so
 // a lone cache evicts its own pages and the lower of two stacked caches
 // regularly finds no room at all.
-func coherenceStack(stacked, writeback bool, depth int) (caches []*Cache, back *memfs.FS) {
+func coherenceStack(stacked, writeback bool) (caches []*Cache, back *memfs.FS) {
 	back = memfs.New(memfs.Options{})
 	clock, model := sim.NewClock(), sim.DefaultCostModel()
 	opts := Options{
-		KeepCache: true, Writeback: writeback, ReadAhead: 16 << 10, AsyncDepth: depth,
+		KeepCache: true, Writeback: writeback, ReadAhead: 16 << 10,
 		Budget: NewMemBudget(32 << 10),
 	}
 	layers := 1
@@ -420,9 +411,6 @@ func coherenceStack(stacked, writeback bool, depth int) (caches []*Cache, back *
 	for i := 0; i < layers; i++ {
 		if i > 0 {
 			below = directReadOpens{below}
-		}
-		if depth > 0 {
-			below = inlineAsync{below}
 		}
 		c := New(below, clock, model, opts)
 		caches = append([]*Cache{c}, caches...) // top first
@@ -442,27 +430,25 @@ func coherenceStack(stacked, writeback bool, depth int) (caches []*Cache, back *
 func TestPropertyCacheCoherence(t *testing.T) {
 	for _, stacked := range []bool{false, true} {
 		for _, writeback := range []bool{true, false} {
-			for _, depth := range []int{0, 4} {
-				name := fmt.Sprintf("stacked=%v/writeback=%v/depth=%d", stacked, writeback, depth)
-				t.Run(name, func(t *testing.T) {
-					f := func(seed uint64) bool {
-						return coherent(t, sim.NewRand(seed), stacked, writeback, depth)
-					}
-					// A fixed source: every row and every run sees the same
-					// 40 scripts, so a failure reproduces.
-					cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}
-					if err := quick.Check(f, cfg); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
+			name := fmt.Sprintf("stacked=%v/writeback=%v", stacked, writeback)
+			t.Run(name, func(t *testing.T) {
+				f := func(seed uint64) bool {
+					return coherent(t, sim.NewRand(seed), stacked, writeback)
+				}
+				// A fixed source: every row and every run sees the same
+				// 40 scripts, so a failure reproduces.
+				cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}
+				if err := quick.Check(f, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }
 
-func coherent(t *testing.T, rng *sim.Rand, stacked, writeback bool, depth int) bool {
+func coherent(t *testing.T, rng *sim.Rand, stacked, writeback bool) bool {
 	const span = 64 << 10 // twice the budget
-	caches, back := coherenceStack(stacked, writeback, depth)
+	caches, back := coherenceStack(stacked, writeback)
 	cc := vfs.NewClient(caches[0], vfs.Root())
 	ref := vfs.NewClient(memfs.New(memfs.Options{}), vfs.Root())
 	// Three handles on each side: read-write (which creates the file),

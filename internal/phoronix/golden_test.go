@@ -131,6 +131,13 @@ var fleet = perProcs(func() ([]MultiMountResult, error) {
 	})
 })
 
+// stream16MB and stream256MB are RunStreaming's passes: a file both page
+// caches hold, and one that streams through them.
+var (
+	stream16MB  = perProcs(func() (StreamingResult, error) { return RunStreaming(16 << 20) })
+	stream256MB = perProcs(func() (StreamingResult, error) { return RunStreaming(256 << 20) })
+)
+
 // each is f of every x, up to the first error.
 func each[X, Y any](xs []X, f func(X) (Y, error)) ([]Y, error) {
 	out := make([]Y, 0, len(xs))
@@ -176,7 +183,8 @@ const rowsGolden = "testdata/rows.golden"
 // TestRowsGolden holds every deterministic run mode to testdata/rows.golden,
 // one line per (mode, row), so a change that moves a number shows as a diff
 // of that file; updateCmd rewrites it. -short skips the seed-43 recording,
-// merge-replay and consolidation, and compares the file up to them.
+// merge-replay, consolidation and the 256 MB stream, and compares the file
+// up to them.
 func TestRowsGolden(t *testing.T) {
 	if *updateRows && testing.Short() {
 		t.Fatal("-update under -short would drop the modes -short skips")
@@ -215,6 +223,13 @@ func TestRowsGolden(t *testing.T) {
 		line("fleet/"+fleetTiers[i].name, fmt.Sprintf("mounts=%d", r.Mounts), "cold_ns=%d max_ns=%d bytes=%d hit_ratio=%v fenced=%d lost=%d",
 			r.ColdReadTotal, r.ColdReadMax, r.BytesRead, r.HitRatio, r.TierStats.FencedWrites, r.TierStats.LostShards)
 	}
+	for i, r := range pass(t, writebackFenced) {
+		line("fleet/wb-fenced", wbFencedTiers[i].name, "sync_ns=%d fenced=%d svc_fenced=%d node_fenced=%d backend_bytes=%d epoch=%d",
+			r.syncTime, r.mountFenced, r.tier.FencedWrites, nodeFenced(r.nodes), r.backend, r.lease.Epoch)
+	}
+	const stream = "write_ns=%d read_ns=%d kernel_evictions=%d host_evictions=%d"
+	s16 := pass(t, stream16MB)
+	line("stream/16MB", "seq-64k", stream, s16.WriteTime, s16.ReadTime, s16.KernelEvictions, s16.HostEvictions)
 	// The modes whose tests skip under -short close the file.
 	if !testing.Short() {
 		line("record/seed43", "suite", "%s", profileFields(pass(t, seed43Recording).Profile(policy.GenOptions{})))
@@ -228,6 +243,8 @@ func TestRowsGolden(t *testing.T) {
 		for _, r := range c.Results {
 			line("consolidation", r.Name, "ns=%d err=%s", r.Time, errnoField(r.Err))
 		}
+		s256 := pass(t, stream256MB)
+		line("stream/256MB", "seq-64k", stream, s256.WriteTime, s256.ReadTime, s256.KernelEvictions, s256.HostEvictions)
 	}
 	got := b.String()
 	if *updateRows {

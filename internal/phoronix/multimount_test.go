@@ -1,6 +1,7 @@
 package phoronix
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -78,126 +79,155 @@ func TestMultiMountScalesWithFleet(t *testing.T) {
 	}
 }
 
-// TestBatchedWritebackFenced partitions a mount mid-write-back: dirty
-// data sits in the FUSE writeback window while the mount's leases expire
-// on the service side; the fsync-driven flush then reaches the store
-// with a stale epoch. The tier must fence every publish from that
-// window — and the mount's own durability must be unharmed. The same
-// scenario runs against the single-node reference tier and a 3-node
-// R=2 tier, where every stale publish must be dropped on the primary
-// AND both replicas: the per-node fenced counters (one per copy) must
-// sum to exactly FencedWrites x copies, with every node counting its
-// own share.
-func TestBatchedWritebackFenced(t *testing.T) {
-	t.Run("single-node", func(t *testing.T) {
-		runBatchedWritebackFenced(t, 1, 0)
-	})
-	t.Run("replicated-r2", func(t *testing.T) {
-		runBatchedWritebackFenced(t, 3, 2)
-	})
+// wbFenced is one fenced-writeback run: the fsync's virtual time, the
+// store's bytes before and after it, what the mount and the tier fenced,
+// the tier's nodes, and what the mount saw once it had reattached.
+type wbFenced struct {
+	syncTime            time.Duration
+	early, backend      int64
+	payload, readBack   []byte
+	mountFenced         int64
+	tier, afterReattach cachesvc.Stats
+	nodes               []cachesvc.NodeStats
+	lease               cachesvc.Lease
 }
 
-func runBatchedWritebackFenced(t *testing.T, nodes, replicas int) {
+// wbFencedTiers are the tiers the fenced-writeback run partitions: the
+// single-node reference tier and a 3-node tier with two replicas a shard.
+var wbFencedTiers = []fleetTier{{"single-node", 1, 0}, {"replicated-r2", 3, 2}}
+
+var writebackFenced = perProcs(func() ([]wbFenced, error) { return each(wbFencedTiers, runWritebackFenced) })
+
+// runWritebackFenced partitions a mount mid-write-back: dirty data sits in
+// the FUSE writeback window while the mount's leases expire on the service
+// side, and the fsync-driven flush then reaches the store with a stale
+// epoch. The mount then reattaches and writes a fresh file.
+func runWritebackFenced(tier fleetTier) (wbFenced, error) {
+	var r wbFenced
 	cas := blobstore.NewCAS(blobstore.CASOptions{})
-	svcClock := cachesvc.New(cachesvc.Options{
-		LeaseTTL: time.Second, Nodes: nodes, Replicas: replicas,
+	svc := cachesvc.New(cachesvc.Options{
+		LeaseTTL: time.Second, Nodes: tier.nodes, Replicas: tier.replicas,
 	})
 	cfg := stackConfig()
 	cfg.Store = cas
-	cfg.CacheService = svcClock
+	cfg.CacheService = svc
 	cfg.CacheMountID = "wb-mount"
-	cfg.AsyncDepth = 4 // batched writeback windows through the connection
 	c := stack.NewCntr(cfg)
 	defer c.Close()
 
 	cli := vfs.NewClient(c.Top, vfs.Root())
 	f, err := cli.Open("/dirty.bin", vfs.OWronly|vfs.OCreat, 0o644)
 	if err != nil {
-		t.Fatal(err)
+		return r, err
 	}
 	// Below the FUSE dirty window so it stays dirty until fsync; distinct
 	// content per block so the CAS cannot fold the window into one chunk.
-	payload := multiMountContent(99, 99, 128<<10)
-	if _, err := f.Write(payload); err != nil {
-		t.Fatal(err)
+	r.payload = multiMountContent(99, 99, 128<<10)
+	if _, err := f.Write(r.payload); err != nil {
+		return r, err
 	}
-	physBefore := cas.Stats().PhysicalBytes
-	if physBefore != 0 {
-		t.Fatalf("writeback window leaked early: %d bytes at the store", physBefore)
-	}
+	r.early = cas.Stats().PhysicalBytes
 
 	// The partition: the service ages past the lease TTL while the dirty
 	// window is still in flight. The mount's own clock is untouched — it
 	// has no idea.
-	svcClock.Clock().Advance(2 * time.Second)
+	svc.Clock().Advance(2 * time.Second)
 
-	if err := f.Sync(); err != nil { // drives the batched flush down the stack
-		t.Fatal(err)
+	start := c.Clock.Now()
+	if err := f.Sync(); err != nil { // drives the flush down the stack
+		return r, err
 	}
+	r.syncTime = c.Clock.Now() - start
 	f.Close()
-
-	// Every 4 KiB chunk of the 128 KiB window is fenced at the mount; the
-	// service sees only the first stale publish per lease group, because
-	// that rejection costs the mount the group's lease and it drops the
-	// rest locally.
-	st := svcClock.Stats()
-	if fenced := c.CacheCl.Stats().Fenced; fenced != 32 || st.FencedWrites != 4 {
-		t.Fatalf("stale-epoch writeback window: %d publishes fenced at the mount, %d at the service, want 32 and 4",
-			fenced, st.FencedWrites)
-	}
-	if st.Entries != 0 {
-		t.Fatalf("stale mount landed %d entries in the tier", st.Entries)
-	}
-	// The fence holds per replica: with R replicas every stale mutation
-	// is dropped (and counted) at the primary and each replica copy.
-	// With nodes == replicas+1 every node hosts every shard, so each
-	// node's counter equals the service-level mutation count exactly.
-	copies := int64(replicas + 1)
-	var perNodeSum int64
-	for _, ns := range svcClock.NodeStats() {
-		perNodeSum += ns.FencedWrites
-		if nodes == replicas+1 && ns.FencedWrites != st.FencedWrites {
-			t.Fatalf("node %d fenced %d writes, want %d (one drop per copy)",
-				ns.ID, ns.FencedWrites, st.FencedWrites)
-		}
-	}
-	if perNodeSum != st.FencedWrites*copies {
-		t.Fatalf("per-node fenced sum = %d, want FencedWrites(%d) x copies(%d) = %d",
-			perNodeSum, st.FencedWrites, copies, st.FencedWrites*copies)
-	}
-	// Durability is local: the backend holds every chunk of the window.
-	if phys := cas.Stats().PhysicalBytes; phys < int64(len(payload)) {
-		t.Fatalf("backend holds %d bytes, want >= %d — fencing must not drop local writes",
-			phys, len(payload))
-	}
-	// The data reads back intact through the mount.
-	got, err := cli.ReadFile("/dirty.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(payload) || got[1234] != payload[1234] {
-		t.Fatalf("read back %d bytes, corrupted or truncated", len(got))
+	r.mountFenced = c.CacheCl.Stats().Fenced
+	r.tier, r.nodes = svc.Stats(), svc.NodeStats()
+	r.backend = cas.Stats().PhysicalBytes
+	if r.readBack, err = cli.ReadFile("/dirty.bin"); err != nil {
+		return r, err
 	}
 
 	// Recovery: reattach mints fresh epochs and publishes flow again.
 	if err := c.CacheCl.Reattach(); err != nil {
-		t.Fatal(err)
+		return r, err
 	}
-	lease, ok := c.CacheCl.Lease(0)
-	if !ok || lease.Epoch < 2 {
-		t.Fatalf("reattach lease = %+v, want fresh epoch >= 2", lease)
-	}
+	r.lease, _ = c.CacheCl.Lease(0)
 	if err := cli.WriteFile("/fresh.bin", make([]byte, 8<<10), 0o644); err != nil {
-		t.Fatal(err)
+		return r, err
 	}
 	f2, err := cli.Open("/fresh.bin", vfs.ORdonly, 0)
 	if err != nil {
-		t.Fatal(err)
+		return r, err
 	}
 	f2.Sync()
 	f2.Close()
-	after := svcClock.Stats()
-	if after.Puts == 0 {
-		t.Fatal("no publishes accepted after reattach")
+	r.afterReattach = svc.Stats()
+	return r, nil
+}
+
+// TestWritebackFenced holds the fenced-writeback run to its relations. The
+// tier must fence every publish from the stale window, and the mount's own
+// durability must be unharmed. On the replicated tier every stale publish
+// must be dropped on the primary AND both replicas: the per-node fenced
+// counters (one per copy) must sum to exactly FencedWrites x copies, with
+// every node counting its own share.
+func TestWritebackFenced(t *testing.T) {
+	for i, r := range pass(t, writebackFenced) {
+		t.Run(wbFencedTiers[i].name, func(t *testing.T) {
+			if r.early != 0 {
+				t.Fatalf("writeback window leaked early: %d bytes at the store", r.early)
+			}
+			// Every 4 KiB chunk of the 128 KiB window is fenced at the mount;
+			// the service sees only the first stale publish per lease group,
+			// because that rejection costs the mount the group's lease and it
+			// drops the rest locally.
+			if r.mountFenced != 32 || r.tier.FencedWrites != 4 {
+				t.Fatalf("stale-epoch writeback window: %d publishes fenced at the mount, %d at the service, want 32 and 4",
+					r.mountFenced, r.tier.FencedWrites)
+			}
+			if r.tier.Entries != 0 {
+				t.Fatalf("stale mount landed %d entries in the tier", r.tier.Entries)
+			}
+			// The fence holds per replica: with R replicas every stale
+			// mutation is dropped (and counted) at the primary and each
+			// replica copy. With nodes == replicas+1 every node hosts every
+			// shard, so each node's counter equals the service-level
+			// mutation count exactly.
+			tier := wbFencedTiers[i]
+			copies := int64(tier.replicas + 1)
+			if sum := nodeFenced(r.nodes); sum != r.tier.FencedWrites*copies {
+				t.Fatalf("per-node fenced sum = %d, want FencedWrites(%d) x copies(%d) = %d",
+					sum, r.tier.FencedWrites, copies, r.tier.FencedWrites*copies)
+			}
+			for _, ns := range r.nodes {
+				if tier.nodes == tier.replicas+1 && ns.FencedWrites != r.tier.FencedWrites {
+					t.Fatalf("node %d fenced %d writes, want %d (one drop per copy)",
+						ns.ID, ns.FencedWrites, r.tier.FencedWrites)
+				}
+			}
+			// Durability is local: the backend holds every chunk of the window.
+			if r.backend < int64(len(r.payload)) {
+				t.Fatalf("backend holds %d bytes, want >= %d — fencing must not drop local writes",
+					r.backend, len(r.payload))
+			}
+			// The data reads back intact through the mount.
+			if !bytes.Equal(r.readBack, r.payload) {
+				t.Fatalf("read back %d bytes, corrupted or truncated", len(r.readBack))
+			}
+			if r.lease.Epoch < 2 {
+				t.Fatalf("reattach lease = %+v, want fresh epoch >= 2", r.lease)
+			}
+			if r.afterReattach.Puts == 0 {
+				t.Fatal("no publishes accepted after reattach")
+			}
+		})
 	}
+}
+
+// nodeFenced sums the fenced writes the tier's nodes counted.
+func nodeFenced(nodes []cachesvc.NodeStats) int64 {
+	var sum int64
+	for _, ns := range nodes {
+		sum += ns.FencedWrites
+	}
+	return sum
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"cntr/internal/stack"
@@ -12,45 +11,19 @@ import (
 )
 
 // StreamingResult is one large-file streaming pass through the Cntr
-// stack's pipelined writeback/readahead path: a sequential write of
-// Bytes through the FUSE writeback cache with AsyncDepth windows in
-// flight, an fsync, then a cold sequential read-back.
+// stack: a sequential write of Bytes through the FUSE writeback cache,
+// an fsync, then a sequential read-back.
 type StreamingResult struct {
 	// WriteTime covers the streaming write plus fsync; ReadTime covers
 	// the sequential read-back. Both are virtual (simulated) durations.
 	WriteTime time.Duration
 	ReadTime  time.Duration
 	Bytes     int64
-	// Windows counts the multi-request below-cache submissions
-	// (readahead refills and writeback extent batches admitted as one
-	// decision); BatchedOps is the operations they covered;
-	// PerOpSubmits counts the one-request submissions.
-	Windows      int64
-	BatchedOps   int64
-	PerOpSubmits int64
-}
-
-// streamGauge counts pipelined windows crossing the below-cache
-// boundary. Counters are atomic: with AsyncDepth > 0 the cache keeps
-// several submissions in flight through concurrent server workers.
-type streamGauge struct {
-	windows    atomic.Int64
-	batchedOps atomic.Int64
-	perOp      atomic.Int64
-}
-
-func (g *streamGauge) Intercept(info *vfs.OpInfo, next func() error) error { return next() }
-
-// InterceptSubmit sees every below-cache Submit once: a multi-request
-// window counts as a window, a one-request submission as per-op.
-func (g *streamGauge) InterceptSubmit(info *vfs.OpInfo) error {
-	if info.BatchOps > 1 {
-		g.windows.Add(1)
-		g.batchedOps.Add(int64(info.BatchOps))
-	} else {
-		g.perOp.Add(1)
-	}
-	return nil
+	// KernelEvictions and HostEvictions count the pages the FUSE-side
+	// and the host-side page cache evicted over the pass: a file larger
+	// than the budget streams through both.
+	KernelEvictions int64
+	HostEvictions   int64
 }
 
 // streamChunk is the application's write/read granularity — small
@@ -75,19 +48,11 @@ func checkStream(chunk, got []byte, off int64) error {
 }
 
 // RunStreaming streams one size-byte file sequentially through a Cntr
-// stack with asyncDepth pipelined windows: write in 64 KiB chunks,
-// fsync, then read the file back in 64 KiB chunks after dropping the
-// kernel-side cache (a fresh mount of the same host filesystem would
-// behave identically; here the read-back is warm in the host cache but
-// cold above it only for what the budget evicted). The below-cache
-// window counters prove the traffic actually travelled the batched
-// path.
-func RunStreaming(size int64, asyncDepth int) (StreamingResult, error) {
-	gauge := &streamGauge{}
-	cfg := stackConfig()
-	cfg.AsyncDepth = asyncDepth
-	cfg.BelowCache = []vfs.Interceptor{gauge}
-	c := stack.NewCntr(cfg)
+// stack: write in 64 KiB chunks, fsync, then read the file back in
+// 64 KiB chunks, cold in the kernel-side cache only for what the budget
+// evicted.
+func RunStreaming(size int64) (StreamingResult, error) {
+	c := stack.NewCntr(stackConfig())
 	defer c.Close()
 	cli := vfs.NewClient(c.Top, vfs.Root())
 
@@ -144,8 +109,7 @@ func RunStreaming(size int64, asyncDepth int) (StreamingResult, error) {
 	}
 	res.ReadTime = c.Clock.Now() - start
 
-	res.Windows = gauge.windows.Load()
-	res.BatchedOps = gauge.batchedOps.Load()
-	res.PerOpSubmits = gauge.perOp.Load()
+	res.KernelEvictions = c.Kernel.Stats().Evictions
+	res.HostEvictions = c.HostPC.Stats().Evictions
 	return res, nil
 }

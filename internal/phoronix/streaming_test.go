@@ -5,38 +5,19 @@ import (
 	"testing"
 )
 
-// TestStreamingSubmissionCounters pins the below-cache submission
-// traffic of a streaming pass: the counters are submission-side and
-// deterministic, so they must not move between runs or across a
-// refactor of the submit path. The 16 MB file fits the cache, so the
-// read-back submits nothing: the one window is the writeback batch. The
-// 256 MB file does not, so its row also counts the eviction flushes and
-// the readahead refills of the cold read-back (pagecache's
-// TestPipelinedWindowShapes pins their shape). Only the counters are
-// pinned: under AsyncDepth 8 the pass's virtual times vary with the
-// order server workers complete a window in.
-func TestStreamingSubmissionCounters(t *testing.T) {
-	type row struct {
-		size                       int64
-		runs                       int
-		windows, batchedOps, perOp int64
+// TestStreamingEvictions: the 16 MB pass fits both page caches and
+// evicts nothing; the 256 MB one fills the RAM budget the two caches
+// share, so the FUSE-side cache evicts. Both passes verify what they
+// read back.
+func TestStreamingEvictions(t *testing.T) {
+	if r := pass(t, stream16MB); r.KernelEvictions != 0 || r.HostEvictions != 0 {
+		t.Errorf("16 MB pass evicted %d kernel and %d host pages, want none", r.KernelEvictions, r.HostEvictions)
 	}
-	rows := []row{{16 << 20, 2, 1, 128, 0}}
-	if !testing.Short() {
-		rows = append(rows, row{256 << 20, 1, 5, 2055, 2041})
+	if testing.Short() {
+		return
 	}
-	for _, row := range rows {
-		for run := 0; run < row.runs; run++ {
-			r, err := RunStreaming(row.size, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Windows != row.windows || r.BatchedOps != row.batchedOps || r.PerOpSubmits != row.perOp {
-				t.Fatalf("%d MB run %d: windows=%d batched-ops=%d per-op-submits=%d, want %d/%d/%d",
-					row.size>>20, run, r.Windows, r.BatchedOps, r.PerOpSubmits,
-					row.windows, row.batchedOps, row.perOp)
-			}
-		}
+	if r := pass(t, stream256MB); r.KernelEvictions == 0 {
+		t.Errorf("256 MB pass evicted no kernel page")
 	}
 }
 

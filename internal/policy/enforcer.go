@@ -86,20 +86,12 @@ func exempt(k vfs.OpKind) bool {
 	return false
 }
 
-// gateNLocked decides a window of n same-kind, same-target operations
-// against the profile in one pass — one trie lookup, one ceiling check —
-// recording the outcome n times, and reports whether the window must be
-// denied. One decision is sound for the whole window because byte
-// ceilings — lifetime totals and the sliding op-stream window alike —
-// only advance at completion (Intercept, after next()), never at
-// admission: every operation of a pipelined window observes the same
-// readBytes/writeBytes and the same window sums no matter whether it is
-// gated individually or batched, so the n outcomes are identical by
-// construction. Caller holds e.mu.
-func (e *Enforcer) gateNLocked(info *vfs.OpInfo, dir string, n int) (deny bool) {
-	if n < 1 {
-		n = 1
-	}
+// gateLocked decides one operation against the profile — one trie
+// lookup, one ceiling check — records the outcome, and reports whether
+// the operation must be denied. Byte ceilings (lifetime totals and the
+// sliding op-stream window alike) advance only at completion (Intercept,
+// after next()), never at admission. Caller holds e.mu.
+func (e *Enforcer) gateLocked(info *vfs.OpInfo, dir string) (deny bool) {
 	var reason string
 	if !exempt(info.Kind) {
 		if !e.m.allowsEntry(info.Kind, dir, info.Name) {
@@ -119,38 +111,21 @@ func (e *Enforcer) gateNLocked(info *vfs.OpInfo, dir string, n int) (deny bool) 
 	}
 	denied := !e.audit
 	if denied {
-		e.denials += int64(n)
+		e.denials++
 	} else {
-		e.audited += int64(n)
+		e.audited++
 	}
 	var pid uint32
 	if info.Op != nil {
 		pid = info.Op.PID
 	}
-	for i := 0; i < n && len(e.violations) < maxViolations; i++ {
+	if len(e.violations) < maxViolations {
 		e.violations = append(e.violations, Violation{
 			Kind: info.Kind, Path: entryPath(dir, info.Name), PID: pid,
 			Denied: denied, Reason: reason,
 		})
 	}
 	return denied
-}
-
-// InterceptSubmit implements vfs.SubmitInterceptor: a pipelined window
-// (info.BatchOps same-kind operations on one inode; 1 for a single
-// submission) is decided before dispatch — a denial at completion would
-// come after the I/O already ran against the filesystem — with one path
-// resolution, one trie lookup and one ceiling check, every counter
-// advancing exactly as info.BatchOps one-request submissions would
-// have advanced it (see gateNLocked for why the outcomes cannot
-// diverge).
-func (e *Enforcer) InterceptSubmit(info *vfs.OpInfo) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.gateNLocked(info, e.paths[info.Ino], info.BatchOps) {
-		return vfs.EACCES
-	}
-	return nil
 }
 
 // Intercept implements vfs.Interceptor.
@@ -161,9 +136,7 @@ func (e *Enforcer) Intercept(info *vfs.OpInfo, next func() error) error {
 	// unknown). The string is built only where one is kept: every lookup
 	// of every path walk comes through here.
 	dir := e.paths[info.Ino]
-	// Async completions were already admitted by InterceptSubmit; only
-	// the byte accounting below applies to them.
-	if !info.Async && e.gateNLocked(info, dir, 1) {
+	if e.gateLocked(info, dir) {
 		e.mu.Unlock()
 		return vfs.EACCES
 	}

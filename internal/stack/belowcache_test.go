@@ -8,62 +8,10 @@ import (
 	"cntr/internal/vfs"
 )
 
-// windowCounter is a submit gate for tests: it records the size of
-// every pipelined window admitted below the kernel cache.
-type windowCounter struct {
-	windows []int
-}
-
-func (w *windowCounter) Intercept(info *vfs.OpInfo, next func() error) error { return next() }
-
-func (w *windowCounter) InterceptSubmit(info *vfs.OpInfo) error {
-	w.windows = append(w.windows, info.BatchOps)
-	return nil
-}
-
-// TestBelowCacheSeesBatchedWindows: with pipelining enabled, the kernel
-// cache's readahead and writeback windows must reach a below-cache gate
-// as whole submissions — one admission decision per window, BatchOps
-// its length — while the data still round-trips correctly through
-// CntrFS.
-func TestBelowCacheSeesBatchedWindows(t *testing.T) {
-	wc := &windowCounter{}
-	cfg := Config{
-		AsyncDepth: 8,
-		BelowCache: []vfs.Interceptor{wc},
-	}
-	c := NewCntr(cfg)
-	defer c.Close()
-	cli := vfs.NewClient(c.Top, vfs.Root())
-
-	data := bytes.Repeat([]byte("window"), 1<<20/6) // ~1MB
-	if err := cli.WriteFile("/big", data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cli.ReadFile("/big")
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("read through batched admission: %d bytes, %v", len(got), err)
-	}
-
-	batched := 0
-	for _, n := range wc.windows {
-		if n < 1 {
-			t.Fatalf("gate saw a window of %d operations", n)
-		}
-		if n > 1 {
-			batched += n
-		}
-	}
-	if batched == 0 {
-		t.Fatalf("no multi-request window reached the below-cache gate: %v", wc.windows)
-	}
-}
-
-// TestBelowCacheEnforcerAdmitsPipelinedTraffic: a real policy.Enforcer
-// wired below the kernel cache gates the mount's actual FUSE traffic —
-// batched readahead included — and an allow-all profile must let the
-// workload through with zero denials.
-func TestBelowCacheEnforcerAdmitsPipelinedTraffic(t *testing.T) {
+// TestBelowCacheEnforcerAdmitsMountTraffic: a real policy.Enforcer wired
+// below the kernel cache gates the mount's actual FUSE traffic, and an
+// allow-all profile must let the workload through with zero denials.
+func TestBelowCacheEnforcerAdmitsMountTraffic(t *testing.T) {
 	p := &policy.Profile{Rules: []policy.Rule{{
 		Prefix: "/",
 		Kinds: []string{"lookup", "getattr", "setattr", "create", "open",
@@ -71,10 +19,7 @@ func TestBelowCacheEnforcerAdmitsPipelinedTraffic(t *testing.T) {
 			"getxattr", "setxattr"},
 	}}}
 	enf := policy.NewEnforcer(p, false)
-	c := NewCntr(Config{
-		AsyncDepth: 8,
-		BelowCache: []vfs.Interceptor{enf},
-	})
+	c := NewCntr(Config{BelowCache: []vfs.Interceptor{enf}})
 	defer c.Close()
 	cli := vfs.NewClient(c.Top, vfs.Root())
 
@@ -127,7 +72,7 @@ func TestBelowCacheTracerRecordsMountTraffic(t *testing.T) {
 
 // TestBelowCacheEmptyIsIdentity: with no below-cache interceptors the
 // kernel cache must sit directly on the FUSE connection — no wrapper,
-// so the async fast path is exactly what it was before this knob.
+// so the data path is exactly what it was before this knob.
 func TestBelowCacheEmptyIsIdentity(t *testing.T) {
 	c := NewCntr(Config{})
 	defer c.Close()

@@ -52,13 +52,8 @@ type Config struct {
 	DirtyWindowFuse int64
 	// ReadAhead is the sequential readahead window (default 128 KiB).
 	ReadAhead int64
-	// AsyncDepth is the number of readahead windows the FUSE-side kernel
-	// cache keeps in flight through the connection's submit/await path
-	// (and enables batched writeback flushes). Zero disables pipelining:
-	// every window is a blocking round trip, the pre-async behaviour.
-	AsyncDepth int
-	// DedupHardlinks controls CntrFS's open+stat lookup path (default
-	// true; disabling it is an ablation).
+	// NoDedupHardlinks turns off CntrFS's open+stat lookup path (on by
+	// default; turning it off is an ablation).
 	NoDedupHardlinks bool
 	// Store, when non-nil, backs the stack's base filesystem content
 	// (host filesystem for the Cntr stack). Used to run workloads over a
@@ -79,8 +74,8 @@ type Config struct {
 	CacheMountID string
 	// BelowCache interceptors sit between the kernel-side page cache and
 	// the FUSE connection in the Cntr stack: every miss the cache turns
-	// into FUSE traffic — including pipelined readahead/writeback windows,
-	// which arrive as one batched submission — flows through them. This is
+	// into FUSE traffic — readahead windows and writeback extents
+	// included — flows through them. This is
 	// where a policy.Enforcer belongs when it should gate what actually
 	// crosses into CntrFS rather than what the application asked for.
 	BelowCache []vfs.Interceptor
@@ -182,23 +177,19 @@ func newMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config,
 
 	// Kernel-side cache above the FUSE mount. Its caching behaviour is
 	// governed by the mount options CntrFS negotiated.
-	ra, depth := cfg.ReadAhead, cfg.AsyncDepth
+	ra := cfg.ReadAhead
 	if !cfg.Mount.AsyncRead {
-		// Without ASYNC_READ the kernel reads page by page, and
-		// pipelined readahead is what FUSE_ASYNC_READ permits.
-		ra, depth = 0, 0
+		// Without ASYNC_READ the kernel reads page by page.
+		ra = 0
 	}
 	// Interceptors below the kernel cache see the mount's real FUSE
-	// traffic. Chain forwards the connection's async capability (whole
-	// windows, one gate pass each) and IsAsync unwraps it, so pipelining
-	// survives the detour; with no interceptors Chain returns conn as-is.
+	// traffic; with no interceptors Chain returns conn as-is.
 	kernel := pagecache.New(vfs.Chain(conn, cfg.BelowCache...), clock, model, pagecache.Options{
 		KeepCache:    cfg.Mount.KeepCache,
 		Writeback:    cfg.Mount.WritebackCache,
 		DirtyWindow:  cfg.DirtyWindowFuse,
 		MaxWriteSize: int64(cfg.Mount.MaxWrite),
 		ReadAhead:    ra,
-		AsyncDepth:   depth,
 		FlushOnClose: true, // fuse_flush writes dirty pages on close
 		Budget:       budget,
 	})
@@ -297,10 +288,4 @@ func applyDefaults(cfg *Config) {
 	if cfg.Mount.MaxWrite == 0 {
 		cfg.Mount = fuse.DefaultMountOptions()
 	}
-	// AsyncDepth deliberately defaults to 0 (synchronous round trips):
-	// the figure reproductions are calibrated against the paper's
-	// synchronous CNTRFS, and with pipelining enabled, concurrent server
-	// workers reach the host-side cache in nondeterministic order, which
-	// costs the simulation its bit-for-bit reproducibility. Experiments
-	// that want the pipelined path opt in per Config.
 }

@@ -60,16 +60,13 @@ func (l *obsLog) info(depth int, mark string, info *vfs.OpInfo, ret ...error) {
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"bytes", info.Bytes}, {"result", int(info.ResultIno)}, {"newparent", int(info.NewParentIno)}, {"batch", info.BatchOps}} {
+	}{{"bytes", info.Bytes}, {"result", int(info.ResultIno)}, {"newparent", int(info.NewParentIno)}} {
 		if f.v != 0 {
 			fmt.Fprintf(&l.buf, " %s=%d", f.name, f.v)
 		}
 	}
 	if info.NewName != "" {
 		fmt.Fprintf(&l.buf, " newname=%q", info.NewName)
-	}
-	if info.Async {
-		l.buf.WriteString(" async")
 	}
 	for _, err := range ret {
 		fmt.Fprintf(&l.buf, " -> %v", vfs.ToErrno(err))
@@ -103,8 +100,7 @@ func (l *obsLog) ret(call string, vals ...any) {
 }
 
 // chainMode is what the recorder at depth 1 does with an operation; the
-// recorders at depths 0 and 2 only look (depth 0 also swallows a denial
-// in modeSwallow).
+// recorders at depths 0 and 2 only look.
 type chainMode int
 
 const (
@@ -112,13 +108,10 @@ const (
 	modeFault             // a vfs.FaultInjector answers EIO; next() is never called
 	modeTwice             // next() is called twice, the second result returned
 	modeReenter           // a Getattr through the same chain runs before next()
-	modeDeny              // InterceptSubmit refuses the window
-	modeSwallow           // as modeDeny, and depth 0 turns the routed denial into nil
 )
 
 var chainModeNames = map[chainMode]string{
-	modePlain: "plain", modeFault: "fault", modeTwice: "twice",
-	modeReenter: "reenter", modeDeny: "deny", modeSwallow: "deny-swallowed",
+	modePlain: "plain", modeFault: "fault", modeTwice: "twice", modeReenter: "reenter",
 }
 
 // chainRig is a three-recorder chain over fs and the mode its middle
@@ -164,18 +157,7 @@ func (c *chainRecorder) Intercept(info *vfs.OpInfo, next func() error) error {
 		err = next()
 	}
 	l.info(c.depth, "<", info, err)
-	if c.depth == 0 && c.rig.mode == modeSwallow && info.BatchOps > 0 && vfs.ToErrno(err) == vfs.EACCES {
-		return nil
-	}
 	return err
-}
-
-func (c *chainRecorder) InterceptSubmit(info *vfs.OpInfo) error {
-	c.rig.log.info(c.depth, "S", info)
-	if c.depth == 1 && (c.rig.mode == modeDeny || c.rig.mode == modeSwallow) {
-		return vfs.EACCES
-	}
-	return nil
 }
 
 // allKindsScript issues every one of the 29 operation kinds on fs, each
@@ -262,36 +244,6 @@ func forgottenHandleScript(l *obsLog, r *chainRig) {
 	l.ret("releasedir", fs.Releasedir(op(), dh))
 }
 
-// submitScript drives one pipelined window of n requests through the
-// chain over an asynchronous backing and awaits every future.
-func submitScript(l *obsLog, r *chainRig, back *asyncMem, kind vfs.OpKind, n int) {
-	const each = 512
-	op := vfs.NewOp(nil, vfs.Root())
-	r.mode = modePlain
-	attr, h, err := r.fs.Create(op, vfs.RootIno, fmt.Sprintf("w%d", n), 0o644, vfs.ORdwr)
-	l.ret("create", attr, h, err)
-	if _, err := r.fs.Write(op, h, 0, make([]byte, n*each)); err != nil {
-		l.ret("seed write", err)
-	}
-	for _, mode := range []chainMode{modePlain, modeDeny, modeSwallow, modeFault, modeTwice} {
-		r.mode = mode
-		back.submits, back.reqs, back.awaited = 0, 0, 0
-		reqs := make([]vfs.IOReq, n)
-		for i := range reqs {
-			reqs[i] = vfs.IOReq{Off: int64(i * each), Buf: make([]byte, each)}
-		}
-		l.printf("submit %v window=%d mode=%s", kind, n, chainModeNames[mode])
-		pend := vfs.Submit(r.fs, vfs.NewOp(nil, vfs.Root()), h, kind, reqs)
-		for i, p := range pend {
-			got, err := p.Await(vfs.NewOp(nil, vfs.Root()))
-			l.ret(fmt.Sprintf("await %d", i), got, err)
-		}
-		l.printf("transport: submits=%d requests=%d reaped=%d", back.submits, back.reqs, back.awaited)
-	}
-	r.mode = modePlain
-	l.ret("release", r.fs.Release(op, h))
-}
-
 // clientScript drives the chain through a vfs.Client: the walker's
 // lookups share their call's request, every call has a request of its
 // own.
@@ -323,10 +275,6 @@ func clientScript(l *obsLog, fs vfs.FS) {
 		l.ret("write", n, err)
 		n, err = f.WriteAt([]byte("P"), 0)
 		l.ret("writeat", n, err)
-		n, err = f.SubmitRead(buf, 0).Await(cli.Op)
-		l.ret("submitread", n, string(buf[:n]), err)
-		n, err = f.SubmitWrite([]byte("!"), 6).Await(cli.Op)
-		l.ret("submitwrite", n, err)
 		pos, err := f.Seek(-2, 2)
 		l.ret("seek", pos, err)
 		l.ret("sync", f.Sync())
@@ -366,13 +314,6 @@ func chainObservations() []byte {
 	}
 	l.printf("== a short-circuited release ==")
 	forgottenHandleScript(l, newChainRig(l, memfs.New(memfs.Options{})))
-	for _, kind := range []vfs.OpKind{vfs.KindRead, vfs.KindWrite} {
-		for _, n := range []int{1, 8} {
-			l.printf("== submit %v, window of %d ==", kind, n)
-			back := &asyncMem{FS: memfs.New(memfs.Options{})}
-			submitScript(l, newChainRig(l, back), back, kind, n)
-		}
-	}
 	for _, mode := range []chainMode{modePlain, modeFault} {
 		l.printf("== through a client, mode=%s ==", chainModeNames[mode])
 		r := newChainRig(l, memfs.New(memfs.Options{}))
@@ -415,11 +356,9 @@ func compareChainGolden(t *testing.T, got []byte) {
 // every call returned, over all 29 kinds (passed through, answered by a
 // fault injector without next(), next() called twice, a re-entrant call
 // from inside Intercept), a Release and a Releasedir that were
-// short-circuited, Submit windows of 1 and 8 (admitted, denied, denied
-// and swallowed, faulted and run twice at completion) and a vfs.Client
-// session. The committed log was taken with the closure-per-interceptor
-// dispatcher this one replaced (commit 0d0e57c) and must be reproduced
-// byte for byte.
+// short-circuited and a vfs.Client session. The committed log was taken
+// with the closure-per-interceptor dispatcher this one replaced (commit
+// 0d0e57c) and must be reproduced byte for byte.
 func TestChainObservationsUnchanged(t *testing.T) {
 	got := chainObservations()
 	if *updateGolden {

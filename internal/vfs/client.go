@@ -55,7 +55,7 @@ func (c *Client) Cred() *Cred { return c.Op.Cred }
 // req mints the request context for one client call: the client's
 // credential and cancellation scope with a fresh request id, on a borrowed
 // Op the caller releases once the call has returned — no layer may keep it
-// past that (Op.Init). A future that outlives its call forks instead.
+// past that (Op.Init).
 func (c *Client) req() *Op {
 	op := opPool.Get().(*Op)
 	*op = *c.Op
@@ -467,21 +467,6 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		return 0, io.EOF
 	}
 	return n, nil
-}
-
-// SubmitRead starts an asynchronous read at off (the file position is
-// not consulted or moved) as a one-request Submit window. When the
-// filesystem implements AsyncFS the request is pipelined; otherwise it
-// runs inline and the returned future is already complete. Awaiting
-// collects the byte count into p.
-func (f *File) SubmitRead(p []byte, off int64) PendingIO {
-	return Submit(f.fs, f.c.Op.Fork(), f.h, KindRead, []IOReq{{Off: off, Buf: p}})[0]
-}
-
-// SubmitWrite starts an asynchronous write of p at off; p must stay
-// unmodified until the future is awaited.
-func (f *File) SubmitWrite(p []byte, off int64) PendingIO {
-	return Submit(f.fs, f.c.Op.Fork(), f.h, KindWrite, []IOReq{{Off: off, Buf: p}})[0]
 }
 
 // Write writes at the current offset (or end of file for O_APPEND).

@@ -16,7 +16,7 @@ func PoisonRecycled(on bool) {
 	const name = "\xDB\xDB\xDB\xDB"
 	poison.Store(&OpInfo{
 		Kind: KindAny, Ino: ^Ino(0), Name: name, Bytes: -1, ResultIno: ^Ino(0),
-		NewParentIno: ^Ino(0), NewName: name, Async: true, BatchOps: -1,
+		NewParentIno: ^Ino(0), NewName: name,
 		Op: &Op{Cred: User(^uint32(0), ^uint32(0)), ID: ^uint64(0), PID: ^uint32(0), ctx: ctx},
 	})
 }

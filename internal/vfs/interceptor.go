@@ -104,18 +104,6 @@ type OpInfo struct {
 	// Name hold the source), letting path-tracking consumers rebind.
 	NewParentIno Ino
 	NewName      string
-	// Async marks the completion of a pipelined submission: the
-	// operation was admitted by the SubmitInterceptor pass at submit
-	// time, so gate-style interceptors must not re-decide it here.
-	Async bool
-	// BatchOps is the number of same-kind, same-inode operations a
-	// single submit-time decision covers (a pipelined readahead window
-	// or writeback extent batch): len(reqs) of the Submit call, so at
-	// least one at a SubmitInterceptor, and zero everywhere else. Gates
-	// apply the decision's accounting BatchOps times, so a window and
-	// the same operations submitted one by one stay indistinguishable
-	// in their outcomes.
-	BatchOps int
 }
 
 // Interceptor wraps the invocation of one operation. Implementations may
@@ -134,21 +122,6 @@ type InterceptorFunc func(info *OpInfo, next func() error) error
 // Intercept implements Interceptor.
 func (f InterceptorFunc) Intercept(info *OpInfo, next func() error) error {
 	return f(info, next)
-}
-
-// SubmitInterceptor is the optional capability for interceptors that
-// must decide an operation *before* it is dispatched. The interceptor
-// chain runs ordinary interception around the completion (Await) of a
-// pipelined submission — after the transport already carried the
-// request — so a gate like the policy enforcer implements this too. It
-// is called exactly once per Submit with the whole window (same kind,
-// same inode, info.BatchOps = number of requests ≥ 1): one path lookup
-// and one ceiling check decide it, and the gate's accounting must
-// advance BatchOps times. A non-nil error fails the submission without
-// dispatching it, and the completion-side Intercept sees info.Async and
-// skips re-deciding.
-type SubmitInterceptor interface {
-	InterceptSubmit(info *OpInfo) error
 }
 
 // Chain wraps fs so every operation passes through the given interceptors
@@ -209,20 +182,18 @@ type args struct {
 	flags                 uint32 // open, rename or xattr flags; Mknod's rdev, Access's mask, Fallocate's mode
 	nlookup               uint64
 	datasync              bool
-	pending               PendingIO // the call is this pipelined request's completion, not a method of its kind
 }
 
 type results struct {
-	attr    Attr
-	h       Handle
-	n       int
-	str     string
-	ents    []Dirent
-	names   []string
-	val     []byte
-	st      StatfsOut
-	reached bool // a completion's future was awaited
-	err     error
+	attr  Attr
+	h     Handle
+	n     int
+	str   string
+	ents  []Dirent
+	names []string
+	val   []byte
+	st    StatfsOut
+	err   error
 }
 
 func (r results) attrErr() (Attr, error)     { return r.attr, r.err }
@@ -248,7 +219,7 @@ func (c *chainFS) enter(kind OpKind, op *Op, a *args) *frame {
 		f.next = f.step
 	}
 	f.info = OpInfo{Kind: kind, Op: op, Ino: a.ino, Name: a.name,
-		NewParentIno: a.newParent, NewName: a.newName, Async: a.pending != nil}
+		NewParentIno: a.newParent, NewName: a.newName}
 	f.args = *a
 	return f
 }
@@ -295,12 +266,6 @@ func (f *frame) step() error {
 // call is the innermost step.
 func (f *frame) call() (err error) {
 	fs, op, a, r := f.c.fs, f.info.Op, &f.args, &f.results
-	if a.pending != nil {
-		r.reached = true
-		r.n, err = a.pending.Await(op)
-		f.info.Bytes = r.n
-		return err
-	}
 	switch f.info.Kind {
 	case KindLookup:
 		r.attr, err = fs.Lookup(op, a.ino, a.name)
@@ -501,91 +466,6 @@ func (c *chainFS) Access(op *Op, ino Ino, mask uint32) error {
 
 func (c *chainFS) Fallocate(op *Op, h Handle, mode uint32, off, length int64) error {
 	return c.do(KindFallocate, op, &args{ino: c.handleIno(h), h: h, flags: mode, off: off, length: length}).err
-}
-
-// Unwrap exposes the chained filesystem so capability probes
-// (vfs.IsAsync) can see through the wrapper.
-func (c *chainFS) Unwrap() FS { return c.fs }
-
-// admit runs the chain's submit-time gates over one pipelined window
-// (info.BatchOps same-kind operations on one inode), one call per gate;
-// a non-nil error means the submission must fail without dispatching
-// anything. A denied submission is still routed through the ordinary
-// interceptor chain once, as a completion already resolved to the denial
-// (info.Async set, so the denying gate does not re-decide; BatchOps
-// preserved, so observers know the scope of what was refused) — outer
-// interceptors such as a tracer observe the denial exactly as they would
-// on the synchronous path.
-func (f *frame) admit() error {
-	for _, ic := range f.c.ics {
-		si, ok := ic.(SubmitInterceptor)
-		if !ok {
-			continue
-		}
-		if err := si.InterceptSubmit(&f.info); err != nil {
-			f.info.Async, f.pending = true, completedIO{0, err}
-			if rerr := f.step(); rerr != nil {
-				return rerr
-			}
-			// An interceptor swallowed the error; the gate's denial
-			// still stands — nothing was dispatched.
-			return err
-		}
-	}
-	return nil
-}
-
-// Submit implements vfs.AsyncFS, and is the one place that knows how a
-// pipelined window is admitted and dispatched. Gate-style interceptors
-// (SubmitInterceptor) decide here, before anything is dispatched — a
-// denial at Await would come after the I/O already ran — and a denial
-// fails every future of the window. The interceptor chain proper runs
-// around each *completion* (Await), not the submission, so stats and
-// fault rules observe every operation exactly once with its final byte
-// count — the same point at which the synchronous path reports it.
-func (c *chainFS) Submit(op *Op, h Handle, kind OpKind, reqs []IOReq) []PendingIO {
-	a, ok := c.fs.(AsyncFS)
-	if !ok {
-		return submitInline(c, op, h, kind, reqs)
-	}
-	if out, rejected := rejectWindow(kind, len(reqs)); rejected {
-		return out
-	}
-	f := c.enter(kind, op, &args{ino: c.handleIno(h)})
-	f.info.BatchOps = len(reqs)
-	err := f.admit()
-	ino := f.info.Ino
-	c.leave(f)
-	if err != nil {
-		return failedWindow(len(reqs), err)
-	}
-	out := a.Submit(op, h, kind, reqs)
-	for i, p := range out {
-		out[i] = &chainPending{c: c, kind: kind, ino: ino, inner: p}
-	}
-	return out
-}
-
-// chainPending routes an asynchronous completion through the interceptor
-// chain when it is awaited.
-type chainPending struct {
-	c     *chainFS
-	kind  OpKind
-	ino   Ino // resolved from the handle at submit time
-	inner PendingIO
-}
-
-// Await implements PendingIO.
-func (p *chainPending) Await(op *Op) (int, error) {
-	r := p.c.do(p.kind, op, &args{ino: p.ino, pending: p.inner})
-	if !r.reached {
-		// An interceptor short-circuited (e.g. an injected fault) without
-		// calling through: the wire future must still be reaped — a reply
-		// slot is never abandoned, and the transport's pipelining
-		// accounting balances at Await.
-		p.inner.Await(op)
-	}
-	return r.n, r.err
 }
 
 // NameToHandle implements vfs.HandleExporter by delegation, preserving

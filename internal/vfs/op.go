@@ -97,15 +97,6 @@ func (op *Op) WithCred(c *Cred) *Op {
 	return &cp
 }
 
-// Fork returns a copy of the operation with a fresh request ID — the
-// same caller identity and cancellation scope, a new request, so every
-// operation in a trace is individually identifiable.
-func (op *Op) Fork() *Op {
-	cp := *op
-	cp.ID = opCounter.Add(1)
-	return &cp
-}
-
 var opPool = sync.Pool{New: func() any { return new(Op) }}
 
 // again stamps a borrowed Op (Client.req), whose last request has

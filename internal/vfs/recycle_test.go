@@ -59,16 +59,15 @@ func TestChainRecyclingUnderPoison(t *testing.T) {
 	defer vfs.PoisonRecycled(false)
 
 	t.Run("observations", func(t *testing.T) { compareChainGolden(t, chainObservations()) })
-	t.Run("submit", TestChainSubmit)
 
-	// Eight goroutines share one Client and one File on a pipelined CntrFS
-	// mount with four server threads, traced above the kernel-side cache
-	// and below it (where readahead and writeback windows are submitted).
+	// Eight goroutines share one Client and one File on a CntrFS mount
+	// with four server threads, traced above the kernel-side cache and
+	// below it (where its readahead and writeback reach the connection).
 	t.Run("shared client", func(t *testing.T) {
 		var top, below lateReads
 		mount := fuse.DefaultMountOptions()
 		mount.ServerThreads = 4
-		c := stack.NewCntr(stack.Config{AsyncDepth: 4, Mount: mount, BelowCache: []vfs.Interceptor{below.tracer()}})
+		c := stack.NewCntr(stack.Config{Mount: mount, BelowCache: []vfs.Interceptor{below.tracer()}})
 		defer c.Close()
 		cli := vfs.NewClient(vfs.Chain(c.Top, vfs.NewStats(), top.tracer()), vfs.Root())
 
@@ -100,8 +99,8 @@ func TestChainRecyclingUnderPoison(t *testing.T) {
 						t.Errorf("worker %d round %d: ReadAt = %d, %v, or another region's bytes", w, i, n, err)
 						return
 					}
-					if n, err := f.SubmitRead(buf[:4<<10], off).Await(cli.Op); err != nil || !bytes.Equal(buf[:n], mine[:n]) {
-						t.Errorf("worker %d round %d: SubmitRead = %d, %v", w, i, n, err)
+					if n, err := f.ReadAt(buf[:4<<10], off); err != nil || !bytes.Equal(buf[:n], mine[:n]) {
+						t.Errorf("worker %d round %d: page ReadAt = %d, %v", w, i, n, err)
 						return
 					}
 					if _, err := f.WriteAt(mine[:8<<10], off+int64(i%4)*(8<<10)); err != nil {
