@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -271,73 +270,6 @@ func TestConcurrentPutGet(t *testing.T) {
 			}
 			wg.Wait()
 		})
-	}
-}
-
-func TestWriteChunksReaderRoundtrip(t *testing.T) {
-	for name, s := range stores() {
-		t.Run(name, func(t *testing.T) {
-			// 2.5 chunks: exercises the short tail.
-			content := bytes.Repeat([]byte("abcdefgh"), 4096*5/16)
-			refs, total, err := WriteChunks(s, bytes.NewReader(content))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if total != int64(len(content)) {
-				t.Fatalf("total %d want %d", total, len(content))
-			}
-			if want := (len(content) + 4095) / 4096; len(refs) != want {
-				t.Fatalf("%d chunks, want %d", len(refs), want)
-			}
-			r := NewReader(s, refs, 0, total)
-			got, err := io.ReadAll(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, content) {
-				t.Fatal("reader roundtrip mismatch")
-			}
-			// ReadAt across a chunk boundary.
-			at := make([]byte, 100)
-			if _, err := r.ReadAt(at, 4096-50); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(at, content[4096-50:4096+50]) {
-				t.Fatal("ReadAt across chunk boundary mismatch")
-			}
-			if err := DeleteAll(s, refs); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestPutBytesMatchesWriteChunks(t *testing.T) {
-	s := NewCAS(CASOptions{})
-	// Non-repeating content so chunks within one pass are all distinct.
-	content := make([]byte, 6*4096+34)
-	for i := range content {
-		content[i] = byte(i * 2654435761 >> 13)
-	}
-	r1, _, err := WriteChunks(s, bytes.NewReader(content))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := PutBytes(s, content)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1) != len(r2) {
-		t.Fatalf("chunk counts differ: %d vs %d", len(r1), len(r2))
-	}
-	for i := range r1 {
-		if r1[i] != r2[i] {
-			t.Fatalf("chunk %d refs differ", i)
-		}
-	}
-	// Identical content through two paths must have fully deduped.
-	if st := s.Stats(); st.DedupHits != int64(len(r2)) {
-		t.Fatalf("dedup hits %d, want %d", st.DedupHits, len(r2))
 	}
 }
 

@@ -10,11 +10,10 @@ import (
 
 // CASOptions configures a content-addressed chunk store.
 type CASOptions struct {
-	// ChunkSize is the fixed chunk size streaming writers split content
-	// at (default 4096, the VFS block size, so filesystem blocks map
-	// 1:1 onto chunks). Put itself accepts blobs of any length up to
-	// the caller's choosing; ChunkSize is advertised to chunking
-	// helpers via the Chunker interface.
+	// ChunkSize is the store's preferred chunk size (default 4096, the
+	// VFS block size, so filesystem blocks map 1:1 onto chunks). Put
+	// itself accepts blobs of any length; ChunkSize is advertised
+	// through the Chunker interface.
 	ChunkSize int
 	// Clock and Model, when both set, charge the hashing cost of Put
 	// and verified Get in virtual time, keeping CAS-backed stacks
@@ -157,9 +156,9 @@ func (c *CAS) CorruptForTest(ref Ref) bool {
 	return true
 }
 
-// Chunker is implemented by stores with a preferred fixed chunk size;
-// streaming helpers split content at this boundary so chunk-level
-// deduplication lines up across writers.
+// Chunker is implemented by stores with a preferred fixed chunk size,
+// the boundary at which chunk-level deduplication lines up across
+// writers.
 type Chunker interface {
 	ChunkSize() int
 }

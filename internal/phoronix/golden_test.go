@@ -19,7 +19,7 @@ import (
 	"cntr/internal/vfs"
 )
 
-var updateRows = flag.Bool("update", false, "rewrite testdata/rows.golden and README's Figure 2 table from this run")
+var updateRows = flag.Bool("update", false, "rewrite testdata/rows.golden and README's figure blocks (Figures 2, 3 and 4) from this run")
 
 // updateCmd rewrites both.
 const updateCmd = "go test ./internal/phoronix -run 'Golden|ReadmeFigures' -update"
@@ -351,47 +351,198 @@ func TestLineDiff(t *testing.T) {
 	}
 }
 
-const (
-	readme      = "../../README.md"
-	figureBegin = "<!-- Figure 2 from internal/phoronix/testdata/rows.golden: " + updateCmd + " -->\n"
-	figureEnd   = "<!-- end of Figure 2 -->\n"
-)
+const readme = "../../README.md"
 
-// TestReadmeFiguresCurrent holds README's Figure 2 table to rows.golden:
-// each row's native virtual time, its overhead on the default mount and on
-// the paper's configuration, and the paper's.
+// figureBlock is a README table rendered from rows.golden alone, with no
+// suite pass, between figureBegin and figureEnd of its name.
+type figureBlock struct {
+	name, header string
+	rows         func(goldenLines) (string, error)
+}
+
+var figureBlocks = []figureBlock{
+	{"Figure 2", "| Benchmark | native (virtual ms) | default | paper's configuration | paper |\n|---|--:|--:|--:|--:|\n", figure2Rows},
+	{"Figure 3", "| Panel | Row | off (virtual ms) | on (virtual ms) | speedup |\n|---|---|--:|--:|--:|\n", figure3Rows},
+	{"Figure 4", "| Server threads | virtual ms | ratio to one thread |\n|--:|--:|--:|\n", figure4Rows},
+}
+
+func figureBegin(name string) string {
+	return "<!-- " + name + " from internal/phoronix/testdata/rows.golden: " + updateCmd + " -->\n"
+}
+
+func figureEnd(name string) string { return "<!-- end of " + name + " -->\n" }
+
+// render is f's whole block, markers included.
+func (f figureBlock) render(g goldenLines) (string, error) {
+	rows, err := f.rows(g)
+	return figureBegin(f.name) + f.header + rows + figureEnd(f.name), err
+}
+
+// goldenLines is rows.golden's fields, keyed by mode and row joined by a
+// tab.
+type goldenLines map[string]string
+
+func parseGolden(text string) goldenLines {
+	g := goldenLines{}
+	for _, l := range strings.Split(text, "\n") {
+		if mode, rest, ok := strings.Cut(l, "\t"); ok {
+			row, fields, _ := strings.Cut(rest, "\t")
+			g[mode+"\t"+row] = fields
+		}
+	}
+	return g
+}
+
+// scan reads the fields of mode's line for row into args; a line that is
+// missing or does not read as format is an error.
+func (g goldenLines) scan(mode, row, format string, args ...any) error {
+	fields, ok := g[mode+"\t"+row]
+	if !ok {
+		return fmt.Errorf("%s has no %s line for %q", rowsGolden, mode, row)
+	}
+	if n, _ := fmt.Sscanf(fields, format, args...); n != len(args) {
+		return fmt.Errorf("%s: %s %q reads %q, not %q", rowsGolden, mode, row, fields, format)
+	}
+	return nil
+}
+
+// figure2Rows is each suite row's native virtual time, its overhead on
+// the default mount and on the paper's configuration, and the paper's.
+func figure2Rows(g goldenLines) (string, error) {
+	var b strings.Builder
+	for _, r := range Suite {
+		var def, paper [2]float64 // CNTR and native ns
+		const format = "cntr_ns=%g native_ns=%g"
+		if err := errors.Join(g.scan("fig2/default", r.Name, format, &def[0], &def[1]),
+			g.scan("fig2/paper", r.Name, format, &paper[0], &paper[1])); err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&b, "| %s | %.2f | %.2fx | %.2fx | %.1fx |\n", r.Name, def[1]/1e6, def[0]/def[1], paper[0]/paper[1], r.PaperOverhead)
+	}
+	return b.String(), nil
+}
+
+// figure3Rows is each panel's row with its rule off and on, in Figure3
+// order.
+func figure3Rows(g goldenLines) (string, error) {
+	var b strings.Builder
+	for _, p := range Figure3 {
+		var off, on float64
+		if err := g.scan("fig3/"+p.Name, p.Row, "off_ns=%g on_ns=%g", &off, &on); err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&b, "| %s | %s | %.2f | %.2f | %.2fx |\n", p.Name, p.Row, off/1e6, on/1e6, off/on)
+	}
+	return b.String(), nil
+}
+
+// figure4Rows is the thread sweep's virtual time per server thread
+// count, and its ratio to one thread's.
+func figure4Rows(g goldenLines) (string, error) {
+	var threads []int
+	for key := range g {
+		var n int
+		if _, err := fmt.Sscanf(key, "fig4/threads=%d", &n); err == nil {
+			threads = append(threads, n)
+		}
+	}
+	slices.Sort(threads)
+	var one float64
+	if err := g.scan("fig4/threads=1", "seqread-500mb", "ns=%g", &one); err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, n := range threads {
+		var ns float64
+		if err := g.scan(fmt.Sprintf("fig4/threads=%d", n), "seqread-500mb", "ns=%g", &ns); err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&b, "| %d | %.2f | %.3fx |\n", n, ns/1e6, ns/one)
+	}
+	return b.String(), nil
+}
+
+// spliceFigure puts block in place of text's block of the same name and
+// returns the result and lineDiff of the two blocks, "" when they agree.
+func spliceFigure(text, name, block string) (string, string, error) {
+	begin, end := figureBegin(name), figureEnd(name)
+	before, rest, ok := strings.Cut(text, begin)
+	cur, after, ok2 := strings.Cut(rest, end)
+	if !ok || !ok2 {
+		return "", "", fmt.Errorf("%s has no %s block between %q and %q", readme, name, begin, end)
+	}
+	diff := ""
+	if cur = begin + cur + end; cur != block {
+		diff = lineDiff(cur, block)
+	}
+	return before + block + after, diff, nil
+}
+
+// TestReadmeFiguresCurrent holds each of README's figure blocks to
+// rows.golden; updateCmd rewrites them.
 func TestReadmeFiguresCurrent(t *testing.T) {
-	golden, errG := os.ReadFile(rowsGolden)
-	text, errR := os.ReadFile(readme)
-	if err := errors.Join(errG, errR); err != nil {
+	golden, err := os.ReadFile(rowsGolden)
+	if err != nil {
 		t.Fatal(err)
 	}
-	lanes := map[string][2]float64{} // CNTR and native ns, by mode and row
-	for _, l := range strings.Split(string(golden), "\n") {
-		if f := strings.Split(l, "\t"); strings.HasPrefix(f[0], "fig2/") {
-			var cntr, native float64
-			if n, _ := fmt.Sscanf(f[2], "cntr_ns=%g native_ns=%g", &cntr, &native); n != 2 {
-				t.Fatalf("%s: no times in %q", rowsGolden, l)
+	g := parseGolden(string(golden))
+	for _, f := range figureBlocks {
+		t.Run(f.name, func(t *testing.T) {
+			block, err := f.render(g)
+			if err != nil {
+				t.Fatal(err)
 			}
-			lanes[f[0]+"\t"+f[1]] = [2]float64{cntr, native}
-		}
+			text, err := os.ReadFile(readme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spliced, diff, err := spliceFigure(string(text), f.name, block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *updateRows {
+				if err := os.WriteFile(readme, []byte(spliced), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			} else if diff != "" {
+				t.Errorf("%s's %s table is not rows.golden's (%s rewrites it):\n%s", readme, f.name, updateCmd, diff)
+			}
+		})
 	}
-	table := figureBegin + "| Benchmark | native (virtual ms) | default | paper's configuration | paper |\n|---|--:|--:|--:|--:|\n"
-	for _, b := range Suite {
-		def, paper := lanes["fig2/default\t"+b.Name], lanes["fig2/paper\t"+b.Name]
-		table += fmt.Sprintf("| %s | %.2f | %.2fx | %.2fx | %.1fx |\n", b.Name, def[1]/1e6, def[0]/def[1], paper[0]/paper[1], b.PaperOverhead)
+}
+
+// TestFigureBlockEdits checks what TestReadmeFiguresCurrent reports: a
+// hand-edited cell as its line, and a golden line a block needs but cannot
+// find as an error rather than an empty cell.
+func TestFigureBlockEdits(t *testing.T) {
+	golden, err := os.ReadFile(rowsGolden)
+	if err != nil {
+		t.Fatal(err)
 	}
-	table += figureEnd
-	before, rest, ok := strings.Cut(string(text), figureBegin)
-	cur, after, ok2 := strings.Cut(rest, figureEnd)
-	if !ok || !ok2 {
-		t.Fatalf("%s has no Figure 2 block between %q and %q", readme, figureBegin, figureEnd)
-	}
-	if *updateRows {
-		if err := os.WriteFile(readme, []byte(before+table+after), 0o644); err != nil {
+	g := parseGolden(string(golden))
+	for _, f := range figureBlocks {
+		block, err := f.render(g)
+		if err != nil {
 			t.Fatal(err)
 		}
-	} else if cur = figureBegin + cur + figureEnd; cur != table {
-		t.Errorf("%s's Figure 2 table is not rows.golden's (%s rewrites it):\n%s", readme, updateCmd, lineDiff(cur, table))
+		// The first data row's last cell, edited by hand.
+		lines := strings.SplitAfter(block, "\n")
+		row := lines[3]
+		cell := strings.LastIndex(row, "| ") + len("| ")
+		edited := row[:cell] + "1" + row[cell:]
+		text := "intro\n" + strings.Join(slices.Concat(lines[:3], []string{edited}, lines[4:]), "") + "outro\n"
+		spliced, diff, err := spliceFigure(text, f.name, block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "-" + edited + "+" + row; diff != want {
+			t.Errorf("%s: diff\n%s\nwant\n%s", f.name, diff, want)
+		}
+		if want := "intro\n" + block + "outro\n"; spliced != want {
+			t.Errorf("%s: spliced README\n%s\nwant\n%s", f.name, spliced, want)
+		}
+		if _, err := f.rows(goldenLines{}); err == nil {
+			t.Errorf("%s renders from an empty golden", f.name)
+		}
 	}
 }

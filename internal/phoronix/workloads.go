@@ -23,10 +23,11 @@ var Suite = []Benchmark{
 		// (§5.1 #391), so the fallback processes every request
 		// synchronously with O_SYNC — the paper's 2.6x. On the paper's
 		// configuration each write pays two device barriers, the host's
-		// O_SYNC write and the FSYNC the kernel follows it with (3.05x);
-		// the default opens the host file without O_SYNC
-		// (fuse.MountOptions.SyncByFsync) and pays the FSYNC's alone
-		// (2.35x).
+		// O_SYNC write and the FSYNC the kernel follows it with; the
+		// default opens the host file without O_SYNC
+		// (fuse.MountOptions.SyncByFsync) and pays the FSYNC's alone.
+		// rows.golden's fig2/paper and fig2/default AIO-Stress lines
+		// hold the two.
 		Run: func(ctx *Ctx) (int64, error) {
 			total := int64(2048) * mb / Scale
 			rec := int64(32) * kb

@@ -68,24 +68,3 @@ func (c *Clock) Reset() {
 func (c *Clock) String() string {
 	return fmt.Sprintf("simclock(%v)", c.Now())
 }
-
-// Stopwatch measures an interval of virtual time against a Clock.
-type Stopwatch struct {
-	clock *Clock
-	start time.Duration
-}
-
-// NewStopwatch starts a stopwatch at the clock's current time.
-func NewStopwatch(c *Clock) *Stopwatch {
-	return &Stopwatch{clock: c, start: c.Now()}
-}
-
-// Elapsed returns the virtual time since the stopwatch was started.
-func (s *Stopwatch) Elapsed() time.Duration {
-	return s.clock.Now() - s.start
-}
-
-// Restart resets the start point to the clock's current time.
-func (s *Stopwatch) Restart() {
-	s.start = s.clock.Now()
-}

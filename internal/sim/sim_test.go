@@ -73,19 +73,6 @@ func TestClockReset(t *testing.T) {
 	}
 }
 
-func TestStopwatch(t *testing.T) {
-	c := NewClock()
-	sw := NewStopwatch(c)
-	c.Advance(3 * time.Second)
-	if got := sw.Elapsed(); got != 3*time.Second {
-		t.Fatalf("Elapsed() = %v, want 3s", got)
-	}
-	sw.Restart()
-	if got := sw.Elapsed(); got != 0 {
-		t.Fatalf("Elapsed() after Restart = %v, want 0", got)
-	}
-}
-
 func TestCostModelCopyScalesLinearly(t *testing.T) {
 	m := DefaultCostModel()
 	one := m.CopyCost(1024)
@@ -244,60 +231,5 @@ func TestRandBytesFills(t *testing.T) {
 	}
 	if allZero {
 		t.Fatal("Bytes left buffer all zero")
-	}
-}
-
-func TestSampleMeanStddev(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if got := s.Mean(); got != 5 {
-		t.Fatalf("Mean() = %v, want 5", got)
-	}
-	if sd := s.Stddev(); sd < 2.13 || sd > 2.15 {
-		t.Fatalf("Stddev() = %v, want ~2.138", sd)
-	}
-	if s.N() != 8 {
-		t.Fatalf("N() = %d, want 8", s.N())
-	}
-}
-
-func TestSampleEmpty(t *testing.T) {
-	var s Sample
-	if s.Mean() != 0 || s.Stddev() != 0 || s.CV() != 0 || s.Percentile(50) != 0 {
-		t.Fatal("empty sample should report zeros")
-	}
-}
-
-func TestSamplePercentile(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	if p := s.Percentile(0); p != 1 {
-		t.Fatalf("P0 = %v, want 1", p)
-	}
-	if p := s.Percentile(100); p != 100 {
-		t.Fatalf("P100 = %v, want 100", p)
-	}
-	if p := s.Percentile(50); p < 50 || p > 51 {
-		t.Fatalf("P50 = %v, want ~50.5", p)
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	got := Throughput(100<<20, time.Second)
-	if got != 100 {
-		t.Fatalf("Throughput = %v, want 100", got)
-	}
-	if Throughput(1, 0) != 0 {
-		t.Fatal("zero elapsed should yield 0")
-	}
-}
-
-func TestRatioFormat(t *testing.T) {
-	if s := Ratio(2.6); s != "2.6x" {
-		t.Fatalf("Ratio = %q, want 2.6x", s)
 	}
 }
