@@ -13,8 +13,8 @@ import (
 // KeepCache through BatchForget are the paper's §3.3 optimizations, and
 // MaxWrite, the two timeouts and ServerThreads the settings its CntrFS
 // mounts with: PaperMountOptions is that configuration. NoSec, NoFlush,
-// DirectRead, SyncByFsync and NoOpen are beyond the paper (on in
-// DefaultMountOptions only).
+// DirectRead, SyncByFsync, NoOpen and a 1 MiB MaxWrite are beyond the
+// paper (on in DefaultMountOptions only).
 type MountOptions struct {
 	// KeepCache sets FOPEN_KEEP_CACHE on every open, letting the page
 	// cache above survive re-opens (read-cache optimization, Fig. 3a).
@@ -40,7 +40,14 @@ type MountOptions struct {
 	// BatchForget coalesces forget messages into FUSE_BATCH_FORGET
 	// frames of up to ForgetBatchSize.
 	BatchForget bool
-	// MaxWrite caps the payload of one WRITE request (default 128KB).
+	// MaxWrite caps the payload of one WRITE request and the size of one
+	// READ, and with it one writeback extent of the kernel-side cache
+	// (fc->max_write). The paper's CntrFS sends 128 KiB, the FUSE limit of
+	// its day (32 pages, PaperMountOptions). Beyond the paper, Linux 4.20's
+	// FUSE_MAX_PAGES lets INIT raise it to FUSE_MAX_MAX_PAGES, 256 pages:
+	// DefaultMountOptions sends 1 MiB. Readahead does not follow: Linux's
+	// ra_pages is the minimum of the bdi default and INIT's max_readahead,
+	// so READs stay at stack.Config.ReadAhead. Mount takes zero as 128 KiB.
 	MaxWrite int
 	// EntryTimeout is how long (virtual time) the kernel may cache a
 	// dentry from LOOKUP before revalidating. Zero disables caching.
@@ -150,9 +157,11 @@ func PaperMountOptions() MountOptions {
 }
 
 // DefaultMountOptions returns the fully optimized configuration: the
-// paper's, plus NoSec, NoFlush, DirectRead, SyncByFsync and NoOpen.
+// paper's, plus NoSec, NoFlush, DirectRead, SyncByFsync, NoOpen and
+// 1 MiB writes (FUSE_MAX_PAGES).
 func DefaultMountOptions() MountOptions {
 	opts := PaperMountOptions()
+	opts.MaxWrite = 1 << 20
 	opts.NoSec = true
 	opts.NoFlush = true
 	opts.DirectRead = true

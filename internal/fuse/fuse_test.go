@@ -300,24 +300,6 @@ func TestSpliceWriteTaxesAllOps(t *testing.T) {
 	}
 }
 
-func TestMaxWriteSplitsLargeWrites(t *testing.T) {
-	opts := DefaultMountOptions()
-	opts.MaxWrite = 64 << 10
-	e := mount(t, opts)
-	before := e.conn.Stats().Requests
-	if err := e.cli.WriteFile("/f", make([]byte, 256<<10), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	writes := e.conn.Stats().Requests - before
-	if writes < 4 {
-		t.Fatalf("256KB at MaxWrite=64KB should need >=4 WRITE requests, got %d total requests", writes)
-	}
-	got, _ := e.cli.ReadFile("/f")
-	if len(got) != 256<<10 {
-		t.Fatalf("read back %d bytes", len(got))
-	}
-}
-
 func TestConcurrentClients(t *testing.T) {
 	e := mount(t, DefaultMountOptions())
 	var wg sync.WaitGroup

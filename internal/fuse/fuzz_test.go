@@ -20,8 +20,9 @@ import (
 // reaches no filesystem call. A data frame on fh 0 names its inode
 // (MountOptions.NoOpen): one naming an inode the filesystem does not know
 // leaves no host descriptor open. The seeds are requestCorpus, one frame
-// per opcode a Conn sends with a body, and fh-0 READ, WRITE and FSYNC
-// frames naming an unknown inode; what the fuzzer found is kept as rows of
+// per opcode a Conn sends with a body, fh-0 READ, WRITE and FSYNC frames
+// naming an unknown inode, and WRITE frames at the negotiated MaxWrite and
+// one byte past it (EINVAL); what the fuzzer found is kept as rows of
 // TestDispatchFindings.
 //
 //	go test -run '^$' -fuzz FuzzDispatch -fuzztime 15s ./internal/fuse
@@ -36,6 +37,8 @@ func FuzzDispatch(f *testing.F) {
 		{OpRead, func(w *buf) { w.u64(0); w.i64(0); w.u32(4096) }},
 		{OpWrite, func(w *buf) { w.u64(0); w.i64(0); w.bytes([]byte("x")) }},
 		{OpFsync, func(w *buf) { w.u64(0); w.u8(0) }},
+		{OpWrite, func(w *buf) { w.u64(0); w.i64(0); w.bytes(make([]byte, dispatchMaxWrite)) }},
+		{OpWrite, func(w *buf) { w.u64(0); w.i64(0); w.bytes(make([]byte, dispatchMaxWrite+1)) }},
 	} {
 		var w buf
 		encodeReqHeader(&w, body.opcode, 1, 42, nil)
@@ -44,6 +47,9 @@ func FuzzDispatch(f *testing.F) {
 	}
 	f.Fuzz(checkDispatch)
 }
+
+// dispatchMaxWrite is checkDispatch's server's MaxWrite.
+var dispatchMaxWrite = PaperMountOptions().MaxWrite
 
 // checkDispatch is FuzzDispatch's property for one input: the frame is
 // dispatched by hand on a fresh server over memfs, with the recycling

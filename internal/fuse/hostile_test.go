@@ -13,16 +13,27 @@ import (
 )
 
 // groupSpy records how many supplementary groups the server-side
-// filesystem saw on the last Lookup.
+// filesystem saw on the last Lookup, and counts its Write calls.
 type groupSpy struct {
 	vfs.FS
 	groups atomic.Int64
+	writes atomic.Int64
 }
 
 func (g *groupSpy) Lookup(op *vfs.Op, parent vfs.Ino, name string) (vfs.Attr, error) {
 	g.groups.Store(int64(len(op.Cred.Groups)))
 	return g.FS.Lookup(op, parent, name)
 }
+
+func (g *groupSpy) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, error) {
+	g.writes.Add(1)
+	return g.FS.Write(op, h, off, data)
+}
+
+// hostileCopies is how many copies of its payload a frame that carries
+// one may allocate for: the payload it is built from, the frame, and the
+// filesystem's copy.
+const hostileCopies = 3
 
 // hostileReplies are the reply rows of TestHostileCountsYieldErrno: a
 // listing that declares 2^31-1 entries and carries none. FuzzReply starts
@@ -42,7 +53,10 @@ var hostileReplies = []struct {
 // 2^31 entries in 52 bytes, a 4 GiB read, a directory or xattr listing of
 // 2^31 entries in 4 bytes — and each must be answered with an errno at
 // once, without allocating by the declared count, and the mount's one
-// worker must serve the next request as usual.
+// worker must serve the next request as usual. A WRITE is bounded by the
+// negotiated MaxWrite as a READ is, as Linux's fuse_dev_do_read never
+// hands a server more: one byte past it is EINVAL and reaches no Write
+// call. A row that carries a payload may allocate hostileCopies of it.
 func TestHostileCountsYieldErrno(t *testing.T) {
 	opts := DefaultMountOptions()
 	opts.ServerThreads = 1 // the worker a hostile frame wedges is the only one
@@ -54,7 +68,8 @@ func TestHostileCountsYieldErrno(t *testing.T) {
 		srv.Wait()
 	})
 	root := vfs.RootOp()
-	if _, _, err := conn.Create(root, vfs.RootIno, "f", 0o644, vfs.ORdwr); err != nil {
+	_, fh, err := conn.Create(root, vfs.RootIno, "f", 0o644, vfs.ORdwr)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -76,10 +91,28 @@ func TestHostileCountsYieldErrno(t *testing.T) {
 		return errno
 	}
 
+	// write sends a WRITE of n bytes on f's handle; it must reach the
+	// filesystem's Write exactly calls times.
+	write := func(n int, calls int64) func(t *testing.T) error {
+		return func(t *testing.T) error {
+			before := spy.writes.Load()
+			errno := raw(OpWrite, func(w *buf) {
+				w.u64(uint64(fh))
+				w.i64(0)
+				w.bytes(make([]byte, n))
+			})
+			if got := spy.writes.Load() - before; got != calls {
+				t.Errorf("%d Write calls reached the filesystem, want %d", got, calls)
+			}
+			return errno
+		}
+	}
+
 	type hostileCase struct {
-		name string
-		want vfs.Errno
-		run  func(t *testing.T) error
+		name    string
+		want    vfs.Errno
+		run     func(t *testing.T) error
+		carried int // payload bytes the frame carries
 	}
 	cases := []hostileCase{
 		{"300 supplementary groups", vfs.OK, func(t *testing.T) error {
@@ -92,7 +125,7 @@ func TestHostileCountsYieldErrno(t *testing.T) {
 				t.Errorf("server saw %d supplementary groups, want 300", got)
 			}
 			return err
-		}},
+		}, 0},
 		{"group count past the frame", vfs.EINVAL, func(t *testing.T) error {
 			// The anonymous header ends in ngroups = 0: overwrite it.
 			return raw(OpLookup, func(w *buf) {
@@ -100,23 +133,25 @@ func TestHostileCountsYieldErrno(t *testing.T) {
 				w.u32(0x7fffffff)
 				w.str("f")
 			})
-		}},
+		}, 0},
 		{"BATCH_FORGET of 2^31 in 52 bytes", vfs.EINVAL, func(t *testing.T) error {
 			return raw(OpBatchForget, func(w *buf) { w.u32(0x7fffffff) })
-		}},
+		}, 0},
 		{"READ of 4 GiB", vfs.EINVAL, func(t *testing.T) error {
 			return raw(OpRead, func(w *buf) {
 				w.u64(1)
 				w.i64(0)
 				w.u32(0xffffffff)
 			})
-		}},
+		}, 0},
+		{"WRITE of MaxWrite bytes", vfs.OK, write(opts.MaxWrite, 1), opts.MaxWrite},
+		{"WRITE of MaxWrite+1 bytes", vfs.EINVAL, write(opts.MaxWrite+1, 0), opts.MaxWrite + 1},
 	}
 	for _, r := range hostileReplies {
 		cases = append(cases, hostileCase{r.name, vfs.EIO, func(t *testing.T) error {
 			_, _, err := replyCalls[replyIndex(r.opcode)].call(replyingMount(t, func(h *ReqHeader, w *buf) { w.b = append(w.b, r.body...) }))
 			return err
-		}})
+		}, 0})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -132,7 +167,7 @@ func TestHostileCountsYieldErrno(t *testing.T) {
 			if elapsed > time.Second {
 				t.Errorf("answered after %v: the declared count was looped over", elapsed)
 			}
-			if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+			if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20+hostileCopies*uint64(tc.carried) {
 				t.Errorf("allocated %d bytes: the declared count was allocated for", grown)
 			}
 			if _, err := conn.Getattr(root, vfs.RootIno); err != nil {

@@ -734,7 +734,8 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		handle := vfs.Handle(r.u64())
 		off := r.i64()
 		data := r.rawBytes()
-		if r.bad {
+		if r.bad || len(data) > s.opts.MaxWrite {
+			opErr = vfs.EINVAL // cut short, or beyond the negotiated write size
 			break
 		}
 		if handle, opErr = wk.hostFile(ino, handle, true); opErr != nil {

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -263,6 +264,34 @@ func TestRowsGolden(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("rows differ from %s (%s rewrites it):\n%s", rowsGolden, updateCmd, lineDiff(want, got))
+	}
+}
+
+// paperLaneRatchet bounds the fig2/paper lines' mean |ln(measured/paper)|
+// over the suite: how far the paper's own configuration lands from the
+// paper's Figure 2. A change that raises the mean raises this constant and
+// says why; one that lowers it may lower it. The default lane is not
+// bounded, as the rules beyond the paper move it on purpose.
+const paperLaneRatchet = 0.3651
+
+// TestGoldenPaperLaneRatchet holds rows.golden's paper lane to
+// paperLaneRatchet.
+func TestGoldenPaperLaneRatchet(t *testing.T) {
+	golden, err := os.ReadFile(rowsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := parseGolden(string(golden))
+	var sum float64
+	for _, r := range Suite {
+		var cntr, native float64
+		if err := g.scan("fig2/paper", r.Name, "cntr_ns=%g native_ns=%g", &cntr, &native); err != nil {
+			t.Fatal(err)
+		}
+		sum += math.Abs(math.Log(cntr / native / r.PaperOverhead))
+	}
+	if mean := sum / float64(len(Suite)); mean > paperLaneRatchet {
+		t.Errorf("fig2/paper mean |ln(measured/paper)| = %.5f, above the ratchet %v", mean, paperLaneRatchet)
 	}
 }
 
