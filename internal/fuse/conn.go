@@ -1,6 +1,7 @@
 package fuse
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,9 +13,9 @@ import (
 // MountOptions selects the protocol features negotiated at INIT time.
 // KeepCache through BatchForget are the paper's §3.3 optimizations, and
 // MaxWrite, the two timeouts and ServerThreads the settings its CntrFS
-// mounts with: PaperMountOptions is that configuration. NoSec, NoFlush,
-// DirectRead, SyncByFsync, NoOpen and a 1 MiB MaxWrite are beyond the
-// paper (on in DefaultMountOptions only).
+// mounts with: PaperMountOptions is that configuration. Seven rules are
+// beyond the paper (on in DefaultMountOptions only): NoSec, NoFlush,
+// DirectRead, SyncByFsync, NoOpen, NoOpendir and a 1 MiB MaxWrite.
 type MountOptions struct {
 	// KeepCache sets FOPEN_KEEP_CACHE on every open, letting the page
 	// cache above survive re-opens (read-cache optimization, Fig. 3a).
@@ -127,6 +128,27 @@ type MountOptions struct {
 	// finds the file an unlink may end through its dentry (Conn.holdOpen).
 	// Off in PaperMountOptions.
 	NoOpen bool
+	// NoOpendir is beyond the paper, whose CntrFS answers every opendir(3)
+	// with an OPENDIR round trip, every listing with READDIRs and every
+	// closedir(3) with a RELEASEDIR. It is the server's side of the
+	// kernel's fc->no_opendir (FUSE_NO_OPENDIR_SUPPORT, Linux 5.1): the
+	// server answers a directory's OPENDIR with ENOSYS, and the connection,
+	// on the first such reply, opens directories without a message
+	// (Conn.Opendir) and closes them without one. Such a directory is
+	// opened FOPEN_KEEP_CACHE|FOPEN_CACHE_DIR, so the kernel keeps its
+	// listing (fuse_readdir_cached) and serves every later listing of the
+	// unchanged directory itself; a listing it does not hold is filled by
+	// READDIRs that carry fh 0 and the inode, which the server answers
+	// through a host directory it opens and closes within the request. The
+	// listing is kept while the directory's mtime is, and every entry change
+	// made through the mount drops it, but a change made behind the mount's
+	// back (directly on the host filesystem) stays hidden from listings for
+	// up to AttrTimeout: a listing is checked against the cached attributes,
+	// and without them each listing from the start costs one GETATTR. The
+	// connection knows which directory an rmdir or a rename removes from
+	// its dentry: without EntryTimeout the server keeps answering OPENDIR
+	// and the rule is inert. Off in PaperMountOptions.
+	NoOpendir bool
 	// ServerThreads is the number of userspace server threads reading
 	// the request queue (Fig. 4). A FUSE_INTERRUPT frame is the first
 	// thing the next read of the queue returns, but a thread has to read
@@ -157,8 +179,8 @@ func PaperMountOptions() MountOptions {
 }
 
 // DefaultMountOptions returns the fully optimized configuration: the
-// paper's, plus NoSec, NoFlush, DirectRead, SyncByFsync, NoOpen and
-// 1 MiB writes (FUSE_MAX_PAGES).
+// paper's, plus the seven rules beyond it — NoSec, NoFlush, DirectRead,
+// SyncByFsync, NoOpen, NoOpendir and 1 MiB writes (FUSE_MAX_PAGES).
 func DefaultMountOptions() MountOptions {
 	opts := PaperMountOptions()
 	opts.MaxWrite = 1 << 20
@@ -167,6 +189,7 @@ func DefaultMountOptions() MountOptions {
 	opts.DirectRead = true
 	opts.SyncByFsync = true
 	opts.NoOpen = true
+	opts.NoOpendir = true
 	return opts
 }
 
@@ -174,6 +197,12 @@ func DefaultMountOptions() MountOptions {
 // file's OPEN with ENOSYS (NoOpen).
 func (o *MountOptions) noOpen() bool {
 	return o.NoOpen && o.KeepCache && o.WritebackCache && o.EntryTimeout > 0
+}
+
+// noOpendir reports whether a server with these options answers a
+// directory's OPENDIR with ENOSYS (NoOpendir).
+func (o *MountOptions) noOpendir() bool {
+	return o.NoOpendir && o.EntryTimeout > 0
 }
 
 // ForgetBatchSize is how many forgets a FUSE_BATCH_FORGET frame carries.
@@ -360,9 +389,11 @@ type Conn struct {
 	inflight atomic.Int64
 	// noFlush is the kernel's fc->no_flush: set by the first FLUSH the
 	// server answers with ENOSYS, never reset. noOpen is fc->no_open, set
-	// by the first OPEN answered so.
-	noFlush atomic.Bool
-	noOpen  atomic.Bool
+	// by the first OPEN answered so, and noOpendir fc->no_opendir, set by
+	// the first OPENDIR answered so.
+	noFlush   atomic.Bool
+	noOpen    atomic.Bool
+	noOpendir atomic.Bool
 
 	mu        sync.Mutex
 	entries   map[entryKey]entryVal
@@ -383,6 +414,9 @@ type Conn struct {
 	// last of those closes. lastLocal numbers those handles.
 	held      map[vfs.Ino]uint64
 	lastLocal vfs.Handle
+	// dirs holds the listings of directories opened without a message
+	// (MountOptions.NoOpendir), the kernel's readdir cache.
+	dirs      map[vfs.Ino]*dirListing
 	forgets   []forgetItem
 	streak    int
 	stats     ConnStats
@@ -435,6 +469,46 @@ func (v attrVal) expires() time.Duration {
 // blocks stale.
 func (v attrVal) dataStale() bool { return v.expiry < 0 }
 
+// dirListing is the kernel's listing of one directory opened without a
+// message (fuse_readdir_cached): the entries READDIR has returned so far,
+// whether the empty reply that ends them has come back, and the
+// directory's mtime when the listing began. A removed directory that is
+// still open keeps a dead listing with no entries until its last close:
+// reading it is ENOENT (IS_DEADDIR).
+type dirListing struct {
+	ents     []vfs.Dirent
+	complete bool
+	dead     bool
+	mtime    time.Time
+}
+
+// end is the cookie a READDIR that extends the listing starts from.
+func (d *dirListing) end() int64 {
+	if len(d.ents) == 0 {
+		return 0
+	}
+	return d.ents[len(d.ents)-1].Off
+}
+
+// after returns a copy of the entries past the one whose cookie is off (0
+// being the start), and whether the listing holds that cookie.
+func (d *dirListing) after(off int64) ([]vfs.Dirent, bool) {
+	i := 0
+	if off != 0 {
+		for i < len(d.ents) && d.ents[i].Off != off {
+			i++
+		}
+		if i == len(d.ents) {
+			return nil, false
+		}
+		i++
+	}
+	if i == len(d.ents) {
+		return nil, true
+	}
+	return slices.Clone(d.ents[i:]), true
+}
+
 type forgetItem struct {
 	ino     vfs.Ino
 	nlookup uint64
@@ -467,6 +541,7 @@ func newConn(clock *sim.Clock, model *sim.CostModel, opts MountOptions, table *r
 		nosec:     make(map[vfs.Ino]time.Duration),
 		handleIno: make(map[vfs.Handle]vfs.Ino),
 		held:      make(map[vfs.Ino]uint64),
+		dirs:      make(map[vfs.Ino]*dirListing),
 	}
 }
 

@@ -83,11 +83,11 @@ func (c *Conn) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 		c.mu.Unlock()
 		return
 	}
-	// While the attribute cache references the inode, or a file the
-	// connection opened itself is open on it, the kernel is keeping it
-	// alive: withhold the forget so the server does not drop the inode
-	// out from under a cached dentry or an fh-0 frame.
-	if _, cached := c.attrs[ino]; cached || c.noOpen.Load() && c.openLocked(ino, localHandle) {
+	// While the attribute cache references the inode, or a file or a
+	// directory the connection opened itself is open on it, the kernel is
+	// keeping it alive: withhold the forget so the server does not drop the
+	// inode out from under a cached dentry or an fh-0 frame.
+	if _, cached := c.attrs[ino]; cached || c.lastLocal > 0 && c.openLocked(ino, localHandle) {
 		c.held[ino] += nlookup
 		c.mu.Unlock()
 		return
@@ -96,6 +96,7 @@ func (c *Conn) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 		nlookup += extra
 		delete(c.held, ino)
 	}
+	delete(c.dirs, ino) // the kernel drops the inode, and its listing with it
 	if _, marked := c.nosec[ino]; marked && !c.openLocked(ino, 0) {
 		// The kernel is dropping the inode, and its S_NOSEC bit with it.
 		// An open file pins its inode, whatever the dentry walk forgets.
@@ -188,6 +189,7 @@ func (c *Conn) Mknod(op *vfs.Op, parent vfs.Ino, name string, typ vfs.FileType, 
 		w.u32(uint32(mode))
 		w.u32(rdev)
 	})
+	c.dirChanged(parent)
 	if err == nil && c.nosecOn() {
 		c.markNosec(attr.Ino, gen)
 	}
@@ -196,18 +198,22 @@ func (c *Conn) Mknod(op *vfs.Op, parent vfs.Ino, name string, typ vfs.FileType, 
 
 // Mkdir implements vfs.FS.
 func (c *Conn) Mkdir(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode) (vfs.Attr, error) {
-	return c.entryCall(OpMkdir, parent, name, op, func(w *buf) {
+	attr, err := c.entryCall(OpMkdir, parent, name, op, func(w *buf) {
 		w.str(name)
 		w.u32(uint32(mode))
 	})
+	c.dirChanged(parent)
+	return attr, err
 }
 
 // Symlink implements vfs.FS.
 func (c *Conn) Symlink(op *vfs.Op, parent vfs.Ino, name, target string) (vfs.Attr, error) {
-	return c.entryCall(OpSymlink, parent, name, op, func(w *buf) {
+	attr, err := c.entryCall(OpSymlink, parent, name, op, func(w *buf) {
 		w.str(name)
 		w.str(target)
 	})
+	c.dirChanged(parent)
+	return attr, err
 }
 
 // Readlink implements vfs.FS.
@@ -228,13 +234,19 @@ func (c *Conn) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 	}
 	err := c.call(OpUnlink, parent, op, func(w *buf) { w.str(name) }, 0, 0, nil)
 	c.invalidateEntry(parent, name)
+	c.dirChanged(parent)
 	return err
 }
 
-// Rmdir implements vfs.FS.
+// Rmdir implements vfs.FS. The directory it removes is known from its
+// dentry, which the path walk ahead of an rmdir has just filled.
 func (c *Conn) Rmdir(op *vfs.Op, parent vfs.Ino, name string) error {
 	err := c.call(OpRmdir, parent, op, func(w *buf) { w.str(name) }, 0, 0, nil)
-	c.invalidateEntry(parent, name)
+	removed, cached := c.invalidateEntry(parent, name)
+	c.dirChanged(parent)
+	if err == nil && cached {
+		c.dirRemoved(removed.ino)
+	}
 	return err
 }
 
@@ -253,11 +265,16 @@ func (c *Conn) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent v
 		w.u32(uint32(flags))
 	}, 0, 0, nil)
 	moved, cached := c.invalidateEntry(oldParent, oldName)
-	c.invalidateEntry(newParent, newName)
+	replaced, existed := c.invalidateEntry(newParent, newName)
+	c.dirChanged(oldParent)
+	c.dirChanged(newParent)
 	if err == nil && cached && flags&^vfs.RenameNoReplace == 0 {
 		c.mu.Lock()
 		c.entries[entryKey{newParent, newName}] = moved
 		c.mu.Unlock()
+	}
+	if err == nil && existed && flags&vfs.RenameExchange == 0 {
+		c.dirRemoved(replaced.ino)
 	}
 	return err
 }
@@ -268,6 +285,7 @@ func (c *Conn) Link(op *vfs.Op, ino vfs.Ino, parent vfs.Ino, name string) (vfs.A
 		w.u64(uint64(parent))
 		w.str(name)
 	})
+	c.dirChanged(parent)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
@@ -298,6 +316,7 @@ func (c *Conn) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, fl
 		attr = decodeAttr(r)
 		h = vfs.Handle(r.u64())
 	})
+	c.dirChanged(parent)
 	if err != nil {
 		return vfs.Attr{}, 0, err
 	}
@@ -346,12 +365,13 @@ func (c *Conn) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, e
 	return c.openLocal(op, attr, flags)
 }
 
-// localHandle marks a handle the connection made itself (openLocal), and
-// localWritable one of those opened for writing; a server's handles never
-// have either bit set.
+// localHandle marks a handle the connection made itself (openLocal),
+// localWritable one of those opened for writing and localDir one opened on
+// a directory; a server's handles never have any of these bits set.
 const (
 	localHandle   vfs.Handle = 1 << 63
 	localWritable vfs.Handle = 1 << 62
+	localDir      vfs.Handle = 1 << 61
 )
 
 // openAttr is what an open decided here reads: the cached record, whose
@@ -388,6 +408,9 @@ func (c *Conn) openLocal(op *vfs.Op, attr vfs.Attr, flags vfs.OpenFlags) (vfs.Ha
 	h := localHandle | c.lastLocal
 	if flags.Writable() {
 		h |= localWritable
+	}
+	if attr.Type == vfs.TypeDirectory {
+		h |= localDir
 	}
 	c.handleIno[h] = attr.Ino
 	c.mu.Unlock()
@@ -566,8 +589,9 @@ func (c *Conn) Fsync(op *vfs.Op, h vfs.Handle, datasync bool) error {
 // Release implements vfs.FS. RELEASE is asynchronous in FUSE (a
 // background request, fuse_file_put): the kernel does not wait for the
 // reply, so the caller pays only the enqueue cost and the server serves
-// it off the caller's clock. A file opened without a message is closed
-// without one; the last such close on an inode lets its held forgets go.
+// it off the caller's clock. A file or a directory opened without a
+// message is closed without one; the last such close on an inode lets its
+// held forgets go, and the last on a removed directory its dead listing.
 func (c *Conn) Release(op *vfs.Op, h vfs.Handle) error {
 	if h&localHandle == 0 {
 		c.dropHandle(h)
@@ -581,6 +605,9 @@ func (c *Conn) Release(op *vfs.Op, h vfs.Handle) error {
 	if ok && !c.openLocked(ino, localHandle) {
 		held = c.held[ino]
 		delete(c.held, ino)
+		if d := c.dirs[ino]; d != nil && d.dead {
+			delete(c.dirs, ino)
+		}
 	}
 	c.mu.Unlock()
 	if held > 0 {
@@ -589,17 +616,128 @@ func (c *Conn) Release(op *vfs.Op, h vfs.Handle) error {
 	return nil
 }
 
-// Opendir implements vfs.FS.
+// Opendir implements vfs.FS. Once the server has answered an OPENDIR with
+// ENOSYS (MountOptions.NoOpendir), a directory is opened without a message,
+// as fuse_file_open does after setting fc->no_opendir: the type and access
+// checks the server's filesystem makes, against the cached attributes and
+// for the credential the server would impersonate (openLocal), then a
+// handle of the connection's own. The answering OPENDIR is opened so too.
 func (c *Conn) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
-	return c.handleCall(OpOpendir, ino, op, nil)
+	if !c.noOpendir.Load() {
+		h, err := c.handleCall(OpOpendir, ino, op, nil)
+		if vfs.ToErrno(err) != vfs.ENOSYS {
+			return h, err
+		}
+		c.noOpendir.Store(true)
+	}
+	attr, err := c.openAttr(op, ino)
+	if err != nil {
+		return 0, err
+	}
+	if attr.Type != vfs.TypeDirectory {
+		return 0, vfs.ENOTDIR
+	}
+	return c.openLocal(op, attr, vfs.ORdonly)
 }
 
-// Readdir implements vfs.FS.
+// Readdir implements vfs.FS. A directory opened without a message is
+// listed from its kept listing (dirListing) while it is unchanged. A
+// listing from the start checks it against the directory's attributes
+// first, the cached record or one GETATTR, as fuse_update_attributes does
+// under FUSE_AUTO_INVAL_DATA: another mtime drops it. A complete listing
+// costs one page-cache hit; any other READDIR carries fh 0 and the inode,
+// and extends the listing when it starts where the listing ends, the
+// empty reply completing it.
 func (c *Conn) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error) {
+	if h&localHandle == 0 {
+		return c.readdirWire(op, 0, h, off)
+	}
+	ino, _ := c.handleInode(h)
+	if off == 0 {
+		if err := c.revalidateDir(op, ino); err != nil {
+			return nil, err
+		}
+	}
+	c.mu.Lock()
+	d := c.dirs[ino]
+	if d != nil && d.dead {
+		c.mu.Unlock()
+		return nil, vfs.ENOENT
+	}
+	if d != nil && d.complete {
+		if ents, ok := d.after(off); ok {
+			c.mu.Unlock()
+			c.clock.Advance(c.model.PageCacheHit)
+			return ents, nil
+		}
+	}
+	c.mu.Unlock()
+	ents, err := c.readdirWire(op, ino, 0, off)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if d != nil && !d.complete && off == d.end() {
+		d.ents = append(d.ents, ents...)
+		d.complete = len(ents) == 0
+	}
+	c.mu.Unlock()
+	return ents, nil
+}
+
+// revalidateDir starts a listing of ino from the start: a dead directory
+// is ENOENT without a message, and a listing from before the directory's
+// current mtime gives way to an empty one.
+func (c *Conn) revalidateDir(op *vfs.Op, ino vfs.Ino) error {
+	c.mu.Lock()
+	d := c.dirs[ino]
+	c.mu.Unlock()
+	if d != nil && d.dead {
+		return vfs.ENOENT
+	}
+	attr, err := c.openAttr(op, ino)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	if d := c.dirs[ino]; d == nil || !d.dead && !d.mtime.Equal(attr.Mtime) {
+		c.dirs[ino] = &dirListing{mtime: attr.Mtime}
+	}
+	c.mu.Unlock()
+	return nil
+}
+
+// dirChanged drops parent's listing: an entry change through the mount
+// has just been asked for, whatever its outcome (the i_version bump of
+// fuse_dir_changed). The parent's cached mtime cannot say so: the mount's
+// own changes leave it stale.
+func (c *Conn) dirChanged(parent vfs.Ino) {
+	c.mu.Lock()
+	if d := c.dirs[parent]; d != nil && !d.dead {
+		delete(c.dirs, parent)
+	}
+	c.mu.Unlock()
+}
+
+// dirRemoved is what a successful rmdir, or a rename over an entry, does
+// to the inode it removed: its listing goes, and a directory handle still
+// open on it reads as removed from then on.
+func (c *Conn) dirRemoved(ino vfs.Ino) {
+	c.mu.Lock()
+	delete(c.dirs, ino)
+	if c.openLocked(ino, localHandle|localDir) {
+		c.dirs[ino] = &dirListing{dead: true}
+	}
+	c.mu.Unlock()
+}
+
+// readdirWire sends one READDIR: on the server's handle fh, or with fh 0
+// on directory nodeid.
+func (c *Conn) readdirWire(op *vfs.Op, nodeid vfs.Ino, fh vfs.Handle, off int64) ([]vfs.Dirent, error) {
 	var ents []vfs.Dirent
 	var bodyLen int
-	err := c.call(OpReaddir, 0, op, func(w *buf) {
-		w.u64(uint64(h))
+	err := c.call(OpReaddir, nodeid, op, func(w *buf) {
+		w.u64(uint64(fh))
 		w.i64(off)
 	}, 0, 0, func(r *rdr) {
 		bodyLen = len(r.b)
@@ -624,8 +762,12 @@ func (c *Conn) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error
 	return ents, nil
 }
 
-// Releasedir implements vfs.FS; like Release it is asynchronous.
+// Releasedir implements vfs.FS; like Release it is asynchronous, and a
+// directory opened without a message is closed without one.
 func (c *Conn) Releasedir(op *vfs.Op, h vfs.Handle) error {
+	if h&localHandle != 0 {
+		return c.Release(op, h)
+	}
 	c.dropHandle(h)
 	c.oneWay(OpReleasedir, 0, 0, func(w *buf) { w.u64(uint64(h)) })
 	return nil

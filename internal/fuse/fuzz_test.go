@@ -19,29 +19,38 @@ import (
 // header, or whose length field is not its size, is answered EINVAL and
 // reaches no filesystem call. A data frame on fh 0 names its inode
 // (MountOptions.NoOpen): one naming an inode the filesystem does not know
-// leaves no host descriptor open. The seeds are requestCorpus, one frame
-// per opcode a Conn sends with a body, fh-0 READ, WRITE and FSYNC frames
-// naming an unknown inode, and WRITE frames at the negotiated MaxWrite and
-// one byte past it (EINVAL); what the fuzzer found is kept as rows of
-// TestDispatchFindings.
+// leaves no host descriptor open. So does a READDIR on fh 0
+// (MountOptions.NoOpendir): whatever it names, it leaves no host directory
+// handle open. The seeds are requestCorpus, one frame per opcode a Conn
+// sends with a body, fh-0 READ, WRITE, FSYNC and READDIR frames naming an
+// unknown inode, fh-0 READDIR frames on the root from the start and from a
+// negative offset, an OPENDIR of the root (ENOSYS), and WRITE frames at the
+// negotiated MaxWrite and one byte past it (EINVAL); what the fuzzer found
+// is kept as rows of TestDispatchFindings.
 //
 //	go test -run '^$' -fuzz FuzzDispatch -fuzztime 15s ./internal/fuse
 func FuzzDispatch(f *testing.F) {
 	for _, frame := range requestCorpus(f) {
 		f.Add(frame)
 	}
+	const unknown = 42
 	for _, body := range []struct {
 		opcode Opcode
+		nodeid vfs.Ino
 		encode func(w *buf)
 	}{
-		{OpRead, func(w *buf) { w.u64(0); w.i64(0); w.u32(4096) }},
-		{OpWrite, func(w *buf) { w.u64(0); w.i64(0); w.bytes([]byte("x")) }},
-		{OpFsync, func(w *buf) { w.u64(0); w.u8(0) }},
-		{OpWrite, func(w *buf) { w.u64(0); w.i64(0); w.bytes(make([]byte, dispatchMaxWrite)) }},
-		{OpWrite, func(w *buf) { w.u64(0); w.i64(0); w.bytes(make([]byte, dispatchMaxWrite+1)) }},
+		{OpRead, unknown, func(w *buf) { w.u64(0); w.i64(0); w.u32(4096) }},
+		{OpWrite, unknown, func(w *buf) { w.u64(0); w.i64(0); w.bytes([]byte("x")) }},
+		{OpFsync, unknown, func(w *buf) { w.u64(0); w.u8(0) }},
+		{OpWrite, unknown, func(w *buf) { w.u64(0); w.i64(0); w.bytes(make([]byte, dispatchMaxWrite)) }},
+		{OpWrite, unknown, func(w *buf) { w.u64(0); w.i64(0); w.bytes(make([]byte, dispatchMaxWrite+1)) }},
+		{OpReaddir, unknown, func(w *buf) { w.u64(0); w.i64(0) }},
+		{OpReaddir, vfs.RootIno, func(w *buf) { w.u64(0); w.i64(0) }},
+		{OpReaddir, vfs.RootIno, func(w *buf) { w.u64(0); w.i64(-1) }},
+		{OpOpendir, vfs.RootIno, func(w *buf) {}},
 	} {
 		var w buf
-		encodeReqHeader(&w, body.opcode, 1, 42, nil)
+		encodeReqHeader(&w, body.opcode, 1, uint64(body.nodeid), nil)
 		body.encode(&w)
 		f.Add(finishFrame(&w))
 	}
@@ -58,7 +67,8 @@ func checkDispatch(t *testing.T, frame []byte) {
 	was := poisonReleased.Swap(true)
 	defer poisonReleased.Store(was)
 	opts := PaperMountOptions() // a NoFlush server would answer FLUSH itself
-	opts.NoOpen = true          // and fh 0 names an inode
+	opts.NoOpen = true          // and fh 0 names an inode,
+	opts.NoOpendir = true       // for READDIR too
 	opts.ServerThreads = 0      // dispatch by hand
 	calls := &callCounter{}
 	fs := vfs.Chain(memfs.New(memfs.Options{}), calls)
@@ -98,6 +108,9 @@ func checkDispatch(t *testing.T, frame []byte) {
 		if ino != vfs.RootIno { // the one inode a fresh memfs has
 			t.Fatalf("%v frame of %d bytes: a host descriptor is open for inode %d, which the filesystem does not know", opcode, len(frame), ino)
 		}
+	}
+	if n := calls.openDirs.Load(); n != 0 {
+		t.Fatalf("%v frame of %d bytes: %d host directory handles left open", opcode, len(frame), n)
 	}
 }
 

@@ -30,6 +30,25 @@ func (g *groupSpy) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int,
 	return g.FS.Write(op, h, off, data)
 }
 
+// rawFrame pushes a hand-built two-way frame on nodeid (anonymous header,
+// then payload) and returns the errno of the server's reply.
+func rawFrame(t *testing.T, conn *Conn, opcode Opcode, nodeid vfs.Ino, payload func(w *buf)) vfs.Errno {
+	t.Helper()
+	p := newRequest(conn, 0, 0)
+	encodeReqHeader(&p.frame, opcode, conn.unique.Add(1), uint64(nodeid), nil)
+	payload(&p.frame)
+	finishFrame(&p.frame)
+	if !conn.table.push(0, p) {
+		t.Fatal("push on a live table failed")
+	}
+	_, errno, _, err := decodeReply(<-p.reply)
+	if err != nil {
+		t.Fatalf("malformed reply: %v", err)
+	}
+	p.release()
+	return errno
+}
+
 // hostileCopies is how many copies of its payload a frame that carries
 // one may allocate for: the payload it is built from, the frame, and the
 // filesystem's copy.
@@ -73,22 +92,8 @@ func TestHostileCountsYieldErrno(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// raw pushes a hand-built two-way frame (anonymous header, then
-	// payload) and returns the errno of the server's reply.
 	raw := func(opcode Opcode, payload func(w *buf)) vfs.Errno {
-		p := newRequest(conn, 0, 0)
-		encodeReqHeader(&p.frame, opcode, conn.unique.Add(1), uint64(vfs.RootIno), nil)
-		payload(&p.frame)
-		finishFrame(&p.frame)
-		if !conn.table.push(0, p) {
-			t.Fatal("push on a live table failed")
-		}
-		_, errno, _, err := decodeReply(<-p.reply)
-		if err != nil {
-			t.Fatalf("malformed reply: %v", err)
-		}
-		p.release()
-		return errno
+		return rawFrame(t, conn, opcode, vfs.RootIno, payload)
 	}
 
 	// write sends a WRITE of n bytes on f's handle; it must reach the
@@ -172,6 +177,63 @@ func TestHostileCountsYieldErrno(t *testing.T) {
 			}
 			if _, err := conn.Getattr(root, vfs.RootIno); err != nil {
 				t.Errorf("the worker's next request after the hostile frame: %v", err)
+			}
+		})
+	}
+}
+
+// TestHostileDirectoryFrames: on a server that answers OPENDIR itself
+// (MountOptions.NoOpendir), an OPENDIR and a READDIR with fh 0 are frames
+// a hostile kernel side can aim anywhere. OPENDIR is ENOSYS for a
+// directory and ENOTDIR for anything else; a READDIR with fh 0 on a
+// regular file, on a nodeid the server does not know or at a negative
+// offset is answered as the filesystem answers it. No row may leave a
+// host directory handle open: the server closes the one it opened on
+// every path.
+func TestHostileDirectoryFrames(t *testing.T) {
+	opts := DefaultMountOptions()
+	opts.ServerThreads = 1
+	counter := &callCounter{}
+	host := memfs.New(memfs.Options{})
+	conn, srv := Mount(vfs.Chain(host, counter), sim.NewClock(), sim.DefaultCostModel(), opts)
+	t.Cleanup(func() {
+		conn.Unmount()
+		srv.Wait()
+	})
+	hostCli := vfs.NewClient(host, vfs.Root())
+	if err := hostCli.WriteFile("/f", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	file, err := hostCli.Stat("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	readdir := func(off int64) func(w *buf) {
+		return func(w *buf) {
+			w.u64(0)
+			w.i64(off)
+		}
+	}
+	for _, row := range []struct {
+		name    string
+		opcode  Opcode
+		nodeid  vfs.Ino
+		payload func(w *buf)
+		want    vfs.Errno
+	}{
+		{"OPENDIR of a directory", OpOpendir, vfs.RootIno, func(w *buf) {}, vfs.ENOSYS},
+		{"OPENDIR of a file", OpOpendir, file.Ino, func(w *buf) {}, vfs.ENOTDIR},
+		{"READDIR fh 0 of a file", OpReaddir, file.Ino, readdir(0), vfs.ENOTDIR},
+		{"READDIR fh 0 of an unknown nodeid", OpReaddir, 1 << 40, readdir(0), vfs.ESTALE},
+		{"READDIR fh 0 at a negative offset", OpReaddir, vfs.RootIno, readdir(-1), vfs.OK},
+		{"READDIR fh 0 of a directory", OpReaddir, vfs.RootIno, readdir(0), vfs.OK},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if got := rawFrame(t, conn, row.opcode, row.nodeid, row.payload); got != row.want {
+				t.Errorf("errno %v, want %v", got, row.want)
+			}
+			if open := counter.openDirs.Load(); open != 0 {
+				t.Errorf("%d host directory handles left open", open)
 			}
 		})
 	}

@@ -18,9 +18,12 @@ import (
 // every FLUSH the server passes on one Flush call, and every OPEN, RELEASE
 // and SETATTR it serves one Open, Release and Setattr call (the server's
 // own host descriptors, MountOptions.NoOpen, are Opens and Releases too).
-// wrote is the handle of the last Write. hold, when set, keeps a GETXATTR
-// or CREATE answer back — computed, not yet replied — until it is closed.
-// flushErr, when set, is what the nth Flush returns.
+// Every directory the server opens on the host, for an OPENDIR or within
+// an fh-0 READDIR (MountOptions.NoOpendir), is one Opendir call here, and
+// every one it closes one Releasedir. wrote is the handle of the last
+// Write. hold, when set, keeps a GETXATTR or CREATE answer back —
+// computed, not yet replied — until it is closed. flushErr, when set, is
+// what the nth Flush returns.
 type wireSpy struct {
 	vfs.FS
 	gets     atomic.Int64
@@ -30,6 +33,8 @@ type wireSpy struct {
 	opens    atomic.Int64
 	releases atomic.Int64
 	setattrs atomic.Int64
+	opendirs atomic.Int64
+	closedir atomic.Int64
 	wrote    atomic.Uint64
 	flushErr func(n int64) error
 	hold     chan struct{}
@@ -44,6 +49,16 @@ func (s *wireSpy) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle
 func (s *wireSpy) Release(op *vfs.Op, h vfs.Handle) error {
 	s.releases.Add(1)
 	return s.FS.Release(op, h)
+}
+
+func (s *wireSpy) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
+	s.opendirs.Add(1)
+	return s.FS.Opendir(op, ino)
+}
+
+func (s *wireSpy) Releasedir(op *vfs.Op, h vfs.Handle) error {
+	s.closedir.Add(1)
+	return s.FS.Releasedir(op, h)
 }
 
 func (s *wireSpy) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.Attr) (vfs.Attr, error) {

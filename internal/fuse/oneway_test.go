@@ -62,8 +62,9 @@ func TestOneWayFramesChargeOnlyTheEnqueue(t *testing.T) {
 				opts := DefaultMountOptions()
 				opts.ServerThreads = threads
 				opts.BatchForget = row.batch
-				opts.AttrTimeout = 0 // every GETATTR reaches the server, no forget is withheld
-				opts.NoOpen = false  // a RELEASE closes a file the server opened
+				opts.AttrTimeout = 0   // every GETATTR reaches the server, no forget is withheld
+				opts.NoOpen = false    // a RELEASE closes a file the server opened,
+				opts.NoOpendir = false // a RELEASEDIR a directory
 				c, srv := Mount(memfs.New(memfs.Options{}), clock, model, opts)
 				attr, h, err := c.Create(op, vfs.RootIno, "f", 0o644, vfs.ORdwr)
 				if err != nil {

@@ -485,6 +485,25 @@ func (s *Server) closeFiles(op *vfs.Op, ino vfs.Ino) {
 	}
 }
 
+// readdir lists a directory from cookie off. A nonzero fh is the server's
+// own handle, and so is every fh on a server that answers OPENDIR
+// (MountOptions.NoOpendir). Otherwise fh 0 names a directory the kernel
+// opened without a message, by its inode: it is opened here as the
+// caller, so the filesystem checks the caller's access as on OPENDIR, read
+// and closed again, inside this request and at its cost.
+func (wk *worker) readdir(ino vfs.Ino, fh vfs.Handle, off int64) ([]vfs.Dirent, error) {
+	s, op := wk.s, &wk.op
+	if fh != 0 || !s.opts.noOpendir() {
+		return s.fs.Readdir(op, fh, off)
+	}
+	h, err := s.fs.Opendir(op, ino)
+	if err != nil {
+		return nil, err
+	}
+	defer s.fs.Releasedir(op, h)
+	return s.fs.Readdir(op, h, off)
+}
+
 // hostFlags is the server's one decision on the flags of its own host
 // descriptor, for an OPEN or a CREATE with the caller's flags. Each rule
 // follows the mount options alone (MountOptions.DirectRead, SyncByFsync).
@@ -787,6 +806,19 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		}
 
 	case OpOpendir:
+		if s.opts.noOpendir() {
+			// A directory the kernel opens itself, listed by fh 0 from
+			// then on (MountOptions.NoOpendir); anything else is refused
+			// by the filesystem.
+			attr, err := s.fs.Getattr(op, ino)
+			if err == nil && attr.Type == vfs.TypeDirectory {
+				err = vfs.ENOSYS
+			}
+			if err != nil {
+				opErr = err
+				break
+			}
+		}
 		handle, err := s.fs.Opendir(op, ino)
 		if err == nil {
 			w.u64(uint64(handle))
@@ -799,7 +831,7 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		if r.bad {
 			break
 		}
-		ents, err := s.fs.Readdir(op, handle, off)
+		ents, err := wk.readdir(ino, handle, off)
 		if err == nil {
 			w.u32(uint32(len(ents)))
 			for _, d := range ents {

@@ -156,12 +156,19 @@ func requestCorpus(t testing.TB) [][]byte {
 	return frames
 }
 
-// callCounter counts every call that reaches the filesystem under it.
-type callCounter struct{ n atomic.Int64 }
+// callCounter counts every call that reaches the filesystem under it, and
+// the directory handles it holds open (opened and not yet released).
+type callCounter struct{ n, openDirs atomic.Int64 }
 
 func (c *callCounter) Intercept(info *vfs.OpInfo, next func() error) error {
 	c.n.Add(1)
-	return next()
+	err := next()
+	if err == nil && info.Kind == vfs.KindOpendir {
+		c.openDirs.Add(1)
+	} else if err == nil && info.Kind == vfs.KindReleasedir {
+		c.openDirs.Add(-1)
+	}
+	return err
 }
 
 // TestTruncatedRequestsNeverReachTheFilesystem cuts every frame of the

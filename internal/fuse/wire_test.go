@@ -38,22 +38,110 @@ var wireGolden = []string{
 	"> 500000002a000000090000000000000000000000000000000000000000000000000000000000000000000000020000000200000000000000010000000000000001000000000000000200000000000000",
 }
 
+// wireGoldenNoOpendir is the frames a NoOpendir mount (MountOptions)
+// sends to list the root the first time, pinned as first encoded: the
+// OPENDIR the server answers ENOSYS, the GETATTR the connection checks the
+// directory's type and mode with, and the READDIR that carries fh 0 and
+// names the directory by its nodeid (1) in the header.
+var wireGoldenNoOpendir = []string{
+	// OPENDIR root: ENOSYS
+	"> 340000001b0000000100000000000000010000000000000000000000000000004d00000000000000020000000500000006000000",
+	"< 10000000260000000100000000000000",
+	// GETATTR root
+	"> 34000000030000000200000000000000010000000000000000000000000000004d00000000000000020000000500000006000000",
+	"< 55000000000000000200000000000000010000000000000000000000000000000000000000000000e80335c867274015e80335c867274015e80335c867274015ed0100000102000000000000000000000000000000",
+	// READDIR fh 0 on nodeid 1: ".", ".."
+	"> 440000001c0000000300000000000000010000000000000000000000000000004d0000000000000002000000050000000600000000000000000000000000000000000000",
+	"< 4100000000000000030000000000000002000000010000002e0100000000000000010100000000000000020000002e2e0100000000000000010200000000000000",
+}
+
 // TestWireBytesUnchanged replays a fixed op sequence over a connection
 // whose only "worker" is this test's loop, and compares every frame that
 // crosses the queue, in either direction, with bytes captured before the
 // transport recycled its buffers: the wire format is the trust boundary,
-// and host-side recycling must not move a byte of it.
+// and host-side recycling must not move a byte of it. The sequence lists
+// a directory through a server handle (NoOpendir off); a second sequence
+// pins the frames of a listing by nodeid, wireGoldenNoOpendir.
 func TestWireBytesUnchanged(t *testing.T) {
-	clock, model := sim.NewClock(), sim.DefaultCostModel()
 	opts := DefaultMountOptions()
 	opts.EntryTimeout, opts.AttrTimeout = 0, 0 // forgets are not withheld
-	opts.ServerThreads = 0                     // no workers: the loop below serves
+	opts.NoOpendir = false                     // OPENDIR, READDIR on its handle, RELEASEDIR
+	cred := vfs.Root()
+	cred.Groups = []uint32{5, 6}
+	op := vfs.NewOp(nil, cred)
+	op.PID = 77
+	frames := captureWire(t, opts, func(conn *Conn, step func()) {
+		// Each step waits for the loop to have served the frame, so
+		// one-way frames land in submission order.
+		if _, err := conn.Lookup(op, vfs.RootIno, "f"); vfs.ToErrno(err) != vfs.ENOENT {
+			t.Fatal(err)
+		}
+		step()
+		attr, h, err := conn.Create(op, vfs.RootIno, "f", 0o644, vfs.ORdwr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step()
+		data := bytes.Repeat([]byte("wire"), 8)
+		if n, err := conn.Write(op, h, 0, data); err != nil || n != len(data) {
+			t.Fatal(n, err)
+		}
+		step()
+		got := make([]byte, 64)
+		if n, err := conn.Read(op, h, 0, got); err != nil || !bytes.Equal(got[:n], data) {
+			t.Fatal(n, err)
+		}
+		step()
+		dh, err := conn.Opendir(op, vfs.RootIno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step()
+		if ents, err := conn.Readdir(op, dh, 0); err != nil || len(ents) != 3 {
+			t.Fatal(ents, err)
+		}
+		step()
+		conn.Releasedir(op, dh)
+		step()
+		conn.Release(op, h)
+		step()
+		conn.Forget(op, attr.Ino, 1)
+		conn.Forget(op, vfs.RootIno, 2)
+		conn.Unmount() // flushes the two forgets as one BATCH_FORGET
+	})
+	compareWire(t, frames, wireGolden)
+
+	opts = DefaultMountOptions() // NoOpendir, with the caches it needs
+	frames = captureWire(t, opts, func(conn *Conn, step func()) {
+		dh, err := conn.Opendir(op, vfs.RootIno)
+		if err != nil || dh&localHandle == 0 {
+			t.Fatalf("opendir: handle %#x, %v; want one of the connection's own", dh, err)
+		}
+		step() // OPENDIR
+		step() // GETATTR
+		if ents, err := conn.Readdir(op, dh, 0); err != nil || len(ents) != 2 {
+			t.Fatal(ents, err)
+		}
+		step()
+		conn.Releasedir(op, dh) // sends nothing
+		conn.Unmount()
+	})
+	compareWire(t, frames, wireGoldenNoOpendir)
+}
+
+// captureWire runs script over a connection with opts whose only
+// "worker" is a loop of this test's, and returns every frame that crossed
+// the queue in either direction. script's step waits for the loop to have
+// served one frame; script ends with the unmount.
+func captureWire(t *testing.T, opts MountOptions, script func(conn *Conn, step func())) []string {
+	clock, model := sim.NewClock(), sim.DefaultCostModel()
+	opts.ServerThreads = 0 // no workers: the loop below serves
 	table := newReqTable(256)
 	conn := newConn(clock, model, opts, table)
 	srv := newServer(memfs.New(memfs.Options{}), clock, model, opts, table)
 
 	var frames []string
-	step := make(chan struct{}, len(wireGolden))
+	step := make(chan struct{}, 64)
 	exited := make(chan struct{})
 	go func() {
 		defer close(exited)
@@ -77,53 +165,18 @@ func TestWireBytesUnchanged(t *testing.T) {
 		}
 	}()
 
-	cred := vfs.Root()
-	cred.Groups = []uint32{5, 6}
-	op := vfs.NewOp(nil, cred)
-	op.PID = 77
-	// Each step waits for the loop to have served the frame, so one-way
-	// frames land in submission order.
-	if _, err := conn.Lookup(op, vfs.RootIno, "f"); vfs.ToErrno(err) != vfs.ENOENT {
-		t.Fatal(err)
-	}
-	<-step
-	attr, h, err := conn.Create(op, vfs.RootIno, "f", 0o644, vfs.ORdwr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-step
-	data := bytes.Repeat([]byte("wire"), 8)
-	if n, err := conn.Write(op, h, 0, data); err != nil || n != len(data) {
-		t.Fatal(n, err)
-	}
-	<-step
-	got := make([]byte, 64)
-	if n, err := conn.Read(op, h, 0, got); err != nil || !bytes.Equal(got[:n], data) {
-		t.Fatal(n, err)
-	}
-	<-step
-	dh, err := conn.Opendir(op, vfs.RootIno)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-step
-	if ents, err := conn.Readdir(op, dh, 0); err != nil || len(ents) != 3 {
-		t.Fatal(ents, err)
-	}
-	<-step
-	conn.Releasedir(op, dh)
-	<-step
-	conn.Release(op, h)
-	<-step
-	conn.Forget(op, attr.Ino, 1)
-	conn.Forget(op, vfs.RootIno, 2)
-	conn.Unmount() // flushes the two forgets as one BATCH_FORGET
+	script(conn, func() { <-step })
 	<-exited
+	return frames
+}
 
-	if len(frames) != len(wireGolden) {
-		t.Fatalf("%d frames crossed the queue, want %d:\n%q", len(frames), len(wireGolden), frames)
+// compareWire compares the captured frames with the pinned ones.
+func compareWire(t *testing.T, frames, golden []string) {
+	t.Helper()
+	if len(frames) != len(golden) {
+		t.Fatalf("%d frames crossed the queue, want %d:\n%q", len(frames), len(golden), frames)
 	}
-	for i, want := range wireGolden {
+	for i, want := range golden {
 		if frames[i] != want {
 			t.Errorf("frame %d\n got %s\nwant %s", i, frames[i], want)
 		}

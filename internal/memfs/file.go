@@ -304,6 +304,9 @@ func (fs *FS) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error)
 	if !of.dir {
 		return nil, vfs.ENOTDIR
 	}
+	if n.attr.Nlink == 0 {
+		return nil, vfs.ENOENT // removed while open (removeDir)
+	}
 	names := make([]string, 0, len(n.children))
 	for name := range n.children {
 		names = append(names, name)

@@ -125,6 +125,9 @@ func (fs *FS) getDir(c *vfs.Cred, ino vfs.Ino) (*inode, error) {
 	if n.attr.Type != vfs.TypeDirectory {
 		return nil, vfs.ENOTDIR
 	}
+	if n.attr.Nlink == 0 {
+		return nil, vfs.ENOENT // removed, still open: nothing may enter it
+	}
 	return n, nil
 }
 
@@ -607,8 +610,17 @@ func (fs *FS) Rmdir(op *vfs.Op, parent vfs.Ino, name string) error {
 	dir.attr.Nlink--
 	now := fs.now()
 	dir.attr.Mtime, dir.attr.Ctime = now, now
-	delete(fs.inodes, child)
+	fs.removeDir(child, n)
 	return nil
+}
+
+// removeDir unlinks a directory from the tree. Like Linux's S_DEAD
+// directory, one still open stays until its last Releasedir, and reads as
+// removed: its link count is 0, nothing can be made in it, and Readdir
+// answers ENOENT.
+func (fs *FS) removeDir(ino vfs.Ino, n *inode) {
+	n.attr.Nlink = 0
+	fs.maybeReap(ino, n)
 }
 
 // maybeReap frees an inode's storage once it has no links and no open
@@ -714,7 +726,7 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 				return vfs.ENOTEMPTY
 			}
 			nd.attr.Nlink--
-			delete(fs.inodes, dstIno)
+			fs.removeDir(dstIno, dst)
 		} else {
 			if src.attr.Type == vfs.TypeDirectory {
 				return vfs.ENOTDIR

@@ -322,6 +322,56 @@ func TestRmdirNonEmpty(t *testing.T) {
 	}
 }
 
+// TestRemovedDirectoryStaysUntilClosed: a directory removed while open —
+// by rmdir or by a rename over it — is kept, as Linux keeps an S_DEAD
+// inode, until its last Releasedir. Meanwhile its link count reads 0, its
+// listing is ENOENT (getdents on a dead directory) and nothing can be made
+// in it; after the close its inode is gone.
+func TestRemovedDirectoryStaysUntilClosed(t *testing.T) {
+	for _, how := range []string{"rmdir", "rename over"} {
+		t.Run(how, func(t *testing.T) {
+			fs := New(Options{})
+			c, op := vfs.NewClient(fs, vfs.Root()), vfs.RootOp()
+			for _, d := range []string{"/d", "/e"} {
+				if err := c.Mkdir(d, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			attr, err := c.Stat("/d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := fs.Opendir(op, attr.Ino)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if how == "rmdir" {
+				err = c.Remove("/d")
+			} else {
+				err = c.Rename("/e", "/d")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ents, err := fs.Readdir(op, h, 0); vfs.ToErrno(err) != vfs.ENOENT {
+				t.Errorf("readdir of the removed directory: %v, %v; want ENOENT", ents, err)
+			}
+			if got, err := fs.Getattr(op, attr.Ino); err != nil || got.Nlink != 0 {
+				t.Errorf("getattr of the removed directory: nlink %d, %v; want 0, nil", got.Nlink, err)
+			}
+			if _, err := fs.Mkdir(op, attr.Ino, "x", 0o755); vfs.ToErrno(err) != vfs.ENOENT {
+				t.Errorf("mkdir in the removed directory: %v, want ENOENT", err)
+			}
+			if err := fs.Releasedir(op, h); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Getattr(op, attr.Ino); vfs.ToErrno(err) != vfs.ESTALE {
+				t.Errorf("getattr after the last close: %v, want ESTALE", err)
+			}
+		})
+	}
+}
+
 func TestReaddirSortedAndComplete(t *testing.T) {
 	c := newClient(t)
 	names := []string{"zeta", "alpha", "mid"}

@@ -39,12 +39,13 @@ func figure3() []Panel {
 	noWriteback.WritebackCache = false
 	noDirops.ParallelDirops = false
 	noSplice.SpliceRead = false
-	nosec, direct, syncByFsync, noOpen, maxPages := paper, paper, paper, paper, paper
+	nosec, direct, syncByFsync, noOpen, maxPages, noOpendir := paper, paper, paper, paper, paper, paper
 	nosec.NoSec = true
 	direct.DirectRead = true
 	syncByFsync.SyncByFsync = true
 	noOpen.NoOpen = true
 	maxPages.MaxWrite = fuse.DefaultMountOptions().MaxWrite
+	noOpendir.NoOpendir = true
 	return []Panel{
 		// (a) concurrent re-reads, 4 readers.
 		{Name: "read cache (FOPEN_KEEP_CACHE)", Row: "Threaded I/O: Read", Off: noKeep, On: def},
@@ -82,6 +83,11 @@ func figure3() []Panel {
 		// extent costs one round trip instead of eight, and the host takes
 		// the data in larger writes.
 		{Name: "large requests (FUSE_MAX_PAGES)", Row: "FS-Mark", Off: paper, On: maxPages, BeyondPaper: true},
+		// Each client lists the same four unchanged directories: the
+		// paper's CntrFS pays an OPENDIR, two READDIRs and a RELEASEDIR per
+		// listing, and a server answering OPENDIR with ENOSYS lets the
+		// kernel open each without a message and list it from its cache.
+		{Name: "zero-message opendir (FUSE_NO_OPENDIR_SUPPORT)", Row: "Dbench: 128 Clients", Off: paper, On: noOpendir, BeyondPaper: true},
 	}
 }
 

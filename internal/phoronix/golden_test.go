@@ -281,18 +281,27 @@ func TestGoldenPaperLaneRatchet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := parseGolden(string(golden))
+	mean, err := laneLogErr(parseGolden(string(golden)), "fig2/paper")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mean > paperLaneRatchet {
+		t.Errorf("fig2/paper mean |ln(measured/paper)| = %.5f, above the ratchet %v", mean, paperLaneRatchet)
+	}
+}
+
+// laneLogErr is the mean |ln(measured/paper)| of a Figure 2 lane's golden
+// lines over the suite: how far the lane lands from the paper's Figure 2.
+func laneLogErr(g goldenLines, mode string) (float64, error) {
 	var sum float64
 	for _, r := range Suite {
 		var cntr, native float64
-		if err := g.scan("fig2/paper", r.Name, "cntr_ns=%g native_ns=%g", &cntr, &native); err != nil {
-			t.Fatal(err)
+		if err := g.scan(mode, r.Name, "cntr_ns=%g native_ns=%g", &cntr, &native); err != nil {
+			return 0, err
 		}
 		sum += math.Abs(math.Log(cntr / native / r.PaperOverhead))
 	}
-	if mean := sum / float64(len(Suite)); mean > paperLaneRatchet {
-		t.Errorf("fig2/paper mean |ln(measured/paper)| = %.5f, above the ratchet %v", mean, paperLaneRatchet)
-	}
+	return sum / float64(len(Suite)), nil
 }
 
 // frameFields is every opcode a mount sent and its count, in opcode order.
@@ -436,7 +445,8 @@ func (g goldenLines) scan(mode, row, format string, args ...any) error {
 }
 
 // figure2Rows is each suite row's native virtual time, its overhead on
-// the default mount and on the paper's configuration, and the paper's.
+// the default mount and on the paper's configuration, and the paper's;
+// then each lane's mean |ln(measured/paper)|.
 func figure2Rows(g goldenLines) (string, error) {
 	var b strings.Builder
 	for _, r := range Suite {
@@ -448,6 +458,15 @@ func figure2Rows(g goldenLines) (string, error) {
 		}
 		fmt.Fprintf(&b, "| %s | %.2f | %.2fx | %.2fx | %.1fx |\n", r.Name, def[1]/1e6, def[0]/def[1], paper[0]/paper[1], r.PaperOverhead)
 	}
+	def, err := laneLogErr(g, "fig2/default")
+	if err != nil {
+		return "", err
+	}
+	paper, err := laneLogErr(g, "fig2/paper")
+	if err != nil {
+		return "", err
+	}
+	fmt.Fprintf(&b, "| mean \\|ln(measured/paper)\\| | | %.3f | %.3f | |\n", def, paper)
 	return b.String(), nil
 }
 

@@ -170,8 +170,10 @@ func newMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config,
 	cfs := cntrfs.New(base, cntrfs.Options{DedupHardlinks: !cfg.NoDedupHardlinks})
 	if len(served) > 0 {
 		// The served interceptors (cntr.Attach's Trace and Enforce) must
-		// see and gate every open: the server keeps answering OPEN.
+		// see and gate every open and opendir: the server keeps answering
+		// OPEN and OPENDIR.
 		cfg.Mount.NoOpen = false
+		cfg.Mount.NoOpendir = false
 	}
 	conn, srv := fuse.Mount(vfs.Chain(cfs, served...), clock, model, cfg.Mount)
 
