@@ -13,9 +13,10 @@ import (
 // MountOptions selects the protocol features negotiated at INIT time.
 // KeepCache through BatchForget are the paper's §3.3 optimizations, and
 // MaxWrite, the two timeouts and ServerThreads the settings its CntrFS
-// mounts with: PaperMountOptions is that configuration. Seven rules are
+// mounts with: PaperMountOptions is that configuration. Eight rules are
 // beyond the paper (on in DefaultMountOptions only): NoSec, NoFlush,
-// DirectRead, SyncByFsync, NoOpen, NoOpendir and a 1 MiB MaxWrite.
+// DirectRead, SyncByFsync, NoOpen, NoOpendir, ReaddirPlus and a 1 MiB
+// MaxWrite.
 type MountOptions struct {
 	// KeepCache sets FOPEN_KEEP_CACHE on every open, letting the page
 	// cache above survive re-opens (read-cache optimization, Fig. 3a).
@@ -149,6 +150,22 @@ type MountOptions struct {
 	// its dentry: without EntryTimeout the server keeps answering OPENDIR
 	// and the rule is inert. Off in PaperMountOptions.
 	NoOpendir bool
+	// ReaddirPlus is beyond the paper, whose CntrFS answers a tree scan's
+	// listing with READDIRs and each stat after it with a LOOKUP, the
+	// per-file lookups §5.2.2 blames for its worst metadata rows. It is the
+	// kernel's FUSE_DO_READDIRPLUS with FUSE_READDIRPLUS_AUTO (Linux 3.9):
+	// fuse_use_readdirplus sends READDIRPLUS for a listing at position 0,
+	// the server answers one page (fuse_readdir_uncached asks for PAGE_SIZE)
+	// of entries with the attributes a LOOKUP returns, and
+	// fuse_direntplus_link makes each a dentry, so the stats send nothing.
+	// Plain READDIRs bring the rest in the same Conn.Readdir call and stay
+	// uncapped: the model answers a directory in one READDIR, and a page cap
+	// would change the op stream above the mount. The FUSE_I_ADVISE_RDPLUS
+	// re-arm (a lookup during a listing makes its next page plus too) is not
+	// modelled: vfs.Client.ReadDir never interleaves lookups with a listing.
+	// Without EntryTimeout and AttrTimeout the rule is inert. Off in
+	// PaperMountOptions.
+	ReaddirPlus bool
 	// ServerThreads is the number of userspace server threads reading
 	// the request queue (Fig. 4). A FUSE_INTERRUPT frame is the first
 	// thing the next read of the queue returns, but a thread has to read
@@ -179,8 +196,9 @@ func PaperMountOptions() MountOptions {
 }
 
 // DefaultMountOptions returns the fully optimized configuration: the
-// paper's, plus the seven rules beyond it — NoSec, NoFlush, DirectRead,
-// SyncByFsync, NoOpen, NoOpendir and 1 MiB writes (FUSE_MAX_PAGES).
+// paper's, plus the eight rules beyond it — NoSec, NoFlush, DirectRead,
+// SyncByFsync, NoOpen, NoOpendir, ReaddirPlus and 1 MiB writes
+// (FUSE_MAX_PAGES).
 func DefaultMountOptions() MountOptions {
 	opts := PaperMountOptions()
 	opts.MaxWrite = 1 << 20
@@ -190,6 +208,7 @@ func DefaultMountOptions() MountOptions {
 	opts.SyncByFsync = true
 	opts.NoOpen = true
 	opts.NoOpendir = true
+	opts.ReaddirPlus = true
 	return opts
 }
 
@@ -203,6 +222,12 @@ func (o *MountOptions) noOpen() bool {
 // directory's OPENDIR with ENOSYS (NoOpendir).
 func (o *MountOptions) noOpendir() bool {
 	return o.NoOpendir && o.EntryTimeout > 0
+}
+
+// readdirPlus reports whether a listing from the start sends READDIRPLUS
+// (ReaddirPlus).
+func (o *MountOptions) readdirPlus() bool {
+	return o.ReaddirPlus && o.EntryTimeout > 0 && o.AttrTimeout > 0
 }
 
 // ForgetBatchSize is how many forgets a FUSE_BATCH_FORGET frame carries.
@@ -415,8 +440,11 @@ type Conn struct {
 	held      map[vfs.Ino]uint64
 	lastLocal vfs.Handle
 	// dirs holds the listings of directories opened without a message
-	// (MountOptions.NoOpendir), the kernel's readdir cache.
+	// (MountOptions.NoOpendir), the kernel's readdir cache. dirGen counts
+	// entry changes through the mount (dirChanged, invalidateEntry): a
+	// READDIRPLUS reply one overtook installs nothing.
 	dirs      map[vfs.Ino]*dirListing
+	dirGen    atomic.Uint64
 	forgets   []forgetItem
 	streak    int
 	stats     ConnStats
@@ -799,10 +827,12 @@ func (c *Conn) dropHandle(h vfs.Handle) {
 // invalidateEntry drops the dentry parent/name after a request that
 // removed, replaced or moved it (or found it stale), and with it the
 // S_NOSEC mark of the inode it named: that inode is usually gone, and
-// this is what keeps the mark table from outliving the files. It returns
-// the dentry it dropped, if there was one.
+// this is what keeps the mark table from outliving the files. It bumps
+// dirGen in the same step, so an older READDIRPLUS reply cannot install
+// the name again. It returns the dentry it dropped, if there was one.
 func (c *Conn) invalidateEntry(parent vfs.Ino, name string) (entryVal, bool) {
 	c.mu.Lock()
+	c.dirGen.Add(1)
 	v, ok := c.entries[entryKey{parent, name}]
 	if ok {
 		c.clearNosecLocked(v.ino)

@@ -102,6 +102,17 @@ func (c *Conn) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 		// An open file pins its inode, whatever the dentry walk forgets.
 		c.clearNosecLocked(ino)
 	}
+	c.queueForget(ino, nlookup)
+}
+
+// queueForget sends a forget of nlookup on ino, in the next
+// FUSE_BATCH_FORGET frame or in one of its own, unless the connection is
+// gone. The caller holds c.mu, which queueForget releases.
+func (c *Conn) queueForget(ino vfs.Ino, nlookup uint64) {
+	if c.unmounted {
+		c.mu.Unlock()
+		return
+	}
 	c.stats.ForgetsSent++
 	if c.opts.BatchForget {
 		c.forgets = append(c.forgets, forgetItem{ino, nlookup})
@@ -645,12 +656,14 @@ func (c *Conn) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 // listing from the start checks it against the directory's attributes
 // first, the cached record or one GETATTR, as fuse_update_attributes does
 // under FUSE_AUTO_INVAL_DATA: another mtime drops it. A complete listing
-// costs one page-cache hit; any other READDIR carries fh 0 and the inode,
-// and extends the listing when it starts where the listing ends, the
-// empty reply completing it.
+// costs one page-cache hit; any other listing goes over the wire with fh 0
+// and the inode (readdirWire), and extends the kept one when it starts
+// where that ends, the empty reply completing it.
 func (c *Conn) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error) {
 	if h&localHandle == 0 {
-		return c.readdirWire(op, 0, h, off)
+		dir, _ := c.handleInode(h)
+		ents, _, err := c.readdirWire(op, dir, h, off)
+		return ents, err
 	}
 	ino, _ := c.handleInode(h)
 	if off == 0 {
@@ -672,14 +685,14 @@ func (c *Conn) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error
 		}
 	}
 	c.mu.Unlock()
-	ents, err := c.readdirWire(op, ino, 0, off)
+	ents, complete, err := c.readdirWire(op, ino, 0, off)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
 	if d != nil && !d.complete && off == d.end() {
 		d.ents = append(d.ents, ents...)
-		d.complete = len(ents) == 0
+		d.complete = complete
 	}
 	c.mu.Unlock()
 	return ents, nil
@@ -713,6 +726,7 @@ func (c *Conn) revalidateDir(op *vfs.Op, ino vfs.Ino) error {
 // own changes leave it stale.
 func (c *Conn) dirChanged(parent vfs.Ino) {
 	c.mu.Lock()
+	c.dirGen.Add(1)
 	if d := c.dirs[parent]; d != nil && !d.dead {
 		delete(c.dirs, parent)
 	}
@@ -731,35 +745,114 @@ func (c *Conn) dirRemoved(ino vfs.Ino) {
 	c.mu.Unlock()
 }
 
-// readdirWire sends one READDIR: on the server's handle fh, or with fh 0
-// on directory nodeid.
-func (c *Conn) readdirWire(op *vfs.Op, nodeid vfs.Ino, fh vfs.Handle, off int64) ([]vfs.Dirent, error) {
+// readdirWire lists directory dir from cookie off, on the server's handle
+// fh or with fh 0, and reports whether its last reply was the empty one
+// that ends the listing. On a ReaddirPlus mount a listing from the start
+// is one READDIRPLUS page (which, unlike a READDIR on fh, names dir) and,
+// unless it was empty, the READDIR from its last cookie: what one READDIR
+// would return.
+func (c *Conn) readdirWire(op *vfs.Op, dir vfs.Ino, fh vfs.Handle, off int64) ([]vfs.Dirent, bool, error) {
+	nodeid := dir
+	if fh != 0 {
+		nodeid = 0
+	}
+	if off != 0 || dir == 0 || !c.opts.readdirPlus() {
+		ents, err := c.readdirCall(op, OpReaddir, nodeid, fh, off)
+		return ents, len(ents) == 0, err
+	}
+	page, err := c.readdirCall(op, OpReaddirplus, dir, fh, 0)
+	if err != nil || len(page) == 0 {
+		return page, true, err
+	}
+	rest, err := c.readdirCall(op, OpReaddir, nodeid, fh, page[len(page)-1].Off)
+	if err != nil {
+		return nil, false, err
+	}
+	return append(page, rest...), len(rest) == 0, nil
+}
+
+// readdirCall sends one READDIR, or one READDIRPLUS whose entries it
+// installs (decodePlus), and returns the entries.
+func (c *Conn) readdirCall(op *vfs.Op, opcode Opcode, nodeid vfs.Ino, fh vfs.Handle, off int64) ([]vfs.Dirent, error) {
 	var ents []vfs.Dirent
+	var forget []vfs.Ino
 	var bodyLen int
-	err := c.call(OpReaddir, nodeid, op, func(w *buf) {
+	gen := c.dirGen.Load()
+	err := c.call(opcode, nodeid, op, func(w *buf) {
 		w.u64(uint64(fh))
 		w.i64(off)
 	}, 0, 0, func(r *rdr) {
 		bodyLen = len(r.b)
+		if opcode == OpReaddirplus {
+			ents, forget = c.decodePlus(r, nodeid, gen)
+			return
+		}
 		n := int(r.u32())
 		if !r.fits(n, direntMinLen) {
 			return
 		}
 		ents = make([]vfs.Dirent, 0, n)
 		for i := 0; i < n; i++ {
-			var d vfs.Dirent
-			d.Name = r.str()
-			d.Ino = vfs.Ino(r.u64())
-			d.Type = vfs.FileType(r.u8())
-			d.Off = r.i64()
-			ents = append(ents, d)
+			ents = append(ents, decodeDirent(r))
 		}
 	})
+	for _, ino := range forget {
+		c.mu.Lock()
+		c.queueForget(ino, 1) // fuse_force_forget: no cache holds it
+	}
 	if err != nil {
 		return nil, err
 	}
 	c.clock.Advance(c.model.CopyCost(bodyLen))
 	return ents, nil
+}
+
+// decodePlus decodes a READDIRPLUS reply on directory dir and installs
+// each entry as fuse_direntplus_link does; a reply not whole installs
+// nothing, and "." and ".." and an entry without attributes (nodeid 0) are
+// skipped. Nothing is installed where the connection holds the dentry or
+// the attributes valid (the attr_version check, conservatively) or after an
+// entry change overtook the reply (dirGen past gen): those lookups are
+// returned, to be forgotten.
+func (c *Conn) decodePlus(r *rdr, dir vfs.Ino, gen uint64) (ents []vfs.Dirent, forget []vfs.Ino) {
+	n := int(r.u32())
+	if !r.fits(n, direntMinLen+attrLen) || !plusWhole(*r, n) {
+		r.bad = true
+		return nil, nil
+	}
+	ents = make([]vfs.Dirent, 0, n)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := c.clock.Now()
+	for i := 0; i < n; i++ {
+		d := decodeDirent(r)
+		attr := decodeAttr(r)
+		ents = append(ents, d)
+		if attr.Ino == 0 || d.Name == "." || d.Name == ".." {
+			continue
+		}
+		key := entryKey{dir, d.Name}
+		e, dentry := c.entries[key]
+		a, cached := c.attrs[attr.Ino]
+		if c.dirGen.Load() != gen || dentry && e.expiry >= now || cached && a.expires() >= now {
+			forget = append(forget, attr.Ino)
+			continue
+		}
+		c.entries[key] = entryVal{attr.Ino, now + c.opts.EntryTimeout}
+		c.attrs[attr.Ino] = attrVal{attr, now + c.opts.AttrTimeout}
+	}
+	return ents, forget
+}
+
+// plusWhole reports whether r holds n READDIRPLUS entries whole.
+func plusWhole(r rdr, n int) bool {
+	for i := 0; i < n && !r.bad; i++ {
+		rest := int(r.u32()) + direntMinLen - 4 + attrLen // name, ino, type, cookie, attributes
+		if r.need(rest) {
+			r.off += rest
+		}
+	}
+	return !r.bad
 }
 
 // Releasedir implements vfs.FS; like Release it is asynchronous, and a

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"maps"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -21,10 +22,12 @@ import (
 // (MountOptions.NoOpen): one naming an inode the filesystem does not know
 // leaves no host descriptor open. So does a READDIR on fh 0
 // (MountOptions.NoOpendir): whatever it names, it leaves no host directory
-// handle open. The seeds are requestCorpus, one frame per opcode a Conn
-// sends with a body, fh-0 READ, WRITE, FSYNC and READDIR frames naming an
-// unknown inode, fh-0 READDIR frames on the root from the start and from a
-// negative offset, an OPENDIR of the root (ENOSYS), and WRITE frames at the
+// handle open, and a READDIRPLUS on nodeid 0 is EINVAL and reaches no
+// filesystem call. The seeds are requestCorpus, one frame per opcode a
+// Conn sends with a body, fh-0 READ, WRITE, FSYNC, READDIR and READDIRPLUS
+// frames naming an unknown inode, fh-0 READDIR and READDIRPLUS frames on
+// the root from the start and from a negative offset, a READDIRPLUS on
+// nodeid 0, an OPENDIR of the root (ENOSYS), and WRITE frames at the
 // negotiated MaxWrite and one byte past it (EINVAL); what the fuzzer found
 // is kept as rows of TestDispatchFindings.
 //
@@ -47,6 +50,10 @@ func FuzzDispatch(f *testing.F) {
 		{OpReaddir, unknown, func(w *buf) { w.u64(0); w.i64(0) }},
 		{OpReaddir, vfs.RootIno, func(w *buf) { w.u64(0); w.i64(0) }},
 		{OpReaddir, vfs.RootIno, func(w *buf) { w.u64(0); w.i64(-1) }},
+		{OpReaddirplus, unknown, func(w *buf) { w.u64(0); w.i64(0) }},
+		{OpReaddirplus, vfs.RootIno, func(w *buf) { w.u64(0); w.i64(0) }},
+		{OpReaddirplus, vfs.RootIno, func(w *buf) { w.u64(0); w.i64(-1) }},
+		{OpReaddirplus, 0, func(w *buf) { w.u64(0); w.i64(0) }},
 		{OpOpendir, vfs.RootIno, func(w *buf) {}},
 	} {
 		var w buf
@@ -77,11 +84,12 @@ func checkDispatch(t *testing.T, frame []byte) {
 	reply, _ := wk.dispatch(frame, nil)
 
 	malformed := len(frame) < reqHeaderLen || binary.LittleEndian.Uint32(frame) != uint32(len(frame))
-	var unique uint64
+	var unique, nodeid uint64
 	var opcode Opcode
 	if len(frame) >= reqHeaderLen {
 		unique = binary.LittleEndian.Uint64(frame[8:])
 		opcode = Opcode(binary.LittleEndian.Uint32(frame[4:]))
+		nodeid = binary.LittleEndian.Uint64(frame[16:])
 	}
 	if reply == nil {
 		if malformed || (opcode != OpForget && opcode != OpBatchForget && opcode != OpInterrupt) {
@@ -95,6 +103,11 @@ func checkDispatch(t *testing.T, frame []byte) {
 	}
 	if got != unique {
 		t.Fatalf("%v frame of %d bytes: reply echoes unique %#x, want %#x", opcode, len(frame), got, unique)
+	}
+	if !malformed && opcode == OpReaddirplus && nodeid == 0 {
+		if errno != vfs.EINVAL || calls.n.Load() != 0 {
+			t.Fatalf("READDIRPLUS on nodeid 0: errno %v after %d filesystem calls, want EINVAL after none", errno, calls.n.Load())
+		}
 	}
 	if malformed {
 		if errno != vfs.EINVAL {
@@ -211,6 +224,10 @@ var replyCalls = func() []replyCall {
 			ents, err := c.Readdir(op(), 1, 0)
 			return len(ents), math.MaxInt, err
 		}, func(b []byte) bool { return listed(b, 8+1+8) }}, // name, ino, type, offset
+		{OpReaddirplus, func(c *Conn) (int, int, error) {
+			ents, err := c.readdirCall(op(), OpReaddirplus, root, 0, 0)
+			return len(ents), math.MaxInt, err
+		}, func(b []byte) bool { return listed(b, 8+1+8+attrLen) }}, // and the attributes
 	}
 }()
 
@@ -251,13 +268,14 @@ func listed(b []byte, tail int) bool {
 // dentry, attribute and S_NOSEC caches learn nothing from it. The input
 // picks one of replyCalls and is the body every request on a fresh
 // replyingMount is answered with. The seeds are wire_test.go's reply
-// frames, each for the request it answered, and hostileReplies; what the
-// fuzzer found is kept as rows of TestReplyFindings.
+// frames (wireGolden's and wireGoldenReaddirPlus's), each for the request
+// it answered, and hostileReplies; what the fuzzer found is kept as rows
+// of TestReplyFindings.
 //
 //	go test -run '^$' -fuzz FuzzReply -fuzztime 15s ./internal/fuse
 func FuzzReply(f *testing.F) {
 	var opcode Opcode
-	for _, g := range wireGolden {
+	for _, g := range slices.Concat(wireGolden, wireGoldenReaddirPlus) {
 		frame, err := hex.DecodeString(g[2:])
 		if err != nil {
 			f.Fatal(err)

@@ -189,7 +189,9 @@ func TestHostileCountsYieldErrno(t *testing.T) {
 // regular file, on a nodeid the server does not know or at a negative
 // offset is answered as the filesystem answers it. No row may leave a
 // host directory handle open: the server closes the one it opened on
-// every path.
+// every path. A READDIRPLUS is answered as a READDIR on the same fh and
+// nodeid is, except that on nodeid 0, under which it could look nothing
+// up, it is EINVAL without a filesystem call.
 func TestHostileDirectoryFrames(t *testing.T) {
 	opts := DefaultMountOptions()
 	opts.ServerThreads = 1
@@ -227,10 +229,18 @@ func TestHostileDirectoryFrames(t *testing.T) {
 		{"READDIR fh 0 of an unknown nodeid", OpReaddir, 1 << 40, readdir(0), vfs.ESTALE},
 		{"READDIR fh 0 at a negative offset", OpReaddir, vfs.RootIno, readdir(-1), vfs.OK},
 		{"READDIR fh 0 of a directory", OpReaddir, vfs.RootIno, readdir(0), vfs.OK},
+		{"READDIRPLUS fh 0 of a file", OpReaddirplus, file.Ino, readdir(0), vfs.ENOTDIR},
+		{"READDIRPLUS fh 0 of an unknown nodeid", OpReaddirplus, 1 << 40, readdir(0), vfs.ESTALE},
+		{"READDIRPLUS on nodeid 0", OpReaddirplus, 0, readdir(0), vfs.EINVAL},
+		{"READDIRPLUS fh 0 of a directory", OpReaddirplus, vfs.RootIno, readdir(0), vfs.OK},
 	} {
 		t.Run(row.name, func(t *testing.T) {
+			calls := counter.n.Load()
 			if got := rawFrame(t, conn, row.opcode, row.nodeid, row.payload); got != row.want {
 				t.Errorf("errno %v, want %v", got, row.want)
+			}
+			if row.nodeid == 0 && counter.n.Load() != calls {
+				t.Errorf("%d filesystem calls, want none", counter.n.Load()-calls)
 			}
 			if open := counter.openDirs.Load(); open != 0 {
 				t.Errorf("%d host directory handles left open", open)

@@ -21,10 +21,14 @@ import (
 // — without a dentry cache (EntryTimeout 0) — every listing is an
 // OPENDIR, two READDIRs and a RELEASEDIR. Without an attribute cache
 // (AttrTimeout 0) the rule holds, but the opendir's access check and the
-// listing's check of the directory's mtime are a GETATTR each.
+// listing's check of the directory's mtime are a GETATTR each. Every row
+// runs with ReaddirPlus off, which sends a listing's first page as a
+// READDIRPLUS (TestReaddirPlusForgets).
 func TestZeroMessageOpendirWire(t *testing.T) {
 	op := vfs.RootOp()
-	def, off, noEntries, noAttrs := DefaultMountOptions(), DefaultMountOptions(), DefaultMountOptions(), DefaultMountOptions()
+	base := DefaultMountOptions()
+	base.ReaddirPlus = false
+	def, off, noEntries, noAttrs := base, base, base, base
 	off.NoOpendir = false
 	noEntries.EntryTimeout = 0
 	noAttrs.AttrTimeout = 0

@@ -56,6 +56,7 @@ const (
 	OpCreate      Opcode = 35
 	OpBatchForget Opcode = 42
 	OpFallocate   Opcode = 43
+	OpReaddirplus Opcode = 44
 	OpRename2     Opcode = 45
 )
 
@@ -71,7 +72,7 @@ var opcodeNames = map[Opcode]string{
 	OpOpendir: "OPENDIR", OpReaddir: "READDIR", OpReleasedir: "RELEASEDIR",
 	OpAccess: "ACCESS", OpCreate: "CREATE", OpInterrupt: "INTERRUPT",
 	OpBatchForget: "BATCH_FORGET", OpFallocate: "FALLOCATE",
-	OpRename2: "RENAME2",
+	OpReaddirplus: "READDIRPLUS", OpRename2: "RENAME2",
 }
 
 // String implements fmt.Stringer.
@@ -319,7 +320,28 @@ func decodeReply(frame []byte) (uint64, vfs.Errno, []byte, error) {
 	return unique, errno, frame[respHeaderLen:], nil
 }
 
-// attr encoding: 69 bytes, fixed layout.
+// encodeDirent writes one directory entry (direntMinLen plus its name).
+func encodeDirent(w *buf, d *vfs.Dirent) {
+	w.str(d.Name)
+	w.u64(uint64(d.Ino))
+	w.u8(uint8(d.Type))
+	w.i64(d.Off)
+}
+
+// decodeDirent decodes one directory entry.
+func decodeDirent(r *rdr) vfs.Dirent {
+	var d vfs.Dirent
+	d.Name = r.str()
+	d.Ino = vfs.Ino(r.u64())
+	d.Type = vfs.FileType(r.u8())
+	d.Off = r.i64()
+	return d
+}
+
+// attrLen is the size of an encoded attribute record.
+const attrLen = 69
+
+// attr encoding: attrLen bytes, fixed layout.
 func encodeAttr(w *buf, a *vfs.Attr) {
 	w.u64(uint64(a.Ino))
 	w.i64(a.Size)

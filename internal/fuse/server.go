@@ -504,6 +504,44 @@ func (wk *worker) readdir(ino vfs.Ino, fh vfs.Handle, off int64) ([]vfs.Dirent, 
 	return s.fs.Readdir(op, h, off)
 }
 
+// plusPage is what a READDIRPLUS reply holds at most: one page of Linux's
+// records (fuse_readdir_uncached asks for PAGE_SIZE).
+const plusPage = 4096
+
+// direntPlusSize is FUSE_DIRENTPLUS_SIZE for an entry named name: the
+// fuse_entry_out and fuse_dirent ahead of the name, 8-byte aligned.
+func direntPlusSize(name string) int { return (152 + len(name) + 7) &^ 7 }
+
+// noAttr is the all-zero record of an entry without attributes.
+var noAttr [attrLen]byte
+
+// direntsPlus encodes a READDIRPLUS reply: as many of ents, directory
+// dir's listing, as one page holds (at least one), each but "." and ".."
+// with the attributes a LOOKUP as the caller returns, at its whole cost
+// (CntrFS's open+stat pair), or with none (nodeid 0) where that fails.
+func (wk *worker) direntsPlus(dir vfs.Ino, ents []vfs.Dirent) {
+	n, size := 0, 0
+	for n < len(ents) {
+		if size += direntPlusSize(ents[n].Name); size > plusPage && n > 0 {
+			break
+		}
+		n++
+	}
+	w := &wk.w
+	w.u32(uint32(n))
+	for i := range ents[:n] {
+		d := &ents[i]
+		encodeDirent(w, d)
+		if d.Name != "." && d.Name != ".." {
+			if attr, err := wk.s.fs.Lookup(&wk.op, dir, d.Name); err == nil {
+				encodeAttr(w, &attr)
+				continue
+			}
+		}
+		w.b = append(w.b, noAttr[:]...)
+	}
+}
+
 // hostFlags is the server's one decision on the flags of its own host
 // descriptor, for an OPEN or a CREATE with the caller's flags. Each rule
 // follows the mount options alone (MountOptions.DirectRead, SyncByFsync).
@@ -825,20 +863,24 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		}
 		opErr = err
 
-	case OpReaddir:
+	case OpReaddir, OpReaddirplus:
 		handle := vfs.Handle(r.u64())
 		off := r.i64()
 		if r.bad {
 			break
 		}
+		plus := h.Opcode == OpReaddirplus
+		if plus && ino == 0 {
+			opErr = vfs.EINVAL // the entries are looked up under the nodeid
+			break
+		}
 		ents, err := wk.readdir(ino, handle, off)
-		if err == nil {
+		if err == nil && plus {
+			wk.direntsPlus(ino, ents)
+		} else if err == nil {
 			w.u32(uint32(len(ents)))
-			for _, d := range ents {
-				w.str(d.Name)
-				w.u64(uint64(d.Ino))
-				w.u8(uint8(d.Type))
-				w.i64(d.Off)
+			for i := range ents {
+				encodeDirent(w, &ents[i])
 			}
 		}
 		opErr = err

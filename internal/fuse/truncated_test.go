@@ -3,6 +3,7 @@ package fuse
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -99,7 +100,7 @@ func TestTruncatedEntryRepliesAreEIO(t *testing.T) {
 func requestCorpus(t testing.TB) [][]byte {
 	t.Helper()
 	var frames [][]byte
-	for _, g := range wireGolden {
+	for _, g := range slices.Concat(wireGolden, wireGoldenReaddirPlus) {
 		if hexFrame, ok := strings.CutPrefix(g, "> "); ok {
 			frame, err := hex.DecodeString(hexFrame)
 			if err != nil {
@@ -211,7 +212,7 @@ func TestTruncatedRequestsNeverReachTheFilesystem(t *testing.T) {
 			t.Fatalf("%v: the whole frame did not reach the filesystem", opcode)
 		}
 	}
-	if len(opcodes) != 26 {
-		t.Fatalf("corpus covers %d opcodes, want the 26 a Conn sends with a body: %v", len(opcodes), opcodes)
+	if len(opcodes) != 27 {
+		t.Fatalf("corpus covers %d opcodes, want the 27 a Conn sends with a body: %v", len(opcodes), opcodes)
 	}
 }

@@ -2,6 +2,7 @@ package fuse
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
@@ -55,17 +56,32 @@ var wireGoldenNoOpendir = []string{
 	"< 4100000000000000030000000000000002000000010000002e0100000000000000010100000000000000020000002e2e0100000000000000010200000000000000",
 }
 
+// wireGoldenReaddirPlus is the READDIRPLUS a ReaddirPlus mount sends to
+// list the root, holding the file "f", from the start, and its reply,
+// pinned as first encoded: fh 0 on nodeid 1, cookie 0; then ".", ".."
+// and "f", each entry followed by its attribute record, all zero for the
+// two the server does not look up, and f's from the server's lookup.
+var wireGoldenReaddirPlus = []string{
+	// READDIRPLUS fh 0 on nodeid 1, from cookie 0
+	"> 440000002c0000000500000000000000010000000000000000000000000000004d0000000000000002000000050000000600000000000000000000000000000000000000",
+	// ".", ".." without attributes; "f" with inode 2's
+	"< 2601000000000000050000000000000003000000010000002e0100000000000000010100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000020000002e2e010000000000000001020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000660200000000000000000300000000000000020000000000000000000000000000000000000000000000d00735c867274015d00735c867274015d00735c867274015a40100000001000000000000000000000000000000",
+}
+
 // TestWireBytesUnchanged replays a fixed op sequence over a connection
 // whose only "worker" is this test's loop, and compares every frame that
 // crosses the queue, in either direction, with bytes captured before the
 // transport recycled its buffers: the wire format is the trust boundary,
 // and host-side recycling must not move a byte of it. The sequence lists
 // a directory through a server handle (NoOpendir off); a second sequence
-// pins the frames of a listing by nodeid, wireGoldenNoOpendir.
+// pins the frames of a listing by nodeid, wireGoldenNoOpendir, both with
+// ReaddirPlus off; a third the READDIRPLUS of a listing from the start,
+// wireGoldenReaddirPlus.
 func TestWireBytesUnchanged(t *testing.T) {
 	opts := DefaultMountOptions()
 	opts.EntryTimeout, opts.AttrTimeout = 0, 0 // forgets are not withheld
 	opts.NoOpendir = false                     // OPENDIR, READDIR on its handle, RELEASEDIR
+	opts.ReaddirPlus = false                   // and no READDIRPLUS
 	cred := vfs.Root()
 	cred.Groups = []uint32{5, 6}
 	op := vfs.NewOp(nil, cred)
@@ -112,6 +128,7 @@ func TestWireBytesUnchanged(t *testing.T) {
 	compareWire(t, frames, wireGolden)
 
 	opts = DefaultMountOptions() // NoOpendir, with the caches it needs
+	opts.ReaddirPlus = false
 	frames = captureWire(t, opts, func(conn *Conn, step func()) {
 		dh, err := conn.Opendir(op, vfs.RootIno)
 		if err != nil || dh&localHandle == 0 {
@@ -127,6 +144,46 @@ func TestWireBytesUnchanged(t *testing.T) {
 		conn.Unmount()
 	})
 	compareWire(t, frames, wireGoldenNoOpendir)
+
+	frames = captureWire(t, DefaultMountOptions(), func(conn *Conn, step func()) {
+		_, h, err := conn.Create(op, vfs.RootIno, "f", 0o644, vfs.ORdwr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step()
+		conn.Release(op, h)
+		step()
+		dh, err := conn.Opendir(op, vfs.RootIno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step() // OPENDIR
+		step() // GETATTR
+		if ents, err := conn.Readdir(op, dh, 0); err != nil || len(ents) != 3 {
+			t.Fatal(ents, err)
+		}
+		step() // READDIRPLUS
+		step() // READDIR from f's cookie: the empty reply
+		conn.Releasedir(op, dh)
+		conn.Unmount()
+	})
+	compareWire(t, opcodePair(t, frames, OpReaddirplus), wireGoldenReaddirPlus)
+}
+
+// opcodePair returns the one request with opcode among frames, and the
+// reply that follows it.
+func opcodePair(t *testing.T, frames []string, opcode Opcode) []string {
+	t.Helper()
+	var pair []string
+	for i, f := range frames {
+		if b, err := hex.DecodeString(f[2:]); err == nil && f[0] == '>' && Opcode(binary.LittleEndian.Uint32(b[4:])) == opcode && i+1 < len(frames) {
+			pair = append(pair, f, frames[i+1])
+		}
+	}
+	if len(pair) != 2 {
+		t.Fatalf("%d %v requests with a reply crossed the queue, want 1:\n%q", len(pair)/2, opcode, frames)
+	}
+	return pair
 }
 
 // captureWire runs script over a connection with opts whose only

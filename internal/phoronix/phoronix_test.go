@@ -135,7 +135,7 @@ func TestFigure3Effect(t *testing.T) {
 	}{
 		{"ReadCache", 1.5}, {"Writeback", 1.15}, {"Batching", 1.05}, {"Splice", 0.98},
 		{"NoSec", 0}, {"SmallFile", 0}, {"SingleBuffer", 2.5}, {"SingleBarrier", 0}, {"ZeroMessageOpen", 0},
-		{"LargeRequests", 1.04}, {"ZeroMessageOpendir", 1.01},
+		{"LargeRequests", 1.04}, {"ZeroMessageOpendir", 1.01}, {"ReaddirPlus", 1.03},
 	}
 	panels := pass(t, figure3Panels)
 	if len(floors) != len(panels) {

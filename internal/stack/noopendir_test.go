@@ -19,6 +19,7 @@ import (
 // holds open on it with the last cookie each has read.
 type dirEnv struct {
 	top    vfs.FS
+	clock  *sim.Clock
 	host   *memfs.FS
 	sync   func() error
 	close  func()
@@ -32,11 +33,11 @@ func newDirEnv(mount *fuse.MountOptions) *dirEnv {
 	e := &dirEnv{}
 	if mount == nil {
 		n := NewNative(Config{})
-		e.top, e.host, e.close = n.Top, n.Mem, func() {}
+		e.top, e.clock, e.host, e.close = n.Top, n.Clock, n.Mem, func() {}
 		e.sync = n.Cache.SyncFS
 	} else {
 		c := NewCntr(Config{Mount: *mount})
-		e.top, e.host, e.close = c.Top, c.Host, c.Close
+		e.top, e.clock, e.host, e.close = c.Top, c.Clock, c.Host, c.Close
 		e.sync = func() error {
 			if err := c.Kernel.SyncFS(); err != nil {
 				return err

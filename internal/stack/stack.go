@@ -170,10 +170,11 @@ func newMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config,
 	cfs := cntrfs.New(base, cntrfs.Options{DedupHardlinks: !cfg.NoDedupHardlinks})
 	if len(served) > 0 {
 		// The served interceptors (cntr.Attach's Trace and Enforce) must
-		// see and gate every open and opendir: the server keeps answering
-		// OPEN and OPENDIR.
+		// see and gate every open, opendir and lookup: the server keeps
+		// answering OPEN and OPENDIR, and looks up only what LOOKUP asks.
 		cfg.Mount.NoOpen = false
 		cfg.Mount.NoOpendir = false
+		cfg.Mount.ReaddirPlus = false
 	}
 	conn, srv := fuse.Mount(vfs.Chain(cfs, served...), clock, model, cfg.Mount)
 
