@@ -42,16 +42,16 @@ type Options struct {
 	// EffectiveUser is the uid/gid the injected shell runs as (0 = root
 	// inside the container's user namespace).
 	EffectiveUser uint32
-	// Trace, when set, receives every operation served by this mount:
-	// a Tracer is inserted into the served filesystem's interceptor
-	// chain with its Sink pointed at the collector, and the collector's
-	// activity profile is exposed as /proc/policy/<container> inside
-	// the session. Delivery is synchronous — the view is read live, so
-	// an operation is in it by the time the operation returns.
+	// Trace, when set, receives every operation the session makes on
+	// the mount: a Tracer chained where a syscall enters it, with its
+	// Sink pointed at the collector, and the collector's activity
+	// profile is exposed as /proc/policy/<container> inside the session.
+	// Delivery is synchronous — the view is read live, so an operation
+	// is in it by the time the operation returns.
 	Trace *policy.Collector
-	// Enforce, when set, inserts a policy.Enforcer ahead of the served
-	// filesystem: operations outside the profile fail with EACCES (or,
-	// with EnforceAudit, are recorded as violations and let through).
+	// Enforce, when set, chains a policy.Enforcer at the same place,
+	// inside the tracer: operations outside the profile fail with EACCES
+	// (or, with EnforceAudit, are recorded as violations and let through).
 	Enforce      *policy.Profile
 	EnforceAudit bool
 	// EnforceBaseline, when set alongside Enforce, is the profile the
@@ -101,7 +101,7 @@ type Session struct {
 	// Enforcer is the live policy enforcer when Options.Enforce was
 	// set; its Denials/Violations expose what the policy blocked.
 	Enforcer *policy.Enforcer
-	// Tracer is the mount's trace source when Options.Trace was set.
+	// Tracer is the session's trace source when Options.Trace was set.
 	Tracer *vfs.Tracer
 
 	Master *pty.Master
@@ -147,10 +147,19 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("cntr: locating tools: %w", err)
 	}
-	// The served filesystem is wrapped in the policy interceptors the
-	// caller asked for. The tracer is outermost so it also records
-	// operations the enforcer denies — with EACCES as their outcome —
-	// which is what makes denials auditable through the activity view.
+	mount := stack.NewMount(toolsFS, h.Clock, h.Model, cfg)
+	// Any failure below tears the mount down again, leases included.
+	defer func() {
+		if err != nil {
+			mount.Close()
+		}
+	}()
+	// Policy sits at syscall entry, over the kernel-side cache, in the
+	// order phoronix.Run chains it: it sees what the session asked for,
+	// cache hits included, and the mount below is the measured one. The
+	// tracer is outermost so it also records operations the enforcer
+	// denies — with EACCES as their outcome — which is what makes denials
+	// auditable through the activity view.
 	var ics []vfs.Interceptor
 	var tracer *vfs.Tracer
 	if opts.Trace != nil {
@@ -166,13 +175,7 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 		enforcer = policy.NewEnforcer(opts.Enforce, opts.EnforceAudit)
 		ics = append(ics, enforcer)
 	}
-	mount := stack.NewMount(toolsFS, h.Clock, h.Model, cfg, ics...)
-	// Any failure below tears the mount down again, leases included.
-	defer func() {
-		if err != nil {
-			mount.Close()
-		}
-	}()
+	top := vfs.Chain(mount.Kernel, ics...)
 
 	// Step #3: initialize the tools namespace. Fork, join the target's
 	// namespaces and cgroup, build the nested mount namespace, mount
@@ -202,7 +205,7 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 	}
 
 	// Mount CntrFS on the temporary mount point.
-	if err := nestedMount.Mount(tmpMountPoint, mount.Kernel, vfs.RootIno, namespace.PropPrivate, false); err != nil {
+	if err := nestedMount.Mount(tmpMountPoint, top, vfs.RootIno, namespace.PropPrivate, false); err != nil {
 		return nil, err
 	}
 	// Re-expose every pre-existing container mount under TMP/var/lib/cntr.

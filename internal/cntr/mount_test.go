@@ -8,6 +8,7 @@ import (
 	"cntr/internal/cachesvc"
 	"cntr/internal/cgroup"
 	"cntr/internal/fuse"
+	"cntr/internal/policy"
 	"cntr/internal/stack"
 	"cntr/internal/vfs"
 )
@@ -88,8 +89,9 @@ func readSequential(t *testing.T, cli *vfs.Client, path string) {
 }
 
 // mountTraffic drives one sequence through a mount — create a file,
-// write 1 MiB sequentially, close, reopen and read it back, then read
-// the seeded file cold — and returns what it cost on the connection.
+// write 1 MiB sequentially, close, reopen and read it back, read the
+// seeded file cold, then list the root — and returns what it cost on
+// the connection: requests, bytes each way and frames by opcode.
 func mountTraffic(t *testing.T, served *Host, cli *vfs.Client, conn *fuse.Conn) fuse.ConnStats {
 	t.Helper()
 	if err := vfs.NewClient(served.RootFS, vfs.Root()).WriteFile(seedPath, mib, 0o644); err != nil {
@@ -113,40 +115,70 @@ func mountTraffic(t *testing.T, served *Host, cli *vfs.Client, conn *fuse.Conn) 
 	}
 	readSequential(t, cli, "/blob")
 	readSequential(t, cli, seedPath)
+	if _, err := cli.ReadDir("/"); err != nil {
+		t.Fatal(err)
+	}
 	after := conn.Stats()
-	return fuse.ConnStats{
+	cost := fuse.ConnStats{
 		Requests: after.Requests - before.Requests,
 		BytesOut: after.BytesOut - before.BytesOut,
 		BytesIn:  after.BytesIn - before.BytesIn,
 	}
+	for op := range cost.Frames {
+		cost.Frames[op] = after.Frames[op] - before.Frames[op]
+	}
+	return cost
 }
 
 // TestAttachedMountIsTheMeasuredMount: the mount an attached session
 // gets and a bare stack.NewMount over an identically seeded filesystem
 // put the same frames on the wire for the same work — same writeback
 // window, same write-out at close, same cache kept across the reopen,
-// same readahead windows. This is what keeps the attach workflow and
-// the benchmarked stack from drifting apart again.
+// same readahead windows — with policy off, with a tracer recording,
+// and with an enforcer gating on the profile that recording produced:
+// policy sits where a syscall enters the mount and changes nothing
+// below it. This is what keeps the attach workflow and the benchmarked
+// stack from drifting apart again.
 func TestAttachedMountIsTheMeasuredMount(t *testing.T) {
-	h, _, _ := testWorld(t)
-	sess, err := Attach(h, Options{Container: "db"}) // host tools: serves h.RootFS
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	attached := mountTraffic(t, h, sess.Client, sess.Mount.Conn)
-
 	twin := NewHost() // seeds its root filesystem exactly as testWorld's host did
 	m := stack.NewMount(twin.RootFS, twin.Clock, twin.Model, stack.Config{})
 	defer m.Close()
 	bare := mountTraffic(t, twin, vfs.NewClient(m.Kernel, vfs.Root()), m.Conn)
-
-	if attached != bare {
-		t.Fatalf("attached mount's wire traffic differs from stack.NewMount's:\nattached %+v\nbare     %+v", attached, bare)
-	}
 	t.Logf("requests %d, bytes out %d, in %d", bare.Requests, bare.BytesOut, bare.BytesIn)
 	if bare.BytesOut < 1<<20 || bare.BytesIn < 1<<20 {
 		t.Fatalf("the sequence did not cross the wire both ways: %+v", bare)
+	}
+
+	col := policy.NewCollector()
+	for _, tc := range []struct {
+		name string
+		opts func(t *testing.T) Options // host tools: the session serves h.RootFS
+	}{
+		{"plain", func(*testing.T) Options { return Options{Container: "db"} }},
+		{"traced", func(*testing.T) Options { return Options{Container: "db", Trace: col} }},
+		{"enforcing", func(t *testing.T) Options {
+			p := col.Profile(policy.GenOptions{})
+			if !p.Allows(vfs.KindCreate, "/blob") || !p.Allows(vfs.KindRead, seedPath) {
+				t.Fatalf("the traced session recorded no create of /blob or read of %s: %+v", seedPath, p.Rules)
+			}
+			return Options{Container: "db", Enforce: p}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, _, _ := testWorld(t)
+			sess, err := Attach(h, tc.opts(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			attached := mountTraffic(t, h, sess.Client, sess.Mount.Conn)
+			if attached != bare {
+				t.Fatalf("attached mount's wire traffic differs from stack.NewMount's:\nattached %+v\nbare     %+v", attached, bare)
+			}
+			if sess.Enforcer != nil && sess.Enforcer.Denials() != 0 {
+				t.Fatalf("the recorded profile denied its own replay: %+v", sess.Enforcer.Violations())
+			}
+		})
 	}
 }
 

@@ -169,11 +169,12 @@ func TestAttachRetiresOriginsOnExit(t *testing.T) {
 	}
 }
 
-// TestAttachPolicySeesEveryOpen: the policy interceptors sit on the
-// server side of the mount, so an attached session's server keeps being
-// asked on every open (stack.NewMount turns fuse.MountOptions.NoOpen off
-// when it is handed any): Trace records the open of a regular file, and
-// Enforce can deny one whose lookup it allows.
+// TestAttachPolicySeesEveryOpen: the policy interceptors sit where a
+// syscall enters the session's mount, above the kernel-side cache, so
+// they see every open the session makes even though the mount opens
+// regular files without a message to the server (fuse.MountOptions
+// NoOpen): Trace records the open of a regular file, and Enforce can
+// deny one whose lookup it allows.
 func TestAttachPolicySeesEveryOpen(t *testing.T) {
 	h, _, _ := testWorld(t)
 	p := tracedProfile(t, h)
@@ -197,5 +198,46 @@ func TestAttachPolicySeesEveryOpen(t *testing.T) {
 	v := sess.Enforcer.Violations()
 	if sess.Enforcer.Denials() != 1 || len(v) != 1 || v[0].Kind != vfs.KindOpen || !v[0].Denied {
 		t.Fatalf("denials %d, violations %+v; want the one open denied", sess.Enforcer.Denials(), v)
+	}
+}
+
+// TestAttachReadCeilingCountsCacheHits: a byte ceiling counts what the
+// session read, not what crossed the wire. The profile allows reading
+// one file's size; the first read of the file fills the kernel-side
+// cache, and the second, which that cache would serve without a frame,
+// is denied at syscall entry.
+func TestAttachReadCeilingCountsCacheHits(t *testing.T) {
+	h, _, _ := testWorld(t)
+	const path, size = "/usr/bin/gdb", 5000
+	p := &policy.Profile{
+		Rules: []policy.Rule{{Prefix: "/", Kinds: []string{
+			"lookup", "getattr", "access", "open", "read", "opendir", "readdir", "getxattr",
+		}}},
+		MaxReadBytes: size,
+	}
+	sess, err := Attach(h, Options{Container: "db", Fat: "tools", Enforce: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	f, err := sess.Client.Open(path, vfs.ORdonly, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, size)
+	if n, err := f.ReadAt(buf, 0); n != size || err != nil {
+		t.Fatalf("first read of %s: %d bytes, %v; want all %d", path, n, err, size)
+	}
+	frames := sess.Mount.Conn.Stats().Requests
+	if _, err := f.ReadAt(buf, 0); err != vfs.EACCES {
+		t.Fatalf("second read of %s past the ceiling: %v, want EACCES", path, err)
+	}
+	if n := sess.Mount.Conn.Stats().Requests - frames; n != 0 {
+		t.Fatalf("the denied read sent %d frames", n)
+	}
+	v := sess.Enforcer.Violations()
+	if sess.Enforcer.Denials() != 1 || len(v) != 1 || v[0].Kind != vfs.KindRead || v[0].Reason != "read ceiling" {
+		t.Fatalf("denials %d, violations %+v; want the second read denied for its ceiling", sess.Enforcer.Denials(), v)
 	}
 }

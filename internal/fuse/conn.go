@@ -277,6 +277,7 @@ type request struct {
 	spare  []byte      // the small buffer a payload-sized frame or out displaced
 	reply  chan []byte // announces the reply frame; unused when oneWay
 	r      rdr         // reply body decoder handed to the decode func (a local would escape)
+	ctx    reqCtx      // the context the server serves it under
 	oneWay bool
 
 	c      *Conn
@@ -353,6 +354,7 @@ func (p *request) release() {
 		p.c.keepFrame(out)
 		out, p.spare = p.spare, nil
 	}
+	p.ctx.reset()
 	*p = request{frame: buf{b: frame}, out: out, reply: p.reply}
 	requestPool.Put(p)
 }

@@ -295,11 +295,12 @@ func (f *hookFS) Getattr(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
 	return f.FS.Getattr(op, ino)
 }
 
-// TestInterruptDoesNotCrossRecycledRequest: with one server thread every
-// request runs on the same recycled Op and cancellation context, so a
-// cancellation aimed at request A must never reach B, the struct's next
-// tenant — not a FUSE_INTERRUPT that names A after A was answered, and
-// not the teardown sweep that canceled A while it was in flight.
+// TestInterruptDoesNotCrossRecycledRequest: with one server thread and
+// one caller at a time every request runs on the same recycled Op and on
+// a recycled request with its cancellation context, so a cancellation
+// aimed at request A must never reach B, the struct's next tenant — not
+// a FUSE_INTERRUPT that names A after A was answered, and not the
+// teardown sweep that canceled A while it was in flight.
 func TestInterruptDoesNotCrossRecycledRequest(t *testing.T) {
 	opts := DefaultMountOptions()
 	opts.ServerThreads = 1
@@ -360,7 +361,7 @@ func TestInterruptDoesNotCrossRecycledRequest(t *testing.T) {
 		done <- err
 	}()
 	<-parked
-	srv.cancelInflight()
+	srv.table.cancelAll()
 	if err := <-done; vfs.ToErrno(err) != vfs.EINTR {
 		t.Fatalf("swept request: %v, want EINTR", err)
 	}
@@ -500,7 +501,7 @@ func TestReqTableReadsInterruptsFirst(t *testing.T) {
 		if !ok || m != want {
 			t.Fatalf("pop %d returned the wrong frame (ok=%v)", i, ok)
 		}
-		tab.done(origin, 0, 0, false, false)
+		tab.done(origin, m.unique, ioAcct{})
 	}
 	if got := tab.originStats(); got[0].Ops != 1 || got[7].Ops != 3 {
 		t.Fatalf("accounting = %+v, want one op for origin 0 and three for origin 7", got)

@@ -164,9 +164,10 @@ func TestOriginStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestInterruptBookkeepingBounded is the regression test for the
-// interrupt-set growth noted in PR 1: an interrupt arriving for an
-// already-completed unique must be dropped, not parked forever.
+// TestInterruptBookkeepingBounded: an INTERRUPT resolves through the
+// request table, which maps a request only until it is answered. Late
+// interrupts for answered requests and interrupts for uniques that never
+// existed are dropped: nothing is parked, and the table maps no request.
 func TestInterruptBookkeepingBounded(t *testing.T) {
 	opts := DefaultMountOptions()
 	opts.EntryTimeout = 0 // force wire traffic for every stat
@@ -180,20 +181,19 @@ func TestInterruptBookkeepingBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Late interrupts for every unique issued so far: all two-way
-	// requests have completed, so none of these may stick.
+	// Late interrupts for every unique issued so far, then interrupts
+	// for uniques that never existed.
 	last := e.conn.unique.Load()
-	for u := uint64(1); u <= last; u++ {
+	for u := uint64(1); u <= last+3000; u++ {
 		e.srv.interrupt(u)
 	}
-	if n := e.srv.pendingInterrupts(); n != 0 {
-		t.Fatalf("%d interrupts parked for completed uniques, want 0", n)
+	e.srv.table.mu.Lock()
+	mapped := len(e.srv.table.live)
+	e.srv.table.mu.Unlock()
+	if mapped != 0 {
+		t.Fatalf("the table maps %d requests after every request was answered, want 0", mapped)
 	}
-	// Interrupts for uniques that never existed stay bounded too.
-	for u := last + 1; u < last+3*completedRing; u++ {
-		e.srv.interrupt(u)
-	}
-	if n := e.srv.pendingInterrupts(); n > completedRing+1 {
-		t.Fatalf("pending interrupt set grew to %d, bound is %d", n, completedRing+1)
+	if _, err := e.cli.Stat("/f"); err != nil {
+		t.Fatalf("a request after the dropped interrupts: %v", err)
 	}
 }

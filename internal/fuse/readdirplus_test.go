@@ -189,8 +189,8 @@ func TestReaddirPlusInFlightUnlink(t *testing.T) {
 			}
 			var h ReqHeader
 			decodeReqHeader(msg.frame.b, &h, &rdr{})
-			reply, acct := wk.dispatch(msg.frame.b, msg.out)
-			table.done(origin, acct.readBytes, acct.writeBytes, acct.isRead, acct.isWrite)
+			reply, acct := wk.dispatch(msg)
+			table.done(origin, msg.unique, acct)
 			if msg.oneWay {
 				msg.release()
 				continue

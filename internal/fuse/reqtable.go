@@ -12,7 +12,8 @@ import "sync"
 // origin (the requesting process id carried in Op.PID), and the table
 // counts, per origin, the completed operations and the payload bytes they
 // moved — the per-container view /proc/<pid>/io and BEACON-style policy
-// generation read.
+// generation read. And it is where an INTERRUPT finds its target: a
+// two-way request is mapped by its unique from push to done.
 //
 // One mutex guards everything below it, as one spinlock guards the
 // kernel's queue. The contention Figure 4 measures on that queue is
@@ -36,6 +37,11 @@ type reqTable struct {
 	// caller's backlog — or for a slot in a full table — would arrive after
 	// the request it is meant to abort had been served the slow way.
 	interrupts []*request
+	// live maps each two-way request's unique to the request, from push
+	// to done: the span in which its awaiter may send an INTERRUPT for
+	// it and the request is not yet answered, so not yet recycled.
+	// One-way requests carry no unique of their own and are not mapped.
+	live map[uint64]*request
 
 	// origins holds exactly the origins with a request queued or in
 	// flight; an origin leaves it when it goes idle, so the map stays
@@ -92,6 +98,7 @@ func (s *OriginStats) Add(o OriginStats) {
 func newReqTable(maxQueued int) *reqTable {
 	t := &reqTable{
 		ring:    make([]queued, maxQueued),
+		live:    make(map[uint64]*request),
 		origins: make(map[uint32]originState),
 		stats:   make(map[uint32]OriginStats),
 	}
@@ -117,6 +124,9 @@ func (t *reqTable) push(origin uint32, msg *request) bool {
 	// was recycled: the origin is live again, so its counters must not be
 	// folded away when the old stragglers finish.
 	t.origins[origin] = originState{outstanding: t.origins[origin].outstanding + 1}
+	if msg.unique != 0 {
+		t.live[msg.unique] = msg
+	}
 	t.ring[(t.head+t.n)%len(t.ring)] = queued{msg, origin}
 	t.n++
 	t.work.Signal()
@@ -174,22 +184,24 @@ func (t *reqTable) pop() (msg *request, origin uint32, ok bool) {
 	return e.msg, e.origin, true
 }
 
-// done records the completion of a request popped for origin, folding the
-// transferred byte counts into the origin's accounting and ending its
+// done records the completion of a request popped for origin: it
+// unmaps the request's unique (zero for a one-way request), folds the
+// transferred byte counts into the origin's accounting and ends its
 // outstanding count; an origin that goes idle leaves the origins map,
 // folding its stats first if its process has exited.
-func (t *reqTable) done(origin uint32, readBytes, writeBytes int64, isRead, isWrite bool) {
+func (t *reqTable) done(origin uint32, unique uint64, acct ioAcct) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	delete(t.live, unique)
 	s := t.stats[origin]
 	s.Ops++
-	if isRead {
+	if acct.isRead {
 		s.ReadOps++
-		s.ReadBytes += readBytes
+		s.ReadBytes += acct.readBytes
 	}
-	if isWrite {
+	if acct.isWrite {
 		s.WriteOps++
-		s.WriteBytes += writeBytes
+		s.WriteBytes += acct.writeBytes
 	}
 	t.stats[origin] = s
 
@@ -215,6 +227,29 @@ func (t *reqTable) close() {
 	t.space.Broadcast()
 	t.work.Broadcast()
 	t.mu.Unlock()
+}
+
+// interrupt cancels the request mapped to unique. An unmapped unique was
+// already answered — the awaiter sends an INTERRUPT only after its push
+// succeeded — so the frame is dropped, as the kernel drops one whose
+// request has left the processing list.
+func (t *reqTable) interrupt(unique uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if msg := t.live[unique]; msg != nil {
+		msg.ctx.cancel()
+	}
+}
+
+// cancelAll cancels every mapped request: queued or in flight, none is
+// answered yet. On a closed table nothing new is mapped, so one sweep
+// reaches every request that will ever be served.
+func (t *reqTable) cancelAll() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, msg := range t.live {
+		msg.ctx.cancel()
+	}
 }
 
 // depth reports how many frames are waiting to be read, interrupts

@@ -30,14 +30,14 @@ func TestManyOriginStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				_, origin, ok := tab.pop()
+				msg, origin, ok := tab.pop()
 				if !ok {
 					return
 				}
 				servedMu.Lock()
 				servedCount[origin]++
 				servedMu.Unlock()
-				tab.done(origin, 64, 0, true, false)
+				tab.done(origin, msg.unique, ioAcct{readBytes: 64, isRead: true})
 			}
 		}()
 	}

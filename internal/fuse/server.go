@@ -18,37 +18,14 @@ import (
 // requests in arrival order, interrupts first, and keeps the per-origin
 // accounting (see reqTable).
 type Server struct {
-	fs      vfs.FS
-	clock   *sim.Clock
-	model   *sim.CostModel
-	opts    MountOptions
-	table   *reqTable
-	wg      sync.WaitGroup
-	served  atomic.Int64
-	errors  atomic.Int64
-	stopped atomic.Bool
-
-	// inflight maps a request's unique id to its operation context;
-	// FUSE_INTERRUPT frames resolve through it. The contexts are recycled
-	// (one per worker), so cancellation is keyed by unique and happens
-	// under inflightMu: an entry is only ever canceled while its request
-	// is still registered, and untrack removes it under the same lock
-	// before the context gets its next tenant — a late interrupt or a
-	// teardown sweep can never reach the wrong request.
-	// pending records interrupts that raced ahead of their target's
-	// registration (a sibling worker may process the INTERRUPT frame
-	// before the target request's worker registers it); track consumes
-	// them, so no interleaving loses an interrupt. completed remembers
-	// the last completedRing finished uniques so a late interrupt for an
-	// already-answered request is dropped instead of leaking a pending
-	// entry — this is what keeps the set bounded.
-	inflightMu    sync.Mutex
-	inflight      map[uint64]*reqCtx
-	pending       map[uint64]bool
-	completed     map[uint64]struct{}
-	completedFifo [completedRing]uint64 // ring of the uniques in completed
-	completedN    uint64                // uniques ever completed
-	interrupts    atomic.Int64
+	fs         vfs.FS
+	clock      *sim.Clock
+	model      *sim.CostModel
+	opts       MountOptions
+	table      *reqTable
+	wg         sync.WaitGroup
+	served     atomic.Int64
+	interrupts atomic.Int64
 
 	// files holds, per inode, the host descriptors its fh-0 frames are
 	// served through (MountOptions.NoOpen, worker.hostFile).
@@ -70,11 +47,13 @@ type hostFiles struct {
 	copyUps int
 }
 
-// reqCtx is the cancellation context of one dispatched request: what
+// reqCtx is the cancellation context of one request: what
 // context.WithCancel provided, minus its allocations. The Done channel is
 // made only when something asks for it — a FIFO read or a parked open
 // blocks on it, an ordinary request only polls Err — and the struct is
-// recycled by its worker from one request to the next.
+// recycled with its request, whose release wipes it. It is canceled only
+// through the request table, and only while the table maps the request,
+// so a cancellation never reaches the struct's next tenant.
 type reqCtx struct {
 	canceled atomic.Bool
 	mu       sync.Mutex
@@ -130,20 +109,11 @@ func (c *reqCtx) reset() {
 	c.canceled.Store(false)
 }
 
-// completedRing bounds the completed-unique memory: old entries fall out
-// first. Uniques older than the ring can no longer race an interrupt in
-// practice; a spurious interrupt for one is additionally bounded by the
-// pending-set reset.
-const completedRing = 1024
-
 // newServer starts the worker pool. Workers exit when the table closes.
 func newServer(fs vfs.FS, clock *sim.Clock, model *sim.CostModel, opts MountOptions, table *reqTable) *Server {
 	s := &Server{
 		fs: fs, clock: clock, model: model, opts: opts, table: table,
-		inflight:  make(map[uint64]*reqCtx),
-		pending:   make(map[uint64]bool),
-		completed: make(map[uint64]struct{}),
-		files:     make(map[vfs.Ino]hostFiles),
+		files: make(map[vfs.Ino]hostFiles),
 	}
 	for i := 0; i < opts.ServerThreads; i++ {
 		s.wg.Add(1)
@@ -152,38 +122,16 @@ func newServer(fs vfs.FS, clock *sim.Clock, model *sim.CostModel, opts MountOpti
 	return s
 }
 
-// Wait blocks until all workers have drained the queue and exited.
-// Requests still blocked inside the filesystem (e.g. a FIFO read with no
-// writer) are canceled, so teardown cannot hang on an operation nobody
-// will ever complete; the cancellation repeats until every worker is
-// out, covering requests dispatched after the first sweep.
+// Wait blocks until all workers have drained the queue and exited; call
+// it after Conn.Unmount has closed the request table. Every request not
+// yet answered is canceled first, so a request blocked inside the
+// filesystem (e.g. a FIFO read with no writer) cannot hang the teardown.
 func (s *Server) Wait() {
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	for {
-		select {
-		case <-done:
-			op := vfs.RootOp()
-			for ino := range s.files { // the workers are gone
-				s.closeFiles(op, ino)
-			}
-			s.stopped.Store(true)
-			return
-		case <-time.After(10 * time.Millisecond):
-			s.cancelInflight()
-		}
-	}
-}
-
-// cancelInflight aborts every registered request.
-func (s *Server) cancelInflight() {
-	s.inflightMu.Lock()
-	defer s.inflightMu.Unlock()
-	for _, ctx := range s.inflight {
-		ctx.cancel()
+	s.table.cancelAll()
+	s.wg.Wait()
+	op := vfs.RootOp()
+	for ino := range s.files { // the workers are gone
+		s.closeFiles(op, ino)
 	}
 }
 
@@ -193,65 +141,10 @@ func (s *Server) Served() int64 { return s.served.Load() }
 // Interrupts reports how many FUSE_INTERRUPT frames were processed.
 func (s *Server) Interrupts() int64 { return s.interrupts.Load() }
 
-// track registers a request's context for interrupt delivery, consuming
-// any interrupt that arrived before the registration.
-func (s *Server) track(unique uint64, ctx *reqCtx) {
-	s.inflightMu.Lock()
-	defer s.inflightMu.Unlock()
-	s.inflight[unique] = ctx
-	if s.pending[unique] {
-		delete(s.pending, unique)
-		ctx.cancel()
-	}
-}
-
-// untrack removes a finished request, clears any interrupt that raced in
-// for it, and records the unique as completed so a later interrupt for
-// it is recognized and dropped rather than parked forever.
-func (s *Server) untrack(unique uint64) {
-	s.inflightMu.Lock()
-	delete(s.inflight, unique)
-	delete(s.pending, unique)
-	slot := &s.completedFifo[s.completedN%completedRing]
-	if s.completedN >= completedRing {
-		delete(s.completed, *slot)
-	}
-	*slot = unique
-	s.completedN++
-	s.completed[unique] = struct{}{}
-	s.inflightMu.Unlock()
-}
-
-// interrupt cancels the in-flight request with the given unique id. An
-// id that is not registered yet is remembered so the registration can
-// consume it — unless the request already completed, in which case the
-// interrupt is dropped (the real protocol has the same race; tracking
-// completed uniques is what keeps the pending set from growing without
-// bound). Spurious interrupts for uniques that never existed are bounded
-// by resetting the set when it grows past the ring size.
-func (s *Server) interrupt(target uint64) {
+// interrupt processes an INTERRUPT frame naming the request unique.
+func (s *Server) interrupt(unique uint64) {
 	s.interrupts.Add(1)
-	s.inflightMu.Lock()
-	defer s.inflightMu.Unlock()
-	if ctx := s.inflight[target]; ctx != nil {
-		ctx.cancel()
-		return
-	}
-	if _, done := s.completed[target]; done {
-		return
-	}
-	if len(s.pending) > completedRing {
-		s.pending = make(map[uint64]bool)
-	}
-	s.pending[target] = true
-}
-
-// pendingInterrupts reports the interrupts parked for unregistered
-// uniques (regression hook: the set must stay bounded).
-func (s *Server) pendingInterrupts() int {
-	s.inflightMu.Lock()
-	defer s.inflightMu.Unlock()
-	return len(s.pending)
+	s.table.interrupt(unique)
 }
 
 // Queued reports the requests currently waiting in the request table.
@@ -285,17 +178,16 @@ func (s *Server) Steals() int64 { return 0 }
 
 // worker is one server thread together with the per-request state it
 // recycles: the decoded header, the request reader, the reply encoder,
-// and the Op, Cred and cancellation context the filesystem is called
-// with. A thread serves one request at a time, so the state needs no
-// pool — it is overwritten by the next request, which is why nothing
-// below the server may keep an *Op, a *Cred or a frame slice past the
-// call that received it.
+// and the Op and Cred the filesystem is called with (the Op's context is
+// the request's own). A thread serves one request at a time, so the state
+// needs no pool — it is overwritten by the next request, which is why
+// nothing below the server may keep an *Op, a *Cred or a frame slice past
+// the call that received it.
 type worker struct {
 	s    *Server
 	hdr  ReqHeader
 	r    rdr
 	w    buf
-	ctx  reqCtx
 	cred vfs.Cred
 	op   vfs.Op
 }
@@ -328,11 +220,11 @@ func (wk *worker) run() {
 			}
 			s.clock.Advance(cost)
 		}
-		reply, acct := wk.dispatch(msg.frame.b, msg.out)
+		reply, acct := wk.dispatch(msg)
 		// Account completion before delivering the reply, so a caller
 		// that awaited the request observes its own operation in the
 		// origin counters.
-		s.table.done(origin, acct.readBytes, acct.writeBytes, acct.isRead, acct.isWrite)
+		s.table.done(origin, msg.unique, acct)
 		if msg.oneWay {
 			msg.release() // nobody awaits it: the server is its last owner
 			continue
@@ -561,20 +453,19 @@ func (s *Server) hostFlags(opcode Opcode, flags vfs.OpenFlags) vfs.OpenFlags {
 	return flags
 }
 
-// dispatch decodes one request frame, invokes the filesystem, and
-// encodes the reply frame in place into out's storage (or a larger
+// dispatch decodes msg's request frame, invokes the filesystem, and
+// encodes the reply frame in place into msg.out's storage (or a larger
 // buffer when the reply does not fit), returning it; nil means the
-// opcode has no reply. Each request runs under its own cancelable
-// context, registered by unique id so FUSE_INTERRUPT frames (processed
-// by a sibling worker) can abort it mid-flight.
-func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
+// opcode has no reply. The filesystem is called under msg's own
+// context, which an INTERRUPT frame (processed by a sibling worker)
+// cancels through the request table.
+func (wk *worker) dispatch(msg *request) ([]byte, ioAcct) {
 	s, h, r, w := wk.s, &wk.hdr, &wk.r, &wk.w
 	defer wk.clear()
 	var acct ioAcct
-	w.b = frameBuf(out, 0)
+	w.b = frameBuf(msg.out, 0)
 	beginReply(w)
-	if err := decodeReqHeader(frame, h, r); err != nil {
-		s.errors.Add(1)
+	if err := decodeReqHeader(msg.frame.b, h, r); err != nil {
 		return finishReply(w, h.Unique, vfs.EINVAL), acct
 	}
 	if h.Opcode == OpInterrupt {
@@ -583,11 +474,9 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		}
 		return nil, acct // one-way
 	}
-	s.track(h.Unique, &wk.ctx)
-	defer s.untrack(h.Unique)
 	serverCred(&wk.cred, h.UID, h.GID, h.Groups)
 	op := &wk.op
-	op.Init(&wk.ctx, &wk.cred, h.Unique, h.PID)
+	op.Init(&msg.ctx, &wk.cred, h.Unique, h.PID)
 	ino := vfs.Ino(h.NodeID)
 	var opErr error
 
@@ -965,18 +854,15 @@ func (wk *worker) dispatch(frame, out []byte) ([]byte, ioAcct) {
 		opErr = vfs.EINVAL
 	}
 	if opErr != nil {
-		s.errors.Add(1)
 		w.b = w.b[:respHeaderLen]
 		return finishReply(w, h.Unique, vfs.ToErrno(opErr)), ioAcct{}
 	}
 	return finishReply(w, h.Unique, vfs.OK), acct
 }
 
-// clear ends a dispatch: the context is closed out for whoever still
-// held its Done channel, and no reference to the request's frames, nor
-// any of its identity, outlives it in the worker.
+// clear ends a dispatch: no reference to the request's frames or
+// context, nor any of its identity, outlives it in the worker.
 func (wk *worker) clear() {
-	wk.ctx.reset()
 	wk.r, wk.w.b = rdr{}, nil
 	wk.op, wk.cred = vfs.Op{}, vfs.Cred{}
 	if cap(wk.hdr.Groups) > maxRecycledFrame/4 {

@@ -31,7 +31,7 @@ func replyingMount(t *testing.T, body func(h *ReqHeader, w *buf)) *Conn {
 			w := &buf{}
 			beginReply(w)
 			body(&h, w)
-			table.done(origin, 0, 0, false, false)
+			table.done(origin, msg.unique, ioAcct{})
 			if !msg.oneWay {
 				msg.reply <- finishReply(w, h.Unique, vfs.OK)
 			}
@@ -122,7 +122,7 @@ func requestCorpus(t testing.TB) [][]byte {
 				return
 			}
 			frames = append(frames, append([]byte(nil), msg.frame.b...))
-			table.done(origin, 0, 0, false, false)
+			table.done(origin, msg.unique, ioAcct{})
 			if msg.oneWay {
 				msg.release()
 				continue
@@ -195,7 +195,7 @@ func TestTruncatedRequestsNeverReachTheFilesystem(t *testing.T) {
 				if patched && cut >= 4 {
 					binary.LittleEndian.PutUint32(short, uint32(cut))
 				}
-				reply, _ := wk.dispatch(short, nil)
+				reply, _ := wk.dispatch(&request{frame: buf{b: short}})
 				if reply == nil {
 					if opcode != OpForget {
 						t.Fatalf("%v cut at %d of %d (length patched: %v): no reply", opcode, cut, len(frame), patched)
@@ -208,7 +208,7 @@ func TestTruncatedRequestsNeverReachTheFilesystem(t *testing.T) {
 				}
 			}
 		}
-		if wk.dispatch(frame, nil); calls.n.Swap(0) == 0 {
+		if wk.dispatch(&request{frame: buf{b: frame}}); calls.n.Swap(0) == 0 {
 			t.Fatalf("%v: the whole frame did not reach the filesystem", opcode)
 		}
 	}

@@ -209,8 +209,8 @@ func captureWire(t *testing.T, opts MountOptions, script func(conn *Conn, step f
 				return
 			}
 			frames = append(frames, "> "+hex.EncodeToString(msg.frame.b))
-			reply, acct := wk.dispatch(msg.frame.b, msg.out)
-			table.done(origin, acct.readBytes, acct.writeBytes, acct.isRead, acct.isWrite)
+			reply, acct := wk.dispatch(msg)
+			table.done(origin, msg.unique, acct)
 			if msg.oneWay {
 				msg.release()
 			} else {

@@ -20,7 +20,9 @@
 // The FUSE side of the Cntr stack — everything from the kernel-side cache
 // down to CntrFS — is a Mount, assembled in one place and shared with
 // the attach workflow (cntr.Attach serves a tools filesystem through
-// NewMount), so the mount a session gets is the measured mount.
+// NewMount), so the mount a session gets is the measured mount. Policy
+// does not change it: a tracer or an enforcer chains over the top of a
+// stack, where a syscall enters, in every program.
 package stack
 
 import (
@@ -72,13 +74,6 @@ type Config struct {
 	// CacheMountID names this mount to the cache service (lease
 	// identity); defaults to "mount-0".
 	CacheMountID string
-	// BelowCache interceptors sit between the kernel-side page cache and
-	// the FUSE connection in the Cntr stack: every miss the cache turns
-	// into FUSE traffic — readahead windows and writeback extents
-	// included — flows through them. This is
-	// where a policy.Enforcer belongs when it should gate what actually
-	// crosses into CntrFS rather than what the application asked for.
-	BelowCache []vfs.Interceptor
 }
 
 // Native is the baseline stack.
@@ -138,13 +133,10 @@ type Mount struct {
 }
 
 // NewMount serves base through CntrFS over FUSE on the given clock and
-// cost model, with a memory budget of cfg.RAM of its own. The served
-// interceptors sit on the server side, between the FUSE server and
-// CntrFS (outermost first), and see every request that crosses the
-// wire; cfg.BelowCache sits on the kernel side of it.
-func NewMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config, served ...vfs.Interceptor) *Mount {
+// cost model, with a memory budget of cfg.RAM of its own.
+func NewMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config) *Mount {
 	applyDefaults(&cfg)
-	return newMount(base, clock, model, cfg, pagecache.NewMemBudget(cfg.RAM), tierClient(cfg, clock, model), served)
+	return newMount(base, clock, model, cfg, pagecache.NewMemBudget(cfg.RAM), tierClient(cfg, clock, model))
 }
 
 // tierClient attaches a mount to cfg.CacheService: its lease epochs
@@ -166,17 +158,9 @@ func tierClient(cfg Config, clock *sim.Clock, model *sim.CostModel) *cachecl.Cli
 // NewMount because its host side shares the budget and reads through
 // the tier client.
 func newMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config,
-	budget *pagecache.MemBudget, cacheCl *cachecl.Client, served []vfs.Interceptor) *Mount {
+	budget *pagecache.MemBudget, cacheCl *cachecl.Client) *Mount {
 	cfs := cntrfs.New(base, cntrfs.Options{DedupHardlinks: !cfg.NoDedupHardlinks})
-	if len(served) > 0 {
-		// The served interceptors (cntr.Attach's Trace and Enforce) must
-		// see and gate every open, opendir and lookup: the server keeps
-		// answering OPEN and OPENDIR, and looks up only what LOOKUP asks.
-		cfg.Mount.NoOpen = false
-		cfg.Mount.NoOpendir = false
-		cfg.Mount.ReaddirPlus = false
-	}
-	conn, srv := fuse.Mount(vfs.Chain(cfs, served...), clock, model, cfg.Mount)
+	conn, srv := fuse.Mount(cfs, clock, model, cfg.Mount)
 
 	// Kernel-side cache above the FUSE mount. Its caching behaviour is
 	// governed by the mount options CntrFS negotiated.
@@ -185,9 +169,7 @@ func newMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config,
 		// Without ASYNC_READ the kernel reads page by page.
 		ra = 0
 	}
-	// Interceptors below the kernel cache see the mount's real FUSE
-	// traffic; with no interceptors Chain returns conn as-is.
-	kernel := pagecache.New(vfs.Chain(conn, cfg.BelowCache...), clock, model, pagecache.Options{
+	kernel := pagecache.New(conn, clock, model, pagecache.Options{
 		KeepCache:    cfg.Mount.KeepCache,
 		Writeback:    cfg.Mount.WritebackCache,
 		DirtyWindow:  cfg.DirtyWindowFuse,
@@ -268,7 +250,7 @@ func NewCntr(cfg Config) *Cntr {
 	budget := pagecache.NewMemBudget(cfg.RAM)
 	host, hostPC := hostSide(cfg, clock, model, hostStore, chargePC, budget)
 
-	m := newMount(hostPC, clock, model, cfg, budget, cacheCl, nil)
+	m := newMount(hostPC, clock, model, cfg, budget, cacheCl)
 	return &Cntr{
 		Mount: m, Clock: clock, Model: model, Disk: disk, Host: host, HostPC: hostPC,
 		Budget: budget, Tier: tier, Origin: origin, Top: m.Kernel,

@@ -9,6 +9,7 @@ import (
 
 	"cntr/internal/fuse"
 	"cntr/internal/memfs"
+	"cntr/internal/sim"
 	"cntr/internal/stack"
 	"cntr/internal/vfs"
 )
@@ -62,14 +63,16 @@ func TestChainRecyclingUnderPoison(t *testing.T) {
 
 	// Eight goroutines share one Client and one File on a CntrFS mount
 	// with four server threads, traced above the kernel-side cache and
-	// below it (where its readahead and writeback reach the connection).
+	// over the filesystem the mount serves (where its readahead and
+	// writeback arrive, through the server's recycled Ops and frames).
 	t.Run("shared client", func(t *testing.T) {
 		var top, below lateReads
 		mount := fuse.DefaultMountOptions()
 		mount.ServerThreads = 4
-		c := stack.NewCntr(stack.Config{Mount: mount, BelowCache: []vfs.Interceptor{below.tracer()}})
+		c := stack.NewMount(vfs.Chain(memfs.New(memfs.Options{}), below.tracer()),
+			sim.NewClock(), sim.DefaultCostModel(), stack.Config{Mount: mount})
 		defer c.Close()
-		cli := vfs.NewClient(vfs.Chain(c.Top, vfs.NewStats(), top.tracer()), vfs.Root())
+		cli := vfs.NewClient(vfs.Chain(c.Kernel, vfs.NewStats(), top.tracer()), vfs.Root())
 
 		const workers, region, rounds = 8, 64 << 10, 40
 		if err := cli.MkdirAll("/shared/dir", 0o755); err != nil {
@@ -126,7 +129,7 @@ func TestChainRecyclingUnderPoison(t *testing.T) {
 			t.Fatalf("read-back: %d bytes, %v; want the %d written", len(got), err, len(want))
 		}
 		top.check(t, "above the cache")
-		below.check(t, "below the cache")
+		below.check(t, "below the server")
 	})
 
 	// A chaos pass: every third operation is answered by the injector, so
