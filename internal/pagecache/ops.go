@@ -93,7 +93,7 @@ func (c *Cache) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, err
 		idx, po := pos/PageSize, pos%PageSize
 		out := dest[read : read+min(PageSize-po, want-read)]
 		read += int64(len(out))
-		if p := f.pages[idx]; p != nil {
+		if p := f.at(idx); p != nil {
 			c.stats.Hits++
 			c.clock.Advance(c.model.PageCacheHit)
 			copy(out, p.data[po:])
@@ -162,14 +162,14 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, f *fileCache, idx int64, ahead bo
 	var dirty []int64
 	var absent batch
 	for k := idx; (k-idx)*PageSize < int64(n); k++ {
-		if q := f.pages[k]; q == nil {
+		if q := f.at(k); q == nil {
 			absent.coming++
 		} else if q.dirty > 0 {
 			dirty = append(dirty, k)
 		}
 	}
 	for k := idx; (k-idx)*PageSize < int64(n); k++ {
-		if f.pages[k] != nil || slices.Contains(dirty, k) {
+		if f.at(k) != nil || slices.Contains(dirty, k) {
 			continue
 		}
 		lo := (k - idx) * PageSize
@@ -285,7 +285,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 		pos := off + written
 		idx, po := pos/PageSize, pos%PageSize
 		chunk := data[written : written+min(PageSize-po, int64(len(data))-written)]
-		p := f.pages[idx]
+		p := f.at(idx)
 		if p == nil {
 			// A partial page overlapping existing data is fetched first
 			// (read-modify-write); fully covered or beyond-EOF pages are
@@ -298,7 +298,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 					return int(written), err
 				}
 				c.stats.Misses++
-				p = f.pages[idx]
+				p = f.at(idx)
 			}
 			if p == nil {
 				p = c.insertPage(f, idx, got, &blank)
@@ -355,7 +355,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 func (f *fileCache) blankPages(off, n int64) (count int, first int64) {
 	for idx := off / PageSize; idx*PageSize < off+n; idx++ {
 		whole := idx*PageSize >= off && (idx+1)*PageSize <= off+n
-		if f.pages[idx] == nil && (whole || idx*PageSize >= f.size) {
+		if f.at(idx) == nil && (whole || idx*PageSize >= f.size) {
 			if count == 0 {
 				first = idx
 			}
@@ -378,7 +378,7 @@ func (c *Cache) appendThrough(op *vfs.Op, h vfs.Handle, f *fileCache, off int64,
 	if f.valid {
 		stale = f.size / PageSize
 	}
-	for idx, p := range f.pages {
+	for idx, p := range f.all() {
 		if idx >= stale {
 			c.dropPage(p)
 		}
@@ -396,7 +396,7 @@ func (c *Cache) wrote(f *fileCache, off int64, data []byte) {
 	for done := int64(0); done < int64(len(data)); {
 		pos := off + done
 		chunk := min(PageSize-pos%PageSize, int64(len(data))-done)
-		if p := f.pages[pos/PageSize]; p != nil {
+		if p := f.at(pos / PageSize); p != nil {
 			copy(p.data[pos%PageSize:], data[done:done+chunk])
 		}
 		done += chunk
@@ -469,11 +469,11 @@ func (c *Cache) flushPagesLocked(f *fileCache, idxs []int64) {
 		}
 		// The extent runs from the first page's first dirty byte to the
 		// last page's last, never past the file's end.
-		start := idxs[i]*PageSize + f.pages[idxs[i]].dirtyLo
-		end := min(idxs[j]*PageSize+f.pages[idxs[j]].dirtyHi, f.size)
+		start := idxs[i]*PageSize + f.at(idxs[i]).dirtyLo
+		end := min(idxs[j]*PageSize+f.at(idxs[j]).dirtyHi, f.size)
 		buf := scratch(&c.wbuf, int(end-start))[:0]
 		for k := idxs[i]; k <= idxs[j]; k++ {
-			p := f.pages[k]
+			p := f.at(k)
 			if lo, hi := max(start-k*PageSize, 0), min(end-k*PageSize, PageSize); hi > lo {
 				buf = append(buf, p.data[lo:hi]...)
 			}
@@ -501,7 +501,7 @@ func (c *Cache) flushFileLocked(f *fileCache) {
 		return
 	}
 	c.dirty = c.dirty[:0]
-	for idx, p := range f.pages {
+	for idx, p := range f.all() {
 		if p.dirty > 0 {
 			c.dirty = append(c.dirty, idx)
 		}
@@ -639,6 +639,9 @@ func (c *Cache) Release(op *vfs.Op, h vfs.Handle) error {
 			} else if f.dirtyBytes > 0 {
 				// Keep the backing handle alive for background
 				// writeback of the remaining dirty data.
+				if f.zombies == nil {
+					f.zombies = f.zbuf[:0]
+				}
 				f.zombies = append(f.zombies, h)
 				keepBacking = true
 			} else {
@@ -671,7 +674,7 @@ func (c *Cache) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.
 	if mask.Has(vfs.SetSize) {
 		if f, ok := c.files[ino]; ok {
 			c.flushFileLocked(f)
-			for idx, p := range f.pages {
+			for idx, p := range f.all() {
 				if idx*PageSize >= attr.Size {
 					c.dropPage(p)
 				}
@@ -680,7 +683,7 @@ func (c *Cache) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.
 			// does, so a later size extension reads zeros rather than
 			// stale bytes.
 			if attr.Size%PageSize != 0 {
-				if p, ok := f.pages[attr.Size/PageSize]; ok {
+				if p := f.at(attr.Size / PageSize); p != nil {
 					for i := attr.Size % PageSize; i < PageSize; i++ {
 						p.data[i] = 0
 					}

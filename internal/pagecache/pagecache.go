@@ -22,6 +22,7 @@
 package pagecache
 
 import (
+	"iter"
 	"sync"
 	"sync/atomic"
 
@@ -204,13 +205,23 @@ func scrub(b []byte) {
 // not belong to any one process and must not be interrupted by one.
 var wbOp = vfs.RootOp()
 
+// lowPages is how many of a file's first pages it holds in place: 64 KiB,
+// a vfs.Client.ReadFile chunk and the largest file of the bench's meta
+// and fleet workloads, so a small file's pages cost no map. 8 lets
+// fleet's files make maps; 32 adds to every record and saves meta nothing.
+const lowPages = 16
+
 type fileCache struct {
-	// pages is made with the file's first insert. hdrs is the block the
-	// next page header is cut from (see newPage).
-	pages map[int64]*page
-	hdrs  []page
-	size  int64 // cached view of the file size
-	valid bool  // whether size is known
+	// low holds pages 0 to lowPages-1 in place; high holds the rest and is
+	// made with the first of them; npages counts both. Reach them through
+	// at, set, del and all. hdrs is the block the next page header is cut
+	// from (see newPage).
+	low    [lowPages]*page
+	high   map[int64]*page
+	npages int
+	hdrs   []page
+	size   int64 // cached view of the file size
+	valid  bool  // whether size is known
 	// mode caches the file's mode bits for the kernel-side
 	// setuid-clearing check on write.
 	mode      vfs.Mode
@@ -238,7 +249,9 @@ type fileCache struct {
 	// zombies are backing handles whose user-side files were closed
 	// while dirty data remained (no flush-on-close): the handle is kept
 	// alive for background writeback and released after the next flush.
+	// The first is kept in zbuf.
 	zombies []vfs.Handle
+	zbuf    [1]vfs.Handle
 	// lastReadEnd tracks the end offset of the previous read for
 	// sequential-pattern detection (readahead).
 	lastReadEnd int64
@@ -273,6 +286,57 @@ type page struct {
 func (f *fileCache) clean(p *page) {
 	f.dirtyBytes -= p.dirty
 	p.dirty, p.dirtyLo, p.dirtyHi = 0, 0, 0
+}
+
+// at returns page idx of f, or nil when it is not cached.
+func (f *fileCache) at(idx int64) *page {
+	if uint64(idx) < lowPages {
+		return f.low[idx]
+	}
+	return f.high[idx]
+}
+
+// set caches p as page idx of f, which must not hold that page yet. The
+// map of pages past lowPages is made with the first of them, sized to the
+// coming pages of its batch.
+func (f *fileCache) set(idx int64, p *page, coming int) {
+	if uint64(idx) < lowPages {
+		f.low[idx] = p
+	} else {
+		if f.high == nil {
+			f.high = make(map[int64]*page, max(coming, 1))
+		}
+		f.high[idx] = p
+	}
+	f.npages++
+}
+
+// del forgets page idx of f, which must hold it.
+func (f *fileCache) del(idx int64) {
+	if uint64(idx) < lowPages {
+		f.low[idx] = nil
+	} else {
+		delete(f.high, idx)
+	}
+	f.npages--
+}
+
+// all yields every cached page of f with its index, those below lowPages
+// in order and the rest in map order. The loop may drop the page it is
+// given, and no other.
+func (f *fileCache) all() iter.Seq2[int64, *page] {
+	return func(yield func(int64, *page) bool) {
+		for idx, p := range &f.low {
+			if p != nil && !yield(int64(idx), p) {
+				return
+			}
+		}
+		for idx, p := range f.high {
+			if !yield(idx, p) {
+				return
+			}
+		}
+	}
 }
 
 // takeWbErr returns the file's unreported writeback error and forgets it
@@ -362,7 +426,7 @@ func (c *Cache) newPage(f *fileCache, b *batch) *page {
 		return p
 	}
 	if len(f.hdrs) == cap(f.hdrs) {
-		f.hdrs = make([]page, 0, min(max(len(f.pages), coming, 1), maxHdrBlock))
+		f.hdrs = make([]page, 0, min(max(f.npages, coming, 1), maxHdrBlock))
 	}
 	f.hdrs = f.hdrs[:len(f.hdrs)+1]
 	p := &f.hdrs[len(f.hdrs)-1]
@@ -382,21 +446,20 @@ func (c *Cache) newPage(f *fileCache, b *batch) *page {
 
 // insertPage caches data, zero-padded to a page, as page idx of f, which
 // must not hold that page yet, evicting under budget pressure. The page is
-// the next of b, which also sizes the page map f is made with, and the
-// newest on the list. It returns nil when the budget is exhausted and
-// nothing can be evicted: the caller serves uncached. Caller holds c.mu.
+// the next of b, which also sizes the map of pages past lowPages when this
+// one makes it, and the newest on the list. It returns nil when the budget
+// is exhausted and nothing can be evicted: the caller serves uncached.
+// Caller holds c.mu.
 func (c *Cache) insertPage(f *fileCache, idx int64, data []byte, b *batch) *page {
 	for !c.opts.Budget.tryCharge(PageSize) {
 		if !c.evictOne() {
 			return nil
 		}
 	}
-	if f.pages == nil {
-		f.pages = make(map[int64]*page, max(b.coming, 1))
-	}
+	coming := b.coming
 	p := c.newPage(f, b)
 	copy(p.data, data)
-	f.pages[idx] = p
+	f.set(idx, p, coming)
 	p.f, p.idx, p.prev = f, idx, c.newest
 	if c.newest != nil {
 		c.newest.next = p
@@ -415,7 +478,7 @@ func (c *Cache) insertPage(f *fileCache, idx int64, data []byte, b *batch) *page
 // holds c.mu.
 func (c *Cache) dropPage(p *page) {
 	p.f.clean(p)
-	delete(p.f.pages, p.idx)
+	p.f.del(p.idx)
 	if p.prev != nil {
 		p.prev.next = p.next
 	} else {
@@ -485,7 +548,7 @@ func (c *Cache) invalidateNoFlush(ino vfs.Ino) {
 // last of them closes, whatever was invalidated in between. Caller holds
 // c.mu.
 func (c *Cache) dropFileLocked(ino vfs.Ino, f *fileCache) {
-	for _, p := range f.pages {
+	for _, p := range f.all() {
 		c.dropPage(p)
 	}
 	delete(c.files, ino)

@@ -419,6 +419,11 @@ func coherenceStack(stacked, writeback bool) (caches []*Cache, back *memfs.FS) {
 	return caches, back
 }
 
+// coherenceSpans are the spans the coherence oracle works in: 64 KiB,
+// twice the budget and as much as a file holds in place (lowPages), and
+// 256 KiB, which crosses into the map of pages past them.
+var coherenceSpans = []int{64 << 10, 256 << 10}
+
 // TestPropertyCacheCoherence is the differential oracle for every path
 // through the cache: a random mix of writes (through an O_RDWR and an
 // O_WRONLY handle), reads (through the O_RDWR handle and a read-only one,
@@ -432,22 +437,48 @@ func TestPropertyCacheCoherence(t *testing.T) {
 		for _, writeback := range []bool{true, false} {
 			name := fmt.Sprintf("stacked=%v/writeback=%v", stacked, writeback)
 			t.Run(name, func(t *testing.T) {
-				f := func(seed uint64) bool {
-					return coherent(t, sim.NewRand(seed), stacked, writeback)
-				}
-				// A fixed source: every row and every run sees the same
-				// 40 scripts, so a failure reproduces.
-				cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}
-				if err := quick.Check(f, cfg); err != nil {
-					t.Fatal(err)
+				for _, span := range coherenceSpans {
+					t.Run(fmt.Sprintf("span=%dKiB", span>>10), func(t *testing.T) {
+						f := func(seed uint64) bool {
+							return coherent(t, sim.NewRand(seed), span, stacked, writeback)
+						}
+						// A fixed source: every row and every run sees the
+						// same 40 scripts, so a failure reproduces.
+						cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}
+						if err := quick.Check(f, cfg); err != nil {
+							t.Fatal(err)
+						}
+					})
 				}
 			})
 		}
 	}
 }
 
-func coherent(t *testing.T, rng *sim.Rand, stacked, writeback bool) bool {
-	const span = 64 << 10 // twice the budget
+// FuzzCacheCoherence drives the coherence oracle from a fuzzed seed, span
+// and stack shape; the corpus is the property's own inputs.
+func FuzzCacheCoherence(f *testing.F) {
+	for _, span := range coherenceSpans {
+		for _, stacked := range []bool{false, true} {
+			for _, writeback := range []bool{true, false} {
+				f.Add(uint64(1), span, stacked, writeback)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, span int, stacked, writeback bool) {
+		// Any span from a byte to 1 MiB: a page index past lowPages is
+		// reached from 64 KiB on.
+		span = 1 + int(uint(span)%(1<<20))
+		if !coherent(t, sim.NewRand(seed), span, stacked, writeback) {
+			t.Fatalf("seed %d, span %d, stacked %v, writeback %v: the cache and memfs disagree", seed, span, stacked, writeback)
+		}
+	})
+}
+
+// coherent runs one random script of 60 operations on a file within span
+// bytes against the cache stack and against bare memfs, reporting whether
+// the two agreed throughout.
+func coherent(t *testing.T, rng *sim.Rand, span int, stacked, writeback bool) bool {
 	caches, back := coherenceStack(stacked, writeback)
 	cc := vfs.NewClient(caches[0], vfs.Root())
 	ref := vfs.NewClient(memfs.New(memfs.Options{}), vfs.Root())
@@ -554,15 +585,26 @@ func coherent(t *testing.T, rng *sim.Rand, stacked, writeback bool) bool {
 	return true
 }
 
-// listed checks c's list of pages against its files: walked from the
-// oldest, it visits every page a file holds exactly once, each where its
-// file holds it and linked both ways, and no other.
+// listed checks c's list of pages against its files: each file's count
+// is the pages it holds, and walked from the oldest, the list visits every
+// page a file holds exactly once, each where its file holds it and linked
+// both ways, and no other.
 func listed(c *Cache) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	held, owners := 0, map[*fileCache]bool{}
-	for _, f := range c.files {
-		held += len(f.pages)
+	for ino, f := range c.files {
+		found := 0
+		for idx, p := range f.all() {
+			if p.f != f || p.idx != idx {
+				return fmt.Errorf("inode %d holds page %d where its header says %d", ino, idx, p.idx)
+			}
+			found++
+		}
+		if found != f.npages {
+			return fmt.Errorf("inode %d counts %d pages and holds %d", ino, f.npages, found)
+		}
+		held += found
 		owners[f] = true
 	}
 	n := 0
@@ -574,7 +616,7 @@ func listed(c *Cache) error {
 		if p.prev != prev {
 			return fmt.Errorf("list entry %d (page %d): prev is not the entry before it", n, p.idx)
 		}
-		if !owners[p.f] || p.f.pages[p.idx] != p {
+		if !owners[p.f] || p.f.at(p.idx) != p {
 			return fmt.Errorf("list entry %d (page %d) is not held where it says", n, p.idx)
 		}
 	}

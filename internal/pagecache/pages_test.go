@@ -3,6 +3,7 @@ package pagecache
 import (
 	"bytes"
 	"fmt"
+	"iter"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -88,7 +89,7 @@ func TestReinsertedPageIsNewest(t *testing.T) {
 			t.Fatalf("write page 0: %d, %v", n, err)
 		}
 	}
-	cached := func(f *vfs.File) bool { return e.cache.files[f.Ino()].pages[0] != nil }
+	cached := func(f *vfs.File) bool { return e.cache.files[f.Ino()].at(0) != nil }
 	f, g, h := open("/f"), open("/g"), open("/h")
 	write(f)
 	write(g)
@@ -115,10 +116,11 @@ func heapCost(runs int, f func()) (objects, bytes float64) {
 
 // TestFreshPagesAllocBudget pins what caching new pages costs the host: the
 // fresh pages one write creates are one run of at most 64 pages
-// (maxHdrBlock) per 64, the same number of header blocks and a page map made
-// for them (4 objects). Nothing else: the write reaches no backing call but
-// the capability lookup, and memfs answers that without allocating. Bytes
-// are the pages' own plus at most 64 KiB. Asserts are off under -race.
+// (maxHdrBlock) per 64, the same number of header blocks and a map made for
+// the pages past the first lowPages, which the file holds in place (4
+// objects). Nothing else: the write reaches no backing call but the
+// capability lookup, and memfs answers that without allocating. Bytes are
+// the pages' own plus at most 64 KiB. Asserts are off under -race.
 func TestFreshPagesAllocBudget(t *testing.T) {
 	const runs, pageMap = 20, 4
 	for _, tc := range []struct{ pages, runs int }{{64, 1}, {256, 4}} {
@@ -156,11 +158,12 @@ func TestFreshPagesAllocBudget(t *testing.T) {
 
 // TestColdWindowAllocBudget: a cold read of a whole 16-page file through a
 // 128 KiB readahead window is one backing read whose 16 pages are cached
-// together: one run, one header block and 4 objects of page map. The
-// window itself is read into the cache's scratch buffer, and the file's
-// record was made by its open. Asserts are off under -race.
+// together: one run and one header block. The file holds its first
+// lowPages pages in place, so they cost no map. The window itself is read
+// into the cache's scratch buffer, and the file's record was made by its
+// open. Asserts are off under -race.
 func TestColdWindowAllocBudget(t *testing.T) {
-	const runs, pages, want = 20, 16, 6
+	const runs, pages, want = 20, 16, 2
 	e := newEnv(t, Options{KeepCache: true, ReadAhead: 128 << 10})
 	below := vfs.NewClient(e.cache.Backing(), vfs.Root())
 	data := make([]byte, pages*PageSize)
@@ -190,7 +193,7 @@ func TestColdWindowAllocBudget(t *testing.T) {
 		t.Fatalf("%d misses for %d cold reads, want one each", s.Misses, len(files))
 	}
 	if !raceBuild() && objects != want {
-		t.Errorf("a cold %d-page window costs %.0f heap objects, want %d: one run, one header block, 4 of page map",
+		t.Errorf("a cold %d-page window costs %.0f heap objects, want %d: one run, one header block",
 			pages, objects, want)
 	}
 }
@@ -199,13 +202,13 @@ func TestColdWindowAllocBudget(t *testing.T) {
 // host, one row per pattern. A file appended a page per call grows into
 // doubling runs (1, 2, 4, … 64 pages) beside header blocks that double
 // too: 1 024 appends cost 66 heap objects (22 runs, 22 header blocks and
-// the page map's growth; the log gives the count with one 4 KiB buffer
-// per lone page beside it). Files appended in turn never continue one
-// another's growth, and random writes into a sparse file seldom continue
-// their own, so each of their pages is a run of its own. Bytes are the
-// cached pages'
-// own and 64 KiB per 256 of them for headers and page map, plus for the
-// appends the last run's unused tail. Asserts are off under -race.
+// the growth of the map of pages past the first lowPages, which are held
+// in place; the log gives the count with one 4 KiB buffer per lone page
+// beside it). Files appended in turn never continue one another's growth,
+// and random writes into a sparse file seldom continue their own, so each
+// of their pages is a run of its own. Bytes are the cached pages' own and
+// 64 KiB per 256 of them for headers and the map, plus for the appends
+// the last run's unused tail. Asserts are off under -race.
 func TestAppendAllocBudget(t *testing.T) {
 	const runs = 3
 	page := make([]byte, PageSize)
@@ -291,8 +294,12 @@ func TestAppendAllocBudget(t *testing.T) {
 
 // TestChurnAllocBudget: the create / 4 KiB write / close / unlink loop of
 // PostMark and Compilebench caches each file's page in the one the file
-// before it dropped, so after a warm-up it costs no page header or buffer.
+// before it dropped, so after a warm-up it costs no page header or buffer,
+// and holds it in place, so no page map either. What is left is 5 heap
+// objects: the *File, memfs's inode and its block map (2), and the
+// cache's record of the file. Asserts are off under -race.
 func TestChurnAllocBudget(t *testing.T) {
+	const want = 5
 	e := newEnv(t, Options{KeepCache: true, Writeback: true, FlushOnClose: true})
 	data := make([]byte, PageSize)
 	var cached *page
@@ -304,7 +311,7 @@ func TestChurnAllocBudget(t *testing.T) {
 		if _, err := f.Write(data); err != nil {
 			t.Fatal(err)
 		}
-		cached = e.cache.files[e.cache.opens[f.Handle()].ino].pages[0]
+		cached = e.cache.files[e.cache.opens[f.Handle()].ino].at(0)
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -324,6 +331,9 @@ func TestChurnAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("create / 4 KiB write / close / unlink: %.0f heap objects, %.0f bytes", objects, bytes)
+	if !raceBuild() && objects != want {
+		t.Errorf("create / 4 KiB write / close / unlink costs %.0f heap objects, want %d", objects, want)
+	}
 }
 
 // TestDroppedPagesAreReusedOnce: 64 pages written in one call are
@@ -335,8 +345,8 @@ func TestChurnAllocBudget(t *testing.T) {
 func TestDroppedPagesAreReusedOnce(t *testing.T) {
 	const pages, kept = 64, 10
 	e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 30})
-	pagesOf := func(f *vfs.File) map[int64]*page {
-		return e.cache.files[e.cache.opens[f.Handle()].ino].pages
+	pagesOf := func(f *vfs.File) iter.Seq2[int64, *page] {
+		return e.cache.files[e.cache.opens[f.Handle()].ino].all()
 	}
 	create := func(name string) *vfs.File {
 		f, err := e.cli.Open(name, vfs.ORdwr|vfs.OCreat, 0o644)
@@ -448,7 +458,7 @@ func TestDroppedPagesArePoisoned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := e.cache.files[attr.Ino].pages[1]
+	held := e.cache.files[attr.Ino].at(1)
 	if err := e.cli.Truncate("/f", PageSize); err != nil {
 		t.Fatal(err)
 	}
