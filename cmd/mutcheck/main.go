@@ -1,7 +1,7 @@
 // Command mutcheck runs the mutation table, testdata/mutations.txt: each
 // row breaks one rule in one file and names the tests that must catch it.
 //
-//	go run ./cmd/mutcheck [-table testdata/mutations.txt] [-only regexp] [-p 1]
+//	go run ./cmd/mutcheck [-table testdata/mutations.txt] [-only regexp]
 //
 // Run it from the module root. For each row it writes the mutant to a
 // temporary directory and runs go test -overlay on the row's package with
@@ -22,19 +22,17 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sync"
 	"time"
 )
 
 func main() {
 	table := flag.String("table", "testdata/mutations.txt", "the mutation table")
 	only := flag.String("only", "", "run only the rows whose name matches this regexp")
-	par := flag.Int("p", 1, "rows run at once")
 	flag.Parse()
-	os.Exit(run(*table, *only, max(*par, 1), os.Stdout))
+	os.Exit(run(*table, *only, os.Stdout))
 }
 
-func run(table, only string, par int, out io.Writer) int {
+func run(table, only string, out io.Writer) int {
 	rows, err := loadTable(table)
 	if err != nil {
 		fmt.Fprintln(out, err)
@@ -57,34 +55,19 @@ func run(table, only string, par int, out io.Writer) int {
 	}
 	defer os.RemoveAll(tmp)
 
-	var (
-		mu     sync.Mutex
-		failed int
-		wg     sync.WaitGroup
-		slots  = make(chan struct{}, par)
-	)
-	start := time.Now()
-	for i, r := range rows {
+	failed, start := 0, time.Now()
+	for _, r := range rows {
 		if !sel.MatchString(r.name) {
 			continue
 		}
-		wg.Add(1)
-		slots <- struct{}{}
-		go func() {
-			defer func() { <-slots; wg.Done() }()
-			t0 := time.Now()
-			err := check(r, root, filepath.Join(tmp, fmt.Sprint(i)))
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				failed++
-				fmt.Fprintf(out, "FAIL %s (%.1fs): %v\n", r.name, time.Since(t0).Seconds(), err)
-				return
-			}
-			fmt.Fprintf(out, "ok   %s (%.1fs)\n", r.name, time.Since(t0).Seconds())
-		}()
+		t0 := time.Now()
+		if err := check(r, root, tmp); err != nil {
+			failed++
+			fmt.Fprintf(out, "FAIL %s (%.1fs): %v\n", r.name, time.Since(t0).Seconds(), err)
+			continue
+		}
+		fmt.Fprintf(out, "ok   %s (%.1fs)\n", r.name, time.Since(t0).Seconds())
 	}
-	wg.Wait()
 	fmt.Fprintf(out, "%d rows failed, %.1fs\n", failed, time.Since(start).Seconds())
 	if failed > 0 {
 		return 1
@@ -97,9 +80,6 @@ func run(table, only string, par int, out io.Writer) int {
 func check(r row, root, dir string) error {
 	src, err := r.mutant(root)
 	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	mutant := filepath.Join(dir, filepath.Base(r.file))
@@ -123,7 +103,7 @@ func check(r row, root, dir string) error {
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	runErr := cmd.Run()
 
-	ran, caught := 0, ""
+	ran, caught := 0, false
 	dec := json.NewDecoder(bytes.NewReader(stdout.Bytes()))
 	for {
 		var ev struct{ Action, Test string }
@@ -134,12 +114,12 @@ func check(r row, root, dir string) error {
 		case ev.Test == "":
 		case ev.Action == "run":
 			ran++
-		case ev.Action == "fail" && caught == "":
-			caught = ev.Test
+		case ev.Action == "fail":
+			caught = true
 		}
 	}
 	switch {
-	case caught != "":
+	case caught:
 		return nil
 	case runErr == nil && ran == 0:
 		return fmt.Errorf("no test matches -run %q in %s", r.run, r.pkg)

@@ -6,12 +6,6 @@ import (
 )
 
 const (
-	// minRun and maxRun bound the runs Mem copies blobs into: the first is
-	// 4 KiB and each next one twice the last, up to 64 blocks. A run lives
-	// while any of its blobs is reachable, so maxRun bounds what one blob
-	// can pin.
-	minRun = 4 << 10
-	maxRun = 64 * minRun
 	// refBatch is how many refs Mem cuts from one string.
 	refBatch = 64
 	// maxRefLen is "m" and the widest counter in hex.
@@ -24,7 +18,7 @@ const (
 // always 1.0 — which makes it the behavioural baseline the
 // content-addressed backends are measured against.
 //
-// A blob is copied into a shared run and its ref cut from a string
+// A blob is copied into a shared run (Runs) and its ref cut from a string
 // shared by refBatch consecutive counters, so a Put allocates nothing in
 // the common case. Nothing is reused: Delete only drops the map entry,
 // and a slice Get returned keeps its bytes.
@@ -33,10 +27,7 @@ type Mem struct {
 	blobs map[Ref][]byte
 	next  uint64
 	stats Stats
-	// run is the unused tail of the run the next blobs are copied into;
-	// runSize is the size the last run was made with.
-	run     []byte
-	runSize int
+	runs  Runs
 	// refs holds the refs of refsN counters from refsAt on, back to back;
 	// the i-th ends at refEnds[i].
 	refs          string
@@ -52,7 +43,7 @@ func NewMem() *Mem {
 // Put implements Store.
 func (m *Mem) Put(data []byte) (Ref, error) {
 	m.mu.Lock()
-	b := m.copyIn(data)
+	b := m.runs.Copy(data)
 	m.next++
 	ref := m.ref(m.next)
 	m.blobs[ref] = b
@@ -62,24 +53,6 @@ func (m *Mem) Put(data []byte) (Ref, error) {
 	m.stats.PhysicalBytes += int64(len(b))
 	m.mu.Unlock()
 	return ref, nil
-}
-
-// copyIn copies data into the current run, making a new one when it
-// cannot hold data. The blob's capacity is its length, so an append on it
-// never reaches its neighbour. An empty blob is nil. Caller holds m.mu.
-func (m *Mem) copyIn(data []byte) []byte {
-	n := len(data)
-	if n == 0 {
-		return nil
-	}
-	if n > len(m.run) {
-		m.runSize = min(max(2*m.runSize, minRun), maxRun)
-		m.run = make([]byte, max(m.runSize, n))
-	}
-	b := m.run[:n:n]
-	m.run = m.run[n:]
-	copy(b, data)
-	return b
 }
 
 // ref returns the ref of counter: "m" and the counter in hex. It is cut

@@ -24,12 +24,22 @@
 // The key space is hashed into a fixed number of shards; a Placement
 // assigns each shard a primary plus Options.Replicas replicas across
 // an explicit set of Nodes. Writes apply to every copy and reads are
-// served by the primary. A node leaves the set only by failing:
-// KillNode re-places the shards it owned and fills every new copy from
-// a surviving one before it returns, so every copy a data op can reach
-// is complete. With the default Options (one node, zero replicas) the
-// service is the single-node reference the dualtest differential
-// harness pins the replicated tier against.
+// served by the primary, so only the primary's LRU order sees reads: the
+// primary decides what a write evicts and every replica drops the same
+// entries, which keeps the copies identical. A node leaves the set only
+// by failing: KillNode re-places the shards it owned and fills every new
+// copy from a surviving one before it returns, so every copy a data op
+// can reach is complete. With the default Options (one node, zero
+// replicas) the service is the single-node reference the dualtest
+// differential harness pins the replicated tier against.
+//
+// A write costs the host no allocation once the stores have grown: the
+// service copies each value once, into runs it shares among values
+// (blobstore.Runs, at most 256 KiB each), and every copy of the shard
+// shares that copy; entries are cut from per-store blocks and reused
+// once dropped. A run's bytes stay allocated while any value cut from it
+// is reachable: until every one is evicted, replaced, invalidated or
+// dropped by Reset, and no caller holds one Get returned.
 //
 // Correctness under partition comes from epoch leases (the
 // sigmaOS fenceclnt/epochclnt shape): a mount holds a lease per shard
@@ -165,7 +175,12 @@ type Service struct {
 	lostShards   int64
 	// writes serializes the mutations of each shard, so every copy of
 	// the shard applies them in the same order.
-	writes []sync.Mutex
+	writes []shardWrites
+
+	// vals holds the stored copies of every value put (applyLocked),
+	// under valsMu.
+	valsMu sync.Mutex
+	vals   blobstore.Runs
 
 	mu      sync.Mutex
 	leases  map[leaseID]*leaseState
@@ -174,6 +189,14 @@ type Service struct {
 	expired int64
 	fenced  int64
 	seeds   int64
+}
+
+// shardWrites is a shard's write lock and what it guards besides the
+// order: the keys the primary's copy evicted on the mutation being
+// applied, which every replica then drops (applyLocked).
+type shardWrites struct {
+	sync.Mutex
+	victims []Key
 }
 
 // store is one node's copy of one shard: a lock+LRU over entries.
@@ -185,7 +208,16 @@ type store struct {
 	lru   entry
 	bytes int64
 	cap   int64
+	// block is the block the next new entry is cut from; free lists the
+	// dropped entries, linked through next, which newEntry takes first.
+	block []entry
+	free  *entry
 }
+
+// maxBlock caps the entries of one block. A block lives as long as its
+// store, so blocks double from one entry: a store that holds few entries
+// holds a small block.
+const maxBlock = 64
 
 // entry is one cached value and its place in its store's LRU ring.
 type entry struct {
@@ -233,10 +265,15 @@ func (st *store) contains(key Key) bool {
 	return ok
 }
 
-// put stores val under key and returns evictions. val is shared, not
-// copied: applyLocked copies it once for every copy of the shard, and
-// the service never mutates a stored value in place.
-func (st *store) put(key Key, val []byte) int {
+// put stores val under key. val is shared, not copied: applyLocked
+// copies it once for every copy of the shard, and the service never
+// mutates a stored value in place. The primary's copy decides evictions:
+// with decide set, put drops the least recently used entries while the
+// store is over capacity and appends their keys to victims, which the
+// caller passes empty. Any other copy drops exactly victims, so every
+// copy holds the same entries whatever order its own LRU ring is in.
+// put returns victims and how many entries this copy dropped.
+func (st *store) put(key Key, val []byte, victims []Key, decide bool) ([]Key, int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if e, ok := st.entries[key]; ok {
@@ -245,19 +282,53 @@ func (st *store) put(key Key, val []byte) int {
 		e.unlink()
 		e.insertAfter(&st.lru)
 	} else {
-		e := &entry{key: key, val: val}
+		e := st.newEntry()
+		e.key, e.val = key, val
 		e.insertAfter(&st.lru)
 		st.entries[key] = e
 		st.bytes += int64(len(val)) + key.size()
 	}
-	return st.evictLocked()
+	if decide {
+		for st.bytes > st.cap && len(st.entries) > 1 {
+			victims = append(victims, st.lru.prev.key)
+			st.dropLocked(st.lru.prev)
+		}
+		return victims, len(victims)
+	}
+	n := 0
+	for _, k := range victims {
+		if e, ok := st.entries[k]; ok {
+			st.dropLocked(e)
+			n++
+		}
+	}
+	return victims, n
+}
+
+// newEntry returns a zeroed entry: a dropped one first, otherwise the
+// next of the store's block, each block twice the last up to maxBlock
+// entries. Only the store's own methods hold an entry, under st.mu, and
+// hand out its value, never the entry, so reusing one cannot be seen.
+// Caller holds st.mu.
+func (st *store) newEntry() *entry {
+	if e := st.free; e != nil {
+		st.free = e.next
+		e.next = nil
+		return e
+	}
+	if len(st.block) == cap(st.block) {
+		st.block = make([]entry, 0, min(max(2*cap(st.block), 1), maxBlock))
+	}
+	st.block = st.block[:len(st.block)+1]
+	return &st.block[len(st.block)-1]
 }
 
 // fill copies src's entries, in keys() order, into st: a new copy no
-// data op can reach yet. Callers hold topo for write, so src is still.
+// data op can reach yet, which holds what src holds and so evicts
+// nothing. Callers hold topo for write, so src is still.
 func (st *store) fill(src *store) {
 	for _, k := range src.keys() {
-		st.put(k, src.entries[k].val)
+		st.put(k, src.entries[k].val, nil, false)
 	}
 }
 
@@ -273,19 +344,13 @@ func (st *store) remove(key Key) bool {
 	return true
 }
 
+// dropLocked takes e out of the store and onto its free list, zeroed.
 func (st *store) dropLocked(e *entry) {
 	e.unlink()
 	delete(st.entries, e.key)
 	st.bytes -= int64(len(e.val)) + e.key.size()
-}
-
-func (st *store) evictLocked() int {
-	n := 0
-	for st.bytes > st.cap && len(st.entries) > 1 {
-		st.dropLocked(st.lru.prev)
-		n++
-	}
-	return n
+	*e = entry{next: st.free}
+	st.free = e
 }
 
 // keys returns the store's keys, sorted: the order a kill copies in.
@@ -306,6 +371,7 @@ func (st *store) clear() {
 	st.entries = make(map[Key]*entry)
 	st.lru.prev, st.lru.next = &st.lru, &st.lru
 	st.bytes = 0
+	st.block, st.free = nil, nil
 }
 
 // New builds a service with the given options.
@@ -345,7 +411,7 @@ func New(opts Options) *Service {
 		epochs:       make(map[leaseID]uint64),
 		placement:    make([][]int, opts.Shards),
 		placeVersion: 1,
-		writes:       make([]sync.Mutex, opts.Shards),
+		writes:       make([]shardWrites, opts.Shards),
 	}
 	for i := 0; i < opts.Nodes; i++ {
 		s.nodes = append(s.nodes, newNode(i))
@@ -427,25 +493,40 @@ func (s *Service) Contains(key Key) bool {
 }
 
 // applyLocked lands a mutation on every owner's copy of the shard. val
-// is copied once and every copy shares the copy. Returns the copy
-// count. Callers hold topo for read.
+// is copied once, into the service's shared runs (vals), and every copy
+// shares the copy. The primary's copy decides which entries the put
+// evicts and every replica drops the same ones, so the copies stay
+// identical although reads touch only the primary's LRU order; each copy
+// counts its own evictions. Returns the copy count. Callers hold topo for
+// read.
 func (s *Service) applyLocked(sh int, key Key, val []byte) int {
 	owners := s.placement[sh]
-	val = append([]byte(nil), val...)
-	s.writes[sh].Lock()
-	defer s.writes[sh].Unlock()
-	for _, id := range owners {
+	s.valsMu.Lock()
+	val = s.vals.Copy(val)
+	s.valsMu.Unlock()
+	w := &s.writes[sh]
+	w.Lock()
+	defer w.Unlock()
+	victims := w.victims[:0]
+	for i, id := range owners {
 		nd := s.nodes[id]
-		nd.evictions.Add(int64(nd.stores[sh].put(key, val)))
+		var n int
+		victims, n = nd.stores[sh].put(key, val, victims, i == 0)
+		nd.evictions.Add(int64(n))
 		nd.puts.Add(1)
 	}
+	w.victims = victims
 	return len(owners)
 }
 
 // Put stores val under key on behalf of the lease holder, on the
 // primary and every replica. The write is fenced — rejected with
 // ErrFenced and counted at every copy — when the lease's epoch is
-// stale, expired, or released. val is copied.
+// stale, expired, or released. val is copied, so the caller may reuse
+// it; the copy is cut from a run the service shares among values
+// (blobstore.Runs), so an evicted or replaced value's bytes stay
+// allocated until every value in its run is gone, and no run is larger
+// than 256 KiB.
 func (s *Service) Put(l Lease, key Key, val []byte) error {
 	if err := s.admit(l, key); err != nil {
 		return err

@@ -84,9 +84,11 @@ func newSide(nodes, replicas, shards, groups int) *side {
 			Nodes:    nodes,
 			Replicas: replicas,
 			Clock:    clock,
-			// Ample capacity: eviction order is an implementation detail
-			// the two sides may legitimately disagree on, so the
-			// equivalence regime is eviction-free (asserted below).
+			// Ample capacity: the regime is eviction-free (asserted
+			// below). A shard's primary decides its evictions, but after
+			// a kill the promoted replica's LRU order is the order its
+			// copy was filled and written in, not the reference's, so
+			// the two sides may evict different entries.
 			ShardCapacity: 1 << 30,
 		}),
 		clock:  clock,

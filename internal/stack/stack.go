@@ -50,7 +50,10 @@ type Config struct {
 	DirtyWindowNative int64
 	// DirtyWindowFuse is the FUSE writeback cache window; defaults to
 	// 4 MiB ("our writeback buffer in the kernel holds the data longer
-	// than the underlying filesystem", §5.2.2).
+	// than the underlying filesystem", §5.2.2). Every golden mode and
+	// bench workload sets 64 MiB instead (phoronix's stackConfig and
+	// the bench's copy of it), so the default serves only stacks built
+	// by hand, as in tests.
 	DirtyWindowFuse int64
 	// ReadAhead is the sequential readahead window (default 128 KiB).
 	ReadAhead int64
