@@ -517,15 +517,17 @@ func (c *Cache) evictOne() bool {
 
 // invalidate drops all cached pages of ino, writing dirty data back
 // first, and returns the file's unreported writeback error: the record
-// it was kept in goes with the pages. Caller holds c.mu.
+// it was kept in goes with the pages, so the error is taken before the
+// drop. Caller holds c.mu.
 func (c *Cache) invalidate(ino vfs.Ino) error {
 	f, ok := c.files[ino]
 	if !ok {
 		return nil
 	}
 	c.flushFileLocked(f)
+	err := f.takeWbErr()
 	c.dropFileLocked(ino, f)
-	return f.takeWbErr()
+	return err
 }
 
 // invalidateNoFlush discards pages *without* writeback — for O_TRUNC

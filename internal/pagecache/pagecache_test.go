@@ -709,6 +709,21 @@ func TestWritebackErrorReachesCloseAndFsync(t *testing.T) {
 		defer g.Close()
 		enospc(t, "close", f.Close())
 	})
+	t.Run("fsync after an open that invalidates reports once", func(t *testing.T) {
+		_, cli, f := mount(t, false, 0)
+		// The drop keeps a record for the file, which is still open: the
+		// error must reach it, not stay with the record the pages left.
+		g, err := cli.Open("/f", vfs.ORdonly, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		enospc(t, "fsync", f.Sync())
+		if err := f.Sync(); err != nil {
+			t.Fatalf("second fsync, nothing dirty: %v", err)
+		}
+		reported(t, f)
+	})
 	t.Run("fallocate", func(t *testing.T) {
 		cache, _, f := mount(t, true, 0)
 		// Punching a hole flushes the file and drops its pages first.
