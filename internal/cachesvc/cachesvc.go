@@ -36,10 +36,11 @@
 // A write costs the host no allocation once the stores have grown: the
 // service copies each value once, into runs it shares among values
 // (blobstore.Runs, at most 256 KiB each), and every copy of the shard
-// shares that copy; entries are cut from per-store blocks and reused
-// once dropped. A run's bytes stay allocated while any value cut from it
-// is reachable: until every one is evicted, replaced, invalidated or
-// dropped by Reset, and no caller holds one Get returned.
+// shares that copy; each store's entries come from its own slab
+// (internal/slab), which hands dropped ones out again. A run's bytes stay
+// allocated while any value cut from it is reachable: until every one is
+// evicted, replaced, invalidated or dropped by Reset, and no caller holds
+// one Get returned.
 //
 // Correctness under partition comes from epoch leases (the
 // sigmaOS fenceclnt/epochclnt shape): a mount holds a lease per shard
@@ -63,6 +64,7 @@ import (
 
 	"cntr/internal/blobstore"
 	"cntr/internal/sim"
+	"cntr/internal/slab"
 )
 
 // Key names one cached entry: a key space and a name in it. The
@@ -208,16 +210,11 @@ type store struct {
 	lru   entry
 	bytes int64
 	cap   int64
-	// block is the block the next new entry is cut from; free lists the
-	// dropped entries, linked through next, which newEntry takes first.
-	block []entry
-	free  *entry
+	// records is where every entry comes from and goes back to. Only the
+	// store's own methods hold an entry, under mu, and hand out its value,
+	// never the entry, so reusing one cannot be seen.
+	records slab.Slab[entry]
 }
-
-// maxBlock caps the entries of one block. A block lives as long as its
-// store, so blocks double from one entry: a store that holds few entries
-// holds a small block.
-const maxBlock = 64
 
 // entry is one cached value and its place in its store's LRU ring.
 type entry struct {
@@ -282,7 +279,7 @@ func (st *store) put(key Key, val []byte, victims []Key, decide bool) ([]Key, in
 		e.unlink()
 		e.insertAfter(&st.lru)
 	} else {
-		e := st.newEntry()
+		e := st.records.New()
 		e.key, e.val = key, val
 		e.insertAfter(&st.lru)
 		st.entries[key] = e
@@ -303,24 +300,6 @@ func (st *store) put(key Key, val []byte, victims []Key, decide bool) ([]Key, in
 		}
 	}
 	return victims, n
-}
-
-// newEntry returns a zeroed entry: a dropped one first, otherwise the
-// next of the store's block, each block twice the last up to maxBlock
-// entries. Only the store's own methods hold an entry, under st.mu, and
-// hand out its value, never the entry, so reusing one cannot be seen.
-// Caller holds st.mu.
-func (st *store) newEntry() *entry {
-	if e := st.free; e != nil {
-		st.free = e.next
-		e.next = nil
-		return e
-	}
-	if len(st.block) == cap(st.block) {
-		st.block = make([]entry, 0, min(max(2*cap(st.block), 1), maxBlock))
-	}
-	st.block = st.block[:len(st.block)+1]
-	return &st.block[len(st.block)-1]
 }
 
 // fill copies src's entries, in keys() order, into st: a new copy no
@@ -344,13 +323,12 @@ func (st *store) remove(key Key) bool {
 	return true
 }
 
-// dropLocked takes e out of the store and onto its free list, zeroed.
+// dropLocked takes e out of the store and back to its slab.
 func (st *store) dropLocked(e *entry) {
 	e.unlink()
 	delete(st.entries, e.key)
 	st.bytes -= int64(len(e.val)) + e.key.size()
-	*e = entry{next: st.free}
-	st.free = e
+	st.records.Free(e)
 }
 
 // keys returns the store's keys, sorted: the order a kill copies in.
@@ -371,7 +349,7 @@ func (st *store) clear() {
 	st.entries = make(map[Key]*entry)
 	st.lru.prev, st.lru.next = &st.lru, &st.lru
 	st.bytes = 0
-	st.block, st.free = nil, nil
+	st.records = slab.Slab[entry]{}
 }
 
 // New builds a service with the given options.

@@ -43,7 +43,7 @@ type FS struct {
 	opts    Options
 
 	mu        sync.Mutex
-	nodes     map[vfs.Ino]*node   // CntrFS ino -> node
+	nodes     map[vfs.Ino]node    // CntrFS ino -> node, held by value
 	byBacking map[vfs.Ino]vfs.Ino // backing ino -> CntrFS ino
 	nextIno   vfs.Ino
 }
@@ -62,24 +62,13 @@ func New(backing vfs.FS, opts Options) *FS {
 	fs := &FS{
 		backing:   backing,
 		opts:      opts,
-		nodes:     make(map[vfs.Ino]*node),
+		nodes:     make(map[vfs.Ino]node),
 		byBacking: make(map[vfs.Ino]vfs.Ino),
 		nextIno:   vfs.RootIno + 1,
 	}
-	fs.nodes[vfs.RootIno] = &node{backIno: opts.Root, nlookup: 1}
+	fs.nodes[vfs.RootIno] = node{backIno: opts.Root, nlookup: 1}
 	fs.byBacking[opts.Root] = vfs.RootIno
 	return fs
-}
-
-// Backing exposes the wrapped filesystem.
-func (fs *FS) Backing() vfs.FS { return fs.backing }
-
-// NodeCount reports the live inode-table size (used by tests and the
-// forget-pressure benchmarks).
-func (fs *FS) NodeCount() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return len(fs.nodes)
 }
 
 // resolve translates a CntrFS inode to the backing inode.
@@ -101,13 +90,15 @@ func (fs *FS) register(backIno vfs.Ino) vfs.Ino {
 	defer fs.mu.Unlock()
 	if fs.opts.DedupHardlinks {
 		if ino, ok := fs.byBacking[backIno]; ok {
-			fs.nodes[ino].nlookup++
+			n := fs.nodes[ino]
+			n.nlookup++
+			fs.nodes[ino] = n
 			return ino
 		}
 	}
 	ino := fs.nextIno
 	fs.nextIno++
-	fs.nodes[ino] = &node{backIno: backIno, nlookup: 1}
+	fs.nodes[ino] = node{backIno: backIno, nlookup: 1}
 	if fs.opts.DedupHardlinks {
 		fs.byBacking[backIno] = ino
 	}
@@ -164,6 +155,7 @@ func (fs *FS) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 		return
 	}
 	n.nlookup -= nlookup
+	fs.nodes[ino] = n
 }
 
 // Getattr implements vfs.FS.

@@ -93,20 +93,24 @@ func TestForgetEvictsInodeTable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	grown := cfs.NodeCount()
+	grown := len(cfs.nodes)
 	if grown < 100 {
 		t.Fatalf("node count = %d, want >= 100", grown)
 	}
-	// Forget everything the lookups registered.
-	for _, e := range ents {
-		r, err := cli.Lresolve("/" + e.Name)
-		if err != nil {
-			t.Fatal(err)
+	// Forget everything the lookups registered: a resolve and a forget of
+	// one leave the stat's lookup, which must be what the table keeps; a
+	// second resolve and a forget of two leave nothing.
+	for _, forget := range []uint64{1, 2} {
+		for _, e := range ents {
+			r, err := cli.Lresolve("/" + e.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfs.Forget(cli.Op, r.Ino, forget)
 		}
-		cfs.Forget(cli.Op, r.Ino, 2) // one from stat, one from this resolve
-	}
-	if got := cfs.NodeCount(); got != 1 {
-		t.Fatalf("node count after forgets = %d, want 1 (root)", got)
+		if want := map[uint64]int{1: grown, 2: 1}[forget]; len(cfs.nodes) != want {
+			t.Fatalf("node count after forgets of %d = %d, want %d", forget, len(cfs.nodes), want)
+		}
 	}
 }
 
@@ -148,7 +152,7 @@ func TestChmodDelegationKeepsSgid(t *testing.T) {
 	_, _, hostCli := newFS(t)
 	cfs, _, _ := newFS(t)
 	_ = hostCli
-	host := cfs.Backing()
+	host := cfs.backing
 	rootCli := vfs.NewClient(host, vfs.Root())
 	rootCli.WriteFile("/f", nil, 0o644)
 	rootCli.Chown("/f", 1000, 5000) // caller 1000 not in group 5000

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"cntr/internal/blobstore"
+	"cntr/internal/slab"
 	"cntr/internal/vfs"
 )
 
@@ -41,6 +42,7 @@ type Options struct {
 type FS struct {
 	mu      sync.RWMutex
 	inodes  map[vfs.Ino]*inode
+	records slab.Slab[inode] // every inode comes from it (newInode, maybeReap)
 	handles map[vfs.Handle]openFile
 	nextIno vfs.Ino
 	nextH   vfs.Handle
@@ -424,12 +426,11 @@ func (fs *FS) newInode(c *vfs.Cred, dir *inode, typ vfs.FileType, mode vfs.Mode,
 	}
 	ino := fs.nextIno
 	fs.nextIno++
-	n := &inode{
-		attr: vfs.Attr{
-			Ino: ino, Type: typ, Mode: m, Nlink: 1,
-			UID: c.FSUID, GID: gid, Rdev: rdev,
-			Atime: now, Mtime: now, Ctime: now,
-		},
+	n := fs.records.New()
+	n.attr = vfs.Attr{
+		Ino: ino, Type: typ, Mode: m, Nlink: 1,
+		UID: c.FSUID, GID: gid, Rdev: rdev,
+		Atime: now, Mtime: now, Ctime: now,
 	}
 	if typ == vfs.TypeDirectory {
 		n.attr.Nlink = 2
@@ -625,13 +626,15 @@ func (fs *FS) removeDir(ino vfs.Ino, n *inode) {
 
 // maybeReap frees an inode's storage once it has no links and no open
 // handles, dropping its store references so shared chunks lose one
-// count (and private ones are freed).
+// count (and private ones are freed), and its record goes back to the
+// slab: no caller uses n after it.
 func (fs *FS) maybeReap(ino vfs.Ino, n *inode) {
 	if n.attr.Nlink == 0 && n.openCount == 0 {
 		for idx := range n.blocks {
 			fs.freeBlock(n, idx)
 		}
 		delete(fs.inodes, ino)
+		fs.records.Free(n)
 	}
 }
 

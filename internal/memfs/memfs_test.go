@@ -122,12 +122,21 @@ func TestOExclFailsOnExisting(t *testing.T) {
 	}
 }
 
+// TestUnlinkedFileRemainsReadable: a file unlinked while open keeps its
+// inode until the last close, across 200 creates and unlinks whose
+// inodes are records the slab hands out again: none of them is the open
+// file's, which keeps its bytes and its attributes.
 func TestUnlinkedFileRemainsReadable(t *testing.T) {
-	c := newClient(t)
+	fs := New(Options{})
+	c := vfs.NewClient(fs, vfs.Root())
 	if err := c.WriteFile("/gone", []byte("data"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f, err := c.Open("/gone", vfs.ORdonly, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	was, err := f.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +145,30 @@ func TestUnlinkedFileRemainsReadable(t *testing.T) {
 	}
 	if _, err := c.Stat("/gone"); vfs.ToErrno(err) != vfs.ENOENT {
 		t.Fatal("file should be gone from namespace")
+	}
+	reaped, reused := map[*inode]bool{}, 0
+	for i := 0; i < 200; i++ {
+		if err := c.WriteFile("/churn", []byte("churn bytes"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		attr, err := c.Stat("/churn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := fs.inodes[attr.Ino]
+		if reaped[n] {
+			reused++
+		}
+		reaped[n] = true
+		if err := c.Remove("/churn"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("200 creates after as many unlinks reused no inode record")
+	}
+	if now, err := f.Stat(); err != nil || now.Ino != was.Ino || now.Size != 4 || now.Mode != was.Mode || now.Nlink != 0 {
+		t.Fatalf("after the churn the open file stats %+v, %v; want %+v with no link", now, err, was)
 	}
 	buf := make([]byte, 4)
 	if _, err := f.ReadAt(buf, 0); err != nil {

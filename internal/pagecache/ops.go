@@ -160,10 +160,10 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, f *fileCache, idx int64, ahead bo
 	// excluded even once an insert below has evicted, and thereby flushed,
 	// them: the window predates that flush.
 	var dirty []int64
-	var absent batch
+	absent := 0
 	for k := idx; (k-idx)*PageSize < int64(n); k++ {
 		if q := f.at(k); q == nil {
-			absent.coming++
+			absent++
 		} else if q.dirty > 0 {
 			dirty = append(dirty, k)
 		}
@@ -173,7 +173,8 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, f *fileCache, idx int64, ahead bo
 			continue
 		}
 		lo := (k - idx) * PageSize
-		c.insertPage(f, k, buf[lo:min(lo+PageSize, int64(n))], &absent)
+		c.insertPage(f, k, buf[lo:min(lo+PageSize, int64(n))], absent)
+		absent--
 	}
 	return buf[:n], nil
 }
@@ -265,15 +266,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 	// h can carry writeback from here on: an insert below may have to
 	// evict, and so flush, a page this very call dirtied.
 	f.wbHandle, f.wbValid = h, true
-	// A write whose one blank page is at or past the cached end of file is
-	// a growth step. One that goes on where the last left off, on the same
-	// file, cuts its page from the run the file is growing into; any other
-	// starts that record afresh, with a run of one page.
-	n, first := f.blankPages(off, int64(len(data)))
-	blank := batch{coming: n, grow: n == 1 && first*PageSize >= f.size}
-	if blank.grow && (c.grow.ino != st.ino || c.grow.next != first) {
-		c.grow = growth{ino: st.ino, next: first}
-	}
+	blank := f.blankPages(off, int64(len(data)))
 	written := int64(0)
 	for written < int64(len(data)) {
 		if err := op.Err(); err != nil {
@@ -301,7 +294,8 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 				p = f.at(idx)
 			}
 			if p == nil {
-				p = c.insertPage(f, idx, got, &blank)
+				p = c.insertPage(f, idx, got, blank)
+				blank--
 			}
 		}
 		if p != nil {
@@ -322,9 +316,6 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 		}
 		c.wrote(f, pos, chunk)
 		written += int64(len(chunk))
-	}
-	if blank.grow {
-		c.grow.next = (off + written + PageSize - 1) / PageSize
 	}
 	f.mtimeBump++
 	if f.dirtyBytes >= c.opts.DirtyWindow || st.flags&vfs.OSync == vfs.OSync {
@@ -349,20 +340,17 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 	return int(written), nil
 }
 
-// blankPages counts the pages a write of n bytes at off creates blank —
-// absent, and wholly overwritten or at or past the cached end of file —
-// and returns the index of the first. Caller holds c.mu.
-func (f *fileCache) blankPages(off, n int64) (count int, first int64) {
+// blankPages counts the pages a write of n bytes at off creates blank:
+// absent, and wholly overwritten or at or past the cached end of file.
+// Caller holds c.mu.
+func (f *fileCache) blankPages(off, n int64) (count int) {
 	for idx := off / PageSize; idx*PageSize < off+n; idx++ {
 		whole := idx*PageSize >= off && (idx+1)*PageSize <= off+n
 		if f.at(idx) == nil && (whole || idx*PageSize >= f.size) {
-			if count == 0 {
-				first = idx
-			}
 			count++
 		}
 	}
-	return count, first
+	return count
 }
 
 // appendThrough passes an O_APPEND write to the backing, which puts it at

@@ -19,14 +19,22 @@
 //     That is the paper's configuration; a handle opened O_DIRECT goes
 //     past the cache it was opened on, which is how the default mount's
 //     server holds what is only read once (fuse.MountOptions.DirectRead).
+//
+// What the cache holds costs the host no heap object per file: its file
+// records, page headers and pages' bytes each come from one slab of the
+// cache (internal/slab), cut from blocks every file shares and handed out
+// again once dropped, as the kernel cuts its inodes and pages from
+// per-type slab caches.
 package pagecache
 
 import (
+	"bytes"
 	"iter"
 	"sync"
 	"sync/atomic"
 
 	"cntr/internal/sim"
+	"cntr/internal/slab"
 	"cntr/internal/vfs"
 )
 
@@ -156,29 +164,45 @@ type Cache struct {
 	// grows to the largest use so far and nothing larger.
 	wbuf, rbuf []byte
 	dirty      []int64
-	// free holds up to maxHdrBlock dropped pages, header and buffer, for
-	// newPage to hand out again; grow is the file lone writes are growing.
-	free []*page
-	grow growth
-}
-
-// growth is the record of a file growing a page per write: the next
-// growth step continues it when it is on ino at page next, and takes its
-// page from tail, the rest of the last run, which held last pages.
-type growth struct {
-	ino  vfs.Ino
-	next int64
-	tail []byte
-	last int
+	// records, pages and bufs are the slabs every file record, page header
+	// and page's bytes come from (see newPage).
+	records slab.Slab[fileCache]
+	pages   slab.Slab[page]
+	bufs    slab.Slab[[PageSize]byte]
 }
 
 // poisonScratch is the scratch guard rail's test hook: when set, a
 // scratch buffer is filled with 0xDB whenever it is handed out and after
-// every extent written from it, and so is a dropped page put on the free
-// list, so a layer below that keeps a buffer past its call, a backing that
-// reports bytes it did not write, or a holder of a dropped page, sees 0xDB
-// at once instead of another file's data some day.
+// every extent written from it, a dropped page's bytes are 0xDB and a
+// dropped file record holds poisonedFile, so a layer below that keeps a
+// buffer past its call, a backing that reports bytes it did not write, or
+// a holder of a dropped page or record, sees poison at once instead of
+// another file's data some day.
 var poisonScratch atomic.Bool
+
+var (
+	poisonedPage = [PageSize]byte(bytes.Repeat([]byte{0xDB}, PageSize))
+	// poisonedFile holds counts no live record can have.
+	poisonedFile = fileCache{size: -0xDB, valid: true, npages: -0xDB, openHandles: -0xDB, dirtyBytes: -0xDB}
+)
+
+// take returns a zeroed record of s; under the guard rail one the free
+// list held was poisoned by release, so it is zeroed again.
+func take[T any](s *slab.Slab[T]) *T {
+	p := s.New()
+	if poisonScratch.Load() {
+		*p = *new(T)
+	}
+	return p
+}
+
+// release returns p to s, to hold poison under the guard rail.
+func release[T any](s *slab.Slab[T], p, poison *T) {
+	s.Free(p)
+	if poisonScratch.Load() {
+		*p = *poison
+	}
+}
 
 // scratch returns *b resliced to n bytes, replacing it first with a
 // buffer of exactly n when it is shorter.
@@ -214,12 +238,10 @@ const lowPages = 16
 type fileCache struct {
 	// low holds pages 0 to lowPages-1 in place; high holds the rest and is
 	// made with the first of them; npages counts both. Reach them through
-	// at, set, del and all. hdrs is the block the next page header is cut
-	// from (see newPage).
+	// at, set, del and all.
 	low    [lowPages]*page
 	high   map[int64]*page
 	npages int
-	hdrs   []page
 	size   int64 // cached view of the file size
 	valid  bool  // whether size is known
 	// mode caches the file's mode bits for the kernel-side
@@ -266,7 +288,7 @@ type openState struct {
 }
 
 type page struct {
-	data []byte // always PageSize long
+	data *[PageSize]byte
 	// dirty counts the bytes written into the page since it was last
 	// clean — its share of fileCache.dirtyBytes; nonzero means dirty.
 	dirty int64
@@ -372,9 +394,6 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// Backing exposes the wrapped filesystem (used by experiment harnesses).
-func (c *Cache) Backing() vfs.FS { return c.backing }
-
 // charge accounts the fixed cost of one syscall entering this layer.
 func (c *Cache) charge() {
 	c.clock.Advance(c.model.Syscall)
@@ -383,82 +402,39 @@ func (c *Cache) charge() {
 func (c *Cache) file(ino vfs.Ino) *fileCache {
 	f, ok := c.files[ino]
 	if !ok {
-		f = &fileCache{}
+		f = take(&c.records)
 		c.files[ino] = f
 	}
 	return f
 }
 
-// maxHdrBlock caps the pages of one header block, of one run and of the
-// free list. A block or run lives while any of its pages is reachable,
-// keeping the header and bytes of its dropped pages with it, so the cap
-// bounds what one cached page can pin.
-const maxHdrBlock = 64
-
-// batch is what the pages one call inserts together share: how many of
-// them are still coming and the run their buffers are cut from. grow marks
-// a growth step's lone page (see Cache.grow).
-type batch struct {
-	coming int
-	run    []byte
-	grow   bool
-}
-
-// newPage returns a zeroed page for f, the next of b, and is the one place
-// that decides where its memory comes from. In order: a page this cache
-// dropped (the free list, last in first out); for a growth step, the run
-// the growing file is cut from, twice the last when it is used up, up to
-// maxHdrBlock pages; otherwise the run of b, made when the first of its
-// pages needs it and sized to the pages coming, so a window's or a
-// write's fresh pages are one allocation. A new header
-// is cut from a per-file block sized to max(pages held, pages coming), so
-// a growing file's blocks double and a window's headers are one block.
-// Runs are only ever cut forward, so no byte is handed out twice; a page
-// is handed out again only once dropped, so nothing may hold a page across
-// an insert.
-func (c *Cache) newPage(f *fileCache, b *batch) *page {
-	coming := b.coming
-	b.coming--
-	if n := len(c.free); n > 0 {
-		p := c.free[n-1]
-		c.free = c.free[:n-1]
-		clear(p.data)
-		return p
-	}
-	if len(f.hdrs) == cap(f.hdrs) {
-		f.hdrs = make([]page, 0, min(max(f.npages, coming, 1), maxHdrBlock))
-	}
-	f.hdrs = f.hdrs[:len(f.hdrs)+1]
-	p := &f.hdrs[len(f.hdrs)-1]
-	run := &b.run
-	if b.grow {
-		run = &c.grow.tail
-		if len(*run) == 0 {
-			c.grow.last = min(max(2*c.grow.last, 1), maxHdrBlock)
-			*run = make([]byte, c.grow.last*PageSize)
-		}
-	} else if len(*run) == 0 {
-		*run = make([]byte, min(max(coming, 1), maxHdrBlock)*PageSize)
-	}
-	p.data, *run = (*run)[:PageSize:PageSize], (*run)[PageSize:]
+// newPage returns a zeroed page, its header and its bytes each from the
+// cache's slab: the last dropped while the slab keeps any (up to 64),
+// otherwise cut from the slab's current block, which every file's pages
+// share. Blocks double from 1 to 64 pages, so a cache's pages are one heap
+// object per 64 once it has cut 64, and a block lives while any page cut
+// from it is cached or kept. A page is handed out again only once dropped,
+// so nothing may hold a page across an insert.
+func (c *Cache) newPage() *page {
+	p := c.pages.New()
+	p.data = take(&c.bufs)
 	return p
 }
 
 // insertPage caches data, zero-padded to a page, as page idx of f, which
-// must not hold that page yet, evicting under budget pressure. The page is
-// the next of b, which also sizes the map of pages past lowPages when this
-// one makes it, and the newest on the list. It returns nil when the budget
-// is exhausted and nothing can be evicted: the caller serves uncached.
-// Caller holds c.mu.
-func (c *Cache) insertPage(f *fileCache, idx int64, data []byte, b *batch) *page {
+// must not hold that page yet, evicting under budget pressure. coming is
+// how many pages the caller is inserting together from this one on, which
+// sizes the map of pages past lowPages when this one makes it. The page is
+// the newest on the list. It returns nil when the budget is exhausted and
+// nothing can be evicted: the caller serves uncached. Caller holds c.mu.
+func (c *Cache) insertPage(f *fileCache, idx int64, data []byte, coming int) *page {
 	for !c.opts.Budget.tryCharge(PageSize) {
 		if !c.evictOne() {
 			return nil
 		}
 	}
-	coming := b.coming
-	p := c.newPage(f, b)
-	copy(p.data, data)
+	p := c.newPage()
+	copy(p.data[:], data)
 	f.set(idx, p, coming)
 	p.f, p.idx, p.prev = f, idx, c.newest
 	if c.newest != nil {
@@ -471,11 +447,9 @@ func (c *Cache) insertPage(f *fileCache, idx int64, data []byte, b *batch) *page
 }
 
 // dropPage removes one cached page from its file and the list and returns
-// its memory to the budget: the single page removal behind eviction,
-// truncate, unlink and invalidate. Bytes still dirty are discarded with
-// it. The page goes on the free list while that has room (poisoned under
-// the scratch guard rail); past that it is left to the collector. Caller
-// holds c.mu.
+// its memory to the budget and the slabs: the single page removal behind
+// eviction, truncate, unlink and invalidate. Bytes still dirty are
+// discarded with it. Caller holds c.mu.
 func (c *Cache) dropPage(p *page) {
 	p.f.clean(p)
 	p.f.del(p.idx)
@@ -489,15 +463,9 @@ func (c *Cache) dropPage(p *page) {
 	} else {
 		c.newest = p.prev
 	}
-	p.f, p.prev, p.next = nil, nil, nil
 	c.opts.Budget.release(PageSize)
-	if len(c.free) < maxHdrBlock {
-		if c.free == nil {
-			c.free = make([]*page, 0, maxHdrBlock)
-		}
-		scrub(p.data)
-		c.free = append(c.free, p)
-	}
+	release(&c.bufs, p.data, &poisonedPage)
+	c.pages.Free(p)
 }
 
 // evictOne drops the oldest cached page; a dirty one is flushed first.
@@ -547,15 +515,19 @@ func (c *Cache) invalidateNoFlush(ino vfs.Ino) {
 
 // dropFileLocked forgets everything cached of the file but how many
 // handles are open on it: the pages of an unlinked file live until the
-// last of them closes, whatever was invalidated in between. Caller holds
-// c.mu.
+// last of them closes, whatever was invalidated in between. A record with
+// a handle open is reset in place and any other goes back to the slab, so
+// a caller takes what it needs of f, such as its writeback error, first.
+// Caller holds c.mu.
 func (c *Cache) dropFileLocked(ino vfs.Ino, f *fileCache) {
 	for _, p := range f.all() {
 		c.dropPage(p)
 	}
-	delete(c.files, ino)
-	if f.openHandles > 0 {
-		c.file(ino).openHandles = f.openHandles
+	if open := f.openHandles; open > 0 {
+		*f = fileCache{openHandles: open}
+	} else {
+		delete(c.files, ino)
+		release(&c.records, f, &poisonedFile)
 	}
 	c.stats.Invalidate++
 }

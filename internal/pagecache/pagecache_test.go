@@ -680,7 +680,7 @@ func TestWritebackErrorReachesCloseAndFsync(t *testing.T) {
 	t.Run("close", func(t *testing.T) {
 		cache, _, f := mount(t, true, 0)
 		enospc(t, "close", f.Close())
-		if attr, err := cache.Backing().Getattr(vfs.RootOp(), f.Ino()); err != nil || attr.Size != 0 {
+		if attr, err := cache.backing.Getattr(vfs.RootOp(), f.Ino()); err != nil || attr.Size != 0 {
 			t.Fatalf("backing file after the refused writeback: size %d, %v", attr.Size, err)
 		}
 	})
@@ -794,7 +794,7 @@ func TestWritebackThroughAppendHandleKeepsOffsets(t *testing.T) {
 	}
 	e.cache.SyncFS()
 	want := append(append([]byte("head"), bytes.Repeat([]byte("."), 8<<10-4)...), "tail"...)
-	got, err := vfs.NewClient(e.cache.Backing(), vfs.Root()).ReadFile("/f")
+	got, err := vfs.NewClient(e.cache.backing, vfs.Root()).ReadFile("/f")
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("backing after sync: %d bytes (want %d), starts %q, ends %q, %v", len(got), len(want), got[:4], got[len(got)-4:], err)
 	}
@@ -864,7 +864,7 @@ func TestEvictionInsideWriteFlushesDirtyPages(t *testing.T) {
 		t.Fatalf("write: %d, %v", n, err)
 	}
 	e.cache.SyncFS()
-	got, err := vfs.NewClient(e.cache.Backing(), vfs.Root()).ReadFile("/f")
+	got, err := vfs.NewClient(e.cache.backing, vfs.Root()).ReadFile("/f")
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("backing after sync: %d bytes, equal %v, %v", len(got), bytes.Equal(got, data), err)
 	}

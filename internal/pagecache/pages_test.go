@@ -41,7 +41,7 @@ func TestMissReadsTheWindow(t *testing.T) {
 		data[i*PageSize] = byte(i) // distinct even where the generator repeats
 	}
 	// Written below the cache, so every page of the reads is a miss.
-	if err := vfs.NewClient(e.cache.Backing(), vfs.Root()).WriteFile("/f", data, 0o644); err != nil {
+	if err := vfs.NewClient(e.cache.backing, vfs.Root()).WriteFile("/f", data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	f, err := e.cli.Open("/f", vfs.ORdonly, 0)
@@ -104,6 +104,10 @@ func TestReinsertedPageIsNewest(t *testing.T) {
 	}
 }
 
+// slabBlock is the most records one block of a slab holds, and its free
+// list (internal/slab).
+const slabBlock = 64
+
 // heapCost returns the heap objects and bytes one call of f allocates, as
 // testing.AllocsPerRun counts them (one warm-up call, then runs).
 func heapCost(runs int, f func()) (objects, bytes float64) {
@@ -115,15 +119,15 @@ func heapCost(runs int, f func()) (objects, bytes float64) {
 }
 
 // TestFreshPagesAllocBudget pins what caching new pages costs the host: the
-// fresh pages one write creates are one run of at most 64 pages
-// (maxHdrBlock) per 64, the same number of header blocks and a map made for
-// the pages past the first lowPages, which the file holds in place (4
-// objects). Nothing else: the write reaches no backing call but the
-// capability lookup, and memfs answers that without allocating. Bytes are
-// the pages' own plus at most 64 KiB. Asserts are off under -race.
+// bytes and the headers of fresh pages are cut from the cache's slabs, a
+// block of 64 of each per 64 pages once the slabs have cut 64, and a map
+// is made for the pages past the first lowPages, which the file holds in
+// place (4 objects). Nothing else: the write reaches no backing call but
+// the capability lookup, and memfs answers that without allocating. Bytes
+// are the pages' own plus at most 64 KiB. Asserts are off under -race.
 func TestFreshPagesAllocBudget(t *testing.T) {
 	const runs, pageMap = 20, 4
-	for _, tc := range []struct{ pages, runs int }{{64, 1}, {256, 4}} {
+	for _, tc := range []struct{ pages, blocks int }{{64, 1}, {256, 4}} {
 		e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 30})
 		files := make([]*vfs.File, runs+1)
 		for i := range files {
@@ -146,9 +150,9 @@ func TestFreshPagesAllocBudget(t *testing.T) {
 		if raceBuild() {
 			continue
 		}
-		if want := float64(2*tc.runs + pageMap); objects != want {
-			t.Errorf("%d fresh pages cost %.0f heap objects, want %.0f: %d runs, %d header blocks, %d of page map",
-				tc.pages, objects, want, tc.runs, tc.runs, pageMap)
+		if want := float64(2*tc.blocks + pageMap); objects != want {
+			t.Errorf("%d fresh pages cost %.0f heap objects, want %.0f: %d blocks of bytes, %d of headers, %d of page map",
+				tc.pages, objects, want, tc.blocks, tc.blocks, pageMap)
 		}
 		if limit := float64(len(data) + 64<<10); bytes > limit {
 			t.Errorf("%d fresh pages cost %.0f bytes, want at most %.0f", tc.pages, bytes, limit)
@@ -158,14 +162,16 @@ func TestFreshPagesAllocBudget(t *testing.T) {
 
 // TestColdWindowAllocBudget: a cold read of a whole 16-page file through a
 // 128 KiB readahead window is one backing read whose 16 pages are cached
-// together: one run and one header block. The file holds its first
-// lowPages pages in place, so they cost no map. The window itself is read
-// into the cache's scratch buffer, and the file's record was made by its
-// open. Asserts are off under -race.
+// together, cut from the cache's slabs: a quarter of a 64-page block of
+// bytes and one of headers, which testing.AllocsPerRun's whole-number
+// average reads as 0. The file holds its first lowPages pages in place, so
+// they cost no map. The window itself is read into the cache's scratch
+// buffer, and the file's record was made by its open. Asserts are off
+// under -race.
 func TestColdWindowAllocBudget(t *testing.T) {
-	const runs, pages, want = 20, 16, 2
+	const runs, pages, want = 20, 16, 0
 	e := newEnv(t, Options{KeepCache: true, ReadAhead: 128 << 10})
-	below := vfs.NewClient(e.cache.Backing(), vfs.Root())
+	below := vfs.NewClient(e.cache.backing, vfs.Root())
 	data := make([]byte, pages*PageSize)
 	files := make([]*vfs.File, runs+1)
 	for i := range files {
@@ -193,22 +199,20 @@ func TestColdWindowAllocBudget(t *testing.T) {
 		t.Fatalf("%d misses for %d cold reads, want one each", s.Misses, len(files))
 	}
 	if !raceBuild() && objects != want {
-		t.Errorf("a cold %d-page window costs %.0f heap objects, want %d: one run, one header block",
+		t.Errorf("a cold %d-page window costs %.0f heap objects, want %d: a share of two slab blocks",
 			pages, objects, want)
 	}
 }
 
 // TestAppendAllocBudget pins what files grown by 4 KiB writes cost the
-// host, one row per pattern. A file appended a page per call grows into
-// doubling runs (1, 2, 4, … 64 pages) beside header blocks that double
-// too: 1 024 appends cost 66 heap objects (22 runs, 22 header blocks and
-// the growth of the map of pages past the first lowPages, which are held
-// in place; the log gives the count with one 4 KiB buffer per lone page
-// beside it). Files appended in turn never continue one another's growth,
-// and random writes into a sparse file seldom continue their own, so each
-// of their pages is a run of its own. Bytes are the cached pages' own and
-// 64 KiB per 256 of them for headers and the map, plus for the appends
-// the last run's unused tail. Asserts are off under -race.
+// host, one row per pattern. Every page, whichever file it is of, is cut
+// from the cache's two slabs, bytes and headers, a block of 64 of each
+// per 64 pages: 1 024 appends cost 54 heap objects (16 blocks of each and
+// 22 of the growth of the map of pages past the first lowPages, which are
+// held in place), four files appended in turn 44 and 222 random writes
+// into a sparse file 30, most of them the maps'. Bytes are the cached
+// pages' own and 64 KiB per 256 of them for headers and the maps, plus
+// for the appends a block's unused tail. Asserts are off under -race.
 func TestAppendAllocBudget(t *testing.T) {
 	const runs = 3
 	page := make([]byte, PageSize)
@@ -221,9 +225,8 @@ func TestAppendAllocBudget(t *testing.T) {
 		name    string
 		files   int
 		writes  func(files []*vfs.File) int // returns the pages cached
-		objects float64                     // 0 leaves objects unchecked
-		lone    float64                     // objects with a 4 KiB buffer per lone page
-		tail    int                         // pages the last run may leave unused
+		objects float64
+		tail    int // pages the last block may leave unused
 	}{
 		{"1024 sequential appends", 1, func(files []*vfs.File) int {
 			for i := int64(0); i < 1024; i++ {
@@ -232,7 +235,7 @@ func TestAppendAllocBudget(t *testing.T) {
 				}
 			}
 			return 1024
-		}, 66, 1069, maxHdrBlock - 1},
+		}, 54, slabBlock - 1},
 		{"four files appended in turn", 4, func(files []*vfs.File) int {
 			for i := int64(0); i < 64; i++ {
 				for _, f := range files {
@@ -242,7 +245,7 @@ func TestAppendAllocBudget(t *testing.T) {
 				}
 			}
 			return 256
-		}, 0, 0, 0},
+		}, 44, 0},
 		{"random writes into a sparse file", 1, func(files []*vfs.File) int {
 			cached := map[int64]bool{}
 			for _, idx := range random {
@@ -252,7 +255,7 @@ func TestAppendAllocBudget(t *testing.T) {
 				cached[idx] = true
 			}
 			return len(cached)
-		}, 0, 0, 0},
+		}, 30, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 40})
@@ -276,13 +279,10 @@ func TestAppendAllocBudget(t *testing.T) {
 				next++
 			})
 			t.Logf("%s: %d pages, %.0f heap objects, %.0f bytes", tc.name, pages, objects, bytes)
-			if tc.lone != 0 {
-				t.Logf("%s with a 4 KiB buffer per lone page: %.0f heap objects", tc.name, tc.lone)
-			}
 			if raceBuild() {
 				return
 			}
-			if tc.objects != 0 && objects != tc.objects {
+			if objects != tc.objects {
 				t.Errorf("%.0f heap objects, want %.0f", objects, tc.objects)
 			}
 			if limit := float64((pages+tc.tail)*PageSize + (pages+255)/256*64<<10); bytes > limit {
@@ -295,11 +295,12 @@ func TestAppendAllocBudget(t *testing.T) {
 // TestChurnAllocBudget: the create / 4 KiB write / close / unlink loop of
 // PostMark and Compilebench caches each file's page in the one the file
 // before it dropped, so after a warm-up it costs no page header or buffer,
-// and holds it in place, so no page map either. What is left is 5 heap
-// objects: the *File, memfs's inode and its block map (2), and the
-// cache's record of the file. Asserts are off under -race.
+// and holds it in place, so no page map either. The cache's record of the
+// file and memfs's inode are the ones the file before dropped too. What is
+// left is 3 heap objects: the *File and memfs's block map (2). Asserts are
+// off under -race.
 func TestChurnAllocBudget(t *testing.T) {
-	const want = 5
+	const want = 3
 	e := newEnv(t, Options{KeepCache: true, Writeback: true, FlushOnClose: true})
 	data := make([]byte, PageSize)
 	var cached *page
@@ -320,13 +321,10 @@ func TestChurnAllocBudget(t *testing.T) {
 		}
 	}
 	churn()
-	if len(e.cache.free) != 1 || e.cache.free[0] != cached {
-		t.Fatalf("after one file churned the free list holds %d pages, want its page", len(e.cache.free))
-	}
-	warm, warmBuf := cached, &cached.data[0]
+	warm, warmBuf := cached, cached.data
 	objects, bytes := heapCost(100, func() {
 		churn()
-		if cached != warm || &cached.data[0] != warmBuf {
+		if cached != warm || cached.data != warmBuf {
 			t.Fatal("a churned file's page has a new header or buffer, want the one the file before dropped")
 		}
 	})
@@ -364,9 +362,6 @@ func TestDroppedPagesAreReusedOnce(t *testing.T) {
 	truncate := func(name string, size int64) {
 		if err := e.cli.Truncate(name, size); err != nil {
 			t.Fatal(err)
-		}
-		if n := len(e.cache.free); n > maxHdrBlock {
-			t.Fatalf("truncating %s to %d leaves %d pages on the free list, want at most %d", name, size, n, maxHdrBlock)
 		}
 	}
 	data := make([]byte, pages*PageSize)
@@ -426,6 +421,10 @@ func TestDroppedPagesAreReusedOnce(t *testing.T) {
 
 	// A dropped page of /g, full of its bytes, reused for a 100-byte tail:
 	// a write at the page's last byte leaves a hole that reads as zeros.
+	dropped := map[*page]bool{}
+	for _, p := range pagesOf(g) {
+		dropped[p] = true
+	}
 	truncate("/g", 0)
 	h := create("/h")
 	write(h, fresh[:100], 0)
@@ -438,31 +437,49 @@ func TestDroppedPagesAreReusedOnce(t *testing.T) {
 		t.Errorf("a reused page holding a 100-byte tail reads %d nonzero bytes past byte 100, want 0",
 			PageSize-101-bytes.Count(got[100:PageSize-1], []byte{0}))
 	}
+	// 117 pages dropped since, and 64 of them kept: a 65-page write takes
+	// those and cuts one page.
+	for _, p := range pagesOf(f) {
+		dropped[p] = true
+	}
 	truncate("/f", 0)
-	if n := len(e.cache.free); n != maxHdrBlock {
-		t.Errorf("%d pages on the free list after dropping 117, want it full at %d", n, maxHdrBlock)
+	k := create("/k")
+	write(k, make([]byte, (slabBlock+1)*PageSize), 0)
+	reused := 0
+	for _, p := range pagesOf(k) {
+		if dropped[p] {
+			reused++
+		}
+	}
+	if reused != slabBlock {
+		t.Errorf("%d of %d fresh pages were dropped ones after dropping 117, want the %d kept", reused, slabBlock+1, slabBlock)
 	}
 }
 
-// TestDroppedPagesArePoisoned: under the scratch guard rail a dropped page
-// put on the free list reads 0xDB, so a holder of a *page across its drop
-// sees poison at once; the page serves its next file whole.
+// TestDroppedPagesArePoisoned: under the scratch guard rail a dropped
+// page's bytes read 0xDB and a dropped file record holds poisonedFile, so
+// a holder of either across its drop sees poison at once; each serves its
+// next file whole.
 func TestDroppedPagesArePoisoned(t *testing.T) {
 	was := poisonScratch.Swap(true)
 	t.Cleanup(func() { poisonScratch.Store(was) })
 	e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 30})
+	ino := func(name string) vfs.Ino {
+		attr, err := e.cli.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return attr.Ino
+	}
 	if err := e.cli.WriteFile("/f", bytes.Repeat([]byte("f"), 2*PageSize), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	attr, err := e.cli.Stat("/f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := e.cache.files[attr.Ino].at(1)
+	rec := e.cache.files[ino("/f")]
+	held := rec.at(1).data
 	if err := e.cli.Truncate("/f", PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(held.data, []byte{0xDB}); n != PageSize {
+	if n := bytes.Count(held[:], []byte{0xDB}); n != PageSize {
 		t.Fatalf("a page held across its drop reads %d bytes of 0xDB, want %d", n, PageSize)
 	}
 	want := bytes.Repeat([]byte("g"), 100)
@@ -472,7 +489,25 @@ func TestDroppedPagesArePoisoned(t *testing.T) {
 	if got, err := e.cli.ReadFile("/g"); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("/g, cached in the poisoned page: %q, %v", got, err)
 	}
-	if n := bytes.Count(held.data[100:], []byte{0}); n != PageSize-100 {
+	if n := bytes.Count(held[100:], []byte{0}); n != PageSize-100 {
 		t.Fatalf("the reused page holds %d zero bytes past its 100, want %d", n, PageSize-100)
+	}
+
+	// /f unlinked with no handle open: its record goes back to the slab.
+	if err := e.cli.Remove("/f"); err != nil {
+		t.Fatal(err)
+	}
+	if rec.size != poisonedFile.size || rec.npages != poisonedFile.npages || rec.openHandles != poisonedFile.openHandles {
+		t.Fatalf("a record held across its drop has size %d, %d pages, %d handles; want poisonedFile's",
+			rec.size, rec.npages, rec.openHandles)
+	}
+	if err := e.cli.WriteFile("/h", want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := e.cli.ReadFile("/h"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("/h, in the poisoned record: %q, %v", got, err)
+	}
+	if e.cache.files[ino("/h")] != rec {
+		t.Fatal("/h has a new record, want the one /f dropped")
 	}
 }

@@ -37,10 +37,10 @@ func (k *keeper) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, er
 // TestScratchIsPoisoned runs the cache's differentials and whole stacks
 // with the scratch guard rail on: a cache's extent buffer is filled with
 // 0xDB after every extent it wrote back, its fill window before every
-// blocking read and a dropped page as it goes on the free list, so a layer
-// that keeps a buffer past its call, a backing that reports bytes it never
-// wrote, or a holder of a page across its drop, shows as 0xDB content at
-// once instead of another file's bytes some day. Package-global hook: no
+// blocking read and a dropped page's bytes as they go back to the slab,
+// so a layer that keeps a buffer past its call, a backing that reports
+// bytes it never wrote, or a holder of a page across its drop, shows as
+// 0xDB content at once instead of another file's bytes some day. Package-global hook: no
 // test in this package runs in parallel.
 func TestScratchIsPoisoned(t *testing.T) {
 	pagecache.PoisonScratch(true)

@@ -51,20 +51,22 @@ func raceBuild() bool {
 // on top of the bare stack's 1 and 2.
 //
 // The calls that do allocate are budgeted at their measured counts.
-// Create-write-close of a new file, native (5): the *File, memfs's inode,
-// the cache's file state and the page — its buffer and a one-header block
-// (2); the cache holds a file's first pages in place and its first zombie
-// handle in a slot, so it makes no page map and no zombie slice, and the
-// tables' growth comes to less than one per call. Through CntrFS (11) the
-// second cache pays its file state and page (3) again, plus the name the
-// server decodes from the CREATE frame and its inode-table entry (2), and
-// the tables' growth (1); the flush's dirty-index slice, extent list and
-// extent buffer are the cache's scratch. ReadDir of a three-entry
-// directory, native (6): the entry slice and sorted names of the one
-// non-empty Readdir (4), and the caller's result as it grows (2); CntrFS
-// (8) adds what the kernel side decodes from the READDIR reply (2). Before
-// the caches held a file's first pages in place the creates were 8 and
-// 16; before they held a handle's open state by value these were 11 and
+// Create-write-close of a new file, native (1): the *File. memfs's inode,
+// the cache's file state and the page's header and bytes are cut from
+// slabs, a block per 64 at most; the cache holds a file's first pages in
+// place and its first zombie handle in a slot, so it makes no page map
+// and no zombie slice, and the tables' growth comes to less than one per
+// call. Through CntrFS (3) the second cache's records come from its slabs
+// too and CntrFS holds its inode-table entry by value: what is added is
+// the name the server decodes from the CREATE frame (1) and the tables'
+// growth (1); the flush's dirty-index slice, extent list and extent
+// buffer are the cache's scratch. ReadDir of a three-entry directory,
+// native (6): the entry slice and sorted names of the one non-empty
+// Readdir (4), and the caller's result as it grows (2); CntrFS (8) adds
+// what the kernel side decodes from the READDIR reply (2). Before the
+// per-file records came from slabs the creates were 5 and 11; before the
+// caches held a file's first pages in place 8 and 16; before they held a
+// handle's open state by value these were 11 and
 // 20, 8 and 11; before memfs held its own by value and made an inode's
 // xattr map at its first Setxattr, 10 and 18, 7 and 9. Behind the chain
 // the enforcer
@@ -87,12 +89,12 @@ func TestTopStatAllocBudget(t *testing.T) {
 		top             func(t *testing.T) vfs.FS
 		create, readdir float64
 	}{
-		{"native", func(t *testing.T) vfs.FS { return NewNative(Config{}).Top }, 5, 6},
+		{"native", func(t *testing.T) vfs.FS { return NewNative(Config{}).Top }, 1, 6},
 		{"cntr", func(t *testing.T) vfs.FS {
 			c := NewCntr(Config{})
 			t.Cleanup(c.Close)
 			return c.Top
-		}, 11, 8},
+		}, 3, 8},
 	} {
 		for _, chained := range []bool{false, true} {
 			name, create := st.name, st.create
