@@ -211,10 +211,6 @@ func runShow(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "window: %d ops, read %d B, write %d B\n",
 			p.WindowOps, p.ReadBytesPerWindow, p.WriteBytesPerWindow)
 	}
-	if p.MaxReadBytes > 0 || p.MaxWriteBytes > 0 {
-		fmt.Fprintf(stdout, "lifetime ceilings: read %d B, write %d B\n",
-			p.MaxReadBytes, p.MaxWriteBytes)
-	}
 	if len(p.AnyPathKinds) > 0 {
 		fmt.Fprintf(stdout, "any-path: %s\n", strings.Join(p.AnyPathKinds, ", "))
 	}

@@ -42,16 +42,17 @@ type Options struct {
 	// EffectiveUser is the uid/gid the injected shell runs as (0 = root
 	// inside the container's user namespace).
 	EffectiveUser uint32
-	// Trace, when set, receives every operation the session makes on
-	// the mount: a Tracer chained where a syscall enters it, with its
-	// Sink pointed at the collector, and the collector's activity
-	// profile is exposed as /proc/policy/<container> inside the session.
-	// Delivery is synchronous — the view is read live, so an operation
-	// is in it by the time the operation returns.
+	// Trace, when set, records every operation the session makes on the
+	// mount: one of its Runs is chained where a syscall enters it, and
+	// the collector's activity profile is exposed as
+	// /proc/policy/<container> inside the session. Recording is
+	// synchronous — the view is read live, so an operation is in it by
+	// the time the operation returns.
 	Trace *policy.Collector
 	// Enforce, when set, chains a policy.Enforcer at the same place,
-	// inside the tracer: operations outside the profile fail with EACCES
-	// (or, with EnforceAudit, are recorded as violations and let through).
+	// inside the recording Run: operations outside the profile fail with
+	// EACCES (or, with EnforceAudit, are recorded as violations and let
+	// through).
 	Enforce      *policy.Profile
 	EnforceAudit bool
 	// EnforceBaseline, when set alongside Enforce, is the profile the
@@ -101,8 +102,6 @@ type Session struct {
 	// Enforcer is the live policy enforcer when Options.Enforce was
 	// set; its Denials/Violations expose what the policy blocked.
 	Enforcer *policy.Enforcer
-	// Tracer is the session's trace source when Options.Trace was set.
-	Tracer *vfs.Tracer
 
 	Master *pty.Master
 	slave  *pty.Slave
@@ -157,18 +156,15 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 	// Policy sits at syscall entry, over the kernel-side cache, in the
 	// order phoronix.Run chains it: it sees what the session asked for,
 	// cache hits included, and the mount below is the measured one. The
-	// tracer is outermost so it also records operations the enforcer
-	// denies — with EACCES as their outcome — which is what makes denials
-	// auditable through the activity view.
+	// recording Run is outermost so it also records operations the
+	// enforcer denies — with EACCES as their outcome — which is what
+	// makes denials auditable through the activity view.
 	var ics []vfs.Interceptor
-	var tracer *vfs.Tracer
 	if opts.Trace != nil {
-		// Each mount gets its own path-learning scope: inode numbers are
-		// only meaningful within one mount, and a shared collector may be
-		// tracing several attached containers at once.
-		tracer = vfs.NewTracer(0)
-		tracer.Sink = opts.Trace.NewRun().Sink
-		ics = append(ics, tracer)
+		// Each mount gets its own Run: inode numbers are only meaningful
+		// within one mount, and a shared collector may be recording
+		// several attached containers at once.
+		ics = append(ics, opts.Trace.NewRun())
 	}
 	var enforcer *policy.Enforcer
 	if opts.Enforce != nil {
@@ -291,7 +287,7 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 	sess := &Session{
 		Host: h, Target: target, Context: ctx,
 		Proc: child, Nested: nested, Client: chrooted,
-		Mount: mount, Enforcer: enforcer, Tracer: tracer,
+		Mount: mount, Enforcer: enforcer,
 		Master: master, slave: slave,
 		removeIOSource:   removeIOSource,
 		removeExitHook:   removeExitHook,

@@ -134,7 +134,7 @@ func mountTraffic(t *testing.T, served *Host, cli *vfs.Client, conn *fuse.Conn) 
 // gets and a bare stack.NewMount over an identically seeded filesystem
 // put the same frames on the wire for the same work — same writeback
 // window, same write-out at close, same cache kept across the reopen,
-// same readahead windows — with policy off, with a tracer recording,
+// same readahead windows — with policy off, with a policy.Run recording,
 // and with an enforcer gating on the profile that recording produced:
 // policy sits where a syscall enters the mount and changes nothing
 // below it. This is what keeps the attach workflow and the benchmarked

@@ -202,10 +202,10 @@ func TestAttachPolicySeesEveryOpen(t *testing.T) {
 }
 
 // TestAttachReadCeilingCountsCacheHits: a byte ceiling counts what the
-// session read, not what crossed the wire. The profile allows reading
-// one file's size; the first read of the file fills the kernel-side
-// cache, and the second, which that cache would serve without a frame,
-// is denied at syscall entry.
+// session read, not what crossed the wire. The profile's read window
+// allows one file's size; the first read of the file fills the
+// kernel-side cache, and the second, which that cache would serve
+// without a frame, is denied at syscall entry.
 func TestAttachReadCeilingCountsCacheHits(t *testing.T) {
 	h, _, _ := testWorld(t)
 	const path, size = "/usr/bin/gdb", 5000
@@ -213,7 +213,8 @@ func TestAttachReadCeilingCountsCacheHits(t *testing.T) {
 		Rules: []policy.Rule{{Prefix: "/", Kinds: []string{
 			"lookup", "getattr", "access", "open", "read", "opendir", "readdir", "getxattr",
 		}}},
-		MaxReadBytes: size,
+		WindowOps:          policy.CeilingWindowOps,
+		ReadBytesPerWindow: size,
 	}
 	sess, err := Attach(h, Options{Container: "db", Fat: "tools", Enforce: p})
 	if err != nil {
@@ -237,7 +238,7 @@ func TestAttachReadCeilingCountsCacheHits(t *testing.T) {
 		t.Fatalf("the denied read sent %d frames", n)
 	}
 	v := sess.Enforcer.Violations()
-	if sess.Enforcer.Denials() != 1 || len(v) != 1 || v[0].Kind != vfs.KindRead || v[0].Reason != "read ceiling" {
+	if sess.Enforcer.Denials() != 1 || len(v) != 1 || v[0].Kind != vfs.KindRead || v[0].Reason != "read rate" {
 		t.Fatalf("denials %d, violations %+v; want the second read denied for its ceiling", sess.Enforcer.Denials(), v)
 	}
 }

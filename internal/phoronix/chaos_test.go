@@ -10,8 +10,8 @@ import (
 // and change nothing else, so the row under ChaosProfile takes longer
 // than the clean row by exactly the delays the rules fire — every 7th
 // read and every 5th write 200 us, every 13th operation 50 us — the
-// counts read from a recording of the faulty run (the tracer is outermost
-// and sees every operation the injector does).
+// counts read from a recording of the faulty run (the recording Run is
+// outermost and sees every operation the injector does).
 //
 // A 12-worker row (Dbench: 12 Clients) is deliberately not in the table:
 // injected delay moves it past AttrTimeout, attributes it had cached

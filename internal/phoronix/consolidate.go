@@ -79,7 +79,7 @@ func RunConsolidation(n int) (*ConsolidationReport, error) {
 	rep.Merged = policy.Merge(policy.MergeOptions{}, profiles...)
 
 	// Consolidated replay: every container's mix on the shared store,
-	// chaos + enforcement + a recording tracer composed per workload.
+	// chaos + enforcement + a recording Run composed per workload.
 	chaotic := policy.NewCollector()
 	replay := Setup{
 		Config:  stack.Config{Store: blobstore.NewCAS(blobstore.CASOptions{})},

@@ -144,9 +144,9 @@ type Setup struct {
 	Config stack.Config
 	// Seed drives the workload's random choices; zero means 42.
 	Seed uint64
-	// Record receives every operation of the row, in a path-learning
-	// scope of the row's own (fresh stack, fresh inode numbers), and the
-	// mount's per-origin request counters once it has run.
+	// Record receives every operation of the row through a Run of the
+	// row's own (fresh stack, fresh inode numbers), and the mount's
+	// per-origin request counters once it has run.
 	Record *policy.Collector
 	// Enforce is compiled into an enforcer at syscall entry; with Audit,
 	// off-profile operations are counted instead of denied.
@@ -182,8 +182,8 @@ type Row struct {
 }
 
 // Run measures b on a fresh Cntr stack assembled from s. It is the one
-// place that knows the chain order: the tracer outermost, so that it
-// records a denial or an injected errno as it records a real one; the
+// place that knows the chain order: the recording Run outermost, so that
+// it records a denial or an injected errno as it records a real one; the
 // enforcer next, because policy decides at syscall entry; the fault
 // injector innermost, modelling the backing store behind an admitted
 // operation.
@@ -212,12 +212,11 @@ func Run(b *Benchmark, s Setup) Row {
 	var ics []vfs.Interceptor
 	if s.Record != nil {
 		run := s.Record.NewRun()
-		tr := vfs.NewTracer(1)
-		tr.Sink = func(e vfs.TraceEntry) {
+		ics = append(ics, vfs.InterceptorFunc(func(info *vfs.OpInfo, next func() error) error {
+			err := run.Intercept(info, next)
 			row.Ops++
-			run.Sink(e)
-		}
-		ics = append(ics, tr)
+			return err
+		}))
 	}
 	var enf *policy.Enforcer
 	if s.Enforce != nil {

@@ -8,23 +8,24 @@
 //
 // The package has three parts matching that pipeline:
 //
-//   - Collector: an aggregation sink for vfs.Tracer entries. It keys
-//     activity by origin (Op.PID), operation kind and path prefix, and
-//     keeps an errno histogram per kind. The inode→path mapping is
-//     learned from the trace itself (Lookup/Create/Mkdir entries carry
-//     parent inode, name and resulting inode), so no side channel into
-//     the traced filesystem is needed.
+//   - Collector: the aggregation of what was recorded. Each traced mount
+//     chains one Run, a vfs.Interceptor, at its top; it keys activity by
+//     origin (Op.PID), operation kind and path prefix, and keeps an errno
+//     histogram per kind.
 //   - Profile: the generated allowlist (permitted operation kinds per
-//     path subtree, plus byte ceilings), serializable to JSON.
+//     path subtree, plus windowed byte ceilings), serializable to JSON.
 //   - Enforcer: a vfs.Interceptor that denies off-profile operations
 //     with EACCES, or — in audit mode — records them as violations
 //     while letting them through.
+//
+// Run and Enforcer learn the inode→path mapping the same way, from the
+// operations themselves (pathTable), so no side channel into the traced
+// filesystem is needed. slim derives Figure 5's keep-sets from a Run too.
 package policy
 
 import (
 	"encoding/json"
 	"sort"
-	"strings"
 	"sync"
 
 	"cntr/internal/fuse"
@@ -39,7 +40,9 @@ const unknownAnchor = "?"
 // operations (reads and writes), over which the collector tracks peak
 // byte volumes during recording and the Enforcer meters the generated
 // rate ceilings. Clocking the window off the op stream instead of wall
-// time keeps recording and enforcement deterministic under replay.
+// time keeps recording and enforcement deterministic under replay. It is
+// also the longest window Load accepts: an enforcer allocates a ring
+// entry per operation of its window.
 const CeilingWindowOps = 1024
 
 // windowTracker maintains a sliding sum of per-direction payload bytes
@@ -83,15 +86,13 @@ func (t *windowTracker) push(r, w int64) {
 	}
 }
 
-// Collector aggregates trace entries into per-origin activity profiles.
-// Point a vfs.Tracer's Sink at Collector.Sink for a single traced
-// mount, or at a per-mount Run's Sink (NewRun) when several mounts feed
-// one collector concurrently — inode numbers are only meaningful within
-// one mount, so each needs its own learned path table.
+// Collector aggregates recorded operations into per-origin activity
+// profiles. It records through Runs (NewRun), one chained at the top of
+// each traced mount: inode numbers are only meaningful within one mount,
+// so each needs its own learned path table, while several mounts may
+// feed one collector concurrently.
 type Collector struct {
-	mu sync.Mutex
-	// run is the default path-learning scope behind Collector.Sink.
-	run     *Run
+	mu      sync.Mutex
 	origins map[uint32]*activity
 	// win tracks the mount-global sliding byte window over the data-op
 	// stream; its peaks become the profile's windowed rate ceilings.
@@ -100,13 +101,14 @@ type Collector struct {
 	win windowTracker
 }
 
-// Run scopes the learned ino→path table to one traced mount; its Sink
-// aggregates into the shared collector.
+// Run is a vfs.Interceptor that records every operation of one mount
+// into the shared collector, after the operation has run, with its
+// outcome. It learns the mount's inode→path table from the operations
+// themselves.
 type Run struct {
 	c  *Collector
 	mu sync.Mutex
-	// paths is this mount's learned ino→path table, seeded with root.
-	paths map[vfs.Ino]string
+	pathTable
 }
 
 // activity is one origin's aggregation state. Anchors live in a
@@ -135,155 +137,68 @@ type anchorAgg struct {
 	bytes int64
 }
 
-// NewCollector returns an empty collector ready to sink trace entries.
+// NewCollector returns an empty collector; record into it through
+// NewRun.
 func NewCollector() *Collector {
-	c := &Collector{origins: make(map[uint32]*activity)}
-	c.run = c.NewRun()
-	return c
+	return &Collector{origins: make(map[uint32]*activity)}
 }
 
-// NewRun starts a path-learning scope for one traced mount. Aggregation
-// is shared with every other run of the collector; the ino→path table
-// is not, so two concurrently traced mounts cannot cross-bind paths.
+// NewRun starts recording one traced mount. Aggregation is shared with
+// every other run of the collector; the ino→path table is not, so two
+// concurrently traced mounts cannot cross-bind paths.
 func (c *Collector) NewRun() *Run {
-	return &Run{c: c, paths: map[vfs.Ino]string{vfs.RootIno: "/"}}
+	return &Run{c: c, pathTable: newPathTable()}
 }
 
-// pathJoin appends a directory entry name to a directory path.
-func pathJoin(dir, name string) string {
-	if dir == "/" {
-		return "/" + name
-	}
-	return dir + "/" + name
-}
-
-// entryPath is the target path of an operation on the entry name of the
-// directory at dir, or on dir itself without a name; empty when dir, the
-// learned path of the operation's inode, is.
-func entryPath(dir, name string) string {
-	if dir == "" || name == "" {
-		return dir
-	}
-	return pathJoin(dir, name)
-}
-
-// isEntryPath reports whether p is entryPath(dir, name), without building
-// it.
-func isEntryPath(p, dir, name string) bool {
-	if dir == "" || name == "" {
-		return p == dir
-	}
-	if dir == "/" {
-		dir = ""
-	}
-	return len(p) == len(dir)+1+len(name) && p[:len(dir)] == dir && p[len(dir)] == '/' && p[len(dir)+1:] == name
-}
-
-// resolvePaths computes the anchor (the directory the operation is
-// rooted at, which becomes the profile rule prefix) and the target path
-// of one entry from the learned path table. Caller holds the table's
-// lock.
-func resolvePaths(paths map[vfs.Ino]string, ino vfs.Ino, name string) (anchor, target string) {
-	p := paths[ino]
-	return p, entryPath(p, name)
-}
-
-// rebindPaths moves a renamed subtree in the learned path table: every
-// binding at oldPath or beneath it is rewritten under newPath. Renames
-// are rare, so the linear scan is fine. Caller holds the table's lock.
-func rebindPaths(paths map[vfs.Ino]string, oldPath, newPath string) {
-	if oldPath == "" || newPath == "" || oldPath == newPath {
-		return
-	}
-	prefix := oldPath + "/"
-	for ino, p := range paths {
-		if p == oldPath {
-			paths[ino] = newPath
-		} else if strings.HasPrefix(p, prefix) {
-			paths[ino] = newPath + p[len(oldPath):]
-		}
-	}
-}
-
-// renameTarget computes a successful rename's destination path from the
-// entry's NewParentIno/NewName; empty when the destination directory is
-// unknown. Caller holds the table's lock.
-func renameTarget(paths map[vfs.Ino]string, newParent vfs.Ino, newName string) string {
-	p, ok := paths[newParent]
-	if !ok {
-		return ""
-	}
-	return pathJoin(p, newName)
-}
-
-// Sink records one trace entry; assign it to a vfs.Tracer's Sink field.
-// It learns paths in the collector's default scope — for multiple
-// concurrently traced mounts, use a NewRun scope per mount.
-func (c *Collector) Sink(e vfs.TraceEntry) { c.run.Sink(e) }
-
-// resolveEntryLocked learns paths from one entry and returns its
-// anchor. Caller holds r.mu.
-func (r *Run) resolveEntryLocked(e vfs.TraceEntry) (anchor string) {
-	anchor, target := resolvePaths(r.paths, e.Ino, e.Name)
-	if e.ResultIno != 0 && target != "" {
-		// The operation resolved or created an inode: learn its path.
-		r.paths[e.ResultIno] = target
-	}
-	if e.Kind == vfs.KindRename && e.Errno == vfs.OK {
-		// Keep attribution honest across renames: rebind the moved
-		// subtree so later operations report the container's current
-		// paths, not where the files used to live.
-		rebindPaths(r.paths, target, renameTarget(r.paths, e.NewParentIno, e.NewName))
-	}
-	if e.Kind == vfs.KindForget && e.Ino != vfs.RootIno {
-		// The kernel dropped its references: forget the binding too, so
-		// the table stays bounded by live lookups (a fresh Lookup
-		// relearns it). Without this the table grows with every inode
-		// ever traced.
-		delete(r.paths, e.Ino)
-	}
-	return anchor
-}
-
-// Sink records one trace entry, learning paths in this run's scope and
-// aggregating into the shared collector.
-func (r *Run) Sink(e vfs.TraceEntry) {
+// Intercept implements vfs.Interceptor: it runs the operation, then
+// learns paths from it and aggregates it at its anchor, the learned path
+// of the inode it addressed.
+func (r *Run) Intercept(info *vfs.OpInfo, next func() error) error {
+	err := next()
 	r.mu.Lock()
-	anchor := r.resolveEntryLocked(e)
+	anchor := r.dir(info.Ino)
+	r.learn(info, anchor, err)
 	r.mu.Unlock()
 	r.c.mu.Lock()
-	r.c.recordLocked(e, anchor)
+	r.c.recordLocked(info, vfs.ToErrno(err), anchor)
 	r.c.mu.Unlock()
+	return err
 }
 
-// recordLocked aggregates one resolved entry. Caller holds c.mu.
-func (c *Collector) recordLocked(e vfs.TraceEntry, anchor string) {
-	a := c.origin(e.PID)
+// recordLocked aggregates one operation that ended with errno. Caller
+// holds c.mu.
+func (c *Collector) recordLocked(info *vfs.OpInfo, errno vfs.Errno, anchor string) {
+	var pid uint32
+	if info.Op != nil {
+		pid = info.Op.PID
+	}
+	bytes := int64(info.Bytes)
+	a := c.origin(pid)
 	a.ops++
-	k := a.kinds[e.Kind]
+	k := a.kinds[info.Kind]
 	if k == nil {
 		k = &kindAgg{errnos: make(map[string]int64)}
-		a.kinds[e.Kind] = k
+		a.kinds[info.Kind] = k
 	}
 	k.ops++
-	k.bytes += int64(e.Bytes)
-	k.errnos[errnoName(e.Errno)]++
-	switch e.Kind {
+	k.bytes += bytes
+	k.errnos[errnoName(errno)]++
+	switch info.Kind {
 	case vfs.KindRead:
-		a.readBytes += int64(e.Bytes)
-		c.win.push(int64(e.Bytes), 0)
+		a.readBytes += bytes
+		c.win.push(bytes, 0)
 	case vfs.KindWrite:
-		a.writeBytes += int64(e.Bytes)
-		c.win.push(0, int64(e.Bytes))
+		a.writeBytes += bytes
+		c.win.push(0, bytes)
 	}
 	key := anchor
 	if key == "" {
 		key = unknownAnchor
 	}
 	an := a.anchors.getOrCreate(key, newAnchorAgg)
-	an.kinds[e.Kind]++
+	an.kinds[info.Kind]++
 	an.ops++
-	an.bytes += int64(e.Bytes)
+	an.bytes += bytes
 }
 
 // newAnchorAgg materializes an empty per-anchor aggregate.
@@ -313,7 +228,7 @@ func errnoName(e vfs.Errno) string {
 // JoinOriginStats folds a FUSE request table's per-origin completion
 // counters (fuse.Server.OriginStats) into the matching activity
 // profiles — the transport-level view of the same traffic, joined by
-// Op.PID. Origins the collector never saw trace entries for are added,
+// Op.PID. Origins the collector never recorded operations of are added,
 // so kernel-side traffic (pid 0) appears too.
 func (c *Collector) JoinOriginStats(stats map[uint32]fuse.OriginStats) {
 	c.mu.Lock()

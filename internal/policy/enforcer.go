@@ -29,18 +29,15 @@ type Violation struct {
 // the operation through instead — the dry-run for a freshly generated
 // profile.
 //
-// Like the Collector, the enforcer learns the inode→path mapping from
-// the operations flowing past it (Lookup/Create results), so it needs
-// no side channel into the enforced filesystem. Housekeeping kinds the
-// kernel emits on its own behalf (forget, release, releasedir, flush,
-// statfs) are always permitted: denying a release would leak the very
-// handle an allowed open created.
+// Like a Run, the enforcer learns the inode→path mapping from the
+// operations flowing past it (pathTable), so it needs no side channel
+// into the enforced filesystem. Housekeeping kinds the kernel emits on
+// its own behalf (forget, release, releasedir, flush, statfs) are always
+// permitted: denying a release would leak the very handle an allowed
+// open created.
 type Enforcer struct {
 	m     *Matcher
 	audit bool
-
-	maxRead  int64
-	maxWrite int64
 
 	// winReadMax/winWriteMax are the profile's windowed rate ceilings:
 	// payload bytes per direction within any window of the last winOps
@@ -51,10 +48,8 @@ type Enforcer struct {
 	winReadMax  int64
 	winWriteMax int64
 
-	mu         sync.Mutex
-	paths      map[vfs.Ino]string
-	readBytes  int64
-	writeBytes int64
+	mu sync.Mutex
+	pathTable
 	win        windowTracker
 	denials    int64
 	audited    int64
@@ -67,13 +62,11 @@ func NewEnforcer(p *Profile, audit bool) *Enforcer {
 	return &Enforcer{
 		m:           p.Compile(),
 		audit:       audit,
-		maxRead:     p.MaxReadBytes,
-		maxWrite:    p.MaxWriteBytes,
 		winOps:      int(p.WindowOps),
 		winReadMax:  p.ReadBytesPerWindow,
 		winWriteMax: p.WriteBytesPerWindow,
 		win:         windowTracker{n: int(p.WindowOps)},
-		paths:       map[vfs.Ino]string{vfs.RootIno: "/"},
+		pathTable:   newPathTable(),
 	}
 }
 
@@ -88,18 +81,14 @@ func exempt(k vfs.OpKind) bool {
 
 // gateLocked decides one operation against the profile — one trie
 // lookup, one ceiling check — records the outcome, and reports whether
-// the operation must be denied. Byte ceilings (lifetime totals and the
-// sliding op-stream window alike) advance only at completion (Intercept,
-// after next()), never at admission. Caller holds e.mu.
+// the operation must be denied. The sliding op-stream window advances
+// only at completion (Intercept, after next()), never at admission.
+// Caller holds e.mu.
 func (e *Enforcer) gateLocked(info *vfs.OpInfo, dir string) (deny bool) {
 	var reason string
 	if !exempt(info.Kind) {
 		if !e.m.allowsEntry(info.Kind, dir, info.Name) {
 			reason = "off-profile"
-		} else if info.Kind == vfs.KindRead && e.maxRead > 0 && e.readBytes >= e.maxRead {
-			reason = "read ceiling"
-		} else if info.Kind == vfs.KindWrite && e.maxWrite > 0 && e.writeBytes >= e.maxWrite {
-			reason = "write ceiling"
 		} else if info.Kind == vfs.KindRead && e.winReadMax > 0 && e.win.sumR >= e.winReadMax {
 			reason = "read rate"
 		} else if info.Kind == vfs.KindWrite && e.winWriteMax > 0 && e.win.sumW >= e.winWriteMax {
@@ -135,7 +124,7 @@ func (e *Enforcer) Intercept(info *vfs.OpInfo, next func() error) error {
 	// dir (dir itself without a name; nothing when dir is empty, its path
 	// unknown). The string is built only where one is kept: every lookup
 	// of every path walk comes through here.
-	dir := e.paths[info.Ino]
+	dir := e.dir(info.Ino)
 	if e.gateLocked(info, dir) {
 		e.mu.Unlock()
 		return vfs.EACCES
@@ -145,28 +134,12 @@ func (e *Enforcer) Intercept(info *vfs.OpInfo, next func() error) error {
 	err := next()
 
 	e.mu.Lock()
-	if res := info.ResultIno; res != 0 && dir != "" && !isEntryPath(e.paths[res], dir, info.Name) {
-		e.paths[res] = entryPath(dir, info.Name)
-	}
-	if info.Kind == vfs.KindRename && err == nil {
-		// Mirror the collector: renamed subtrees keep resolving to
-		// their current path.
-		rebindPaths(e.paths, entryPath(dir, info.Name), renameTarget(e.paths, info.NewParentIno, info.NewName))
-	}
-	if info.Kind == vfs.KindForget && info.Ino != vfs.RootIno {
-		// Keep the table bounded by live lookups, exactly like the
-		// collector: a later Lookup relearns the binding.
-		delete(e.paths, info.Ino)
-	}
-	switch info.Kind {
-	case vfs.KindRead:
-		e.readBytes += int64(info.Bytes)
-		if e.winOps > 0 {
+	e.learn(info, dir, err)
+	if e.winOps > 0 {
+		switch info.Kind {
+		case vfs.KindRead:
 			e.win.push(int64(info.Bytes), 0)
-		}
-	case vfs.KindWrite:
-		e.writeBytes += int64(info.Bytes)
-		if e.winOps > 0 {
+		case vfs.KindWrite:
 			e.win.push(0, int64(info.Bytes))
 		}
 	}

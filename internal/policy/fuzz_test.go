@@ -4,12 +4,14 @@ import (
 	"reflect"
 	"testing"
 
+	"cntr/internal/memfs"
 	"cntr/internal/vfs"
 )
 
 // FuzzLoad: a profile file is a trust boundary, so whatever its bytes,
 // Load returns a profile or an error and never panics. A profile it
-// accepts survives Marshal → Load unchanged, and compiles. The seeds are
+// accepts survives Marshal → Load unchanged, compiles, and feeds an
+// enforcer that admits a read and a write. The seeds are
 // the profiles the other tests of this package load; what the fuzzer
 // found is kept as rows of TestLoadFindings.
 //
@@ -50,6 +52,22 @@ func checkLoad(t *testing.T, data []byte) {
 	for _, r := range p.Rules {
 		m.Allows(vfs.KindRead, r.Prefix)
 	}
+	// In audit mode every operation reaches memfs, so the write and the
+	// read complete and advance the enforcer's window. Nothing is
+	// deferred: a panic fails the input instead of a deferred Release
+	// blocking on the lock the panicking call held.
+	cli := vfs.NewClient(vfs.Chain(memfs.New(memfs.Options{}), NewEnforcer(p, true)), vfs.Root())
+	f, err := cli.Open("/f", vfs.ORdwr|vfs.OCreat, 0o644)
+	if err != nil {
+		t.Fatalf("open through an auditing enforcer: %v", err)
+	}
+	if _, err := f.WriteAt([]byte("x"), 0); err != nil {
+		t.Fatalf("write through an auditing enforcer: %v", err)
+	}
+	if _, err := f.ReadAt(make([]byte, 1), 0); err != nil {
+		t.Fatalf("read through an auditing enforcer: %v", err)
+	}
+	f.Close()
 }
 
 // TestLoadFindings replays the inputs FuzzLoad has failed on, minimised.
@@ -59,6 +77,9 @@ func TestLoadFindings(t *testing.T) {
 		`{"source_runs":[]}`,
 		`{"origins":[]}`,
 		`{"any_path_kinds":[]}`,
+		// A window no enforcer can allocate: its first read panicked
+		// holding the enforcer's lock.
+		`{"window_ops":4611686018427387904}`,
 	} {
 		t.Run(in, func(t *testing.T) { checkLoad(t, []byte(in)) })
 	}

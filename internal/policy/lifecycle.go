@@ -113,11 +113,6 @@ func foldCeilings(out *Profile, inputs []*Profile) {
 	if len(inputs) == 0 {
 		return
 	}
-	out.MaxReadBytes, out.MaxWriteBytes = inputs[0].MaxReadBytes, inputs[0].MaxWriteBytes
-	for _, p := range inputs[1:] {
-		out.MaxReadBytes = mergeCeiling(out.MaxReadBytes, p.MaxReadBytes)
-		out.MaxWriteBytes = mergeCeiling(out.MaxWriteBytes, p.MaxWriteBytes)
-	}
 	var win int64
 	for _, p := range inputs {
 		if p.WindowOps == 0 {
@@ -160,8 +155,6 @@ func applyHeadroom(p *Profile, h float64) {
 		return
 	}
 	scale := func(v int64) int64 { return int64(float64(v) * h) }
-	p.MaxReadBytes = scale(p.MaxReadBytes)
-	p.MaxWriteBytes = scale(p.MaxWriteBytes)
 	p.ReadBytesPerWindow = scale(p.ReadBytesPerWindow)
 	p.WriteBytesPerWindow = scale(p.WriteBytesPerWindow)
 }
@@ -249,8 +242,6 @@ func Diff(oldP, newP *Profile) *DiffReport {
 			d.Ceilings = append(d.Ceilings, CeilingDelta{Name: name, Old: o, New: n})
 		}
 	}
-	ceil("max_read_bytes", oldP.MaxReadBytes, newP.MaxReadBytes)
-	ceil("max_write_bytes", oldP.MaxWriteBytes, newP.MaxWriteBytes)
 	ceil("window_ops", oldP.WindowOps, newP.WindowOps)
 	ceil("read_bytes_per_window", oldP.ReadBytesPerWindow, newP.ReadBytesPerWindow)
 	ceil("write_bytes_per_window", oldP.WriteBytesPerWindow, newP.WriteBytesPerWindow)

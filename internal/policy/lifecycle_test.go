@@ -19,8 +19,6 @@ func headerProfile() *Profile {
 		Origins:             []uint32{7, 9},
 		Rules:               []Rule{{Prefix: "/data", Kinds: []string{"read", "write"}}},
 		AnyPathKinds:        []string{"statfs"},
-		MaxReadBytes:        1 << 20,
-		MaxWriteBytes:       2 << 20,
 		WindowOps:           512,
 		ReadBytesPerWindow:  64 << 10,
 		WriteBytesPerWindow: 128 << 10,
@@ -103,12 +101,6 @@ func randProfile(r *rand.Rand) *Profile {
 		p.ReadBytesPerWindow = int64(r.Intn(1 << 20))
 		p.WriteBytesPerWindow = int64(r.Intn(1 << 20))
 	}
-	if r.Intn(4) == 0 {
-		p.MaxReadBytes = int64(1 + r.Intn(1<<24))
-	}
-	if r.Intn(4) == 0 {
-		p.MaxWriteBytes = int64(1 + r.Intn(1<<24))
-	}
 	return p
 }
 
@@ -121,13 +113,12 @@ func assertSemanticEqual(t *testing.T, scenario string, a, b *Profile) {
 		Rules        []Rule
 		AnyPathKinds []string
 		Origins      []uint32
-		Ceilings     [5]int64
+		Ceilings     [3]int64
 	}
 	sem := func(p *Profile) semantic {
 		return semantic{
 			Rules: p.Rules, AnyPathKinds: p.AnyPathKinds, Origins: p.Origins,
-			Ceilings: [5]int64{p.MaxReadBytes, p.MaxWriteBytes, p.WindowOps,
-				p.ReadBytesPerWindow, p.WriteBytesPerWindow},
+			Ceilings: [3]int64{p.WindowOps, p.ReadBytesPerWindow, p.WriteBytesPerWindow},
 		}
 	}
 	if sa, sb := sem(a), sem(b); !reflect.DeepEqual(sa, sb) {

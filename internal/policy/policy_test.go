@@ -35,19 +35,43 @@ func workload(t *testing.T, fs vfs.FS) {
 	}
 }
 
-// traceWorkload records the workload on a fresh Cntr stack and returns
-// the collector and the tracer's raw entries.
-func traceWorkload(t *testing.T) (*Collector, []vfs.TraceEntry) {
+// seenOp is what a probe around a Run saw of one operation.
+type seenOp struct {
+	Kind  vfs.OpKind
+	Ino   vfs.Ino
+	Bytes int
+	PID   uint32
+}
+
+// traceWorkload records the workload on a fresh Cntr stack through a Run
+// and returns the collector and what the Run was handed.
+func traceWorkload(t *testing.T) (*Collector, []seenOp) {
 	t.Helper()
 	col := NewCollector()
 	c := stack.NewCntr(stack.Config{})
 	defer c.Close()
-	tr := vfs.NewTracer(4096)
-	tr.Sink = col.Sink
-	top := vfs.Chain(c.Top, tr)
+	run := col.NewRun()
+	var seen []seenOp
+	top := vfs.Chain(c.Top, vfs.InterceptorFunc(func(info *vfs.OpInfo, next func() error) error {
+		err := run.Intercept(info, next)
+		seen = append(seen, seenOp{Kind: info.Kind, Ino: info.Ino, Bytes: info.Bytes, PID: info.Op.PID})
+		return err
+	}))
 	workload(t, top)
 	col.JoinOriginStats(c.Server.OriginStats())
-	return col, tr.Entries()
+	return col, seen
+}
+
+// record passes one synthetic operation of origin pid that ends with
+// errno through r.
+func record(r *Run, pid uint32, errno vfs.Errno, info vfs.OpInfo) {
+	info.Op = &vfs.Op{PID: pid}
+	r.Intercept(&info, func() error {
+		if errno == vfs.OK {
+			return nil
+		}
+		return errno
+	})
 }
 
 func TestTraceAttributesDataOps(t *testing.T) {
@@ -150,7 +174,7 @@ func TestAuditModeRecordsWithoutDenying(t *testing.T) {
 func TestWriteCeiling(t *testing.T) {
 	col, _ := traceWorkload(t)
 	p := col.Profile(GenOptions{})
-	p.MaxWriteBytes = 4096 // below one payload file
+	p.WindowOps, p.WriteBytesPerWindow = CeilingWindowOps, 4096 // below one payload file
 	enf := NewEnforcer(p, false)
 	c := stack.NewCntr(stack.Config{})
 	defer c.Close()
@@ -159,7 +183,7 @@ func TestWriteCeiling(t *testing.T) {
 	if err := cli.Mkdir("/data", 0o755); err != nil {
 		t.Fatalf("mkdir: %v", err)
 	}
-	// The ceiling trips once the accumulated bytes exceed it: the first
+	// The ceiling trips once the bytes in the window reach it: the first
 	// write lands (8 KiB > 4 KiB cap), the next write is denied.
 	big := []byte(strings.Repeat("y", 8<<10))
 	if err := cli.WriteFile("/data/a", big, 0o644); err != nil {
@@ -170,7 +194,7 @@ func TestWriteCeiling(t *testing.T) {
 	}
 	breached := false
 	for _, v := range enf.Violations() {
-		if v.Reason == "write ceiling" {
+		if v.Reason == "write rate" {
 			breached = true
 		}
 	}
@@ -217,14 +241,15 @@ func TestLoadNormalizesTrailingSlash(t *testing.T) {
 	}
 }
 
-// TestCollectorForgetPrunesPaths: a forget entry drops the learned
+// TestCollectorForgetPrunesPaths: a forget drops the learned
 // ino→path binding, keeping the table bounded by live lookups.
 func TestCollectorForgetPrunesPaths(t *testing.T) {
 	col := NewCollector()
-	col.Sink(vfs.TraceEntry{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "f", ResultIno: 9, PID: 1})
-	col.Sink(vfs.TraceEntry{Kind: vfs.KindGetattr, Ino: 9, PID: 1})
-	col.Sink(vfs.TraceEntry{Kind: vfs.KindForget, Ino: 9, PID: 1})
-	col.Sink(vfs.TraceEntry{Kind: vfs.KindGetattr, Ino: 9, PID: 1})
+	run := col.NewRun()
+	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "f", ResultIno: 9})
+	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindGetattr, Ino: 9})
+	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindForget, Ino: 9})
+	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindGetattr, Ino: 9})
 	acts := col.Snapshot()
 	if len(acts) != 1 {
 		t.Fatalf("want one origin, got %+v", acts)
@@ -261,10 +286,10 @@ func TestRunsIsolatePathLearning(t *testing.T) {
 	col := NewCollector()
 	runA, runB := col.NewRun(), col.NewRun()
 	// Inode 9 is "/a" on mount A and "/b" on mount B.
-	runA.Sink(vfs.TraceEntry{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "a", ResultIno: 9, PID: 1})
-	runB.Sink(vfs.TraceEntry{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "b", ResultIno: 9, PID: 1})
-	runA.Sink(vfs.TraceEntry{Kind: vfs.KindRead, Ino: 9, Bytes: 10, PID: 1})
-	runB.Sink(vfs.TraceEntry{Kind: vfs.KindWrite, Ino: 9, Bytes: 20, PID: 1})
+	record(runA, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "a", ResultIno: 9})
+	record(runB, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "b", ResultIno: 9})
+	record(runA, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindRead, Ino: 9, Bytes: 10})
+	record(runB, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindWrite, Ino: 9, Bytes: 20})
 	paths := col.Snapshot()[0].Paths
 	if pa, ok := paths["/a"]; !ok || pa.Bytes != 10 {
 		t.Fatalf("mount A read misattributed: %+v", paths)
@@ -300,14 +325,69 @@ func TestRenameRebindsSubtree(t *testing.T) {
 	col := NewCollector()
 	run := col.NewRun()
 	// /old (dir, ino 5) containing f (ino 6); /dst (dir, ino 7).
-	run.Sink(vfs.TraceEntry{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "old", ResultIno: 5, PID: 1})
-	run.Sink(vfs.TraceEntry{Kind: vfs.KindLookup, Ino: 5, Name: "f", ResultIno: 6, PID: 1})
-	run.Sink(vfs.TraceEntry{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "dst", ResultIno: 7, PID: 1})
-	run.Sink(vfs.TraceEntry{Kind: vfs.KindRename, Ino: vfs.RootIno, Name: "old",
-		NewParentIno: 7, NewName: "new", PID: 1})
-	run.Sink(vfs.TraceEntry{Kind: vfs.KindWrite, Ino: 6, Bytes: 9, PID: 1})
+	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "old", ResultIno: 5})
+	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: 5, Name: "f", ResultIno: 6})
+	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "dst", ResultIno: 7})
+	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindRename, Ino: vfs.RootIno, Name: "old",
+		NewParentIno: 7, NewName: "new"})
+	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindWrite, Ino: 6, Bytes: 9})
 	paths := col.Snapshot()[0].Paths
 	if pa, ok := paths["/dst/new/f"]; !ok || pa.Bytes != 9 {
 		t.Fatalf("post-rename write not attributed to new path: %+v", paths)
+	}
+}
+
+// TestEnforcerFollowsPaths: the enforcer decides at the path its table
+// learned from the operations that went past it — a lookup's result, a
+// rename's destination — and forgets a binding the kernel forgot.
+func TestEnforcerFollowsPaths(t *testing.T) {
+	enf := NewEnforcer(&Profile{Rules: []Rule{
+		{Prefix: "/", Kinds: []string{"lookup", "rename"}},
+		{Prefix: "/old/f", Kinds: []string{"read"}},
+		{Prefix: "/dst/new", Kinds: []string{"write"}},
+	}}, false)
+	op := func(info vfs.OpInfo) error {
+		info.Op = vfs.RootOp()
+		return enf.Intercept(&info, func() error { return nil })
+	}
+	// /old (ino 5) holding f (ino 6); /dst (ino 7).
+	for _, l := range []vfs.OpInfo{
+		{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "old", ResultIno: 5},
+		{Kind: vfs.KindLookup, Ino: 5, Name: "f", ResultIno: 6},
+		{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "dst", ResultIno: 7},
+	} {
+		if err := op(l); err != nil {
+			t.Fatalf("lookup %q: %v", l.Name, err)
+		}
+	}
+	if err := op(vfs.OpInfo{Kind: vfs.KindRead, Ino: 6}); err != nil {
+		t.Fatalf("read of /old/f, learned from its lookup: %v", err)
+	}
+	if err := op(vfs.OpInfo{Kind: vfs.KindRename, Ino: vfs.RootIno, Name: "old", NewParentIno: 7, NewName: "new"}); err != nil {
+		t.Fatalf("rename /old → /dst/new: %v", err)
+	}
+	if err := op(vfs.OpInfo{Kind: vfs.KindWrite, Ino: 6}); err != nil {
+		t.Fatalf("write of /dst/new/f after the rename: %v", err)
+	}
+	if err := op(vfs.OpInfo{Kind: vfs.KindRead, Ino: 6}); err != vfs.EACCES {
+		t.Fatalf("read at the renamed-away /old/f: %v, want EACCES", err)
+	}
+	if err := op(vfs.OpInfo{Kind: vfs.KindForget, Ino: 6}); err != nil {
+		t.Fatalf("forget: %v", err)
+	}
+	if err := op(vfs.OpInfo{Kind: vfs.KindWrite, Ino: 6}); err != vfs.EACCES {
+		t.Fatalf("write of a forgotten inode: %v, want EACCES (its path is unknown)", err)
+	}
+}
+
+// TestLoadRejectsLifetimeCeilings: the version-1 lifetime ceilings are
+// enforced by nothing, so a profile carrying one is refused, by name,
+// rather than loaded without it.
+func TestLoadRejectsLifetimeCeilings(t *testing.T) {
+	for _, field := range []string{"max_read_bytes", "max_write_bytes"} {
+		_, err := Load([]byte(`{"version":1,"rules":[],"` + field + `":4096}`))
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("Load of a profile with %s: %v, want an error naming it", field, err)
+		}
 	}
 }

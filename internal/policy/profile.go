@@ -17,9 +17,11 @@ type Rule struct {
 }
 
 // FormatVersion is the profile format version this package writes.
-// Version 1 profiles (lifetime byte ceilings, no lifecycle header) are
-// still loaded and enforced; generation, Merge and Tighten always emit
-// the current version.
+// Version 1 profiles (no lifecycle header) are still loaded and
+// enforced, unless they carry the version-1 lifetime byte ceilings
+// (max_read_bytes, max_write_bytes), which nothing enforces any more:
+// Load rejects those rather than drop a ceiling silently. Generation,
+// Merge and Tighten always emit the current version.
 const FormatVersion = 2
 
 // Profile is a generated per-container allowlist: the operation kinds
@@ -53,19 +55,13 @@ type Profile struct {
 	// AnyPathKinds are kinds permitted at any path — operations whose
 	// target could not be attributed to a path during recording.
 	AnyPathKinds []string `json:"any_path_kinds,omitempty"`
-	// MaxReadBytes / MaxWriteBytes cap the total payload bytes moved
-	// through the mount per direction; zero means unlimited. These are
-	// the version-1 lifetime ceilings: still enforced when set, but
-	// generation now emits the windowed rate ceilings below instead — a
-	// lifetime cap either over-tightens a long-lived mount or goes
-	// stale, a rate cap does neither.
-	MaxReadBytes  int64 `json:"max_read_bytes,omitempty"`
-	MaxWriteBytes int64 `json:"max_write_bytes,omitempty"`
 	// WindowOps is the sliding window length for the rate ceilings,
 	// measured in completed data operations (reads and writes), so the
 	// window is clocked off the op stream and stays deterministic under
 	// replay — wall-clock windows would not be. Zero means no windowed
-	// ceilings.
+	// ceilings; at most CeilingWindowOps. (A lifetime cap, the version-1
+	// scheme, either over-tightens a long-lived mount or goes stale; a
+	// rate cap does neither.)
 	WindowOps int64 `json:"window_ops,omitempty"`
 	// ReadBytesPerWindow / WriteBytesPerWindow cap the payload bytes
 	// moved per direction within any WindowOps-operation window; zero
@@ -85,10 +81,22 @@ func (p *Profile) Marshal() ([]byte, error) {
 
 // Load parses and validates a profile produced by Marshal.
 func Load(data []byte) (*Profile, error) {
-	var p Profile
-	if err := json.Unmarshal(data, &p); err != nil {
+	var in struct {
+		Profile
+		MaxReadBytes  *int64 `json:"max_read_bytes"`
+		MaxWriteBytes *int64 `json:"max_write_bytes"`
+	}
+	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("policy: parsing profile: %w", err)
 	}
+	if in.MaxReadBytes != nil || in.MaxWriteBytes != nil {
+		field, windowed := "max_read_bytes", "read_bytes_per_window"
+		if in.MaxReadBytes == nil {
+			field, windowed = "max_write_bytes", "write_bytes_per_window"
+		}
+		return nil, fmt.Errorf("policy: %s is a version-1 lifetime ceiling, no longer enforced; express it as window_ops and %s", field, windowed)
+	}
+	p := in.Profile
 	for i := range p.Rules {
 		r := &p.Rules[i]
 		if r.Prefix == "" || !strings.HasPrefix(r.Prefix, "/") {
@@ -113,8 +121,8 @@ func Load(data []byte) (*Profile, error) {
 	if p.Version > FormatVersion {
 		return nil, fmt.Errorf("policy: profile version %d is newer than supported %d", p.Version, FormatVersion)
 	}
-	if p.WindowOps < 0 {
-		return nil, fmt.Errorf("policy: negative window_ops %d", p.WindowOps)
+	if p.WindowOps < 0 || p.WindowOps > CeilingWindowOps {
+		return nil, fmt.Errorf("policy: window_ops %d outside [0, %d]", p.WindowOps, CeilingWindowOps)
 	}
 	if p.WindowOps == 0 && (p.ReadBytesPerWindow != 0 || p.WriteBytesPerWindow != 0) {
 		return nil, fmt.Errorf("policy: windowed byte ceilings without window_ops")

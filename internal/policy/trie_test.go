@@ -120,25 +120,20 @@ func TestMatcherTrieDeepProfile(t *testing.T) {
 	}
 }
 
-// mkEntry builds a lookup-style entry that binds (parent, name) → ino.
-func mkEntry(pid uint32, kind vfs.OpKind, ino, result vfs.Ino, name string, bytes int, errno vfs.Errno) vfs.TraceEntry {
-	return vfs.TraceEntry{Kind: kind, PID: pid, Ino: ino, ResultIno: result,
-		Name: name, Bytes: bytes, Errno: errno}
-}
-
 // TestCollectorPrefixActivity: the trie rollup sums a subtree and only
 // that subtree.
 func TestCollectorPrefixActivity(t *testing.T) {
 	c := NewCollector()
-	for _, e := range []vfs.TraceEntry{
-		mkEntry(7, vfs.KindLookup, vfs.RootIno, 2, "srv", 0, vfs.OK),
-		mkEntry(7, vfs.KindMkdir, 2, 3, "data", 0, vfs.OK),
-		mkEntry(7, vfs.KindCreate, 3, 4, "f", 0, vfs.OK),
-		mkEntry(7, vfs.KindWrite, 4, 0, "", 100, vfs.OK),
-		mkEntry(7, vfs.KindLookup, vfs.RootIno, 5, "etc", 0, vfs.OK),
-		mkEntry(7, vfs.KindGetattr, 5, 0, "", 0, vfs.OK),
+	run := c.NewRun()
+	for _, info := range []vfs.OpInfo{
+		{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "srv", ResultIno: 2},
+		{Kind: vfs.KindMkdir, Ino: 2, Name: "data", ResultIno: 3},
+		{Kind: vfs.KindCreate, Ino: 3, Name: "f", ResultIno: 4},
+		{Kind: vfs.KindWrite, Ino: 4, Bytes: 100},
+		{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "etc", ResultIno: 5},
+		{Kind: vfs.KindGetattr, Ino: 5},
 	} {
-		c.Sink(e)
+		record(run, 7, vfs.OK, info)
 	}
 	srv := c.PrefixActivity(7, "/srv")
 	// Anchored beneath /srv: the mkdir (anchor /srv), create (anchor
@@ -155,7 +150,7 @@ func TestCollectorPrefixActivity(t *testing.T) {
 	// Unattributed activity (the "?" anchor) stays out of every subtree
 	// rollup, including "/": PrefixActivity must agree with Profile(),
 	// which routes unknown-path activity to the any-path kinds instead.
-	c.Sink(mkEntry(7, vfs.KindRead, 999, 0, "", 77, vfs.OK))
+	record(run, 7, vfs.OK, vfs.OpInfo{Kind: vfs.KindRead, Ino: 999, Bytes: 77})
 	if all := c.PrefixActivity(7, "/"); all.Ops != 6 || all.Bytes != 100 {
 		t.Fatalf("/ rollup = %+v, want 6 ops / 100 bytes (unknown anchor excluded)", all)
 	}

@@ -1,85 +1,21 @@
 // Package slim reimplements the Docker Slim analysis the paper uses for
 // its §5.3 effectiveness study: record which files a containerized
-// application actually accesses (fanotify-style dynamic analysis), then
-// rebuild the image with only those files. The reduction across the
-// Top-50 images (internal/hubdata) reproduces Figure 5: on average two
-// thirds of a conventional image is tooling the application never reads —
-// exactly the content Cntr serves on demand from a fat image instead.
+// application actually accesses (fanotify-style dynamic analysis, here
+// the policy.Run recording that profiles derive from), then rebuild the
+// image with only those files. The reduction across the Top-50 images
+// (internal/hubdata) reproduces Figure 5: on average two thirds of a
+// conventional image is tooling the application never reads — exactly
+// the content Cntr serves on demand from a fat image instead.
 package slim
 
 import (
-	"sort"
 	"strings"
-	"sync"
 
 	"cntr/internal/blobstore"
 	"cntr/internal/container"
+	"cntr/internal/policy"
 	"cntr/internal/vfs"
 )
-
-// Recorder is the fanotify-equivalent: a vfs.FS wrapper that records
-// every path whose content or metadata the application touches.
-type Recorder struct {
-	vfs.FS
-	mu       sync.Mutex
-	accessed map[string]bool
-	paths    map[vfs.Ino]string
-	handles  map[vfs.Handle]vfs.Ino
-}
-
-// NewRecorder wraps fs, tracking accesses by inode and resolving them
-// back to paths via lookups.
-func NewRecorder(fs vfs.FS) *Recorder {
-	r := &Recorder{
-		FS:       fs,
-		accessed: make(map[string]bool),
-		paths:    make(map[vfs.Ino]string),
-		handles:  make(map[vfs.Handle]vfs.Ino),
-	}
-	r.paths[vfs.RootIno] = ""
-	return r
-}
-
-// Lookup implements vfs.FS, maintaining the ino→path map.
-func (r *Recorder) Lookup(op *vfs.Op, parent vfs.Ino, name string) (vfs.Attr, error) {
-	attr, err := r.FS.Lookup(op, parent, name)
-	if err != nil {
-		return attr, err
-	}
-	r.mu.Lock()
-	if base, ok := r.paths[parent]; ok && name != "." && name != ".." {
-		r.paths[attr.Ino] = base + "/" + name
-	}
-	r.mu.Unlock()
-	return attr, nil
-}
-
-// Open implements vfs.FS, recording the access.
-func (r *Recorder) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, error) {
-	h, err := r.FS.Open(op, ino, flags)
-	if err != nil {
-		return h, err
-	}
-	r.mu.Lock()
-	if p, ok := r.paths[ino]; ok && p != "" {
-		r.accessed[p] = true
-	}
-	r.handles[h] = ino
-	r.mu.Unlock()
-	return h, nil
-}
-
-// Accessed returns the sorted list of paths the workload touched.
-func (r *Recorder) Accessed() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.accessed))
-	for p := range r.accessed {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Report is the outcome of slimming one image.
 type Report struct {
@@ -94,8 +30,8 @@ type Report struct {
 
 // Slim profiles an image by running accessFn against a recorded view of
 // its root filesystem, then builds the reduced image containing only the
-// accessed files (plus their directory chains). The slim image gets
-// private storage; see SlimOn.
+// files the recording opened (plus their directory chains). The slim
+// image gets private storage; see SlimOn.
 func Slim(img *container.Image, accessFn func(cli *vfs.Client) error) (*container.Image, Report, error) {
 	return SlimOn(nil, img, accessFn)
 }
@@ -105,18 +41,19 @@ func Slim(img *container.Image, accessFn func(cli *vfs.Client) error) (*containe
 // costs almost no physical bytes: the slim layer copies exact file
 // content, so every chunk dedups against the fat image's.
 func SlimOn(store blobstore.Store, img *container.Image, accessFn func(cli *vfs.Client) error) (*container.Image, Report, error) {
-	root := img.RootFS()
-	rec := NewRecorder(root)
-	cli := vfs.NewClient(rec, vfs.Root())
+	// The profile generated from the access run allows open at exactly
+	// the files the application opened: those are the ones it needs.
+	col := policy.NewCollector()
+	cli := vfs.NewClient(vfs.Chain(img.RootFS(), col.NewRun()), vfs.Root())
 	if err := accessFn(cli); err != nil {
 		return nil, Report{}, err
 	}
-	accessed := rec.Accessed()
+	opened := col.Profile(policy.GenOptions{}).Compile()
 
 	files := img.ListFiles()
-	keep := make(map[string]bool, len(accessed))
-	for _, p := range accessed {
-		if _, ok := files[p]; ok {
+	keep := make(map[string]bool)
+	for p := range files {
+		if opened.Allows(vfs.KindOpen, p) {
 			keep[p] = true
 		}
 	}

@@ -21,8 +21,8 @@
 // down to CntrFS — is a Mount, assembled in one place and shared with
 // the attach workflow (cntr.Attach serves a tools filesystem through
 // NewMount), so the mount a session gets is the measured mount. Policy
-// does not change it: a tracer or an enforcer chains over the top of a
-// stack, where a syscall enters, in every program.
+// does not change it: a recording policy.Run or an enforcer chains over
+// the top of a stack, where a syscall enters, in every program.
 package stack
 
 import (

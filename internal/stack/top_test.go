@@ -42,8 +42,9 @@ func raceBuild() bool {
 
 // TestTopStatAllocBudget pins what the calls of a session cost the host in
 // heap objects at the top of either stack, bare and behind the
-// interceptors an observed session chains there (counters, a trace ring,
-// an enforcer auditing a profile): the warm ones nothing. The client's
+// interceptors an observed session chains there (counters, a probe that
+// copies each operation it sees, an enforcer auditing a profile): the
+// warm ones nothing. The client's
 // request context and the chain's call frame are recycled and the walker
 // steps through the path in place, so an interceptor can stay switched on
 // without the measured path paying for it — a single no-op interceptor
@@ -103,8 +104,14 @@ func TestTopStatAllocBudget(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				top := st.top(t)
+				var seen vfs.OpInfo
 				if chained {
-					top = vfs.Chain(top, vfs.NewStats(), vfs.NewTracer(64), policy.NewEnforcer(allowAll, true))
+					probe := vfs.InterceptorFunc(func(info *vfs.OpInfo, next func() error) error {
+						err := next()
+						seen = *info
+						return err
+					})
+					top = vfs.Chain(top, vfs.NewStats(), probe, policy.NewEnforcer(allowAll, true))
 				}
 				cli := vfs.NewClient(top, vfs.Root())
 				if err := cli.MkdirAll("/d/e", 0o755); err != nil {
@@ -185,6 +192,9 @@ func TestTopStatAllocBudget(t *testing.T) {
 					if row.maxBytes > 0 && bytes > row.maxBytes {
 						t.Errorf("%s costs %.0f bytes, budget %.0f: a page-sized buffer more than memfs keeps", row.call, bytes, row.maxBytes)
 					}
+				}
+				if chained && seen.Op == nil {
+					t.Error("the probe saw no operation")
 				}
 			})
 		}

@@ -80,8 +80,9 @@ func KindFromString(s string) (OpKind, bool) {
 // The inner layer fills Bytes after the call for data operations, so
 // interceptors that run code after next() see the transferred count.
 // It is the chain's, lent for the call: it is recycled when the call
-// returns, so an interceptor copies what it keeps (as Tracer does into a
-// TraceEntry) and leaves Kind and Op, which name the call, alone.
+// returns, so an interceptor copies what it keeps (as policy.Run does
+// into its aggregates) and leaves Kind and Op, which name the call,
+// alone.
 type OpInfo struct {
 	Kind OpKind
 	Op   *Op
@@ -98,7 +99,8 @@ type OpInfo struct {
 	Bytes int
 	// ResultIno is the inode the operation resolved or created (Lookup,
 	// Mknod, Mkdir, Symlink, Link, Create), valid after next() returns
-	// with success. Trace consumers use it to learn ino→path bindings.
+	// with success. Path-tracking consumers use it to learn ino→path
+	// bindings.
 	ResultIno Ino
 	// NewParentIno and NewName are the destination of a Rename (Ino and
 	// Name hold the source), letting path-tracking consumers rebind.
@@ -567,90 +569,6 @@ func (st *Stats) Reset() {
 	st.mu.Lock()
 	st.s = OpStats{}
 	st.mu.Unlock()
-}
-
-// TraceEntry is one record emitted by a Tracer.
-type TraceEntry struct {
-	Kind OpKind
-	ID   uint64
-	PID  uint32
-	Ino  Ino
-	// ResultIno is the inode the operation resolved or created (see
-	// OpInfo.ResultIno); policy collectors use the (Ino, Name, ResultIno)
-	// triple to learn the inode→path mapping from the trace itself.
-	ResultIno Ino
-	Name      string
-	// NewParentIno/NewName carry a Rename's destination so path
-	// tracking can rebind the moved subtree.
-	NewParentIno Ino
-	NewName      string
-	Bytes        int
-	Errno        Errno
-}
-
-// Tracer records every operation in a bounded ring buffer and/or a sink
-// callback — the uniform per-operation hook point policy tooling (BEACON-
-// style trace collection) builds on.
-type Tracer struct {
-	mu   sync.Mutex
-	ring []TraceEntry
-	next int
-	full bool
-	// Sink, when set, receives every entry synchronously, on the
-	// goroutine of the traced operation and after it has run.
-	Sink func(TraceEntry)
-}
-
-// NewTracer returns a tracer keeping the last capacity entries
-// (capacity <= 0 means 1024).
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &Tracer{ring: make([]TraceEntry, capacity)}
-}
-
-// Intercept implements Interceptor.
-func (t *Tracer) Intercept(info *OpInfo, next func() error) error {
-	err := next()
-	e := TraceEntry{
-		Kind:         info.Kind,
-		Ino:          info.Ino,
-		ResultIno:    info.ResultIno,
-		Name:         info.Name,
-		NewParentIno: info.NewParentIno,
-		NewName:      info.NewName,
-		Bytes:        info.Bytes,
-		Errno:        ToErrno(err),
-	}
-	if info.Op != nil {
-		e.ID, e.PID = info.Op.ID, info.Op.PID
-	}
-	t.mu.Lock()
-	t.ring[t.next] = e
-	t.next++
-	if t.next == len(t.ring) {
-		t.next, t.full = 0, true
-	}
-	sink := t.Sink
-	t.mu.Unlock()
-	if sink != nil {
-		sink(e)
-	}
-	return err
-}
-
-// Entries returns the recorded operations, oldest first.
-func (t *Tracer) Entries() []TraceEntry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.full {
-		return append([]TraceEntry(nil), t.ring[:t.next]...)
-	}
-	out := make([]TraceEntry, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
 }
 
 // FaultRule selects operations for fault or latency injection.

@@ -132,28 +132,35 @@ func TestStatsCountersComplete(t *testing.T) {
 	}
 }
 
-// TestTracerRecordsOps: the tracer captures kind, name and errno, and the
-// ring buffer keeps only the most recent entries.
-func TestTracerRecordsOps(t *testing.T) {
+// TestInterceptorSeesOutcome: an interceptor that runs code after next
+// sees the operation's kind, name, request id and errno.
+func TestInterceptorSeesOutcome(t *testing.T) {
 	fs := memfs.New(memfs.Options{})
-	tr := vfs.NewTracer(4)
-	cli := vfs.NewClient(vfs.Chain(fs, tr), vfs.Root())
+	type seen struct {
+		kind  vfs.OpKind
+		name  string
+		id    uint64
+		errno vfs.Errno
+	}
+	var ops []seen
+	probe := vfs.InterceptorFunc(func(info *vfs.OpInfo, next func() error) error {
+		err := next()
+		ops = append(ops, seen{info.Kind, info.Name, info.Op.ID, vfs.ToErrno(err)})
+		return err
+	})
+	cli := vfs.NewClient(vfs.Chain(fs, probe), vfs.Root())
 	if err := cli.WriteFile("/traced", []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cli.Stat("/missing"); vfs.ToErrno(err) != vfs.ENOENT {
 		t.Fatalf("stat missing: %v", err)
 	}
-	ents := tr.Entries()
-	if len(ents) != 4 {
-		t.Fatalf("ring kept %d entries, want 4", len(ents))
+	last := ops[len(ops)-1]
+	if last.kind != vfs.KindLookup || last.name != "missing" || last.errno != vfs.ENOENT {
+		t.Fatalf("last operation seen = %+v", last)
 	}
-	last := ents[len(ents)-1]
-	if last.Kind != vfs.KindLookup || last.Name != "missing" || last.Errno != vfs.ENOENT {
-		t.Fatalf("last trace entry = %+v", last)
-	}
-	if last.ID == 0 {
-		t.Fatal("trace entries must carry the request id")
+	if last.id == 0 {
+		t.Fatal("operations must carry the request id")
 	}
 }
 

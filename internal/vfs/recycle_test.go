@@ -14,22 +14,27 @@ import (
 	"cntr/internal/vfs"
 )
 
-// lateReads collects what a trace shows of a layer that read a frame or
-// an Op after its call had returned, under poison: the sentinel's id,
-// its 0xDB names, or the EINTR its cancelled context answers.
+// lateReads collects what a probe interceptor sees of a layer that read
+// a frame or an Op after its call had returned, under poison: the
+// sentinel's id, its 0xDB names, or the EINTR its cancelled context
+// answers.
 type lateReads struct {
 	mu    sync.Mutex
 	found []string
 	seen  int
 }
 
-func (l *lateReads) sink(e vfs.TraceEntry) {
+func (l *lateReads) see(info *vfs.OpInfo, errno vfs.Errno) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seen++
-	if e.ID == ^uint64(0) || e.Errno == vfs.EINTR || e.Kind == vfs.KindAny ||
-		strings.Contains(e.Name, "\xDB") || strings.Contains(e.NewName, "\xDB") {
-		l.found = append(l.found, fmt.Sprintf("%+v", e))
+	var id uint64
+	if info.Op != nil {
+		id = info.Op.ID
+	}
+	if id == ^uint64(0) || errno == vfs.EINTR || info.Kind == vfs.KindAny ||
+		strings.Contains(info.Name, "\xDB") || strings.Contains(info.NewName, "\xDB") {
+		l.found = append(l.found, fmt.Sprintf("%v %q→%q id=%d errno=%v", info.Kind, info.Name, info.NewName, id, errno))
 	}
 }
 
@@ -38,18 +43,22 @@ func (l *lateReads) check(t *testing.T, where string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.seen == 0 {
-		t.Errorf("%s: the tracer saw nothing", where)
+		t.Errorf("%s: the probe saw nothing", where)
 	}
 	if len(l.found) > 0 {
-		t.Errorf("%s: %d of %d trace entries carry a recycled frame's or Op's sentinel, first: %s",
+		t.Errorf("%s: %d of %d operations carry a recycled frame's or Op's sentinel, first: %s",
 			where, len(l.found), l.seen, l.found[0])
 	}
 }
 
-func (l *lateReads) tracer() *vfs.Tracer {
-	tr := vfs.NewTracer(1)
-	tr.Sink = l.sink
-	return tr
+// probe is an interceptor that hands each operation to see after it has
+// run.
+func (l *lateReads) probe() vfs.Interceptor {
+	return vfs.InterceptorFunc(func(info *vfs.OpInfo, next func() error) error {
+		err := next()
+		l.see(info, vfs.ToErrno(err))
+		return err
+	})
 }
 
 // TestChainRecyclingUnderPoison runs the chain and the client with every
@@ -62,17 +71,17 @@ func TestChainRecyclingUnderPoison(t *testing.T) {
 	t.Run("observations", func(t *testing.T) { compareChainGolden(t, chainObservations()) })
 
 	// Eight goroutines share one Client and one File on a CntrFS mount
-	// with four server threads, traced above the kernel-side cache and
+	// with four server threads, probed above the kernel-side cache and
 	// over the filesystem the mount serves (where its readahead and
 	// writeback arrive, through the server's recycled Ops and frames).
 	t.Run("shared client", func(t *testing.T) {
 		var top, below lateReads
 		mount := fuse.DefaultMountOptions()
 		mount.ServerThreads = 4
-		c := stack.NewMount(vfs.Chain(memfs.New(memfs.Options{}), below.tracer()),
+		c := stack.NewMount(vfs.Chain(memfs.New(memfs.Options{}), below.probe()),
 			sim.NewClock(), sim.DefaultCostModel(), stack.Config{Mount: mount})
 		defer c.Close()
-		cli := vfs.NewClient(vfs.Chain(c.Kernel, vfs.NewStats(), top.tracer()), vfs.Root())
+		cli := vfs.NewClient(vfs.Chain(c.Kernel, vfs.NewStats(), top.probe()), vfs.Root())
 
 		const workers, region, rounds = 8, 64 << 10, 40
 		if err := cli.MkdirAll("/shared/dir", 0o755); err != nil {
@@ -139,7 +148,7 @@ func TestChainRecyclingUnderPoison(t *testing.T) {
 		c := stack.NewCntr(stack.Config{})
 		defer c.Close()
 		inj := vfs.NewFaultInjector(vfs.FaultRule{Kind: vfs.KindAny, Errno: vfs.EIO, EveryN: 3})
-		cli := vfs.NewClient(vfs.Chain(c.Top, outer.tracer(), inj, inner.tracer()), vfs.Root())
+		cli := vfs.NewClient(vfs.Chain(c.Top, outer.probe(), inj, inner.probe()), vfs.Root())
 		injected := 0
 		for i := 0; i < 300; i++ {
 			path := fmt.Sprintf("/chaos%d", i%7)
