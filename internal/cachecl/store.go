@@ -49,9 +49,6 @@ func WrapStore(backend blobstore.Store, cl *Client, opts StoreOptions) *Store {
 	return &Store{backend: backend, cl: cl, opts: opts}
 }
 
-// Backend returns the wrapped store.
-func (s *Store) Backend() blobstore.Store { return s.backend }
-
 // Client returns the tier client the wrapper publishes through.
 func (s *Store) Client() *Client { return s.cl }
 

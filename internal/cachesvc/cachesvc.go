@@ -435,9 +435,6 @@ func (s *Service) GroupOf(key Key) int { return s.ShardOf(key) % s.opts.Groups }
 // NumGroups returns the number of lease shard-groups.
 func (s *Service) NumGroups() int { return s.opts.Groups }
 
-// NumShards returns the number of cache shards.
-func (s *Service) NumShards() int { return s.opts.Shards }
-
 // Clock returns the clock leases expire against (tests advance it to
 // simulate time passing on the service side of a partition).
 func (s *Service) Clock() *sim.Clock { return s.clock }

@@ -39,9 +39,6 @@ type Options struct {
 	// Mount overrides the FUSE mount options (defaults to the fully
 	// optimized configuration).
 	Mount *fuse.MountOptions
-	// EffectiveUser is the uid/gid the injected shell runs as (0 = root
-	// inside the container's user namespace).
-	EffectiveUser uint32
 	// Trace, when set, records every operation the session makes on the
 	// mount: one of its Runs is chained where a syscall enters it, and
 	// the collector's activity profile is exposed as
@@ -168,7 +165,9 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 	}
 	var enforcer *policy.Enforcer
 	if opts.Enforce != nil {
-		enforcer = policy.NewEnforcer(opts.Enforce, opts.EnforceAudit)
+		if enforcer, err = policy.NewEnforcer(opts.Enforce, opts.EnforceAudit); err != nil {
+			return nil, fmt.Errorf("cntr: %w", err)
+		}
 		ics = append(ics, enforcer)
 	}
 	top := vfs.Chain(mount.Kernel, ics...)
@@ -187,14 +186,13 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 		}
 	}()
 	// setns(2) into every namespace of the target...
-	child.Namespaces.SetnsAll(ctx.Namespaces)
+	nested := child.Namespaces
+	nested.SetnsAll(ctx.Namespaces)
 	// ...then unshare a nested mount namespace so our mounts stay
 	// invisible to the application (all mount points private).
 	nestedMount := ctx.Namespaces.Mount.Clone()
 	nestedMount.MakeAllPrivate()
-	nested := ctx.Namespaces.Clone()
 	nested.Mount = nestedMount
-	child.Namespaces = nested
 	// Join the container's cgroup.
 	if err := h.Procs.Cgroups.Attach(child.PID, ctx.CgroupPath); err != nil {
 		return nil, err
@@ -227,12 +225,9 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 		nestedMount.Mount(tmpMountPoint+special, src.FS, src.Ino, namespace.PropPrivate, false)
 	}
 
-	// Atomically pivot into the new hierarchy: chroot(TMP).
-	cred := &vfs.Cred{
-		UID: opts.EffectiveUser, GID: opts.EffectiveUser,
-		FSUID: opts.EffectiveUser, FSGID: opts.EffectiveUser,
-		Caps: vfs.FullCapSet(),
-	}
+	// Atomically pivot into the new hierarchy: chroot(TMP). The shell
+	// runs as root inside the container's user namespace.
+	cred := &vfs.Cred{Caps: vfs.FullCapSet()}
 	// Drop capabilities by applying the container's MAC profile, and
 	// restrict to the container's capability set: the tools must not
 	// escape the sandbox.
@@ -250,7 +245,6 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 	// the tools side since the shell must find the tools (§3.2.3).
 	env := applyEnv(ctx.Env, toolsEnv)
 	child.Env = env
-	child.UID, child.GID = opts.EffectiveUser, opts.EffectiveUser
 
 	// Step #4: interactive shell on a pseudo-TTY.
 	master, slave := pty.New()
@@ -433,7 +427,7 @@ func (s *Session) Getenv(key string) (string, bool) {
 // ForwardSocket proxies a Unix socket from inside the session's network
 // namespace to a socket on the host (X11/D-Bus forwarding, §3.2.4).
 func (s *Session) ForwardSocket(insidePath, hostPath string) error {
-	inside := s.Host.SocketsFor(s.Nested.Net)
+	inside := s.Host.SocketsFor(s.Nested.ID(namespace.KindNet))
 	host := s.Host.HostSockets()
 	p, err := socketproxy.NewProxy(inside, insidePath, host, hostPath, s.Host.Clock, s.Host.Model)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cntr/internal/container"
+	"cntr/internal/namespace"
 	"cntr/internal/vfs"
 )
 
@@ -199,10 +200,10 @@ func TestAttachInheritsSandbox(t *testing.T) {
 	// Shares the app's pid/net/uts namespaces (tools see what the app
 	// sees) but NOT its mount namespace (nested).
 	appProc, _ := h.Procs.Get(slim.MainPID)
-	if sess.Nested.PID != appProc.Namespaces.PID {
+	if sess.Nested.ID(namespace.KindPID) != appProc.Namespaces.ID(namespace.KindPID) {
 		t.Fatal("pid namespace must be shared")
 	}
-	if sess.Nested.Net != appProc.Namespaces.Net {
+	if sess.Nested.ID(namespace.KindNet) != appProc.Namespaces.ID(namespace.KindNet) {
 		t.Fatal("net namespace must be shared")
 	}
 	if sess.Nested.Mount == appProc.Namespaces.Mount {
@@ -378,7 +379,7 @@ func TestSocketForwarding(t *testing.T) {
 	if err := sess.ForwardSocket("/tmp/.X11-unix/X0", "/tmp/.X11-unix/X0"); err != nil {
 		t.Fatal(err)
 	}
-	inside := h.SocketsFor(sess.Nested.Net)
+	inside := h.SocketsFor(sess.Nested.ID(namespace.KindNet))
 	conn, err := inside.Dial("/tmp/.X11-unix/X0")
 	if err != nil {
 		t.Fatal(err)

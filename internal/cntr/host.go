@@ -29,7 +29,7 @@ type Host struct {
 	Node    *container.Node
 
 	mu      sync.Mutex
-	sockets map[uint64]*socketproxy.Registry // by NetNS id
+	sockets map[uint64]*socketproxy.Registry // by network namespace id
 }
 
 // NewHost boots a host: a root filesystem with the usual skeleton, init
@@ -45,7 +45,8 @@ func NewHost() *Host {
 	cli.WriteFile("/bin/sh", []byte("#!host-shell"), 0o755)
 
 	mountNS := namespace.NewMountNS(rootFS)
-	hostSet := namespace.HostSet(mountNS)
+	hostSet := namespace.New(mountNS, "host", namespace.KindPID, namespace.KindNet,
+		namespace.KindUTS, namespace.KindIPC, namespace.KindUser, namespace.KindCgroup)
 	table := proc.NewTable(hostSet)
 	h := &Host{
 		Clock:   sim.NewClock(),
@@ -60,20 +61,20 @@ func NewHost() *Host {
 	return h
 }
 
-// SocketsFor returns (creating on demand) the Unix-socket table of a
-// network namespace.
-func (h *Host) SocketsFor(ns *namespace.NetNS) *socketproxy.Registry {
+// SocketsFor returns (creating on demand) the Unix-socket table of the
+// network namespace with the given id (Set.ID(namespace.KindNet)).
+func (h *Host) SocketsFor(netID uint64) *socketproxy.Registry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	r, ok := h.sockets[ns.ID]
+	r, ok := h.sockets[netID]
 	if !ok {
 		r = socketproxy.NewRegistry()
-		h.sockets[ns.ID] = r
+		h.sockets[netID] = r
 	}
 	return r
 }
 
 // HostSockets is the host network namespace's socket table.
 func (h *Host) HostSockets() *socketproxy.Registry {
-	return h.SocketsFor(h.NS.Net)
+	return h.SocketsFor(h.NS.ID(namespace.KindNet))
 }

@@ -192,14 +192,22 @@ func TestAttachFailureReleasesLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	tier := cachesvc.New(cachesvc.Options{Shards: 8, Groups: 4})
-	procs := len(h.Procs.Pids())
+	// The processes left are what ls /proc lists.
+	listProcs := func() int {
+		ents, err := vfs.NewClient(h.Procs.Snapshot(), vfs.Root()).ReadDir("/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	procs := listProcs()
 	if _, err := Attach(h, Options{Container: "db", Fat: "tools", CacheService: tier}); err != vfs.EAGAIN {
 		t.Fatalf("attach into a full cgroup: %v, want EAGAIN", err)
 	}
 	if st := tier.Stats(); st.LeasesActive != 0 {
 		t.Fatalf("failed attach left %d leases held", st.LeasesActive)
 	}
-	if n := len(h.Procs.Pids()); n != procs {
+	if n := listProcs(); n != procs {
 		t.Fatalf("failed attach left %d processes behind", n-procs)
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // netSockets is the socket table of the network namespace set is in.
 func netSockets(h *Host, set *namespace.Set) *socketproxy.Registry {
-	return h.SocketsFor(set.Net)
+	return h.SocketsFor(set.ID(namespace.KindNet))
 }
 
 // nsIDs reads /proc/<pid>/ns/<kind> for every kind through cli, a client

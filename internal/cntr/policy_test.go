@@ -242,3 +242,24 @@ func TestAttachReadCeilingCountsCacheHits(t *testing.T) {
 		t.Fatalf("denials %d, violations %+v; want the second read denied for its ceiling", sess.Enforcer.Denials(), v)
 	}
 }
+
+// TestAttachRefusesUntrackableWindow: a profile built in code with a
+// window Load would refuse is refused at attach, with Load's error and
+// no session left behind. Before, it reached the enforcer, whose first
+// read panicked allocating the window while holding the enforcer's lock.
+func TestAttachRefusesUntrackableWindow(t *testing.T) {
+	h, _, _ := testWorld(t)
+	p := &policy.Profile{
+		Rules:              []policy.Rule{{Prefix: "/", Kinds: []string{"lookup", "getattr", "open", "read"}}},
+		WindowOps:          1 << 62,
+		ReadBytesPerWindow: 1 << 20,
+	}
+	sess, err := Attach(h, Options{Container: "db", Fat: "tools", Enforce: p})
+	if err == nil {
+		sess.Close()
+		t.Fatal("attach accepted window_ops 2^62")
+	}
+	if !strings.Contains(err.Error(), "window_ops") {
+		t.Fatalf("attach error %q does not name window_ops", err)
+	}
+}

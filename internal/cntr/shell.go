@@ -121,7 +121,7 @@ func (sh *Shell) dispatch(args []string) (string, error) {
 	case "which":
 		return sh.which(rest)
 	case "hostname":
-		return sh.sess.Nested.UTS.Hostname() + "\n", nil
+		return sh.sess.Nested.Hostname + "\n", nil
 	case "env":
 		return strings.Join(sh.sess.Proc.Env, "\n") + "\n", nil
 	case "id":

@@ -13,7 +13,8 @@ import (
 
 func newWorld(t *testing.T) (*Runtime, *proc.Table) {
 	t.Helper()
-	host := namespace.HostSet(namespace.NewMountNS(memfs.New(memfs.Options{})))
+	host := namespace.New(namespace.NewMountNS(memfs.New(memfs.Options{})), "host",
+		namespace.KindPID, namespace.KindNet, namespace.KindUTS, namespace.KindIPC, namespace.KindUser, namespace.KindCgroup)
 	table := proc.NewTable(host)
 	return NewRuntime(table, host), table
 }
@@ -132,12 +133,18 @@ func TestContainerIsolation(t *testing.T) {
 	rt.Start(b)
 	pa, _ := table.Get(a.MainPID)
 	pb, _ := table.Get(b.MainPID)
-	// Different namespaces of every kind except user (shared with host
-	// by default).
-	for _, k := range []namespace.Kind{namespace.KindMount, namespace.KindPID, namespace.KindNet, namespace.KindUTS, namespace.KindIPC} {
+	// Different namespaces of every kind except user, which both share
+	// with the host.
+	for _, k := range []namespace.Kind{namespace.KindMount, namespace.KindPID, namespace.KindNet, namespace.KindUTS, namespace.KindIPC, namespace.KindCgroup} {
 		if pa.Namespaces.ID(k) == pb.Namespaces.ID(k) {
 			t.Fatalf("%v namespace shared between containers", k)
 		}
+	}
+	if u := rt.Host.ID(namespace.KindUser); u == 0 || pa.Namespaces.ID(namespace.KindUser) != u || pb.Namespaces.ID(namespace.KindUser) != u {
+		t.Fatal("containers must share the host's user namespace")
+	}
+	if pa.Namespaces.Hostname != "a" || pb.Namespaces.Hostname != "b" {
+		t.Fatalf("hostnames = %q, %q", pa.Namespaces.Hostname, pb.Namespaces.Hostname)
 	}
 	// Writes in one container do not affect the other.
 	pa.Client().WriteFile("/etc/app.conf", []byte("A"), 0o644)
@@ -168,17 +175,6 @@ func TestPrivilegedContainer(t *testing.T) {
 	}
 	if c.Profile != "unconfined" {
 		t.Fatalf("profile = %s", c.Profile)
-	}
-}
-
-func TestUserNamespaceMapping(t *testing.T) {
-	rt, table := newWorld(t)
-	img := simpleImage(t, "userns")
-	c, _ := rt.Create("u", img, CreateOpts{UIDMapBase: 100000})
-	rt.Start(c)
-	p, _ := table.Get(c.MainPID)
-	if out, ok := p.Namespaces.User.MapUID(0); !ok || out != 100000 {
-		t.Fatalf("uid map: %d %v", out, ok)
 	}
 }
 

@@ -63,9 +63,6 @@ type CreateOpts struct {
 	Env []string
 	// Privileged skips MAC confinement and keeps full capabilities.
 	Privileged bool
-	// UIDMapBase, when non-zero, creates a user namespace mapping
-	// container uid 0 to this host uid (65536 ids).
-	UIDMapBase uint32
 }
 
 // Runtime manages containers on one simulated host.
@@ -118,9 +115,9 @@ func (rt *Runtime) Engine(name string) (Engine, error) {
 	return e, nil
 }
 
-// Create instantiates a container from an image: fresh namespaces (all
-// seven unshared), a union root filesystem, a cgroup, and the engine's
-// default MAC profile.
+// Create instantiates a container from an image: fresh namespaces of
+// every kind but the user namespace, which it shares with the host; a
+// union root filesystem; a cgroup; and the engine's default MAC profile.
 func (rt *Runtime) Create(name string, img *Image, opts CreateOpts) (*Container, error) {
 	if opts.Engine == "" {
 		opts.Engine = "docker"
@@ -140,23 +137,9 @@ func (rt *Runtime) Create(name string, img *Image, opts CreateOpts) (*Container,
 	rootfs := img.RootFS()
 	mountNS := namespace.NewMountNS(rootfs)
 	mountNS.MakeAllPrivate() // the runtime mounts everything private, §2.3
-	set := &namespace.Set{
-		Mount:  mountNS,
-		PID:    namespace.NewPID(),
-		Net:    namespace.NewNet(),
-		UTS:    namespace.NewUTS(name),
-		IPC:    namespace.NewIPC(),
-		User:   rt.Host.User,
-		Cgroup: namespace.NewCgroupNS("/" + opts.Engine + "/" + id),
-	}
-	set.Net.AddInterface("eth0")
-	if opts.UIDMapBase != 0 {
-		set.User = &namespace.UserNS{
-			ID:     0,
-			UIDMap: []namespace.IDMap{{Inside: 0, Outside: opts.UIDMapBase, Count: 65536}},
-			GIDMap: []namespace.IDMap{{Inside: 0, Outside: opts.UIDMapBase, Count: 65536}},
-		}
-	}
+	set := namespace.New(mountNS, name, namespace.KindPID, namespace.KindNet,
+		namespace.KindUTS, namespace.KindIPC, namespace.KindCgroup)
+	set.Setns(rt.Host, namespace.KindUser)
 
 	profile := "unconfined"
 	if !opts.Privileged && opts.Engine == "docker" {
@@ -193,7 +176,6 @@ func (rt *Runtime) Start(c *Container) error {
 		return err
 	}
 	p.Namespaces = c.Namespaces
-	p.Namespaces.PID.Register(p.PID)
 	p.Env = append([]string(nil), c.Env...)
 	p.Cwd = c.Image.Config.WorkingDir
 	if p.Cwd == "" {

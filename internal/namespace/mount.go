@@ -57,12 +57,6 @@ func NewMountNS(rootFS vfs.FS) *MountNS {
 	return ns
 }
 
-// NewHostSet is the common HostSet(NewMountNS(fs)) shorthand: boot a
-// host whose root mount is fs.
-func NewHostSet(fs vfs.FS) *Set {
-	return HostSet(NewMountNS(fs))
-}
-
 // normalizePoint canonicalizes a mount point path.
 func normalizePoint(p string) string {
 	parts := vfs.SplitPath(p)
@@ -190,48 +184,6 @@ func (ns *MountNS) MakeAllPrivate() {
 		m.Propagation = PropPrivate
 		m.peers = nil
 	}
-}
-
-// MoveMount relocates the mount at oldPoint (and every mount beneath it)
-// to newPoint, as mount --move does. Cntr uses this to shift the
-// container's tree from / to /var/lib/cntr inside the nested namespace.
-func (ns *MountNS) MoveMount(oldPoint, newPoint string) error {
-	oldPoint = normalizePoint(oldPoint)
-	newPoint = normalizePoint(newPoint)
-	if oldPoint == "/" {
-		return vfs.EINVAL
-	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	m, ok := ns.mounts[oldPoint]
-	if !ok {
-		return vfs.EINVAL
-	}
-	moved := map[string]*Mount{newPoint: m}
-	m.Point = newPoint
-	delete(ns.mounts, oldPoint)
-	for p, sub := range ns.mounts {
-		if strings.HasPrefix(p, oldPoint+"/") {
-			np := newPoint + strings.TrimPrefix(p, oldPoint)
-			sub.Point = np
-			moved[np] = sub
-			delete(ns.mounts, p)
-		}
-	}
-	for p, sub := range moved {
-		ns.mounts[p] = sub
-	}
-	return nil
-}
-
-// Bind resolves srcPath in this namespace and mounts the resolved
-// directory (or file) at dstPoint — a bind mount.
-func (ns *MountNS) Bind(op *vfs.Op, srcPath, dstPoint string, readOnly bool) error {
-	src, err := ns.Resolve(op, srcPath)
-	if err != nil {
-		return err
-	}
-	return ns.Mount(dstPoint, src.FS, src.Ino, PropPrivate, readOnly)
 }
 
 // MountAt returns the mount exactly at point, if any.

@@ -1,15 +1,16 @@
 // Package namespace models the seven Linux namespaces that implement the
-// container abstraction (§2.3), with full mount-namespace semantics:
-// mount tables with longest-prefix resolution, bind mounts, private/shared
-// propagation, mount moving, and chroot — everything Cntr's nested
-// namespace construction (§3.2.3) manipulates.
+// container abstraction (§2.3). A program observes three namespace facts:
+// the mount table, the UTS hostname, and each kind's identity
+// (/proc/<pid>/ns/<kind>, which also keys the per-network-namespace
+// socket tables of §3.2.4). A Set holds exactly these: a full mount
+// namespace — mount tables with longest-prefix resolution, bind mounts,
+// private/shared propagation and chroot, everything Cntr's nested
+// namespace construction (§3.2.3) manipulates — the hostname, and one id
+// for every other kind. Nothing reads pid translation, id maps,
+// interfaces or cgroup roots, so none is modelled.
 package namespace
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Kind identifies a namespace type.
 type Kind uint8
@@ -29,26 +30,14 @@ const (
 // NumKinds is the number of modelled namespace kinds.
 const NumKinds = int(numKinds)
 
+var kindNames = [numKinds]string{"mnt", "pid", "net", "uts", "ipc", "user", "cgroup"}
+
 // String returns the /proc/<pid>/ns name of the kind.
 func (k Kind) String() string {
-	switch k {
-	case KindMount:
-		return "mnt"
-	case KindPID:
-		return "pid"
-	case KindNet:
-		return "net"
-	case KindUTS:
-		return "uts"
-	case KindIPC:
-		return "ipc"
-	case KindUser:
-		return "user"
-	case KindCgroup:
-		return "cgroup"
-	default:
-		return "unknown"
+	if k < numKinds {
+		return kindNames[k]
 	}
+	return "unknown"
 }
 
 // nsIDs issues unique namespace identities, like nsfs inode numbers.
@@ -56,197 +45,27 @@ var nsIDs atomic.Uint64
 
 func nextID() uint64 { return nsIDs.Add(1) + 0x4000000 }
 
-// UTSNS holds the hostname/domainname pair.
-type UTSNS struct {
-	ID       uint64
-	mu       sync.Mutex
-	hostname string
-	domain   string
-}
-
-// NewUTS returns a UTS namespace with the given hostname.
-func NewUTS(hostname string) *UTSNS {
-	return &UTSNS{ID: nextID(), hostname: hostname}
-}
-
-// Hostname returns the namespace's hostname.
-func (u *UTSNS) Hostname() string {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.hostname
-}
-
-// SetHostname updates the hostname.
-func (u *UTSNS) SetHostname(h string) {
-	u.mu.Lock()
-	u.hostname = h
-	u.mu.Unlock()
-}
-
-// IPCNS is an opaque System-V IPC scope.
-type IPCNS struct {
-	ID uint64
-}
-
-// NewIPC returns a fresh IPC namespace.
-func NewIPC() *IPCNS { return &IPCNS{ID: nextID()} }
-
-// NetNS models a network namespace as a set of interface names plus a
-// table of bound Unix sockets (the part Cntr's socket proxy cares about).
-type NetNS struct {
-	ID         uint64
-	mu         sync.Mutex
-	interfaces []string
-}
-
-// NewNet returns a network namespace with a loopback interface.
-func NewNet() *NetNS {
-	return &NetNS{ID: nextID(), interfaces: []string{"lo"}}
-}
-
-// AddInterface registers an interface name (e.g. "eth0").
-func (n *NetNS) AddInterface(name string) {
-	n.mu.Lock()
-	n.interfaces = append(n.interfaces, name)
-	n.mu.Unlock()
-}
-
-// Interfaces lists interface names.
-func (n *NetNS) Interfaces() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return append([]string(nil), n.interfaces...)
-}
-
-// IDMap maps a contiguous id range between a user namespace and its
-// parent, as /proc/<pid>/uid_map does.
-type IDMap struct {
-	Inside  uint32
-	Outside uint32
-	Count   uint32
-}
-
-// UserNS holds uid/gid mappings.
-type UserNS struct {
-	ID     uint64
-	UIDMap []IDMap
-	GIDMap []IDMap
-}
-
-// NewUser returns a user namespace with identity mappings for the full
-// id range (the host's initial user namespace).
-func NewUser() *UserNS {
-	full := []IDMap{{Inside: 0, Outside: 0, Count: ^uint32(0)}}
-	return &UserNS{ID: nextID(), UIDMap: full, GIDMap: full}
-}
-
-// MapUID translates an in-namespace uid to the outer uid; the second
-// result reports whether the uid is mapped at all.
-func (u *UserNS) MapUID(inside uint32) (uint32, bool) {
-	return translate(u.UIDMap, inside)
-}
-
-// MapGID translates an in-namespace gid to the outer gid.
-func (u *UserNS) MapGID(inside uint32) (uint32, bool) {
-	return translate(u.GIDMap, inside)
-}
-
-func translate(maps []IDMap, inside uint32) (uint32, bool) {
-	for _, m := range maps {
-		if inside >= m.Inside && inside-m.Inside < m.Count {
-			return m.Outside + (inside - m.Inside), true
-		}
-	}
-	return 0, false
-}
-
-// CgroupNS scopes the cgroup hierarchy root visible to a process.
-type CgroupNS struct {
-	ID   uint64
-	Root string
-}
-
-// NewCgroupNS returns a cgroup namespace rooted at root.
-func NewCgroupNS(root string) *CgroupNS {
-	return &CgroupNS{ID: nextID(), Root: root}
-}
-
-// PIDNS is a process-id namespace: processes inside see small local pids.
-type PIDNS struct {
-	ID     uint64
-	mu     sync.Mutex
-	next   int
-	toHost map[int]int // local pid -> host pid
-	toNS   map[int]int // host pid -> local pid
-}
-
-// NewPID returns an empty pid namespace.
-func NewPID() *PIDNS {
-	return &PIDNS{ID: nextID(), next: 1, toHost: make(map[int]int), toNS: make(map[int]int)}
-}
-
-// Register assigns the next local pid to hostPID and returns it.
-func (p *PIDNS) Register(hostPID int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if local, ok := p.toNS[hostPID]; ok {
-		return local
-	}
-	local := p.next
-	p.next++
-	p.toHost[local] = hostPID
-	p.toNS[hostPID] = local
-	return local
-}
-
-// Unregister removes hostPID from the namespace.
-func (p *PIDNS) Unregister(hostPID int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if local, ok := p.toNS[hostPID]; ok {
-		delete(p.toNS, hostPID)
-		delete(p.toHost, local)
-	}
-}
-
-// HostPID translates a local pid to the host pid.
-func (p *PIDNS) HostPID(local int) (int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	h, ok := p.toHost[local]
-	return h, ok
-}
-
-// LocalPID translates a host pid to the namespace-local pid.
-func (p *PIDNS) LocalPID(host int) (int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	l, ok := p.toNS[host]
-	return l, ok
-}
-
 // Set bundles one namespace of each kind, as a process's nsproxy does.
 type Set struct {
-	Mount  *MountNS
-	PID    *PIDNS
-	Net    *NetNS
-	UTS    *UTSNS
-	IPC    *IPCNS
-	User   *UserNS
-	Cgroup *CgroupNS
+	// Mount is the mount namespace; its ID is the set's mount id, so
+	// assigning a new one is unshare(CLONE_NEWNS).
+	Mount *MountNS
+	// Hostname is the UTS namespace's hostname.
+	Hostname string
+	// ids holds every other kind's identity; ids[KindMount] is unused.
+	ids [numKinds]uint64
 }
 
-// HostSet builds the initial namespaces of a host booted with rootFS.
-func HostSet(root *MountNS) *Set {
-	return &Set{
-		Mount:  root,
-		PID:    NewPID(),
-		Net:    NewNet(),
-		UTS:    NewUTS("host"),
-		IPC:    NewIPC(),
-		User:   NewUser(),
-		Cgroup: NewCgroupNS("/"),
+// New returns the namespaces of a process created with CLONE_NEW<kind>
+// for each kind in fresh (other than KindMount): mount and hostname as
+// given, and a new id per fresh kind, drawn in the order listed. A kind
+// left out has id 0 until Setns joins one.
+func New(mount *MountNS, hostname string, fresh ...Kind) *Set {
+	s := &Set{Mount: mount, Hostname: hostname}
+	for _, k := range fresh {
+		s.ids[k] = nextID()
 	}
+	return s
 }
 
 // Clone returns a copy sharing every namespace (what fork does).
@@ -255,75 +74,33 @@ func (s *Set) Clone() *Set {
 	return &cp
 }
 
-// Setns replaces the namespaces named by kinds with those from target,
-// mirroring setns(2) called once per namespace file descriptor.
+// Setns joins target's namespaces of the given kinds, mirroring setns(2)
+// called once per namespace file descriptor. Joining the UTS namespace
+// takes its hostname.
 func (s *Set) Setns(target *Set, kinds ...Kind) {
 	for _, k := range kinds {
 		switch k {
 		case KindMount:
 			s.Mount = target.Mount
-		case KindPID:
-			s.PID = target.PID
-		case KindNet:
-			s.Net = target.Net
 		case KindUTS:
-			s.UTS = target.UTS
-		case KindIPC:
-			s.IPC = target.IPC
-		case KindUser:
-			s.User = target.User
-		case KindCgroup:
-			s.Cgroup = target.Cgroup
+			s.Hostname = target.Hostname
 		}
+		s.ids[k] = target.ids[k]
 	}
 }
 
-// SetnsAll adopts every namespace from target.
+// SetnsAll joins every namespace of target.
 func (s *Set) SetnsAll(target *Set) {
-	s.Setns(target, KindMount, KindPID, KindNet, KindUTS, KindIPC, KindUser, KindCgroup)
+	for k := Kind(0); k < numKinds; k++ {
+		s.Setns(target, k)
+	}
 }
 
 // ID returns the identity of the namespace of the given kind, for
 // /proc/<pid>/ns rendering.
 func (s *Set) ID(k Kind) uint64 {
-	switch k {
-	case KindMount:
-		if s.Mount != nil {
-			return s.Mount.ID
-		}
-	case KindPID:
-		if s.PID != nil {
-			return s.PID.ID
-		}
-	case KindNet:
-		if s.Net != nil {
-			return s.Net.ID
-		}
-	case KindUTS:
-		if s.UTS != nil {
-			return s.UTS.ID
-		}
-	case KindIPC:
-		if s.IPC != nil {
-			return s.IPC.ID
-		}
-	case KindUser:
-		if s.User != nil {
-			return s.User.ID
-		}
-	case KindCgroup:
-		if s.Cgroup != nil {
-			return s.Cgroup.ID
-		}
+	if k == KindMount {
+		return s.Mount.ID
 	}
-	return 0
-}
-
-// Describe renders the namespace identities like /proc/<pid>/ns entries.
-func (s *Set) Describe() []string {
-	out := make([]string, 0, NumKinds)
-	for k := Kind(0); k < numKinds; k++ {
-		out = append(out, fmt.Sprintf("%s:[%d]", k, s.ID(k)))
-	}
-	return out
+	return s.ids[k]
 }

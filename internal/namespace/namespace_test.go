@@ -13,6 +13,18 @@ func newRoot(t *testing.T) (*MountNS, *vfs.Client) {
 	return ns, NewClient(ns, vfs.Root())
 }
 
+// bind resolves src in ns and mounts what it names at dst: a bind mount.
+func bind(t *testing.T, ns *MountNS, src, dst string, readOnly bool) {
+	t.Helper()
+	r, err := ns.Resolve(vfs.RootOp(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ns.Mount(dst, r.FS, r.Ino, PropPrivate, readOnly); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRootMountResolution(t *testing.T) {
 	_, c := newRoot(t)
 	if err := c.WriteFile("/hello", []byte("world"), 0o644); err != nil {
@@ -65,9 +77,7 @@ func TestBindMount(t *testing.T) {
 	ns, c := newRoot(t)
 	c.MkdirAll("/data/sub", 0o755)
 	c.WriteFile("/data/sub/f", []byte("x"), 0o644)
-	if err := ns.Bind(vfs.RootOp(), "/data/sub", "/alias", false); err != nil {
-		t.Fatal(err)
-	}
+	bind(t, ns, "/data/sub", "/alias", false)
 	got, err := c.ReadFile("/alias/f")
 	if err != nil || string(got) != "x" {
 		t.Fatalf("bind read: %q %v", got, err)
@@ -86,9 +96,7 @@ func TestReadOnlyMountRejectsWrites(t *testing.T) {
 	ns, c := newRoot(t)
 	c.MkdirAll("/ro", 0o755)
 	c.WriteFile("/ro/f", []byte("x"), 0o644)
-	if err := ns.Bind(vfs.RootOp(), "/ro", "/mnt", true); err != nil {
-		t.Fatal(err)
-	}
+	bind(t, ns, "/ro", "/mnt", true)
 	if err := c.WriteFile("/mnt/new", nil, 0o644); vfs.ToErrno(err) != vfs.EROFS {
 		t.Fatalf("write to ro mount: %v, want EROFS", err)
 	}
@@ -145,28 +153,6 @@ func TestMakeAllPrivateStopsPropagation(t *testing.T) {
 	}
 	if _, ok := ns.MountAt("/m"); ok {
 		t.Fatal("mount propagated despite MakeAllPrivate")
-	}
-}
-
-func TestMoveMount(t *testing.T) {
-	ns, c := newRoot(t)
-	other := memfs.New(memfs.Options{})
-	vfs.NewClient(other, vfs.Root()).WriteFile("/f", []byte("m"), 0o644)
-	ns.Mount("/old", other, vfs.RootIno, PropPrivate, false)
-	inner := memfs.New(memfs.Options{})
-	ns.Mount("/old/inner", inner, vfs.RootIno, PropPrivate, false)
-	if err := ns.MoveMount("/old", "/new/place"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadFile("/new/place/f")
-	if err != nil || string(got) != "m" {
-		t.Fatalf("moved mount: %q %v", got, err)
-	}
-	if _, ok := ns.MountAt("/new/place/inner"); !ok {
-		t.Fatal("child mounts must move along")
-	}
-	if _, ok := ns.MountAt("/old"); ok {
-		t.Fatal("old mount point still present")
 	}
 }
 
@@ -272,97 +258,78 @@ func TestMountsListing(t *testing.T) {
 	}
 }
 
-func TestPIDNamespaceMapping(t *testing.T) {
-	p := NewPID()
-	l1 := p.Register(1234)
-	l2 := p.Register(5678)
-	if l1 != 1 || l2 != 2 {
-		t.Fatalf("local pids = %d, %d", l1, l2)
-	}
-	if again := p.Register(1234); again != 1 {
-		t.Fatalf("re-register changed pid: %d", again)
-	}
-	if h, ok := p.HostPID(2); !ok || h != 5678 {
-		t.Fatalf("HostPID(2) = %d, %v", h, ok)
-	}
-	if l, ok := p.LocalPID(1234); !ok || l != 1 {
-		t.Fatalf("LocalPID(1234) = %d, %v", l, ok)
-	}
-	p.Unregister(1234)
-	if _, ok := p.LocalPID(1234); ok {
-		t.Fatal("unregistered pid still mapped")
-	}
-}
+var allKinds = []Kind{KindPID, KindNet, KindUTS, KindIPC, KindUser, KindCgroup}
 
-func TestUserNamespaceMapping(t *testing.T) {
-	u := &UserNS{
-		ID:     1,
-		UIDMap: []IDMap{{Inside: 0, Outside: 100000, Count: 65536}},
-		GIDMap: []IDMap{{Inside: 0, Outside: 200000, Count: 1000}},
-	}
-	if out, ok := u.MapUID(0); !ok || out != 100000 {
-		t.Fatalf("MapUID(0) = %d %v", out, ok)
-	}
-	if out, ok := u.MapUID(1000); !ok || out != 101000 {
-		t.Fatalf("MapUID(1000) = %d %v", out, ok)
-	}
-	if _, ok := u.MapUID(70000); ok {
-		t.Fatal("out-of-range uid should be unmapped")
-	}
-	if out, ok := u.MapGID(999); !ok || out != 200999 {
-		t.Fatalf("MapGID(999) = %d %v", out, ok)
-	}
+func newSet(hostname string) *Set {
+	return New(NewMountNS(memfs.New(memfs.Options{})), hostname, allKinds...)
 }
 
 func TestSetnsReplacesSelected(t *testing.T) {
-	nsA := HostSet(NewMountNS(memfs.New(memfs.Options{})))
-	nsB := HostSet(NewMountNS(memfs.New(memfs.Options{})))
+	nsA, nsB := newSet("a"), newSet("b")
 	proc := nsA.Clone()
 	proc.Setns(nsB, KindMount, KindUTS)
-	if proc.Mount != nsB.Mount || proc.UTS != nsB.UTS {
-		t.Fatal("selected namespaces not replaced")
+	for k := Kind(0); k < numKinds; k++ {
+		from := nsA
+		if k == KindMount || k == KindUTS {
+			from = nsB
+		}
+		if proc.ID(k) != from.ID(k) {
+			t.Fatalf("%s: id %d, want %d", k, proc.ID(k), from.ID(k))
+		}
 	}
-	if proc.PID != nsA.PID || proc.Net != nsA.Net {
-		t.Fatal("unselected namespaces must stay")
+	if proc.Mount != nsB.Mount {
+		t.Fatal("mount namespace not replaced")
 	}
 	proc2 := nsA.Clone()
 	proc2.SetnsAll(nsB)
-	if proc2.Mount != nsB.Mount || proc2.Cgroup != nsB.Cgroup {
+	if *proc2 != *nsB {
 		t.Fatal("SetnsAll incomplete")
 	}
 }
 
 func TestNamespaceIdentity(t *testing.T) {
-	s := HostSet(NewMountNS(memfs.New(memfs.Options{})))
-	desc := s.Describe()
-	if len(desc) != NumKinds {
-		t.Fatalf("describe = %v", desc)
+	s := newSet("host")
+	seen := make(map[uint64]Kind)
+	for k := Kind(0); k < numKinds; k++ {
+		id := s.ID(k)
+		if id == 0 {
+			t.Fatalf("%s: namespace ids must be non-zero", k)
+		}
+		if prev, dup := seen[id]; dup {
+			t.Fatalf("%s and %s share id %d", prev, k, id)
+		}
+		seen[id] = k
 	}
-	if s.ID(KindMount) == 0 || s.ID(KindPID) == 0 {
-		t.Fatal("namespace ids must be non-zero")
+	// ids are drawn in the order the kinds are listed, after the mount's.
+	if s.ID(KindCgroup) != s.ID(KindMount)+uint64(len(allKinds)) {
+		t.Fatalf("ids = %d..%d", s.ID(KindMount), s.ID(KindCgroup))
 	}
-	if s.ID(KindMount) == s.ID(KindPID) {
-		t.Fatal("namespace ids must be unique")
+	// A kind not unshared has no identity of its own until Setns.
+	c := New(NewMountNS(memfs.New(memfs.Options{})), "c", KindPID)
+	if c.ID(KindUser) != 0 {
+		t.Fatal("a kind not unshared must have id 0")
+	}
+	c.Setns(s, KindUser)
+	if c.ID(KindUser) != s.ID(KindUser) {
+		t.Fatal("Setns must join the user namespace")
 	}
 }
 
+// TestUTSNamespace: the hostname belongs to the UTS namespace — joining
+// one takes its hostname, and a fork keeps it.
 func TestUTSNamespace(t *testing.T) {
-	u := NewUTS("container-1")
-	if u.Hostname() != "container-1" {
+	host, ctr := newSet("host"), newSet("container-1")
+	if ctr.Hostname != "container-1" {
 		t.Fatal("hostname")
 	}
-	u.SetHostname("renamed")
-	if u.Hostname() != "renamed" {
-		t.Fatal("set hostname")
+	proc := host.Clone()
+	proc.Setns(ctr, KindNet)
+	if proc.Hostname != "host" {
+		t.Fatal("joining the net namespace changed the hostname")
 	}
-}
-
-func TestNetNamespaceInterfaces(t *testing.T) {
-	n := NewNet()
-	n.AddInterface("eth0")
-	ifs := n.Interfaces()
-	if len(ifs) != 2 || ifs[0] != "lo" || ifs[1] != "eth0" {
-		t.Fatalf("interfaces = %v", ifs)
+	proc.Setns(ctr, KindUTS)
+	if proc.Hostname != "container-1" || proc.Clone().Hostname != "container-1" {
+		t.Fatal("joining the UTS namespace must take its hostname")
 	}
 }
 

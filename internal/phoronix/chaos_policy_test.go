@@ -1,6 +1,7 @@
 package phoronix
 
 import (
+	"strings"
 	"testing"
 
 	"cntr/internal/policy"
@@ -72,5 +73,20 @@ func TestChaosComposesWithPolicy(t *testing.T) {
 		if !cleanAny[k] {
 			t.Errorf("chaos run added any-path kind %q", k)
 		}
+	}
+}
+
+// TestRunRefusesUntrackableWindow: Setup.Enforce with a window Load
+// would refuse fails the row with Load's error before the workload runs.
+// Before, an auditing enforcer let the first data operation through and
+// panicked allocating the window while holding its lock.
+func TestRunRefusesUntrackableWindow(t *testing.T) {
+	prof := &policy.Profile{WindowOps: 1 << 62, ReadBytesPerWindow: 1 << 20}
+	r := Run(&Suite[0], Setup{Enforce: prof, Audit: true})
+	if r.Err == nil || !strings.Contains(r.Err.Error(), "window_ops") {
+		t.Fatalf("row error = %v, want window_ops refused", r.Err)
+	}
+	if r.Ops != 0 || r.Time != 0 {
+		t.Fatalf("a refused row ran: ops %d, time %v", r.Ops, r.Time)
 	}
 }

@@ -188,6 +188,13 @@ type Row struct {
 // injector innermost, modelling the backing store behind an admitted
 // operation.
 func Run(b *Benchmark, s Setup) Row {
+	var enf *policy.Enforcer
+	if s.Enforce != nil {
+		var err error
+		if enf, err = policy.NewEnforcer(s.Enforce, s.Audit); err != nil {
+			return Row{Name: b.Name, Err: err}
+		}
+	}
 	cfg := s.Config
 	if cfg.RAM == 0 {
 		std := stackConfig()
@@ -218,9 +225,7 @@ func Run(b *Benchmark, s Setup) Row {
 			return err
 		}))
 	}
-	var enf *policy.Enforcer
-	if s.Enforce != nil {
-		enf = policy.NewEnforcer(s.Enforce, s.Audit)
+	if enf != nil {
 		ics = append(ics, enf)
 	}
 	if len(s.Faults) > 0 {

@@ -57,8 +57,12 @@ type Enforcer struct {
 }
 
 // NewEnforcer compiles p for enforcement. With audit set, violations
-// are recorded but never denied.
-func NewEnforcer(p *Profile, audit bool) *Enforcer {
+// are recorded but never denied. It refuses a profile Load would refuse
+// for its windowed ceilings.
+func NewEnforcer(p *Profile, audit bool) (*Enforcer, error) {
+	if err := p.checkWindow(); err != nil {
+		return nil, err
+	}
 	return &Enforcer{
 		m:           p.Compile(),
 		audit:       audit,
@@ -67,7 +71,7 @@ func NewEnforcer(p *Profile, audit bool) *Enforcer {
 		winWriteMax: p.WriteBytesPerWindow,
 		win:         windowTracker{n: int(p.WindowOps)},
 		pathTable:   newPathTable(),
-	}
+	}, nil
 }
 
 // exempt reports the housekeeping kinds enforcement never blocks.

@@ -56,7 +56,11 @@ func checkLoad(t *testing.T, data []byte) {
 	// read complete and advance the enforcer's window. Nothing is
 	// deferred: a panic fails the input instead of a deferred Release
 	// blocking on the lock the panicking call held.
-	cli := vfs.NewClient(vfs.Chain(memfs.New(memfs.Options{}), NewEnforcer(p, true)), vfs.Root())
+	enf, err := NewEnforcer(p, true)
+	if err != nil {
+		t.Fatalf("Load accepted a profile NewEnforcer refuses: %v", err)
+	}
+	cli := vfs.NewClient(vfs.Chain(memfs.New(memfs.Options{}), enf), vfs.Root())
 	f, err := cli.Open("/f", vfs.ORdwr|vfs.OCreat, 0o644)
 	if err != nil {
 		t.Fatalf("open through an auditing enforcer: %v", err)

@@ -302,7 +302,7 @@ func TestWindowedCeilingEnforcement(t *testing.T) {
 		WindowOps:           4,
 		WriteBytesPerWindow: 100,
 	}
-	enf := NewEnforcer(p, false)
+	enf := mustEnforcer(t, p, false)
 	op := vfs.RootOp()
 	complete := func(kind vfs.OpKind, bytes int) error {
 		info := vfs.OpInfo{Kind: kind, Op: op, Ino: vfs.RootIno}

@@ -8,6 +8,41 @@ import (
 	"cntr/internal/vfs"
 )
 
+// mustEnforcer compiles p, failing the test on a refused profile.
+func mustEnforcer(t *testing.T, p *Profile, audit bool) *Enforcer {
+	t.Helper()
+	enf, err := NewEnforcer(p, audit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enf
+}
+
+// TestNewEnforcerRefusesWhatLoadRefuses: a profile built in code meets
+// the window checks Load applies to one read from a file.
+func TestNewEnforcerRefusesWhatLoadRefuses(t *testing.T) {
+	for _, p := range []Profile{
+		{WindowOps: 1 << 62},
+		{WindowOps: CeilingWindowOps + 1, ReadBytesPerWindow: 1},
+		{WindowOps: -1},
+		{ReadBytesPerWindow: 1},
+		{WindowOps: 8, WriteBytesPerWindow: -1},
+	} {
+		_, errEnf := NewEnforcer(&p, false)
+		b, err := p.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, errLoad := Load(b)
+		if errEnf == nil || errLoad == nil || errEnf.Error() != errLoad.Error() {
+			t.Errorf("%+v: NewEnforcer %v, Load %v; want the same refusal", p, errEnf, errLoad)
+		}
+	}
+	if _, err := NewEnforcer(&Profile{WindowOps: CeilingWindowOps, ReadBytesPerWindow: 1}, false); err != nil {
+		t.Fatalf("the largest window: %v", err)
+	}
+}
+
 // workload is the recorded container behaviour: a small mixed
 // metadata/data run under /data.
 func workload(t *testing.T, fs vfs.FS) {
@@ -123,7 +158,7 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 
 	// Replay the same workload under enforcement: zero false denials.
-	enf := NewEnforcer(loaded, false)
+	enf := mustEnforcer(t, loaded, false)
 	c := stack.NewCntr(stack.Config{})
 	defer c.Close()
 	top := vfs.Chain(c.Top, enf)
@@ -145,7 +180,7 @@ func TestProfileRoundTrip(t *testing.T) {
 func TestAuditModeRecordsWithoutDenying(t *testing.T) {
 	col, _ := traceWorkload(t)
 	p := col.Profile(GenOptions{})
-	enf := NewEnforcer(p, true)
+	enf := mustEnforcer(t, p, true)
 	c := stack.NewCntr(stack.Config{})
 	defer c.Close()
 	top := vfs.Chain(c.Top, enf)
@@ -175,7 +210,7 @@ func TestWriteCeiling(t *testing.T) {
 	col, _ := traceWorkload(t)
 	p := col.Profile(GenOptions{})
 	p.WindowOps, p.WriteBytesPerWindow = CeilingWindowOps, 4096 // below one payload file
-	enf := NewEnforcer(p, false)
+	enf := mustEnforcer(t, p, false)
 	c := stack.NewCntr(stack.Config{})
 	defer c.Close()
 	top := vfs.Chain(c.Top, enf)
@@ -303,7 +338,7 @@ func TestRunsIsolatePathLearning(t *testing.T) {
 // advance the denial counter, one per operation, but the log stays at
 // its cap.
 func TestViolationLogBounded(t *testing.T) {
-	enf := NewEnforcer(&Profile{Rules: []Rule{{Prefix: "/", Kinds: []string{"lookup"}}}}, false)
+	enf := mustEnforcer(t, &Profile{Rules: []Rule{{Prefix: "/", Kinds: []string{"lookup"}}}}, false)
 	n := maxViolations + 37
 	for i := 0; i < n; i++ {
 		info := vfs.OpInfo{Kind: vfs.KindWrite, Op: vfs.RootOp(), Ino: vfs.RootIno}
@@ -341,7 +376,7 @@ func TestRenameRebindsSubtree(t *testing.T) {
 // learned from the operations that went past it — a lookup's result, a
 // rename's destination — and forgets a binding the kernel forgot.
 func TestEnforcerFollowsPaths(t *testing.T) {
-	enf := NewEnforcer(&Profile{Rules: []Rule{
+	enf := mustEnforcer(t, &Profile{Rules: []Rule{
 		{Prefix: "/", Kinds: []string{"lookup", "rename"}},
 		{Prefix: "/old/f", Kinds: []string{"read"}},
 		{Prefix: "/dst/new", Kinds: []string{"write"}},

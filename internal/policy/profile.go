@@ -121,14 +121,8 @@ func Load(data []byte) (*Profile, error) {
 	if p.Version > FormatVersion {
 		return nil, fmt.Errorf("policy: profile version %d is newer than supported %d", p.Version, FormatVersion)
 	}
-	if p.WindowOps < 0 || p.WindowOps > CeilingWindowOps {
-		return nil, fmt.Errorf("policy: window_ops %d outside [0, %d]", p.WindowOps, CeilingWindowOps)
-	}
-	if p.WindowOps == 0 && (p.ReadBytesPerWindow != 0 || p.WriteBytesPerWindow != 0) {
-		return nil, fmt.Errorf("policy: windowed byte ceilings without window_ops")
-	}
-	if p.ReadBytesPerWindow < 0 || p.WriteBytesPerWindow < 0 {
-		return nil, fmt.Errorf("policy: negative windowed byte ceiling")
+	if err := p.checkWindow(); err != nil {
+		return nil, err
 	}
 	// Marshal omits an empty list, so Load reads one as absent.
 	if len(p.SourceRuns) == 0 {
@@ -141,6 +135,22 @@ func Load(data []byte) (*Profile, error) {
 		p.AnyPathKinds = nil
 	}
 	return &p, nil
+}
+
+// checkWindow refuses windowed ceilings the enforcer cannot track: Load
+// applies it to a profile read from a file, NewEnforcer to one built in
+// code.
+func (p *Profile) checkWindow() error {
+	if p.WindowOps < 0 || p.WindowOps > CeilingWindowOps {
+		return fmt.Errorf("policy: window_ops %d outside [0, %d]", p.WindowOps, CeilingWindowOps)
+	}
+	if p.WindowOps == 0 && (p.ReadBytesPerWindow != 0 || p.WriteBytesPerWindow != 0) {
+		return fmt.Errorf("policy: windowed byte ceilings without window_ops")
+	}
+	if p.ReadBytesPerWindow < 0 || p.WriteBytesPerWindow < 0 {
+		return fmt.Errorf("policy: negative windowed byte ceiling")
+	}
+	return nil
 }
 
 // Matcher is a profile compiled for rule lookup on the hot path: the

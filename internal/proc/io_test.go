@@ -14,7 +14,7 @@ import (
 // TestSnapshotRendersIOCounters: registered I/O sources are summed and
 // rendered as /proc/<pid>/io.
 func TestSnapshotRendersIOCounters(t *testing.T) {
-	tb := NewTable(namespace.NewHostSet(memfs.New(memfs.Options{})))
+	tb := newTable(t)
 	p, err := tb.Spawn(1, "worker", []string{"/bin/worker"})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestFuseOriginStatsFeedProcIO(t *testing.T) {
 		srv.Wait()
 	}()
 
-	tb := NewTable(namespace.NewHostSet(conn))
+	tb := NewTable(namespace.New(namespace.NewMountNS(conn), "host"))
 	p, err := tb.Spawn(1, "dd", []string{"dd"})
 	if err != nil {
 		t.Fatal(err)

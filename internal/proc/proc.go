@@ -7,7 +7,6 @@ package proc
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -213,7 +212,6 @@ func NewTable(host *namespace.Set) *Table {
 		Namespaces: host, Caps: vfs.FullCapSet(), Profile: "unconfined",
 		Cwd: "/",
 	}
-	host.PID.Register(1)
 	t.procs[1] = init
 	t.Cgroups.Attach(1, "/")
 	return t
@@ -242,13 +240,12 @@ func (t *Table) Spawn(parentPID int, comm string, cmdline []string) (*Process, e
 		Profile:    parent.Profile,
 		FSizeLimit: parent.FSizeLimit,
 	}
-	child.Namespaces.PID.Register(pid)
 	t.procs[pid] = child
 	t.Cgroups.Attach(pid, t.Cgroups.Of(parentPID))
 	return child, nil
 }
 
-// Exit removes the process from the table, its pid namespace and cgroup,
+// Exit removes the process from the table and its cgroup,
 // then runs the registered exit hooks (outside the table lock, so a hook
 // may call back into the table).
 func (t *Table) Exit(pid int) error {
@@ -259,7 +256,6 @@ func (t *Table) Exit(pid int) error {
 		return vfs.ESRCH
 	}
 	p.exited = true
-	p.Namespaces.PID.Unregister(pid)
 	delete(t.procs, pid)
 	t.Cgroups.Remove(pid)
 	t.mu.Unlock()
@@ -285,28 +281,6 @@ func (t *Table) Get(pid int) (*Process, error) {
 		return nil, vfs.ESRCH
 	}
 	return p, nil
-}
-
-// Pids lists live pids, sorted.
-func (t *Table) Pids() []int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]int, 0, len(t.procs))
-	for pid := range t.procs {
-		out = append(out, pid)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// InSameNamespace reports whether two pids share the namespace of kind k.
-func (t *Table) InSameNamespace(a, b int, k namespace.Kind) bool {
-	pa, errA := t.Get(a)
-	pb, errB := t.Get(b)
-	if errA != nil || errB != nil {
-		return false
-	}
-	return pa.Namespaces.ID(k) == pb.Namespaces.ID(k)
 }
 
 // Snapshot materializes a /proc view of the table into a fresh in-memory

@@ -11,7 +11,7 @@ import (
 
 func newTable(t *testing.T) *Table {
 	t.Helper()
-	return NewTable(namespace.HostSet(namespace.NewMountNS(memfs.New(memfs.Options{}))))
+	return NewTable(namespace.New(namespace.NewMountNS(memfs.New(memfs.Options{})), "host"))
 }
 
 func TestInitExists(t *testing.T) {
@@ -70,23 +70,22 @@ func TestExitCleansUp(t *testing.T) {
 	if tb.Cgroups.Of(pid) != "/" {
 		t.Fatal("cgroup membership not cleaned")
 	}
-	if _, ok := tb.Pids(), false; ok {
-		t.Fatal("unreachable")
-	}
 	if err := tb.Exit(pid); vfs.ToErrno(err) != vfs.ESRCH {
 		t.Fatalf("double exit: %v", err)
 	}
 }
 
+// TestInSameNamespace: siblings share their parent's mount namespace
+// until one unshares it by assigning a new one.
 func TestInSameNamespace(t *testing.T) {
 	tb := newTable(t)
 	a, _ := tb.Spawn(1, "a", nil)
 	b, _ := tb.Spawn(1, "b", nil)
-	if !tb.InSameNamespace(a.PID, b.PID, namespace.KindMount) {
+	if a.Namespaces.ID(namespace.KindMount) != b.Namespaces.ID(namespace.KindMount) {
 		t.Fatal("siblings share mount ns")
 	}
 	b.Namespaces.Mount = namespace.NewMountNS(memfs.New(memfs.Options{}))
-	if tb.InSameNamespace(a.PID, b.PID, namespace.KindMount) {
+	if a.Namespaces.ID(namespace.KindMount) == b.Namespaces.ID(namespace.KindMount) {
 		t.Fatal("after unshare they must differ")
 	}
 }
@@ -135,16 +134,6 @@ func TestProcessCredAndClient(t *testing.T) {
 	cli := p.Client()
 	if cli.Mounts != vfs.MountTable(p.Namespaces.Mount) {
 		t.Fatal("client bound to wrong namespace")
-	}
-}
-
-func TestPidsSorted(t *testing.T) {
-	tb := newTable(t)
-	tb.Spawn(1, "a", nil)
-	tb.Spawn(1, "b", nil)
-	pids := tb.Pids()
-	if len(pids) != 3 || pids[0] != 1 || pids[2] != 3 {
-		t.Fatalf("pids = %v", pids)
 	}
 }
 

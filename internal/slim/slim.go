@@ -9,8 +9,6 @@
 package slim
 
 import (
-	"strings"
-
 	"cntr/internal/blobstore"
 	"cntr/internal/container"
 	"cntr/internal/policy"
@@ -142,6 +140,3 @@ func Validate(slimImg *container.Image, paths []string, orig *container.Image) e
 	}
 	return nil
 }
-
-// trimPrefix is a small helper for tests.
-func trimPrefix(p, prefix string) string { return strings.TrimPrefix(p, prefix) }

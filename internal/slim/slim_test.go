@@ -144,9 +144,3 @@ func TestHistogramBounds(t *testing.T) {
 		t.Fatal("empty mean")
 	}
 }
-
-func TestTrimPrefixHelper(t *testing.T) {
-	if trimPrefix("/a/b", "/a") != "/b" {
-		t.Fatal("trimPrefix")
-	}
-}

@@ -111,7 +111,11 @@ func TestTopStatAllocBudget(t *testing.T) {
 						seen = *info
 						return err
 					})
-					top = vfs.Chain(top, vfs.NewStats(), probe, policy.NewEnforcer(allowAll, true))
+					enf, err := policy.NewEnforcer(allowAll, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					top = vfs.Chain(top, vfs.NewStats(), probe, enf)
 				}
 				cli := vfs.NewClient(top, vfs.Root())
 				if err := cli.MkdirAll("/d/e", 0o755); err != nil {

@@ -279,11 +279,10 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 	if err != nil {
 		return err
 	}
-	if dstLayer, dres, _, derr := fs.findLayer(dst); derr == nil {
+	if _, dres, _, derr := fs.findLayer(dst); derr == nil {
 		if flags&vfs.RenameNoReplace != 0 {
 			return vfs.EEXIST
 		}
-		_ = dstLayer
 		if dres.Attr.Type == vfs.TypeDirectory {
 			ents, eerr := fs.mergedReaddir(op, dst)
 			if eerr != nil {

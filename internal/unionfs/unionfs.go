@@ -141,12 +141,8 @@ var internalOp = vfs.NewOp(nil, internalCred)
 // whiteoutExists reports whether the upper layer hides path.
 func (fs *FS) whiteoutExists(path string) bool {
 	dir, name := splitParent(path)
-	res, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, joinPath(dir, whiteoutPrefix+name), false)
-	if err == nil {
-		_ = res
-		return true
-	}
-	return false
+	_, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, joinPath(dir, whiteoutPrefix+name), false)
+	return err == nil
 }
 
 // dirOpaque reports whether the upper copy of dir is opaque.
@@ -170,13 +166,12 @@ func (fs *FS) findLayer(path string) (vfs.FS, vfs.WalkResult, bool, error) {
 	if res, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, path, false); err == nil {
 		return fs.upper, res, true, nil
 	}
-	for i, lower := range fs.lowers {
+	for _, lower := range fs.lowers {
 		if fs.pathOpaquedAbove(path) {
 			break
 		}
 		res, err := vfs.Walk(lower, internalOp, vfs.RootIno, path, false)
 		if err == nil {
-			_ = i
 			return lower, res, false, nil
 		}
 	}
@@ -220,7 +215,6 @@ func (fs *FS) ensureUpperDir(dir string) error {
 	cur := ""
 	cli := vfs.NewClient(fs.upper, internalCred)
 	for _, p := range parts {
-		parent := cur
 		cur += "/" + p
 		if _, err := cli.Lstat(cur); err == nil {
 			continue
@@ -238,7 +232,6 @@ func (fs *FS) ensureUpperDir(dir string) error {
 		if uid != 0 || gid != 0 {
 			cli.Chown(cur, uid, gid)
 		}
-		_ = parent
 	}
 	return nil
 }

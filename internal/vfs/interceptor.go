@@ -138,14 +138,6 @@ func Chain(fs FS, interceptors ...Interceptor) FS {
 	return &chainFS{fs: fs, ics: interceptors, handles: make(map[Handle]Ino)}
 }
 
-// Unwrap returns the filesystem beneath a Chain wrapper, or fs itself.
-func Unwrap(fs FS) FS {
-	if c, ok := fs.(*chainFS); ok {
-		return c.fs
-	}
-	return fs
-}
-
 type chainFS struct {
 	fs     FS
 	ics    []Interceptor

@@ -54,7 +54,7 @@ func TestChainNoInterceptorsIsIdentity(t *testing.T) {
 }
 
 // TestChainPreservesOptionalInterfaces: HandleExporter delegation keeps
-// working through a chain over memfs, and Unwrap exposes the inner FS.
+// working through a chain over memfs.
 func TestChainPreservesOptionalInterfaces(t *testing.T) {
 	fs := memfs.New(memfs.Options{})
 	cli := vfs.NewClient(fs, vfs.Root())
@@ -79,9 +79,6 @@ func TestChainPreservesOptionalInterfaces(t *testing.T) {
 	}
 	if s, ok := chained.(vfs.SyncerFS); !ok || s.SyncFS() != nil {
 		t.Fatal("chain must delegate SyncFS")
-	}
-	if vfs.Unwrap(chained) != vfs.FS(fs) {
-		t.Fatal("Unwrap must expose the wrapped filesystem")
 	}
 }
 
