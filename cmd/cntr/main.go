@@ -72,8 +72,13 @@ func demoHost() *cntr.Host {
 		{Path: "/bin/sh", Size: 1000, Executable: true},
 	}})
 	must(err)
-	for name, img := range map[string]*container.Image{"demo": app, "tools": tools} {
-		c, err := h.Runtime.Create(name, img, container.CreateOpts{Engine: "docker"})
+	// In a fixed order, so demo's process is always pid 2 and the tools
+	// shell pid 3.
+	for _, ct := range []struct {
+		name string
+		img  *container.Image
+	}{{"demo", app}, {"tools", tools}} {
+		c, err := h.Runtime.Create(ct.name, ct.img, container.CreateOpts{Engine: "docker"})
 		must(err)
 		must(h.Runtime.Start(c))
 	}

@@ -162,7 +162,7 @@ func openSeeded(t *testing.T, e *nosecEnv, path string) *vfs.File {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return &f
 }
 
 // writeByte is one write(2) through an open file.
@@ -284,13 +284,13 @@ func TestNoSecBehindTheMountsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	writeByte(t, f)
+	writeByte(t, &f)
 	if err := e.host.Setxattr(op, f.Ino(), vfs.XattrSecurityCapability, fileCaps, 0); err != nil {
 		t.Fatal(err)
 	}
 
 	gets := e.spy.gets.Load()
-	writeByte(t, f)
+	writeByte(t, &f)
 	if g := e.spy.gets.Load(); g != gets {
 		t.Fatalf("write inside AttrTimeout made %d wire GETXATTRs", g-gets)
 	}
@@ -299,7 +299,7 @@ func TestNoSecBehindTheMountsBack(t *testing.T) {
 	}
 
 	e.clock.Advance(DefaultMountOptions().AttrTimeout + time.Nanosecond)
-	writeByte(t, f)
+	writeByte(t, &f)
 	if g := e.spy.gets.Load(); g != gets+1 {
 		t.Fatalf("write past AttrTimeout made %d wire GETXATTRs, want 1", g-gets)
 	}
@@ -365,8 +365,8 @@ func TestNoSecBornMarked(t *testing.T) {
 	defer g.Close()
 	const writes = 5
 	for i := 0; i < writes; i++ {
-		writeByte(t, f)
-		writeByte(t, g)
+		writeByte(t, &f)
+		writeByte(t, &g)
 	}
 	if gets, hits := e.spy.gets.Load(), e.conn.Stats().NoSecHits; gets != 0 || hits != 2*writes {
 		t.Fatalf("%d writes each to a created and a mknod'ed file: %d wire GETXATTRs and %d hits, want 0 and %d", writes, gets, hits, 2*writes)
@@ -402,7 +402,7 @@ func TestNoSecBornMarked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	writeByte(t, h)
+	writeByte(t, &h)
 	if gets := paper.spy.gets.Load(); gets != 1 || nosecMarked(paper.conn, h.Ino()) {
 		t.Fatalf("paper's configuration: %d wire GETXATTRs for one write, marked %v; want 1 and no mark", gets, nosecMarked(paper.conn, h.Ino()))
 	}
@@ -422,7 +422,7 @@ func TestNoSecBornThenGivenCapabilities(t *testing.T) {
 	if err := e.top.Setxattr(op, f.Ino(), vfs.XattrSecurityCapability, fileCaps, 0); err != nil {
 		t.Fatal(err)
 	}
-	writeByte(t, f)
+	writeByte(t, &f)
 	if gets, hits := e.spy.gets.Load(), e.conn.Stats().NoSecHits; gets != 1 || hits != 0 {
 		t.Fatalf("write after SETXATTR on a new file: %d wire GETXATTRs, %d hits; want 1 and 0", gets, hits)
 	}

@@ -882,7 +882,7 @@ func TestSeekAndSequentialIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 5)
-	if _, err := io.ReadFull(f, buf); err != nil {
+	if _, err := io.ReadFull(&f, buf); err != nil {
 		t.Fatal(err)
 	}
 	if string(buf) != "world" {
@@ -891,7 +891,7 @@ func TestSeekAndSequentialIO(t *testing.T) {
 	if _, err := f.Seek(-5, io.SeekEnd); err != nil {
 		t.Fatal(err)
 	}
-	io.ReadFull(f, buf)
+	io.ReadFull(&f, buf)
 	if string(buf) != "world" {
 		t.Fatalf("seek-end read %q", buf)
 	}

@@ -484,7 +484,7 @@ func coherent(t *testing.T, rng *sim.Rand, span int, stacked, writeback bool) bo
 	ref := vfs.NewClient(memfs.New(memfs.Options{}), vfs.Root())
 	// Three handles on each side: read-write (which creates the file),
 	// write-only and read-only.
-	var cfs, rfs [3]*vfs.File
+	var cfs, rfs [3]vfs.File
 	closeAll := func() {
 		for i := range cfs {
 			cfs[i].Close()
@@ -511,13 +511,13 @@ func coherent(t *testing.T, rng *sim.Rand, span int, stacked, writeback bool) bo
 		return false
 	}
 	for i := 0; i < 60; i++ {
-		cf, rf := cfs[0], rfs[0]
+		cf, rf := &cfs[0], &rfs[0]
 		off := int64(rng.Intn(span))
 		size := rng.Intn(8<<10) + 1
 		switch op := rng.Intn(20); {
 		case op < 8:
 			if op >= 5 {
-				cf, rf = cfs[1], rfs[1] // the O_WRONLY writer
+				cf, rf = &cfs[1], &rfs[1] // the O_WRONLY writer
 			}
 			data := make([]byte, size)
 			rng.Bytes(data)
@@ -528,7 +528,7 @@ func coherent(t *testing.T, rng *sim.Rand, span int, stacked, writeback bool) bo
 			}
 		case op < 16:
 			if op >= 12 {
-				cf, rf = cfs[2], rfs[2] // the read-only reader
+				cf, rf = &cfs[2], &rfs[2] // the read-only reader
 			}
 			a, b := make([]byte, size), make([]byte, size)
 			na, ea := cf.ReadAt(a, off)
@@ -662,7 +662,7 @@ func TestWritebackErrorReachesCloseAndFsync(t *testing.T) {
 				t.Fatalf("write into the cache: %d, %v", n, err)
 			}
 		}
-		return cache, cli, f
+		return cache, cli, &f
 	}
 	enospc := func(t *testing.T, what string, err error) {
 		t.Helper()

@@ -81,7 +81,7 @@ func TestReinsertedPageIsNewest(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { f.Close() })
-		return f
+		return &f
 	}
 	page := make([]byte, PageSize)
 	write := func(f *vfs.File) {
@@ -129,14 +129,13 @@ func TestFreshPagesAllocBudget(t *testing.T) {
 	const runs, pageMap = 20, 4
 	for _, tc := range []struct{ pages, blocks int }{{64, 1}, {256, 4}} {
 		e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 30})
-		files := make([]*vfs.File, runs+1)
+		files := make([]vfs.File, runs+1)
 		for i := range files {
-			f, err := e.cli.Open(fmt.Sprintf("/f%d", i), vfs.ORdwr|vfs.OCreat, 0o644)
-			if err != nil {
+			var err error
+			if files[i], err = e.cli.Open(fmt.Sprintf("/f%d", i), vfs.ORdwr|vfs.OCreat, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			defer f.Close()
-			files[i] = f
+			defer files[i].Close()
 		}
 		data := make([]byte, tc.pages*PageSize)
 		next := 0
@@ -173,18 +172,17 @@ func TestColdWindowAllocBudget(t *testing.T) {
 	e := newEnv(t, Options{KeepCache: true, ReadAhead: 128 << 10})
 	below := vfs.NewClient(e.cache.backing, vfs.Root())
 	data := make([]byte, pages*PageSize)
-	files := make([]*vfs.File, runs+1)
+	files := make([]vfs.File, runs+1)
 	for i := range files {
 		name := fmt.Sprintf("/f%d", i)
 		if err := below.WriteFile(name, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		f, err := e.cli.Open(name, vfs.ORdonly, 0)
-		if err != nil {
+		var err error
+		if files[i], err = e.cli.Open(name, vfs.ORdonly, 0); err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
-		files[i] = f
+		defer files[i].Close()
 	}
 	buf := make([]byte, len(data))
 	next := 0
@@ -224,11 +222,11 @@ func TestAppendAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		files   int
-		writes  func(files []*vfs.File) int // returns the pages cached
+		writes  func(files []vfs.File) int // returns the pages cached
 		objects float64
 		tail    int // pages the last block may leave unused
 	}{
-		{"1024 sequential appends", 1, func(files []*vfs.File) int {
+		{"1024 sequential appends", 1, func(files []vfs.File) int {
 			for i := int64(0); i < 1024; i++ {
 				if _, err := files[0].WriteAt(page, i*PageSize); err != nil {
 					t.Fatal(err)
@@ -236,17 +234,17 @@ func TestAppendAllocBudget(t *testing.T) {
 			}
 			return 1024
 		}, 54, slabBlock - 1},
-		{"four files appended in turn", 4, func(files []*vfs.File) int {
+		{"four files appended in turn", 4, func(files []vfs.File) int {
 			for i := int64(0); i < 64; i++ {
-				for _, f := range files {
-					if _, err := f.WriteAt(page, i*PageSize); err != nil {
+				for j := range files {
+					if _, err := files[j].WriteAt(page, i*PageSize); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 			return 256
 		}, 44, 0},
-		{"random writes into a sparse file", 1, func(files []*vfs.File) int {
+		{"random writes into a sparse file", 1, func(files []vfs.File) int {
 			cached := map[int64]bool{}
 			for _, idx := range random {
 				if _, err := files[0].WriteAt(page, idx*PageSize); err != nil {
@@ -259,15 +257,15 @@ func TestAppendAllocBudget(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 40})
-			sets := make([][]*vfs.File, runs+1)
+			sets := make([][]vfs.File, runs+1)
 			for i := range sets {
-				for j := 0; j < tc.files; j++ {
-					f, err := e.cli.Open(fmt.Sprintf("/f%d.%d", i, j), vfs.ORdwr|vfs.OCreat, 0o644)
-					if err != nil {
+				sets[i] = make([]vfs.File, tc.files)
+				for j := range sets[i] {
+					var err error
+					if sets[i][j], err = e.cli.Open(fmt.Sprintf("/f%d.%d", i, j), vfs.ORdwr|vfs.OCreat, 0o644); err != nil {
 						t.Fatal(err)
 					}
-					defer f.Close()
-					sets[i] = append(sets[i], f)
+					defer sets[i][j].Close()
 				}
 			}
 			// A collection would empty the client's pool of recycled Ops
@@ -296,11 +294,11 @@ func TestAppendAllocBudget(t *testing.T) {
 // PostMark and Compilebench caches each file's page in the one the file
 // before it dropped, so after a warm-up it costs no page header or buffer,
 // and holds it in place, so no page map either. The cache's record of the
-// file and memfs's inode are the ones the file before dropped too. What is
-// left is 3 heap objects: the *File and memfs's block map (2). Asserts are
-// off under -race.
+// file and memfs's inode are the ones the file before dropped too, and the
+// open file is a value. Only memfs's block map is left: 2 heap objects.
+// Asserts are off under -race.
 func TestChurnAllocBudget(t *testing.T) {
-	const want = 3
+	const want = 2
 	e := newEnv(t, Options{KeepCache: true, Writeback: true, FlushOnClose: true})
 	data := make([]byte, PageSize)
 	var cached *page
@@ -352,7 +350,7 @@ func TestDroppedPagesAreReusedOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { f.Close() })
-		return f
+		return &f
 	}
 	write := func(f *vfs.File, data []byte, off int64) {
 		if n, err := f.WriteAt(data, off); n != len(data) || err != nil {

@@ -65,7 +65,7 @@ func (e *directReadEnv) step(rng *sim.Rand) string {
 		}
 		nf, err := e.cli.Open(name, flags, 0o644)
 		if err == nil {
-			e.files[slot] = nf
+			e.files[slot] = &nf
 		}
 		return fmt.Sprintf("open %s %#x -> %d: %v", name, flags, slot, err)
 	case k < 13:

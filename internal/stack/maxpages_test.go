@@ -83,7 +83,7 @@ func (e *maxPagesEnv) step(rng *sim.Rand) string {
 		}[rng.Intn(4)]
 		nf, err := e.cli.Open(name, flags, 0o644)
 		if err == nil {
-			e.files[slot] = nf
+			e.files[slot] = &nf
 		}
 		return fmt.Sprintf("open %s %#x -> %d: %v", name, flags, slot, err)
 	}

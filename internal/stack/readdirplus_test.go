@@ -123,7 +123,7 @@ func (e *plusEnv) step(rng *sim.Rand) string {
 			if err != nil {
 				return fmt.Sprintf("open %s: %v", p, errno(err))
 			}
-			e.open = f
+			e.open = &f
 		}
 		off, n := int64(rng.Intn(10000)), 1+rng.Intn(5000)
 		got, err := e.open.WriteAt(make([]byte, n), off)

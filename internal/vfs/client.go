@@ -63,8 +63,13 @@ func (c *Client) req() *Op {
 }
 
 // File is an open file with a seek position, the shape workloads expect.
-// It is bound to the filesystem that served the open.
+// It is bound to the filesystem that served the open. Open and Create
+// return it as a value, so an open costs no heap object; its methods
+// take a pointer, and a File must not be copied once opened — two copies
+// would close one handle twice. go vet's copylocks check enforces that
+// through the noCopy marker.
 type File struct {
+	_      noCopy
 	c      *Client
 	fs     FS
 	h      Handle
@@ -72,6 +77,13 @@ type File struct {
 	offset int64
 	closed bool
 }
+
+// noCopy makes go vet's copylocks check reject a copy of the struct that
+// embeds it, as sync does for its own types.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // walk resolves path from the client's root as one request, marked as a
 // stat(2) when stat is set (Op.Stat).
@@ -104,7 +116,7 @@ func (c *Client) stat(path string, followLeaf bool) (Attr, error) {
 }
 
 // Open opens path with flags; mode is used when O_CREAT creates the file.
-func (c *Client) Open(path string, flags OpenFlags, mode Mode) (*File, error) {
+func (c *Client) Open(path string, flags OpenFlags, mode Mode) (File, error) {
 	follow := flags&ONofollow == 0
 	r, err := c.walk(path, follow, false)
 	op := c.req()
@@ -112,40 +124,40 @@ func (c *Client) Open(path string, flags OpenFlags, mode Mode) (*File, error) {
 	if err != nil {
 		if ToErrno(err) == ENOENT && flags&OCreat != 0 && r.Parent != 0 && r.Leaf != "" && r.Leaf != "." {
 			if r.ReadOnly {
-				return nil, EROFS
+				return File{}, EROFS
 			}
 			attr, h, cerr := r.FS.Create(op, r.Parent, r.Leaf, mode, flags)
 			if cerr != nil {
-				return nil, cerr
+				return File{}, cerr
 			}
-			return &File{c: c, fs: r.FS, h: h, ino: attr.Ino}, nil
+			return File{c: c, fs: r.FS, h: h, ino: attr.Ino}, nil
 		}
-		return nil, err
+		return File{}, err
 	}
 	if flags&OCreat != 0 && flags&OExcl != 0 {
-		return nil, EEXIST
+		return File{}, EEXIST
 	}
 	if !follow && r.Attr.Type == TypeSymlink {
-		return nil, ELOOP
+		return File{}, ELOOP
 	}
 	if flags&ODirectory != 0 && r.Attr.Type != TypeDirectory {
-		return nil, ENOTDIR
+		return File{}, ENOTDIR
 	}
 	if r.Attr.Type == TypeDirectory && flags.Writable() {
-		return nil, EISDIR
+		return File{}, EISDIR
 	}
 	if r.ReadOnly && flags.Writable() {
-		return nil, EROFS
+		return File{}, EROFS
 	}
 	h, err := r.FS.Open(op, r.Ino, flags)
 	if err != nil {
-		return nil, err
+		return File{}, err
 	}
-	return &File{c: c, fs: r.FS, h: h, ino: r.Ino}, nil
+	return File{c: c, fs: r.FS, h: h, ino: r.Ino}, nil
 }
 
 // Create creates (or truncates) path for writing.
-func (c *Client) Create(path string, mode Mode) (*File, error) {
+func (c *Client) Create(path string, mode Mode) (File, error) {
 	return c.Open(path, OWronly|OCreat|OTrunc, mode)
 }
 
@@ -295,6 +307,9 @@ func (c *Client) ReadDir(path string) ([]Dirent, error) {
 		}
 		if len(ents) == 0 {
 			return out, nil
+		}
+		if out == nil {
+			out = make([]Dirent, 0, len(ents))
 		}
 		for _, e := range ents {
 			off = e.Off
