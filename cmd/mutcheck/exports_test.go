@@ -15,10 +15,10 @@ import (
 
 // exportReasons are the reasons an exported func or method may have no
 // program caller: a test oracle, a hook tests use to inject faults or
-// poison, a method an interface outside the repo asks for, a paper
-// mechanism kept for fidelity, or a case not yet decided (ROADMAP's
-// subtraction pass).
-var exportReasons = map[string]bool{"oracle": true, "fault-hook": true, "interface": true, "paper": true, "open": true}
+// poison, a method an interface outside the repo asks for, or a paper
+// mechanism kept for fidelity. There is no "undecided": an export only
+// tests use is decided when it lands.
+var exportReasons = map[string]bool{"oracle": true, "fault-hook": true, "interface": true, "paper": true}
 
 // programIdents parses every non-test Go file under dirs and returns the
 // exported funcs and methods declared under internal/, and the count of
@@ -106,7 +106,7 @@ func TestTestOnlyExports(t *testing.T) {
 		}
 		fields := strings.Fields(text)
 		if len(fields) != 2 || !exportReasons[fields[1]] {
-			t.Errorf("%s:%d: want \"<name> <reason>\" with a reason of oracle, fault-hook, interface, paper or open: %q", listPath, line, text)
+			t.Errorf("%s:%d: want \"<name> <reason>\" with a reason of oracle, fault-hook, interface or paper: %q", listPath, line, text)
 			continue
 		}
 		name := fields[0]

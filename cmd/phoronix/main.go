@@ -2,8 +2,9 @@
 //
 //	(no flag)      Figure 2 on both stacks, Figure 3's panels, Figure 4
 //	-trace-out f   record the suite on CntrFS, write the generated profile to f
-//	-enforce f     replay the suite under the profile in f and report denials
-//	               (-audit: count off-profile operations, deny none)
+//	-enforce f     replay the suite under the profile in f, report denials
+//	               and list each row's first off-profile operations
+//	               (-audit: count and list them, deny none)
 //	-chaos         latency faults at syscall entry
 //	-chaos-blob    a host blob store that loses and corrupts chunks
 //	-merge-replay  record twice (seeds 42 and 43), merge the two profiles,
@@ -273,12 +274,35 @@ func runSuite(o options, replay phoronix.Setup) {
 	}
 	if o.enforce != "" {
 		fmt.Printf("total denials=%d audited=%d\n", denials, audited)
+		if denials+audited > 0 {
+			printViolations(rows)
+		}
 	}
 	// Rows are expected to fail where errnos are injected (the suite
 	// treats any errno as fatal); a denial is never expected.
 	errnosInjected := o.chaosBlob || (o.chaos && o.enforce != "")
 	if denials != 0 || (failed && !errnosInjected) {
 		os.Exit(1)
+	}
+}
+
+// printViolations lists each row's first off-profile operations: what a
+// profile replayed under -audit would deny, and why.
+func printViolations(rows []phoronix.Row) {
+	const perRow = 5
+	fmt.Printf("off-profile operations, the first %d of each row:\n", perRow)
+	for _, r := range rows {
+		for i, v := range r.Violations {
+			if i == perRow {
+				fmt.Printf("  %-28s and %d more\n", r.Name, r.Denials+r.Audited-perRow)
+				break
+			}
+			verdict := "audited"
+			if v.Denied {
+				verdict = "denied"
+			}
+			fmt.Printf("  %-28s %-10v %-32s pid=%d %s, %s\n", r.Name, v.Kind, v.Path, v.PID, v.Reason, verdict)
+		}
 	}
 }
 

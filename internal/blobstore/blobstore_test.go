@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -229,9 +228,6 @@ func TestDirDiskCharge(t *testing.T) {
 	s.Get(ref)
 	if clock.Now() == t2 {
 		t.Fatal("Get must charge a disk read")
-	}
-	if !strings.HasPrefix(ObjectPath(ref), "objects/"+string(ref[:2])+"/") {
-		t.Fatalf("object path %q lacks fan-out", ObjectPath(ref))
 	}
 }
 

@@ -43,15 +43,6 @@ func NewDir(opts DirOptions) *Dir {
 	return &Dir{opts: opts, objects: make(map[Ref]*casChunk)}
 }
 
-// ObjectPath renders the fan-out path an object lives at, for tools
-// that display or export the store layout.
-func ObjectPath(ref Ref) string {
-	if len(ref) < 3 {
-		return "objects/" + string(ref)
-	}
-	return "objects/" + string(ref[:2]) + "/" + string(ref[2:])
-}
-
 func (d *Dir) chargeMeta() {
 	if d.opts.Clock != nil && d.opts.Model != nil {
 		d.opts.Clock.Advance(d.opts.Model.InodeOp)

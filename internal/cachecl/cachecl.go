@@ -14,7 +14,7 @@
 // lease's epoch; when the service fences one — the lease expired while
 // this mount was partitioned, or a newer epoch superseded it — the
 // client drops the write, marks the group lost, and counts it. Nothing
-// is queued or replayed: the holder must Reattach for fresh epochs,
+// is queued or replayed: the holder must Attach again for fresh epochs,
 // after which new writes flow again. That drop-don't-retry rule is what
 // keeps a stale mount from ever pushing stale bytes into the tier.
 package cachecl
@@ -40,7 +40,7 @@ type Stats struct {
 	// Puts counts accepted publishes; Invalidations accepted drops.
 	Puts, Invalidations int64
 	// Fenced counts mutations the service rejected on epoch grounds;
-	// each also marks its shard group lost until Reattach.
+	// each also marks its shard group lost until the next Attach.
 	Fenced int64
 	// Unreachable counts operations attempted while partitioned.
 	Unreachable int64
@@ -106,38 +106,6 @@ func (c *Client) Attach() error {
 	// The routing table rides along on the attach round trip.
 	c.place = c.svc.Placement()
 	return nil
-}
-
-// Reattach is Attach under its recovery name: a mount that was fenced
-// calls it to come back with fresh epochs. Nothing dropped while fenced
-// is replayed.
-func (c *Client) Reattach() error { return c.Attach() }
-
-// RenewAll extends every held lease. Expired or superseded leases are
-// dropped and their groups marked lost (ErrExpired/ErrNotHeld from the
-// service); the first such error is returned so callers notice.
-func (c *Client) RenewAll() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.partitioned {
-		c.stats.Unreachable++
-		return ErrPartitioned
-	}
-	c.clock.Advance(c.model.NetRTT)
-	var firstErr error
-	for g, l := range c.leases {
-		renewed, err := c.svc.Renew(l)
-		if err != nil {
-			delete(c.leases, g)
-			c.lost[g] = true
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		c.leases[g] = renewed
-	}
-	return firstErr
 }
 
 // Release drops every held lease (session teardown). Leases already
@@ -396,9 +364,4 @@ func (c *Client) GetAttr(path string) ([]byte, bool) {
 // PutAttr publishes a path's encoded attributes.
 func (c *Client) PutAttr(path string, val []byte) error {
 	return c.put(cachesvc.AttrKey(path), val, true)
-}
-
-// InvalidateAttr drops a path's attributes (the path was mutated).
-func (c *Client) InvalidateAttr(path string) error {
-	return c.invalidate(cachesvc.AttrKey(path))
 }

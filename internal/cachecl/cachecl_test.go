@@ -52,7 +52,7 @@ func TestNetworkCharging(t *testing.T) {
 		hit, miss time.Duration
 	}{
 		{"no origin", 0, m.NetCost(4096), m.NetRTT},
-		{"depth 1", 1, m.NetCost(4096), m.NetRTT + m.DiskCost(4096)},
+		{"depth 1", 1, m.NetCost(4096), m.NetRTT + m.DiskSeek + 4*m.DiskPerKB},
 		{"depth 32", 32, m.NetRTT/32 + 4*m.NetPerKB, m.NetRTT/32 + m.DiskSeek/32 + 4*m.DiskPerKB},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -142,7 +142,7 @@ func TestPublishChunkUncharged(t *testing.T) {
 
 // TestFencedPublishDroppedNotReplayed: once the service fences a group,
 // the client drops the write, loses the lease, and keeps failing until
-// Reattach — after which the dropped write is NOT replayed.
+// it attaches again — after which the dropped write is NOT replayed.
 func TestFencedPublishDroppedNotReplayed(t *testing.T) {
 	e := newEnv(t)
 	e.svcClock.Advance(2 * time.Second) // expire every lease service-side
@@ -157,7 +157,7 @@ func TestFencedPublishDroppedNotReplayed(t *testing.T) {
 	if st := e.cl.Stats(); st.Fenced != 2 {
 		t.Fatalf("Fenced = %d, want 2", st.Fenced)
 	}
-	if err := e.cl.Reattach(); err != nil {
+	if err := e.cl.Attach(); err != nil {
 		t.Fatal(err)
 	}
 	if e.svc.Contains(cachesvc.ChunkKey("stale")) {
@@ -208,7 +208,7 @@ func TestAttrDentryRoundTrip(t *testing.T) {
 	if v, ok := e.cl.GetAttr("/a/b"); !ok || string(v) != "attr-bytes" {
 		t.Fatalf("GetAttr = %q, %v", v, ok)
 	}
-	if err := e.cl.InvalidateAttr("/a/b"); err != nil {
+	if err := e.cl.invalidate(cachesvc.AttrKey("/a/b")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := e.cl.GetAttr("/a/b"); ok {
@@ -216,14 +216,17 @@ func TestAttrDentryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRenewKeepsLeaseAlive: periodic renewal holds the same epoch past
-// the original deadline.
+// TestRenewKeepsLeaseAlive: a renewal at the service holds the client's
+// epoch past the original deadline, with no new attach.
 func TestRenewKeepsLeaseAlive(t *testing.T) {
 	e := newEnv(t)
 	orig, _ := e.cl.Lease(0)
 	e.svcClock.Advance(700 * time.Millisecond)
-	if err := e.cl.RenewAll(); err != nil {
-		t.Fatal(err)
+	for g := 0; g < e.svc.NumGroups(); g++ {
+		l, _ := e.cl.Lease(g)
+		if _, err := e.svc.Renew(l); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e.svcClock.Advance(700 * time.Millisecond) // past the original TTL
 	if err := e.cl.PutChunk("alive", []byte("x")); err != nil {
@@ -285,7 +288,7 @@ func TestStoreReadPopulate(t *testing.T) {
 		t.Fatal("sibling read went to the origin despite tier hit")
 	}
 	hitCost := clock2.Now() - before
-	if originCost := e.model.DiskCost(4096); hitCost >= originCost {
+	if originCost := e.model.DiskSeek + 4*e.model.DiskPerKB; hitCost >= originCost {
 		t.Fatalf("tier hit (%v) not cheaper than origin fetch (%v)", hitCost, originCost)
 	}
 }

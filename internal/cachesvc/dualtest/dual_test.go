@@ -132,20 +132,30 @@ func TestDifferentialClientRouting(t *testing.T) {
 					op, path(ki), repErr, refErr)
 			}
 		case roll < 880:
-			repErr := repCl.InvalidateAttr(path(ki))
-			refErr := refCl.InvalidateAttr(path(ki))
-			if (repErr == nil) != (refErr == nil) {
-				t.Fatalf("op %d: InvalidateAttr: replicated err=%v reference err=%v", op, repErr, refErr)
+			// A client invalidates only chunks (Store.Delete), so an attr
+			// is dropped at the service, under the lease its client holds.
+			key := cachesvc.AttrKey(path(ki))
+			repL, repOK := repCl.Lease(repSvc.GroupOf(key))
+			refL, refOK := refCl.Lease(refSvc.GroupOf(key))
+			if repOK != refOK {
+				t.Fatalf("op %d: lease for %s: replicated held=%v reference held=%v", op, path(ki), repOK, refOK)
+			}
+			if repOK {
+				repErr := repSvc.Invalidate(repL, key)
+				refErr := refSvc.Invalidate(refL, key)
+				if (repErr == nil) != (refErr == nil) {
+					t.Fatalf("op %d: Invalidate: replicated err=%v reference err=%v", op, repErr, refErr)
+				}
 			}
 		case roll < 945: // age the leases on both service clocks
 			step := time.Duration(r.Intn(3)+1) * 2 * time.Second
 			repSvcClock.Advance(step)
 			refSvcClock.Advance(step)
 		case roll < 998: // recover from any fencing symmetrically
-			if err := repCl.Reattach(); err != nil {
+			if err := repCl.Attach(); err != nil {
 				t.Fatal(err)
 			}
-			if err := refCl.Reattach(); err != nil {
+			if err := refCl.Attach(); err != nil {
 				t.Fatal(err)
 			}
 		default: // kill a node, replicated side only, while another lives

@@ -11,7 +11,7 @@ const defaultLeaseTTL = 5 * time.Second
 // Sentinel errors of the lease protocol.
 var (
 	// ErrFenced rejects a mutation whose lease epoch is stale, expired
-	// or released. The holder must Reattach (acquire a fresh epoch)
+	// or released. The holder must Acquire a fresh epoch
 	// before mutating again; fenced writes are dropped, never replayed.
 	ErrFenced = errors.New("cachesvc: write fenced (stale or expired epoch)")
 	// ErrExpired rejects a Renew of a lease past its deadline: renewal

@@ -122,14 +122,6 @@ func (s *Service) Placement() PlacementInfo {
 	return info
 }
 
-// PlacementVersion returns the current placement version without
-// copying the table.
-func (s *Service) PlacementVersion() uint64 {
-	s.topo.RLock()
-	defer s.topo.RUnlock()
-	return s.placeVersion
-}
-
 // NumNodes returns the number of nodes the service was built with (dead
 // ones included — node ids are never reused).
 func (s *Service) NumNodes() int {

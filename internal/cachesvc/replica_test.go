@@ -77,7 +77,7 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 				t.Fatal("stale write landed on some copy")
 			}
 			for _, id := range ownersOf(svc, key) {
-				if _, ok, err := svc.NodeGet(id, svc.PlacementVersion(), key); err != nil || ok {
+				if _, ok, err := svc.NodeGet(id, svc.Placement().Version, key); err != nil || ok {
 					t.Fatalf("node %d: stale write visible (ok=%v err=%v)", id, ok, err)
 				}
 			}
@@ -121,7 +121,7 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 				t.Fatalf("fresh put: %v", err)
 			}
 			for _, id := range ownersOf(svc, key) {
-				v, ok, err := svc.NodeGet(id, svc.PlacementVersion(), key)
+				v, ok, err := svc.NodeGet(id, svc.Placement().Version, key)
 				if err != nil || !ok || !bytes.Equal(v, []byte("good")) {
 					t.Fatalf("node %d: fresh write not replicated (ok=%v err=%v)", id, ok, err)
 				}
@@ -140,7 +140,7 @@ func TestReplicatedWriteVisibleOnEveryCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copies, err := svc.NodePut(ownersOf(svc, key)[0], svc.PlacementVersion(), l, key, []byte("v"))
+	copies, err := svc.NodePut(ownersOf(svc, key)[0], svc.Placement().Version, l, key, []byte("v"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestReplicatedWriteVisibleOnEveryCopy(t *testing.T) {
 		t.Fatalf("write landed on %d copies, want 3", copies)
 	}
 	for _, id := range ownersOf(svc, key) {
-		v, ok, err := svc.NodeGet(id, svc.PlacementVersion(), key)
+		v, ok, err := svc.NodeGet(id, svc.Placement().Version, key)
 		if err != nil || !ok || !bytes.Equal(v, []byte("v")) {
 			t.Fatalf("node %d: write not visible (ok=%v err=%v)", id, ok, err)
 		}
@@ -251,7 +251,7 @@ func TestNodeAddressedCallsRejectStaleVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	primary := ownersOf(svc, key)[0]
-	stale := svc.PlacementVersion()
+	stale := svc.Placement().Version
 	if err := svc.KillNode((primary + 1) % 3); err != nil { // bumps the version
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestNodeAddressedCallsRejectStaleVersion(t *testing.T) {
 	if err := svc.KillNode(primary); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc.NodeGet(primary, svc.PlacementVersion(), key); err != ErrMoved {
+	if _, _, err := svc.NodeGet(primary, svc.Placement().Version, key); err != ErrMoved {
 		t.Fatalf("NodeGet at dead node: got %v, want ErrMoved", err)
 	}
 }

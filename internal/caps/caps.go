@@ -1,14 +1,14 @@
 // Package caps models the Linux security facilities Cntr must inherit
-// when attaching to a container: capability sets (bounding/effective) and
-// mandatory-access-control profiles in the style of AppArmor and SELinux.
+// when attaching to a container: capability sets and the
+// mandatory-access-control profile, in the style of AppArmor and SELinux,
+// that confines them. A modelled profile is a capability bounding set.
 //
-// When Cntr attaches to a container it reads these properties from the
-// target process and applies them to the process it injects, so that the
-// injected shell has exactly the sandbox of the application (§3.2.3).
+// When Cntr attaches to a container it reads the target process's
+// profile and applies it to the process it injects, so that the injected
+// shell holds no capability the application could not hold (§3.2.3).
 package caps
 
 import (
-	"strings"
 	"sync"
 
 	"cntr/internal/vfs"
@@ -36,32 +36,23 @@ func (k LSMKind) String() string {
 	}
 }
 
-// Profile is a MAC profile: a named set of path denials and a capability
-// bounding set. Real AppArmor policies are richer; the fields here are
-// the ones a container runtime derives from its default profile.
+// Profile is a MAC profile, modelled as a named capability bounding set:
+// the part of a profile §3.2.3 has Cntr apply to the process it injects.
+// Real AppArmor and SELinux policies also confine paths; nothing here
+// enforces a path rule.
 type Profile struct {
 	Name string
 	Kind LSMKind
-	// Enforce selects enforce mode; false means complain (log only).
-	Enforce bool
-	// DeniedPathPrefixes lists path prefixes the profile forbids
-	// writing to (e.g. /proc/sys, /sys/firmware).
-	DeniedPathPrefixes []string
 	// BoundingSet is the capability bounding set the profile leaves
 	// available.
 	BoundingSet vfs.CapSet
 }
 
-// DefaultDockerProfile mirrors docker-default: a pruned bounding set and
-// the usual proc/sys write denials.
+// DefaultDockerProfile mirrors docker-default's pruned bounding set.
 func DefaultDockerProfile() *Profile {
 	return &Profile{
-		Name:    "docker-default",
-		Kind:    LSMAppArmor,
-		Enforce: true,
-		DeniedPathPrefixes: []string{
-			"/proc/sys", "/proc/sysrq-trigger", "/proc/mem", "/sys/firmware",
-		},
+		Name: "docker-default",
+		Kind: LSMAppArmor,
 		BoundingSet: vfs.NewCapSet(
 			vfs.CapChown, vfs.CapDacOverride, vfs.CapFowner, vfs.CapFsetid,
 			vfs.CapMknod, vfs.CapSetUID, vfs.CapSetGID, vfs.CapKill,
@@ -73,19 +64,6 @@ func DefaultDockerProfile() *Profile {
 // UnconfinedProfile is the absence of MAC confinement.
 func UnconfinedProfile() *Profile {
 	return &Profile{Name: "unconfined", Kind: LSMNone, BoundingSet: vfs.FullCapSet()}
-}
-
-// WriteDenied reports whether the profile forbids writing to path.
-func (p *Profile) WriteDenied(path string) bool {
-	if p == nil || !p.Enforce {
-		return false
-	}
-	for _, prefix := range p.DeniedPathPrefixes {
-		if path == prefix || strings.HasPrefix(path, prefix+"/") {
-			return true
-		}
-	}
-	return false
 }
 
 // Apply confines a credential to the profile: capabilities outside the
@@ -128,15 +106,4 @@ func (r *Registry) Get(name string) *Profile {
 		return p
 	}
 	return r.profiles["unconfined"]
-}
-
-// Names lists registered profile names.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.profiles))
-	for name := range r.profiles {
-		out = append(out, name)
-	}
-	return out
 }

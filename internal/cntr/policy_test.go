@@ -141,8 +141,8 @@ func TestAttachPolicyViewLifecycle(t *testing.T) {
 }
 
 // TestAttachRetiresOriginsOnExit: when the injected process exits, the
-// mount's per-origin accounting for it is folded into the aggregate
-// bucket via the process table's exit hooks.
+// mount drops its per-origin accounting for it, through the process
+// table's exit hooks.
 func TestAttachRetiresOriginsOnExit(t *testing.T) {
 	h, _, _ := testWorld(t)
 	sess, err := Attach(h, Options{Container: "db", Fat: "tools"})
@@ -163,9 +163,6 @@ func TestAttachRetiresOriginsOnExit(t *testing.T) {
 	sess.Close() // exits the process, firing the retire hook
 	if _, ok := server.OriginStats()[pid]; ok {
 		t.Fatalf("origin %d not retired after exit", pid)
-	}
-	if server.RetiredOriginStats().Ops == 0 {
-		t.Fatal("retired aggregate empty after exit")
 	}
 }
 

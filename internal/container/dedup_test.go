@@ -5,6 +5,7 @@ import (
 
 	"cntr/internal/blobstore"
 	"cntr/internal/sim"
+	"cntr/internal/vfs"
 )
 
 // sharedBase is a layer spec two images have in common; padding content
@@ -66,9 +67,9 @@ func TestLogicalVsPhysicalSize(t *testing.T) {
 	if r := img.DedupRatio(); r != 2.0 {
 		t.Fatalf("dedup ratio %.2f, want 2.0", r)
 	}
-	// UnionSize sees one file (l2 shadows l1): 1MB logical.
-	if us := img.UnionSize(); us != 1<<20 {
-		t.Fatalf("union size %d", us)
+	// The union view sees one file (l2 shadows l1): 1MB logical.
+	if files := img.ListFiles(); len(files) != 1 || files["/data/blob"] != 1<<20 {
+		t.Fatalf("union view %v", files)
 	}
 }
 
@@ -168,8 +169,11 @@ func TestRootFSWritesThroughImageStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := img.RootFS()
-	if root.Upper().Store() != blobstore.Store(cas) {
-		t.Fatal("root filesystem upper layer must share the image store")
+	puts := cas.Stats().Puts
+	if err := vfs.NewClient(img.RootFS(), vfs.Root()).WriteFile("/new", []byte("upper"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if cas.Stats().Puts == puts {
+		t.Fatal("a write to the root filesystem's upper layer did not reach the image store")
 	}
 }

@@ -114,7 +114,7 @@ func (img *Image) Size() int64 {
 
 // PhysicalSize is the image's deduped storage footprint: unique chunk
 // bytes across all layers, so content shared between layers — the
-// double-counting Size and UnionSize are subject to — is counted once.
+// double-counting Size is subject to — is counted once.
 // Layers without chunk refs contribute their logical size.
 func (img *Image) PhysicalSize() int64 {
 	var total int64
@@ -152,22 +152,6 @@ func (img *Image) DedupRatio() float64 {
 		return 1.0
 	}
 	return float64(img.Size()) / float64(phys)
-}
-
-// FileCount counts files across layers (union count may be lower when
-// layers shadow each other).
-func (img *Image) FileCount() int {
-	n := 0
-	for _, l := range img.Layers {
-		cli := vfs.NewClient(l.FS, vfs.Root())
-		cli.WalkTree("/", func(path string, attr vfs.Attr) error {
-			if attr.Type == vfs.TypeRegular {
-				n++
-			}
-			return nil
-		})
-	}
-	return n
 }
 
 // BuildLayerOn materializes a LayerSpec on the given backend store (nil
@@ -271,18 +255,6 @@ func (img *Image) ListFiles() map[string]int64 {
 		return nil
 	})
 	return out
-}
-
-// UnionSize sums the union view's file sizes (what a flattened image
-// would transfer). Like Size this is a logical measure: bytes the
-// surviving files share with each other are still counted per file —
-// PhysicalSize reports the deduped footprint.
-func (img *Image) UnionSize() int64 {
-	var total int64
-	for _, size := range img.ListFiles() {
-		total += size
-	}
-	return total
 }
 
 func parentDir(path string) string {

@@ -2,6 +2,7 @@ package fuse
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -134,9 +135,9 @@ func TestRoundTripAllocBudget(t *testing.T) {
 			// One-way: wait for the server to have dispatched the frame, so
 			// its share lands inside the measurement. The handle is bogus
 			// (EBADF below the server); the frame is what is measured.
-			served := e.srv.Served()
+			before := served(e.srv)
 			e.conn.Release(op, 1<<40)
-			for e.srv.Served() == served {
+			for served(e.srv) == before {
 				runtime.Gosched()
 			}
 		}},
@@ -226,18 +227,19 @@ func TestPayloadFramesBounded(t *testing.T) {
 		}(int64(i) * size)
 	}
 	waitUntil(t, "every READ in flight", func() bool {
-		return len(gate.served()) == opts.ServerThreads && srv.Queued() == readers-opts.ServerThreads
+		return len(gate.served()) == opts.ServerThreads && srv.table.depth() == readers-opts.ServerThreads
 	})
 	close(gate.gate)
 	wg.Wait()
 	if n := held(); n != opts.ServerThreads {
 		t.Fatalf("after %d READs in flight the Conn holds %d payload buffers, want %d", readers, n, opts.ServerThreads)
 	}
-	reused := FramesReused(conn)
+	before := HeldFrames(conn)
 	if _, err := conn.Read(op, bh, 0, make([]byte, size)); err != nil {
 		t.Fatal(err)
 	}
-	if n := FramesReused(conn) - reused; n != 1 || held() != opts.ServerThreads {
-		t.Fatalf("a READ after them: %d reuses, %d held; want one reuse, %d held", n, held(), opts.ServerThreads)
+	if !maps.Equal(HeldFrames(conn), before) || held() != opts.ServerThreads {
+		t.Fatalf("a READ after them: %d buffers held, not all of them the ones held before; want one of those reused and %d held",
+			held(), opts.ServerThreads)
 	}
 }

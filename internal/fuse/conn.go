@@ -378,7 +378,6 @@ func (p *request) frameBuf(b []byte, need int) []byte {
 		c.frames[n-1] = nil
 		c.frames = c.frames[:n-1]
 		if cap(b) >= need {
-			c.framesReused++
 			c.framesMu.Unlock()
 			return b[:0]
 		}
@@ -455,11 +454,9 @@ type Conn struct {
 	// frames holds the payload-sized buffers (over maxRecycledFrame) of
 	// released requests for the next WRITE frame or READ reply: at most
 	// ServerThreads, so a data mount reuses its frames and a metadata
-	// mount that never made one holds none. framesReused counts the
-	// requests they served.
-	framesMu     sync.Mutex
-	frames       [][]byte
-	framesReused int64
+	// mount that never made one holds none.
+	framesMu sync.Mutex
+	frames   [][]byte
 }
 
 type entryKey struct {

@@ -5,10 +5,23 @@ package fuse
 // poisonReleased.
 func PoisonReleased(on bool) { poisonReleased.Store(on) }
 
-// FramesReused reports how many requests on c took a payload-sized
-// buffer an earlier request had given back to c.
-func FramesReused(c *Conn) int64 {
+// HeldFrames reports the payload-sized buffers c holds for its next
+// requests, each by the address of its storage: a request that reuses
+// one gives the same storage back, one that made its own does not.
+func HeldFrames(c *Conn) map[*byte]bool {
 	c.framesMu.Lock()
 	defer c.framesMu.Unlock()
-	return c.framesReused
+	held := make(map[*byte]bool, len(c.frames))
+	for _, b := range c.frames {
+		held[&b[:1][0]] = true
+	}
+	return held
+}
+
+// depth reports how many frames are waiting to be read, interrupts
+// included.
+func (t *reqTable) depth() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n + len(t.interrupts)
 }

@@ -351,7 +351,7 @@ func TestUnmountStopsServer(t *testing.T) {
 	cli.WriteFile("/f", []byte("x"), 0o644)
 	conn.Unmount()
 	srv.Wait()
-	if srv.Served() == 0 {
+	if served(srv) == 0 {
 		t.Fatal("server should have processed requests")
 	}
 	conn.Unmount() // idempotent

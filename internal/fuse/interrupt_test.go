@@ -91,8 +91,8 @@ func TestInterruptAbortsBlockedRead(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("interrupt did not unblock the read")
 	}
-	if e.srv.Interrupts() == 0 {
-		t.Fatal("server processed no INTERRUPT frame")
+	if e.conn.Stats().Frames[OpInterrupt] == 0 {
+		t.Fatal("the canceled read sent no INTERRUPT frame")
 	}
 
 	// The connection must stay fully usable after an interrupt.
@@ -345,7 +345,7 @@ func TestInterruptDoesNotCrossRecycledRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := conn.unique.Load()
-	runB(func() { srv.interrupt(a) })
+	runB(func() { srv.table.interrupt(a) })
 
 	// The teardown sweep: A blocks on its context until the sweep cancels
 	// it, and answers EINTR; B then runs on the struct that was canceled.
@@ -457,9 +457,9 @@ func TestInterruptOvertakesBacklog(t *testing.T) {
 	for i := 0; i < backlog; i++ {
 		statfs()
 	}
-	waitUntil(t, "the backlog to queue", func() bool { return srv.Queued() == backlog })
+	waitUntil(t, "the backlog to queue", func() bool { return srv.table.depth() == backlog })
 	cancel()
-	waitUntil(t, "the INTERRUPT to queue", func() bool { return srv.Queued() == backlog+1 })
+	waitUntil(t, "the INTERRUPT to queue", func() bool { return srv.table.depth() == backlog+1 })
 
 	fs.gate <- struct{}{}
 	select {
@@ -468,7 +468,7 @@ func TestInterruptOvertakesBacklog(t *testing.T) {
 			t.Fatalf("interrupted read: %v, want EINTR", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatalf("the read is still blocked: its INTERRUPT waits behind %d queued requests", srv.Queued()-1)
+		t.Fatalf("the read is still blocked: its INTERRUPT waits behind %d queued requests", srv.table.depth()-1)
 	}
 }
 

@@ -441,17 +441,22 @@ func TestZeroMessageOpenFollowsCopyUp(t *testing.T) {
 			t.Fatalf("%s reads %q, %v; want %q", name, buf[:n], err, want)
 		}
 	}
-	upper := func(path string) bool {
-		_, err := vfs.Walk(union.Upper(), op, vfs.RootIno, path, false)
-		return err == nil
+	// The union's statfs is its upper layer's: a copy-up adds an inode.
+	upperInodes := func() uint64 {
+		st, err := union.Statfs(op, vfs.RootIno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Files
 	}
 
+	inodes := upperInodes()
 	h := open("f", vfs.ORdonly)
 	if err := conn.Fsync(op, h, false); err != nil {
 		t.Fatal(err)
 	}
 	conn.Release(op, h)
-	if upper("/f") {
+	if upperInodes() != inodes {
 		t.Fatal("an fsync of a file opened read-only copied it up")
 	}
 	readBack("f", "lower-data")
@@ -461,6 +466,9 @@ func TestZeroMessageOpenFollowsCopyUp(t *testing.T) {
 	}
 	conn.Release(op, h)
 	readBack("f", "UPPER-data")
+	if upperInodes() == inodes {
+		t.Fatal("a write did not copy the file up")
+	}
 
 	readBack("g", "lower-data")
 	if _, err := conn.Setattr(op, ino["g"], vfs.SetSize, vfs.Attr{Size: 5}); err != nil {

@@ -109,7 +109,7 @@ func TestMountServesArrivalOrder(t *testing.T) {
 		for i := 0; i < perOrigin; i++ {
 			read(pid)
 			want = append(want, pid)
-			waitFor("the read to queue", func() bool { return srv.Queued() == len(want) })
+			waitFor("the read to queue", func() bool { return srv.table.depth() == len(want) })
 		}
 	}
 	for i := 1; i <= backlog; i++ {
@@ -185,7 +185,7 @@ func TestInterruptBookkeepingBounded(t *testing.T) {
 	// for uniques that never existed.
 	last := e.conn.unique.Load()
 	for u := uint64(1); u <= last+3000; u++ {
-		e.srv.interrupt(u)
+		e.srv.table.interrupt(u)
 	}
 	e.srv.table.mu.Lock()
 	mapped := len(e.srv.table.live)

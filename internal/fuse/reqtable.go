@@ -45,13 +45,10 @@ type reqTable struct {
 
 	// origins holds exactly the origins with a request queued or in
 	// flight; an origin leaves it when it goes idle, so the map stays
-	// proportional to current load. Its accounting survives in stats.
+	// proportional to current load. Its accounting survives in stats
+	// until its process exits (see retire).
 	origins map[uint32]originState
 	stats   map[uint32]OriginStats
-	// retired aggregates the counters of origins whose processes have
-	// exited (see retire); without it, stats grows by one entry per PID
-	// the mount has ever served.
-	retired OriginStats
 
 	closed bool
 }
@@ -67,9 +64,9 @@ type originState struct {
 	// outstanding counts the origin's requests queued or in flight.
 	outstanding int
 	// retireOnIdle marks an origin whose process exited while requests
-	// were still outstanding: folding its stats is deferred to the moment
+	// were still outstanding: dropping its stats is deferred to the moment
 	// it goes idle, so a straggling completion cannot resurrect a stats
-	// entry that was already folded away.
+	// entry that was already dropped.
 	retireOnIdle bool
 }
 
@@ -188,7 +185,9 @@ func (t *reqTable) pop() (msg *request, origin uint32, ok bool) {
 // unmaps the request's unique (zero for a one-way request), folds the
 // transferred byte counts into the origin's accounting and ends its
 // outstanding count; an origin that goes idle leaves the origins map,
-// folding its stats first if its process has exited.
+// dropping its stats too if its process has exited. Every frame a
+// worker pops ends here, one-way frames and interrupts included, so the
+// origins' Ops sum to the frames served since the last retire.
 func (t *reqTable) done(origin uint32, unique uint64, acct ioAcct) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -214,7 +213,7 @@ func (t *reqTable) done(origin uint32, unique uint64, acct ioAcct) {
 		return
 	}
 	if o.retireOnIdle {
-		t.foldLocked(origin)
+		delete(t.stats, origin)
 	}
 	delete(t.origins, origin)
 }
@@ -252,14 +251,6 @@ func (t *reqTable) cancelAll() {
 	}
 }
 
-// depth reports how many frames are waiting to be read, interrupts
-// included.
-func (t *reqTable) depth() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n + len(t.interrupts)
-}
-
 // originStats snapshots the per-origin completion counters.
 func (t *reqTable) originStats() map[uint32]OriginStats {
 	t.mu.Lock()
@@ -271,12 +262,13 @@ func (t *reqTable) originStats() map[uint32]OriginStats {
 	return out
 }
 
-// retire folds an exited origin's counters into the aggregate retired
-// bucket and drops its stats entry, driven by the process table's exit
-// notifications. An origin with requests still queued or in flight is
-// folded when it goes idle instead, so a straggling done() cannot leave
-// behind a stats entry nothing will ever retire. A request from a
-// recycled PID simply starts a fresh entry.
+// retire drops an exited origin's stats entry, driven by the process
+// table's exit notifications, so the stats map stays bounded by the
+// live processes rather than every PID the mount has served. An origin
+// with requests still queued or in flight is dropped when it goes idle
+// instead, so a straggling done() cannot leave behind a stats entry
+// nothing will ever retire. A request from a recycled PID simply starts
+// a fresh entry.
 func (t *reqTable) retire(origin uint32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -284,22 +276,6 @@ func (t *reqTable) retire(origin uint32) {
 		o.retireOnIdle = true
 		t.origins[origin] = o
 	} else {
-		t.foldLocked(origin)
-	}
-}
-
-// foldLocked moves an origin's counters into the retired aggregate.
-// Caller holds the lock.
-func (t *reqTable) foldLocked(origin uint32) {
-	if s, ok := t.stats[origin]; ok {
-		t.retired.Add(s)
 		delete(t.stats, origin)
 	}
-}
-
-// retiredStats snapshots the aggregate counters of retired origins.
-func (t *reqTable) retiredStats() OriginStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.retired
 }

@@ -15,17 +15,17 @@ import (
 // implementation. In the paper this is the CNTRFS server process running
 // in the fat container or on the host. All workers read the one request
 // table, as the paper's threads read one /dev/fuse: it hands them
-// requests in arrival order, interrupts first, and keeps the per-origin
-// accounting (see reqTable).
+// requests in arrival order, interrupts first. The table also holds
+// every per-frame count the server keeps: each frame a worker pops,
+// one-way frames and interrupts included, adds one to its origin's Ops
+// (OriginStats).
 type Server struct {
-	fs         vfs.FS
-	clock      *sim.Clock
-	model      *sim.CostModel
-	opts       MountOptions
-	table      *reqTable
-	wg         sync.WaitGroup
-	served     atomic.Int64
-	interrupts atomic.Int64
+	fs    vfs.FS
+	clock *sim.Clock
+	model *sim.CostModel
+	opts  MountOptions
+	table *reqTable
+	wg    sync.WaitGroup
 
 	// files holds, per inode, the host descriptors its fh-0 frames are
 	// served through (MountOptions.NoOpen, worker.hostFile).
@@ -135,21 +135,6 @@ func (s *Server) Wait() {
 	}
 }
 
-// Served reports the number of requests processed.
-func (s *Server) Served() int64 { return s.served.Load() }
-
-// Interrupts reports how many FUSE_INTERRUPT frames were processed.
-func (s *Server) Interrupts() int64 { return s.interrupts.Load() }
-
-// interrupt processes an INTERRUPT frame naming the request unique.
-func (s *Server) interrupt(unique uint64) {
-	s.interrupts.Add(1)
-	s.table.interrupt(unique)
-}
-
-// Queued reports the requests currently waiting in the request table.
-func (s *Server) Queued() int { return s.table.depth() }
-
 // OriginStats snapshots the request table's per-origin (Op.PID)
 // completion counters — the data source for /proc-style per-process I/O
 // accounting and for policy generation.
@@ -157,18 +142,12 @@ func (s *Server) OriginStats() map[uint32]OriginStats {
 	return s.table.originStats()
 }
 
-// RetireOrigin folds the counters of an exited origin (Op.PID) into the
-// aggregate retired bucket, so per-origin accounting stays bounded by
-// the number of *live* processes rather than every PID ever served.
-// The process table's exit hooks call it when a process unregisters.
+// RetireOrigin drops the counters of an exited origin (Op.PID), so
+// per-origin accounting stays bounded by the number of *live* processes
+// rather than every PID ever served. The process table's exit hooks
+// call it when a process unregisters.
 func (s *Server) RetireOrigin(origin uint32) {
 	s.table.retire(origin)
-}
-
-// RetiredOriginStats reports the aggregate counters of retired origins;
-// total traffic through the mount is this plus the sum of OriginStats.
-func (s *Server) RetiredOriginStats() OriginStats {
-	return s.table.retiredStats()
 }
 
 // Steals is always zero: the request table is one queue, so there is
@@ -212,7 +191,6 @@ func (wk *worker) run() {
 		if !ok {
 			return
 		}
-		s.served.Add(1)
 		if !msg.oneWay {
 			cost := s.model.WakeupLatency
 			if n := s.opts.ServerThreads; n > 1 {
@@ -470,7 +448,7 @@ func (wk *worker) dispatch(msg *request) ([]byte, ioAcct) {
 	}
 	if h.Opcode == OpInterrupt {
 		if target := r.u64(); !r.bad {
-			s.interrupt(target)
+			s.table.interrupt(target)
 		}
 		return nil, acct // one-way
 	}

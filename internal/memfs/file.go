@@ -542,14 +542,6 @@ func (fs *FS) Fallocate(op *vfs.Op, h vfs.Handle, mode uint32, off, length int64
 	return nil
 }
 
-// UsedBytes reports the materialized data bytes — the logical view
-// (blockSize per block), independent of backend deduplication.
-func (fs *FS) UsedBytes() int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return fs.used
-}
-
 // Store returns the backend blob store file content lives in.
 func (fs *FS) Store() blobstore.Store { return fs.store }
 

@@ -172,8 +172,10 @@ type Row struct {
 	// Ops counts the operations Setup.Record was handed.
 	Ops int64
 	// Denials counts operations the enforcer rejected with EACCES,
-	// Audited the off-profile operations it let through in audit mode.
+	// Audited the off-profile operations it let through in audit mode;
+	// Violations records the first of either (policy.Enforcer).
 	Denials, Audited int64
+	Violations       []policy.Violation
 	// Injected counts the Setup.StoreFaults that fired.
 	Injected int64
 	Err      error
@@ -239,7 +241,7 @@ func Run(b *Benchmark, s Setup) Row {
 		s.Record.JoinOriginStats(c.Server.OriginStats())
 	}
 	if enf != nil {
-		row.Denials, row.Audited = enf.Denials(), enf.Audited()
+		row.Denials, row.Audited, row.Violations = enf.Denials(), enf.Audited(), enf.Violations()
 	}
 	if store != nil {
 		row.Injected = store.Injected()

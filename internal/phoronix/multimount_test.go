@@ -147,7 +147,7 @@ func runWritebackFenced(tier fleetTier) (wbFenced, error) {
 	}
 
 	// Recovery: reattach mints fresh epochs and publishes flow again.
-	if err := c.CacheCl.Reattach(); err != nil {
+	if err := c.CacheCl.Attach(); err != nil {
 		return r, err
 	}
 	r.lease, _ = c.CacheCl.Lease(0)

@@ -414,36 +414,6 @@ func (c *Collector) Profile(opts GenOptions, origins ...uint32) *Profile {
 	return p
 }
 
-// PrefixActivity rolls one origin's recorded activity up across every
-// anchor at or beneath prefix — the subtree query the shared path trie
-// answers by walking only the matching subtree, not every anchor the
-// origin ever touched. The result's Kinds is the union of kinds seen
-// anywhere in the subtree.
-func (c *Collector) PrefixActivity(origin uint32, prefix string) PathActivity {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a, ok := c.origins[origin]
-	if !ok {
-		return PathActivity{}
-	}
-	var out PathActivity
-	kinds := make(map[vfs.OpKind]bool)
-	a.anchors.walkUnder(prefix, func(key string, an *anchorAgg) {
-		if key == unknownAnchor {
-			// Unattributed activity belongs to no subtree — a "/" rollup
-			// must match what Profile() would derive for the tree.
-			return
-		}
-		out.Ops += an.ops
-		out.Bytes += an.bytes
-		for kind := range an.kinds {
-			kinds[kind] = true
-		}
-	})
-	out.Kinds = kindNamesOf(kinds)
-	return out
-}
-
 // kindNamesOf renders a kind set as a sorted name list.
 func kindNamesOf(kinds map[vfs.OpKind]bool) []string {
 	out := make([]string, 0, len(kinds))

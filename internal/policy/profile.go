@@ -187,7 +187,7 @@ func kindMask(names []string) uint64 {
 func (p *Profile) Compile() *Matcher {
 	m := &Matcher{trie: &pathTrie[uint64]{}, anyKinds: kindMask(p.AnyPathKinds)}
 	for _, r := range p.Rules {
-		node := m.trie.at(r.Prefix, true)
+		node := m.trie.at(r.Prefix)
 		if !node.set {
 			node.key, node.set = r.Prefix, true
 			m.trie.n++

@@ -42,10 +42,9 @@ func nextComponent(path string, i int) (comp string, next int, ok bool) {
 	return path[i:j], j, true
 }
 
-// at returns the node for path, creating the chain when create is set;
-// nil when absent and create is unset. The root path "/" (or "") maps
-// to the root node.
-func (t *pathTrie[V]) at(path string, create bool) *pathNode[V] {
+// at returns the node for path, creating the chain to it. The root path
+// "/" (or "") maps to the root node.
+func (t *pathTrie[V]) at(path string) *pathNode[V] {
 	node := &t.root
 	for i := 0; ; {
 		comp, next, ok := nextComponent(path, i)
@@ -54,9 +53,6 @@ func (t *pathTrie[V]) at(path string, create bool) *pathNode[V] {
 		}
 		child := node.children[comp]
 		if child == nil {
-			if !create {
-				return nil
-			}
 			child = &pathNode[V]{}
 			if node.children == nil {
 				node.children = make(map[string]*pathNode[V])
@@ -70,7 +66,7 @@ func (t *pathTrie[V]) at(path string, create bool) *pathNode[V] {
 // getOrCreate returns the value stored at path, materializing it with
 // mk on first use.
 func (t *pathTrie[V]) getOrCreate(path string, mk func() V) V {
-	node := t.at(path, true)
+	node := t.at(path)
 	if !node.set {
 		node.key = path
 		node.val = mk()
@@ -124,14 +120,4 @@ func (n *pathNode[V]) walk(fn func(key string, v V)) {
 	for _, child := range n.children {
 		child.walk(fn)
 	}
-}
-
-// walkUnder visits every set entry at or beneath prefix — the subtree
-// rollup behind the collector's prefix aggregation.
-func (t *pathTrie[V]) walkUnder(prefix string, fn func(key string, v V)) {
-	node := t.at(prefix, false)
-	if node == nil {
-		return
-	}
-	node.walk(fn)
 }

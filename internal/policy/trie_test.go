@@ -2,8 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -117,47 +115,5 @@ func TestMatcherTrieDeepProfile(t *testing.T) {
 	}
 	if m.Allows(vfs.KindRead, "/srv/app500/data") {
 		t.Fatal("unlisted subtree allowed")
-	}
-}
-
-// TestCollectorPrefixActivity: the trie rollup sums a subtree and only
-// that subtree.
-func TestCollectorPrefixActivity(t *testing.T) {
-	c := NewCollector()
-	run := c.NewRun()
-	for _, info := range []vfs.OpInfo{
-		{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "srv", ResultIno: 2},
-		{Kind: vfs.KindMkdir, Ino: 2, Name: "data", ResultIno: 3},
-		{Kind: vfs.KindCreate, Ino: 3, Name: "f", ResultIno: 4},
-		{Kind: vfs.KindWrite, Ino: 4, Bytes: 100},
-		{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "etc", ResultIno: 5},
-		{Kind: vfs.KindGetattr, Ino: 5},
-	} {
-		record(run, 7, vfs.OK, info)
-	}
-	srv := c.PrefixActivity(7, "/srv")
-	// Anchored beneath /srv: the mkdir (anchor /srv), create (anchor
-	// /srv/data) and write (anchor /srv/data/f).
-	if srv.Ops != 3 || srv.Bytes != 100 {
-		t.Fatalf("/srv rollup = %+v, want 3 ops / 100 bytes", srv)
-	}
-	wantKinds := []string{"create", "mkdir", "write"}
-	gotKinds := append([]string(nil), srv.Kinds...)
-	sort.Strings(gotKinds)
-	if !reflect.DeepEqual(gotKinds, wantKinds) {
-		t.Fatalf("/srv rollup kinds = %v, want %v", gotKinds, wantKinds)
-	}
-	// Unattributed activity (the "?" anchor) stays out of every subtree
-	// rollup, including "/": PrefixActivity must agree with Profile(),
-	// which routes unknown-path activity to the any-path kinds instead.
-	record(run, 7, vfs.OK, vfs.OpInfo{Kind: vfs.KindRead, Ino: 999, Bytes: 77})
-	if all := c.PrefixActivity(7, "/"); all.Ops != 6 || all.Bytes != 100 {
-		t.Fatalf("/ rollup = %+v, want 6 ops / 100 bytes (unknown anchor excluded)", all)
-	}
-	if none := c.PrefixActivity(7, "/nope"); none.Ops != 0 {
-		t.Fatalf("/nope rollup = %+v, want empty", none)
-	}
-	if other := c.PrefixActivity(99, "/"); other.Ops != 0 {
-		t.Fatalf("unknown origin rollup = %+v, want empty", other)
 	}
 }

@@ -119,11 +119,6 @@ func (m *CostModel) SpliceCost(n int) time.Duration {
 	return time.Duration(int64(m.SplicePerKB) * int64(n) / 1024)
 }
 
-// DiskCost returns the cost of one disk request transferring n bytes.
-func (m *CostModel) DiskCost(n int) time.Duration {
-	return m.DiskSeek + time.Duration(int64(m.DiskPerKB)*int64(n)/1024)
-}
-
 // NetCost returns the cost of one cache-tier RPC transferring n bytes:
 // a round trip plus the payload at cluster-link bandwidth.
 func (m *CostModel) NetCost(n int) time.Duration {

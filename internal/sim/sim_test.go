@@ -92,14 +92,17 @@ func TestCostModelSpliceCheaperThanCopy(t *testing.T) {
 
 func TestCostModelDiskSeekDominatesSmallIO(t *testing.T) {
 	m := DefaultCostModel()
-	small := m.DiskCost(512)
-	if small < m.DiskSeek {
-		t.Fatalf("DiskCost(512) = %v, want >= seek %v", small, m.DiskSeek)
+	read := func(n int) time.Duration {
+		clock := NewClock()
+		NewDisk(clock, m).Read(n)
+		return clock.Now()
+	}
+	if small := read(512); small < m.DiskSeek {
+		t.Fatalf("a 512-byte read took %v, want >= seek %v", small, m.DiskSeek)
 	}
 	// A large transfer must be bandwidth-bound, not latency-bound.
-	large := m.DiskCost(1 << 20)
-	if large < 2*m.DiskSeek {
-		t.Fatalf("DiskCost(1MB) = %v, should be dominated by transfer", large)
+	if large := read(1 << 20); large < 2*m.DiskSeek {
+		t.Fatalf("a 1 MiB read took %v, should be dominated by transfer", large)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestCopyUpDedupsOnSharedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The upper layer now holds its own copy...
-	upCli := vfs.NewClient(u.Upper(), vfs.Root())
+	upCli := vfs.NewClient(u.upper, vfs.Root())
 	if got, err := upCli.ReadFile("/lib/libc"); err != nil || !bytes.Equal(got, content) {
 		t.Fatalf("copy-up missing from upper: %v", err)
 	}

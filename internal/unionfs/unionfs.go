@@ -87,9 +87,6 @@ func NewWith(opts Options, lowers ...vfs.FS) *FS {
 	return fs
 }
 
-// Upper exposes the writable layer (for image commit).
-func (fs *FS) Upper() *memfs.FS { return fs.upper }
-
 func joinPath(dir, name string) string {
 	if dir == "/" {
 		return "/" + name
@@ -319,6 +316,3 @@ func (fs *FS) addWhiteout(path string) error {
 	cli := vfs.NewClient(fs.upper, internalCred)
 	return cli.WriteFile(joinPath(dir, whiteoutPrefix+name), nil, 0o000)
 }
-
-// LayerCount reports the number of layers including the upper.
-func (fs *FS) LayerCount() int { return len(fs.lowers) + 1 }

@@ -49,12 +49,6 @@ func FullCapSet() CapSet {
 // Has reports whether c is in the set.
 func (s CapSet) Has(c Capability) bool { return s&(1<<c) != 0 }
 
-// With returns a copy of the set with c added.
-func (s CapSet) With(c Capability) CapSet { return s | 1<<c }
-
-// Without returns a copy of the set with c removed.
-func (s CapSet) Without(c Capability) CapSet { return s &^ (1 << c) }
-
 // Intersect returns the intersection of two sets.
 func (s CapSet) Intersect(o CapSet) CapSet { return s & o }
 

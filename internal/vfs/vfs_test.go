@@ -88,14 +88,6 @@ func TestCapSet(t *testing.T) {
 	if !s.Has(CapChown) || !s.Has(CapFowner) || s.Has(CapMknod) {
 		t.Fatal("CapSet membership mismatch")
 	}
-	s = s.Without(CapChown)
-	if s.Has(CapChown) {
-		t.Fatal("Without failed")
-	}
-	s = s.With(CapMknod)
-	if !s.Has(CapMknod) {
-		t.Fatal("With failed")
-	}
 	full := FullCapSet()
 	for c := Capability(0); c < Capability(NumCapabilities); c++ {
 		if !full.Has(c) {
