@@ -11,12 +11,13 @@
 //
 // A client holds one epoch lease per service shard group. Mutations
 // (chunk publishes, attr writes, invalidations) carry the
-// lease's epoch; when the service fences one — the lease expired while
-// this mount was partitioned, or a newer epoch superseded it — the
-// client drops the write, marks the group lost, and counts it. Nothing
-// is queued or replayed: the holder must Attach again for fresh epochs,
-// after which new writes flow again. That drop-don't-retry rule is what
-// keeps a stale mount from ever pushing stale bytes into the tier.
+// lease's epoch; when the service fences one — the lease was released
+// at the service while this mount was partitioned, or a newer epoch
+// superseded it — the client drops the write, forgets the group's
+// lease, and counts it. Nothing is queued or replayed: the holder must
+// Attach again for fresh epochs, after which new writes flow again.
+// That drop-don't-retry rule is what keeps a stale mount from ever
+// pushing stale bytes into the tier.
 package cachecl
 
 import (
@@ -39,8 +40,9 @@ type Stats struct {
 	Hits, Misses int64
 	// Puts counts accepted publishes; Invalidations accepted drops.
 	Puts, Invalidations int64
-	// Fenced counts mutations the service rejected on epoch grounds;
-	// each also marks its shard group lost until the next Attach.
+	// Fenced counts mutations rejected on epoch grounds: by the
+	// service, which costs the client the group's lease until the next
+	// Attach, or locally while no lease is held.
 	Fenced int64
 	// Unreachable counts operations attempted while partitioned.
 	Unreachable int64
@@ -61,7 +63,6 @@ type Client struct {
 
 	mu          sync.Mutex
 	leases      map[int]cachesvc.Lease
-	lost        map[int]bool // groups fenced since the last attach
 	partitioned bool
 	stats       Stats
 	// place is the cached routing table: which nodes own each shard, at
@@ -77,12 +78,8 @@ func New(svc *cachesvc.Service, mount string, clock *sim.Clock, model *sim.CostM
 	return &Client{
 		svc: svc, mount: mount, clock: clock, model: model,
 		leases: make(map[int]cachesvc.Lease),
-		lost:   make(map[int]bool),
 	}
 }
-
-// Mount returns the client's mount identity.
-func (c *Client) Mount() string { return c.mount }
 
 // Attach acquires a fresh lease for every shard group — the initial
 // connect and the reconnect after a fence are the same operation, and
@@ -101,7 +98,6 @@ func (c *Client) Attach() error {
 			return err
 		}
 		c.leases[g] = l
-		delete(c.lost, g)
 	}
 	// The routing table rides along on the attach round trip.
 	c.place = c.svc.Placement()
@@ -109,8 +105,8 @@ func (c *Client) Attach() error {
 }
 
 // Release drops every held lease (session teardown). Leases already
-// expired or superseded are skipped silently — they are no longer ours
-// to release.
+// released or superseded at the service are skipped silently — they are
+// no longer ours to release.
 func (c *Client) Release() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -247,10 +243,9 @@ func (c *Client) put(key cachesvc.Key, val []byte, charged bool) error {
 	group := c.svc.GroupOf(key)
 	l, ok := c.leases[group]
 	if !ok {
-		// No lease (never attached, or lost and not reattached): the
+		// No lease (never attached, or fenced and not reattached): the
 		// publish is dropped locally — it would only be fenced anyway.
 		c.stats.Fenced++
-		c.lost[group] = true
 		c.mu.Unlock()
 		return cachesvc.ErrFenced
 	}
@@ -287,9 +282,7 @@ func (c *Client) put(key cachesvc.Key, val []byte, charged bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if errors.Is(err, cachesvc.ErrFenced) {
-		c.stats.Fenced++
-		c.lost[group] = true
-		delete(c.leases, group)
+		c.fencedLocked(group, l)
 		return err
 	}
 	if err == nil {
@@ -301,6 +294,16 @@ func (c *Client) put(key cachesvc.Key, val []byte, charged bool) error {
 		}
 	}
 	return err
+}
+
+// fencedLocked counts a mutation the service fenced under lease l and
+// forgets l. The service call ran without c.mu, so an Attach may have
+// replaced l since: a fresh lease of the group stays held.
+func (c *Client) fencedLocked(group int, l cachesvc.Lease) {
+	c.stats.Fenced++
+	if c.leases[group].Epoch == l.Epoch {
+		delete(c.leases, group)
+	}
 }
 
 // invalidate drops key under the group's lease, with put's fencing
@@ -316,7 +319,6 @@ func (c *Client) invalidate(key cachesvc.Key) error {
 	l, ok := c.leases[group]
 	if !ok {
 		c.stats.Fenced++
-		c.lost[group] = true
 		c.mu.Unlock()
 		return cachesvc.ErrFenced
 	}
@@ -326,9 +328,7 @@ func (c *Client) invalidate(key cachesvc.Key) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if errors.Is(err, cachesvc.ErrFenced) {
-		c.stats.Fenced++
-		c.lost[group] = true
-		delete(c.leases, group)
+		c.fencedLocked(group, l)
 		return err
 	}
 	if err == nil {

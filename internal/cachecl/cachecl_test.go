@@ -14,26 +14,35 @@ import (
 )
 
 type env struct {
-	svc      *cachesvc.Service
-	svcClock *sim.Clock
-	clock    *sim.Clock
-	model    *sim.CostModel
-	cl       *Client
+	svc   *cachesvc.Service
+	clock *sim.Clock
+	model *sim.CostModel
+	cl    *Client
 }
 
 func newEnv(t *testing.T) *env {
 	t.Helper()
-	svcClock := sim.NewClock()
-	svc := cachesvc.New(cachesvc.Options{
-		Shards: 8, Groups: 2, LeaseTTL: time.Second, Clock: svcClock,
-	})
+	svc := cachesvc.New(cachesvc.Options{Shards: 8})
 	clock := sim.NewClock()
 	model := sim.DefaultCostModel()
 	cl := New(svc, "m1", clock, model)
 	if err := cl.Attach(); err != nil {
 		t.Fatal(err)
 	}
-	return &env{svc: svc, svcClock: svcClock, clock: clock, model: model, cl: cl}
+	return &env{svc: svc, clock: clock, model: model, cl: cl}
+}
+
+// revoke releases every lease the client holds at the service, as a
+// service that gave up on a partitioned mount would; the client still
+// holds them.
+func (e *env) revoke(t *testing.T) {
+	t.Helper()
+	for g := 0; g < e.svc.NumGroups(); g++ {
+		l, _ := e.cl.Lease(g)
+		if err := e.svc.Release(l); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestNetworkCharging pins what each tier call costs the mount's clock.
@@ -57,7 +66,7 @@ func TestNetworkCharging(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			svc := cachesvc.New(cachesvc.Options{
-				Shards: 8, Groups: 2, LeaseTTL: time.Second, Nodes: 2, Replicas: 1,
+				Shards: 8, Nodes: 2, Replicas: 1,
 			})
 			clock := sim.NewClock()
 			cl := New(svc, "m1", clock, m)
@@ -145,10 +154,10 @@ func TestPublishChunkUncharged(t *testing.T) {
 // it attaches again — after which the dropped write is NOT replayed.
 func TestFencedPublishDroppedNotReplayed(t *testing.T) {
 	e := newEnv(t)
-	e.svcClock.Advance(2 * time.Second) // expire every lease service-side
+	e.revoke(t)
 
 	if err := e.cl.PutChunk("stale", []byte("stale")); !errors.Is(err, cachesvc.ErrFenced) {
-		t.Fatalf("expired-lease publish = %v, want ErrFenced", err)
+		t.Fatalf("revoked-lease publish = %v, want ErrFenced", err)
 	}
 	// Second attempt fails locally (lease gone), still fenced.
 	if err := e.cl.PutChunk("stale", []byte("stale")); !errors.Is(err, cachesvc.ErrFenced) {
@@ -216,25 +225,22 @@ func TestAttrDentryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRenewKeepsLeaseAlive: a renewal at the service holds the client's
-// epoch past the original deadline, with no new attach.
-func TestRenewKeepsLeaseAlive(t *testing.T) {
+// TestFenceKeepsFreshLease: a fence of an old epoch, arriving after an
+// Attach replaced the lease, leaves the fresh lease held.
+func TestFenceKeepsFreshLease(t *testing.T) {
 	e := newEnv(t)
-	orig, _ := e.cl.Lease(0)
-	e.svcClock.Advance(700 * time.Millisecond)
-	for g := 0; g < e.svc.NumGroups(); g++ {
-		l, _ := e.cl.Lease(g)
-		if _, err := e.svc.Renew(l); err != nil {
-			t.Fatal(err)
-		}
+	old, _ := e.cl.Lease(0)
+	if err := e.cl.Attach(); err != nil {
+		t.Fatal(err)
 	}
-	e.svcClock.Advance(700 * time.Millisecond) // past the original TTL
-	if err := e.cl.PutChunk("alive", []byte("x")); err != nil {
-		t.Fatalf("publish under renewed lease: %v", err)
+	e.cl.mu.Lock()
+	e.cl.fencedLocked(0, old)
+	e.cl.mu.Unlock()
+	if l, ok := e.cl.Lease(0); !ok || l.Epoch != old.Epoch+1 {
+		t.Fatalf("after a fence of epoch %d: lease %+v held=%v, want epoch %d", old.Epoch, l, ok, old.Epoch+1)
 	}
-	now, _ := e.cl.Lease(0)
-	if now.Epoch != orig.Epoch {
-		t.Fatalf("renewal changed epoch %d → %d", orig.Epoch, now.Epoch)
+	if st := e.cl.Stats(); st.Fenced != 1 {
+		t.Fatalf("Fenced = %d, want 1", st.Fenced)
 	}
 }
 
@@ -308,7 +314,7 @@ func TestStorePutWriteThrough(t *testing.T) {
 		t.Fatal("write-through publish missing from tier")
 	}
 
-	e.svcClock.Advance(2 * time.Second) // fence the mount
+	e.revoke(t) // fence the mount
 	ref2, err := st.Put([]byte("stale-bytes"))
 	if err != nil {
 		t.Fatalf("fenced mount's local write must still succeed: %v", err)

@@ -35,9 +35,9 @@ type StoreOptions struct {
 // of an origin I/O — and read-populates it on a miss; Put writes through
 // to the backend and publishes the chunk so sibling mounts' cold reads hit.
 // Every publish carries the client's epoch lease, so a mount whose
-// lease expired mid-writeback cannot land stale bytes in the tier (the
-// local backend write still succeeds: fencing protects the shared
-// cache, not the mount's own durability).
+// lease was released or superseded mid-writeback cannot land stale
+// bytes in the tier (the local backend write still succeeds: fencing
+// protects the shared cache, not the mount's own durability).
 type Store struct {
 	backend blobstore.Store
 	cl      *Client
@@ -48,9 +48,6 @@ type Store struct {
 func WrapStore(backend blobstore.Store, cl *Client, opts StoreOptions) *Store {
 	return &Store{backend: backend, cl: cl, opts: opts}
 }
-
-// Client returns the tier client the wrapper publishes through.
-func (s *Store) Client() *Client { return s.cl }
 
 // Put implements blobstore.Store: the backend write is the durable
 // one; the tier publish is write-through but best-effort — a fenced

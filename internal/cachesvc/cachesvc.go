@@ -45,14 +45,15 @@
 // Correctness under partition comes from epoch leases (the
 // sigmaOS fenceclnt/epochclnt shape): a mount holds a lease per shard
 // group, every mutation carries its lease's epoch, and the service
-// fences writes whose lease has expired or been superseded — a
+// fences writes whose lease has been released or superseded — a
 // partitioned mount that reconnects acquires a fresh epoch and replays
 // nothing; whatever it still had in flight under the old epoch is
-// rejected, so stale data never lands in the shared tier. The fence
-// holds per replica: a stale-epoch write is dropped at every copy and
-// counted on every node, never applied to some copies and not others.
-// Leases are service-global control-plane state, so in-flight epochs
-// survive node failure untouched.
+// rejected, so stale data never lands in the shared tier. A lease is
+// its epoch and nothing else: the service keeps no clock, so no lease
+// expires. The fence holds per replica: a stale-epoch write is dropped
+// at every copy and counted on every node, never applied to some copies
+// and not others. Leases are service-global control-plane state, so
+// in-flight epochs survive node failure untouched.
 package cachesvc
 
 import (
@@ -60,10 +61,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"cntr/internal/blobstore"
-	"cntr/internal/sim"
 	"cntr/internal/slab"
 )
 
@@ -115,7 +114,7 @@ type Stats struct {
 	// Invalidations counts applied invalidation copies (like Puts).
 	Invalidations int64
 	// FencedWrites counts mutations rejected because their lease epoch
-	// was stale, expired, or released — the partition-safety counter.
+	// was stale or released — the partition-safety counter.
 	// One per rejected mutation; NodeStats.FencedWrites counts the drop
 	// at every copy.
 	FencedWrites int64
@@ -124,10 +123,8 @@ type Stats struct {
 	// Entries and Bytes are the live entry count and stored value bytes,
 	// replica copies included.
 	Entries, Bytes int64
-	// LeasesGranted counts Acquire calls (each grants a fresh epoch);
-	// LeasesActive is the number currently held; Expirations counts
-	// leases observed expired (on validate/renew).
-	LeasesGranted, LeasesActive, Expirations int64
+	// LeasesActive is the number of leases currently held.
+	LeasesActive int64
 	// LostShards counts shards whose last copy died with a killed node:
 	// their cached entries are gone and re-fetched from the origin.
 	LostShards int64
@@ -140,18 +137,6 @@ type Options struct {
 	// ShardCapacity is the LRU byte capacity per shard copy (default
 	// 64 MiB). Every replica of a shard has its own capacity.
 	ShardCapacity int64
-	// Groups is the number of lease shard-groups; shards are striped
-	// across groups and a mount holds one lease per group (default 4,
-	// clamped to Shards).
-	Groups int
-	// LeaseTTL is the lease lifetime in virtual time on Clock
-	// (default 5s). A lease is expired at exactly its deadline: it is
-	// valid while now < expiry and fenced once now >= expiry.
-	LeaseTTL time.Duration
-	// Clock judges lease expiry. Nil builds a private service clock
-	// that nothing advances (leases then only expire when a test
-	// advances it — mounts' own clocks never age a lease by accident).
-	Clock *sim.Clock
 	// Nodes is the number of cache nodes the shards are placed across
 	// (default 1 — the single-node reference configuration).
 	Nodes int
@@ -164,8 +149,7 @@ type Options struct {
 // safe for concurrent use; tests aside, callers should go through
 // cachecl so network costs are charged.
 type Service struct {
-	opts  Options
-	clock *sim.Clock
+	opts Options
 
 	// topo guards the node set and placement. Data ops hold it for read
 	// while routing and touching stores; KillNode holds it for write, so
@@ -184,13 +168,13 @@ type Service struct {
 	valsMu sync.Mutex
 	vals   blobstore.Runs
 
-	mu      sync.Mutex
-	leases  map[leaseID]*leaseState
-	epochs  map[leaseID]uint64
-	granted int64
-	expired int64
-	fenced  int64
-	seeds   int64
+	// leases maps each held grant to its epoch; epochs keeps the last
+	// epoch minted for a (mount, group), held or not.
+	mu     sync.Mutex
+	leases map[leaseID]uint64
+	epochs map[leaseID]uint64
+	fenced int64
+	seeds  int64
 }
 
 // shardWrites is a shard's write lock and what it guards besides the
@@ -360,15 +344,6 @@ func New(opts Options) *Service {
 	if opts.ShardCapacity <= 0 {
 		opts.ShardCapacity = 64 << 20
 	}
-	if opts.Groups <= 0 {
-		opts.Groups = 4
-	}
-	if opts.Groups > opts.Shards {
-		opts.Groups = opts.Shards
-	}
-	if opts.LeaseTTL <= 0 {
-		opts.LeaseTTL = defaultLeaseTTL
-	}
 	if opts.Nodes <= 0 {
 		opts.Nodes = 1
 	}
@@ -378,14 +353,9 @@ func New(opts Options) *Service {
 	if opts.Replicas > opts.Nodes-1 {
 		opts.Replicas = opts.Nodes - 1
 	}
-	clock := opts.Clock
-	if clock == nil {
-		clock = sim.NewClock()
-	}
 	s := &Service{
 		opts:         opts,
-		clock:        clock,
-		leases:       make(map[leaseID]*leaseState),
+		leases:       make(map[leaseID]uint64),
 		epochs:       make(map[leaseID]uint64),
 		placement:    make([][]int, opts.Shards),
 		placeVersion: 1,
@@ -427,17 +397,18 @@ func (s *Service) ShardOf(key Key) int {
 	return int(h % uint64(s.opts.Shards))
 }
 
+// leaseGroups is the number of lease shard-groups, clamped to the shard
+// count: shards are striped across groups and a mount holds one lease
+// per group.
+const leaseGroups = 4
+
 // GroupOf returns the lease shard-group guarding mutations of key:
 // shards are striped across groups. Groups partition the key space,
 // not the node set, so a lease's epoch is untouched by a kill.
-func (s *Service) GroupOf(key Key) int { return s.ShardOf(key) % s.opts.Groups }
+func (s *Service) GroupOf(key Key) int { return s.ShardOf(key) % s.NumGroups() }
 
 // NumGroups returns the number of lease shard-groups.
-func (s *Service) NumGroups() int { return s.opts.Groups }
-
-// Clock returns the clock leases expire against (tests advance it to
-// simulate time passing on the service side of a partition).
-func (s *Service) Clock() *sim.Clock { return s.clock }
+func (s *Service) NumGroups() int { return min(leaseGroups, s.opts.Shards) }
 
 // Get returns the cached value for key, served by the shard's primary
 // (internal routing — cachecl routes explicitly and pays the network).
@@ -497,7 +468,7 @@ func (s *Service) applyLocked(sh int, key Key, val []byte) int {
 // Put stores val under key on behalf of the lease holder, on the
 // primary and every replica. The write is fenced — rejected with
 // ErrFenced and counted at every copy — when the lease's epoch is
-// stale, expired, or released. val is copied, so the caller may reuse
+// stale or released. val is copied, so the caller may reuse
 // it; the copy is cut from a run the service shares among values
 // (blobstore.Runs), so an evicted or replaced value's bytes stay
 // allocated until every value in its run is gone, and no run is larger
@@ -580,9 +551,7 @@ func (s *Service) Stats() Stats {
 	s.topo.RUnlock()
 	s.mu.Lock()
 	agg.FencedWrites = s.fenced
-	agg.LeasesGranted = s.granted
 	agg.LeasesActive = int64(len(s.leases))
-	agg.Expirations = s.expired
 	agg.Seeds = s.seeds
 	s.mu.Unlock()
 	return agg

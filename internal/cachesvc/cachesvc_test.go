@@ -4,16 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"cntr/internal/blobstore"
-	"cntr/internal/sim"
 )
 
-func newTestService(ttl time.Duration) (*Service, *sim.Clock) {
-	clock := sim.NewClock()
-	return New(Options{Shards: 8, Groups: 2, LeaseTTL: ttl, Clock: clock}), clock
-}
+func newTestService() *Service { return New(Options{Shards: 8}) }
 
 func mustAcquire(t *testing.T, s *Service, mount string, group int) Lease {
 	t.Helper()
@@ -31,7 +26,7 @@ func leaseFor(t *testing.T, s *Service, mount string, key Key) Lease {
 }
 
 func TestGetPutInvalidate(t *testing.T) {
-	s, _ := newTestService(0)
+	s := newTestService()
 	key := AttrKey("/etc/passwd")
 	l := leaseFor(t, s, "m1", key)
 
@@ -61,8 +56,7 @@ func TestGetPutInvalidate(t *testing.T) {
 // key to a valid shard, identically across service instances, and
 // spreads a key population over all shards.
 func TestRingDeterministicAndCovering(t *testing.T) {
-	a, _ := newTestService(0)
-	b, _ := newTestService(0)
+	a, b := newTestService(), newTestService()
 	seen := make(map[int]bool)
 	for i := 0; i < 4096; i++ {
 		key := ChunkKey(blobstore.Ref(fmt.Sprintf("ref-%04d", i)))
@@ -74,7 +68,7 @@ func TestRingDeterministicAndCovering(t *testing.T) {
 			t.Fatalf("key %d: shard %d out of range", i, sa)
 		}
 		seen[sa] = true
-		if g := a.GroupOf(key); g != sa%2 {
+		if g := a.GroupOf(key); g != sa%a.NumGroups() {
 			t.Fatalf("group of shard %d = %d", sa, g)
 		}
 	}
@@ -86,10 +80,9 @@ func TestRingDeterministicAndCovering(t *testing.T) {
 // TestLRUEvictionUnderCapacity: a shard over its byte capacity evicts
 // least-recently-used entries first and keeps accounting consistent.
 func TestLRUEvictionUnderCapacity(t *testing.T) {
-	clock := sim.NewClock()
-	// One shard, one group: every key shares the LRU so the eviction
+	// One shard, so one group: every key shares the LRU so the eviction
 	// order is fully observable.
-	s := New(Options{Shards: 1, Groups: 1, ShardCapacity: 4096, Clock: clock})
+	s := New(Options{Shards: 1, ShardCapacity: 4096})
 	l := mustAcquire(t, s, "m1", 0)
 	val := make([]byte, 1000)
 	var keys []Key
@@ -125,7 +118,7 @@ func TestLRUEvictionUnderCapacity(t *testing.T) {
 // TestFencingStaleEpoch: a mutation carrying a superseded epoch is
 // rejected and counted, and the entry it tried to write never lands.
 func TestFencingStaleEpoch(t *testing.T) {
-	s, _ := newTestService(0)
+	s := newTestService()
 	key := ChunkKey("deadbeef")
 	old := leaseFor(t, s, "m1", key)
 	// The mount "reconnects": a fresh acquisition mints a new epoch.
@@ -147,66 +140,16 @@ func TestFencingStaleEpoch(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryExactlyAtDeadline: a lease is valid strictly before
-// its deadline and fenced at exactly the deadline instant.
-func TestLeaseExpiryExactlyAtDeadline(t *testing.T) {
-	s, clock := newTestService(time.Second)
-	key := ChunkKey("feed")
-	l := leaseFor(t, s, "m1", key)
-
-	clock.AdvanceTo(l.Expires - 1)
-	if err := s.Put(l, key, []byte("x")); err != nil {
-		t.Fatalf("Put one tick before deadline: %v", err)
-	}
-	clock.AdvanceTo(l.Expires) // now == deadline: expired
-	if err := s.Put(l, key, []byte("y")); !errors.Is(err, ErrFenced) {
-		t.Fatalf("Put at deadline = %v, want ErrFenced", err)
-	}
-	if st := s.Stats(); st.Expirations != 1 {
-		t.Fatalf("Expirations = %d, want 1", st.Expirations)
-	}
-}
-
-// TestRenewAfterExpire: renewal cannot resurrect an expired lease; the
-// holder must re-acquire and comes back with a higher epoch.
-func TestRenewAfterExpire(t *testing.T) {
-	s, clock := newTestService(time.Second)
-	l := mustAcquire(t, s, "m1", 0)
-
-	// An in-deadline renew extends the lease and keeps the epoch.
-	clock.Advance(500 * time.Millisecond)
-	renewed, err := s.Renew(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renewed.Epoch != l.Epoch || renewed.Expires <= l.Expires {
-		t.Fatalf("renew = %+v from %+v", renewed, l)
-	}
-
-	clock.AdvanceTo(renewed.Expires)
-	if _, err := s.Renew(renewed); !errors.Is(err, ErrExpired) {
-		t.Fatalf("renew-after-expire = %v, want ErrExpired", err)
-	}
-	// Only Acquire recovers, with a fresh epoch.
-	again := mustAcquire(t, s, "m1", 0)
-	if again.Epoch <= renewed.Epoch {
-		t.Fatalf("reacquired epoch %d not above expired epoch %d", again.Epoch, renewed.Epoch)
-	}
-}
-
 // TestDoubleRelease: the second release of the same lease fails with
-// ErrNotHeld, as does renewing it.
+// ErrNotHeld.
 func TestDoubleRelease(t *testing.T) {
-	s, _ := newTestService(0)
+	s := newTestService()
 	l := mustAcquire(t, s, "m1", 1)
 	if err := s.Release(l); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Release(l); !errors.Is(err, ErrNotHeld) {
 		t.Fatalf("double release = %v, want ErrNotHeld", err)
-	}
-	if _, err := s.Renew(l); !errors.Is(err, ErrNotHeld) {
-		t.Fatalf("renew after release = %v, want ErrNotHeld", err)
 	}
 	if st := s.Stats(); st.LeasesActive != 0 {
 		t.Fatalf("LeasesActive = %d after release", st.LeasesActive)
@@ -216,7 +159,7 @@ func TestDoubleRelease(t *testing.T) {
 // TestWrongGroupRejected: a lease only admits keys in its own shard
 // group, and out-of-range groups cannot be acquired.
 func TestWrongGroupRejected(t *testing.T) {
-	s, _ := newTestService(0)
+	s := newTestService()
 	key := ChunkKey("cafe")
 	other := (s.GroupOf(key) + 1) % s.NumGroups()
 	l := mustAcquire(t, s, "m1", other)
@@ -231,7 +174,7 @@ func TestWrongGroupRejected(t *testing.T) {
 // TestSeedAndReset: administrative seeds need no lease; Reset drops
 // entries but keeps epochs so fencing survives a cache flush.
 func TestSeedAndReset(t *testing.T) {
-	s, _ := newTestService(0)
+	s := newTestService()
 	key := ChunkKey("0123")
 	old := leaseFor(t, s, "m1", key)
 	fresh := leaseFor(t, s, "m1", key) // supersedes old
@@ -255,7 +198,7 @@ func TestSeedAndReset(t *testing.T) {
 // TestHitRatioZeroTraffic mirrors the DedupRatio guard: no lookups, no
 // NaN.
 func TestHitRatioZeroTraffic(t *testing.T) {
-	s, _ := newTestService(0)
+	s := newTestService()
 	if r := s.Stats().HitRatio(); r != 0 {
 		t.Fatalf("idle HitRatio = %v", r)
 	}

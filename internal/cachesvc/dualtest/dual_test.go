@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"cntr/internal/cachecl"
 	"cntr/internal/cachesvc"
@@ -14,10 +13,11 @@ import (
 // TestDifferentialSeeds is the core pin: across 20 seeds and three
 // replication configurations, the replicated tier must be observably
 // equivalent to the single-node reference while the workload
-// interleaves lease expiry, superseded epochs and node kills (each
+// interleaves revoked leases, superseded epochs and node kills (each
 // configuration can lose every node but one). The aggregate coverage
 // assertions make sure the equivalence was earned — the runs actually
-// hit, fenced writes, and killed nodes.
+// hit, fenced writes under both a superseded and a revoked grant, and
+// killed nodes.
 func TestDifferentialSeeds(t *testing.T) {
 	configs := []struct {
 		nodes, replicas int
@@ -41,7 +41,8 @@ func TestDifferentialSeeds(t *testing.T) {
 					t.Fatal(err)
 				}
 				total.Hits += res.Hits
-				total.Fenced += res.Fenced
+				total.StaleFenced += res.StaleFenced
+				total.RevokedFenced += res.RevokedFenced
 				total.Kills += res.Kills
 			})
 		}
@@ -52,8 +53,11 @@ func TestDifferentialSeeds(t *testing.T) {
 	if total.Hits == 0 {
 		t.Error("workloads never hit the cache — the comparison was vacuous")
 	}
-	if total.Fenced == 0 {
-		t.Error("workloads never fenced a write — per-replica fencing untested")
+	if total.StaleFenced == 0 {
+		t.Error("workloads never fenced a stale-epoch write — per-replica fencing untested")
+	}
+	if total.RevokedFenced == 0 {
+		t.Error("workloads never fenced a write under a revoked lease — release untested")
 	}
 	if total.Kills == 0 {
 		t.Error("workloads never killed a node — re-replication untested")
@@ -68,8 +72,9 @@ func TestDifferentialLongRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kills == 0 || res.Fenced == 0 {
-		t.Errorf("long run under-covered: kills=%d fenced=%d", res.Kills, res.Fenced)
+	if res.Kills == 0 || res.StaleFenced == 0 || res.RevokedFenced == 0 {
+		t.Errorf("long run under-covered: kills=%d stale fenced=%d revoked fenced=%d",
+			res.Kills, res.StaleFenced, res.RevokedFenced)
 	}
 }
 
@@ -84,14 +89,8 @@ func TestDifferentialLongRun(t *testing.T) {
 func TestDifferentialClientRouting(t *testing.T) {
 	model := sim.DefaultCostModel()
 
-	repSvcClock := sim.NewClock()
-	refSvcClock := sim.NewClock()
-	repSvc := cachesvc.New(cachesvc.Options{
-		Nodes: 3, Replicas: 1, Clock: repSvcClock, ShardCapacity: 1 << 30,
-	})
-	refSvc := cachesvc.New(cachesvc.Options{
-		Clock: refSvcClock, ShardCapacity: 1 << 30,
-	})
+	repSvc := cachesvc.New(cachesvc.Options{Nodes: 3, Replicas: 1, ShardCapacity: 1 << 30})
+	refSvc := cachesvc.New(cachesvc.Options{ShardCapacity: 1 << 30})
 	repCl := cachecl.New(repSvc, "m0", sim.NewClock(), model)
 	refCl := cachecl.New(refSvc, "m0", sim.NewClock(), model)
 	if err := repCl.Attach(); err != nil {
@@ -147,10 +146,20 @@ func TestDifferentialClientRouting(t *testing.T) {
 					t.Fatalf("op %d: Invalidate: replicated err=%v reference err=%v", op, repErr, refErr)
 				}
 			}
-		case roll < 945: // age the leases on both service clocks
-			step := time.Duration(r.Intn(3)+1) * 2 * time.Second
-			repSvcClock.Advance(step)
-			refSvcClock.Advance(step)
+		case roll < 945: // revoke every held lease at both services
+			for g := 0; g < repSvc.NumGroups(); g++ {
+				repL, repOK := repCl.Lease(g)
+				refL, refOK := refCl.Lease(g)
+				if repOK != refOK {
+					t.Fatalf("op %d: group %d: replicated held=%v reference held=%v", op, g, repOK, refOK)
+				}
+				if repOK {
+					repErr, refErr := repSvc.Release(repL), refSvc.Release(refL)
+					if repErr != refErr {
+						t.Fatalf("op %d: release group %d: replicated err=%v reference err=%v", op, g, repErr, refErr)
+					}
+				}
+			}
 		case roll < 998: // recover from any fencing symmetrically
 			if err := repCl.Attach(); err != nil {
 				t.Fatal(err)

@@ -18,11 +18,11 @@
 //
 // The workload interleaves, under one deterministic seed: reads and
 // presence probes, lease-guarded writes and invalidations, epoch-free
-// seeds, writes under deliberately stale (superseded) and expired
-// leases, writes under the wrong group's lease, lease re-acquisition and
-// renewal, virtual-time advance across the lease TTL, and node kills on
-// the replicated side only — the reference, by definition, has no
-// topology.
+// seeds, writes under deliberately stale (superseded) leases, writes
+// under the wrong group's lease, lease revocation (a release at the
+// service, which the holder keeps writing with) and re-acquisition, and
+// node kills on the replicated side only — the reference, by
+// definition, has no topology.
 //
 // Node failure discipline: a kill is only injected while every shard
 // the victim owns has another live owner (Replicas >= 1 and at least two
@@ -35,7 +35,6 @@ package dualtest
 import (
 	"bytes"
 	"fmt"
-	"time"
 
 	"cntr/internal/blobstore"
 	"cntr/internal/cachesvc"
@@ -61,29 +60,26 @@ type Options struct {
 // workload actually covered the interesting machinery.
 type Result struct {
 	Ops, Gets, Hits, Puts, Invals, Seeds int
-	StaleWrites, ExpiredWrites           int
-	WrongGroupWrites                     int
-	Fenced                               int64
-	Reacquires, Renews, ClockAdvances    int
-	Kills                                int
+	StaleWrites, WrongGroupWrites        int
+	// StaleFenced counts fenced writes under a superseded grant;
+	// RevokedFenced those under the current grant after its release.
+	StaleFenced, RevokedFenced int
+	Reacquires, Revokes        int
+	Kills                      int
 }
 
 type side struct {
 	svc    *cachesvc.Service
-	clock  *sim.Clock
 	leases map[int]cachesvc.Lease
 	stale  []cachesvc.Lease // superseded grants, kept to write with
 }
 
-func newSide(nodes, replicas, shards, groups int) *side {
-	clock := sim.NewClock()
+func newSide(nodes, replicas, shards int) *side {
 	return &side{
 		svc: cachesvc.New(cachesvc.Options{
 			Shards:   shards,
-			Groups:   groups,
 			Nodes:    nodes,
 			Replicas: replicas,
-			Clock:    clock,
 			// Ample capacity: the regime is eviction-free (asserted
 			// below). A shard's primary decides its evictions, but after
 			// a kill the promoted replica's LRU order is the order its
@@ -91,7 +87,6 @@ func newSide(nodes, replicas, shards, groups int) *side {
 			// the two sides may evict different entries.
 			ShardCapacity: 1 << 30,
 		}),
-		clock:  clock,
 		leases: make(map[int]cachesvc.Lease),
 	}
 }
@@ -139,12 +134,13 @@ func Run(opts Options) (Result, error) {
 	if opts.Keys <= 0 {
 		opts.Keys = 160
 	}
-	const shards, groups = 16, 4
+	const shards = 16
 
 	var res Result
 	r := sim.NewRand(opts.Seed)
-	rep := newSide(opts.Nodes, opts.Replicas, shards, groups)
-	ref := newSide(1, 0, shards, groups)
+	rep := newSide(opts.Nodes, opts.Replicas, shards)
+	ref := newSide(1, 0, shards)
+	groups := rep.svc.NumGroups()
 
 	for g := 0; g < groups; g++ {
 		if err := rep.acquire(g); err != nil {
@@ -174,8 +170,9 @@ func Run(opts Options) (Result, error) {
 	gen := make([]int, opts.Keys)
 
 	// mutate applies one lease-guarded mutation to both sides and
-	// checks the error classes agree. inval selects Invalidate vs Put.
-	mutate := func(op int, repL, refL cachesvc.Lease, k cachesvc.Key, v []byte, inval bool) error {
+	// checks the error classes agree, reporting whether both fenced it.
+	// inval selects Invalidate vs Put.
+	mutate := func(op int, repL, refL cachesvc.Lease, k cachesvc.Key, v []byte, inval bool) (bool, error) {
 		var repErr, refErr error
 		if inval {
 			repErr = rep.svc.Invalidate(repL, k)
@@ -185,19 +182,25 @@ func Run(opts Options) (Result, error) {
 			refErr = ref.svc.Put(refL, k, v)
 		}
 		if classify(repErr) != classify(refErr) {
-			return fmt.Errorf("op %d: mutation of %q: replicated=%s reference=%s",
+			return false, fmt.Errorf("op %d: mutation of %q: replicated=%s reference=%s",
 				op, k, classify(repErr), classify(refErr))
 		}
-		if classify(repErr) == "fenced" {
-			res.Fenced++
+		return repErr == cachesvc.ErrFenced, nil
+	}
+	// current mutates under the group's current grants, which the
+	// service fences only once a revoke released them.
+	current := func(op int, k cachesvc.Key, v []byte, inval bool) error {
+		group := rep.svc.GroupOf(k)
+		fenced, err := mutate(op, rep.leases[group], ref.leases[group], k, v, inval)
+		if fenced {
+			res.RevokedFenced++
 		}
-		return nil
+		return err
 	}
 
 	for op := 0; op < opts.Ops; op++ {
 		ki := r.Intn(opts.Keys)
 		k := key(ki)
-		group := rep.svc.GroupOf(k)
 		roll := r.Intn(1000)
 		switch {
 		case roll < 350: // read
@@ -217,13 +220,12 @@ func Run(opts Options) (Result, error) {
 		case roll < 600: // lease-guarded write with the current grants
 			res.Puts++
 			gen[ki]++
-			v := val(ki, gen[ki])
-			if err := mutate(op, rep.leases[group], ref.leases[group], k, v, false); err != nil {
+			if err := current(op, k, val(ki, gen[ki]), false); err != nil {
 				return res, err
 			}
 		case roll < 660: // invalidate
 			res.Invals++
-			if err := mutate(op, rep.leases[group], ref.leases[group], k, nil, true); err != nil {
+			if err := current(op, k, nil, true); err != nil {
 				return res, err
 			}
 		case roll < 710: // epoch-free administrative seed
@@ -244,20 +246,20 @@ func Run(opts Options) (Result, error) {
 			if repL.Group != rep.svc.GroupOf(k) {
 				res.WrongGroupWrites++
 			}
-			if err := mutate(op, repL, refL, k, val(ki, gen[ki]), false); err != nil {
+			fenced, err := mutate(op, repL, refL, k, val(ki, gen[ki]), false)
+			if err != nil {
 				return res, err
 			}
-		case roll < 820: // advance virtual time (lease aging, expiry chaos)
-			res.ClockAdvances++
-			// Up to 1.25x the 5s default TTL per step, so expiry lands at,
-			// before, and exactly on the deadline across a run.
-			step := time.Duration(r.Intn(5)+1) * (5 * time.Second / 4)
-			rep.clock.Advance(step)
-			ref.clock.Advance(step)
-		case roll < 850: // write with whatever grant we hold — possibly expired
-			res.ExpiredWrites++
-			if err := mutate(op, rep.leases[group], ref.leases[group], k, val(ki, gen[ki]), false); err != nil {
-				return res, err
+			if fenced {
+				res.StaleFenced++
+			}
+		case roll < 820: // revoke one group's grant; the holder keeps it
+			res.Revokes++
+			g := r.Intn(groups)
+			repErr, refErr := rep.svc.Release(rep.leases[g]), ref.svc.Release(ref.leases[g])
+			if repErr != refErr {
+				return res, fmt.Errorf("op %d: release group %d: replicated err=%v reference err=%v",
+					op, g, repErr, refErr)
 			}
 		case roll < 890: // re-acquire one group (stash the superseded grant)
 			res.Reacquires++
@@ -267,19 +269,6 @@ func Run(opts Options) (Result, error) {
 			}
 			if err := ref.acquire(g); err != nil {
 				return res, err
-			}
-		case roll < 920: // renew all grants; verdicts must agree
-			res.Renews++
-			for g := 0; g < groups; g++ {
-				repRenewed, repErr := rep.svc.Renew(rep.leases[g])
-				refRenewed, refErr := ref.svc.Renew(ref.leases[g])
-				if (repErr == nil) != (refErr == nil) {
-					return res, fmt.Errorf("op %d: renew group %d: replicated err=%v reference err=%v",
-						op, g, repErr, refErr)
-				}
-				if repErr == nil {
-					rep.leases[g], ref.leases[g] = repRenewed, refRenewed
-				}
 			}
 		case roll < 998: // presence probe
 			if repOK, refOK := rep.svc.Contains(k), ref.svc.Contains(k); repOK != refOK {

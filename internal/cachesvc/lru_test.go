@@ -18,7 +18,7 @@ import (
 func TestReplicasEvictAsThePrimaryDecides(t *testing.T) {
 	for _, nodes := range []int{2, 3} {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
-			svc := New(Options{Shards: 1, Groups: 1, Nodes: nodes, Replicas: nodes - 1, ShardCapacity: 4096})
+			svc := New(Options{Shards: 1, Nodes: nodes, Replicas: nodes - 1, ShardCapacity: 4096})
 			key := func(i int) Key { return Key{'c', fmt.Sprintf("chunk-%d", i)} }
 			val := make([]byte, 1000)
 			for i := 1; i <= 4; i++ {

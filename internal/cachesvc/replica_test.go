@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"cntr/internal/blobstore"
 	"cntr/internal/sim"
@@ -37,7 +36,7 @@ func sumNodeFenced(svc *Service) int64 {
 }
 
 // TestFencingMatrixPerReplica is the per-replica fencing pin: across
-// replication configurations, a stale-epoch write and an expired-lease
+// replication configurations, a stale-epoch write and a released-lease
 // write are both dropped on the primary AND every replica — the value
 // lands on no copy, the service-level counter stays mutation-granular,
 // and each hosting node counts its own drop (per-node sum = mutations
@@ -52,8 +51,7 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("nodes=%d_replicas=%d", tc.nodes, tc.replicas), func(t *testing.T) {
-			clock := sim.NewClock()
-			svc := New(Options{Nodes: tc.nodes, Replicas: tc.replicas, Clock: clock})
+			svc := New(Options{Nodes: tc.nodes, Replicas: tc.replicas})
 			key := ChunkKey("fencing-matrix")
 			copies := tc.replicas + 1
 			if got := len(ownersOf(svc, key)); got != copies {
@@ -82,21 +80,20 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 				}
 			}
 
-			// Expired lease: the current grant ages past its deadline.
-			clock.Advance(10 * time.Second)
-			if err := svc.Put(cur, key, []byte("expired")); err != ErrFenced {
-				t.Fatalf("expired-lease put: got %v, want ErrFenced", err)
+			// Released lease: the service revokes the current grant.
+			if err := svc.Release(cur); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.Put(cur, key, []byte("released")); err != ErrFenced {
+				t.Fatalf("released-lease put: got %v, want ErrFenced", err)
 			}
 			if svc.Contains(key) {
-				t.Fatal("expired write landed on some copy")
+				t.Fatal("released write landed on some copy")
 			}
 
 			st := svc.Stats()
 			if st.FencedWrites != 2 {
 				t.Fatalf("Stats.FencedWrites = %d, want 2 (mutation-granular)", st.FencedWrites)
-			}
-			if st.Expirations != 1 {
-				t.Fatalf("Expirations = %d, want 1", st.Expirations)
 			}
 			// Per-node: each of the shard's copies counted each drop.
 			if got, want := sumNodeFenced(svc), int64(2*copies); got != want {

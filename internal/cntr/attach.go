@@ -60,8 +60,9 @@ type Options struct {
 	// CacheService, when set, attaches the session to a shared cache
 	// tier: epoch leases are acquired at attach time (one per shard
 	// group) and released on Close. The session exposes the client as
-	// Session.Mount.CacheCl; a lease that expires mid-session fences
-	// that mount's tier publishes until CacheCl.Attach mints fresh epochs.
+	// Session.Mount.CacheCl; a lease the service releases mid-session
+	// fences that mount's tier publishes until CacheCl.Attach mints fresh
+	// epochs.
 	CacheService *cachesvc.Service
 	// CacheMountID names this session to the cache service; defaults to
 	// the container reference.

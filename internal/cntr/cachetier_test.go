@@ -11,7 +11,7 @@ import (
 // them all.
 func TestSessionLeaseLifecycle(t *testing.T) {
 	h, _, _ := testWorld(t)
-	tier := cachesvc.New(cachesvc.Options{Shards: 8, Groups: 4})
+	tier := cachesvc.New(cachesvc.Options{Shards: 8})
 
 	sess, err := Attach(h, Options{Container: "db", Fat: "tools", CacheService: tier})
 	if err != nil {

@@ -191,7 +191,7 @@ func TestAttachFailureReleasesLeases(t *testing.T) {
 	if _, err := h.Procs.Cgroups.Create(slim.CgroupPath, cgroup.Limits{PidsMax: 1}); err != nil {
 		t.Fatal(err)
 	}
-	tier := cachesvc.New(cachesvc.Options{Shards: 8, Groups: 4})
+	tier := cachesvc.New(cachesvc.Options{Shards: 8})
 	// The processes left are what ls /proc lists.
 	listProcs := func() int {
 		ents, err := vfs.NewClient(h.Procs.Snapshot(), vfs.Root()).ReadDir("/")

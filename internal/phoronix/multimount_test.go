@@ -99,15 +99,13 @@ var wbFencedTiers = []fleetTier{{"single-node", 1, 0}, {"replicated-r2", 3, 2}}
 var writebackFenced = perProcs(func() ([]wbFenced, error) { return each(wbFencedTiers, runWritebackFenced) })
 
 // runWritebackFenced partitions a mount mid-write-back: dirty data sits in
-// the FUSE writeback window while the mount's leases expire on the service
-// side, and the fsync-driven flush then reaches the store with a stale
+// the FUSE writeback window while the service revokes the mount's leases,
+// and the fsync-driven flush then reaches the store with a released
 // epoch. The mount then reattaches and writes a fresh file.
 func runWritebackFenced(tier fleetTier) (wbFenced, error) {
 	var r wbFenced
 	cas := blobstore.NewCAS(blobstore.CASOptions{})
-	svc := cachesvc.New(cachesvc.Options{
-		LeaseTTL: time.Second, Nodes: tier.nodes, Replicas: tier.replicas,
-	})
+	svc := cachesvc.New(cachesvc.Options{Nodes: tier.nodes, Replicas: tier.replicas})
 	cfg := stackConfig()
 	cfg.Store = cas
 	cfg.CacheService = svc
@@ -128,10 +126,14 @@ func runWritebackFenced(tier fleetTier) (wbFenced, error) {
 	}
 	r.early = cas.Stats().PhysicalBytes
 
-	// The partition: the service ages past the lease TTL while the dirty
-	// window is still in flight. The mount's own clock is untouched — it
-	// has no idea.
-	svc.Clock().Advance(2 * time.Second)
+	// The partition: the service releases the mount's leases while the
+	// dirty window is still in flight. The mount has no idea.
+	for g := 0; g < svc.NumGroups(); g++ {
+		l, _ := c.CacheCl.Lease(g)
+		if err := svc.Release(l); err != nil {
+			return r, err
+		}
+	}
 
 	start := c.Clock.Now()
 	if err := f.Sync(); err != nil { // drives the flush down the stack
