@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"cntr/internal/sim"
 )
@@ -196,17 +195,6 @@ func TestCASVerifyCorrupt(t *testing.T) {
 	}
 }
 
-func TestCASHashCharge(t *testing.T) {
-	clock := sim.NewClock()
-	model := sim.DefaultCostModel()
-	s := NewCAS(CASOptions{Clock: clock, Model: model})
-	before := clock.Now()
-	s.Put(bytes.Repeat([]byte("h"), 64<<10))
-	if clock.Now() == before {
-		t.Fatal("Put of 64KB must charge hashing time")
-	}
-}
-
 func TestDirDiskCharge(t *testing.T) {
 	clock := sim.NewClock()
 	model := sim.DefaultCostModel()
@@ -342,14 +330,4 @@ func TestDedupRatioEmpty(t *testing.T) {
 	if r := cas.Stats().DedupRatio(); r != 1.0 {
 		t.Fatalf("emptied CAS ratio = %v, want 1.0", r)
 	}
-}
-
-// TestHashCostScales sanity-checks the sim cost hook blobstore charges.
-func TestHashCostScales(t *testing.T) {
-	m := sim.DefaultCostModel()
-	small, big := m.HashCost(4<<10), m.HashCost(4<<20)
-	if small <= 0 || big <= small {
-		t.Fatalf("HashCost(4KB)=%v HashCost(4MB)=%v", small, big)
-	}
-	_ = time.Duration(0)
 }

@@ -4,8 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
-
-	"cntr/internal/sim"
 )
 
 // CASOptions configures a content-addressed chunk store.
@@ -15,11 +13,6 @@ type CASOptions struct {
 	// itself accepts blobs of any length; ChunkSize is advertised
 	// through the Chunker interface.
 	ChunkSize int
-	// Clock and Model, when both set, charge the hashing cost of Put
-	// and verified Get in virtual time, keeping CAS-backed stacks
-	// benchmarkable in the same currency as the disk model.
-	Clock *sim.Clock
-	Model *sim.CostModel
 }
 
 // CAS is the content-addressed chunk store: blobs are SHA-256
@@ -50,17 +43,9 @@ func NewCAS(opts CASOptions) *CAS {
 // ChunkSize implements Chunker.
 func (c *CAS) ChunkSize() int { return c.opts.ChunkSize }
 
-// chargeHash advances the virtual clock by the cost of hashing n bytes.
-func (c *CAS) chargeHash(n int) {
-	if c.opts.Clock != nil && c.opts.Model != nil {
-		c.opts.Clock.Advance(c.opts.Model.HashCost(n))
-	}
-}
-
 // Put implements Store: duplicate content is absorbed into the existing
 // chunk, whose reference count grows instead of its storage.
 func (c *CAS) Put(data []byte) (Ref, error) {
-	c.chargeHash(len(data))
 	ref := Sum(data)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -89,7 +74,6 @@ func (c *CAS) Get(ref Ref) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	c.chargeHash(len(ch.data))
 	if !addresses(ref, ch.data) {
 		return nil, ErrCorrupt
 	}

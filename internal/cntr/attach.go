@@ -86,7 +86,6 @@ type Context struct {
 // the CntrFS plumbing and the interactive shell.
 type Session struct {
 	Host    *Host
-	Target  *container.Container
 	Context *Context
 
 	Proc   *proc.Process
@@ -106,11 +105,8 @@ type Session struct {
 	shell  *Shell
 
 	proxies []*socketproxy.Proxy
-	// removeIOSource unregisters this mount's /proc io feed on Close;
-	// removeExitHook and removePolicyView undo the other process-table
-	// registrations the attach made.
-	removeIOSource   func()
-	removeExitHook   func()
+	// removePolicyView undoes the process-table registration the attach
+	// made.
 	removePolicyView func()
 	closed           bool
 }
@@ -120,7 +116,7 @@ type Session struct {
 func Attach(h *Host, opts Options) (_ *Session, err error) {
 	// Step #1: resolve the container name to a pid and gather the
 	// container context from /proc.
-	ctx, target, err := resolveContext(h, opts)
+	ctx, err := resolveContext(h, opts)
 	if err != nil {
 		return nil, fmt.Errorf("cntr: resolving %q: %w", opts.Container, err)
 	}
@@ -249,43 +245,15 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 
 	// Step #4: interactive shell on a pseudo-TTY.
 	master, slave := pty.New()
-	// Feed the server's per-origin (Op.PID) request-table counters into
-	// the process table, so /proc/<pid>/io in the next snapshot shows
-	// which process moved how much data through this mount. Registered
-	// last — every fallible attach step is behind us — so no error path
-	// can leave a feed pointing at a torn-down mount; Session.Close
-	// unregisters it.
-	removeIOSource := h.Procs.AddIOSource(func() map[uint32]proc.IOCounters {
-		stats := mount.Server.OriginStats()
-		out := make(map[uint32]proc.IOCounters, len(stats))
-		for pid, s := range stats {
-			out[pid] = proc.IOCounters{
-				ReadBytes:  s.ReadBytes,
-				WriteBytes: s.WriteBytes,
-				ReadOps:    s.ReadOps,
-				WriteOps:   s.WriteOps,
-				Ops:        s.Ops,
-			}
-		}
-		return out
-	})
-	// When a process exits, fold its per-origin request-table counters
-	// into the aggregate bucket: accounting stays bounded by live
-	// processes instead of growing with every PID the mount ever served.
-	removeExitHook := h.Procs.AddExitHook(func(pid int) {
-		mount.Server.RetireOrigin(uint32(pid))
-	})
 	var removePolicyView func()
 	if opts.Trace != nil || opts.Enforce != nil {
 		removePolicyView = h.Procs.AddPolicyView(opts.Container, policyView(opts))
 	}
 	sess := &Session{
-		Host: h, Target: target, Context: ctx,
+		Host: h, Context: ctx,
 		Proc: child, Nested: nested, Client: chrooted,
 		Mount: mount, Enforcer: enforcer,
 		Master: master, slave: slave,
-		removeIOSource:   removeIOSource,
-		removeExitHook:   removeExitHook,
 		removePolicyView: removePolicyView,
 	}
 	sess.shell = NewShell(sess)
@@ -328,14 +296,14 @@ func policyView(opts Options) func() []byte {
 }
 
 // resolveContext is step #1: name → pid → full container context.
-func resolveContext(h *Host, opts Options) (*Context, *container.Container, error) {
+func resolveContext(h *Host, opts Options) (*Context, error) {
 	var pid int
 	var engineName string
 	var err error
 	if opts.Engine != "" {
 		eng, eerr := h.Runtime.Engine(opts.Engine)
 		if eerr != nil {
-			return nil, nil, eerr
+			return nil, eerr
 		}
 		pid, err = eng.ResolvePID(opts.Container)
 		engineName = opts.Engine
@@ -343,15 +311,11 @@ func resolveContext(h *Host, opts Options) (*Context, *container.Container, erro
 		pid, engineName, err = container.ResolveAnyEngine(h.Runtime, opts.Container)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p, err := h.Procs.Get(pid)
 	if err != nil {
-		return nil, nil, err
-	}
-	target, _ := h.Runtime.Get(opts.Container)
-	if target == nil {
-		target, _ = h.Runtime.ByID(opts.Container)
+		return nil, err
 	}
 	ctx := &Context{
 		PID:        pid,
@@ -364,7 +328,7 @@ func resolveContext(h *Host, opts Options) (*Context, *container.Container, erro
 		UID:        p.UID,
 		GID:        p.GID,
 	}
-	return ctx, target, nil
+	return ctx, nil
 }
 
 // toolsRoot locates the filesystem the CntrFS server exports: the fat
@@ -463,12 +427,6 @@ func (s *Session) Close() {
 	s.Master.Close()
 	s.Host.Procs.Exit(s.Proc.PID)
 	s.Mount.Close()
-	if s.removeIOSource != nil {
-		s.removeIOSource()
-	}
-	if s.removeExitHook != nil {
-		s.removeExitHook()
-	}
 	if s.removePolicyView != nil {
 		s.removePolicyView()
 	}

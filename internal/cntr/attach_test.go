@@ -103,12 +103,8 @@ func TestAttachRunsToolThroughFUSE(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	served := func() (n int64) {
-		for _, s := range sess.Mount.Server.OriginStats() {
-			n += s.Ops
-		}
-		return n
-	}
+	// An awaited request has been served by the time its caller returns.
+	served := func() int64 { return sess.Mount.Conn.Stats().Requests }
 	before := served()
 	out, err := sess.Run("gdb /var/lib/cntr/usr/sbin/mysqld")
 	if err != nil {

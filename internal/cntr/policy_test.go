@@ -23,7 +23,6 @@ func tracedProfile(t *testing.T, h *Host) *policy.Profile {
 	if _, err := sess.Client.ReadFile("/etc/gdbinit"); err != nil {
 		t.Fatal(err)
 	}
-	col.JoinOriginStats(sess.Mount.Server.OriginStats())
 
 	// The activity profile is exposed as a /proc-style file.
 	snap := h.Procs.Snapshot()
@@ -137,32 +136,6 @@ func TestAttachPolicyViewLifecycle(t *testing.T) {
 	}
 	if sess.Enforcer.Denials() != 0 {
 		t.Fatalf("merged profile denied its own recording: %+v", sess.Enforcer.Violations())
-	}
-}
-
-// TestAttachRetiresOriginsOnExit: when the injected process exits, the
-// mount drops its per-origin accounting for it, through the process
-// table's exit hooks.
-func TestAttachRetiresOriginsOnExit(t *testing.T) {
-	h, _, _ := testWorld(t)
-	sess, err := Attach(h, Options{Container: "db", Fat: "tools"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pid := uint32(sess.Proc.PID)
-	// The process-table client is not chrooted: the CntrFS mount sits at
-	// the temporary mount point. Its operations carry the process's PID.
-	cli := sess.Proc.Client()
-	if _, err := cli.ReadDir(tmpMountPoint + "/usr/bin"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sess.Mount.Server.OriginStats()[pid]; !ok {
-		t.Fatalf("no origin stats for session pid %d", pid)
-	}
-	server := sess.Mount.Server
-	sess.Close() // exits the process, firing the retire hook
-	if _, ok := server.OriginStats()[pid]; ok {
-		t.Fatalf("origin %d not retired after exit", pid)
 	}
 }
 

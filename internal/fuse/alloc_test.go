@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cntr/internal/memfs"
@@ -59,7 +60,13 @@ func TestRoundTripAllocBudget(t *testing.T) {
 	opts := DefaultMountOptions()
 	opts.ServerThreads = 4
 	opts.EntryTimeout, opts.AttrTimeout = 0, 0
-	e := mount(t, opts)
+	spy := &releaseSpy{FS: memfs.New(memfs.Options{})}
+	conn, srv := Mount(spy, sim.NewClock(), sim.DefaultCostModel(), opts)
+	t.Cleanup(func() {
+		conn.Unmount()
+		srv.Wait()
+	})
+	e := &env{conn: conn, srv: srv}
 	op := vfs.RootOp()
 
 	const payload = 128 << 10
@@ -135,9 +142,9 @@ func TestRoundTripAllocBudget(t *testing.T) {
 			// One-way: wait for the server to have dispatched the frame, so
 			// its share lands inside the measurement. The handle is bogus
 			// (EBADF below the server); the frame is what is measured.
-			before := served(e.srv)
+			before := spy.releases.Load()
 			e.conn.Release(op, 1<<40)
-			for served(e.srv) == before {
+			for spy.releases.Load() == before {
 				runtime.Gosched()
 			}
 		}},
@@ -170,6 +177,19 @@ func TestRoundTripAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.0f bytes per round trip, budget %v: a payload-sized buffer was made", tc.name, bytes, tc.maxBytes)
 		}
 	}
+}
+
+// releaseSpy counts the RELEASE calls that reach the filesystem under a
+// server: the only sign a one-way frame gives that it was served.
+type releaseSpy struct {
+	vfs.FS
+	releases atomic.Int64
+}
+
+func (s *releaseSpy) Release(op *vfs.Op, h vfs.Handle) error {
+	err := s.FS.Release(op, h)
+	s.releases.Add(1)
+	return err
 }
 
 // TestPayloadFramesBounded: a Conn keeps at most ServerThreads of the

@@ -599,8 +599,7 @@ func (c *Conn) Stats() ConnStats {
 
 // submit encodes one request into a recycled request object, charges the
 // transport's round-trip and queue-wakeup costs, and enqueues it in the
-// request table under the requesting origin (req.PID). The caller awaits
-// the returned request.
+// request table. The caller awaits the returned request.
 func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf), dataOut, dataIn int) *request {
 	p := newRequest(c, dataOut, dataIn)
 	p.unique = c.unique.Add(1)
@@ -653,11 +652,7 @@ func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *bu
 	}
 	c.clock.Advance(cost)
 
-	var origin uint32
-	if req != nil {
-		origin = req.PID
-	}
-	if !c.table.push(origin, p) {
+	if !c.table.push(p) {
 		c.inflight.Add(-1)
 		p.err = vfs.EIO // connection torn down
 	}
@@ -733,7 +728,7 @@ func (c *Conn) call(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf)
 }
 
 // oneWay queues a kernel-internal frame nobody awaits (forgets, releases,
-// interrupts; origin 0): the caller pays only the enqueue transition, and
+// interrupts): the caller pays only the enqueue transition, and
 // that is the frame's whole cost on the clock — the server thread that
 // serves it charges nothing (see worker.run) and recycles the request
 // after dispatch. An INTERRUPT goes to the head of the queue, past every
@@ -754,7 +749,7 @@ func (c *Conn) oneWay(op Opcode, nodeid vfs.Ino, dataOut int, payload func(w *bu
 	if op == OpInterrupt {
 		ok = c.table.pushInterrupt(p)
 	} else {
-		ok = c.table.push(0, p)
+		ok = c.table.push(p)
 	}
 	if !ok {
 		p.release()

@@ -348,10 +348,12 @@ func TestUnmountStopsServer(t *testing.T) {
 	model := sim.DefaultCostModel()
 	conn, srv := Mount(memfs.New(memfs.Options{}), clock, model, DefaultMountOptions())
 	cli := vfs.NewClient(conn, vfs.Root())
-	cli.WriteFile("/f", []byte("x"), 0o644)
+	if err := cli.WriteFile("/f", []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	conn.Unmount()
 	srv.Wait()
-	if served(srv) == 0 {
+	if framesSent(conn) == 0 {
 		t.Fatal("server should have processed requests")
 	}
 	conn.Unmount() // idempotent

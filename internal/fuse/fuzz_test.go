@@ -81,7 +81,7 @@ func checkDispatch(t *testing.T, frame []byte) {
 	fs := vfs.Chain(memfs.New(memfs.Options{}), calls)
 	srv := newServer(fs, sim.NewClock(), sim.DefaultCostModel(), opts, newReqTable(16))
 	wk := &worker{s: srv}
-	reply, _ := wk.dispatch(&request{frame: buf{b: frame}})
+	reply := wk.dispatch(&request{frame: buf{b: frame}})
 
 	malformed := len(frame) < reqHeaderLen || binary.LittleEndian.Uint32(frame) != uint32(len(frame))
 	var unique, nodeid uint64

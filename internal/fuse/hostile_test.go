@@ -38,7 +38,7 @@ func rawFrame(t *testing.T, conn *Conn, opcode Opcode, nodeid vfs.Ino, payload f
 	encodeReqHeader(&p.frame, opcode, conn.unique.Add(1), uint64(nodeid), nil)
 	payload(&p.frame)
 	finishFrame(&p.frame)
-	if !conn.table.push(0, p) {
+	if !conn.table.push(p) {
 		t.Fatal("push on a live table failed")
 	}
 	_, errno, _, err := decodeReply(<-p.reply)

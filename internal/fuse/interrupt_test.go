@@ -405,8 +405,8 @@ func (g *statfsGateFS) Statfs(op *vfs.Op, ino vfs.Ino) (vfs.StatfsOut, error) {
 // TestInterruptOvertakesBacklog: an INTERRUPT is the first frame the next
 // read of the queue returns, whatever its caller had queued before it.
 // Two server threads: one blocks in a read of an empty FIFO, the other is
-// parked at a gate in Statfs with four more Statfs queued behind it — all
-// from PID 0, the origin the interrupt is queued under. The reader is
+// parked at a gate in Statfs with four more Statfs queued behind it. The
+// reader is
 // canceled and the gate lets one Statfs through: the thread it frees must
 // bring in the interrupt, not the next Statfs.
 func TestInterruptOvertakesBacklog(t *testing.T) {
@@ -475,12 +475,12 @@ func TestInterruptOvertakesBacklog(t *testing.T) {
 // TestReqTableReadsInterruptsFirst is the same rule on a bare table: an
 // interrupt's push does not wait for space in a full table, and pop
 // returns it ahead of everything queued before it — then the backlog, in
-// order.
+// order. Served, the backlog leaves the table's unique map.
 func TestReqTableReadsInterruptsFirst(t *testing.T) {
 	tab := newReqTable(3)
-	backlog := []*request{{}, {}, {}}
+	backlog := []*request{{unique: 1}, {unique: 2}, {unique: 3}}
 	for _, m := range backlog {
-		tab.push(7, m)
+		tab.push(m)
 	}
 	intr := &request{}
 	pushed := make(chan bool, 1)
@@ -497,20 +497,20 @@ func TestReqTableReadsInterruptsFirst(t *testing.T) {
 		t.Fatalf("depth = %d, want 4", got)
 	}
 	for i, want := range append([]*request{intr}, backlog...) {
-		m, origin, ok := tab.pop()
+		m, ok := tab.pop()
 		if !ok || m != want {
 			t.Fatalf("pop %d returned the wrong frame (ok=%v)", i, ok)
 		}
-		tab.done(origin, m.unique, ioAcct{})
+		tab.done(m.unique)
 	}
-	if got := tab.originStats(); got[0].Ops != 1 || got[7].Ops != 3 {
-		t.Fatalf("accounting = %+v, want one op for origin 0 and three for origin 7", got)
+	if got := tab.depth(); got != 0 {
+		t.Fatalf("depth = %d after serving everything, want 0", got)
 	}
 	tab.mu.Lock()
-	live := len(tab.origins)
+	live := len(tab.live)
 	tab.mu.Unlock()
 	if live != 0 {
-		t.Fatalf("%d origins left with an outstanding count, want 0", live)
+		t.Fatalf("%d requests left mapped, want 0", live)
 	}
 	tab.close()
 	if tab.pushInterrupt(&request{}) {

@@ -94,8 +94,8 @@ func TestOneWayFramesChargeOnlyTheEnqueue(t *testing.T) {
 
 				// CREATE, RELEASE, two GETATTRs, the prepared handles, the
 				// row's frames and its GETATTR.
-				if want := int64(4 + len(hs) + n + 1); served(srv) != want {
-					t.Fatalf("the server served %d frames, want %d", served(srv), want)
+				if want := int64(4 + len(hs) + n + 1); framesSent(c) != want {
+					t.Fatalf("the server served %d frames, want %d", framesSent(c), want)
 				}
 				if want := n*model.ContextSwitch + alone; got != want {
 					t.Fatalf("%d %s frames and a GETATTR advanced the clock %v, want %v (%d enqueues of %v and the GETATTR's %v): %v more",
@@ -120,54 +120,13 @@ func openN(t *testing.T, n int, open func() (vfs.Handle, error)) []vfs.Handle {
 	return hs
 }
 
-// served sums every origin's Ops: the frames srv's workers have popped,
-// each of which ends in the request table's done. It reads the table in
-// place, so an allocation budget may call it.
-func served(srv *Server) int64 {
-	t := srv.table
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// framesSent sums c's frames of every opcode, one-way frames included.
+// After Server.Wait has drained the table, it is the count the server
+// served.
+func framesSent(c *Conn) int64 {
 	var n int64
-	for _, s := range t.stats {
-		n += s.Ops
+	for _, f := range c.Stats().Frames {
+		n += f
 	}
 	return n
-}
-
-// TestOriginOpsCountEveryFrame pins the invariant the server's frame
-// count rests on: a two-way frame, a one-way frame and an INTERRUPT each
-// add exactly one to the sum of OriginStats' Ops (served). One server thread pops
-// the one FIFO in order, so a GETATTR sent after a one-way frame returns
-// only once that frame has been served and accounted.
-func TestOriginOpsCountEveryFrame(t *testing.T) {
-	op := vfs.RootOp()
-	opts := DefaultMountOptions()
-	opts.ServerThreads = 1
-	opts.AttrTimeout = 0 // every GETATTR is a frame
-	conn, srv := Mount(memfs.New(memfs.Options{}), sim.NewClock(), sim.DefaultCostModel(), opts)
-	defer func() {
-		conn.Unmount()
-		srv.Wait()
-	}()
-	getattr := func() {
-		t.Helper()
-		if _, err := conn.Getattr(op, vfs.RootIno); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base := served(srv)
-	getattr()
-	if got := served(srv) - base; got != 1 {
-		t.Fatalf("a GETATTR added %d to the origins' Ops, want 1", got)
-	}
-	conn.Release(op, 1<<40) // one-way; the handle is bogus, the frame is what counts
-	getattr()
-	if got := served(srv) - base; got != 3 {
-		t.Fatalf("a RELEASE and a GETATTR after the first: %d Ops in all, want 3", got)
-	}
-	conn.oneWay(OpInterrupt, 0, 0, func(w *buf) { w.u64(conn.unique.Load() + 100) })
-	getattr()
-	if got := served(srv) - base; got != 5 {
-		t.Fatalf("an INTERRUPT and a GETATTR after them: %d Ops in all, want 5", got)
-	}
 }

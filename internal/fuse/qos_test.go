@@ -1,7 +1,6 @@
 package fuse
 
 import (
-	"bytes"
 	"slices"
 	"sync"
 	"testing"
@@ -121,46 +120,6 @@ func TestMountServesArrivalOrder(t *testing.T) {
 
 	if got := gate.served()[threads:]; !slices.Equal(got, want) {
 		t.Fatalf("served order differs from arrival order\n served  %v\n arrived %v", got, want)
-	}
-}
-
-// TestOriginStatsAccounting: the request table attributes completed ops
-// and payload bytes to the origin PID carried in the request header.
-func TestOriginStatsAccounting(t *testing.T) {
-	e := mount(t, DefaultMountOptions())
-	op := vfs.NewOp(nil, vfs.Root())
-	op.PID = 7
-
-	attr, _, err := e.conn.Create(op, vfs.RootIno, "f", 0o644, vfs.OWronly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = attr
-	h, err := e.conn.Open(op, attr.Ino, vfs.ORdwr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte("x"), 10<<10)
-	if _, err := e.conn.Write(op, h, 0, payload); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, len(payload))
-	if _, err := e.conn.Read(op, h, 0, buf); err != nil {
-		t.Fatal(err)
-	}
-
-	stats := e.srv.OriginStats()[7]
-	if stats.WriteBytes != int64(len(payload)) || stats.WriteOps != 1 {
-		t.Fatalf("write accounting = %+v", stats)
-	}
-	if stats.ReadBytes != int64(len(payload)) || stats.ReadOps != 1 {
-		t.Fatalf("read accounting = %+v", stats)
-	}
-	if stats.Ops < 4 { // create, open, write, read
-		t.Fatalf("ops = %d, want >= 4", stats.Ops)
-	}
-	if _, ok := e.srv.OriginStats()[9999]; ok {
-		t.Fatal("phantom origin in stats")
 	}
 }
 

@@ -183,14 +183,14 @@ func TestReaddirPlusInFlightUnlink(t *testing.T) {
 		defer close(exited)
 		wk := &worker{s: srv}
 		for {
-			msg, origin, ok := table.pop()
+			msg, ok := table.pop()
 			if !ok {
 				return
 			}
 			var h ReqHeader
 			decodeReqHeader(msg.frame.b, &h, &rdr{})
-			reply, acct := wk.dispatch(msg)
-			table.done(origin, msg.unique, acct)
+			reply := wk.dispatch(msg)
+			table.done(msg.unique)
 			if msg.oneWay {
 				msg.release()
 				continue

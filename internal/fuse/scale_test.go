@@ -6,16 +6,13 @@ import (
 	"time"
 )
 
-// TestManyOriginStress hammers the table from concurrent pushers,
-// workers and retire calls, with interrupts in the mix — the
-// race-detector workout for its one lock and two condition variables —
-// and then checks conservation: every pushed frame is dispatched exactly
-// once, an origin never retired has every one of its frames in its Ops
-// (a retired one at most those), and no origin is left with an
-// outstanding count.
+// TestManyOriginStress hammers the table from concurrent pushers — many
+// processes' requests — and workers, with interrupts in the mix: the
+// race-detector workout for its one lock and two condition variables.
+// It then checks conservation: every pushed frame is dispatched exactly
+// once, the queue drains, and no request is left mapped.
 func TestManyOriginStress(t *testing.T) {
 	const (
-		origins   = 2000
 		pushers   = 8
 		workers   = 6
 		perPusher = 4000
@@ -23,23 +20,21 @@ func TestManyOriginStress(t *testing.T) {
 	tab := newReqTable(512)
 
 	var servedMu sync.Mutex
-	servedCount := make(map[uint32]int64)
-	retired := make(map[uint32]bool) // guarded by servedMu
-
+	servedCount := make(map[uint64]int) // by unique; interrupts under 0
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				msg, origin, ok := tab.pop()
+				msg, ok := tab.pop()
 				if !ok {
 					return
 				}
 				servedMu.Lock()
-				servedCount[origin]++
+				servedCount[msg.unique]++
 				servedMu.Unlock()
-				tab.done(origin, msg.unique, ioAcct{readBytes: 64, isRead: true})
+				tab.done(msg.unique)
 			}
 		}()
 	}
@@ -47,35 +42,22 @@ func TestManyOriginStress(t *testing.T) {
 	var pwg sync.WaitGroup
 	for p := 0; p < pushers; p++ {
 		pwg.Add(1)
-		go func(seed uint32) {
+		go func(p int) {
 			defer pwg.Done()
-			// Cheap deterministic LCG so the origin mix differs per pusher
-			// without pulling in math/rand.
-			x := seed*2654435761 + 1
 			for i := 0; i < perPusher; i++ {
-				x = x*1664525 + 1013904223
-				origin := x%origins + 1
-				ok := false
+				var ok bool
 				if i%61 == 0 {
-					// An interrupt: read first, accounted under origin 0.
+					// An interrupt: read first, never mapped.
 					ok = tab.pushInterrupt(&request{})
 				} else {
-					ok = tab.push(origin, &request{})
+					ok = tab.push(&request{unique: uint64(p*perPusher + i + 1)})
 				}
 				if !ok {
 					t.Error("push failed before close")
 					return
 				}
-				if i%97 == 0 {
-					// Retire a random origin mid-flight; recycled PIDs must
-					// still account correctly.
-					servedMu.Lock()
-					retired[x%origins] = true
-					servedMu.Unlock()
-					tab.retire(x % origins)
-				}
 			}
-		}(uint32(p + 1))
+		}(p)
 	}
 	pwg.Wait()
 
@@ -90,29 +72,24 @@ func TestManyOriginStress(t *testing.T) {
 	tab.close()
 	wg.Wait()
 
-	var total int64
 	servedMu.Lock()
-	for _, n := range servedCount {
-		total += n
+	defer servedMu.Unlock()
+	const interrupts = pushers * ((perPusher + 60) / 61) // every 61st, from 0
+	if got := servedCount[0]; got != interrupts {
+		t.Fatalf("served %d interrupts, pushed %d", got, interrupts)
 	}
-	servedMu.Unlock()
-	if want := int64(pushers * perPusher); total != want {
-		t.Fatalf("served %d requests, pushed %d", total, want)
+	if want := pushers*perPusher - interrupts; len(servedCount)-1 != want {
+		t.Fatalf("served %d distinct requests, pushed %d", len(servedCount)-1, want)
 	}
-	// A retire drops an origin's counters, so only a never-retired
-	// origin's Ops must equal its dispatches exactly.
-	stats := tab.originStats()
-	for origin, n := range servedCount {
-		if ops := stats[origin].Ops; ops != n && (!retired[origin] || ops > n) {
-			t.Fatalf("origin %d: %d ops recorded, %d served (retired: %v)", origin, ops, n, retired[origin])
+	for unique, n := range servedCount {
+		if unique != 0 && n != 1 {
+			t.Fatalf("request %d served %d times, want once", unique, n)
 		}
 	}
-	// Idle origins leave the table at scale too: with everything served,
-	// no origin has a request outstanding.
 	tab.mu.Lock()
-	live := len(tab.origins)
+	live := len(tab.live)
 	tab.mu.Unlock()
 	if live != 0 {
-		t.Fatalf("%d origins left with an outstanding count, want 0", live)
+		t.Fatalf("%d requests left mapped, want 0", live)
 	}
 }

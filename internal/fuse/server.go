@@ -15,10 +15,7 @@ import (
 // implementation. In the paper this is the CNTRFS server process running
 // in the fat container or on the host. All workers read the one request
 // table, as the paper's threads read one /dev/fuse: it hands them
-// requests in arrival order, interrupts first. The table also holds
-// every per-frame count the server keeps: each frame a worker pops,
-// one-way frames and interrupts included, adds one to its origin's Ops
-// (OriginStats).
+// requests in arrival order, interrupts first.
 type Server struct {
 	fs    vfs.FS
 	clock *sim.Clock
@@ -135,21 +132,6 @@ func (s *Server) Wait() {
 	}
 }
 
-// OriginStats snapshots the request table's per-origin (Op.PID)
-// completion counters — the data source for /proc-style per-process I/O
-// accounting and for policy generation.
-func (s *Server) OriginStats() map[uint32]OriginStats {
-	return s.table.originStats()
-}
-
-// RetireOrigin drops the counters of an exited origin (Op.PID), so
-// per-origin accounting stays bounded by the number of *live* processes
-// rather than every PID ever served. The process table's exit hooks
-// call it when a process unregisters.
-func (s *Server) RetireOrigin(origin uint32) {
-	s.table.retire(origin)
-}
-
 // Steals is always zero: the request table is one queue, so there is
 // nothing to steal. It remains for its one caller, bench/trace.go's
 // fuse.steals counter, and goes when that does.
@@ -172,7 +154,7 @@ type worker struct {
 }
 
 // run is the thread's loop: pop the request table's next request,
-// dispatch it, account it, reply.
+// dispatch it, reply.
 //
 // A request someone awaits pays the per-request server cost: the worker
 // wakeup plus cacheline contention on the shared device queue, growing
@@ -187,7 +169,7 @@ func (wk *worker) run() {
 	s := wk.s
 	defer s.wg.Done()
 	for {
-		msg, origin, ok := s.table.pop()
+		msg, ok := s.table.pop()
 		if !ok {
 			return
 		}
@@ -198,28 +180,19 @@ func (wk *worker) run() {
 			}
 			s.clock.Advance(cost)
 		}
-		reply, acct := wk.dispatch(msg)
-		// Account completion before delivering the reply, so a caller
-		// that awaited the request observes its own operation in the
-		// origin counters.
-		s.table.done(origin, msg.unique, acct)
+		reply := wk.dispatch(msg)
 		if msg.oneWay {
 			msg.release() // nobody awaits it: the server is its last owner
 			continue
 		}
+		// Unmap the request while it is still the worker's: once
+		// answered, it may be recycled under a new unique.
+		s.table.done(msg.unique)
 		// The send hands the request back to its awaiter; it must be the
 		// worker's last touch.
 		msg.out = reply
 		msg.reply <- reply
 	}
-}
-
-// ioAcct is the per-request accounting dispatch reports to the table.
-type ioAcct struct {
-	readBytes  int64
-	writeBytes int64
-	isRead     bool
-	isWrite    bool
 }
 
 // serverCred reconstructs the credential the server impersonates for a
@@ -437,20 +410,19 @@ func (s *Server) hostFlags(opcode Opcode, flags vfs.OpenFlags) vfs.OpenFlags {
 // opcode has no reply. The filesystem is called under msg's own
 // context, which an INTERRUPT frame (processed by a sibling worker)
 // cancels through the request table.
-func (wk *worker) dispatch(msg *request) ([]byte, ioAcct) {
+func (wk *worker) dispatch(msg *request) []byte {
 	s, h, r, w := wk.s, &wk.hdr, &wk.r, &wk.w
 	defer wk.clear()
-	var acct ioAcct
 	w.b = frameBuf(msg.out, 0)
 	beginReply(w)
 	if err := decodeReqHeader(msg.frame.b, h, r); err != nil {
-		return finishReply(w, h.Unique, vfs.EINVAL), acct
+		return finishReply(w, h.Unique, vfs.EINVAL)
 	}
 	if h.Opcode == OpInterrupt {
 		if target := r.u64(); !r.bad {
 			s.table.interrupt(target)
 		}
-		return nil, acct // one-way
+		return nil // one-way
 	}
 	serverCred(&wk.cred, h.UID, h.GID, h.Groups)
 	op := &wk.op
@@ -475,7 +447,7 @@ func (wk *worker) dispatch(msg *request) ([]byte, ioAcct) {
 			s.closeFiles(op, ino)
 			s.fs.Forget(op, ino, nlookup)
 		}
-		return nil, acct // one-way
+		return nil // one-way
 
 	case OpBatchForget:
 		n := int(r.u32())
@@ -488,7 +460,7 @@ func (wk *worker) dispatch(msg *request) ([]byte, ioAcct) {
 			s.closeFiles(op, target)
 			s.fs.Forget(op, target, nlookup)
 		}
-		return nil, acct // one-way
+		return nil // one-way
 
 	case OpGetattr:
 		attr, err := s.fs.Getattr(op, ino)
@@ -650,7 +622,6 @@ func (wk *worker) dispatch(msg *request) ([]byte, ioAcct) {
 		if err == nil {
 			w.u32(uint32(n))
 			w.b = w.b[:data+n]
-			acct.isRead, acct.readBytes = true, int64(n)
 		}
 		opErr = err
 
@@ -668,7 +639,6 @@ func (wk *worker) dispatch(msg *request) ([]byte, ioAcct) {
 		n, err := s.fs.Write(op, handle, off, data)
 		if err == nil {
 			w.u32(uint32(n))
-			acct.isWrite, acct.writeBytes = true, int64(n)
 		}
 		opErr = err
 
@@ -833,9 +803,9 @@ func (wk *worker) dispatch(msg *request) ([]byte, ioAcct) {
 	}
 	if opErr != nil {
 		w.b = w.b[:respHeaderLen]
-		return finishReply(w, h.Unique, vfs.ToErrno(opErr)), ioAcct{}
+		return finishReply(w, h.Unique, vfs.ToErrno(opErr))
 	}
-	return finishReply(w, h.Unique, vfs.OK), acct
+	return finishReply(w, h.Unique, vfs.OK)
 }
 
 // clear ends a dispatch: no reference to the request's frames or

@@ -22,7 +22,7 @@ func replyingMount(t *testing.T, body func(h *ReqHeader, w *buf)) *Conn {
 	conn := newConn(sim.NewClock(), sim.DefaultCostModel(), DefaultMountOptions(), table)
 	go func() {
 		for {
-			msg, origin, ok := table.pop()
+			msg, ok := table.pop()
 			if !ok {
 				return
 			}
@@ -31,7 +31,7 @@ func replyingMount(t *testing.T, body func(h *ReqHeader, w *buf)) *Conn {
 			w := &buf{}
 			beginReply(w)
 			body(&h, w)
-			table.done(origin, msg.unique, ioAcct{})
+			table.done(msg.unique)
 			if !msg.oneWay {
 				msg.reply <- finishReply(w, h.Unique, vfs.OK)
 			}
@@ -117,12 +117,12 @@ func requestCorpus(t testing.TB) [][]byte {
 	go func() {
 		defer close(served)
 		for {
-			msg, origin, ok := table.pop()
+			msg, ok := table.pop()
 			if !ok {
 				return
 			}
 			frames = append(frames, append([]byte(nil), msg.frame.b...))
-			table.done(origin, msg.unique, ioAcct{})
+			table.done(msg.unique)
 			if msg.oneWay {
 				msg.release()
 				continue
@@ -195,7 +195,7 @@ func TestTruncatedRequestsNeverReachTheFilesystem(t *testing.T) {
 				if patched && cut >= 4 {
 					binary.LittleEndian.PutUint32(short, uint32(cut))
 				}
-				reply, _ := wk.dispatch(&request{frame: buf{b: short}})
+				reply := wk.dispatch(&request{frame: buf{b: short}})
 				if reply == nil {
 					if opcode != OpForget {
 						t.Fatalf("%v cut at %d of %d (length patched: %v): no reply", opcode, cut, len(frame), patched)

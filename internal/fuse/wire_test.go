@@ -204,13 +204,13 @@ func captureWire(t *testing.T, opts MountOptions, script func(conn *Conn, step f
 		defer close(exited)
 		wk := &worker{s: srv}
 		for {
-			msg, origin, ok := table.pop()
+			msg, ok := table.pop()
 			if !ok {
 				return
 			}
 			frames = append(frames, "> "+hex.EncodeToString(msg.frame.b))
-			reply, acct := wk.dispatch(msg)
-			table.done(origin, msg.unique, acct)
+			reply := wk.dispatch(msg)
+			table.done(msg.unique)
 			if msg.oneWay {
 				msg.release()
 			} else {

@@ -145,8 +145,7 @@ type Setup struct {
 	// Seed drives the workload's random choices; zero means 42.
 	Seed uint64
 	// Record receives every operation of the row through a Run of the
-	// row's own (fresh stack, fresh inode numbers), and the mount's
-	// per-origin request counters once it has run.
+	// row's own (fresh stack, fresh inode numbers).
 	Record *policy.Collector
 	// Enforce is compiled into an enforcer at syscall entry; with Audit,
 	// off-profile operations are counted instead of denied.
@@ -237,9 +236,6 @@ func Run(b *Benchmark, s Setup) Row {
 	}
 	row.Time, row.Work, row.Err = RunOn(b, vfs.Chain(c.Top, ics...), c.Host, c.Clock, c.Model, c.Disk, s.Seed)
 	row.frames = c.Conn.Stats().Frames
-	if s.Record != nil {
-		s.Record.JoinOriginStats(c.Server.OriginStats())
-	}
 	if enf != nil {
 		row.Denials, row.Audited, row.Violations = enf.Denials(), enf.Audited(), enf.Violations()
 	}

@@ -28,7 +28,6 @@ import (
 	"sort"
 	"sync"
 
-	"cntr/internal/fuse"
 	"cntr/internal/vfs"
 )
 
@@ -112,17 +111,14 @@ type Run struct {
 }
 
 // activity is one origin's aggregation state. Anchors live in a
-// path-component trie — the same structure the Enforcer matches rules
-// against — so per-prefix aggregation composes into subtree rollups
-// (PrefixActivity) without scanning every anchor.
+// path-component trie, the same structure the Enforcer matches rules
+// against.
 type activity struct {
 	ops        int64
 	readBytes  int64
 	writeBytes int64
 	kinds      map[vfs.OpKind]*kindAgg
 	anchors    pathTrie[*anchorAgg]
-	transport  fuse.OriginStats
-	joined     bool
 }
 
 type kindAgg struct {
@@ -225,24 +221,9 @@ func errnoName(e vfs.Errno) string {
 	return e.Error()
 }
 
-// JoinOriginStats folds a FUSE request table's per-origin completion
-// counters (fuse.Server.OriginStats) into the matching activity
-// profiles — the transport-level view of the same traffic, joined by
-// Op.PID. Origins the collector never recorded operations of are added,
-// so kernel-side traffic (pid 0) appears too.
-func (c *Collector) JoinOriginStats(stats map[uint32]fuse.OriginStats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for pid, s := range stats {
-		a := c.origin(pid)
-		a.transport.Add(s)
-		a.joined = true
-	}
-}
-
 // Activity is the JSON-able snapshot of one origin's aggregated
-// profile: operation counts per kind (with errno histograms), per path
-// prefix, and the joined transport-level counters.
+// profile: operation counts per kind (with errno histograms) and per
+// path prefix.
 type Activity struct {
 	Origin     uint32                  `json:"origin"`
 	Ops        int64                   `json:"ops"`
@@ -250,7 +231,6 @@ type Activity struct {
 	WriteBytes int64                   `json:"write_bytes"`
 	Kinds      map[string]KindActivity `json:"kinds,omitempty"`
 	Paths      map[string]PathActivity `json:"paths,omitempty"`
-	Transport  *TransportActivity      `json:"transport,omitempty"`
 }
 
 // KindActivity aggregates one operation kind.
@@ -265,15 +245,6 @@ type PathActivity struct {
 	Kinds []string `json:"kinds"`
 	Ops   int64    `json:"ops"`
 	Bytes int64    `json:"bytes,omitempty"`
-}
-
-// TransportActivity is the joined request-table accounting.
-type TransportActivity struct {
-	Ops        int64 `json:"ops"`
-	ReadOps    int64 `json:"read_ops"`
-	WriteOps   int64 `json:"write_ops"`
-	ReadBytes  int64 `json:"read_bytes"`
-	WriteBytes int64 `json:"write_bytes"`
 }
 
 // Snapshot returns the per-origin activity profiles, sorted by origin.
@@ -305,15 +276,6 @@ func (c *Collector) Snapshot() []Activity {
 			sort.Strings(kinds)
 			act.Paths[anchor] = PathActivity{Kinds: kinds, Ops: an.ops, Bytes: an.bytes}
 		})
-		if a.joined {
-			act.Transport = &TransportActivity{
-				Ops:        a.transport.Ops,
-				ReadOps:    a.transport.ReadOps,
-				WriteOps:   a.transport.WriteOps,
-				ReadBytes:  a.transport.ReadBytes,
-				WriteBytes: a.transport.WriteBytes,
-			}
-		}
 		out = append(out, act)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })

@@ -67,16 +67,6 @@ func (p *Process) Getenv(key string) (string, bool) {
 	return "", false
 }
 
-// IOCounters is /proc/<pid>/io-style accounting for one process: bytes
-// and operations that crossed the filesystem boundary on its behalf.
-type IOCounters struct {
-	ReadBytes  int64 // rchar
-	WriteBytes int64 // wchar
-	ReadOps    int64 // syscr
-	WriteOps   int64 // syscw
-	Ops        int64 // every filesystem request, data or metadata
-}
-
 // Table is the system process table.
 type Table struct {
 	mu      sync.RWMutex
@@ -86,24 +76,9 @@ type Table struct {
 	Cgroups *cgroup.Hierarchy
 	// Profiles is the loaded MAC policy set.
 	Profiles *caps.Registry
-	// ioSources supply per-PID I/O counters for the /proc/<pid>/io view;
-	// Snapshot sums them. The canonical feed is a FUSE request table's
-	// per-origin accounting (fuse.Server.OriginStats), keyed by the
-	// Op.PID every operation carries across the wire — one source per
-	// mounted CntrFS instance.
-	ioMu      sync.Mutex
-	ioSources map[int]func() map[uint32]IOCounters
-	ioNextID  int
-
-	// exitHooks run after a process is removed from the table; FUSE
-	// request tables use them to retire the exited origin's accounting.
-	hookMu     sync.Mutex
-	exitHooks  map[int]func(pid int)
-	hookNextID int
-
 	// policyViews render per-container activity profiles into the /proc
 	// snapshot (as /policy/<name>), so tools inside the namespace can
-	// read the traced profile the same way they read /proc/<pid>/io.
+	// read the traced profile the same way they read /proc/<pid>/status.
 	policyMu     sync.Mutex
 	policyViews  map[int]policyView
 	policyNextID int
@@ -113,48 +88,6 @@ type Table struct {
 type policyView struct {
 	name   string
 	render func() []byte
-}
-
-// AddIOSource registers a per-PID I/O counter feed (e.g. one CntrFS
-// server's request-table accounting). Snapshot sums all feeds into the
-// /proc/<pid>/io files. The returned func unregisters the feed; call it
-// when the mount behind it goes away, or the table keeps the source (and
-// whatever it closes over) alive forever.
-func (t *Table) AddIOSource(src func() map[uint32]IOCounters) (remove func()) {
-	t.ioMu.Lock()
-	id := t.ioNextID
-	t.ioNextID++
-	if t.ioSources == nil {
-		t.ioSources = make(map[int]func() map[uint32]IOCounters)
-	}
-	t.ioSources[id] = src
-	t.ioMu.Unlock()
-	return func() {
-		t.ioMu.Lock()
-		delete(t.ioSources, id)
-		t.ioMu.Unlock()
-	}
-}
-
-// AddExitHook registers a function to run after a process exits and is
-// removed from the table. The canonical consumer is a FUSE mount's
-// request table, which folds the exited origin's per-PID accounting
-// into an aggregate bucket so its stats map stays bounded by live
-// processes. The returned func unregisters the hook.
-func (t *Table) AddExitHook(fn func(pid int)) (remove func()) {
-	t.hookMu.Lock()
-	id := t.hookNextID
-	t.hookNextID++
-	if t.exitHooks == nil {
-		t.exitHooks = make(map[int]func(pid int))
-	}
-	t.exitHooks[id] = fn
-	t.hookMu.Unlock()
-	return func() {
-		t.hookMu.Lock()
-		delete(t.exitHooks, id)
-		t.hookMu.Unlock()
-	}
 }
 
 // AddPolicyView registers a named activity-profile renderer; Snapshot
@@ -173,29 +106,6 @@ func (t *Table) AddPolicyView(name string, render func() []byte) (remove func())
 		delete(t.policyViews, id)
 		t.policyMu.Unlock()
 	}
-}
-
-// ioCounters merges every registered source.
-func (t *Table) ioCounters() map[uint32]IOCounters {
-	t.ioMu.Lock()
-	sources := make([]func() map[uint32]IOCounters, 0, len(t.ioSources))
-	for _, src := range t.ioSources {
-		sources = append(sources, src)
-	}
-	t.ioMu.Unlock()
-	out := make(map[uint32]IOCounters)
-	for _, src := range sources {
-		for pid, c := range src() {
-			sum := out[pid]
-			sum.ReadBytes += c.ReadBytes
-			sum.WriteBytes += c.WriteBytes
-			sum.ReadOps += c.ReadOps
-			sum.WriteOps += c.WriteOps
-			sum.Ops += c.Ops
-			out[pid] = sum
-		}
-	}
-	return out
 }
 
 // NewTable returns a table containing pid 1 (init) in the given host
@@ -245,30 +155,17 @@ func (t *Table) Spawn(parentPID int, comm string, cmdline []string) (*Process, e
 	return child, nil
 }
 
-// Exit removes the process from the table and its cgroup,
-// then runs the registered exit hooks (outside the table lock, so a hook
-// may call back into the table).
+// Exit removes the process from the table and its cgroup.
 func (t *Table) Exit(pid int) error {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	p, ok := t.procs[pid]
 	if !ok {
-		t.mu.Unlock()
 		return vfs.ESRCH
 	}
 	p.exited = true
 	delete(t.procs, pid)
 	t.Cgroups.Remove(pid)
-	t.mu.Unlock()
-
-	t.hookMu.Lock()
-	hooks := make([]func(int), 0, len(t.exitHooks))
-	for _, fn := range t.exitHooks {
-		hooks = append(hooks, fn)
-	}
-	t.hookMu.Unlock()
-	for _, fn := range hooks {
-		fn(pid)
-	}
 	return nil
 }
 
@@ -284,13 +181,13 @@ func (t *Table) Get(pid int) (*Process, error) {
 }
 
 // Snapshot materializes a /proc view of the table into a fresh in-memory
-// filesystem: /proc/<pid>/{status,cmdline,environ,cgroup,mounts} and
-// /proc/<pid>/ns/<kind>. Cntr bind-mounts such a snapshot into the nested
-// namespace so tools can observe the container's processes.
+// filesystem: /proc/<pid>/{attr_current,cgroup,cmdline,environ,mounts,
+// status} and /proc/<pid>/ns/<kind>. Cntr bind-mounts such a snapshot
+// into the nested namespace so tools can observe the container's
+// processes.
 func (t *Table) Snapshot() *memfs.FS {
 	fs := memfs.New(memfs.Options{})
 	cli := vfs.NewClient(fs, vfs.Root())
-	io := t.ioCounters()
 	t.policyMu.Lock()
 	views := make([]policyView, 0, len(t.policyViews))
 	for _, v := range t.policyViews {
@@ -309,7 +206,6 @@ func (t *Table) Snapshot() *memfs.FS {
 		dir := fmt.Sprintf("/%d", pid)
 		cli.MkdirAll(dir, 0o555)
 		cli.WriteFile(dir+"/status", []byte(renderStatus(t, p)), 0o444)
-		cli.WriteFile(dir+"/io", []byte(renderIO(io[uint32(pid)])), 0o444)
 		cli.WriteFile(dir+"/cmdline", []byte(strings.Join(p.Cmdline, "\x00")), 0o444)
 		cli.WriteFile(dir+"/environ", []byte(strings.Join(p.Env, "\x00")), 0o444)
 		cli.WriteFile(dir+"/cgroup", []byte("0::"+t.Cgroups.Of(pid)+"\n"), 0o444)
@@ -330,18 +226,6 @@ func (t *Table) Snapshot() *memfs.FS {
 		}
 	}
 	return fs
-}
-
-// renderIO formats per-process I/O accounting with /proc/<pid>/io's
-// field names (plus a total-operation count the request table knows).
-func renderIO(c IOCounters) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "rchar: %d\n", c.ReadBytes)
-	fmt.Fprintf(&b, "wchar: %d\n", c.WriteBytes)
-	fmt.Fprintf(&b, "syscr: %d\n", c.ReadOps)
-	fmt.Fprintf(&b, "syscw: %d\n", c.WriteOps)
-	fmt.Fprintf(&b, "syscalls: %d\n", c.Ops)
-	return b.String()
 }
 
 func renderStatus(t *Table, p *Process) string {

@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,6 +120,25 @@ func TestSnapshotRendersProc(t *testing.T) {
 	cgroupF, _ := cli.ReadFile("/2/cgroup")
 	if !strings.HasPrefix(string(cgroupF), "0::/") {
 		t.Fatalf("cgroup: %q", cgroupF)
+	}
+	// Each pid directory holds exactly the files Cntr reads (§3.2.1),
+	// its mount table and its status.
+	want := []string{"attr_current", "cgroup", "cmdline", "environ", "mounts", "ns", "status"}
+	for _, dir := range []string{"/1", "/2"} {
+		ents, err := cli.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			if e.Name != "." && e.Name != ".." {
+				names = append(names, e.Name)
+			}
+		}
+		slices.Sort(names)
+		if !slices.Equal(names, want) {
+			t.Fatalf("%s holds %v, want %v", dir, names, want)
+		}
 	}
 }
 

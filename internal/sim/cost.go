@@ -65,11 +65,6 @@ type CostModel struct {
 	// workloads such as gzip advance the clock with this.
 	Compute time.Duration
 
-	// HashPerKB is the cost of content-hashing one kibibyte (SHA-256 at
-	// ~2 GB/s on one core); content-addressed blob stores charge it on
-	// Put and on verified Get.
-	HashPerKB time.Duration
-
 	// NetRTT is the round-trip latency of one request to the shared
 	// cache tier over the intra-cluster network — same rack or AZ, an
 	// order of magnitude below the EBS volume's DiskSeek. The cache
@@ -98,15 +93,9 @@ func DefaultCostModel() *CostModel {
 		LockContention: 120 * time.Nanosecond,
 		XattrLookup:    5 * time.Microsecond,
 		Compute:        1 * time.Microsecond,
-		HashPerKB:      500 * time.Nanosecond,
 		NetRTT:         10 * time.Microsecond,
 		NetPerKB:       600 * time.Nanosecond, // ~1.6 GB/s cluster link
 	}
-}
-
-// HashCost returns the cost of content-hashing n bytes.
-func (m *CostModel) HashCost(n int) time.Duration {
-	return time.Duration(int64(m.HashPerKB) * int64(n) / 1024)
 }
 
 // CopyCost returns the cost of copying n bytes between address spaces.

@@ -172,12 +172,10 @@ func (r *Registry) Paths() []string {
 // socket path in another, splicing payload through a kernel pipe (no
 // userspace copies). One Proxy runs one epoll-style loop goroutine.
 type Proxy struct {
-	from     *Registry
-	fromPath string
-	to       *Registry
-	toPath   string
-	clock    *sim.Clock
-	model    *sim.CostModel
+	to     *Registry
+	toPath string
+	clock  *sim.Clock
+	model  *sim.CostModel
 
 	listener *Listener
 	wg       sync.WaitGroup
@@ -193,7 +191,7 @@ func NewProxy(from *Registry, fromPath string, to *Registry, toPath string, cloc
 		return nil, err
 	}
 	p := &Proxy{
-		from: from, fromPath: fromPath, to: to, toPath: toPath,
+		to: to, toPath: toPath,
 		clock: clock, model: model, listener: l,
 	}
 	p.wg.Add(1)

@@ -205,11 +205,6 @@ type Cntr struct {
 	Host   *memfs.FS
 	HostPC *pagecache.Cache
 	Budget *pagecache.MemBudget
-	// Tier is the wrapped store the host filesystem reads through when
-	// Config.CacheService is set, and Origin the disk that charges tier
-	// misses.
-	Tier   *cachecl.Store
-	Origin *sim.Disk
 	// Top is the filesystem workloads should use: the kernel-side cache
 	// over the FUSE mount, where a syscall enters the stack.
 	Top vfs.FS
@@ -232,22 +227,16 @@ func NewCntr(cfg Config) *Cntr {
 	// of the same window and amortizes its round trip over the same
 	// depth. Charging the same traffic through the host page cache too
 	// would double-count.
-	var (
-		tier      *cachecl.Store
-		origin    *sim.Disk
-		hostStore = cfg.Store
-		chargePC  = disk
-	)
+	hostStore, chargePC := cfg.Store, disk
 	cacheCl := tierClient(cfg, clock, model)
 	if cacheCl != nil {
-		origin = sim.NewDisk(clock, model)
+		origin := sim.NewDisk(clock, model)
 		origin.SetQueueDepth(int(cfg.ReadAhead / 4096))
 		backend := cfg.Store
 		if backend == nil {
 			backend = blobstore.NewCAS(blobstore.CASOptions{})
 		}
-		tier = cachecl.WrapStore(backend, cacheCl, cachecl.StoreOptions{Origin: origin})
-		hostStore = tier
+		hostStore = cachecl.WrapStore(backend, cacheCl, cachecl.StoreOptions{Origin: origin})
 		chargePC = nil
 	}
 	budget := pagecache.NewMemBudget(cfg.RAM)
@@ -256,7 +245,7 @@ func NewCntr(cfg Config) *Cntr {
 	m := newMount(hostPC, clock, model, cfg, budget, cacheCl)
 	return &Cntr{
 		Mount: m, Clock: clock, Model: model, Disk: disk, Host: host, HostPC: hostPC,
-		Budget: budget, Tier: tier, Origin: origin, Top: m.Kernel,
+		Budget: budget, Top: m.Kernel,
 	}
 }
 

@@ -43,7 +43,7 @@ func TestCntrStackEndToEnd(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("host view: %d bytes, %v", len(got), err)
 	}
-	if len(c.Server.OriginStats()) == 0 {
+	if c.Conn.Stats().Requests == 0 {
 		t.Fatal("requests should have crossed the FUSE boundary")
 	}
 }

@@ -505,7 +505,7 @@ func (fs *FS) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 	fs.mu.Lock()
 	h := fs.nextH
 	fs.nextH++
-	fs.handles[h] = handleRef{dir: true, upath: path, ents: all}
+	fs.handles[h] = handleRef{dir: true, ents: all}
 	fs.mu.Unlock()
 	return h, nil
 }

@@ -49,8 +49,6 @@ type handleRef struct {
 	fs  vfs.FS
 	h   vfs.Handle
 	dir bool
-	// upath is the union path for directory handles (merged readdir).
-	upath string
 	// ents caches the merged directory listing for stable offsets.
 	ents []vfs.Dirent
 }
