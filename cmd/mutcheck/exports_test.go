@@ -2,12 +2,16 @@ package main
 
 import (
 	"bufio"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,75 +24,206 @@ import (
 // tests use is decided when it lands.
 var exportReasons = map[string]bool{"oracle": true, "fault-hook": true, "interface": true, "paper": true}
 
-// programIdents parses every non-test Go file under dirs and returns the
-// exported funcs and methods declared under internal/, and the count of
-// each identifier's uses: every occurrence but a func or method
-// declaration's own name.
-func programIdents(t *testing.T, root string, dirs ...string) (declared map[string]string, uses map[string]int) {
-	t.Helper()
-	declared, uses = make(map[string]string), make(map[string]int)
+// checker type-checks a tree's non-test files from source, each package
+// once, so that a use in one package and the declaration it refers to
+// in another are the same object. Import paths under a module's path
+// are read from that module's directory; the rest (the standard
+// library) come from the source importer.
+type checker struct {
+	fset    *token.FileSet
+	std     types.Importer
+	modules map[string]string // module path → directory
+	pkgs    map[string]*types.Package
+	files   map[string][]*ast.File
+	info    *types.Info
+}
+
+func newChecker(modules map[string]string) *checker {
 	fset := token.NewFileSet()
-	for _, dir := range dirs {
-		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			name := d.Name()
-			if d.IsDir() {
-				if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			rel, _ := filepath.Rel(root, path)
-			decls := make(map[*ast.Ident]bool)
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				decls[fn.Name] = true
-				if dir == "internal" && fn.Name.IsExported() {
-					declared[fn.Name.Name] = filepath.ToSlash(rel)
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && !decls[id] {
-					uses[id.Name]++
-				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	return &checker{
+		fset:    fset,
+		std:     importer.ForCompiler(fset, "source", nil),
+		modules: modules,
+		pkgs:    make(map[string]*types.Package),
+		files:   make(map[string][]*ast.File),
+		info: &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		},
+	}
+}
+
+// dir returns the directory of a package under one of c's modules; the
+// longest module path wins, so cntr/bench is not read from cntr.
+func (c *checker) dir(path string) (string, bool) {
+	best, dir := "", ""
+	for mod, d := range c.modules {
+		if (path == mod || strings.HasPrefix(path, mod+"/")) && len(mod) > len(best) {
+			best, dir = mod, filepath.Join(d, strings.TrimPrefix(path, mod))
 		}
 	}
-	return declared, uses
+	return dir, best != ""
+}
+
+func (c *checker) Import(path string) (*types.Package, error) {
+	if pkg, ok := c.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir, ok := c.dir(path)
+	if !ok {
+		return c.std.Import(path)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range ents {
+		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			f, err := parser.ParseFile(c.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("%s: no non-test Go files in %s", path, dir)
+	}
+	pkg, err := (&types.Config{Importer: c}).Check(path, c.fset, files, c.info)
+	if err != nil {
+		return nil, err
+	}
+	c.pkgs[path], c.files[path] = pkg, files
+	return pkg, nil
+}
+
+// checkTree type-checks every package with non-test Go files under the
+// directory sub of the module at modPath, skipping testdata and hidden
+// directories.
+func (c *checker) checkTree(modPath, sub string) error {
+	root := c.modules[modPath]
+	start := filepath.Join(root, sub)
+	return filepath.WalkDir(start, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != start && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		matches, _ := filepath.Glob(filepath.Join(path, "*.go"))
+		for _, m := range matches {
+			if !strings.HasSuffix(m, "_test.go") {
+				rel, _ := filepath.Rel(root, path)
+				_, err := c.Import(strings.TrimSuffix(modPath+"/"+filepath.ToSlash(rel), "/."))
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// testOnlyFuncs returns the exported funcs and methods declared in a
+// checked package whose path has the given prefix and that no checked
+// file uses, keyed by their name (types.Func.FullName with the prefix
+// cut from every package path) and mapped to their file.
+//
+// A use is a reference to that object, including a selection through
+// an embedded field. A method also counts as used when its receiver
+// type implements an interface that asks for it: an interface type the
+// checked code writes, error, fmt.Stringer or json.Marshaler.
+func (c *checker) testOnlyFuncs(prefix string) (map[string]string, error) {
+	used := make(map[*types.Func]bool)
+	var ifaces []*types.Interface
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces = append(ifaces, it)
+		}
+	}
+	for _, obj := range c.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			used[fn.Origin()] = true
+		}
+	}
+	for _, tv := range c.info.Types {
+		if tv.IsType() {
+			addIface(tv.Type)
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for _, q := range [][2]string{{"fmt", "Stringer"}, {"encoding/json", "Marshaler"}} {
+		pkg, err := c.std.Import(q[0])
+		if err != nil {
+			return nil, err
+		}
+		addIface(pkg.Scope().Lookup(q[1]).Type())
+	}
+
+	satisfies := func(fn *types.Func) bool {
+		recv := fn.Signature().Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		if named, ok := recv.(*types.Named); !ok || named.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				// A pointer's method set holds the value's.
+				if it.Method(i).Name() == fn.Name() && types.Implements(types.NewPointer(recv), it) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	testOnly := make(map[string]string)
+	for path, files := range c.files {
+		if !strings.HasPrefix(path, prefix) {
+			continue
+		}
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := c.info.Defs[fd.Name].(*types.Func)
+				if used[fn] || fd.Recv != nil && satisfies(fn) {
+					continue
+				}
+				testOnly[strings.ReplaceAll(fn.FullName(), prefix, "")] = filepath.ToSlash(c.fset.Position(fd.Pos()).Filename)
+			}
+		}
+	}
+	return testOnly, nil
 }
 
 // TestTestOnlyExports is the regrowth guard of the subtraction pass. It
-// lists every exported func or method in internal/ whose name no
-// non-test file under internal/, cmd/, examples/ or bench/ uses, and
-// checks the list against testdata/test-only-exports.txt, where each
-// such name is given with its reason. A new export only tests reach
-// fails until it is listed with a reason (or goes); a listed name fails
-// once it is gone or a program calls it.
+// type-checks every non-test file under internal/, cmd/, examples/ and
+// the bench module, lists every exported func or method in internal/
+// that none of them uses, and checks the list against
+// testdata/test-only-exports.txt, where each such export is given with
+// its reason. A new export only tests reach fails until it is listed
+// with a reason (or goes); a listed one fails once it is gone or a
+// program uses it.
 func TestTestOnlyExports(t *testing.T) {
-	const root = "../.."
-	declared, uses := programIdents(t, root, "internal", "cmd", "examples", "bench")
-	testOnly := make(map[string]string)
-	for name, file := range declared {
-		if uses[name] == 0 {
-			testOnly[name] = file
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newChecker(map[string]string{"cntr": root, "cntr/bench": filepath.Join(root, "bench")})
+	for _, tree := range [][2]string{{"cntr", "internal"}, {"cntr", "cmd"}, {"cntr", "examples"}, {"cntr/bench", "."}} {
+		if err := c.checkTree(tree[0], tree[1]); err != nil {
+			t.Fatal(err)
 		}
+	}
+	testOnly, err := c.testOnlyFuncs("cntr/internal/")
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	const listPath = "testdata/test-only-exports.txt"
@@ -114,11 +249,8 @@ func TestTestOnlyExports(t *testing.T) {
 			t.Errorf("%s:%d: %s listed twice", listPath, line, name)
 		}
 		listed[name] = true
-		switch _, ok := declared[name]; {
-		case !ok:
-			t.Errorf("%s:%d: %s is no longer an exported func or method in internal/: drop it from the list", listPath, line, name)
-		case testOnly[name] == "":
-			t.Errorf("%s:%d: %s now has a program caller: drop it from the list", listPath, line, name)
+		if testOnly[name] == "" {
+			t.Errorf("%s:%d: %s is gone, is not a qualified name, or now has a program use: drop it from the list", listPath, line, name)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -127,11 +259,56 @@ func TestTestOnlyExports(t *testing.T) {
 	var missing []string
 	for name, file := range testOnly {
 		if !listed[name] {
-			missing = append(missing, name+" ("+file+")")
+			rel, _ := filepath.Rel(root, file)
+			missing = append(missing, name+" ("+filepath.ToSlash(rel)+")")
 		}
 	}
 	sort.Strings(missing)
 	for _, m := range missing {
 		t.Errorf("%s is exported, but only tests use it: list it in %s with its reason, or remove it", m, listPath)
+	}
+}
+
+// TestGuardFixture runs the pass over testdata/exports, a small tree in
+// which TestOnly.Name, called only by a test, shares its name with
+// Used.Name, which the program calls, and ViaInterface.Describe is
+// called only through an interface. The pass lists the first and not
+// the second; a count of identifiers by name, the guard this pass
+// replaced, sees "Name" used by the program and misses the first.
+func TestGuardFixture(t *testing.T) {
+	c := newChecker(map[string]string{"fixture": "testdata/exports"})
+	if err := c.checkTree("fixture", "."); err != nil {
+		t.Fatal(err)
+	}
+	testOnly, err := c.testOnlyFuncs("fixture/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for name := range testOnly {
+		got = append(got, name)
+	}
+	if want := []string{"(lib.TestOnly).Name"}; !slices.Equal(got, want) {
+		t.Fatalf("test-only exports %v, want %v", got, want)
+	}
+	byName := 0
+	for _, files := range c.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if fd, ok := n.(*ast.FuncDecl); ok {
+					ast.Inspect(fd.Body, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok && id.Name == "Name" {
+							byName++
+						}
+						return true
+					})
+					return false
+				}
+				return true
+			})
+		}
+	}
+	if byName == 0 {
+		t.Fatal("no program identifier is named Name: the fixture no longer shows what a count by name misses")
 	}
 }

@@ -257,12 +257,10 @@ func runSuite(o options, replay phoronix.Setup) {
 	}
 	if replay.Record != nil {
 		var lines []string
-		for _, act := range replay.Record.Snapshot() {
-			for kind, k := range act.Kinds {
-				for name, n := range k.Errnos {
-					if name != "ok" {
-						lines = append(lines, fmt.Sprintf("  %-10s %-24s %d", kind, name, n))
-					}
+		for kind, k := range replay.Record.Snapshot().Kinds {
+			for name, n := range k.Errnos {
+				if name != "ok" {
+					lines = append(lines, fmt.Sprintf("  %-10s %-24s %d", kind, name, n))
 				}
 			}
 		}
@@ -301,7 +299,7 @@ func printViolations(rows []phoronix.Row) {
 			if v.Denied {
 				verdict = "denied"
 			}
-			fmt.Printf("  %-28s %-10v %-32s pid=%d %s, %s\n", r.Name, v.Kind, v.Path, v.PID, v.Reason, verdict)
+			fmt.Printf("  %-28s %-10v %-32s %s, %s\n", r.Name, v.Kind, v.Path, v.Reason, verdict)
 		}
 	}
 }

@@ -6,7 +6,6 @@
 package cgroup
 
 import (
-	"sort"
 	"strings"
 	"sync"
 
@@ -21,26 +20,22 @@ type Limits struct {
 	PidsMax     int64
 }
 
-// Group is one node in the hierarchy.
-type Group struct {
-	path   string
+// group is one node in the hierarchy.
+type group struct {
 	limits Limits
 	procs  map[int]bool
 }
 
-// Path returns the group's hierarchy path (e.g. "/docker/<id>").
-func (g *Group) Path() string { return g.path }
-
 // Hierarchy is the cgroup tree. The zero value is not usable; call New.
 type Hierarchy struct {
 	mu     sync.RWMutex
-	groups map[string]*Group
+	groups map[string]*group
 }
 
 // New returns a hierarchy containing only the root group "/".
 func New() *Hierarchy {
-	h := &Hierarchy{groups: make(map[string]*Group)}
-	h.groups["/"] = &Group{path: "/", procs: make(map[int]bool)}
+	h := &Hierarchy{groups: make(map[string]*group)}
+	h.groups["/"] = &group{procs: make(map[int]bool)}
 	return h
 }
 
@@ -53,13 +48,13 @@ func normalize(path string) string {
 }
 
 // Create adds a group at path, creating intermediate groups as needed.
-func (h *Hierarchy) Create(path string, limits Limits) (*Group, error) {
+func (h *Hierarchy) Create(path string, limits Limits) {
 	path = normalize(path)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if g, ok := h.groups[path]; ok {
 		g.limits = limits
-		return g, nil
+		return
 	}
 	// Ensure ancestors.
 	parts := vfs.SplitPath(path)
@@ -67,12 +62,10 @@ func (h *Hierarchy) Create(path string, limits Limits) (*Group, error) {
 	for _, p := range parts[:len(parts)-1] {
 		cur += "/" + p
 		if _, ok := h.groups[cur]; !ok {
-			h.groups[cur] = &Group{path: cur, procs: make(map[int]bool)}
+			h.groups[cur] = &group{procs: make(map[int]bool)}
 		}
 	}
-	g := &Group{path: path, limits: limits, procs: make(map[int]bool)}
-	h.groups[path] = g
-	return g, nil
+	h.groups[path] = &group{limits: limits, procs: make(map[int]bool)}
 }
 
 // Delete removes an empty leaf group.
@@ -97,17 +90,6 @@ func (h *Hierarchy) Delete(path string) error {
 	}
 	delete(h.groups, path)
 	return nil
-}
-
-// Get returns the group at path.
-func (h *Hierarchy) Get(path string) (*Group, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	g, ok := h.groups[normalize(path)]
-	if !ok {
-		return nil, vfs.ENOENT
-	}
-	return g, nil
 }
 
 // Attach moves pid into the group at path, removing it from any other
@@ -149,43 +131,4 @@ func (h *Hierarchy) Of(pid int) string {
 		}
 	}
 	return "/"
-}
-
-// Procs lists the pids in the group at path, sorted.
-func (h *Hierarchy) Procs(path string) ([]int, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	g, ok := h.groups[normalize(path)]
-	if !ok {
-		return nil, vfs.ENOENT
-	}
-	out := make([]int, 0, len(g.procs))
-	for pid := range g.procs {
-		out = append(out, pid)
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// Limits returns the group's limits.
-func (h *Hierarchy) Limits(path string) (Limits, error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	g, ok := h.groups[normalize(path)]
-	if !ok {
-		return Limits{}, vfs.ENOENT
-	}
-	return g.limits, nil
-}
-
-// Paths lists all group paths, sorted.
-func (h *Hierarchy) Paths() []string {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]string, 0, len(h.groups))
-	for p := range h.groups {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

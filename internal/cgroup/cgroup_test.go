@@ -8,20 +8,13 @@ import (
 
 func TestCreateAndGet(t *testing.T) {
 	h := New()
-	g, err := h.Create("/docker/abc", Limits{MemoryBytes: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Path() != "/docker/abc" {
-		t.Fatalf("path = %s", g.Path())
-	}
+	h.Create("/docker/abc", Limits{MemoryBytes: 1 << 30})
 	// Intermediate group auto-created.
-	if _, err := h.Get("/docker"); err != nil {
+	if _, ok := h.groups["/docker"]; !ok {
 		t.Fatal("ancestor missing")
 	}
-	l, err := h.Limits("/docker/abc")
-	if err != nil || l.MemoryBytes != 1<<30 {
-		t.Fatalf("limits = %+v, %v", l, err)
+	if g := h.groups["/docker/abc"]; g == nil || g.limits.MemoryBytes != 1<<30 {
+		t.Fatalf("group = %+v", g)
 	}
 }
 
@@ -41,8 +34,7 @@ func TestAttachMovesBetweenGroups(t *testing.T) {
 	if h.Of(42) != "/b" {
 		t.Fatal("pid must move, not duplicate")
 	}
-	procs, _ := h.Procs("/a")
-	if len(procs) != 0 {
+	if len(h.groups["/a"].procs) != 0 {
 		t.Fatal("pid left behind in old group")
 	}
 }
@@ -82,6 +74,19 @@ func TestDeleteRules(t *testing.T) {
 	}
 }
 
+func TestAttachRemove(t *testing.T) {
+	h := New()
+	if err := h.Attach(7, "/ghost"); vfs.ToErrno(err) != vfs.ENOENT {
+		t.Fatalf("attach to a missing group: %v", err)
+	}
+	h.Create("/x/y", Limits{})
+	h.Attach(7, "/x/y")
+	h.Remove(7)
+	if h.Of(7) != "/" || len(h.groups["/x/y"].procs) != 0 {
+		t.Fatalf("after Remove: Of = %s, group procs %v", h.Of(7), h.groups["/x/y"].procs)
+	}
+}
+
 func TestOfDefaultsToRoot(t *testing.T) {
 	h := New()
 	if h.Of(999) != "/" {
@@ -89,26 +94,13 @@ func TestOfDefaultsToRoot(t *testing.T) {
 	}
 }
 
-func TestProcsSorted(t *testing.T) {
-	h := New()
-	h.Create("/g", Limits{})
-	for _, pid := range []int{30, 10, 20} {
-		h.Attach(pid, "/g")
-	}
-	procs, err := h.Procs("/g")
-	if err != nil || len(procs) != 3 || procs[0] != 10 || procs[2] != 30 {
-		t.Fatalf("procs = %v, %v", procs, err)
-	}
-}
-
 func TestPathsNormalized(t *testing.T) {
 	h := New()
 	h.Create("docker//x/", Limits{})
-	if _, err := h.Get("/docker/x"); err != nil {
+	if err := h.Attach(1, "/docker/x"); err != nil {
 		t.Fatal("path normalization failed")
 	}
-	paths := h.Paths()
-	if paths[0] != "/" {
-		t.Fatalf("paths = %v", paths)
+	if _, ok := h.groups["/docker/x"]; !ok {
+		t.Fatalf("groups = %v", h.groups)
 	}
 }

@@ -410,9 +410,13 @@ func (s *Session) Run(line string) (string, error) {
 }
 
 // Interactive pumps the shell over the pseudo-TTY until the input side
-// closes. Callers write command lines to Master and read output back.
+// closes or the shell exits. Callers write command lines to Master and
+// read output back; once the shell is done, Master reads end with EOF.
 func (s *Session) Interactive() {
-	go s.shell.Serve(s.slave)
+	go func() {
+		s.shell.Serve(s.slave)
+		s.slave.Close()
+	}()
 }
 
 // Close tears the session down: proxies, pty, process, FUSE mount.

@@ -3,9 +3,11 @@ package cntr
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"cntr/internal/container"
 	"cntr/internal/namespace"
+	"cntr/internal/pty"
 	"cntr/internal/vfs"
 )
 
@@ -264,7 +266,7 @@ func TestAttachWritesReachAppContainer(t *testing.T) {
 	}
 	// Visible from the application container's own namespace.
 	appProc, _ := h.Procs.Get(slim.MainPID)
-	appCli := appProc.Client()
+	appCli := namespace.NewClient(appProc.Namespaces.Mount, appProc.Cred())
 	got, err := appCli.ReadFile("/etc/my.cnf")
 	if err != nil || !strings.Contains(string(got), "tuned") {
 		t.Fatalf("app view after edit: %q %v", got, err)
@@ -403,15 +405,17 @@ func TestInteractiveShellOverPTY(t *testing.T) {
 	}
 	defer sess.Close()
 	sess.Interactive()
-	sess.Master.Write([]byte("hostname\nexit\n"))
-	buf := make([]byte, 4096)
+	// cntr's own loop: the proxy returns once the shell has exited.
 	var out strings.Builder
-	for {
-		n, err := sess.Master.Read(buf)
-		out.Write(buf[:n])
-		if err != nil || strings.Contains(out.String(), "exit") {
-			break
-		}
+	done := make(chan struct{})
+	go func() {
+		pty.Proxy(sess.Master, strings.NewReader("hostname\nexit\n"), &out)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the shell exited, but the pty's output never ended")
 	}
 	if !strings.Contains(out.String(), "db") {
 		t.Fatalf("pty transcript: %q", out.String())

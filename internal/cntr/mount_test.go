@@ -8,6 +8,7 @@ import (
 	"cntr/internal/cachesvc"
 	"cntr/internal/cgroup"
 	"cntr/internal/fuse"
+	"cntr/internal/namespace"
 	"cntr/internal/policy"
 	"cntr/internal/stack"
 	"cntr/internal/vfs"
@@ -29,7 +30,7 @@ func TestAttachWritesReachToolsSide(t *testing.T) {
 		fat   string
 		tools *vfs.Client
 	}{
-		{"fat", "tools", fatProc.Client()},
+		{"fat", "tools", namespace.NewClient(fatProc.Namespaces.Mount, fatProc.Cred())},
 		{"host", "", vfs.NewClient(h.RootFS, vfs.Root())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,7 +159,7 @@ func TestAttachedMountIsTheMeasuredMount(t *testing.T) {
 		{"traced", func(*testing.T) Options { return Options{Container: "db", Trace: col} }},
 		{"enforcing", func(t *testing.T) Options {
 			p := col.Profile(policy.GenOptions{})
-			if !p.Allows(vfs.KindCreate, "/blob") || !p.Allows(vfs.KindRead, seedPath) {
+			if !p.Compile().Allows(vfs.KindCreate, "/blob") || !p.Compile().Allows(vfs.KindRead, seedPath) {
 				t.Fatalf("the traced session recorded no create of /blob or read of %s: %+v", seedPath, p.Rules)
 			}
 			return Options{Container: "db", Enforce: p}
@@ -188,9 +189,7 @@ func TestAttachedMountIsTheMeasuredMount(t *testing.T) {
 // process is left behind.
 func TestAttachFailureReleasesLeases(t *testing.T) {
 	h, slim, _ := testWorld(t)
-	if _, err := h.Procs.Cgroups.Create(slim.CgroupPath, cgroup.Limits{PidsMax: 1}); err != nil {
-		t.Fatal(err)
-	}
+	h.Procs.Cgroups.Create(slim.CgroupPath, cgroup.Limits{PidsMax: 1})
 	tier := cachesvc.New(cachesvc.Options{Shards: 8})
 	// The processes left are what ls /proc lists.
 	listProcs := func() int {

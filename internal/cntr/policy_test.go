@@ -44,7 +44,7 @@ func TestAttachTraceGeneratesProfile(t *testing.T) {
 	if len(p.Rules) == 0 {
 		t.Fatal("empty profile from traced session")
 	}
-	if !p.Allows(vfs.KindReaddir, "/usr/bin") {
+	if !p.Compile().Allows(vfs.KindReaddir, "/usr/bin") {
 		t.Fatalf("profile misses the traced readdir: %+v", p.Rules)
 	}
 }
@@ -148,10 +148,10 @@ func TestAttachPolicyViewLifecycle(t *testing.T) {
 func TestAttachPolicySeesEveryOpen(t *testing.T) {
 	h, _, _ := testWorld(t)
 	p := tracedProfile(t, h)
-	if !p.Allows(vfs.KindOpen, "/etc/gdbinit") {
+	if !p.Compile().Allows(vfs.KindOpen, "/etc/gdbinit") {
 		t.Fatalf("the traced read of /etc/gdbinit recorded no open: %+v", p.Rules)
 	}
-	if !p.Allows(vfs.KindLookup, "/usr/bin/gdb") || p.Allows(vfs.KindOpen, "/usr/bin/gdb") {
+	if !p.Compile().Allows(vfs.KindLookup, "/usr/bin/gdb") || p.Compile().Allows(vfs.KindOpen, "/usr/bin/gdb") {
 		t.Fatalf("the profile should allow looking /usr/bin/gdb up and not opening it: %+v", p.Rules)
 	}
 	sess, err := Attach(h, Options{Container: "db", Fat: "tools", Enforce: p})

@@ -1,6 +1,7 @@
 package container
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,11 +96,11 @@ func TestContainerLifecycle(t *testing.T) {
 	if p.Comm != "app" {
 		t.Fatalf("comm = %s", p.Comm)
 	}
-	if v, _ := p.Getenv("APP"); v != "1" {
+	if !slices.Contains(p.Env, "APP=1") {
 		t.Fatal("image env not applied")
 	}
 	// The main process sees the image's root filesystem.
-	cli := p.Client()
+	cli := namespace.NewClient(p.Namespaces.Mount, p.Cred())
 	got, err := cli.ReadFile("/etc/app.conf")
 	if err != nil || string(got) != "conf" {
 		t.Fatalf("container fs: %q %v", got, err)
@@ -141,8 +142,8 @@ func TestContainerIsolation(t *testing.T) {
 		t.Fatalf("hostnames = %q, %q", pa.Namespaces.Hostname, pb.Namespaces.Hostname)
 	}
 	// Writes in one container do not affect the other.
-	pa.Client().WriteFile("/etc/app.conf", []byte("A"), 0o644)
-	got, _ := pb.Client().ReadFile("/etc/app.conf")
+	namespace.NewClient(pa.Namespaces.Mount, pa.Cred()).WriteFile("/etc/app.conf", []byte("A"), 0o644)
+	got, _ := namespace.NewClient(pb.Namespaces.Mount, pb.Cred()).ReadFile("/etc/app.conf")
 	if string(got) != "conf" {
 		t.Fatalf("b sees %q", got)
 	}
@@ -255,7 +256,7 @@ func TestRegistryPullDiffTransfer(t *testing.T) {
 	if st2.Elapsed >= st1.Elapsed {
 		t.Fatal("cached pull must be faster")
 	}
-	if _, ok := node.Image("app2:v1"); !ok {
+	if _, ok := node.images["app2:v1"]; !ok {
 		t.Fatal("node should have the image")
 	}
 	if _, _, err := reg.Pull(clock, node, "ghost:v0"); vfs.ToErrno(err) != vfs.ENOENT {

@@ -48,27 +48,6 @@ type Layer struct {
 	Refs  []blobstore.Ref
 }
 
-// PhysicalSize is the layer's deduped storage footprint: unique chunk
-// bytes, so content repeated within the layer counts once. Layers
-// without chunk refs report their logical Size.
-func (l *Layer) PhysicalSize() int64 {
-	if l.Store == nil || l.Refs == nil {
-		return l.Size
-	}
-	seen := make(map[blobstore.Ref]bool, len(l.Refs))
-	var total int64
-	for _, ref := range l.Refs {
-		if seen[ref] {
-			continue
-		}
-		seen[ref] = true
-		if info, err := l.Store.Stat(ref); err == nil {
-			total += info.Size
-		}
-	}
-	return total
-}
-
 // ImageConfig is the runtime configuration baked into an image.
 type ImageConfig struct {
 	Cmd        []string

@@ -182,11 +182,3 @@ func (n *Node) addImage(img *Image) {
 	n.images[img.Ref()] = img
 	n.mu.Unlock()
 }
-
-// Image returns a locally available image.
-func (n *Node) Image(ref string) (*Image, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	img, ok := n.images[ref]
-	return img, ok
-}

@@ -146,9 +146,7 @@ func (rt *Runtime) Create(name string, img *Image, opts CreateOpts) (*Container,
 		profile = "docker-default"
 	}
 	cgPath := "/" + opts.Engine + "/" + id
-	if _, err := rt.Procs.Cgroups.Create(cgPath, cgroup.Limits{}); err != nil {
-		return nil, err
-	}
+	rt.Procs.Cgroups.Create(cgPath, cgroup.Limits{})
 
 	c := &Container{
 		ID: id, Name: name, Engine: opts.Engine, Image: img,

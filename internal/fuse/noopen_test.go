@@ -411,7 +411,7 @@ func TestZeroMessageOpenFollowsCopyUp(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	union := unionfs.New(lower)
+	union := unionfs.NewWith(unionfs.Options{}, lower)
 	conn, srv := Mount(union, sim.NewClock(), sim.DefaultCostModel(), DefaultMountOptions())
 	defer func() {
 		conn.Unmount()

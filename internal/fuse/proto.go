@@ -108,7 +108,6 @@ type ReqHeader struct {
 	NodeID uint64
 	UID    uint32
 	GID    uint32
-	PID    uint32
 	Groups []uint32
 }
 
@@ -218,9 +217,10 @@ func (r *rdr) rawBytes() []byte {
 }
 
 // encodeReqHeader writes the fixed header at the front of a frame. The
-// frame length is patched in by finishFrame. req supplies the credential
-// and originating PID; nil means an anonymous kernel-internal message
-// (forgets, releases, interrupts).
+// frame length is patched in by finishFrame. req supplies the
+// credential; nil means an anonymous kernel-internal message (forgets,
+// releases, interrupts). The header's pid slot keeps the kernel's
+// layout and is always 0: a request carries no process id.
 func encodeReqHeader(w *buf, op Opcode, unique, nodeid uint64, req *vfs.Op) {
 	w.u32(0) // length placeholder
 	w.u32(uint32(op))
@@ -237,11 +237,7 @@ func encodeReqHeader(w *buf, op Opcode, unique, nodeid uint64, req *vfs.Op) {
 		w.u32(0)
 		w.u32(0)
 	}
-	if req != nil {
-		w.u32(req.PID)
-	} else {
-		w.u32(0)
-	}
+	w.u32(0) // pid: a request carries no process id
 	w.u32(0) // padding
 	if c != nil {
 		w.u32(uint32(len(c.Groups)))
@@ -276,7 +272,7 @@ func decodeReqHeader(frame []byte, h *ReqHeader, r *rdr) error {
 	h.NodeID = r.u64()
 	h.UID = r.u32()
 	h.GID = r.u32()
-	h.PID = r.u32()
+	r.u32() // pid
 	r.u32() // padding
 	if ngroups := int(r.u32()); r.fits(ngroups, 4) {
 		for i := 0; i < ngroups; i++ {

@@ -11,7 +11,7 @@ import (
 	"cntr/internal/vfs"
 )
 
-// gateFS records the PID of every Read as a worker brings it in — so in
+// gateFS records the offset of every Read as a worker brings it in — so in
 // dispatch order, as long as at most one worker at a time is between its
 // pop and the gate — and then holds the read until the gate lets it
 // through: one per token sent, all once the gate is closed. It is the
@@ -21,37 +21,37 @@ type gateFS struct {
 	gate chan struct{}
 
 	mu    sync.Mutex
-	order []uint32
+	order []int64
 }
 
 func (g *gateFS) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, error) {
 	g.mu.Lock()
-	g.order = append(g.order, op.PID)
+	g.order = append(g.order, off)
 	g.mu.Unlock()
 	<-g.gate
 	return g.FS.Read(op, h, off, dest)
 }
 
-func (g *gateFS) served() []uint32 {
+func (g *gateFS) served() []int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return append([]uint32(nil), g.order...)
+	return append([]int64(nil), g.order...)
 }
 
 // TestMountServesArrivalOrder: a mount with four server threads reads
-// the queue in arrival order, whichever process sent a request and
-// whichever thread asks. All four workers are parked at the gate on a
-// holder origin's reads, four origins queue a backlog behind them one
+// the queue in arrival order, whichever thread asks. Each read is
+// tagged by its offset. All four workers are parked at the gate on
+// holder reads, a backlog of reads with four tags queues behind them one
 // request at a time, and the gate then lets one read through at a time:
 // the worker it frees completes, pops the next request and brings it to
 // the gate. The sequence the workers bring in must be the arrival order.
 func TestMountServesArrivalOrder(t *testing.T) {
 	const (
-		threads   = 4
-		holder    = 100
-		origins   = 4
-		perOrigin = 4
-		backlog   = origins * perOrigin
+		threads = 4
+		holder  = 100
+		tags    = 4
+		perTag  = 4
+		backlog = tags * perTag
 	)
 	gate := &gateFS{FS: memfs.New(memfs.Options{}), gate: make(chan struct{})}
 	opts := DefaultMountOptions()
@@ -75,14 +75,12 @@ func TestMountServesArrivalOrder(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	read := func(pid uint32) {
-		op := vfs.NewOp(nil, vfs.Root())
-		op.PID = pid
+	read := func(off int64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := conn.Read(op, h, 0, make([]byte, 4)); err != nil {
-				t.Errorf("read (pid %d): %v", pid, err)
+			if _, err := conn.Read(vfs.RootOp(), h, off, make([]byte, 4)); err != nil {
+				t.Errorf("read at %d: %v", off, err)
 			}
 		}()
 	}
@@ -103,11 +101,11 @@ func TestMountServesArrivalOrder(t *testing.T) {
 		read(holder)
 	}
 	waitFor("every worker at the gate", func() bool { return len(gate.served()) == threads })
-	var want []uint32
-	for pid := uint32(1); pid <= origins; pid++ {
-		for i := 0; i < perOrigin; i++ {
-			read(pid)
-			want = append(want, pid)
+	var want []int64
+	for tag := int64(1); tag <= tags; tag++ {
+		for i := 0; i < perTag; i++ {
+			read(tag)
+			want = append(want, tag)
 			waitFor("the read to queue", func() bool { return srv.table.depth() == len(want) })
 		}
 	}

@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// TestManyOriginStress hammers the table from concurrent pushers — many
-// processes' requests — and workers, with interrupts in the mix: the
-// race-detector workout for its one lock and two condition variables.
+// TestReqTableStress hammers the table from concurrent pushers and
+// workers, with interrupts in the mix: the race-detector workout for its
+// one lock and two condition variables.
 // It then checks conservation: every pushed frame is dispatched exactly
 // once, the queue drains, and no request is left mapped.
-func TestManyOriginStress(t *testing.T) {
+func TestReqTableStress(t *testing.T) {
 	const (
 		pushers   = 8
 		workers   = 6

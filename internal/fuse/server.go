@@ -426,7 +426,7 @@ func (wk *worker) dispatch(msg *request) []byte {
 	}
 	serverCred(&wk.cred, h.UID, h.GID, h.Groups)
 	op := &wk.op
-	op.Init(&msg.ctx, &wk.cred, h.Unique, h.PID)
+	op.Init(&msg.ctx, &wk.cred, h.Unique)
 	ino := vfs.Ino(h.NodeID)
 	var opErr error
 

@@ -13,25 +13,26 @@ import (
 
 // wireGolden is every frame of the op sequence in TestWireBytesUnchanged,
 // request (>) and reply (<), captured at commit 1c78124 — the last one
-// that encoded a frame into fresh buffers and copied every reply.
+// that encoded a frame into fresh buffers and copied every reply — with
+// the header's pid slot since read as 0: a request carries no process id.
 var wireGolden = []string{
-	// LOOKUP "f" under root, pid 77, groups {5, 6}: ENOENT
-	"> 39000000010000000100000000000000010000000000000000000000000000004d000000000000000200000005000000060000000100000066",
+	// LOOKUP "f" under root, groups {5, 6}: ENOENT
+	"> 390000000100000001000000000000000100000000000000000000000000000000000000000000000200000005000000060000000100000066",
 	"< 10000000020000000100000000000000",
 	// CREATE "f" 0644 O_RDWR: attr + handle
-	"> 41000000230000000200000000000000010000000000000000000000000000004d000000000000000200000005000000060000000100000066a401000002000000",
+	"> 410000002300000002000000000000000100000000000000000000000000000000000000000000000200000005000000060000000100000066a401000002000000",
 	"< 5d000000000000000200000000000000020000000000000000000000000000000000000000000000d00735c867274015d00735c867274015d00735c867274015a401000000010000000000000000000000000000000100000000000000",
 	// WRITE 32 bytes at 0
-	"> 68000000100000000300000000000000000000000000000000000000000000004d0000000000000002000000050000000600000001000000000000000000000000000000200000007769726577697265776972657769726577697265776972657769726577697265",
+	"> 6800000010000000030000000000000000000000000000000000000000000000000000000000000002000000050000000600000001000000000000000000000000000000200000007769726577697265776972657769726577697265776972657769726577697265",
 	"< 1400000000000000030000000000000020000000",
 	// READ 64 bytes at 0: the 32 that are there
-	"> 480000000f0000000400000000000000000000000000000000000000000000004d000000000000000200000005000000060000000100000000000000000000000000000040000000",
+	"> 480000000f00000004000000000000000000000000000000000000000000000000000000000000000200000005000000060000000100000000000000000000000000000040000000",
 	"< 34000000000000000400000000000000200000007769726577697265776972657769726577697265776972657769726577697265",
 	// OPENDIR root
-	"> 340000001b0000000500000000000000010000000000000000000000000000004d00000000000000020000000500000006000000",
+	"> 340000001b0000000500000000000000010000000000000000000000000000000000000000000000020000000500000006000000",
 	"< 180000000000000005000000000000000200000000000000",
 	// READDIR: ".", "..", "f"
-	"> 440000001c0000000600000000000000000000000000000000000000000000004d0000000000000002000000050000000600000002000000000000000000000000000000",
+	"> 440000001c000000060000000000000000000000000000000000000000000000000000000000000002000000050000000600000002000000000000000000000000000000",
 	"< 5700000000000000060000000000000003000000010000002e0100000000000000010100000000000000020000002e2e010000000000000001020000000000000001000000660200000000000000000300000000000000",
 	// RELEASEDIR, RELEASE, BATCH_FORGET {2:1, 1:2}: one-way, anonymous
 	"> 340000001d0000000700000000000000000000000000000000000000000000000000000000000000000000000200000000000000",
@@ -46,13 +47,13 @@ var wireGolden = []string{
 // names the directory by its nodeid (1) in the header.
 var wireGoldenNoOpendir = []string{
 	// OPENDIR root: ENOSYS
-	"> 340000001b0000000100000000000000010000000000000000000000000000004d00000000000000020000000500000006000000",
+	"> 340000001b0000000100000000000000010000000000000000000000000000000000000000000000020000000500000006000000",
 	"< 10000000260000000100000000000000",
 	// GETATTR root
-	"> 34000000030000000200000000000000010000000000000000000000000000004d00000000000000020000000500000006000000",
+	"> 34000000030000000200000000000000010000000000000000000000000000000000000000000000020000000500000006000000",
 	"< 55000000000000000200000000000000010000000000000000000000000000000000000000000000e80335c867274015e80335c867274015e80335c867274015ed0100000102000000000000000000000000000000",
 	// READDIR fh 0 on nodeid 1: ".", ".."
-	"> 440000001c0000000300000000000000010000000000000000000000000000004d0000000000000002000000050000000600000000000000000000000000000000000000",
+	"> 440000001c000000030000000000000001000000000000000000000000000000000000000000000002000000050000000600000000000000000000000000000000000000",
 	"< 4100000000000000030000000000000002000000010000002e0100000000000000010100000000000000020000002e2e0100000000000000010200000000000000",
 }
 
@@ -63,7 +64,7 @@ var wireGoldenNoOpendir = []string{
 // two the server does not look up, and f's from the server's lookup.
 var wireGoldenReaddirPlus = []string{
 	// READDIRPLUS fh 0 on nodeid 1, from cookie 0
-	"> 440000002c0000000500000000000000010000000000000000000000000000004d0000000000000002000000050000000600000000000000000000000000000000000000",
+	"> 440000002c000000050000000000000001000000000000000000000000000000000000000000000002000000050000000600000000000000000000000000000000000000",
 	// ".", ".." without attributes; "f" with inode 2's
 	"< 2601000000000000050000000000000003000000010000002e0100000000000000010100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000020000002e2e010000000000000001020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000001000000660200000000000000000300000000000000020000000000000000000000000000000000000000000000d00735c867274015d00735c867274015d00735c867274015a40100000001000000000000000000000000000000",
 }
@@ -85,7 +86,6 @@ func TestWireBytesUnchanged(t *testing.T) {
 	cred := vfs.Root()
 	cred.Groups = []uint32{5, 6}
 	op := vfs.NewOp(nil, cred)
-	op.PID = 77
 	frames := captureWire(t, opts, func(conn *Conn, step func()) {
 		// Each step waits for the loop to have served the frame, so
 		// one-way frames land in submission order.

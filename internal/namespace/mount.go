@@ -142,27 +142,6 @@ func (ns *MountNS) coveringMount(point string) *Mount {
 	return found
 }
 
-// Unmount detaches the mount at point. The root mount cannot be removed.
-func (ns *MountNS) Unmount(point string) error {
-	point = normalizePoint(point)
-	if point == "/" {
-		return vfs.EBUSY
-	}
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	if _, ok := ns.mounts[point]; !ok {
-		return vfs.EINVAL
-	}
-	// A mount with children mounted beneath it is busy.
-	for p := range ns.mounts {
-		if strings.HasPrefix(p, point+"/") {
-			return vfs.EBUSY
-		}
-	}
-	delete(ns.mounts, point)
-	return nil
-}
-
 // MakeAllPrivate marks every mount private, detaching it from its peer
 // group — the first thing Cntr does inside the nested namespace so mount
 // events do not leak back to the container (§3.2.3).
@@ -222,11 +201,6 @@ func newClient(ns *MountNS, op *vfs.Op) *vfs.Client {
 // serving it, its inode and attributes.
 func (ns *MountNS) Resolve(op *vfs.Op, path string) (vfs.WalkResult, error) {
 	return newClient(ns, op).Resolve(path)
-}
-
-// Lresolve is Resolve without following a final symlink.
-func (ns *MountNS) Lresolve(op *vfs.Op, path string) (vfs.WalkResult, error) {
-	return newClient(ns, op).Lresolve(path)
 }
 
 // MountedAt returns the root of the mount exactly at the normalized path.

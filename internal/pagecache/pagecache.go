@@ -131,17 +131,6 @@ type Stats struct {
 	Invalidate int64
 }
 
-// HitRatio is hits over lookups; a cache that has seen no lookups
-// reports 0. Same convention as cachesvc.Stats.HitRatio, so per-mount
-// page-cache and shared-tier ratios compare directly in experiments.
-func (s Stats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Cache is a page cache over a backing filesystem. It implements vfs.FS.
 type Cache struct {
 	backing vfs.FS

@@ -19,12 +19,8 @@ import (
 func TestChaosLatencyIsExactlyTheInjectedDelay(t *testing.T) {
 	clean := pass(t, figure2)
 	for _, chaos := range pass(t, chaosLatency) {
-		var reads, writes, ops int64
-		for _, act := range chaos.record.Snapshot() {
-			reads += act.Kinds["read"].Ops
-			writes += act.Kinds["write"].Ops
-			ops += act.Ops
-		}
+		act := chaos.record.Snapshot()
+		reads, writes, ops := act.Kinds["read"].Ops, act.Kinds["write"].Ops, act.Ops
 		if ops != chaos.Ops || ops == 0 {
 			t.Fatalf("%s: snapshot counts %d operations, the row %d", chaos.Name, ops, chaos.Ops)
 		}

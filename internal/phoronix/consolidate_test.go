@@ -142,13 +142,8 @@ func RunConsolidation(n int) (*ConsolidationReport, error) {
 			}
 		}
 	}
-	for _, act := range chaotic.Snapshot() {
-		if k, ok := act.Kinds["read"]; ok {
-			rep.EIO += k.Errnos["input/output error"]
-		}
-		if k, ok := act.Kinds["write"]; ok {
-			rep.ENOSPC += k.Errnos["no space left on device"]
-		}
-	}
+	act := chaotic.Snapshot()
+	rep.EIO = act.Kinds["read"].Errnos["input/output error"]
+	rep.ENOSPC = act.Kinds["write"].Errnos["no space left on device"]
 	return rep, nil
 }

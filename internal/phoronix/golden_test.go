@@ -326,16 +326,14 @@ func figure2Row(rs []Result, name string) Result {
 	return rs[slices.IndexFunc(rs, func(r Result) bool { return r.Name == name })]
 }
 
-// errnoBuckets sums col's non-ok errno buckets over its origins, keyed
-// kind:errno with the errno's spaces as underscores.
+// errnoBuckets returns col's non-ok errno buckets, keyed kind:errno
+// with the errno's spaces as underscores.
 func errnoBuckets(col *policy.Collector) map[string]int64 {
 	m := map[string]int64{}
-	for _, act := range col.Snapshot() {
-		for kind, k := range act.Kinds {
-			for name, n := range k.Errnos {
-				if name != "ok" {
-					m[kind+":"+strings.ReplaceAll(name, " ", "_")] += n
-				}
+	for kind, k := range col.Snapshot().Kinds {
+		for name, n := range k.Errnos {
+			if name != "ok" {
+				m[kind+":"+strings.ReplaceAll(name, " ", "_")] = n
 			}
 		}
 	}

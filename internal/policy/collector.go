@@ -10,8 +10,8 @@
 //
 //   - Collector: the aggregation of what was recorded. Each traced mount
 //     chains one Run, a vfs.Interceptor, at its top; it keys activity by
-//     origin (Op.PID), operation kind and path prefix, and keeps an errno
-//     histogram per kind.
+//     operation kind and path prefix, and keeps an errno histogram per
+//     kind.
 //   - Profile: the generated allowlist (permitted operation kinds per
 //     path subtree, plus windowed byte ceilings), serializable to JSON.
 //   - Enforcer: a vfs.Interceptor that denies off-profile operations
@@ -85,18 +85,16 @@ func (t *windowTracker) push(r, w int64) {
 	}
 }
 
-// Collector aggregates recorded operations into per-origin activity
-// profiles. It records through Runs (NewRun), one chained at the top of
+// Collector aggregates recorded operations into one container's
+// activity. It records through Runs (NewRun), one chained at the top of
 // each traced mount: inode numbers are only meaningful within one mount,
 // so each needs its own learned path table, while several mounts may
 // feed one collector concurrently.
 type Collector struct {
-	mu      sync.Mutex
-	origins map[uint32]*activity
-	// win tracks the mount-global sliding byte window over the data-op
-	// stream; its peaks become the profile's windowed rate ceilings.
-	// Collector-global rather than per-origin: the data path whose rate
-	// the ceilings bound is shared by every origin on the mount.
+	mu  sync.Mutex
+	act activity
+	// win tracks the sliding byte window over the data-op stream; its
+	// peaks become the profile's windowed rate ceilings.
 	win windowTracker
 }
 
@@ -110,7 +108,7 @@ type Run struct {
 	pathTable
 }
 
-// activity is one origin's aggregation state. Anchors live in a
+// activity is the collector's aggregation state. Anchors live in a
 // path-component trie, the same structure the Enforcer matches rules
 // against.
 type activity struct {
@@ -136,7 +134,7 @@ type anchorAgg struct {
 // NewCollector returns an empty collector; record into it through
 // NewRun.
 func NewCollector() *Collector {
-	return &Collector{origins: make(map[uint32]*activity)}
+	return &Collector{act: activity{kinds: make(map[vfs.OpKind]*kindAgg)}}
 }
 
 // NewRun starts recording one traced mount. Aggregation is shared with
@@ -164,12 +162,8 @@ func (r *Run) Intercept(info *vfs.OpInfo, next func() error) error {
 // recordLocked aggregates one operation that ended with errno. Caller
 // holds c.mu.
 func (c *Collector) recordLocked(info *vfs.OpInfo, errno vfs.Errno, anchor string) {
-	var pid uint32
-	if info.Op != nil {
-		pid = info.Op.PID
-	}
 	bytes := int64(info.Bytes)
-	a := c.origin(pid)
+	a := &c.act
 	a.ops++
 	k := a.kinds[info.Kind]
 	if k == nil {
@@ -202,16 +196,6 @@ func newAnchorAgg() *anchorAgg {
 	return &anchorAgg{kinds: make(map[vfs.OpKind]int64)}
 }
 
-// origin returns the aggregation state for one Op.PID. Caller holds c.mu.
-func (c *Collector) origin(pid uint32) *activity {
-	a, ok := c.origins[pid]
-	if !ok {
-		a = &activity{kinds: make(map[vfs.OpKind]*kindAgg)}
-		c.origins[pid] = a
-	}
-	return a
-}
-
 // errnoName renders an errno for histogram keys: "ok" for success, the
 // POSIX description otherwise.
 func errnoName(e vfs.Errno) string {
@@ -221,11 +205,9 @@ func errnoName(e vfs.Errno) string {
 	return e.Error()
 }
 
-// Activity is the JSON-able snapshot of one origin's aggregated
-// profile: operation counts per kind (with errno histograms) and per
-// path prefix.
+// Activity is the JSON-able snapshot of the recorded activity:
+// operation counts per kind (with errno histograms) and per path prefix.
 type Activity struct {
-	Origin     uint32                  `json:"origin"`
 	Ops        int64                   `json:"ops"`
 	ReadBytes  int64                   `json:"read_bytes"`
 	WriteBytes int64                   `json:"write_bytes"`
@@ -247,39 +229,34 @@ type PathActivity struct {
 	Bytes int64    `json:"bytes,omitempty"`
 }
 
-// Snapshot returns the per-origin activity profiles, sorted by origin.
-func (c *Collector) Snapshot() []Activity {
+// Snapshot returns the recorded activity.
+func (c *Collector) Snapshot() Activity {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Activity, 0, len(c.origins))
-	for pid, a := range c.origins {
-		act := Activity{
-			Origin:     pid,
-			Ops:        a.ops,
-			ReadBytes:  a.readBytes,
-			WriteBytes: a.writeBytes,
-			Kinds:      make(map[string]KindActivity, len(a.kinds)),
-			Paths:      make(map[string]PathActivity, a.anchors.size()),
-		}
-		for kind, k := range a.kinds {
-			errnos := make(map[string]int64, len(k.errnos))
-			for name, n := range k.errnos {
-				errnos[name] = n
-			}
-			act.Kinds[kind.String()] = KindActivity{Ops: k.ops, Bytes: k.bytes, Errnos: errnos}
-		}
-		a.anchors.walk(func(anchor string, an *anchorAgg) {
-			kinds := make([]string, 0, len(an.kinds))
-			for kind := range an.kinds {
-				kinds = append(kinds, kind.String())
-			}
-			sort.Strings(kinds)
-			act.Paths[anchor] = PathActivity{Kinds: kinds, Ops: an.ops, Bytes: an.bytes}
-		})
-		out = append(out, act)
+	a := &c.act
+	act := Activity{
+		Ops:        a.ops,
+		ReadBytes:  a.readBytes,
+		WriteBytes: a.writeBytes,
+		Kinds:      make(map[string]KindActivity, len(a.kinds)),
+		Paths:      make(map[string]PathActivity, a.anchors.size()),
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
-	return out
+	for kind, k := range a.kinds {
+		errnos := make(map[string]int64, len(k.errnos))
+		for name, n := range k.errnos {
+			errnos[name] = n
+		}
+		act.Kinds[kind.String()] = KindActivity{Ops: k.ops, Bytes: k.bytes, Errnos: errnos}
+	}
+	a.anchors.walk(func(anchor string, an *anchorAgg) {
+		kinds := make([]string, 0, len(an.kinds))
+		for kind := range an.kinds {
+			kinds = append(kinds, kind.String())
+		}
+		sort.Strings(kinds)
+		act.Paths[anchor] = PathActivity{Kinds: kinds, Ops: an.ops, Bytes: an.bytes}
+	})
+	return act
 }
 
 // RenderJSON serializes the activity snapshot, for the /proc-style
@@ -304,8 +281,8 @@ type GenOptions struct {
 	RunID string
 }
 
-// Profile derives an allowlist profile from the recorded activity of
-// the given origins (none means all). Each observed operation
+// Profile derives an allowlist profile from the recorded activity.
+// Each observed operation
 // contributes its kind to the rule for its anchor directory; operations
 // whose path was never learned contribute to the any-path kind list, so
 // enforcement of the generated profile never denies a faithful replay.
@@ -316,46 +293,32 @@ type GenOptions struct {
 // op stream, so every window it produces stays at or below the recorded
 // peak — strictly below the ceiling once headroom is applied, and below
 // it even at headroom 1 because admission checks the window *before*
-// the op completing it lands. The window is tracked mount-globally, so
-// per-origin selection narrows rules but not ceilings.
-func (c *Collector) Profile(opts GenOptions, origins ...uint32) *Profile {
+// the op completing it lands.
+func (c *Collector) Profile(opts GenOptions) *Profile {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	selected := make(map[uint32]bool, len(origins))
-	for _, o := range origins {
-		selected[o] = true
-	}
 	rules := make(map[string]map[vfs.OpKind]bool)
 	anyKinds := make(map[vfs.OpKind]bool)
-	var outOrigins []uint32
-	for pid, a := range c.origins {
-		if len(origins) > 0 && !selected[pid] {
-			continue
-		}
-		outOrigins = append(outOrigins, pid)
-		a.anchors.walk(func(anchor string, an *anchorAgg) {
-			if anchor == unknownAnchor {
-				for kind := range an.kinds {
-					anyKinds[kind] = true
-				}
-				return
-			}
-			r := rules[anchor]
-			if r == nil {
-				r = make(map[vfs.OpKind]bool)
-				rules[anchor] = r
-			}
+	c.act.anchors.walk(func(anchor string, an *anchorAgg) {
+		if anchor == unknownAnchor {
 			for kind := range an.kinds {
-				r[kind] = true
+				anyKinds[kind] = true
 			}
-		})
-	}
+			return
+		}
+		r := rules[anchor]
+		if r == nil {
+			r = make(map[vfs.OpKind]bool)
+			rules[anchor] = r
+		}
+		for kind := range an.kinds {
+			r[kind] = true
+		}
+	})
 	p := &Profile{Version: FormatVersion, Generation: 1, Runs: 1}
 	if opts.RunID != "" {
 		p.SourceRuns = []string{opts.RunID}
 	}
-	sort.Slice(outOrigins, func(i, j int) bool { return outOrigins[i] < outOrigins[j] })
-	p.Origins = outOrigins
 	for prefix, kinds := range rules {
 		p.Rules = append(p.Rules, Rule{Prefix: prefix, Kinds: kindNamesOf(kinds)})
 	}

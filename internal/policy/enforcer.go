@@ -15,7 +15,6 @@ type Violation struct {
 	Kind vfs.OpKind
 	// Path is the operation's target path, empty when unknown.
 	Path string
-	PID  uint32
 	// Denied reports whether the operation was rejected with EACCES
 	// (false in audit mode).
 	Denied bool
@@ -108,13 +107,9 @@ func (e *Enforcer) gateLocked(info *vfs.OpInfo, dir string) (deny bool) {
 	} else {
 		e.audited++
 	}
-	var pid uint32
-	if info.Op != nil {
-		pid = info.Op.PID
-	}
 	if len(e.violations) < maxViolations {
 		e.violations = append(e.violations, Violation{
-			Kind: info.Kind, Path: entryPath(dir, info.Name), PID: pid,
+			Kind: info.Kind, Path: entryPath(dir, info.Name),
 			Denied: denied, Reason: reason,
 		})
 	}

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"cntr/internal/memfs"
@@ -81,10 +82,44 @@ func TestLoadFindings(t *testing.T) {
 		`{"source_runs":[]}`,
 		`{"origins":[]}`,
 		`{"any_path_kinds":[]}`,
+		// A profile written while profiles listed their origins.
+		parentProfile,
 		// A window no enforcer can allocate: its first read panicked
 		// holding the enforcer's lock.
 		`{"window_ops":4611686018427387904}`,
 	} {
 		t.Run(in, func(t *testing.T) { checkLoad(t, []byte(in)) })
+	}
+}
+
+// parentProfile is a profile as written while profiles listed the
+// origins they were recorded from: every one carries "origins": [0].
+const parentProfile = `{"version":2,"generation":1,"runs":1,"origins":[0],"rules":[{"prefix":"/data","kinds":["read"]}],"window_ops":8,"read_bytes_per_window":4096}`
+
+// TestLoadParentProfile: a profile with "origins" loads as the same
+// profile without the key, so it enforces the same decisions, and
+// re-marshals without it.
+func TestLoadParentProfile(t *testing.T) {
+	p, err := Load([]byte(parentProfile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Load([]byte(strings.Replace(parentProfile, `"origins":[0],`, "", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p, want) {
+		t.Fatalf("with origins %+v, without %+v", p, want)
+	}
+	m := p.Compile()
+	if !m.Allows(vfs.KindRead, "/data/f") || m.Allows(vfs.KindWrite, "/data/f") || m.Allows(vfs.KindRead, "/etc") {
+		t.Fatalf("decisions of %+v changed", p)
+	}
+	blob, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(blob), "origins") {
+		t.Fatalf("re-marshalled with its origins:\n%s", blob)
 	}
 }

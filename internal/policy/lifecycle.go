@@ -26,13 +26,13 @@ type MergeOptions struct {
 
 // Merge unions profiles into one: a rule set permitting everything any
 // input permitted (kind union per prefix — widening), any-path kinds
-// unioned, origins unioned, and every ceiling at the inputs' maximum
+// unioned, and every ceiling at the inputs' maximum
 // times the headroom. An input with a ceiling disabled (zero) disables
 // it in the merge too — union semantics make the widest input win.
 //
 // Provenance: Runs sums the inputs' run counts, SourceRuns concatenates
 // and deduplicates, and Generation moves past every input's. Rules,
-// kinds, origins and ceilings are independent of input order and of
+// kinds and ceilings are independent of input order and of
 // duplicated inputs; the provenance header is not (Runs counts
 // recordings, deliberately).
 func Merge(opts MergeOptions, profiles ...*Profile) *Profile {
@@ -46,7 +46,6 @@ func Merge(opts MergeOptions, profiles ...*Profile) *Profile {
 	out := &Profile{Version: FormatVersion}
 	rules := make(map[string]map[string]bool)
 	anyKinds := make(map[string]bool)
-	origins := make(map[uint32]bool)
 	sources := make(map[string]bool)
 	inputs := make([]*Profile, 0, len(profiles))
 	for _, p := range profiles {
@@ -66,9 +65,6 @@ func Merge(opts MergeOptions, profiles ...*Profile) *Profile {
 		}
 		for _, k := range p.AnyPathKinds {
 			anyKinds[k] = true
-		}
-		for _, o := range p.Origins {
-			origins[o] = true
 		}
 		for _, s := range p.SourceRuns {
 			if !sources[s] {
@@ -94,10 +90,6 @@ func Merge(opts MergeOptions, profiles ...*Profile) *Profile {
 	}
 	sort.Slice(out.Rules, func(i, j int) bool { return out.Rules[i].Prefix < out.Rules[j].Prefix })
 	out.AnyPathKinds = sortedKinds(anyKinds)
-	for o := range origins {
-		out.Origins = append(out.Origins, o)
-	}
-	sort.Slice(out.Origins, func(i, j int) bool { return out.Origins[i] < out.Origins[j] })
 	sort.Strings(out.SourceRuns)
 	applyHeadroom(out, h)
 	return out
@@ -418,7 +410,6 @@ func addRuleKind(p *Profile, prefix, kind string) {
 func cloneProfile(p *Profile) *Profile {
 	out := *p
 	out.SourceRuns = append([]string(nil), p.SourceRuns...)
-	out.Origins = append([]uint32(nil), p.Origins...)
 	out.AnyPathKinds = append([]string(nil), p.AnyPathKinds...)
 	out.Rules = make([]Rule, len(p.Rules))
 	for i, r := range p.Rules {

@@ -16,7 +16,6 @@ func headerProfile() *Profile {
 		Generation:          3,
 		Runs:                2,
 		SourceRuns:          []string{"run-a", "run-b"},
-		Origins:             []uint32{7, 9},
 		Rules:               []Rule{{Prefix: "/data", Kinds: []string{"read", "write"}}},
 		AnyPathKinds:        []string{"statfs"},
 		WindowOps:           512,
@@ -70,7 +69,6 @@ func randProfile(r *rand.Rand) *Profile {
 		Generation: 1 + r.Intn(3),
 		Runs:       1 + r.Intn(2),
 		SourceRuns: []string{fmt.Sprintf("run-%d", r.Intn(100))},
-		Origins:    []uint32{uint32(1 + r.Intn(5))},
 	}
 	used := make(map[string]bool)
 	for i := 0; i < 1+r.Intn(4); i++ {
@@ -112,12 +110,11 @@ func assertSemanticEqual(t *testing.T, scenario string, a, b *Profile) {
 	type semantic struct {
 		Rules        []Rule
 		AnyPathKinds []string
-		Origins      []uint32
 		Ceilings     [3]int64
 	}
 	sem := func(p *Profile) semantic {
 		return semantic{
-			Rules: p.Rules, AnyPathKinds: p.AnyPathKinds, Origins: p.Origins,
+			Rules: p.Rules, AnyPathKinds: p.AnyPathKinds,
 			Ceilings: [3]int64{p.WindowOps, p.ReadBytesPerWindow, p.WriteBytesPerWindow},
 		}
 	}
@@ -256,16 +253,16 @@ func TestTightenAnchorsSharedPrefix(t *testing.T) {
 	if !reflect.DeepEqual(rep.Kept, []string{"getattr"}) {
 		t.Fatalf("kept: %+v", rep.Kept)
 	}
-	if !tightened.Allows(vfs.KindRead, "/data/c/file") {
+	if !tightened.Compile().Allows(vfs.KindRead, "/data/c/file") {
 		t.Fatal("anchored read not allowed under /data")
 	}
-	if tightened.Allows(vfs.KindRead, "/elsewhere") {
+	if tightened.Compile().Allows(vfs.KindRead, "/elsewhere") {
 		t.Fatal("tightened read still allowed outside /data")
 	}
-	if tightened.Allows(vfs.KindRead, "") {
+	if tightened.Compile().Allows(vfs.KindRead, "") {
 		t.Fatal("tightened read still allowed with unknown path")
 	}
-	if !tightened.Allows(vfs.KindGetattr, "/anywhere") || !tightened.Allows(vfs.KindGetattr, "") {
+	if !tightened.Compile().Allows(vfs.KindGetattr, "/anywhere") || !tightened.Compile().Allows(vfs.KindGetattr, "") {
 		t.Fatal("unanchorable getattr lost its any-path grant")
 	}
 	if tightened.Generation != p.Generation+1 {
@@ -287,7 +284,7 @@ func TestTightenAnchorsSharedPrefix(t *testing.T) {
 		AnyPathKinds: []string{"write"},
 	}
 	st, srep := Tighten(spread)
-	if len(srep.Anchored) != 0 || !st.Allows(vfs.KindWrite, "") {
+	if len(srep.Anchored) != 0 || !st.Compile().Allows(vfs.KindWrite, "") {
 		t.Fatalf("disjoint-evidence kind was anchored: %+v", srep)
 	}
 }

@@ -48,7 +48,6 @@ func TestNewEnforcerRefusesWhatLoadRefuses(t *testing.T) {
 func workload(t *testing.T, fs vfs.FS) {
 	t.Helper()
 	cli := vfs.NewClient(fs, vfs.Root())
-	cli.Op.PID = 7
 	if err := cli.Mkdir("/data", 0o755); err != nil {
 		t.Fatalf("mkdir /data: %v", err)
 	}
@@ -75,7 +74,6 @@ type seenOp struct {
 	Kind  vfs.OpKind
 	Ino   vfs.Ino
 	Bytes int
-	PID   uint32
 }
 
 // traceWorkload records the workload on a fresh Cntr stack through a Run
@@ -89,17 +87,16 @@ func traceWorkload(t *testing.T) (*Collector, []seenOp) {
 	var seen []seenOp
 	top := vfs.Chain(c.Top, vfs.InterceptorFunc(func(info *vfs.OpInfo, next func() error) error {
 		err := run.Intercept(info, next)
-		seen = append(seen, seenOp{Kind: info.Kind, Ino: info.Ino, Bytes: info.Bytes, PID: info.Op.PID})
+		seen = append(seen, seenOp{Kind: info.Kind, Ino: info.Ino, Bytes: info.Bytes})
 		return err
 	}))
 	workload(t, top)
 	return col, seen
 }
 
-// record passes one synthetic operation of origin pid that ends with
-// errno through r.
-func record(r *Run, pid uint32, errno vfs.Errno, info vfs.OpInfo) {
-	info.Op = &vfs.Op{PID: pid}
+// record passes one synthetic operation that ends with errno through r.
+func record(r *Run, errno vfs.Errno, info vfs.OpInfo) {
+	info.Op = vfs.RootOp()
 	r.Intercept(&info, func() error {
 		if errno == vfs.OK {
 			return nil
@@ -127,9 +124,6 @@ func TestTraceAttributesDataOps(t *testing.T) {
 				t.Fatalf("write entry with zero bytes: %+v", e)
 			}
 		}
-		if e.PID != 7 {
-			t.Fatalf("entry not attributed to client pid 7: %+v", e)
-		}
 	}
 	if reads == 0 || writes == 0 {
 		t.Fatalf("expected read and write entries, got %d/%d", reads, writes)
@@ -149,10 +143,10 @@ func TestProfileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if !loaded.Allows(vfs.KindWrite, "/data/a") {
+	if !loaded.Compile().Allows(vfs.KindWrite, "/data/a") {
 		t.Fatalf("profile should allow write under /data:\n%s", blob)
 	}
-	if loaded.Allows(vfs.KindCreate, "/") && !loaded.Allows(vfs.KindCreate, "/data/zzz") {
+	if loaded.Compile().Allows(vfs.KindCreate, "/") && !loaded.Compile().Allows(vfs.KindCreate, "/data/zzz") {
 		t.Fatalf("create allowed at / but not under /data — rule generation inverted:\n%s", blob)
 	}
 
@@ -239,16 +233,7 @@ func TestWriteCeiling(t *testing.T) {
 
 func TestActivitySnapshotJoinsTransport(t *testing.T) {
 	col, _ := traceWorkload(t)
-	acts := col.Snapshot()
-	var mine *Activity
-	for i := range acts {
-		if acts[i].Origin == 7 {
-			mine = &acts[i]
-		}
-	}
-	if mine == nil {
-		t.Fatalf("no activity for origin 7: %+v", acts)
-	}
+	mine := col.Snapshot()
 	if mine.WriteBytes == 0 {
 		t.Fatalf("no write bytes recorded: %+v", mine)
 	}
@@ -267,7 +252,7 @@ func TestLoadNormalizesTrailingSlash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Allows(vfs.KindRead, "/data/file") {
+	if !p.Compile().Allows(vfs.KindRead, "/data/file") {
 		t.Fatalf("trailing-slash rule dead after load: %+v", p.Rules)
 	}
 }
@@ -277,15 +262,11 @@ func TestLoadNormalizesTrailingSlash(t *testing.T) {
 func TestCollectorForgetPrunesPaths(t *testing.T) {
 	col := NewCollector()
 	run := col.NewRun()
-	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "f", ResultIno: 9})
-	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindGetattr, Ino: 9})
-	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindForget, Ino: 9})
-	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindGetattr, Ino: 9})
-	acts := col.Snapshot()
-	if len(acts) != 1 {
-		t.Fatalf("want one origin, got %+v", acts)
-	}
-	paths := acts[0].Paths
+	record(run, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "f", ResultIno: 9})
+	record(run, vfs.OK, vfs.OpInfo{Kind: vfs.KindGetattr, Ino: 9})
+	record(run, vfs.OK, vfs.OpInfo{Kind: vfs.KindForget, Ino: 9})
+	record(run, vfs.OK, vfs.OpInfo{Kind: vfs.KindGetattr, Ino: 9})
+	paths := col.Snapshot().Paths
 	if pa, ok := paths["/f"]; !ok || pa.Ops != 2 {
 		// The getattr before the forget plus the forget itself anchor
 		// at the learned path.
@@ -303,10 +284,10 @@ func TestLoadAnyKindWildcard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Allows(vfs.KindWrite, "/data/x") || !p.Allows(vfs.KindSetxattr, "/data") {
+	if !p.Compile().Allows(vfs.KindWrite, "/data/x") || !p.Compile().Allows(vfs.KindSetxattr, "/data") {
 		t.Fatalf("\"any\" rule does not match concrete kinds: %+v", p.Rules)
 	}
-	if p.Allows(vfs.KindWrite, "/elsewhere") {
+	if p.Compile().Allows(vfs.KindWrite, "/elsewhere") {
 		t.Fatal("\"any\" rule must stay scoped to its prefix")
 	}
 }
@@ -317,11 +298,11 @@ func TestRunsIsolatePathLearning(t *testing.T) {
 	col := NewCollector()
 	runA, runB := col.NewRun(), col.NewRun()
 	// Inode 9 is "/a" on mount A and "/b" on mount B.
-	record(runA, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "a", ResultIno: 9})
-	record(runB, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "b", ResultIno: 9})
-	record(runA, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindRead, Ino: 9, Bytes: 10})
-	record(runB, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindWrite, Ino: 9, Bytes: 20})
-	paths := col.Snapshot()[0].Paths
+	record(runA, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "a", ResultIno: 9})
+	record(runB, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "b", ResultIno: 9})
+	record(runA, vfs.OK, vfs.OpInfo{Kind: vfs.KindRead, Ino: 9, Bytes: 10})
+	record(runB, vfs.OK, vfs.OpInfo{Kind: vfs.KindWrite, Ino: 9, Bytes: 20})
+	paths := col.Snapshot().Paths
 	if pa, ok := paths["/a"]; !ok || pa.Bytes != 10 {
 		t.Fatalf("mount A read misattributed: %+v", paths)
 	}
@@ -356,13 +337,13 @@ func TestRenameRebindsSubtree(t *testing.T) {
 	col := NewCollector()
 	run := col.NewRun()
 	// /old (dir, ino 5) containing f (ino 6); /dst (dir, ino 7).
-	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "old", ResultIno: 5})
-	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: 5, Name: "f", ResultIno: 6})
-	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "dst", ResultIno: 7})
-	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindRename, Ino: vfs.RootIno, Name: "old",
+	record(run, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "old", ResultIno: 5})
+	record(run, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: 5, Name: "f", ResultIno: 6})
+	record(run, vfs.OK, vfs.OpInfo{Kind: vfs.KindLookup, Ino: vfs.RootIno, Name: "dst", ResultIno: 7})
+	record(run, vfs.OK, vfs.OpInfo{Kind: vfs.KindRename, Ino: vfs.RootIno, Name: "old",
 		NewParentIno: 7, NewName: "new"})
-	record(run, 1, vfs.OK, vfs.OpInfo{Kind: vfs.KindWrite, Ino: 6, Bytes: 9})
-	paths := col.Snapshot()[0].Paths
+	record(run, vfs.OK, vfs.OpInfo{Kind: vfs.KindWrite, Ino: 6, Bytes: 9})
+	paths := col.Snapshot().Paths
 	if pa, ok := paths["/dst/new/f"]; !ok || pa.Bytes != 9 {
 		t.Fatalf("post-rename write not attributed to new path: %+v", paths)
 	}

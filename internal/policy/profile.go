@@ -46,9 +46,6 @@ type Profile struct {
 	// SourceRuns names the recorded runs this profile was derived from
 	// (GenOptions.RunID), deduplicated across merges.
 	SourceRuns []string `json:"source_runs,omitempty"`
-	// Origins lists the Op.PIDs whose activity the profile was derived
-	// from (informational).
-	Origins []uint32 `json:"origins,omitempty"`
 	// Rules is the path-subtree allowlist; any matching rule permits
 	// the operation.
 	Rules []Rule `json:"rules"`
@@ -127,9 +124,6 @@ func Load(data []byte) (*Profile, error) {
 	// Marshal omits an empty list, so Load reads one as absent.
 	if len(p.SourceRuns) == 0 {
 		p.SourceRuns = nil
-	}
-	if len(p.Origins) == 0 {
-		p.Origins = nil
 	}
 	if len(p.AnyPathKinds) == 0 {
 		p.AnyPathKinds = nil
@@ -226,10 +220,4 @@ func (m *Matcher) allowsEntry(kind vfs.OpKind, path, name string) bool {
 		return true
 	})
 	return allowed
-}
-
-// Allows reports whether the profile permits kind at path — the
-// offline query mirror of what the Enforcer checks online.
-func (p *Profile) Allows(kind vfs.OpKind, path string) bool {
-	return p.Compile().Allows(kind, path)
 }

@@ -48,25 +48,6 @@ func (p *Process) Cred() *vfs.Cred {
 	}
 }
 
-// Client returns a mount-aware filesystem client for the process. Its
-// operations carry the process id, so per-operation records (policy.Run)
-// can be attributed back to the process.
-func (p *Process) Client() *vfs.Client {
-	c := namespace.NewClient(p.Namespaces.Mount, p.Cred())
-	c.Op.PID = uint32(p.PID)
-	return c
-}
-
-// Getenv fetches one environment variable.
-func (p *Process) Getenv(key string) (string, bool) {
-	for _, kv := range p.Env {
-		if strings.HasPrefix(kv, key+"=") {
-			return kv[len(key)+1:], true
-		}
-	}
-	return "", false
-}
-
 // Table is the system process table.
 type Table struct {
 	mu      sync.RWMutex

@@ -34,7 +34,7 @@ func TestSpawnInherits(t *testing.T) {
 	if p.PID != 2 || p.PPID != 1 {
 		t.Fatalf("pids: %d/%d", p.PID, p.PPID)
 	}
-	if v, ok := p.Getenv("KEY"); !ok || v != "VAL" {
+	if !slices.Contains(p.Env, "KEY=VAL") {
 		t.Fatal("env not inherited")
 	}
 	if p.Namespaces.Mount != init.Namespaces.Mount {
@@ -42,7 +42,7 @@ func TestSpawnInherits(t *testing.T) {
 	}
 	// Mutating the child's env must not affect the parent.
 	p.Env = append(p.Env, "NEW=1")
-	if _, ok := init.Getenv("NEW"); ok {
+	if slices.Contains(init.Env, "NEW=1") {
 		t.Fatal("env aliased between processes")
 	}
 }
@@ -151,7 +151,7 @@ func TestProcessCredAndClient(t *testing.T) {
 	if cred.FSUID != 1000 || cred.FSizeLimit != 4096 {
 		t.Fatalf("cred = %+v", cred)
 	}
-	cli := p.Client()
+	cli := namespace.NewClient(p.Namespaces.Mount, p.Cred())
 	if cli.Mounts != vfs.MountTable(p.Namespaces.Mount) {
 		t.Fatal("client bound to wrong namespace")
 	}

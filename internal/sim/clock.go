@@ -1,5 +1,5 @@
 // Package sim provides the deterministic simulation substrate used by every
-// benchmark in this repository: a virtual clock, a calibrated cost model for
+// benchmark in this repository: a virtual clock, a cost model for
 // kernel-level operations (context switches, memory copies, page-cache and
 // disk accesses), a seeded pseudo-random generator, and small statistics
 // helpers.
@@ -57,11 +57,6 @@ func (c *Clock) AdvanceTo(t time.Duration) {
 			return
 		}
 	}
-}
-
-// Reset rewinds the clock to zero. Only tests should call this.
-func (c *Clock) Reset() {
-	c.now.Store(0)
 }
 
 // String implements fmt.Stringer.

@@ -64,15 +64,6 @@ func TestClockConcurrentAdvance(t *testing.T) {
 	}
 }
 
-func TestClockReset(t *testing.T) {
-	c := NewClock()
-	c.Advance(time.Hour)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("Now() = %v after Reset, want 0", c.Now())
-	}
-}
-
 func TestCostModelCopyScalesLinearly(t *testing.T) {
 	m := DefaultCostModel()
 	one := m.CopyCost(1024)
@@ -209,16 +200,6 @@ func TestRandPermIsPermutation(t *testing.T) {
 		return true
 	}, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRandFloat64Range(t *testing.T) {
-	r := NewRand(99)
-	for i := 0; i < 1000; i++ {
-		f := r.Float64()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float64() = %v out of [0,1)", f)
-		}
 	}
 }
 

@@ -157,17 +157,6 @@ func (r *Registry) unbind(path string) {
 	r.mu.Unlock()
 }
 
-// Paths lists bound socket paths.
-func (r *Registry) Paths() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.listeners))
-	for p := range r.listeners {
-		out = append(out, p)
-	}
-	return out
-}
-
 // Proxy forwards connections from a socket path in one namespace to a
 // socket path in another, splicing payload through a kernel pipe (no
 // userspace copies). One Proxy runs one epoll-style loop goroutine.
@@ -179,8 +168,6 @@ type Proxy struct {
 
 	listener *Listener
 	wg       sync.WaitGroup
-	bytes    atomic.Int64
-	conns    atomic.Int64
 }
 
 // NewProxy starts forwarding from(path) -> to(path). clock/model may be
@@ -212,7 +199,6 @@ func (p *Proxy) loop() {
 			client.Close()
 			continue
 		}
-		p.conns.Add(1)
 		p.wg.Add(2)
 		go p.splice(client, upstream)
 		go p.splice(upstream, client)
@@ -226,7 +212,6 @@ func (p *Proxy) splice(dst, src *Conn) {
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
-			p.bytes.Add(int64(n))
 			if p.clock != nil && p.model != nil {
 				// One splice(2) call plus the per-byte remap cost.
 				p.clock.Advance(p.model.Syscall + p.model.SpliceCost(n))
@@ -240,11 +225,6 @@ func (p *Proxy) splice(dst, src *Conn) {
 		}
 	}
 	dst.Close()
-}
-
-// Stats reports forwarded connection and byte counts.
-func (p *Proxy) Stats() (conns, bytes int64) {
-	return p.conns.Load(), p.bytes.Load()
 }
 
 // Close stops accepting and waits for in-flight splices.

@@ -207,7 +207,7 @@ func TestDirectReadIgnoredWithoutHostCache(t *testing.T) {
 	off.DirectRead = false
 	for name, base := range map[string]func() vfs.FS{
 		"memfs":   func() vfs.FS { return seeded() },
-		"unionfs": func() vfs.FS { return unionfs.New(seeded()) },
+		"unionfs": func() vfs.FS { return unionfs.NewWith(unionfs.Options{}, seeded()) },
 	} {
 		for _, mount := range []fuse.MountOptions{on, off} {
 			spy := &directOpenCounter{FS: base()}

@@ -66,7 +66,7 @@ func TestCopyUpDedupsOnSharedStore(t *testing.T) {
 // identically apart from physical accounting.
 func TestPrivateUpperStillCorrect(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/etc/conf": "lower"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	if err := cli.Chmod("/etc/conf", 0o600); err != nil {
 		t.Fatal(err)

@@ -62,14 +62,9 @@ type Options struct {
 	Store blobstore.Store
 }
 
-// New builds a union of the given read-only lower layers (top-most
-// first) with a fresh writable upper layer.
-func New(lowers ...vfs.FS) *FS {
-	return NewWith(Options{}, lowers...)
-}
-
-// NewWith builds a union whose upper layer writes through the
-// configured backend store.
+// NewWith builds a union of the given read-only lower layers (top-most
+// first) with a fresh writable upper layer, which writes through the
+// store opts names.
 func NewWith(opts Options, lowers ...vfs.FS) *FS {
 	fs := &FS{
 		upper:   memfs.New(memfs.Options{Store: opts.Store}),

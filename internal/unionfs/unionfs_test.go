@@ -45,7 +45,7 @@ func maxIdx(a, b int) int {
 
 func TestLowerLayerVisible(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/bin/sh": "shell", "/etc/os-release": "alpine"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	got, err := cli.ReadFile("/bin/sh")
 	if err != nil || string(got) != "shell" {
@@ -55,7 +55,7 @@ func TestLowerLayerVisible(t *testing.T) {
 
 func TestUpperShadowsLower(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/conf": "old"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	if err := cli.WriteFile("/conf", []byte("new"), 0o644); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestUpperShadowsLower(t *testing.T) {
 func TestLayerPrecedence(t *testing.T) {
 	top := makeLayer(t, map[string]string{"/f": "top"})
 	bottom := makeLayer(t, map[string]string{"/f": "bottom", "/only": "b"})
-	u := New(top, bottom)
+	u := NewWith(Options{}, top, bottom)
 	cli := vfs.NewClient(u, vfs.Root())
 	got, _ := cli.ReadFile("/f")
 	if string(got) != "top" {
@@ -89,7 +89,7 @@ func TestLayerPrecedence(t *testing.T) {
 
 func TestCopyUpOnWrite(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/data/file": "original"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	f, err := cli.Open("/data/file", vfs.ORdwr, 0)
 	if err != nil {
@@ -112,7 +112,7 @@ func TestCopyUpOnWrite(t *testing.T) {
 
 func TestWhiteoutHidesLowerFile(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/victim": "x", "/keep": "y"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	if err := cli.Remove("/victim"); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestWhiteoutHidesLowerFile(t *testing.T) {
 
 func TestRecreateAfterWhiteout(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/f": "old"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	cli.Remove("/f")
 	if err := cli.WriteFile("/f", []byte("new"), 0o644); err != nil {
@@ -148,7 +148,7 @@ func TestRecreateAfterWhiteout(t *testing.T) {
 func TestMergedReaddir(t *testing.T) {
 	top := makeLayer(t, map[string]string{"/dir/a": "1", "/dir/both": "top"})
 	bottom := makeLayer(t, map[string]string{"/dir/b": "2", "/dir/both": "bottom"})
-	u := New(top, bottom)
+	u := NewWith(Options{}, top, bottom)
 	cli := vfs.NewClient(u, vfs.Root())
 	ents, err := cli.ReadDir("/dir")
 	if err != nil {
@@ -166,7 +166,7 @@ func TestMergedReaddir(t *testing.T) {
 
 func TestMkdirAndNestedWrites(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/usr/bin/tool": "t"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	if err := cli.MkdirAll("/usr/local/bin", 0o755); err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestMkdirAndNestedWrites(t *testing.T) {
 
 func TestRenameLowerFile(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/old": "content"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	if err := cli.Rename("/old", "/new"); err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestRenameLowerFile(t *testing.T) {
 
 func TestRenameDirectoryCopiesTree(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/d/x": "1", "/d/sub/y": "2"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	if err := cli.Rename("/d", "/moved"); err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestRenameDirectoryCopiesTree(t *testing.T) {
 
 func TestRmdirUnionEmpty(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/dir/f": "x"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	if err := cli.Remove("/dir"); vfs.ToErrno(err) != vfs.ENOTEMPTY {
 		t.Fatalf("rmdir non-empty union: %v", err)
@@ -232,7 +232,7 @@ func TestRmdirUnionEmpty(t *testing.T) {
 
 func TestHardLinkWithinUnion(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/f": "x"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	if err := cli.Link("/f", "/l"); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestHardLinkWithinUnion(t *testing.T) {
 
 func TestSymlinkInUnion(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/target": "T"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	if err := cli.Symlink("/target", "/ln"); err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestXattrCopyUp(t *testing.T) {
 	r, _ := lcli.Resolve("/f")
 	lower.Setxattr(vfs.RootOp(), r.Ino, "user.origin", []byte("lower"), 0)
 
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	ur, _ := cli.Resolve("/f")
 	// Setting a new xattr copies up and must preserve existing ones.
@@ -277,7 +277,7 @@ func TestXattrCopyUp(t *testing.T) {
 
 func TestChmodCopiesUp(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/f": "x"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	if err := cli.Chmod("/f", 0o700); err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestDeepLayerStack(t *testing.T) {
 	l1 := makeLayer(t, map[string]string{"/a": "1"})
 	l2 := makeLayer(t, map[string]string{"/b": "2"})
 	l3 := makeLayer(t, map[string]string{"/c": "3", "/a": "shadowed"})
-	u := New(l1, l2, l3)
+	u := NewWith(Options{}, l1, l2, l3)
 	cli := vfs.NewClient(u, vfs.Root())
 	for path, want := range map[string]string{"/a": "1", "/b": "2", "/c": "3"} {
 		got, err := cli.ReadFile(path)
@@ -308,7 +308,7 @@ func TestDeepLayerStack(t *testing.T) {
 
 func TestWhiteoutsNotListedEver(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/d/a": "1", "/d/b": "2", "/d/c": "3"})
-	u := New(lower)
+	u := NewWith(Options{}, lower)
 	cli := vfs.NewClient(u, vfs.Root())
 	cli.Remove("/d/a")
 	cli.Remove("/d/b")

@@ -42,7 +42,7 @@ func (l *obsLog) op(op *vfs.Op) string {
 		n = len(l.ops) + 1
 		l.ops[op.ID] = n
 	}
-	s := fmt.Sprintf("#%d.pid%d.uid%d", n, op.PID, op.Cred.UID)
+	s := fmt.Sprintf("#%d.uid%d", n, op.Cred.UID)
 	if op.Err() != nil {
 		s += "/interrupted"
 	}

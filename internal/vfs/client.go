@@ -49,9 +49,6 @@ func (c *Client) Chroot(dir string) (*Client, error) {
 	return &cp, nil
 }
 
-// Cred returns the credential the client operates with.
-func (c *Client) Cred() *Cred { return c.Op.Cred }
-
 // req mints the request context for one client call: the client's
 // credential and cancellation scope with a fresh request id, on a borrowed
 // Op the caller releases once the call has returned — no layer may keep it

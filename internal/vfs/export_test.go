@@ -17,6 +17,29 @@ func PoisonRecycled(on bool) {
 	poison.Store(&OpInfo{
 		Kind: KindAny, Ino: ^Ino(0), Name: name, Bytes: -1, ResultIno: ^Ino(0),
 		NewParentIno: ^Ino(0), NewName: name,
-		Op: &Op{Cred: User(^uint32(0), ^uint32(0)), ID: ^uint64(0), PID: ^uint32(0), ctx: ctx},
+		Op: &Op{Cred: User(^uint32(0), ^uint32(0)), ID: ^uint64(0), ctx: ctx},
 	})
+}
+
+// Add accumulates o into s.
+func (s *OpStats) Add(o OpStats) {
+	s.Lookups += o.Lookups
+	s.Getattrs += o.Getattrs
+	s.Setattrs += o.Setattrs
+	s.Creates += o.Creates
+	s.Opens += o.Opens
+	s.Opendirs += o.Opendirs
+	s.Reads += o.Reads
+	s.Writes += o.Writes
+	s.BytesRead += o.BytesRead
+	s.BytesWrit += o.BytesWrit
+	s.Fsyncs += o.Fsyncs
+	s.Unlinks += o.Unlinks
+	s.Renames += o.Renames
+	s.Readdirs += o.Readdirs
+	s.Xattrs += o.Xattrs
+	s.Forgets += o.Forgets
+	s.Releases += o.Releases
+	s.Statfs += o.Statfs
+	s.Access += o.Access
 }

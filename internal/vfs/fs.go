@@ -6,8 +6,8 @@ package vfs
 // component at a time with Lookup, and refers to open files by Handle.
 //
 // Every method takes an *Op request context as its first argument,
-// carrying the credential, a cancellation context, the request id and the
-// originating PID. Methods perform permission checks against op.Cred;
+// carrying the credential, a cancellation context and the request id.
+// Methods perform permission checks against op.Cred;
 // passing RootOp() bypasses most checks, as for a root process with full
 // capabilities. Operations that can block (FIFO reads, FUSE round trips)
 // observe op.Context() and return EINTR when it is canceled.
@@ -145,29 +145,6 @@ type OpStats struct {
 	Releases  int64
 	Statfs    int64
 	Access    int64
-}
-
-// Add accumulates o into s.
-func (s *OpStats) Add(o OpStats) {
-	s.Lookups += o.Lookups
-	s.Getattrs += o.Getattrs
-	s.Setattrs += o.Setattrs
-	s.Creates += o.Creates
-	s.Opens += o.Opens
-	s.Opendirs += o.Opendirs
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.BytesRead += o.BytesRead
-	s.BytesWrit += o.BytesWrit
-	s.Fsyncs += o.Fsyncs
-	s.Unlinks += o.Unlinks
-	s.Renames += o.Renames
-	s.Readdirs += o.Readdirs
-	s.Xattrs += o.Xattrs
-	s.Forgets += o.Forgets
-	s.Releases += o.Releases
-	s.Statfs += o.Statfs
-	s.Access += o.Access
 }
 
 // HandleExporter is the optional interface behind name_to_handle_at(2) /

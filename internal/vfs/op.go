@@ -8,7 +8,7 @@ import (
 
 // Op is the per-request context every filesystem operation runs with. It
 // plays the role of the kernel's request struct on the FUSE path: who is
-// asking (Cred, PID), which request this is (ID), and whether the caller
+// asking (Cred), which request this is (ID), and whether the caller
 // still wants the answer (Context). Every vfs.FS method takes an *Op as
 // its first argument; layers pass it down unchanged so a single request
 // keeps one identity across the whole stack (syscall layer → page cache →
@@ -26,9 +26,6 @@ type Op struct {
 	// process-wide counter; the FUSE server overwrites it with the wire
 	// request's unique id so both sides agree on the request identity.
 	ID uint64
-	// PID is the originating process id, zero when no process model is
-	// involved (tests, tools).
-	PID uint32
 	// Stat marks a path walk made for stat(2) (Client.Stat, Client.Lstat):
 	// its caller reads the size and times the walk returns, so a cache
 	// that keeps attributes a write made stale for other walks must not
@@ -56,8 +53,8 @@ func NewOp(ctx context.Context, cred *Cred) *Op {
 // owner that recycles one Op from request to request (the FUSE server,
 // whose Op.ID is the wire request's unique id). ctx and cred must not be
 // nil. An Op handed to a filesystem call is only valid for that call.
-func (op *Op) Init(ctx context.Context, cred *Cred, id uint64, pid uint32) {
-	*op = Op{Cred: cred, ID: id, PID: pid, ctx: ctx}
+func (op *Op) Init(ctx context.Context, cred *Cred, id uint64) {
+	*op = Op{Cred: cred, ID: id, ctx: ctx}
 }
 
 // RootOp returns a fresh non-cancelable operation with root credentials —

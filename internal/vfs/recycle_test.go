@@ -215,7 +215,7 @@ func TestChainRecycledFrameIsWiped(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch {
-		case !poisoned && (*keptInfo != vfs.OpInfo{} || keptOp.Cred != nil || keptOp.ID != 0 || keptOp.PID != 0):
+		case !poisoned && (*keptInfo != vfs.OpInfo{} || keptOp.Cred != nil || keptOp.ID != 0):
 			t.Errorf("after the call: info %+v, op %+v; want both wiped", *keptInfo, *keptOp)
 		case poisoned && (keptInfo.Op == nil || keptInfo.Op.ID != ^uint64(0) || keptInfo.Name != "\xDB\xDB\xDB\xDB" ||
 			keptOp.ID != ^uint64(0) || keptOp.Err() != vfs.EINTR):
