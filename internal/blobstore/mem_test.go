@@ -3,31 +3,16 @@ package blobstore
 import (
 	"bytes"
 	"runtime"
-	"runtime/debug"
 	"testing"
-)
 
-// raceBuild reports whether the test binary was built with -race, whose
-// instrumentation allocates on its own account.
-func raceBuild() bool {
-	info, _ := debug.ReadBuildInfo()
-	if info == nil {
-		return false
-	}
-	for _, s := range info.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
+	"cntr/internal/allocs"
+)
 
 // TestMemPutAllocBudget pins what storing a block costs the host: 256 Puts
 // of 4 KiB are four full runs (maxRun holds 64 blocks) and four ref
 // batches, and nothing per Put (a blob copy and a ref string each, 512 in
 // all, before). A first burst grows the runs to maxRun and the map to 256
-// entries; the Deletes after each burst leave it grown. Asserts are off
-// under -race.
+// entries; the Deletes after each burst leave it grown.
 func TestMemPutAllocBudget(t *testing.T) {
 	const puts, runs = 256, 5
 	m := NewMem()
@@ -48,14 +33,8 @@ func TestMemPutAllocBudget(t *testing.T) {
 	objects := testing.AllocsPerRun(runs, burst)
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
-	t.Logf("%d Puts of 4 KiB: %.0f heap objects, %.0f bytes", puts, objects, bytes)
-	if raceBuild() {
-		return
-	}
-	if objects > 10 {
-		t.Errorf("%d Puts of 4 KiB cost %.0f heap objects, budget 10: %d runs and %d ref batches",
-			puts, objects, puts*len(data)/maxRun, puts/refBatch)
-	}
+	t.Logf("%d Puts of 4 KiB: %.0f bytes; %d runs and %d ref batches", puts, bytes, puts*len(data)/maxRun, puts/refBatch)
+	allocs.Check(t, "256 Puts of 4 KiB", objects)
 }
 
 // TestMemBlobsAreNeverReused: Mem hands out no freed bytes. A blob held

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"testing"
 	"time"
 
+	"cntr/internal/allocs"
 	"cntr/internal/blobstore"
 	"cntr/internal/cachesvc"
 	"cntr/internal/sim"
@@ -353,26 +353,11 @@ func TestStoreDeleteInvalidates(t *testing.T) {
 	}
 }
 
-// raceBuild reports whether the test binary was built with -race, whose
-// instrumentation allocates on its own account.
-func raceBuild() bool {
-	info, _ := debug.ReadBuildInfo()
-	if info == nil {
-		return false
-	}
-	for _, s := range info.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
-
 // TestHitAllocBudget pins what a cached chunk costs the host to look up:
 // a tier hit through the client, the same hit through the wrapped store,
 // and the CAS's verified Get hand back bytes the tier or the store keeps
 // and build nothing on the way — no key string, no defer record, no hex
-// digest. Asserts are off under -race.
+// digest.
 func TestHitAllocBudget(t *testing.T) {
 	e, st, cas, _ := storeEnv(t)
 	ref, err := st.Put(make([]byte, 4096))
@@ -397,9 +382,6 @@ func TestHitAllocBudget(t *testing.T) {
 				t.Fatalf("%s: %v", row.call, err)
 			}
 		})
-		t.Logf("%s: %.0f heap objects", row.call, got)
-		if !raceBuild() && got != 0 {
-			t.Errorf("%s costs %.0f heap objects, want 0", row.call, got)
-		}
+		allocs.Check(t, row.call, got)
 	}
 }

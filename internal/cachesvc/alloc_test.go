@@ -1,24 +1,10 @@
 package cachesvc
 
 import (
-	"runtime/debug"
 	"testing"
-)
 
-// raceBuild reports whether the test binary was built with -race, whose
-// instrumentation allocates on its own account.
-func raceBuild() bool {
-	info, _ := debug.ReadBuildInfo()
-	if info == nil {
-		return false
-	}
-	for _, s := range info.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
+	"cntr/internal/allocs"
+)
 
 // TestPutSharesOneCopy: a write to a shard on two nodes stores one copy
 // of the caller's bytes, which both nodes' entries share, and costs the
@@ -27,7 +13,7 @@ func raceBuild() bool {
 // from the service's runs and the entries come from the stores' free
 // lists, which the warm-up's invalidations filled. The copy's capacity is
 // its length, so an append on it cannot reach its neighbour in the run.
-// A hit allocates nothing. Asserts on counts are off under -race.
+// A hit allocates nothing.
 func TestPutSharesOneCopy(t *testing.T) {
 	const runs = 200
 	svc := New(Options{Nodes: 2, Replicas: 1})
@@ -81,14 +67,6 @@ func TestPutSharesOneCopy(t *testing.T) {
 			t.Fatal("miss")
 		}
 	})
-	t.Logf("NodePut on two nodes: %.0f heap objects; Get hit: %.0f", puts, hit)
-	if raceBuild() {
-		return
-	}
-	if puts != 0 {
-		t.Errorf("NodePut on two nodes costs %.0f heap objects, want 0", puts)
-	}
-	if hit != 0 {
-		t.Errorf("Get hit costs %.0f heap objects, want 0", hit)
-	}
+	allocs.Check(t, "NodePut on two nodes", puts)
+	allocs.Check(t, "Get hit", hit)
 }

@@ -12,12 +12,10 @@ import (
 	"cntr/internal/vfs"
 )
 
-// Limits are the resource bounds a group enforces. Zero values mean
-// unlimited.
+// Limits are the resource bounds a group enforces: the pids controller's
+// process count, zero meaning unlimited.
 type Limits struct {
-	CPUShares   int64
-	MemoryBytes int64
-	PidsMax     int64
+	PidsMax int64
 }
 
 // group is one node in the hierarchy.

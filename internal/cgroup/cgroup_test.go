@@ -8,12 +8,12 @@ import (
 
 func TestCreateAndGet(t *testing.T) {
 	h := New()
-	h.Create("/docker/abc", Limits{MemoryBytes: 1 << 30})
+	h.Create("/docker/abc", Limits{PidsMax: 64})
 	// Intermediate group auto-created.
 	if _, ok := h.groups["/docker"]; !ok {
 		t.Fatal("ancestor missing")
 	}
-	if g := h.groups["/docker/abc"]; g == nil || g.limits.MemoryBytes != 1<<30 {
+	if g := h.groups["/docker/abc"]; g == nil || g.limits.PidsMax != 64 {
 		t.Fatalf("group = %+v", g)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cntr/internal/allocs"
 	"cntr/internal/memfs"
 	"cntr/internal/sim"
 	"cntr/internal/vfs"
@@ -37,25 +38,19 @@ func raceBuild() bool {
 // (every call is a round trip), each case measured after a warm-up that
 // fills the request pool, the table's spare queues and the maps.
 //
-// Objects per frame:   before   now   budget
-//
-//	LOOKUP miss          15       1      4   (the server's name string)
-//	GETATTR              20       0      4
-//	CREATE               21       1      4   (memfs's own share subtracted)
-//	READ 128 KiB         18       0      0   and under 4 KiB a frame
-//	WRITE 128 KiB         -       0      0   and under 4 KiB (memfs's share subtracted)
-//	RELEASE (one-way)    13       0      3
-//
-// "before" is this test when it was written, where a frame cost a buf,
-// a frame, a Pending, a message, a reply channel and two readers on the
-// kernel side; an Op, a Cred, a cancel context, a reply copy and a
-// buffer grown append by append on the server's; and an origin queue
-// with its message slice in the table. The budgets leave room for the
-// pool refilling after a collection. The payload rows have no pool to
-// refill: until their reply storage and frame went back to the Conn
-// (Conn.frames) each cost one payload-sized object, 139 455 bytes a READ
-// and 139 289 a WRITE; 4 KiB is below any payload a transient could
-// hold.
+// The budgets are testdata/allocs.golden's fuse lines. When this test was
+// written a frame cost LOOKUP miss 15 objects (now the server's name
+// string alone), GETATTR 20, CREATE 21 (memfs's own share subtracted),
+// READ 128 KiB 18 and RELEASE 13: a buf, a frame, a Pending, a message, a
+// reply channel and two readers on the kernel side; an Op, a Cred, a
+// cancel context, a reply copy and a buffer grown append by append on the
+// server's; and an origin queue with its message slice in the table. READ
+// and WRITE (memfs's share subtracted) stay under 4 KiB a frame. The
+// budgets leave room for the pool refilling after a collection. The
+// payload rows have no pool to refill: until their reply storage and
+// frame went back to the Conn (Conn.frames) each cost one payload-sized
+// object, 139 455 bytes a READ and 139 289 a WRITE; 4 KiB is below any
+// payload a transient could hold.
 func TestRoundTripAllocBudget(t *testing.T) {
 	opts := DefaultMountOptions()
 	opts.ServerThreads = 4
@@ -107,38 +102,37 @@ func TestRoundTripAllocBudget(t *testing.T) {
 
 	cases := []struct {
 		name     string
-		budget   float64
 		maxBytes float64 // per frame; 0 leaves bytes unchecked
 		baseline func()  // the backing filesystem's share, if any
 		run      func()
 	}{
-		{"LOOKUP miss", 4, 0, nil, func() {
+		{"LOOKUP miss", 0, nil, func() {
 			if _, err := e.conn.Lookup(op, vfs.RootIno, "absent"); vfs.ToErrno(err) != vfs.ENOENT {
 				t.Fatal(err)
 			}
 		}},
-		{"GETATTR", 4, 0, nil, func() {
+		{"GETATTR", 0, nil, func() {
 			if _, err := e.conn.Getattr(op, attr.Ino); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"CREATE", 4, 0, createDirect, func() {
+		{"CREATE", 0, createDirect, func() {
 			if _, _, err := e.conn.Create(op, vfs.RootIno, names[next], 0o644, vfs.ORdwr); err != nil {
 				t.Fatal(err)
 			}
 			next++
 		}},
-		{"READ 128 KiB", 0, 4 << 10, nil, func() {
+		{"READ 128 KiB", 4 << 10, nil, func() {
 			if n, err := e.conn.Read(op, h, 0, dest); err != nil || n != payload {
 				t.Fatal(n, err)
 			}
 		}},
-		{"WRITE 128 KiB", 0, 4 << 10, writeDirect, func() {
+		{"WRITE 128 KiB", 4 << 10, writeDirect, func() {
 			if n, err := e.conn.Write(op, h, 0, dest); err != nil || n != payload {
 				t.Fatal(n, err)
 			}
 		}},
-		{"RELEASE", 3, 0, nil, func() {
+		{"RELEASE", 0, nil, func() {
 			// One-way: wait for the server to have dispatched the frame, so
 			// its share lands inside the measurement. The handle is bogus
 			// (EBADF below the server); the frame is what is measured.
@@ -166,12 +160,10 @@ func TestRoundTripAllocBudget(t *testing.T) {
 			base, baseBytes := measure(tc.baseline)
 			got, bytes = got-base, bytes-baseBytes
 		}
-		t.Logf("%-13s %5.2f objects, %7.0f bytes per frame (budget %v objects)", tc.name, got, bytes, tc.budget)
+		allocs.Check(t, tc.name, got)
+		t.Logf("%-13s %7.0f bytes per frame", tc.name, bytes)
 		if raceBuild() {
 			continue
-		}
-		if got > tc.budget {
-			t.Errorf("%s: %.2f heap objects per round trip, budget %v", tc.name, got, tc.budget)
 		}
 		if tc.maxBytes > 0 && bytes > tc.maxBytes {
 			t.Errorf("%s: %.0f bytes per round trip, budget %v: a payload-sized buffer was made", tc.name, bytes, tc.maxBytes)

@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"cntr/internal/allocs"
 	"cntr/internal/sim"
 	"cntr/internal/vfs"
 )
@@ -126,8 +127,8 @@ func heapCost(runs int, f func()) (objects, bytes float64) {
 // the capability lookup, and memfs answers that without allocating. Bytes
 // are the pages' own plus at most 64 KiB. Asserts are off under -race.
 func TestFreshPagesAllocBudget(t *testing.T) {
-	const runs, pageMap = 20, 4
-	for _, tc := range []struct{ pages, blocks int }{{64, 1}, {256, 4}} {
+	const runs = 20
+	for _, pages := range []int{64, 256} {
 		e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 30})
 		files := make([]vfs.File, runs+1)
 		for i := range files {
@@ -137,7 +138,7 @@ func TestFreshPagesAllocBudget(t *testing.T) {
 			}
 			defer files[i].Close()
 		}
-		data := make([]byte, tc.pages*PageSize)
+		data := make([]byte, pages*PageSize)
 		next := 0
 		objects, bytes := heapCost(runs, func() {
 			if n, err := files[next].WriteAt(data, 0); n != len(data) || err != nil {
@@ -145,16 +146,13 @@ func TestFreshPagesAllocBudget(t *testing.T) {
 			}
 			next++
 		})
-		t.Logf("%d fresh pages: %.0f heap objects, %.0f bytes", tc.pages, objects, bytes)
+		allocs.Check(t, fmt.Sprintf("%d fresh pages", pages), objects)
+		t.Logf("%d fresh pages: %.0f bytes", pages, bytes)
 		if raceBuild() {
 			continue
 		}
-		if want := float64(2*tc.blocks + pageMap); objects != want {
-			t.Errorf("%d fresh pages cost %.0f heap objects, want %.0f: %d blocks of bytes, %d of headers, %d of page map",
-				tc.pages, objects, want, tc.blocks, tc.blocks, pageMap)
-		}
 		if limit := float64(len(data) + 64<<10); bytes > limit {
-			t.Errorf("%d fresh pages cost %.0f bytes, want at most %.0f", tc.pages, bytes, limit)
+			t.Errorf("%d fresh pages cost %.0f bytes, want at most %.0f", pages, bytes, limit)
 		}
 	}
 }
@@ -168,7 +166,7 @@ func TestFreshPagesAllocBudget(t *testing.T) {
 // buffer, and the file's record was made by its open. Asserts are off
 // under -race.
 func TestColdWindowAllocBudget(t *testing.T) {
-	const runs, pages, want = 20, 16, 0
+	const runs, pages = 20, 16
 	e := newEnv(t, Options{KeepCache: true, ReadAhead: 128 << 10})
 	below := vfs.NewClient(e.cache.backing, vfs.Root())
 	data := make([]byte, pages*PageSize)
@@ -192,14 +190,11 @@ func TestColdWindowAllocBudget(t *testing.T) {
 		}
 		next++
 	})
-	t.Logf("cold %d-page window: %.0f heap objects, %.0f bytes", pages, objects, bytes)
+	t.Logf("cold %d-page window: %.0f bytes", pages, bytes)
 	if s := e.cache.Stats(); s.Misses != int64(len(files)) {
 		t.Fatalf("%d misses for %d cold reads, want one each", s.Misses, len(files))
 	}
-	if !raceBuild() && objects != want {
-		t.Errorf("a cold %d-page window costs %.0f heap objects, want %d: a share of two slab blocks",
-			pages, objects, want)
-	}
+	allocs.Check(t, "cold 16-page window", objects)
 }
 
 // TestAppendAllocBudget pins what files grown by 4 KiB writes cost the
@@ -220,11 +215,10 @@ func TestAppendAllocBudget(t *testing.T) {
 		random[i] = int64(rng.Intn(1024))
 	}
 	for _, tc := range []struct {
-		name    string
-		files   int
-		writes  func(files []vfs.File) int // returns the pages cached
-		objects float64
-		tail    int // pages the last block may leave unused
+		name   string
+		files  int
+		writes func(files []vfs.File) int // returns the pages cached
+		tail   int                        // pages the last block may leave unused
 	}{
 		{"1024 sequential appends", 1, func(files []vfs.File) int {
 			for i := int64(0); i < 1024; i++ {
@@ -233,7 +227,7 @@ func TestAppendAllocBudget(t *testing.T) {
 				}
 			}
 			return 1024
-		}, 54, slabBlock - 1},
+		}, slabBlock - 1},
 		{"four files appended in turn", 4, func(files []vfs.File) int {
 			for i := int64(0); i < 64; i++ {
 				for j := range files {
@@ -243,7 +237,7 @@ func TestAppendAllocBudget(t *testing.T) {
 				}
 			}
 			return 256
-		}, 44, 0},
+		}, 0},
 		{"random writes into a sparse file", 1, func(files []vfs.File) int {
 			cached := map[int64]bool{}
 			for _, idx := range random {
@@ -253,7 +247,7 @@ func TestAppendAllocBudget(t *testing.T) {
 				cached[idx] = true
 			}
 			return len(cached)
-		}, 30, 0},
+		}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 40})
@@ -276,12 +270,10 @@ func TestAppendAllocBudget(t *testing.T) {
 				pages = tc.writes(sets[next])
 				next++
 			})
-			t.Logf("%s: %d pages, %.0f heap objects, %.0f bytes", tc.name, pages, objects, bytes)
+			allocs.Check(t, tc.name, objects)
+			t.Logf("%s: %d pages, %.0f bytes", tc.name, pages, bytes)
 			if raceBuild() {
 				return
-			}
-			if objects != tc.objects {
-				t.Errorf("%.0f heap objects, want %.0f", objects, tc.objects)
 			}
 			if limit := float64((pages+tc.tail)*PageSize + (pages+255)/256*64<<10); bytes > limit {
 				t.Errorf("%.0f bytes for %d pages, want at most %.0f", bytes, pages, limit)
@@ -298,7 +290,6 @@ func TestAppendAllocBudget(t *testing.T) {
 // open file is a value. Only memfs's block map is left: 2 heap objects.
 // Asserts are off under -race.
 func TestChurnAllocBudget(t *testing.T) {
-	const want = 2
 	e := newEnv(t, Options{KeepCache: true, Writeback: true, FlushOnClose: true})
 	data := make([]byte, PageSize)
 	var cached *page
@@ -326,10 +317,8 @@ func TestChurnAllocBudget(t *testing.T) {
 			t.Fatal("a churned file's page has a new header or buffer, want the one the file before dropped")
 		}
 	})
-	t.Logf("create / 4 KiB write / close / unlink: %.0f heap objects, %.0f bytes", objects, bytes)
-	if !raceBuild() && objects != want {
-		t.Errorf("create / 4 KiB write / close / unlink costs %.0f heap objects, want %d", objects, want)
-	}
+	t.Logf("create / 4 KiB write / close / unlink: %.0f bytes", bytes)
+	allocs.Check(t, "create / 4 KiB write / close / unlink", objects)
 }
 
 // TestDroppedPagesAreReusedOnce: 64 pages written in one call are

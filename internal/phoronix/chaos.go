@@ -10,9 +10,13 @@ import (
 // ChaosProfile is the default fault/latency-injection rule set for the
 // -chaos harness profile: periodic extra latency on the data path and a
 // smaller tax across every operation, modelling a degraded backing store
-// (an EBS volume having a bad day). Errors are deliberately absent from
-// the default profile — the suite's workloads treat any errno as fatal,
-// so the measurable axis under chaos is latency degradation.
+// (an EBS volume having a bad day). It injects no errno, so every row
+// completes and the measurable axis under chaos is latency degradation.
+// An errno would not act alike across rows: most abort on the first, but
+// Dbench, Apachebench and Compilebench: Compile drop ReadAt's error, and
+// readAll, the warm-ups' reader, stops at any read error and returns nil,
+// so those rows finish past an injected EIO (rows.golden's enforce+chaos
+// Dbench lines count 6 to 876 of them).
 func ChaosProfile() []vfs.FaultRule {
 	return []vfs.FaultRule{
 		{Kind: vfs.KindRead, Delay: 200 * time.Microsecond, EveryN: 7},

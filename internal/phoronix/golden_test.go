@@ -20,7 +20,11 @@ import (
 	"cntr/internal/vfs"
 )
 
-var updateRows = flag.Bool("update", false, "rewrite testdata/rows.golden and README's figure blocks (Figures 2, 3 and 4) from this run")
+// updating reports -update, which package allocs defines for the test
+// binaries that import it (this package's alloc test does): here it also
+// rewrites testdata/rows.golden and README's figure blocks (Figures 2, 3
+// and 4) from this run.
+func updating() bool { return flag.Lookup("update").Value.String() == "true" }
 
 // updateCmd rewrites both.
 const updateCmd = "go test ./internal/phoronix -run 'Golden|ReadmeFigures' -update"
@@ -187,7 +191,7 @@ const rowsGolden = "testdata/rows.golden"
 // merge-replay, consolidation and the 256 MB stream, and compares the file
 // up to them.
 func TestRowsGolden(t *testing.T) {
-	if *updateRows && testing.Short() {
+	if updating() && testing.Short() {
 		t.Fatal("-update under -short would drop the modes -short skips")
 	}
 	var b strings.Builder
@@ -248,7 +252,7 @@ func TestRowsGolden(t *testing.T) {
 		line("stream/256MB", "seq-64k", stream, s256.WriteTime, s256.ReadTime, s256.KernelEvictions, s256.HostEvictions)
 	}
 	got := b.String()
-	if *updateRows {
+	if updating() {
 		if err := os.WriteFile(rowsGolden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -546,7 +550,7 @@ func TestReadmeFiguresCurrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if *updateRows {
+			if updating() {
 				if err := os.WriteFile(readme, []byte(spliced), 0o644); err != nil {
 					t.Fatal(err)
 				}

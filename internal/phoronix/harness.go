@@ -162,8 +162,8 @@ type Setup struct {
 
 // Row is the outcome of one benchmark on one CntrFS stack. A failed
 // workload is a row with Err set (and no Time), not an aborted sweep:
-// a denial or an injected errno surfaces there, the suite treating any
-// errno as fatal.
+// a denial or an injected errno that the workload returns surfaces there
+// (ChaosProfile says which rows drop a read's errno).
 type Row struct {
 	Name string
 	Time time.Duration

@@ -1,0 +1,69 @@
+package phoronix
+
+import (
+	"runtime"
+	"runtime/debug"
+	"strings"
+	"testing"
+
+	"cntr/internal/allocs"
+	"cntr/internal/stack"
+	"cntr/internal/vfs"
+)
+
+// runNative runs b through RunOn on a fresh native stack at seed 42.
+func runNative(b *Benchmark) error {
+	n := stack.NewNative(stackConfig())
+	_, _, err := RunOn(b, n.Top, n.Mem, n.Clock, n.Model, n.Disk, 42)
+	return err
+}
+
+// TestRowRunAllocBudget pins the heap objects of the timed Run of three
+// rows on the native stack: the path tables are built at package init,
+// so what is left is the stack's own cost and the rows' buffers. The
+// collector is off, so no pool the client recycles through is emptied
+// midway. The pins are ceilings: a pool is per P, and memfs's inode map
+// rehashes where its hash seed says, so a row's count moves by a few
+// objects between runs (Meta-Storm 121–130, Compilebench: Read 101–102,
+// Dbench 54–55 over 1 200 runs at -cpu 1,4); each ceiling is about a
+// tenth above the largest, where one path formatted per Meta-Storm pass
+// would add 240.
+func TestRowRunAllocBudget(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, b := range []*Benchmark{&MetaStorm, findBench("Compilebench: Read"), findBench("Dbench: 1 Clients")} {
+		var objects uint64
+		timed := *b
+		timed.Run = func(ctx *Ctx) (int64, error) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			work, err := b.Run(ctx)
+			runtime.ReadMemStats(&after)
+			objects = after.Mallocs - before.Mallocs
+			return work, err
+		}
+		if err := runNative(&timed); err != nil {
+			t.Fatal(err)
+		}
+		allocs.Check(t, b.Name, float64(objects))
+	}
+}
+
+// TestRowRefusesStrayListing: a row that lists a directory acts on its
+// path table, so a listing that disagrees with the table fails the row
+// with the entry named, rather than the row opening whatever was listed.
+func TestRowRefusesStrayListing(t *testing.T) {
+	const stray = "/share/dir00/f005.c.orig"
+	b := *findBench("Dbench: 1 Clients")
+	prepare := b.Prepare
+	b.Prepare = func(cli *vfs.Client) error {
+		if err := prepare(cli); err != nil {
+			return err
+		}
+		return cli.WriteFile(stray, make([]byte, 8*kb), 0o644)
+	}
+	err := runNative(&b)
+	if err == nil || !strings.Contains(err.Error(), `"f005.c.orig"`) {
+		t.Fatalf("Dbench over a listing with %s: %v, want an error naming the entry", stray, err)
+	}
+	t.Log(err)
+}

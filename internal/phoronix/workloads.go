@@ -59,16 +59,16 @@ var Suite = []Benchmark{
 		// FUSE (§5.2.2).
 		Prepare: func(cli *vfs.Client) error {
 			cli.MkdirAll("/www", 0o755)
-			for i := 0; i < 16; i++ {
-				if err := cli.WriteFile(fmt.Sprintf("/www/page%02d.html", i), make([]byte, 3*kb), 0o644); err != nil {
+			for _, page := range wwwPages {
+				if err := cli.WriteFile(page, make([]byte, 3*kb), 0o644); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
 		Warmup: func(ctx *Ctx) error {
-			for i := 0; i < 16; i++ {
-				if _, err := ctx.Cli.ReadFile(fmt.Sprintf("/www/page%02d.html", i)); err != nil {
+			for _, page := range wwwPages {
+				if _, err := ctx.Cli.ReadFile(page); err != nil {
 					return err
 				}
 			}
@@ -84,7 +84,7 @@ var Suite = []Benchmark{
 			line := []byte(`10.0.0.1 - - [11/Jul/2018] "GET /page.html HTTP/1.1" 200 3072` + "\n")
 			buf := make([]byte, 3*kb)
 			for i := int64(0); i < requests; i++ {
-				f, err := ctx.Cli.Open(fmt.Sprintf("/www/page%02d.html", i%16), vfs.ORdonly, 0)
+				f, err := ctx.Cli.Open(wwwPages[i%int64(len(wwwPages))], vfs.ORdonly, 0)
 				if err != nil {
 					return 0, err
 				}
@@ -101,25 +101,23 @@ var Suite = []Benchmark{
 	{
 		Name: "Compilebench: Compile", Workers: 1, PaperOverhead: 2.3,
 		// Compile a kernel module: read source files, write object files.
-		Prepare: func(cli *vfs.Client) error { return makeTree(cli, "/src", 12, 20, 8*kb) },
+		Prepare: func(cli *vfs.Client) error { return srcTree.seed(cli, 8*kb) },
 		Run: func(ctx *Ctx) (int64, error) {
 			var work int64
 			buf := make([]byte, 16*kb)
-			for d := 0; d < 12; d++ {
-				dir := fmt.Sprintf("/src/dir%02d", d)
-				ents, err := ctx.Cli.ReadDir(dir)
-				if err != nil {
+			for d := range srcTree.dirs {
+				if err := srcTree.list(ctx.Cli, d); err != nil {
 					return 0, err
 				}
-				for _, e := range ents {
-					f, err := ctx.Cli.Open(dir+"/"+e.Name, vfs.ORdonly, 0)
+				for i, src := range srcTree.files[d] {
+					f, err := ctx.Cli.Open(src, vfs.ORdonly, 0)
 					if err != nil {
 						return 0, err
 					}
 					n, _ := f.ReadAt(buf, 0)
 					f.Close()
 					ctx.Compute(40) // cc1 work per translation unit
-					if err := ctx.Cli.WriteFile(dir+"/"+e.Name+".o", buf[:n/2+1], 0o644); err != nil {
+					if err := ctx.Cli.WriteFile(objTree.files[d][i], buf[:n/2+1], 0o644); err != nil {
 						return 0, err
 					}
 					work += int64(n)
@@ -135,13 +133,12 @@ var Suite = []Benchmark{
 		Run: func(ctx *Ctx) (int64, error) {
 			files := int64(0)
 			payload := make([]byte, 6*kb)
-			for d := 0; d < 20; d++ {
-				dir := fmt.Sprintf("/tree/dir%02d", d)
+			for d, dir := range createTree.dirs {
 				if err := ctx.Cli.MkdirAll(dir, 0o755); err != nil {
 					return 0, err
 				}
-				for i := 0; i < 25; i++ {
-					if err := ctx.Cli.WriteFile(fmt.Sprintf("%s/f%03d.c", dir, i), payload, 0o644); err != nil {
+				for _, file := range createTree.files[d] {
+					if err := ctx.Cli.WriteFile(file, payload, 0o644); err != nil {
 						return 0, err
 					}
 					files++
@@ -156,18 +153,8 @@ var Suite = []Benchmark{
 		// so the dentry cache is cold and every file costs CntrFS its
 		// open()+stat() lookup path — the paper's worst case.
 		Warmup: func(ctx *Ctx) error {
-			cli := ctx.Cli
-			payload := make([]byte, 8*kb)
-			for d := 0; d < 20; d++ {
-				dir := fmt.Sprintf("/rtree/dir%02d", d)
-				if err := cli.MkdirAll(dir, 0o755); err != nil {
-					return err
-				}
-				for i := 0; i < 25; i++ {
-					if err := cli.WriteFile(fmt.Sprintf("%s/f%03d.c", dir, i), payload, 0o644); err != nil {
-						return err
-					}
-				}
+			if err := readTree.seed(ctx.Cli, 8*kb); err != nil {
+				return err
 			}
 			// The benchmark reads a *different* tree every iteration, so
 			// its dentries are never warm: expire them before timing.
@@ -177,17 +164,15 @@ var Suite = []Benchmark{
 		Run: func(ctx *Ctx) (int64, error) {
 			var work int64
 			buf := make([]byte, 8*kb)
-			for d := 0; d < 20; d++ {
-				dir := fmt.Sprintf("/rtree/dir%02d", d)
-				ents, err := ctx.Cli.ReadDir(dir)
-				if err != nil {
+			for d := range readTree.dirs {
+				if err := readTree.list(ctx.Cli, d); err != nil {
 					return 0, err
 				}
-				for _, e := range ents {
-					if _, err := ctx.Cli.Stat(dir + "/" + e.Name); err != nil {
+				for _, file := range readTree.files[d] {
+					if _, err := ctx.Cli.Stat(file); err != nil {
 						return 0, err
 					}
-					f, err := ctx.Cli.Open(dir+"/"+e.Name, vfs.ORdonly, 0)
+					f, err := ctx.Cli.Open(file, vfs.ORdonly, 0)
 					if err != nil {
 						return 0, err
 					}
@@ -208,14 +193,10 @@ var Suite = []Benchmark{
 		// 1000 (scaled) 1MB files written in 16KB chunks with fsync:
 		// disk-bound, so the stacks tie.
 		Run: func(ctx *Ctx) (int64, error) {
-			files := 1000 / Scale * 4 // 62.5 -> 64ish files at 1MB
-			if files < 8 {
-				files = 8
-			}
 			chunk := make([]byte, 16*kb)
 			var work int64
-			for i := 0; i < files; i++ {
-				f, err := ctx.Cli.Create(fmt.Sprintf("/mark%04d", i), 0o644)
+			for _, mark := range markFiles {
+				f, err := ctx.Cli.Create(mark, 0o644)
 				if err != nil {
 					return 0, err
 				}
@@ -368,10 +349,8 @@ var Suite = []Benchmark{
 			if err := ctx.Cli.MkdirAll("/mail", 0o755); err != nil {
 				return 0, err
 			}
-			txns := int64(500)
 			msg := make([]byte, 2*kb)
-			for i := int64(0); i < txns; i++ {
-				name := fmt.Sprintf("/mail/msg%05d", i)
+			for _, name := range mailMsgs {
 				if err := ctx.Cli.WriteFile(name, msg, 0o644); err != nil {
 					return 0, err
 				}
@@ -383,7 +362,7 @@ var Suite = []Benchmark{
 					return 0, err
 				}
 			}
-			return txns, nil
+			return int64(len(mailMsgs)), nil
 		},
 	},
 	{
@@ -504,8 +483,8 @@ var Suite = []Benchmark{
 		Run: func(ctx *Ctx) (int64, error) {
 			var work int64
 			buf := make([]byte, 64*kb)
-			for w := 0; w < 4; w++ {
-				f, err := ctx.Cli.Open(fmt.Sprintf("/tw%d", w), vfs.OWronly|vfs.OCreat, 0o644)
+			for _, name := range twFiles {
+				f, err := ctx.Cli.Open(name, vfs.OWronly|vfs.OCreat, 0o644)
 				if err != nil {
 					return 0, err
 				}
@@ -526,7 +505,7 @@ var Suite = []Benchmark{
 		// Unpack a kernel-style tarball: one sequential read source,
 		// larger average files than compilebench create, fewer lookups.
 		Prepare: func(cli *vfs.Client) error {
-			return cli.WriteFile("/linux.tar", make([]byte, 48*mb), 0o644)
+			return cli.WriteFile("/linux.tar", make([]byte, tarSize), 0o644)
 		},
 		Run: func(ctx *Ctx) (int64, error) {
 			tar, err := ctx.Cli.Open("/linux.tar", vfs.ORdonly, 0)
@@ -537,15 +516,17 @@ var Suite = []Benchmark{
 			if err := ctx.Cli.MkdirAll("/linux", 0o755); err != nil {
 				return 0, err
 			}
-			buf := make([]byte, 256*kb)
+			buf := make([]byte, tarChunk)
 			var work int64
 			for i := 0; ; i++ {
 				n, rerr := tar.ReadAt(buf, work)
 				if n == 0 {
 					break
 				}
-				name := fmt.Sprintf("/linux/obj%04d", i)
-				if err := ctx.Cli.WriteFile(name, buf[:n], 0o644); err != nil {
+				if i == len(tarObjs) {
+					return 0, fmt.Errorf("/linux.tar holds more than %d bytes", tarSize)
+				}
+				if err := ctx.Cli.WriteFile(tarObjs[i], buf[:n], 0o644); err != nil {
 					return 0, err
 				}
 				work += int64(n)
@@ -569,19 +550,17 @@ var Suite = []Benchmark{
 var MetaStorm = Benchmark{
 	Name: "Meta-Storm", Workers: 4, PaperOverhead: 0,
 	Run: func(ctx *Ctx) (int64, error) {
-		const dirs, filesPer = 8, 4
-		for d := 0; d < dirs; d++ {
-			if err := ctx.Cli.MkdirAll(fmt.Sprintf("/storm/dir%02d", d), 0o755); err != nil {
+		for _, dir := range stormTmp.dirs {
+			if err := ctx.Cli.MkdirAll(dir, 0o755); err != nil {
 				return 0, err
 			}
 		}
 		payload := make([]byte, 512)
 		var ops int64
 		for round := 0; round < 30; round++ {
-			for d := 0; d < dirs; d++ {
-				dir := fmt.Sprintf("/storm/dir%02d", d)
-				for i := 0; i < filesPer; i++ {
-					if err := ctx.Cli.WriteFile(fmt.Sprintf("%s/t%02d", dir, i), payload, 0o644); err != nil {
+			for d, tmp := range stormTmp.files {
+				for _, name := range tmp {
+					if err := ctx.Cli.WriteFile(name, payload, 0o644); err != nil {
 						return 0, err
 					}
 					ops++
@@ -589,10 +568,9 @@ var MetaStorm = Benchmark{
 				// Half the files are renamed into place (a tmp-then-rename
 				// publish), half die immediately; the survivors die on the
 				// next pass. Nothing lives long enough to be flushed.
-				for i := 0; i < filesPer; i++ {
-					name := fmt.Sprintf("%s/t%02d", dir, i)
+				for i, name := range tmp {
 					if i%2 == 0 {
-						if err := ctx.Cli.Rename(name, fmt.Sprintf("%s/pub%02d", dir, i)); err != nil {
+						if err := ctx.Cli.Rename(name, stormPub.files[d][i]); err != nil {
 							return 0, err
 						}
 					} else if err := ctx.Cli.Remove(name); err != nil {
@@ -600,8 +578,8 @@ var MetaStorm = Benchmark{
 					}
 					ops++
 				}
-				for i := 0; i < filesPer; i += 2 {
-					if err := ctx.Cli.Remove(fmt.Sprintf("%s/pub%02d", dir, i)); err != nil {
+				for i := 0; i < len(tmp); i += 2 {
+					if err := ctx.Cli.Remove(stormPub.files[d][i]); err != nil {
 						return 0, err
 					}
 					ops++
@@ -617,7 +595,7 @@ func dbench(clients int, paper float64) Benchmark {
 	return Benchmark{
 		Name:    fmt.Sprintf("Dbench: %d Clients", clients),
 		Workers: clients, PaperOverhead: paper,
-		Prepare: func(cli *vfs.Client) error { return makeTree(cli, "/share", 4, 12, 8*kb) },
+		Prepare: func(cli *vfs.Client) error { return shareTree.seed(cli, 8*kb) },
 		Run: func(ctx *Ctx) (int64, error) {
 			// Each client opens the shared set once and then issues many
 			// reads — dbench's NetBench-style loop is read-dominated and
@@ -625,14 +603,12 @@ func dbench(clients int, paper float64) Benchmark {
 			var ops int64
 			buf := make([]byte, 8*kb)
 			for c := 0; c < clients; c++ {
-				for d := 0; d < 4; d++ {
-					dir := fmt.Sprintf("/share/dir%02d", d)
-					ents, err := ctx.Cli.ReadDir(dir)
-					if err != nil {
+				for d := range shareTree.dirs {
+					if err := shareTree.list(ctx.Cli, d); err != nil {
 						return 0, err
 					}
-					for _, e := range ents {
-						f, err := ctx.Cli.Open(dir+"/"+e.Name, vfs.ORdonly, 0)
+					for _, file := range shareTree.files[d] {
+						f, err := ctx.Cli.Open(file, vfs.ORdonly, 0)
 						if err != nil {
 							return 0, err
 						}
@@ -649,19 +625,85 @@ func dbench(clients int, paper float64) Benchmark {
 	}
 }
 
-// makeTree seeds dirs*filesPer files of the given size under root.
-func makeTree(cli *vfs.Client, root string, dirs, filesPer int, size int64) error {
+// The rows' path tables. Each is built once at package init and only
+// read after, so no timed Run formats a path and no Run owns one.
+var (
+	stormTmp   = newTree("/storm", 8, 4, "t%02d")
+	stormPub   = newTree("/storm", 8, 4, "pub%02d")
+	createTree = newTree("/tree", 20, 25, "f%03d.c")
+	readTree   = newTree("/rtree", 20, 25, "f%03d.c")
+	srcTree    = newTree("/src", 12, 20, "f%03d.c")
+	objTree    = newTree("/src", 12, 20, "f%03d.c.o")
+	shareTree  = newTree("/share", 4, 12, "f%03d.c")
+	wwwPages   = names(16, "/www/page%02d.html")
+	mailMsgs   = names(500, "/mail/msg%05d")
+	markFiles  = names(max(1000/Scale*4, 8), "/mark%04d") // 62.5 -> 64ish files at 1MB
+	twFiles    = names(4, "/tw%d")
+	tarObjs    = names(tarSize/tarChunk, "/linux/obj%04d")
+)
+
+// Unpack Tarball's archive and the chunk it unpacks as one file.
+const tarSize, tarChunk = 48 * mb, 256 * kb
+
+// names returns format applied to 0 … n-1.
+func names(n int, format string) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf(format, i)
+	}
+	return out
+}
+
+// A tree is a row's directories, root/dirNN, and the files of each,
+// named by a format of the file's index.
+type tree struct {
+	dirs  []string
+	files [][]string
+}
+
+func newTree(root string, dirs, filesPer int, file string) tree {
+	t := tree{dirs: names(dirs, root+"/dir%02d"), files: make([][]string, dirs)}
+	for d, dir := range t.dirs {
+		t.files[d] = names(filesPer, dir+"/"+file)
+	}
+	return t
+}
+
+// seed creates t with every file holding size bytes.
+func (t tree) seed(cli *vfs.Client, size int64) error {
 	payload := make([]byte, size)
-	for d := 0; d < dirs; d++ {
-		dir := fmt.Sprintf("%s/dir%02d", root, d)
+	for d, dir := range t.dirs {
 		if err := cli.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-		for i := 0; i < filesPer; i++ {
-			if err := cli.WriteFile(fmt.Sprintf("%s/f%03d.c", dir, i), payload, 0o644); err != nil {
+		for _, file := range t.files[d] {
+			if err := cli.WriteFile(file, payload, 0o644); err != nil {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// list reads directory d as the row does and checks that it lists
+// exactly t's files, in t's order: the row then acts on t's paths, so a
+// listing that disagrees fails it, naming the entry.
+func (t tree) list(cli *vfs.Client, d int) error {
+	dir, files := t.dirs[d], t.files[d]
+	ents, err := cli.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for i, e := range ents {
+		if i == len(files) {
+			return fmt.Errorf("%s lists %q past its %d files", dir, e.Name, len(files))
+		}
+		if want := files[i][len(dir)+1:]; e.Name != want {
+			return fmt.Errorf("%s lists %q where %q belongs", dir, e.Name, want)
+		}
+	}
+	if len(ents) < len(files) {
+		return fmt.Errorf("%s does not list %q", dir, files[len(ents)][len(dir)+1:])
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cntr/internal/cgroup"
 	"cntr/internal/memfs"
 	"cntr/internal/namespace"
 	"cntr/internal/vfs"
@@ -60,7 +61,7 @@ func TestExitCleansUp(t *testing.T) {
 	tb := newTable(t)
 	p, _ := tb.Spawn(1, "x", nil)
 	pid := p.PID
-	tb.Cgroups.Create("/g", cgroupLimits())
+	tb.Cgroups.Create("/g", cgroup.Limits{})
 	tb.Cgroups.Attach(pid, "/g")
 	if err := tb.Exit(pid); err != nil {
 		t.Fatal(err)
@@ -155,13 +156,4 @@ func TestProcessCredAndClient(t *testing.T) {
 	if cli.Mounts != vfs.MountTable(p.Namespaces.Mount) {
 		t.Fatal("client bound to wrong namespace")
 	}
-}
-
-// cgroupLimits avoids importing cgroup directly in every call site.
-func cgroupLimits() (l struct {
-	CPUShares   int64
-	MemoryBytes int64
-	PidsMax     int64
-}) {
-	return
 }

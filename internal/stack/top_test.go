@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"cntr/internal/allocs"
 	"cntr/internal/policy"
 	"cntr/internal/vfs"
 )
@@ -88,21 +89,20 @@ func TestTopStatAllocBudget(t *testing.T) {
 		newNames[i] = fmt.Sprintf("/d/new%d", i)
 	}
 	for _, st := range []struct {
-		name            string
-		top             func(t *testing.T) vfs.FS
-		create, readdir float64
+		name string
+		top  func(t *testing.T) vfs.FS
 	}{
-		{"native", func(t *testing.T) vfs.FS { return NewNative(Config{}).Top }, 0, 5},
+		{"native", func(t *testing.T) vfs.FS { return NewNative(Config{}).Top }},
 		{"cntr", func(t *testing.T) vfs.FS {
 			c := NewCntr(Config{})
 			t.Cleanup(c.Close)
 			return c.Top
-		}, 2, 2},
+		}},
 	} {
 		for _, chained := range []bool{false, true} {
-			name, create := st.name, st.create
+			name := st.name
 			if chained {
-				name, create = name+"/chained", create+1
+				name += "/chained"
 			}
 			t.Run(name, func(t *testing.T) {
 				top := st.top(t)
@@ -143,37 +143,36 @@ func TestTopStatAllocBudget(t *testing.T) {
 				created := 0
 				for _, row := range []struct {
 					call     string
-					budget   float64
 					maxBytes float64 // per call; 0 leaves bytes unchecked
 					fn       func()
 				}{
-					{"warm 4 KiB ReadAt", 0, 0, func() {
+					{"warm 4 KiB ReadAt", 0, func() {
 						if _, err := f.ReadAt(buf, 4<<10); err != nil {
 							t.Fatal(err)
 						}
 					}},
-					{"warm three-component Stat", 0, 0, func() {
+					{"warm three-component Stat", 0, func() {
 						if _, err := cli.Stat("/d/e/f"); err != nil {
 							t.Fatal(err)
 						}
 					}},
-					{"warm three-component Lstat", 0, 0, func() {
+					{"warm three-component Lstat", 0, func() {
 						if _, err := cli.Lstat("/d/e/l"); err != nil {
 							t.Fatal(err)
 						}
 					}},
-					{"create-write-close of a new file", create, 0, func() {
+					{"create-write-close of a new file", 0, func() {
 						if err := cli.WriteFile(newNames[created], buf[:64], 0o644); err != nil {
 							t.Fatal(err)
 						}
 						created++
 					}},
-					{"ReadDir of a three-entry directory", st.readdir, 0, func() {
+					{"ReadDir of a three-entry directory", 0, func() {
 						if _, err := cli.ReadDir("/d/e"); err != nil {
 							t.Fatal(err)
 						}
 					}},
-					{"overwrite one cached 4 KiB page + Fsync", 0, 6 << 10, func() {
+					{"overwrite one cached 4 KiB page + Fsync", 6 << 10, func() {
 						if _, err := w.WriteAt(buf, 0); err != nil {
 							t.Fatal(err)
 						}
@@ -188,12 +187,10 @@ func TestTopStatAllocBudget(t *testing.T) {
 					got := testing.AllocsPerRun(200, row.fn)
 					runtime.ReadMemStats(&after)
 					bytes := float64(after.TotalAlloc-before.TotalAlloc) / 201
-					t.Logf("%s: %.0f objects, %.0f bytes", row.call, got, bytes)
+					allocs.Check(t, name+": "+row.call, got)
+					t.Logf("%s: %.0f bytes", row.call, bytes)
 					if raceBuild() {
 						continue
-					}
-					if got != row.budget {
-						t.Errorf("%s costs %.0f heap objects, want %.0f", row.call, got, row.budget)
 					}
 					if row.maxBytes > 0 && bytes > row.maxBytes {
 						t.Errorf("%s costs %.0f bytes, budget %.0f: a page-sized buffer more than memfs keeps", row.call, bytes, row.maxBytes)

@@ -2,9 +2,9 @@ package vfs_test
 
 import (
 	"fmt"
-	"runtime/debug"
 	"testing"
 
+	"cntr/internal/allocs"
 	"cntr/internal/memfs"
 	"cntr/internal/vfs"
 )
@@ -59,27 +59,12 @@ func TestClientFileLifecycle(t *testing.T) {
 	}
 }
 
-// raceBuild reports whether the test binary was built with -race, whose
-// instrumentation allocates on its own account.
-func raceBuild() bool {
-	info, _ := debug.ReadBuildInfo()
-	if info == nil {
-		return false
-	}
-	for _, s := range info.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
-
 // TestClientAllocBudget pins the client's own host cost on a warm memfs.
 // An open file is a value and the request context is recycled, so Open, a
 // 4 KiB ReadAt and Close cost no heap object. ReadDir of a 12-entry
 // directory sizes its result once, from the first batch: one object on
 // top of what memfs's Readdir calls cost, measured on their own (a result
-// grown from nil made it five). Asserts are off under -race.
+// grown from nil made it five).
 func TestClientAllocBudget(t *testing.T) {
 	const runs, entries = 100, 12
 	fs := memfs.New(memfs.Options{})
@@ -134,15 +119,7 @@ func TestClientAllocBudget(t *testing.T) {
 		}
 		fs.Releasedir(op, h)
 	})
-	t.Logf("Open + 4 KiB ReadAt + Close: %.0f heap objects; ReadDir of %d entries: %.0f, %.0f of them memfs's",
-		openReadClose, entries, readDir, below)
-	if raceBuild() {
-		return
-	}
-	if openReadClose != 0 {
-		t.Errorf("Open + 4 KiB ReadAt + Close costs %.0f heap objects, want 0", openReadClose)
-	}
-	if own := readDir - below; own != 1 {
-		t.Errorf("ReadDir of %d entries costs %.0f heap objects beyond memfs's %.0f, want 1", entries, own, below)
-	}
+	t.Logf("ReadDir of %d entries: %.0f heap objects, %.0f of them memfs's", entries, readDir, below)
+	allocs.Check(t, "Open + 4 KiB ReadAt + Close", openReadClose)
+	allocs.Check(t, "ReadDir of 12 entries beyond memfs's Readdirs", readDir-below)
 }
