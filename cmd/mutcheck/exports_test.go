@@ -9,6 +9,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -18,11 +19,13 @@ import (
 )
 
 // exportReasons are the reasons an exported func or method may have no
-// program caller: a test oracle, a hook tests use to inject faults or
-// poison, a method an interface outside the repo asks for, or a paper
-// mechanism kept for fidelity. There is no "undecided": an export only
+// program caller, or an exported field no program writer: a test
+// oracle, a hook tests use to inject faults or poison, a method an
+// interface outside the repo asks for, a paper mechanism kept for
+// fidelity, or a field the bench module reads, which only a change to
+// the benchmark may remove. There is no "undecided": an export only
 // tests use is decided when it lands.
-var exportReasons = map[string]bool{"oracle": true, "fault-hook": true, "interface": true, "paper": true}
+var exportReasons = map[string]bool{"oracle": true, "fault-hook": true, "interface": true, "paper": true, "bench": true}
 
 // checker type-checks a tree's non-test files from source, each package
 // once, so that a use in one package and the declaration it refers to
@@ -202,14 +205,119 @@ func (c *checker) testOnlyFuncs(prefix string) (map[string]string, error) {
 	return testOnly, nil
 }
 
+// testOnlyFields returns the exported fields of the exported struct
+// types declared in a checked package whose path has the given prefix
+// that some checked file reads and none writes: a knob no program
+// turns. A field is keyed by pkg.Type.Field, with the prefix cut from
+// the package path, and mapped to its file.
+//
+// A write is a key of a composite literal (or a position in an unkeyed
+// one), the target of an assignment or ++/--, and &x.F, which is how
+// flag.*Var sets one. A target is the field it selects once indexes,
+// parentheses and dereferences are stripped, so c.stats.Frames[op]++
+// writes Frames. Every other reference is a read.
+func (c *checker) testOnlyFields(prefix string) map[string]string {
+	names := make(map[*types.Var]string)
+	for path, pkg := range c.pkgs {
+		if !strings.HasPrefix(path, prefix) {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					names[f] = strings.TrimPrefix(path, prefix) + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+
+	written := make(map[*types.Var]bool)
+	writes := make(map[*ast.Ident]bool)
+	write := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if v, ok := c.info.Uses[x.Sel].(*types.Var); ok && v.IsField() {
+					writes[x.Sel] = true
+					written[v.Origin()] = true
+				}
+				return
+			default:
+				return
+			}
+		}
+	}
+	for _, files := range c.files {
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(lhs)
+					}
+				case *ast.IncDecStmt:
+					write(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(n.X)
+					}
+				case *ast.CompositeLit:
+					st, ok := c.info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							id := kv.Key.(*ast.Ident)
+							writes[id] = true
+							written[c.info.Uses[id].(*types.Var).Origin()] = true
+						} else {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	testOnly := make(map[string]string)
+	for id, obj := range c.info.Uses {
+		v, ok := obj.(*types.Var)
+		if !ok || writes[id] {
+			continue
+		}
+		v = v.Origin()
+		if name := names[v]; name != "" && !written[v] {
+			testOnly[name] = filepath.ToSlash(c.fset.Position(v.Pos()).Filename)
+		}
+	}
+	return testOnly
+}
+
 // TestTestOnlyExports is the regrowth guard of the subtraction pass. It
 // type-checks every non-test file under internal/, cmd/, examples/ and
 // the bench module, lists every exported func or method in internal/
-// that none of them uses, and checks the list against
+// that none of them uses and every exported field that they read and
+// none of them writes, and checks the list against
 // testdata/test-only-exports.txt, where each such export is given with
 // its reason. A new export only tests reach fails until it is listed
 // with a reason (or goes); a listed one fails once it is gone or a
-// program uses it.
+// program uses (a field: sets) it.
 func TestTestOnlyExports(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
@@ -224,6 +332,10 @@ func TestTestOnlyExports(t *testing.T) {
 	testOnly, err := c.testOnlyFuncs("cntr/internal/")
 	if err != nil {
 		t.Fatal(err)
+	}
+	unset := c.testOnlyFields("cntr/internal/")
+	for name, file := range unset {
+		testOnly[name] = file
 	}
 
 	const listPath = "testdata/test-only-exports.txt"
@@ -241,7 +353,7 @@ func TestTestOnlyExports(t *testing.T) {
 		}
 		fields := strings.Fields(text)
 		if len(fields) != 2 || !exportReasons[fields[1]] {
-			t.Errorf("%s:%d: want \"<name> <reason>\" with a reason of oracle, fault-hook, interface or paper: %q", listPath, line, text)
+			t.Errorf("%s:%d: want \"<name> <reason>\" with a reason of oracle, fault-hook, interface, paper or bench: %q", listPath, line, text)
 			continue
 		}
 		name := fields[0]
@@ -260,36 +372,42 @@ func TestTestOnlyExports(t *testing.T) {
 	for name, file := range testOnly {
 		if !listed[name] {
 			rel, _ := filepath.Rel(root, file)
-			missing = append(missing, name+" ("+filepath.ToSlash(rel)+")")
+			what := "only tests use it"
+			if unset[name] != "" {
+				what = "the program reads it and only tests set it"
+			}
+			missing = append(missing, fmt.Sprintf("%s (%s) is exported, but %s", name, filepath.ToSlash(rel), what))
 		}
 	}
 	sort.Strings(missing)
 	for _, m := range missing {
-		t.Errorf("%s is exported, but only tests use it: list it in %s with its reason, or remove it", m, listPath)
+		t.Errorf("%s: list it in %s with its reason, or remove it", m, listPath)
 	}
 }
 
-// TestGuardFixture runs the pass over testdata/exports, a small tree in
-// which TestOnly.Name, called only by a test, shares its name with
+// TestGuardFixture runs both passes over testdata/exports, a small tree
+// in which TestOnly.Name, called only by a test, shares its name with
 // Used.Name, which the program calls, and ViaInterface.Describe is
-// called only through an interface. The pass lists the first and not
-// the second; a count of identifiers by name, the guard this pass
-// replaced, sees "Name" used by the program and misses the first.
+// called only through an interface. The func pass lists the first and
+// not the second; a count of identifiers by name, the guard this pass
+// replaced, sees "Name" used by the program and misses the first. Of
+// Config's fields, which the program reads, only a test sets Verbose;
+// the program sets Limit through & and Hits through an index. The
+// field pass lists Verbose alone.
 func TestGuardFixture(t *testing.T) {
 	c := newChecker(map[string]string{"fixture": "testdata/exports"})
 	if err := c.checkTree("fixture", "."); err != nil {
 		t.Fatal(err)
 	}
-	testOnly, err := c.testOnlyFuncs("fixture/")
+	funcs, err := c.testOnlyFuncs("fixture/")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for name := range testOnly {
-		got = append(got, name)
+	if got, want := slices.Sorted(maps.Keys(funcs)), []string{"(lib.TestOnly).Name"}; !slices.Equal(got, want) {
+		t.Fatalf("test-only funcs %v, want %v", got, want)
 	}
-	if want := []string{"(lib.TestOnly).Name"}; !slices.Equal(got, want) {
-		t.Fatalf("test-only exports %v, want %v", got, want)
+	if got, want := slices.Sorted(maps.Keys(c.testOnlyFields("fixture/"))), []string{"lib.Config.Verbose"}; !slices.Equal(got, want) {
+		t.Fatalf("test-only fields %v, want %v", got, want)
 	}
 	byName := 0
 	for _, files := range c.files {

@@ -2,11 +2,19 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 
 	"fixture/lib"
 )
 
 func main() {
+	var cfg lib.Config
+	flag.IntVar(&cfg.Limit, "limit", 1, "how many to show")
+	flag.Parse()
+	cfg.Hits[0]++
+	if cfg.Verbose {
+		fmt.Println(cfg.Limit, cfg.Hits)
+	}
 	fmt.Println(lib.Used{}.Name(), lib.Show(lib.ViaInterface{}))
 }

@@ -27,3 +27,13 @@ func (ViaInterface) Describe() string { return "via interface" }
 
 // Show renders d.
 func Show(d Describer) string { return d.Describe() }
+
+// Config is the program's configuration; the program reads every field.
+type Config struct {
+	// Verbose is set by lib_test.go alone.
+	Verbose bool
+	// Limit is set by the program only through &, as flag.IntVar does.
+	Limit int
+	// Hits is set by the program only through an index.
+	Hits [2]int
+}

@@ -7,3 +7,9 @@ func TestName(t *testing.T) {
 		t.Fatal("name")
 	}
 }
+
+func TestVerbose(t *testing.T) {
+	if cfg := (Config{Verbose: true}); !cfg.Verbose {
+		t.Fatal("verbose")
+	}
+}

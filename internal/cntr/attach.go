@@ -1,16 +1,12 @@
 package cntr
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
-	"cntr/internal/cachesvc"
 	"cntr/internal/caps"
 	"cntr/internal/container"
-	"cntr/internal/fuse"
 	"cntr/internal/namespace"
-	"cntr/internal/policy"
 	"cntr/internal/proc"
 	"cntr/internal/pty"
 	"cntr/internal/socketproxy"
@@ -29,44 +25,12 @@ const AppDir = "/var/lib/cntr"
 
 // Options selects what to attach and where the tools come from.
 type Options struct {
-	// Container is the slim container reference (name or id).
+	// Container is the slim container reference (name or id), resolved
+	// through every engine.
 	Container string
-	// Engine optionally pins the container engine; empty tries all.
-	Engine string
 	// Fat is the name of the fat container providing tools; empty uses
 	// the host filesystem instead.
 	Fat string
-	// Mount overrides the FUSE mount options (defaults to the fully
-	// optimized configuration).
-	Mount *fuse.MountOptions
-	// Trace, when set, records every operation the session makes on the
-	// mount: one of its Runs is chained where a syscall enters it, and
-	// the collector's activity profile is exposed as
-	// /proc/policy/<container> inside the session. Recording is
-	// synchronous — the view is read live, so an operation is in it by
-	// the time the operation returns.
-	Trace *policy.Collector
-	// Enforce, when set, chains a policy.Enforcer at the same place,
-	// inside the recording Run: operations outside the profile fail with
-	// EACCES (or, with EnforceAudit, are recorded as violations and let
-	// through).
-	Enforce      *policy.Profile
-	EnforceAudit bool
-	// EnforceBaseline, when set alongside Enforce, is the profile the
-	// enforced one was derived from (the previous generation); the
-	// policy view then reports the structured diff between them as its
-	// last_diff summary.
-	EnforceBaseline *policy.Profile
-	// CacheService, when set, attaches the session to a shared cache
-	// tier: epoch leases are acquired at attach time (one per shard
-	// group) and released on Close. The session exposes the client as
-	// Session.Mount.CacheCl; a lease the service releases mid-session
-	// fences that mount's tier publishes until CacheCl.Attach mints fresh
-	// epochs.
-	CacheService *cachesvc.Service
-	// CacheMountID names this session to the cache service; defaults to
-	// the container reference.
-	CacheMountID string
 }
 
 // Context is the container execution context gathered in step #1 from
@@ -93,22 +57,15 @@ type Session struct {
 	Client *vfs.Client
 
 	// Mount is the CntrFS mount serving the tools filesystem: server,
-	// connection, kernel-side cache and (with Options.CacheService) the
-	// cache-tier client.
+	// connection and kernel-side cache, as stack.NewMount builds it.
 	Mount *stack.Mount
-	// Enforcer is the live policy enforcer when Options.Enforce was
-	// set; its Denials/Violations expose what the policy blocked.
-	Enforcer *policy.Enforcer
 
 	Master *pty.Master
 	slave  *pty.Slave
 	shell  *Shell
 
 	proxies []*socketproxy.Proxy
-	// removePolicyView undoes the process-table registration the attach
-	// made.
-	removePolicyView func()
-	closed           bool
+	closed  bool
 }
 
 // Attach performs the four-step workflow of §3.2 and returns a live
@@ -116,58 +73,27 @@ type Session struct {
 func Attach(h *Host, opts Options) (_ *Session, err error) {
 	// Step #1: resolve the container name to a pid and gather the
 	// container context from /proc.
-	ctx, err := resolveContext(h, opts)
+	ctx, err := resolveContext(h, opts.Container)
 	if err != nil {
 		return nil, fmt.Errorf("cntr: resolving %q: %w", opts.Container, err)
 	}
 
-	// The FUSE control fd must be opened *before* attaching: inside the
-	// container's mount namespace /dev/fuse may not exist. We model this
-	// by mounting now. The cache-tier leases are taken with the mount and
-	// exist for its whole lifetime.
-	cfg := stack.Config{CacheService: opts.CacheService, CacheMountID: opts.CacheMountID}
-	if cfg.CacheMountID == "" {
-		cfg.CacheMountID = opts.Container
-	}
-	if opts.Mount != nil {
-		cfg.Mount = *opts.Mount
-	}
-
 	// Step #2: launch the CntrFS server — inside the fat container when
 	// one is named, otherwise on the host. The server serves the tools
-	// filesystem.
+	// filesystem. The FUSE control fd must be opened *before* attaching:
+	// inside the container's mount namespace /dev/fuse may not exist, so
+	// the mount is made now.
 	toolsFS, toolsEnv, err := toolsRoot(h, opts.Fat)
 	if err != nil {
 		return nil, fmt.Errorf("cntr: locating tools: %w", err)
 	}
-	mount := stack.NewMount(toolsFS, h.Clock, h.Model, cfg)
-	// Any failure below tears the mount down again, leases included.
+	mount := stack.NewMount(toolsFS, h.Clock, h.Model, stack.Config{})
+	// Any failure below tears the mount down again.
 	defer func() {
 		if err != nil {
 			mount.Close()
 		}
 	}()
-	// Policy sits at syscall entry, over the kernel-side cache, in the
-	// order phoronix.Run chains it: it sees what the session asked for,
-	// cache hits included, and the mount below is the measured one. The
-	// recording Run is outermost so it also records operations the
-	// enforcer denies — with EACCES as their outcome — which is what
-	// makes denials auditable through the activity view.
-	var ics []vfs.Interceptor
-	if opts.Trace != nil {
-		// Each mount gets its own Run: inode numbers are only meaningful
-		// within one mount, and a shared collector may be recording
-		// several attached containers at once.
-		ics = append(ics, opts.Trace.NewRun())
-	}
-	var enforcer *policy.Enforcer
-	if opts.Enforce != nil {
-		if enforcer, err = policy.NewEnforcer(opts.Enforce, opts.EnforceAudit); err != nil {
-			return nil, fmt.Errorf("cntr: %w", err)
-		}
-		ics = append(ics, enforcer)
-	}
-	top := vfs.Chain(mount.Kernel, ics...)
 
 	// Step #3: initialize the tools namespace. Fork, join the target's
 	// namespaces and cgroup, build the nested mount namespace, mount
@@ -196,9 +122,7 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 	}
 
 	// Mount CntrFS on the temporary mount point.
-	if err := nestedMount.Mount(tmpMountPoint, top, vfs.RootIno, namespace.PropPrivate, false); err != nil {
-		return nil, err
-	}
+	nestedMount.Mount(tmpMountPoint, mount.Kernel, vfs.RootIno, namespace.PropPrivate, false)
 	// Re-expose every pre-existing container mount under TMP/var/lib/cntr.
 	rootMount, _ := ctx.Namespaces.Mount.MountAt("/")
 	nestedMount.Mount(tmpMountPoint+AppDir, rootMount.FS, rootMount.Root, namespace.PropPrivate, false)
@@ -245,71 +169,18 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 
 	// Step #4: interactive shell on a pseudo-TTY.
 	master, slave := pty.New()
-	var removePolicyView func()
-	if opts.Trace != nil || opts.Enforce != nil {
-		removePolicyView = h.Procs.AddPolicyView(opts.Container, policyView(opts))
-	}
 	sess := &Session{
 		Host: h, Context: ctx,
 		Proc: child, Nested: nested, Client: chrooted,
-		Mount: mount, Enforcer: enforcer,
-		Master: master, slave: slave,
-		removePolicyView: removePolicyView,
+		Mount: mount, Master: master, slave: slave,
 	}
 	sess.shell = NewShell(sess)
 	return sess, nil
 }
 
-// policyView builds the /proc/policy/<container> renderer. The view
-// carries the enforced profile's lifecycle header (version, generation,
-// merge provenance) and the structured-diff summary against
-// EnforceBaseline when one was given, and the collector's live activity
-// snapshot when recording — so one file answers "what policy is this
-// container under, and where did it come from".
-func policyView(opts Options) func() []byte {
-	var lastDiff string
-	if opts.Enforce != nil && opts.EnforceBaseline != nil {
-		lastDiff = policy.Diff(opts.EnforceBaseline, opts.Enforce).Summary()
-	}
-	return func() []byte {
-		view := make(map[string]any)
-		if p := opts.Enforce; p != nil {
-			view["profile"] = map[string]any{
-				"version":     p.Version,
-				"generation":  p.Generation,
-				"runs":        p.Runs,
-				"source_runs": p.SourceRuns,
-			}
-			if lastDiff != "" {
-				view["last_diff"] = lastDiff
-			}
-		}
-		if opts.Trace != nil {
-			view["activity"] = json.RawMessage(opts.Trace.RenderJSON())
-		}
-		b, err := json.MarshalIndent(view, "", "  ")
-		if err != nil {
-			return []byte("{}\n")
-		}
-		return append(b, '\n')
-	}
-}
-
 // resolveContext is step #1: name → pid → full container context.
-func resolveContext(h *Host, opts Options) (*Context, error) {
-	var pid int
-	var engineName string
-	var err error
-	if opts.Engine != "" {
-		eng, eerr := h.Runtime.Engine(opts.Engine)
-		if eerr != nil {
-			return nil, eerr
-		}
-		pid, err = eng.ResolvePID(opts.Container)
-		engineName = opts.Engine
-	} else {
-		pid, engineName, err = container.ResolveAnyEngine(h.Runtime, opts.Container)
-	}
+func resolveContext(h *Host, ref string) (*Context, error) {
+	pid, engineName, err := container.ResolveAnyEngine(h.Runtime, ref)
 	if err != nil {
 		return nil, err
 	}
@@ -431,7 +302,4 @@ func (s *Session) Close() {
 	s.Master.Close()
 	s.Host.Procs.Exit(s.Proc.PID)
 	s.Mount.Close()
-	if s.removePolicyView != nil {
-		s.removePolicyView()
-	}
 }

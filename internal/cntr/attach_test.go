@@ -305,18 +305,6 @@ func TestAttachToolsStayInChroot(t *testing.T) {
 	}
 }
 
-func TestAttachEngineSelection(t *testing.T) {
-	h, _, _ := testWorld(t)
-	if _, err := Attach(h, Options{Container: "db", Engine: "lxc"}); err == nil {
-		t.Fatal("attaching via wrong engine should fail")
-	}
-	sess, err := Attach(h, Options{Container: "db", Engine: "docker"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Close()
-}
-
 func TestAttachAllEngines(t *testing.T) {
 	h := NewHost()
 	img, err := container.BuildImage("app", "v1", container.ImageConfig{

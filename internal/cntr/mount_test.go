@@ -5,11 +5,9 @@ import (
 	"io"
 	"testing"
 
-	"cntr/internal/cachesvc"
 	"cntr/internal/cgroup"
 	"cntr/internal/fuse"
 	"cntr/internal/namespace"
-	"cntr/internal/policy"
 	"cntr/internal/stack"
 	"cntr/internal/vfs"
 )
@@ -135,11 +133,8 @@ func mountTraffic(t *testing.T, served *Host, cli *vfs.Client, conn *fuse.Conn) 
 // gets and a bare stack.NewMount over an identically seeded filesystem
 // put the same frames on the wire for the same work — same writeback
 // window, same write-out at close, same cache kept across the reopen,
-// same readahead windows — with policy off, with a policy.Run recording,
-// and with an enforcer gating on the profile that recording produced:
-// policy sits where a syscall enters the mount and changes nothing
-// below it. This is what keeps the attach workflow and the benchmarked
-// stack from drifting apart again.
+// same readahead windows. This is what keeps the attach workflow and
+// the benchmarked stack from drifting apart again.
 func TestAttachedMountIsTheMeasuredMount(t *testing.T) {
 	twin := NewHost() // seeds its root filesystem exactly as testWorld's host did
 	m := stack.NewMount(twin.RootFS, twin.Clock, twin.Model, stack.Config{})
@@ -150,47 +145,25 @@ func TestAttachedMountIsTheMeasuredMount(t *testing.T) {
 		t.Fatalf("the sequence did not cross the wire both ways: %+v", bare)
 	}
 
-	col := policy.NewCollector()
-	for _, tc := range []struct {
-		name string
-		opts func(t *testing.T) Options // host tools: the session serves h.RootFS
-	}{
-		{"plain", func(*testing.T) Options { return Options{Container: "db"} }},
-		{"traced", func(*testing.T) Options { return Options{Container: "db", Trace: col} }},
-		{"enforcing", func(t *testing.T) Options {
-			p := col.Profile(policy.GenOptions{})
-			if !p.Compile().Allows(vfs.KindCreate, "/blob") || !p.Compile().Allows(vfs.KindRead, seedPath) {
-				t.Fatalf("the traced session recorded no create of /blob or read of %s: %+v", seedPath, p.Rules)
-			}
-			return Options{Container: "db", Enforce: p}
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h, _, _ := testWorld(t)
-			sess, err := Attach(h, tc.opts(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sess.Close()
-			attached := mountTraffic(t, h, sess.Client, sess.Mount.Conn)
-			if attached != bare {
-				t.Fatalf("attached mount's wire traffic differs from stack.NewMount's:\nattached %+v\nbare     %+v", attached, bare)
-			}
-			if sess.Enforcer != nil && sess.Enforcer.Denials() != 0 {
-				t.Fatalf("the recorded profile denied its own replay: %+v", sess.Enforcer.Violations())
-			}
-		})
+	h, _, _ := testWorld(t)
+	sess, err := Attach(h, Options{Container: "db"}) // host tools: the session serves h.RootFS
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	attached := mountTraffic(t, h, sess.Client, sess.Mount.Conn)
+	if attached != bare {
+		t.Fatalf("attached mount's wire traffic differs from stack.NewMount's:\nattached %+v\nbare     %+v", attached, bare)
 	}
 }
 
 // TestAttachFailureReleasesLeases: an attach that fails after the mount
 // exists (here the container's cgroup is at its pids limit) tears the
-// mount down through Mount.Close — no cache-tier lease and no injected
-// process is left behind.
+// mount down through Mount.Close, and no injected process is left
+// behind.
 func TestAttachFailureReleasesLeases(t *testing.T) {
 	h, slim, _ := testWorld(t)
 	h.Procs.Cgroups.Create(slim.CgroupPath, cgroup.Limits{PidsMax: 1})
-	tier := cachesvc.New(cachesvc.Options{Shards: 8})
 	// The processes left are what ls /proc lists.
 	listProcs := func() int {
 		ents, err := vfs.NewClient(h.Procs.Snapshot(), vfs.Root()).ReadDir("/")
@@ -200,11 +173,8 @@ func TestAttachFailureReleasesLeases(t *testing.T) {
 		return len(ents)
 	}
 	procs := listProcs()
-	if _, err := Attach(h, Options{Container: "db", Fat: "tools", CacheService: tier}); err != vfs.EAGAIN {
+	if _, err := Attach(h, Options{Container: "db", Fat: "tools"}); err != vfs.EAGAIN {
 		t.Fatalf("attach into a full cgroup: %v, want EAGAIN", err)
-	}
-	if st := tier.Stats(); st.LeasesActive != 0 {
-		t.Fatalf("failed attach left %d leases held", st.LeasesActive)
 	}
 	if n := listProcs(); n != procs {
 		t.Fatalf("failed attach left %d processes behind", n-procs)

@@ -181,7 +181,7 @@ func TestEngineResolution(t *testing.T) {
 	lxc, _ := rt.Create("pen", img, CreateOpts{Engine: "lxc"})
 	rt.Start(lxc)
 
-	de, _ := rt.Engine("docker")
+	de := rt.engines["docker"]
 	if pid, err := de.ResolvePID("web"); err != nil || pid != docker.MainPID {
 		t.Fatalf("docker by name: %d %v", pid, err)
 	}
@@ -193,7 +193,7 @@ func TestEngineResolution(t *testing.T) {
 	if _, err := de.ResolvePID("pen"); err == nil {
 		t.Fatal("docker engine must not resolve lxc containers")
 	}
-	le, _ := rt.Engine("lxc")
+	le := rt.engines["lxc"]
 	if pid, err := le.ResolvePID("pen"); err != nil || pid != lxc.MainPID {
 		t.Fatalf("lxc: %d %v", pid, err)
 	}

@@ -136,6 +136,26 @@ func TestPullChunkLevelDedup(t *testing.T) {
 	}
 }
 
+// TestPullWithoutTierUnchanged: a node pulls every chunk it does not
+// hold from the registry; there is no cache tier between the two.
+func TestPullWithoutTierUnchanged(t *testing.T) {
+	cas := blobstore.NewCAS(blobstore.CASOptions{})
+	img, err := BuildImageOn(cas, "app", "v1", ImageConfig{},
+		LayerSpec{ID: "l", Files: []FileSpec{{Path: "/f", Size: 1 << 20}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	reg.Push(img)
+	_, st, err := reg.Pull(sim.NewClock(), NewNode(), "app:v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.BytesFetched != 1<<20 || st.BytesDeduped != 0 {
+		t.Fatalf("pull: %+v", st)
+	}
+}
+
 // TestPullPrivateStoresNoCrossDedup: refs from two private stores must
 // never be confused for each other, whatever their string values.
 func TestPullPrivateStoresNoCrossDedup(t *testing.T) {

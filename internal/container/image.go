@@ -50,9 +50,8 @@ type Layer struct {
 
 // ImageConfig is the runtime configuration baked into an image.
 type ImageConfig struct {
-	Cmd        []string
-	Env        []string
-	WorkingDir string
+	Cmd []string
+	Env []string
 	// Entrypoint names the main binary (for engines that report it).
 	Entrypoint string
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"cntr/internal/blobstore"
-	"cntr/internal/cachesvc"
 	"cntr/internal/sim"
 	"cntr/internal/vfs"
 )
@@ -52,11 +51,7 @@ type PullStats struct {
 	// layers carrying chunk refs — built on a content-addressed store —
 	// participate; others transfer their full size.
 	BytesDeduped int64
-	// BytesFromCache counts chunk bytes served by the node's shared
-	// cache tier (another mount or an earlier pull already fetched them)
-	// instead of the registry network.
-	BytesFromCache int64
-	Elapsed        time.Duration
+	Elapsed      time.Duration
 }
 
 // Pull fetches ref onto a node, advancing the clock by the simulated
@@ -91,26 +86,8 @@ func (r *Registry) Pull(clock *sim.Clock, node *Node, ref string) (*Image, PullS
 					st.BytesDeduped += info.Size
 					continue
 				}
-				// The shared cache tier is consulted before the network:
-				// a chunk any sibling mount (or an earlier pull) already
-				// materialized is fetched intra-cluster, not from the
-				// registry.
-				if node.Shared != nil && node.Shared.Contains(cachesvc.ChunkKey(cr)) {
-					st.BytesFromCache += info.Size
-					node.addChunk(layer.Store, cr)
-					continue
-				}
 				transfer += info.Size
 				node.addChunk(layer.Store, cr)
-				// Backfill: chunks this pull paid the network for are
-				// seeded into the tier so the next pull (and every
-				// mount's cold read) hits. Seed is the epoch-free admin
-				// path — chunk content is immutable.
-				if node.Shared != nil {
-					if data, err := layer.Store.Get(cr); err == nil {
-						node.Shared.Seed(cachesvc.ChunkKey(cr), data)
-					}
-				}
 			}
 		}
 		st.BytesFetched += transfer
@@ -132,11 +109,6 @@ type Node struct {
 	// private stores collide by string, not by content).
 	chunks map[blobstore.Store]map[blobstore.Ref]bool
 	images map[string]*Image
-
-	// Shared, when non-nil, is the shared cache tier this node's mounts
-	// attach to. Pulls consult it chunk by chunk before touching the
-	// registry network and seed it with whatever they do fetch.
-	Shared *cachesvc.Service
 }
 
 // NewNode returns an empty node cache.

@@ -59,8 +59,6 @@ type Container struct {
 type CreateOpts struct {
 	// Engine is "docker", "lxc", "rkt" or "systemd-nspawn".
 	Engine string
-	// Env is appended to the image's environment.
-	Env []string
 	// Privileged skips MAC confinement and keeps full capabilities.
 	Privileged bool
 }
@@ -106,15 +104,6 @@ func (rt *Runtime) Engines() []string {
 	return out
 }
 
-// Engine returns the engine frontend by name.
-func (rt *Runtime) Engine(name string) (Engine, error) {
-	e, ok := rt.engines[name]
-	if !ok {
-		return nil, vfs.EINVAL
-	}
-	return e, nil
-}
-
 // Create instantiates a container from an image: fresh namespaces of
 // every kind but the user namespace, which it shares with the host; a
 // union root filesystem; a cgroup; and the engine's default MAC profile.
@@ -152,7 +141,7 @@ func (rt *Runtime) Create(name string, img *Image, opts CreateOpts) (*Container,
 		ID: id, Name: name, Engine: opts.Engine, Image: img,
 		RootFS: rootfs, Namespaces: set, CgroupPath: cgPath,
 		Profile: profile, Privileged: opts.Privileged,
-		Env:   append(append([]string(nil), img.Config.Env...), opts.Env...),
+		Env:   append([]string(nil), img.Config.Env...),
 		State: StateCreated,
 	}
 	rt.containers[name] = c
@@ -175,10 +164,7 @@ func (rt *Runtime) Start(c *Container) error {
 	}
 	p.Namespaces = c.Namespaces
 	p.Env = append([]string(nil), c.Env...)
-	p.Cwd = c.Image.Config.WorkingDir
-	if p.Cwd == "" {
-		p.Cwd = "/"
-	}
+	p.Cwd = "/"
 	prof := rt.Procs.Profiles.Get(c.Profile)
 	p.Profile = c.Profile
 	cred := p.Cred()

@@ -86,7 +86,7 @@ func (ns *MountNS) Clone() *MountNS {
 }
 
 // Mount attaches fs (rooted at root) at point.
-func (ns *MountNS) Mount(point string, fs vfs.FS, root vfs.Ino, prop Propagation, readOnly bool) error {
+func (ns *MountNS) Mount(point string, fs vfs.FS, root vfs.Ino, prop Propagation, readOnly bool) {
 	point = normalizePoint(point)
 	m := &Mount{Point: point, FS: fs, Root: root, Propagation: prop, ReadOnly: readOnly}
 	if prop == PropShared {
@@ -96,7 +96,6 @@ func (ns *MountNS) Mount(point string, fs vfs.FS, root vfs.Ino, prop Propagation
 	ns.mounts[point] = m
 	ns.mu.Unlock()
 	ns.propagate(point, m)
-	return nil
 }
 
 // propagate pushes a new mount to peer namespaces when the covering

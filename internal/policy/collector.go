@@ -24,7 +24,6 @@
 package policy
 
 import (
-	"encoding/json"
 	"sort"
 	"sync"
 
@@ -259,23 +258,8 @@ func (c *Collector) Snapshot() Activity {
 	return act
 }
 
-// RenderJSON serializes the activity snapshot, for the /proc-style
-// policy view files.
-func (c *Collector) RenderJSON() []byte {
-	b, err := json.MarshalIndent(c.Snapshot(), "", "  ")
-	if err != nil {
-		return []byte("{}")
-	}
-	return append(b, '\n')
-}
-
 // GenOptions tunes profile generation.
 type GenOptions struct {
-	// Headroom multiplies the recorded peak window volumes into the
-	// profile's rate ceilings, so a replay of the same workload stays
-	// under them while a runaway writer does not. Values <= 1 leave the
-	// ceilings at the recorded peaks; zero (the default) means 2x.
-	Headroom float64
 	// RunID names this recording in the profile's lifecycle header
 	// (SourceRuns); empty leaves the header's run list empty.
 	RunID string
@@ -325,13 +309,10 @@ func (c *Collector) Profile(opts GenOptions) *Profile {
 	sort.Slice(p.Rules, func(i, j int) bool { return p.Rules[i].Prefix < p.Rules[j].Prefix })
 	p.AnyPathKinds = kindNamesOf(anyKinds)
 	if c.win.peakR > 0 || c.win.peakW > 0 {
-		h := opts.Headroom
-		if h == 0 {
-			h = 2
-		}
-		if h < 1 {
-			h = 1
-		}
+		// The headroom multiplies the recorded peak window volumes into
+		// the rate ceilings, so a replay of the same workload stays under
+		// them while a runaway writer does not.
+		const h = 2
 		p.WindowOps = CeilingWindowOps
 		p.ReadBytesPerWindow = int64(float64(c.win.peakR) * h)
 		p.WriteBytesPerWindow = int64(float64(c.win.peakW) * h)

@@ -57,36 +57,6 @@ type Table struct {
 	Cgroups *cgroup.Hierarchy
 	// Profiles is the loaded MAC policy set.
 	Profiles *caps.Registry
-	// policyViews render per-container activity profiles into the /proc
-	// snapshot (as /policy/<name>), so tools inside the namespace can
-	// read the traced profile the same way they read /proc/<pid>/status.
-	policyMu     sync.Mutex
-	policyViews  map[int]policyView
-	policyNextID int
-}
-
-// policyView is one registered profile renderer.
-type policyView struct {
-	name   string
-	render func() []byte
-}
-
-// AddPolicyView registers a named activity-profile renderer; Snapshot
-// writes its output to /policy/<name>. The returned func unregisters it.
-func (t *Table) AddPolicyView(name string, render func() []byte) (remove func()) {
-	t.policyMu.Lock()
-	id := t.policyNextID
-	t.policyNextID++
-	if t.policyViews == nil {
-		t.policyViews = make(map[int]policyView)
-	}
-	t.policyViews[id] = policyView{name: name, render: render}
-	t.policyMu.Unlock()
-	return func() {
-		t.policyMu.Lock()
-		delete(t.policyViews, id)
-		t.policyMu.Unlock()
-	}
 }
 
 // NewTable returns a table containing pid 1 (init) in the given host
@@ -169,18 +139,6 @@ func (t *Table) Get(pid int) (*Process, error) {
 func (t *Table) Snapshot() *memfs.FS {
 	fs := memfs.New(memfs.Options{})
 	cli := vfs.NewClient(fs, vfs.Root())
-	t.policyMu.Lock()
-	views := make([]policyView, 0, len(t.policyViews))
-	for _, v := range t.policyViews {
-		views = append(views, v)
-	}
-	t.policyMu.Unlock()
-	if len(views) > 0 {
-		cli.MkdirAll("/policy", 0o555)
-		for _, v := range views {
-			cli.WriteFile("/policy/"+v.name, v.render(), 0o444)
-		}
-	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for pid, p := range t.procs {

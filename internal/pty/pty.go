@@ -67,9 +67,6 @@ type Master struct {
 type Slave struct {
 	in  *pipe
 	out *pipe
-	// Echo mirrors input back to the master, like a terminal in
-	// canonical mode.
-	Echo bool
 }
 
 // New returns a connected master/slave pair.
@@ -91,14 +88,8 @@ func (m *Master) Close() error {
 	return nil
 }
 
-// Read receives keystrokes, echoing when enabled.
-func (s *Slave) Read(b []byte) (int, error) {
-	n, err := s.in.Read(b)
-	if err == nil && s.Echo && n > 0 {
-		s.out.Write(b[:n])
-	}
-	return n, err
-}
+// Read receives keystrokes.
+func (s *Slave) Read(b []byte) (int, error) { return s.in.Read(b) }
 
 // Write sends program output to the master.
 func (s *Slave) Write(b []byte) (int, error) { return s.out.Write(b) }

@@ -27,18 +27,6 @@ func TestSlaveToMaster(t *testing.T) {
 	}
 }
 
-func TestEcho(t *testing.T) {
-	m, s := New()
-	s.Echo = true
-	go m.Write([]byte("hi"))
-	buf := make([]byte, 16)
-	s.Read(buf)
-	n, err := m.Read(buf)
-	if err != nil || string(buf[:n]) != "hi" {
-		t.Fatalf("echo: %q %v", buf[:n], err)
-	}
-}
-
 func TestCloseUnblocksReaders(t *testing.T) {
 	m, s := New()
 	done := make(chan error, 1)
