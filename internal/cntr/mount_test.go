@@ -145,16 +145,18 @@ func TestAttachedMountIsTheMeasuredMount(t *testing.T) {
 		t.Fatalf("the sequence did not cross the wire both ways: %+v", bare)
 	}
 
-	h, _, _ := testWorld(t)
-	sess, err := Attach(h, Options{Container: "db"}) // host tools: the session serves h.RootFS
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	attached := mountTraffic(t, h, sess.Client, sess.Mount.Conn)
-	if attached != bare {
-		t.Fatalf("attached mount's wire traffic differs from stack.NewMount's:\nattached %+v\nbare     %+v", attached, bare)
-	}
+	t.Run("plain", func(t *testing.T) {
+		h, _, _ := testWorld(t)
+		sess, err := Attach(h, Options{Container: "db"}) // host tools: the session serves h.RootFS
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		attached := mountTraffic(t, h, sess.Client, sess.Mount.Conn)
+		if attached != bare {
+			t.Fatalf("attached mount's wire traffic differs from stack.NewMount's:\nattached %+v\nbare     %+v", attached, bare)
+		}
+	})
 }
 
 // TestAttachFailureReleasesLeases: an attach that fails after the mount
