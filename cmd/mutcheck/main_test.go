@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,6 +65,46 @@ run: TestB
 	} {
 		if _, err := parseTable(strings.NewReader(bad)); err == nil {
 			t.Errorf("parseTable accepted %q", bad)
+		}
+	}
+}
+
+// TestVerdict: a mutant is caught by a test's fail event, or by go test
+// failing after its tests started without one (a timeout, a panic off a
+// test's goroutine), which names the test that was running; a mutant whose
+// tests never ran, as one that does not build, fails its row, and so does
+// one every test passed.
+func TestVerdict(t *testing.T) {
+	r := row{name: "m", run: "^TestA$", pkg: "./p"}
+	exit := errors.New("exit status 1")
+	const (
+		failed  = `{"Action":"run","Test":"TestA"}` + "\n" + `{"Action":"fail","Test":"TestA"}` + "\n" + `{"Action":"fail"}`
+		timeout = `{"Action":"run","Test":"TestA"}` + "\n" + `{"Action":"run","Test":"TestA/sub"}` + "\n" +
+			`{"Action":"output","Test":"TestA/sub","Output":"panic: test timed out after 5m0s\n"}` + "\n" + `{"Action":"fail"}`
+		passed = `{"Action":"run","Test":"TestA"}` + "\n" + `{"Action":"pass","Test":"TestA"}` + "\n" + `{"Action":"pass"}`
+		build  = `{"Action":"output","Output":"# p\n"}` + "\n" + `{"Action":"fail"}`
+	)
+	for _, tc := range []struct {
+		name   string
+		stream string
+		runErr error
+		note   string // "" for a test's fail event
+		err    string // "" when the mutant is caught
+	}{
+		{"a test fails", failed, exit, "", ""},
+		{"go test fails while a test runs", timeout, exit, "while TestA/sub ran", ""},
+		{"no test ran", build, exit, "", "before any test ran"},
+		{"every test passed", passed, nil, "", "survived 1 tests"},
+		{"no test matched", "", nil, "", "no test matches"},
+	} {
+		note, err := classify([]byte(tc.stream)).verdict(r, tc.runErr)
+		switch {
+		case tc.err == "" && err != nil:
+			t.Errorf("%s: %v, want caught", tc.name, err)
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("%s: %v, want an error with %q", tc.name, err, tc.err)
+		case !strings.Contains(note, tc.note) || tc.note == "" && note != "":
+			t.Errorf("%s: note %q, want %q", tc.name, note, tc.note)
 		}
 	}
 }

@@ -98,6 +98,36 @@ func TestAttachFatContainer(t *testing.T) {
 	}
 }
 
+// TestShellLsSortsNames: the shell's ls prints a directory in name order
+// whatever order its entries were made in, as coreutils ls does, so a
+// transcript does not depend on the filesystem's listing order.
+func TestShellLsSortsNames(t *testing.T) {
+	h, _, _ := testWorld(t)
+	sess, err := Attach(h, Options{Container: "db", Fat: "tools"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if err := sess.Client.Mkdir("/made", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"zeta", "alpha", "mid"} {
+		if err := sess.Client.WriteFile("/made/"+name, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sess.Client.Mkdir("/made/beta", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	out, err := sess.Run("ls /made")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "alpha\nbeta/\nmid\nzeta\n"; out != want {
+		t.Fatalf("ls /made = %q, want %q", out, want)
+	}
+}
+
 func TestAttachRunsToolThroughFUSE(t *testing.T) {
 	h, _, _ := testWorld(t)
 	sess, err := Attach(h, Options{Container: "db", Fat: "tools"})

@@ -160,6 +160,9 @@ func (sh *Shell) ls(args []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	// In name order, as coreutils ls prints: a listing comes in the
+	// filesystem's cookie order.
+	sort.Slice(ents, func(i, j int) bool { return ents[i].Name < ents[j].Name })
 	var b strings.Builder
 	for _, e := range ents {
 		suffix := ""

@@ -184,6 +184,43 @@ func (s *releaseSpy) Release(op *vfs.Op, h vfs.Handle) error {
 	return err
 }
 
+// TestForgetBatchAllocBudget pins what a FUSE_BATCH_FORGET batch costs
+// the host, both sides, in heap objects: the pending batch starts at
+// ForgetBatchSize, so ForgetBatchSize forgets make the one slice the frame
+// is encoded from. A batch regrown from nil made seven.
+func TestForgetBatchAllocBudget(t *testing.T) {
+	spy := &forgetSpy{FS: memfs.New(memfs.Options{})}
+	conn, srv := Mount(spy, sim.NewClock(), sim.DefaultCostModel(), DefaultMountOptions())
+	t.Cleanup(func() {
+		conn.Unmount()
+		srv.Wait()
+	})
+	batch := func() {
+		before := spy.forgets.Load()
+		for i := 0; i < ForgetBatchSize; i++ {
+			conn.Forget(nil, vfs.Ino(1000+i), 1)
+		}
+		for spy.forgets.Load() < before+ForgetBatchSize {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 8; i++ {
+		batch()
+	}
+	allocs.Check(t, "one BATCH_FORGET of ForgetBatchSize forgets", testing.AllocsPerRun(100, batch))
+}
+
+// forgetSpy counts the forgets that reach the filesystem under a server.
+type forgetSpy struct {
+	vfs.FS
+	forgets atomic.Int64
+}
+
+func (s *forgetSpy) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
+	s.FS.Forget(op, ino, nlookup)
+	s.forgets.Add(1)
+}
+
 // TestPayloadFramesBounded: a Conn keeps at most ServerThreads of the
 // payload-sized buffers its requests give back, however many were in
 // flight at once, and a mount that never moved a payload keeps none.

@@ -1,6 +1,7 @@
 package fuse
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -501,7 +502,10 @@ func (v attrVal) dataStale() bool { return v.expiry < 0 }
 // whether the empty reply that ends them has come back, and the
 // directory's mtime when the listing began. A removed directory that is
 // still open keeps a dead listing with no entries until its last close:
-// reading it is ENOENT (IS_DEADDIR).
+// reading it is ENOENT (IS_DEADDIR). Its cookies strictly increase (keep),
+// and ents is never written in place: it only grows by append, and a
+// changed directory gets a new dirListing. That is what lets after hand
+// out the kept entries themselves.
 type dirListing struct {
 	ents     []vfs.Dirent
 	complete bool
@@ -517,15 +521,30 @@ func (d *dirListing) end() int64 {
 	return d.ents[len(d.ents)-1].Off
 }
 
-// after returns a copy of the entries past the one whose cookie is off (0
-// being the start), and whether the listing holds that cookie.
+// keep extends the listing with a READDIR reply from its end, and reports
+// false, keeping nothing, when the reply's cookies do not strictly
+// increase past that end: a server's bytes the kernel cannot seek in.
+func (d *dirListing) keep(ents []vfs.Dirent, complete bool) bool {
+	last := d.end()
+	for _, e := range ents {
+		if e.Off <= last {
+			return false
+		}
+		last = e.Off
+	}
+	d.ents = append(d.ents, ents...)
+	d.complete = complete
+	return true
+}
+
+// after returns the entries past the one whose cookie is off (0 being the
+// start), and whether the listing holds that cookie. The entries are the
+// listing's own, capped so that an append by the caller copies them.
 func (d *dirListing) after(off int64) ([]vfs.Dirent, bool) {
 	i := 0
 	if off != 0 {
-		for i < len(d.ents) && d.ents[i].Off != off {
-			i++
-		}
-		if i == len(d.ents) {
+		var found bool
+		if i, found = slices.BinarySearchFunc(d.ents, off, byCookie); !found {
 			return nil, false
 		}
 		i++
@@ -533,8 +552,10 @@ func (d *dirListing) after(off int64) ([]vfs.Dirent, bool) {
 	if i == len(d.ents) {
 		return nil, true
 	}
-	return slices.Clone(d.ents[i:]), true
+	return d.ents[i:len(d.ents):len(d.ents)], true
 }
+
+func byCookie(e vfs.Dirent, off int64) int { return cmp.Compare(e.Off, off) }
 
 type forgetItem struct {
 	ino     vfs.Ino

@@ -115,6 +115,9 @@ func (c *Conn) queueForget(ino vfs.Ino, nlookup uint64) {
 	}
 	c.stats.ForgetsSent++
 	if c.opts.BatchForget {
+		if c.forgets == nil {
+			c.forgets = make([]forgetItem, 0, ForgetBatchSize)
+		}
 		c.forgets = append(c.forgets, forgetItem{ino, nlookup})
 		if len(c.forgets) < ForgetBatchSize {
 			c.mu.Unlock()
@@ -658,7 +661,8 @@ func (c *Conn) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 // under FUSE_AUTO_INVAL_DATA: another mtime drops it. A complete listing
 // costs one page-cache hit; any other listing goes over the wire with fh 0
 // and the inode (readdirWire), and extends the kept one when it starts
-// where that ends, the empty reply completing it.
+// where that ends, the empty reply completing it; a reply whose cookies do
+// not strictly increase drops it instead.
 func (c *Conn) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error) {
 	if h&localHandle == 0 {
 		dir, _ := c.handleInode(h)
@@ -690,9 +694,8 @@ func (c *Conn) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error
 		return nil, err
 	}
 	c.mu.Lock()
-	if d != nil && !d.complete && off == d.end() {
-		d.ents = append(d.ents, ents...)
-		d.complete = complete
+	if d != nil && !d.complete && off == d.end() && !d.keep(ents, complete) && c.dirs[ino] == d {
+		delete(c.dirs, ino) // a listing it cannot seek in: the next one goes over the wire
 	}
 	c.mu.Unlock()
 	return ents, nil

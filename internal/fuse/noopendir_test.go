@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"cntr/internal/memfs"
+	"cntr/internal/sim"
 	"cntr/internal/vfs"
 )
 
@@ -48,28 +50,28 @@ func TestZeroMessageOpendirWire(t *testing.T) {
 		first   bool // the row's opendir is the mount's first
 		prepare func(e *nosecEnv) error
 		want    wire
-		names   []string
+		names   []string // in link order: the host made sub before f
 	}{
-		{"first listing", def, true, nil, wire{opendir: 1, readdir: 2}, []string{"f", "sub"}},
-		{"relisting", def, false, nil, wire{}, []string{"f", "sub"}},
+		{"first listing", def, true, nil, wire{opendir: 1, readdir: 2}, []string{"sub", "f"}},
+		{"relisting", def, false, nil, wire{}, []string{"sub", "f"}},
 		{"after create", def, false, change(func(e *nosecEnv) error { return e.cli.WriteFile("/d/g", nil, 0o644) }),
-			wire{readdir: 2}, []string{"f", "g", "sub"}},
+			wire{readdir: 2}, []string{"sub", "f", "g"}},
 		{"after mkdir", def, false, change(func(e *nosecEnv) error { return e.cli.Mkdir("/d/m", 0o755) }),
-			wire{readdir: 2}, []string{"f", "m", "sub"}},
+			wire{readdir: 2}, []string{"sub", "f", "m"}},
 		{"after mknod", def, false, change(func(e *nosecEnv) error {
 			_, err := e.top.Mknod(op, e.lookup("/d"), "p", vfs.TypeFIFO, 0o644, 0)
 			return err
-		}), wire{readdir: 2}, []string{"f", "p", "sub"}},
+		}), wire{readdir: 2}, []string{"sub", "f", "p"}},
 		{"after symlink", def, false, change(func(e *nosecEnv) error { return e.cli.Symlink("f", "/d/l") }),
-			wire{readdir: 2}, []string{"f", "l", "sub"}},
+			wire{readdir: 2}, []string{"sub", "f", "l"}},
 		{"after link", def, false, change(func(e *nosecEnv) error { return e.cli.Link("/d/f", "/d/h") }),
-			wire{readdir: 2}, []string{"f", "h", "sub"}},
+			wire{readdir: 2}, []string{"sub", "f", "h"}},
 		{"after unlink", def, false, change(func(e *nosecEnv) error { return e.cli.Remove("/d/f") }),
 			wire{readdir: 2}, []string{"sub"}},
 		{"after rmdir", def, false, change(func(e *nosecEnv) error { return e.cli.Remove("/d/sub") }),
 			wire{readdir: 2}, []string{"f"}},
 		{"after rename in", def, false, change(func(e *nosecEnv) error { return e.cli.Rename("/top", "/d/top") }),
-			wire{readdir: 2}, []string{"f", "sub", "top"}},
+			wire{readdir: 2}, []string{"sub", "f", "top"}},
 		{"after rename out", def, false, change(func(e *nosecEnv) error { return e.cli.Rename("/d/f", "/f") }),
 			wire{readdir: 2}, []string{"sub"}},
 		{"after a failed mkdir", def, false, change(func(e *nosecEnv) error {
@@ -77,10 +79,10 @@ func TestZeroMessageOpendirWire(t *testing.T) {
 				return fmt.Errorf("mkdir over an existing file: %v, want EEXIST", err)
 			}
 			return nil
-		}), wire{readdir: 2}, []string{"f", "sub"}},
-		{"NoOpendir off", off, false, nil, paper, []string{"f", "sub"}},
-		{"EntryTimeout 0", noEntries, false, nil, paper, []string{"f", "sub"}},
-		{"AttrTimeout 0", noAttrs, false, nil, wire{other: 2}, []string{"f", "sub"}},
+		}), wire{readdir: 2}, []string{"sub", "f"}},
+		{"NoOpendir off", off, false, nil, paper, []string{"sub", "f"}},
+		{"EntryTimeout 0", noEntries, false, nil, paper, []string{"sub", "f"}},
+		{"AttrTimeout 0", noAttrs, false, nil, wire{other: 2}, []string{"sub", "f"}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -216,6 +218,121 @@ func TestZeroMessageOpendirConcurrentChanges(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("the mount lists %q, the host holds %q", got, want)
+	}
+}
+
+// TestZeroMessageOpendirHeldListing: a listing served from the kept one
+// is the kept entries themselves (dirListing.after), not a copy, so the
+// connection never writes them in place. A caller holding one across a
+// change the mount only finds by the directory's mtime (made on the host,
+// with AttrTimeout 0) and across one made through the mount keeps the
+// entries it was given, and an append to them does not reach the kept
+// listing.
+func TestZeroMessageOpendirHeldListing(t *testing.T) {
+	opts := DefaultMountOptions()
+	opts.ReaddirPlus = false
+	opts.AttrTimeout = 0
+	e := nosecMount(t, opts)
+	host := vfs.NewClient(e.host, vfs.Root())
+	if err := host.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"/d/a", "/d/b", "/d/c"} {
+		if err := host.WriteFile(f, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := e.lookup("/d")
+	if _, err := listDir(e.top, dir); err != nil { // the kept listing
+		t.Fatal(err)
+	}
+	op := vfs.RootOp()
+	h, err := e.top.Opendir(op, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.top.Releasedir(op, h)
+	readdirs := e.conn.Stats().Frames[OpReaddir]
+	held, err := e.top.Readdir(op, h, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := e.conn.Stats().Frames[OpReaddir] - readdirs; n != 0 || len(held) != 5 {
+		t.Fatalf("%d entries in %d READDIRs, want 5 from the kept listing", len(held), n)
+	}
+	want := slices.Clone(held)
+	_ = append(held, vfs.Dirent{Name: "appended", Off: 1 << 40})
+	for _, change := range []struct {
+		name string
+		do   func() error
+	}{
+		{"on the host", func() error {
+			if err := host.Remove("/d/a"); err != nil {
+				return err
+			}
+			return host.WriteFile("/d/x", nil, 0o644)
+		}},
+		{"through the mount", func() error { return e.cli.WriteFile("/d/y", nil, 0o644) }},
+	} {
+		if err := change.do(); err != nil {
+			t.Fatal(err)
+		}
+		names, err := listDir(e.top, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(names, "appended") || slices.Contains(names, "a") {
+			t.Errorf("after a change %s the mount lists %q", change.name, names)
+		}
+		if !slices.Equal(held, want) {
+			t.Fatalf("after a change %s the held listing is %v, was %v", change.name, held, want)
+		}
+	}
+}
+
+// unorderedFS answers every READDIR with the entries' cookies in
+// decreasing order: bytes a kernel cannot seek in.
+type unorderedFS struct{ vfs.FS }
+
+func (u unorderedFS) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error) {
+	ents, err := u.FS.Readdir(op, h, off)
+	for i := range ents {
+		ents[i].Off = int64(1000 - i)
+	}
+	if off != 0 {
+		ents = nil // the listing ends after one reply
+	}
+	return ents, err
+}
+
+// TestZeroMessageOpendirUnorderedCookies: the connection keeps no listing
+// whose cookies do not strictly increase, so each listing of it goes over
+// the wire: a server's bad cookies cost a cache miss, never an entry out
+// of the kept listing.
+func TestZeroMessageOpendirUnorderedCookies(t *testing.T) {
+	opts := DefaultMountOptions()
+	opts.ReaddirPlus = false
+	host := memfs.New(memfs.Options{})
+	hc := vfs.NewClient(host, vfs.Root())
+	for _, f := range []string{"/a", "/b"} {
+		if err := hc.WriteFile(f, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn, srv := Mount(unorderedFS{host}, sim.NewClock(), sim.DefaultCostModel(), opts)
+	t.Cleanup(func() {
+		conn.Unmount()
+		srv.Wait()
+	})
+	for i := 0; i < 3; i++ {
+		before := conn.Stats().Frames[OpReaddir]
+		names, err := listDir(conn, vfs.RootIno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := conn.Stats().Frames[OpReaddir] - before; n != 2 || !slices.Equal(names, []string{"a", "b"}) {
+			t.Fatalf("listing %d: %q in %d READDIRs, want [a b] in 2", i, names, n)
+		}
 	}
 }
 

@@ -291,9 +291,12 @@ func (fs *FS) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 	return fs.openLocked(ino, vfs.ORdonly, true), nil
 }
 
-// Readdir implements vfs.FS. Entries are returned in a stable sorted
-// order; offsets are 1-based positions in that order with "." and ".."
-// first, matching what getdents callers expect.
+// Readdir implements vfs.FS. It returns the live entries whose cookie is
+// above off, in cookie order: "." is 1, ".." is 2, and each other entry
+// has the cookie it took when it was linked (entries), so the order is
+// link order, as on tmpfs, and a listing that removes what it has read
+// misses nothing. A call past the last cookie returns nil without
+// allocating; any other allocates only the slice it returns.
 func (fs *FS) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -307,31 +310,22 @@ func (fs *FS) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error)
 	if n.attr.Nlink == 0 {
 		return nil, vfs.ENOENT // removed while open (removeDir)
 	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	all := make([]vfs.Dirent, 0, len(names)+2)
-	all = append(all,
-		vfs.Dirent{Name: ".", Ino: of.ino, Type: vfs.TypeDirectory},
-		vfs.Dirent{Name: "..", Ino: n.parent, Type: vfs.TypeDirectory},
-	)
-	for _, name := range names {
-		ci := n.children[name]
-		child, ok := fs.inodes[ci]
-		if !ok {
-			continue
-		}
-		all = append(all, vfs.Dirent{Name: name, Ino: ci, Type: child.attr.Type})
-	}
-	for i := range all {
-		all[i].Off = int64(i + 1)
-	}
-	if off < 0 || off >= int64(len(all)) {
+	if off < 0 {
 		return nil, nil
 	}
-	return all[off:], nil
+	dots := int(max(0, 2-off))
+	count := dots + n.children.countAfter(off)
+	if count == 0 {
+		return nil, nil
+	}
+	out := make([]vfs.Dirent, 0, count)
+	if dots == 2 {
+		out = append(out, vfs.Dirent{Name: ".", Ino: of.ino, Type: vfs.TypeDirectory, Off: 1})
+	}
+	if dots > 0 {
+		out = append(out, vfs.Dirent{Name: "..", Ino: n.parent, Type: vfs.TypeDirectory, Off: 2})
+	}
+	return n.children.appendAfter(out, off, fs.inodes), nil
 }
 
 // Releasedir implements vfs.FS.

@@ -61,7 +61,7 @@ type inode struct {
 	target string            // symlink target
 	xattrs map[string][]byte // made by the first Setxattr
 	// children and parent are set for directories.
-	children map[string]vfs.Ino
+	children entries
 	parent   vfs.Ino
 	// openCount keeps unlinked-but-open inodes alive.
 	openCount int
@@ -98,7 +98,7 @@ func New(opts Options) *FS {
 			Ino: vfs.RootIno, Type: vfs.TypeDirectory, Mode: 0o755,
 			Nlink: 2, Atime: t, Mtime: t, Ctime: t,
 		},
-		children: make(map[string]vfs.Ino),
+		children: newEntries(),
 		parent:   vfs.RootIno,
 	}
 	return fs
@@ -167,7 +167,7 @@ func (fs *FS) Lookup(op *vfs.Op, parent vfs.Ino, name string) (vfs.Attr, error) 
 		}
 		return p.attr, nil
 	}
-	child, ok := dir.children[name]
+	child, ok := dir.children.lookup(name)
 	if !ok {
 		return vfs.Attr{}, vfs.ENOENT
 	}
@@ -434,7 +434,7 @@ func (fs *FS) newInode(c *vfs.Cred, dir *inode, typ vfs.FileType, mode vfs.Mode,
 	}
 	if typ == vfs.TypeDirectory {
 		n.attr.Nlink = 2
-		n.children = make(map[string]vfs.Ino)
+		n.children = newEntries()
 	}
 	fs.inodes[ino] = n
 	return n
@@ -451,14 +451,14 @@ func (fs *FS) insertChild(c *vfs.Cred, parent vfs.Ino, name string, build func(d
 	if !c.MayWrite(&dir.attr) || !c.MayExec(&dir.attr) {
 		return vfs.Attr{}, vfs.EACCES
 	}
-	if _, exists := dir.children[name]; exists {
+	if _, exists := dir.children.lookup(name); exists {
 		return vfs.Attr{}, vfs.EEXIST
 	}
 	n, err := build(dir)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	dir.children[name] = n.attr.Ino
+	dir.children.link(name, n.attr.Ino)
 	if n.attr.Type == vfs.TypeDirectory {
 		n.parent = parent
 		dir.attr.Nlink++
@@ -552,7 +552,7 @@ func (fs *FS) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 	if !c.MayWrite(&dir.attr) || !c.MayExec(&dir.attr) {
 		return vfs.EACCES
 	}
-	child, ok := dir.children[name]
+	child, ok := dir.children.lookup(name)
 	if !ok {
 		return vfs.ENOENT
 	}
@@ -566,7 +566,7 @@ func (fs *FS) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 	if stickyDenied(c, dir, n) {
 		return vfs.EPERM
 	}
-	delete(dir.children, name)
+	dir.children.unlink(name)
 	now := fs.now()
 	dir.attr.Mtime, dir.attr.Ctime = now, now
 	n.attr.Nlink--
@@ -590,7 +590,7 @@ func (fs *FS) Rmdir(op *vfs.Op, parent vfs.Ino, name string) error {
 	if !c.MayWrite(&dir.attr) || !c.MayExec(&dir.attr) {
 		return vfs.EACCES
 	}
-	child, ok := dir.children[name]
+	child, ok := dir.children.lookup(name)
 	if !ok {
 		return vfs.ENOENT
 	}
@@ -601,13 +601,13 @@ func (fs *FS) Rmdir(op *vfs.Op, parent vfs.Ino, name string) error {
 	if n.attr.Type != vfs.TypeDirectory {
 		return vfs.ENOTDIR
 	}
-	if len(n.children) != 0 {
+	if n.children.len() != 0 {
 		return vfs.ENOTEMPTY
 	}
 	if stickyDenied(c, dir, n) {
 		return vfs.EPERM
 	}
-	delete(dir.children, name)
+	dir.children.unlink(name)
 	dir.attr.Nlink--
 	now := fs.now()
 	dir.attr.Mtime, dir.attr.Ctime = now, now
@@ -676,7 +676,7 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 			return vfs.EACCES
 		}
 	}
-	srcIno, ok := od.children[oldName]
+	srcIno, ok := od.children.lookup(oldName)
 	if !ok {
 		return vfs.ENOENT
 	}
@@ -687,7 +687,7 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 	if stickyDenied(c, od, src) {
 		return vfs.EPERM
 	}
-	dstIno, dstExists := nd.children[newName]
+	dstIno, dstExists := nd.children.lookup(newName)
 	if oldParent == newParent && oldName == newName {
 		return nil
 	}
@@ -702,7 +702,8 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 		if err != nil {
 			return err
 		}
-		od.children[oldName], nd.children[newName] = dstIno, srcIno
+		od.children.relink(oldName, dstIno)
+		nd.children.relink(newName, srcIno)
 		fs.fixupDirParent(src, newParent, od, nd)
 		fs.fixupDirParent(dst, oldParent, nd, od)
 		now := fs.now()
@@ -725,7 +726,7 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 			if src.attr.Type != vfs.TypeDirectory {
 				return vfs.EISDIR
 			}
-			if len(dst.children) != 0 {
+			if dst.children.len() != 0 {
 				return vfs.ENOTEMPTY
 			}
 			nd.attr.Nlink--
@@ -737,9 +738,10 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 			dst.attr.Nlink--
 			fs.maybeReap(dstIno, dst)
 		}
+		nd.children.unlink(newName)
 	}
-	delete(od.children, oldName)
-	nd.children[newName] = srcIno
+	od.children.unlink(oldName)
+	nd.children.link(newName, srcIno)
 	if src.attr.Type == vfs.TypeDirectory && oldParent != newParent {
 		od.attr.Nlink--
 		nd.attr.Nlink++

@@ -2,10 +2,13 @@ package memfs
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"maps"
 	"testing"
 	"testing/quick"
 
+	"cntr/internal/allocs"
 	"cntr/internal/vfs"
 )
 
@@ -405,7 +408,9 @@ func TestRemovedDirectoryStaysUntilClosed(t *testing.T) {
 	}
 }
 
-func TestReaddirSortedAndComplete(t *testing.T) {
+// TestReaddirLinkOrderAndComplete: a listing holds every entry once, in
+// the order the names were linked, as on tmpfs; not in name order.
+func TestReaddirLinkOrderAndComplete(t *testing.T) {
 	c := newClient(t)
 	names := []string{"zeta", "alpha", "mid"}
 	for _, n := range names {
@@ -420,10 +425,9 @@ func TestReaddirSortedAndComplete(t *testing.T) {
 	if len(ents) != 3 {
 		t.Fatalf("got %d entries", len(ents))
 	}
-	want := []string{"alpha", "mid", "zeta"}
 	for i, e := range ents {
-		if e.Name != want[i] {
-			t.Fatalf("entry %d = %q, want %q", i, e.Name, want[i])
+		if e.Name != names[i] {
+			t.Fatalf("entry %d = %q, want %q", i, e.Name, names[i])
 		}
 	}
 }
@@ -454,6 +458,104 @@ func TestReaddirOffsetResume(t *testing.T) {
 	if len(rest) != len(first)-3 {
 		t.Fatalf("resume returned %d entries, want %d", len(rest), len(first)-3)
 	}
+}
+
+// TestReaddirCookieNamesEntry: a name's cookie is the one it took when it
+// was linked. An unlinked name's cookie is never given again, a rename
+// links the new name under a new cookie, and RENAME_EXCHANGE leaves each
+// name in its place.
+func TestReaddirCookieNamesEntry(t *testing.T) {
+	fs := New(Options{})
+	c := vfs.NewClient(fs, vfs.Root())
+	cookies := func() map[string]int64 {
+		t.Helper()
+		h, err := fs.Opendir(c.Op, vfs.RootIno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fs.Releasedir(c.Op, h)
+		ents, err := fs.Readdir(c.Op, h, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		for i, e := range ents {
+			if i > 0 && e.Off <= ents[i-1].Off {
+				t.Fatalf("cookie %d after %d", e.Off, ents[i-1].Off)
+			}
+			got[e.Name] = e.Off
+		}
+		return got
+	}
+	for _, n := range []string{"a", "b", "c"} {
+		if err := c.WriteFile("/"+n, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := []struct {
+		do   func() error
+		want map[string]int64
+	}{
+		{func() error { return nil }, map[string]int64{".": 1, "..": 2, "a": 3, "b": 4, "c": 5}},
+		{func() error {
+			if err := c.Remove("/b"); err != nil {
+				return err
+			}
+			return c.WriteFile("/d", nil, 0o644)
+		}, map[string]int64{".": 1, "..": 2, "a": 3, "c": 5, "d": 6}},
+		{func() error { return c.Rename("/a", "/e") }, map[string]int64{".": 1, "..": 2, "c": 5, "d": 6, "e": 7}},
+		{func() error {
+			return fs.Rename(c.Op, vfs.RootIno, "c", vfs.RootIno, "d", vfs.RenameExchange)
+		}, map[string]int64{".": 1, "..": 2, "c": 5, "d": 6, "e": 7}},
+		{func() error { return c.Rename("/e", "/c") }, map[string]int64{".": 1, "..": 2, "c": 8, "d": 6}},
+	}
+	for i, s := range steps {
+		if err := s.do(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if got := cookies(); !maps.Equal(got, s.want) {
+			t.Fatalf("step %d: cookies %v, want %v", i, got, s.want)
+		}
+	}
+}
+
+// TestReaddirAllocBudget: a listing allocates only the slice it returns,
+// and a call past the last cookie returns nil without allocating, whether
+// the last name linked is still there or not.
+func TestReaddirAllocBudget(t *testing.T) {
+	fs := New(Options{})
+	c := vfs.NewClient(fs, vfs.Root())
+	for i := 0; i < 13; i++ {
+		if err := c.WriteFile(fmt.Sprintf("/f%02d", i), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h, err := fs.Opendir(c.Op, vfs.RootIno)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Releasedir(c.Op, h)
+	var last, lastLinked int64
+	listing := testing.AllocsPerRun(100, func() {
+		ents, err := fs.Readdir(c.Op, h, 0)
+		if err != nil || len(ents) != 15 {
+			t.Fatal(len(ents), err)
+		}
+		last = ents[len(ents)-1].Off
+	})
+	if err := c.Remove("/f12"); err != nil {
+		t.Fatal(err)
+	}
+	lastLinked, last = last, last-1
+	pastEnd := testing.AllocsPerRun(100, func() {
+		for _, off := range []int64{last, lastLinked} {
+			if ents, err := fs.Readdir(c.Op, h, off); ents != nil || err != nil {
+				t.Fatal(ents, err)
+			}
+		}
+	})
+	allocs.Check(t, "Readdir of 13 names and the dots", listing)
+	allocs.Check(t, "Readdir past the last cookie", pastEnd)
 }
 
 func TestPermissionDeniedForOtherUser(t *testing.T) {

@@ -51,6 +51,9 @@ func TestRowRunAllocBudget(t *testing.T) {
 // TestRowRefusesStrayListing: a row that lists a directory acts on its
 // path table, so a listing that disagrees with the table fails the row
 // with the entry named, rather than the row opening whatever was listed.
+// The stray is linked after f004.c and before the files from f005.c on
+// are made again, so the listing, in link order, holds it where f005.c
+// belongs.
 func TestRowRefusesStrayListing(t *testing.T) {
 	const stray = "/share/dir00/f005.c.orig"
 	b := *findBench("Dbench: 1 Clients")
@@ -59,7 +62,18 @@ func TestRowRefusesStrayListing(t *testing.T) {
 		if err := prepare(cli); err != nil {
 			return err
 		}
-		return cli.WriteFile(stray, make([]byte, 8*kb), 0o644)
+		later := shareTree.files[0][5:]
+		for _, f := range later {
+			if err := cli.Remove(f); err != nil {
+				return err
+			}
+		}
+		for _, f := range append([]string{stray}, later...) {
+			if err := cli.WriteFile(f, make([]byte, 8*kb), 0o644); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	err := runNative(&b)
 	if err == nil || !strings.Contains(err.Error(), `"f005.c.orig"`) {

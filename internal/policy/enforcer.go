@@ -118,21 +118,31 @@ func (e *Enforcer) gateLocked(info *vfs.OpInfo, dir string) (deny bool) {
 
 // Intercept implements vfs.Interceptor.
 func (e *Enforcer) Intercept(info *vfs.OpInfo, next func() error) error {
-	e.mu.Lock()
-	// The operation's target is the entry info.Name of the directory at
-	// dir (dir itself without a name; nothing when dir is empty, its path
-	// unknown). The string is built only where one is kept: every lookup
-	// of every path walk comes through here.
-	dir := e.dir(info.Ino)
-	if e.gateLocked(info, dir) {
-		e.mu.Unlock()
+	dir, deny := e.admit(info)
+	if deny {
 		return vfs.EACCES
 	}
-	e.mu.Unlock()
-
 	err := next()
+	e.complete(info, dir, err)
+	return err
+}
 
+// admit decides an operation before it runs (gateLocked). Its target is
+// the entry info.Name of the directory at dir (dir itself without a name;
+// nothing when dir is empty, its path unknown). The string is built only
+// where one is kept: every lookup of every path walk comes through here.
+func (e *Enforcer) admit(info *vfs.OpInfo) (dir string, deny bool) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
+	dir = e.dir(info.Ino)
+	return dir, e.gateLocked(info, dir)
+}
+
+// complete learns what a finished operation says about paths and
+// advances the op-stream window by its payload.
+func (e *Enforcer) complete(info *vfs.OpInfo, dir string, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.learn(info, dir, err)
 	if e.winOps > 0 {
 		switch info.Kind {
@@ -142,8 +152,6 @@ func (e *Enforcer) Intercept(info *vfs.OpInfo, next func() error) error {
 			e.win.push(0, int64(info.Bytes))
 		}
 	}
-	e.mu.Unlock()
-	return err
 }
 
 // Denials reports how many operations were rejected with EACCES.

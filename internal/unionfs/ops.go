@@ -1,6 +1,8 @@
 package unionfs
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -482,8 +484,8 @@ func (fs *FS) Release(op *vfs.Op, h vfs.Handle) error {
 	return ref.fs.Release(op, ref.h)
 }
 
-// Opendir implements vfs.FS; the merged listing is computed eagerly for
-// stable offsets.
+// Opendir implements vfs.FS; the merged listing is computed eagerly, and
+// its cookies name entries across handles (mergedReaddir).
 func (fs *FS) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 	path, err := fs.pathOf(ino)
 	if err != nil {
@@ -495,13 +497,10 @@ func (fs *FS) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 	}
 	all := make([]vfs.Dirent, 0, len(ents)+2)
 	all = append(all,
-		vfs.Dirent{Name: ".", Ino: ino, Type: vfs.TypeDirectory},
-		vfs.Dirent{Name: "..", Ino: ino, Type: vfs.TypeDirectory},
+		vfs.Dirent{Name: ".", Ino: ino, Type: vfs.TypeDirectory, Off: 1},
+		vfs.Dirent{Name: "..", Ino: ino, Type: vfs.TypeDirectory, Off: 2},
 	)
 	all = append(all, ents...)
-	for i := range all {
-		all[i].Off = int64(i + 1)
-	}
 	fs.mu.Lock()
 	h := fs.nextH
 	fs.nextH++
@@ -510,14 +509,24 @@ func (fs *FS) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 	return h, nil
 }
 
+// layerShift places a layer's rank above the layer's own cookies in a
+// merged cookie; a layer's cookies stay below 1<<layerShift.
+const layerShift = 56
+
 // mergedReaddir unions directory listings across layers, applying
-// whiteouts and opacity, excluding "."/"..".
+// whiteouts and opacity, excluding "."/"..", in cookie order. An entry's
+// cookie is the one the lowest layer that shows its name gives it, under
+// that layer's rank: 1 for the bottom lower, one more per layer above,
+// the upper last. A copy-up then does not move an entry, and a cookie
+// names the same entry on every handle, as the server's one-shot READDIR
+// handle (fuse.MountOptions.NoOpendir) needs.
 func (fs *FS) mergedReaddir(op *vfs.Op, path string) ([]vfs.Dirent, error) {
-	seen := make(map[string]vfs.Dirent)
+	var out []vfs.Dirent
+	seen := make(map[string]int) // name -> its position in out
 	hidden := make(map[string]bool)
 	found := false
 
-	collect := func(layer vfs.FS) error {
+	collect := func(layer vfs.FS, rank int64) error {
 		res, err := vfs.Walk(layer, internalOp, vfs.RootIno, path, true)
 		if err != nil {
 			return err
@@ -549,19 +558,29 @@ func (fs *FS) mergedReaddir(op *vfs.Op, path string) ([]vfs.Dirent, error) {
 					hidden[strings.TrimPrefix(e.Name, whiteoutPrefix)] = true
 					continue
 				}
-				if _, dup := seen[e.Name]; !dup && !hidden[e.Name] {
-					seen[e.Name] = e
+				if hidden[e.Name] {
+					continue
 				}
+				cookie := rank<<layerShift | e.Off
+				if i, dup := seen[e.Name]; dup {
+					out[i].Off = cookie // the upper entry, at the lower's place
+					continue
+				}
+				e.Off = cookie
+				seen[e.Name] = len(out)
+				out = append(out, e)
 			}
 		}
 	}
 
-	if err := collect(fs.upper); err != nil && vfs.ToErrno(err) != vfs.ENOENT {
+	rank := int64(len(fs.lowers)) + 1
+	if err := collect(fs.upper, rank); err != nil && vfs.ToErrno(err) != vfs.ENOENT {
 		return nil, err
 	}
 	if !fs.dirOpaque(path) && !fs.whiteoutExists(path) {
 		for _, lower := range fs.lowers {
-			if err := collect(lower); err != nil && vfs.ToErrno(err) != vfs.ENOENT {
+			rank--
+			if err := collect(lower, rank); err != nil && vfs.ToErrno(err) != vfs.ENOENT {
 				return nil, err
 			}
 		}
@@ -569,19 +588,12 @@ func (fs *FS) mergedReaddir(op *vfs.Op, path string) ([]vfs.Dirent, error) {
 	if !found {
 		return nil, vfs.ENOENT
 	}
-	names := make([]string, 0, len(seen))
-	for name := range seen {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]vfs.Dirent, 0, len(names))
-	for _, name := range names {
-		out = append(out, seen[name])
-	}
+	slices.SortFunc(out, func(a, b vfs.Dirent) int { return cmp.Compare(a.Off, b.Off) })
 	return out, nil
 }
 
-// Readdir implements vfs.FS.
+// Readdir implements vfs.FS: the handle's entries whose cookie is above
+// off.
 func (fs *FS) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error) {
 	fs.mu.Lock()
 	ref, ok := fs.handles[h]
@@ -592,10 +604,11 @@ func (fs *FS) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error)
 	if !ref.dir {
 		return nil, vfs.ENOTDIR
 	}
-	if off < 0 || off >= int64(len(ref.ents)) {
+	i := sort.Search(len(ref.ents), func(i int) bool { return ref.ents[i].Off > off })
+	if off < 0 || i == len(ref.ents) {
 		return nil, nil
 	}
-	return ref.ents[off:], nil
+	return ref.ents[i:len(ref.ents):len(ref.ents)], nil
 }
 
 // Releasedir implements vfs.FS.

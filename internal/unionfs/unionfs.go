@@ -49,7 +49,7 @@ type handleRef struct {
 	fs  vfs.FS
 	h   vfs.Handle
 	dir bool
-	// ents caches the merged directory listing for stable offsets.
+	// ents is the merged directory listing when the handle was opened.
 	ents []vfs.Dirent
 }
 

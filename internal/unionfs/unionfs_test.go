@@ -2,6 +2,7 @@ package unionfs
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"cntr/internal/memfs"
@@ -145,22 +146,55 @@ func TestRecreateAfterWhiteout(t *testing.T) {
 	}
 }
 
+// TestMergedReaddir: the merged listing holds each visible name once, in
+// cookie order: the bottom layer's names in its link order, then the names
+// only a layer above holds. A name in both layers keeps the bottom's place
+// and shows the top's file, and a copy-up moves no entry.
 func TestMergedReaddir(t *testing.T) {
-	top := makeLayer(t, map[string]string{"/dir/a": "1", "/dir/both": "top"})
-	bottom := makeLayer(t, map[string]string{"/dir/b": "2", "/dir/both": "bottom"})
+	layer := func(files ...string) *memfs.FS {
+		fs := memfs.New(memfs.Options{})
+		cli := vfs.NewClient(fs, vfs.Root())
+		if err := cli.Mkdir("/dir", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(files); i += 2 {
+			if err := cli.WriteFile("/dir/"+files[i], []byte(files[i+1]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return fs
+	}
+	top := layer("a", "1", "both", "top")
+	bottom := layer("b", "2", "both", "bottom")
 	u := NewWith(Options{}, top, bottom)
 	cli := vfs.NewClient(u, vfs.Root())
-	ents, err := cli.ReadDir("/dir")
-	if err != nil {
+	list := func() []string {
+		t.Helper()
+		ents, err := cli.ReadDir("/dir")
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, len(ents))
+		for i, e := range ents {
+			names[i] = e.Name
+			if i > 0 && e.Off <= ents[i-1].Off {
+				t.Fatalf("cookies %d then %d: not increasing", ents[i-1].Off, e.Off)
+			}
+		}
+		return names
+	}
+	want := []string{"b", "both", "a"}
+	if names := list(); !slices.Equal(names, want) {
+		t.Fatalf("merged listing = %v, want %v", names, want)
+	}
+	if got, err := cli.ReadFile("/dir/both"); err != nil || string(got) != "top" {
+		t.Fatalf("/dir/both = %q, %v; want the top layer's", got, err)
+	}
+	if err := cli.WriteFile("/dir/b", []byte("copied up"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	names := make([]string, len(ents))
-	for i, e := range ents {
-		names[i] = e.Name
-	}
-	want := []string{"a", "b", "both"}
-	if len(names) != 3 || names[0] != want[0] || names[1] != want[1] || names[2] != want[2] {
-		t.Fatalf("merged listing = %v, want %v", names, want)
+	if names := list(); !slices.Equal(names, want) {
+		t.Fatalf("after a copy-up the listing = %v, want %v", names, want)
 	}
 }
 

@@ -82,8 +82,13 @@ type FS interface {
 	// Opendir opens a directory for reading.
 	Opendir(op *Op, ino Ino) (Handle, error)
 
-	// Readdir returns directory entries starting at offset off. An empty
-	// slice indicates end of directory.
+	// Readdir returns the directory's live entries whose cookie is above
+	// off, in cookie order; off 0 starts a listing and an empty slice ends
+	// it. A cookie (Dirent.Off) names an entry, not a position: cookies
+	// strictly increase within a listing, and a call resumes at the first
+	// live entry above off, so a listing that removes what it has read
+	// misses nothing, and an entry untouched since the listing began is
+	// returned once.
 	Readdir(op *Op, h Handle, off int64) ([]Dirent, error)
 
 	// Releasedir drops a directory handle.

@@ -135,8 +135,8 @@ type Dirent struct {
 	Name string
 	Ino  Ino
 	Type FileType
-	// Off is the offset of the *next* entry, i.e. the value to pass to
-	// Readdir to resume after this entry, mirroring getdents(2).
+	// Off is the entry's cookie: passed to Readdir, it resumes after this
+	// entry, as getdents(2)'s d_off does (FS.Readdir).
 	Off int64
 }
 
