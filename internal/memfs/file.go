@@ -486,7 +486,7 @@ func (fs *FS) Fallocate(op *vfs.Op, h vfs.Handle, mode uint32, off, length int64
 			blockEnd := blockStart + blockSize
 			if blockStart >= off && blockEnd <= off+length {
 				fs.freeBlock(n, idx)
-			} else if ref, ok := n.blocks[idx]; ok {
+			} else if ref, ok := n.blocks.Get(idx); ok {
 				b, gerr := fs.getBlob(ref)
 				if gerr != nil {
 					return gerr
@@ -518,7 +518,7 @@ func (fs *FS) Fallocate(op *vfs.Op, h vfs.Handle, mode uint32, off, length int64
 	}
 	var zero [blockSize]byte
 	for idx := off / blockSize; idx*blockSize < end; idx++ {
-		if _, ok := n.blocks[idx]; ok {
+		if _, ok := n.blocks.Get(idx); ok {
 			continue
 		}
 		if fs.used+blockSize > fs.cap {
@@ -548,7 +548,7 @@ func (fs *FS) BlockRefs() []blobstore.Ref {
 	defer fs.mu.RUnlock()
 	var out []blobstore.Ref
 	for _, n := range fs.inodes {
-		for _, ref := range n.blocks {
+		for _, ref := range n.blocks.All() {
 			out = append(out, ref)
 		}
 	}

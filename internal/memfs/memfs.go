@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"cntr/internal/blobstore"
+	"cntr/internal/radix"
 	"cntr/internal/slab"
 	"cntr/internal/vfs"
 )
@@ -43,6 +44,8 @@ type FS struct {
 	mu      sync.RWMutex
 	inodes  map[vfs.Ino]*inode
 	records slab.Slab[inode] // every inode comes from it (newInode, maybeReap)
+	// nodes is the slab every inode's block index cuts its nodes from.
+	nodes   radix.Nodes[blobstore.Ref]
 	handles map[vfs.Handle]openFile
 	nextIno vfs.Ino
 	nextH   vfs.Handle
@@ -54,10 +57,13 @@ type FS struct {
 
 type inode struct {
 	attr vfs.Attr
-	// blocks maps block index -> backend store reference (sparse). A
+	// blocks indexes the backend store reference of each written block
+	// by block number, a radix tree whose nodes come from fs.nodes, as
+	// tmpfs keeps a file's pages in its xarray: a hole holds nothing, and
+	// a sparse file costs a node per level for each run it holds. A
 	// block's blob holds the written extent within the block (≤
 	// blockSize); bytes past the blob's length read as zeros.
-	blocks map[int64]blobstore.Ref
+	blocks radix.Tree[blobstore.Ref]
 	target string            // symlink target
 	xattrs map[string][]byte // made by the first Setxattr
 	// children and parent are set for directories.
@@ -295,14 +301,14 @@ func (fs *FS) truncate(n *inode, size int64) error {
 		// Drop whole blocks past the new end and trim the boundary
 		// block's blob so the tail reads as zeros.
 		firstDead := (size + blockSize - 1) / blockSize
-		for idx := range n.blocks {
+		for idx := range n.blocks.All() {
 			if idx >= firstDead {
 				fs.freeBlock(n, idx)
 			}
 		}
 		if keep := size % blockSize; keep != 0 {
 			idx := size / blockSize
-			if ref, ok := n.blocks[idx]; ok {
+			if ref, ok := n.blocks.Get(idx); ok {
 				b, err := fs.getBlob(ref)
 				if err != nil {
 					return err
@@ -332,7 +338,7 @@ func (fs *FS) getBlob(ref blobstore.Ref) ([]byte, error) {
 
 // readBlock returns the stored content of block idx (nil for a hole).
 func (fs *FS) readBlock(n *inode, idx int64) ([]byte, error) {
-	ref, ok := n.blocks[idx]
+	ref, ok := n.blocks.Get(idx)
 	if !ok {
 		return nil, nil
 	}
@@ -344,10 +350,7 @@ func (fs *FS) readBlock(n *inode, idx int64) ([]byte, error) {
 // blockSize per materialized block regardless of backend dedup — so
 // ENOSPC behaviour is independent of which store backs the filesystem.
 func (fs *FS) materializeBlock(n *inode, idx int64, ref blobstore.Ref) {
-	if n.blocks == nil {
-		n.blocks = make(map[int64]blobstore.Ref)
-	}
-	n.blocks[idx] = ref
+	n.blocks.Set(&fs.nodes, idx, ref)
 	n.attr.Blocks += blockSize / 512
 	fs.used += blockSize
 }
@@ -360,7 +363,7 @@ func (fs *FS) replaceBlock(n *inode, idx int64, oldRef blobstore.Ref, data []byt
 	if err != nil {
 		return vfs.EIO
 	}
-	n.blocks[idx] = ref
+	n.blocks.Set(&fs.nodes, idx, ref)
 	fs.store.Delete(oldRef)
 	return nil
 }
@@ -368,7 +371,7 @@ func (fs *FS) replaceBlock(n *inode, idx int64, oldRef blobstore.Ref, data []byt
 // writeBlock writes data into block idx at offset bo, read-modify-write
 // through the backend store. New blocks are charged against capacity.
 func (fs *FS) writeBlock(n *inode, idx, bo int64, data []byte) error {
-	oldRef, exists := n.blocks[idx]
+	oldRef, exists := n.blocks.Get(idx)
 	if !exists && fs.used+blockSize > fs.cap {
 		return vfs.ENOSPC
 	}
@@ -400,9 +403,9 @@ func (fs *FS) writeBlock(n *inode, idx, bo int64, data []byte) error {
 }
 
 func (fs *FS) freeBlock(n *inode, idx int64) {
-	if ref, ok := n.blocks[idx]; ok {
+	if ref, ok := n.blocks.Get(idx); ok {
 		fs.store.Delete(ref)
-		delete(n.blocks, idx)
+		n.blocks.Delete(&fs.nodes, idx)
 		n.attr.Blocks -= blockSize / 512
 		fs.used -= blockSize
 	}
@@ -630,7 +633,7 @@ func (fs *FS) removeDir(ino vfs.Ino, n *inode) {
 // slab: no caller uses n after it.
 func (fs *FS) maybeReap(ino vfs.Ino, n *inode) {
 	if n.attr.Nlink == 0 && n.openCount == 0 {
-		for idx := range n.blocks {
+		for idx := range n.blocks.All() {
 			fs.freeBlock(n, idx)
 		}
 		delete(fs.inodes, ino)
@@ -694,10 +697,17 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 	if src.attr.Type == vfs.TypeDirectory && fs.isAncestor(srcIno, newParent) {
 		return vfs.EINVAL
 	}
+	switch {
+	case flags&vfs.RenameExchange != 0 && !dstExists:
+		return vfs.ENOENT
+	case flags&vfs.RenameNoReplace != 0 && dstExists:
+		return vfs.EEXIST
+	case dstExists && dstIno == srcIno:
+		// Two links of one inode: both names stay (vfs_rename, source ==
+		// target).
+		return nil
+	}
 	if flags&vfs.RenameExchange != 0 {
-		if !dstExists {
-			return vfs.ENOENT
-		}
 		dst, err := fs.get(dstIno)
 		if err != nil {
 			return err
@@ -712,9 +722,6 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 		return nil
 	}
 	if dstExists {
-		if flags&vfs.RenameNoReplace != 0 {
-			return vfs.EEXIST
-		}
 		dst, err := fs.get(dstIno)
 		if err != nil {
 			return err

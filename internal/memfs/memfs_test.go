@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"cntr/internal/allocs"
+	"cntr/internal/blobstore"
 	"cntr/internal/vfs"
 )
 
@@ -303,6 +304,35 @@ func TestRenameNoReplace(t *testing.T) {
 	err := c.FS.Rename(c.Op, ra.Parent, "a", rb.Parent, "b", vfs.RenameNoReplace)
 	if vfs.ToErrno(err) != vfs.EEXIST {
 		t.Fatalf("err = %v, want EEXIST", err)
+	}
+}
+
+// TestRenameOntoOtherLink: renaming one hard link onto another of the
+// same inode changes nothing, as in Linux: both names stay, the link
+// count stays 2 and neither directory's times move.
+func TestRenameOntoOtherLink(t *testing.T) {
+	c := newClient(t)
+	if err := c.WriteFile("/a", []byte("v"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Link("/a", "/b"); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := c.Stat("/")
+	if err := c.Rename("/a", "/b"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"/a", "/b"} {
+		if st, err := c.Stat(name); err != nil || st.Nlink != 2 {
+			t.Fatalf("%s after the rename: %+v, %v; want nlink 2", name, st, err)
+		}
+	}
+	if after, _ := c.Stat("/"); !after.Mtime.Equal(before.Mtime) {
+		t.Fatalf("the directory's mtime moved from %v to %v", before.Mtime, after.Mtime)
+	}
+	err := c.FS.Rename(c.Op, vfs.RootIno, "a", vfs.RootIno, "b", vfs.RenameNoReplace)
+	if vfs.ToErrno(err) != vfs.EEXIST {
+		t.Fatalf("RENAME_NOREPLACE onto the other link: %v, want EEXIST", err)
 	}
 }
 
@@ -1122,4 +1152,24 @@ func TestPropertyNlinkConsistency(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBlockIndexAllocBudget: indexing a 1 MiB file's 256 blocks takes 17
+// nodes from the filesystem's node slab, whose blocks of up to 64 nodes
+// every file shares, so testing.AllocsPerRun's whole-number average reads
+// 0 per file. The blocks' content lives in the store and is not counted.
+func TestBlockIndexAllocBudget(t *testing.T) {
+	const runs = 20
+	fs := New(Options{})
+	ref := blobstore.Sum(nil)
+	files := make([]inode, runs+1)
+	next := 0
+	objects := testing.AllocsPerRun(runs, func() {
+		n := &files[next]
+		next++
+		for idx := range int64(1 << 20 / blockSize) {
+			fs.materializeBlock(n, idx, ref)
+		}
+	})
+	allocs.Check(t, "index of a 1 MiB file's blocks", objects)
 }

@@ -156,15 +156,12 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, f *fileCache, idx int64, ahead bo
 	}
 	c.opts.ChargeDisk.Read(n)
 	// A cached page is never older than the window, so only absent pages
-	// are installed, and they are allocated together. Pages dirty now stay
-	// excluded even once an insert below has evicted, and thereby flushed,
-	// them: the window predates that flush.
+	// are installed. Pages dirty now stay excluded even once an insert
+	// below has evicted, and thereby flushed, them: the window predates
+	// that flush.
 	var dirty []int64
-	absent := 0
 	for k := idx; (k-idx)*PageSize < int64(n); k++ {
-		if q := f.at(k); q == nil {
-			absent++
-		} else if q.dirty > 0 {
+		if q := f.at(k); q != nil && q.dirty > 0 {
 			dirty = append(dirty, k)
 		}
 	}
@@ -173,8 +170,7 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, f *fileCache, idx int64, ahead bo
 			continue
 		}
 		lo := (k - idx) * PageSize
-		c.insertPage(f, k, buf[lo:min(lo+PageSize, int64(n))], absent)
-		absent--
+		c.insertPage(f, k, buf[lo:min(lo+PageSize, int64(n))])
 	}
 	return buf[:n], nil
 }
@@ -266,7 +262,6 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 	// h can carry writeback from here on: an insert below may have to
 	// evict, and so flush, a page this very call dirtied.
 	f.wbHandle, f.wbValid = h, true
-	blank := f.blankPages(off, int64(len(data)))
 	written := int64(0)
 	for written < int64(len(data)) {
 		if err := op.Err(); err != nil {
@@ -282,8 +277,8 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 		if p == nil {
 			// A partial page overlapping existing data is fetched first
 			// (read-modify-write); fully covered or beyond-EOF pages are
-			// created blank, all of them together. The fetch is a one-page
-			// window, so its own insert cannot have evicted the page.
+			// created blank. The fetch is a one-page window, so its own
+			// insert cannot have evicted the page.
 			var got []byte
 			if len(chunk) != PageSize && idx*PageSize < f.size {
 				var err error
@@ -294,8 +289,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 				p = f.at(idx)
 			}
 			if p == nil {
-				p = c.insertPage(f, idx, got, blank)
-				blank--
+				p = c.insertPage(f, idx, got)
 			}
 		}
 		if p != nil {
@@ -304,8 +298,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 			}
 			p.dirtyLo = min(p.dirtyLo, po)
 			p.dirtyHi = max(p.dirtyHi, po+int64(len(chunk)))
-			p.dirty += int64(len(chunk))
-			f.dirtyBytes += int64(len(chunk))
+			f.markDirty(p, int64(len(chunk)))
 		} else {
 			// No cache space: this chunk goes straight to the backing.
 			n, err := c.writeOut(op, h, pos, chunk)
@@ -338,19 +331,6 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 	}
 	c.clock.Advance(c.model.CopyCost(int(written)))
 	return int(written), nil
-}
-
-// blankPages counts the pages a write of n bytes at off creates blank:
-// absent, and wholly overwritten or at or past the cached end of file.
-// Caller holds c.mu.
-func (f *fileCache) blankPages(off, n int64) (count int) {
-	for idx := off / PageSize; idx*PageSize < off+n; idx++ {
-		whole := idx*PageSize >= off && (idx+1)*PageSize <= off+n
-		if f.at(idx) == nil && (whole || idx*PageSize >= f.size) {
-			count++
-		}
-	}
-	return count
 }
 
 // appendThrough passes an O_APPEND write to the backing, which puts it at
@@ -440,62 +420,56 @@ func (c *Cache) writeOut(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int,
 	return n, err
 }
 
-// flushPagesLocked writes the dirty pages idxs of f (ascending) back in
-// coalesced extents capped at MaxWriteSize and marks them clean. It is
-// the only writeback: a whole-file flush passes every dirty page, an
-// eviction passes one. Each extent is assembled in wbuf and written
-// before the next. A failed write leaves its pages clean
-// all the same, as in Linux; the first such error is kept on the file for
-// the next close, fsync or O_SYNC write to report. Caller holds c.mu.
-func (c *Cache) flushPagesLocked(f *fileCache, idxs []int64) {
-	var err error
-	for i := 0; i < len(idxs); {
-		j := i
-		for j+1 < len(idxs) && idxs[j+1] == idxs[j]+1 &&
-			int64(j+1-i+1)*PageSize <= c.opts.MaxWriteSize {
-			j++
+// writeBack writes the dirty pages first to last of f, which are
+// consecutive, back as one extent from the first page's first dirty byte
+// to the last page's last, never past the file's end, and marks them
+// clean. It is the only writeback: a whole-file flush passes each run of
+// dirty pages up to MaxWriteSize, an eviction passes one page. The extent
+// is assembled in wbuf. A failed write leaves its pages clean all the
+// same, as in Linux; the first such error is kept on the file for the
+// next close, fsync or O_SYNC write to report. Caller holds c.mu.
+func (c *Cache) writeBack(f *fileCache, first, last int64) {
+	start := first*PageSize + f.at(first).dirtyLo
+	end := min(last*PageSize+f.at(last).dirtyHi, f.size)
+	buf := scratch(&c.wbuf, int(end-start))[:0]
+	for k := first; k <= last; k++ {
+		p := f.at(k)
+		if lo, hi := max(start-k*PageSize, 0), min(end-k*PageSize, PageSize); hi > lo {
+			buf = append(buf, p.data[lo:hi]...)
 		}
-		// The extent runs from the first page's first dirty byte to the
-		// last page's last, never past the file's end.
-		start := idxs[i]*PageSize + f.at(idxs[i]).dirtyLo
-		end := min(idxs[j]*PageSize+f.at(idxs[j]).dirtyHi, f.size)
-		buf := scratch(&c.wbuf, int(end-start))[:0]
-		for k := idxs[i]; k <= idxs[j]; k++ {
-			p := f.at(k)
-			if lo, hi := max(start-k*PageSize, 0), min(end-k*PageSize, PageSize); hi > lo {
-				buf = append(buf, p.data[lo:hi]...)
-			}
-			f.clean(p)
-		}
-		i = j + 1
-		if len(buf) == 0 {
-			continue
-		}
-		c.stats.FlushedExt++
-		c.stats.FlushedB += int64(len(buf))
-		if _, werr := c.writeOut(wbOp, f.wbHandle, start, buf); werr != nil && err == nil {
-			err = werr
-		}
-		scrub(c.wbuf)
+		f.clean(p)
 	}
-	if err != nil && f.wbErr == nil {
+	if len(buf) == 0 {
+		return
+	}
+	c.stats.FlushedExt++
+	c.stats.FlushedB += int64(len(buf))
+	if _, err := c.writeOut(wbOp, f.wbHandle, start, buf); err != nil && f.wbErr == nil {
 		f.wbErr = err
 	}
+	scrub(c.wbuf)
 }
 
-// flushFileLocked writes out every dirty page of f. Caller holds c.mu.
+// flushFileLocked writes out every dirty page of f, in ascending runs of
+// consecutive pages each capped at MaxWriteSize. Caller holds c.mu.
 func (c *Cache) flushFileLocked(f *fileCache) {
 	if f.dirtyBytes == 0 || !f.wbValid {
 		return
 	}
-	c.dirty = c.dirty[:0]
-	for idx, p := range f.all() {
-		if p.dirty > 0 {
-			c.dirty = append(c.dirty, idx)
+	first, n := int64(0), int64(0) // the run so far: n pages from first
+	for idx := range f.dirtyPages() {
+		if n > 0 && idx == first+n && (n+1)*PageSize <= c.opts.MaxWriteSize {
+			n++
+			continue
 		}
+		if n > 0 {
+			c.writeBack(f, first, first+n-1)
+		}
+		first, n = idx, 1
 	}
-	slices.Sort(c.dirty)
-	c.flushPagesLocked(f, c.dirty)
+	if n > 0 {
+		c.writeBack(f, first, first+n-1)
+	}
 	// Dirty data is gone: zombie handles kept for writeback can go too.
 	for _, zh := range f.zombies {
 		if f.wbValid && f.wbHandle == zh {

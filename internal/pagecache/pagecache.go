@@ -21,18 +21,23 @@
 //     server holds what is only read once (fuse.MountOptions.DirectRead).
 //
 // What the cache holds costs the host no heap object per file: its file
-// records, page headers and pages' bytes each come from one slab of the
-// cache (internal/slab), cut from blocks every file shares and handed out
-// again once dropped, as the kernel cuts its inodes and pages from
-// per-type slab caches.
+// records, page headers, pages' bytes and the nodes of the radix trees
+// that index pages past a file's first few (internal/radix, the kernel's
+// xarray) each come from one slab of the cache (internal/slab), cut from
+// blocks every file shares and handed out again once dropped, as the
+// kernel cuts its inodes, pages and xarray nodes from per-type slab
+// caches. A dirty page carries a mark in its file's index, as
+// PAGECACHE_TAG_DIRTY does, so a flush visits only the dirty pages.
 package pagecache
 
 import (
 	"bytes"
 	"iter"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
+	"cntr/internal/radix"
 	"cntr/internal/sim"
 	"cntr/internal/slab"
 	"cntr/internal/vfs"
@@ -149,15 +154,15 @@ type Cache struct {
 	stats          Stats
 	// Scratch of the synchronous path, reused under mu: wbuf holds the
 	// extent a flush is writing back, rbuf the window a blocking fill
-	// read, dirty the dirty page indices of the file being flushed. Each
-	// grows to the largest use so far and nothing larger.
+	// read. Each grows to the largest use so far and nothing larger.
 	wbuf, rbuf []byte
-	dirty      []int64
 	// records, pages and bufs are the slabs every file record, page header
-	// and page's bytes come from (see newPage).
+	// and page's bytes come from (see newPage); nodes is the one every
+	// file's index of pages past lowPages cuts its nodes from.
 	records slab.Slab[fileCache]
 	pages   slab.Slab[page]
 	bufs    slab.Slab[[PageSize]byte]
+	nodes   radix.Nodes[*page]
 }
 
 // poisonScratch is the scratch guard rail's test hook: when set, a
@@ -220,19 +225,24 @@ var wbOp = vfs.RootOp()
 
 // lowPages is how many of a file's first pages it holds in place: 64 KiB,
 // a vfs.Client.ReadFile chunk and the largest file of the bench's meta
-// and fleet workloads, so a small file's pages cost no map. 8 lets
-// fleet's files make maps; 32 adds to every record and saves meta nothing.
+// and fleet workloads, so a small file's pages cost no tree node, and
+// lowDirty's bits fit a uint16. 8 would cut nodes for fleet's files; 32
+// adds to every record and saves meta nothing. A prototype that kept
+// every page in the tree raised fleet's heap objects per operation by
+// 1.2 % and meta's by 0.5 %.
 const lowPages = 16
 
 type fileCache struct {
-	// low holds pages 0 to lowPages-1 in place; high holds the rest and is
-	// made with the first of them; npages counts both. Reach them through
-	// at, set, del and all.
-	low    [lowPages]*page
-	high   map[int64]*page
-	npages int
-	size   int64 // cached view of the file size
-	valid  bool  // whether size is known
+	// low holds pages 0 to lowPages-1 in place and lowDirty has a bit for
+	// each of them that is dirty; high holds page lowPages+i at i, marked
+	// when dirty; npages counts both. Reach them through at, set, del,
+	// all, markDirty and dirtyPages.
+	low      [lowPages]*page
+	lowDirty uint16
+	high     radix.Tree[*page]
+	npages   int
+	size     int64 // cached view of the file size
+	valid    bool  // whether size is known
 	// mode caches the file's mode bits for the kernel-side
 	// setuid-clearing check on write.
 	mode      vfs.Mode
@@ -291,12 +301,29 @@ type page struct {
 	prev, next *page
 }
 
+// markDirty counts n more bytes written into p since it was last clean
+// and marks it dirty in f's index.
+func (f *fileCache) markDirty(p *page, n int64) {
+	p.dirty += n
+	f.dirtyBytes += n
+	if p.idx < lowPages {
+		f.lowDirty |= 1 << p.idx
+	} else {
+		f.high.Mark(p.idx - lowPages)
+	}
+}
+
 // clean marks p clean, its dirty bytes written back or discarded, and
-// takes them out of the file's count, so dirtyBytes is zero exactly when
-// no page is dirty.
+// takes them out of the file's count and its mark out of the index, so
+// dirtyBytes is zero exactly when no page is dirty.
 func (f *fileCache) clean(p *page) {
 	f.dirtyBytes -= p.dirty
 	p.dirty, p.dirtyLo, p.dirtyHi = 0, 0, 0
+	if p.idx < lowPages {
+		f.lowDirty &^= 1 << p.idx
+	} else {
+		f.high.Unmark(p.idx - lowPages)
+	}
 }
 
 // at returns page idx of f, or nil when it is not cached.
@@ -304,37 +331,34 @@ func (f *fileCache) at(idx int64) *page {
 	if uint64(idx) < lowPages {
 		return f.low[idx]
 	}
-	return f.high[idx]
+	p, _ := f.high.Get(idx - lowPages)
+	return p
 }
 
-// set caches p as page idx of f, which must not hold that page yet. The
-// map of pages past lowPages is made with the first of them, sized to the
-// coming pages of its batch.
-func (f *fileCache) set(idx int64, p *page, coming int) {
+// set caches p as page idx of f, which must not hold that page yet,
+// cutting any node the index needs from nodes.
+func (f *fileCache) set(nodes *radix.Nodes[*page], idx int64, p *page) {
 	if uint64(idx) < lowPages {
 		f.low[idx] = p
 	} else {
-		if f.high == nil {
-			f.high = make(map[int64]*page, max(coming, 1))
-		}
-		f.high[idx] = p
+		f.high.Set(nodes, idx-lowPages, p)
 	}
 	f.npages++
 }
 
-// del forgets page idx of f, which must hold it.
-func (f *fileCache) del(idx int64) {
+// del forgets page idx of f, which must hold it, returning any node the
+// index no longer needs to nodes.
+func (f *fileCache) del(nodes *radix.Nodes[*page], idx int64) {
 	if uint64(idx) < lowPages {
 		f.low[idx] = nil
 	} else {
-		delete(f.high, idx)
+		f.high.Delete(nodes, idx-lowPages)
 	}
 	f.npages--
 }
 
-// all yields every cached page of f with its index, those below lowPages
-// in order and the rest in map order. The loop may drop the page it is
-// given, and no other.
+// all yields every cached page of f with its index, in ascending order.
+// The loop may drop or clean the page it is given, and no other.
 func (f *fileCache) all() iter.Seq2[int64, *page] {
 	return func(yield func(int64, *page) bool) {
 		for idx, p := range &f.low {
@@ -342,8 +366,32 @@ func (f *fileCache) all() iter.Seq2[int64, *page] {
 				return
 			}
 		}
-		for idx, p := range f.high {
-			if !yield(idx, p) {
+		for idx, p := range f.high.All() {
+			if !yield(idx+lowPages, p) {
+				return
+			}
+		}
+	}
+}
+
+// dirtyPages yields every dirty page of f with its index, in ascending
+// order, visiting no clean page past lowPages. The loop may drop or clean
+// the page it is given and any before it, and no other.
+func (f *fileCache) dirtyPages() iter.Seq2[int64, *page] {
+	return func(yield func(int64, *page) bool) {
+		for from := 0; ; {
+			rest := f.lowDirty >> from
+			if rest == 0 {
+				break
+			}
+			idx := from + bits.TrailingZeros16(rest)
+			if !yield(int64(idx), f.low[idx]) {
+				return
+			}
+			from = idx + 1
+		}
+		for idx, p := range f.high.Marked() {
+			if !yield(idx+lowPages, p) {
 				return
 			}
 		}
@@ -411,12 +459,10 @@ func (c *Cache) newPage() *page {
 }
 
 // insertPage caches data, zero-padded to a page, as page idx of f, which
-// must not hold that page yet, evicting under budget pressure. coming is
-// how many pages the caller is inserting together from this one on, which
-// sizes the map of pages past lowPages when this one makes it. The page is
+// must not hold that page yet, evicting under budget pressure. The page is
 // the newest on the list. It returns nil when the budget is exhausted and
 // nothing can be evicted: the caller serves uncached. Caller holds c.mu.
-func (c *Cache) insertPage(f *fileCache, idx int64, data []byte, coming int) *page {
+func (c *Cache) insertPage(f *fileCache, idx int64, data []byte) *page {
 	for !c.opts.Budget.tryCharge(PageSize) {
 		if !c.evictOne() {
 			return nil
@@ -424,7 +470,7 @@ func (c *Cache) insertPage(f *fileCache, idx int64, data []byte, coming int) *pa
 	}
 	p := c.newPage()
 	copy(p.data[:], data)
-	f.set(idx, p, coming)
+	f.set(&c.nodes, idx, p)
 	p.f, p.idx, p.prev = f, idx, c.newest
 	if c.newest != nil {
 		c.newest.next = p
@@ -441,7 +487,7 @@ func (c *Cache) insertPage(f *fileCache, idx int64, data []byte, coming int) *pa
 // discarded with it. Caller holds c.mu.
 func (c *Cache) dropPage(p *page) {
 	p.f.clean(p)
-	p.f.del(p.idx)
+	p.f.del(&c.nodes, p.idx)
 	if p.prev != nil {
 		p.prev.next = p.next
 	} else {
@@ -465,7 +511,7 @@ func (c *Cache) evictOne() bool {
 		return false
 	}
 	if p.dirty > 0 && p.f.wbValid {
-		c.flushPagesLocked(p.f, []int64{p.idx})
+		c.writeBack(p.f, p.idx, p.idx)
 	}
 	c.dropPage(p)
 	c.stats.Evictions++

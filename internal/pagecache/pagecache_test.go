@@ -421,7 +421,7 @@ func coherenceStack(stacked, writeback bool) (caches []*Cache, back *memfs.FS) {
 
 // coherenceSpans are the spans the coherence oracle works in: 64 KiB,
 // twice the budget and as much as a file holds in place (lowPages), and
-// 256 KiB, which crosses into the map of pages past them.
+// 256 KiB, which crosses into the tree of pages past them.
 var coherenceSpans = []int{64 << 10, 256 << 10}
 
 // TestPropertyCacheCoherence is the differential oracle for every path
@@ -586,7 +586,8 @@ func coherent(t *testing.T, rng *sim.Rand, span int, stacked, writeback bool) bo
 }
 
 // listed checks c's list of pages against its files: each file's count
-// is the pages it holds, and walked from the oldest, the list visits every
+// is the pages it holds, exactly its dirty pages carry a dirty mark, and
+// walked from the oldest, the list visits every
 // page a file holds exactly once, each where its file holds it and linked
 // both ways, and no other.
 func listed(c *Cache) error {
@@ -594,15 +595,27 @@ func listed(c *Cache) error {
 	defer c.mu.Unlock()
 	held, owners := 0, map[*fileCache]bool{}
 	for ino, f := range c.files {
-		found := 0
+		found, dirty := 0, 0
 		for idx, p := range f.all() {
 			if p.f != f || p.idx != idx {
 				return fmt.Errorf("inode %d holds page %d where its header says %d", ino, idx, p.idx)
 			}
 			found++
+			if p.dirty > 0 {
+				dirty++
+			}
 		}
 		if found != f.npages {
 			return fmt.Errorf("inode %d counts %d pages and holds %d", ino, f.npages, found)
+		}
+		for idx, p := range f.dirtyPages() {
+			if p.dirty == 0 || f.at(idx) != p {
+				return fmt.Errorf("inode %d marks page %d dirty, which holds %d dirty bytes", ino, idx, p.dirty)
+			}
+			dirty--
+		}
+		if dirty != 0 {
+			return fmt.Errorf("inode %d: %d dirty pages carry no mark", ino, dirty)
 		}
 		held += found
 		owners[f] = true

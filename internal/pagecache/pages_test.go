@@ -121,9 +121,11 @@ func heapCost(runs int, f func()) (objects, bytes float64) {
 
 // TestFreshPagesAllocBudget pins what caching new pages costs the host: the
 // bytes and the headers of fresh pages are cut from the cache's slabs, a
-// block of 64 of each per 64 pages once the slabs have cut 64, and a map
-// is made for the pages past the first lowPages, which the file holds in
-// place (4 objects). Nothing else: the write reaches no backing call but
+// block of 64 of each per 64 pages once the slabs have cut 64. The pages
+// past the first lowPages, which the file holds in place, are indexed by
+// a few tree nodes from the cache's node slab, blocks of up to 64 shared
+// by every file, which testing.AllocsPerRun's whole-number average reads
+// as 0. Nothing else: the write reaches no backing call but
 // the capability lookup, and memfs answers that without allocating. Bytes
 // are the pages' own plus at most 64 KiB. Asserts are off under -race.
 func TestFreshPagesAllocBudget(t *testing.T) {
@@ -162,7 +164,7 @@ func TestFreshPagesAllocBudget(t *testing.T) {
 // together, cut from the cache's slabs: a quarter of a 64-page block of
 // bytes and one of headers, which testing.AllocsPerRun's whole-number
 // average reads as 0. The file holds its first lowPages pages in place, so
-// they cost no map. The window itself is read into the cache's scratch
+// they cost no tree node. The window itself is read into the cache's scratch
 // buffer, and the file's record was made by its open. Asserts are off
 // under -race.
 func TestColdWindowAllocBudget(t *testing.T) {
@@ -200,12 +202,13 @@ func TestColdWindowAllocBudget(t *testing.T) {
 // TestAppendAllocBudget pins what files grown by 4 KiB writes cost the
 // host, one row per pattern. Every page, whichever file it is of, is cut
 // from the cache's two slabs, bytes and headers, a block of 64 of each
-// per 64 pages: 1 024 appends cost 54 heap objects (16 blocks of each and
-// 22 of the growth of the map of pages past the first lowPages, which are
-// held in place), four files appended in turn 44 and 222 random writes
-// into a sparse file 30, most of them the maps'. Bytes are the cached
-// pages' own and 64 KiB per 256 of them for headers and the maps, plus
-// for the appends a block's unused tail. Asserts are off under -race.
+// per 64 pages, and the nodes indexing the pages past the first lowPages,
+// which are held in place, from its node slab: 1 024 appends cost 33 heap
+// objects (16 blocks of each and one of nodes), four files appended in
+// turn 8 and 222 random writes into a sparse file 18. Bytes are the
+// cached pages' own and 64 KiB per 256 of them for headers and nodes,
+// plus for the appends a block's unused tail. Asserts are off under
+// -race.
 func TestAppendAllocBudget(t *testing.T) {
 	const runs = 3
 	page := make([]byte, PageSize)
@@ -285,9 +288,9 @@ func TestAppendAllocBudget(t *testing.T) {
 // TestChurnAllocBudget: the create / 4 KiB write / close / unlink loop of
 // PostMark and Compilebench caches each file's page in the one the file
 // before it dropped, so after a warm-up it costs no page header or buffer,
-// and holds it in place, so no page map either. The cache's record of the
-// file and memfs's inode are the ones the file before dropped too, and the
-// open file is a value. Only memfs's block map is left: 2 heap objects.
+// and holds it in place, so no tree node either. The cache's record of the
+// file, memfs's inode and the node indexing its block are the ones the
+// file before dropped too, and the open file is a value: 0 heap objects.
 // Asserts are off under -race.
 func TestChurnAllocBudget(t *testing.T) {
 	e := newEnv(t, Options{KeepCache: true, Writeback: true, FlushOnClose: true})

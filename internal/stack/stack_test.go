@@ -306,3 +306,38 @@ func TestWriteDropsFileCapabilities(t *testing.T) {
 		f.Close()
 	}
 }
+
+// TestRenameOntoOtherLink: renaming one hard link onto another of the same
+// inode leaves both names and a link count of 2, as Linux does, through
+// the kernel's dentry and attribute caches on both stacks and in the
+// filesystem beneath CntrFS.
+func TestRenameOntoOtherLink(t *testing.T) {
+	c := NewCntr(Config{})
+	defer c.Close()
+	for _, s := range []struct {
+		name string
+		top  vfs.FS
+	}{{"native", NewNative(Config{}).Top}, {"cntr", c.Top}} {
+		cli := vfs.NewClient(s.top, vfs.Root())
+		if err := cli.WriteFile("/a", []byte("v"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.Link("/a", "/b"); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.Rename("/a", "/b"); err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		views := []*vfs.Client{cli}
+		if s.name == "cntr" {
+			views = append(views, vfs.NewClient(c.Host, vfs.Root()))
+		}
+		for _, v := range views {
+			for _, name := range []string{"/a", "/b"} {
+				if st, err := v.Stat(name); err != nil || st.Nlink != 2 {
+					t.Fatalf("%s: %s after the rename: nlink %d, %v; want 2", s.name, name, st.Nlink, err)
+				}
+			}
+		}
+	}
+}

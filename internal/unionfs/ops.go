@@ -485,7 +485,12 @@ func (fs *FS) Release(op *vfs.Op, h vfs.Handle) error {
 }
 
 // Opendir implements vfs.FS; the merged listing is computed eagerly, and
-// its cookies name entries across handles (mergedReaddir).
+// its cookies name entries across handles (mergedReaddir). ".." carries
+// the parent's inode, the root's own at the root, as registered by the
+// lookup that reached this directory: a listing takes no lookup
+// reference. A parent forgotten under a directory still held, which the
+// kernel's dentry tree does not do (a dentry pins its parent), lists as
+// the directory itself.
 func (fs *FS) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 	path, err := fs.pathOf(ino)
 	if err != nil {
@@ -495,10 +500,17 @@ func (fs *FS) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 	if err != nil {
 		return 0, err
 	}
+	dir, _ := splitParent(path)
+	fs.mu.Lock()
+	parent, ok := fs.byPath[dir]
+	fs.mu.Unlock()
+	if !ok {
+		parent = ino
+	}
 	all := make([]vfs.Dirent, 0, len(ents)+2)
 	all = append(all,
 		vfs.Dirent{Name: ".", Ino: ino, Type: vfs.TypeDirectory, Off: 1},
-		vfs.Dirent{Name: "..", Ino: ino, Type: vfs.TypeDirectory, Off: 2},
+		vfs.Dirent{Name: "..", Ino: parent, Type: vfs.TypeDirectory, Off: 2},
 	)
 	all = append(all, ents...)
 	fs.mu.Lock()

@@ -198,6 +198,47 @@ func TestMergedReaddir(t *testing.T) {
 	}
 }
 
+// TestDotDotListsTheParent: a listing's ".." carries the inode a lookup
+// of ".." returns, at the root (the root itself) and two levels down, and
+// opening the listing takes no lookup reference on the parent.
+func TestDotDotListsTheParent(t *testing.T) {
+	u := NewWith(Options{}, makeLayer(t, map[string]string{"/d1/d2/f": "x"}))
+	op := vfs.RootOp()
+	d1, err := u.Lookup(op, vfs.RootIno, "d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := u.Lookup(op, d1.Ino, "d2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ino := range []vfs.Ino{vfs.RootIno, d2.Ino} {
+		refs := u.nodes[d1.Ino].nlookup
+		h, err := u.Opendir(op, ino)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ents, err := u.Readdir(op, h, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := u.Releasedir(op, h); err != nil {
+			t.Fatal(err)
+		}
+		if got := u.nodes[d1.Ino].nlookup; got != refs {
+			t.Fatalf("listing inode %d moved d1's lookup count from %d to %d", ino, refs, got)
+		}
+		dotdot, err := u.Lookup(op, ino, "..")
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(ents, func(e vfs.Dirent) bool { return e.Name == ".." })
+		if i < 0 || ents[i].Ino != dotdot.Ino {
+			t.Fatalf("inode %d lists %+v, want \"..\" with inode %d", ino, ents, dotdot.Ino)
+		}
+	}
+}
+
 func TestMkdirAndNestedWrites(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/usr/bin/tool": "t"})
 	u := NewWith(Options{}, lower)
