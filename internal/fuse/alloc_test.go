@@ -39,8 +39,8 @@ func raceBuild() bool {
 // fills the request pool, the table's spare queues and the maps.
 //
 // The budgets are testdata/allocs.golden's fuse lines. When this test was
-// written a frame cost LOOKUP miss 15 objects (now the server's name
-// string alone), GETATTR 20, CREATE 21 (memfs's own share subtracted),
+// written a frame cost LOOKUP miss 15 objects (now none: the name is
+// interned on the server, nameTable), GETATTR 20, CREATE 21 (memfs's own share subtracted),
 // READ 128 KiB 18 and RELEASE 13: a buf, a frame, a Pending, a message, a
 // reply channel and two readers on the kernel side; an Op, a Cred, a
 // cancel context, a reply copy and a buffer grown append by append on the
@@ -291,4 +291,63 @@ func TestPayloadFramesBounded(t *testing.T) {
 		t.Fatalf("a READ after them: %d buffers held, not all of them the ones held before; want one of those reused and %d held",
 			held(), opts.ServerThreads)
 	}
+}
+
+// TestNameSeenBeforeAllocBudget pins what a name the connection has seen
+// before costs the host: nothing, on either end (nameTable). A LOOKUP of
+// an existing name is dispatched by hand on a server over memfs, its reply
+// storage reused, so the count is the server's alone; before the table it
+// was the name's copy, 1. A READDIRPLUS of a 12-file directory listed
+// before is a round trip, with no dentry or attribute cache so that every
+// entry is installed again; what is left is the Conn's entry slice and
+// memfs's. Before the table it was 15: the Conn copied every name but "."
+// (Go keeps one-byte strings static).
+func TestNameSeenBeforeAllocBudget(t *testing.T) {
+	op := vfs.RootOp()
+	t.Run("lookup", func(t *testing.T) {
+		opts := DefaultMountOptions()
+		opts.ServerThreads = 0 // dispatch by hand
+		back := memfs.New(memfs.Options{})
+		if err := vfs.NewClient(back, vfs.Root()).WriteFile("/seen.before", nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv := newServer(back, sim.NewClock(), sim.DefaultCostModel(), opts, newReqTable(16))
+		wk := &worker{s: srv}
+		var w buf
+		encodeReqHeader(&w, OpLookup, 1, uint64(vfs.RootIno), op)
+		w.str("seen.before")
+		msg := &request{frame: buf{b: finishFrame(&w)}}
+		lookup := func() {
+			msg.out = wk.dispatch(msg)
+			if _, errno, _, err := decodeReply(msg.out); err != nil || errno != vfs.OK {
+				t.Fatal(errno, err)
+			}
+		}
+		lookup()
+		allocs.Check(t, "server LOOKUP of a name seen before", testing.AllocsPerRun(200, lookup))
+	})
+	t.Run("readdirplus", func(t *testing.T) {
+		opts := DefaultMountOptions()
+		opts.EntryTimeout, opts.AttrTimeout = 0, 0
+		e := mount(t, opts)
+		cli := vfs.NewClient(e.back, vfs.Root())
+		for i := range 12 {
+			if err := cli.WriteFile(fmt.Sprintf("/f%02d", i), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fh, err := e.conn.Opendir(op, vfs.RootIno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		list := func() {
+			if ents, err := e.conn.readdirCall(op, OpReaddirplus, vfs.RootIno, fh, 0); err != nil || len(ents) != 14 {
+				t.Fatal(len(ents), err)
+			}
+		}
+		for range 64 {
+			list()
+		}
+		allocs.Check(t, "READDIRPLUS of a 12-file listing seen before", testing.AllocsPerRun(200, list))
+	})
 }

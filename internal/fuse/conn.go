@@ -458,6 +458,9 @@ type Conn struct {
 	// mount that never made one holds none.
 	framesMu sync.Mutex
 	frames   [][]byte
+
+	// names interns the names replies carry (nameTable).
+	names nameTable
 }
 
 type entryKey struct {

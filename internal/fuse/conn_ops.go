@@ -796,7 +796,7 @@ func (c *Conn) readdirCall(op *vfs.Op, opcode Opcode, nodeid vfs.Ino, fh vfs.Han
 		}
 		ents = make([]vfs.Dirent, 0, n)
 		for i := 0; i < n; i++ {
-			ents = append(ents, decodeDirent(r))
+			ents = append(ents, decodeDirent(r, &c.names))
 		}
 	})
 	for _, ino := range forget {
@@ -828,7 +828,7 @@ func (c *Conn) decodePlus(r *rdr, dir vfs.Ino, gen uint64) (ents []vfs.Dirent, f
 	defer c.mu.Unlock()
 	now := c.clock.Now()
 	for i := 0; i < n; i++ {
-		d := decodeDirent(r)
+		d := decodeDirent(r, &c.names)
 		attr := decodeAttr(r)
 		ents = append(ents, d)
 		if attr.Ino == 0 || d.Name == "." || d.Name == ".." {
@@ -937,7 +937,7 @@ func (c *Conn) Listxattr(op *vfs.Op, ino vfs.Ino) ([]string, error) {
 		}
 		names = make([]string, 0, n)
 		for i := 0; i < n; i++ {
-			names = append(names, r.str())
+			names = append(names, r.name(&c.names))
 		}
 	})
 	if err != nil {

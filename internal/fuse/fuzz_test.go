@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,9 +28,11 @@ import (
 // Conn sends with a body, fh-0 READ, WRITE, FSYNC, READDIR and READDIRPLUS
 // frames naming an unknown inode, fh-0 READDIR and READDIRPLUS frames on
 // the root from the start and from a negative offset, a READDIRPLUS on
-// nodeid 0, an OPENDIR of the root (ENOSYS), and WRITE frames at the
-// negotiated MaxWrite and one byte past it (EINVAL); what the fuzzer found
-// is kept as rows of TestDispatchFindings.
+// nodeid 0, an OPENDIR of the root (ENOSYS), WRITE frames at the
+// negotiated MaxWrite and one byte past it (EINVAL), and LOOKUPs of names
+// of vfs.MaxNameLen bytes and one more, on either side of what the name
+// table interns; what the fuzzer found is kept as rows of
+// TestDispatchFindings.
 //
 //	go test -run '^$' -fuzz FuzzDispatch -fuzztime 15s ./internal/fuse
 func FuzzDispatch(f *testing.F) {
@@ -55,6 +58,8 @@ func FuzzDispatch(f *testing.F) {
 		{OpReaddirplus, vfs.RootIno, func(w *buf) { w.u64(0); w.i64(-1) }},
 		{OpReaddirplus, 0, func(w *buf) { w.u64(0); w.i64(0) }},
 		{OpOpendir, vfs.RootIno, func(w *buf) {}},
+		{OpLookup, vfs.RootIno, func(w *buf) { w.str(strings.Repeat("n", vfs.MaxNameLen)) }},
+		{OpLookup, vfs.RootIno, func(w *buf) { w.str(strings.Repeat("n", vfs.MaxNameLen+1)) }},
 	} {
 		var w buf
 		encodeReqHeader(&w, body.opcode, 1, uint64(body.nodeid), nil)
@@ -269,8 +274,9 @@ func listed(b []byte, tail int) bool {
 // picks one of replyCalls and is the body every request on a fresh
 // replyingMount is answered with. The seeds are wire_test.go's reply
 // frames (wireGolden's and wireGoldenReaddirPlus's), each for the request
-// it answered, and hostileReplies; what the fuzzer found is kept as rows
-// of TestReplyFindings.
+// it answered, hostileReplies, and READDIR, READDIRPLUS and LISTXATTR
+// replies listing a name of vfs.MaxNameLen bytes and one of one more; what
+// the fuzzer found is kept as rows of TestReplyFindings.
 //
 //	go test -run '^$' -fuzz FuzzReply -fuzztime 15s ./internal/fuse
 func FuzzReply(f *testing.F) {
@@ -289,7 +295,34 @@ func FuzzReply(f *testing.F) {
 	for _, r := range hostileReplies {
 		f.Add(uint8(replyIndex(r.opcode)), r.body)
 	}
+	for opcode, body := range longNameReplies() {
+		f.Add(uint8(replyIndex(opcode)), body)
+	}
 	f.Fuzz(checkReply)
+}
+
+// longNameReplies are reply bodies listing two names, of vfs.MaxNameLen
+// bytes and of one more: the longest the Conn's name table interns, and
+// the shortest it copies.
+func longNameReplies() map[Opcode][]byte {
+	names := []string{strings.Repeat("n", vfs.MaxNameLen), strings.Repeat("n", vfs.MaxNameLen+1)}
+	bodies := map[Opcode][]byte{}
+	for _, opcode := range []Opcode{OpReaddir, OpReaddirplus, OpListxattr} {
+		var w buf
+		w.u32(uint32(len(names)))
+		for i, name := range names {
+			if opcode == OpListxattr {
+				w.str(name)
+				continue
+			}
+			encodeDirent(&w, &vfs.Dirent{Name: name, Ino: vfs.Ino(10 + i), Type: vfs.TypeRegular, Off: int64(i + 1)})
+			if opcode == OpReaddirplus {
+				encodeAttr(&w, &vfs.Attr{Ino: vfs.Ino(10 + i), Type: vfs.TypeRegular, Mode: 0o644, Nlink: 1})
+			}
+		}
+		bodies[opcode] = w.b
+	}
+	return bodies
 }
 
 // replyIndex is opcode's index in replyCalls, or -1.

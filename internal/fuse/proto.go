@@ -12,6 +12,14 @@
 // options that mitigate them (FOPEN_KEEP_CACHE, writeback caching,
 // PARALLEL_DIROPS, batched forgets, splice), are the subject of the
 // paper's §3.3 and Figures 3 and 4.
+//
+// A name a frame carries (an entry, a link or an xattr name, and a name a
+// listing returns) is decoded through a table of names seen before
+// (nameTable), so a name handed to a filesystem, or returned from a Conn,
+// may be shared with other requests. It may also be kept: a string is
+// immutable. A data slice a call receives is another matter: it aliases a
+// frame that is recycled once the call returns, and must be copied to be
+// kept.
 package fuse
 
 import (
@@ -196,15 +204,9 @@ func (r *rdr) u64() uint64 {
 
 func (r *rdr) i64() int64 { return int64(r.u64()) }
 
-func (r *rdr) str() string {
-	n := int(r.u32())
-	if !r.need(n) {
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
+// str decodes a length-prefixed string into a new one: a symlink target
+// or a readlink reply. A name decodes through name.
+func (r *rdr) str() string { return string(r.rawBytes()) }
 
 func (r *rdr) rawBytes() []byte {
 	n := int(r.u32())
@@ -324,10 +326,10 @@ func encodeDirent(w *buf, d *vfs.Dirent) {
 	w.i64(d.Off)
 }
 
-// decodeDirent decodes one directory entry.
-func decodeDirent(r *rdr) vfs.Dirent {
+// decodeDirent decodes one directory entry, its name through names.
+func decodeDirent(r *rdr, names *nameTable) vfs.Dirent {
 	var d vfs.Dirent
-	d.Name = r.str()
+	d.Name = r.name(names)
 	d.Ino = vfs.Ino(r.u64())
 	d.Type = vfs.FileType(r.u8())
 	d.Off = r.i64()

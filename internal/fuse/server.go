@@ -28,6 +28,9 @@ type Server struct {
 	// served through (MountOptions.NoOpen, worker.hostFile).
 	filesMu sync.Mutex
 	files   map[vfs.Ino]hostFiles
+
+	// names interns the names requests carry (nameTable).
+	names nameTable
 }
 
 // hostFiles is an inode's read-side and write-side host descriptor; zero
@@ -432,7 +435,7 @@ func (wk *worker) dispatch(msg *request) []byte {
 
 	switch h.Opcode {
 	case OpLookup:
-		name := r.str()
+		name := r.name(&s.names)
 		if r.bad {
 			break
 		}
@@ -485,7 +488,7 @@ func (wk *worker) dispatch(msg *request) []byte {
 		opErr = err
 
 	case OpMknod:
-		name := r.str()
+		name := r.name(&s.names)
 		typ := vfs.FileType(r.u8())
 		mode := vfs.Mode(r.u32())
 		rdev := r.u32()
@@ -499,7 +502,7 @@ func (wk *worker) dispatch(msg *request) []byte {
 		opErr = err
 
 	case OpMkdir:
-		name := r.str()
+		name := r.name(&s.names)
 		mode := vfs.Mode(r.u32())
 		if r.bad {
 			break
@@ -511,7 +514,7 @@ func (wk *worker) dispatch(msg *request) []byte {
 		opErr = err
 
 	case OpSymlink:
-		name := r.str()
+		name := r.name(&s.names)
 		target := r.str()
 		if r.bad {
 			break
@@ -530,19 +533,19 @@ func (wk *worker) dispatch(msg *request) []byte {
 		opErr = err
 
 	case OpUnlink:
-		if name := r.str(); !r.bad {
+		if name := r.name(&s.names); !r.bad {
 			opErr = s.fs.Unlink(op, ino, name)
 		}
 
 	case OpRmdir:
-		if name := r.str(); !r.bad {
+		if name := r.name(&s.names); !r.bad {
 			opErr = s.fs.Rmdir(op, ino, name)
 		}
 
 	case OpRename2:
-		oldName := r.str()
+		oldName := r.name(&s.names)
 		newParent := vfs.Ino(r.u64())
-		newName := r.str()
+		newName := r.name(&s.names)
 		flags := vfs.RenameFlags(r.u32())
 		if r.bad {
 			break
@@ -551,7 +554,7 @@ func (wk *worker) dispatch(msg *request) []byte {
 
 	case OpLink:
 		parent := vfs.Ino(r.u64())
-		name := r.str()
+		name := r.name(&s.names)
 		if r.bad {
 			break
 		}
@@ -562,7 +565,7 @@ func (wk *worker) dispatch(msg *request) []byte {
 		opErr = err
 
 	case OpCreate:
-		name := r.str()
+		name := r.name(&s.names)
 		mode := vfs.Mode(r.u32())
 		flags := vfs.OpenFlags(r.u32())
 		if r.bad {
@@ -740,7 +743,7 @@ func (wk *worker) dispatch(msg *request) []byte {
 		opErr = err
 
 	case OpSetxattr:
-		name := r.str()
+		name := r.name(&s.names)
 		value := r.rawBytes()
 		flags := vfs.XattrFlags(r.u32())
 		if r.bad {
@@ -749,7 +752,7 @@ func (wk *worker) dispatch(msg *request) []byte {
 		opErr = s.fs.Setxattr(op, ino, name, value, flags)
 
 	case OpGetxattr:
-		name := r.str()
+		name := r.name(&s.names)
 		if r.bad {
 			break
 		}
@@ -770,7 +773,7 @@ func (wk *worker) dispatch(msg *request) []byte {
 		opErr = err
 
 	case OpRemovexattr:
-		if name := r.str(); !r.bad {
+		if name := r.name(&s.names); !r.bad {
 			opErr = s.fs.Removexattr(op, ino, name)
 		}
 

@@ -497,13 +497,17 @@ func (fs *FS) Mkdir(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode) (vfs
 	})
 }
 
-// Symlink implements vfs.FS.
+// Symlink implements vfs.FS. A target of vfs.MaxPathLen bytes or more is
+// ENAMETOOLONG: no syscall passes one, but a FUSE frame may carry it.
 func (fs *FS) Symlink(op *vfs.Op, parent vfs.Ino, name, target string) (vfs.Attr, error) {
 	c := op.Cred
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if target == "" {
+	switch {
+	case target == "":
 		return vfs.Attr{}, vfs.ENOENT
+	case len(target) >= vfs.MaxPathLen:
+		return vfs.Attr{}, vfs.ENAMETOOLONG
 	}
 	return fs.insertChild(c, parent, name, func(dir *inode) (*inode, error) {
 		n := fs.newInode(c, dir, vfs.TypeSymlink, 0o777, 0)

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cntr/internal/allocs"
@@ -80,4 +81,53 @@ func TestRowRefusesStrayListing(t *testing.T) {
 		t.Fatalf("Dbench over a listing with %s: %v, want an error naming the entry", stray, err)
 	}
 	t.Log(err)
+}
+
+// failReads is an interceptor that, once armed, fails every Read with EIO.
+type failReads struct{ armed atomic.Bool }
+
+func (f *failReads) Intercept(info *vfs.OpInfo, next func() error) error {
+	if info.Kind == vfs.KindRead && f.armed.Load() {
+		return vfs.EIO
+	}
+	return next()
+}
+
+// TestRowsStopOnReadErrors: a read that fails is the row's error, not a
+// number timed over work that did not happen. readAll, the warm-up of the
+// streaming rows, stops at the first failed read and returns its errno,
+// and reads to the end of a file otherwise; the four rows that read a
+// file's head per open stop on a failed read in their timed Run.
+func TestRowsStopOnReadErrors(t *testing.T) {
+	t.Run("readAll", func(t *testing.T) {
+		n := stack.NewNative(stackConfig())
+		if err := vfs.NewClient(n.Top, vfs.Root()).WriteFile("/f", make([]byte, 300*kb), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fail := &failReads{}
+		ctx := &Ctx{Cli: vfs.NewClient(vfs.Chain(n.Top, fail), vfs.Root())}
+		if err := readAll(ctx, "/f"); err != nil {
+			t.Fatalf("readAll of a readable file: %v", err)
+		}
+		fail.armed.Store(true)
+		if err := readAll(ctx, "/f"); vfs.ToErrno(err) != vfs.EIO {
+			t.Fatalf("readAll with every read failing: %v, want EIO", err)
+		}
+	})
+	for _, name := range []string{"Apachebench", "Compilebench: Compile", "Compilebench: Read", "Dbench: 1 Clients"} {
+		t.Run(name, func(t *testing.T) {
+			b := *findBench(name)
+			fail := &failReads{}
+			run := b.Run
+			b.Run = func(ctx *Ctx) (int64, error) {
+				fail.armed.Store(true)
+				return run(ctx)
+			}
+			n := stack.NewNative(stackConfig())
+			_, _, err := RunOn(&b, vfs.Chain(n.Top, fail), n.Mem, n.Clock, n.Model, n.Disk, 42)
+			if vfs.ToErrno(err) != vfs.EIO {
+				t.Fatalf("%s with every timed read failing: %v, want EIO", name, err)
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package phoronix
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"cntr/internal/vfs"
@@ -88,8 +89,11 @@ var Suite = []Benchmark{
 				if err != nil {
 					return 0, err
 				}
-				f.ReadAt(buf, 0)
+				_, err = f.ReadAt(buf, 0)
 				f.Close()
+				if err != nil && err != io.EOF {
+					return 0, err
+				}
 				ctx.Compute(150) // request parsing, socket handling, TCP
 				if _, err := logf.Write(line); err != nil {
 					return 0, err
@@ -114,8 +118,11 @@ var Suite = []Benchmark{
 					if err != nil {
 						return 0, err
 					}
-					n, _ := f.ReadAt(buf, 0)
+					n, err := f.ReadAt(buf, 0)
 					f.Close()
+					if err != nil && err != io.EOF {
+						return 0, err
+					}
 					ctx.Compute(40) // cc1 work per translation unit
 					if err := ctx.Cli.WriteFile(objTree.files[d][i], buf[:n/2+1], 0o644); err != nil {
 						return 0, err
@@ -176,8 +183,11 @@ var Suite = []Benchmark{
 					if err != nil {
 						return 0, err
 					}
-					n, _ := f.ReadAt(buf, 0)
+					n, err := f.ReadAt(buf, 0)
 					f.Close()
+					if err != nil && err != io.EOF {
+						return 0, err
+					}
 					work += int64(n)
 				}
 			}
@@ -613,7 +623,10 @@ func dbench(clients int, paper float64) Benchmark {
 							return 0, err
 						}
 						for lap := 0; lap < 100; lap++ {
-							f.ReadAt(buf, 0)
+							if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+								f.Close()
+								return 0, err
+							}
 							ops++
 						}
 						f.Close()
@@ -708,7 +721,8 @@ func (t tree) list(cli *vfs.Client, d int) error {
 	return nil
 }
 
-// readAll streams a file through the stack in 128KB requests.
+// readAll streams a file through the stack in 128KB requests, to its end
+// or to the first error.
 func readAll(ctx *Ctx, path string) error {
 	f, err := ctx.Cli.Open(path, vfs.ORdonly, 0)
 	if err != nil {
@@ -717,12 +731,10 @@ func readAll(ctx *Ctx, path string) error {
 	defer f.Close()
 	buf := make([]byte, 128*kb)
 	for off := int64(0); ; off += int64(len(buf)) {
-		n, err := f.ReadAt(buf, off)
-		if n == 0 {
+		if _, err := f.ReadAt(buf, off); err == io.EOF {
 			return nil
-		}
-		if err != nil {
-			return nil
+		} else if err != nil {
+			return err
 		}
 	}
 }

@@ -2,6 +2,7 @@ package stack
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -338,6 +339,45 @@ func TestRenameOntoOtherLink(t *testing.T) {
 					t.Fatalf("%s: %s after the rename: nlink %d, %v; want 2", s.name, name, st.Nlink, err)
 				}
 			}
+		}
+	}
+}
+
+// TestPathMax: a path, or a symlink target, of vfs.MaxPathLen bytes or
+// more is ENAMETOOLONG, as Linux's getname makes it, and one byte less
+// is served, on both stacks. A target that long handed to the filesystem
+// directly, as a hostile FUSE frame hands it to CntrFS's server, is
+// refused by memfs.
+func TestPathMax(t *testing.T) {
+	c := NewCntr(Config{})
+	defer c.Close()
+	longest := strings.Repeat("/", vfs.MaxPathLen-2) + "f" // resolves to /f
+	for _, s := range []struct {
+		name string
+		top  vfs.FS
+	}{{"native", NewNative(Config{}).Top}, {"cntr", c.Top}} {
+		cli := vfs.NewClient(s.top, vfs.Root())
+		if err := cli.WriteFile(longest, []byte("v"), 0o644); err != nil {
+			t.Fatalf("%s: writing a path of %d bytes: %v", s.name, len(longest), err)
+		}
+		if _, err := cli.Stat("/" + longest); vfs.ToErrno(err) != vfs.ENAMETOOLONG {
+			t.Fatalf("%s: stat of a path of %d bytes: %v, want ENAMETOOLONG", s.name, len(longest)+1, err)
+		}
+		target := strings.Repeat("t", vfs.MaxPathLen-1)
+		if err := cli.Symlink(target, "/l"); err != nil {
+			t.Fatalf("%s: symlink to a target of %d bytes: %v", s.name, len(target), err)
+		}
+		if got, err := cli.Readlink("/l"); err != nil || got != target {
+			t.Fatalf("%s: readlink of a target of %d bytes: %d bytes, %v", s.name, len(target), len(got), err)
+		}
+		if err := cli.Symlink(target+"t", "/m"); vfs.ToErrno(err) != vfs.ENAMETOOLONG {
+			t.Fatalf("%s: symlink to a target of %d bytes: %v, want ENAMETOOLONG", s.name, len(target)+1, err)
+		}
+		if _, err := s.top.Symlink(vfs.RootOp(), vfs.RootIno, "m", target+"t"); vfs.ToErrno(err) != vfs.ENAMETOOLONG {
+			t.Fatalf("%s: the filesystem's symlink to a target of %d bytes: %v, want ENAMETOOLONG", s.name, len(target)+1, err)
+		}
+		if _, err := cli.Lstat("/m"); vfs.ToErrno(err) != vfs.ENOENT {
+			t.Fatalf("%s: /m after the refused symlinks: %v, want ENOENT", s.name, err)
 		}
 	}
 }

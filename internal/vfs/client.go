@@ -83,8 +83,12 @@ func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
 
 // walk resolves path from the client's root as one request, marked as a
-// stat(2) when stat is set (Op.Stat).
+// stat(2) when stat is set (Op.Stat). It is every path's entry, so it
+// refuses one of MaxPathLen bytes or more as getname does.
 func (c *Client) walk(path string, followLeaf, stat bool) (WalkResult, error) {
+	if len(path) >= MaxPathLen {
+		return WalkResult{}, ENAMETOOLONG
+	}
 	op := c.req()
 	defer op.release()
 	op.Stat = stat
@@ -318,8 +322,13 @@ func (c *Client) ReadDir(path string) ([]Dirent, error) {
 	}
 }
 
-// Symlink creates a symbolic link at linkPath pointing to target.
+// Symlink creates a symbolic link at linkPath pointing to target. The
+// target is a path too: one of MaxPathLen bytes or more is refused before
+// linkPath is looked at, as symlinkat(2) does.
 func (c *Client) Symlink(target, linkPath string) error {
+	if len(target) >= MaxPathLen {
+		return ENAMETOOLONG
+	}
 	r, err := c.Lresolve(linkPath)
 	if err == nil {
 		return EEXIST

@@ -184,5 +184,10 @@ const (
 // NAME_MAX on Linux.
 const MaxNameLen = 255
 
+// MaxPathLen is PATH_MAX on Linux, which counts the terminating NUL:
+// getname returns ENAMETOOLONG for a path of this many bytes or more, and
+// every call that takes a path goes through it, symlink(2)'s target too.
+const MaxPathLen = 4096
+
 // MaxSymlinkDepth bounds symlink resolution, matching the kernel's limit.
 const MaxSymlinkDepth = 40
