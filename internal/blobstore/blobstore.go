@@ -76,14 +76,17 @@ func (s Stats) DedupRatio() float64 {
 // Aliasing contract: Put copies data (callers may reuse the buffer);
 // the slice Get returns is owned by the store and MUST NOT be modified
 // by the caller — content-addressed backends share it between every
-// reference.
+// reference. Only Mem also promises that the slice keeps its bytes while
+// held (Mem.View); CAS.CorruptForTest flips a chunk's bytes in place, so
+// a caller of any other store copies what it keeps.
 type Store interface {
 	// Put stores data and returns its reference, taking one reference
 	// count. Content-addressed backends absorb duplicate content into
 	// the existing blob.
 	Put(data []byte) (Ref, error)
-	// Get returns the blob's content. ErrNotFound if no live blob has
-	// this ref; ErrCorrupt if the stored bytes fail verification.
+	// Get returns the blob's content, counted in Stats.Gets and, for a
+	// store with a disk behind it, charged. ErrNotFound if no live blob
+	// has this ref; ErrCorrupt if the stored bytes fail verification.
 	Get(ref Ref) ([]byte, error)
 	// Stat reports a live blob's size and reference count.
 	Stat(ref Ref) (Info, error)

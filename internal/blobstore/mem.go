@@ -20,8 +20,11 @@ const (
 //
 // A blob is copied into a shared run (Runs) and its ref cut from a string
 // shared by refBatch consecutive counters, so a Put allocates nothing in
-// the common case. Nothing is reused: Delete only drops the map entry,
-// and a slice Get returned keeps its bytes.
+// the common case. Mem never writes or reuses a blob's bytes once Put has
+// copied them: Delete only drops the map entry, and a slice Get or View
+// returned keeps its bytes for as long as it is held. That is what lets a
+// page cache over memfs point a clean page at a stored block instead of
+// holding a copy (View).
 type Mem struct {
 	mu    sync.RWMutex
 	blobs map[Ref][]byte
@@ -98,6 +101,17 @@ func (m *Mem) Get(ref Ref) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	return b, nil
+}
+
+// View returns the bytes stored as ref, and whether it is live, without
+// counting a Get: it is how a cache above reads a blob it shares rather
+// than a read of the store. The caller must not modify them; they never
+// change while held.
+func (m *Mem) View(ref Ref) ([]byte, bool) {
+	m.mu.RLock()
+	b, ok := m.blobs[ref]
+	m.mu.RUnlock()
+	return b, ok
 }
 
 // Stat implements Store.

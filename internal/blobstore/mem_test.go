@@ -66,3 +66,42 @@ func TestMemBlobsAreNeverReused(t *testing.T) {
 		t.Fatal("a deleted blob's bytes were handed to a later Put")
 	}
 }
+
+// TestMemViewKeepsItsBytes: a View is the stored blob itself and counts no
+// Get, and a view and a Get both keep their bytes across the blob's Delete
+// and 1 000 later Puts, deleted or kept, of its size and of others.
+func TestMemViewKeepsItsBytes(t *testing.T) {
+	m := NewMem()
+	want := bytes.Repeat([]byte{0xa5}, 4<<10)
+	ref, _ := m.Put(want)
+	view, ok := m.View(ref)
+	if !ok || !bytes.Equal(view, want) {
+		t.Fatalf("View: %d bytes, %v; want the %d put", len(view), ok, len(want))
+	}
+	if gets := m.Stats().Gets; gets != 0 {
+		t.Fatalf("a View counted %d Gets, want 0", gets)
+	}
+	got, err := m.Get(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0] != &view[0] {
+		t.Fatal("Get and View return different bytes for one blob")
+	}
+	if err := m.Delete(ref); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.View(ref); ok {
+		t.Fatal("a deleted blob is still viewed")
+	}
+	other, sizes := bytes.Repeat([]byte{0x5a}, 8<<10), []int{4 << 10, 1, 3000, 8 << 10}
+	for i := 0; i < 1000; i++ {
+		r, _ := m.Put(other[:sizes[i%len(sizes)]])
+		if i%2 == 0 {
+			m.Delete(r)
+		}
+	}
+	if !bytes.Equal(view, want) || !bytes.Equal(got, want) {
+		t.Fatal("a deleted blob's viewed bytes were handed to a later Put")
+	}
+}

@@ -230,10 +230,19 @@ func (c *Conn) Symlink(op *vfs.Op, parent vfs.Ino, name, target string) (vfs.Att
 	return attr, err
 }
 
-// Readlink implements vfs.FS.
+// Readlink implements vfs.FS. A reply longer than vfs.MaxPathLen-1 bytes
+// is malformed (EIO): the kernel reads the target into one page, which
+// keeps a byte for the NUL (fuse_readlink_page), so a server cannot hand
+// a target past PATH_MAX up the stack.
 func (c *Conn) Readlink(op *vfs.Op, ino vfs.Ino) (string, error) {
 	var target string
-	err := c.call(OpReadlink, ino, op, nil, 0, 0, func(r *rdr) { target = r.str() })
+	err := c.call(OpReadlink, ino, op, nil, 0, 0, func(r *rdr) {
+		if b := r.rawBytes(); len(b) < vfs.MaxPathLen {
+			target = string(b)
+		} else {
+			r.bad = true
+		}
+	})
 	if err != nil {
 		return "", err
 	}

@@ -204,7 +204,7 @@ var replyCalls = func() []replyCall {
 		{OpReadlink, func(c *Conn) (int, int, error) {
 			_, err := c.Readlink(op(), 7)
 			return errOnly(err)
-		}, prefixed(math.MaxInt)},
+		}, prefixed(vfs.MaxPathLen - 1)},
 		{OpRead, func(c *Conn) (int, int, error) {
 			n, err := c.Read(op(), 1, 0, make([]byte, asked))
 			return n, asked, err
@@ -274,9 +274,10 @@ func listed(b []byte, tail int) bool {
 // picks one of replyCalls and is the body every request on a fresh
 // replyingMount is answered with. The seeds are wire_test.go's reply
 // frames (wireGolden's and wireGoldenReaddirPlus's), each for the request
-// it answered, hostileReplies, and READDIR, READDIRPLUS and LISTXATTR
-// replies listing a name of vfs.MaxNameLen bytes and one of one more; what
-// the fuzzer found is kept as rows of TestReplyFindings.
+// it answered, hostileReplies, READDIR, READDIRPLUS and LISTXATTR
+// replies listing a name of vfs.MaxNameLen bytes and one of one more, and
+// READLINK replies of vfs.MaxPathLen-1 and vfs.MaxPathLen bytes; what the
+// fuzzer found is kept as rows of TestReplyFindings.
 //
 //	go test -run '^$' -fuzz FuzzReply -fuzztime 15s ./internal/fuse
 func FuzzReply(f *testing.F) {
@@ -298,7 +299,17 @@ func FuzzReply(f *testing.F) {
 	for opcode, body := range longNameReplies() {
 		f.Add(uint8(replyIndex(opcode)), body)
 	}
+	for _, n := range []int{vfs.MaxPathLen - 1, vfs.MaxPathLen} {
+		f.Add(uint8(replyIndex(OpReadlink)), readlinkReply(n))
+	}
 	f.Fuzz(checkReply)
+}
+
+// readlinkReply is a READLINK reply body carrying a target of n bytes.
+func readlinkReply(n int) []byte {
+	var w buf
+	w.str(strings.Repeat("t", n))
+	return w.b
 }
 
 // longNameReplies are reply bodies listing two names, of vfs.MaxNameLen

@@ -2,6 +2,7 @@ package fuse
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -244,6 +245,34 @@ func TestHostileDirectoryFrames(t *testing.T) {
 			}
 			if open := counter.openDirs.Load(); open != 0 {
 				t.Errorf("%d host directory handles left open", open)
+			}
+		})
+	}
+}
+
+// TestReadlinkReplyCapped: a READLINK reply is a target of at most
+// vfs.MaxPathLen-1 bytes, what the kernel's one-page buffer holds beside
+// its NUL. One of 4 095 bytes is served whole; one of 4 096 or 8 192 is
+// EIO, and the next request on the connection is served.
+func TestReadlinkReplyCapped(t *testing.T) {
+	for _, n := range []int{vfs.MaxPathLen - 1, vfs.MaxPathLen, 2 * vfs.MaxPathLen} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			body := readlinkReply(n)
+			c := replyingMount(t, func(h *ReqHeader, w *buf) {
+				if h.Opcode == OpReadlink {
+					w.b = append(w.b, body...)
+				}
+			})
+			target, err := c.Readlink(vfs.RootOp(), 7)
+			if n < vfs.MaxPathLen {
+				if err != nil || len(target) != n {
+					t.Fatalf("a %d-byte target: %d bytes, %v", n, len(target), err)
+				}
+			} else if vfs.ToErrno(err) != vfs.EIO || target != "" {
+				t.Fatalf("a %d-byte target: %d bytes, %v; want none and EIO", n, len(target), err)
+			}
+			if err := c.Access(vfs.RootOp(), vfs.RootIno, vfs.AccessRead); err != nil {
+				t.Fatalf("the next request failed: %v", err)
 			}
 		})
 	}

@@ -329,3 +329,74 @@ func blockWriteScript(store blobstore.Store, seed int64) error {
 	}
 	return nil
 }
+
+// TestViewPagesSharesWholeBlocks: over a Mem store ViewPages returns the
+// stored bytes of each whole block of a regular file, without counting a
+// Get, and nil for a hole, a short block, a block past the end, a
+// directory and an inode that is not there; a view held across an
+// overwrite of its block keeps the bytes it had. A CAS or Dir store
+// offers no views.
+func TestViewPagesSharesWholeBlocks(t *testing.T) {
+	for name, fs := range backends() {
+		t.Run(name, func(t *testing.T) {
+			c := vfs.NewClient(fs, vfs.Root())
+			data := make([]byte, 4*blockSize+100)
+			sim.NewRand(9).Bytes(data)
+			clear(data[2*blockSize : 3*blockSize])
+			f, err := c.Create("/f", 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			for _, b := range []int{0, 1, 3, 4} { // block 2 stays a hole
+				end := min((b+1)*blockSize, len(data))
+				if _, err := f.WriteAt(data[b*blockSize:end], int64(b*blockSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gets := fs.Store().Stats().Gets
+			var stale [blockSize]byte
+			views := make([]*[blockSize]byte, 6)
+			for i := range views {
+				views[i] = &stale
+			}
+			fs.ViewPages(f.Ino(), 0, views)
+			if got := fs.Store().Stats().Gets; got != gets {
+				t.Fatalf("ViewPages counted %d Gets", got-gets)
+			}
+			for i, v := range views {
+				whole := name == "mem" && (i == 0 || i == 1 || i == 3)
+				if whole != (v != nil) {
+					t.Fatalf("block %d viewed %v, want %v", i, v != nil, whole)
+				}
+				if whole && !bytes.Equal(v[:], data[i*blockSize:(i+1)*blockSize]) {
+					t.Fatalf("block %d's view differs from what was written", i)
+				}
+			}
+			if name != "mem" {
+				return
+			}
+			held := views[1]
+			if _, err := f.WriteAt([]byte("overwritten"), blockSize+7); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(held[:], data[blockSize:2*blockSize]) {
+				t.Fatal("a held view changed when its block was overwritten")
+			}
+			fs.ViewPages(f.Ino(), 1, views[:1])
+			if views[0] == nil || string(views[0][7:18]) != "overwritten" {
+				t.Fatal("the overwritten block's view does not hold the write")
+			}
+			dir, err := c.Stat("/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ino := range []vfs.Ino{dir.Ino, f.Ino() + 100} {
+				views[0] = &stale
+				if fs.ViewPages(ino, 0, views[:1]); views[0] != nil {
+					t.Fatalf("inode %d has a view", ino)
+				}
+			}
+		})
+	}
+}

@@ -52,7 +52,17 @@ type FS struct {
 	used    int64 // materialized data bytes (logical: blockSize per block)
 	cap     int64
 	store   blobstore.Store
+	// views is store when it shares its blobs' bytes (ViewPages).
+	views   viewer
 	logical time.Duration
+}
+
+// viewer is a store whose blobs keep their bytes while held, so a reader
+// may keep them instead of a copy: blobstore.Mem. No other store offers
+// it — CAS.CorruptForTest flips bytes in place, Dir charges the disk on
+// every read, and a fault injector or a cache tier must see each read.
+type viewer interface {
+	View(ref blobstore.Ref) ([]byte, bool)
 }
 
 type inode struct {
@@ -98,6 +108,7 @@ func New(opts Options) *FS {
 	if fs.store == nil {
 		fs.store = blobstore.NewMem()
 	}
+	fs.views, _ = fs.store.(viewer)
 	t := fs.now()
 	fs.inodes[vfs.RootIno] = &inode{
 		attr: vfs.Attr{
@@ -343,6 +354,38 @@ func (fs *FS) readBlock(n *inode, idx int64) ([]byte, error) {
 		return nil, nil
 	}
 	return fs.getBlob(ref)
+}
+
+// ViewPages sets views[i] to the stored bytes of block first+i of the
+// regular file ino when the store shares them (viewer) and the block is
+// whole, a blob of blockSize bytes, and to nil otherwise: a hole, a short
+// block, a file of another type or one no longer there. It is how a page
+// cache right above keeps a clean page as the block it caches instead of
+// a copy. The bytes never change while held, so a holder copies them
+// before writing. It charges nothing, touches no timestamp and counts no
+// read of the store: the page cache read the file before it asked. It
+// takes an inode, not a handle, as the kernel's page cache indexes an
+// inode's mapping, and it is one call for any number of blocks.
+func (fs *FS) ViewPages(ino vfs.Ino, first int64, views []*[blockSize]byte) {
+	clear(views)
+	if fs.views == nil {
+		return
+	}
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	n, ok := fs.inodes[ino]
+	if !ok || n.attr.Type != vfs.TypeRegular {
+		return
+	}
+	for i := range views {
+		ref, ok := n.blocks.Get(first + int64(i))
+		if !ok {
+			continue
+		}
+		if b, ok := fs.views.View(ref); ok && len(b) == blockSize {
+			views[i] = (*[blockSize]byte)(b)
+		}
+	}
 }
 
 // materializeBlock charges capacity for a block seen for the first time

@@ -143,7 +143,9 @@ func (c *Cache) windowSize(f *fileCache, start int64, ahead bool) int64 {
 // caller to serve from until the next fill, which may reuse their
 // storage. It returns no page: the pages of one window are inserted one
 // after another, and under budget pressure a later one may evict an
-// earlier one and take over its memory. Caller holds c.mu.
+// earlier one and take over its memory. A whole page of the window that
+// the backing stores as it was read shares the stored bytes (viewer),
+// found with one call for the window. Caller holds c.mu.
 func (c *Cache) fill(op *vfs.Op, h vfs.Handle, f *fileCache, idx int64, ahead bool) ([]byte, error) {
 	start := idx * PageSize
 	// The read never asks for less than a page, even at the tail of the
@@ -165,13 +167,20 @@ func (c *Cache) fill(op *vfs.Op, h vfs.Handle, f *fileCache, idx int64, ahead bo
 			dirty = append(dirty, k)
 		}
 	}
+	views := c.views(f, idx, int64(n)/PageSize)
 	for k := idx; (k-idx)*PageSize < int64(n); k++ {
 		if f.at(k) != nil || slices.Contains(dirty, k) {
 			continue
 		}
 		lo := (k - idx) * PageSize
-		c.insertPage(f, k, buf[lo:min(lo+PageSize, int64(n))])
+		data := buf[lo:min(lo+PageSize, int64(n))]
+		var view *[PageSize]byte
+		if i := k - idx; i < int64(len(views)) && same(views[i], data) {
+			view = views[i]
+		}
+		c.insertPage(f, k, data, view)
 	}
+	clear(views)
 	return buf[:n], nil
 }
 
@@ -289,7 +298,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 				p = f.at(idx)
 			}
 			if p == nil {
-				p = c.insertPage(f, idx, got)
+				p = c.insertPage(f, idx, got, nil)
 			}
 		}
 		if p != nil {
@@ -356,15 +365,17 @@ func (c *Cache) appendThrough(op *vfs.Op, h vfs.Handle, f *fileCache, off int64,
 }
 
 // wrote is the one bookkeeping step after user bytes have landed at off,
-// in a dirty page or in the backing: cached pages take the new bytes and
-// the cached size grows with them. It runs per chunk, as data lands, so
-// an eviction triggered by the next page's insert does not clamp this
-// page's flush to a stale length. Caller holds c.mu.
+// in a dirty page or in the backing: cached pages take the new bytes, in
+// a buffer of their own (own), and the cached size grows with them. It
+// runs per chunk, as data lands, so an eviction triggered by the next
+// page's insert does not clamp this page's flush to a stale length.
+// Caller holds c.mu.
 func (c *Cache) wrote(f *fileCache, off int64, data []byte) {
 	for done := int64(0); done < int64(len(data)); {
 		pos := off + done
 		chunk := min(PageSize-pos%PageSize, int64(len(data))-done)
 		if p := f.at(pos / PageSize); p != nil {
+			c.own(p)
 			copy(p.data[pos%PageSize:], data[done:done+chunk])
 		}
 		done += chunk
@@ -427,7 +438,10 @@ func (c *Cache) writeOut(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int,
 // dirty pages up to MaxWriteSize, an eviction passes one page. The extent
 // is assembled in wbuf. A failed write leaves its pages clean all the
 // same, as in Linux; the first such error is kept on the file for the
-// next close, fsync or O_SYNC write to report. Caller holds c.mu.
+// next close, fsync or O_SYNC write to report. After a write that
+// succeeded, each page the backing now stores whole and equal shares the
+// stored bytes, and its own buffer goes back to the slab. Caller holds
+// c.mu.
 func (c *Cache) writeBack(f *fileCache, first, last int64) {
 	start := first*PageSize + f.at(first).dirtyLo
 	end := min(last*PageSize+f.at(last).dirtyHi, f.size)
@@ -444,10 +458,22 @@ func (c *Cache) writeBack(f *fileCache, first, last int64) {
 	}
 	c.stats.FlushedExt++
 	c.stats.FlushedB += int64(len(buf))
-	if _, err := c.writeOut(wbOp, f.wbHandle, start, buf); err != nil && f.wbErr == nil {
-		f.wbErr = err
-	}
+	_, err := c.writeOut(wbOp, f.wbHandle, start, buf)
 	scrub(c.wbuf)
+	if err != nil {
+		if f.wbErr == nil {
+			f.wbErr = err
+		}
+		return
+	}
+	views := c.views(f, first, last-first+1)
+	for i, v := range views {
+		if p := f.at(first + int64(i)); !p.shared && same(v, p.data[:]) {
+			release(&c.bufs, p.data, &poisonedPage)
+			p.data, p.shared = v, true
+		}
+	}
+	clear(views)
 }
 
 // flushFileLocked writes out every dirty page of f, in ascending runs of
@@ -646,6 +672,7 @@ func (c *Cache) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.
 			// stale bytes.
 			if attr.Size%PageSize != 0 {
 				if p := f.at(attr.Size / PageSize); p != nil {
+					c.own(p)
 					for i := attr.Size % PageSize; i < PageSize; i++ {
 						p.data[i] = 0
 					}

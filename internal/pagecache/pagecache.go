@@ -28,6 +28,21 @@
 // kernel cuts its inodes, pages and xarray nodes from per-type slab
 // caches. A dirty page carries a mark in its file's index, as
 // PAGECACHE_TAG_DIRTY does, so a flush visits only the dirty pages.
+//
+// Over memfs on its private store (blobstore.Mem) a clean page holds no
+// bytes of its own either: when the block memfs stores for it is whole
+// and equal to the page, the page points at the stored bytes, which Mem
+// never writes or reuses (memfs.FS.ViewPages). A page read in shares them
+// from the start, and a written one from the writeback that stored them,
+// when its buffer goes back to the slab. The first write into a shared
+// page copies it into a buffer of its own (copy-on-write), and dropping
+// it frees nothing. Only the host heap moves: a shared page is charged to
+// the budget as any other, and every read of the backing happens as
+// before. So the simulator keeps one copy of the disk's bytes where it
+// kept two, a page cache over any other backing — the FUSE connection,
+// unionfs, a content-addressed or a fault-injecting store — keeps its
+// copies, and the cache above a FUSE mount still copies out of READ
+// replies, as the kernel does.
 package pagecache
 
 import (
@@ -157,12 +172,24 @@ type Cache struct {
 	// read. Each grows to the largest use so far and nothing larger.
 	wbuf, rbuf []byte
 	// records, pages and bufs are the slabs every file record, page header
-	// and page's bytes come from (see newPage); nodes is the one every
-	// file's index of pages past lowPages cuts its nodes from.
+	// and page's own bytes come from (see insertPage); nodes is the one
+	// every file's index of pages past lowPages cuts its nodes from.
 	records slab.Slab[fileCache]
 	pages   slab.Slab[page]
 	bufs    slab.Slab[[PageSize]byte]
 	nodes   radix.Nodes[*page]
+	// viewer is the backing when it lets a clean page share the bytes it
+	// stores, found once by New; vbuf is the scratch its views land in,
+	// reused under mu as rbuf is.
+	viewer viewer
+	vbuf   []*[PageSize]byte
+}
+
+// viewer is a backing filesystem that shares the bytes it stores for a
+// file's whole pages (memfs.FS.ViewPages): views[i] is page first+i of
+// ino as stored, or nil. A view's bytes never change while held.
+type viewer interface {
+	ViewPages(ino vfs.Ino, first int64, views []*[PageSize]byte)
 }
 
 // poisonScratch is the scratch guard rail's test hook: when set, a
@@ -233,6 +260,8 @@ var wbOp = vfs.RootOp()
 const lowPages = 16
 
 type fileCache struct {
+	// ino is the file's inode number, which the viewer knows it by.
+	ino vfs.Ino
 	// low holds pages 0 to lowPages-1 in place and lowDirty has a bit for
 	// each of them that is dirty; high holds page lowPages+i at i, marked
 	// when dirty; npages counts both. Reach them through at, set, del,
@@ -287,7 +316,11 @@ type openState struct {
 }
 
 type page struct {
-	data *[PageSize]byte
+	// data is the page's bytes: a buffer of the cache's bufs slab, or,
+	// when shared, the bytes the backing stores for the page (viewer),
+	// which are never written through it (own) nor freed with it.
+	data   *[PageSize]byte
+	shared bool
 	// dirty counts the bytes written into the page since it was last
 	// clean — its share of fileCache.dirtyBytes; nonzero means dirty.
 	dirty int64
@@ -414,6 +447,7 @@ func New(backing vfs.FS, clock *sim.Clock, model *sim.CostModel, opts Options) *
 	if opts.MaxWriteSize == 0 {
 		opts.MaxWriteSize = 128 << 10
 	}
+	v, _ := backing.(viewer)
 	return &Cache{
 		backing: backing,
 		clock:   clock,
@@ -421,6 +455,7 @@ func New(backing vfs.FS, clock *sim.Clock, model *sim.CostModel, opts Options) *
 		opts:    opts,
 		files:   make(map[vfs.Ino]*fileCache),
 		opens:   make(map[vfs.Handle]openState),
+		viewer:  v,
 	}
 }
 
@@ -440,36 +475,38 @@ func (c *Cache) file(ino vfs.Ino) *fileCache {
 	f, ok := c.files[ino]
 	if !ok {
 		f = take(&c.records)
+		f.ino = ino
 		c.files[ino] = f
 	}
 	return f
 }
 
-// newPage returns a zeroed page, its header and its bytes each from the
-// cache's slab: the last dropped while the slab keeps any (up to 64),
-// otherwise cut from the slab's current block, which every file's pages
-// share. Blocks double from 1 to 64 pages, so a cache's pages are one heap
-// object per 64 once it has cut 64, and a block lives while any page cut
-// from it is cached or kept. A page is handed out again only once dropped,
-// so nothing may hold a page across an insert.
-func (c *Cache) newPage() *page {
-	p := c.pages.New()
-	p.data = take(&c.bufs)
-	return p
-}
-
 // insertPage caches data, zero-padded to a page, as page idx of f, which
-// must not hold that page yet, evicting under budget pressure. The page is
-// the newest on the list. It returns nil when the budget is exhausted and
-// nothing can be evicted: the caller serves uncached. Caller holds c.mu.
-func (c *Cache) insertPage(f *fileCache, idx int64, data []byte) *page {
+// must not hold that page yet, evicting under budget pressure; with a
+// view, which holds exactly data, the page shares it instead of copying.
+// The page is the newest on the list. It returns nil when the budget is
+// exhausted and nothing can be evicted: the caller serves uncached.
+//
+// The page's header and its own bytes each come from the cache's slab:
+// the last dropped while the slab keeps any (up to 64), otherwise cut
+// from the slab's current block, which every file's pages share. Blocks
+// double from 1 to 64 pages, so a cache's pages are one heap object per
+// 64 once it has cut 64, and a block lives while any page cut from it is
+// cached or kept. A page is handed out again only once dropped, so
+// nothing may hold a page across an insert. Caller holds c.mu.
+func (c *Cache) insertPage(f *fileCache, idx int64, data []byte, view *[PageSize]byte) *page {
 	for !c.opts.Budget.tryCharge(PageSize) {
 		if !c.evictOne() {
 			return nil
 		}
 	}
-	p := c.newPage()
-	copy(p.data[:], data)
+	p := c.pages.New()
+	if view != nil {
+		p.data, p.shared = view, true
+	} else {
+		p.data = take(&c.bufs)
+		copy(p.data[:], data)
+	}
 	f.set(&c.nodes, idx, p)
 	p.f, p.idx, p.prev = f, idx, c.newest
 	if c.newest != nil {
@@ -484,7 +521,8 @@ func (c *Cache) insertPage(f *fileCache, idx int64, data []byte) *page {
 // dropPage removes one cached page from its file and the list and returns
 // its memory to the budget and the slabs: the single page removal behind
 // eviction, truncate, unlink and invalidate. Bytes still dirty are
-// discarded with it. Caller holds c.mu.
+// discarded with it; bytes it shares are the backing's, and stay.
+// Caller holds c.mu.
 func (c *Cache) dropPage(p *page) {
 	p.f.clean(p)
 	p.f.del(&c.nodes, p.idx)
@@ -499,8 +537,43 @@ func (c *Cache) dropPage(p *page) {
 		c.newest = p.prev
 	}
 	c.opts.Budget.release(PageSize)
-	release(&c.bufs, p.data, &poisonedPage)
+	if !p.shared {
+		release(&c.bufs, p.data, &poisonedPage)
+	}
 	c.pages.Free(p)
+}
+
+// own gives a shared page a buffer of its own holding the same bytes
+// before anything is written into it (copy-on-write): the bytes it
+// shared are the backing's and are never written. Caller holds c.mu.
+func (c *Cache) own(p *page) {
+	if p.shared {
+		b := take(&c.bufs)
+		*b = *p.data
+		p.data, p.shared = b, false
+	}
+}
+
+// views returns the viewer's views of n pages of f from first on, in the
+// cache's scratch vbuf, or nil when the backing offers none. The caller
+// clears them once done, so the scratch keeps no stored block alive.
+// Caller holds c.mu.
+func (c *Cache) views(f *fileCache, first, n int64) []*[PageSize]byte {
+	if c.viewer == nil || n <= 0 {
+		return nil
+	}
+	if int64(cap(c.vbuf)) < n {
+		c.vbuf = make([]*[PageSize]byte, n)
+	}
+	v := c.vbuf[:n]
+	c.viewer.ViewPages(f.ino, first, v)
+	return v
+}
+
+// same reports whether view holds exactly data, a whole page: a page
+// shares stored bytes only when they are the bytes it would hold anyway.
+func same(view *[PageSize]byte, data []byte) bool {
+	return view != nil && bytes.Equal(view[:], data)
 }
 
 // evictOne drops the oldest cached page; a dirty one is flushed first.
@@ -559,7 +632,7 @@ func (c *Cache) dropFileLocked(ino vfs.Ino, f *fileCache) {
 		c.dropPage(p)
 	}
 	if open := f.openHandles; open > 0 {
-		*f = fileCache{openHandles: open}
+		*f = fileCache{ino: f.ino, openHandles: open}
 	} else {
 		delete(c.files, ino)
 		release(&c.records, f, &poisonedFile)

@@ -586,10 +586,12 @@ func coherent(t *testing.T, rng *sim.Rand, span int, stacked, writeback bool) bo
 }
 
 // listed checks c's list of pages against its files: each file's count
-// is the pages it holds, exactly its dirty pages carry a dirty mark, and
-// walked from the oldest, the list visits every
-// page a file holds exactly once, each where its file holds it and linked
-// both ways, and no other.
+// is the pages it holds, exactly its dirty pages carry a dirty mark, no
+// page that shares the backing's bytes is dirty, and each equals the
+// block the backing stores for it, unless its file is gone from the
+// backing; and walked from the oldest, the list visits every page a file
+// holds exactly once, each where its file holds it and linked both ways,
+// and no other.
 func listed(c *Cache) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -603,6 +605,9 @@ func listed(c *Cache) error {
 			found++
 			if p.dirty > 0 {
 				dirty++
+			}
+			if err := sharedAsStored(c, ino, idx, p); err != nil {
+				return err
 			}
 		}
 		if found != f.npages {
@@ -640,6 +645,30 @@ func listed(c *Cache) error {
 		return fmt.Errorf("the list has %d entries, the files hold %d pages", n, held)
 	}
 	return nil
+}
+
+// sharedAsStored checks a page that shares the backing's bytes: it is
+// clean, and they are the bytes of the whole block the backing stores for
+// it now, unless the file is gone from the backing. Caller holds c.mu.
+func sharedAsStored(c *Cache, ino vfs.Ino, idx int64, p *page) error {
+	if !p.shared {
+		return nil
+	}
+	if p.dirty > 0 {
+		return fmt.Errorf("inode %d page %d shares the backing's bytes and is dirty", ino, idx)
+	}
+	if c.viewer == nil {
+		return fmt.Errorf("inode %d page %d shares bytes of a backing that offers none", ino, idx)
+	}
+	var stored [1]*[PageSize]byte
+	c.viewer.ViewPages(ino, idx, stored[:])
+	if stored[0] != nil && bytes.Equal(stored[0][:], p.data[:]) {
+		return nil
+	}
+	if _, err := c.backing.Getattr(wbOp, ino); err != nil {
+		return nil // the file is gone, and what it stored with it
+	}
+	return fmt.Errorf("inode %d page %d shares bytes that are not its stored block", ino, idx)
 }
 
 // TestHitRatioConvention pins the ratio helper: 0 with no traffic (not

@@ -162,41 +162,52 @@ func TestFreshPagesAllocBudget(t *testing.T) {
 // TestColdWindowAllocBudget: a cold read of a whole 16-page file through a
 // 128 KiB readahead window is one backing read whose 16 pages are cached
 // together, cut from the cache's slabs: a quarter of a 64-page block of
-// bytes and one of headers, which testing.AllocsPerRun's whole-number
-// average reads as 0. The file holds its first lowPages pages in place, so
-// they cost no tree node. The window itself is read into the cache's scratch
-// buffer, and the file's record was made by its open. Asserts are off
-// under -race.
+// headers, which testing.AllocsPerRun's whole-number average reads as 0.
+// The pages share memfs's stored blocks, so no buffer is cut for them.
+// The file holds its first lowPages pages in place, so they cost no tree
+// node. The window itself is read into the cache's scratch buffer, and
+// the file's record was made by its open. A 256-page file, eight
+// windows, costs its headers' four blocks and under 64 KiB; a cache that
+// copied its pages cut four blocks of buffers more, 1 MiB. Asserts are
+// off under -race.
 func TestColdWindowAllocBudget(t *testing.T) {
-	const runs, pages = 20, 16
-	e := newEnv(t, Options{KeepCache: true, ReadAhead: 128 << 10})
-	below := vfs.NewClient(e.cache.backing, vfs.Root())
-	data := make([]byte, pages*PageSize)
-	files := make([]vfs.File, runs+1)
-	for i := range files {
-		name := fmt.Sprintf("/f%d", i)
-		if err := below.WriteFile(name, data, 0o644); err != nil {
-			t.Fatal(err)
+	const runs, window = 20, 128 << 10
+	for _, tc := range []struct {
+		name  string
+		pages int
+	}{{"cold 16-page window", 16}, {"cold 256-page read over memfs", 256}} {
+		e := newEnv(t, Options{KeepCache: true, ReadAhead: window})
+		below := vfs.NewClient(e.cache.backing, vfs.Root())
+		data := make([]byte, tc.pages*PageSize)
+		files := make([]vfs.File, runs+1)
+		for i := range files {
+			name := fmt.Sprintf("/f%d", i)
+			if err := below.WriteFile(name, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if files[i], err = e.cli.Open(name, vfs.ORdonly, 0); err != nil {
+				t.Fatal(err)
+			}
+			defer files[i].Close()
 		}
-		var err error
-		if files[i], err = e.cli.Open(name, vfs.ORdonly, 0); err != nil {
-			t.Fatal(err)
+		buf := make([]byte, len(data))
+		next := 0
+		objects, bytes := heapCost(runs, func() {
+			if n, err := files[next].ReadAt(buf, 0); n != len(buf) || err != nil {
+				t.Fatal(n, err)
+			}
+			next++
+		})
+		t.Logf("%s: %.0f bytes", tc.name, bytes)
+		if s, windows := e.cache.Stats(), (len(data)+window-1)/window; s.Misses != int64(len(files)*windows) {
+			t.Fatalf("%s: %d misses for %d cold reads, want %d each", tc.name, s.Misses, len(files), windows)
 		}
-		defer files[i].Close()
+		allocs.Check(t, tc.name, objects)
+		if !raceBuild() && bytes > 64<<10 {
+			t.Errorf("%s: %.0f bytes, want at most %d", tc.name, bytes, 64<<10)
+		}
 	}
-	buf := make([]byte, len(data))
-	next := 0
-	objects, bytes := heapCost(runs, func() {
-		if n, err := files[next].ReadAt(buf, 0); n != len(buf) || err != nil {
-			t.Fatal(n, err)
-		}
-		next++
-	})
-	t.Logf("cold %d-page window: %.0f bytes", pages, bytes)
-	if s := e.cache.Stats(); s.Misses != int64(len(files)) {
-		t.Fatalf("%d misses for %d cold reads, want one each", s.Misses, len(files))
-	}
-	allocs.Check(t, "cold 16-page window", objects)
 }
 
 // TestAppendAllocBudget pins what files grown by 4 KiB writes cost the
