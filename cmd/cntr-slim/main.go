@@ -17,7 +17,6 @@ import (
 
 	"cntr/internal/blobstore"
 	"cntr/internal/hubdata"
-	"cntr/internal/sim"
 	"cntr/internal/slim"
 	"cntr/internal/vfs"
 )
@@ -28,20 +27,14 @@ func newStore(backend string) (blobstore.Store, error) {
 		return blobstore.NewCAS(blobstore.CASOptions{}), nil
 	case "mem":
 		return blobstore.NewMem(), nil
-	case "dir":
-		clock := sim.NewClock()
-		model := sim.DefaultCostModel()
-		return blobstore.NewDir(blobstore.DirOptions{
-			Disk: sim.NewDisk(clock, model), Clock: clock, Model: model,
-		}), nil
 	default:
-		return nil, fmt.Errorf("unknown backend %q (want cas, mem or dir)", backend)
+		return nil, fmt.Errorf("unknown backend %q (want cas or mem)", backend)
 	}
 }
 
 func main() {
 	backend := flag.String("backend", "cas",
-		"blob store backing the fleet: cas (content-addressed, dedups), mem (no dedup) or dir (object directory)")
+		"blob store backing the fleet: cas (content-addressed, dedups) or mem (no dedup)")
 	flag.Parse()
 
 	store, err := newStore(*backend)

@@ -1,13 +1,10 @@
 // Package blobstore is the pluggable backend store layer under the VFS:
 // file content lives in a Store as immutable, reference-counted blobs
-// instead of private page maps inside each filesystem. Three backends
+// instead of private page maps inside each filesystem. Two backends
 // implement the interface:
 //
 //   - Mem: map-backed private blobs, one per Put — the behaviour memfs
 //     had when every inode owned its pages.
-//   - Dir: an on-disk object directory (objects/<xx>/<hash>) whose I/O
-//     is costed through internal/sim's clock and disk model, so it stays
-//     deterministic and benchmarkable.
 //   - CAS: a content-addressed chunk store — blobs are SHA-256
 //     addressed and deduplicated, so identical content written by any
 //     number of files, images or layers is stored once.

@@ -7,18 +7,13 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-
-	"cntr/internal/sim"
 )
 
 // stores returns one fresh instance of every backend, keyed by name.
 func stores() map[string]Store {
-	clock := sim.NewClock()
-	model := sim.DefaultCostModel()
 	return map[string]Store{
 		"mem": NewMem(),
 		"cas": NewCAS(CASOptions{}),
-		"dir": NewDir(DirOptions{Disk: sim.NewDisk(clock, model), Clock: clock, Model: model}),
 	}
 }
 
@@ -92,11 +87,8 @@ func TestPutCopies(t *testing.T) {
 // TestDedup checks the core content-addressing invariant on the deduping
 // backends: identical content stored once, logical/physical stats apart.
 func TestDedup(t *testing.T) {
-	clock := sim.NewClock()
-	model := sim.DefaultCostModel()
 	for name, s := range map[string]Store{
 		"cas": NewCAS(CASOptions{}),
-		"dir": NewDir(DirOptions{Disk: sim.NewDisk(clock, model)}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			data := bytes.Repeat([]byte("z"), 4096)
@@ -195,30 +187,6 @@ func TestCASVerifyCorrupt(t *testing.T) {
 	}
 }
 
-func TestDirDiskCharge(t *testing.T) {
-	clock := sim.NewClock()
-	model := sim.DefaultCostModel()
-	disk := sim.NewDisk(clock, model)
-	s := NewDir(DirOptions{Disk: disk, Clock: clock, Model: model})
-
-	t0 := clock.Now()
-	ref, _ := s.Put(bytes.Repeat([]byte("d"), 1<<20))
-	t1 := clock.Now()
-	if t1 == t0 {
-		t.Fatal("new object must charge a disk write")
-	}
-	// A duplicate Put stores nothing and must not pay the transfer.
-	s.Put(bytes.Repeat([]byte("d"), 1<<20))
-	t2 := clock.Now()
-	if t2-t1 >= t1-t0 {
-		t.Fatalf("duplicate Put paid full write: first=%v dup=%v", t1-t0, t2-t1)
-	}
-	s.Get(ref)
-	if clock.Now() == t2 {
-		t.Fatal("Get must charge a disk read")
-	}
-}
-
 func TestConcurrentPutGet(t *testing.T) {
 	for name, s := range stores() {
 		t.Run(name, func(t *testing.T) {
@@ -312,7 +280,6 @@ func TestDedupRatioEmpty(t *testing.T) {
 	}
 	for name, s := range map[string]Store{
 		"mem": NewMem(),
-		"dir": NewDir(DirOptions{}),
 		"cas": NewCAS(CASOptions{}),
 	} {
 		if r := s.Stats().DedupRatio(); r != 1.0 {

@@ -15,13 +15,9 @@ import (
 // The core behaviour suite below must pass identically on all of them:
 // the store is a storage detail, never a semantic one.
 func backends() map[string]*FS {
-	clock := sim.NewClock()
-	model := sim.DefaultCostModel()
 	return map[string]*FS{
 		"mem": New(Options{Store: blobstore.NewMem()}),
 		"cas": New(Options{Store: blobstore.NewCAS(blobstore.CASOptions{})}),
-		"dir": New(Options{Store: blobstore.NewDir(blobstore.DirOptions{
-			Disk: sim.NewDisk(clock, model), Clock: clock, Model: model})}),
 	}
 }
 
@@ -334,8 +330,8 @@ func blockWriteScript(store blobstore.Store, seed int64) error {
 // stored bytes of each whole block of a regular file, without counting a
 // Get, and nil for a hole, a short block, a block past the end, a
 // directory and an inode that is not there; a view held across an
-// overwrite of its block keeps the bytes it had. A CAS or Dir store
-// offers no views.
+// overwrite of its block keeps the bytes it had. A CAS store offers
+// no views.
 func TestViewPagesSharesWholeBlocks(t *testing.T) {
 	for name, fs := range backends() {
 		t.Run(name, func(t *testing.T) {

@@ -59,8 +59,8 @@ type FS struct {
 
 // viewer is a store whose blobs keep their bytes while held, so a reader
 // may keep them instead of a copy: blobstore.Mem. No other store offers
-// it — CAS.CorruptForTest flips bytes in place, Dir charges the disk on
-// every read, and a fault injector or a cache tier must see each read.
+// it — CAS.CorruptForTest flips bytes in place, and a fault injector or
+// a cache tier must see each read.
 type viewer interface {
 	View(ref blobstore.Ref) ([]byte, bool)
 }

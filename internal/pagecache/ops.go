@@ -438,10 +438,11 @@ func (c *Cache) writeOut(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int,
 // dirty pages up to MaxWriteSize, an eviction passes one page. The extent
 // is assembled in wbuf. A failed write leaves its pages clean all the
 // same, as in Linux; the first such error is kept on the file for the
-// next close, fsync or O_SYNC write to report. After a write that
-// succeeded, each page the backing now stores whole and equal shares the
-// stored bytes, and its own buffer goes back to the slab. Caller holds
-// c.mu.
+// next close, fsync or O_SYNC write to report. A write the backing cut
+// short without an error ran out of room, as a short write(2) does, and
+// is reported as ENOSPC. After a write that succeeded, each page the
+// backing now stores whole and equal shares the stored bytes, and its own
+// buffer goes back to the slab. Caller holds c.mu.
 func (c *Cache) writeBack(f *fileCache, first, last int64) {
 	start := first*PageSize + f.at(first).dirtyLo
 	end := min(last*PageSize+f.at(last).dirtyHi, f.size)
@@ -458,8 +459,11 @@ func (c *Cache) writeBack(f *fileCache, first, last int64) {
 	}
 	c.stats.FlushedExt++
 	c.stats.FlushedB += int64(len(buf))
-	_, err := c.writeOut(wbOp, f.wbHandle, start, buf)
+	n, err := c.writeOut(wbOp, f.wbHandle, start, buf)
 	scrub(c.wbuf)
+	if err == nil && n < len(buf) {
+		err = vfs.ENOSPC
+	}
 	if err != nil {
 		if f.wbErr == nil {
 			f.wbErr = err

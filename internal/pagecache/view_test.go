@@ -120,21 +120,23 @@ func (s *viewSide) sharedPages() int {
 
 // viewStep is one step of a differential program: what it does to which
 // file, and doing it on one side, which returns what the step observed.
+// A scripted step may also name what both sides must observe.
 type viewStep struct {
 	what string
 	file int
 	do   func(s *viewSide, i int) string
+	want string
 }
 
 func viewWrite(i int, off int64, data []byte) viewStep {
-	return viewStep{fmt.Sprintf("write %d@%d", len(data), off), i, func(s *viewSide, i int) string {
+	return viewStep{what: fmt.Sprintf("write %d@%d", len(data), off), file: i, do: func(s *viewSide, i int) string {
 		n, err := s.files[i].WriteAt(data, off)
 		return fmt.Sprint(n, vfs.ToErrno(err))
 	}}
 }
 
 func viewRead(i int, off int64, n int) viewStep {
-	return viewStep{fmt.Sprintf("read %d@%d", n, off), i, func(s *viewSide, i int) string {
+	return viewStep{what: fmt.Sprintf("read %d@%d", n, off), file: i, do: func(s *viewSide, i int) string {
 		b := make([]byte, n)
 		got, err := s.files[i].ReadAt(b, off)
 		return fmt.Sprint(got, vfs.ToErrno(err), b[:got])
@@ -142,7 +144,7 @@ func viewRead(i int, off int64, n int) viewStep {
 }
 
 func viewErr(what string, i int, do func(s *viewSide, i int) error) viewStep {
-	return viewStep{what, i, func(s *viewSide, i int) string { return fmt.Sprint(vfs.ToErrno(do(s, i))) }}
+	return viewStep{what: what, file: i, do: func(s *viewSide, i int) string { return fmt.Sprint(vfs.ToErrno(do(s, i))) }}
 }
 
 func viewTruncate(i int, size int64) viewStep {
@@ -187,16 +189,19 @@ func randomViewStep(rng *sim.Rand) viewStep {
 // shortWritebackProgram runs a writeback out of space part way: /a holds
 // blocks 0 and 2 around a hole, /b fills the rest of memfs, and pages 0
 // to 2 of /a are written again and fsynced. memfs stores block 0, has no
-// room for block 1 and reports the first page written, so page 2 is
-// clean in the cache and holds bytes memfs never stored: it must keep
-// them, not share the stored block's older bytes, as the read after it
-// shows.
+// room for block 1 and reports the first page written, so the fsync
+// reports ENOSPC, and page 2 is clean in the cache and holds bytes memfs
+// never stored. A byte written into page 2 and fsynced then fits: page 2
+// must keep its bytes, not share the stored block's older ones, as the
+// read after it shows.
 func shortWritebackProgram() []viewStep {
 	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, PageSize) }
 	fill := make([]byte, 38*PageSize)
 	for k := range fill {
 		fill[k] = byte(k / PageSize)
 	}
+	outOfRoom := viewFsync(0)
+	outOfRoom.want = vfs.ENOSPC.Error()
 	return []viewStep{
 		viewWrite(0, 0, page('o')),
 		viewWrite(0, 2*PageSize, page('o')),
@@ -204,6 +209,9 @@ func shortWritebackProgram() []viewStep {
 		viewWrite(1, 0, fill),
 		viewFsync(1),
 		viewWrite(0, 0, bytes.Repeat([]byte{'n'}, 3*PageSize)),
+		outOfRoom,
+		viewRead(0, 0, 3*PageSize),
+		viewWrite(0, 2*PageSize+5, []byte{'x'}),
 		viewFsync(0),
 		viewRead(0, 0, 3*PageSize),
 	}
@@ -218,7 +226,8 @@ func shortWritebackProgram() []viewStep {
 // bytes read through a second handle, the cache's counters and the
 // virtual clock are equal on the two sides, and listed holds for both
 // caches: no shared page is dirty, and each is its stored block. The
-// programs are seeded, and shortWritebackProgram, a writeback cut short.
+// programs are seeded, and shortWritebackProgram, a writeback cut short,
+// whose fsync must report ENOSPC.
 func TestViewDifferential(t *testing.T) {
 	const seeds, steps = 24, 150
 	shared := 0
@@ -231,8 +240,12 @@ func TestViewDifferential(t *testing.T) {
 				return
 			}
 			at := fmt.Sprintf("%s step %d, %s of %s", name, step, st.what, viewFiles[st.file])
-			if a, b := st.do(views, st.file), st.do(copies, st.file); a != b {
+			a, b := st.do(views, st.file), st.do(copies, st.file)
+			if a != b {
 				t.Fatalf("%s: %.200s with views, %.200s without", at, a, b)
+			}
+			if st.want != "" && a != st.want {
+				t.Fatalf("%s: %.200s on both sides, want %s", at, a, st.want)
 			}
 			for j := range viewFiles {
 				a, ea := views.stored(j)

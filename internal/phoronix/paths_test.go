@@ -25,10 +25,9 @@ func runNative(b *Benchmark) error {
 // collector is off, so no pool the client recycles through is emptied
 // midway. The pins are ceilings: a pool is per P, and memfs's inode map
 // rehashes where its hash seed says, so a row's count moves by a few
-// objects between runs (Meta-Storm 121–130, Compilebench: Read 101–102,
-// Dbench 54–55 over 1 200 runs at -cpu 1,4; Dbench read 35 in each of 30
-// once a page over memfs shared its stored block); each ceiling is about
-// a tenth above the largest, where one path formatted per Meta-Storm pass
+// objects between runs (Meta-Storm 121–124, Compilebench: Read 41–48 and
+// Dbench 35 over 30 runs at each of -cpu 1,4); each ceiling is about a
+// tenth above the largest, where one path formatted per Meta-Storm pass
 // would add 240.
 func TestRowRunAllocBudget(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -5,58 +5,18 @@ import (
 	"slices"
 	"testing"
 
-	"cntr/internal/fuse"
-	"cntr/internal/memfs"
 	"cntr/internal/sim"
-	"cntr/internal/unionfs"
 	"cntr/internal/vfs"
 )
 
-// cookieLane is one stack the cookie programs run on: build returns the
-// top of a fresh stack whose /d holds files, made in name order.
-type cookieLane struct {
-	name  string
-	build func(t *testing.T, files []string) vfs.FS
-}
-
-func cookieLanes() []cookieLane {
-	cntr := func(mount fuse.MountOptions) func(*testing.T, []string) vfs.FS {
-		return func(t *testing.T, files []string) vfs.FS {
-			c := NewCntr(Config{Mount: mount})
-			t.Cleanup(c.Close)
-			seedDir(t, c.Top, files)
-			return c.Top
-		}
-	}
-	return []cookieLane{
-		{"native", func(t *testing.T, files []string) vfs.FS {
-			n := NewNative(Config{})
-			seedDir(t, n.Top, files)
-			return n.Top
-		}},
-		{"cntr default", cntr(fuse.DefaultMountOptions())},
-		{"cntr paper", cntr(fuse.PaperMountOptions())},
-		// The files are in the union's lower layer, so each unlink is a
-		// whiteout in the upper, and with NoOpendir every READDIR is a
-		// fresh union handle: only a cookie that names an entry across
-		// handles resumes the listing.
-		{"unionfs lower under cntr", func(t *testing.T, files []string) vfs.FS {
-			lower := memfs.New(memfs.Options{})
-			seedDir(t, lower, files)
-			m := NewMount(unionfs.NewWith(unionfs.Options{}, lower), sim.NewClock(), sim.DefaultCostModel(), Config{})
-			t.Cleanup(m.Close)
-			return m.Kernel
-		}},
-	}
-}
-
-func seedDir(t *testing.T, fs vfs.FS, files []string) {
-	t.Helper()
-	cli := vfs.NewClient(fs, vfs.Root())
+// cookieStart makes the 100 files both cookie programs start from in /d,
+// in name order, beneath the stack.
+func cookieStart(t *testing.T, e *env, _ uint64) {
+	cli := vfs.NewClient(e.base, vfs.Root())
 	if err := cli.Mkdir("/d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range files {
+	for _, f := range cookieNames(100) {
 		if err := cli.WriteFile("/d/"+f, []byte(f), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -110,18 +70,17 @@ func cookieNames(n int) []string {
 // records at a time, each unlinked as it is listed. It returns the order
 // it removed them in; /d must then be empty. With a cookie that was a
 // position in the listing, 48 files were left on every lane.
-func rmListing(t *testing.T, top vfs.FS) string {
-	cli := vfs.NewClient(top, vfs.Root())
+func rmListing(t *testing.T, e *env, _ *sim.Rand) string {
 	var removed []string
-	listPaged(t, top, func(page []vfs.Dirent) {
-		for _, e := range page {
-			if err := cli.Remove("/d/" + e.Name); err != nil {
+	listPaged(t, e.top, func(page []vfs.Dirent) {
+		for _, d := range page {
+			if err := e.root.Remove("/d/" + d.Name); err != nil {
 				t.Fatal(err)
 			}
-			removed = append(removed, e.Name)
+			removed = append(removed, d.Name)
 		}
 	})
-	left, err := cli.ReadDir("/d")
+	left, err := e.root.ReadDir("/d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +96,8 @@ func rmListing(t *testing.T, top vfs.FS) string {
 // untouched when the listing began is listed exactly once. A listing of
 // the result then holds every live name once, under strictly increasing
 // cookies: a cookie the directory gave before is never given again.
-func createListing(t *testing.T, top vfs.FS) string {
-	cli := vfs.NewClient(top, vfs.Root())
+func createListing(t *testing.T, e *env, _ *sim.Rand) string {
+	cli := e.root
 	seen := map[string]int{}
 	var transcript []string
 	made := 0
@@ -146,10 +105,10 @@ func createListing(t *testing.T, top vfs.FS) string {
 	for _, f := range cookieNames(100) {
 		live[f] = true
 	}
-	listPaged(t, top, func(page []vfs.Dirent) {
-		for _, e := range page {
-			seen[e.Name]++
-			transcript = append(transcript, e.Name)
+	listPaged(t, e.top, func(page []vfs.Dirent) {
+		for _, d := range page {
+			seen[d.Name]++
+			transcript = append(transcript, d.Name)
 		}
 		if made == 20 {
 			return
@@ -173,42 +132,18 @@ func createListing(t *testing.T, top vfs.FS) string {
 		}
 	}
 	var after []vfs.Dirent
-	listPaged(t, top, func(page []vfs.Dirent) { after = append(after, page...) })
-	for i, e := range after {
-		if i > 0 && e.Off <= after[i-1].Off {
-			t.Errorf("%s after %s: cookie %d after %d", e.Name, after[i-1].Name, e.Off, after[i-1].Off)
+	listPaged(t, e.top, func(page []vfs.Dirent) { after = append(after, page...) })
+	for i, d := range after {
+		if i > 0 && d.Off <= after[i-1].Off {
+			t.Errorf("%s after %s: cookie %d after %d", d.Name, after[i-1].Name, d.Off, after[i-1].Off)
 		}
-		if !live[e.Name] {
-			t.Errorf("%s listed, not live (or listed twice)", e.Name)
+		if !live[d.Name] {
+			t.Errorf("%s listed, not live (or listed twice)", d.Name)
 		}
-		delete(live, e.Name)
+		delete(live, d.Name)
 	}
 	if len(live) != 0 {
 		t.Errorf("%d live names not listed", len(live))
 	}
 	return fmt.Sprint(transcript, len(after))
-}
-
-// TestReaddirCookieDifferential runs both cookie programs on every lane:
-// what each lists must be the native stack's, and neither may lose or
-// repeat an entry.
-func TestReaddirCookieDifferential(t *testing.T) {
-	for _, prog := range []struct {
-		name string
-		run  func(*testing.T, vfs.FS) string
-	}{{"rm -r", rmListing}, {"create while listing", createListing}} {
-		t.Run(prog.name, func(t *testing.T) {
-			var want string
-			for _, lane := range cookieLanes() {
-				t.Run(lane.name, func(t *testing.T) {
-					got := prog.run(t, lane.build(t, cookieNames(100)))
-					if want == "" {
-						want = got
-					} else if got != want {
-						t.Errorf("lists\n %s\nnative lists\n %s", got, want)
-					}
-				})
-			}
-		})
-	}
 }

@@ -1,26 +1,13 @@
 package stack
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"hash/crc32"
 	"testing"
 
-	"cntr/internal/fuse"
-	"cntr/internal/memfs"
 	"cntr/internal/sim"
 	"cntr/internal/vfs"
 )
-
-// maxPagesEnv is one side of TestMaxPagesDifferential: a CntrFS stack or,
-// as the reference, a bare memfs (c is nil), and the handles the program
-// holds open on it.
-type maxPagesEnv struct {
-	c     *Cntr
-	host  *memfs.FS
-	cli   *vfs.Client
-	files [3]*vfs.File
-}
 
 var maxPagesNames = []string{"/a", "/b"}
 
@@ -31,17 +18,6 @@ var maxPagesPattern = func() []byte {
 	sim.NewRand(1).Bytes(b)
 	return b
 }()
-
-func newMaxPagesEnv(mount *fuse.MountOptions) *maxPagesEnv {
-	e := &maxPagesEnv{host: memfs.New(memfs.Options{})}
-	var top vfs.FS = e.host
-	if mount != nil {
-		e.c = NewCntr(Config{Mount: *mount})
-		e.host, top = e.c.Host, e.c.Top
-	}
-	e.cli = vfs.NewClient(top, vfs.Root())
-	return e
-}
 
 // maxPagesSize is a write size from 1 B to 3 MiB, weighted to either side
 // of the two lanes' MaxWrite (128 KiB and 1 MiB).
@@ -69,11 +45,12 @@ func maxPagesOffset(rng *sim.Rand) int64 {
 	return int64(rng.Intn(1024))<<12 + []int64{0, 1, 2048, 4095}[rng.Intn(4)]
 }
 
-// step runs the program's next operation and renders what the caller saw.
-// An operation on a handle finds one: on an empty slot it opens one.
-func (e *maxPagesEnv) step(rng *sim.Rand) string {
+// maxPagesStep runs the program's next operation, on one of three handle
+// slots, and renders what the caller saw. An operation on a handle finds
+// one: on an empty slot it opens one.
+func maxPagesStep(_ *testing.T, e *env, rng *sim.Rand) string {
 	name := maxPagesNames[rng.Intn(len(maxPagesNames))]
-	slot := rng.Intn(len(e.files))
+	slot := rng.Intn(3)
 	f := e.files[slot]
 	k := rng.Intn(20)
 	if f == nil && (k < 12 || k >= 16) {
@@ -81,7 +58,7 @@ func (e *maxPagesEnv) step(rng *sim.Rand) string {
 			vfs.ORdwr | vfs.OCreat, vfs.OWronly | vfs.OCreat | vfs.OAppend,
 			vfs.ORdwr | vfs.OCreat | vfs.OSync, vfs.OWronly | vfs.OCreat | vfs.OTrunc,
 		}[rng.Intn(4)]
-		nf, err := e.cli.Open(name, flags, 0o644)
+		nf, err := e.root.Open(name, flags, 0o644)
 		if err == nil {
 			e.files[slot] = &nf
 		}
@@ -100,10 +77,10 @@ func (e *maxPagesEnv) step(rng *sim.Rand) string {
 		n, err := f.WriteAt(data, off)
 		return fmt.Sprintf("write %d %d@%d: %d %v", slot, len(data), off, n, err)
 	case k < 14:
-		got, err := e.cli.ReadFile(name)
+		got, err := e.root.ReadFile(name)
 		return fmt.Sprintf("readfile %s: %d %08x %v", name, len(got), crc32.ChecksumIEEE(got), err)
 	case k < 16 && f == nil:
-		attr, err := e.cli.Stat(name)
+		attr, err := e.root.Stat(name)
 		return fmt.Sprintf("stat %s: %d %v", name, attr.Size, err)
 	case k < 16:
 		attr, err := f.Stat()
@@ -113,76 +90,5 @@ func (e *maxPagesEnv) step(rng *sim.Rand) string {
 		return fmt.Sprintf("ftruncate %d %d: %v", slot, size, f.Truncate(size))
 	default:
 		return fmt.Sprintf("fsync %d: %v", slot, f.Sync())
-	}
-}
-
-// finish closes every handle, syncs both caches and renders the digest of
-// what the host filesystem itself ends up holding.
-func (e *maxPagesEnv) finish(t *testing.T) string {
-	out := ""
-	for slot, f := range e.files {
-		if f != nil {
-			out += fmt.Sprintf("close %d: %v; ", slot, f.Close())
-		}
-	}
-	if e.c != nil {
-		defer e.c.Close()
-		if err := e.c.Kernel.SyncFS(); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.c.HostPC.SyncFS(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	host := vfs.NewClient(e.host, vfs.Root())
-	for _, name := range maxPagesNames {
-		got, err := host.ReadFile(name)
-		out += fmt.Sprintf("%s: %d %x %v; ", name, len(got), sha256.Sum256(got), err)
-	}
-	return out
-}
-
-// TestMaxPagesDifferential is the oracle for the default mount's 1 MiB
-// MaxWrite (FUSE_MAX_PAGES): the same seeded program — writes of 1 B to
-// 3 MiB at page-straddling offsets, through O_APPEND, O_SYNC and O_TRUNC
-// handles, with ftruncates, fsyncs, stats and read-backs between them —
-// runs on the default stack, on the default stack at the paper's 128 KiB,
-// on the default stack written through (where a write(2) larger than
-// MaxWrite is split by the connection, not by writeback) and on bare
-// memfs. How many frames a write takes may change what it costs, never
-// what it does: every count, errno, byte read back and size, and the
-// digest of what the host filesystem holds after a sync, must be equal.
-func TestMaxPagesDifferential(t *testing.T) {
-	seeds := uint64(12)
-	if testing.Short() || raceBuild() {
-		seeds = 4
-	}
-	large, small, through := fuse.DefaultMountOptions(), fuse.DefaultMountOptions(), fuse.DefaultMountOptions()
-	small.MaxWrite = fuse.PaperMountOptions().MaxWrite
-	through.WritebackCache = false
-	sides := []struct {
-		name  string
-		mount *fuse.MountOptions
-	}{{"1 MiB writes", &large}, {"128 KiB writes", &small}, {"1 MiB write-through", &through}, {"bare memfs", nil}}
-	const ops = 40
-	for seed := uint64(1); seed <= seeds; seed++ {
-		envs, rngs := make([]*maxPagesEnv, len(sides)), make([]*sim.Rand, len(sides))
-		for k, s := range sides {
-			envs[k], rngs[k] = newMaxPagesEnv(s.mount), sim.NewRand(seed)
-		}
-		for i := 0; i <= ops; i++ {
-			step := func(k int) string {
-				if i == ops {
-					return envs[k].finish(t)
-				}
-				return envs[k].step(rngs[k])
-			}
-			a := step(0)
-			for k := 1; k < len(sides); k++ {
-				if b := step(k); a != b {
-					t.Fatalf("seed %d op %d:\n %s: %s\n %s: %s", seed, i, sides[0].name, a, sides[k].name, b)
-				}
-			}
-		}
 	}
 }

@@ -69,23 +69,16 @@ func TestCntrSlowerThanNativeForColdLookups(t *testing.T) {
 		}
 	}
 
-	n := NewNative(Config{})
-	prepare(n.Top)
-	start := n.Clock.Now()
-	scan(n.Top)
-	nativeTime := n.Clock.Now() - start
-
-	mount := fuse.DefaultMountOptions()
-	mount.EntryTimeout = 0 // cold dentry cache, like a fresh tree scan
-	mount.AttrTimeout = 0
-	c := NewCntr(Config{Mount: mount})
-	defer c.Close()
-	prepare(c.Top)
-	start = c.Clock.Now()
-	scan(c.Top)
-	cntrTime := c.Clock.Now() - start
-
-	ratio := float64(cntrTime) / float64(nativeTime)
+	elapsed := func(s side) time.Duration {
+		e := newEnv(s)
+		defer e.close()
+		prepare(e.top)
+		start := e.clock.Now()
+		scan(e.top)
+		return e.clock.Now() - start
+	}
+	cold := mountWith(func(m *fuse.MountOptions) { m.EntryTimeout, m.AttrTimeout = 0, 0 }) // like a fresh tree scan
+	ratio := float64(elapsed(side{cfg: Config{Mount: cold}})) / float64(elapsed(side{ref: nativeStack}))
 	if ratio < 2 {
 		t.Fatalf("cold metadata scan ratio = %.2f, want >= 2 (paper: up to 13.3x)", ratio)
 	}
@@ -94,13 +87,14 @@ func TestCntrSlowerThanNativeForColdLookups(t *testing.T) {
 func TestCntrWritebackCanBeatNativeForUnsyncedWrites(t *testing.T) {
 	// FIO-like pattern: many medium random writes, no fsync. The deeper
 	// FUSE writeback window batches disk traffic better (paper: 0.2x).
-	workload := func(top vfs.FS) {
-		cli := vfs.NewClient(top, vfs.Root())
-		f, err := cli.Open("/data", vfs.ORdwr|vfs.OCreat, 0o644)
+	elapsed := func(s side) time.Duration {
+		e := newEnv(s)
+		defer e.close()
+		start := e.clock.Now()
+		f, err := e.root.Open("/data", vfs.ORdwr|vfs.OCreat, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer f.Close()
 		buf := make([]byte, 140<<10)
 		for i := 0; i < 60; i++ {
 			off := int64(i%7) * (1 << 20)
@@ -108,19 +102,10 @@ func TestCntrWritebackCanBeatNativeForUnsyncedWrites(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		f.Close() // the mount's close writes its dirty pages back
+		return e.clock.Now() - start
 	}
-	n := NewNative(Config{})
-	start := n.Clock.Now()
-	workload(n.Top)
-	nativeTime := n.Clock.Now() - start
-
-	c := NewCntr(Config{})
-	defer c.Close()
-	start = c.Clock.Now()
-	workload(c.Top)
-	cntrTime := c.Clock.Now() - start
-
-	if float64(cntrTime) > 0.9*float64(nativeTime) {
+	if cntrTime, nativeTime := elapsed(side{}), elapsed(side{ref: nativeStack}); float64(cntrTime) > 0.9*float64(nativeTime) {
 		t.Fatalf("unsynced write-heavy load: cntr %v should beat native %v", cntrTime, nativeTime)
 	}
 }
@@ -276,10 +261,10 @@ func TestHardlinkDedupLookupCost(t *testing.T) {
 // nor CAP_FOWNER — so a binary that was modified does not keep the
 // privileges it was granted. Same page-cache code on both stacks.
 func TestWriteDropsFileCapabilities(t *testing.T) {
-	c := NewCntr(Config{})
-	defer c.Close()
-	for name, top := range map[string]vfs.FS{"native": NewNative(Config{}).Top, "cntr": c.Top} {
-		root := vfs.NewClient(top, vfs.Root())
+	for _, s := range []side{{name: "native", ref: nativeStack}, {name: "cntr"}} {
+		e := newEnv(s)
+		defer e.close()
+		name, top, root := s.name, e.top, e.root
 		if err := root.WriteFile("/bin", []byte("#!"), 0o666); err != nil {
 			t.Fatal(name, err)
 		}
@@ -294,7 +279,7 @@ func TestWriteDropsFileCapabilities(t *testing.T) {
 		if got, err := top.Getxattr(vfs.RootOp(), attr.Ino, vfs.XattrSecurityCapability); err != nil || !bytes.Equal(got, caps) {
 			t.Fatalf("%s: capabilities before the write: %v, %v", name, got, err)
 		}
-		f, err := vfs.NewClient(top, vfs.User(1000, 1000)).Open("/bin", vfs.OWronly, 0)
+		f, err := e.user.Open("/bin", vfs.OWronly, 0)
 		if err != nil {
 			t.Fatal(name, err)
 		}
@@ -311,15 +296,12 @@ func TestWriteDropsFileCapabilities(t *testing.T) {
 // TestRenameOntoOtherLink: renaming one hard link onto another of the same
 // inode leaves both names and a link count of 2, as Linux does, through
 // the kernel's dentry and attribute caches on both stacks and in the
-// filesystem beneath CntrFS.
+// filesystem beneath them.
 func TestRenameOntoOtherLink(t *testing.T) {
-	c := NewCntr(Config{})
-	defer c.Close()
-	for _, s := range []struct {
-		name string
-		top  vfs.FS
-	}{{"native", NewNative(Config{}).Top}, {"cntr", c.Top}} {
-		cli := vfs.NewClient(s.top, vfs.Root())
+	for _, s := range []side{{name: "native", ref: nativeStack}, {name: "cntr"}} {
+		e := newEnv(s)
+		defer e.close()
+		cli := e.root
 		if err := cli.WriteFile("/a", []byte("v"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -329,11 +311,7 @@ func TestRenameOntoOtherLink(t *testing.T) {
 		if err := cli.Rename("/a", "/b"); err != nil {
 			t.Fatalf("%s: %v", s.name, err)
 		}
-		views := []*vfs.Client{cli}
-		if s.name == "cntr" {
-			views = append(views, vfs.NewClient(c.Host, vfs.Root()))
-		}
-		for _, v := range views {
+		for _, v := range []*vfs.Client{cli, vfs.NewClient(e.host, vfs.Root())} {
 			for _, name := range []string{"/a", "/b"} {
 				if st, err := v.Stat(name); err != nil || st.Nlink != 2 {
 					t.Fatalf("%s: %s after the rename: nlink %d, %v; want 2", s.name, name, st.Nlink, err)
@@ -349,14 +327,11 @@ func TestRenameOntoOtherLink(t *testing.T) {
 // directly, as a hostile FUSE frame hands it to CntrFS's server, is
 // refused by memfs.
 func TestPathMax(t *testing.T) {
-	c := NewCntr(Config{})
-	defer c.Close()
 	longest := strings.Repeat("/", vfs.MaxPathLen-2) + "f" // resolves to /f
-	for _, s := range []struct {
-		name string
-		top  vfs.FS
-	}{{"native", NewNative(Config{}).Top}, {"cntr", c.Top}} {
-		cli := vfs.NewClient(s.top, vfs.Root())
+	for _, s := range []side{{name: "native", ref: nativeStack}, {name: "cntr"}} {
+		e := newEnv(s)
+		defer e.close()
+		cli := e.root
 		if err := cli.WriteFile(longest, []byte("v"), 0o644); err != nil {
 			t.Fatalf("%s: writing a path of %d bytes: %v", s.name, len(longest), err)
 		}
@@ -373,7 +348,7 @@ func TestPathMax(t *testing.T) {
 		if err := cli.Symlink(target+"t", "/m"); vfs.ToErrno(err) != vfs.ENAMETOOLONG {
 			t.Fatalf("%s: symlink to a target of %d bytes: %v, want ENAMETOOLONG", s.name, len(target)+1, err)
 		}
-		if _, err := s.top.Symlink(vfs.RootOp(), vfs.RootIno, "m", target+"t"); vfs.ToErrno(err) != vfs.ENAMETOOLONG {
+		if _, err := e.top.Symlink(vfs.RootOp(), vfs.RootIno, "m", target+"t"); vfs.ToErrno(err) != vfs.ENAMETOOLONG {
 			t.Fatalf("%s: the filesystem's symlink to a target of %d bytes: %v, want ENAMETOOLONG", s.name, len(target)+1, err)
 		}
 		if _, err := cli.Lstat("/m"); vfs.ToErrno(err) != vfs.ENOENT {

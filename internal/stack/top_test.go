@@ -88,24 +88,16 @@ func TestTopStatAllocBudget(t *testing.T) {
 	for i := range newNames {
 		newNames[i] = fmt.Sprintf("/d/new%d", i)
 	}
-	for _, st := range []struct {
-		name string
-		top  func(t *testing.T) vfs.FS
-	}{
-		{"native", func(t *testing.T) vfs.FS { return NewNative(Config{}).Top }},
-		{"cntr", func(t *testing.T) vfs.FS {
-			c := NewCntr(Config{})
-			t.Cleanup(c.Close)
-			return c.Top
-		}},
-	} {
+	for _, s := range []side{{name: "native", ref: nativeStack}, {name: "cntr"}} {
 		for _, chained := range []bool{false, true} {
-			name := st.name
+			name := s.name
 			if chained {
 				name += "/chained"
 			}
 			t.Run(name, func(t *testing.T) {
-				top := st.top(t)
+				e := newEnv(s)
+				defer e.close()
+				top := e.top
 				var seen vfs.OpInfo
 				if chained {
 					probe := vfs.InterceptorFunc(func(info *vfs.OpInfo, next func() error) error {

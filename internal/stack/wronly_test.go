@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"cntr/internal/fuse"
-	"cntr/internal/memfs"
-	"cntr/internal/pagecache"
 	"cntr/internal/vfs"
 )
 
@@ -17,25 +15,10 @@ import (
 // read from, and for the unprivileged owner of a mode-0200 file neither can
 // the file — before and after the write.
 func TestWronlySubPageWrite(t *testing.T) {
-	// A stack under test: where syscalls enter, the filesystem under every
-	// cache, and the caches to sync, top first.
-	type built struct {
-		top    vfs.FS
-		host   *memfs.FS
-		caches []*pagecache.Cache
-		close  func()
-	}
-	cntr := func(mount fuse.MountOptions) built {
-		c := NewCntr(Config{Mount: mount})
-		return built{c.Top, c.Host, []*pagecache.Cache{c.Kernel, c.HostPC}, c.Close}
-	}
-	stacks := map[string]func() built{
-		"native": func() built {
-			n := NewNative(Config{})
-			return built{n.Top, n.Mem, []*pagecache.Cache{n.Cache}, func() {}}
-		},
-		"cntr-default": func() built { return cntr(fuse.DefaultMountOptions()) },
-		"cntr-paper":   func() built { return cntr(fuse.PaperMountOptions()) },
+	stacks := []side{
+		{name: "native", ref: nativeStack},
+		{name: "cntr-default", cfg: Config{Mount: fuse.DefaultMountOptions()}},
+		{name: "cntr-paper", cfg: Config{Mount: fuse.PaperMountOptions()}},
 	}
 	writers := map[string]struct {
 		cred *vfs.Cred
@@ -44,14 +27,14 @@ func TestWronlySubPageWrite(t *testing.T) {
 		"root":       {vfs.Root(), 0o644},
 		"owner-0200": {vfs.User(1000, 1000), 0o200},
 	}
-	for sname, build := range stacks {
+	for _, s := range stacks {
 		for wname, w := range writers {
-			t.Run(sname+"/"+wname, func(t *testing.T) {
-				b := build()
+			t.Run(s.name+"/"+wname, func(t *testing.T) {
+				b := newEnv(s)
 				defer b.close()
 				// Seeded behind the stack, so no cache above holds a page.
 				content := bytes.Repeat([]byte("0123456789abcdef"), 512) // 8 KiB
-				behind := vfs.NewClient(b.host, vfs.Root())
+				behind := vfs.NewClient(b.base, vfs.Root())
 				if err := behind.WriteFile("/f", content, w.mode); err != nil {
 					t.Fatal(err)
 				}
@@ -82,10 +65,8 @@ func TestWronlySubPageWrite(t *testing.T) {
 				if err != nil || !bytes.Equal(got, content) {
 					t.Fatalf("read back through the stack: %d bytes, %v; bytes 0..32 %q", len(got), err, got[:min(len(got), 32)])
 				}
-				for _, c := range b.caches {
-					if err := c.SyncFS(); err != nil {
-						t.Fatal(err)
-					}
+				if err := b.sync(); err != nil {
+					t.Fatal(err)
 				}
 				if got, err := behind.ReadFile("/f"); err != nil || !bytes.Equal(got, content) {
 					t.Fatalf("behind the stack after sync: %d bytes, %v", len(got), err)
