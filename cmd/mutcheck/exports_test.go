@@ -215,7 +215,10 @@ func (c *checker) testOnlyFuncs(prefix string) (map[string]string, error) {
 // one), the target of an assignment or ++/--, and &x.F, which is how
 // flag.*Var sets one. A target is the field it selects once indexes,
 // parentheses and dereferences are stripped, so c.stats.Frames[op]++
-// writes Frames. Every other reference is a read.
+// writes Frames. Every other reference is a read. A default is not a
+// write: in if o.F == c { o.F = d } (or o.F <= c), the assignment to
+// the field the condition tests is the field's own fallback, and a knob
+// no program turns would hide behind it.
 func (c *checker) testOnlyFields(prefix string) map[string]string {
 	names := make(map[*types.Var]string)
 	for path, pkg := range c.pkgs {
@@ -261,11 +264,26 @@ func (c *checker) testOnlyFields(prefix string) map[string]string {
 			}
 		}
 	}
+	defaults := make(map[*ast.AssignStmt]bool)
 	for _, files := range c.files {
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.IfStmt:
+					cond, ok := n.Cond.(*ast.BinaryExpr)
+					if !ok || cond.Op != token.EQL && cond.Op != token.LEQ {
+						break
+					}
+					for _, st := range n.Body.List {
+						if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 &&
+							types.ExprString(as.Lhs[0]) == types.ExprString(cond.X) {
+							defaults[as] = true
+						}
+					}
 				case *ast.AssignStmt:
+					if defaults[n] {
+						break
+					}
 					for _, lhs := range n.Lhs {
 						write(lhs)
 					}
@@ -392,8 +410,9 @@ func TestTestOnlyExports(t *testing.T) {
 // not the second; a count of identifiers by name, the guard this pass
 // replaced, sees "Name" used by the program and misses the first. Of
 // Config's fields, which the program reads, only a test sets Verbose;
-// the program sets Limit through & and Hits through an index. The
-// field pass lists Verbose alone.
+// the program sets Limit through & and Hits through an index, and Depth
+// only as its own default, which a test overrides. The field pass lists
+// Depth and Verbose.
 func TestGuardFixture(t *testing.T) {
 	c := newChecker(map[string]string{"fixture": "testdata/exports"})
 	if err := c.checkTree("fixture", "."); err != nil {
@@ -406,7 +425,7 @@ func TestGuardFixture(t *testing.T) {
 	if got, want := slices.Sorted(maps.Keys(funcs)), []string{"(lib.TestOnly).Name"}; !slices.Equal(got, want) {
 		t.Fatalf("test-only funcs %v, want %v", got, want)
 	}
-	if got, want := slices.Sorted(maps.Keys(c.testOnlyFields("fixture/"))), []string{"lib.Config.Verbose"}; !slices.Equal(got, want) {
+	if got, want := slices.Sorted(maps.Keys(c.testOnlyFields("fixture/"))), []string{"lib.Config.Depth", "lib.Config.Verbose"}; !slices.Equal(got, want) {
 		t.Fatalf("test-only fields %v, want %v", got, want)
 	}
 	byName := 0

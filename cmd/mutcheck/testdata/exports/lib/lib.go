@@ -36,4 +36,14 @@ type Config struct {
 	Limit int
 	// Hits is set by the program only through an index.
 	Hits [2]int
+	// Depth is set by lib_test.go, and by the program only as its own
+	// default in Defaults.
+	Depth int
+}
+
+// Defaults fills in the fields left zero.
+func (c *Config) Defaults() {
+	if c.Depth <= 0 {
+		c.Depth = 3
+	}
 }

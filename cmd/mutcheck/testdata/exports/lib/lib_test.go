@@ -8,6 +8,13 @@ func TestName(t *testing.T) {
 	}
 }
 
+func TestDepth(t *testing.T) {
+	cfg := Config{Depth: 5}
+	if cfg.Defaults(); cfg.Depth != 5 {
+		t.Fatal("depth")
+	}
+}
+
 func TestVerbose(t *testing.T) {
 	if cfg := (Config{Verbose: true}); !cfg.Verbose {
 		t.Fatal("verbose")

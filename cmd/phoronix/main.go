@@ -340,7 +340,7 @@ func runCacheSvcDemo(opts phoronix.MultiMountOptions) {
 		opts.Mounts = 8
 	}
 
-	fmt.Printf("== Shared cache tier: %d mounts, one CAS, Top-50 image tree ==\n", opts.Mounts)
+	fmt.Printf("== Shared cache tier: %d mounts, one CAS, a 16-image tree ==\n", opts.Mounts)
 	if opts.Nodes > 1 {
 		fmt.Printf("   tier: %d nodes, %d replica(s) per shard", opts.Nodes, opts.Replicas)
 		if opts.KillNodeMid {

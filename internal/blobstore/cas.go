@@ -6,22 +6,21 @@ import (
 	"sync"
 )
 
-// CASOptions configures a content-addressed chunk store.
-type CASOptions struct {
-	// ChunkSize is the store's preferred chunk size (default 4096, the
-	// VFS block size, so filesystem blocks map 1:1 onto chunks). Put
-	// itself accepts blobs of any length; ChunkSize is advertised
-	// through the Chunker interface.
-	ChunkSize int
-}
+// CASOptions configures a content-addressed chunk store. It holds no
+// option: every store chunks at casChunkSize. NewCAS still takes it,
+// as the bench module calls it.
+type CASOptions struct{}
+
+// casChunkSize is every CAS's preferred chunk size: the VFS block size,
+// so filesystem blocks map 1:1 onto chunks. Put itself accepts blobs of
+// any length; the size is advertised through the Chunker interface.
+const casChunkSize = 4096
 
 // CAS is the content-addressed chunk store: blobs are SHA-256
 // addressed, identical content is stored once, and chunks are freed
 // when their last reference is deleted. It is the backend that lets a
 // registry's worth of container images share their common bytes.
 type CAS struct {
-	opts CASOptions
-
 	mu     sync.RWMutex
 	chunks map[Ref]*casChunk
 	stats  Stats
@@ -33,15 +32,12 @@ type casChunk struct {
 }
 
 // NewCAS returns an empty content-addressed store.
-func NewCAS(opts CASOptions) *CAS {
-	if opts.ChunkSize <= 0 {
-		opts.ChunkSize = 4096
-	}
-	return &CAS{opts: opts, chunks: make(map[Ref]*casChunk)}
+func NewCAS(CASOptions) *CAS {
+	return &CAS{chunks: make(map[Ref]*casChunk)}
 }
 
 // ChunkSize implements Chunker.
-func (c *CAS) ChunkSize() int { return c.opts.ChunkSize }
+func (c *CAS) ChunkSize() int { return casChunkSize }
 
 // Put implements Store: duplicate content is absorbed into the existing
 // chunk, whose reference count grows instead of its storage.

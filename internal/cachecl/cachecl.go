@@ -9,6 +9,13 @@
 // pays NetRTT over the window's depth, as the origin disk it fronts
 // amortizes its seek.
 //
+// A call names a key, and the service routes it: a lookup to the
+// primary of the key's shard, a write or an invalidation to every copy.
+// Of the tier's layout the client keeps only the placement version it
+// last saw. When a node has died since, the next lookup or write that
+// reaches the service pays one more round trip to re-learn the layout,
+// and counts a move.
+//
 // A client holds one epoch lease per service shard group. Mutations
 // (chunk publishes, attr writes, invalidations) carry the
 // lease's epoch; when the service fences one — the lease was released
@@ -48,13 +55,16 @@ type Stats struct {
 	Unreachable int64
 	// NetBytes is the payload volume charged to this mount's clock.
 	NetBytes int64
-	// Moves counts placement refreshes forced by ErrMoved — the
-	// service's topology changed under this client's cached routing
-	// table and an operation had to re-route.
+	// Moves counts the round trips paid to re-learn the tier's layout:
+	// one per call that found the placement version moved by a node
+	// kill since this client last saw it.
 	Moves int64
 }
 
-// Client attaches one mount to a cache service.
+// Client attaches one mount to a cache service. Every call is one of the
+// service's Get, Put or Invalidate, which route the key themselves; the
+// client keeps the leases it writes under and the placement version it
+// last saw.
 type Client struct {
 	svc   *cachesvc.Service
 	mount string
@@ -65,11 +75,9 @@ type Client struct {
 	leases      map[int]cachesvc.Lease
 	partitioned bool
 	stats       Stats
-	// place is the cached routing table: which nodes own each shard, at
-	// which placement version. Node-addressed calls echo the version;
-	// the service answers ErrMoved when it is stale and the client
-	// refreshes (one RTT) and retries.
-	place cachesvc.PlacementInfo
+	// version is the service's placement version as this client last
+	// saw it (movedLocked).
+	version uint64
 }
 
 // New builds a client for the given mount identity. Call Attach to
@@ -99,8 +107,8 @@ func (c *Client) Attach() error {
 		}
 		c.leases[g] = l
 	}
-	// The routing table rides along on the attach round trip.
-	c.place = c.svc.Placement()
+	// The placement version rides along on the attach round trip.
+	c.version = c.svc.Version()
 	return nil
 }
 
@@ -143,34 +151,20 @@ func (c *Client) Stats() Stats {
 	return c.stats
 }
 
-// routeLocked picks the node a lookup of shard sh goes to: the first
-// live owner in the cached routing table's placement order, so the
-// primary while it lives. Returns -1 when the cached table lists no live
-// owner (forcing a refresh).
-func (c *Client) routeLocked(sh int) int {
-	if sh >= len(c.place.Owners) {
-		return -1
+// movedLocked takes the placement version v the service answered a call
+// at. When a kill has moved it since this client last saw it, the call
+// pays one more round trip to re-learn the layout and counts a move.
+func (c *Client) movedLocked(v uint64) {
+	if v != c.version {
+		c.version = v
+		c.stats.Moves++
+		c.clock.Advance(c.model.NetRTT)
 	}
-	for _, id := range c.place.Owners[sh] {
-		if id < len(c.place.Live) && c.place.Live[id] {
-			return id
-		}
-	}
-	return -1
-}
-
-// refreshPlacementLocked re-fetches the routing table after an
-// ErrMoved, charging the extra round trip the re-route cost.
-func (c *Client) refreshPlacementLocked() {
-	c.place = c.svc.Placement()
-	c.stats.Moves++
-	c.clock.Advance(c.model.NetRTT)
 }
 
 // get is the shared lookup path: rtt for the probe (NetRTT when the
-// lookup blocks, less when it shares a pipelined window), payload bytes
-// only on a hit; a stale routing table costs one full refresh RTT and a
-// retry.
+// lookup blocks, less when it shares a pipelined window), and payload
+// bytes only on a hit.
 func (c *Client) get(key cachesvc.Key, rtt time.Duration) ([]byte, bool) {
 	c.mu.Lock()
 	if c.partitioned {
@@ -180,59 +174,30 @@ func (c *Client) get(key cachesvc.Key, rtt time.Duration) ([]byte, bool) {
 		return nil, false
 	}
 	c.mu.Unlock()
-	sh := c.svc.ShardOf(key)
-	for attempt := 0; ; attempt++ {
-		c.mu.Lock()
-		target := c.routeLocked(sh)
-		ver := c.place.Version
-		if target == -1 {
-			c.refreshPlacementLocked()
-			target = c.routeLocked(sh)
-			ver = c.place.Version
-		}
-		c.mu.Unlock()
-		if target == -1 {
-			break // no live owner at all: count the probe as a miss
-		}
-		val, ok, err := c.svc.NodeGet(target, ver, key)
-		if err != nil {
-			if attempt < 3 {
-				c.mu.Lock()
-				c.refreshPlacementLocked()
-				c.mu.Unlock()
-				continue
-			}
-			break
-		}
-		// Unlocked by hand: a defer inside the loop is a heap-allocated
-		// record per lookup.
-		c.mu.Lock()
-		if ok {
-			c.stats.Hits++
-			c.stats.NetBytes += int64(len(val))
-			c.clock.Advance(rtt + c.model.NetCost(len(val)) - c.model.NetRTT)
-			c.mu.Unlock()
-			return val, true
-		}
+	val, ok := c.svc.Get(key)
+	v := c.svc.Version()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.movedLocked(v)
+	if !ok {
 		c.stats.Misses++
 		c.clock.Advance(rtt)
-		c.mu.Unlock()
 		return nil, false
 	}
-	c.mu.Lock()
-	c.stats.Misses++
-	c.clock.Advance(rtt)
-	c.mu.Unlock()
-	return nil, false
+	c.stats.Hits++
+	c.stats.NetBytes += int64(len(val))
+	c.clock.Advance(rtt + c.model.NetCost(len(val)) - c.model.NetRTT)
+	return val, true
 }
 
-// put is the shared mutation path: the write goes to the key's primary
-// and fans out to the replicas under the group lease. charged=false
+// put is the shared mutation path: the service lands the write on the
+// key's primary and its replicas under the group lease. charged=false
 // models a write-behind publish that does not block the caller
 // (read-populate after an origin fetch); the fencing decision is
 // identical either way. A charged write pays one send to the primary
 // up front — fenced or not, the bytes travelled — plus the replication
-// fan-out once the copies are confirmed.
+// fan-out once the copies are confirmed. A fenced write is refused
+// before it is routed, so it learns no placement version.
 func (c *Client) put(key cachesvc.Key, val []byte, charged bool) error {
 	c.mu.Lock()
 	if c.partitioned {
@@ -254,37 +219,15 @@ func (c *Client) put(key cachesvc.Key, val []byte, charged bool) error {
 		c.clock.Advance(c.model.NetCost(len(val)))
 	}
 	c.mu.Unlock()
-	sh := c.svc.ShardOf(key)
-	var copies int
-	var err error
-	for attempt := 0; ; attempt++ {
-		c.mu.Lock()
-		var primary int
-		if sh < len(c.place.Owners) && len(c.place.Owners[sh]) > 0 {
-			primary = c.place.Owners[sh][0]
-		} else {
-			c.refreshPlacementLocked()
-			if sh < len(c.place.Owners) && len(c.place.Owners[sh]) > 0 {
-				primary = c.place.Owners[sh][0]
-			}
-		}
-		ver := c.place.Version
-		c.mu.Unlock()
-		copies, err = c.svc.NodePut(primary, ver, l, key, val)
-		if errors.Is(err, cachesvc.ErrMoved) && attempt < 3 {
-			c.mu.Lock()
-			c.refreshPlacementLocked()
-			c.mu.Unlock()
-			continue
-		}
-		break
-	}
+	copies, err := c.svc.Put(l, key, val)
+	v := c.svc.Version()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if errors.Is(err, cachesvc.ErrFenced) {
 		c.fencedLocked(group, l)
 		return err
 	}
+	c.movedLocked(v)
 	if err == nil {
 		c.stats.Puts++
 		if charged && copies > 1 {

@@ -52,7 +52,7 @@ func (e *env) revoke(t *testing.T) {
 // no origin, or at depth 1, that is a blocking round trip. Everything
 // else is sent one at a time and pays a full NetRTT at every depth: the
 // attach, attr lookups and publishes, the charged write-through with its
-// replica fan-out, and the refresh a stale routing table forces.
+// replica fan-out, and the refresh a kill's new placement version forces.
 func TestNetworkCharging(t *testing.T) {
 	m := sim.DefaultCostModel()
 	for _, row := range []struct {
@@ -117,6 +117,7 @@ func TestNetworkCharging(t *testing.T) {
 				{"GetAttr hit", m.NetCost(len(attr)), getAttr(true)},
 				{"KillNode", 0, func() error { return svc.KillNode(1) }},
 				{"Store.Get hit after a forced refresh", m.NetRTT + row.hit, getChunk(hot)},
+				{"Store.Get hit with the layout re-learned", row.hit, getChunk(hot)},
 			} {
 				before := clock.Now()
 				if err := step.fn(); err != nil {
@@ -126,7 +127,7 @@ func TestNetworkCharging(t *testing.T) {
 					t.Errorf("%s cost %v, want %v", step.call, got, step.want)
 				}
 			}
-			if s := cl.Stats(); s.Hits != 3 || s.Misses != 2 || s.Moves != 1 || s.NetBytes != 3*4096+2*int64(len(attr)) {
+			if s := cl.Stats(); s.Hits != 4 || s.Misses != 2 || s.Moves != 1 || s.NetBytes != 4*4096+2*int64(len(attr)) {
 				t.Errorf("stats = %+v", s)
 			}
 		})

@@ -8,8 +8,8 @@ import (
 
 // TestPutSharesOneCopy: a write to a shard on two nodes stores one copy
 // of the caller's bytes, which both nodes' entries share, and costs the
-// host nothing — the key is built of no string, the owners are read from
-// the placement table, the LRU links live in the entry, the copy is cut
+// host nothing — the key is built of no string, the service routes it
+// from its placement table, the LRU links live in the entry, the copy is cut
 // from the service's runs and the entries come from the stores' free
 // lists, which the warm-up's invalidations filled. The copy's capacity is
 // its length, so an append on it cannot reach its neighbour in the run.
@@ -25,15 +25,14 @@ func TestPutSharesOneCopy(t *testing.T) {
 		}
 	}
 	keys := testKeys("shared", runs+1)
-	info := svc.Placement()
 	val := []byte("chunk bytes")
 	next := 0
 	put := func() {
 		k := keys[next%len(keys)]
 		next++
-		copies, err := svc.NodePut(info.Owners[svc.ShardOf(k)][0], info.Version, leases[svc.GroupOf(k)], k, val)
+		copies, err := svc.Put(leases[svc.GroupOf(k)], k, val)
 		if err != nil || copies != 2 {
-			t.Fatalf("NodePut of %v: %d copies, %v", k, copies, err)
+			t.Fatalf("Put of %v: %d copies, %v", k, copies, err)
 		}
 	}
 	// A first pass grows every store's map and blocks, and the
@@ -67,6 +66,6 @@ func TestPutSharesOneCopy(t *testing.T) {
 			t.Fatal("miss")
 		}
 	})
-	allocs.Check(t, "NodePut on two nodes", puts)
+	allocs.Check(t, "Put on two nodes", puts)
 	allocs.Check(t, "Get hit", hit)
 }

@@ -8,7 +8,7 @@
 // attr entries let metadata survive mount boundaries the same
 // way.
 //
-// The service is in-process but "network-shaped": all access goes
+// The service is in-process but "network-shaped": a mount reaches it
 // through internal/cachecl, whose calls charge the calling mount's
 // sim.Clock with the cost-model's NetRTT/NetPerKB, so cross-mount
 // behaviour is benchmarkable and bit-for-bit deterministic without real
@@ -21,15 +21,18 @@
 //	                                        ▼
 //	                              backend store (CAS) / origin
 //
-// The key space is hashed into a fixed number of shards; a Placement
-// assigns each shard a primary plus Options.Replicas replicas across
-// an explicit set of Nodes. Writes apply to every copy and reads are
-// served by the primary, so only the primary's LRU order sees reads: the
+// There is one data path: Get, Put and Invalidate take a key and route
+// it themselves. The key space is hashed into a fixed number of shards,
+// and the placement assigns each shard a primary plus Options.Replicas
+// replicas across an explicit set of Nodes. Put and Invalidate apply to
+// every copy under a lease, and Get is served by the primary, so only
+// the primary's LRU order sees reads: the
 // primary decides what a write evicts and every replica drops the same
 // entries, which keeps the copies identical. A node leaves the set only
 // by failing: KillNode re-places the shards it owned and fills every new
 // copy from a surviving one before it returns, so every copy a data op
-// can reach is complete. With the default Options (one node, zero
+// can reach is complete, and bumps Version, the one piece of the layout a
+// client keeps. With the default Options (one node, zero
 // replicas) the service is the single-node reference the dualtest
 // differential harness pins the replicated tier against.
 //
@@ -61,6 +64,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"cntr/internal/blobstore"
 	"cntr/internal/slab"
@@ -108,9 +112,6 @@ type Stats struct {
 	// (primary plus replicas), so a single-node service counts one per
 	// mutation.
 	Puts int64
-	// Seeds counts administrative epoch-free Put calls (registry
-	// backfill), one per call regardless of copy count.
-	Seeds int64
 	// Invalidations counts applied invalidation copies (like Puts).
 	Invalidations int64
 	// FencedWrites counts mutations rejected because their lease epoch
@@ -135,7 +136,8 @@ type Options struct {
 	// Shards is the number of cache shards (default 16).
 	Shards int
 	// ShardCapacity is the LRU byte capacity per shard copy (default
-	// 64 MiB). Every replica of a shard has its own capacity.
+	// 64 MiB). Every replica of a shard has its own capacity. Programs
+	// run both defaults; tests shrink them to force evictions.
 	ShardCapacity int64
 	// Nodes is the number of cache nodes the shards are placed across
 	// (default 1 — the single-node reference configuration).
@@ -154,11 +156,13 @@ type Service struct {
 	// topo guards the node set and placement. Data ops hold it for read
 	// while routing and touching stores; KillNode holds it for write, so
 	// no data op runs while a kill re-places and copies shards.
-	topo         sync.RWMutex
-	nodes        []*node
-	placement    [][]int
-	placeVersion uint64
-	lostShards   int64
+	topo       sync.RWMutex
+	nodes      []*node
+	placement  [][]int
+	lostShards int64
+	// version counts placements: 1 at New, one more per KillNode, which
+	// bumps it under topo. Version reads it without the lock.
+	version atomic.Uint64
 	// writes serializes the mutations of each shard, so every copy of
 	// the shard applies them in the same order.
 	writes []shardWrites
@@ -174,7 +178,6 @@ type Service struct {
 	leases map[leaseID]uint64
 	epochs map[leaseID]uint64
 	fenced int64
-	seeds  int64
 }
 
 // shardWrites is a shard's write lock and what it guards besides the
@@ -354,13 +357,13 @@ func New(opts Options) *Service {
 		opts.Replicas = opts.Nodes - 1
 	}
 	s := &Service{
-		opts:         opts,
-		leases:       make(map[leaseID]uint64),
-		epochs:       make(map[leaseID]uint64),
-		placement:    make([][]int, opts.Shards),
-		placeVersion: 1,
-		writes:       make([]shardWrites, opts.Shards),
+		opts:      opts,
+		leases:    make(map[leaseID]uint64),
+		epochs:    make(map[leaseID]uint64),
+		placement: make([][]int, opts.Shards),
+		writes:    make([]shardWrites, opts.Shards),
 	}
+	s.version.Store(1)
 	for i := 0; i < opts.Nodes; i++ {
 		s.nodes = append(s.nodes, newNode(i))
 	}
@@ -410,9 +413,9 @@ func (s *Service) GroupOf(key Key) int { return s.ShardOf(key) % s.NumGroups() }
 // NumGroups returns the number of lease shard-groups.
 func (s *Service) NumGroups() int { return min(leaseGroups, s.opts.Shards) }
 
-// Get returns the cached value for key, served by the shard's primary
-// (internal routing — cachecl routes explicitly and pays the network).
-// The returned slice is owned by the service and must not be modified.
+// Get returns the cached value for key, served by the primary of the
+// key's shard. The returned slice is owned by the service and must not be
+// modified.
 func (s *Service) Get(key Key) ([]byte, bool) {
 	s.topo.RLock()
 	defer s.topo.RUnlock()
@@ -425,7 +428,7 @@ func (s *Service) Get(key Key) ([]byte, bool) {
 }
 
 // Contains reports presence on any copy without touching LRU order or
-// hit/miss counters — the probe Registry.Pull uses to skip transfers.
+// hit/miss counters: a probe tests read the tier's contents with.
 func (s *Service) Contains(key Key) bool {
 	s.topo.RLock()
 	defer s.topo.RUnlock()
@@ -466,34 +469,21 @@ func (s *Service) applyLocked(sh int, key Key, val []byte) int {
 }
 
 // Put stores val under key on behalf of the lease holder, on the
-// primary and every replica. The write is fenced — rejected with
-// ErrFenced and counted at every copy — when the lease's epoch is
-// stale or released. val is copied, so the caller may reuse
+// primary and every replica, and returns how many copies it landed on,
+// so a client can charge the replication fan-out. The write is fenced —
+// rejected with ErrFenced and counted at every copy — when the lease's
+// epoch is stale or released. val is copied, so the caller may reuse
 // it; the copy is cut from a run the service shares among values
 // (blobstore.Runs), so an evicted or replaced value's bytes stay
 // allocated until every value in its run is gone, and no run is larger
 // than 256 KiB.
-func (s *Service) Put(l Lease, key Key, val []byte) error {
+func (s *Service) Put(l Lease, key Key, val []byte) (copies int, err error) {
 	if err := s.admit(l, key); err != nil {
-		return err
+		return 0, err
 	}
 	s.topo.RLock()
 	defer s.topo.RUnlock()
-	s.applyLocked(s.ShardOf(key), key, val)
-	return nil
-}
-
-// Seed stores val under key without a lease: the administrative
-// backfill path used when a registry pull materializes chunks the tier
-// should serve. Chunk content is immutable (content-addressed), so the
-// epoch machinery guarding mutable metadata is not needed here.
-func (s *Service) Seed(key Key, val []byte) {
-	s.mu.Lock()
-	s.seeds++
-	s.mu.Unlock()
-	s.topo.RLock()
-	defer s.topo.RUnlock()
-	s.applyLocked(s.ShardOf(key), key, val)
+	return s.applyLocked(s.ShardOf(key), key, val), nil
 }
 
 // Invalidate drops key on behalf of the lease holder, with the same
@@ -552,7 +542,6 @@ func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	agg.FencedWrites = s.fenced
 	agg.LeasesActive = int64(len(s.leases))
-	agg.Seeds = s.seeds
 	s.mu.Unlock()
 	return agg
 }

@@ -19,6 +19,19 @@ func mustAcquire(t *testing.T, s *Service, mount string, group int) Lease {
 	return l
 }
 
+// seed puts val under key with a lease acquired for the call: how a test
+// fills the tier before what it measures. Callers seed from one
+// goroutine, since each call supersedes the last one's lease.
+func seed(s *Service, key Key, val []byte) {
+	l, err := s.Acquire("seed", s.GroupOf(key))
+	if err == nil {
+		_, err = s.Put(l, key, val)
+	}
+	if err != nil {
+		panic(err)
+	}
+}
+
 // leaseFor acquires the lease guarding key's shard group.
 func leaseFor(t *testing.T, s *Service, mount string, key Key) Lease {
 	t.Helper()
@@ -33,7 +46,7 @@ func TestGetPutInvalidate(t *testing.T) {
 	if _, ok := s.Get(key); ok {
 		t.Fatal("empty service reported a hit")
 	}
-	if err := s.Put(l, key, []byte("attr")); err != nil {
+	if _, err := s.Put(l, key, []byte("attr")); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := s.Get(key)
@@ -89,7 +102,7 @@ func TestLRUEvictionUnderCapacity(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		k := ChunkKey(blobstore.Ref(fmt.Sprintf("chunk-%d", i)))
 		keys = append(keys, k)
-		if err := s.Put(l, k, val); err != nil {
+		if _, err := s.Put(l, k, val); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +110,7 @@ func TestLRUEvictionUnderCapacity(t *testing.T) {
 	if _, ok := s.Get(keys[0]); !ok {
 		t.Fatal("key 0 missing before eviction")
 	}
-	if err := s.Put(l, ChunkKey("chunk-overflow"), val); err != nil {
+	if _, err := s.Put(l, ChunkKey("chunk-overflow"), val); err != nil {
 		t.Fatal(err)
 	}
 	if s.Contains(keys[1]) {
@@ -126,13 +139,13 @@ func TestFencingStaleEpoch(t *testing.T) {
 	if fresh.Epoch != old.Epoch+1 {
 		t.Fatalf("reacquire epoch = %d, want %d", fresh.Epoch, old.Epoch+1)
 	}
-	if err := s.Put(old, key, []byte("stale")); !errors.Is(err, ErrFenced) {
+	if _, err := s.Put(old, key, []byte("stale")); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale-epoch Put = %v, want ErrFenced", err)
 	}
 	if s.Contains(key) {
 		t.Fatal("fenced write landed in the cache")
 	}
-	if err := s.Put(fresh, key, []byte("good")); err != nil {
+	if _, err := s.Put(fresh, key, []byte("good")); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.FencedWrites != 1 {
@@ -163,7 +176,7 @@ func TestWrongGroupRejected(t *testing.T) {
 	key := ChunkKey("cafe")
 	other := (s.GroupOf(key) + 1) % s.NumGroups()
 	l := mustAcquire(t, s, "m1", other)
-	if err := s.Put(l, key, []byte("x")); !errors.Is(err, ErrWrongGroup) {
+	if _, err := s.Put(l, key, []byte("x")); !errors.Is(err, ErrWrongGroup) {
 		t.Fatalf("cross-group Put = %v, want ErrWrongGroup", err)
 	}
 	if _, err := s.Acquire("m1", s.NumGroups()); !errors.Is(err, ErrWrongGroup) {
@@ -171,26 +184,28 @@ func TestWrongGroupRejected(t *testing.T) {
 	}
 }
 
-// TestSeedAndReset: administrative seeds need no lease; Reset drops
-// entries but keeps epochs so fencing survives a cache flush.
-func TestSeedAndReset(t *testing.T) {
+// TestResetKeepsEpochs: Reset drops entries but keeps epochs, so
+// fencing survives a cache flush.
+func TestResetKeepsEpochs(t *testing.T) {
 	s := newTestService()
 	key := ChunkKey("0123")
 	old := leaseFor(t, s, "m1", key)
 	fresh := leaseFor(t, s, "m1", key) // supersedes old
 
-	s.Seed(key, []byte("chunk"))
+	if _, err := s.Put(fresh, key, []byte("chunk")); err != nil {
+		t.Fatal(err)
+	}
 	if !s.Contains(key) {
-		t.Fatal("seeded entry missing")
+		t.Fatal("written entry missing")
 	}
 	s.Reset()
 	if s.Contains(key) {
 		t.Fatal("entry survived Reset")
 	}
-	if err := s.Put(old, key, []byte("stale")); !errors.Is(err, ErrFenced) {
+	if _, err := s.Put(old, key, []byte("stale")); !errors.Is(err, ErrFenced) {
 		t.Fatalf("stale epoch admitted after Reset: %v", err)
 	}
-	if err := s.Put(fresh, key, []byte("good")); err != nil {
+	if _, err := s.Put(fresh, key, []byte("good")); err != nil {
 		t.Fatalf("current epoch rejected after Reset: %v", err)
 	}
 }

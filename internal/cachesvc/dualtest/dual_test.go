@@ -79,13 +79,12 @@ func TestDifferentialLongRun(t *testing.T) {
 }
 
 // TestDifferentialClientRouting runs the differential through
-// cachecl — the placement-aware routing layer with its cached
-// placement version and retry-on-ErrMoved — instead of addressing the
-// service directly. Lookup outcomes, value bytes, and client-side
-// fenced counts must match the reference client attached to the
-// single-node service, while nodes die under the replicated client's
-// cached routing table (forcing ErrMoved refreshes, which are asserted
-// to actually happen).
+// cachecl, with its leases and the placement version it last saw,
+// instead of addressing the service directly. Lookup outcomes, value
+// bytes, and client-side fenced counts must match the reference client
+// attached to the single-node service, while nodes die under the
+// replicated client (each kill moves the version, and the moves the
+// client pays for are asserted to happen).
 func TestDifferentialClientRouting(t *testing.T) {
 	model := sim.DefaultCostModel()
 
@@ -195,7 +194,7 @@ func TestDifferentialClientRouting(t *testing.T) {
 			repStats.Fenced, refStats.Fenced)
 	}
 	if repStats.Moves == 0 {
-		t.Error("topology churned but the replicated client never saw ErrMoved — routing retry untested")
+		t.Error("topology churned but the replicated client never re-learned the layout — the refresh is untested")
 	}
 	if refStats.Moves != 0 {
 		t.Errorf("reference client saw %d moves on a fixed topology", refStats.Moves)

@@ -11,17 +11,17 @@
 // Compared observables, per operation: lookup and presence-probe
 // outcomes (present or not, and the exact bytes) and mutation error
 // classification (ok / fenced / wrong-group). Compared at the end:
-// aggregate hit, miss, seed and fenced-write counters, the full logical
+// aggregate hit, miss and fenced-write counters, the full logical
 // store contents, and the replicated tier's internal replica-agreement
 // invariant (every owner holds an identical copy, no other node holds
 // one).
 //
 // The workload interleaves, under one deterministic seed: reads and
-// presence probes, lease-guarded writes and invalidations, epoch-free
-// seeds, writes under deliberately stale (superseded) leases, writes
-// under the wrong group's lease, lease revocation (a release at the
-// service, which the holder keeps writing with) and re-acquisition, and
-// node kills on the replicated side only — the reference, by
+// presence probes, lease-guarded writes and invalidations, writes under
+// deliberately stale (superseded) leases, writes under the wrong group's
+// lease, lease revocation (a release at the service, which the holder
+// keeps writing with) and re-acquisition, and node kills on the
+// replicated side only — the reference, by
 // definition, has no topology.
 //
 // Node failure discipline: a kill is only injected while every shard
@@ -59,8 +59,8 @@ type Options struct {
 // Result summarizes what one run exercised, so tests can assert the
 // workload actually covered the interesting machinery.
 type Result struct {
-	Ops, Gets, Hits, Puts, Invals, Seeds int
-	StaleWrites, WrongGroupWrites        int
+	Ops, Gets, Hits, Puts, Invals int
+	StaleWrites, WrongGroupWrites int
 	// StaleFenced counts fenced writes under a superseded grant;
 	// RevokedFenced those under the current grant after its release.
 	StaleFenced, RevokedFenced int
@@ -178,8 +178,8 @@ func Run(opts Options) (Result, error) {
 			repErr = rep.svc.Invalidate(repL, k)
 			refErr = ref.svc.Invalidate(refL, k)
 		} else {
-			repErr = rep.svc.Put(repL, k, v)
-			refErr = ref.svc.Put(refL, k, v)
+			_, repErr = rep.svc.Put(repL, k, v)
+			_, refErr = ref.svc.Put(refL, k, v)
 		}
 		if classify(repErr) != classify(refErr) {
 			return false, fmt.Errorf("op %d: mutation of %q: replicated=%s reference=%s",
@@ -228,12 +228,6 @@ func Run(opts Options) (Result, error) {
 			if err := current(op, k, nil, true); err != nil {
 				return res, err
 			}
-		case roll < 710: // epoch-free administrative seed
-			res.Seeds++
-			gen[ki]++
-			v := val(ki, gen[ki])
-			rep.svc.Seed(k, v)
-			ref.svc.Seed(k, v)
 		case roll < 770: // write under a superseded epoch: must fence on every copy
 			if len(rep.stale) == 0 {
 				continue
@@ -316,10 +310,6 @@ func Run(opts Options) (Result, error) {
 	if repStats.FencedWrites != refStats.FencedWrites {
 		return res, fmt.Errorf("fenced-write counters diverge: replicated %d reference %d",
 			repStats.FencedWrites, refStats.FencedWrites)
-	}
-	if repStats.Seeds != refStats.Seeds {
-		return res, fmt.Errorf("seed counters diverge: replicated %d reference %d",
-			repStats.Seeds, refStats.Seeds)
 	}
 
 	repSnap, refSnap := rep.svc.Snapshot(), ref.svc.Snapshot()

@@ -37,7 +37,7 @@ func TestShardMapPinned(t *testing.T) {
 		ChunkKey(""), ChunkKey("0123"), ChunkKey("ab"), ChunkKey("abc"), ChunkKey("b"),
 	}
 	for _, i := range []int{7, 2, 4, 0, 8, 5, 1, 6, 3} {
-		one.Seed(want[i], []byte{byte(i)})
+		seed(one, want[i], []byte{byte(i)})
 	}
 	if got := one.nodes[0].stores[0].keys(); !slices.Equal(got, want) {
 		t.Errorf("keys() = %v, want %v", got, want)

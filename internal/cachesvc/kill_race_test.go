@@ -11,8 +11,8 @@ import (
 	"cntr/internal/sim"
 )
 
-// raceLoad starts workers goroutines driving Get/Put/Seed/Acquire/
-// Contains traffic over keys, all of which the caller has seeded. A Get
+// raceLoad starts workers goroutines driving Get/Put/Acquire/Contains
+// traffic over keys, all of which the caller has seeded. A Get
 // must hit throughout: nothing is evicted or invalidated, and a kill
 // re-replicates before it returns, so no reader meets a half-filled
 // copy. stop ends the load and waits for the workers.
@@ -43,14 +43,12 @@ func raceLoad(t *testing.T, svc *Service, keys []Key, workers int) (ops *atomic.
 						t.Errorf("key %q missed under load", k)
 						return
 					}
-				case 4, 5, 6:
+				case 4, 5, 6, 7:
 					l := leases[svc.GroupOf(k)]
-					if err := svc.Put(l, k, []byte(mount)); err != nil && err != ErrFenced {
+					if _, err := svc.Put(l, k, []byte(mount)); err != nil && err != ErrFenced {
 						t.Errorf("put: unexpected error %v", err)
 						return
 					}
-				case 7:
-					svc.Seed(k, []byte("reseed"))
 				case 8:
 					g := r.Intn(svc.NumGroups())
 					l, err := svc.Acquire(mount, g)
@@ -95,7 +93,7 @@ func killUnderLoad(t *testing.T, svc *Service, ops *atomic.Int64, ids []int) {
 func seededKeys(svc *Service, prefix string, n int) []Key {
 	keys := testKeys(prefix, n)
 	for _, k := range keys {
-		svc.Seed(k, []byte("seed"))
+		seed(svc, k, []byte("seed"))
 	}
 	return keys
 }

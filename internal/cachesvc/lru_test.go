@@ -22,12 +22,12 @@ func TestReplicasEvictAsThePrimaryDecides(t *testing.T) {
 			key := func(i int) Key { return Key{'c', fmt.Sprintf("chunk-%d", i)} }
 			val := make([]byte, 1000)
 			for i := 1; i <= 4; i++ {
-				svc.Seed(key(i), val)
+				seed(svc, key(i), val)
 			}
 			if _, ok := svc.Get(key(1)); !ok {
 				t.Fatal("chunk-1 missing before any eviction")
 			}
-			svc.Seed(key(5), val)
+			seed(svc, key(5), val)
 			if err := svc.CheckConsistency(); err != nil {
 				t.Fatal(err)
 			}

@@ -7,12 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// Errors returned by the node-addressed data plane and KillNode.
+// Errors KillNode returns.
 var (
-	// ErrMoved tells a client its cached placement version is stale (or
-	// it addressed a dead node, or one not holding the key's shard):
-	// refresh Placement and retry.
-	ErrMoved = errors.New("cachesvc: placement moved")
 	// ErrUnknownNode rejects a kill naming a node id the service never had.
 	ErrUnknownNode = errors.New("cachesvc: unknown node")
 	// ErrNodeDown rejects a kill of a node already killed.
@@ -94,33 +90,10 @@ func (s *Service) NodeStats() []NodeStats {
 	return out
 }
 
-// PlacementInfo is the routing table a client caches: for each shard
-// the owning node ids (primary first), which nodes are live, and the
-// version that every node-addressed call must echo back. Any topology
-// change bumps Version; a call carrying a stale version gets ErrMoved.
-type PlacementInfo struct {
-	Version uint64
-	Owners  [][]int
-	Live    []bool
-}
-
-// Placement returns the current routing table.
-func (s *Service) Placement() PlacementInfo {
-	s.topo.RLock()
-	defer s.topo.RUnlock()
-	info := PlacementInfo{
-		Version: s.placeVersion,
-		Owners:  make([][]int, len(s.placement)),
-		Live:    make([]bool, len(s.nodes)),
-	}
-	for sh, owners := range s.placement {
-		info.Owners[sh] = append([]int(nil), owners...)
-	}
-	for i, nd := range s.nodes {
-		info.Live[i] = nd.live
-	}
-	return info
-}
+// Version returns the placement version: 1 at New, and one more after
+// each KillNode. It is all of the layout a client keeps; a client that
+// finds it moved pays a round trip to re-learn the layout.
+func (s *Service) Version() uint64 { return s.version.Load() }
 
 // NumNodes returns the number of nodes the service was built with (dead
 // ones included — node ids are never reused).
@@ -200,7 +173,7 @@ func (s *Service) KillNode(id int) error {
 	}
 	dead.live = false
 	dead.stores = nil
-	s.placeVersion++
+	s.version.Add(1)
 	for sh, old := range s.placement {
 		// Rendezvous placement moves only the shards the dead node owned.
 		if !slices.Contains(old, id) {
@@ -228,40 +201,4 @@ func (s *Service) KillNode(id int) error {
 		}
 	}
 	return nil
-}
-
-// NodeGet serves a read addressed at a specific node, as routed by a
-// placement-aware client holding placement version.
-func (s *Service) NodeGet(nodeID int, version uint64, key Key) (val []byte, ok bool, err error) {
-	s.topo.RLock()
-	defer s.topo.RUnlock()
-	sh := s.ShardOf(key)
-	if version != s.placeVersion || nodeID < 0 || nodeID >= len(s.nodes) ||
-		s.nodes[nodeID].stores[sh] == nil {
-		return nil, false, ErrMoved
-	}
-	val, ok = s.nodes[nodeID].get(sh, key)
-	return val, ok, nil
-}
-
-// NodePut applies a lease-guarded write addressed at the key's primary
-// by a placement-aware client. copies reports how many stores the
-// write landed on (primary + replicas), so the
-// client can charge replication fan-out. Fencing is checked before
-// placement: a stale-epoch write is dropped (and counted per copy)
-// even when the client's placement is also stale — the fence is the
-// stronger guarantee.
-func (s *Service) NodePut(nodeID int, version uint64, l Lease, key Key, val []byte) (copies int, err error) {
-	if err := s.admit(l, key); err != nil {
-		return 0, err
-	}
-	s.topo.RLock()
-	defer s.topo.RUnlock()
-	if version != s.placeVersion {
-		return 0, ErrMoved
-	}
-	if nodeID < 0 || nodeID >= len(s.nodes) || !s.nodes[nodeID].live {
-		return 0, ErrMoved
-	}
-	return s.applyLocked(s.ShardOf(key), key, val), nil
 }

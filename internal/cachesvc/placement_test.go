@@ -8,6 +8,33 @@ import (
 	"cntr/internal/sim"
 )
 
+// PlacementInfo is the layout tests observe: for each shard the owning
+// node ids (primary first), which nodes are live, and the placement
+// version.
+type PlacementInfo struct {
+	Version uint64
+	Owners  [][]int
+	Live    []bool
+}
+
+// Placement returns the current layout.
+func (s *Service) Placement() PlacementInfo {
+	s.topo.RLock()
+	defer s.topo.RUnlock()
+	info := PlacementInfo{
+		Version: s.Version(),
+		Owners:  make([][]int, len(s.placement)),
+		Live:    make([]bool, len(s.nodes)),
+	}
+	for sh, owners := range s.placement {
+		info.Owners[sh] = slices.Clone(owners)
+	}
+	for i, nd := range s.nodes {
+		info.Live[i] = nd.live
+	}
+	return info
+}
+
 // liveNodes returns ids of live nodes.
 func liveNodes(svc *Service) []int {
 	var out []int

@@ -15,6 +15,15 @@ func ownersOf(svc *Service, key Key) []int {
 	return svc.Placement().Owners[svc.ShardOf(key)]
 }
 
+// copyOn returns what node id's copy of key's shard holds under key,
+// touching no counter and no LRU order.
+func copyOn(svc *Service, id int, key Key) ([]byte, bool) {
+	svc.topo.RLock()
+	defer svc.topo.RUnlock()
+	v, ok := svc.nodes[id].stores[svc.ShardOf(key)].dump()[key]
+	return v, ok
+}
+
 // testKeys builds n deterministic keys with enough suffix entropy to
 // spread across shards (short sequential suffixes clump on the ring).
 func testKeys(prefix string, n int) []Key {
@@ -67,24 +76,19 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := svc.Put(old, key, []byte("stale")); err != ErrFenced {
+			if _, err := svc.Put(old, key, []byte("stale")); err != ErrFenced {
 				t.Fatalf("stale-epoch put: got %v, want ErrFenced", err)
 			}
-			// Dropped on every copy: no node serves it, by any route.
+			// Dropped on every copy.
 			if svc.Contains(key) {
 				t.Fatal("stale write landed on some copy")
-			}
-			for _, id := range ownersOf(svc, key) {
-				if _, ok, err := svc.NodeGet(id, svc.Placement().Version, key); err != nil || ok {
-					t.Fatalf("node %d: stale write visible (ok=%v err=%v)", id, ok, err)
-				}
 			}
 
 			// Released lease: the service revokes the current grant.
 			if err := svc.Release(cur); err != nil {
 				t.Fatal(err)
 			}
-			if err := svc.Put(cur, key, []byte("released")); err != ErrFenced {
+			if _, err := svc.Put(cur, key, []byte("released")); err != ErrFenced {
 				t.Fatalf("released-lease put: got %v, want ErrFenced", err)
 			}
 			if svc.Contains(key) {
@@ -114,13 +118,12 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := svc.Put(fresh, key, []byte("good")); err != nil {
+			if _, err := svc.Put(fresh, key, []byte("good")); err != nil {
 				t.Fatalf("fresh put: %v", err)
 			}
 			for _, id := range ownersOf(svc, key) {
-				v, ok, err := svc.NodeGet(id, svc.Placement().Version, key)
-				if err != nil || !ok || !bytes.Equal(v, []byte("good")) {
-					t.Fatalf("node %d: fresh write not replicated (ok=%v err=%v)", id, ok, err)
+				if v, ok := copyOn(svc, id, key); !ok || !bytes.Equal(v, []byte("good")) {
+					t.Fatalf("node %d: fresh write not replicated (ok=%v)", id, ok)
 				}
 			}
 		})
@@ -128,8 +131,8 @@ func TestFencingMatrixPerReplica(t *testing.T) {
 }
 
 // TestReplicatedWriteVisibleOnEveryCopy pins the write path's fan-out: a
-// write lands on exactly R+1 copies, and a read addressed at any owner
-// finds it there.
+// write lands on exactly R+1 copies, reports that count, and every
+// owner's copy holds it.
 func TestReplicatedWriteVisibleOnEveryCopy(t *testing.T) {
 	svc := New(Options{Nodes: 3, Replicas: 2})
 	key := ChunkKey("replicated")
@@ -137,7 +140,7 @@ func TestReplicatedWriteVisibleOnEveryCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	copies, err := svc.NodePut(ownersOf(svc, key)[0], svc.Placement().Version, l, key, []byte("v"))
+	copies, err := svc.Put(l, key, []byte("v"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,9 +148,8 @@ func TestReplicatedWriteVisibleOnEveryCopy(t *testing.T) {
 		t.Fatalf("write landed on %d copies, want 3", copies)
 	}
 	for _, id := range ownersOf(svc, key) {
-		v, ok, err := svc.NodeGet(id, svc.Placement().Version, key)
-		if err != nil || !ok || !bytes.Equal(v, []byte("v")) {
-			t.Fatalf("node %d: write not visible (ok=%v err=%v)", id, ok, err)
+		if v, ok := copyOn(svc, id, key); !ok || !bytes.Equal(v, []byte("v")) {
+			t.Fatalf("node %d: write not visible (ok=%v)", id, ok)
 		}
 	}
 }
@@ -170,7 +172,7 @@ func TestKillNodeKeepsReplicatedData(t *testing.T) {
 		svc := New(row.opts)
 		keys := testKeys("kill", 96)
 		for i, k := range keys {
-			svc.Seed(k, []byte(fmt.Sprintf("v-%d", i)))
+			seed(svc, k, []byte(fmt.Sprintf("v-%d", i)))
 		}
 		if err := svc.KillNode(1); err != nil {
 			t.Fatal(err)
@@ -219,7 +221,7 @@ func TestLeaseEpochSurvivesMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Put(l, key, []byte("before")); err != nil {
+	if _, err := svc.Put(l, key, []byte("before")); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ownersOf(svc, key) {
@@ -230,40 +232,11 @@ func TestLeaseEpochSurvivesMigration(t *testing.T) {
 	if v, ok := svc.Get(key); !ok || !bytes.Equal(v, []byte("before")) {
 		t.Fatalf("pre-kill write lost across two kills (ok=%v)", ok)
 	}
-	if err := svc.Put(l, key, []byte("after")); err != nil {
+	if _, err := svc.Put(l, key, []byte("after")); err != nil {
 		t.Fatalf("pre-kill epoch rejected after two kills: %v", err)
 	}
 	if v, ok := svc.Get(key); !ok || !bytes.Equal(v, []byte("after")) {
 		t.Fatalf("post-kill write not visible (ok=%v)", ok)
-	}
-}
-
-// TestNodeAddressedCallsRejectStaleVersion pins the ErrMoved contract
-// of the node-addressed data plane.
-func TestNodeAddressedCallsRejectStaleVersion(t *testing.T) {
-	svc := New(Options{Nodes: 3, Replicas: 0})
-	key := ChunkKey("moved")
-	l, err := svc.Acquire("m", svc.GroupOf(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	primary := ownersOf(svc, key)[0]
-	stale := svc.Placement().Version
-	if err := svc.KillNode((primary + 1) % 3); err != nil { // bumps the version
-		t.Fatal(err)
-	}
-	if _, _, err := svc.NodeGet(primary, stale, key); err != ErrMoved {
-		t.Fatalf("NodeGet with stale version: got %v, want ErrMoved", err)
-	}
-	if _, err := svc.NodePut(primary, stale, l, key, []byte("v")); err != ErrMoved {
-		t.Fatalf("NodePut with stale version: got %v, want ErrMoved", err)
-	}
-	// A dead target is also a routing error, not a data error.
-	if err := svc.KillNode(primary); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := svc.NodeGet(primary, svc.Placement().Version, key); err != ErrMoved {
-		t.Fatalf("NodeGet at dead node: got %v, want ErrMoved", err)
 	}
 }
 
@@ -274,7 +247,7 @@ func TestStatsPerNodeSplit(t *testing.T) {
 	svc := New(Options{Nodes: 3, Replicas: 0})
 	keys := testKeys("split", 60)
 	for _, k := range keys {
-		svc.Seed(k, []byte("y"))
+		seed(svc, k, []byte("y"))
 	}
 	for _, k := range keys {
 		svc.Get(k)                                            // hit

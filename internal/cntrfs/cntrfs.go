@@ -27,9 +27,6 @@ import (
 
 // Options configures a CntrFS instance.
 type Options struct {
-	// Root is the inode of the backing filesystem's directory to expose
-	// as the CntrFS root. Zero means the backing root.
-	Root vfs.Ino
 	// DedupHardlinks enables the open+stat lookup path that maps every
 	// backing inode to exactly one CntrFS inode. Disabling it (ablation)
 	// makes lookups cheaper but breaks hard-link identity.
@@ -53,12 +50,9 @@ type node struct {
 	nlookup uint64
 }
 
-// New builds a CntrFS over backing. The root inode is registered
-// permanently (the kernel never forgets the root).
+// New builds a CntrFS that serves backing from its root. The root inode
+// is registered permanently (the kernel never forgets the root).
 func New(backing vfs.FS, opts Options) *FS {
-	if opts.Root == 0 {
-		opts.Root = vfs.RootIno
-	}
 	fs := &FS{
 		backing:   backing,
 		opts:      opts,
@@ -66,8 +60,8 @@ func New(backing vfs.FS, opts Options) *FS {
 		byBacking: make(map[vfs.Ino]vfs.Ino),
 		nextIno:   vfs.RootIno + 1,
 	}
-	fs.nodes[vfs.RootIno] = node{backIno: opts.Root, nlookup: 1}
-	fs.byBacking[opts.Root] = vfs.RootIno
+	fs.nodes[vfs.RootIno] = node{backIno: vfs.RootIno, nlookup: 1}
+	fs.byBacking[vfs.RootIno] = vfs.RootIno
 	return fs
 }
 

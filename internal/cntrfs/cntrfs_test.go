@@ -255,24 +255,6 @@ func TestMetadataOpsForwarded(t *testing.T) {
 	}
 }
 
-func TestSubtreeRoot(t *testing.T) {
-	host := memfs.New(memfs.Options{})
-	hostCli := vfs.NewClient(host, vfs.Root())
-	hostCli.MkdirAll("/tools/bin", 0o755)
-	hostCli.WriteFile("/tools/bin/gdb", []byte("ELF"), 0o755)
-	hostCli.WriteFile("/secret", []byte("no"), 0o600)
-	r, _ := hostCli.Resolve("/tools")
-	cfs := New(host, Options{Root: r.Ino, DedupHardlinks: true})
-	cli := vfs.NewClient(cfs, vfs.Root())
-	got, err := cli.ReadFile("/bin/gdb")
-	if err != nil || string(got) != "ELF" {
-		t.Fatalf("subtree read: %q %v", got, err)
-	}
-	if _, err := cli.Stat("/secret"); vfs.ToErrno(err) != vfs.ENOENT {
-		t.Fatalf("outside subtree: %v, want ENOENT", err)
-	}
-}
-
 func TestXattrForwardedOpaquely(t *testing.T) {
 	cfs, cli, _ := newFS(t)
 	cli.WriteFile("/f", nil, 0o644)

@@ -12,7 +12,9 @@ import (
 )
 
 // MountOptions selects the protocol features negotiated at INIT time.
-// KeepCache through BatchForget are the paper's §3.3 optimizations, and
+// KeepCache through SpliceWrite are the paper's §3.3 optimizations, and
+// so are batched forgets, which every mount sends in FUSE_BATCH_FORGET
+// frames of up to ForgetBatchSize (the server still serves FUSE_FORGET).
 // MaxWrite, the two timeouts and ServerThreads the settings its CntrFS
 // mounts with: PaperMountOptions is that configuration. Eight rules are
 // beyond the paper (on in DefaultMountOptions only): NoSec, NoFlush,
@@ -40,9 +42,6 @@ type MountOptions struct {
 	// context switch on *every* request because the header cannot be read
 	// without the data; the paper leaves it off by default (§3.3).
 	SpliceWrite bool
-	// BatchForget coalesces forget messages into FUSE_BATCH_FORGET
-	// frames of up to ForgetBatchSize.
-	BatchForget bool
 	// MaxWrite caps the payload of one WRITE request and the size of one
 	// READ, and with it one writeback extent of the kernel-side cache
 	// (fc->max_write). The paper's CntrFS sends 128 KiB, the FUSE limit of
@@ -188,7 +187,6 @@ func PaperMountOptions() MountOptions {
 		AsyncRead:      true,
 		SpliceRead:     true,
 		SpliceWrite:    false,
-		BatchForget:    true,
 		MaxWrite:       128 << 10,
 		EntryTimeout:   time.Second,
 		AttrTimeout:    time.Second,

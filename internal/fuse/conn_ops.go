@@ -75,8 +75,8 @@ func (c *Conn) getattrWire(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
 	return attr, nil
 }
 
-// Forget implements vfs.FS. Forgets are one-way messages; with
-// BatchForget they are coalesced into FUSE_BATCH_FORGET frames.
+// Forget implements vfs.FS. Forgets are one-way messages, coalesced into
+// FUSE_BATCH_FORGET frames.
 func (c *Conn) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 	c.mu.Lock()
 	if c.unmounted {
@@ -105,33 +105,27 @@ func (c *Conn) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 	c.queueForget(ino, nlookup)
 }
 
-// queueForget sends a forget of nlookup on ino, in the next
-// FUSE_BATCH_FORGET frame or in one of its own, unless the connection is
-// gone. The caller holds c.mu, which queueForget releases.
+// queueForget sends a forget of nlookup on ino in the next
+// FUSE_BATCH_FORGET frame, unless the connection is gone. The caller
+// holds c.mu, which queueForget releases.
 func (c *Conn) queueForget(ino vfs.Ino, nlookup uint64) {
 	if c.unmounted {
 		c.mu.Unlock()
 		return
 	}
 	c.stats.ForgetsSent++
-	if c.opts.BatchForget {
-		if c.forgets == nil {
-			c.forgets = make([]forgetItem, 0, ForgetBatchSize)
-		}
-		c.forgets = append(c.forgets, forgetItem{ino, nlookup})
-		if len(c.forgets) < ForgetBatchSize {
-			c.mu.Unlock()
-			return
-		}
-		batch := c.forgets
-		c.forgets = nil
+	if c.forgets == nil {
+		c.forgets = make([]forgetItem, 0, ForgetBatchSize)
+	}
+	c.forgets = append(c.forgets, forgetItem{ino, nlookup})
+	if len(c.forgets) < ForgetBatchSize {
 		c.mu.Unlock()
-		c.sendForgetBatch(batch)
 		return
 	}
+	batch := c.forgets
+	c.forgets = nil
 	c.mu.Unlock()
-	// Unbatched: one one-way frame per forget (half a round trip).
-	c.oneWay(OpForget, ino, 0, func(w *buf) { w.u64(nlookup) })
+	c.sendForgetBatch(batch)
 }
 
 // sendForgetBatch sends batch as one frame: one transition for the lot.

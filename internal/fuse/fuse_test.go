@@ -192,16 +192,20 @@ func TestForgetBatching(t *testing.T) {
 	}
 }
 
+// TestUnbatchedForgetsCostMore: a thousand forgets cost a mount, which
+// batches them, far less than a FORGET frame each, built by hand.
 func TestUnbatchedForgetsCostMore(t *testing.T) {
 	run := func(batch bool) time.Duration {
 		clock := sim.NewClock()
 		model := sim.DefaultCostModel()
-		opts := DefaultMountOptions()
-		opts.BatchForget = batch
-		conn, srv := Mount(memfs.New(memfs.Options{}), clock, model, opts)
+		conn, srv := Mount(memfs.New(memfs.Options{}), clock, model, DefaultMountOptions())
 		start := clock.Now()
 		for i := 0; i < 1000; i++ {
-			conn.Forget(nil, vfs.Ino(i+2), 1)
+			if batch {
+				conn.Forget(nil, vfs.Ino(i+2), 1)
+			} else {
+				conn.oneWay(OpForget, vfs.Ino(i+2), 0, func(w *buf) { w.u64(1) })
+			}
 		}
 		elapsed := clock.Now() - start
 		conn.Unmount()

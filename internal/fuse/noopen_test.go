@@ -236,6 +236,18 @@ func TestZeroMessageOpenErrnoDifferential(t *testing.T) {
 	}
 }
 
+// flushForgets sends the forgets c has batched so far in one
+// FUSE_BATCH_FORGET frame, as a full batch or the unmount would.
+func flushForgets(c *Conn) {
+	c.mu.Lock()
+	batch := c.forgets
+	c.forgets = nil
+	c.mu.Unlock()
+	if len(batch) > 0 {
+		c.sendForgetBatch(batch)
+	}
+}
+
 // TestZeroMessageOpenDescriptorsClose: a host descriptor the server opened
 // for fh-0 frames outlives neither its inode's FORGET nor the unmount, and
 // every Open the server made is matched by a Release. A file unlinked
@@ -245,7 +257,6 @@ func TestZeroMessageOpenDescriptorsClose(t *testing.T) {
 	op := vfs.RootOp()
 	opts := DefaultMountOptions()
 	opts.ServerThreads = 1 // a GETATTR is served after every frame queued before it
-	opts.BatchForget = false
 	host := memfs.New(memfs.Options{})
 	spy := &wireSpy{FS: host}
 	conn, srv := Mount(spy, sim.NewClock(), sim.DefaultCostModel(), opts)
@@ -301,6 +312,7 @@ func TestZeroMessageOpenDescriptorsClose(t *testing.T) {
 	}
 	conn.Forget(op, a, 1) // withheld while the attributes are cached
 	conn.invalidateAttr(a)
+	flushForgets(conn)
 	if n := descriptors(); n != 0 {
 		t.Fatalf("after the FORGET, %d descriptors open", n)
 	}
@@ -315,6 +327,7 @@ func TestZeroMessageOpenDescriptorsClose(t *testing.T) {
 		t.Fatalf("the unlinked open file has %d descriptors, want 1", n)
 	}
 	conn.Release(op, h)
+	flushForgets(conn)
 	if n := descriptors(); n != 0 {
 		t.Fatalf("after the unlinked file's last close, %d descriptors open", n)
 	}

@@ -23,33 +23,32 @@ func TestOneWayFramesChargeOnlyTheEnqueue(t *testing.T) {
 	const n = 32
 	op := vfs.RootOp()
 	rows := []struct {
-		name  string
-		batch bool
+		name string
 		// prepare readies what send needs on c without being measured;
 		// send then queues n frames of the row's kind.
 		prepare func(t *testing.T, c *Conn, ino vfs.Ino) []vfs.Handle
 		send    func(c *Conn, ino vfs.Ino, hs []vfs.Handle)
 	}{
-		{"RELEASE", true, func(t *testing.T, c *Conn, ino vfs.Ino) []vfs.Handle {
+		{"RELEASE", func(t *testing.T, c *Conn, ino vfs.Ino) []vfs.Handle {
 			return openN(t, n, func() (vfs.Handle, error) { return c.Open(op, ino, vfs.ORdonly) })
 		}, func(c *Conn, _ vfs.Ino, hs []vfs.Handle) {
 			for _, h := range hs {
 				c.Release(op, h)
 			}
 		}},
-		{"RELEASEDIR", true, func(t *testing.T, c *Conn, _ vfs.Ino) []vfs.Handle {
+		{"RELEASEDIR", func(t *testing.T, c *Conn, _ vfs.Ino) []vfs.Handle {
 			return openN(t, n, func() (vfs.Handle, error) { return c.Opendir(op, vfs.RootIno) })
 		}, func(c *Conn, _ vfs.Ino, hs []vfs.Handle) {
 			for _, h := range hs {
 				c.Releasedir(op, h)
 			}
 		}},
-		{"FORGET", false, nil, func(c *Conn, ino vfs.Ino, _ []vfs.Handle) {
-			for i := 0; i < n; i++ {
-				c.Forget(op, ino, 1)
+		{"FORGET", nil, func(c *Conn, ino vfs.Ino, _ []vfs.Handle) {
+			for i := 0; i < n; i++ { // built by hand: a mount batches its forgets
+				c.oneWay(OpForget, ino, 0, func(w *buf) { w.u64(1) })
 			}
 		}},
-		{"BATCH_FORGET", true, nil, func(c *Conn, ino vfs.Ino, _ []vfs.Handle) {
+		{"BATCH_FORGET", nil, func(c *Conn, ino vfs.Ino, _ []vfs.Handle) {
 			for i := 0; i < n*ForgetBatchSize; i++ {
 				c.Forget(op, ino, 1)
 			}
@@ -61,7 +60,6 @@ func TestOneWayFramesChargeOnlyTheEnqueue(t *testing.T) {
 				clock, model := sim.NewClock(), sim.DefaultCostModel()
 				opts := DefaultMountOptions()
 				opts.ServerThreads = threads
-				opts.BatchForget = row.batch
 				opts.AttrTimeout = 0   // every GETATTR reaches the server, no forget is withheld
 				opts.NoOpen = false    // a RELEASE closes a file the server opened,
 				opts.NoOpendir = false // a RELEASEDIR a directory

@@ -125,7 +125,6 @@ type ReqHeader struct {
 type buf struct{ b []byte }
 
 func (w *buf) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *buf) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
 func (w *buf) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *buf) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *buf) i64(v int64)  { w.u64(uint64(v)) }
@@ -172,15 +171,6 @@ func (r *rdr) u8() uint8 {
 	}
 	v := r.b[r.off]
 	r.off++
-	return v
-}
-
-func (r *rdr) u16() uint16 {
-	if !r.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(r.b[r.off:])
-	r.off += 2
 	return v
 }
 

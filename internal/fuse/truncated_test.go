@@ -110,7 +110,6 @@ func requestCorpus(t testing.TB) [][]byte {
 		}
 	}
 	opts := DefaultMountOptions()
-	opts.BatchForget = false // a FORGET frame of its own
 	table := newReqTable(256)
 	conn := newConn(sim.NewClock(), sim.DefaultCostModel(), opts, table)
 	served := make(chan struct{})
@@ -151,7 +150,8 @@ func requestCorpus(t testing.TB) [][]byte {
 	conn.Removexattr(op, 7, "user.k")
 	conn.Access(op, 7, vfs.AccessRead)
 	conn.Fallocate(op, 1, 0, 0, 4096)
-	conn.Forget(op, 7, 1)
+	// A FORGET frame of its own, built by hand: a mount batches forgets.
+	conn.oneWay(OpForget, 7, 0, func(w *buf) { w.u64(1) })
 	conn.Unmount()
 	<-served
 	return frames

@@ -644,6 +644,13 @@ func (c *Cache) Release(op *vfs.Op, h vfs.Handle) error {
 			f.openHandles--
 		}
 		delete(c.opens, h)
+		if f.unlinked && f.openHandles == 0 {
+			// The last close of a file whose last link is gone: as
+			// iput_final → truncate_inode_pages_final, its pages go,
+			// dirty or not, with the handles kept for their writeback
+			// (h among them when keepBacking).
+			c.invalidateNoFlush(st.ino)
+		}
 	}
 	c.mu.Unlock()
 	if keepBacking {
@@ -769,10 +776,14 @@ func (c *Cache) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 	attr, err := c.backing.Lookup(op, parent, name)
 	if err == nil {
 		c.mu.Lock()
-		if f, ok := c.files[attr.Ino]; ok && attr.Nlink <= 1 && f.openHandles == 0 {
-			// Last link and nobody has it open: drop the pages, dirty
-			// or not — Postmark's files die before reaching the disk.
-			c.dropFileLocked(attr.Ino, f)
+		if f, ok := c.files[attr.Ino]; ok && attr.Nlink <= 1 {
+			if f.openHandles == 0 {
+				// Last link and nobody has it open: drop the pages, dirty
+				// or not — Postmark's files die before reaching the disk.
+				c.dropFileLocked(attr.Ino, f)
+			} else {
+				f.unlinked = true // the last close drops them (Release)
+			}
 		}
 		c.mu.Unlock()
 		c.backing.Forget(op, attr.Ino, 1)

@@ -286,6 +286,9 @@ type fileCache struct {
 	// openHandles counts live opens, to keep pages of unlinked-but-open
 	// files alive.
 	openHandles int
+	// unlinked marks a file whose last link Unlink removed while it was
+	// open: its last close drops everything cached of it (Release).
+	unlinked bool
 
 	dirtyBytes int64
 	// wbHandle is a backing handle usable for writeback flushes; it is
@@ -622,17 +625,17 @@ func (c *Cache) invalidateNoFlush(ino vfs.Ino) {
 }
 
 // dropFileLocked forgets everything cached of the file but how many
-// handles are open on it: the pages of an unlinked file live until the
-// last of them closes, whatever was invalidated in between. A record with
-// a handle open is reset in place and any other goes back to the slab, so
-// a caller takes what it needs of f, such as its writeback error, first.
-// Caller holds c.mu.
+// handles are open on it and whether it is unlinked: the pages of an
+// unlinked file live until the last of them closes, whatever was
+// invalidated in between. A record with a handle open is reset in place
+// and any other goes back to the slab, so a caller takes what it needs of
+// f, such as its writeback error, first. Caller holds c.mu.
 func (c *Cache) dropFileLocked(ino vfs.Ino, f *fileCache) {
 	for _, p := range f.all() {
 		c.dropPage(p)
 	}
 	if open := f.openHandles; open > 0 {
-		*f = fileCache{ino: f.ino, openHandles: open}
+		*f = fileCache{ino: f.ino, openHandles: open, unlinked: f.unlinked}
 	} else {
 		delete(c.files, ino)
 		release(&c.records, f, &poisonedFile)

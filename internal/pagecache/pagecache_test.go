@@ -912,6 +912,50 @@ func TestEvictionInsideWriteFlushesDirtyPages(t *testing.T) {
 	}
 }
 
+// TestLastCloseOfUnlinkedFileDrops: a file whose last link goes while it
+// is open keeps its pages until its last close, which drops the record,
+// the pages, dirty or not, and their share of the budget, as iput_final
+// does. Without FlushOnClose the dirty pages are discarded unwritten.
+func TestLastCloseOfUnlinkedFileDrops(t *testing.T) {
+	for _, flush := range []bool{false, true} {
+		t.Run(fmt.Sprintf("FlushOnClose=%v", flush), func(t *testing.T) {
+			budget := NewMemBudget(1 << 20)
+			e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 30, FlushOnClose: flush, Budget: budget})
+			before := budget.Used()
+			f, err := e.cli.Open("/f", vfs.ORdwr|vfs.OCreat, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(bytes.Repeat([]byte{'u'}, 8*PageSize), 0); err != nil {
+				t.Fatal(err)
+			}
+			g, err := e.cli.Open("/f", vfs.ORdonly, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ino := f.Ino()
+			if err := e.cli.Remove("/f"); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			if _, ok := e.cache.files[ino]; !ok || budget.Used() != before+8*PageSize {
+				t.Fatalf("after the first of two closes: record held %v, budget %d, want the 8 pages kept", ok, budget.Used()-before)
+			}
+			writes := e.disk.Stats().Writes
+			g.Close()
+			if _, ok := e.cache.files[ino]; ok {
+				t.Error("the cache still holds a record of the unlinked file after its last close")
+			}
+			if got := budget.Used(); got != before {
+				t.Errorf("budget holds %d bytes after the last close, want %d", got, before)
+			}
+			if got := e.disk.Stats().Writes; got != writes {
+				t.Errorf("the last close wrote %d times to the disk, want none", got-writes)
+			}
+		})
+	}
+}
+
 // TestInvalidateKeepsOpenHandleCount: an O_TRUNC open discards the file's
 // pages, not the count of handles already open on it — the pages of an
 // unlinked file must outlive every close but the last.

@@ -130,7 +130,7 @@ var fleetTiers = []fleetTier{{"nosvc", 0, 0}, {"nodes=1", 1, 0}, {"nodes=2", 2, 
 var fleet = perProcs(func() ([]MultiMountResult, error) {
 	return each(fleetTiers, func(tier fleetTier) (MultiMountResult, error) {
 		return RunMultiMount(MultiMountOptions{
-			Mounts: 4, Dirs: 16, FilesPerDir: 3, FileSize: 64 << 10, UseService: tier.nodes > 0,
+			Mounts: 4, UseService: tier.nodes > 0,
 			Nodes: tier.nodes, Replicas: tier.replicas, KillNodeMid: tier.replicas > 0,
 		})
 	})

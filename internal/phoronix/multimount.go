@@ -12,8 +12,8 @@ import (
 
 // MultiMountOptions configures the shared-cache fleet experiment: N
 // CntrFS mounts over one content-addressed store, each cold-reading the
-// same image tree (the "Top-50 images on one CAS" scenario), with or
-// without a shared cache tier between them.
+// same image tree of fleetDirs images, with or without a shared cache
+// tier between them.
 type MultiMountOptions struct {
 	// Mounts is the fleet size (default 2, the paper-scale experiments
 	// use 2-8).
@@ -21,11 +21,6 @@ type MultiMountOptions struct {
 	// UseService attaches every mount to one shared cachesvc tier; when
 	// false each mount pays the origin volume for every cold read.
 	UseService bool
-	// Dirs is the number of image directories (default 50), FilesPerDir
-	// files of FileSize bytes each (defaults 3 x 64 KiB).
-	Dirs        int
-	FilesPerDir int
-	FileSize    int64
 	// Nodes and Replicas size the tier's node set: shards are placed on
 	// a primary plus Replicas replica nodes (defaults 1 node, 0
 	// replicas — the single-node reference tier).
@@ -59,18 +54,17 @@ type MultiMountResult struct {
 	NodeStats []cachesvc.NodeStats
 }
 
+// The fleet's image tree: fleetDirs image directories of fleetFiles
+// files of fleetFileSize bytes each, 3 MiB in all.
+const (
+	fleetDirs     = 16
+	fleetFiles    = 3
+	fleetFileSize = 64 << 10
+)
+
 func (o *MultiMountOptions) defaults() {
 	if o.Mounts <= 0 {
 		o.Mounts = 2
-	}
-	if o.Dirs <= 0 {
-		o.Dirs = 50
-	}
-	if o.FilesPerDir <= 0 {
-		o.FilesPerDir = 3
-	}
-	if o.FileSize <= 0 {
-		o.FileSize = 64 << 10
 	}
 }
 
@@ -83,14 +77,14 @@ func multiMountPath(d, f int) string {
 // mount materializes identical bytes for a path, so a shared CAS
 // assigns identical chunk refs fleet-wide — the identity the tier (and
 // registry chunk dedup) keys on. Content differs between files so the
-// working set is Dirs*FilesPerDir*FileSize distinct bytes, not one
+// working set is fleetDirs*fleetFiles*fleetFileSize distinct bytes, not one
 // degenerate chunk.
 func multiMountContent(d, f int, size int64) []byte {
 	buf := make([]byte, size)
 	for i := range buf {
 		// Cheap per-byte mix over (file identity, block, offset) so every
 		// 4KB block in the working set is distinct content — the store
-		// must hold Dirs*FilesPerDir*FileSize real bytes, and the tier is
+		// must hold the whole tree's bytes, and the tier is
 		// exercised on a real working set rather than one folded chunk.
 		x := uint32(d*1000003 + f*7919 + (i>>12)*104729 + i)
 		x ^= x >> 13
@@ -134,13 +128,13 @@ func RunMultiMount(opts MultiMountOptions) (MultiMountResult, error) {
 	// phase starts from an empty tier.
 	for _, m := range mounts {
 		cli := vfs.NewClient(m.Host, vfs.Root())
-		for d := 0; d < opts.Dirs; d++ {
-			for f := 0; f < opts.FilesPerDir; f++ {
+		for d := 0; d < fleetDirs; d++ {
+			for f := 0; f < fleetFiles; f++ {
 				p := multiMountPath(d, f)
 				if err := cli.MkdirAll(parentDir(p), 0o755); err != nil {
 					return MultiMountResult{}, err
 				}
-				if err := cli.WriteFile(p, multiMountContent(d, f, opts.FileSize), 0o644); err != nil {
+				if err := cli.WriteFile(p, multiMountContent(d, f, fleetFileSize), 0o644); err != nil {
 					return MultiMountResult{}, err
 				}
 			}
@@ -161,8 +155,8 @@ func RunMultiMount(opts MultiMountOptions) (MultiMountResult, error) {
 		}
 		cli := vfs.NewClient(m.Top, vfs.Root())
 		start := m.Clock.Now()
-		for d := 0; d < opts.Dirs; d++ {
-			for f := 0; f < opts.FilesPerDir; f++ {
+		for d := 0; d < fleetDirs; d++ {
+			for f := 0; f < fleetFiles; f++ {
 				p := multiMountPath(d, f)
 				// Metadata through the tier first: the publishing mount
 				// pays a miss plus an attr publish, later mounts hit.
@@ -179,9 +173,9 @@ func RunMultiMount(opts MultiMountOptions) (MultiMountResult, error) {
 				if err != nil {
 					return res, err
 				}
-				if int64(len(data)) != opts.FileSize {
+				if len(data) != fleetFileSize {
 					return res, fmt.Errorf("mount %d read %d bytes of %s, want %d",
-						i, len(data), p, opts.FileSize)
+						i, len(data), p, fleetFileSize)
 				}
 				res.BytesRead += int64(len(data))
 			}

@@ -57,10 +57,7 @@ func TestMultiMountSharedCacheBeatsNoService(t *testing.T) {
 // serviceless fleet's per-mount cost is flat.
 func TestMultiMountScalesWithFleet(t *testing.T) {
 	per := func(mounts int, useSvc bool) time.Duration {
-		r, err := RunMultiMount(MultiMountOptions{
-			Mounts: mounts, UseService: useSvc,
-			Dirs: 8, FilesPerDir: 2, FileSize: 64 << 10,
-		})
+		r, err := RunMultiMount(MultiMountOptions{Mounts: mounts, UseService: useSvc})
 		if err != nil {
 			t.Fatal(err)
 		}
