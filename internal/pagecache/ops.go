@@ -769,26 +769,31 @@ func (c *Cache) Readlink(op *vfs.Op, ino vfs.Ino) (string, error) {
 }
 
 // Unlink implements vfs.FS. Dirty pages of removed files are discarded —
-// Postmark's files often die before ever reaching the disk.
+// Postmark's files often die before ever reaching the disk — but only
+// once the backing has removed the name: a refused unlink leaves the
+// file, and its pages, as they were.
 func (c *Cache) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 	c.charge()
 	c.clock.Advance(c.model.InodeOp)
-	attr, err := c.backing.Lookup(op, parent, name)
-	if err == nil {
-		c.mu.Lock()
-		if f, ok := c.files[attr.Ino]; ok && attr.Nlink <= 1 {
-			if f.openHandles == 0 {
-				// Last link and nobody has it open: drop the pages, dirty
-				// or not — Postmark's files die before reaching the disk.
-				c.dropFileLocked(attr.Ino, f)
-			} else {
-				f.unlinked = true // the last close drops them (Release)
-			}
-		}
-		c.mu.Unlock()
+	attr, lerr := c.backing.Lookup(op, parent, name)
+	if lerr == nil {
 		c.backing.Forget(op, attr.Ino, 1)
 	}
-	return c.backing.Unlink(op, parent, name)
+	if err := c.backing.Unlink(op, parent, name); err != nil || lerr != nil {
+		return err
+	}
+	c.mu.Lock()
+	if f, ok := c.files[attr.Ino]; ok && attr.Nlink <= 1 {
+		if f.openHandles == 0 {
+			// Last link and nobody has it open: drop the pages, dirty
+			// or not — Postmark's files die before reaching the disk.
+			c.dropFileLocked(attr.Ino, f)
+		} else {
+			f.unlinked = true // the last close drops them (Release)
+		}
+	}
+	c.mu.Unlock()
+	return nil
 }
 
 // Rmdir implements vfs.FS.

@@ -2,6 +2,7 @@ package pagecache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -951,6 +952,52 @@ func TestLastCloseOfUnlinkedFileDrops(t *testing.T) {
 			}
 			if got := e.disk.Stats().Writes; got != writes {
 				t.Errorf("the last close wrote %d times to the disk, want none", got-writes)
+			}
+		})
+	}
+}
+
+// TestRefusedUnlinkKeepsPages: an unlink the backing refuses leaves the
+// file and its dirty pages as they were, whether the file is open or
+// closed; its bytes are still read through the cache, and reach the
+// backing at the next sync.
+func TestRefusedUnlinkKeepsPages(t *testing.T) {
+	for _, open := range []bool{true, false} {
+		t.Run(fmt.Sprintf("open=%v", open), func(t *testing.T) {
+			e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 30})
+			if err := e.cli.Mkdir("/tmp", 0o777); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.cli.Chmod("/tmp", vfs.ModeSticky|0o777); err != nil {
+				t.Fatal(err)
+			}
+			data := []byte("new data")
+			f, err := e.cli.Open("/tmp/f", vfs.ORdwr|vfs.OCreat, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(data, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !open {
+				f.Close()
+			}
+			user := vfs.NewClient(e.cache, vfs.User(1000, 1000))
+			if err := user.Remove("/tmp/f"); !errors.Is(err, vfs.EPERM) {
+				t.Fatalf("uid 1000 removing root's file in a sticky directory: %v, want EPERM", err)
+			}
+			if open {
+				f.Close()
+			}
+			if got, err := e.cli.ReadFile("/tmp/f"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("through the cache after the refused unlink: %q, %v; want %q", got, err, data)
+			}
+			if err := e.cache.SyncFS(); err != nil {
+				t.Fatal(err)
+			}
+			back := vfs.NewClient(e.cache.backing, vfs.Root())
+			if got, err := back.ReadFile("/tmp/f"); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("in the backing after SyncFS: %q, %v; want %q", got, err, data)
 			}
 		})
 	}
