@@ -176,35 +176,57 @@ func TestPrivilegedContainer(t *testing.T) {
 func TestEngineResolution(t *testing.T) {
 	rt, _ := newWorld(t)
 	img := simpleImage(t, "multi")
-	docker, _ := rt.Create("web", img, CreateOpts{Engine: "docker"})
-	rt.Start(docker)
-	lxc, _ := rt.Create("pen", img, CreateOpts{Engine: "lxc"})
-	rt.Start(lxc)
+	// Every id shares c0ffee..., so a short prefix names several
+	// containers. Each container here draws its serial from a sixteen of
+	// its own (c0ffee00001x, c0ffee00002x, ...), so its first 11 digits
+	// are a unique prefix.
+	start := func(name, engine string, serial int) *Container {
+		rt.nextSerial = serial
+		c, err := rt.Create(name, img, CreateOpts{Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Start(c); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	docker := start("web", "docker", 0x10)
+	lxc := start("pen", "lxc", 0x20)
+	rkt := start("pod", "rkt", 0x30)
+	nspawn := start("vm", "systemd-nspawn", 0x40)
 
-	de := rt.engines["docker"]
-	if pid, err := de.ResolvePID("web"); err != nil || pid != docker.MainPID {
-		t.Fatalf("docker by name: %d %v", pid, err)
+	// docker: a name, then a hex id or a unique prefix of one; rkt: an
+	// id or a unique prefix, then a name; lxc and systemd-nspawn: a name.
+	for _, tc := range []struct {
+		ref    string
+		c      *Container
+		engine string
+	}{
+		{"web", docker, "docker"},
+		{docker.ID, docker, "docker"},
+		{docker.ID[:11], docker, "docker"},
+		{"pen", lxc, "lxc"},
+		{"pod", rkt, "rkt"},
+		{rkt.ID, rkt, "rkt"},
+		{rkt.ID[:11], rkt, "rkt"},
+		{"vm", nspawn, "systemd-nspawn"},
+	} {
+		pid, engine, err := ResolveAnyEngine(rt, tc.ref)
+		if err != nil || engine != tc.engine || pid != tc.c.MainPID {
+			t.Errorf("ResolveAnyEngine(%q) = %d %s %v, want %d %s", tc.ref, pid, engine, err, tc.c.MainPID, tc.engine)
+		}
 	}
-	// A full id always resolves; short prefixes shared by several
-	// containers are ambiguous (both containers here share c0ffee...).
-	if pid, err := de.ResolvePID(docker.ID); err != nil || pid != docker.MainPID {
-		t.Fatalf("docker by full id: %d %v", pid, err)
+	// lxc and systemd-nspawn refuse ids, whole or cut short.
+	for _, ref := range []string{lxc.ID, lxc.ID[:11], nspawn.ID, nspawn.ID[:11]} {
+		if pid, engine, err := ResolveAnyEngine(rt, ref); vfs.ToErrno(err) != vfs.ENOENT {
+			t.Errorf("ResolveAnyEngine(%q) = %d %s %v, want ENOENT", ref, pid, engine, err)
+		}
 	}
-	if _, err := de.ResolvePID("pen"); err == nil {
-		t.Fatal("docker engine must not resolve lxc containers")
-	}
-	le := rt.engines["lxc"]
-	if pid, err := le.ResolvePID("pen"); err != nil || pid != lxc.MainPID {
-		t.Fatalf("lxc: %d %v", pid, err)
-	}
-	pid, engine, err := ResolveAnyEngine(rt, "pen")
-	if err != nil || engine != "lxc" || pid != lxc.MainPID {
-		t.Fatalf("any-engine: %d %s %v", pid, engine, err)
-	}
-	if names := rt.Engines(); len(names) != 4 {
+	if names := rt.Engines(); !slices.Equal(names, []string{"docker", "lxc", "rkt", "systemd-nspawn"}) {
 		t.Fatalf("engines = %v", names)
 	}
-	if got := de.List(); len(got) != 1 || got[0] != "web" {
+	if got := rt.engines["docker"].List(); len(got) != 1 || got[0] != "web" {
 		t.Fatalf("docker list = %v", got)
 	}
 }
