@@ -7,7 +7,7 @@ import (
 )
 
 func TestDefaultDockerProfileDrops(t *testing.T) {
-	p := DefaultDockerProfile()
+	p := Lookup("docker-default")
 	cred := vfs.Root()
 	p.Apply(cred)
 	if cred.Caps.Has(vfs.CapSysAdmin) {
@@ -22,7 +22,7 @@ func TestDefaultDockerProfileDrops(t *testing.T) {
 }
 
 func TestUnconfinedKeepsAll(t *testing.T) {
-	p := UnconfinedProfile()
+	p := Lookup("unconfined")
 	cred := vfs.Root()
 	p.Apply(cred)
 	if cred.Caps != vfs.FullCapSet() {
@@ -40,22 +40,10 @@ func TestNilProfileSafe(t *testing.T) {
 }
 
 func TestRegistryFallback(t *testing.T) {
-	r := NewRegistry()
-	if r.Get("docker-default").Name != "docker-default" {
+	if Lookup("docker-default").Name != "docker-default" {
 		t.Fatal("preloaded profile missing")
 	}
-	if r.Get("no-such-profile").Name != "unconfined" {
+	if Lookup("no-such-profile").Name != "unconfined" {
 		t.Fatal("unknown profile must fall back to unconfined")
-	}
-	custom := &Profile{Name: "strict", Kind: LSMSELinux}
-	r.Register(custom)
-	if r.Get("strict") != custom {
-		t.Fatal("registered profile not returned")
-	}
-}
-
-func TestLSMKindString(t *testing.T) {
-	if LSMAppArmor.String() != "apparmor" || LSMSELinux.String() != "selinux" || LSMNone.String() != "none" {
-		t.Fatal("kind names")
 	}
 }

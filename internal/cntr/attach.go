@@ -111,10 +111,11 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 	// setns(2) into every namespace of the target...
 	nested := child.Namespaces
 	nested.SetnsAll(ctx.Namespaces)
-	// ...then unshare a nested mount namespace so our mounts stay
-	// invisible to the application (all mount points private).
+	// ...then unshare a nested mount namespace. Cntr makes every mount
+	// in it private first, so the session's mounts never propagate back
+	// to the application (§3.2.3); here every mount is private already,
+	// so the copy alone keeps them invisible to it.
 	nestedMount := ctx.Namespaces.Mount.Clone()
-	nestedMount.MakeAllPrivate()
 	nested.Mount = nestedMount
 	// Join the container's cgroup.
 	if err := h.Procs.Cgroups.Attach(child.PID, ctx.CgroupPath); err != nil {
@@ -122,28 +123,28 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 	}
 
 	// Mount CntrFS on the temporary mount point.
-	nestedMount.Mount(tmpMountPoint, mount.Kernel, vfs.RootIno, namespace.PropPrivate, false)
+	nestedMount.Mount(tmpMountPoint, mount.Kernel, vfs.RootIno, false)
 	// Re-expose every pre-existing container mount under TMP/var/lib/cntr.
 	rootMount, _ := ctx.Namespaces.Mount.MountAt("/")
-	nestedMount.Mount(tmpMountPoint+AppDir, rootMount.FS, rootMount.Root, namespace.PropPrivate, false)
+	nestedMount.Mount(tmpMountPoint+AppDir, rootMount.FS, rootMount.Root, false)
 	for _, m := range ctx.Namespaces.Mount.Mounts() {
 		if m.Point == "/" {
 			continue
 		}
-		nestedMount.Mount(tmpMountPoint+AppDir+m.Point, m.FS, m.Root, namespace.PropPrivate, m.ReadOnly)
+		nestedMount.Mount(tmpMountPoint+AppDir+m.Point, m.FS, m.Root, m.ReadOnly)
 	}
 	// Bind the pseudo filesystems and per-container config files over
 	// the tools view: /proc (so tools can see and trace the app), /dev,
 	// /etc/passwd, /etc/hostname.
 	procSnap := h.Procs.Snapshot()
-	nestedMount.Mount(tmpMountPoint+"/proc", procSnap, vfs.RootIno, namespace.PropPrivate, false)
+	nestedMount.Mount(tmpMountPoint+"/proc", procSnap, vfs.RootIno, false)
 	appOp := vfs.RootOp()
 	for _, special := range []string{"/dev", "/etc/passwd", "/etc/hostname"} {
 		src, rerr := ctx.Namespaces.Mount.Resolve(appOp, special)
 		if rerr != nil {
 			continue // absent in this container; skip
 		}
-		nestedMount.Mount(tmpMountPoint+special, src.FS, src.Ino, namespace.PropPrivate, false)
+		nestedMount.Mount(tmpMountPoint+special, src.FS, src.Ino, false)
 	}
 
 	// Atomically pivot into the new hierarchy: chroot(TMP). The shell
@@ -193,7 +194,7 @@ func resolveContext(h *Host, ref string) (*Context, error) {
 		Engine:     engineName,
 		Namespaces: p.Namespaces,
 		CgroupPath: h.Procs.Cgroups.Of(pid),
-		Profile:    h.Procs.Profiles.Get(p.Profile),
+		Profile:    caps.Lookup(p.Profile),
 		Caps:       p.Caps,
 		Env:        append([]string(nil), p.Env...),
 		UID:        p.UID,

@@ -6,130 +6,55 @@ import (
 	"cntr/internal/vfs"
 )
 
-// Engine is a container-manager frontend. Cntr deliberately depends only
-// on this narrow surface — resolving a user-visible container name to the
-// process id of the container's main process — because management APIs
-// churn while the kernel interface is stable (§4: ~70 LoC per engine).
-type Engine interface {
-	// Name is the engine identifier ("docker", "lxc", ...).
-	Name() string
-	// ResolvePID maps an engine-specific container reference to the
-	// host pid of the container's main process.
-	ResolvePID(ref string) (int, error)
-	// List returns the engine's containers by their primary reference.
-	List() []string
+// engine is a container-manager frontend. Cntr deliberately depends only
+// on this narrow surface — resolving a user-visible container reference
+// to the process id of the container's main process — because
+// management APIs churn while the kernel interface is stable (§4: ~70
+// LoC per engine). Here the frontends differ only in which references
+// they accept and in what order they try them.
+type engine struct {
+	name    string
+	lookups []lookup
 }
 
-// DockerEngine resolves Docker names and (truncated) hex container ids.
-type DockerEngine struct {
-	rt *Runtime
+// lookup finds a container by one kind of reference.
+type lookup func(rt *Runtime, ref string) (*Container, error)
+
+// engines is every frontend, in the order ResolveAnyEngine tries them.
+var engines = []engine{
+	// docker: a name, then a (truncated) hex container id.
+	{"docker", []lookup{(*Runtime).Get, hexID}},
+	// lxc-info -n NAME -p.
+	{"lxc", []lookup{(*Runtime).Get}},
+	// A pod UUID or the unambiguous prefix rkt accepts, then a name.
+	{"rkt", []lookup{(*Runtime).ByID, (*Runtime).Get}},
+	// machinectl show MACHINE -p Leader.
+	{"systemd-nspawn", []lookup{(*Runtime).Get}},
 }
 
-// Name implements Engine.
-func (e *DockerEngine) Name() string { return "docker" }
-
-// ResolvePID implements Engine: docker accepts names or id prefixes.
-func (e *DockerEngine) ResolvePID(ref string) (int, error) {
-	if c, err := e.rt.Get(ref); err == nil && c.Engine == "docker" {
-		return runningPID(c)
-	}
-	if isHex(ref) {
-		if c, err := e.rt.ByID(ref); err == nil && c.Engine == "docker" {
-			return runningPID(c)
-		}
-	}
-	return 0, vfs.ENOENT
-}
-
-// List implements Engine.
-func (e *DockerEngine) List() []string { return e.rt.List("docker") }
-
-// LXCEngine resolves LXC container names (lxc-info -n NAME -p).
-type LXCEngine struct {
-	rt *Runtime
-}
-
-// Name implements Engine.
-func (e *LXCEngine) Name() string { return "lxc" }
-
-// ResolvePID implements Engine.
-func (e *LXCEngine) ResolvePID(ref string) (int, error) {
-	c, err := e.rt.Get(ref)
-	if err != nil || c.Engine != "lxc" {
-		return 0, vfs.ENOENT
-	}
-	return runningPID(c)
-}
-
-// List implements Engine.
-func (e *LXCEngine) List() []string { return e.rt.List("lxc") }
-
-// RktEngine resolves rkt pod UUIDs, including the unambiguous-prefix
-// shorthand rkt accepts.
-type RktEngine struct {
-	rt *Runtime
-}
-
-// Name implements Engine.
-func (e *RktEngine) Name() string { return "rkt" }
-
-// ResolvePID implements Engine.
-func (e *RktEngine) ResolvePID(ref string) (int, error) {
-	if c, err := e.rt.ByID(ref); err == nil && c.Engine == "rkt" {
-		return runningPID(c)
-	}
-	if c, err := e.rt.Get(ref); err == nil && c.Engine == "rkt" {
-		return runningPID(c)
-	}
-	return 0, vfs.ENOENT
-}
-
-// List implements Engine.
-func (e *RktEngine) List() []string { return e.rt.List("rkt") }
-
-// NspawnEngine resolves systemd-nspawn machine names (machinectl).
-type NspawnEngine struct {
-	rt *Runtime
-}
-
-// Name implements Engine.
-func (e *NspawnEngine) Name() string { return "systemd-nspawn" }
-
-// ResolvePID implements Engine: machinectl show MACHINE -p Leader.
-func (e *NspawnEngine) ResolvePID(ref string) (int, error) {
-	c, err := e.rt.Get(ref)
-	if err != nil || c.Engine != "systemd-nspawn" {
-		return 0, vfs.ENOENT
-	}
-	return runningPID(c)
-}
-
-// List implements Engine.
-func (e *NspawnEngine) List() []string { return e.rt.List("systemd-nspawn") }
-
-func runningPID(c *Container) (int, error) {
-	if c.State != StateRunning || c.MainPID == 0 {
-		return 0, vfs.ESRCH
-	}
-	return c.MainPID, nil
-}
-
-func isHex(s string) bool {
-	if s == "" {
-		return false
-	}
-	return strings.IndexFunc(s, func(r rune) bool {
+func hexID(rt *Runtime, ref string) (*Container, error) {
+	if ref == "" || strings.IndexFunc(ref, func(r rune) bool {
 		return !(r >= '0' && r <= '9' || r >= 'a' && r <= 'f')
-	}) == -1
+	}) != -1 {
+		return nil, vfs.ENOENT
+	}
+	return rt.ByID(ref)
 }
 
-// ResolveAnyEngine tries every engine in order, returning the first
-// match — what `cntr attach NAME` does when the engine is unspecified.
+// ResolveAnyEngine tries every engine in order and returns the main pid
+// of the first running container one of them finds for ref, with that
+// engine's name — what `cntr attach NAME` does when the engine is
+// unspecified. An engine's first lookup that finds a container of its
+// own decides for that engine.
 func ResolveAnyEngine(rt *Runtime, ref string) (int, string, error) {
-	for _, name := range rt.Engines() {
-		e := rt.engines[name]
-		if pid, err := e.ResolvePID(ref); err == nil {
-			return pid, e.Name(), nil
+	for _, e := range engines {
+		for _, lookup := range e.lookups {
+			if c, err := lookup(rt, ref); err == nil && c.Engine == e.name {
+				if c.State == StateRunning && c.MainPID != 0 {
+					return c.MainPID, e.name, nil
+				}
+				break
+			}
 		}
 	}
 	return 0, "", vfs.ENOENT

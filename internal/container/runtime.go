@@ -2,10 +2,11 @@ package container
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
+	"cntr/internal/caps"
 	"cntr/internal/cgroup"
 	"cntr/internal/namespace"
 	"cntr/internal/proc"
@@ -72,35 +73,25 @@ type Runtime struct {
 	containers map[string]*Container // by name
 	byID       map[string]*Container
 	nextSerial int
-	engines    map[string]Engine
 }
 
 // NewRuntime builds a runtime over a host process table.
 func NewRuntime(table *proc.Table, host *namespace.Set) *Runtime {
-	rt := &Runtime{
+	return &Runtime{
 		Procs:      table,
 		Host:       host,
 		containers: make(map[string]*Container),
 		byID:       make(map[string]*Container),
 		nextSerial: 1,
-		engines:    make(map[string]Engine),
 	}
-	for _, e := range []Engine{
-		&DockerEngine{rt: rt}, &LXCEngine{rt: rt},
-		&RktEngine{rt: rt}, &NspawnEngine{rt: rt},
-	} {
-		rt.engines[e.Name()] = e
-	}
-	return rt
 }
 
-// Engines lists registered engine names, sorted.
+// Engines lists the engine names, sorted.
 func (rt *Runtime) Engines() []string {
-	out := make([]string, 0, len(rt.engines))
-	for name := range rt.engines {
-		out = append(out, name)
+	out := make([]string, len(engines))
+	for i, e := range engines {
+		out[i] = e.name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -111,7 +102,7 @@ func (rt *Runtime) Create(name string, img *Image, opts CreateOpts) (*Container,
 	if opts.Engine == "" {
 		opts.Engine = "docker"
 	}
-	if _, ok := rt.engines[opts.Engine]; !ok {
+	if !slices.Contains(rt.Engines(), opts.Engine) {
 		return nil, fmt.Errorf("unknown engine %q: %w", opts.Engine, vfs.EINVAL)
 	}
 	rt.mu.Lock()
@@ -124,9 +115,7 @@ func (rt *Runtime) Create(name string, img *Image, opts CreateOpts) (*Container,
 	id := fmt.Sprintf("%012x", 0xC0FFEE000000+serial)
 
 	rootfs := img.RootFS()
-	mountNS := namespace.NewMountNS(rootfs)
-	mountNS.MakeAllPrivate() // the runtime mounts everything private, §2.3
-	set := namespace.New(mountNS, name, namespace.KindPID, namespace.KindNet,
+	set := namespace.New(namespace.NewMountNS(rootfs), name, namespace.KindPID, namespace.KindNet,
 		namespace.KindUTS, namespace.KindIPC, namespace.KindCgroup)
 	set.Setns(rt.Host, namespace.KindUser)
 
@@ -165,11 +154,10 @@ func (rt *Runtime) Start(c *Container) error {
 	p.Namespaces = c.Namespaces
 	p.Env = append([]string(nil), c.Env...)
 	p.Cwd = "/"
-	prof := rt.Procs.Profiles.Get(c.Profile)
 	p.Profile = c.Profile
 	cred := p.Cred()
 	if !c.Privileged {
-		prof.Apply(cred)
+		caps.Lookup(c.Profile).Apply(cred)
 	}
 	p.Caps = cred.Caps
 	if err := rt.Procs.Cgroups.Attach(p.PID, c.CgroupPath); err != nil {
@@ -232,20 +220,6 @@ func (rt *Runtime) ByID(id string) (*Container, error) {
 		}
 	}
 	return nil, vfs.ENOENT
-}
-
-// List returns container names (optionally filtered by engine), sorted.
-func (rt *Runtime) List(engine string) []string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	out := make([]string, 0, len(rt.containers))
-	for name, c := range rt.containers {
-		if engine == "" || c.Engine == engine {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Exec spawns an extra process inside a running container (docker exec).

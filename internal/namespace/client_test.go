@@ -40,9 +40,9 @@ func sessionNS(t *testing.T) (ns *MountNS, jail *vfs.Client) {
 		t.Fatal(err)
 	}
 	ns = NewMountNS(hostFS)
-	ns.Mount("/tmp/cntr", tools, vfs.RootIno, PropPrivate, false)
-	ns.Mount("/tmp/cntr/var/lib/cntr", app, vfs.RootIno, PropPrivate, false)
-	ns.Mount("/tmp/cntr/ro", app, vfs.RootIno, PropPrivate, true)
+	ns.Mount("/tmp/cntr", tools, vfs.RootIno, false)
+	ns.Mount("/tmp/cntr/var/lib/cntr", app, vfs.RootIno, false)
+	ns.Mount("/tmp/cntr/ro", app, vfs.RootIno, true)
 	jail, err := NewClient(ns, vfs.Root()).Chroot("/tmp/cntr")
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func (f vfsChecked) Lookup(op *vfs.Op, dir vfs.Ino, name string) (vfs.Attr, erro
 func TestSearchPermissionAcrossMounts(t *testing.T) {
 	ns, jail := sessionNS(t)
 	app, _ := ns.MountAt("/tmp/cntr/ro")
-	ns.Mount("/tmp/cntr/mnt", vfsChecked{app.FS}, vfs.RootIno, PropPrivate, false)
+	ns.Mount("/tmp/cntr/mnt", vfsChecked{app.FS}, vfs.RootIno, false)
 	user := *jail
 	user.Op = vfs.NewOp(nil, vfs.User(1000, 1000))
 	for _, dir := range []string{"/var/lib/cntr", "/mnt"} {
@@ -157,7 +157,7 @@ func TestCanceledOpAbortsWalkAcrossMount(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ns := NewMountNS(&cancelOnLookup{FS: rootFS, name: "a", cancel: cancel})
-	ns.Mount("/a/m", other, vfs.RootIno, PropPrivate, false)
+	ns.Mount("/a/m", other, vfs.RootIno, false)
 	c := NewClient(ns, vfs.Root())
 	c.Op = vfs.NewOp(ctx, vfs.Root())
 	if _, err := c.Stat("/a/m/f"); vfs.ToErrno(err) != vfs.EINTR {

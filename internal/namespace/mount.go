@@ -1,21 +1,12 @@
 package namespace
 
 import (
+	"maps"
 	"sort"
 	"strings"
 	"sync"
 
 	"cntr/internal/vfs"
-)
-
-// Propagation controls whether mount events under a mount point flow to
-// peer namespaces (mount(8) shared subtrees).
-type Propagation uint8
-
-// Propagation modes.
-const (
-	PropPrivate Propagation = iota
-	PropShared
 )
 
 // Mount is one entry in a mount table: the filesystem serving everything
@@ -28,18 +19,8 @@ type Mount struct {
 	// Root is the inode within FS that appears at Point; bind mounts
 	// point it at an arbitrary directory.
 	Root vfs.Ino
-	// Propagation marks the mount private or shared.
-	Propagation Propagation
 	// ReadOnly rejects mutating operations at the namespace layer.
 	ReadOnly bool
-	// peers is the shared-subtree peer group; nil for private mounts.
-	peers *peerGroup
-}
-
-// peerGroup links mounts that propagate events to each other.
-type peerGroup struct {
-	mu      sync.Mutex
-	members []*MountNS
 }
 
 // MountNS is a mount namespace: an identity plus a mount table.
@@ -66,102 +47,21 @@ func normalizePoint(p string) string {
 	return "/" + strings.Join(parts, "/")
 }
 
-// Clone copies the namespace (unshare(CLONE_NEWNS)): the mount table is
-// duplicated; shared mounts remain in their peer groups, private mounts
-// become independent copies.
+// Clone copies the namespace (unshare(CLONE_NEWNS)). Every mount is
+// private, so a mount made in either table is invisible to the other; a
+// mount is never changed once made, so both share the entries.
 func (ns *MountNS) Clone() *MountNS {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
-	cp := &MountNS{ID: nextID(), mounts: make(map[string]*Mount, len(ns.mounts))}
-	for point, m := range ns.mounts {
-		mc := *m
-		cp.mounts[point] = &mc
-		if m.Propagation == PropShared && m.peers != nil {
-			m.peers.mu.Lock()
-			m.peers.members = append(m.peers.members, cp)
-			m.peers.mu.Unlock()
-		}
-	}
-	return cp
+	return &MountNS{ID: nextID(), mounts: maps.Clone(ns.mounts)}
 }
 
 // Mount attaches fs (rooted at root) at point.
-func (ns *MountNS) Mount(point string, fs vfs.FS, root vfs.Ino, prop Propagation, readOnly bool) {
+func (ns *MountNS) Mount(point string, fs vfs.FS, root vfs.Ino, readOnly bool) {
 	point = normalizePoint(point)
-	m := &Mount{Point: point, FS: fs, Root: root, Propagation: prop, ReadOnly: readOnly}
-	if prop == PropShared {
-		m.peers = &peerGroup{members: []*MountNS{ns}}
-	}
 	ns.mu.Lock()
-	ns.mounts[point] = m
+	ns.mounts[point] = &Mount{Point: point, FS: fs, Root: root, ReadOnly: readOnly}
 	ns.mu.Unlock()
-	ns.propagate(point, m)
-}
-
-// propagate pushes a new mount to peer namespaces when the covering
-// mount in this namespace is shared.
-func (ns *MountNS) propagate(point string, m *Mount) {
-	covering := ns.coveringMount(point)
-	if covering == nil || covering.Propagation != PropShared || covering.peers == nil {
-		return
-	}
-	covering.peers.mu.Lock()
-	peers := append([]*MountNS(nil), covering.peers.members...)
-	covering.peers.mu.Unlock()
-	for _, peer := range peers {
-		if peer == ns {
-			continue
-		}
-		peer.mu.Lock()
-		if _, exists := peer.mounts[point]; !exists {
-			mc := *m
-			peer.mounts[point] = &mc
-		}
-		peer.mu.Unlock()
-	}
-}
-
-// coveringMount finds the mount whose subtree contains point (excluding
-// an exact mount at point itself).
-func (ns *MountNS) coveringMount(point string) *Mount {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	best := ""
-	var found *Mount
-	for p, m := range ns.mounts {
-		if p == point {
-			continue
-		}
-		if p == "/" || strings.HasPrefix(point, p+"/") {
-			if len(p) > len(best) {
-				best, found = p, m
-			}
-		}
-	}
-	return found
-}
-
-// MakeAllPrivate marks every mount private, detaching it from its peer
-// group — the first thing Cntr does inside the nested namespace so mount
-// events do not leak back to the container (§3.2.3).
-func (ns *MountNS) MakeAllPrivate() {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	for _, m := range ns.mounts {
-		if m.peers != nil {
-			m.peers.mu.Lock()
-			members := m.peers.members[:0]
-			for _, member := range m.peers.members {
-				if member != ns {
-					members = append(members, member)
-				}
-			}
-			m.peers.members = members
-			m.peers.mu.Unlock()
-		}
-		m.Propagation = PropPrivate
-		m.peers = nil
-	}
 }
 
 // MountAt returns the mount exactly at point, if any.

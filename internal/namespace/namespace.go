@@ -3,11 +3,12 @@
 // the mount table, the UTS hostname, and each kind's identity
 // (/proc/<pid>/ns/<kind>, which also keys the per-network-namespace
 // socket tables of §3.2.4). A Set holds exactly these: a full mount
-// namespace — mount tables with longest-prefix resolution, bind mounts,
-// private/shared propagation and chroot, everything Cntr's nested
-// namespace construction (§3.2.3) manipulates — the hostname, and one id
-// for every other kind. Nothing reads pid translation, id maps,
-// interfaces or cgroup roots, so none is modelled.
+// namespace — mount tables with longest-prefix resolution, bind mounts
+// and chroot, everything Cntr's nested namespace construction (§3.2.3)
+// manipulates — the hostname, and one id for every other kind. Every
+// mount is private: no program here mounts a shared subtree, so mount
+// propagation is not modelled, nor are pid translation, id maps,
+// interfaces or cgroup roots, which nothing reads.
 package namespace
 
 import "sync/atomic"

@@ -20,7 +20,7 @@ func bind(t *testing.T, ns *MountNS, src, dst string, readOnly bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns.Mount(dst, r.FS, r.Ino, PropPrivate, readOnly)
+	ns.Mount(dst, r.FS, r.Ino, readOnly)
 }
 
 func TestRootMountResolution(t *testing.T) {
@@ -40,7 +40,7 @@ func TestMountShadowsDirectory(t *testing.T) {
 	c.WriteFile("/mnt/under", []byte("hidden"), 0o644)
 	other := memfs.New(memfs.Options{})
 	vfs.NewClient(other, vfs.Root()).WriteFile("/visible", []byte("shown"), 0o644)
-	ns.Mount("/mnt", other, vfs.RootIno, PropPrivate, false)
+	ns.Mount("/mnt", other, vfs.RootIno, false)
 	if _, err := c.Stat("/mnt/under"); vfs.ToErrno(err) != vfs.ENOENT {
 		t.Fatalf("shadowed file visible: %v", err)
 	}
@@ -53,7 +53,7 @@ func TestMountShadowsDirectory(t *testing.T) {
 func TestMountNeedsNoUnderlyingDir(t *testing.T) {
 	ns, c := newRoot(t)
 	other := memfs.New(memfs.Options{})
-	ns.Mount("/virtual/deep", other, vfs.RootIno, PropPrivate, false)
+	ns.Mount("/virtual/deep", other, vfs.RootIno, false)
 	if _, err := c.ReadDir("/virtual/deep"); err != nil {
 		t.Fatalf("mount without underlying dir: %v", err)
 	}
@@ -95,42 +95,16 @@ func TestCloneIsolatesPrivateMounts(t *testing.T) {
 	ns, _ := newRoot(t)
 	child := ns.Clone()
 	other := memfs.New(memfs.Options{})
-	child.Mount("/m", other, vfs.RootIno, PropPrivate, false)
+	child.Mount("/m", other, vfs.RootIno, false)
 	if _, ok := ns.MountAt("/m"); ok {
 		t.Fatal("private mount leaked to parent namespace")
 	}
 	if _, ok := child.MountAt("/m"); !ok {
 		t.Fatal("mount missing in child")
 	}
-}
-
-func TestSharedPropagation(t *testing.T) {
-	ns, c := newRoot(t)
-	c.MkdirAll("/shared", 0o755)
-	// Re-mount root as shared, then clone.
-	root, _ := ns.MountAt("/")
-	ns.Mount("/", root.FS, root.Root, PropShared, false)
-	child := ns.Clone()
-	other := memfs.New(memfs.Options{})
-	child.Mount("/shared/m", other, PropPrivate.asRootIno(), PropPrivate, false)
-	if _, ok := ns.MountAt("/shared/m"); !ok {
-		t.Fatal("mount under shared subtree should propagate to peer")
-	}
-}
-
-// asRootIno is test sugar so the call site reads naturally.
-func (Propagation) asRootIno() vfs.Ino { return vfs.RootIno }
-
-func TestMakeAllPrivateStopsPropagation(t *testing.T) {
-	ns, _ := newRoot(t)
-	root, _ := ns.MountAt("/")
-	ns.Mount("/", root.FS, root.Root, PropShared, false)
-	child := ns.Clone()
-	child.MakeAllPrivate()
-	other := memfs.New(memfs.Options{})
-	child.Mount("/m", other, vfs.RootIno, PropPrivate, false)
-	if _, ok := ns.MountAt("/m"); ok {
-		t.Fatal("mount propagated despite MakeAllPrivate")
+	ns.Mount("/n", other, vfs.RootIno, false)
+	if _, ok := child.MountAt("/n"); ok {
+		t.Fatal("parent's later mount leaked into the clone")
 	}
 }
 
@@ -157,7 +131,7 @@ func TestChrootSeesNestedMounts(t *testing.T) {
 	c.MkdirAll("/jail", 0o755)
 	tools := memfs.New(memfs.Options{})
 	vfs.NewClient(tools, vfs.Root()).WriteFile("/gdb", []byte("ELF"), 0o755)
-	ns.Mount("/jail/usr/bin", tools, vfs.RootIno, PropPrivate, false)
+	ns.Mount("/jail/usr/bin", tools, vfs.RootIno, false)
 	jc, err := c.Chroot("/jail")
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +145,7 @@ func TestChrootSeesNestedMounts(t *testing.T) {
 func TestRenameAcrossMountsEXDEV(t *testing.T) {
 	ns, c := newRoot(t)
 	other := memfs.New(memfs.Options{})
-	ns.Mount("/m", other, vfs.RootIno, PropPrivate, false)
+	ns.Mount("/m", other, vfs.RootIno, false)
 	c.WriteFile("/f", []byte("x"), 0o644)
 	if err := c.Rename("/f", "/m/f"); vfs.ToErrno(err) != vfs.EXDEV {
 		t.Fatalf("cross-mount rename: %v, want EXDEV", err)
@@ -185,7 +159,7 @@ func TestSymlinkAcrossMounts(t *testing.T) {
 	ns, c := newRoot(t)
 	other := memfs.New(memfs.Options{})
 	vfs.NewClient(other, vfs.Root()).WriteFile("/target", []byte("t"), 0o644)
-	ns.Mount("/m", other, vfs.RootIno, PropPrivate, false)
+	ns.Mount("/m", other, vfs.RootIno, false)
 	if err := c.Symlink("/m/target", "/ln"); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +172,7 @@ func TestSymlinkAcrossMounts(t *testing.T) {
 func TestRemoveMountPointBusy(t *testing.T) {
 	ns, c := newRoot(t)
 	c.MkdirAll("/mp", 0o755)
-	ns.Mount("/mp", memfs.New(memfs.Options{}), vfs.RootIno, PropPrivate, false)
+	ns.Mount("/mp", memfs.New(memfs.Options{}), vfs.RootIno, false)
 	if err := c.Remove("/mp"); vfs.ToErrno(err) != vfs.EBUSY {
 		t.Fatalf("remove mount point: %v, want EBUSY", err)
 	}
@@ -206,8 +180,8 @@ func TestRemoveMountPointBusy(t *testing.T) {
 
 func TestMountsListing(t *testing.T) {
 	ns, _ := newRoot(t)
-	ns.Mount("/b", memfs.New(memfs.Options{}), vfs.RootIno, PropPrivate, false)
-	ns.Mount("/a", memfs.New(memfs.Options{}), vfs.RootIno, PropPrivate, true)
+	ns.Mount("/b", memfs.New(memfs.Options{}), vfs.RootIno, false)
+	ns.Mount("/a", memfs.New(memfs.Options{}), vfs.RootIno, true)
 	ms := ns.Mounts()
 	if len(ms) != 3 || ms[0].Point != "/" || ms[1].Point != "/a" || ms[2].Point != "/b" {
 		t.Fatalf("mounts = %v", ms)
@@ -302,7 +276,7 @@ func TestDotDotAcrossMount(t *testing.T) {
 	ns, c := newRoot(t)
 	other := memfs.New(memfs.Options{})
 	vfs.NewClient(other, vfs.Root()).MkdirAll("/deep", 0o755)
-	ns.Mount("/m", other, vfs.RootIno, PropPrivate, false)
+	ns.Mount("/m", other, vfs.RootIno, false)
 	c.WriteFile("/atroot", []byte("r"), 0o644)
 	got, err := c.ReadFile("/m/deep/../../atroot")
 	if err != nil || string(got) != "r" {

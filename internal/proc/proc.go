@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 
-	"cntr/internal/caps"
 	"cntr/internal/cgroup"
 	"cntr/internal/memfs"
 	"cntr/internal/namespace"
@@ -55,18 +54,15 @@ type Table struct {
 	nextPID int
 	// Cgroups is the cgroup hierarchy pids are attached to.
 	Cgroups *cgroup.Hierarchy
-	// Profiles is the loaded MAC policy set.
-	Profiles *caps.Registry
 }
 
 // NewTable returns a table containing pid 1 (init) in the given host
 // namespaces.
 func NewTable(host *namespace.Set) *Table {
 	t := &Table{
-		procs:    make(map[int]*Process),
-		nextPID:  2,
-		Cgroups:  cgroup.New(),
-		Profiles: caps.NewRegistry(),
+		procs:   make(map[int]*Process),
+		nextPID: 2,
+		Cgroups: cgroup.New(),
 	}
 	init := &Process{
 		PID: 1, PPID: 0, Comm: "init", Cmdline: []string{"/sbin/init"},
