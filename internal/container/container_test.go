@@ -228,6 +228,39 @@ func TestEngineResolution(t *testing.T) {
 	}
 }
 
+// TestByIDRefusesAmbiguousPrefix: an id prefix names a container only
+// when exactly one id has it, as rkt's unambiguous prefix does. Every id
+// here shares c0ffee..., so a short prefix is refused, not answered with
+// whichever container a map walk meets first.
+func TestByIDRefusesAmbiguousPrefix(t *testing.T) {
+	rt, _ := newWorld(t)
+	img := simpleImage(t, "ids")
+	var cs []*Container
+	for _, engine := range []string{"docker", "rkt", "lxc"} {
+		c, err := rt.Create("c-"+engine, img, CreateOpts{Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Start(c); err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, c)
+	}
+	for _, c := range cs {
+		if got, err := rt.ByID(c.ID); err != nil || got != c {
+			t.Errorf("ByID(%q) = %v, %v", c.ID, got, err)
+		}
+	}
+	for _, ref := range []string{"", "c0ffee", cs[0].ID[:11]} {
+		if got, err := rt.ByID(ref); vfs.ToErrno(err) != vfs.ENOENT {
+			t.Errorf("ByID(%q) = %v, %v, want ENOENT", ref, got, err)
+		}
+		if pid, engine, err := ResolveAnyEngine(rt, ref); vfs.ToErrno(err) != vfs.ENOENT {
+			t.Errorf("ResolveAnyEngine(%q) = %d %s %v, want ENOENT", ref, pid, engine, err)
+		}
+	}
+}
+
 func TestExecInContainer(t *testing.T) {
 	rt, table := newWorld(t)
 	img := simpleImage(t, "exec")

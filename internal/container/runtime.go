@@ -207,19 +207,25 @@ func (rt *Runtime) Get(name string) (*Container, error) {
 	return c, nil
 }
 
-// ByID fetches a container by (possibly truncated) id.
-func (rt *Runtime) ByID(id string) (*Container, error) {
+// ByID fetches a container by its id or by a prefix exactly one id has,
+// as rkt's unambiguous prefix: every id is as long as every other, so a
+// whole id is such a prefix, and a prefix several ids share is ENOENT.
+func (rt *Runtime) ByID(prefix string) (*Container, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if c, ok := rt.byID[id]; ok {
-		return c, nil
-	}
-	for full, c := range rt.byID {
-		if strings.HasPrefix(full, id) {
-			return c, nil
+	var found *Container
+	for id, c := range rt.byID {
+		if strings.HasPrefix(id, prefix) {
+			if found != nil {
+				return nil, vfs.ENOENT
+			}
+			found = c
 		}
 	}
-	return nil, vfs.ENOENT
+	if found == nil {
+		return nil, vfs.ENOENT
+	}
+	return found, nil
 }
 
 // Exec spawns an extra process inside a running container (docker exec).
