@@ -543,7 +543,7 @@ func (c *Cache) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, 
 		}
 	}
 	if flags&vfs.OTrunc != 0 && flags.Writable() {
-		c.invalidateNoFlush(ino)
+		c.dropFileLocked(ino)
 		f := c.file(ino)
 		f.size, f.valid = 0, true
 	}
@@ -649,7 +649,7 @@ func (c *Cache) Release(op *vfs.Op, h vfs.Handle) error {
 			// iput_final → truncate_inode_pages_final, its pages go,
 			// dirty or not, with the handles kept for their writeback
 			// (h among them when keepBacking).
-			c.invalidateNoFlush(st.ino)
+			c.dropFileLocked(st.ino)
 		}
 	}
 	c.mu.Unlock()
@@ -787,7 +787,7 @@ func (c *Cache) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 		if f.openHandles == 0 {
 			// Last link and nobody has it open: drop the pages, dirty
 			// or not — Postmark's files die before reaching the disk.
-			c.dropFileLocked(attr.Ino, f)
+			c.dropFileLocked(attr.Ino)
 		} else {
 			f.unlinked = true // the last close drops them (Release)
 		}
@@ -903,7 +903,7 @@ func (c *Cache) Fallocate(op *vfs.Op, h vfs.Handle, mode uint32, off, length int
 			// Discard (without flushing) anything a racing read or write
 			// repopulated while the punch was in flight; its ordering
 			// against the punch is undefined and its pages may predate it.
-			c.invalidateNoFlush(st.ino)
+			c.dropFileLocked(st.ino)
 		}
 		c.mu.Unlock()
 	}

@@ -605,32 +605,26 @@ func (c *Cache) invalidate(ino vfs.Ino) error {
 	}
 	c.flushFileLocked(f)
 	err := f.takeWbErr()
-	c.dropFileLocked(ino, f)
+	c.dropFileLocked(ino)
 	return err
 }
 
-// invalidateNoFlush discards pages *without* writeback — for O_TRUNC
-// opens, where the data is being destroyed anyway. Caller holds c.mu.
-func (c *Cache) invalidateNoFlush(ino vfs.Ino) {
+// dropFileLocked forgets everything cached of the file, dirty pages
+// unwritten, but how many handles are open on it and whether it is
+// unlinked: the pages of an unlinked file live until the last of them
+// closes, whatever was dropped in between. The backing handles kept only
+// for the writeback of those pages (zombies) are released with them. A
+// record with a handle open is reset in place and any other goes back to
+// the slab, so a caller takes what it needs of the record, such as its
+// writeback error, first. Caller holds c.mu.
+func (c *Cache) dropFileLocked(ino vfs.Ino) {
 	f, ok := c.files[ino]
 	if !ok {
 		return
 	}
-	// Zombie handles were only kept for writeback of now-discarded data.
 	for _, zh := range f.zombies {
 		c.backing.Release(wbOp, zh)
 	}
-	f.zombies = nil
-	c.dropFileLocked(ino, f)
-}
-
-// dropFileLocked forgets everything cached of the file but how many
-// handles are open on it and whether it is unlinked: the pages of an
-// unlinked file live until the last of them closes, whatever was
-// invalidated in between. A record with a handle open is reset in place
-// and any other goes back to the slab, so a caller takes what it needs of
-// f, such as its writeback error, first. Caller holds c.mu.
-func (c *Cache) dropFileLocked(ino vfs.Ino, f *fileCache) {
 	for _, p := range f.all() {
 		c.dropPage(p)
 	}

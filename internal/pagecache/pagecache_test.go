@@ -957,6 +957,48 @@ func TestLastCloseOfUnlinkedFileDrops(t *testing.T) {
 	}
 }
 
+// TestUnlinkReleasesWritebackHandles: a file closed with dirty pages
+// and no flush on close keeps its backing handle for background
+// writeback; unlinking it then discards the pages, and the handle with
+// them, so the backing reaps the inode.
+func TestUnlinkReleasesWritebackHandles(t *testing.T) {
+	e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 30})
+	root := vfs.Root()
+	files := func() uint64 {
+		st, err := e.cache.backing.Statfs(vfs.NewOp(nil, root), vfs.RootIno)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Files
+	}
+	before := files()
+	for i := range 3 {
+		f, err := e.cli.Open("/f", vfs.ORdwr|vfs.OCreat, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte("hello"), 0); err != nil {
+			t.Fatal(err)
+		}
+		ino := f.Ino()
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.cli.Remove("/f"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.cache.backing.Getattr(wbOp, ino); err == nil {
+			t.Errorf("round %d: the backing still holds inode %d after its unlink: a writeback handle is open on it", i, ino)
+		}
+	}
+	if err := e.cache.SyncFS(); err != nil {
+		t.Fatal(err)
+	}
+	if got := files(); got != before {
+		t.Errorf("the backing holds %d inodes after three created and removed files, want %d", got, before)
+	}
+}
+
 // TestRefusedUnlinkKeepsPages: an unlink the backing refuses leaves the
 // file and its dirty pages as they were, whether the file is open or
 // closed; its bytes are still read through the cache, and reach the
