@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"cntr/internal/cachecl"
 	"cntr/internal/cachesvc"
@@ -90,8 +91,9 @@ func TestDifferentialClientRouting(t *testing.T) {
 
 	repSvc := cachesvc.New(cachesvc.Options{Nodes: 3, Replicas: 1, ShardCapacity: 1 << 30})
 	refSvc := cachesvc.New(cachesvc.Options{ShardCapacity: 1 << 30})
-	repCl := cachecl.New(repSvc, "m0", sim.NewClock(), model)
-	refCl := cachecl.New(refSvc, "m0", sim.NewClock(), model)
+	repClock, refClock := sim.NewClock(), sim.NewClock()
+	repCl := cachecl.New(repSvc, "m0", repClock, model)
+	refCl := cachecl.New(refSvc, "m0", refClock, model)
 	if err := repCl.Attach(); err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +125,21 @@ func TestDifferentialClientRouting(t *testing.T) {
 			}
 		case roll < 790:
 			gen[ki]++
+			rep0, ref0, moves0 := repClock.Now(), refClock.Now(), repCl.Stats().Moves
 			repErr := repCl.PutAttr(path(ki), val(ki))
 			refErr := refCl.PutAttr(path(ki), val(ki))
 			if (repErr == nil) != (refErr == nil) {
 				t.Fatalf("op %d: PutAttr(%s): replicated err=%v reference err=%v",
 					op, path(ki), repErr, refErr)
+			}
+			// Beyond what the reference paid and a move's refresh, a write
+			// pays one more send per replica it landed on: with one
+			// replica, at most one.
+			moved := time.Duration(repCl.Stats().Moves-moves0) * model.NetRTT
+			fanout := repClock.Now() - rep0 - (refClock.Now() - ref0) - moved
+			if fanout < 0 || fanout > model.NetCost(len(val(ki))) {
+				t.Fatalf("op %d: PutAttr(%s): replicated client paid %v beyond the reference, want at most one more send (%v)",
+					op, path(ki), fanout, model.NetCost(len(val(ki))))
 			}
 		case roll < 880:
 			// A client invalidates only chunks (Store.Delete), so an attr
@@ -202,9 +214,16 @@ func TestDifferentialClientRouting(t *testing.T) {
 
 	// The replicated client's virtual spend differs from the reference
 	// (replica fan-out, refresh RTTs) but must stay within the fan-out
-	// envelope: at most copies x the reference spend plus the observed
-	// re-route RTTs — not a runaway.
+	// envelope: no less than the reference spend, since every call it
+	// charges the reference charges too, and at most copies (two, with one
+	// replica) x the reference spend plus one NetRTT per observed move —
+	// not a runaway.
 	if repStats.NetBytes == 0 {
 		t.Error("replicated client charged no payload bytes")
+	}
+	ref, rep := refClock.Now(), repClock.Now()
+	if ceiling := 2*ref + time.Duration(repStats.Moves)*model.NetRTT; rep < ref || rep > ceiling {
+		t.Errorf("replicated client spent %v, want within [%v, %v] (reference %v, %d moves)",
+			rep, ref, ceiling, ref, repStats.Moves)
 	}
 }
