@@ -7,14 +7,8 @@ import (
 )
 
 // CASOptions configures a content-addressed chunk store. It holds no
-// option: every store chunks at casChunkSize. NewCAS still takes it,
-// as the bench module calls it.
+// option; NewCAS still takes it, as the bench module calls it.
 type CASOptions struct{}
-
-// casChunkSize is every CAS's preferred chunk size: the VFS block size,
-// so filesystem blocks map 1:1 onto chunks. Put itself accepts blobs of
-// any length; the size is advertised through the Chunker interface.
-const casChunkSize = 4096
 
 // CAS is the content-addressed chunk store: blobs are SHA-256
 // addressed, identical content is stored once, and chunks are freed
@@ -35,9 +29,6 @@ type casChunk struct {
 func NewCAS(CASOptions) *CAS {
 	return &CAS{chunks: make(map[Ref]*casChunk)}
 }
-
-// ChunkSize implements Chunker.
-func (c *CAS) ChunkSize() int { return casChunkSize }
 
 // Put implements Store: duplicate content is absorbed into the existing
 // chunk, whose reference count grows instead of its storage.
@@ -136,9 +127,9 @@ func (c *CAS) CorruptForTest(ref Ref) bool {
 	return true
 }
 
-// Chunker is implemented by stores with a preferred fixed chunk size,
-// the boundary at which chunk-level deduplication lines up across
-// writers.
+// Chunker is implemented by a store with a preferred fixed chunk size.
+// No store here implements it and nothing asks for it; it stays only
+// because the bench module's traced store names it.
 type Chunker interface {
 	ChunkSize() int
 }

@@ -100,16 +100,3 @@ func (f *FaultInjector) Delete(ref Ref) error { return f.inner.Delete(ref) }
 
 // Stats implements Store.
 func (f *FaultInjector) Stats() Stats { return f.inner.Stats() }
-
-// ChunkSize forwards the inner store's preferred chunk size, keeping
-// chunk alignment identical with and without fault injection.
-func (f *FaultInjector) ChunkSize() int { return storeChunkSize(f.inner) }
-
-// storeChunkSize is s's preferred chunk size when it advertises one,
-// else 4096.
-func storeChunkSize(s Store) int {
-	if c, ok := s.(Chunker); ok && c.ChunkSize() > 0 {
-		return c.ChunkSize()
-	}
-	return 4096
-}

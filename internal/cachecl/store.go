@@ -110,12 +110,3 @@ func (s *Store) Delete(ref blobstore.Ref) error {
 // Stats implements blobstore.Store, delegating to the backend (tier
 // traffic is on Client.Stats).
 func (s *Store) Stats() blobstore.Stats { return s.backend.Stats() }
-
-// ChunkSize implements blobstore.Chunker when the backend does, so
-// chunk-streaming helpers split identically with or without the tier.
-func (s *Store) ChunkSize() int {
-	if c, ok := s.backend.(blobstore.Chunker); ok {
-		return c.ChunkSize()
-	}
-	return 4096
-}
