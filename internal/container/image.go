@@ -1,8 +1,10 @@
 // Package container implements the container-runtime substrate: layered
 // images, an image registry with a download-time model, a runtime that
 // creates containers (namespaces, cgroups, MAC profiles, union root
-// filesystems), and name-resolution frontends for the four engines the
-// paper supports — Docker, LXC, rkt and systemd-nspawn (§4).
+// filesystems), and the name resolution of the four engines the paper
+// supports — Docker, LXC, rkt and systemd-nspawn (§4). An engine is one
+// row of a table: the kinds of reference it accepts, in the order it
+// tries them.
 package container
 
 import (
