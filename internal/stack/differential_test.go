@@ -312,7 +312,9 @@ func TestNoOpendirDifferential(t *testing.T) {
 // creates, unlinks, renames, links, chmods, truncations, writes the
 // writeback cache holds back and the expiry of every dentry and
 // attribute — runs on the default stack, on the default stack with the
-// rule off and on the native stack. Sending a listing's first page as a
+// rule off, on the native stack and on a default mount over a union (a
+// container's root, where the program's files are all made in the
+// upper layer). Sending a listing's first page as a
 // READDIRPLUS may change what a stat costs, never what it returns: every
 // errno, type, mode, size and link count must be equal, two names of one
 // inode must be one inode on every stack whether READDIRPLUS or a LOOKUP
@@ -324,6 +326,7 @@ func TestReaddirPlusDifferential(t *testing.T) {
 			{name: "ReaddirPlus", cfg: Config{Mount: fuse.DefaultMountOptions()}},
 			{name: "ReaddirPlus off", cfg: Config{Mount: mountWith(func(m *fuse.MountOptions) { m.ReaddirPlus = false })}},
 			{name: "native", ref: nativeStack},
+			{name: "unionfs lower under cntr", ref: unionLower},
 		},
 	})
 }

@@ -11,29 +11,30 @@ import (
 
 // Lookup implements vfs.FS.
 func (fs *FS) Lookup(op *vfs.Op, parent vfs.Ino, name string) (vfs.Attr, error) {
-	ppath, err := fs.pathOf(parent)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	p, err := fs.node(parent)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	if name == "." {
-		return fs.Getattr(op, parent)
-	}
-	if name == ".." {
-		dir, _ := splitParent(ppath)
-		ino := fs.register(dir)
-		attr, gerr := fs.Getattr(op, ino)
-		return attr, gerr
-	}
-	if strings.HasPrefix(name, whiteoutPrefix) {
+	switch {
+	case name == ".":
+		return fs.getattr(parent, p)
+	case name == "..":
+		if p.parent == 0 {
+			return vfs.Attr{}, vfs.ENOENT
+		}
+		up := fs.nodes[p.parent]
+		up.nlookup++
+		return fs.getattr(p.parent, up)
+	case strings.HasPrefix(name, whiteoutPrefix):
 		return vfs.Attr{}, vfs.ENOENT // whiteouts are invisible
 	}
-	path := joinPath(ppath, name)
-	_, res, _, err := fs.findLayer(path)
+	o, attr, err := fs.resolve(&p.obj, name)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	attr := res.Attr
-	attr.Ino = fs.register(path)
+	attr.Ino = fs.reach(parent, name, o)
 	return attr, nil
 }
 
@@ -42,57 +43,41 @@ func (fs *FS) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	n, ok := fs.nodes[ino]
-	if !ok || ino == vfs.RootIno {
+	if !ok {
 		return
 	}
-	if n.nlookup <= nlookup {
-		delete(fs.nodes, ino)
-		if cur, ok := fs.byPath[n.path]; ok && cur == ino {
-			delete(fs.byPath, n.path)
-		}
-		return
-	}
-	n.nlookup -= nlookup
+	n.nlookup -= min(n.nlookup, nlookup)
+	fs.drop(ino)
+}
+
+// getattr returns the attributes of the layer object n shows.
+func (fs *FS) getattr(ino vfs.Ino, n *unode) (vfs.Attr, error) {
+	l := n.key()
+	attr, err := fs.layer(l.layer).Getattr(internalOp, l.ino)
+	attr.Ino = ino
+	return attr, err
 }
 
 // Getattr implements vfs.FS.
 func (fs *FS) Getattr(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
-	path, err := fs.pathOf(ino)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n, err := fs.node(ino)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	if path == "/" {
-		// Root: upper root attrs.
-		attr, gerr := fs.upper.Getattr(internalOp, vfs.RootIno)
-		if gerr != nil {
-			return vfs.Attr{}, gerr
-		}
-		attr.Ino = vfs.RootIno
-		return attr, nil
-	}
-	_, res, _, err := fs.findLayer(path)
-	if err != nil {
-		return vfs.Attr{}, err
-	}
-	attr := res.Attr
-	attr.Ino = ino
-	return attr, nil
+	return fs.getattr(ino, n)
 }
 
 // Setattr implements vfs.FS (copy-up then apply).
 func (fs *FS) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.Attr) (vfs.Attr, error) {
-	path, err := fs.pathOf(ino)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	up, err := fs.copyUp(ino)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	if err := fs.copyUp(path); err != nil {
-		return vfs.Attr{}, err
-	}
-	res, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, path, false)
-	if err != nil {
-		return vfs.Attr{}, err
-	}
-	out, err := fs.upper.Setattr(op, res.Ino, mask, attr)
+	out, err := fs.upper.Setattr(op, up, mask, attr)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
@@ -100,29 +85,35 @@ func (fs *FS) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.At
 	return out, nil
 }
 
-// create runs an upper-layer creation op at parent/name.
-func (fs *FS) create(parent vfs.Ino, name string, op func(dir vfs.Ino) (vfs.Attr, error)) (vfs.Attr, error) {
-	ppath, err := fs.pathOf(parent)
+// create makes name in parent with mk, which it hands the parent's upper
+// directory, and counts a lookup of what mk made. A directory made over a
+// whiteout is opaque.
+func (fs *FS) create(parent vfs.Ino, name string, mk func(dir vfs.Ino) (vfs.Attr, error)) (vfs.Attr, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	p, err := fs.node(parent)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	path := joinPath(ppath, name)
-	if _, _, _, err := fs.findLayer(path); err == nil {
+	if _, _, err := fs.resolve(&p.obj, name); err == nil {
 		return vfs.Attr{}, vfs.EEXIST
 	}
-	if err := fs.ensureUpperDir(ppath); err != nil {
-		return vfs.Attr{}, err
-	}
-	fs.removeWhiteout(path)
-	res, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, ppath, true)
+	dir, err := fs.copyUp(parent)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	attr, err := op(res.Ino)
+	attr, err := mk(dir)
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	attr.Ino = fs.register(path)
+	whited := fs.upper.Unlink(internalOp, dir, whiteoutPrefix+name) == nil
+	o := obj{upper: attr.Ino}
+	if whited && attr.Type == vfs.TypeDirectory {
+		if err := fs.setOpaque(&o); err != nil {
+			return vfs.Attr{}, err
+		}
+	}
+	attr.Ino = fs.reach(parent, name, o)
 	return attr, nil
 }
 
@@ -147,364 +138,273 @@ func (fs *FS) Symlink(op *vfs.Op, parent vfs.Ino, name, target string) (vfs.Attr
 	})
 }
 
+// Link implements vfs.FS. Hard links work within the upper layer only
+// (as in overlayfs, links to lower files copy up first), and a link
+// shares its source's union inode.
+func (fs *FS) Link(op *vfs.Op, ino vfs.Ino, parent vfs.Ino, name string) (vfs.Attr, error) {
+	return fs.create(parent, name, func(dir vfs.Ino) (vfs.Attr, error) {
+		up, err := fs.copyUp(ino)
+		if err != nil {
+			return vfs.Attr{}, err
+		}
+		return fs.upper.Link(op, up, dir, name)
+	})
+}
+
+// Create implements vfs.FS: the handle is the upper layer's own.
+func (fs *FS) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, flags vfs.OpenFlags) (vfs.Attr, vfs.Handle, error) {
+	var h vfs.Handle
+	attr, err := fs.create(parent, name, func(dir vfs.Ino) (a vfs.Attr, err error) {
+		a, h, err = fs.upper.Create(op, dir, name, mode, flags)
+		return a, err
+	})
+	if err != nil {
+		return vfs.Attr{}, 0, err
+	}
+	return attr, fileHandle(0, h), nil
+}
+
 // Readlink implements vfs.FS.
 func (fs *FS) Readlink(op *vfs.Op, ino vfs.Ino) (string, error) {
-	path, err := fs.pathOf(ino)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n, err := fs.node(ino)
 	if err != nil {
 		return "", err
 	}
-	layer, res, _, err := fs.findLayer(path)
-	if err != nil {
-		return "", err
-	}
-	return layer.Readlink(op, res.Ino)
+	l := n.key()
+	return fs.layer(l.layer).Readlink(op, l.ino)
 }
 
 // Unlink implements vfs.FS: delete from the upper layer and whiteout any
 // lower copy.
 func (fs *FS) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
-	ppath, err := fs.pathOf(parent)
-	if err != nil {
-		return err
-	}
-	path := joinPath(ppath, name)
-	_, res, isUpper, err := fs.findLayer(path)
-	if err != nil {
-		return err
-	}
-	if res.Attr.Type == vfs.TypeDirectory {
-		return vfs.EISDIR
-	}
-	if isUpper {
-		upDir, leaf := splitParent(path)
-		dres, derr := vfs.Walk(fs.upper, internalOp, vfs.RootIno, upDir, true)
-		if derr != nil {
-			return derr
-		}
-		if err := fs.upper.Unlink(op, dres.Ino, leaf); err != nil {
-			return err
-		}
-	}
-	if err := fs.addWhiteout(path); err != nil {
-		return err
-	}
-	fs.dropPath(path)
-	return nil
+	return fs.remove(op, parent, name, false)
 }
 
 // Rmdir implements vfs.FS. The union directory must be empty.
 func (fs *FS) Rmdir(op *vfs.Op, parent vfs.Ino, name string) error {
-	ppath, err := fs.pathOf(parent)
+	return fs.remove(op, parent, name, true)
+}
+
+// remove deletes name from parent: from the upper layer, and from the
+// lower ones by a whiteout.
+func (fs *FS) remove(op *vfs.Op, parent vfs.Ino, name string, dir bool) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	p, err := fs.node(parent)
 	if err != nil {
 		return err
 	}
-	path := joinPath(ppath, name)
-	_, res, isUpper, err := fs.findLayer(path)
+	o, attr, err := fs.resolve(&p.obj, name)
 	if err != nil {
 		return err
 	}
-	if res.Attr.Type != vfs.TypeDirectory {
+	switch isDir := attr.Type == vfs.TypeDirectory; {
+	case dir && !isDir:
 		return vfs.ENOTDIR
+	case !dir && isDir:
+		return vfs.EISDIR
 	}
-	ents, err := fs.mergedReaddir(op, path)
-	if err != nil {
-		return err
-	}
-	if len(ents) != 0 {
-		return vfs.ENOTEMPTY
-	}
-	if isUpper {
-		upDir, leaf := splitParent(path)
-		dres, derr := vfs.Walk(fs.upper, internalOp, vfs.RootIno, upDir, true)
-		if derr != nil {
-			return derr
-		}
-		// Clear marker files before removing.
-		upCli := vfs.NewClient(fs.upper, internalCred)
-		upCli.Remove(joinPath(path, opaqueMarker))
-		if werr := fs.clearWhiteoutsIn(path); werr != nil {
-			return werr
-		}
-		if err := fs.upper.Rmdir(op, dres.Ino, leaf); err != nil {
+	if dir {
+		if err := fs.empty(&o); err != nil {
 			return err
 		}
 	}
-	if err := fs.addWhiteout(path); err != nil {
-		return err
-	}
-	fs.dropPath(path)
-	return nil
-}
-
-func (fs *FS) clearWhiteoutsIn(path string) error {
-	upCli := vfs.NewClient(fs.upper, internalCred)
-	ents, err := upCli.ReadDir(path)
-	if err != nil {
-		if vfs.ToErrno(err) == vfs.ENOENT {
-			return nil
+	if o.upper != 0 {
+		if dir {
+			err = fs.upper.Rmdir(op, p.upper, name)
+		} else {
+			err = fs.upper.Unlink(op, p.upper, name)
 		}
-		return err
-	}
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name, whiteoutPrefix) {
-			if err := upCli.Remove(joinPath(path, e.Name)); err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
 	}
+	if err := fs.hide(parent, name); err != nil {
+		return err
+	}
+	fs.unlinked(parent, name, o)
 	return nil
-}
-
-// dropPath invalidates the path→ino binding after a removal so a future
-// entry at the same path gets a fresh inode.
-func (fs *FS) dropPath(path string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	delete(fs.byPath, path)
 }
 
 // Rename implements vfs.FS: copy-up the source, move it in the upper
 // layer, whiteout the origin. Directory renames of lower trees copy the
-// whole subtree up first.
+// whole subtree up first. It honours RENAME_NOREPLACE only.
 func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vfs.Ino, newName string, flags vfs.RenameFlags) error {
-	opath, err := fs.pathOf(oldParent)
-	if err != nil {
-		return err
-	}
-	npath, err := fs.pathOf(newParent)
-	if err != nil {
-		return err
-	}
-	src := joinPath(opath, oldName)
-	dst := joinPath(npath, newName)
-	_, res, _, err := fs.findLayer(src)
-	if err != nil {
-		return err
-	}
-	if _, dres, _, derr := fs.findLayer(dst); derr == nil {
-		if flags&vfs.RenameNoReplace != 0 {
-			return vfs.EEXIST
-		}
-		if dres.Attr.Type == vfs.TypeDirectory {
-			ents, eerr := fs.mergedReaddir(op, dst)
-			if eerr != nil {
-				return eerr
-			}
-			if len(ents) != 0 {
-				return vfs.ENOTEMPTY
-			}
-		}
-	}
-	if res.Attr.Type == vfs.TypeDirectory {
-		if err := fs.copyUpTree(src); err != nil {
-			return err
-		}
-	} else if err := fs.copyUp(src); err != nil {
-		return err
-	}
-	if err := fs.ensureUpperDir(npath); err != nil {
-		return err
-	}
-	sres, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, opath, true)
-	if err != nil {
-		return err
-	}
-	dres, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, npath, true)
-	if err != nil {
-		return err
-	}
-	// Remove any whiteout at the destination, then move in the upper.
-	fs.removeWhiteout(dst)
-	upCli := vfs.NewClient(fs.upper, internalCred)
-	upCli.RemoveAll(dst)
-	if err := fs.upper.Rename(op, sres.Ino, oldName, dres.Ino, newName, 0); err != nil {
-		return err
-	}
-	if err := fs.addWhiteout(src); err != nil {
-		return err
+	if flags&^vfs.RenameNoReplace != 0 {
+		return vfs.EINVAL
 	}
 	fs.mu.Lock()
-	delete(fs.byPath, src)
-	delete(fs.byPath, dst)
-	fs.mu.Unlock()
-	return nil
-}
-
-// copyUpTree copies a whole directory subtree into the upper layer and
-// marks the directory opaque so lower content cannot resurface after a
-// rename.
-func (fs *FS) copyUpTree(path string) error {
-	if err := fs.copyUp(path); err != nil {
-		return err
-	}
-	ents, err := fs.mergedReaddir(internalOp, path)
+	defer fs.mu.Unlock()
+	po, err := fs.node(oldParent)
 	if err != nil {
 		return err
 	}
-	for _, e := range ents {
-		child := joinPath(path, e.Name)
-		if e.Type == vfs.TypeDirectory {
-			if err := fs.copyUpTree(child); err != nil {
+	pn, err := fs.node(newParent)
+	if err != nil {
+		return err
+	}
+	src, sattr, err := fs.resolve(&po.obj, oldName)
+	if err != nil {
+		return err
+	}
+	srcDir := sattr.Type == vfs.TypeDirectory
+	dst, dattr, derr := fs.resolve(&pn.obj, newName)
+	if derr == nil {
+		dstDir := dattr.Type == vfs.TypeDirectory
+		switch {
+		case flags&vfs.RenameNoReplace != 0:
+			return vfs.EEXIST
+		case src.key() == dst.key():
+			return nil // two names of one object: both stay
+		case dstDir && !srcDir:
+			return vfs.EISDIR
+		case srcDir && !dstDir:
+			return vfs.ENOTDIR
+		case dstDir:
+			if err := fs.empty(&dst); err != nil {
 				return err
 			}
-		} else if err := fs.copyUp(child); err != nil {
+		}
+	}
+	odir, err := fs.copyUp(oldParent)
+	if err == nil && srcDir {
+		err = fs.copyUpTree(odir, oldName, &src)
+	} else if err == nil && src.upper == 0 {
+		err = fs.copyIn(odir, oldName, &src)
+	}
+	if err != nil {
+		return err
+	}
+	ndir, err := fs.copyUp(newParent)
+	if err != nil {
+		return err
+	}
+	if err := fs.upper.Rename(op, odir, oldName, ndir, newName, flags); err != nil {
+		return err
+	}
+	fs.upper.Unlink(internalOp, ndir, whiteoutPrefix+newName)
+	if srcDir && fs.lowerHas(&pn.obj, newName) {
+		if err := fs.setOpaque(&src); err != nil {
 			return err
 		}
 	}
-	upCli := vfs.NewClient(fs.upper, internalCred)
-	return upCli.WriteFile(joinPath(path, opaqueMarker), nil, 0o000)
-}
-
-// Link implements vfs.FS. Hard links work within the upper layer only
-// (as in overlayfs, links to lower files copy up first).
-func (fs *FS) Link(op *vfs.Op, ino vfs.Ino, parent vfs.Ino, name string) (vfs.Attr, error) {
-	path, err := fs.pathOf(ino)
-	if err != nil {
-		return vfs.Attr{}, err
+	if err := fs.hide(oldParent, oldName); err != nil {
+		return err
 	}
-	if err := fs.copyUp(path); err != nil {
-		return vfs.Attr{}, err
+	if ino, ok := fs.byObj[src.key()]; ok {
+		fs.reparent(ino, newParent, newName)
 	}
-	src, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, path, false)
-	if err != nil {
-		return vfs.Attr{}, err
+	if derr == nil {
+		fs.unlinked(newParent, newName, dst)
 	}
-	return fs.create(parent, name, func(dir vfs.Ino) (vfs.Attr, error) {
-		return fs.upper.Link(op, src.Ino, dir, name)
-	})
-}
-
-// Create implements vfs.FS.
-func (fs *FS) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, flags vfs.OpenFlags) (vfs.Attr, vfs.Handle, error) {
-	attr, err := fs.create(parent, name, func(dir vfs.Ino) (vfs.Attr, error) {
-		a, _, err := fs.upper.Create(op, dir, name, mode, flags&^vfs.OpenFlags(0))
-		if err != nil {
-			return vfs.Attr{}, err
-		}
-		return a, nil
-	})
-	if err != nil {
-		return vfs.Attr{}, 0, err
-	}
-	// Re-open to obtain a handle (the inner create's handle was dropped
-	// for simplicity of the closure; open is cheap on memfs).
-	h, err := fs.Open(op, attr.Ino, flags)
-	if err != nil {
-		return vfs.Attr{}, 0, err
-	}
-	return attr, h, nil
+	return nil
 }
 
 // Open implements vfs.FS: writable opens force copy-up.
 func (fs *FS) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, error) {
-	path, err := fs.pathOf(ino)
-	if err != nil {
-		return 0, err
-	}
-	if flags.Writable() {
-		if err := fs.copyUp(path); err != nil {
-			return 0, err
-		}
-	}
-	layer, res, _, err := fs.findLayer(path)
-	if err != nil {
-		if path == "/" {
-			layer, res.Ino = fs.upper, vfs.RootIno
-		} else {
-			return 0, err
-		}
-	}
-	lh, err := layer.Open(op, res.Ino, flags)
-	if err != nil {
-		return 0, err
-	}
 	fs.mu.Lock()
-	h := fs.nextH
-	fs.nextH++
-	fs.handles[h] = handleRef{fs: layer, h: lh}
+	n, err := fs.node(ino)
+	if err == nil && flags.Writable() {
+		_, err = fs.copyUp(ino)
+	}
+	var l layerIno
+	if err == nil {
+		l = n.key()
+	}
 	fs.mu.Unlock()
-	return h, nil
+	if err != nil {
+		return 0, err
+	}
+	// A FIFO's open parks until its peer comes: outside the lock.
+	h, err := fs.layer(l.layer).Open(op, l.ino, flags)
+	if err != nil {
+		return 0, err
+	}
+	return fileHandle(l.layer, h), nil
 }
 
-func (fs *FS) handleRef(h vfs.Handle) (handleRef, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	ref, ok := fs.handles[h]
-	if !ok {
-		return handleRef{}, vfs.EBADF
+// A union file handle is its layer's own, with the layer's index, plus
+// one, in the low bits; a directory handle's low bits are 0.
+const layerBits = 8
+
+func fileHandle(layer int, h vfs.Handle) vfs.Handle {
+	return h<<layerBits | vfs.Handle(layer+1)
+}
+
+// file returns the layer and the layer's handle a file handle names.
+func (fs *FS) file(h vfs.Handle) (vfs.FS, vfs.Handle, error) {
+	l := int(h&(1<<layerBits-1)) - 1
+	if l < 0 || l > len(fs.lowers) {
+		return nil, 0, vfs.EBADF
 	}
-	return ref, nil
+	return fs.layer(l), h >> layerBits, nil
 }
 
 // Read implements vfs.FS.
 func (fs *FS) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, error) {
-	ref, err := fs.handleRef(h)
+	layer, lh, err := fs.file(h)
 	if err != nil {
 		return 0, err
 	}
-	return ref.fs.Read(op, ref.h, off, dest)
+	return layer.Read(op, lh, off, dest)
 }
 
 // Write implements vfs.FS.
 func (fs *FS) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, error) {
-	ref, err := fs.handleRef(h)
+	layer, lh, err := fs.file(h)
 	if err != nil {
 		return 0, err
 	}
-	return ref.fs.Write(op, ref.h, off, data)
+	return layer.Write(op, lh, off, data)
 }
 
 // Flush implements vfs.FS.
 func (fs *FS) Flush(op *vfs.Op, h vfs.Handle) error {
-	ref, err := fs.handleRef(h)
+	layer, lh, err := fs.file(h)
 	if err != nil {
 		return err
 	}
-	return ref.fs.Flush(op, ref.h)
+	return layer.Flush(op, lh)
 }
 
 // Fsync implements vfs.FS.
 func (fs *FS) Fsync(op *vfs.Op, h vfs.Handle, datasync bool) error {
-	ref, err := fs.handleRef(h)
+	layer, lh, err := fs.file(h)
 	if err != nil {
 		return err
 	}
-	return ref.fs.Fsync(op, ref.h, datasync)
+	return layer.Fsync(op, lh, datasync)
 }
 
 // Release implements vfs.FS.
 func (fs *FS) Release(op *vfs.Op, h vfs.Handle) error {
-	fs.mu.Lock()
-	ref, ok := fs.handles[h]
-	delete(fs.handles, h)
-	fs.mu.Unlock()
-	if !ok {
-		return vfs.EBADF
+	layer, lh, err := fs.file(h)
+	if err != nil {
+		return err
 	}
-	return ref.fs.Release(op, ref.h)
+	return layer.Release(op, lh)
 }
 
 // Opendir implements vfs.FS; the merged listing is computed eagerly, and
 // its cookies name entries across handles (mergedReaddir). ".." carries
-// the parent's inode, the root's own at the root, as registered by the
-// lookup that reached this directory: a listing takes no lookup
-// reference. A parent forgotten under a directory still held, which the
-// kernel's dentry tree does not do (a dentry pins its parent), lists as
-// the directory itself.
+// the inode of the parent the directory was reached from, the root's own
+// at the root: a listing takes no lookup reference, and the directory's
+// node pins its parent. A directory removed while held lists itself.
 func (fs *FS) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
-	path, err := fs.pathOf(ino)
-	if err != nil {
-		return 0, err
-	}
-	ents, err := fs.mergedReaddir(op, path)
-	if err != nil {
-		return 0, err
-	}
-	dir, _ := splitParent(path)
 	fs.mu.Lock()
-	parent, ok := fs.byPath[dir]
-	fs.mu.Unlock()
-	if !ok {
+	defer fs.mu.Unlock()
+	n, err := fs.node(ino)
+	if err != nil {
+		return 0, err
+	}
+	ents, err := fs.mergedReaddir(&n.obj)
+	if err != nil {
+		return 0, err
+	}
+	parent := n.parent
+	if parent == 0 {
 		parent = ino
 	}
 	all := make([]vfs.Dirent, 0, len(ents)+2)
@@ -513,11 +413,9 @@ func (fs *FS) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 		vfs.Dirent{Name: "..", Ino: parent, Type: vfs.TypeDirectory, Off: 2},
 	)
 	all = append(all, ents...)
-	fs.mu.Lock()
-	h := fs.nextH
+	h := fs.nextH << layerBits
 	fs.nextH++
-	fs.handles[h] = handleRef{dir: true, ents: all}
-	fs.mu.Unlock()
+	fs.dirs[h] = all
 	return h, nil
 }
 
@@ -525,80 +423,49 @@ func (fs *FS) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 // merged cookie; a layer's cookies stay below 1<<layerShift.
 const layerShift = 56
 
-// mergedReaddir unions directory listings across layers, applying
-// whiteouts and opacity, excluding "."/"..", in cookie order. An entry's
+// mergedReaddir unions the listings of the directory o's layers,
+// applying whiteouts, excluding "."/"..", in cookie order. An entry's
 // cookie is the one the lowest layer that shows its name gives it, under
 // that layer's rank: 1 for the bottom lower, one more per layer above,
 // the upper last. A copy-up then does not move an entry, and a cookie
 // names the same entry on every handle, as the server's one-shot READDIR
 // handle (fuse.MountOptions.NoOpendir) needs.
-func (fs *FS) mergedReaddir(op *vfs.Op, path string) ([]vfs.Dirent, error) {
+func (fs *FS) mergedReaddir(o *obj) ([]vfs.Dirent, error) {
 	var out []vfs.Dirent
 	seen := make(map[string]int) // name -> its position in out
 	hidden := make(map[string]bool)
-	found := false
-
-	collect := func(layer vfs.FS, rank int64) error {
-		res, err := vfs.Walk(layer, internalOp, vfs.RootIno, path, true)
-		if err != nil {
-			return err
-		}
-		if res.Attr.Type != vfs.TypeDirectory {
-			return vfs.ENOTDIR
-		}
-		found = true
-		h, err := layer.Opendir(internalOp, res.Ino)
-		if err != nil {
-			return err
-		}
-		defer layer.Releasedir(internalOp, h)
-		off := int64(0)
-		for {
-			ents, err := layer.Readdir(internalOp, h, off)
-			if err != nil {
-				return err
+	collect := func(layer vfs.FS, ino vfs.Ino, rank int64) error {
+		return list(layer, ino, func(e vfs.Dirent) {
+			if e.Name == "." || e.Name == ".." || e.Name == opaqueMarker {
+				return
 			}
-			if len(ents) == 0 {
-				return nil
+			if strings.HasPrefix(e.Name, whiteoutPrefix) {
+				hidden[strings.TrimPrefix(e.Name, whiteoutPrefix)] = true
+				return
 			}
-			for _, e := range ents {
-				off = e.Off
-				if e.Name == "." || e.Name == ".." || e.Name == opaqueMarker {
-					continue
-				}
-				if strings.HasPrefix(e.Name, whiteoutPrefix) {
-					hidden[strings.TrimPrefix(e.Name, whiteoutPrefix)] = true
-					continue
-				}
-				if hidden[e.Name] {
-					continue
-				}
-				cookie := rank<<layerShift | e.Off
-				if i, dup := seen[e.Name]; dup {
-					out[i].Off = cookie // the upper entry, at the lower's place
-					continue
-				}
-				e.Off = cookie
-				seen[e.Name] = len(out)
-				out = append(out, e)
+			if hidden[e.Name] {
+				return
 			}
+			cookie := rank<<layerShift | e.Off
+			if i, dup := seen[e.Name]; dup {
+				out[i].Off = cookie // the upper entry, at the lower's place
+				return
+			}
+			e.Off = cookie
+			seen[e.Name] = len(out)
+			out = append(out, e)
+		})
+	}
+	top := int64(len(fs.lowers)) + 1
+	if o.upper != 0 {
+		if err := collect(fs.upper, o.upper, top); err != nil {
+			return nil, err
 		}
 	}
-
-	rank := int64(len(fs.lowers)) + 1
-	if err := collect(fs.upper, rank); err != nil && vfs.ToErrno(err) != vfs.ENOENT {
-		return nil, err
-	}
-	if !fs.dirOpaque(path) && !fs.whiteoutExists(path) {
-		for _, lower := range fs.lowers {
-			rank--
-			if err := collect(lower, rank); err != nil && vfs.ToErrno(err) != vfs.ENOENT {
-				return nil, err
-			}
+	for _, l := range o.lowers {
+		if err := collect(fs.layer(l.layer), l.ino, top-int64(l.layer)); err != nil {
+			return nil, err
 		}
-	}
-	if !found {
-		return nil, vfs.ENOENT
 	}
 	slices.SortFunc(out, func(a, b vfs.Dirent) int { return cmp.Compare(a.Off, b.Off) })
 	return out, nil
@@ -608,26 +475,23 @@ func (fs *FS) mergedReaddir(op *vfs.Op, path string) ([]vfs.Dirent, error) {
 // off.
 func (fs *FS) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error) {
 	fs.mu.Lock()
-	ref, ok := fs.handles[h]
+	ents, ok := fs.dirs[h]
 	fs.mu.Unlock()
 	if !ok {
 		return nil, vfs.EBADF
 	}
-	if !ref.dir {
-		return nil, vfs.ENOTDIR
-	}
-	i := sort.Search(len(ref.ents), func(i int) bool { return ref.ents[i].Off > off })
-	if off < 0 || i == len(ref.ents) {
+	i := sort.Search(len(ents), func(i int) bool { return ents[i].Off > off })
+	if off < 0 || i == len(ents) {
 		return nil, nil
 	}
-	return ref.ents[i:len(ref.ents):len(ref.ents)], nil
+	return ents[i:len(ents):len(ents)], nil
 }
 
 // Releasedir implements vfs.FS.
 func (fs *FS) Releasedir(op *vfs.Op, h vfs.Handle) error {
 	fs.mu.Lock()
-	_, ok := fs.handles[h]
-	delete(fs.handles, h)
+	_, ok := fs.dirs[h]
+	delete(fs.dirs, h)
 	fs.mu.Unlock()
 	if !ok {
 		return vfs.EBADF
@@ -642,60 +506,48 @@ func (fs *FS) Statfs(op *vfs.Op, ino vfs.Ino) (vfs.StatfsOut, error) {
 
 // Setxattr implements vfs.FS.
 func (fs *FS) Setxattr(op *vfs.Op, ino vfs.Ino, name string, value []byte, flags vfs.XattrFlags) error {
-	path, err := fs.pathOf(ino)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	up, err := fs.copyUp(ino)
 	if err != nil {
 		return err
 	}
-	if err := fs.copyUp(path); err != nil {
-		return err
-	}
-	res, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, path, false)
-	if err != nil {
-		return err
-	}
-	return fs.upper.Setxattr(op, res.Ino, name, value, flags)
+	return fs.upper.Setxattr(op, up, name, value, flags)
 }
 
 // Getxattr implements vfs.FS.
 func (fs *FS) Getxattr(op *vfs.Op, ino vfs.Ino, name string) ([]byte, error) {
-	path, err := fs.pathOf(ino)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n, err := fs.node(ino)
 	if err != nil {
 		return nil, err
 	}
-	layer, res, _, err := fs.findLayer(path)
-	if err != nil {
-		return nil, err
-	}
-	return layer.Getxattr(op, res.Ino, name)
+	l := n.key()
+	return fs.layer(l.layer).Getxattr(op, l.ino, name)
 }
 
 // Listxattr implements vfs.FS.
 func (fs *FS) Listxattr(op *vfs.Op, ino vfs.Ino) ([]string, error) {
-	path, err := fs.pathOf(ino)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	n, err := fs.node(ino)
 	if err != nil {
 		return nil, err
 	}
-	layer, res, _, err := fs.findLayer(path)
-	if err != nil {
-		return nil, err
-	}
-	return layer.Listxattr(op, res.Ino)
+	l := n.key()
+	return fs.layer(l.layer).Listxattr(op, l.ino)
 }
 
 // Removexattr implements vfs.FS.
 func (fs *FS) Removexattr(op *vfs.Op, ino vfs.Ino, name string) error {
-	path, err := fs.pathOf(ino)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	up, err := fs.copyUp(ino)
 	if err != nil {
 		return err
 	}
-	if err := fs.copyUp(path); err != nil {
-		return err
-	}
-	res, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, path, false)
-	if err != nil {
-		return err
-	}
-	return fs.upper.Removexattr(op, res.Ino, name)
+	return fs.upper.Removexattr(op, up, name)
 }
 
 // Access implements vfs.FS.
@@ -719,9 +571,9 @@ func (fs *FS) Access(op *vfs.Op, ino vfs.Ino, mask uint32) error {
 
 // Fallocate implements vfs.FS.
 func (fs *FS) Fallocate(op *vfs.Op, h vfs.Handle, mode uint32, off, length int64) error {
-	ref, err := fs.handleRef(h)
+	layer, lh, err := fs.file(h)
 	if err != nil {
 		return err
 	}
-	return ref.fs.Fallocate(op, ref.h, mode, off, length)
+	return layer.Fallocate(op, lh, mode, off, length)
 }

@@ -4,6 +4,17 @@
 // top-down; writes copy the file up into the writable layer; deletions
 // leave whiteout markers so lower entries disappear from the union view.
 //
+// A union inode names an object, as an overlayfs inode does
+// (Documentation/filesystems/overlayfs.rst, "Inode properties"). It holds
+// its upper inode once the object is copied up or created, and its lower
+// objects: for a directory, each lower directory it merges, top-most
+// first; otherwise the top-most lower object. A lookup resolves one
+// component against its parent's layers, and a copy-up follows the
+// (parent, name) links inodes were last reached by. Each object has one
+// union inode number, keyed by (layer, inode) until the object is copied
+// up and by its upper inode after, so the number holds across copy-up and
+// rename, and links in the upper layer share it.
+//
 // Container images in internal/container are stacks of such layers —
 // Docker's base-image sharing (§2.2) is exactly this mechanism.
 package unionfs
@@ -24,33 +35,55 @@ const whiteoutPrefix = ".wh."
 // directory (overlayfs "opaque" directories).
 const opaqueMarker = ".wh..wh..opq"
 
-// FS is the union filesystem. It implements vfs.FS by path: every union
-// inode remembers the path it was looked up under, and operations
-// re-resolve against the layer stack. This mirrors overlayfs, which is
-// also path-based underneath.
+// FS is the union filesystem.
 type FS struct {
 	upper  *memfs.FS // writable layer
 	lowers []vfs.FS  // read-only layers, top-most first
 
+	// mu serialises the namespace: every operation runs under it but the
+	// calls on an open handle and a layer's open, which may park.
 	mu      sync.Mutex
 	nodes   map[vfs.Ino]*unode
-	byPath  map[string]vfs.Ino
+	byObj   map[layerIno]vfs.Ino // the union inode naming each object
 	nextIno vfs.Ino
-	handles map[vfs.Handle]handleRef
+	dirs    map[vfs.Handle][]vfs.Dirent // each open directory's merged listing
 	nextH   vfs.Handle
 }
 
-type unode struct {
-	path    string
-	nlookup uint64
+// layerIno names an object: inode ino of the upper layer (layer 0) or of
+// lowers[layer-1].
+type layerIno struct {
+	layer int
+	ino   vfs.Ino
 }
 
-type handleRef struct {
-	fs  vfs.FS
-	h   vfs.Handle
-	dir bool
-	// ents is the merged directory listing when the handle was opened.
-	ents []vfs.Dirent
+// obj is what a union name shows.
+type obj struct {
+	upper vfs.Ino // 0 until copied up or created
+	// lowers holds, for a directory, each lower directory it merges,
+	// top-most first, and none under an opaque upper directory;
+	// otherwise the top-most lower object, if there is one.
+	lowers []layerIno
+	opaque bool
+}
+
+// key is the object's identity: its upper inode once it has one.
+func (o *obj) key() layerIno {
+	if o.upper != 0 {
+		return layerIno{0, o.upper}
+	}
+	return o.lowers[0]
+}
+
+type unode struct {
+	obj
+	// parent and name are where the inode was last reached, which a
+	// copy-up follows; parent is 0 once that name is removed. A node pins
+	// its parent, as a dentry does: kids counts the nodes it is parent of.
+	parent  vfs.Ino
+	name    string
+	nlookup uint64
+	kids    int
 }
 
 // Options configures a union filesystem.
@@ -70,55 +103,18 @@ func NewWith(opts Options, lowers ...vfs.FS) *FS {
 		upper:   memfs.New(memfs.Options{Store: opts.Store}),
 		lowers:  lowers,
 		nodes:   make(map[vfs.Ino]*unode),
-		byPath:  make(map[string]vfs.Ino),
+		byObj:   make(map[layerIno]vfs.Ino),
 		nextIno: vfs.RootIno + 1,
-		handles: make(map[vfs.Handle]handleRef),
+		dirs:    make(map[vfs.Handle][]vfs.Dirent),
 		nextH:   1,
 	}
-	fs.nodes[vfs.RootIno] = &unode{path: "/", nlookup: 1}
-	fs.byPath["/"] = vfs.RootIno
+	root := &unode{obj: obj{upper: vfs.RootIno}, parent: vfs.RootIno, nlookup: 1}
+	for i := range lowers {
+		root.lowers = append(root.lowers, layerIno{i + 1, vfs.RootIno})
+	}
+	fs.nodes[vfs.RootIno] = root
+	fs.byObj[root.key()] = vfs.RootIno
 	return fs
-}
-
-func joinPath(dir, name string) string {
-	if dir == "/" {
-		return "/" + name
-	}
-	return dir + "/" + name
-}
-
-func splitParent(path string) (string, string) {
-	i := strings.LastIndex(path, "/")
-	if i <= 0 {
-		return "/", path[i+1:]
-	}
-	return path[:i], path[i+1:]
-}
-
-// pathOf returns the union path of a union inode.
-func (fs *FS) pathOf(ino vfs.Ino) (string, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	n, ok := fs.nodes[ino]
-	if !ok {
-		return "", vfs.ESTALE
-	}
-	return n.path, nil
-}
-
-// register maps a union path to a stable union inode.
-func (fs *FS) register(path string) vfs.Ino {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if ino, ok := fs.byPath[path]; ok {
-		fs.nodes[ino].nlookup++
-		return ino
-	}
-	ino := fs.nextIno
-	fs.nextIno++
-	fs.nodes[ino] = &unode{path: path, nlookup: 1}
-	fs.byPath[path] = ino
-	return ino
 }
 
 // root credential used for internal layer access: union-level permission
@@ -128,184 +124,330 @@ var internalCred = vfs.Root()
 // internalOp is the request context for that internal layer access.
 var internalOp = vfs.NewOp(nil, internalCred)
 
-// whiteoutExists reports whether the upper layer hides path.
-func (fs *FS) whiteoutExists(path string) bool {
-	dir, name := splitParent(path)
-	_, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, joinPath(dir, whiteoutPrefix+name), false)
-	return err == nil
+func (fs *FS) layer(i int) vfs.FS {
+	if i == 0 {
+		return fs.upper
+	}
+	return fs.lowers[i-1]
 }
 
-// dirOpaque reports whether the upper copy of dir is opaque.
-func (fs *FS) dirOpaque(path string) bool {
-	_, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, joinPath(path, opaqueMarker), false)
-	return err == nil
+func (fs *FS) node(ino vfs.Ino) (*unode, error) {
+	n, ok := fs.nodes[ino]
+	if !ok {
+		return nil, vfs.ESTALE
+	}
+	return n, nil
 }
 
-// findLayer locates path in the layer stack: the upper layer first, then
-// lower layers unless a whiteout or opaque directory hides them.
-// It returns the serving filesystem, the layer-local walk result, and
-// whether it came from the upper (writable) layer.
-func (fs *FS) findLayer(path string) (vfs.FS, vfs.WalkResult, bool, error) {
-	if fs.whiteoutExists(path) {
-		return nil, vfs.WalkResult{}, false, vfs.ENOENT
-	}
-	// Opaque/whiteout checks apply along every ancestor.
-	if hidden := fs.ancestorsHidden(path); hidden {
-		return nil, vfs.WalkResult{}, false, vfs.ENOENT
-	}
-	if res, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, path, false); err == nil {
-		return fs.upper, res, true, nil
-	}
-	for _, lower := range fs.lowers {
-		if fs.pathOpaquedAbove(path) {
-			break
+// resolve looks name up in the directory p: the entry and its whiteout in
+// p's upper directory, then the entry in each of p's lower directories
+// while what it finds is a directory to merge.
+func (fs *FS) resolve(p *obj, name string) (obj, vfs.Attr, error) {
+	var o obj
+	var attr vfs.Attr
+	found := false
+	if p.upper != 0 {
+		if _, err := fs.upper.Lookup(internalOp, p.upper, whiteoutPrefix+name); err == nil {
+			return obj{}, vfs.Attr{}, vfs.ENOENT
 		}
-		res, err := vfs.Walk(lower, internalOp, vfs.RootIno, path, false)
-		if err == nil {
-			return lower, res, false, nil
-		}
-	}
-	return nil, vfs.WalkResult{}, false, vfs.ENOENT
-}
-
-// ancestorsHidden checks whiteouts on each ancestor of path.
-func (fs *FS) ancestorsHidden(path string) bool {
-	parts := vfs.SplitPath(path)
-	cur := ""
-	for i := 0; i < len(parts)-1; i++ {
-		cur += "/" + parts[i]
-		if fs.whiteoutExists(cur) {
-			return true
-		}
-	}
-	return false
-}
-
-// pathOpaquedAbove reports whether some ancestor directory is opaque in
-// the upper layer, hiding lower content beneath it.
-func (fs *FS) pathOpaquedAbove(path string) bool {
-	parts := vfs.SplitPath(path)
-	cur := ""
-	for i := 0; i < len(parts); i++ {
-		if fs.dirOpaque(cur + "/") {
-			return true
-		}
-		cur += "/" + parts[i]
-		if fs.dirOpaque(cur) {
-			return true
-		}
-	}
-	return false
-}
-
-// ensureUpperDir replicates the directory chain of path (exclusive) into
-// the upper layer so a copy-up target has parents.
-func (fs *FS) ensureUpperDir(dir string) error {
-	parts := vfs.SplitPath(dir)
-	cur := ""
-	cli := vfs.NewClient(fs.upper, internalCred)
-	for _, p := range parts {
-		cur += "/" + p
-		if _, err := cli.Lstat(cur); err == nil {
-			continue
-		}
-		// Mirror the lower directory's attributes if it exists.
-		mode := vfs.Mode(0o755)
-		var uid, gid uint32
-		if lfs, res, _, err := fs.findLayer(cur); err == nil && lfs != nil {
-			mode = res.Attr.Mode
-			uid, gid = res.Attr.UID, res.Attr.GID
-		}
-		if err := cli.Mkdir(cur, mode); err != nil {
-			return err
-		}
-		if uid != 0 || gid != 0 {
-			cli.Chown(cur, uid, gid)
-		}
-	}
-	return nil
-}
-
-// copyUp copies path from a lower layer into the upper layer, preserving
-// data, mode, ownership and xattrs. No-op if already in the upper layer.
-func (fs *FS) copyUp(path string) error {
-	if _, err := vfs.Walk(fs.upper, internalOp, vfs.RootIno, path, false); err == nil {
-		return nil
-	}
-	layer, res, isUpper, err := fs.findLayer(path)
-	if err != nil {
-		return err
-	}
-	if isUpper {
-		return nil
-	}
-	dir, _ := splitParent(path)
-	if err := fs.ensureUpperDir(dir); err != nil {
-		return err
-	}
-	upCli := vfs.NewClient(fs.upper, internalCred)
-	switch res.Attr.Type {
-	case vfs.TypeDirectory:
-		if err := upCli.Mkdir(path, res.Attr.Mode); err != nil && vfs.ToErrno(err) != vfs.EEXIST {
-			return err
-		}
-	case vfs.TypeSymlink:
-		target, err := layer.Readlink(internalOp, res.Ino)
-		if err != nil {
-			return err
-		}
-		if err := upCli.Symlink(target, path); err != nil {
-			return err
-		}
-	default:
-		loCli := vfs.NewClient(layer, internalCred)
-		data, err := loCli.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		if err := upCli.WriteFile(path, data, res.Attr.Mode); err != nil {
-			return err
-		}
-	}
-	upCli.Chown(path, res.Attr.UID, res.Attr.GID)
-	// Copy xattrs.
-	if names, err := layer.Listxattr(internalOp, res.Ino); err == nil {
-		upRes, uerr := vfs.Walk(fs.upper, internalOp, vfs.RootIno, path, false)
-		if uerr == nil {
-			for _, name := range names {
-				if v, gerr := layer.Getxattr(internalOp, res.Ino, name); gerr == nil {
-					fs.upper.Setxattr(internalOp, upRes.Ino, name, v, 0)
-				}
+		if a, err := fs.upper.Lookup(internalOp, p.upper, name); err == nil {
+			o.upper, attr, found = a.Ino, a, true
+			if a.Type != vfs.TypeDirectory {
+				return o, attr, nil
+			}
+			if _, err := fs.upper.Lookup(internalOp, a.Ino, opaqueMarker); err == nil {
+				o.opaque = true
+				return o, attr, nil
 			}
 		}
 	}
+	for _, l := range p.lowers {
+		a, err := fs.layer(l.layer).Lookup(internalOp, l.ino, name)
+		if err != nil {
+			continue
+		}
+		if a.Type != vfs.TypeDirectory {
+			if !found {
+				o.lowers, attr, found = []layerIno{{l.layer, a.Ino}}, a, true
+			}
+			break
+		}
+		o.lowers = append(o.lowers, layerIno{l.layer, a.Ino})
+		if !found {
+			attr, found = a, true
+		}
+	}
+	if !found {
+		return obj{}, vfs.Attr{}, vfs.ENOENT
+	}
+	return o, attr, nil
+}
+
+// lowerHas reports whether a lower directory of p holds name, so that
+// removing it from the union needs a whiteout.
+func (fs *FS) lowerHas(p *obj, name string) bool {
+	for _, l := range p.lowers {
+		if _, err := fs.layer(l.layer).Lookup(internalOp, l.ino, name); err == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// reach counts a lookup of the object o that name shows in parent and
+// returns its union inode: the one the object has, or a new one.
+func (fs *FS) reach(parent vfs.Ino, name string, o obj) vfs.Ino {
+	ino, ok := fs.byObj[o.key()]
+	if !ok {
+		ino = fs.nextIno
+		fs.nextIno++
+		fs.nodes[ino] = &unode{}
+		fs.byObj[o.key()] = ino
+	}
+	n := fs.nodes[ino]
+	n.obj = o
+	n.nlookup++
+	fs.reparent(ino, parent, name)
+	return ino
+}
+
+// reparent records that ino was last reached as name in parent, moving
+// its pin from the parent it had; parent 0 marks the name removed.
+func (fs *FS) reparent(ino, parent vfs.Ino, name string) {
+	n := fs.nodes[ino]
+	old := n.parent
+	n.parent, n.name = parent, name
+	if parent == old {
+		return
+	}
+	if parent != 0 {
+		fs.nodes[parent].kids++
+	}
+	if old != 0 {
+		fs.nodes[old].kids--
+		fs.drop(old)
+	}
+}
+
+// drop deletes ino once no lookup and no child holds it, and then
+// unpins its parent.
+func (fs *FS) drop(ino vfs.Ino) {
+	n := fs.nodes[ino]
+	if ino == vfs.RootIno || n.nlookup > 0 || n.kids > 0 {
+		return
+	}
+	delete(fs.nodes, ino)
+	if fs.byObj[n.key()] == ino {
+		delete(fs.byObj, n.key())
+	}
+	if n.parent != 0 {
+		fs.nodes[n.parent].kids--
+		fs.drop(n.parent)
+	}
+}
+
+// unlinked marks the inode of o removed when its last name was name in
+// parent: a copy-up then has nowhere to go.
+func (fs *FS) unlinked(parent vfs.Ino, name string, o obj) {
+	ino := fs.byObj[o.key()]
+	if n, ok := fs.nodes[ino]; ok && n.parent == parent && n.name == name {
+		fs.reparent(ino, 0, "")
+	}
+}
+
+// copyUp gives inode ino an upper inode, copying its parents up first,
+// and returns it.
+func (fs *FS) copyUp(ino vfs.Ino) (vfs.Ino, error) {
+	n, err := fs.node(ino)
+	switch {
+	case err != nil:
+		return 0, err
+	case n.upper != 0:
+		return n.upper, nil
+	case n.parent == 0:
+		return 0, vfs.ENOENT // its name was removed
+	}
+	dir, err := fs.copyUp(n.parent)
+	if err == nil {
+		err = fs.copyIn(dir, n.name, &n.obj)
+	}
+	return n.upper, err
+}
+
+// copyIn copies o's top-most lower object into the upper directory dir as
+// name, preserving data, mode, ownership and xattrs, and re-keys the
+// union inode naming it to its new upper inode.
+func (fs *FS) copyIn(dir vfs.Ino, name string, o *obj) error {
+	src := o.lowers[0]
+	layer := fs.layer(src.layer)
+	attr, err := layer.Getattr(internalOp, src.ino)
+	if err != nil {
+		return err
+	}
+	var up vfs.Attr
+	switch attr.Type {
+	case vfs.TypeDirectory:
+		up, err = fs.upper.Mkdir(internalOp, dir, name, attr.Mode)
+	case vfs.TypeSymlink:
+		var target string
+		if target, err = layer.Readlink(internalOp, src.ino); err == nil {
+			up, err = fs.upper.Symlink(internalOp, dir, name, target)
+		}
+	case vfs.TypeRegular:
+		up, err = fs.copyData(layer, src.ino, dir, name, attr)
+	default:
+		up, err = fs.upper.Mknod(internalOp, dir, name, attr.Type, attr.Mode, attr.Rdev)
+	}
+	if err != nil {
+		return err
+	}
+	if up.UID != attr.UID || up.GID != attr.GID {
+		fs.upper.Setattr(internalOp, up.Ino, vfs.SetUID|vfs.SetGID, attr)
+	}
+	if names, err := layer.Listxattr(internalOp, src.ino); err == nil {
+		for _, x := range names {
+			if v, err := layer.Getxattr(internalOp, src.ino, x); err == nil {
+				fs.upper.Setxattr(internalOp, up.Ino, x, v, 0)
+			}
+		}
+	}
+	o.upper = up.Ino
+	if ino, ok := fs.byObj[src]; ok {
+		delete(fs.byObj, src)
+		fs.byObj[o.key()] = ino
+		fs.nodes[ino].upper = up.Ino
+	}
 	return nil
 }
 
-// removeWhiteout clears a whiteout for path in the upper layer, if any.
-func (fs *FS) removeWhiteout(path string) {
-	dir, name := splitParent(path)
-	cli := vfs.NewClient(fs.upper, internalCred)
-	cli.Remove(joinPath(dir, whiteoutPrefix+name))
-}
-
-// addWhiteout hides path. Needed only when a lower layer still has the
-// entry.
-func (fs *FS) addWhiteout(path string) error {
-	existsBelow := false
-	for _, lower := range fs.lowers {
-		if _, err := vfs.Walk(lower, internalOp, vfs.RootIno, path, false); err == nil {
-			existsBelow = true
+// copyData copies a lower regular file's bytes into a new upper file.
+func (fs *FS) copyData(layer vfs.FS, src, dir vfs.Ino, name string, attr vfs.Attr) (vfs.Attr, error) {
+	lh, err := layer.Open(internalOp, src, vfs.ORdonly)
+	if err != nil {
+		return vfs.Attr{}, err
+	}
+	defer layer.Release(internalOp, lh)
+	data := make([]byte, attr.Size)
+	for off := 0; off < len(data); {
+		n, err := layer.Read(internalOp, lh, int64(off), data[off:])
+		if err != nil {
+			return vfs.Attr{}, err
+		}
+		if n == 0 {
+			data = data[:off]
 			break
 		}
+		off += n
 	}
-	if !existsBelow {
+	up, uh, err := fs.upper.Create(internalOp, dir, name, attr.Mode, vfs.OWronly)
+	if err != nil {
+		return vfs.Attr{}, err
+	}
+	defer fs.upper.Release(internalOp, uh)
+	_, err = fs.upper.Write(internalOp, uh, 0, data)
+	return up, err
+}
+
+// copyUpTree copies the directory o, shown as name in the upper directory
+// dir, with its whole merged subtree into the upper layer, and marks each
+// merged directory opaque so lower content cannot resurface after a
+// rename.
+func (fs *FS) copyUpTree(dir vfs.Ino, name string, o *obj) error {
+	if o.upper == 0 {
+		if err := fs.copyIn(dir, name, o); err != nil {
+			return err
+		}
+	}
+	if len(o.lowers) == 0 {
 		return nil
 	}
-	dir, name := splitParent(path)
-	if err := fs.ensureUpperDir(dir); err != nil {
+	ents, err := fs.mergedReaddir(o)
+	if err != nil {
 		return err
 	}
-	cli := vfs.NewClient(fs.upper, internalCred)
-	return cli.WriteFile(joinPath(dir, whiteoutPrefix+name), nil, 0o000)
+	for _, e := range ents {
+		c, attr, err := fs.resolve(o, e.Name)
+		switch {
+		case err != nil:
+		case attr.Type == vfs.TypeDirectory:
+			err = fs.copyUpTree(o.upper, e.Name, &c)
+		case c.upper == 0:
+			err = fs.copyIn(o.upper, e.Name, &c)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return fs.setOpaque(o)
+}
+
+// setOpaque hides every lower directory under o's upper one.
+func (fs *FS) setOpaque(o *obj) error {
+	if o.opaque {
+		return nil
+	}
+	if _, err := fs.upper.Mknod(internalOp, o.upper, opaqueMarker, vfs.TypeRegular, 0, 0); err != nil {
+		return err
+	}
+	o.lowers, o.opaque = nil, true
+	if ino, ok := fs.byObj[o.key()]; ok {
+		fs.nodes[ino].obj = *o
+	}
+	return nil
+}
+
+// hide whites name out of parent when a lower layer still holds it.
+func (fs *FS) hide(parent vfs.Ino, name string) error {
+	if !fs.lowerHas(&fs.nodes[parent].obj, name) {
+		return nil
+	}
+	dir, err := fs.copyUp(parent)
+	if err == nil {
+		_, err = fs.upper.Mknod(internalOp, dir, whiteoutPrefix+name, vfs.TypeRegular, 0, 0)
+	}
+	return err
+}
+
+// empty fails with ENOTEMPTY unless the directory o lists nothing, and
+// then clears the whiteouts and the opaque marker from its upper
+// directory, so that the upper layer may remove or replace it.
+func (fs *FS) empty(o *obj) error {
+	ents, err := fs.mergedReaddir(o)
+	if err == nil && len(ents) != 0 {
+		return vfs.ENOTEMPTY
+	}
+	if err != nil || o.upper == 0 {
+		return err
+	}
+	var names []string
+	err = list(fs.upper, o.upper, func(e vfs.Dirent) {
+		if strings.HasPrefix(e.Name, whiteoutPrefix) {
+			names = append(names, e.Name)
+		}
+	})
+	for _, name := range names {
+		if err == nil {
+			err = fs.upper.Unlink(internalOp, o.upper, name)
+		}
+	}
+	return err
+}
+
+// list calls fn on each entry of the directory ino of layer.
+func list(layer vfs.FS, ino vfs.Ino, fn func(vfs.Dirent)) error {
+	h, err := layer.Opendir(internalOp, ino)
+	if err != nil {
+		return err
+	}
+	defer layer.Releasedir(internalOp, h)
+	for off := int64(0); ; {
+		ents, err := layer.Readdir(internalOp, h, off)
+		if err != nil || len(ents) == 0 {
+			return err
+		}
+		for _, e := range ents {
+			off = e.Off
+			fn(e)
+		}
+	}
 }

@@ -43,3 +43,14 @@ func (s *OpStats) Add(o OpStats) {
 	s.Statfs += o.Statfs
 	s.Access += o.Access
 }
+
+// Walk resolves path from dir within one filesystem, following symlinks
+// in intermediate components and, if followLeaf is set, in the final
+// component too. dir is also the root of the walk: ".." does not leave it
+// and absolute symlink targets restart at it. Walk enforces the
+// MaxSymlinkDepth limit with ELOOP, checks search permission on every
+// traversed directory, and aborts with EINTR once op's context is
+// canceled.
+func Walk(fs FS, op *Op, dir Ino, path string, followLeaf bool) (WalkResult, error) {
+	return walk(Pos{FS: fs, Ino: dir}, nil, op, path, followLeaf)
+}

@@ -66,17 +66,6 @@ func nextComponent(path string) (name, rest string) {
 	return "", ""
 }
 
-// Walk resolves path from dir within one filesystem, following symlinks
-// in intermediate components and, if followLeaf is set, in the final
-// component too. dir is also the root of the walk: ".." does not leave it
-// and absolute symlink targets restart at it. Walk enforces the
-// MaxSymlinkDepth limit with ELOOP, checks search permission on every
-// traversed directory, and aborts with EINTR once op's context is
-// canceled.
-func Walk(fs FS, op *Op, dir Ino, path string, followLeaf bool) (WalkResult, error) {
-	return walk(Pos{FS: fs, Ino: dir}, nil, op, path, followLeaf)
-}
-
 // walk resolves path from root, crossing the mounts of table when there
 // is one.
 func walk(root Pos, table MountTable, op *Op, path string, followLeaf bool) (WalkResult, error) {
