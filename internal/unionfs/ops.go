@@ -230,9 +230,12 @@ func (fs *FS) remove(op *vfs.Op, parent vfs.Ino, name string, dir bool) error {
 
 // Rename implements vfs.FS: copy-up the source, move it in the upper
 // layer, whiteout the origin. Directory renames of lower trees copy the
-// whole subtree up first. It honours RENAME_NOREPLACE only.
+// whole subtree up first. RENAME_EXCHANGE copies both ends up and swaps
+// them in the upper layer, where no name goes away; a flag the union
+// cannot honour is EINVAL, as in ovl_rename.
 func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vfs.Ino, newName string, flags vfs.RenameFlags) error {
-	if flags&^vfs.RenameNoReplace != 0 {
+	exchange := flags&vfs.RenameExchange != 0
+	if flags&^(vfs.RenameNoReplace|vfs.RenameExchange) != 0 || exchange && flags&vfs.RenameNoReplace != 0 {
 		return vfs.EINVAL
 	}
 	fs.mu.Lock()
@@ -251,13 +254,17 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 	}
 	srcDir := sattr.Type == vfs.TypeDirectory
 	dst, dattr, derr := fs.resolve(&pn.obj, newName)
+	dstDir := dattr.Type == vfs.TypeDirectory
+	if exchange && derr != nil {
+		return derr
+	}
 	if derr == nil {
-		dstDir := dattr.Type == vfs.TypeDirectory
 		switch {
 		case flags&vfs.RenameNoReplace != 0:
 			return vfs.EEXIST
 		case src.key() == dst.key():
 			return nil // two names of one object: both stay
+		case exchange:
 		case dstDir && !srcDir:
 			return vfs.EISDIR
 		case srcDir && !dstDir:
@@ -269,15 +276,16 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 		}
 	}
 	odir, err := fs.copyUp(oldParent)
-	if err == nil && srcDir {
+	if err == nil {
 		err = fs.copyUpTree(odir, oldName, &src)
-	} else if err == nil && src.upper == 0 {
-		err = fs.copyIn(odir, oldName, &src)
 	}
 	if err != nil {
 		return err
 	}
 	ndir, err := fs.copyUp(newParent)
+	if err == nil && exchange {
+		err = fs.copyUpTree(ndir, newName, &dst)
+	}
 	if err != nil {
 		return err
 	}
@@ -286,17 +294,25 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 	}
 	fs.upper.Unlink(internalOp, ndir, whiteoutPrefix+newName)
 	if srcDir && fs.lowerHas(&pn.obj, newName) {
-		if err := fs.setOpaque(&src); err != nil {
-			return err
-		}
+		err = fs.setOpaque(&src)
 	}
-	if err := fs.hide(oldParent, oldName); err != nil {
+	if err == nil && exchange && dstDir && fs.lowerHas(&po.obj, oldName) {
+		err = fs.setOpaque(&dst)
+	}
+	if err == nil && !exchange {
+		err = fs.hide(oldParent, oldName)
+	}
+	if err != nil {
 		return err
 	}
 	if ino, ok := fs.byObj[src.key()]; ok {
 		fs.reparent(ino, newParent, newName)
 	}
-	if derr == nil {
+	if exchange {
+		if ino, ok := fs.byObj[dst.key()]; ok {
+			fs.reparent(ino, oldParent, oldName)
+		}
+	} else if derr == nil {
 		fs.unlinked(newParent, newName, dst)
 	}
 	return nil

@@ -312,10 +312,13 @@ func (fs *FS) copyIn(dir vfs.Ino, name string, o *obj) error {
 		}
 	}
 	o.upper = up.Ino
+	if attr.Type != vfs.TypeDirectory {
+		o.lowers = nil
+	}
 	if ino, ok := fs.byObj[src]; ok {
 		delete(fs.byObj, src)
 		fs.byObj[o.key()] = ino
-		fs.nodes[ino].upper = up.Ino
+		fs.nodes[ino].obj = *o
 	}
 	return nil
 }
@@ -348,10 +351,10 @@ func (fs *FS) copyData(layer vfs.FS, src, dir vfs.Ino, name string, attr vfs.Att
 	return up, err
 }
 
-// copyUpTree copies the directory o, shown as name in the upper directory
-// dir, with its whole merged subtree into the upper layer, and marks each
-// merged directory opaque so lower content cannot resurface after a
-// rename.
+// copyUpTree copies o, shown as name in the upper directory dir, into
+// the upper layer: a directory with its whole merged subtree, marking
+// each merged directory opaque so that lower content cannot resurface
+// after a rename.
 func (fs *FS) copyUpTree(dir vfs.Ino, name string, o *obj) error {
 	if o.upper == 0 {
 		if err := fs.copyIn(dir, name, o); err != nil {
@@ -366,13 +369,9 @@ func (fs *FS) copyUpTree(dir vfs.Ino, name string, o *obj) error {
 		return err
 	}
 	for _, e := range ents {
-		c, attr, err := fs.resolve(o, e.Name)
-		switch {
-		case err != nil:
-		case attr.Type == vfs.TypeDirectory:
+		c, _, err := fs.resolve(o, e.Name)
+		if err == nil {
 			err = fs.copyUpTree(o.upper, e.Name, &c)
-		case c.upper == 0:
-			err = fs.copyIn(o.upper, e.Name, &c)
 		}
 		if err != nil {
 			return err

@@ -395,3 +395,53 @@ func TestWhiteoutsNotListedEver(t *testing.T) {
 		t.Fatalf("listing = %v", ents)
 	}
 }
+
+// TestRenameExchange: RENAME_EXCHANGE swaps two names, each of them a
+// lower file, a file made in the union or a merged directory, and each
+// union inode follows its object; no end is lost. A missing end is ENOENT
+// and a flag the union cannot honour EINVAL.
+func TestRenameExchange(t *testing.T) {
+	u := NewWith(Options{}, makeLayer(t, map[string]string{"/a": "A", "/d/x": "X"}))
+	cli := vfs.NewClient(u, vfs.Root())
+	op := vfs.RootOp()
+	if err := cli.WriteFile("/b", []byte("B"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := u.Lookup(op, vfs.RootIno, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Rename(op, vfs.RootIno, "a", vfs.RootIno, "b", vfs.RenameExchange); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{"/a": "B", "/b": "A"} {
+		if got, err := cli.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("%s = %q, %v; want %q", path, got, err, want)
+		}
+	}
+	if b, err := cli.Stat("/b"); err != nil || b.Ino != a.Ino {
+		t.Fatalf("/b is inode %d (%v), want the exchanged file's %d", b.Ino, err, a.Ino)
+	}
+	if err := u.Rename(op, vfs.RootIno, "d", vfs.RootIno, "a", vfs.RenameExchange); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cli.ReadFile("/a/x"); err != nil || string(got) != "X" {
+		t.Fatalf("/a/x = %q, %v; want the exchanged directory's", got, err)
+	}
+	if got, err := cli.ReadFile("/d"); err != nil || string(got) != "B" {
+		t.Fatalf("/d = %q, %v; want the exchanged file's", got, err)
+	}
+	for _, c := range []struct {
+		to    string
+		flags vfs.RenameFlags
+		want  vfs.Errno
+	}{
+		{"missing", vfs.RenameExchange, vfs.ENOENT},
+		{"b", vfs.RenameExchange | vfs.RenameNoReplace, vfs.EINVAL},
+		{"b", 1 << 2, vfs.EINVAL}, // RENAME_WHITEOUT
+	} {
+		if err := u.Rename(op, vfs.RootIno, "a", vfs.RootIno, c.to, c.flags); vfs.ToErrno(err) != c.want {
+			t.Fatalf("rename a %s with flags %#x: %v, want %v", c.to, c.flags, err, c.want)
+		}
+	}
+}
