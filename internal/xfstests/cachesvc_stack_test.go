@@ -7,29 +7,6 @@ import (
 	"cntr/internal/stack"
 )
 
-// requirePaperSplit asserts the canonical CntrFS result: 90 of 94
-// generic tests pass and the four documented failures are exactly the
-// paper's four.
-func requirePaperSplit(t *testing.T, sum Summary, label string) {
-	t.Helper()
-	if sum.Passed != 90 || sum.Failed != 4 {
-		for _, r := range sum.Failures {
-			t.Errorf("%s: generic/%03d %s: %s", label, r.Num, r.Name, r.Reason)
-		}
-		t.Fatalf("%s: %d passed / %d failed, want 90/4", label, sum.Passed, sum.Failed)
-	}
-	wantFail := map[int]bool{375: true, 228: true, 391: true, 426: true}
-	for _, r := range sum.Failures {
-		if !wantFail[r.Num] {
-			t.Errorf("%s: unexpected failure generic/%03d %s: %s", label, r.Num, r.Name, r.Reason)
-		}
-		delete(wantFail, r.Num)
-	}
-	for num := range wantFail {
-		t.Errorf("%s: expected failure generic/%03d did not fail", label, num)
-	}
-}
-
 // TestCntrStackOnReplicatedTier re-verifies POSIX semantics above the
 // replicated cache tier: a Cntr stack attached to a 3-node,
 // replica-per-shard service must reproduce the paper's exact 90/94
@@ -44,7 +21,7 @@ func TestCntrStackOnReplicatedTier(t *testing.T) {
 	c := stack.NewCntr(stack.Config{CacheService: svc, CacheMountID: "xfs-m0"})
 	sum, _ := Run(c.Top)
 	c.Close()
-	requirePaperSplit(t, sum, "replicated tier")
+	requireFailures(t, sum, "replicated tier", paperFailures...)
 
 	// Kill a node mid-life, then re-run the whole suite over the
 	// re-replicated tier from a second mount identity.
@@ -55,7 +32,7 @@ func TestCntrStackOnReplicatedTier(t *testing.T) {
 	c2 := stack.NewCntr(stack.Config{CacheService: svc, CacheMountID: "xfs-m1"})
 	sum2, _ := Run(c2.Top)
 	c2.Close()
-	requirePaperSplit(t, sum2, "replicated tier post-kill")
+	requireFailures(t, sum2, "replicated tier post-kill", paperFailures...)
 
 	if err := svc.CheckConsistency(); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,14 @@
 package xfstests
 
 import (
+	"slices"
 	"testing"
 
+	"cntr/internal/memfs"
+	"cntr/internal/sim"
 	"cntr/internal/stack"
+	"cntr/internal/unionfs"
+	"cntr/internal/vfs"
 )
 
 func TestSuiteHas94GenericTests(t *testing.T) {
@@ -25,26 +30,37 @@ func TestSuiteHas94GenericTests(t *testing.T) {
 			t.Fatalf("missing group %q", g)
 		}
 	}
-	for _, num := range []int{375, 228, 391, 426} {
+	for _, num := range paperFailures {
 		if !seen[num] {
 			t.Fatalf("canonical test #%d missing", num)
 		}
 	}
 }
 
+// paperFailures are the four generic tests CntrFS fails in §5.1.
+var paperFailures = []int{228, 375, 391, 426}
+
+// requireFailures asserts that exactly the tests want (in ascending
+// order) failed and every other test passed.
+func requireFailures(t *testing.T, sum Summary, label string, want ...int) {
+	t.Helper()
+	var got []int
+	for _, r := range sum.Failures {
+		got = append(got, r.Num)
+	}
+	if slices.Equal(got, want) && sum.Passed == sum.Total-len(want) {
+		return
+	}
+	for _, r := range sum.Failures {
+		t.Errorf("%s: generic/%03d %s: %s", label, r.Num, r.Name, r.Reason)
+	}
+	t.Fatalf("%s: %d/%d passed, failures %v, want exactly %v", label, sum.Passed, sum.Total, got, want)
+}
+
 func TestNativeStackPassesEverything(t *testing.T) {
 	n := stack.NewNative(stack.Config{})
-	sum, results := Run(n.Top)
-	if sum.Failed != 0 {
-		for _, r := range sum.Failures {
-			t.Errorf("generic/%03d %s: %s", r.Num, r.Name, r.Reason)
-		}
-		t.Fatalf("native: %d/%d passed", sum.Passed, sum.Total)
-	}
-	if sum.Passed != 94 {
-		t.Fatalf("native passed %d, want 94 (skipped %d)", sum.Passed, sum.Skipped)
-	}
-	_ = results
+	sum, _ := Run(n.Top)
+	requireFailures(t, sum, "native")
 }
 
 // TestCntrStackReproducesPaper is the §5.1 headline: 90 of 94 generic
@@ -54,20 +70,49 @@ func TestCntrStackReproducesPaper(t *testing.T) {
 	c := stack.NewCntr(stack.Config{})
 	defer c.Close()
 	sum, _ := Run(c.Top)
-	if sum.Passed != 90 || sum.Failed != 4 {
-		for _, r := range sum.Failures {
-			t.Errorf("generic/%03d %s: %s", r.Num, r.Name, r.Reason)
+	requireFailures(t, sum, "cntr", paperFailures...)
+}
+
+// TestUnionLanes runs the suite on a container's root filesystem: a bare
+// unionfs, with no lower layer and with one, passes everything tmpfs does
+// but #426 (a union inode is made by a lookup and dropped by a forget),
+// and the attach shape, a CntrFS mount over a union, fails exactly the
+// paper's four.
+func TestUnionLanes(t *testing.T) {
+	image := func() vfs.FS {
+		lower := memfs.New(memfs.Options{})
+		cli := vfs.NewClient(lower, vfs.Root())
+		if err := cli.MkdirAll("/etc", 0o755); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("cntr: %d passed / %d failed, want 90/4", sum.Passed, sum.Failed)
-	}
-	wantFail := map[int]bool{375: true, 228: true, 391: true, 426: true}
-	for _, r := range sum.Failures {
-		if !wantFail[r.Num] {
-			t.Errorf("unexpected failure generic/%03d %s: %s", r.Num, r.Name, r.Reason)
+		if err := cli.WriteFile("/etc/hostname", []byte("app\n"), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		delete(wantFail, r.Num)
+		return lower
 	}
-	for num := range wantFail {
-		t.Errorf("expected failure generic/%03d did not fail", num)
+	for _, lane := range []struct {
+		name  string
+		mount bool
+		lower bool
+		want  []int
+	}{
+		{name: "unionfs, no lower", want: []int{426}},
+		{name: "unionfs, one lower", lower: true, want: []int{426}},
+		{name: "mount over unionfs", lower: true, mount: true, want: paperFailures},
+	} {
+		t.Run(lane.name, func(t *testing.T) {
+			var lowers []vfs.FS
+			if lane.lower {
+				lowers = append(lowers, image())
+			}
+			var top vfs.FS = unionfs.NewWith(unionfs.Options{}, lowers...)
+			if lane.mount {
+				m := stack.NewMount(top, sim.NewClock(), sim.DefaultCostModel(), stack.Config{})
+				defer m.Close()
+				top = m.Kernel
+			}
+			sum, _ := Run(top)
+			requireFailures(t, sum, lane.name, lane.want...)
+		})
 	}
 }
