@@ -133,9 +133,18 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 		}
 		nestedMount.Mount(tmpMountPoint+AppDir+m.Point, m.FS, m.Root, m.ReadOnly)
 	}
+	// The shell runs as root inside the container's user namespace.
+	cred := &vfs.Cred{Caps: vfs.FullCapSet()}
+	// Drop capabilities by applying the container's MAC profile, and
+	// restrict to the container's capability set: the tools must not
+	// escape the sandbox.
+	ctx.Profile.Apply(cred)
+	cred.Caps = cred.Caps.Intersect(ctx.Caps)
+	child.Caps = cred.Caps
+	child.Profile = ctx.Profile.Name
 	// Bind the pseudo filesystems and per-container config files over
-	// the tools view: /proc (so tools can see and trace the app), /dev,
-	// /etc/passwd, /etc/hostname.
+	// the tools view: /proc (so tools can see and trace the app, and the
+	// session itself as it now is), /dev, /etc/passwd, /etc/hostname.
 	procSnap := h.Procs.Snapshot()
 	nestedMount.Mount(tmpMountPoint+"/proc", procSnap, vfs.RootIno, false)
 	appOp := vfs.RootOp()
@@ -147,16 +156,7 @@ func Attach(h *Host, opts Options) (_ *Session, err error) {
 		nestedMount.Mount(tmpMountPoint+special, src.FS, src.Ino, false)
 	}
 
-	// Atomically pivot into the new hierarchy: chroot(TMP). The shell
-	// runs as root inside the container's user namespace.
-	cred := &vfs.Cred{Caps: vfs.FullCapSet()}
-	// Drop capabilities by applying the container's MAC profile, and
-	// restrict to the container's capability set: the tools must not
-	// escape the sandbox.
-	ctx.Profile.Apply(cred)
-	cred.Caps = cred.Caps.Intersect(ctx.Caps)
-	child.Caps = cred.Caps
-	child.Profile = ctx.Profile.Name
+	// Atomically pivot into the new hierarchy: chroot(TMP).
 	nsCli := namespace.NewClient(nestedMount, cred)
 	chrooted, err := nsCli.Chroot(tmpMountPoint)
 	if err != nil {

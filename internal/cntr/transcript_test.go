@@ -16,9 +16,10 @@ var updateTranscript = flag.Bool("update", false, "rewrite testdata/attach_trans
 // TestAttachTranscriptGolden attaches to one container of every engine,
 // once with a fat container's tools and once with the host's, and pins
 // byte for byte what the session shows: the hostname, its mount table,
-// ps, the application's /proc/1/mounts, and the application's MAC
-// profile and effective capabilities as /proc reports them, with the
-// session's own. /proc/<pid>/ns/* is left out: its ids come from a
+// ps, the application's /proc/1/mounts, and the MAC profile and
+// effective capabilities /proc reports for the application and for the
+// session itself, which must be the profile and capabilities it was
+// given. /proc/<pid>/ns/* is left out: its ids come from a
 // counter every namespace in the process draws from.
 func TestAttachTranscriptGolden(t *testing.T) {
 	h := NewHost()
@@ -74,22 +75,28 @@ func TestAttachTranscriptGolden(t *testing.T) {
 				t.Fatalf("attach %s (fat %q): %v", apps[i].Name, fat, err)
 			}
 			fmt.Fprintf(&got, "=== %s fat=%q engine=%s\n", apps[i].Name, fat, sess.Context.Engine)
-			pid := apps[i].MainPID
+			pid, self := apps[i].MainPID, sess.Proc.PID
 			for _, cmd := range []string{"hostname", "mount", "ps", "cat /proc/1/mounts",
-				fmt.Sprintf("cat /proc/%d/attr_current", pid)} {
+				fmt.Sprintf("cat /proc/%d/attr_current", pid),
+				fmt.Sprintf("cat /proc/%d/attr_current", self)} {
 				out, err := sess.Run(cmd)
 				fmt.Fprintf(&got, "$ %s\n%s", cmd, out)
 				if err != nil {
 					fmt.Fprintf(&got, "error: %v\n", err)
 				}
 			}
-			status, err := sess.Run(fmt.Sprintf("cat /proc/%d/status", pid))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, line := range strings.Split(status, "\n") {
-				if strings.HasPrefix(line, "CapEff:") {
-					fmt.Fprintf(&got, "app %s\n", line)
+			for _, w := range []struct {
+				who string
+				pid int
+			}{{"app", pid}, {"session", self}} {
+				status, err := sess.Run(fmt.Sprintf("cat /proc/%d/status", w.pid))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, line := range strings.Split(status, "\n") {
+					if strings.HasPrefix(line, "CapEff:") {
+						fmt.Fprintf(&got, "%s %s\n", w.who, line)
+					}
 				}
 			}
 			fmt.Fprintf(&got, "session profile=%s CapEff=%016x\n", sess.Proc.Profile, uint32(sess.Proc.Caps))
