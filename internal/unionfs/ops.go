@@ -292,7 +292,7 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 	if err := fs.upper.Rename(op, odir, oldName, ndir, newName, flags); err != nil {
 		return err
 	}
-	fs.upper.Unlink(internalOp, ndir, whiteoutPrefix+newName)
+	fs.upper.Unlink(internalOp, ndir, whiteoutPrefix+newName) // the whiteout there, if any
 	if srcDir && fs.lowerHas(&pn.obj, newName) {
 		err = fs.setOpaque(&src)
 	}

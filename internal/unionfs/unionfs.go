@@ -302,13 +302,18 @@ func (fs *FS) copyIn(dir vfs.Ino, name string, o *obj) error {
 		return err
 	}
 	if up.UID != attr.UID || up.GID != attr.GID {
-		fs.upper.Setattr(internalOp, up.Ino, vfs.SetUID|vfs.SetGID, attr)
+		if _, err := fs.upper.Setattr(internalOp, up.Ino, vfs.SetUID|vfs.SetGID, attr); err != nil {
+			return err
+		}
 	}
-	if names, err := layer.Listxattr(internalOp, src.ino); err == nil {
-		for _, x := range names {
-			if v, err := layer.Getxattr(internalOp, src.ino, x); err == nil {
-				fs.upper.Setxattr(internalOp, up.Ino, x, v, 0)
-			}
+	names, _ := layer.Listxattr(internalOp, src.ino) // none when the layer keeps no xattrs
+	for _, x := range names {
+		v, err := layer.Getxattr(internalOp, src.ino, x)
+		if err == nil {
+			err = fs.upper.Setxattr(internalOp, up.Ino, x, v, 0)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	o.upper = up.Ino
@@ -346,8 +351,10 @@ func (fs *FS) copyData(layer vfs.FS, src, dir vfs.Ino, name string, attr vfs.Att
 	if err != nil {
 		return vfs.Attr{}, err
 	}
-	defer fs.upper.Release(internalOp, uh)
 	_, err = fs.upper.Write(internalOp, uh, 0, data)
+	if rerr := fs.upper.Release(internalOp, uh); err == nil {
+		err = rerr
+	}
 	return up, err
 }
 
