@@ -7,84 +7,16 @@
 package socketproxy
 
 import (
-	"io"
 	"sync"
 	"sync/atomic"
 
+	"cntr/internal/pipe"
 	"cntr/internal/sim"
 	"cntr/internal/vfs"
 )
 
 // Conn is one end of a bidirectional in-memory socket connection.
-type Conn struct {
-	r *stream
-	w *stream
-}
-
-// stream is a half-duplex byte queue.
-type stream struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []byte
-	closed bool
-}
-
-func newStream() *stream {
-	s := &stream{}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-func (s *stream) write(b []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, io.ErrClosedPipe
-	}
-	s.buf = append(s.buf, b...)
-	s.cond.Broadcast()
-	return len(b), nil
-}
-
-func (s *stream) read(b []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.buf) == 0 && !s.closed {
-		s.cond.Wait()
-	}
-	if len(s.buf) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(b, s.buf)
-	s.buf = s.buf[n:]
-	return n, nil
-}
-
-func (s *stream) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// Read implements io.Reader.
-func (c *Conn) Read(b []byte) (int, error) { return c.r.read(b) }
-
-// Write implements io.Writer.
-func (c *Conn) Write(b []byte) (int, error) { return c.w.write(b) }
-
-// Close shuts down both directions.
-func (c *Conn) Close() error {
-	c.r.close()
-	c.w.close()
-	return nil
-}
-
-// connPair builds two connected endpoints.
-func connPair() (*Conn, *Conn) {
-	a, b := newStream(), newStream()
-	return &Conn{r: a, w: b}, &Conn{r: b, w: a}
-}
+type Conn = pipe.End
 
 // Listener accepts connections on a socket path.
 type Listener struct {
@@ -146,7 +78,7 @@ func (r *Registry) Dial(path string) (*Conn, error) {
 	if !ok || l.closed.Load() {
 		return nil, vfs.ECONNREFUSED
 	}
-	client, server := connPair()
+	client, server := pipe.Pair()
 	l.backlog <- server
 	return client, nil
 }
