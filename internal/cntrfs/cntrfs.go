@@ -145,7 +145,8 @@ func (fs *FS) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) {
 				delete(fs.byBacking, n.backIno)
 			}
 		}
-		fs.backing.Forget(op, n.backIno, 1)
+		// Each lookup counted here made one of the backing's.
+		fs.backing.Forget(op, n.backIno, n.nlookup)
 		return
 	}
 	n.nlookup -= nlookup

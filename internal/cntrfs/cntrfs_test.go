@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cntr/internal/memfs"
+	"cntr/internal/unionfs"
 	"cntr/internal/vfs"
 )
 
@@ -111,6 +112,32 @@ func TestForgetEvictsInodeTable(t *testing.T) {
 		if want := map[uint64]int{1: grown, 2: 1}[forget]; len(cfs.nodes) != want {
 			t.Fatalf("node count after forgets of %d = %d, want %d", forget, len(cfs.nodes), want)
 		}
+	}
+}
+
+// TestForgetForwardsCount: every CntrFS lookup made a lookup of the
+// backing's, so the forget that evicts a node hands the backing all of
+// them. Over a union, which keeps a node per looked-up object, three
+// lookups of /f and a forget of three leave no union node for /f.
+func TestForgetForwardsCount(t *testing.T) {
+	lower := memfs.New(memfs.Options{})
+	if err := vfs.NewClient(lower, vfs.Root()).WriteFile("/f", nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	union := unionfs.NewWith(unionfs.Options{}, lower)
+	cfs := New(union, Options{DedupHardlinks: true})
+	op := vfs.NewOp(nil, vfs.Root())
+	var attr vfs.Attr
+	for range 3 {
+		var err error
+		if attr, err = cfs.Lookup(op, vfs.RootIno, "f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	back := cfs.nodes[attr.Ino].backIno
+	cfs.Forget(op, attr.Ino, 3)
+	if _, err := union.Getattr(op, back); vfs.ToErrno(err) != vfs.ESTALE {
+		t.Fatalf("union inode of /f after its lookups were forgotten: %v, want ESTALE", err)
 	}
 }
 

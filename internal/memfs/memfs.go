@@ -574,19 +574,6 @@ func (fs *FS) Readlink(op *vfs.Op, ino vfs.Ino) (string, error) {
 	return n.target, nil
 }
 
-// stickyDenied implements the sticky-bit deletion restriction: in a
-// sticky directory only the file owner, directory owner, or a privileged
-// caller may remove entries.
-func stickyDenied(c *vfs.Cred, dir, child *inode) bool {
-	if dir.attr.Mode&vfs.ModeSticky == 0 {
-		return false
-	}
-	if c.Caps.Has(vfs.CapFowner) {
-		return false
-	}
-	return c.FSUID != child.attr.UID && c.FSUID != dir.attr.UID
-}
-
 // Unlink implements vfs.FS.
 func (fs *FS) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 	c := op.Cred
@@ -613,7 +600,7 @@ func (fs *FS) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 	if n.attr.Type == vfs.TypeDirectory {
 		return vfs.EISDIR
 	}
-	if stickyDenied(c, dir, n) {
+	if c.StickyDenied(&dir.attr, &n.attr) {
 		return vfs.EPERM
 	}
 	dir.children.unlink(name)
@@ -654,7 +641,7 @@ func (fs *FS) Rmdir(op *vfs.Op, parent vfs.Ino, name string) error {
 	if n.children.len() != 0 {
 		return vfs.ENOTEMPTY
 	}
-	if stickyDenied(c, dir, n) {
+	if c.StickyDenied(&dir.attr, &n.attr) {
 		return vfs.EPERM
 	}
 	dir.children.unlink(name)
@@ -734,7 +721,7 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 	if err != nil {
 		return err
 	}
-	if stickyDenied(c, od, src) {
+	if c.StickyDenied(&od.attr, &src.attr) {
 		return vfs.EPERM
 	}
 	dstIno, dstExists := nd.children.lookup(newName)
@@ -773,7 +760,7 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 		if err != nil {
 			return err
 		}
-		if stickyDenied(c, nd, dst) {
+		if c.StickyDenied(&nd.attr, &dst.attr) {
 			return vfs.EPERM
 		}
 		if dst.attr.Type == vfs.TypeDirectory {

@@ -188,13 +188,22 @@ func (fs *FS) Rmdir(op *vfs.Op, parent vfs.Ino, name string) error {
 }
 
 // remove deletes name from parent: from the upper layer, and from the
-// lower ones by a whiteout.
+// lower ones by a whiteout. The whiteout is made with the internal
+// credential, so the caller's permission is checked here, as memfs's
+// Unlink and Rmdir check it.
 func (fs *FS) remove(op *vfs.Op, parent vfs.Ino, name string, dir bool) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	p, err := fs.node(parent)
 	if err != nil {
 		return err
+	}
+	pattr, err := fs.getattr(parent, p)
+	if err != nil {
+		return err
+	}
+	if c := op.Cred; !c.MayWrite(&pattr) || !c.MayExec(&pattr) {
+		return vfs.EACCES
 	}
 	o, attr, err := fs.resolve(&p.obj, name)
 	if err != nil {
@@ -210,6 +219,9 @@ func (fs *FS) remove(op *vfs.Op, parent vfs.Ino, name string, dir bool) error {
 		if err := fs.empty(&o); err != nil {
 			return err
 		}
+	}
+	if op.Cred.StickyDenied(&pattr, &attr) {
+		return vfs.EPERM
 	}
 	if o.upper != 0 {
 		if dir {

@@ -132,6 +132,34 @@ func TestWhiteoutHidesLowerFile(t *testing.T) {
 	}
 }
 
+// TestRemoveChecksPermission: removing a name only a lower layer holds
+// whites it out with the internal credential, so the union checks the
+// caller's as memfs does: write and search permission on the parent,
+// then the sticky bit.
+func TestRemoveChecksPermission(t *testing.T) {
+	lower := makeLayer(t, map[string]string{"/etc/conf": "x", "/tmp/x": "y"})
+	if err := vfs.NewClient(lower, vfs.Root()).Chmod("/tmp", 0o1777); err != nil {
+		t.Fatal(err)
+	}
+	u := NewWith(Options{}, lower)
+	user := vfs.NewClient(u, vfs.User(1000, 1000))
+	if err := user.Remove("/etc/conf"); vfs.ToErrno(err) != vfs.EACCES {
+		t.Fatalf("uid 1000 removing a root-owned /etc/conf: %v, want EACCES", err)
+	}
+	if err := user.Remove("/tmp/x"); vfs.ToErrno(err) != vfs.EPERM {
+		t.Fatalf("uid 1000 removing root's file in a sticky /tmp: %v, want EPERM", err)
+	}
+	root := vfs.NewClient(u, vfs.Root())
+	for _, p := range []string{"/etc/conf", "/tmp/x"} {
+		if _, err := root.Stat(p); err != nil {
+			t.Fatalf("%s after refused removals: %v", p, err)
+		}
+		if err := root.Remove(p); err != nil {
+			t.Fatalf("root removing %s: %v", p, err)
+		}
+	}
+}
+
 func TestRecreateAfterWhiteout(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/f": "old"})
 	u := NewWith(Options{}, lower)

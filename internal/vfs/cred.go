@@ -143,3 +143,10 @@ func (c *Cred) permitted(a *Attr, bit Mode, bypass Capability) bool {
 func (c *Cred) IsOwner(a *Attr) bool {
 	return c.FSUID == a.UID || c.Caps.Has(CapFowner)
 }
+
+// StickyDenied reports the sticky-bit restriction on removing child from
+// dir: in a sticky directory only the child's owner, the directory's
+// owner or a caller with CAP_FOWNER may.
+func (c *Cred) StickyDenied(dir, child *Attr) bool {
+	return dir.Mode&ModeSticky != 0 && !c.Caps.Has(CapFowner) && c.FSUID != child.UID && c.FSUID != dir.UID
+}
