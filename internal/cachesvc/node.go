@@ -49,8 +49,8 @@ type NodeStats struct {
 	Live bool
 	// Shards is the number of shard copies the node holds: the shards it
 	// owns, none once it is killed.
-	Shards                            int
-	Hits, Misses, Puts, Invalidations int64
+	Shards             int
+	Hits, Misses, Puts int64
 	// FencedWrites counts fenced mutations dropped at this node's
 	// copies: a stale-epoch write is rejected on the primary and every
 	// replica, and each copy counts its own drop (so the per-node sum is
@@ -58,7 +58,6 @@ type NodeStats struct {
 	FencedWrites int64
 	Evictions    int64
 	Entries      int64
-	Bytes        int64
 }
 
 // NodeStats returns per-node counter snapshots, in node-id order.
@@ -69,20 +68,18 @@ func (s *Service) NodeStats() []NodeStats {
 	out := make([]NodeStats, 0, len(s.nodes))
 	for _, nd := range s.nodes {
 		ns := NodeStats{
-			ID:            nd.id,
-			Live:          nd.live,
-			Shards:        len(nd.stores),
-			Hits:          nd.hits.Load(),
-			Misses:        nd.misses.Load(),
-			Puts:          nd.puts.Load(),
-			Invalidations: nd.invals.Load(),
-			FencedWrites:  nd.fenced.Load(),
-			Evictions:     nd.evictions.Load(),
+			ID:           nd.id,
+			Live:         nd.live,
+			Shards:       len(nd.stores),
+			Hits:         nd.hits.Load(),
+			Misses:       nd.misses.Load(),
+			Puts:         nd.puts.Load(),
+			FencedWrites: nd.fenced.Load(),
+			Evictions:    nd.evictions.Load(),
 		}
 		for _, st := range nd.stores {
 			st.mu.Lock()
 			ns.Entries += int64(len(st.entries))
-			ns.Bytes += st.bytes
 			st.mu.Unlock()
 		}
 		out = append(out, ns)

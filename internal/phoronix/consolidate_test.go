@@ -12,7 +12,7 @@ import (
 
 // TestConsolidationChaosEnforced is the consolidation acceptance check:
 // three containers with disjoint workload mixes record three profiles,
-// the fleet merge is enforced while ChaosErrnoProfile injects latency
+// the fleet merge is enforced while chaosErrnoProfile injects latency
 // and errnos into every replayed workload over one shared store — and
 // the injected errnos land in the recording's histogram buckets without
 // a single policy denial.
@@ -90,7 +90,7 @@ type ConsolidationReport struct {
 // container, as a fleet would collect them), the profiles merge into
 // one fleet profile, and then every container replays its mix over a
 // shared content-addressed store with the merged profile enforced and
-// ChaosErrnoProfile faults injected on the same interceptor chain. The
+// chaosErrnoProfile faults injected on the same interceptor chain. The
 // invariants the report pins: zero denials (the merge admits each
 // contributor, and injected faults never register as violations) and
 // nonzero injected-errno histogram buckets (the chaos really ran).
@@ -127,7 +127,7 @@ func RunConsolidation(n int) (*ConsolidationReport, error) {
 	chaotic := policy.NewCollector()
 	replay := Setup{
 		Config:  stack.Config{Store: blobstore.NewCAS(blobstore.CASOptions{})},
-		Faults:  ChaosErrnoProfile(),
+		Faults:  chaosErrnoProfile(),
 		Enforce: rep.Merged,
 		Record:  chaotic,
 	}

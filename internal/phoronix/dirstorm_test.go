@@ -6,7 +6,7 @@ import "testing"
 // directory must complete on both stacks and must cost CntrFS more than
 // native — directory iteration is pure metadata round trips.
 func TestDirStormWorkload(t *testing.T) {
-	r := pass(t, dirStorm)
+	r := pass(t, shared().dirStorm)
 	if r.Work < 3*dirStormEntries {
 		t.Fatalf("dir-storm performed %d ops, want at least the three readdir passes (%d)",
 			r.Work, 3*dirStormEntries)

@@ -10,10 +10,9 @@ import (
 
 // OptResult is one before/after pair.
 type OptResult struct {
-	Name    string
-	Before  time.Duration // optimization off
-	After   time.Duration // optimization on
-	Speedup float64       // Before / After
+	Name   string
+	Before time.Duration // optimization off
+	After  time.Duration // optimization on
 }
 
 // Panel is one comparison in Figure 3's style: one suite row on two
@@ -119,19 +118,18 @@ func RunPanel(p Panel) (OptResult, error) {
 	if err != nil {
 		return OptResult{}, err
 	}
-	r := OptResult{Name: p.Name, Before: before, After: after}
-	if after > 0 {
-		r.Speedup = float64(before) / float64(after)
-	}
-	return r, nil
+	return OptResult{Name: p.Name, Before: before, After: after}, nil
 }
+
+// figure4Threads are Figure 4's server thread counts, one thread first.
+var figure4Threads = []int{1, 2, 4, 8, 16}
 
 // Figure4Threads reproduces Figure 4: sequential-read throughput as the
 // CntrFS server thread count grows — responsiveness costs a little
 // throughput (queue contention).
 func Figure4Threads() (map[int]time.Duration, error) {
 	out := make(map[int]time.Duration)
-	for _, threads := range []int{1, 2, 4, 8, 16} {
+	for _, threads := range figure4Threads {
 		mount := fuse.DefaultMountOptions()
 		mount.ServerThreads = threads
 		// Reads must cross the FUSE boundary for server threading to

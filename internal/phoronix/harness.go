@@ -66,12 +66,11 @@ type Benchmark struct {
 
 // Result is one benchmark outcome on both stacks.
 type Result struct {
-	Name          string
-	NativeTime    time.Duration
-	CntrTime      time.Duration
-	Overhead      float64 // CntrTime / NativeTime, the Figure 2 ratio
-	PaperOverhead float64
-	Work          int64
+	Name       string
+	NativeTime time.Duration
+	CntrTime   time.Duration
+	Overhead   float64 // CntrTime / NativeTime, the Figure 2 ratio
+	Work       int64
 	// frames is the CntrFS mount's wire frames by opcode (warm-up and run).
 	frames [len(fuse.ConnStats{}.Frames)]int64
 }
@@ -274,37 +273,10 @@ func RunBenchmark(b *Benchmark) (Result, error) {
 	}
 	return Result{
 		Name: b.Name, NativeTime: nt, CntrTime: c.Time,
-		Overhead:      float64(c.Time) / float64(nt),
-		PaperOverhead: b.PaperOverhead,
-		Work:          work,
-		frames:        c.frames,
+		Overhead: float64(c.Time) / float64(nt),
+		Work:     work,
+		frames:   c.frames,
 	}, nil
-}
-
-// RunAll executes the full suite (Figure 2).
-func RunAll() ([]Result, error) {
-	out := make([]Result, 0, len(Suite))
-	for i := range Suite {
-		r, err := RunBenchmark(&Suite[i])
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// FormatTable renders results the way Figure 2's caption reads.
-func FormatTable(results []Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %12s %12s %9s %9s\n",
-		"Benchmark", "native", "cntr", "measured", "paper")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-28s %12v %12v %8.1fx %8.1fx\n",
-			r.Name, r.NativeTime.Round(time.Microsecond),
-			r.CntrTime.Round(time.Microsecond), r.Overhead, r.PaperOverhead)
-	}
-	return b.String()
 }
 
 // FormatRows renders a sweep: name, time and status always, a counter
@@ -319,7 +291,6 @@ func FormatRows(rows []Row) string {
 		{"traced ops", func(r Row) int64 { return r.Ops }},
 		{"denials", func(r Row) int64 { return r.Denials }},
 		{"audited", func(r Row) int64 { return r.Audited }},
-		{"injected", func(r Row) int64 { return r.Injected }},
 	} {
 		for _, r := range rows {
 			if c.val(r) != 0 {

@@ -16,26 +16,28 @@ func TestMergedReplayZeroDenials(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full-suite sweeps and the shared recording")
 	}
-	rep := pass(t, mergedReplay)
-	if rep.Denials != 0 {
-		t.Fatalf("merged profile denied %d operations of its own recordings:\n%s",
-			rep.Denials, FormatRows(rep.Results))
-	}
-	for _, r := range rep.Results {
+	rep := pass(t, shared().mergedReplay)
+	var denials int64
+	for _, r := range rep.rows {
+		denials += r.Denials
 		if r.Err != nil {
 			t.Fatalf("%s failed under the merged profile: %v", r.Name, r.Err)
 		}
 	}
-	m := rep.Merged
+	if denials != 0 {
+		t.Fatalf("merged profile denied %d operations of its own recordings:\n%s", denials, FormatRows(rep.rows))
+	}
+	m := rep.merged
 	if m.Version != policy.FormatVersion || m.Runs != 2 || len(m.SourceRuns) != 2 {
 		t.Fatalf("merged lifecycle header: version=%d runs=%d sources=%v",
 			m.Version, m.Runs, m.SourceRuns)
 	}
-	if a := pass(t, suiteRecording).Profile(policy.GenOptions{}); m.Generation <= a.Generation {
+	a := pass(t, shared().seed42).Profile(policy.GenOptions{RunID: "suite-seed-42"})
+	if m.Generation <= a.Generation {
 		t.Fatalf("merge did not bump the generation: %d vs %d",
 			m.Generation, a.Generation)
 	}
-	if rep.Diff == nil || rep.Diff.Empty() {
+	if policy.Diff(a, m).Empty() {
 		t.Fatal("diff between input A and the merge is empty")
 	}
 	if m.WindowOps == 0 || (m.ReadBytesPerWindow == 0 && m.WriteBytesPerWindow == 0) {

@@ -12,7 +12,7 @@ import (
 // absorb — must cost CntrFS measurably more than the native stack,
 // PostMark-style.
 func TestMetaStormWorkload(t *testing.T) {
-	r := pass(t, metaStorm)
+	r := pass(t, shared().metaStorm)
 	if r.Work == 0 {
 		t.Fatal("meta-storm performed no operations")
 	}

@@ -2,6 +2,7 @@ package phoronix
 
 import (
 	"fmt"
+	"path"
 	"time"
 
 	"cntr/internal/blobstore"
@@ -15,8 +16,7 @@ import (
 // same image tree of fleetDirs images, with or without a shared cache
 // tier between them.
 type MultiMountOptions struct {
-	// Mounts is the fleet size (default 2, the paper-scale experiments
-	// use 2-8).
+	// Mounts is the fleet size.
 	Mounts int
 	// UseService attaches every mount to one shared cachesvc tier; when
 	// false each mount pays the origin volume for every cold read.
@@ -49,9 +49,6 @@ type MultiMountResult struct {
 	// TierStats is the service's counter snapshot after the run (zero
 	// value without a service).
 	TierStats cachesvc.Stats
-	// NodeStats is the per-node counter split after the run (empty
-	// without a service).
-	NodeStats []cachesvc.NodeStats
 }
 
 // The fleet's image tree: fleetDirs image directories of fleetFiles
@@ -61,12 +58,6 @@ const (
 	fleetFiles    = 3
 	fleetFileSize = 64 << 10
 )
-
-func (o *MultiMountOptions) defaults() {
-	if o.Mounts <= 0 {
-		o.Mounts = 2
-	}
-}
 
 // multiMountPath names file f of image d — the same tree on every mount.
 func multiMountPath(d, f int) string {
@@ -104,7 +95,6 @@ func multiMountContent(d, f int, size int64) []byte {
 // mount's cold read is served at pipelined tier-lookup cost; without it,
 // every mount pays the origin volume in full.
 func RunMultiMount(opts MultiMountOptions) (MultiMountResult, error) {
-	opts.defaults()
 	cas := blobstore.NewCAS(blobstore.CASOptions{})
 	var svc *cachesvc.Service
 	if opts.UseService {
@@ -131,7 +121,7 @@ func RunMultiMount(opts MultiMountOptions) (MultiMountResult, error) {
 		for d := 0; d < fleetDirs; d++ {
 			for f := 0; f < fleetFiles; f++ {
 				p := multiMountPath(d, f)
-				if err := cli.MkdirAll(parentDir(p), 0o755); err != nil {
+				if err := cli.MkdirAll(path.Dir(p), 0o755); err != nil {
 					return MultiMountResult{}, err
 				}
 				if err := cli.WriteFile(p, multiMountContent(d, f, fleetFileSize), 0o644); err != nil {
@@ -189,20 +179,6 @@ func RunMultiMount(opts MultiMountOptions) (MultiMountResult, error) {
 	if svc != nil {
 		res.TierStats = svc.Stats()
 		res.HitRatio = res.TierStats.HitRatio()
-		res.NodeStats = svc.NodeStats()
 	}
 	return res, nil
-}
-
-// parentDir returns the directory portion of a slash path.
-func parentDir(p string) string {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' {
-			if i == 0 {
-				return "/"
-			}
-			return p[:i]
-		}
-	}
-	return "/"
 }

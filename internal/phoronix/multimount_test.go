@@ -21,7 +21,7 @@ import (
 // nothing else: the surviving copies keep serving, so the hit ratio holds
 // and no shard is lost.
 func TestMultiMountSharedCacheBeatsNoService(t *testing.T) {
-	rs := pass(t, fleet)
+	rs := pass(t, shared().fleet)
 	base, single := rs[0], rs[1]
 	for i, r := range rs[1:] {
 		name := fleetTiers[i+1].name

@@ -13,7 +13,7 @@ import (
 // the extremes are, and rough magnitudes. Exact ratios depend on the
 // calibrated cost model; the assertions bound the shape.
 func TestFigure2Shape(t *testing.T) {
-	results := pass(t, figure2)
+	results := pass(t, shared().figure2)
 	byName := map[string]Result{}
 	for _, r := range results {
 		byName[r.Name] = r
@@ -22,13 +22,13 @@ func TestFigure2Shape(t *testing.T) {
 		r := byName[name]
 		if r.Overhead < min || r.Overhead > max {
 			t.Errorf("%s overhead %.2fx outside [%v, %v] (paper %.1fx)",
-				name, r.Overhead, min, max, r.PaperOverhead)
+				name, r.Overhead, min, max, findBench(r.Name).PaperOverhead)
 		}
 	}
 	// Rows on the paper's configuration at seed 7: the off side of each
 	// panel beyond the paper, and PostMark's own run.
 	paperSide := map[string]time.Duration{}
-	for i, r := range pass(t, figure3Panels) {
+	for i, r := range pass(t, shared().figure3) {
 		if Figure3[i].BeyondPaper {
 			paperSide[Figure3[i].Row] = r.Before
 		}
@@ -39,7 +39,7 @@ func TestFigure2Shape(t *testing.T) {
 	}
 	// Metadata-heavy workloads: CntrFS clearly slower; and double
 	// buffering degrades the big re-read. The bands are asserted where the
-	// paper measured them, on its configuration; the default, which RunAll
+	// paper measured them, on its configuration; the default, which the fig2 mode
 	// runs, drops requests from every small file and keeps the big file
 	// once, and may only sit at or under that.
 	for _, m := range []struct {
@@ -55,7 +55,7 @@ func TestFigure2Shape(t *testing.T) {
 		paperConfig := float64(paperSide[m.name]) / float64(r.NativeTime)
 		if paperConfig < m.min || paperConfig > m.max {
 			t.Errorf("%s overhead on the paper's configuration %.2fx outside [%v, %v] (paper %.1fx)",
-				m.name, paperConfig, m.min, m.max, r.PaperOverhead)
+				m.name, paperConfig, m.min, m.max, findBench(r.Name).PaperOverhead)
 		}
 		if r.Overhead > paperConfig {
 			t.Errorf("%s overhead %.2fx, above the %.2fx of the paper's configuration", m.name, r.Overhead, paperConfig)
@@ -68,14 +68,14 @@ func TestFigure2Shape(t *testing.T) {
 	// paper measured it, on the paper's configuration at the same seed; the
 	// default opens each file without a message (NoOpen) and must sit at
 	// or under that and near parity.
-	for i, p := range pass(t, figure2Paper) {
+	for i, p := range pass(t, shared().figure2Paper) {
 		if p.Name != "Apachebench" {
 			continue
 		}
 		r := results[i]
 		paperConfig := float64(p.Time) / float64(r.NativeTime)
 		if paperConfig < 1.1 || paperConfig > 2.2 {
-			t.Errorf("Apachebench overhead on the paper's configuration %.2fx outside [1.1, 2.2] (paper %.1fx)", paperConfig, r.PaperOverhead)
+			t.Errorf("Apachebench overhead on the paper's configuration %.2fx outside [1.1, 2.2] (paper %.1fx)", paperConfig, findBench(r.Name).PaperOverhead)
 		}
 		if r.Overhead < 0.95 || r.Overhead > paperConfig {
 			t.Errorf("Apachebench overhead %.2fx, want within [0.95, %.2fx of the paper's configuration]", r.Overhead, paperConfig)
@@ -84,11 +84,11 @@ func TestFigure2Shape(t *testing.T) {
 	// IOzone: Write is the row the paper puts down to the per-write
 	// security.capability lookup. Its band is asserted where the paper
 	// measured it, with NoSec off; the default configuration, which
-	// RunAll runs, must sit at or under that and near parity.
+	// the fig2 mode runs, must sit at or under that and near parity.
 	w := byName["IOzone: Write"]
 	nosecOff := float64(paperSide["IOzone: Write"]) / float64(w.NativeTime)
 	if nosecOff < 1.1 || nosecOff > 2.5 {
-		t.Errorf("IOzone: Write overhead without NoSec %.2fx outside [1.1, 2.5] (paper %.1fx)", nosecOff, w.PaperOverhead)
+		t.Errorf("IOzone: Write overhead without NoSec %.2fx outside [1.1, 2.5] (paper %.1fx)", nosecOff, findBench(w.Name).PaperOverhead)
 	}
 	if w.Overhead > nosecOff || w.Overhead < 0.9 || w.Overhead > 1.3 {
 		t.Errorf("IOzone: Write overhead %.2fx, want within [0.9, 1.3] and at most the %.2fx without NoSec", w.Overhead, nosecOff)
@@ -108,7 +108,7 @@ func TestFigure2Shape(t *testing.T) {
 	for _, f := range []string{"FIO", "PGBench", "Threaded I/O: Write"} {
 		if r := byName[f]; r.Overhead >= 0.9 {
 			t.Errorf("%s overhead %.2fx, want < 0.9 (cntr faster; paper %.1fx)",
-				f, r.Overhead, r.PaperOverhead)
+				f, r.Overhead, findBench(r.Name).PaperOverhead)
 		}
 	}
 	// The worst case must be a metadata workload, as in the paper.
@@ -137,21 +137,22 @@ func TestFigure3Effect(t *testing.T) {
 		{"NoSec", 0}, {"SmallFile", 0}, {"SingleBuffer", 2.5}, {"SingleBarrier", 0}, {"ZeroMessageOpen", 0},
 		{"LargeRequests", 1.04}, {"ZeroMessageOpendir", 1.01}, {"ReaddirPlus", 1.03},
 	}
-	panels := pass(t, figure3Panels)
+	panels := pass(t, shared().figure3)
 	if len(floors) != len(panels) {
 		t.Fatalf("%d floors for %d panels", len(floors), len(panels))
 	}
 	for i, c := range floors {
 		t.Run(c.name, func(t *testing.T) {
-			if r := panels[i]; r.Speedup < c.floor || c.floor == 0 && r.After >= r.Before {
-				t.Errorf("%s: %v off, %v on (%.2fx), want a speedup of at least %v (0: on < off)", r.Name, r.Before, r.After, r.Speedup, c.floor)
+			r := panels[i]
+			if speedup := float64(r.Before) / float64(r.After); speedup < c.floor || c.floor == 0 && r.After >= r.Before {
+				t.Errorf("%s: %v off, %v on (%.2fx), want a speedup of at least %v (0: on < off)", r.Name, r.Before, r.After, speedup, c.floor)
 			}
 		})
 	}
 }
 
 func TestFigure4ThreadScaling(t *testing.T) {
-	m := pass(t, figure4)
+	m := pass(t, shared().figure4)
 	t1, t16 := m[1], m[16]
 	if t16 < t1 {
 		t.Fatalf("16 threads (%v) should not beat 1 thread (%v) for seq read", t16, t1)
@@ -177,25 +178,18 @@ func TestWallTimeConversion(t *testing.T) {
 	}
 }
 
-func TestFormatTable(t *testing.T) {
-	out := FormatTable([]Result{{Name: "X", NativeTime: time.Second, CntrTime: 2 * time.Second, Overhead: 2, PaperOverhead: 2.1}})
-	if len(out) == 0 {
-		t.Fatal("empty table")
-	}
-}
-
 // TestFormatRows: a counter column appears when some row has a count in
 // it, the status column always.
 func TestFormatRows(t *testing.T) {
 	plain := FormatRows([]Row{{Name: "X", Time: time.Second}})
-	if strings.Contains(plain, "denials") || strings.Contains(plain, "injected") || !strings.Contains(plain, "ok") {
+	if strings.Contains(plain, "denials") || !strings.Contains(plain, "ok") {
 		t.Fatalf("table of a bare row:\n%s", plain)
 	}
 	out := FormatRows([]Row{
 		{Name: "X", Time: time.Second, Denials: 3},
-		{Name: "Y", Err: errors.New("Y: input/output error"), Injected: 2},
+		{Name: "Y", Err: errors.New("Y: input/output error")},
 	})
-	for _, want := range []string{"denials", "injected", "Y: input/output error"} {
+	for _, want := range []string{"denials", "Y: input/output error"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table lacks %q:\n%s", want, out)
 		}

@@ -1,24 +1,12 @@
 package phoronix
 
 import (
-	"fmt"
 	"os"
 	"strings"
 	"testing"
 
 	"cntr/internal/policy"
 )
-
-// recordSuite records a clean run of the twenty rows at seed.
-func recordSuite(seed uint64) (*policy.Collector, error) {
-	col := policy.NewCollector()
-	for _, r := range Sweep(nil, Setup{Record: col, Seed: seed}) {
-		if r.Err != nil {
-			return nil, fmt.Errorf("recording the suite at seed %d: %w", seed, r.Err)
-		}
-	}
-	return col, nil
-}
 
 // recordedProfile records a clean run of b alone and generates the
 // profile to replay it under.
@@ -42,7 +30,7 @@ func recordedProfile(t *testing.T, b *Benchmark) *policy.Profile {
 // same bytes, and its rule count and hash are rows.golden's record/seed42
 // line.
 func TestSeed42ProfileUnchanged(t *testing.T) {
-	rec := pass(t, suiteRecording)
+	rec := pass(t, shared().seed42)
 	got := profileFields(rec.Profile(policy.GenOptions{}))
 	if again := profileFields(rec.Profile(policy.GenOptions{})); again != got {
 		t.Errorf("seed-42 profile differs between two generations: %s, then %s", got, again)
