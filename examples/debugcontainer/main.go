@@ -7,13 +7,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"cntr/internal/cntr"
 	"cntr/internal/container"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	h := cntr.NewHost()
 	tools, err := container.BuildImage("debugger", "v1", container.ImageConfig{
 		Env: []string{"PATH=/usr/bin:/bin", "EDITOR=vim"},
@@ -23,17 +31,17 @@ func main() {
 		{Path: "/bin/sh", Size: 900, Executable: true},
 	}})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dbg, err := h.Runtime.Create("debugger", tools, container.CreateOpts{Engine: "docker"})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := h.Runtime.Start(dbg); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	// A fleet of slim app containers, all served by the one debugger.
+	// A fleet of slim app containers, each served by the one debugger.
 	for i := 1; i <= 3; i++ {
 		name := fmt.Sprintf("svc-%d", i)
 		img, err := container.BuildImage(name, "v1", container.ImageConfig{
@@ -44,38 +52,35 @@ func main() {
 			{Path: "/srv/app.conf", Content: []byte("threads=4\n")},
 		}})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		c, err := h.Runtime.Create(name, img, container.CreateOpts{Engine: "docker"})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := h.Runtime.Start(c); err != nil {
-			log.Fatal(err)
+			return err
 		}
-	}
-
-	for i := 1; i <= 3; i++ {
-		name := fmt.Sprintf("svc-%d", i)
 		sess, err := cntr.Attach(h, cntr.Options{Container: name, Fat: "debugger"})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// Workflow from §7: edit configuration in place, reload, verify.
 		if _, err := sess.Run("echo threads=8 > /var/lib/cntr/srv/app.conf"); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		out, err := sess.Run("cat /var/lib/cntr/srv/app.conf")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("[%s] new config: %s", name, out)
+		fmt.Fprintf(w, "[%s] new config: %s", name, out)
 		out, err = sess.Run("tcpdump -i eth0")
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("[%s] %s", name, out)
+		fmt.Fprintf(w, "[%s] %s", name, out)
 		sess.Close()
 	}
-	fmt.Println("one debug image served three production containers")
+	_, err = fmt.Fprintln(w, "one debug image served three production containers")
+	return err
 }

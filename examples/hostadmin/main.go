@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"cntr/internal/cntr"
 	"cntr/internal/container"
@@ -15,10 +17,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	h := cntr.NewHost()
 	// The "host" here is CoreOS-like: a read-only /usr, no tools.
 	hostCli := vfs.NewClient(h.RootFS, vfs.Root())
-	hostCli.WriteFile("/etc/os-release", []byte("ID=coreos\n"), 0o644)
+	if err := hostCli.WriteFile("/etc/os-release", []byte("ID=coreos\n"), 0o644); err != nil {
+		return err
+	}
 
 	// A privileged admin container whose root *is* a toolbox image; the
 	// host filesystem is attached through Cntr in host mode.
@@ -30,45 +40,38 @@ func main() {
 		{Path: "/bin/sh", Size: 900, Executable: true},
 	}})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	c, err := h.Runtime.Create("admin", toolbox, container.CreateOpts{
 		Engine: "systemd-nspawn", Privileged: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := h.Runtime.Start(c); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	// Attach to the admin container with *host* tools disabled — here
-	// the fat side is the admin container itself and the slim side is a
-	// container whose view we extend; for host administration the
-	// direction reverses: we attach to the admin container and reach the
-	// host rootfs through the mount the runtime binds.
+	// Attach with no fat container: the session's tools side is the
+	// host's root at /, and the admin container's own files are under
+	// /var/lib/cntr.
 	sess, err := cntr.Attach(h, cntr.Options{Container: "admin"})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sess.Close()
-
-	// The admin container's own files are under /var/lib/cntr; the host
-	// filesystem (tools side, host mode) is at /.
 	out, err := sess.Run("cat /etc/os-release")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("host os-release via cntr: %s", out)
+	fmt.Fprintf(w, "host os-release via cntr: %s", out)
 	out, err = sess.Run("ls /var/lib/cntr/usr/bin")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("toolbox tools: %s", out)
+	fmt.Fprintf(w, "toolbox tools: %s", out)
 
 	// The attach keeps the host namespaces distinct from the container's.
-	if sess.Nested.Mount == h.NS.Mount {
-		log.Fatal("nested namespace must not be the host mount namespace")
-	}
-	fmt.Println("namespaces:", sess.Nested.ID(namespace.KindMount) != h.NS.ID(namespace.KindMount))
+	_, err = fmt.Fprintln(w, "namespaces:", sess.Nested.ID(namespace.KindMount) != h.NS.ID(namespace.KindMount))
+	return err
 }

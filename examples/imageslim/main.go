@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"cntr/internal/container"
 	"cntr/internal/hubdata"
@@ -16,10 +18,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	spec := hubdata.Top50()[2] // mysql
 	img, err := hubdata.Build(spec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	paths := hubdata.AppPaths(spec)
 	slimImg, rep, err := slim.Slim(img, func(cli *vfs.Client) error {
@@ -31,9 +39,9 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("%s: %d files / %.1f MB -> %d files / %.1f MB (%.1f%% reduction)\n",
+	fmt.Fprintf(w, "%s: %d files / %.1f MB -> %d files / %.1f MB (%.1f%% reduction)\n",
 		rep.Name, rep.OriginalFiles, float64(rep.OriginalBytes)/(1<<20),
 		rep.SlimFiles, float64(rep.SlimBytes)/(1<<20), rep.ReductionPct)
 
@@ -44,14 +52,15 @@ func main() {
 	clock := sim.NewClock()
 	_, fatPull, err := reg.Pull(clock, container.NewNode(), img.Ref())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	_, slimPull, err := reg.Pull(clock, container.NewNode(), slimImg.Ref())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("pull %-18s %v\n", img.Ref(), fatPull.Elapsed)
-	fmt.Printf("pull %-18s %v (%.1fx faster deployment)\n", slimImg.Ref(),
+	fmt.Fprintf(w, "pull %-18s %v\n", img.Ref(), fatPull.Elapsed)
+	fmt.Fprintf(w, "pull %-18s %v (%.1fx faster deployment)\n", slimImg.Ref(),
 		slimPull.Elapsed, float64(fatPull.Elapsed)/float64(slimPull.Elapsed))
-	fmt.Println("the stripped files stay available at runtime via: cntr attach <app> --fat mysql-tools")
+	_, err = fmt.Fprintln(w, "the stripped files stay available at runtime via: cntr attach <app> --fat mysql-tools")
+	return err
 }

@@ -5,13 +5,21 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"cntr/internal/cntr"
 	"cntr/internal/container"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	h := cntr.NewHost()
 
 	// The slim image: just the application and its config.
@@ -25,7 +33,7 @@ func main() {
 		{Path: "/etc/hostname", Content: []byte("db-1\n")},
 	}})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// The fat image: every tool you wish you had in production.
 	toolsImg, err := container.BuildImage("debug-tools", "v1", container.ImageConfig{
@@ -36,23 +44,27 @@ func main() {
 		{Path: "/bin/sh", Size: 1000, Executable: true},
 	}})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	for name, img := range map[string]*container.Image{"db": appImg, "tools": toolsImg} {
-		c, err := h.Runtime.Create(name, img, container.CreateOpts{Engine: "docker"})
+	// In a fixed order, so the pids ps lists are the same every run.
+	for _, ct := range []struct {
+		name string
+		img  *container.Image
+	}{{"db", appImg}, {"tools", toolsImg}} {
+		c, err := h.Runtime.Create(ct.name, ct.img, container.CreateOpts{Engine: "docker"})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := h.Runtime.Start(c); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	// cntr attach db --fat tools
 	sess, err := cntr.Attach(h, cntr.Options{Container: "db", Fat: "tools"})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sess.Close()
 
@@ -65,8 +77,9 @@ func main() {
 	} {
 		out, err := sess.Run(cmd)
 		if err != nil {
-			log.Fatalf("%s: %v", cmd, err)
+			return fmt.Errorf("%s: %v", cmd, err)
 		}
-		fmt.Printf("$ %s\n%s\n", cmd, out)
+		fmt.Fprintf(w, "$ %s\n%s\n", cmd, out)
 	}
+	return nil
 }

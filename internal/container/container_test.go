@@ -308,9 +308,6 @@ func TestRegistryPullDiffTransfer(t *testing.T) {
 	if st2.Elapsed >= st1.Elapsed {
 		t.Fatal("cached pull must be faster")
 	}
-	if _, ok := node.images["app2:v1"]; !ok {
-		t.Fatal("node should have the image")
-	}
 	if _, _, err := reg.Pull(clock, node, "ghost:v0"); vfs.ToErrno(err) != vfs.ENOENT {
 		t.Fatalf("missing image: %v", err)
 	}

@@ -17,20 +17,19 @@ import (
 type Registry struct {
 	mu     sync.Mutex
 	images map[string]*Image
-	// BandwidthBytesPerSec is the simulated network bandwidth
-	// (default 125 MB/s — a 1 Gbit link).
-	BandwidthBytesPerSec int64
-	// PerLayerLatency is the request latency per layer fetch.
-	PerLayerLatency time.Duration
 }
+
+const (
+	// bandwidthBytesPerSec is the simulated network bandwidth: 125 MB/s,
+	// a 1 Gbit link.
+	bandwidthBytesPerSec = 125 << 20
+	// perLayerLatency is the request latency per layer fetch.
+	perLayerLatency = 20 * time.Millisecond
+)
 
 // NewRegistry returns an empty registry with a 1 Gbit network.
 func NewRegistry() *Registry {
-	return &Registry{
-		images:               make(map[string]*Image),
-		BandwidthBytesPerSec: 125 << 20,
-		PerLayerLatency:      20 * time.Millisecond,
-	}
+	return &Registry{images: make(map[string]*Image)}
 }
 
 // Push stores an image.
@@ -91,11 +90,9 @@ func (r *Registry) Pull(clock *sim.Clock, node *Node, ref string) (*Image, PullS
 			}
 		}
 		st.BytesFetched += transfer
-		clock.Advance(r.PerLayerLatency)
-		clock.Advance(time.Duration(transfer * int64(time.Second) / r.BandwidthBytesPerSec))
+		clock.Advance(perLayerLatency + time.Duration(transfer*int64(time.Second)/bandwidthBytesPerSec))
 		node.addLayer(layer.ID)
 	}
-	node.addImage(img)
 	st.Elapsed = clock.Now() - start
 	return img, st, nil
 }
@@ -108,7 +105,6 @@ type Node struct {
 	// only within its store's namespace (opaque Mem refs from two
 	// private stores collide by string, not by content).
 	chunks map[blobstore.Store]map[blobstore.Ref]bool
-	images map[string]*Image
 }
 
 // NewNode returns an empty node cache.
@@ -116,7 +112,6 @@ func NewNode() *Node {
 	return &Node{
 		layers: make(map[string]bool),
 		chunks: make(map[blobstore.Store]map[blobstore.Ref]bool),
-		images: make(map[string]*Image),
 	}
 }
 
@@ -146,11 +141,5 @@ func (n *Node) hasLayer(id string) bool {
 func (n *Node) addLayer(id string) {
 	n.mu.Lock()
 	n.layers[id] = true
-	n.mu.Unlock()
-}
-
-func (n *Node) addImage(img *Image) {
-	n.mu.Lock()
-	n.images[img.Ref()] = img
 	n.mu.Unlock()
 }

@@ -412,8 +412,8 @@ func (c *Conn) openLocal(op *vfs.Op, attr vfs.Attr, flags vfs.OpenFlags) (vfs.Ha
 	} else {
 		serverCred(&cred, 0, 0, nil)
 	}
-	if flags.Readable() && !cred.MayRead(&attr) || flags.Writable() && !cred.MayWrite(&attr) {
-		return 0, vfs.EACCES
+	if err := cred.CheckOpen(&attr, flags); err != nil {
+		return 0, err
 	}
 	if flags&vfs.OTrunc != 0 && flags.Writable() {
 		if _, err := c.Setattr(op, attr.Ino, vfs.SetSize, vfs.Attr{}); err != nil {

@@ -25,26 +25,14 @@ func (fs *FS) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, fla
 
 // Open implements vfs.FS.
 func (fs *FS) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, error) {
-	c := op.Cred
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	n, err := fs.get(ino)
 	if err != nil {
 		return 0, err
 	}
-	switch n.attr.Type {
-	case vfs.TypeDirectory:
-		if flags.Writable() {
-			return 0, vfs.EISDIR
-		}
-	case vfs.TypeSymlink:
-		return 0, vfs.ELOOP
-	}
-	if flags.Readable() && !c.MayRead(&n.attr) {
-		return 0, vfs.EACCES
-	}
-	if flags.Writable() && !c.MayWrite(&n.attr) {
-		return 0, vfs.EACCES
+	if err := op.Cred.CheckOpen(&n.attr, flags); err != nil {
+		return 0, err
 	}
 	if flags&vfs.OTrunc != 0 && flags.Writable() && n.attr.Type == vfs.TypeRegular {
 		if err := fs.truncate(n, 0); err != nil {
@@ -350,7 +338,6 @@ func (fs *FS) Statfs(op *vfs.Op, ino vfs.Ino) (vfs.StatfsOut, error) {
 // Setxattr implements vfs.FS. Setting a POSIX access ACL re-derives the
 // group permission bits from the ACL mask entry, as Linux does.
 func (fs *FS) Setxattr(op *vfs.Op, ino vfs.Ino, name string, value []byte, flags vfs.XattrFlags) error {
-	c := op.Cred
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	n, err := fs.get(ino)
@@ -360,8 +347,8 @@ func (fs *FS) Setxattr(op *vfs.Op, ino vfs.Ino, name string, value []byte, flags
 	if name == "" {
 		return vfs.EINVAL
 	}
-	if !c.IsOwner(&n.attr) && !c.Caps.Has(vfs.CapFowner) {
-		return vfs.EPERM
+	if err := op.Cred.CheckXattr(&n.attr); err != nil {
+		return err
 	}
 	_, exists := n.xattrs[name]
 	if flags&vfs.XattrCreate != 0 && exists {
@@ -420,15 +407,14 @@ func (fs *FS) Listxattr(op *vfs.Op, ino vfs.Ino) ([]string, error) {
 
 // Removexattr implements vfs.FS.
 func (fs *FS) Removexattr(op *vfs.Op, ino vfs.Ino, name string) error {
-	c := op.Cred
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	n, err := fs.get(ino)
 	if err != nil {
 		return err
 	}
-	if !c.IsOwner(&n.attr) && !c.Caps.Has(vfs.CapFowner) {
-		return vfs.EPERM
+	if err := op.Cred.CheckXattr(&n.attr); err != nil {
+		return err
 	}
 	if _, ok := n.xattrs[name]; !ok {
 		return vfs.ENODATA
@@ -440,23 +426,13 @@ func (fs *FS) Removexattr(op *vfs.Op, ino vfs.Ino, name string) error {
 
 // Access implements vfs.FS.
 func (fs *FS) Access(op *vfs.Op, ino vfs.Ino, mask uint32) error {
-	c := op.Cred
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	n, err := fs.get(ino)
 	if err != nil {
 		return err
 	}
-	if mask&vfs.AccessRead != 0 && !c.MayRead(&n.attr) {
-		return vfs.EACCES
-	}
-	if mask&vfs.AccessWrite != 0 && !c.MayWrite(&n.attr) {
-		return vfs.EACCES
-	}
-	if mask&vfs.AccessExec != 0 && !c.MayExec(&n.attr) {
-		return vfs.EACCES
-	}
-	return nil
+	return op.Cred.CheckAccess(&n.attr, mask)
 }
 
 // Fallocate implements vfs.FS with default (extend), FALLOC_FL_KEEP_SIZE

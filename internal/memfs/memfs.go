@@ -220,11 +220,11 @@ func (fs *FS) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.At
 	if err != nil {
 		return vfs.Attr{}, err
 	}
+	if err := c.CheckSetattr(&n.attr, mask, &attr); err != nil {
+		return vfs.Attr{}, err
+	}
 	now := fs.now()
 	if mask.Has(vfs.SetMode) {
-		if !c.IsOwner(&n.attr) {
-			return vfs.Attr{}, vfs.EPERM
-		}
 		mode := attr.Mode & (vfs.ModePerm | vfs.ModeSetUID | vfs.ModeSetGID | vfs.ModeSticky)
 		// POSIX: chmod by a caller that is not a member of the file's
 		// owning group (and lacks CAP_FSETID) must clear the SGID bit.
@@ -238,24 +238,22 @@ func (fs *FS) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.At
 		n.attr.Ctime = now
 	}
 	if mask.Has(vfs.SetUID) || mask.Has(vfs.SetGID) {
-		if err := fs.applyChown(c, n, mask, attr); err != nil {
-			return vfs.Attr{}, err
+		if mask.Has(vfs.SetUID) {
+			n.attr.UID = attr.UID
+		}
+		if mask.Has(vfs.SetGID) {
+			n.attr.GID = attr.GID
+		}
+		// chown clears setuid/setgid on regular files unless privileged.
+		if n.attr.Type == vfs.TypeRegular && !c.Caps.Has(vfs.CapFsetid) {
+			n.attr.Mode &^= vfs.ModeSetUID
+			if n.attr.Mode&0o010 != 0 { // only when group-executable, per POSIX
+				n.attr.Mode &^= vfs.ModeSetGID
+			}
 		}
 		n.attr.Ctime = now
 	}
 	if mask.Has(vfs.SetSize) {
-		if n.attr.Type == vfs.TypeDirectory {
-			return vfs.Attr{}, vfs.EISDIR
-		}
-		if !c.MayWrite(&n.attr) && !c.IsOwner(&n.attr) {
-			return vfs.Attr{}, vfs.EACCES
-		}
-		if attr.Size < 0 {
-			return vfs.Attr{}, vfs.EINVAL
-		}
-		if c.FSizeLimit > 0 && attr.Size > c.FSizeLimit {
-			return vfs.Attr{}, vfs.EFBIG
-		}
 		if err := fs.truncate(n, attr.Size); err != nil {
 			return vfs.Attr{}, err
 		}
@@ -276,31 +274,6 @@ func (fs *FS) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.At
 		n.attr.Mtime = now
 	}
 	return n.attr, nil
-}
-
-func (fs *FS) applyChown(c *vfs.Cred, n *inode, mask vfs.SetattrMask, attr vfs.Attr) error {
-	if mask.Has(vfs.SetUID) && attr.UID != n.attr.UID && !c.Caps.Has(vfs.CapChown) {
-		return vfs.EPERM
-	}
-	if mask.Has(vfs.SetGID) && attr.GID != n.attr.GID {
-		if !c.Caps.Has(vfs.CapChown) && !(c.IsOwner(&n.attr) && c.InGroup(attr.GID)) {
-			return vfs.EPERM
-		}
-	}
-	if mask.Has(vfs.SetUID) {
-		n.attr.UID = attr.UID
-	}
-	if mask.Has(vfs.SetGID) {
-		n.attr.GID = attr.GID
-	}
-	// chown clears setuid/setgid on regular files unless privileged.
-	if n.attr.Type == vfs.TypeRegular && !c.Caps.Has(vfs.CapFsetid) {
-		n.attr.Mode &^= vfs.ModeSetUID
-		if n.attr.Mode&0o010 != 0 { // only when group-executable, per POSIX
-			n.attr.Mode &^= vfs.ModeSetGID
-		}
-	}
-	return nil
 }
 
 func (fs *FS) truncate(n *inode, size int64) error {

@@ -1,17 +1,17 @@
 // Package sim provides the deterministic simulation substrate used by every
 // benchmark in this repository: a virtual clock, a cost model for
 // kernel-level operations (context switches, memory copies, page-cache and
-// disk accesses), a seeded pseudo-random generator, and small statistics
-// helpers.
+// disk accesses), a disk that charges that model, and a seeded
+// pseudo-random generator.
 //
 // All performance experiments in the paper reproduction run against virtual
 // time. Each simulated operation advances the clock by an amount derived
 // from the cost model, so results are reproducible bit-for-bit and do not
-// depend on the host machine.
+// depend on the host machine. The clock only adds: its reading is the sum
+// of every charge made so far, whatever order concurrent charges land in.
 package sim
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -35,31 +35,10 @@ func (c *Clock) Now() time.Duration {
 	return time.Duration(c.now.Load())
 }
 
-// Advance moves the clock forward by d and returns the new time.
-// Negative durations are ignored; the clock never moves backwards.
-func (c *Clock) Advance(d time.Duration) time.Duration {
-	if d <= 0 {
-		return time.Duration(c.now.Load())
+// Advance moves the clock forward by d. Negative durations are ignored;
+// the clock never moves backwards.
+func (c *Clock) Advance(d time.Duration) {
+	if d > 0 {
+		c.now.Add(int64(d))
 	}
-	return time.Duration(c.now.Add(int64(d)))
-}
-
-// AdvanceTo moves the clock forward to at least t. It is used when a
-// simulated resource (e.g. a disk queue) completes a request at a known
-// future instant. If t is in the past, the clock is unchanged.
-func (c *Clock) AdvanceTo(t time.Duration) {
-	for {
-		cur := c.now.Load()
-		if int64(t) <= cur {
-			return
-		}
-		if c.now.CompareAndSwap(cur, int64(t)) {
-			return
-		}
-	}
-}
-
-// String implements fmt.Stringer.
-func (c *Clock) String() string {
-	return fmt.Sprintf("simclock(%v)", c.Now())
 }

@@ -1,29 +1,26 @@
 package sim
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Disk models a single block device with fixed per-request latency and
-// finite bandwidth, fronted by a FIFO queue. It reproduces the two
-// first-order properties benchmarks care about: small random I/O is
-// latency-bound (seek dominated) and large sequential I/O is
-// bandwidth-bound. Requests issued concurrently serialize on the device,
-// so a flood of small writes takes far longer than one batched large
-// write of the same total size — the effect behind the paper's writeback
-// results (FIO 0.2x, pgbench 0.4x).
+// finite bandwidth. It reproduces the two first-order properties
+// benchmarks care about: small random I/O is latency-bound (seek
+// dominated) and large sequential I/O is bandwidth-bound. Each request
+// charges the clock its own seek and transfer, so a flood of small writes
+// costs a seek each and takes far longer than one batched large write of
+// the same total size — the effect behind the paper's writeback results
+// (FIO 0.2x, pgbench 0.4x).
 type Disk struct {
 	clock *Clock
 	model *CostModel
 
-	mu   sync.Mutex
-	free time.Duration // virtual instant at which the device becomes idle
 	// depth is the effective queue depth: with depth n, per-request
 	// latency is amortized n-fold, modelling NCQ/iodepth overlap for
-	// asynchronous direct I/O (aio-stress, fio). Default 1.
-	depth int64
+	// asynchronous direct I/O (aio-stress, fio). 0 reads as 1.
+	depth atomic.Int64
 
 	reads      atomic.Int64
 	writes     atomic.Int64
@@ -52,9 +49,9 @@ func (d *Disk) Stats() DiskStats {
 	}
 }
 
-// Read accounts one read request of n bytes and advances the clock to the
-// request's completion time. A nil disk is unmetered: layers that charge
-// an optional disk call through without guarding.
+// Read accounts one read request of n bytes and charges the clock its
+// cost. A nil disk is unmetered: layers that charge an optional disk
+// call through without guarding.
 func (d *Disk) Read(n int) {
 	if d == nil {
 		return
@@ -64,8 +61,8 @@ func (d *Disk) Read(n int) {
 	d.submit(n)
 }
 
-// Write accounts one write request of n bytes and advances the clock to
-// the request's completion time; a nil disk is unmetered.
+// Write accounts one write request of n bytes and charges the clock its
+// cost; a nil disk is unmetered.
 func (d *Disk) Write(n int) {
 	if d == nil {
 		return
@@ -78,12 +75,7 @@ func (d *Disk) Write(n int) {
 // SetQueueDepth configures async-overlap amortization of per-request
 // latency (1 = fully synchronous).
 func (d *Disk) SetQueueDepth(depth int) {
-	d.mu.Lock()
-	if depth < 1 {
-		depth = 1
-	}
-	d.depth = int64(depth)
-	d.mu.Unlock()
+	d.depth.Store(int64(max(depth, 1)))
 }
 
 // QueueDepth returns the depth per-request latency is amortized over:
@@ -93,27 +85,12 @@ func (d *Disk) QueueDepth() int {
 	if d == nil {
 		return 1
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return int(max(d.depth, 1))
+	return int(max(d.depth.Load(), 1))
 }
 
-// submit serializes the request on the device queue and blocks (in
-// virtual time) until it completes.
+// submit charges the clock one request's seek, amortized over the queue
+// depth, plus its transfer.
 func (d *Disk) submit(n int) {
-	d.mu.Lock()
-	depth := d.depth
-	if depth < 1 {
-		depth = 1
-	}
-	cost := d.model.DiskSeek/time.Duration(depth) +
-		time.Duration(int64(d.model.DiskPerKB)*int64(n)/1024)
-	start := d.clock.Now()
-	if d.free > start {
-		start = d.free
-	}
-	done := start + cost
-	d.free = done
-	d.mu.Unlock()
-	d.clock.AdvanceTo(done)
+	d.clock.Advance(d.model.DiskSeek/time.Duration(d.QueueDepth()) +
+		time.Duration(int64(d.model.DiskPerKB)*int64(n)/1024))
 }

@@ -32,35 +32,41 @@ func TestClockAdvanceNegativeIgnored(t *testing.T) {
 	}
 }
 
-func TestClockAdvanceTo(t *testing.T) {
-	c := NewClock()
-	c.AdvanceTo(100 * time.Microsecond)
-	if got := c.Now(); got != 100*time.Microsecond {
-		t.Fatalf("Now() = %v, want 100us", got)
-	}
-	c.AdvanceTo(50 * time.Microsecond) // in the past: no-op
-	if got := c.Now(); got != 100*time.Microsecond {
-		t.Fatalf("Now() = %v after past AdvanceTo, want 100us", got)
-	}
-}
-
+// TestClockConcurrentAdvance: the clock only adds, so goroutines charging
+// it together end at exactly the sum of their charges, disk requests
+// included.
 func TestClockConcurrentAdvance(t *testing.T) {
-	c := NewClock()
 	const workers = 8
 	const per = 1000
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				c.Advance(time.Nanosecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Now(); got != workers*per*time.Nanosecond {
-		t.Fatalf("Now() = %v, want %v", got, workers*per*time.Nanosecond)
+	m := DefaultCostModel()
+	write := m.DiskSeek + 4*m.DiskPerKB
+	for _, tc := range []struct {
+		name string
+		step func(c *Clock, d *Disk)
+		cost time.Duration
+	}{
+		{"advance", func(c *Clock, _ *Disk) { c.Advance(time.Nanosecond) }, time.Nanosecond},
+		{"disk and advance", func(c *Clock, d *Disk) {
+			d.Write(4096)
+			c.Advance(time.Nanosecond)
+		}, write + time.Nanosecond},
+	} {
+		c := NewClock()
+		d := NewDisk(c, m)
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < per; j++ {
+					tc.step(c, d)
+				}
+			}()
+		}
+		wg.Wait()
+		if got, want := c.Now(), workers*per*tc.cost; got != want {
+			t.Fatalf("%s: Now() = %v, want %v", tc.name, got, want)
+		}
 	}
 }
 

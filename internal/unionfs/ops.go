@@ -69,11 +69,11 @@ func (fs *FS) Getattr(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
 	return fs.getattr(ino, n)
 }
 
-// Setattr implements vfs.FS (copy-up then apply).
+// Setattr implements vfs.FS (check, copy-up, then apply).
 func (fs *FS) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.Attr) (vfs.Attr, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	up, err := fs.copyUp(ino)
+	up, err := fs.checkedCopyUp(ino, func(a *vfs.Attr) error { return op.Cred.CheckSetattr(a, mask, &attr) })
 	if err != nil {
 		return vfs.Attr{}, err
 	}
@@ -330,12 +330,13 @@ func (fs *FS) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vf
 	return nil
 }
 
-// Open implements vfs.FS: writable opens force copy-up.
+// Open implements vfs.FS: a writable open the caller may make forces
+// copy-up.
 func (fs *FS) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, error) {
 	fs.mu.Lock()
 	n, err := fs.node(ino)
 	if err == nil && flags.Writable() {
-		_, err = fs.copyUp(ino)
+		_, err = fs.checkedCopyUp(ino, func(a *vfs.Attr) error { return op.Cred.CheckOpen(a, flags) })
 	}
 	var l layerIno
 	if err == nil {
@@ -536,7 +537,7 @@ func (fs *FS) Statfs(op *vfs.Op, ino vfs.Ino) (vfs.StatfsOut, error) {
 func (fs *FS) Setxattr(op *vfs.Op, ino vfs.Ino, name string, value []byte, flags vfs.XattrFlags) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	up, err := fs.copyUp(ino)
+	up, err := fs.checkedCopyUp(ino, op.Cred.CheckXattr)
 	if err != nil {
 		return err
 	}
@@ -571,7 +572,7 @@ func (fs *FS) Listxattr(op *vfs.Op, ino vfs.Ino) ([]string, error) {
 func (fs *FS) Removexattr(op *vfs.Op, ino vfs.Ino, name string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	up, err := fs.copyUp(ino)
+	up, err := fs.checkedCopyUp(ino, op.Cred.CheckXattr)
 	if err != nil {
 		return err
 	}
@@ -584,17 +585,7 @@ func (fs *FS) Access(op *vfs.Op, ino vfs.Ino, mask uint32) error {
 	if err != nil {
 		return err
 	}
-	c := op.Cred
-	if mask&vfs.AccessRead != 0 && !c.MayRead(&attr) {
-		return vfs.EACCES
-	}
-	if mask&vfs.AccessWrite != 0 && !c.MayWrite(&attr) {
-		return vfs.EACCES
-	}
-	if mask&vfs.AccessExec != 0 && !c.MayExec(&attr) {
-		return vfs.EACCES
-	}
-	return nil
+	return op.Cred.CheckAccess(&attr, mask)
 }
 
 // Fallocate implements vfs.FS.

@@ -274,6 +274,24 @@ func (fs *FS) copyUp(ino vfs.Ino) (vfs.Ino, error) {
 	return n.upper, err
 }
 
+// checkedCopyUp copies ino up once check passes on its attributes, so a
+// change the caller may not make leaves the upper layer as it was:
+// overlayfs checks permission before it copies up (ovl_permission).
+func (fs *FS) checkedCopyUp(ino vfs.Ino, check func(a *vfs.Attr) error) (vfs.Ino, error) {
+	n, err := fs.node(ino)
+	if err != nil {
+		return 0, err
+	}
+	attr, err := fs.getattr(ino, n)
+	if err == nil {
+		err = check(&attr)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return fs.copyUp(ino)
+}
+
 // copyIn copies o's top-most lower object into the upper directory dir as
 // name, preserving data, mode, ownership and xattrs, and re-keys the
 // union inode naming it to its new upper inode.

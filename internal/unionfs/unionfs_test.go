@@ -160,6 +160,56 @@ func TestRemoveChecksPermission(t *testing.T) {
 	}
 }
 
+// TestPermissionBeforeCopyUp: a change the caller may not make copies
+// nothing up. uid 1000 opening root's lower /etc/conf for writing,
+// chmodding it, or setting or removing one of its xattrs is refused, and
+// the upper layer then holds neither /etc nor /etc/conf.
+func TestPermissionBeforeCopyUp(t *testing.T) {
+	lower := makeLayer(t, map[string]string{"/etc/conf": "x"})
+	r, err := vfs.NewClient(lower, vfs.Root()).Resolve("/etc/conf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lower.Setxattr(vfs.RootOp(), r.Ino, "user.origin", []byte("lower"), 0); err != nil {
+		t.Fatal(err)
+	}
+	user := vfs.NewOp(nil, vfs.User(1000, 1000))
+	for _, tc := range []struct {
+		name string
+		want vfs.Errno
+		call func(u *FS, ino vfs.Ino) error
+	}{
+		{"open O_WRONLY", vfs.EACCES, func(u *FS, ino vfs.Ino) error {
+			_, err := u.Open(user, ino, vfs.OWronly)
+			return err
+		}},
+		{"chmod", vfs.EPERM, func(u *FS, ino vfs.Ino) error {
+			_, err := u.Setattr(user, ino, vfs.SetMode, vfs.Attr{Mode: 0o666})
+			return err
+		}},
+		{"setxattr", vfs.EPERM, func(u *FS, ino vfs.Ino) error {
+			return u.Setxattr(user, ino, "user.new", []byte("v"), 0)
+		}},
+		{"removexattr", vfs.EPERM, func(u *FS, ino vfs.Ino) error {
+			return u.Removexattr(user, ino, "user.origin")
+		}},
+	} {
+		u := NewWith(Options{}, lower)
+		f, err := vfs.NewClient(u, vfs.Root()).Resolve("/etc/conf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.call(u, f.Ino); vfs.ToErrno(err) != tc.want {
+			t.Errorf("uid 1000's %s of root's /etc/conf: %v, want %v", tc.name, err, tc.want)
+		}
+		for _, p := range []string{"/etc", "/etc/conf"} {
+			if _, err := vfs.NewClient(u.upper, vfs.Root()).Stat(p); vfs.ToErrno(err) != vfs.ENOENT {
+				t.Errorf("after a refused %s the upper layer holds %s (%v)", tc.name, p, err)
+			}
+		}
+	}
+}
+
 func TestRecreateAfterWhiteout(t *testing.T) {
 	lower := makeLayer(t, map[string]string{"/f": "old"})
 	u := NewWith(Options{}, lower)

@@ -150,3 +150,68 @@ func (c *Cred) IsOwner(a *Attr) bool {
 func (c *Cred) StickyDenied(dir, child *Attr) bool {
 	return dir.Mode&ModeSticky != 0 && !c.Caps.Has(CapFowner) && c.FSUID != child.UID && c.FSUID != dir.UID
 }
+
+// CheckOpen returns the error opening an inode with attributes a for
+// flags fails with: EISDIR for a directory opened for writing, ELOOP for
+// a symlink, EACCES without the access flags asks. Nil when permitted.
+func (c *Cred) CheckOpen(a *Attr, flags OpenFlags) error {
+	switch a.Type {
+	case TypeDirectory:
+		if flags.Writable() {
+			return EISDIR
+		}
+	case TypeSymlink:
+		return ELOOP
+	}
+	if flags.Readable() && !c.MayRead(a) || flags.Writable() && !c.MayWrite(a) {
+		return EACCES
+	}
+	return nil
+}
+
+// CheckSetattr returns the error setting the fields mask names to their
+// values in to fails with on an inode with attributes a, nil when
+// permitted: chmod needs ownership, chown CAP_CHOWN (a gid the owner is
+// a member of needs none), truncation write permission or ownership.
+func (c *Cred) CheckSetattr(a *Attr, mask SetattrMask, to *Attr) error {
+	chown := c.Caps.Has(CapChown)
+	switch {
+	case mask.Has(SetMode) && !c.IsOwner(a),
+		mask.Has(SetUID) && to.UID != a.UID && !chown,
+		mask.Has(SetGID) && to.GID != a.GID && !chown && !(c.IsOwner(a) && c.InGroup(to.GID)):
+		return EPERM
+	}
+	if !mask.Has(SetSize) {
+		return nil
+	}
+	switch {
+	case a.Type == TypeDirectory:
+		return EISDIR
+	case !c.MayWrite(a) && !c.IsOwner(a):
+		return EACCES
+	case to.Size < 0:
+		return EINVAL
+	case c.FSizeLimit > 0 && to.Size > c.FSizeLimit:
+		return EFBIG
+	}
+	return nil
+}
+
+// CheckAccess returns EACCES unless the caller has every access(2)
+// permission mask asks for on an inode with attributes a.
+func (c *Cred) CheckAccess(a *Attr, mask uint32) error {
+	if mask&AccessRead != 0 && !c.MayRead(a) || mask&AccessWrite != 0 && !c.MayWrite(a) ||
+		mask&AccessExec != 0 && !c.MayExec(a) {
+		return EACCES
+	}
+	return nil
+}
+
+// CheckXattr returns EPERM unless the caller may set or remove an
+// inode's extended attributes: it owns the inode or has CAP_FOWNER.
+func (c *Cred) CheckXattr(a *Attr) error {
+	if !c.IsOwner(a) {
+		return EPERM
+	}
+	return nil
+}
