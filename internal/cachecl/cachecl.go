@@ -99,7 +99,7 @@ func (c *Client) Attach() error {
 		c.stats.Unreachable++
 		return ErrPartitioned
 	}
-	c.clock.Advance(c.model.NetRTT)
+	c.clock.Charge(sim.LayerNet, c.model.NetRTT)
 	for g := 0; g < c.svc.NumGroups(); g++ {
 		l, err := c.svc.Acquire(c.mount, g)
 		if err != nil {
@@ -119,7 +119,7 @@ func (c *Client) Release() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.partitioned {
-		c.clock.Advance(c.model.NetRTT)
+		c.clock.Charge(sim.LayerNet, c.model.NetRTT)
 		for _, l := range c.leases {
 			c.svc.Release(l)
 		}
@@ -158,7 +158,7 @@ func (c *Client) movedLocked(v uint64) {
 	if v != c.version {
 		c.version = v
 		c.stats.Moves++
-		c.clock.Advance(c.model.NetRTT)
+		c.clock.Charge(sim.LayerNet, c.model.NetRTT)
 	}
 }
 
@@ -181,12 +181,12 @@ func (c *Client) get(key cachesvc.Key, rtt time.Duration) ([]byte, bool) {
 	c.movedLocked(v)
 	if !ok {
 		c.stats.Misses++
-		c.clock.Advance(rtt)
+		c.clock.Charge(sim.LayerNet, rtt)
 		return nil, false
 	}
 	c.stats.Hits++
 	c.stats.NetBytes += int64(len(val))
-	c.clock.Advance(rtt + c.model.NetCost(len(val)) - c.model.NetRTT)
+	c.clock.Charge(sim.LayerNet, rtt+c.model.NetCost(len(val))-c.model.NetRTT)
 	return val, true
 }
 
@@ -216,7 +216,7 @@ func (c *Client) put(key cachesvc.Key, val []byte, charged bool) error {
 	}
 	if charged {
 		c.stats.NetBytes += int64(len(val))
-		c.clock.Advance(c.model.NetCost(len(val)))
+		c.clock.Charge(sim.LayerNet, c.model.NetCost(len(val)))
 	}
 	c.mu.Unlock()
 	copies, err := c.svc.Put(l, key, val)
@@ -233,7 +233,7 @@ func (c *Client) put(key cachesvc.Key, val []byte, charged bool) error {
 		if charged && copies > 1 {
 			// Primary-then-replicas: the extra copies are on the write's
 			// critical path.
-			c.clock.Advance(time.Duration(copies-1) * c.model.NetCost(len(val)))
+			c.clock.Charge(sim.LayerNet, time.Duration(copies-1)*c.model.NetCost(len(val)))
 		}
 	}
 	return err
@@ -265,7 +265,7 @@ func (c *Client) invalidate(key cachesvc.Key) error {
 		c.mu.Unlock()
 		return cachesvc.ErrFenced
 	}
-	c.clock.Advance(c.model.NetRTT)
+	c.clock.Charge(sim.LayerNet, c.model.NetRTT)
 	c.mu.Unlock()
 	err := c.svc.Invalidate(l, key)
 	c.mu.Lock()

@@ -90,7 +90,7 @@ func (r *Registry) Pull(clock *sim.Clock, node *Node, ref string) (*Image, PullS
 			}
 		}
 		st.BytesFetched += transfer
-		clock.Advance(perLayerLatency + time.Duration(transfer*int64(time.Second)/bandwidthBytesPerSec))
+		clock.Charge(sim.LayerNet, perLayerLatency+time.Duration(transfer*int64(time.Second)/bandwidthBytesPerSec))
 		node.addLayer(layer.ID)
 	}
 	st.Elapsed = clock.Now() - start

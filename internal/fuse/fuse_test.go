@@ -157,7 +157,7 @@ func TestEntryCacheExpires(t *testing.T) {
 	e := mount(t, opts)
 	e.cli.WriteFile("/f", nil, 0o644)
 	e.cli.Stat("/f")
-	e.clock.Advance(time.Second) // expire
+	e.clock.Charge(sim.LayerWorkload, time.Second) // expire
 	before := e.conn.Stats().Requests
 	e.cli.Stat("/f")
 	if e.conn.Stats().Requests == before {

@@ -298,7 +298,7 @@ func TestNoSecBehindTheMountsBack(t *testing.T) {
 		t.Fatalf("host capabilities inside the window: %v", err)
 	}
 
-	e.clock.Advance(DefaultMountOptions().AttrTimeout + time.Nanosecond)
+	e.clock.Charge(sim.LayerWorkload, DefaultMountOptions().AttrTimeout+time.Nanosecond)
 	writeByte(t, &f)
 	if g := e.spy.gets.Load(); g != gets+1 {
 		t.Fatalf("write past AttrTimeout made %d wire GETXATTRs, want 1", g-gets)
@@ -707,7 +707,7 @@ func nosecStep(e *nosecEnv, rng *sim.Rand) string {
 		return fmt.Sprint("unlink ", name, e.cli.Remove(name))
 	default:
 		// Some scripts outlive their marks, dentries and attributes.
-		e.clock.Advance(400 * time.Millisecond)
+		e.clock.Charge(sim.LayerWorkload, 400*time.Millisecond)
 		return "wait"
 	}
 }

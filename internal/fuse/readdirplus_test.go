@@ -143,7 +143,7 @@ func TestReaddirPlusForgets(t *testing.T) {
 		t.Fatalf("the first listing installed %d dentries and %d attribute records, want %d", len(entries), len(attrs), len(files))
 	}
 	first := spy.looked.Load()
-	clock.Advance(opts.EntryTimeout / 2)
+	clock.Charge(sim.LayerWorkload, opts.EntryTimeout/2)
 	if _, err := listDir(conn, vfs.RootIno); err != nil {
 		t.Fatal(err)
 	}

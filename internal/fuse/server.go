@@ -181,7 +181,7 @@ func (wk *worker) run() {
 			if n := s.opts.ServerThreads; n > 1 {
 				cost += time.Duration(n-1) * s.model.LockContention
 			}
-			s.clock.Advance(cost)
+			s.clock.Charge(s.opts.Layer, cost)
 		}
 		reply := wk.dispatch(msg)
 		if msg.oneWay {

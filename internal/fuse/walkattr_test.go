@@ -6,6 +6,7 @@ import (
 	"time"
 	"unsafe"
 
+	"cntr/internal/sim"
 	"cntr/internal/vfs"
 )
 
@@ -69,7 +70,7 @@ func TestWalkAfterWriteAsksNothing(t *testing.T) {
 			must(t, e.conn.Unlink(vfs.RootOp(), vfs.RootIno, "g"))
 		}, walk, 1},
 		{"expiry, walk", func(t *testing.T, e *nosecEnv, _ vfs.Ino, _ vfs.Handle) {
-			e.clock.Advance(opts.AttrTimeout + time.Nanosecond)
+			e.clock.Charge(sim.LayerWorkload, opts.AttrTimeout+time.Nanosecond)
 		}, walk, 1},
 		{"setattr, stat", func(t *testing.T, e *nosecEnv, ino vfs.Ino, _ vfs.Handle) {
 			_, err := e.conn.Setattr(vfs.RootOp(), ino, vfs.SetMode, vfs.Attr{Mode: 0o600})
@@ -158,7 +159,7 @@ func TestRenameMovesDentry(t *testing.T) {
 				create("b")
 			}
 			orig, _ := cachedEntry(e.conn, vfs.RootIno, "a")
-			e.clock.Advance(DefaultMountOptions().EntryTimeout / 2)
+			e.clock.Charge(sim.LayerWorkload, DefaultMountOptions().EntryTimeout/2)
 			err := e.conn.Rename(op, vfs.RootIno, "a", vfs.RootIno, "b", row.flags)
 			if vfs.ToErrno(err) != row.wantErr {
 				t.Fatalf("rename: %v, want %v", err, row.wantErr)

@@ -95,7 +95,7 @@ func (c *Cache) Read(op *vfs.Op, h vfs.Handle, off int64, dest []byte) (int, err
 		read += int64(len(out))
 		if p := f.at(idx); p != nil {
 			c.stats.Hits++
-			c.clock.Advance(c.model.PageCacheHit)
+			c.clock.Charge(c.opts.Layer, c.model.PageCacheHit)
 			copy(out, p.data[po:])
 			continue
 		}
@@ -338,7 +338,7 @@ func (c *Cache) Write(op *vfs.Op, h vfs.Handle, off int64, data []byte) (int, er
 			c.opts.ChargeDisk.Write(0) // device barrier
 		}
 	}
-	c.clock.Advance(c.model.CopyCost(int(written)))
+	c.clock.Charge(c.opts.Layer, c.model.CopyCost(int(written)))
 	return int(written), nil
 }
 
@@ -559,7 +559,7 @@ func (c *Cache) Open(op *vfs.Op, ino vfs.Ino, flags vfs.OpenFlags) (vfs.Handle, 
 // Create implements vfs.FS.
 func (c *Cache) Create(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode, flags vfs.OpenFlags) (vfs.Attr, vfs.Handle, error) {
 	c.charge()
-	c.clock.Advance(c.model.InodeOp)
+	c.clock.Charge(c.opts.Layer, c.model.InodeOp)
 	attr, h, err := c.backing.Create(op, parent, name, mode, c.backingFlags(flags))
 	if err != nil {
 		return attr, h, err
@@ -663,7 +663,7 @@ func (c *Cache) Release(op *vfs.Op, h vfs.Handle) error {
 // size and updates the cached length.
 func (c *Cache) Setattr(op *vfs.Op, ino vfs.Ino, mask vfs.SetattrMask, attr vfs.Attr) (vfs.Attr, error) {
 	c.charge()
-	c.clock.Advance(c.model.InodeOp)
+	c.clock.Charge(c.opts.Layer, c.model.InodeOp)
 	c.mu.Lock()
 	if mask.Has(vfs.SetMode) {
 		if f, ok := c.files[ino]; ok {
@@ -729,7 +729,7 @@ func (c *Cache) Getattr(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
 // Lookup implements vfs.FS, with the same dirty-state overlay as Getattr.
 func (c *Cache) Lookup(op *vfs.Op, parent vfs.Ino, name string) (vfs.Attr, error) {
 	c.charge()
-	c.clock.Advance(c.model.InodeOp)
+	c.clock.Charge(c.opts.Layer, c.model.InodeOp)
 	attr, err := c.backing.Lookup(op, parent, name)
 	if err != nil {
 		return attr, err
@@ -744,21 +744,21 @@ func (c *Cache) Forget(op *vfs.Op, ino vfs.Ino, nlookup uint64) { c.backing.Forg
 // Mknod implements vfs.FS.
 func (c *Cache) Mknod(op *vfs.Op, parent vfs.Ino, name string, typ vfs.FileType, mode vfs.Mode, rdev uint32) (vfs.Attr, error) {
 	c.charge()
-	c.clock.Advance(c.model.InodeOp)
+	c.clock.Charge(c.opts.Layer, c.model.InodeOp)
 	return c.backing.Mknod(op, parent, name, typ, mode, rdev)
 }
 
 // Mkdir implements vfs.FS.
 func (c *Cache) Mkdir(op *vfs.Op, parent vfs.Ino, name string, mode vfs.Mode) (vfs.Attr, error) {
 	c.charge()
-	c.clock.Advance(c.model.InodeOp)
+	c.clock.Charge(c.opts.Layer, c.model.InodeOp)
 	return c.backing.Mkdir(op, parent, name, mode)
 }
 
 // Symlink implements vfs.FS.
 func (c *Cache) Symlink(op *vfs.Op, parent vfs.Ino, name, target string) (vfs.Attr, error) {
 	c.charge()
-	c.clock.Advance(c.model.InodeOp)
+	c.clock.Charge(c.opts.Layer, c.model.InodeOp)
 	return c.backing.Symlink(op, parent, name, target)
 }
 
@@ -774,7 +774,7 @@ func (c *Cache) Readlink(op *vfs.Op, ino vfs.Ino) (string, error) {
 // file, and its pages, as they were.
 func (c *Cache) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 	c.charge()
-	c.clock.Advance(c.model.InodeOp)
+	c.clock.Charge(c.opts.Layer, c.model.InodeOp)
 	attr, lerr := c.backing.Lookup(op, parent, name)
 	if lerr == nil {
 		c.backing.Forget(op, attr.Ino, 1)
@@ -799,21 +799,21 @@ func (c *Cache) Unlink(op *vfs.Op, parent vfs.Ino, name string) error {
 // Rmdir implements vfs.FS.
 func (c *Cache) Rmdir(op *vfs.Op, parent vfs.Ino, name string) error {
 	c.charge()
-	c.clock.Advance(c.model.InodeOp)
+	c.clock.Charge(c.opts.Layer, c.model.InodeOp)
 	return c.backing.Rmdir(op, parent, name)
 }
 
 // Rename implements vfs.FS.
 func (c *Cache) Rename(op *vfs.Op, oldParent vfs.Ino, oldName string, newParent vfs.Ino, newName string, flags vfs.RenameFlags) error {
 	c.charge()
-	c.clock.Advance(c.model.InodeOp)
+	c.clock.Charge(c.opts.Layer, c.model.InodeOp)
 	return c.backing.Rename(op, oldParent, oldName, newParent, newName, flags)
 }
 
 // Link implements vfs.FS.
 func (c *Cache) Link(op *vfs.Op, ino vfs.Ino, parent vfs.Ino, name string) (vfs.Attr, error) {
 	c.charge()
-	c.clock.Advance(c.model.InodeOp)
+	c.clock.Charge(c.opts.Layer, c.model.InodeOp)
 	return c.backing.Link(op, ino, parent, name)
 }
 
@@ -832,7 +832,7 @@ func (c *Cache) Opendir(op *vfs.Op, ino vfs.Ino) (vfs.Handle, error) {
 // Readdir implements vfs.FS.
 func (c *Cache) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error) {
 	c.charge()
-	c.clock.Advance(c.model.InodeOp)
+	c.clock.Charge(c.opts.Layer, c.model.InodeOp)
 	return c.backing.Readdir(op, h, off)
 }
 

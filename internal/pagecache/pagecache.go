@@ -139,6 +139,10 @@ type Options struct {
 	ChargeDisk *sim.Disk
 	// Budget is the shared RAM budget; nil means unlimited.
 	Budget *MemBudget
+	// Layer is the clock's ledger bucket the cache charges; zero is
+	// sim.LayerOther. One file serves the kernel-side and the host cache,
+	// so the stack tags each.
+	Layer sim.Layer
 }
 
 // Stats counts cache activity.
@@ -471,7 +475,7 @@ func (c *Cache) Stats() Stats {
 
 // charge accounts the fixed cost of one syscall entering this layer.
 func (c *Cache) charge() {
-	c.clock.Advance(c.model.Syscall)
+	c.clock.Charge(c.opts.Layer, c.model.Syscall)
 }
 
 func (c *Cache) file(ino vfs.Ino) *fileCache {

@@ -1,9 +1,11 @@
 package phoronix
 
 import (
+	"errors"
 	"time"
 
 	"cntr/internal/fuse"
+	"cntr/internal/sim"
 	"cntr/internal/stack"
 	"cntr/internal/vfs"
 )
@@ -13,6 +15,8 @@ type OptResult struct {
 	Name   string
 	Before time.Duration // optimization off
 	After  time.Duration // optimization on
+	// off and on are the two runs' ledgers over the timed phase.
+	off, on sim.Ledger
 }
 
 // Panel is one comparison in Figure 3's style: one suite row on two
@@ -100,25 +104,20 @@ func figure3() []Panel {
 	}
 }
 
-// runCntrWith times b on a Cntr stack mounted with mount, at the
-// figures' workload seed.
-func runCntrWith(mount fuse.MountOptions, b *Benchmark) (time.Duration, error) {
-	r := Run(b, Setup{Config: stack.Config{Mount: mount}, Seed: 7})
-	return r.Time, r.Err
+// runCntrWith runs b on a Cntr stack mounted with mount, at the figures'
+// workload seed.
+func runCntrWith(mount fuse.MountOptions, b *Benchmark) Row {
+	return Run(b, Setup{Config: stack.Config{Mount: mount}, Seed: 7})
 }
 
 // RunPanel runs p's row on both of its mounts.
 func RunPanel(p Panel) (OptResult, error) {
 	bench := findBench(p.Row)
-	before, err := runCntrWith(p.Off, bench)
-	if err != nil {
+	off, on := runCntrWith(p.Off, bench), runCntrWith(p.On, bench)
+	if err := errors.Join(off.Err, on.Err); err != nil {
 		return OptResult{}, err
 	}
-	after, err := runCntrWith(p.On, bench)
-	if err != nil {
-		return OptResult{}, err
-	}
-	return OptResult{Name: p.Name, Before: before, After: after}, nil
+	return OptResult{Name: p.Name, Before: off.Time, After: on.Time, off: off.run, on: on.run}, nil
 }
 
 // figure4Threads are Figure 4's server thread counts, one thread first.
@@ -154,11 +153,11 @@ func Figure4Threads() (map[int]time.Duration, error) {
 				return 500 * mb / Scale * 8, nil
 			},
 		}
-		d, err := runCntrWith(mount, bench)
-		if err != nil {
-			return nil, err
+		r := runCntrWith(mount, bench)
+		if r.Err != nil {
+			return nil, r.Err
 		}
-		out[threads] = d
+		out[threads] = r.Time
 	}
 	return out, nil
 }

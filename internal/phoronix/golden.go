@@ -12,6 +12,7 @@ import (
 
 	"cntr/internal/fuse"
 	"cntr/internal/policy"
+	"cntr/internal/sim"
 	"cntr/internal/stack"
 )
 
@@ -26,8 +27,15 @@ func line(b *strings.Builder, mode, row, format string, args ...any) {
 }
 
 // runFields is a measured row's fields: CNTR's and native virtual time,
-// the work and the CntrFS mount's frames.
-const runFields = "cntr_ns=%d native_ns=%d work=%d\t%s"
+// the work, the CntrFS mount's frames and the two ledgers (runLedgers).
+const runFields = "cntr_ns=%d native_ns=%d work=%d\t%s\t%s"
+
+// runLedgers is the run: field of two runs' ledgers over the timed phase,
+// each nonzero bucket as side.layer=ns: before the workers divide it, so
+// a side's buckets sum to its time times its parallelism (wall).
+func runLedgers(a string, la sim.Ledger, b string, lb sim.Ledger) string {
+	return "run: " + la.Fields(a) + " " + lb.Fields(b)
+}
 
 // mode is one mode cmd/phoronix offers: lines runs its passes and appends
 // its rows.golden lines, whose mode field is name or begins with name/.
@@ -44,10 +52,12 @@ var modes = []mode{
 			return err
 		}
 		for _, r := range def {
-			line(b, "fig2/default", r.Name, runFields, r.CntrTime, r.NativeTime, r.Work, frameFields(r.frames))
+			line(b, "fig2/default", r.Name, runFields, r.CntrTime, r.NativeTime, r.Work, frameFields(r.frames),
+				runLedgers("cntr", r.cntrRun, "native", r.nativeRun))
 		}
 		for i, r := range paper {
-			line(b, "fig2/paper", r.Name, runFields, r.Time, def[i].NativeTime, r.Work, frameFields(r.frames))
+			line(b, "fig2/paper", r.Name, runFields, r.Time, def[i].NativeTime, r.Work, frameFields(r.frames),
+				runLedgers("cntr", r.run, "native", def[i].nativeRun))
 		}
 		return nil
 	}},
@@ -57,7 +67,7 @@ var modes = []mode{
 			return err
 		}
 		for i, r := range panels {
-			line(b, "fig3/"+r.Name, Figure3[i].Row, "off_ns=%d on_ns=%d", r.Before, r.After)
+			line(b, "fig3/"+r.Name, Figure3[i].Row, "off_ns=%d on_ns=%d\t%s", r.Before, r.After, runLedgers("off", r.off, "on", r.on))
 		}
 		return nil
 	}},
@@ -77,8 +87,13 @@ var modes = []mode{
 		if err := errors.Join(errMeta, errDir); err != nil {
 			return err
 		}
-		line(b, "storm/meta", meta.Name, runFields, meta.CntrTime, meta.NativeTime, meta.Work, frameFields(meta.frames))
-		line(b, "storm/dir", dir.Name, runFields, dir.CntrTime, dir.NativeTime, dir.Work, frameFields(dir.frames))
+		for _, r := range []struct {
+			mode string
+			Result
+		}{{"storm/meta", meta}, {"storm/dir", dir}} {
+			line(b, r.mode, r.Name, runFields, r.CntrTime, r.NativeTime, r.Work, frameFields(r.frames),
+				runLedgers("cntr", r.cntrRun, "native", r.nativeRun))
+		}
 		return nil
 	}},
 	{"chaos/latency", func(p *passes, b *strings.Builder) error {

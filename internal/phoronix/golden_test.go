@@ -11,8 +11,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cntr/internal/policy"
+	"cntr/internal/sim"
 	"cntr/internal/vfs"
 )
 
@@ -189,6 +191,67 @@ func TestGoldenPaperLaneRatchet(t *testing.T) {
 	}
 	if mean > paperLaneRatchet {
 		t.Errorf("fig2/paper mean |ln(measured/paper)| = %.5f, above the ratchet %v", mean, paperLaneRatchet)
+	}
+}
+
+// TestGoldenLedgersSum: every fig2, fig3 and storm line of rows.golden
+// carries each side's ledger over the timed phase, and a side's buckets
+// sum to that phase's clock delta: its virtual time on the line, once
+// the row's workers divide them (wall). No bucket is LayerOther: the
+// stack tags every component that charges the clock.
+func TestGoldenLedgersSum(t *testing.T) {
+	golden, err := os.ReadFile(rowsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench := func(row string) *Benchmark {
+		for _, b := range []*Benchmark{&MetaStorm, &DirStorm} {
+			if b.Name == row {
+				return b
+			}
+		}
+		return findBench(row)
+	}
+	checked := 0
+	for key, fields := range parseGolden(string(golden)) {
+		mode, row, _ := strings.Cut(key, "\t")
+		format, sides := "cntr_ns=%d native_ns=%d", [2]string{"cntr", "native"}
+		switch {
+		case strings.HasPrefix(mode, "fig3/"):
+			format, sides = "off_ns=%d on_ns=%d", [2]string{"off", "on"}
+		case !strings.HasPrefix(mode, "fig2/") && !strings.HasPrefix(mode, "storm/"):
+			continue
+		}
+		var want [2]time.Duration
+		if n, _ := fmt.Sscanf(fields, format, &want[0], &want[1]); n != 2 {
+			t.Fatalf("%s %q reads %q, not %q", mode, row, fields, format)
+		}
+		_, run, ok := strings.Cut(fields, "\trun: ")
+		if !ok {
+			t.Errorf("%s %q has no run: field", mode, row)
+			continue
+		}
+		var sum [2]time.Duration
+		for _, f := range strings.Fields(run) {
+			var ns time.Duration
+			name, val, _ := strings.Cut(f, "=")
+			side, layer, _ := strings.Cut(name, ".")
+			i := slices.Index(sides[:], side)
+			if _, err := fmt.Sscan(val, &ns); err != nil || i < 0 || layer == sim.LayerOther.String() {
+				t.Errorf("%s %q: bucket %q", mode, row, f)
+				continue
+			}
+			sum[i] += ns
+		}
+		for i := range sides {
+			if got := wall(sum[i], bench(row).Workers); got != want[i] {
+				t.Errorf("%s %q: %s buckets sum to %v (%v after the workers), the line says %v", mode, row, sides[i], sum[i], got, want[i])
+			}
+		}
+		checked++
+	}
+	if checked != 2*len(Suite)+len(Figure3)+2 {
+		t.Errorf("checked %d lines, want %d", checked, 2*len(Suite)+len(Figure3)+2)
 	}
 }
 

@@ -40,7 +40,7 @@ type Ctx struct {
 
 // Compute advances the clock by n compute units (CPU-bound work).
 func (c *Ctx) Compute(n int64) {
-	c.Clock.Advance(time.Duration(n) * c.Model.Compute)
+	c.Clock.Charge(sim.LayerWorkload, time.Duration(n)*c.Model.Compute)
 }
 
 // Benchmark is one suite entry.
@@ -73,6 +73,8 @@ type Result struct {
 	Work       int64
 	// frames is the CntrFS mount's wire frames by opcode (warm-up and run).
 	frames [len(fuse.ConnStats{}.Frames)]int64
+	// cntrRun and nativeRun are each stack's ledger over the timed phase.
+	cntrRun, nativeRun sim.Ledger
 }
 
 // hardwareThreads is the m4.xlarge's parallelism for wall-clock
@@ -108,9 +110,17 @@ func stackConfig() stack.Config {
 // RunOn executes b against an arbitrary prepared stack. backing is the
 // raw store beneath the stack for Prepare seeding.
 func RunOn(b *Benchmark, fs vfs.FS, backing vfs.FS, clock *sim.Clock, model *sim.CostModel, disk *sim.Disk, seed uint64) (time.Duration, int64, error) {
+	t, work, _, err := runOn(b, fs, backing, clock, model, disk, seed)
+	return t, work, err
+}
+
+// runOn is RunOn that also returns the clock's ledger over the timed
+// phase, before the workers divide it: its buckets sum to that phase's
+// clock delta.
+func runOn(b *Benchmark, fs vfs.FS, backing vfs.FS, clock *sim.Clock, model *sim.CostModel, disk *sim.Disk, seed uint64) (time.Duration, int64, sim.Ledger, error) {
 	if b.Prepare != nil {
 		if err := b.Prepare(vfs.NewClient(backing, vfs.Root())); err != nil {
-			return 0, 0, fmt.Errorf("%s prepare: %w", b.Name, err)
+			return 0, 0, sim.Ledger{}, fmt.Errorf("%s prepare: %w", b.Name, err)
 		}
 	}
 	ctx := &Ctx{
@@ -123,15 +133,15 @@ func RunOn(b *Benchmark, fs vfs.FS, backing vfs.FS, clock *sim.Clock, model *sim
 	}
 	if b.Warmup != nil {
 		if err := b.Warmup(ctx); err != nil {
-			return 0, 0, fmt.Errorf("%s warmup: %w", b.Name, err)
+			return 0, 0, sim.Ledger{}, fmt.Errorf("%s warmup: %w", b.Name, err)
 		}
 	}
-	start := clock.Now()
+	start, before := clock.Now(), clock.Ledger()
 	work, err := b.Run(ctx)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%s: %w", b.Name, err)
+		return 0, 0, sim.Ledger{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	return wall(clock.Now()-start, b.Workers), work, nil
+	return wall(clock.Now()-start, b.Workers), work, clock.Ledger().Sub(before), nil
 }
 
 // Setup says what watches or perturbs a row on its CntrFS stack. The zero
@@ -179,6 +189,8 @@ type Row struct {
 	Err      error
 	// frames is the mount's wire frames by opcode (warm-up and run).
 	frames [len(fuse.ConnStats{}.Frames)]int64
+	// run is the clock's ledger over the timed phase.
+	run sim.Ledger
 }
 
 // Run measures b on a fresh Cntr stack assembled from s. It is the one
@@ -230,10 +242,10 @@ func Run(b *Benchmark, s Setup) Row {
 	}
 	if len(s.Faults) > 0 {
 		inj := vfs.NewFaultInjector(s.Faults...)
-		inj.Sleep = func(d time.Duration) { c.Clock.Advance(d) }
+		inj.Sleep = func(d time.Duration) { c.Clock.Charge(sim.LayerWorkload, d) }
 		ics = append(ics, inj)
 	}
-	row.Time, row.Work, row.Err = RunOn(b, vfs.Chain(c.Top, ics...), c.Host, c.Clock, c.Model, c.Disk, s.Seed)
+	row.Time, row.Work, row.run, row.Err = runOn(b, vfs.Chain(c.Top, ics...), c.Host, c.Clock, c.Model, c.Disk, s.Seed)
 	row.frames = c.Conn.Stats().Frames
 	if enf != nil {
 		row.Denials, row.Audited, row.Violations = enf.Denials(), enf.Audited(), enf.Violations()
@@ -263,7 +275,7 @@ func Sweep(benches []*Benchmark, s Setup) []Row {
 // and returns the Figure 2 row.
 func RunBenchmark(b *Benchmark) (Result, error) {
 	n := stack.NewNative(stackConfig())
-	nt, work, err := RunOn(b, n.Top, n.Mem, n.Clock, n.Model, n.Disk, 42)
+	nt, work, nativeRun, err := runOn(b, n.Top, n.Mem, n.Clock, n.Model, n.Disk, 42)
 	if err != nil {
 		return Result{}, err
 	}
@@ -276,6 +288,7 @@ func RunBenchmark(b *Benchmark) (Result, error) {
 		Overhead: float64(c.Time) / float64(nt),
 		Work:     work,
 		frames:   c.frames,
+		cntrRun:  c.run, nativeRun: nativeRun,
 	}, nil
 }
 

@@ -33,10 +33,11 @@ func TestFigure2Shape(t *testing.T) {
 			paperSide[Figure3[i].Row] = r.Before
 		}
 	}
-	var err error
-	if paperSide["PostMark"], err = runCntrWith(fuse.PaperMountOptions(), findBench("PostMark")); err != nil {
-		t.Fatal(err)
+	postmark := runCntrWith(fuse.PaperMountOptions(), findBench("PostMark"))
+	if postmark.Err != nil {
+		t.Fatal(postmark.Err)
 	}
+	paperSide["PostMark"] = postmark.Time
 	// Metadata-heavy workloads: CntrFS clearly slower; and double
 	// buffering degrades the big re-read. The bands are asserted where the
 	// paper measured them, on its configuration; the default, which the fig2 mode

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"cntr/internal/sim"
 	"cntr/internal/vfs"
 )
 
@@ -744,5 +745,5 @@ func readAll(ctx *Ctx, path string) error {
 // whose dentries were never cached (compilebench reads a different tree
 // each iteration).
 func expireDentries(ctx *Ctx) {
-	ctx.Clock.Advance(2 * time.Second)
+	ctx.Clock.Charge(sim.LayerWorkload, 2*time.Second)
 }

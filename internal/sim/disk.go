@@ -91,6 +91,6 @@ func (d *Disk) QueueDepth() int {
 // submit charges the clock one request's seek, amortized over the queue
 // depth, plus its transfer.
 func (d *Disk) submit(n int) {
-	d.clock.Advance(d.model.DiskSeek/time.Duration(d.QueueDepth()) +
+	d.clock.Charge(LayerDisk, d.model.DiskSeek/time.Duration(d.QueueDepth())+
 		time.Duration(int64(d.model.DiskPerKB)*int64(n)/1024))
 }

@@ -16,8 +16,8 @@ func TestClockStartsAtZero(t *testing.T) {
 
 func TestClockAdvance(t *testing.T) {
 	c := NewClock()
-	c.Advance(10 * time.Millisecond)
-	c.Advance(5 * time.Millisecond)
+	c.Charge(LayerWorkload, 10*time.Millisecond)
+	c.Charge(LayerWorkload, 5*time.Millisecond)
 	if got := c.Now(); got != 15*time.Millisecond {
 		t.Fatalf("Now() = %v, want 15ms", got)
 	}
@@ -25,8 +25,8 @@ func TestClockAdvance(t *testing.T) {
 
 func TestClockAdvanceNegativeIgnored(t *testing.T) {
 	c := NewClock()
-	c.Advance(time.Second)
-	c.Advance(-time.Hour)
+	c.Charge(LayerWorkload, time.Second)
+	c.Charge(LayerWorkload, -time.Hour)
 	if got := c.Now(); got != time.Second {
 		t.Fatalf("Now() = %v, want 1s", got)
 	}
@@ -45,10 +45,10 @@ func TestClockConcurrentAdvance(t *testing.T) {
 		step func(c *Clock, d *Disk)
 		cost time.Duration
 	}{
-		{"advance", func(c *Clock, _ *Disk) { c.Advance(time.Nanosecond) }, time.Nanosecond},
+		{"advance", func(c *Clock, _ *Disk) { c.Charge(LayerWorkload, time.Nanosecond) }, time.Nanosecond},
 		{"disk and advance", func(c *Clock, d *Disk) {
 			d.Write(4096)
-			c.Advance(time.Nanosecond)
+			c.Charge(LayerWorkload, time.Nanosecond)
 		}, write + time.Nanosecond},
 	} {
 		c := NewClock()
@@ -67,7 +67,41 @@ func TestClockConcurrentAdvance(t *testing.T) {
 		if got, want := c.Now(), workers*per*tc.cost; got != want {
 			t.Fatalf("%s: Now() = %v, want %v", tc.name, got, want)
 		}
+		// The ledger splits the same sum by layer: the disk's requests to
+		// LayerDisk, the rest to LayerWorkload.
+		l := c.Ledger()
+		if total(l) != c.Now() || l[LayerWorkload] != workers*per*time.Nanosecond {
+			t.Fatalf("%s: ledger %s sums to %v, want %v with workload=%d", tc.name, l.Fields("run"), total(l), c.Now(), workers*per)
+		}
 	}
+}
+
+// TestLedgerFields: a ledger prints its nonzero buckets in layer order,
+// and Sub is what each layer was charged between two readings.
+func TestLedgerFields(t *testing.T) {
+	c := NewClock()
+	c.Charge(LayerFuse, 3)
+	before := c.Ledger()
+	c.Charge(LayerDisk, 5)
+	c.Charge(LayerKernel, 7)
+	c.Charge(LayerFuse, 11)
+	c.Charge(LayerNet, 0)
+	d := c.Ledger().Sub(before)
+	if got, want := d.Fields("cntr"), "cntr.kernel=7 cntr.fuse=11 cntr.disk=5"; got != want {
+		t.Fatalf("Fields = %q, want %q", got, want)
+	}
+	if total(d) != c.Now()-3 {
+		t.Fatalf("the buckets sum to %v, want %v", total(d), c.Now()-3)
+	}
+}
+
+// total is the sum of l's buckets.
+func total(l Ledger) time.Duration {
+	var t time.Duration
+	for _, d := range l {
+		t += d
+	}
+	return t
 }
 
 func TestCostModelCopyScalesLinearly(t *testing.T) {

@@ -146,7 +146,7 @@ func (p *Proxy) splice(dst, src *Conn) {
 		if n > 0 {
 			if p.clock != nil && p.model != nil {
 				// One splice(2) call plus the per-byte remap cost.
-				p.clock.Advance(p.model.Syscall + p.model.SpliceCost(n))
+				p.clock.Charge(sim.LayerProxy, p.model.Syscall+p.model.SpliceCost(n))
 			}
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				break

@@ -230,7 +230,7 @@ func TestNoOpendirBehindTheMountsBack(t *testing.T) {
 			if got, seen := names(), strings.Contains(names(), "behind"); seen == rule {
 				t.Errorf("at once: listing %q; the host's new file shown: %v, want %v", got, seen, !rule)
 			}
-			e.clock.Advance(mount.AttrTimeout + time.Nanosecond)
+			e.clock.Charge(sim.LayerWorkload, mount.AttrTimeout+time.Nanosecond)
 			if got := names(); !strings.Contains(got, "behind") {
 				t.Errorf("after AttrTimeout: listing %q lacks the host's new file", got)
 			}

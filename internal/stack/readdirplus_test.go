@@ -54,7 +54,7 @@ func plusStart(t *testing.T, e *env, _ uint64) {
 	if err := e.root.Chmod(lockedDir, 0o744); err != nil {
 		t.Fatal(err)
 	}
-	e.clock.Advance(2 * time.Second)
+	e.clock.Charge(sim.LayerWorkload, 2*time.Second)
 }
 
 // listStat lists dir as cli and stats every entry, rendering what the
@@ -129,7 +129,7 @@ func plusStep(_ *testing.T, e *env, rng *sim.Rand) string {
 		e.files[0] = nil
 		return fmt.Sprintf("close: %v", errno(err))
 	case 14:
-		e.clock.Advance(2 * time.Second)
+		e.clock.Charge(sim.LayerWorkload, 2*time.Second)
 		return "expire"
 	default:
 		p, q := plusPath(rng), plusPath(rng)

@@ -97,7 +97,7 @@ func NewNative(cfg Config) *Native {
 	clock := sim.NewClock()
 	model := sim.DefaultCostModel()
 	disk := sim.NewDisk(clock, model)
-	mem, cache := hostSide(cfg, clock, model, cfg.Store, disk, pagecache.NewMemBudget(cfg.RAM))
+	mem, cache := hostSide(cfg, clock, model, cfg.Store, disk, pagecache.NewMemBudget(cfg.RAM), sim.LayerKernel)
 	return &Native{Clock: clock, Model: model, Disk: disk, Mem: mem, Cache: cache, Top: cache}
 }
 
@@ -105,9 +105,11 @@ func NewNative(cfg Config) *Native {
 // doing regular syscalls on it sees. It is the whole of the baseline and
 // the host the CntrFS server runs on, so that Figure 2 compares a mount
 // with the volume it is mounted over and nothing else. chargeDisk is nil
-// when the store charges its own I/O (see NewCntr).
+// when the store charges its own I/O (see NewCntr). layer is the cache's
+// ledger bucket: the kernel's on the baseline, where a syscall enters it,
+// the host's beneath CntrFS.
 func hostSide(cfg Config, clock *sim.Clock, model *sim.CostModel, store blobstore.Store,
-	chargeDisk *sim.Disk, budget *pagecache.MemBudget) (*memfs.FS, *pagecache.Cache) {
+	chargeDisk *sim.Disk, budget *pagecache.MemBudget, layer sim.Layer) (*memfs.FS, *pagecache.Cache) {
 	mem := memfs.New(memfs.Options{Store: store})
 	return mem, pagecache.New(mem, clock, model, pagecache.Options{
 		KeepCache:    true, // native page caches always survive re-opens
@@ -117,6 +119,7 @@ func hostSide(cfg Config, clock *sim.Clock, model *sim.CostModel, store blobstor
 		ReadAhead:    cfg.ReadAhead,
 		ChargeDisk:   chargeDisk,
 		Budget:       budget,
+		Layer:        layer,
 	})
 }
 
@@ -163,7 +166,9 @@ func tierClient(cfg Config, clock *sim.Clock, model *sim.CostModel) *cachecl.Cli
 func newMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config,
 	budget *pagecache.MemBudget, cacheCl *cachecl.Client) *Mount {
 	cfs := cntrfs.New(base, cntrfs.Options{DedupHardlinks: !cfg.NoDedupHardlinks})
-	conn, srv := fuse.Mount(cfs, clock, model, cfg.Mount)
+	mount := cfg.Mount
+	mount.Layer = sim.LayerFuse
+	conn, srv := fuse.Mount(cfs, clock, model, mount)
 
 	// Kernel-side cache above the FUSE mount. Its caching behaviour is
 	// governed by the mount options CntrFS negotiated.
@@ -180,6 +185,7 @@ func newMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config,
 		ReadAhead:    ra,
 		FlushOnClose: true, // fuse_flush writes dirty pages on close
 		Budget:       budget,
+		Layer:        sim.LayerKernel,
 	})
 	return &Mount{FS: cfs, Conn: conn, Server: srv, Kernel: kernel, CacheCl: cacheCl}
 }
@@ -240,7 +246,7 @@ func NewCntr(cfg Config) *Cntr {
 		chargePC = nil
 	}
 	budget := pagecache.NewMemBudget(cfg.RAM)
-	host, hostPC := hostSide(cfg, clock, model, hostStore, chargePC, budget)
+	host, hostPC := hostSide(cfg, clock, model, hostStore, chargePC, budget, sim.LayerHost)
 
 	m := newMount(hostPC, clock, model, cfg, budget, cacheCl)
 	return &Cntr{
