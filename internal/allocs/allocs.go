@@ -1,22 +1,27 @@
 // Package allocs holds the repository's heap-object pins in one file,
 // testdata/allocs.golden at the module root, one line per pinned case:
 //
-//	package<TAB>case<TAB>objects=N     exactly N heap objects
-//	package<TAB>case<TAB>objects<=N    at most N
+//	package<TAB>case<TAB>objects=N                 exactly N heap objects
+//	package<TAB>case<TAB>objects<=N (seen A-B)     at most N
 //
 // where package is the measuring test's directory under internal/. A
-// change in host cost is a diff of that file; -update rewrites it, as
-// internal/phoronix's golden tests rewrite rows.golden.
+// ceiling is for a count that moves between runs, and records the range
+// its last -update measured: a run below A fails too, so a pin that falls
+// stays fallen once -update records it. A change in host cost is a diff
+// of that file; -update rewrites it, as internal/phoronix's golden tests
+// rewrite rows.golden.
 package allocs
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 )
@@ -28,9 +33,13 @@ const golden = "testdata/allocs.golden"
 
 // Check holds got, the heap objects the calling package's test measured
 // for case name, to the case's line and fails t on a break or a missing
-// line. Under -update it first sets an exact line, or a missing one, to
-// got and raises a ceiling that got exceeds. In a -race build, whose
-// instrumentation allocates on its own account, it only logs got.
+// line: a count other than an exact line's, or outside a ceiling's range
+// seen and ceiling. Under -update it first sets an exact line, or a
+// missing one, to got, and a ceiling's range to what this process
+// measures (run -count=N -cpu 1,4 to see the spread), with the ceiling at
+// most about a tenth above the range and never above what it was but to
+// hold the range. In a -race build, whose instrumentation allocates on
+// its own account, it only logs got.
 func Check(t testing.TB, name string, got float64) {
 	t.Helper()
 	if race() {
@@ -51,35 +60,90 @@ func Check(t testing.TB, name string, got float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, ceiling, want, err := find(string(data), key)
+	p, err := find(string(data), key)
 	if err != nil {
 		t.Fatalf("%s: %v (%g heap objects measured; -update adds the line)", golden, err, got)
 	}
-	t.Logf("%s: %g heap objects, %s", name, got, spec)
-	if got > want || !ceiling && got != want {
-		t.Errorf("%s: %g heap objects, want %s (%s; -update rewrites it)", name, got, spec, golden)
+	t.Logf("%s: %g heap objects, %v", name, got, p)
+	if msg := p.check(got); msg != "" {
+		t.Errorf("%s: %g heap objects, %s: %s (%s; -update rewrites it)", name, got, msg, p, golden)
 	}
 }
 
-// find returns the spec of key's line, whether it is a ceiling, and its
-// count.
-func find(data, key string) (spec string, ceiling bool, n float64, err error) {
+// pin is a golden line's spec: exactly n objects, or with ceiling at most
+// n, a run of its last -update having measured lo to hi.
+type pin struct {
+	ceiling   bool
+	n, lo, hi float64
+}
+
+func (p pin) String() string {
+	if !p.ceiling {
+		return "objects=" + num(p.n)
+	}
+	return fmt.Sprintf("objects<=%s (seen %s-%s)", num(p.n), num(p.lo), num(p.hi))
+}
+
+func num(f float64) string { return strconv.FormatFloat(f, 'f', -1, 64) }
+
+// check says how got breaks p, or "" when it holds.
+func (p pin) check(got float64) string {
+	switch {
+	case !p.ceiling && got != p.n:
+		return "want exactly"
+	case got > p.n:
+		return "above the ceiling"
+	case p.ceiling && got < p.lo:
+		return "below the range seen, so the pin fell"
+	}
+	return ""
+}
+
+// record is p after a run of this process measured got, its first of
+// the case when first; was is the case's ceiling before that first. An
+// exact pin becomes got; a ceiling's range restarts at got or widens to
+// it, and the ceiling is at most a tenth above the range's top but never
+// lower than the top nor higher than was, but to hold the range.
+func (p pin) record(got float64, first bool, was float64) pin {
+	if !p.ceiling {
+		return pin{n: got}
+	}
+	if first {
+		p.lo, p.hi = got, got
+	}
+	p.lo, p.hi = min(p.lo, got), max(p.hi, got)
+	p.n = max(p.hi, min(was, math.Floor(p.hi*1.1)))
+	return p
+}
+
+// find returns the pin of key's line.
+func find(data, key string) (pin, error) {
 	for _, line := range strings.Split(data, "\n") {
 		if !strings.HasPrefix(line, key) {
 			continue
 		}
-		spec = line[len(key):]
-		num, ceiling := strings.CutPrefix(spec, "objects<=")
-		if !ceiling {
-			var ok bool
-			if num, ok = strings.CutPrefix(spec, "objects="); !ok {
-				return "", false, 0, fmt.Errorf("%q: want objects=N or objects<=N", line)
+		spec := line[len(key):]
+		var p pin
+		if rest, ok := strings.CutPrefix(spec, "objects<="); ok {
+			if _, err := fmt.Sscanf(rest, "%g (seen %g-%g)", &p.n, &p.lo, &p.hi); err != nil {
+				return pin{}, fmt.Errorf("%q: want objects<=N (seen A-B): %v", line, err)
 			}
+			p.ceiling = true
+			return p, nil
 		}
-		n, err = strconv.ParseFloat(num, 64)
-		return spec, ceiling, n, err
+		if _, err := fmt.Sscanf(spec, "objects=%g", &p.n); err != nil {
+			return pin{}, fmt.Errorf("%q: want objects=N or objects<=N (seen A-B): %v", line, err)
+		}
+		return p, nil
 	}
-	return "", false, 0, fmt.Errorf("no line %q", key)
+	return pin{}, fmt.Errorf("no line %q", key)
+}
+
+// recorded holds the ceiling of each key this process has rewritten as
+// it read before the first rewrite.
+var recorded struct {
+	sync.Mutex
+	was map[string]float64
 }
 
 // rewrite sets key's line for a measurement of got, holding a lock on
@@ -98,7 +162,6 @@ func rewrite(root, key string, got float64) error {
 	if err != nil {
 		return err
 	}
-	count := strconv.FormatFloat(got, 'f', -1, 64)
 	lines := strings.SplitAfter(string(data), "\n")
 	found := false
 	for i, line := range lines {
@@ -106,14 +169,20 @@ func rewrite(root, key string, got float64) error {
 			continue
 		}
 		found = true
-		if _, ceiling, n, err := find(line, key); err != nil || !ceiling {
-			lines[i] = key + "objects=" + count + "\n"
-		} else if got > n {
-			lines[i] = key + "objects<=" + count + "\n"
+		p, _ := find(line, key) // a line that does not parse becomes exact
+		recorded.Lock()
+		was, seen := recorded.was[key]
+		if !seen {
+			if recorded.was == nil {
+				recorded.was = map[string]float64{}
+			}
+			was, recorded.was[key] = p.n, p.n
 		}
+		recorded.Unlock()
+		lines[i] = key + p.record(got, !seen, was).String() + "\n"
 	}
 	if !found {
-		lines = append(lines, key+"objects="+count+"\n")
+		lines = append(lines, key+pin{n: got}.String()+"\n")
 	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, []byte(strings.Join(lines, "")), 0o644); err != nil {

@@ -38,6 +38,8 @@ type Options struct {
 type FS struct {
 	backing vfs.FS
 	opts    Options
+	// viewer is the backing when it shares its stored pages (ViewPages).
+	viewer vfs.PageViewer
 
 	mu        sync.Mutex
 	nodes     map[vfs.Ino]node    // CntrFS ino -> node, held by value
@@ -62,7 +64,20 @@ func New(backing vfs.FS, opts Options) *FS {
 	}
 	fs.nodes[vfs.RootIno] = node{backIno: vfs.RootIno, nlookup: 1}
 	fs.byBacking[vfs.RootIno] = vfs.RootIno
+	fs.viewer, _ = backing.(vfs.PageViewer)
 	return fs
+}
+
+// ViewPages implements vfs.PageViewer: CntrFS passes a file's bytes
+// through unchanged, so its pages are the backing inode's.
+func (fs *FS) ViewPages(ino vfs.Ino, first int64, views []*[4096]byte) {
+	if fs.viewer != nil {
+		if backIno, err := fs.resolve(ino); err == nil {
+			fs.viewer.ViewPages(backIno, first, views)
+			return
+		}
+	}
+	clear(views)
 }
 
 // resolve translates a CntrFS inode to the backing inode.

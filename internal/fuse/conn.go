@@ -36,7 +36,10 @@ type MountOptions struct {
 	// batched read requests (readahead) instead of page-sized ones.
 	AsyncRead bool
 	// SpliceRead moves read payloads through a kernel pipe instead of
-	// copying them to userspace (Fig. 3d).
+	// copying them to userspace (Fig. 3d). A spliced reply's pages can be
+	// adopted by the cache above: a clean page then shares the block the
+	// served filesystem stores for it instead of holding a copy
+	// (Conn.ViewPages).
 	SpliceRead bool
 	// SpliceWrite moves write payloads by reference, but forces an extra
 	// context switch on *every* request because the header cannot be read
@@ -412,6 +415,9 @@ type Conn struct {
 	model *sim.CostModel
 	opts  MountOptions
 	table *reqTable
+	// viewer is the served filesystem when it shares its stored pages and
+	// the mount splices READ replies (ViewPages); nil otherwise.
+	viewer vfs.PageViewer
 
 	unique   atomic.Uint64
 	inflight atomic.Int64
@@ -577,7 +583,22 @@ func Mount(fs vfs.FS, clock *sim.Clock, model *sim.CostModel, opts MountOptions)
 		opts.ServerThreads = 1
 	}
 	table := newReqTable(maxBackground)
-	return newConn(clock, model, opts, table), newServer(fs, clock, model, opts, table)
+	c := newConn(clock, model, opts, table)
+	if v, ok := fs.(vfs.PageViewer); ok && opts.SpliceRead {
+		c.viewer = v
+	}
+	return c, newServer(fs, clock, model, opts, table)
+}
+
+// ViewPages implements vfs.PageViewer: Linux moves a spliced READ reply's
+// pages into the page cache (fuse_try_move_page), so with SpliceRead a
+// page can be the served filesystem's stored block. It sends no frame.
+func (c *Conn) ViewPages(ino vfs.Ino, first int64, views []*[4096]byte) {
+	if c.viewer == nil {
+		clear(views)
+		return
+	}
+	c.viewer.ViewPages(ino, first, views)
 }
 
 // newConn builds the kernel side over table; whoever pops the table is

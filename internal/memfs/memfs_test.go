@@ -2,11 +2,13 @@ package memfs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"maps"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cntr/internal/allocs"
 	"cntr/internal/blobstore"
@@ -597,6 +599,51 @@ func TestPermissionDeniedForOtherUser(t *testing.T) {
 	user := vfs.NewClient(fs, vfs.User(1000, 1000))
 	if _, err := user.ReadFile("/secret"); vfs.ToErrno(err) != vfs.EACCES {
 		t.Fatalf("err = %v, want EACCES", err)
+	}
+}
+
+// TestSetTimesNeedsOwnerOrWrite: as Linux's setattr_prepare, uid 1000
+// may not set explicit times on root's 0644 file (EPERM) nor touch it to
+// now without write permission (EACCES); once the file is writable to
+// it, touching succeeds while explicit times still fail, and root may do
+// both. A refused call changes no time.
+func TestSetTimesNeedsOwnerOrWrite(t *testing.T) {
+	fs := New(Options{})
+	root := vfs.NewClient(fs, vfs.Root())
+	if err := root.WriteFile("/f", []byte("f"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := root.Stat("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	user, admin := vfs.NewOp(context.Background(), vfs.User(1000, 1000)), vfs.RootOp()
+	at := vfs.Attr{Atime: before.Atime.Add(-time.Hour), Mtime: before.Mtime.Add(-time.Hour)}
+	for _, tc := range []struct {
+		op   *vfs.Op
+		mode vfs.Mode
+		mask vfs.SetattrMask
+		want vfs.Errno
+	}{
+		{user, 0o644, vfs.SetAtime, vfs.EPERM},
+		{user, 0o644, vfs.SetMtime, vfs.EPERM},
+		{user, 0o644, vfs.SetAtimeNow, vfs.EACCES},
+		{user, 0o644, vfs.SetMtimeNow, vfs.EACCES},
+		{user, 0o646, vfs.SetAtime | vfs.SetMtime, vfs.EPERM},
+		{user, 0o646, vfs.SetAtimeNow | vfs.SetMtimeNow, vfs.OK},
+		{admin, 0o644, vfs.SetAtime | vfs.SetMtime, vfs.OK},
+	} {
+		if err := root.Chmod("/f", tc.mode); err != nil {
+			t.Fatal(err)
+		}
+		was, _ := root.Stat("/f")
+		_, err := fs.Setattr(tc.op, before.Ino, tc.mask, at)
+		if got := vfs.ToErrno(err); got != tc.want {
+			t.Errorf("uid %d, mode %o, mask %b: %v, want %v", tc.op.Cred.FSUID, tc.mode, tc.mask, got, tc.want)
+		}
+		if now, _ := root.Stat("/f"); tc.want != vfs.OK && (now.Atime != was.Atime || now.Mtime != was.Mtime) {
+			t.Errorf("uid %d, mode %o, mask %b: refused, yet the times moved", tc.op.Cred.FSUID, tc.mode, tc.mask)
+		}
 	}
 }
 

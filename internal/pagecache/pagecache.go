@@ -38,11 +38,14 @@
 // page copies it into a buffer of its own (copy-on-write), and dropping
 // it frees nothing. Only the host heap moves: a shared page is charged to
 // the budget as any other, and every read of the backing happens as
-// before. So the simulator keeps one copy of the disk's bytes where it
-// kept two, a page cache over any other backing — the FUSE connection,
-// unionfs, a content-addressed or a fault-injecting store — keeps its
-// copies, and the cache above a FUSE mount still copies out of READ
-// replies, as the kernel does.
+// before. The views pass through every layer that hands a file's bytes on
+// unchanged (vfs.PageViewer): this cache, CntrFS, and a FUSE connection
+// that splices its READ replies, whose pages Linux moves into the page
+// cache rather than copies. So a clean page above the mount is memfs's
+// stored block too, and the simulator keeps one copy of the disk's bytes
+// where it kept three. A page cache over any other backing — unionfs, a
+// content-addressed or a fault-injecting store, a mount that copies its
+// replies — keeps its copies.
 package pagecache
 
 import (
@@ -185,15 +188,8 @@ type Cache struct {
 	// viewer is the backing when it lets a clean page share the bytes it
 	// stores, found once by New; vbuf is the scratch its views land in,
 	// reused under mu as rbuf is.
-	viewer viewer
+	viewer vfs.PageViewer
 	vbuf   []*[PageSize]byte
-}
-
-// viewer is a backing filesystem that shares the bytes it stores for a
-// file's whole pages (memfs.FS.ViewPages): views[i] is page first+i of
-// ino as stored, or nil. A view's bytes never change while held.
-type viewer interface {
-	ViewPages(ino vfs.Ino, first int64, views []*[PageSize]byte)
 }
 
 // poisonScratch is the scratch guard rail's test hook: when set, a
@@ -454,7 +450,7 @@ func New(backing vfs.FS, clock *sim.Clock, model *sim.CostModel, opts Options) *
 	if opts.MaxWriteSize == 0 {
 		opts.MaxWriteSize = 128 << 10
 	}
-	v, _ := backing.(viewer)
+	v, _ := backing.(vfs.PageViewer)
 	return &Cache{
 		backing: backing,
 		clock:   clock,
@@ -471,6 +467,32 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
+}
+
+// ViewPages implements vfs.PageViewer by forwarding to the backing: a
+// cache above this one adopts a view only when it equals what it read,
+// whatever this cache holds of the page.
+func (c *Cache) ViewPages(ino vfs.Ino, first int64, views []*[PageSize]byte) {
+	if c.viewer == nil {
+		clear(views)
+		return
+	}
+	c.viewer.ViewPages(ino, first, views)
+}
+
+// Pages counts the cached pages that hold a buffer of their own and those
+// that share the bytes the backing stores.
+func (c *Cache) Pages() (own, shared int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for p := c.oldest; p != nil; p = p.next {
+		if p.shared {
+			shared++
+		} else {
+			own++
+		}
+	}
+	return own, shared
 }
 
 // charge accounts the fixed cost of one syscall entering this layer.

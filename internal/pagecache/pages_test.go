@@ -105,9 +105,9 @@ func TestReinsertedPageIsNewest(t *testing.T) {
 	}
 }
 
-// slabBlock is the most records one block of a slab holds, and its free
-// list (internal/slab).
-const slabBlock = 64
+// slabBlock is the most records one block of a slab holds, and slabFree
+// the most its free list keeps (internal/slab).
+const slabBlock, slabFree = 64, 256
 
 // heapCost returns the heap objects and bytes one call of f allocates, as
 // testing.AllocsPerRun counts them (one warm-up call, then runs).
@@ -340,7 +340,7 @@ func TestChurnAllocBudget(t *testing.T) {
 // 54 pages cached, in another file, are exactly those, header and buffer;
 // the 54 after them are cut from runs. No two live pages share a header or
 // a buffer, a reused page is zero past what was written into it, and the
-// list never holds more than maxHdrBlock pages.
+// list never holds more than slabFree pages.
 func TestDroppedPagesAreReusedOnce(t *testing.T) {
 	const pages, kept = 64, 10
 	e := newEnv(t, Options{KeepCache: true, Writeback: true, DirtyWindow: 1 << 30})
@@ -438,22 +438,29 @@ func TestDroppedPagesAreReusedOnce(t *testing.T) {
 		t.Errorf("a reused page holding a 100-byte tail reads %d nonzero bytes past byte 100, want 0",
 			PageSize-101-bytes.Count(got[100:PageSize-1], []byte{0}))
 	}
-	// 117 pages dropped since, and 64 of them kept: a 65-page write takes
-	// those and cuts one page.
+	// 117 pages dropped since, then a file of 2·slabFree pages, which takes
+	// those 117: of the 2·slabFree pages dropped last, slabFree are kept,
+	// so a write of slabFree+1 pages takes those and cuts one page.
 	for _, p := range pagesOf(f) {
 		dropped[p] = true
 	}
 	truncate("/f", 0)
+	big := create("/big")
+	write(big, make([]byte, 2*slabFree*PageSize), 0)
+	for _, p := range pagesOf(big) {
+		dropped[p] = true
+	}
+	truncate("/big", 0)
 	k := create("/k")
-	write(k, make([]byte, (slabBlock+1)*PageSize), 0)
+	write(k, make([]byte, (slabFree+1)*PageSize), 0)
 	reused := 0
 	for _, p := range pagesOf(k) {
 		if dropped[p] {
 			reused++
 		}
 	}
-	if reused != slabBlock {
-		t.Errorf("%d of %d fresh pages were dropped ones after dropping 117, want the %d kept", reused, slabBlock+1, slabBlock)
+	if reused != slabFree {
+		t.Errorf("%d of %d fresh pages were dropped ones after dropping %d, want the %d kept", reused, slabFree+1, 2*slabFree, slabFree)
 	}
 }
 

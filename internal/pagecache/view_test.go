@@ -105,17 +105,8 @@ func (s *viewSide) stored(i int) ([]byte, error) {
 
 // sharedPages counts the cache's pages that share memfs's bytes.
 func (s *viewSide) sharedPages() int {
-	s.cache.mu.Lock()
-	defer s.cache.mu.Unlock()
-	n := 0
-	for _, f := range s.cache.files {
-		for _, p := range f.all() {
-			if p.shared {
-				n++
-			}
-		}
-	}
-	return n
+	_, shared := s.cache.Pages()
+	return shared
 }
 
 // viewStep is one step of a differential program: what it does to which

@@ -30,6 +30,12 @@ func line(b *strings.Builder, mode, row, format string, args ...any) {
 // the work, the CntrFS mount's frames and the two ledgers (runLedgers).
 const runFields = "cntr_ns=%d native_ns=%d work=%d\t%s\t%s"
 
+// resultLine appends the line of a row measured on both stacks.
+func resultLine(b *strings.Builder, mode string, r Result) {
+	line(b, mode, r.Name, runFields, r.CntrTime, r.NativeTime, r.Work, frameFields(r.frames),
+		runLedgers("cntr", r.cntrRun, "native", r.nativeRun))
+}
+
 // runLedgers is the run: field of two runs' ledgers over the timed phase,
 // each nonzero bucket as side.layer=ns: before the workers divide it, so
 // a side's buckets sum to its time times its parallelism (wall).
@@ -52,8 +58,7 @@ var modes = []mode{
 			return err
 		}
 		for _, r := range def {
-			line(b, "fig2/default", r.Name, runFields, r.CntrTime, r.NativeTime, r.Work, frameFields(r.frames),
-				runLedgers("cntr", r.cntrRun, "native", r.nativeRun))
+			resultLine(b, "fig2/default", r)
 		}
 		for i, r := range paper {
 			line(b, "fig2/paper", r.Name, runFields, r.Time, def[i].NativeTime, r.Work, frameFields(r.frames),
@@ -87,13 +92,8 @@ var modes = []mode{
 		if err := errors.Join(errMeta, errDir); err != nil {
 			return err
 		}
-		for _, r := range []struct {
-			mode string
-			Result
-		}{{"storm/meta", meta}, {"storm/dir", dir}} {
-			line(b, r.mode, r.Name, runFields, r.CntrTime, r.NativeTime, r.Work, frameFields(r.frames),
-				runLedgers("cntr", r.cntrRun, "native", r.nativeRun))
-		}
+		resultLine(b, "storm/meta", meta)
+		resultLine(b, "storm/dir", dir)
 		return nil
 	}},
 	{"chaos/latency", func(p *passes, b *strings.Builder) error {

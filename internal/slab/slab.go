@@ -4,10 +4,17 @@
 // costs the heap one object per block, not one per record.
 package slab
 
-// maxBlock caps the records of one block and of the free list. A block
-// lives while any record cut from it is reachable, so the cap bounds what
-// one live record can pin.
+// maxBlock caps the records of one block. A block lives while any record
+// cut from it is reachable, so the cap bounds what one live record can
+// pin.
 const maxBlock = 64
+
+// maxFree caps the free list at the largest burst of frees its owner
+// takes back soon after: a page cache whose pages share the stored blocks
+// once written back frees a whole extent's buffers at once, and an extent
+// is at most 1 MiB (the host's ext4 bio, FUSE_MAX_PAGES above the mount),
+// 256 pages. A shorter list leaves each burst's rest to the collector.
+const maxFree = (1 << 20) / 4096
 
 // Slab is a source of zeroed *T. The zero value is ready to use; a Slab
 // is not safe for concurrent use, so its owner's lock guards it.
@@ -37,14 +44,14 @@ func (s *Slab[T]) New() *T {
 }
 
 // Free zeroes p and keeps it for New while the free list holds fewer than
-// maxBlock records; past that it is left to the collector. p must come
+// maxFree records; past that it is left to the collector. p must come
 // from New and must not be used again by its caller.
 func (s *Slab[T]) Free(p *T) {
 	var zero T
 	*p = zero
-	if len(s.free) < maxBlock {
+	if len(s.free) < maxFree {
 		if s.free == nil {
-			s.free = make([]*T, 0, maxBlock)
+			s.free = make([]*T, 0, maxFree)
 		}
 		s.free = append(s.free, p)
 	}

@@ -12,7 +12,7 @@ type rec struct {
 
 // TestSlabMatchesReference drives seeded sequences of New and Free against
 // a reference of live records and a last-in first-out free list of at most
-// maxBlock: no live record is handed out twice, every New is zeroed, a
+// maxFree: no live record is handed out twice, every New is zeroed, a
 // freed record is zeroed at once and is the next New's while the list
 // keeps it, and no block holds more than maxBlock records.
 func TestSlabMatchesReference(t *testing.T) {
@@ -56,7 +56,7 @@ func TestSlabMatchesReference(t *testing.T) {
 			if *p != (rec{}) {
 				t.Fatalf("seed %d step %d: a freed record holds %+v, want zero", seed, step, *p)
 			}
-			if len(free) < maxBlock {
+			if len(free) < maxFree {
 				free = append(free, p)
 			}
 		}

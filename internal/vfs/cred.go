@@ -172,14 +172,20 @@ func (c *Cred) CheckOpen(a *Attr, flags OpenFlags) error {
 // CheckSetattr returns the error setting the fields mask names to their
 // values in to fails with on an inode with attributes a, nil when
 // permitted: chmod needs ownership, chown CAP_CHOWN (a gid the owner is
-// a member of needs none), truncation write permission or ownership.
+// a member of needs none), truncation write permission or ownership. As
+// Linux's setattr_prepare, an explicit atime or mtime needs ownership
+// (EPERM), and setting either to now ownership or write permission
+// (EACCES).
 func (c *Cred) CheckSetattr(a *Attr, mask SetattrMask, to *Attr) error {
 	chown := c.Caps.Has(CapChown)
 	switch {
 	case mask.Has(SetMode) && !c.IsOwner(a),
 		mask.Has(SetUID) && to.UID != a.UID && !chown,
-		mask.Has(SetGID) && to.GID != a.GID && !chown && !(c.IsOwner(a) && c.InGroup(to.GID)):
+		mask.Has(SetGID) && to.GID != a.GID && !chown && !(c.IsOwner(a) && c.InGroup(to.GID)),
+		mask&(SetAtime|SetMtime) != 0 && !c.IsOwner(a):
 		return EPERM
+	case mask&(SetAtimeNow|SetMtimeNow) != 0 && !c.IsOwner(a) && !c.MayWrite(a):
+		return EACCES
 	}
 	if !mask.Has(SetSize) {
 		return nil

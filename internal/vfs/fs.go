@@ -168,3 +168,12 @@ type HandleExporter interface {
 type SyncerFS interface {
 	SyncFS() error
 }
+
+// PageViewer is the optional interface of a filesystem that shares the
+// bytes it stores for a file's whole 4 KiB pages (memfs over a private
+// store): ViewPages sets views[i] to page first+i of ino as stored, or
+// nil. A view's bytes never change while held. A layer that passes bytes
+// on unchanged forwards the call with the inode its backing knows.
+type PageViewer interface {
+	ViewPages(ino Ino, first int64, views []*[4096]byte)
+}
