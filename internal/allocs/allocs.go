@@ -2,13 +2,16 @@
 // testdata/allocs.golden at the module root, one line per pinned case:
 //
 //	package<TAB>case<TAB>objects=N                 exactly N heap objects
-//	package<TAB>case<TAB>objects<=N (seen A-B)     at most N
+//	package<TAB>case<TAB>objects<=N (seen A-B)     at most N, at least A
+//	package<TAB>case<TAB>objects<=N                at most N
 //
 // where package is the measuring test's directory under internal/. A
-// ceiling is for a count that moves between runs, and records the range
-// its last -update measured: a run below A fails too, so a pin that falls
-// stays fallen once -update records it. A change in host cost is a diff
-// of that file; -update rewrites it, as internal/phoronix's golden tests
+// ceiling is for a count that moves between runs. One averaged over many
+// runs records the range its last -update measured: a run below A fails
+// too, so a pin that falls stays fallen once -update records it. One
+// ceiling without a range is for a single run's count, which moves with
+// the scheduler in either direction. A change in host cost is a diff of
+// that file; -update rewrites it, as internal/phoronix's golden tests
 // rewrite rows.golden.
 package allocs
 
@@ -33,8 +36,8 @@ const golden = "testdata/allocs.golden"
 
 // Check holds got, the heap objects the calling package's test measured
 // for case name, to the case's line and fails t on a break or a missing
-// line: a count other than an exact line's, or outside a ceiling's range
-// seen and ceiling. Under -update it first sets an exact line, or a
+// line: a count other than an exact line's, above a ceiling, or below a
+// ceiling's range seen. Under -update it first sets an exact line, or a
 // missing one, to got, and a ceiling's range to what this process
 // measures (run -count=N -cpu 1,4 to see the spread), with the ceiling at
 // most about a tenth above the range and never above what it was but to
@@ -71,15 +74,19 @@ func Check(t testing.TB, name string, got float64) {
 }
 
 // pin is a golden line's spec: exactly n objects, or with ceiling at most
-// n, a run of its last -update having measured lo to hi.
+// n, a run of its last -update having measured lo to hi; with floor, the
+// line records that range and a count below lo breaks it.
 type pin struct {
-	ceiling   bool
-	n, lo, hi float64
+	ceiling, floor bool
+	n, lo, hi      float64
 }
 
 func (p pin) String() string {
-	if !p.ceiling {
+	switch {
+	case !p.ceiling:
 		return "objects=" + num(p.n)
+	case !p.floor:
+		return "objects<=" + num(p.n)
 	}
 	return fmt.Sprintf("objects<=%s (seen %s-%s)", num(p.n), num(p.lo), num(p.hi))
 }
@@ -93,7 +100,7 @@ func (p pin) check(got float64) string {
 		return "want exactly"
 	case got > p.n:
 		return "above the ceiling"
-	case p.ceiling && got < p.lo:
+	case p.floor && got < p.lo:
 		return "below the range seen, so the pin fell"
 	}
 	return ""
@@ -125,25 +132,34 @@ func find(data, key string) (pin, error) {
 		spec := line[len(key):]
 		var p pin
 		if rest, ok := strings.CutPrefix(spec, "objects<="); ok {
-			if _, err := fmt.Sscanf(rest, "%g (seen %g-%g)", &p.n, &p.lo, &p.hi); err != nil {
-				return pin{}, fmt.Errorf("%q: want objects<=N (seen A-B): %v", line, err)
-			}
 			p.ceiling = true
+			if n, seen, ok := strings.Cut(rest, " "); ok {
+				p.floor = true
+				rest = n
+				if _, err := fmt.Sscanf(seen, "(seen %g-%g)", &p.lo, &p.hi); err != nil {
+					return pin{}, fmt.Errorf("%q: want objects<=N (seen A-B): %v", line, err)
+				}
+			}
+			if _, err := fmt.Sscanf(rest, "%g", &p.n); err != nil {
+				return pin{}, fmt.Errorf("%q: want objects<=N: %v", line, err)
+			}
 			return p, nil
 		}
 		if _, err := fmt.Sscanf(spec, "objects=%g", &p.n); err != nil {
-			return pin{}, fmt.Errorf("%q: want objects=N or objects<=N (seen A-B): %v", line, err)
+			return pin{}, fmt.Errorf("%q: want objects=N, objects<=N or objects<=N (seen A-B): %v", line, err)
 		}
 		return p, nil
 	}
 	return pin{}, fmt.Errorf("no line %q", key)
 }
 
-// recorded holds the ceiling of each key this process has rewritten as
-// it read before the first rewrite.
+// recorded holds, for each key this process has rewritten, the ceiling
+// it read before the first rewrite and the pin, range and all, it wrote
+// last: a line without a range does not keep it.
 var recorded struct {
 	sync.Mutex
-	was map[string]float64
+	was  map[string]float64
+	last map[string]pin
 }
 
 // rewrite sets key's line for a measurement of got, holding a lock on
@@ -171,15 +187,19 @@ func rewrite(root, key string, got float64) error {
 		found = true
 		p, _ := find(line, key) // a line that does not parse becomes exact
 		recorded.Lock()
-		was, seen := recorded.was[key]
+		last, seen := recorded.last[key]
 		if !seen {
 			if recorded.was == nil {
-				recorded.was = map[string]float64{}
+				recorded.was, recorded.last = map[string]float64{}, map[string]pin{}
 			}
-			was, recorded.was[key] = p.n, p.n
+			recorded.was[key] = p.n
+		} else {
+			p.lo, p.hi = last.lo, last.hi
 		}
+		p = p.record(got, !seen, recorded.was[key])
+		recorded.last[key] = p
 		recorded.Unlock()
-		lines[i] = key + p.record(got, !seen, was).String() + "\n"
+		lines[i] = key + p.String() + "\n"
 	}
 	if !found {
 		lines = append(lines, key+pin{n: got}.String()+"\n")

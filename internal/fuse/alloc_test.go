@@ -45,12 +45,14 @@ func raceBuild() bool {
 // reply channel and two readers on the kernel side; an Op, a Cred, a
 // cancel context, a reply copy and a buffer grown append by append on the
 // server's; and an origin queue with its message slice in the table. READ
-// and WRITE (memfs's share subtracted) stay under 4 KiB a frame. The
-// budgets leave room for the pool refilling after a collection. The
-// payload rows have no pool to refill: until their reply storage and
-// frame went back to the Conn (Conn.frames) each cost one payload-sized
-// object, 139 455 bytes a READ and 139 289 a WRITE; 4 KiB is below any
-// payload a transient could hold.
+// and WRITE (memfs's share subtracted) stay under 4 KiB a frame. A count
+// is the mean over 200 frames, truncated, so a pool refilling after a
+// collection or a thread the runtime starts, a few objects each, does not
+// move it: each line's range is one value, seen in 1 200 runs at -cpu 1,4
+// with four such processes at once. The payload rows have no pool to
+// refill: until their reply storage and frame went back to the Conn
+// (Conn.frames) each cost one payload-sized object, 139 455 bytes a READ
+// and 139 289 a WRITE; 4 KiB is below any payload a transient could hold.
 func TestRoundTripAllocBudget(t *testing.T) {
 	opts := DefaultMountOptions()
 	opts.ServerThreads = 4

@@ -177,9 +177,6 @@ type MountOptions struct {
 	// operation finishes — just like a real single-threaded FUSE server.
 	// Use >= 2 threads when workloads can block indefinitely.
 	ServerThreads int
-	// Layer is the clock's ledger bucket the connection and its server
-	// threads charge; zero is sim.LayerOther (the stack sets sim.LayerFuse).
-	Layer sim.Layer
 }
 
 // PaperMountOptions returns the configuration the paper's CNTR ships
@@ -696,7 +693,7 @@ func (c *Conn) submit(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *bu
 	if over := in - int64(c.opts.ServerThreads); over > 0 {
 		cost += time.Duration(over) * c.model.WakeupLatency
 	}
-	c.clock.Charge(c.opts.Layer, cost)
+	c.clock.Charge(sim.LayerFuse, cost)
 
 	if !c.table.push(p) {
 		c.inflight.Add(-1)
@@ -733,9 +730,9 @@ func (p *request) await(op *vfs.Op, decode func(r *rdr)) error {
 
 	if p.dataIn > 0 {
 		if c.opts.SpliceRead {
-			c.clock.Charge(c.opts.Layer, c.model.SpliceCost(p.dataIn))
+			c.clock.Charge(sim.LayerFuse, c.model.SpliceCost(p.dataIn))
 		} else {
-			c.clock.Charge(c.opts.Layer, c.model.CopyCost(p.dataIn))
+			c.clock.Charge(sim.LayerFuse, c.model.CopyCost(p.dataIn))
 		}
 	}
 
@@ -782,7 +779,7 @@ func (c *Conn) call(op Opcode, nodeid vfs.Ino, req *vfs.Op, payload func(w *buf)
 // during or after unmount are dropped, as the kernel drops forgets once
 // the connection is gone.
 func (c *Conn) oneWay(op Opcode, nodeid vfs.Ino, dataOut int, payload func(w *buf)) {
-	c.clock.Charge(c.opts.Layer, c.model.ContextSwitch)
+	c.clock.Charge(sim.LayerFuse, c.model.ContextSwitch)
 	p := newRequest(c, dataOut, 0)
 	p.oneWay = true
 	encodeReqHeader(&p.frame, op, c.unique.Add(1), uint64(nodeid), nil)

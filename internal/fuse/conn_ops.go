@@ -1,6 +1,7 @@
 package fuse
 
 import (
+	"cntr/internal/sim"
 	"cntr/internal/vfs"
 )
 
@@ -14,7 +15,7 @@ import (
 // either way.
 func (c *Conn) Lookup(op *vfs.Op, parent vfs.Ino, name string) (vfs.Attr, error) {
 	if ino, ok := c.lookupCached(parent, name); ok {
-		c.clock.Charge(c.opts.Layer, c.model.InodeOp) // dcache hit still does hash work
+		c.clock.Charge(sim.LayerFuse, c.model.InodeOp) // dcache hit still does hash work
 		if attr, ok := c.attrCached(ino, op == nil || !op.Stat); ok {
 			return attr, nil
 		}
@@ -146,7 +147,7 @@ func (c *Conn) sendForgetBatch(batch []forgetItem) {
 // every field, so a data-stale record is revalidated.
 func (c *Conn) Getattr(op *vfs.Op, ino vfs.Ino) (vfs.Attr, error) {
 	if attr, ok := c.attrCached(ino, false); ok {
-		c.clock.Charge(c.opts.Layer, c.model.InodeOp)
+		c.clock.Charge(sim.LayerFuse, c.model.InodeOp)
 		return attr, nil
 	}
 	return c.getattrWire(op, ino)
@@ -687,7 +688,7 @@ func (c *Conn) Readdir(op *vfs.Op, h vfs.Handle, off int64) ([]vfs.Dirent, error
 	if d != nil && d.complete {
 		if ents, ok := d.after(off); ok {
 			c.mu.Unlock()
-			c.clock.Charge(c.opts.Layer, c.model.PageCacheHit)
+			c.clock.Charge(sim.LayerFuse, c.model.PageCacheHit)
 			return ents, nil
 		}
 	}
@@ -809,7 +810,7 @@ func (c *Conn) readdirCall(op *vfs.Op, opcode Opcode, nodeid vfs.Ino, fh vfs.Han
 	if err != nil {
 		return nil, err
 	}
-	c.clock.Charge(c.opts.Layer, c.model.CopyCost(bodyLen))
+	c.clock.Charge(sim.LayerFuse, c.model.CopyCost(bodyLen))
 	return ents, nil
 }
 
@@ -916,7 +917,7 @@ func (c *Conn) Getxattr(op *vfs.Op, ino vfs.Ino, name string) ([]byte, error) {
 			return nil, vfs.ENODATA
 		}
 	}
-	c.clock.Charge(c.opts.Layer, c.model.XattrLookup)
+	c.clock.Charge(sim.LayerFuse, c.model.XattrLookup)
 	var value []byte
 	err := c.call(OpGetxattr, ino, op, func(w *buf) { w.str(name) }, 0, 0, func(r *rdr) {
 		value = append([]byte(nil), r.rawBytes()...)

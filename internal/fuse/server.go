@@ -181,7 +181,7 @@ func (wk *worker) run() {
 			if n := s.opts.ServerThreads; n > 1 {
 				cost += time.Duration(n-1) * s.model.LockContention
 			}
-			s.clock.Charge(s.opts.Layer, cost)
+			s.clock.Charge(sim.LayerFuse, cost)
 		}
 		reply := wk.dispatch(msg)
 		if msg.oneWay {

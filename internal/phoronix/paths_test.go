@@ -3,6 +3,7 @@ package phoronix
 import (
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,26 +24,38 @@ func runNative(b *Benchmark) error {
 // rows on the native stack: the path tables are built at package init,
 // so what is left is the stack's own cost and the rows' buffers. The
 // collector is off, so no pool the client recycles through is emptied
-// midway. The pins are ceilings: a pool is per P, and memfs's inode map
+// midway. A run in which the runtime started an OS thread is measured
+// again: the thread's m and its goroutine records (four to six objects)
+// are the runtime's, and a loaded machine starts one now and then (Dbench
+// then reads 40 for its usual 35, Compilebench: Read 46 for 41). The pins are
+// ceilings without a floor: a pool is per P, and memfs's inode map
 // rehashes where its hash seed says, so a row's count moves by a few
-// objects between runs; each line records the range 100 runs at each of
-// -cpu 1,4 measured, with the ceiling about a tenth above it, where one
-// path formatted per Meta-Storm pass would add 240.
+// objects between runs. Each is above every count seen, where one path
+// formatted per Meta-Storm pass would add 240.
 func TestRowRunAllocBudget(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	threads := pprof.Lookup("threadcreate")
 	for _, b := range []*Benchmark{&MetaStorm, findBench("Compilebench: Read"), findBench("Dbench: 1 Clients")} {
 		var objects uint64
+		var started bool
 		timed := *b
 		timed.Run = func(ctx *Ctx) (int64, error) {
 			var before, after runtime.MemStats
+			n := threads.Count()
 			runtime.ReadMemStats(&before)
 			work, err := b.Run(ctx)
 			runtime.ReadMemStats(&after)
-			objects = after.Mallocs - before.Mallocs
+			objects, started = after.Mallocs-before.Mallocs, threads.Count() != n
 			return work, err
 		}
-		if err := runNative(&timed); err != nil {
-			t.Fatal(err)
+		for try := 1; ; try++ {
+			if err := runNative(&timed); err != nil {
+				t.Fatal(err)
+			}
+			if !started || try == 5 {
+				break
+			}
+			t.Logf("%s: %d heap objects while the runtime started a thread; measuring again", b.Name, objects)
 		}
 		allocs.Check(t, b.Name, float64(objects))
 	}

@@ -9,11 +9,15 @@ package slab
 // pin.
 const maxBlock = 64
 
-// maxFree caps the free list at the largest burst of frees its owner
-// takes back soon after: a page cache whose pages share the stored blocks
-// once written back frees a whole extent's buffers at once, and an extent
-// is at most 1 MiB (the host's ext4 bio, FUSE_MAX_PAGES above the mount),
-// 256 pages. A shorter list leaves each burst's rest to the collector.
+// maxFree caps the free list of every slab: memfs's inodes, radix nodes,
+// cachesvc's entries and the page cache's file records, pages and page
+// buffers. It is sized for the page buffers, the one burst of frees that
+// was measured: a page cache whose pages share the stored blocks once
+// written back frees a whole extent's buffers at once, and an extent is at
+// most 1 MiB (the host's ext4 bio, FUSE_MAX_PAGES above the mount), 256
+// pages. A shorter list leaves each burst's rest to the collector. The
+// other users' bursts were not sized; for them the cap only bounds what an
+// idle list holds.
 const maxFree = (1 << 20) / 4096
 
 // Slab is a source of zeroed *T. The zero value is ready to use; a Slab

@@ -166,9 +166,7 @@ func tierClient(cfg Config, clock *sim.Clock, model *sim.CostModel) *cachecl.Cli
 func newMount(base vfs.FS, clock *sim.Clock, model *sim.CostModel, cfg Config,
 	budget *pagecache.MemBudget, cacheCl *cachecl.Client) *Mount {
 	cfs := cntrfs.New(base, cntrfs.Options{DedupHardlinks: !cfg.NoDedupHardlinks})
-	mount := cfg.Mount
-	mount.Layer = sim.LayerFuse
-	conn, srv := fuse.Mount(cfs, clock, model, mount)
+	conn, srv := fuse.Mount(cfs, clock, model, cfg.Mount)
 
 	// Kernel-side cache above the FUSE mount. Its caching behaviour is
 	// governed by the mount options CntrFS negotiated.
